@@ -6,9 +6,9 @@
 //! `obs`, `trace`, `recycle`, `spawncost` and `strandcost` are study
 //! subcommands (never part of `all`): `obs` prints one unified registry
 //! snapshot of a fanout-broadcast run (with `--assert-bound` it also
-//! recomputes the paper's per-add contention bound, the block-, vertex-
-//! and strand-recycling conservation identities — the last with the
-//! suspended/resumed terms — the warm-run zero-fresh-vertex and
+//! recomputes the paper's per-add contention bound, the block-, vertex-,
+//! decrement-pair- and strand-recycling conservation identities — the
+//! last with the suspended/resumed terms — the warm-run zero-fresh-vertex and
 //! zero-fresh-strand-frame claims, and the steady-state footprints
 //! including suspended-but-live strand frames, failing if any is
 //! violated); `trace` records the run and writes Chrome Trace Event
@@ -423,6 +423,12 @@ fn check_poisoned_bounds(opts: &Opts) -> bool {
                 format!("born {born} == dead {dead} despite the mid-run panic"),
             );
         }
+        let (born, freed) = (d.counter("sched.pairs_born"), d.counter("sched.pairs_freed"));
+        check(
+            "poisoned-pair-conservation",
+            born == freed && born > 0,
+            format!("decrement pairs born {born} == freed by their last claim {freed}"),
+        );
         let adds = d.counter("outset.adds");
         let delivered = d.counter("outset.adds_bounced") + d.counter("outset.swept");
         check(
@@ -512,6 +518,14 @@ fn check_recycle_bounds(opts: &Opts) -> bool {
                 format!("born {born} == dead {dead}"),
             );
         }
+        // Decrement pairs own themselves: no alloc/reuse split, one
+        // birth and one death (the last claim) per pair.
+        let (born, freed) = (total.counter("sched.pairs_born"), total.counter("sched.pairs_freed"));
+        check(
+            "pair-conservation",
+            born == freed && born > 0,
+            format!("decrement pairs born {born} == freed by their last claim {freed}"),
+        );
         let (reused, allocated) =
             (steady.counter("outset.blocks_reused"), steady.counter("outset.blocks_allocated"));
         check(
@@ -1689,8 +1703,9 @@ fn chaos_run_once(battery: &ChaosBattery, w: usize, tasks: u64) -> ChaosRun {
 /// pool drained rather than hung), the **replay** claim (the second
 /// run under the same plan reproduces the first's outcome — decision
 /// `k` at site `s` is pure in `(seed, s, k)`, see `docs/robustness.md`),
-/// and the **conservation** claim (at quiescence the vertex and
-/// out-set identities still close, even across a poisoned run). Every
+/// and the **conservation** claim (at quiescence the vertex,
+/// decrement-pair and out-set identities still close, even across a
+/// poisoned run). Every
 /// battery prints the seed that reproduces it; the machine-checkable
 /// summary goes to `results/chaos.json` and any failed claim exits
 /// non-zero.
@@ -1739,7 +1754,8 @@ fn chaos_cmd(opts: &Opts) {
                 let vdead = d.counter("sched.vertex_recycled") + d.counter("sched.vertex_dropped");
                 let adds = d.counter("outset.adds");
                 let delivered = d.counter("outset.adds_bounced") + d.counter("outset.swept");
-                vborn == vdead && adds == delivered
+                let pairs = d.counter("sched.pairs_born") == d.counter("sched.pairs_freed");
+                vborn == vdead && adds == delivered && pairs
             } else {
                 true
             };

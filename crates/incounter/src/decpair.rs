@@ -15,6 +15,20 @@
 //! the text is explicit that the handles — and hence the flag arbitrating
 //! them — are shared between the two siblings; `DecPair` is that shared
 //! object.
+//!
+//! ## The pair owns itself
+//!
+//! A pair has exactly two claimers and nobody touches it after the second
+//! claim, so the claim flag already *is* its reference count: whoever
+//! finds the flag set is the last user and may free the pair's memory.
+//! [`DecPair::claim_last`] reports that, and is written so the loser of
+//! the race never touches the pair after its own `swap` — it reads both
+//! handles *first*, then swaps. The winner's reads are ordered before the
+//! loser's free by the swap's release/acquire edge. A pair with a single
+//! user ([`DecPair::new_claimed`] — the root pair of a finish scope) is
+//! born with the flag set, so its one claim is also its last. The dag
+//! layer (`spdag::pair`) builds on this: a pair shared by two vertices
+//! costs one allocation and no reference-count traffic.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -42,6 +56,16 @@ impl<D: Copy> DecPair<D> {
         }
     }
 
+    /// Build a pair with a **single** user: the first claim is already
+    /// spent, so the one claim that follows takes `only` and is the last.
+    /// This is the root pair of a finish scope (a `chain`'s first child, a
+    /// future's body, the dag's root), whose two handles coincide.
+    pub fn new_claimed(only: D) -> DecPair<D> {
+        let pair = DecPair::new(only, only);
+        pair.claimed.store(true, Ordering::Relaxed);
+        pair
+    }
+
     /// Claim a handle: the first claimer receives the first (higher)
     /// handle, the second claimer the second. The paper's `claim_dec`.
     ///
@@ -49,18 +73,46 @@ impl<D: Copy> DecPair<D> {
     /// each sibling); a third claim panics in debug builds.
     #[inline]
     pub fn claim(&self) -> D {
-        if self.claimed.compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire).is_ok() {
-            self.first
-        } else {
-            #[cfg(debug_assertions)]
-            {
-                assert!(
-                    !self.second_claimed.swap(true, Ordering::AcqRel),
-                    "DecPair claimed three times: execution is not valid (Definition 1)"
-                );
-            }
-            self.second
+        // SAFETY: `self` is borrowed for the whole call, so the pair
+        // outlives it whatever the other claimer does.
+        unsafe { Self::claim_last(self) }.0
+    }
+
+    /// [`claim`](DecPair::claim) for a pair that owns itself: also reports
+    /// whether this was the **last** claim, in which case the caller has
+    /// exclusive access to the pair and must free its memory. After a
+    /// claim that is *not* the last, the pair may be freed by the other
+    /// claimer at any instant: this function reads both handles before
+    /// the `swap` that decides, and touches nothing after it.
+    ///
+    /// # Safety
+    /// `this` must point to a live pair that stays allocated until its
+    /// last claim returns, and the execution must be valid: at most two
+    /// claims in total (one for a [`new_claimed`](DecPair::new_claimed)
+    /// pair).
+    #[inline]
+    pub unsafe fn claim_last(this: *const DecPair<D>) -> (D, bool) {
+        // SAFETY: the pair is live until the last claim, and no claim has
+        // been the last before this one's swap.
+        let (first, second) = unsafe { ((*this).first, (*this).second) };
+        // AcqRel: the release half orders the reads above before the other
+        // claimer's free; the acquire half makes the last claimer's free
+        // happen after them.
+        // SAFETY: as above — the swap itself is this claim's last access
+        // unless it turns out to be the last claim.
+        if !unsafe { (*this).claimed.swap(true, Ordering::AcqRel) } {
+            return (first, false);
         }
+        #[cfg(debug_assertions)]
+        // SAFETY: the flag was set, so this is the last claim of a valid
+        // execution and the pair is exclusively ours.
+        unsafe {
+            assert!(
+                !(*this).second_claimed.swap(true, Ordering::AcqRel),
+                "DecPair claimed three times: execution is not valid (Definition 1)"
+            );
+        }
+        (second, true)
     }
 
     /// Whether the first handle has been claimed (diagnostics).
@@ -90,6 +142,62 @@ mod tests {
         p.claim();
         p.claim();
         p.claim();
+    }
+
+    #[test]
+    fn born_claimed_pair_ends_on_its_single_claim() {
+        let p = DecPair::new_claimed(7u32);
+        assert!(p.first_claimed());
+        assert_eq!(unsafe { DecPair::claim_last(&p) }, (7, true));
+    }
+
+    #[test]
+    fn racing_claims_split_the_handles_and_exactly_one_is_last() {
+        // The self-owning protocol end to end: the pair lives in a raw
+        // allocation, two threads race the two claims, and whoever is told
+        // it was last frees the memory. A double free or a leak would be a
+        // wrong `freed` count; a torn handle a wrong split.
+        use std::sync::atomic::{AtomicPtr, AtomicUsize};
+        use std::sync::{Arc, Barrier};
+        const ROUNDS: u64 = 100_000;
+        let slot = Arc::new(AtomicPtr::<DecPair<u64>>::new(std::ptr::null_mut()));
+        let barrier = Arc::new(Barrier::new(2));
+        let freed = Arc::new(AtomicUsize::new(0));
+        let claimer = |id: u64| {
+            let (slot, barrier, freed) =
+                (Arc::clone(&slot), Arc::clone(&barrier), Arc::clone(&freed));
+            move || {
+                let mut got = Vec::with_capacity(ROUNDS as usize);
+                for round in 0..ROUNDS {
+                    if id == 0 {
+                        let fresh = Box::into_raw(Box::new(DecPair::new(2 * round, 2 * round + 1)));
+                        slot.store(fresh, Ordering::Release);
+                    }
+                    barrier.wait(); // the pair is published
+                    let pair = slot.load(Ordering::Acquire);
+                    // SAFETY: two claims per pair, freed only by the last.
+                    let (d, last) = unsafe { DecPair::claim_last(pair) };
+                    if last {
+                        // SAFETY: last claim: exclusive, Box-allocated above.
+                        drop(unsafe { Box::from_raw(pair) });
+                        freed.fetch_add(1, Ordering::Relaxed);
+                    }
+                    got.push((d, last));
+                    barrier.wait(); // both claims done before the next publish
+                }
+                got
+            }
+        };
+        let other = std::thread::spawn(claimer(1));
+        let mine = claimer(0)();
+        let theirs = other.join().unwrap();
+        assert_eq!(freed.load(Ordering::Relaxed), ROUNDS as usize, "one free per pair");
+        for (round, (a, b)) in mine.into_iter().zip(theirs).enumerate() {
+            let (first, second) = (2 * round as u64, 2 * round as u64 + 1);
+            assert!(a.1 != b.1, "round {round}: exactly one claim is the last");
+            let (early, late) = if a.1 { (b.0, a.0) } else { (a.0, b.0) };
+            assert_eq!((early, late), (first, second), "round {round}: handles split in order");
+        }
     }
 
     #[test]

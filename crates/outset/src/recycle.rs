@@ -47,8 +47,9 @@ pub fn set_enabled(on: bool) -> bool {
     ENABLED.swap(on, Ordering::SeqCst)
 }
 
-/// Blocks currently held by the recycler (global free list plus every
-/// worker cache). Racy snapshot.
+/// Blocks held by the recycler: the global free list plus the calling
+/// thread's cache. Exact once every worker has torn down (each flushes
+/// its cache then); a lower bound while workers run.
 pub fn cached_blocks() -> usize {
     tree::block_pool().cached_slabs()
 }

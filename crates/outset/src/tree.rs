@@ -148,6 +148,11 @@ pub const OUTSET_PIN_STRIPES: usize = 4;
 // on their single lane) and allocation amortization for fan-out-heavy
 // broadcasts (one allocation per 32 adds).
 
+/// `repr(C)` with `next` first: while a block sits in the recycler its
+/// first word is the slab cache's intrusive link (`sched::slab`), which
+/// must land on the one field that is dead there (`retire` nulls it,
+/// `reset` rewrites it) and not on the generation stamp or a slot.
+#[repr(C)]
 struct Block {
     /// Next-older block in this lane (immutable after installation).
     next: *mut Block,
@@ -196,12 +201,13 @@ impl Block {
         }
         obs::counter!("outset.blocks_recycled").inc();
         let pool = block_pool();
-        let spilled = pool.release(block as *mut u8);
+        // SAFETY: the block is quiescent and exclusively ours (contract
+        // above), and its first word is the dead `next` field.
+        let spilled = unsafe { pool.release(block as *mut u8) };
         if spilled > 0 {
             obs::counter!("outset.blocks_overflowed").add(spilled as u64);
         }
-        obs::histogram!("outset.steady_footprint_bytes").record(pool.cached_bytes() as u64);
-        obs::trace::record(obs::EventKind::BlockRecycle, pool.cached_slabs() as u64);
+        obs::trace::record(obs::EventKind::BlockRecycle, spilled as u64);
     }
 
     /// Re-initialize a block just taken from the recycler: verify the
@@ -248,6 +254,10 @@ pub(crate) fn trim_block_pool() -> usize {
     });
     if n > 0 {
         obs::counter!("outset.blocks_trimmed").add(n as u64);
+        // The one place the standby footprint is exact without reading
+        // other threads' caches: what a phase change just gave back.
+        let bytes = n * block_pool().slab_bytes();
+        obs::histogram!("outset.steady_footprint_bytes").record(bytes as u64);
     }
     n
 }

@@ -18,13 +18,21 @@ const BLOCK_SLOTS: u64 = 32;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
+/// The file-level lock. Dropping it flushes the test thread's block cache
+/// *before* unlocking — otherwise the thread-local destructor flushes it
+/// after the next test has taken the lock, trimmed, and asserted empty.
+struct Serial(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+impl Drop for Serial {
+    fn drop(&mut self) {
+        recycle::flush_thread_cache();
+    }
+}
+
 /// Serialize and normalize: flush this thread's cache, return every
 /// pooled block to the allocator, and verify the recycler reads empty.
-fn isolated() -> MutexGuard<'static, ()> {
-    let guard = match LOCK.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
+fn isolated() -> Serial {
+    let guard = Serial(LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner()));
     recycle::flush_thread_cache();
     recycle::trim();
     assert_eq!(recycle::cached_blocks(), 0, "pool must start empty (single-threaded binary)");

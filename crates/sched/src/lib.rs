@@ -17,12 +17,14 @@
 //!   for task-soup workloads).
 //! * [`slab`] — bounded per-worker free lists of uniform raw blocks with
 //!   a global overflow pool, so block-recycling layers above (the
-//!   out-set) reach zero allocator traffic in steady state. Workers
+//!   out-set) reach zero allocator traffic in steady state. The
+//!   per-worker list is intrusive and thread-local: a cache hit performs
+//!   no atomic read-modify-write and touches no shared word. Workers
 //!   flush their caches to the shared lists at teardown.
 //! * [`recycle`] — a fixed ladder of *size-class* slab pools (each one a
 //!   [`SlabPool`]) plus the process-wide recycle switch, serving the
 //!   layers whose hot objects are generic and so can't own a typed pool:
-//!   dag vertices and pooled refcount headers.
+//!   dag vertices, decrement pairs and pooled refcount headers.
 //! * [`poolarc`] — [`PoolArc`], an `Arc` twin whose header allocation is
 //!   recycled through the size classes.
 //!

@@ -204,9 +204,26 @@ struct Shared<T: Word> {
     /// attached (`watched`), so unwatched runs pay nothing shared.
     progress: AtomicU64,
     watched: bool,
+    /// Where the watchdog sidecar waits between polls, so termination can
+    /// cut its wait short instead of `run_inner` joining a sleeping thread.
+    watchdog_wake: (Mutex<()>, Condvar),
 }
 
 impl<T: Word> Shared<T> {
+    /// Signal termination: set the done flag, wake every parked worker
+    /// and (if one is attached) the watchdog.
+    fn terminate(&self) {
+        self.done.store(true, Ordering::Release);
+        self.sleep.notify_all_force();
+        if self.watched {
+            // Taking the lock orders this after the watchdog's check of
+            // `done` under the same lock: it either sees the flag or is
+            // already waiting when the notify lands.
+            drop(self.watchdog_wake.0.lock());
+            self.watchdog_wake.1.notify_all();
+        }
+    }
+
     /// Record a panic payload: the first is kept for re-raising at the
     /// [`run`] caller, every one is counted.
     fn record_panic(&self, payload: Box<dyn Any + Send>) {
@@ -313,8 +330,7 @@ impl<'a, T: Word> WorkerCtx<'a, T> {
     /// Announce that the whole computation is complete (DoneFlag mode).
     /// Idempotent; in Quiesce mode it simply forces early termination.
     pub fn finish(&self) {
-        self.shared.done.store(true, Ordering::Release);
-        self.shared.sleep.notify_all_force();
+        self.shared.terminate();
     }
 
     /// Whether termination has been signalled.
@@ -437,8 +453,7 @@ where
     // the dag draining), so this path only fires for raw-pool users.
     if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(ctx, task))) {
         ctx.shared.record_panic(payload);
-        ctx.shared.done.store(true, Ordering::Release);
-        ctx.shared.sleep.notify_all_force();
+        ctx.shared.terminate();
     }
     ctx.tasks.set(ctx.tasks.get() + 1);
     if ctx.shared.watched {
@@ -447,8 +462,7 @@ where
     if ctx.shared.termination == Termination::Quiesce
         && ctx.shared.pending.fetch_sub(1, Ordering::AcqRel) == 1
     {
-        ctx.shared.done.store(true, Ordering::Release);
-        ctx.shared.sleep.notify_all_force();
+        ctx.shared.terminate();
     }
 }
 
@@ -523,13 +537,22 @@ fn stall_report<T: Word>(shared: &Shared<T>, cfg: &WatchdogCfg) -> String {
 }
 
 /// The watchdog sidecar: poll the progress counter until the pool
-/// terminates or the stall timeout elapses with no movement.
+/// terminates or the stall timeout elapses with no movement. Between
+/// polls it waits on `watchdog_wake`, which [`Shared::terminate`]
+/// notifies — a finished run returns at once, not a poll later.
 fn watchdog_loop<T: Word>(shared: &Shared<T>, cfg: &WatchdogCfg) {
     let poll = (cfg.stall_timeout / 8).max(Duration::from_millis(1));
     let mut last = shared.progress.load(Ordering::SeqCst);
     let mut still = Duration::ZERO;
-    while !shared.done.load(Ordering::Acquire) {
-        std::thread::sleep(poll);
+    let (lock, wake) = &shared.watchdog_wake;
+    let mut guard = lock.lock();
+    loop {
+        if shared.done.load(Ordering::Acquire) {
+            return;
+        }
+        if !wake.wait_for(&mut guard, poll).timed_out() {
+            continue; // woken (termination, or spuriously): re-check `done`
+        }
         let now = shared.progress.load(Ordering::SeqCst);
         if now != last {
             last = now;
@@ -544,8 +567,8 @@ fn watchdog_loop<T: Word>(shared: &Shared<T>, cfg: &WatchdogCfg) {
             // hang with the termination broadcast so every parked worker
             // exits and `run` can re-raise the report at the caller.
             shared.record_panic(Box::new(report));
-            shared.done.store(true, Ordering::Release);
-            shared.sleep.notify_all_force();
+            drop(guard); // terminate() takes the watchdog lock
+            shared.terminate();
             return;
         }
     }
@@ -638,6 +661,7 @@ where
         panics: AtomicU64::new(0),
         progress: AtomicU64::new(0),
         watched: watchdog.is_some(),
+        watchdog_wake: (Mutex::new(()), Condvar::new()),
     };
     let f = &f;
     let shared_ref = &shared;
@@ -692,8 +716,7 @@ where
                     // double-panic abort. First payload wins; its worker
                     // contributes zero tallies.
                     shared_ref.record_panic(payload);
-                    shared_ref.done.store(true, Ordering::Release);
-                    shared_ref.sleep.notify_all_force();
+                    shared_ref.terminate();
                     (0, 0, 0, 0, 0)
                 }
             })

@@ -1,14 +1,21 @@
 //! [`PoolArc`]: an atomically reference-counted box whose backing memory
 //! is recycled through the [`crate::recycle`] size-class pools.
 //!
-//! `std::sync::Arc` always round-trips the global allocator; on the
-//! spawn fast path that is one of the three mandatory allocations per
-//! vertex (the `DecPair` / `FutureCore` headers). `PoolArc` keeps the
-//! exact `Arc` semantics the dag layer relies on — `clone` is a relaxed
-//! increment, the last `drop` runs the value's drop glue exactly once
-//! with release/acquire publication — but births the header from a class
-//! slab when recycling is on and retires it back there, so warm-run
-//! churn stops touching the allocator.
+//! `std::sync::Arc` always round-trips the global allocator; a future's
+//! shared core (`FutureCore`: out-set, value cell, completion flag) is
+//! created once per future and held by any number of handles, setters
+//! and continuations. `PoolArc` keeps the exact `Arc` semantics the dag
+//! layer relies on — `clone` is a relaxed increment, the last `drop`
+//! runs the value's drop glue exactly once with release/acquire
+//! publication — but births the header from a class slab when recycling
+//! is on and retires it back there, so warm-run churn stops touching the
+//! allocator.
+//!
+//! It is for objects whose holder count is genuinely open-ended. The
+//! decrement pair two sibling vertices share is *not* one: it has
+//! exactly two users, so its claim flag doubles as its reference count
+//! and it needs no header at all (`incounter::DecPair::claim_last`,
+//! `spdag`'s `pair` module).
 //!
 //! Provenance is recorded in the header (`class`, or
 //! [`crate::recycle::UNPOOLED`] when the switch was off at birth or the

@@ -7,9 +7,9 @@
 //! generic statics. Instead a small fixed ladder of power-of-two **size
 //! classes** (each one a [`crate::slab::SlabPool`], so the per-worker
 //! cache / shared-overflow machinery is reused verbatim) serves every
-//! consumer whose layout fits: dag vertices, pooled reference-counted
-//! headers ([`crate::PoolArc`]), and anything a later layer wants to
-//! recycle.
+//! consumer whose layout fits: dag vertices, the decrement pairs sibling
+//! vertices share, pooled reference-counted headers ([`crate::PoolArc`]),
+//! spilled strand frames, and anything a later layer wants to recycle.
 //!
 //! ## Discipline (inherited from the out-set recycler)
 //!
@@ -19,23 +19,27 @@
 //!   current value — flipping the switch mid-run is always sound, and the
 //!   conservation identities below stay exact.
 //! * **Poison stamps.** In debug builds every slab released to a class
-//!   pool is stamped with [`POISON`] words; acquire asserts the stamp.
-//!   A consumer reading recycled memory before re-initializing it trips
-//!   the assertion instead of silently observing stale bytes. (The
-//!   odd/even *generation* stamp of the out-set recycler guards
-//!   re-publication races of shared blocks; class slabs are never shared
-//!   while dead, so poison alone closes their surface.)
+//!   pool is stamped with [`POISON`] in its second and third words (the
+//!   first belongs to the slab cache's intrusive link, see
+//!   [`crate::slab`]); acquire asserts the stamp. A write into a cached
+//!   slab trips the assertion instead of silently corrupting the next
+//!   object born there. (The odd/even *generation* stamp of the out-set
+//!   recycler guards re-publication races of shared blocks; class slabs
+//!   are never shared while dead, so poison alone closes their surface.)
 //! * **Layout by class.** Slabs are allocated with the class layout
 //!   (class bytes, [`CLASS_ALIGN`]), not the object's, so a slab retired
-//!   by a `Vertex<DynSnzi>` can be reborn as a pooled `DecPair` header.
+//!   by a `Vertex<DynSnzi>` can be reborn as a `DecPair`.
 //!   Objects whose size or alignment exceed the ladder fall back to the
 //!   plain allocator (class [`UNPOOLED`]).
 //!
 //! ## Accounting
 //!
 //! Consumers count births and deaths (`sched.vertex_*`,
-//! `sched.poolarc_*`); this module only owns the standby gauges. At
-//! quiescence, per consumer:
+//! `sched.poolarc_*`, `sched.pairs_*`); this module only owns the standby
+//! gauges, which cost the fast path nothing: they are the shared lists'
+//! lengths plus the calling thread's own caches, exact whenever every
+//! worker has torn down (see [`crate::slab`]). At quiescence, per
+//! consumer:
 //!
 //! ```text
 //! allocated + reused == recycled + dropped      (live = 0)
@@ -80,6 +84,11 @@ static POOLS: [SlabPool; 6] = [
 
 /// Debug poison stamped over dead slabs while they sit in a pool.
 pub const POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;
+
+/// The words of a dead class slab that carry [`POISON`]: the two after
+/// the slab cache's link word (every class is at least four words).
+#[cfg(debug_assertions)]
+const POISON_WORDS: std::ops::Range<usize> = 1..3;
 
 /// Capture-size ceiling (bytes) for closures and strand state stored
 /// **inline** inside a pooled vertex instead of behind a pointer. This is
@@ -152,14 +161,10 @@ pub fn acquire_or_alloc(class: u8) -> (*mut u8, bool) {
     if !crate::failpoint::fire("sched.recycle_miss") {
         if let Some(ptr) = POOLS[class as usize].acquire() {
             #[cfg(debug_assertions)]
-            // SAFETY: the slab is at least 32 bytes and exclusively ours.
-            unsafe {
-                assert_eq!(
-                    (ptr as *const u64).read(),
-                    POISON,
-                    "recycled slab lost its poison stamp"
-                );
-                assert_eq!((ptr as *const u64).add(1).read(), POISON, "poison stamp torn");
+            for word in POISON_WORDS {
+                // SAFETY: the slab is at least 32 bytes and exclusively ours.
+                let stamp = unsafe { (ptr as *const u64).add(word).read() };
+                assert_eq!(stamp, POISON, "a cached slab was written to while free");
             }
             return (ptr, true);
         }
@@ -175,16 +180,25 @@ pub fn acquire_or_alloc(class: u8) -> (*mut u8, bool) {
 
 /// Hand one dead slab of `class` back to the recycler. The memory must
 /// contain no live object (drop glue already ran); the pool stamps it
-/// with [`POISON`] in debug builds.
+/// with [`POISON`] in debug builds and links it into the caller's cache
+/// through its first word.
+///
+/// `ptr` must have come from [`acquire_or_alloc`] with the same `class`
+/// and must not be used afterwards. (A safe signature with an `unsafe`
+/// contract: `benchmark/` calls it as a safe function and is frozen, so
+/// the lint is silenced here rather than the signature changed.)
+#[allow(clippy::not_unsafe_ptr_arg_deref)]
 pub fn release(class: u8, ptr: *mut u8) {
     debug_assert_ne!(class, UNPOOLED);
     #[cfg(debug_assertions)]
-    // SAFETY: the slab is dead, at least 32 bytes, exclusively ours.
-    unsafe {
-        (ptr as *mut u64).write(POISON);
-        (ptr as *mut u64).add(1).write(POISON);
+    for word in POISON_WORDS {
+        // SAFETY: the slab is dead, at least 32 bytes, exclusively ours.
+        unsafe { (ptr as *mut u64).add(word).write(POISON) };
     }
-    POOLS[class as usize].release(ptr);
+    // SAFETY: the documented contract of this function — `ptr` is a dead
+    // slab of `class` (≥ 32 bytes, CLASS_ALIGN-aligned, obtained from
+    // `acquire_or_alloc`) that the caller owns and gives up.
+    unsafe { POOLS[class as usize].release(ptr) };
 }
 
 /// Free one slab of `class` straight back to the allocator (the
@@ -199,14 +213,15 @@ pub unsafe fn dealloc_slab(class: u8, ptr: *mut u8) {
     unsafe { dealloc(ptr, class_layout(class)) };
 }
 
-/// Slabs currently held across all class pools (shared lists plus every
-/// thread cache). Racy snapshot.
+/// Slabs held across all class pools: the shared lists plus the calling
+/// thread's caches — exact once every worker has torn down, a lower
+/// bound while workers run ([`SlabPool::cached_slabs`]).
 pub fn cached_slabs() -> usize {
     POOLS.iter().map(|p| p.cached_slabs()).sum()
 }
 
-/// Bytes currently held across all class pools — the standby footprint,
-/// bounded by peak-live pooled objects.
+/// Bytes held across all class pools — the standby footprint, bounded
+/// by peak-live pooled objects (same exactness as [`cached_slabs`]).
 pub fn cached_bytes() -> usize {
     POOLS.iter().map(|p| p.cached_bytes()).sum()
 }
@@ -274,6 +289,20 @@ mod tests {
         assert_eq!(b, a);
         // Leave nothing behind.
         unsafe { dealloc_slab(cl, b) };
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "written to while free")]
+    fn write_to_a_cached_slab_trips_the_poison_assert() {
+        // Class 512 is this test's alone, and the cache is LIFO, so the
+        // slab scribbled on is the one served back.
+        let cl = class_for(500, 8).unwrap();
+        let (a, _) = acquire_or_alloc(cl);
+        release(cl, a);
+        // A stale writer: past the cache's link word, inside the stamp.
+        unsafe { (a as *mut u64).add(2).write(7) };
+        let _ = acquire_or_alloc(cl);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
-use sched::{run, Termination};
+use sched::{run, run_watched, Termination, WatchdogCfg};
 
 #[test]
 fn done_flag_drains_own_deques_before_exit() {
@@ -138,4 +139,26 @@ fn repeated_pools_do_not_leak_state() {
         });
         assert_eq!(executed.load(Ordering::Relaxed), 16, "round {round}");
     }
+}
+
+#[test]
+fn watched_run_returns_when_the_work_does() {
+    // The watchdog sidecar polls every `stall_timeout / 8` and the pool
+    // joins it: it must be woken by termination, not slept out (it used
+    // to add 1.25 s to every run under a 10 s watchdog). Best of three,
+    // so a descheduled test thread cannot fail a timing assert alone.
+    let watchdog = WatchdogCfg { stall_timeout: Duration::from_secs(10) };
+    let best = (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            let stats =
+                run_watched(2, vec![0usize], Termination::DoneFlag, watchdog.clone(), |ctx, _| {
+                    ctx.finish()
+                });
+            assert_eq!(stats.tasks, 1);
+            start.elapsed()
+        })
+        .min()
+        .unwrap();
+    assert!(best < Duration::from_millis(100), "a no-op watched run took {best:?}");
 }

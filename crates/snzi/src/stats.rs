@@ -9,7 +9,9 @@
 //!   (with the recommended `p = 1/(25·cores)`, one in ~25·cores grows);
 //! * `max_arrive_chain` / `max_depart_chain` — only when a propagation
 //!   chain exceeds one node, which the paper's Theorem 4.8 makes rare by
-//!   construction.
+//!   construction, and only under the `stats` feature: the sole reader,
+//!   `SnziTree::stats()`, exists only there, so a build without it writes
+//!   nothing.
 //!
 //! Per-node touch counters (for the Theorem 4.9 check) live on the nodes
 //! themselves behind the `stats` feature: they add one relaxed RMW to a
@@ -40,16 +42,22 @@ pub struct TreeStats {
 impl TreeStats {
     #[inline(always)]
     pub(crate) fn record_arrive(&self, chain: u32) {
+        #[cfg(feature = "stats")]
         if chain > 1 {
             self.max_arrive_chain.fetch_max(chain as u64, Ordering::Relaxed);
         }
+        #[cfg(not(feature = "stats"))]
+        let _ = chain;
     }
 
     #[inline(always)]
     pub(crate) fn record_depart(&self, chain: u32) {
+        #[cfg(feature = "stats")]
         if chain > 1 {
             self.max_depart_chain.fetch_max(chain as u64, Ordering::Relaxed);
         }
+        #[cfg(not(feature = "stats"))]
+        let _ = chain;
     }
 
     /// Snapshot the counters into a plain struct for reporting.
@@ -129,6 +137,7 @@ mod tests {
     use super::*;
 
     #[test]
+    #[cfg(feature = "stats")]
     fn snapshot_reflects_records() {
         let s = TreeStats::default();
         s.record_arrive(3);
@@ -151,6 +160,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(feature = "stats")]
     fn max_is_monotone() {
         let s = TreeStats::default();
         s.record_arrive(5);

@@ -17,7 +17,9 @@
 //! execution validity. The `incounter`/`spdag` crates enforce both
 //! structurally.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+#[cfg(debug_assertions)]
+use std::sync::atomic::AtomicU32;
+use std::sync::atomic::Ordering;
 
 use crate::coin::{Coin, Probability, ThreadCoin};
 use crate::node::{node_arrive, node_depart, ChildPair, Node, OpPath, ParentRef};
@@ -27,11 +29,20 @@ use crate::root::Root;
 use crate::stats::StatsSnapshot;
 use crate::stats::TreeStats;
 
-static TREE_IDS: AtomicU32 = AtomicU32::new(1);
-
 /// Allocate a fresh tree identity (shared with [`FixedSnzi`](crate::FixedSnzi)).
+///
+/// Identities feed only the debug handle-ownership check
+/// (`check_handle`), so only debug builds pay for distinct ones — a
+/// process-global read-modify-write per tree, i.e. per finish block.
+/// Release builds stamp every tree 0 and write no shared word.
 pub(crate) fn next_tree_id() -> u32 {
-    TREE_IDS.fetch_add(1, Ordering::Relaxed)
+    #[cfg(debug_assertions)]
+    {
+        static TREE_IDS: AtomicU32 = AtomicU32::new(1);
+        TREE_IDS.fetch_add(1, Ordering::Relaxed)
+    }
+    #[cfg(not(debug_assertions))]
+    0
 }
 
 #[derive(Copy, Clone)]
@@ -601,6 +612,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     fn tree_ids_are_distinct() {
         let a = SnziTree::new(0);
         let b = SnziTree::new(0);

@@ -21,8 +21,9 @@
 use std::time::{Duration, Instant};
 
 use incounter::{CounterFamily, DecPair};
-use sched::{PoolArc, PoolStats, Termination, WorkerCtx};
+use sched::{PoolStats, Termination, WorkerCtx};
 
+use crate::pair::PairRef;
 use crate::vertex::{Body, BodySlot, Strand, StrandPoll, TakenBody, Vertex, VertexPtr};
 
 /// Per-body execution context: the running vertex plus scheduler access.
@@ -137,9 +138,10 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         let (d2, i1, i2) = unsafe { C::increment(self.cfg, fc, u.inc, u.is_left, vid) };
         // ... and only then claim the inherited handle (ordering invariant:
         // the first handle of the new pair is the higher one).
-        let d1 = u.dec.claim();
-        let pair = PoolArc::new(C::make_pair(self.cfg, d1, d2));
-        let v = Vertex::alloc(self.cfg, 0, i1, pair.clone(), u.fin, true, left);
+        // SAFETY: `u`'s one claim on its pair — it dies here, unsignalled.
+        let d1 = unsafe { u.dec.claim() };
+        let pair = PairRef::new(C::make_pair(self.cfg, d1, d2));
+        let v = Vertex::alloc(self.cfg, 0, i1, pair, u.fin, true, left);
         let w = Vertex::alloc(self.cfg, 0, i2, pair, u.fin, false, right);
         u.dead = true;
         self.worker.push(VertexPtr(v));
@@ -198,18 +200,18 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         obs::counter!("spdag.chains").inc();
         obs::trace::record(obs::EventKind::Chain, u as *const Vertex<C> as u64);
         // w: the new finish vertex; takes over u's position in u's scope
-        // (inherits fin, inc, dec pair and left/right position) and waits
-        // on one dependency — the completion of `first`'s subtree.
-        let w_ptr = Vertex::alloc(self.cfg, 1, u.inc, u.dec.clone(), u.fin, u.is_left, then);
+        // (inherits fin, inc, left/right position, and u's pair pointer
+        // with the one claim u still owes it) and waits on one dependency
+        // — the completion of `first`'s subtree.
+        let w_ptr = Vertex::alloc(self.cfg, 1, u.inc, u.dec, u.fin, u.is_left, then);
         // SAFETY: just created, uniquely owned until scheduled; shared
         // references derived here point at the stable slab allocation.
         let wc = unsafe { (*w_ptr).counter_ref() };
-        let h_dec = C::root_dec(wc);
         let v = Vertex::alloc(
             self.cfg,
             0,
             C::root_inc(wc),
-            PoolArc::new(DecPair::new(h_dec, h_dec)),
+            PairRef::new(DecPair::new_claimed(C::root_dec(wc))),
             w_ptr,
             true,
             first,
@@ -411,7 +413,9 @@ fn execute_vertex<C: CounterFamily>(
     }
     // SAFETY: fin outlives all vertices of its scope (module docs).
     let fin_ref = unsafe { &*v.fin };
-    let d = v.dec.claim();
+    // SAFETY: the vertex neither spawned, chained nor touched (`dead` is
+    // clear), so its one claim on the pair it holds is still unspent.
+    let d = unsafe { v.dec.claim() };
     // SAFETY: `d` was produced by an increment on `fin`'s counter (or is
     // its root handle matching the initial count) and is consumed exactly
     // once — the claim protocol's guarantee.
@@ -487,16 +491,16 @@ fn run_dag_inner<C: CounterFamily>(
     root: BodySlot<C>,
 ) -> DagRunStats {
     // Final vertex z: one dependency (the root strand), no finish of its
-    // own. Its handles are placeholders aimed at its own counter; they are
-    // never used because fin == null short-circuits signalling.
+    // own. Its increment handle is a placeholder aimed at its own counter
+    // and it holds no decrement pair: neither is ever used, because
+    // fin == null short-circuits signalling.
     let z_ptr = {
         let counter = C::make(&cfg, 1);
         let inc = C::root_inc(&counter);
-        let dec = C::root_dec(&counter);
         Vertex::<C>::alloc_parts(
             Some(counter),
             inc,
-            PoolArc::new(DecPair::new(dec, dec)),
+            PairRef::none(),
             std::ptr::null(),
             true,
             BodySlot::None,
@@ -507,12 +511,11 @@ fn run_dag_inner<C: CounterFamily>(
     // SAFETY: z_ptr was just allocated and stays alive until its executor
     // retires it, strictly after u's scope completes.
     let zc = unsafe { (*z_ptr).counter_ref() };
-    let z_dec = C::root_dec(zc);
     let u = Vertex::alloc(
         &cfg,
         0,
         C::root_inc(zc),
-        PoolArc::new(DecPair::new(z_dec, z_dec)),
+        PairRef::new(DecPair::new_claimed(C::root_dec(zc))),
         z_ptr,
         true,
         root,

@@ -93,6 +93,7 @@ use outset::{AddEdge, OutsetFamily, TreeOutset};
 use sched::PoolArc;
 
 use crate::dag::Ctx;
+use crate::pair::PairRef;
 use crate::vertex::{BodySlot, Strand, StrandPoll, Vertex, VertexPtr};
 
 /// Result of [`Ctx::touch_await`]: the blocking-style dual of
@@ -520,7 +521,6 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // after the body subtree (which signals through these handles) is
         // done.
         let wc = unsafe { (*fw_ptr).counter_ref() };
-        let h_dec = C::root_dec(wc);
         // The setter is a plain 8-byte struct built up front (not a
         // Box<dyn FnOnce> built at run time), so the body wrapper's
         // capture is the user closure plus one word.
@@ -530,7 +530,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
             cfg,
             0,
             C::root_inc(wc),
-            PoolArc::new(DecPair::new(h_dec, h_dec)),
+            PairRef::new(DecPair::new_claimed(C::root_dec(wc))),
             fw_ptr,
             true,
             body,
@@ -723,10 +723,11 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
                 }
             }
         });
-        // The waiting vertex takes over u's scope position (inc, pair,
-        // fin, side) like a chain continuation, and waits on exactly one
-        // dependency of its own: the future's completion.
-        let w_ptr = Vertex::alloc(self.cfg, 1, u.inc, u.dec.clone(), u.fin, u.is_left, body);
+        // The waiting vertex takes over u's scope position (inc, the pair
+        // pointer with u's unspent claim, fin, side) like a chain
+        // continuation, and waits on exactly one dependency of its own:
+        // the future's completion.
+        let w_ptr = Vertex::alloc(self.cfg, 1, u.inc, u.dec, u.fin, u.is_left, body);
         u.dead = true;
         let token = w_ptr as usize as u64;
         force_bounce_hold::<O>(&future.core.outset);

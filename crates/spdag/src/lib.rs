@@ -66,6 +66,7 @@
 pub mod async_bridge;
 pub mod dag;
 pub mod futures;
+mod pair;
 pub mod scope;
 pub mod vertex;
 

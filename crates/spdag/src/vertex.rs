@@ -21,19 +21,23 @@
 //!
 //! Vertices are the runtime's highest-churn allocation: every `spawn`
 //! makes two, every `chain`/`future`/`touch` at least one, and each lives
-//! exactly from creation to its single execution. Since PR 5 they are
-//! carved from the scheduler's size-class slab pools
-//! ([`sched::recycle`]) instead of `Box`: `Vertex::alloc` records the
-//! size class the memory came from in the `pooled` byte (or
-//! [`sched::recycle::UNPOOLED`] when the recycle switch was off at birth
-//! or `Vertex<C>` is off the class ladder), and `Vertex::retire` sends
-//! the slab back to that class after running drop glue — so warm-run
-//! spawn churn recirculates a small working set of slabs and stops
-//! touching the allocator. Small bodies (captures up to
-//! `INLINE_BODY_BYTES`) are stored *inside* the vertex (`BodySlot`)
-//! rather than behind `Box<dyn FnOnce>`, which removes the second
-//! allocation of the old spawn path; the third (the shared `DecPair`)
-//! now rides in a [`PoolArc`] recycled through the same classes.
+//! exactly from creation to its single execution. They are carved from
+//! the scheduler's size-class slab pools ([`sched::recycle`]) instead of
+//! `Box`: `Vertex::alloc` records the size class the memory came from in
+//! the `pooled` byte (or [`sched::recycle::UNPOOLED`] when the recycle
+//! switch was off at birth or `Vertex<C>` is off the class ladder), and
+//! `Vertex::retire` sends the slab back to that class after running drop
+//! glue — so warm-run spawn churn recirculates a small working set of
+//! slabs through the executing worker's private cache, touching neither
+//! the allocator nor any word another worker writes. Small bodies
+//! (captures up to `INLINE_BODY_BYTES`) are stored *inside* the vertex
+//! (`BodySlot`) rather than behind `Box<dyn FnOnce>`. The third object of
+//! a spawn, the shared `DecPair`, is a slab of the same ladder that owns
+//! itself: `dec` is a plain copyable pointer (`pair::PairRef`), and the
+//! second of the pair's two claims frees it — a spawn pays one pair
+//! allocation and no reference counting. A vertex therefore has no drop
+//! obligation towards its pair: it either claims it (signal, spawn, fork)
+//! or hands the pointer on (`chain`, `touch`).
 //!
 //! ## Ownership, aliasing and lifetime discipline
 //!
@@ -56,10 +60,11 @@
 
 use std::mem::{ManuallyDrop, MaybeUninit};
 
-use incounter::{CounterFamily, DecPair};
-use sched::{PoolArc, Word};
+use incounter::CounterFamily;
+use sched::Word;
 
 use crate::dag::Ctx;
+use crate::pair::PairRef;
 
 /// A vertex body: run exactly once with the executing worker's context.
 pub type Body<C> = Box<dyn for<'a> FnOnce(Ctx<'a, C>) + Send + 'static>;
@@ -375,8 +380,10 @@ pub struct Vertex<C: CounterFamily> {
     pub(crate) counter: Option<C::Counter>,
     /// Increment handle into `fin`'s counter (rotated by `Scope::fork`).
     pub(crate) inc: C::Inc,
-    /// Ordered decrement pair into `fin`'s counter, shared with the sibling.
-    pub(crate) dec: PoolArc<DecPair<C::Dec>>,
+    /// Ordered decrement pair into `fin`'s counter, shared with the
+    /// sibling; claimed exactly once by this vertex or by the continuation
+    /// it hands the pointer to. `PairRef::none` only for the final vertex.
+    pub(crate) dec: PairRef<C::Dec>,
     /// The finish vertex this vertex signals; null only for the final
     /// vertex of the whole dag.
     pub(crate) fin: *const Vertex<C>,
@@ -424,7 +431,7 @@ impl<C: CounterFamily> Vertex<C> {
         cfg: &C::Config,
         n: u64,
         inc: C::Inc,
-        dec: PoolArc<DecPair<C::Dec>>,
+        dec: PairRef<C::Dec>,
         fin: *const Vertex<C>,
         is_left: bool,
         body: BodySlot<C>,
@@ -439,7 +446,7 @@ impl<C: CounterFamily> Vertex<C> {
     pub(crate) fn alloc_parts(
         counter: Option<C::Counter>,
         inc: C::Inc,
-        dec: PoolArc<DecPair<C::Dec>>,
+        dec: PairRef<C::Dec>,
         fin: *const Vertex<C>,
         is_left: bool,
         body: BodySlot<C>,
@@ -524,7 +531,7 @@ impl<C: CounterFamily> Vertex<C> {
     /// Encodes the ordering invariant the analysis leans on: the
     /// increment (grow + arrive, Figure 5) happens strictly **before**
     /// the inherited handle is claimed.
-    pub(crate) fn fork_rotate(&mut self, cfg: &C::Config) -> (C::Inc, PoolArc<DecPair<C::Dec>>) {
+    pub(crate) fn fork_rotate(&mut self, cfg: &C::Config) -> (C::Inc, PairRef<C::Dec>) {
         // SAFETY: `fin` is alive — this vertex is an unfinished strand of
         // its scope (same argument as Ctx::spawn).
         let fin_ref = unsafe { &*self.fin };
@@ -534,10 +541,12 @@ impl<C: CounterFamily> Vertex<C> {
         // SAFETY: self.inc belongs to fc by construction.
         let (d2, i1, i2) = unsafe { C::increment(cfg, fc, self.inc, self.is_left, vid) };
         // ... then claim the inherited handle and build the shared pair.
-        let d1 = self.dec.claim();
-        let pair = PoolArc::new(C::make_pair(cfg, d1, d2));
+        // SAFETY: this is the vertex's one claim on the pair it holds; it
+        // moves onto the fresh pair below.
+        let d1 = unsafe { self.dec.claim() };
+        let pair = PairRef::new(C::make_pair(cfg, d1, d2));
         self.inc = i2;
-        self.dec = pair.clone();
+        self.dec = pair;
         self.is_left = false;
         self.forks += 1;
         (i1, pair)

@@ -12,8 +12,10 @@
 //!    poisoned future skips its closure exactly once, and a
 //!    `touch_await` on it panics with the descriptive poisoned message
 //!    rather than hanging;
-//! 4. the conservation identities close at quiescence even across a
-//!    poisoned run (checked when telemetry is compiled in).
+//! 4. the conservation identities — vertices, decrement pairs
+//!    (`pairs_born == pairs_freed`), PoolArcs, out-set blocks and adds —
+//!    close at quiescence even across a poisoned run (checked when
+//!    telemetry is compiled in).
 //!
 //! The file runs identically in every feature leg: it injects panics
 //! with plain `panic!`, not failpoints, so `fault-inject` being absent
@@ -221,6 +223,18 @@ fn run_case(prog: &Prog, workers: usize, victim: Option<usize>) {
         let born = d.counter("sched.vertex_alloc") + d.counter("sched.vertex_reuse");
         let dead = d.counter("sched.vertex_recycled") + d.counter("sched.vertex_dropped");
         assert_eq!(born, dead, "vertex conservation broke across a poisoned run");
+        // A panicked vertex still makes its one claim in the signal
+        // epilogue (or its children make it for it), so every self-owning
+        // decrement pair still sees its last claim and is freed.
+        let (born, freed) = (d.counter("sched.pairs_born"), d.counter("sched.pairs_freed"));
+        assert_eq!(born, freed, "decrement pairs leaked across a poisoned run");
+        assert!(born > 0, "every dag has at least its root pair");
+        let born = d.counter("sched.poolarc_alloc") + d.counter("sched.poolarc_reuse");
+        let dead = d.counter("sched.poolarc_recycled") + d.counter("sched.poolarc_dropped");
+        assert_eq!(born, dead, "PoolArc conservation broke across a poisoned run");
+        let born = d.counter("outset.blocks_allocated") + d.counter("outset.blocks_reused");
+        let dead = d.counter("outset.blocks_recycled") + d.counter("outset.blocks_dropped");
+        assert_eq!(born, dead, "out-set block conservation broke across a poisoned run");
         let adds = d.counter("outset.adds");
         let delivered = d.counter("outset.adds_bounced") + d.counter("outset.swept");
         assert_eq!(adds, delivered, "out-set add conservation broke across a poisoned run");

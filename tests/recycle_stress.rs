@@ -23,16 +23,28 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dynsnzi::prelude::*;
-use outset::recycle;
+use outset::tree::TreeOutsetObj;
+use outset::{recycle, GrowthPolicy};
+
+/// Per-worker block-cache bound, mirrored from `outset::tree` (not public).
+const BLOCK_CACHE_CAP: u64 = 32;
 
 /// Both tests read process-global recycler gauges: serialize them.
 static LOCK: Mutex<()> = Mutex::new(());
 
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    match LOCK.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
+/// The file-level lock. Dropping it flushes the test thread's slab caches
+/// *before* unlocking — otherwise the thread-local destructor flushes
+/// them after the next test has taken the lock (and trimmed).
+struct Serial(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
+
+impl Drop for Serial {
+    fn drop(&mut self) {
+        sched::slab::flush_this_thread();
     }
+}
+
+fn lock() -> Serial {
+    Serial(LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner()))
 }
 
 /// One future-churn chain: create a future, touch it, and continue from
@@ -66,6 +78,23 @@ fn churn_round(workers: usize, chains: u64, len: u64) -> u64 {
     touched.load(Ordering::Relaxed)
 }
 
+/// Leave `blocks` slot blocks standing by on the recycler's shared list:
+/// that many one-token out-sets alive at once on this thread, swept,
+/// drained and flushed.
+fn prewarm(blocks: u64) {
+    let sets: Vec<TreeOutsetObj> =
+        (0..blocks).map(|_| TreeOutsetObj::with_policy(1, GrowthPolicy::eager(2))).collect();
+    for (token, set) in sets.iter().enumerate() {
+        let _ = set.add(token as u64, 0);
+    }
+    for set in &sets {
+        assert!(set.finish(&mut |_| {}));
+        assert!(set.drain_retired(), "quiescent: retirement must complete");
+    }
+    recycle::flush_thread_cache();
+    assert!(recycle::cached_blocks() as u64 >= blocks, "prewarm left the recycler short");
+}
+
 #[test]
 fn million_future_churn_is_conserved_and_bounded() {
     let _guard = lock();
@@ -77,9 +106,17 @@ fn million_future_churn_is_conserved_and_bounded() {
         if cfg!(debug_assertions) { (6, 16u64, 128u64, 4) } else { (32, 64u64, 512u64, 4) };
 
     let before = obs::Snapshot::take();
+    // Warm the recycler to the standby the per-worker caches can demand.
+    // Every round starts new workers with empty caches, and a worker
+    // mints only when its cache and the shared list are both dry — by
+    // which time the other workers hold at most a full cache each and
+    // the chains a couple of live blocks each. Churn alone closes that
+    // gap a schedule-dependent few blocks per round (the warm-round
+    // bound below failed 1 debug run in 6 for it).
+    prewarm((workers as u64 - 1) * BLOCK_CACHE_CAP + 2 * chains);
     let mut allocated_per_round = Vec::new();
     let mut cached_peak = 0usize;
-    let mut prev_allocated = 0u64;
+    let mut prev_allocated = obs::Snapshot::take().diff(&before).counter("outset.blocks_allocated");
     for _ in 0..rounds {
         assert_eq!(churn_round(workers, chains, len), chains * len, "every touch exactly once");
         // Workers flushed their slab caches at pool teardown, and every
