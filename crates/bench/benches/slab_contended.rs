@@ -85,7 +85,7 @@ fn bench(c: &mut Criterion) {
         best.push((threads, samples[0]));
     }
     g.finish();
-    recycle::flush_thread_cache();
+    sched::slab::flush_this_thread();
     recycle::trim();
 
     if std::env::args().any(|a| a == "--quick") {

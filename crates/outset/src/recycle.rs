@@ -1,11 +1,11 @@
-//! The block recycler's switch and probes.
+//! The block recycler's probes and its release valve.
 //!
 //! The mechanism itself lives in [`crate::tree`] (retirement through the
 //! out-set's epoch domain) and `sched::slab` (per-worker caches over a
 //! global free list); this module is the small public surface around it:
-//! a process-wide enable switch — captured by each out-set at
-//! construction, so one object never changes mode mid-life — and the
-//! gauges the bench harness and the reclamation tests read.
+//! the gauges the bench harness and the reclamation tests read, and
+//! [`trim`]. Every growable out-set recycles its swept blocks; a frozen
+//! one (no epoch domain to retire through) keeps them until `Drop`.
 //!
 //! ## Accounting
 //!
@@ -28,24 +28,6 @@
 //! checks both identities after a quiesced run.
 
 use crate::tree;
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Whether out-sets created *now* will recycle their blocks (process
-/// default: `true`). Each out-set captures this at construction.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::SeqCst)
-}
-
-/// Flip the process-wide recycling default, returning the previous
-/// value. Affects only out-sets created afterwards — existing objects
-/// keep the mode they were born with — which is what lets the bench
-/// harness run with/without studies in one process.
-pub fn set_enabled(on: bool) -> bool {
-    ENABLED.swap(on, Ordering::SeqCst)
-}
 
 /// Blocks held by the recycler: the global free list plus the calling
 /// thread's cache. Exact once every worker has torn down (each flushes
@@ -71,18 +53,11 @@ pub fn overflowed_blocks() -> u64 {
     tree::block_pool().overflowed()
 }
 
-/// Move the current thread's cache onto the global free list so other
-/// threads (or [`trim`]) can see those blocks. Worker threads do this
-/// automatically at pool teardown.
-pub fn flush_thread_cache() {
-    tree::block_pool().flush_thread_cache();
-}
-
 /// Return every block on the global free list to the allocator (worker
-/// caches are not touched — call [`flush_thread_cache`] on their threads
-/// first). Returns the number of blocks freed. This is the footprint
-/// release valve: the free-list bound is `O(peak live blocks)`, and trim
-/// is how a phase change gives that memory back.
+/// caches are not touched — `sched::slab::flush_this_thread` on their
+/// threads first). Returns the number of blocks freed. This is the
+/// footprint release valve: the free-list bound is `O(peak live
+/// blocks)`, and trim is how a phase change gives that memory back.
 pub fn trim() -> usize {
     tree::trim_block_pool()
 }

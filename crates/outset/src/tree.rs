@@ -316,7 +316,10 @@ pub struct TreeOutsetObj {
     /// under the cap), fixed at construction. When `false` the table
     /// pointer is immutable for the object's whole life, so the add path
     /// skips the epoch pin entirely — fixed-lane baselines and tables
-    /// born at their cap pay nothing for the growth machinery.
+    /// born at their cap pay nothing for the growth machinery. It is also
+    /// exactly when swept blocks go to the recycler: retirement rides the
+    /// private domain, which only growable out-sets have; a frozen
+    /// out-set keeps its blocks until `Drop`.
     growable: bool,
     /// Monotone mirror of the table size, so probes (and the growth cap
     /// check) need no epoch pin.
@@ -326,11 +329,6 @@ pub struct TreeOutsetObj {
     /// Lost block-install CASes (diagnostic — the contention signal that
     /// feeds the growth coin; see [`install_races`](Self::install_races)).
     race_count: AtomicUsize,
-    /// Whether swept blocks go to the recycler (requires `growable` — the
-    /// retirement rides the private domain — and the process switch at
-    /// construction time; see [`crate::recycle`]). Fixed for the
-    /// object's life so the sweep and the allocator never disagree.
-    recycle: bool,
     /// Blocks this object has handed to the recycler (scheduled
     /// retirements; deterministic once `finish` returns — the actual
     /// cache push runs at the domain's next quiescent instant).
@@ -388,7 +386,6 @@ impl TreeOutsetObj {
             lanes_approx: AtomicUsize::new(initial),
             split_count: AtomicUsize::new(0),
             race_count: AtomicUsize::new(0),
-            recycle: growable && crate::recycle::enabled(),
             retired_count: AtomicUsize::new(0),
             domain: growable.then(|| Box::new(epoch::Domain::with_stripes(OUTSET_PIN_STRIPES))),
         }
@@ -486,10 +483,10 @@ impl TreeOutsetObj {
                     .is_err();
             if lost {
                 // Lost the install race; the never-published block goes
-                // straight back — to the recycler when recycling (keeping
-                // the birth/death accounting balanced), else the
-                // allocator — and we retry on the winner.
-                if self.recycle {
+                // straight back — to the recycler when this out-set
+                // recycles (keeping the birth/death accounting balanced),
+                // else the allocator — and we retry on the winner.
+                if self.growable {
                     // SAFETY: never published, exclusively ours.
                     unsafe { Block::retire(fresh) };
                     self.retired_count.fetch_add(1, Ordering::Relaxed);
@@ -515,7 +512,7 @@ impl TreeOutsetObj {
     /// out-set recycles and a cached block is available, else a fresh
     /// allocation.
     fn alloc_block(&self, next: *mut Block) -> *mut Block {
-        if self.recycle {
+        if self.growable {
             if let Some(raw) = block_pool().acquire() {
                 let block = raw as *mut Block;
                 // SAFETY: `acquire` hands over exclusive ownership.
@@ -622,7 +619,7 @@ impl TreeOutsetObj {
             // published after the seal, so it observes `sealed` on its
             // re-check and delivers inline — its straggler block stays
             // linked and is freed in `Drop`.
-            let taken = if self.recycle {
+            let taken = if self.growable {
                 lane.head.swap(std::ptr::null_mut(), Ordering::SeqCst)
             } else {
                 lane.head.load(Ordering::SeqCst)
@@ -644,9 +641,8 @@ impl TreeOutsetObj {
                     // yet; its publish CAS will fail and deliver inline.
                 }
                 let next = block.next;
-                if self.recycle {
+                if let Some(g) = guard.as_ref() {
                     let ptr = head;
-                    let g = guard.as_ref().expect("recycling implies growable implies a domain");
                     // SAFETY: `ptr` is unlinked (the swap above), so no
                     // new reader can acquire it; adders that already
                     // hold it are pinned across their whole claim +
@@ -753,10 +749,10 @@ impl TreeOutsetObj {
         self.domain.as_deref().map_or(0, epoch::Domain::footprint_bytes)
     }
 
-    /// Whether this out-set recycles its swept blocks — growable, and
-    /// [`crate::recycle::enabled`] was true at construction.
+    /// Whether this out-set recycles its swept blocks: exactly the
+    /// growable ones do (retirement rides their private epoch domain).
     pub fn recycles_blocks(&self) -> bool {
-        self.recycle
+        self.growable
     }
 
     /// Blocks this object has scheduled for the recycler so far (the
@@ -1055,22 +1051,17 @@ mod tests {
     }
 
     #[test]
-    fn recycling_mode_tracks_growability_and_switch() {
+    fn recycling_mode_tracks_growability() {
         // Frozen out-sets must never recycle (retirement needs the
-        // domain); growable ones follow the process switch at
-        // construction time.
+        // domain); growable ones always do.
         assert!(!TreeOutsetObj::with_lanes(4).recycles_blocks());
         assert!(!TreeOutsetObj::with_policy(8, GrowthPolicy::eager(8)).recycles_blocks());
-        let growable = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(8));
-        assert_eq!(growable.recycles_blocks(), crate::recycle::enabled());
+        assert!(TreeOutsetObj::with_policy(1, GrowthPolicy::eager(8)).recycles_blocks());
     }
 
     #[test]
     fn finish_retires_the_swept_chain() {
         let set = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(8));
-        if !set.recycles_blocks() {
-            return; // another test (or harness mode) disabled recycling
-        }
         let n = 2 * BLOCK_SLOTS as u64 + 1;
         for t in 0..n {
             assert_eq!(set.add(t, 0), AddEdge::Registered);
@@ -1120,12 +1111,10 @@ mod tests {
         }
         assert!(set.footprint_bytes() > before_adds);
         set.finish(&mut |_| {});
-        if set.recycles_blocks() {
-            assert_eq!(
-                set.footprint_bytes(),
-                before_adds,
-                "a finished recycling out-set holds no blocks"
-            );
-        }
+        assert_eq!(
+            set.footprint_bytes(),
+            before_adds,
+            "a finished recycling out-set holds no blocks"
+        );
     }
 }

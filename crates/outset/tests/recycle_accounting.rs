@@ -25,7 +25,7 @@ struct Serial(#[allow(dead_code)] MutexGuard<'static, ()>);
 
 impl Drop for Serial {
     fn drop(&mut self) {
-        recycle::flush_thread_cache();
+        sched::slab::flush_this_thread();
     }
 }
 
@@ -33,7 +33,7 @@ impl Drop for Serial {
 /// pooled block to the allocator, and verify the recycler reads empty.
 fn isolated() -> Serial {
     let guard = Serial(LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner()));
-    recycle::flush_thread_cache();
+    sched::slab::flush_this_thread();
     recycle::trim();
     assert_eq!(recycle::cached_blocks(), 0, "pool must start empty (single-threaded binary)");
     guard
@@ -83,7 +83,7 @@ fn retired_blocks_land_in_the_recycler_and_are_reused() {
     assert!(set.drain_retired());
     assert_eq!(recycle::cached_blocks(), 4, "reused and fresh blocks all retire alike");
     assert_eq!(recycle::trim(), 0, "blocks sit in the thread cache until flushed");
-    recycle::flush_thread_cache();
+    sched::slab::flush_this_thread();
     assert_eq!(recycle::trim(), 4, "trim returns the whole free list to the allocator");
     assert_eq!(recycle::cached_blocks(), 0);
 }
@@ -102,22 +102,15 @@ fn worker_cache_overflows_to_the_global_pool() {
     // Spilled blocks are on the global list already — visible to trim
     // without a flush.
     assert_eq!(recycle::trim(), spilled as usize);
-    recycle::flush_thread_cache();
+    sched::slab::flush_this_thread();
     assert_eq!(recycle::trim(), blocks as usize - spilled as usize);
 }
 
 #[test]
-fn disabled_recycling_keeps_the_drop_path() {
+fn frozen_out_sets_keep_the_drop_path() {
     let _guard = isolated();
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            recycle::set_enabled(self.0);
-        }
-    }
-    let _restore = Restore(recycle::set_enabled(false));
-    let set = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(2));
-    assert!(!set.recycles_blocks(), "the switch must gate construction");
+    let set = TreeOutsetObj::with_lanes(2);
+    assert!(!set.recycles_blocks(), "a frozen out-set has no domain to retire through");
     for t in 0..(2 * BLOCK_SLOTS) {
         let _ = set.add(t, 0);
     }
@@ -165,6 +158,6 @@ fn conservation_identity_holds_at_quiescence() {
             - d.counter("outset.blocks_trimmed"),
         "the recycler holds exactly the retired-not-reused-not-trimmed blocks"
     );
-    recycle::flush_thread_cache();
+    sched::slab::flush_this_thread();
     recycle::trim();
 }

@@ -22,9 +22,10 @@
 //!   no atomic read-modify-write and touches no shared word. Workers
 //!   flush their caches to the shared lists at teardown.
 //! * [`recycle`] — a fixed ladder of *size-class* slab pools (each one a
-//!   [`SlabPool`]) plus the process-wide recycle switch, serving the
+//!   [`SlabPool`]) behind one typed `alloc`/`free` pair, serving the
 //!   layers whose hot objects are generic and so can't own a typed pool:
-//!   dag vertices, decrement pairs and pooled refcount headers.
+//!   dag vertices, decrement pairs, pooled refcount headers and spilled
+//!   strand frames. Always on: an object's class is its layout's.
 //! * [`poolarc`] — [`PoolArc`], an `Arc` twin whose header allocation is
 //!   recycled through the size classes.
 //!

@@ -27,10 +27,11 @@ fn recycle_miss_forces_the_fresh_path() {
     let (c, reused) = recycle::acquire_or_alloc(class);
     assert!(reused);
     assert_eq!(c, a);
-    // SAFETY: both slabs came from `acquire_or_alloc(class)` and are
-    // referenced by nothing else.
-    unsafe {
-        recycle::dealloc_slab(class, b);
-        recycle::dealloc_slab(class, c);
-    }
+    // Leave nothing behind: both slabs go back through the recycler and
+    // out through `trim`.
+    recycle::release(class, b);
+    recycle::release(class, c);
+    sched::slab::flush_this_thread();
+    assert!(recycle::trim() >= 2);
+    assert_eq!(recycle::cached_slabs(), 0);
 }

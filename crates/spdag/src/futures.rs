@@ -847,17 +847,6 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     }
 }
 
-/// Drop one unit of the dependent's future-dependency surplus; `true`
-/// when that zeroed the counter and the caller must schedule the vertex.
-/// Two kinds of dependent flow through here: `touch` continuations
-/// (count 1, one sweep/bounce delivery) and parked strands (count 2 —
-/// the fulfiller's delivery plus the parking executor's own release in
-/// `execute_vertex`, in either order).
-///
-/// # Safety
-/// `w` must be a waiting vertex (a `touch` continuation or a parked
-/// strand), not scheduled, and the caller must hold one — exactly one —
-/// of its pending delivery rights.
 /// Failpoint hook (no-op unless `fault-inject` arms `spdag.force_bounce`):
 /// hold an imminent touch registration until the future's out-set seals,
 /// so `O::add` deterministically takes the [`AddEdge::Finished`] bounce
@@ -876,6 +865,17 @@ fn force_bounce_hold<O: OutsetFamily>(outset: &O::Outset) {
     }
 }
 
+/// Drop one unit of the dependent's future-dependency surplus; `true`
+/// when that zeroed the counter and the caller must schedule the vertex.
+/// Two kinds of dependent flow through here: `touch` continuations
+/// (count 1, one sweep/bounce delivery) and parked strands (count 2 —
+/// the fulfiller's delivery plus the parking executor's own release in
+/// `execute_vertex`, in either order).
+///
+/// # Safety
+/// `w` must be a waiting vertex (a `touch` continuation or a parked
+/// strand), not scheduled, and the caller must hold one — exactly one —
+/// of its pending delivery rights.
 pub(crate) unsafe fn resolve_dependent<C: CounterFamily>(w: *mut Vertex<C>) -> bool {
     // Project straight to the counter field: materializing `&Vertex`
     // here would claim read validity over the *whole* struct while the

@@ -13,26 +13,19 @@
 //! ([`DecPair::new_claimed`]); the dag's final vertex never claims and
 //! holds no pair at all ([`PairRef::none`]).
 //!
-//! Pairs are carved from the scheduler's size-class ladder with the same
-//! provenance rule as vertices: the class byte is captured at birth
-//! ([`sched::recycle::enabled`] is read once, here) and the slab retires
-//! by it. Births and deaths are counted by `sched.pairs_born` and
-//! `sched.pairs_freed` — one each per pair whatever the cache state, so
-//! both repeat exactly under a fixed schedule — and at quiescence
-//! `pairs_born == pairs_freed`.
+//! Pairs are carved from the scheduler's size-class ladder through the
+//! typed pair every recycled object uses ([`recycle::alloc`] /
+//! [`recycle::free`]): the slab holds a bare [`DecPair`] and where it
+//! retires to follows from the pair's layout. Births and deaths are
+//! counted by `sched.pairs_born` and `sched.pairs_freed` — one each per
+//! pair whatever the cache state, so both repeat exactly under a fixed
+//! schedule — and at quiescence `pairs_born == pairs_freed`.
 
 use incounter::DecPair;
 use sched::recycle;
 
-/// A pair plus the size class its slab came from
-/// ([`recycle::UNPOOLED`] when plainly allocated).
-struct PairSlab<D> {
-    pair: DecPair<D>,
-    class: u8,
-}
-
 /// A vertex's pointer to its shared decrement pair (see module docs).
-pub(crate) struct PairRef<D>(*mut PairSlab<D>);
+pub(crate) struct PairRef<D>(*mut DecPair<D>);
 
 impl<D> Clone for PairRef<D> {
     fn clone(&self) -> Self {
@@ -53,17 +46,7 @@ impl<D: Copy> PairRef<D> {
     /// pair's last claim.
     pub(crate) fn new(pair: DecPair<D>) -> PairRef<D> {
         obs::counter!("sched.pairs_born").inc();
-        let class = if recycle::enabled() { recycle::class_of::<PairSlab<D>>() } else { None };
-        PairRef(match class {
-            Some(class) => {
-                let raw = recycle::acquire_or_alloc(class).0 as *mut PairSlab<D>;
-                // SAFETY: the slab is class-sized ≥ size_of::<PairSlab<D>>,
-                // CLASS_ALIGN-aligned ≥ align_of, and exclusively ours.
-                unsafe { raw.write(PairSlab { pair, class }) };
-                raw
-            }
-            None => Box::into_raw(Box::new(PairSlab { pair, class: recycle::UNPOOLED })),
-        })
+        PairRef(recycle::alloc(|| pair).0)
     }
 
     /// Claim this holder's handle (the paper's `claim_dec`), freeing the
@@ -75,20 +58,13 @@ impl<D: Copy> PairRef<D> {
     /// total (one for a born-claimed pair). The pointer is dead afterwards.
     pub(crate) unsafe fn claim(self) -> D {
         debug_assert!(!self.0.is_null(), "the final vertex's placeholder pair was claimed");
-        // SAFETY: the pair is live until its last claim (caller contract);
-        // the projection creates no reference.
-        let (dec, last) = unsafe { DecPair::claim_last(std::ptr::addr_of!((*self.0).pair)) };
+        // SAFETY: the pair is live until its last claim (caller contract).
+        let (dec, last) = unsafe { DecPair::claim_last(self.0) };
         if last {
             obs::counter!("sched.pairs_freed").inc();
-            // SAFETY: last claim — the slab is exclusively ours, it holds
-            // no drop glue (`D: Copy`), and it goes back where its
-            // provenance byte says it came from.
-            unsafe {
-                match (*self.0).class {
-                    recycle::UNPOOLED => drop(Box::from_raw(self.0)),
-                    class => recycle::release(class, self.0 as *mut u8),
-                }
-            }
+            // SAFETY: last claim — the slab `new` got from `recycle::alloc`
+            // is exclusively ours.
+            unsafe { recycle::free(self.0) };
         }
         dec
     }
@@ -98,11 +74,8 @@ impl<D: Copy> PairRef<D> {
 mod tests {
     use super::*;
 
-    /// One test, not two: both halves flip the process-wide recycle
-    /// switch, and nothing else in this crate's unit tests does.
     #[test]
-    fn last_claim_frees_by_birth_provenance() {
-        let was = recycle::set_enabled(true);
+    fn last_claim_frees_the_slab() {
         let a = PairRef::new(DecPair::new(1u64, 2u64));
         let addr = a.0 as usize;
         let b = a; // the sibling's copy
@@ -113,16 +86,5 @@ mod tests {
         let c = PairRef::new(DecPair::new_claimed(9u64));
         assert_eq!(c.0 as usize, addr);
         assert_eq!(unsafe { c.claim() }, 9, "a born-claimed pair ends on its single claim");
-
-        recycle::set_enabled(false);
-        let p = PairRef::new(DecPair::new_claimed(3u64));
-        assert_eq!(unsafe { (*p.0).class }, recycle::UNPOOLED);
-        assert_ne!(p.0 as usize, addr, "born unpooled: the cached slab stays cached");
-        recycle::set_enabled(true); // retirement goes by provenance, not by the switch
-        assert_eq!(unsafe { p.claim() }, 3);
-        let d = PairRef::new(DecPair::new_claimed(4u64));
-        assert_eq!(d.0 as usize, addr, "the unpooled pair did not enter the class pool");
-        assert_eq!(unsafe { d.claim() }, 4);
-        recycle::set_enabled(was);
     }
 }

@@ -22,12 +22,12 @@
 //! Vertices are the runtime's highest-churn allocation: every `spawn`
 //! makes two, every `chain`/`future`/`touch` at least one, and each lives
 //! exactly from creation to its single execution. They are carved from
-//! the scheduler's size-class slab pools ([`sched::recycle`]) instead of
-//! `Box`: `Vertex::alloc` records the size class the memory came from in
-//! the `pooled` byte (or [`sched::recycle::UNPOOLED`] when the recycle
-//! switch was off at birth or `Vertex<C>` is off the class ladder), and
-//! `Vertex::retire` sends the slab back to that class after running drop
-//! glue — so warm-run spawn churn recirculates a small working set of
+//! the scheduler's size-class slab pools instead of `Box`:
+//! `Vertex::alloc` builds the vertex in a slab of the class its layout
+//! fits ([`sched::recycle::alloc`]) and `Vertex::retire` runs drop glue
+//! and sends the slab back there ([`sched::recycle::free`]) — the class is
+//! a function of `Vertex<C>`'s layout, so the vertex records nothing about
+//! its birth — and warm-run spawn churn recirculates a small working set of
 //! slabs through the executing worker's private cache, touching neither
 //! the allocator nor any word another worker writes. Small bodies
 //! (captures up to `INLINE_BODY_BYTES`) are stored *inside* the vertex
@@ -185,7 +185,9 @@ where
 }
 
 /// Storage tag: strand state held inline in the frame's buffer.
-const FRAME_INLINE: u8 = u8::MAX - 1;
+const FRAME_INLINE: u8 = 0;
+/// Storage tag: the frame's buffer holds a pointer to the state.
+const FRAME_SPILLED: u8 = 1;
 
 /// A resumable strand frame: the generalization of the one-shot inline
 /// body to a state machine that survives suspension. The frame owns the
@@ -207,11 +209,15 @@ const FRAME_INLINE: u8 = u8::MAX - 1;
 pub(crate) struct StrandFrame<C: CounterFamily> {
     /// The state itself (inline) or the pointer to it (spilled).
     buf: InlineBuf,
-    /// [`FRAME_INLINE`], a recycle class, or
-    /// [`sched::recycle::UNPOOLED`] (plain-allocator spill; `drop_fn`
-    /// frees the memory too).
+    /// Storage tag (the frame is type-erased, so it cannot ask the state's
+    /// layout): [`FRAME_INLINE`] or [`FRAME_SPILLED`]. A `u8`, not a
+    /// `bool`: rustc would put `BodySlot`'s discriminant in a bool's niche,
+    /// and decoding it on every `take` and drop cost `fib` 13 ns per vertex
+    /// (`cores: 2`).
     storage: u8,
     resume_fn: for<'a, 'b> unsafe fn(*mut u8, &'a mut Ctx<'b, C>) -> StrandPoll,
+    /// Ends the state: drop glue for inline state, drop glue plus the
+    /// memory's return for spilled state.
     drop_fn: unsafe fn(*mut u8),
 }
 
@@ -233,40 +239,32 @@ impl<C: CounterFamily> StrandFrame<C> {
         }
         // Oversized state spills behind a pointer: carved from the class
         // ladder when it fits (recirculated across strands, so warm-run
-        // suspension churn allocates nothing fresh), plain Box otherwise.
+        // suspension churn allocates nothing fresh), plain allocator
+        // otherwise.
         obs::counter!("spdag.strand_spilled").inc();
-        let class = if sched::recycle::enabled() { sched::recycle::class_of::<S>() } else { None };
-        let (ptr, storage, drop_fn): (*mut u8, u8, unsafe fn(*mut u8)) = match class {
-            Some(class) => {
-                let (raw, reused) = sched::recycle::acquire_or_alloc(class);
-                if reused {
-                    obs::counter!("sched.strand_reuse").inc();
-                } else {
-                    obs::counter!("sched.strand_alloc").inc();
-                }
-                // SAFETY: the slab is class-sized ≥ size_of::<S> and
-                // CLASS_ALIGN-aligned ≥ align_of::<S>.
-                unsafe { (raw as *mut S).write(strand) };
-                (raw, class, drop_inline::<S> as unsafe fn(*mut u8))
-            }
-            None => {
-                obs::counter!("sched.strand_alloc").inc();
-                let raw = Box::into_raw(Box::new(strand)) as *mut u8;
-                (raw, sched::recycle::UNPOOLED, drop_boxed::<S> as unsafe fn(*mut u8))
-            }
-        };
+        let (ptr, reused) = sched::recycle::alloc(|| strand);
+        if reused {
+            obs::counter!("sched.strand_reuse").inc();
+        } else {
+            obs::counter!("sched.strand_alloc").inc();
+        }
         // SAFETY: the buffer is ≥ 8 bytes and 8-aligned; it now carries
         // the pointer instead of the state.
-        unsafe { (buf.0.as_mut_ptr() as *mut *mut u8).write(ptr) };
-        StrandFrame { buf, storage, resume_fn: resume_strand::<C, S>, drop_fn }
+        unsafe { (buf.0.as_mut_ptr() as *mut *mut S).write(ptr) };
+        StrandFrame {
+            buf,
+            storage: FRAME_SPILLED,
+            resume_fn: resume_strand::<C, S>,
+            drop_fn: free_spilled::<S>,
+        }
     }
 
     fn state_ptr(&mut self) -> *mut u8 {
-        if self.storage == FRAME_INLINE {
-            self.buf.0.as_mut_ptr() as *mut u8
-        } else {
+        if self.storage == FRAME_SPILLED {
             // SAFETY: spilled frames store the state pointer in the buffer.
             unsafe { (self.buf.0.as_ptr() as *const *mut u8).read() }
+        } else {
+            self.buf.0.as_mut_ptr() as *mut u8
         }
     }
 
@@ -284,16 +282,8 @@ impl<C: CounterFamily> Drop for StrandFrame<C> {
     fn drop(&mut self) {
         let p = self.state_ptr();
         // SAFETY: the frame still owns a live S (resume takes &mut, never
-        // consumes); UNPOOLED's thunk also frees the box.
+        // consumes), and `drop_fn` is the thunk matching its storage.
         unsafe { (self.drop_fn)(p) };
-        match self.storage {
-            FRAME_INLINE => {}
-            sched::recycle::UNPOOLED => obs::counter!("sched.strand_dropped").inc(),
-            class => {
-                obs::counter!("sched.strand_recycled").inc();
-                sched::recycle::release(class, p);
-            }
-        }
     }
 }
 
@@ -307,9 +297,14 @@ where
     unsafe { (*(p as *mut S)).resume(ctx) }
 }
 
-unsafe fn drop_boxed<S>(p: *mut u8) {
-    // SAFETY: caller guarantees `p` came from Box::into_raw::<S>.
-    drop(unsafe { Box::from_raw(p as *mut S) });
+unsafe fn free_spilled<S>(p: *mut u8) {
+    // SAFETY: caller guarantees `p` is the live S that `StrandFrame::new`
+    // got from `sched::recycle::alloc`.
+    if unsafe { sched::recycle::free(p as *mut S) } {
+        obs::counter!("sched.strand_recycled").inc();
+    } else {
+        obs::counter!("sched.strand_dropped").inc();
+    }
 }
 
 /// The vertex's body storage: empty, inline (captures ≤
@@ -391,11 +386,6 @@ pub struct Vertex<C: CounterFamily> {
     pub(crate) is_left: bool,
     /// Set when the vertex terminates by spawning/chaining (no signal).
     pub(crate) dead: bool,
-    /// Size class this vertex's memory came from
-    /// ([`sched::recycle::UNPOOLED`] when plainly allocated). Immutable
-    /// provenance: `Vertex::retire` routes by it, so flipping the
-    /// recycle switch mid-run never mismatches alloc/free.
-    pub(crate) pooled: u8,
     /// Number of `Scope::fork`s performed by this vertex (also salts the
     /// placement key so consecutive forks hash to different leaves).
     pub(crate) forks: u64,
@@ -451,73 +441,37 @@ impl<C: CounterFamily> Vertex<C> {
         is_left: bool,
         body: BodySlot<C>,
     ) -> *mut Vertex<C> {
-        let class =
-            if sched::recycle::enabled() { sched::recycle::class_of::<Vertex<C>>() } else { None };
-        match class {
-            Some(class) => {
-                let (raw, reused) = sched::recycle::acquire_or_alloc(class);
-                if reused {
-                    obs::counter!("sched.vertex_reuse").inc();
-                } else {
-                    obs::counter!("sched.vertex_alloc").inc();
-                }
-                let ptr = raw as *mut Vertex<C>;
-                // SAFETY: the slab is class-sized ≥ size_of::<Vertex<C>>,
-                // CLASS_ALIGN-aligned ≥ align_of, and exclusively ours.
-                unsafe {
-                    ptr.write(Vertex {
-                        counter,
-                        inc,
-                        dec,
-                        fin,
-                        is_left,
-                        dead: false,
-                        pooled: class,
-                        forks: 0,
-                        park_pending: false,
-                        body,
-                    });
-                }
-                ptr
-            }
-            None => {
-                obs::counter!("sched.vertex_alloc").inc();
-                Box::into_raw(Box::new(Vertex {
-                    counter,
-                    inc,
-                    dec,
-                    fin,
-                    is_left,
-                    dead: false,
-                    pooled: sched::recycle::UNPOOLED,
-                    forks: 0,
-                    park_pending: false,
-                    body,
-                }))
-            }
+        let (ptr, reused) = sched::recycle::alloc(|| Vertex {
+            counter,
+            inc,
+            dec,
+            fin,
+            is_left,
+            dead: false,
+            forks: 0,
+            park_pending: false,
+            body,
+        });
+        if reused {
+            obs::counter!("sched.vertex_reuse").inc();
+        } else {
+            obs::counter!("sched.vertex_alloc").inc();
         }
+        ptr
     }
 
     /// Retire an executed (or otherwise finally-owned) vertex: run drop
-    /// glue, then route the memory by its birth provenance — back to its
-    /// size class, or to the allocator.
+    /// glue, then send the memory back to its size class.
     ///
     /// # Safety
     /// `ptr` must have come from `Vertex::alloc`/[`Vertex::alloc_parts`],
     /// be exclusively owned by the caller, and never be used afterwards.
     pub(crate) unsafe fn retire(ptr: *mut Vertex<C>) {
-        // SAFETY: exclusive ownership per the caller contract.
-        let class = unsafe { (*ptr).pooled };
-        if class == sched::recycle::UNPOOLED {
-            obs::counter!("sched.vertex_dropped").inc();
-            // SAFETY: unpooled vertices were Box-allocated in alloc_parts.
-            drop(unsafe { Box::from_raw(ptr) });
-        } else {
-            // SAFETY: valid for drop per the caller contract; the slab
-            // goes back to the class it was acquired from.
-            unsafe { std::ptr::drop_in_place(ptr) };
+        // SAFETY: the caller's contract is `free`'s.
+        if unsafe { sched::recycle::free(ptr) } {
             obs::counter!("sched.vertex_recycled").inc();
-            sched::recycle::release(class, ptr as *mut u8);
+        } else {
+            obs::counter!("sched.vertex_dropped").inc();
         }
     }
 

@@ -91,7 +91,7 @@ fn prewarm(blocks: u64) {
         assert!(set.finish(&mut |_| {}));
         assert!(set.drain_retired(), "quiescent: retirement must complete");
     }
-    recycle::flush_thread_cache();
+    sched::slab::flush_this_thread();
     assert!(recycle::cached_blocks() as u64 >= blocks, "prewarm left the recycler short");
 }
 
@@ -186,21 +186,21 @@ fn million_future_churn_is_conserved_and_bounded() {
     }
 
     // Leave the pool empty for whatever runs next in this process.
-    recycle::flush_thread_cache();
+    sched::slab::flush_this_thread();
     recycle::trim();
 }
 
 #[test]
 fn trim_releases_the_steady_state_footprint() {
     let _guard = lock();
-    recycle::flush_thread_cache();
+    sched::slab::flush_this_thread();
     recycle::trim();
     let (chains, len) = if cfg!(debug_assertions) { (16u64, 64u64) } else { (32u64, 256u64) };
     assert_eq!(churn_round(2, chains, len), chains * len);
     // A phase change gives the warm cache back to the allocator: flush
     // this thread's share (workers flushed theirs at teardown), then
     // trim must leave the recycler empty.
-    recycle::flush_thread_cache();
+    sched::slab::flush_this_thread();
     let freed = recycle::trim();
     assert_eq!(
         recycle::cached_blocks(),
