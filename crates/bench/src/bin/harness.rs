@@ -1,23 +1,19 @@
 //! The evaluation harness: regenerates every figure of the paper.
 //!
 //! ```text
-//! harness <fig8|...|fig15|outset|growth|strandcost|all|obs|trace|chaos> [flags]
+//! harness <fig8|...|fig15|outset|growth|all|obs|trace|chaos> [flags]
 //!
-//! `obs`, `trace` and `strandcost` are study subcommands (never part of
+//! `obs`, `trace` and `chaos` are checker subcommands (never part of
 //! `all`): `obs` prints one unified registry snapshot of a
 //! fanout-broadcast run (with `--assert-bound` it also recomputes the
-//! paper's per-add contention bound, the share of continuation bodies
-//! stored inline on the fanout and a `fib` run, the block-, vertex-,
+//! paper's per-add contention bound, the share of one-shot bodies whose
+//! capture is stored inline on the fanout and a `fib` run, the block-, vertex-,
 //! decrement-pair- and strand-recycling conservation identities — the
 //! last with the suspended/resumed terms — the warm-run zero-fresh-vertex and
 //! zero-fresh-strand-frame claims, and the steady-state footprints
 //! including suspended-but-live strand frames, failing if any is
 //! violated); `trace` records the run and writes Chrome Trace Event
-//! Format JSON to `--out` (see `docs/observability.md`); `strandcost`
-//! A/B's blocking (`touch_await`, strands that park) against
-//! continuation-passing (`touch`) awaits on `await_chain` and
-//! `pipeline_stages`, reporting suspend/resume and strand-frame counters
-//! to `results/strandcost.json`; `chaos` (built with `--features
+//! Format JSON to `--out` (see `docs/observability.md`); `chaos` (built with `--features
 //! fault-inject`) runs the deterministic fault-injection batteries —
 //! seeded failpoint plans over the lost-wake, recycle-miss,
 //! install-CAS, forced-bounce and panic-on-Nth-execution sites — each
@@ -48,10 +44,10 @@ use std::time::Duration;
 use dynsnzi_bench::report::{fmt_throughput, print_row, Record, Reporter};
 use dynsnzi_bench::sweep::{median_duration, run_repeated, throughput_per_core, MeasureOpts};
 use dynsnzi_bench::workloads::{
-    await_chain, await_chain_ops, calibrate_dummy_unit_ns, fanin_ops, fanout_broadcast,
-    fanout_broadcast_ops, fanout_broadcast_probed, fib, indegree2_ops, outset_footprint_report,
-    pipeline_stages, pipeline_stages_blocking, pipeline_stages_ops, raw_counter_bench,
-    raw_growth_bench, raw_outset_bench, GrowthStats, RawCounter, RawOutset, TouchMode,
+    await_chain, calibrate_dummy_unit_ns, fanin_ops, fanout_broadcast, fanout_broadcast_ops,
+    fanout_broadcast_probed, fib, indegree2_ops, outset_footprint_report, pipeline_stages,
+    pipeline_stages_ops, raw_counter_bench, raw_growth_bench, raw_outset_bench, GrowthStats,
+    RawCounter, RawOutset,
 };
 use dynsnzi_bench::Algo;
 use incounter::{DynConfig, DynSnzi};
@@ -105,10 +101,7 @@ fn parse_args() -> Opts {
                 std::process::exit(0);
             }
             fig if fig.starts_with("fig")
-                || matches!(
-                    fig,
-                    "all" | "outset" | "growth" | "strandcost" | "obs" | "trace" | "chaos"
-                ) =>
+                || matches!(fig, "all" | "outset" | "growth" | "obs" | "trace" | "chaos") =>
             {
                 figures.push(fig.to_string())
             }
@@ -176,9 +169,6 @@ fn main() {
     if explicit("trace") {
         trace_cmd(&opts);
     }
-    if explicit("strandcost") {
-        strandcost_study(&opts);
-    }
     if explicit("chaos") {
         chaos_cmd(&opts);
     }
@@ -217,7 +207,7 @@ fn obs_cmd(opts: &Opts) {
     }
 }
 
-/// Recompute the strand accounting on a blocking `await_chain` run —
+/// Recompute the strand accounting on an `await_chain` run —
 /// the workload where every stage parks. Three identities close the
 /// suspended-vertex hole the plain vertex checks had:
 ///
@@ -245,7 +235,7 @@ fn check_strand_bounds(opts: &Opts) -> bool {
     let n = (opts.measure.n / 4).max(1 << 10);
     let depth = (n / 16).max(64);
     let cfg = || DynConfig::with_threshold(Algo::default_threshold(w));
-    println!("\n## Strand accounting — await_chain depth={depth} (blocking), workers={w}");
+    println!("\n## Strand accounting — await_chain depth={depth}, workers={w}");
 
     let mut all_ok = true;
     let mut check = |name: &str, pass: bool, detail: String| {
@@ -255,11 +245,11 @@ fn check_strand_bounds(opts: &Opts) -> bool {
 
     let before = obs::Snapshot::take();
     for _ in 0..3 {
-        await_chain::<DynSnzi>(cfg(), w, depth, TouchMode::Blocking);
+        await_chain::<DynSnzi>(cfg(), w, depth);
     }
     let warm_cached = sched::recycle::cached_slabs();
     let mid = obs::Snapshot::take();
-    await_chain::<DynSnzi>(cfg(), w, depth, TouchMode::Blocking);
+    await_chain::<DynSnzi>(cfg(), w, depth);
     let steady = obs::Snapshot::take().diff(&mid);
     let total = obs::Snapshot::take().diff(&before);
 
@@ -608,8 +598,9 @@ fn check_contention_bounds(d: &obs::Snapshot, workers: usize) -> bool {
 
 /// The spawn fast path's storage claim: on the spawn-dominated workloads
 /// — the fanout run `obs` already made and one `fib(20)` — at least nine
-/// continuation bodies in ten fit the vertex's inline slot
-/// (`spdag.body_inline`) instead of a `Box` (`spdag.body_boxed`).
+/// one-shot bodies in ten keep their capture in the vertex's frame
+/// (`spdag.body_inline`) instead of spilling it to a slab
+/// (`spdag.body_boxed`).
 /// Returns whether both runs passed.
 fn check_inline_bodies(fanout: &obs::Snapshot, workers: usize) -> bool {
     if !obs::enabled() || fanout.is_empty() {
@@ -624,7 +615,7 @@ fn check_inline_bodies(fanout: &obs::Snapshot, workers: usize) -> bool {
         let (inline, boxed) = (d.counter("spdag.body_inline"), d.counter("spdag.body_boxed"));
         let pass = inline > 0 && 10 * inline >= 9 * (inline + boxed);
         println!(
-            "  [{}] inline-body-share ({workload}): inline {inline} / (inline + boxed {boxed}) >= 0.9",
+            "  [{}] inline-body-share ({workload}): inline {inline} / (inline + spilled {boxed}) >= 0.9",
             if pass { "ok  " } else { "FAIL" }
         );
         all_ok &= pass;
@@ -658,135 +649,6 @@ fn trace_cmd(opts: &Opts) {
     );
     if !obs::enabled() {
         println!("(telemetry compiled out — the trace is empty)");
-    }
-}
-
-/// `harness strandcost`: the blocking-vs-CPS await A/B. Each workload
-/// runs once per [`TouchMode`] — `await_chain` flips the per-stage
-/// future style, `pipeline_stages` swaps its interior cells between
-/// nested CPS touches and a two-await strand — with three cold runs
-/// warming the pools, then the timed warm runs snapshot-diffed for the
-/// suspension and strand-frame counters. The CPS rows read zero
-/// suspends by construction; the blocking rows must show
-/// `strand_suspend == strand_resume` and zero fresh spilled frames — CI
-/// checks exactly that from
-/// `results/strandcost.json`.
-fn strandcost_study(opts: &Opts) {
-    let w = opts.measure.max_workers;
-    let n = (opts.measure.n / 4).max(1 << 10);
-    let (stages, width) = (32u64, (n / 64).max(16));
-    let depth = (n / 16).max(64);
-    let mut rep = open_reporter(&opts.outdir, "strandcost");
-    println!("\n## Strand-cost study — blocking vs CPS awaits, workers={w}");
-    print_row(&[
-        "workload / mode".to_string(),
-        "wall (s)".to_string(),
-        "suspends".to_string(),
-        "resumes".to_string(),
-        "inline".to_string(),
-        "spilled".to_string(),
-        "frame alloc".to_string(),
-        "frame reuse".to_string(),
-    ]);
-    let cfg = || DynConfig::with_threshold(Algo::default_threshold(w));
-    type Runner<'a> = (&'a str, TouchMode, Box<dyn Fn() -> Duration + 'a>);
-    let runners: [Runner<'_>; 4] = [
-        (
-            "await_chain",
-            TouchMode::Cps,
-            Box::new(move || await_chain::<DynSnzi>(cfg(), w, depth, TouchMode::Cps)),
-        ),
-        (
-            "await_chain",
-            TouchMode::Blocking,
-            Box::new(move || await_chain::<DynSnzi>(cfg(), w, depth, TouchMode::Blocking)),
-        ),
-        (
-            "pipeline_stages",
-            TouchMode::Cps,
-            Box::new(move || {
-                pipeline_stages::<DynSnzi, outset::TreeOutset>(cfg(), w, stages, width)
-            }),
-        ),
-        (
-            "pipeline_stages",
-            TouchMode::Blocking,
-            Box::new(move || {
-                pipeline_stages_blocking::<DynSnzi, outset::TreeOutset>(cfg(), w, stages, width)
-            }),
-        ),
-    ];
-    let mut configs = String::new();
-    for (name, mode, runner) in &runners {
-        // Warm the class pools so the measured runs report steady state:
-        // their content converges to the high-water mark of
-        // simultaneously-live slabs, and one run's peak is a noisy draw.
-        for _ in 0..3 {
-            let _cold = runner();
-        }
-        let before = obs::Snapshot::take();
-        let elapsed = median_duration(&run_repeated(opts.measure.runs, &runner));
-        let d = obs::Snapshot::take().diff(&before);
-        let counters = [
-            ("strand_suspend", d.counter("spdag.strand_suspend")),
-            ("strand_resume", d.counter("spdag.strand_resume")),
-            ("touch_awaits", d.counter("spdag.touch_awaits")),
-            ("touches", d.counter("spdag.touches")),
-            ("strand_inline", d.counter("spdag.strand_inline")),
-            ("strand_spilled", d.counter("spdag.strand_spilled")),
-            ("strand_alloc", d.counter("sched.strand_alloc")),
-            ("strand_reuse", d.counter("sched.strand_reuse")),
-            ("vertex_alloc", d.counter("sched.vertex_alloc")),
-            ("vertex_reuse", d.counter("sched.vertex_reuse")),
-        ];
-        let get = |key: &str| counters.iter().find(|(k, _)| *k == key).unwrap().1;
-        print_row(&[
-            format!("{name} / {}", mode.name()),
-            format!("{:.6}", elapsed.as_secs_f64()),
-            get("strand_suspend").to_string(),
-            get("strand_resume").to_string(),
-            get("strand_inline").to_string(),
-            get("strand_spilled").to_string(),
-            get("strand_alloc").to_string(),
-            get("strand_reuse").to_string(),
-        ]);
-        let mut r = Record::new("strandcost-study", "strand-suspension");
-        r.input("workload", name)
-            .input("mode", mode.name())
-            .input("proc", w)
-            .input("n", n)
-            .input("depth", depth)
-            .input("stages", stages)
-            .input("width", width);
-        r.output("exectime", format!("{:.6}", elapsed.as_secs_f64()));
-        if *name == "await_chain" {
-            r.output("ops", await_chain_ops(depth));
-        }
-        for (key, value) in counters {
-            r.output(key, value);
-        }
-        rep.record(&r);
-        if !configs.is_empty() {
-            configs.push_str(",\n");
-        }
-        let kv: String = counters.iter().map(|(k, v)| format!(", \"{k}\": {v}")).collect();
-        configs.push_str(&format!(
-            "    {{\"workload\": \"{name}\", \"mode\": \"{}\", \"wall_s\": {:.6}{kv}}}",
-            mode.name(),
-            elapsed.as_secs_f64()
-        ));
-    }
-    let json = format!(
-        "{{\n  \"workers\": {w},\n  \"runs\": {},\n  \"telemetry\": {},\n  \"depth\": {depth},\n  \"configs\": [\n{configs}\n  ]\n}}\n",
-        opts.measure.runs,
-        obs::enabled()
-    );
-    let path = opts.outdir.join("strandcost.json");
-    ensure_dir(&opts.outdir);
-    write_text(&path, &json);
-    println!("# wrote {} and {}", rep.path().display(), path.display());
-    if !obs::enabled() {
-        println!("(telemetry compiled out — all counters read zero; wall clock still valid)");
     }
 }
 

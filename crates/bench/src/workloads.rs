@@ -245,63 +245,30 @@ pub fn pipeline_stages_ops(stages: u64, width: u64) -> u64 {
     3 * stages * width
 }
 
-/// How a dependent awaits its input future in the strand-cost A/B study
-/// (`harness strandcost`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TouchMode {
-    /// Continuation passing: `future_then` / `touch` — the dependent is a
-    /// fresh waiting vertex, no suspension machinery involved.
-    Cps,
-    /// Blocking style: `future_strand` / `touch_await` — the dependent is
-    /// a resumable strand that parks mid-body.
-    Blocking,
-}
-
-impl TouchMode {
-    /// Display name used in study records.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TouchMode::Cps => "cps",
-            TouchMode::Blocking => "blocking",
-        }
-    }
-}
-
 /// The await-chain benchmark: `depth` futures in one sequential
 /// dependency chain — `f_0 = 0`, `f_i = f_{i-1} + 1` — folded by a final
 /// sink strand. The maximally *serial* future workload: no two stages can
-/// ever overlap, so wall clock is pure per-await overhead — which is
-/// exactly what the blocking-vs-CPS A/B wants to isolate, and the shape
+/// ever overlap, so wall clock is pure per-await overhead, and the shape
 /// that makes the no-worker-blocking property load-bearing: at `W = 1`
-/// with `depth` ≫ 1 every blocking stage must park its *strand* and hand
-/// the worker on, or the pool deadlocks instantly.
+/// with `depth` ≫ 1 every stage must park its *strand* and hand the
+/// worker on, or the pool deadlocks instantly.
 ///
 /// Asserts the fold (final value = `depth − 1`) before returning the
 /// wall-clock time.
-pub fn await_chain<C: CounterFamily>(
-    cfg: C::Config,
-    workers: usize,
-    depth: u64,
-    mode: TouchMode,
-) -> Duration {
+pub fn await_chain<C: CounterFamily>(cfg: C::Config, workers: usize, depth: u64) -> Duration {
     assert!(depth >= 1);
     let out = Arc::new(AtomicU64::new(u64::MAX));
     let o = Arc::clone(&out);
     let elapsed = run_dag::<C, _>(cfg, workers, move |mut ctx| {
         let mut prev: FutureHandle<u64> = ctx.future(|_| 0u64);
         for _ in 1..depth {
-            prev = match mode {
-                TouchMode::Cps => ctx.future_then(&prev, |_, v| v + 1),
-                TouchMode::Blocking => {
-                    let f = prev.clone();
-                    // 16 B of state (two handles' worth): rides inline in
-                    // the vertex, so a park touches no extra memory.
-                    ctx.future_strand(move |c: &mut Ctx<'_, C>| {
-                        let v = *strand_await!(c, &f);
-                        StrandPoll::Done(v + 1)
-                    })
-                }
-            };
+            let f = prev;
+            // 8 B of state (one handle): rides inline in the vertex, so a
+            // park touches no extra memory.
+            prev = ctx.future_strand(move |c: &mut Ctx<'_, C>| {
+                let v = *strand_await!(c, &f);
+                StrandPoll::Done(v + 1)
+            });
         }
         let f = prev;
         ctx.fork_strand(move |c: &mut Ctx<'_, C>| {
@@ -312,53 +279,6 @@ pub fn await_chain<C: CounterFamily>(
     .elapsed;
     assert_eq!(out.load(Ordering::Relaxed), depth - 1, "await_chain(depth={depth}) misfolded");
     elapsed
-}
-
-/// Future/await operations performed by `await_chain(depth)`: one future
-/// plus one await per stage, plus the sink's await — ≈ `2·depth`.
-pub fn await_chain_ops(depth: u64) -> u64 {
-    2 * depth
-}
-
-/// [`pipeline_stages`] with every interior join cell rewritten in
-/// blocking style: a strand that `touch_await`s both inputs in sequence
-/// instead of nesting two CPS touches. Same dag shape, same out-set
-/// traffic — the A/B partner isolating the suspension machinery's cost
-/// under a workload where strands actually overlap.
-pub fn pipeline_stages_blocking<C: CounterFamily, O: OutsetFamily>(
-    cfg: C::Config,
-    workers: usize,
-    stages: u64,
-    width: u64,
-) -> Duration {
-    run_dag::<C, _>(cfg, workers, move |mut ctx| {
-        let mut row: Vec<FutureHandle<u64, O>> =
-            (0..width).map(|i| ctx.future_in::<O, _, _>(move |_| i)).collect();
-        for _ in 1..stages {
-            let mut next = Vec::with_capacity(row.len());
-            for i in 0..width as usize {
-                let j = (i + 1) % width as usize;
-                let (a, b) = (row[i].clone(), row[j].clone());
-                next.push(ctx.future_strand_in::<O, u64, _>(move |c: &mut Ctx<'_, C>| {
-                    // Re-entry after the second park replays the first
-                    // await, which hits the ready fast path.
-                    let x = *strand_await!(c, &a);
-                    let y = *strand_await!(c, &b);
-                    StrandPoll::Done(x.wrapping_add(y))
-                }));
-            }
-            row = next;
-        }
-        let mut scope = ctx.into_scope();
-        for cell in row {
-            scope.fork(move |c| {
-                c.touch(&cell, |_, v| {
-                    std::hint::black_box(*v);
-                });
-            });
-        }
-    })
-    .elapsed
 }
 
 /// Which out-set implementation a raw/dag out-set benchmark exercises.
@@ -766,14 +686,11 @@ mod tests {
     }
 
     #[test]
-    fn await_chain_runs_in_both_modes() {
+    fn await_chain_runs_on_two_families() {
         for workers in [1, 2] {
-            for mode in [TouchMode::Cps, TouchMode::Blocking] {
-                await_chain::<DynSnzi>(DynConfig::default(), workers, 64, mode);
-                await_chain::<FetchAdd>((), workers, 64, mode);
-            }
+            await_chain::<DynSnzi>(DynConfig::default(), workers, 64);
+            await_chain::<FetchAdd>((), workers, 64);
         }
-        assert_eq!(await_chain_ops(64), 128);
     }
 
     #[test]
@@ -781,23 +698,8 @@ mod tests {
         // The acceptance shape: 1000 sequentially dependent blocking
         // awaits on ONE worker. Strands must park (not the worker) or
         // this deadlocks on the first unready touch_await.
-        await_chain::<DynSnzi>(DynConfig::default(), 1, 1000, TouchMode::Blocking);
-        await_chain::<FixedDepth>(FixedConfig::default(), 1, 1000, TouchMode::Blocking);
-    }
-
-    #[test]
-    fn pipeline_stages_blocking_matches_cps_shape() {
-        use outset::{MutexOutset, TreeOutset};
-        for workers in [1, 3] {
-            pipeline_stages_blocking::<DynSnzi, TreeOutset>(DynConfig::default(), workers, 8, 16);
-            pipeline_stages_blocking::<DynSnzi, MutexOutset>(DynConfig::default(), workers, 8, 16);
-        }
-    }
-
-    #[test]
-    fn touch_mode_names_are_stable() {
-        assert_eq!(TouchMode::Cps.name(), "cps");
-        assert_eq!(TouchMode::Blocking.name(), "blocking");
+        await_chain::<DynSnzi>(DynConfig::default(), 1, 1000);
+        await_chain::<FixedDepth>(FixedConfig::default(), 1, 1000);
     }
 
     #[test]

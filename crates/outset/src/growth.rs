@@ -42,10 +42,6 @@ pub struct GrowthPolicy {
     max_lanes: usize,
 }
 
-/// Slots per block (`B` in `docs/outset-contention.md`); re-exported here
-/// because the fan-out → initial-lane heuristic is defined in its terms.
-pub(crate) const BLOCK_SLOTS: usize = 32;
-
 impl GrowthPolicy {
     /// Split with probability `p` per observed install-CAS failure, up to
     /// `max_lanes` lanes (rounded up to a power of two).
@@ -94,15 +90,6 @@ impl GrowthPolicy {
             let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
             (cores * 4).next_power_of_two().clamp(2, 64)
         })
-    }
-
-    /// How many lanes to start with for an expected dependent count
-    /// (`OutsetFamily::make_hinted`): one lane per `2·B` expected
-    /// dependents, clamped to the policy cap — futures with a handful of
-    /// dependents stay on the single-lane fast path, declared broadcast
-    /// hubs pre-spread and skip the growth transient.
-    pub fn initial_lanes_for_hint(&self, expected_dependents: usize) -> usize {
-        (expected_dependents / (2 * BLOCK_SLOTS)).next_power_of_two().clamp(1, self.max_lanes)
     }
 
     /// Flip the split coin (drawing from the calling thread's stream).
@@ -177,16 +164,6 @@ mod tests {
             "GrowthPolicy::default must hit the OnceLock cache, took {:?}",
             t0.elapsed()
         );
-    }
-
-    #[test]
-    fn hint_heuristic_clamps_to_policy() {
-        let p = GrowthPolicy::eager(8);
-        assert_eq!(p.initial_lanes_for_hint(0), 1);
-        assert_eq!(p.initial_lanes_for_hint(1), 1);
-        assert_eq!(p.initial_lanes_for_hint(64), 1);
-        assert_eq!(p.initial_lanes_for_hint(128), 2);
-        assert_eq!(p.initial_lanes_for_hint(1 << 20), 8, "clamped to max_lanes");
     }
 
     #[test]

@@ -100,16 +100,6 @@ pub trait OutsetFamily: 'static {
     /// Create an empty, unsealed out-set.
     fn make() -> Self::Outset;
 
-    /// Create an empty, unsealed out-set pre-sized for an expected number
-    /// of dependents. A *hint*, never a bound: registering more (or
-    /// fewer) edges than hinted is always correct; implementations may
-    /// only use it to skip part of their adaptive warm-up. The default
-    /// ignores it.
-    fn make_hinted(expected_dependents: usize) -> Self::Outset {
-        let _ = expected_dependents;
-        Self::make()
-    }
-
     /// Register dependent-edge `token`. `key` spreads concurrent adders
     /// over internal structure (pass a worker/thread id or vertex
     /// address); correctness never depends on it.
@@ -161,26 +151,6 @@ mod family_tests {
     #[test]
     fn mutex_family_contract() {
         exercise::<MutexOutset>();
-    }
-
-    #[test]
-    fn hinted_make_honours_the_contract() {
-        // The hint must not change semantics — register more edges than
-        // hinted, on both families, and still get exactly-once delivery.
-        fn exercise_hinted<F: OutsetFamily>(hint: usize) {
-            let set = F::make_hinted(hint);
-            for t in 0..200u64 {
-                assert_eq!(F::add(&set, t, t), AddEdge::Registered);
-            }
-            let mut got = Vec::new();
-            assert!(F::finish(&set, &mut |t| got.push(t)));
-            got.sort_unstable();
-            assert_eq!(got, (0..200u64).collect::<Vec<_>>());
-        }
-        for hint in [0, 1, 64, 100_000] {
-            exercise_hinted::<TreeOutset>(hint);
-            exercise_hinted::<MutexOutset>(hint);
-        }
     }
 
     #[test]

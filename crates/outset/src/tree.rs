@@ -119,7 +119,6 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering}
 use crossbeam::epoch;
 use snzi::Probability;
 
-use crate::growth::BLOCK_SLOTS;
 use crate::{AddEdge, GrowthPolicy, OutsetFamily};
 
 /// Slot states: anything in `TOKEN_BIAS..POISON` is a biased token.
@@ -142,11 +141,11 @@ const MAX_TOKEN: u64 = u64::MAX - 3;
 /// `docs/outset-contention.md`, Claim 1).
 pub const OUTSET_PIN_STRIPES: usize = 4;
 
-// Slots per block (`BLOCK_SLOTS`, defined in `growth` so the hint
-// heuristic can use it): a compromise between per-future footprint
-// (futures with one or two dependents — pipelines — pay one ~300 B block
-// on their single lane) and allocation amortization for fan-out-heavy
-// broadcasts (one allocation per 32 adds).
+/// Slots per block (`B` in `docs/outset-contention.md`): a compromise
+/// between per-future footprint (futures with one or two dependents —
+/// pipelines — pay one ~300 B block on their single lane) and allocation
+/// amortization for fan-out-heavy broadcasts (one allocation per 32 adds).
+const BLOCK_SLOTS: usize = 32;
 
 /// `repr(C)` with `next` first: while a block sits in the recycler its
 /// first word is the slab cache's intrusive link (`sched::slab`), which
@@ -389,14 +388,6 @@ impl TreeOutsetObj {
             retired_count: AtomicUsize::new(0),
             domain: growable.then(|| Box::new(epoch::Domain::with_stripes(OUTSET_PIN_STRIPES))),
         }
-    }
-
-    /// An out-set pre-sized for an expected dependent count, growth still
-    /// enabled past the hint (see
-    /// [`GrowthPolicy::initial_lanes_for_hint`]).
-    pub fn with_fanout_hint(expected_dependents: usize) -> TreeOutsetObj {
-        let policy = GrowthPolicy::default();
-        TreeOutsetObj::with_policy(policy.initial_lanes_for_hint(expected_dependents), policy)
     }
 
     /// Register `token`; see [`OutsetFamily::add`] for the contract.
@@ -821,10 +812,6 @@ impl OutsetFamily for TreeOutset {
         TreeOutsetObj::new()
     }
 
-    fn make_hinted(expected_dependents: usize) -> TreeOutsetObj {
-        TreeOutsetObj::with_fanout_hint(expected_dependents)
-    }
-
     fn add(out: &TreeOutsetObj, token: u64, key: u64) -> AddEdge {
         out.add(token, key)
     }
@@ -954,15 +941,6 @@ mod tests {
         assert!(set.finish(&mut |_| {}));
         assert!(!set.force_split());
         assert_eq!(set.lane_count(), 1);
-    }
-
-    #[test]
-    fn fanout_hint_presizes_within_cap() {
-        let set = TreeOutsetObj::with_fanout_hint(1);
-        assert_eq!(set.lane_count(), 1, "single-dependent hint takes the fast path");
-        let set = TreeOutsetObj::with_fanout_hint(10_000);
-        assert!(set.lane_count() > 1, "broadcast hint pre-spreads");
-        assert!(set.lane_count() <= GrowthPolicy::default_max_lanes());
     }
 
     #[test]

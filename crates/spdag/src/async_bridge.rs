@@ -50,7 +50,7 @@ use outset::{AddEdge, OutsetFamily};
 
 use crate::dag::Ctx;
 use crate::futures::{FutureHandle, ParkTarget};
-use crate::vertex::{BodySlot, Strand, StrandPoll};
+use crate::vertex::{Strand, StrandPoll};
 
 /// What the current thread's innermost poll context is.
 enum BridgeState {
@@ -127,16 +127,13 @@ where
                         let key = ctx.worker_id() as u64;
                         // The target's owned core reference keeps the
                         // out-set alive until this registration lands.
-                        match target.register(token, key) {
-                            AddEdge::Registered => return StrandPoll::Parked,
-                            AddEdge::Finished(_) => {
-                                // Sealed in the gap between poll and
-                                // registration: the value is ready —
-                                // disarm and re-poll immediately.
-                                ctx.disarm_park();
-                                continue;
-                            }
+                        if target.register(token, key) {
+                            return StrandPoll::Parked;
                         }
+                        // Sealed in the gap between poll and registration:
+                        // the value is ready — disarm and re-poll
+                        // immediately.
+                        ctx.disarm_park();
                     }
                     _ => panic!(
                         "a future returned Pending inside a strand without awaiting a \
@@ -226,7 +223,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     where
         F: Future<Output = ()> + Send + 'static,
     {
-        self.fork_slot(BodySlot::from_strand(AsyncStrand::new(fut)));
+        self.fork_strand(AsyncStrand::new(fut));
     }
 
     /// [`future_strand`](Ctx::future_strand) over an `async` block: the

@@ -24,7 +24,7 @@ use incounter::{CounterFamily, DecPair};
 use sched::{PoolStats, Termination, WorkerCtx};
 
 use crate::pair::PairRef;
-use crate::vertex::{Body, BodySlot, Strand, StrandPoll, TakenBody, Vertex, VertexPtr};
+use crate::vertex::{Frame, Strand, StrandPoll, Vertex, VertexPtr};
 
 /// Per-body execution context: the running vertex plus scheduler access.
 ///
@@ -37,12 +37,13 @@ pub struct Ctx<'a, C: CounterFamily> {
     pub(crate) vertex: &'a mut Vertex<C>,
     pub(crate) worker: &'a WorkerCtx<'a, VertexPtr<C>>,
     pub(crate) cfg: &'a C::Config,
-    /// `true` only when the executor is running a resumable strand frame
-    /// (the `TakenBody::Strand` arm). Gates [`arm_park`](Ctx::arm_park):
-    /// a one-shot body has no frame to park, so letting it register on an
-    /// out-set would retire the vertex with the registration still armed —
-    /// a use-after-free in waiting. The gate turns that into an immediate
-    /// panic before anything is registered.
+    /// `true` only while a strand's frame is running: the executor builds
+    /// every context with `false`, and only a strand's run thunk sets it.
+    /// Gates [`arm_park`](Ctx::arm_park): a one-shot body has no frame to
+    /// park, so letting it register on an out-set would retire the vertex
+    /// with the registration still armed — a use-after-free in waiting. The
+    /// gate turns that into an immediate panic before anything is
+    /// registered.
     pub(crate) resumable: bool,
 }
 
@@ -111,17 +112,6 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         left: impl for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
         right: impl for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
     ) {
-        // Straight to BodySlot (not through Box) so small captures land
-        // inline in the child vertices.
-        self.spawn_slots(BodySlot::from_closure(left), BodySlot::from_closure(right));
-    }
-
-    /// Monomorphisation-friendly version of [`spawn`](Ctx::spawn).
-    pub fn spawn_boxed(self, left: Body<C>, right: Body<C>) {
-        self.spawn_slots(BodySlot::from_boxed(left), BodySlot::from_boxed(right));
-    }
-
-    fn spawn_slots(self, left: BodySlot<C>, right: BodySlot<C>) {
         let u = self.vertex;
         // SAFETY: `fin` is alive — this vertex is an unfinished strand of
         // `fin`'s scope, so `fin`'s counter cannot have reached zero.
@@ -141,8 +131,8 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // SAFETY: `u`'s one claim on its pair — it dies here, unsignalled.
         let d1 = unsafe { u.dec.claim() };
         let pair = PairRef::new(C::make_pair(self.cfg, d1, d2));
-        let v = Vertex::alloc(self.cfg, 0, i1, pair, u.fin, true, left);
-        let w = Vertex::alloc(self.cfg, 0, i2, pair, u.fin, false, right);
+        let v = Vertex::alloc(self.cfg, 0, i1, pair, u.fin, true, Frame::once(left));
+        let w = Vertex::alloc(self.cfg, 0, i2, pair, u.fin, false, Frame::once(right));
         u.dead = true;
         self.worker.push(VertexPtr(v));
         self.worker.push(VertexPtr(w));
@@ -157,45 +147,6 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         first: impl for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
         then: impl for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
     ) {
-        self.chain_slots(BodySlot::from_closure(first), BodySlot::from_closure(then));
-    }
-
-    /// Monomorphisation-friendly version of [`chain`](Ctx::chain).
-    pub fn chain_boxed(self, first: Body<C>, then: Body<C>) {
-        self.chain_slots(BodySlot::from_boxed(first), BodySlot::from_boxed(then));
-    }
-
-    /// `async body` into the enclosing finish scope without consuming the
-    /// context (the [`Scope`](crate::Scope) fork, available directly):
-    /// the task may run in parallel with the rest of this body, and the
-    /// enclosing finish waits for it. Strand bodies use this to fan out
-    /// mid-resumption — a strand only ever holds `&mut Ctx`, so the
-    /// consuming [`spawn`](Ctx::spawn)/[`chain`](Ctx::chain) are off
-    /// limits to it by construction.
-    pub fn fork(&mut self, body: impl for<'b> FnOnce(Ctx<'b, C>) + Send + 'static) {
-        self.fork_slot(BodySlot::from_closure(body));
-    }
-
-    /// [`fork`](Ctx::fork) a *resumable strand*: the child may
-    /// [`touch_await`](Ctx::touch_await) futures mid-body, parking itself
-    /// (never its worker) until they fulfill.
-    pub fn fork_strand<S: Strand<C>>(&mut self, strand: S) {
-        self.fork_slot(BodySlot::from_strand(strand));
-    }
-
-    pub(crate) fn fork_slot(&mut self, body: BodySlot<C>) {
-        let (cfg, worker) = (self.cfg, self.worker);
-        let u = self.vertex_mut();
-        // One increment, then rotate this vertex onto the right-hand
-        // handles (Vertex::fork_rotate); the forked task is the left
-        // child, ready immediately.
-        let fin = u.fin;
-        let (i1, pair) = u.fork_rotate(cfg);
-        let v = Vertex::alloc(cfg, 0, i1, pair, fin, true, body);
-        worker.push(VertexPtr(v));
-    }
-
-    fn chain_slots(self, first: BodySlot<C>, then: BodySlot<C>) {
         let u = self.vertex;
         obs::counter!("spdag.chains").inc();
         obs::trace::record(obs::EventKind::Chain, u as *const Vertex<C> as u64);
@@ -203,7 +154,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // (inherits fin, inc, left/right position, and u's pair pointer
         // with the one claim u still owes it) and waits on one dependency
         // — the completion of `first`'s subtree.
-        let w_ptr = Vertex::alloc(self.cfg, 1, u.inc, u.dec, u.fin, u.is_left, then);
+        let w_ptr = Vertex::alloc(self.cfg, 1, u.inc, u.dec, u.fin, u.is_left, Frame::once(then));
         // SAFETY: just created, uniquely owned until scheduled; shared
         // references derived here point at the stable slab allocation.
         let wc = unsafe { (*w_ptr).counter_ref() };
@@ -214,18 +165,48 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
             PairRef::new(DecPair::new_claimed(C::root_dec(wc))),
             w_ptr,
             true,
-            first,
+            Frame::once(first),
         );
         u.dead = true;
         // v is ready (no dependencies); w waits for the signal that zeroes
         // its counter — nobody pushes it until then.
         self.worker.push(VertexPtr(v));
     }
+
+    /// `async body` into the enclosing finish scope without consuming the
+    /// context (the [`Scope`](crate::Scope) fork, available directly):
+    /// the task may run in parallel with the rest of this body, and the
+    /// enclosing finish waits for it. Strand bodies use this to fan out
+    /// mid-resumption — a strand only ever holds `&mut Ctx`, so the
+    /// consuming [`spawn`](Ctx::spawn)/[`chain`](Ctx::chain) are off
+    /// limits to it by construction.
+    pub fn fork(&mut self, body: impl for<'b> FnOnce(Ctx<'b, C>) + Send + 'static) {
+        self.fork_frame(Frame::once(body));
+    }
+
+    /// [`fork`](Ctx::fork) a *resumable strand*: the child may
+    /// [`touch_await`](Ctx::touch_await) futures mid-body, parking itself
+    /// (never its worker) until they fulfill.
+    pub fn fork_strand<S: Strand<C>>(&mut self, strand: S) {
+        self.fork_frame(Frame::strand(strand));
+    }
+
+    fn fork_frame(&mut self, body: Frame<C>) {
+        let (cfg, worker) = (self.cfg, self.worker);
+        let u = self.vertex_mut();
+        // One increment, then rotate this vertex onto the right-hand
+        // handles (Vertex::fork_rotate); the forked task is the left
+        // child, ready immediately.
+        let fin = u.fin;
+        let (i1, pair) = u.fork_rotate(cfg);
+        let v = Vertex::alloc(cfg, 0, i1, pair, fin, true, body);
+        worker.push(VertexPtr(v));
+    }
 }
 
 /// Exclusive ownership of a scheduled vertex for the duration of its
-/// execution; retires the vertex (drop glue + slab recycling by birth
-/// provenance) on every exit path.
+/// execution; retires the vertex (drop glue, then the slab goes back to
+/// its size class) on every exit path.
 struct OwnedVertex<C: CounterFamily>(*mut Vertex<C>);
 
 impl<C: CounterFamily> std::ops::Deref for OwnedVertex<C> {
@@ -253,14 +234,27 @@ impl<C: CounterFamily> Drop for OwnedVertex<C> {
     }
 }
 
-/// How one body dispatch ended (the value that crosses the
-/// `catch_unwind` boundary in `execute_vertex`): the body ran to its end
-/// — completed, spawned, chained, or misbehaved, all settled by the
-/// epilogue — or a strand asked to park, handing its frame back for the
-/// commit.
-enum BodyOutcome<C: CounterFamily> {
-    Ran,
-    Parked(crate::vertex::StrandFrame<C>),
+/// Commit a park: hand the vertex to whoever resumes it. Called with the
+/// body back in the vertex (or left empty, after a panic) and every other
+/// field final; the decrement below releases the executor's half of the
+/// count-2 handshake `touch_await` armed — one decrement belongs to the
+/// fulfiller's sweep, one to us, and whoever lands second zeroes the
+/// counter and reschedules the vertex. Decrement-last makes every field
+/// write above it visible to the resuming executor through the counter's
+/// release/acquire edge — after our decrement we own nothing.
+fn commit_park<C: CounterFamily>(v: OwnedVertex<C>, worker: &WorkerCtx<'_, VertexPtr<C>>) {
+    worker.note_suspend();
+    obs::counter!("spdag.strand_suspend").inc();
+    obs::trace::record(obs::EventKind::StrandPark, v.0 as u64);
+    let vp = v.0;
+    // Ownership parks with the vertex.
+    std::mem::forget(v);
+    // SAFETY: touch_await installed the count-2 counter and registered
+    // exactly one out-set waker; this is the executor's single matching
+    // decrement.
+    if unsafe { crate::futures::resolve_dependent::<C>(vp) } {
+        worker.push(VertexPtr(vp));
+    }
 }
 
 /// Execute one vertex: run its body, then — unless the body ended with a
@@ -291,70 +285,30 @@ fn execute_vertex<C: CounterFamily>(
     // the normal final-vertex path, and `sched::run` re-raises the first
     // captured payload at the caller. `docs/robustness.md` walks the
     // state machine.
-    let body = v.body.take();
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    let parked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if sched::failpoint::fire("spdag.panic_vertex") {
             panic!("failpoint: spdag.panic_vertex injected a body panic");
         }
-        match body {
-            None => BodyOutcome::Ran,
-            Some(TakenBody::Boxed(body)) => {
-                body(Ctx { vertex: &mut v, worker, cfg, resumable: false });
-                BodyOutcome::Ran
-            }
-            Some(TakenBody::Inline(body)) => {
-                body.invoke(Ctx { vertex: &mut v, worker, cfg, resumable: false });
-                BodyOutcome::Ran
-            }
-            Some(TakenBody::Strand(mut frame)) => {
-                let poll = {
-                    let mut ctx = Ctx { vertex: &mut v, worker, cfg, resumable: true };
-                    frame.resume(&mut ctx)
-                };
-                match poll {
-                    StrandPoll::Done(()) => {
-                        // A leftover armed park (Done after a Parked
-                        // touch_await) is caught by the epilogue check
-                        // below, which every non-parking exit path
-                        // funnels through. Frame drops here; fall through
-                        // to the signal epilogue like any completed body.
-                        BodyOutcome::Ran
-                    }
-                    StrandPoll::Parked => BodyOutcome::Parked(frame),
-                }
-            }
+        let mut frame = v.body.take();
+        match frame.run(Ctx { vertex: &mut v, worker, cfg, resumable: false }) {
+            // The body ran to its end — completed, spawned, chained, or
+            // misbehaved (a leftover armed park), all settled by the
+            // epilogue below. The frame drops here.
+            StrandPoll::Done(()) => None,
+            // A strand asks to park: its frame goes back for the commit.
+            StrandPoll::Parked => Some(frame),
         }
     }));
-    match outcome {
-        Ok(BodyOutcome::Ran) => {}
-        Ok(BodyOutcome::Parked(frame)) => {
+    match parked {
+        Ok(None) => {}
+        Ok(Some(frame)) => {
             assert!(
                 v.park_pending,
                 "strand returned Parked without a parked touch_await \
                  (nothing would ever resume it)"
             );
-            // Commit the park. The frame goes back into the
-            // vertex, then we release our half of the count-2
-            // handshake touch_await armed: one decrement belongs
-            // to the fulfiller's sweep, one to us, and whoever
-            // lands second zeroes the counter and reschedules
-            // the vertex. Decrement-last makes every field write
-            // above it visible to the resuming executor through
-            // the counter's release/acquire edge — after our
-            // decrement we own nothing.
-            v.body = BodySlot::Strand(frame);
-            worker.note_suspend();
-            obs::counter!("spdag.strand_suspend").inc();
-            obs::trace::record(obs::EventKind::StrandPark, v.0 as u64);
-            let vp = v.0;
-            std::mem::forget(v); // ownership parks with the vertex
-                                 // SAFETY: touch_await installed the count-2 counter
-                                 // and registered exactly one out-set waker; this is
-                                 // the executor's single matching decrement.
-            if unsafe { crate::futures::resolve_dependent::<C>(vp) } {
-                worker.push(VertexPtr(vp));
-            }
-            return;
+            v.body = frame;
+            return commit_park(v, worker);
         }
         Err(payload) => {
             obs::counter!("spdag.body_panics").inc();
@@ -366,24 +320,12 @@ fn execute_vertex<C: CounterFamily>(
                 // docs/robustness.md for the window argument). The
                 // fulfill side holds the other half of the count-2
                 // handshake and will deliver to this address, so the
-                // vertex must stay alive: commit the park exactly as the
-                // Parked arm does, but with an empty body — the frame
-                // already dropped during the unwind, releasing its slab
-                // through the normal StrandFrame path. The resumption
-                // finds BodySlot::None, runs nothing, and falls through
-                // to the signal epilogue, so the scope still drains.
-                worker.note_suspend();
-                obs::counter!("spdag.strand_suspend").inc();
-                obs::trace::record(obs::EventKind::StrandPark, v.0 as u64);
-                let vp = v.0;
-                std::mem::forget(v);
-                // SAFETY: as in the Parked commit — the armed count-2
-                // counter is in place and exactly one out-set waker holds
-                // the other decrement.
-                if unsafe { crate::futures::resolve_dependent::<C>(vp) } {
-                    worker.push(VertexPtr(vp));
-                }
-                return;
+                // vertex must stay alive: commit the park with the body
+                // left empty — the frame already dropped during the
+                // unwind, releasing any spilled state. The resumption
+                // runs nothing and falls through to the signal epilogue,
+                // so the scope still drains.
+                return commit_park(v, worker);
             }
             // Fall through to the signal epilogue: a panicked vertex
             // still signals fin (its children, if any spawn/chain landed
@@ -444,16 +386,7 @@ where
     C: CounterFamily,
     F: for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
 {
-    run_dag_slot::<C>(cfg, workers, BodySlot::from_closure(root))
-}
-
-/// As [`run_dag`], with a pre-boxed body.
-pub fn run_dag_boxed<C: CounterFamily>(
-    cfg: C::Config,
-    workers: usize,
-    root: Body<C>,
-) -> DagRunStats {
-    run_dag_slot::<C>(cfg, workers, BodySlot::from_boxed(root))
+    run_dag_inner::<C>(cfg, workers, None, Frame::once(root))
 }
 
 /// As [`run_dag`], with a [`sched::WatchdogCfg`] stall monitor attached:
@@ -473,22 +406,14 @@ where
     C: CounterFamily,
     F: for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
 {
-    run_dag_inner::<C>(cfg, workers, Some(watchdog), BodySlot::from_closure(root))
-}
-
-fn run_dag_slot<C: CounterFamily>(
-    cfg: C::Config,
-    workers: usize,
-    root: BodySlot<C>,
-) -> DagRunStats {
-    run_dag_inner::<C>(cfg, workers, None, root)
+    run_dag_inner::<C>(cfg, workers, Some(watchdog), Frame::once(root))
 }
 
 fn run_dag_inner<C: CounterFamily>(
     cfg: C::Config,
     workers: usize,
     watchdog: Option<sched::WatchdogCfg>,
-    root: BodySlot<C>,
+    root: Frame<C>,
 ) -> DagRunStats {
     // Final vertex z: one dependency (the root strand), no finish of its
     // own. Its increment handle is a placeholder aimed at its own counter
@@ -503,7 +428,7 @@ fn run_dag_inner<C: CounterFamily>(
             PairRef::none(),
             std::ptr::null(),
             true,
-            BodySlot::None,
+            Frame::empty(),
         )
     };
     // Root vertex u: ready immediately; signals z when its whole subtree
@@ -530,16 +455,6 @@ fn run_dag_inner<C: CounterFamily>(
         Some(w) => sched::run_watched(workers, roots, Termination::DoneFlag, w, interp),
     };
     DagRunStats { pool, elapsed: start.elapsed() }
-}
-
-/// As [`run_dag`] but returning only the elapsed wall-clock time — the
-/// benchmark harness's entry point.
-pub fn run_dag_timed<C, F>(cfg: C::Config, workers: usize, root: F) -> Duration
-where
-    C: CounterFamily,
-    F: for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
-{
-    run_dag::<C, F>(cfg, workers, root).elapsed
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@
 //! [`FutureHandle`]; the enclosing finish scope waits for the future like
 //! for any fork, so a future can never dangle.
 //!
-//! [`Ctx::touch`] (or [`FutureHandle::touch`]) ends the current vertex —
+//! [`Ctx::touch`] ends the current vertex —
 //! like [`Ctx::chain`] — with a continuation that runs strictly after
 //! **both** the toucher's position in its own scope allows it **and** the
 //! touched future has completed; the continuation receives `&T`. Touching
@@ -39,17 +39,16 @@
 //! operations, with the broadcast cost paid once per future, linear in
 //! the number of dependents swept.
 //!
-//! ## Footprint: futures request the single-lane fast path
+//! ## Footprint: every future starts on one lane
 //!
-//! Every future asks its out-set family for the **single-dependent
-//! shape** ([`outset::OutsetFamily::make_hinted`] with hint 1): under the
-//! adaptive [`TreeOutset`] this is one lane — one word of lane metadata —
-//! and the lane table grows only if that future's dependents actually
-//! contend (`docs/outset-contention.md` derives the bound). Derived
-//! futures ([`Ctx::future_then`], [`Ctx::future_join`]) do the same:
-//! pipeline and wavefront interior vertices overwhelmingly have one or
-//! two dependents. A future that is *known* to be a broadcast hub can
-//! declare it with [`Ctx::future_fanout`] and skip the growth transient.
+//! A future's out-set is its family's [`outset::OutsetFamily::make`] and
+//! nothing else: under the adaptive [`TreeOutset`] that is the
+//! single-dependent shape — one lane, one word of lane metadata — and the
+//! lane table grows only if that future's dependents actually contend
+//! (`docs/outset-contention.md` derives the bound). Nobody declares a
+//! fan-out: pipeline and wavefront interior vertices have one or two
+//! dependents and never grow, and a broadcast hub pays a short growth
+//! transient on its first contended adds.
 //!
 //! Slot-block lifetime is **not** tied to the handle: when the
 //! completion vertex sweeps the out-set, the swept blocks are retired
@@ -94,7 +93,7 @@ use sched::PoolArc;
 
 use crate::dag::Ctx;
 use crate::pair::PairRef;
-use crate::vertex::{BodySlot, Strand, StrandPoll, Vertex, VertexPtr};
+use crate::vertex::{Frame, Strand, StrandPoll, Vertex, VertexPtr};
 
 /// Result of [`Ctx::touch_await`]: the blocking-style dual of
 /// [`Ctx::touch`]'s continuation passing.
@@ -196,13 +195,13 @@ impl<T, O: OutsetFamily> Drop for FutureCore<T, O> {
 /// executor consuming it, even if the polled user future dropped its
 /// handle (and every other core reference died) inside that gap.
 pub(crate) trait ParkTarget: Send {
-    /// Register `token` on the underlying future's out-set.
-    fn register(&self, token: u64, key: u64) -> AddEdge;
+    /// [`register_dependent`] on the underlying future's out-set.
+    fn register(&self, token: u64, key: u64) -> bool;
 }
 
 impl<T: Send + Sync, O: OutsetFamily> ParkTarget for PoolArc<FutureCore<T, O>> {
-    fn register(&self, token: u64, key: u64) -> AddEdge {
-        O::add(&self.outset, token, key)
+    fn register(&self, token: u64, key: u64) -> bool {
+        register_dependent::<O>(&self.outset, token, key)
     }
 }
 
@@ -225,10 +224,10 @@ impl<T, O: OutsetFamily> Clone for FutureHandle<T, O> {
     }
 }
 
-/// One-shot value publisher handed to [`Ctx::future_raw`]-style bodies.
-/// A plain struct (no `Box<dyn FnOnce>`): constructing it allocates
-/// nothing beyond one [`PoolArc`] clone, and its 8-byte capture keeps
-/// the closures that carry it inside the vertex inline-body class.
+/// One-shot value publisher handed to the body every future constructor
+/// builds. A plain struct: constructing it allocates nothing beyond one
+/// [`PoolArc`] clone, and its 8 bytes keep the closures that carry it
+/// inside the frame's inline class.
 struct ValueSetter<T, O: OutsetFamily> {
     core: PoolArc<FutureCore<T, O>>,
 }
@@ -306,15 +305,6 @@ impl<T: Send + Sync + 'static, O: OutsetFamily> FutureHandle<T, O> {
         self.is_done() && unsafe { self.core.value_opt() }.is_none()
     }
 
-    /// Method-style alias for [`Ctx::touch`].
-    pub fn touch<C, K>(&self, ctx: Ctx<'_, C>, then: K)
-    where
-        C: CounterFamily,
-        K: for<'b> FnOnce(Ctx<'b, C>, &T) + Send + 'static,
-    {
-        ctx.touch(self, then);
-    }
-
     /// The future's completion out-set (diagnostic): how the growth-curve
     /// tests and the bench harness probe lane counts and footprints of
     /// out-sets embedded in a real dag run. Reading it never perturbs the
@@ -373,101 +363,34 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         T: Send + Sync + 'static,
         F: for<'b> FnOnce(Ctx<'b, C>) -> T + Send + 'static,
     {
-        self.future_fanout_in::<O, T, F>(1, body)
-    }
-
-    /// As [`future`](Ctx::future), declaring an expected number of
-    /// dependents. A hint, never a bound — touching the future more (or
-    /// less) often than declared is always correct; the out-set merely
-    /// pre-spreads so a known broadcast hub skips the adaptive growth
-    /// transient ([`outset::OutsetFamily::make_hinted`]).
-    ///
-    /// ```
-    /// use incounter::{DynConfig, DynSnzi};
-    /// use spdag::run_dag;
-    /// use std::sync::atomic::{AtomicU64, Ordering};
-    /// use std::sync::Arc;
-    ///
-    /// let hits = Arc::new(AtomicU64::new(0));
-    /// let h = Arc::clone(&hits);
-    /// run_dag::<DynSnzi, _>(DynConfig::default(), 2, move |mut ctx| {
-    ///     // Hub with many dependents: declare the fan-out up front.
-    ///     let f = ctx.future_fanout(256, |_| 1u64);
-    ///     let mut scope = ctx.into_scope();
-    ///     for _ in 0..256 {
-    ///         let (f, h) = (f.clone(), Arc::clone(&h));
-    ///         scope.fork(move |c| {
-    ///             c.touch(&f, move |_, v| {
-    ///                 h.fetch_add(*v, Ordering::Relaxed);
-    ///             });
-    ///         });
-    ///     }
-    /// });
-    /// assert_eq!(hits.load(Ordering::Relaxed), 256);
-    /// ```
-    pub fn future_fanout<T, F>(&mut self, expected_dependents: usize, body: F) -> FutureHandle<T>
-    where
-        T: Send + Sync + 'static,
-        F: for<'b> FnOnce(Ctx<'b, C>) -> T + Send + 'static,
-    {
-        self.future_fanout_in::<TreeOutset, T, F>(expected_dependents, body)
-    }
-
-    /// [`future_fanout`](Ctx::future_fanout) with an explicit out-set
-    /// family.
-    pub fn future_fanout_in<O, T, F>(
-        &mut self,
-        expected_dependents: usize,
-        body: F,
-    ) -> FutureHandle<T, O>
-    where
-        O: OutsetFamily,
-        T: Send + Sync + 'static,
-        F: for<'b> FnOnce(Ctx<'b, C>) -> T + Send + 'static,
-    {
-        self.future_raw::<O, T, _>(expected_dependents, move |c, set_value| {
-            let value = body(c);
-            set_value.set(value);
+        self.future_slot(move |setter| {
+            Frame::once(move |c: Ctx<'_, C>| {
+                let value = body(c);
+                setter.set(value);
+            })
         })
     }
 
-    /// Shared plumbing of [`future_in`](Ctx::future_in) and the derived
-    /// combinators: the body receives a one-shot value setter instead of
-    /// returning the value, so combinators can produce the value inside
-    /// nested touch continuations — which belong to the future's own
-    /// finish scope and therefore always precede completion.
-    /// `fanout_hint` sizes the out-set for the expected dependent count
-    /// (1 = the single-dependent fast path).
-    fn future_raw<O, T, F>(&mut self, fanout_hint: usize, body: F) -> FutureHandle<T, O>
+    /// The one place a future is built: the shared core, the enclosing
+    /// finish scope's fork step, the completion (sweep) vertex and the
+    /// body vertex. `build` turns the one-shot value setter into the
+    /// body's frame — a closure that sets the value where the combinator
+    /// produces it (possibly inside nested touch continuations, which
+    /// belong to the future's own finish scope and therefore always
+    /// precede completion), or a strand that sets it on `Done`.
+    fn future_slot<O, T, G>(&mut self, build: G) -> FutureHandle<T, O>
     where
         O: OutsetFamily,
         T: Send + Sync + 'static,
-        F: for<'b> FnOnce(Ctx<'b, C>, ValueSetter<T, O>) + Send + 'static,
-    {
-        self.future_slot(fanout_hint, move |setter| {
-            BodySlot::from_closure(move |c: Ctx<'_, C>| body(c, setter))
-        })
-    }
-
-    /// The wiring beneath every future constructor: build the shared
-    /// core, join the enclosing finish scope, allocate the completion
-    /// (sweep) vertex and the body vertex. `build` turns the one-shot
-    /// value setter into the body's `BodySlot` — a plain closure for
-    /// [`future_raw`](Ctx::future_in), a resumable strand frame for
-    /// [`future_strand`](Ctx::future_strand).
-    fn future_slot<O, T, G>(&mut self, fanout_hint: usize, build: G) -> FutureHandle<T, O>
-    where
-        O: OutsetFamily,
-        T: Send + Sync + 'static,
-        G: FnOnce(ValueSetter<T, O>) -> BodySlot<C>,
+        G: FnOnce(ValueSetter<T, O>) -> Frame<C>,
     {
         let core = PoolArc::new(FutureCore::<T, O> {
-            outset: O::make_hinted(fanout_hint),
+            outset: O::make(),
             value: UnsafeCell::new(None),
             completed: AtomicBool::new(false),
         });
         obs::counter!("spdag.futures_created").inc();
-        obs::trace::record(obs::EventKind::FutureCreate, fanout_hint as u64);
+        obs::trace::record(obs::EventKind::FutureCreate, &*core as *const FutureCore<T, O> as u64);
         let (cfg, worker) = (self.cfg, self.worker);
         let u = &mut *self.vertex;
         // Join the enclosing finish scope exactly like Scope::fork: one
@@ -482,7 +405,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // straight onto the deque as one batch. Captures one PoolArc (8
         // bytes): an inline body.
         let sweep_core = core.clone();
-        let completion = BodySlot::from_closure(move |c: Ctx<'_, C>| {
+        let completion = Frame::once(move |c: Ctx<'_, C>| {
             let fulfill_start = obs::now();
             sweep_core.completed.store(true, Ordering::SeqCst);
             let mut ready: Vec<VertexPtr<C>> = Vec::new();
@@ -521,11 +444,9 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // after the body subtree (which signals through these handles) is
         // done.
         let wc = unsafe { (*fw_ptr).counter_ref() };
-        // The setter is a plain 8-byte struct built up front (not a
-        // Box<dyn FnOnce> built at run time), so the body wrapper's
-        // capture is the user closure plus one word.
-        let setter = ValueSetter { core: core.clone() };
-        let body = build(setter);
+        // The body's state is what `build` captures plus one word, the
+        // setter.
+        let body = build(ValueSetter { core: core.clone() });
         let fv = Vertex::alloc(
             cfg,
             0,
@@ -539,8 +460,9 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         FutureHandle { core }
     }
 
-    /// [`future_then_in`](Ctx::future_then_in) with the default
-    /// ([`TreeOutset`]) broadcast structure for the derived future.
+    /// A future computed from another future's value: completes after
+    /// `input` and its own derivation body. One out-set add on `input`,
+    /// one future creation — the pipeline-stage primitive.
     ///
     /// ```
     /// use incounter::{DynConfig, DynSnzi};
@@ -568,7 +490,15 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         OA: OutsetFamily,
         F: for<'b> FnOnce(Ctx<'b, C>, &A) -> T + Send + 'static,
     {
-        self.future_then_in::<A, T, OA, TreeOutset, F>(input, f)
+        let input = input.clone();
+        self.future_slot(move |setter| {
+            Frame::once(move |c: Ctx<'_, C>| {
+                c.touch(&input, move |c2, a| {
+                    let value = f(c2, a);
+                    setter.set(value);
+                });
+            })
+        })
     }
 
     /// [`future_join_in`](Ctx::future_join_in) with the default
@@ -607,31 +537,6 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         self.future_join_in::<A, B, T, OA, OB, TreeOutset, F>(left, right, f)
     }
 
-    /// A future computed from another future's value: completes after
-    /// `input` and its own derivation body. One out-set add on `input`,
-    /// one future creation — the pipeline-stage primitive.
-    pub fn future_then_in<A, T, OA, O, F>(
-        &mut self,
-        input: &FutureHandle<A, OA>,
-        f: F,
-    ) -> FutureHandle<T, O>
-    where
-        A: Send + Sync + 'static,
-        T: Send + Sync + 'static,
-        OA: OutsetFamily,
-        O: OutsetFamily,
-        F: for<'b> FnOnce(Ctx<'b, C>, &A) -> T + Send + 'static,
-    {
-        let input = input.clone();
-        // Derived pipeline stages are single-dependent in the common case.
-        self.future_raw::<O, T, _>(1, move |c, set_value| {
-            c.touch(&input, move |c2, a| {
-                let value = f(c2, a);
-                set_value.set(value);
-            });
-        })
-    }
-
     /// A future computed from **two** other futures' values (a join
     /// vertex): completes after both inputs and the combining body. This
     /// is the wavefront/stencil primitive — see `examples/pipeline.rs`.
@@ -652,20 +557,19 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     {
         let left = left.clone();
         let right = right.clone();
-        // A join vertex, like a pipeline stage, usually feeds one
-        // dependent; its own fan-*in* (the two touches below) lands on
-        // the input futures' out-sets, not on this one.
-        self.future_raw::<O, T, _>(1, move |c, set_value| {
-            let left2 = left.clone();
-            c.touch(&left, move |c2, _a| {
-                c2.touch(&right, move |c3, b| {
-                    // SAFETY: this chain runs strictly after `left`'s
-                    // completion (the outer touch ordered it).
-                    let a = unsafe { left2.core.value_ref() };
-                    let value = f(c3, a, b);
-                    set_value.set(value);
+        self.future_slot(move |setter| {
+            Frame::once(move |c: Ctx<'_, C>| {
+                let left2 = left.clone();
+                c.touch(&left, move |c2, _a| {
+                    c2.touch(&right, move |c3, b| {
+                        // SAFETY: this chain runs strictly after `left`'s
+                        // completion (the outer touch ordered it).
+                        let a = unsafe { left2.core.value_ref() };
+                        let value = f(c3, a, b);
+                        setter.set(value);
+                    });
                 });
-            });
+            })
         })
     }
 
@@ -706,7 +610,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         let core = future.core.clone();
         // Captures one PoolArc plus the user continuation: inline as long
         // as `then`'s captures stay within two words.
-        let body = BodySlot::from_closure(move |c: Ctx<'_, C>| {
+        let body = Frame::once(move |c: Ctx<'_, C>| {
             // SAFETY: this vertex is scheduled only by the completion
             // sweep or the post-seal bounce, both ordered after the value
             // write (if any).
@@ -730,21 +634,15 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         let w_ptr = Vertex::alloc(self.cfg, 1, u.inc, u.dec, u.fin, u.is_left, body);
         u.dead = true;
         let token = w_ptr as usize as u64;
-        force_bounce_hold::<O>(&future.core.outset);
-        match O::add(&future.core.outset, token, self.worker.worker_id() as u64) {
-            AddEdge::Registered => {
-                // The sweep owns delivery; nothing more to do here.
-            }
-            AddEdge::Finished(t) => {
-                debug_assert_eq!(t, token);
-                // The future completed first (or the sweep claimed the
-                // race): the dependency is already satisfied — resolve
-                // and schedule inline.
-                // SAFETY: as in the sweep; the bounce transfers exclusive
-                // delivery to this caller.
-                if unsafe { resolve_dependent::<C>(w_ptr) } {
-                    self.worker.push(VertexPtr(w_ptr));
-                }
+        let key = self.worker.worker_id() as u64;
+        if !register_dependent::<O>(&future.core.outset, token, key) {
+            // The future completed first (or the sweep claimed the race):
+            // the dependency is already satisfied — resolve and schedule
+            // inline.
+            // SAFETY: as in the sweep; the bounce transfers exclusive
+            // delivery to this caller.
+            if unsafe { resolve_dependent::<C>(w_ptr) } {
+                self.worker.push(VertexPtr(w_ptr));
             }
         }
     }
@@ -796,7 +694,6 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
             return StrandTouch::Ready(unsafe { future.core.value_ref() });
         }
         obs::counter!("spdag.touch_awaits").inc();
-        force_bounce_hold::<O>(&future.core.outset);
         // Arm before registering: the count-2 counter must be in place
         // before the sweep can possibly deliver. Overwriting the vertex's
         // `counter` is sound — an executing vertex's own counter is never
@@ -804,20 +701,18 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // a previous park's spent counter drops there.
         let token = self.arm_park();
         obs::trace::record(obs::EventKind::FutureTouch, token);
-        match O::add(&future.core.outset, token, self.worker.worker_id() as u64) {
-            AddEdge::Registered => StrandTouch::Parked,
-            AddEdge::Finished(t) => {
-                debug_assert_eq!(t, token);
-                // The future sealed first: no waker was stored, so no
-                // fulfiller decrement will ever come — disarm the
-                // handshake and deliver inline. The seal's release chain
-                // guarantees `completed` is visible.
-                self.disarm_park();
-                // SAFETY: the bounce orders this read after the value
-                // write, as in `touch`'s Finished arm.
-                StrandTouch::Ready(unsafe { future.core.value_ref() })
-            }
+        let key = self.worker.worker_id() as u64;
+        if register_dependent::<O>(&future.core.outset, token, key) {
+            return StrandTouch::Parked;
         }
+        // The future sealed first: no waker was stored, so no fulfiller
+        // decrement will ever come — disarm the handshake and deliver
+        // inline. The seal's release chain guarantees `completed` is
+        // visible.
+        self.disarm_park();
+        // SAFETY: the bounce orders this read after the value write, as in
+        // `touch`'s bounce arm.
+        StrandTouch::Ready(unsafe { future.core.value_ref() })
     }
 
     /// Create a future whose body is a resumable [`Strand`] producing the
@@ -830,37 +725,42 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         T: Send + Sync + 'static,
         S: Strand<C, T>,
     {
-        self.future_strand_in::<TreeOutset, T, S>(strand)
-    }
-
-    /// [`future_strand`](Ctx::future_strand) with an explicit out-set
-    /// family.
-    pub fn future_strand_in<O, T, S>(&mut self, strand: S) -> FutureHandle<T, O>
-    where
-        O: OutsetFamily,
-        T: Send + Sync + 'static,
-        S: Strand<C, T>,
-    {
-        self.future_slot(1, move |setter| {
-            BodySlot::from_strand(ValueStrandAdapter { strand, setter: Some(setter) })
+        self.future_slot(move |setter| {
+            Frame::strand(ValueStrandAdapter { strand, setter: Some(setter) })
         })
     }
 }
 
-/// Failpoint hook (no-op unless `fault-inject` arms `spdag.force_bounce`):
-/// hold an imminent touch registration until the future's out-set seals,
-/// so `O::add` deterministically takes the [`AddEdge::Finished`] bounce
-/// path. The spin is bounded — the future's body may be *behind* this
-/// very worker in its own deque (guaranteed at W = 1), in which case
-/// waiting forever would deadlock; an expired budget just means the
-/// registration proceeds normally.
-fn force_bounce_hold<O: OutsetFamily>(outset: &O::Outset) {
+/// Register the dependent `token` (a waiting vertex) on a future's
+/// out-set — the one registration step of `touch`, `touch_await` and the
+/// async bridge. `true`: registered, the completion sweep owns delivery.
+/// `false`: bounced — the out-set had sealed, nothing was stored, and the
+/// caller delivers inline.
+///
+/// Failpoint (no-op unless `fault-inject` arms `spdag.force_bounce`): hold
+/// the registration until the out-set seals, so `O::add` deterministically
+/// takes the bounce path. The spin is bounded — the future's body may be
+/// *behind* this very worker in its own deque (guaranteed at W = 1), in
+/// which case waiting forever would deadlock; an expired budget just means
+/// the registration proceeds normally.
+pub(crate) fn register_dependent<O: OutsetFamily>(
+    outset: &O::Outset,
+    token: u64,
+    key: u64,
+) -> bool {
     if sched::failpoint::fire("spdag.force_bounce") {
         for _ in 0..200_000 {
             if O::is_finished(outset) {
                 break;
             }
             std::hint::spin_loop();
+        }
+    }
+    match O::add(outset, token, key) {
+        AddEdge::Registered => true,
+        AddEdge::Finished(bounced) => {
+            debug_assert_eq!(bounced, token);
+            false
         }
     }
 }

@@ -71,7 +71,7 @@ pub mod scope;
 pub mod vertex;
 
 pub use async_bridge::AsyncStrand;
-pub use dag::{run_dag, run_dag_timed, run_dag_watched, Ctx, DagRunStats};
+pub use dag::{run_dag, run_dag_watched, Ctx, DagRunStats};
 pub use futures::{FutureHandle, StrandTouch};
 pub use scope::Scope;
 pub use vertex::{Strand, StrandPoll, Vertex};

@@ -40,7 +40,6 @@
 use incounter::CounterFamily;
 
 use crate::dag::Ctx;
-use crate::vertex::{Body, BodySlot};
 
 /// A multi-async view of the running vertex (see module docs).
 ///
@@ -65,42 +64,21 @@ impl<'a, C: CounterFamily> Scope<'a, C> {
     /// parallel with the rest of this body, and the finish vertex waits
     /// for it (and everything it transitively creates).
     pub fn fork(&mut self, body: impl for<'b> FnOnce(Ctx<'b, C>) + Send + 'static) {
-        // Straight to BodySlot (not through Box) so small captures land
-        // inline in the forked vertex.
-        self.fork_slot(BodySlot::from_closure(body));
-    }
-
-    /// Monomorphisation-friendly version of [`fork`](Scope::fork).
-    pub fn fork_boxed(&mut self, body: Body<C>) {
-        self.fork_slot(BodySlot::from_boxed(body));
+        // The fork step itself lives on Ctx since strands (which hold
+        // `&mut Ctx`, never a Scope) fork through the same path.
+        self.ctx.fork(body);
     }
 
     /// [`fork`](Scope::fork) a resumable [`Strand`](crate::Strand):
     /// the task may park on [`Ctx::touch_await`] and the finish scope
     /// still waits for its eventual completion.
     pub fn fork_strand<S: crate::Strand<C>>(&mut self, strand: S) {
-        self.fork_slot(BodySlot::from_strand(strand));
-    }
-
-    fn fork_slot(&mut self, body: BodySlot<C>) {
-        // The fork step itself lives on Ctx since strands (which hold
-        // `&mut Ctx`, never a Scope) fork through the same path.
-        self.ctx.fork_slot(body);
+        self.ctx.fork_strand(strand);
     }
 
     /// Number of forks performed through this scope so far.
     pub fn forked(&self) -> u64 {
         self.ctx.vertex_ref().forks
-    }
-
-    /// Index of the worker executing this body.
-    pub fn worker_id(&self) -> usize {
-        self.ctx.worker_id()
-    }
-
-    /// Number of workers in the pool.
-    pub fn num_workers(&self) -> usize {
-        self.ctx.num_workers()
     }
 
     /// End the scope, recovering the plain context (e.g. to terminate

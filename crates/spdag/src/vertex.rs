@@ -15,7 +15,8 @@
 //!   SNZI nodes (Figure 5, line 22);
 //! * the `dead` flag, set when the vertex ends by spawning or chaining
 //!   instead of signalling;
-//! * the body closure, taken exactly once by the executing worker.
+//! * the body frame, taken by the executing worker (and put back only by
+//!   a strand that parks).
 //!
 //! ## Allocation and recycling
 //!
@@ -29,9 +30,11 @@
 //! a function of `Vertex<C>`'s layout, so the vertex records nothing about
 //! its birth — and warm-run spawn churn recirculates a small working set of
 //! slabs through the executing worker's private cache, touching neither
-//! the allocator nor any word another worker writes. Small bodies
-//! (captures up to `INLINE_BODY_BYTES`) are stored *inside* the vertex
-//! (`BodySlot`) rather than behind `Box<dyn FnOnce>`. The third object of
+//! the allocator nor any word another worker writes. The body is one
+//! type-erased `Frame`: state of up to
+//! [`sched::recycle::INLINE_SLOT_BYTES`] (a closure's capture, a strand's
+//! saved state) is stored *inside* the vertex, larger state in a slab of
+//! the same ladder. The third object of
 //! a spawn, the shared `DecPair`, is a slab of the same ladder that owns
 //! itself: `dec` is a plain copyable pointer (`pair::PairRef`), and the
 //! second of the pair's two claims frees it — a spawn pays one pair
@@ -61,86 +64,11 @@
 use std::mem::{ManuallyDrop, MaybeUninit};
 
 use incounter::CounterFamily;
+use sched::recycle::{INLINE_SLOT_ALIGN, INLINE_SLOT_BYTES};
 use sched::Word;
 
 use crate::dag::Ctx;
 use crate::pair::PairRef;
-
-/// A vertex body: run exactly once with the executing worker's context.
-pub type Body<C> = Box<dyn for<'a> FnOnce(Ctx<'a, C>) + Send + 'static>;
-
-/// Capture-size ceiling (bytes) for bodies and strand state stored inline
-/// in the vertex. PR 5 hard-coded 24 B here; the knob now lives in
-/// [`sched::recycle`] next to the class ladder it really belongs to, and
-/// is sized so a suspended strand frame with up to 40 B of saved state
-/// (a couple of future handles plus loop indices) still inlines.
-pub(crate) const INLINE_BODY_BYTES: usize = sched::recycle::INLINE_SLOT_BYTES;
-
-/// Alignment ceiling for inline bodies (the buffer is 8-aligned).
-pub(crate) const INLINE_BODY_ALIGN: usize = sched::recycle::INLINE_SLOT_ALIGN;
-
-#[repr(align(8))]
-struct InlineBuf([MaybeUninit<u8>; INLINE_BODY_BYTES]);
-
-/// A closure stored by value in the vertex: the capture bytes plus
-/// monomorphized call/drop thunks. Kept as a standalone struct (not enum
-/// payload fields) so it can implement `Drop` — covering the
-/// never-executed case — while still being movable out of `BodySlot`
-/// whole.
-pub(crate) struct InlineBody<C: CounterFamily> {
-    buf: InlineBuf,
-    call: for<'a> unsafe fn(*mut u8, Ctx<'a, C>),
-    drop_fn: unsafe fn(*mut u8),
-}
-
-impl<C: CounterFamily> InlineBody<C> {
-    fn new<F>(f: F) -> InlineBody<C>
-    where
-        F: for<'a> FnOnce(Ctx<'a, C>) + Send + 'static,
-    {
-        debug_assert!(std::mem::size_of::<F>() <= INLINE_BODY_BYTES);
-        debug_assert!(std::mem::align_of::<F>() <= INLINE_BODY_ALIGN);
-        let mut buf = InlineBuf([MaybeUninit::uninit(); INLINE_BODY_BYTES]);
-        // SAFETY: size/align checked above; the buffer is exclusively ours.
-        unsafe { (buf.0.as_mut_ptr() as *mut F).write(f) };
-        InlineBody { buf, call: call_inline::<C, F>, drop_fn: drop_inline::<F> }
-    }
-
-    /// Run the closure, consuming it. The capture is read out of the
-    /// buffer by value inside the monomorphized thunk; `ManuallyDrop`
-    /// suppresses our `Drop` so the capture is consumed exactly once.
-    pub(crate) fn invoke(self, ctx: Ctx<'_, C>) {
-        let mut this = ManuallyDrop::new(self);
-        let buf = this.buf.0.as_mut_ptr() as *mut u8;
-        // SAFETY: the buffer holds a live F (written in `new`, not yet
-        // taken); `call` is the matching monomorphized thunk.
-        unsafe { (this.call)(buf, ctx) }
-    }
-}
-
-impl<C: CounterFamily> Drop for InlineBody<C> {
-    fn drop(&mut self) {
-        // SAFETY: only reached when the closure was never invoked, so the
-        // buffer still holds a live F for the matching drop thunk.
-        unsafe { (self.drop_fn)(self.buf.0.as_mut_ptr() as *mut u8) }
-    }
-}
-
-unsafe fn call_inline<C, F>(buf: *mut u8, ctx: Ctx<'_, C>)
-where
-    C: CounterFamily,
-    F: for<'a> FnOnce(Ctx<'a, C>) + Send + 'static,
-{
-    // SAFETY: caller guarantees `buf` holds a live F; reading it by value
-    // transfers ownership to this frame.
-    let f = unsafe { (buf as *mut F).read() };
-    f(ctx);
-}
-
-unsafe fn drop_inline<F>(buf: *mut u8) {
-    // SAFETY: caller guarantees `buf` holds a live F.
-    unsafe { std::ptr::drop_in_place(buf as *mut F) }
-}
 
 /// Result of one [`Strand`] resumption: the strand either ran to its end
 /// (producing `T`; `()` for plain strands) or parked itself on the future
@@ -184,188 +112,218 @@ where
     }
 }
 
-/// Storage tag: strand state held inline in the frame's buffer.
-const FRAME_INLINE: u8 = 0;
-/// Storage tag: the frame's buffer holds a pointer to the state.
-const FRAME_SPILLED: u8 = 1;
+/// The frame's in-vertex storage: a state of at most
+/// [`INLINE_SLOT_BYTES`]/[`INLINE_SLOT_ALIGN`] itself, else the pointer to
+/// it.
+#[repr(align(8))]
+struct FrameBuf([MaybeUninit<u8>; INLINE_SLOT_BYTES]);
 
-/// A resumable strand frame: the generalization of the one-shot inline
-/// body to a state machine that survives suspension. The frame owns the
-/// strand's saved state — inline in the vertex (≤
-/// [`sched::recycle::INLINE_SLOT_BYTES`]) or spilled onto the scheduler's
-/// class ladder — plus monomorphized resume/drop thunks. Between
-/// [`resume`](StrandFrame::resume) calls the frame sits in the vertex's
-/// `BodySlot` (state `Ready` before first schedule, `Suspended` while
-/// parked); the executor moves it out to run it (detaching the `&mut`
-/// borrow from the vertex) and moves it back on
-/// [`StrandPoll::Parked`].
+/// The one storage rule, a compile-time function of the state's layout:
+/// whether an `S` lives in the frame's buffer or behind a pointer kept
+/// there.
+const fn fits_inline<S>() -> bool {
+    std::mem::size_of::<S>() <= INLINE_SLOT_BYTES && std::mem::align_of::<S>() <= INLINE_SLOT_ALIGN
+}
+
+impl FrameBuf {
+    /// Where this buffer's `S` lives.
+    ///
+    /// # Safety
+    /// The buffer must have been filled by `Frame::store::<S>`.
+    unsafe fn state<S>(&mut self) -> *mut S {
+        if const { fits_inline::<S>() } {
+            self.0.as_mut_ptr() as *mut S
+        } else {
+            // SAFETY: `store` wrote the spilled state's pointer here.
+            unsafe { (self.0.as_ptr() as *const *mut S).read() }
+        }
+    }
+}
+
+/// A frame's run thunk: runs a live state — a strand until it completes or
+/// parks; a closure once, leaving the frame empty. `Ctx` comes by value, as
+/// a closure takes it, so the closure's thunk forwards the executor's
+/// context untouched. (Handed `&mut Ctx` it has to rebuild one, and that
+/// copy's 16-byte reload of two fresh 8-byte stores stalls `fib` by 8 ns a
+/// vertex — measured, `cores: 2`.)
+type RunFn<C> = for<'a> unsafe fn(&'a mut Frame<C>, Ctx<'a, C>) -> StrandPoll;
+
+/// A frame's drop thunk: ends a live state that will not run (again) — drop
+/// glue, plus the memory's return for spilled state.
+type DropFn = unsafe fn(&mut FrameBuf);
+
+/// A vertex body: one type-erased state — a one-shot closure's capture or
+/// a [`Strand`]'s saved state — plus the two monomorphized thunks that run
+/// and end it. The state is stored in the vertex when it fits
+/// ([`fits_inline`]) and otherwise spilled onto the scheduler's class
+/// ladder ([`sched::recycle::alloc`]), closures and strands alike.
 ///
-/// Spilled state lives at a stable address — only the 8-byte pointer
-/// travels with the frame — so large strand state is never memcpy'd by
-/// the move-out/move-back dance. Inline state *is* moved between
+/// The executor [`take`](Frame::take)s the frame out of its vertex to
+/// [`run`](Frame::run) it (the `Ctx` borrows the vertex) and moves it back
+/// when a strand parks. Spilled state lives at a stable address — only the
+/// 8-byte pointer travels with the frame. Inline state *is* moved between
 /// resumptions, which is fine for ordinary Rust types; the async bridge,
 /// whose compiled futures must never move once polled, pins its state
 /// behind a box (see `async_bridge`).
-pub(crate) struct StrandFrame<C: CounterFamily> {
-    /// The state itself (inline) or the pointer to it (spilled).
-    buf: InlineBuf,
-    /// Storage tag (the frame is type-erased, so it cannot ask the state's
-    /// layout): [`FRAME_INLINE`] or [`FRAME_SPILLED`]. A `u8`, not a
-    /// `bool`: rustc would put `BodySlot`'s discriminant in a bool's niche,
-    /// and decoding it on every `take` and drop cost `fib` 13 ns per vertex
-    /// (`cores: 2`).
-    storage: u8,
-    resume_fn: for<'a, 'b> unsafe fn(*mut u8, &'a mut Ctx<'b, C>) -> StrandPoll,
-    /// Ends the state: drop glue for inline state, drop glue plus the
-    /// memory's return for spilled state.
-    drop_fn: unsafe fn(*mut u8),
+pub(crate) struct Frame<C: CounterFamily> {
+    buf: FrameBuf,
+    /// The thunks of a live state. `None` is the empty frame — no body was
+    /// given, or it was taken to run — so "no body" costs a null test and
+    /// the vertex holds a plain `Frame`: with an enum around the body,
+    /// decoding its discriminant on every take and drop cost `fib` 13 ns
+    /// per vertex (measured, `cores: 2`).
+    thunks: Option<(RunFn<C>, DropFn)>,
 }
 
-impl<C: CounterFamily> StrandFrame<C> {
-    pub(crate) fn new<S: Strand<C>>(strand: S) -> StrandFrame<C> {
-        let mut buf = InlineBuf([MaybeUninit::uninit(); INLINE_BODY_BYTES]);
-        if std::mem::size_of::<S>() <= INLINE_BODY_BYTES
-            && std::mem::align_of::<S>() <= INLINE_BODY_ALIGN
-        {
-            obs::counter!("spdag.strand_inline").inc();
-            // SAFETY: size/align checked above; the buffer is ours.
-            unsafe { (buf.0.as_mut_ptr() as *mut S).write(strand) };
-            return StrandFrame {
-                buf,
-                storage: FRAME_INLINE,
-                resume_fn: resume_strand::<C, S>,
-                drop_fn: drop_inline::<S>,
-            };
-        }
-        // Oversized state spills behind a pointer: carved from the class
-        // ladder when it fits (recirculated across strands, so warm-run
-        // suspension churn allocates nothing fresh), plain allocator
-        // otherwise.
-        obs::counter!("spdag.strand_spilled").inc();
-        let (ptr, reused) = sched::recycle::alloc(|| strand);
-        if reused {
-            obs::counter!("sched.strand_reuse").inc();
-        } else {
-            obs::counter!("sched.strand_alloc").inc();
-        }
-        // SAFETY: the buffer is ≥ 8 bytes and 8-aligned; it now carries
-        // the pointer instead of the state.
-        unsafe { (buf.0.as_mut_ptr() as *mut *mut S).write(ptr) };
-        StrandFrame {
-            buf,
-            storage: FRAME_SPILLED,
-            resume_fn: resume_strand::<C, S>,
-            drop_fn: free_spilled::<S>,
-        }
+impl<C: CounterFamily> Frame<C> {
+    /// The frame of a vertex that runs nothing (the dag's final vertex).
+    pub(crate) fn empty() -> Frame<C> {
+        Frame { buf: FrameBuf([MaybeUninit::uninit(); INLINE_SLOT_BYTES]), thunks: None }
     }
 
-    fn state_ptr(&mut self) -> *mut u8 {
-        if self.storage == FRAME_SPILLED {
-            // SAFETY: spilled frames store the state pointer in the buffer.
-            unsafe { (self.buf.0.as_ptr() as *const *mut u8).read() }
+    /// Store `state` by the one storage rule. Returns the frame and, for
+    /// spilled state, whether its memory was a reused slab.
+    fn store<S>(state: S, run_fn: RunFn<C>, drop_fn: DropFn) -> (Frame<C>, Option<bool>) {
+        let mut buf = FrameBuf([MaybeUninit::uninit(); INLINE_SLOT_BYTES]);
+        let spilled = if const { fits_inline::<S>() } {
+            // SAFETY: size and alignment just checked; the buffer is ours.
+            unsafe { (buf.0.as_mut_ptr() as *mut S).write(state) };
+            None
         } else {
-            self.buf.0.as_mut_ptr() as *mut u8
-        }
+            let (ptr, reused) = sched::recycle::alloc(|| state);
+            // SAFETY: the buffer is ≥ 8 bytes and 8-aligned; it carries the
+            // pointer instead of the state.
+            unsafe { (buf.0.as_mut_ptr() as *mut *mut S).write(ptr) };
+            Some(reused)
+        };
+        (Frame { buf, thunks: Some((run_fn, drop_fn)) }, spilled)
     }
 
-    /// Run the strand until it completes or parks. The frame must be
-    /// moved out of the vertex first (the ctx borrows the vertex).
-    pub(crate) fn resume(&mut self, ctx: &mut Ctx<'_, C>) -> StrandPoll {
-        let p = self.state_ptr();
-        // SAFETY: `p` points at the live S the constructor wrote; the
-        // thunk is the matching monomorphization.
-        unsafe { (self.resume_fn)(p, ctx) }
+    /// The frame of a one-shot closure.
+    pub(crate) fn once<F>(f: F) -> Frame<C>
+    where
+        F: for<'a> FnOnce(Ctx<'a, C>) + Send + 'static,
+    {
+        let (frame, spilled) = Frame::store(f, run_once::<C, F>, drop_state::<F, false>);
+        match spilled {
+            None => obs::counter!("spdag.body_inline").inc(),
+            Some(_) => obs::counter!("spdag.body_boxed").inc(),
+        }
+        frame
+    }
+
+    /// The frame of a resumable strand.
+    pub(crate) fn strand<S: Strand<C>>(strand: S) -> Frame<C> {
+        let (frame, spilled) = Frame::store(strand, run_strand::<C, S>, drop_state::<S, true>);
+        match spilled {
+            None => obs::counter!("spdag.strand_inline").inc(),
+            Some(reused) => {
+                obs::counter!("spdag.strand_spilled").inc();
+                if reused {
+                    obs::counter!("sched.strand_reuse").inc();
+                } else {
+                    obs::counter!("sched.strand_alloc").inc();
+                }
+            }
+        }
+        frame
+    }
+
+    /// Move the frame out, leaving this one empty. The result is detached
+    /// from the vertex that held it, so running it may mutably borrow that
+    /// vertex.
+    pub(crate) fn take(&mut self) -> Frame<C> {
+        // SAFETY: a bitwise move; emptying this frame leaves the state with
+        // exactly one owner, the returned frame.
+        let taken = unsafe { std::ptr::read(self) };
+        self.thunks = None;
+        taken
+    }
+
+    /// Run the body: a closure to its end, a strand until it completes or
+    /// parks; an empty frame is `Done` at once. The frame must be out of
+    /// its vertex (`ctx` borrows the vertex).
+    pub(crate) fn run(&mut self, ctx: Ctx<'_, C>) -> StrandPoll {
+        match self.thunks {
+            None => StrandPoll::Done(()),
+            // SAFETY: the frame is live, so the buffer holds the state
+            // `store` put there together with this thunk.
+            Some((run_fn, _)) => unsafe { run_fn(self, ctx) },
+        }
     }
 }
 
-impl<C: CounterFamily> Drop for StrandFrame<C> {
+impl<C: CounterFamily> Drop for Frame<C> {
     fn drop(&mut self) {
-        let p = self.state_ptr();
-        // SAFETY: the frame still owns a live S (resume takes &mut, never
-        // consumes), and `drop_fn` is the thunk matching its storage.
-        unsafe { (self.drop_fn)(p) };
+        if let Some((_, drop_fn)) = self.thunks {
+            // SAFETY: a live frame still owns its state (a strand's `run`
+            // takes `&mut`; a closure's `run` empties the frame first), and
+            // `drop_fn` is the thunk `store` paired with it.
+            unsafe { drop_fn(&mut self.buf) };
+        }
     }
 }
 
-unsafe fn resume_strand<'a, 'b, C, S>(p: *mut u8, ctx: &'a mut Ctx<'b, C>) -> StrandPoll
+/// # Safety
+/// `frame` must be live and hold an `F` stored by [`Frame::once`].
+unsafe fn run_once<C, F>(frame: &mut Frame<C>, ctx: Ctx<'_, C>) -> StrandPoll
+where
+    C: CounterFamily,
+    F: for<'a> FnOnce(Ctx<'a, C>) + Send + 'static,
+{
+    // SAFETY: the caller's contract; reading the capture by value moves
+    // ownership here, and emptying the frame makes that the only owner
+    // *before* the call — a panicking body drops its capture once, by unwinding.
+    let f = unsafe {
+        let p = frame.buf.state::<F>();
+        let f = p.read();
+        if const { !fits_inline::<F>() } {
+            // The slab goes back without drop glue: its `F` has moved out.
+            sched::recycle::free(p as *mut ManuallyDrop<F>);
+        }
+        f
+    };
+    frame.thunks = None;
+    f(ctx);
+    StrandPoll::Done(())
+}
+
+/// # Safety
+/// `frame` must be live and hold an `S` stored by [`Frame::strand`].
+unsafe fn run_strand<C, S>(frame: &mut Frame<C>, mut ctx: Ctx<'_, C>) -> StrandPoll
 where
     C: CounterFamily,
     S: Strand<C>,
 {
-    // SAFETY: caller guarantees `p` holds a live S; the &mut does not
-    // outlive this call.
-    unsafe { (*(p as *mut S)).resume(ctx) }
+    // Only here is there a frame to come back to: a strand may park.
+    ctx.resumable = true;
+    // SAFETY: the caller's contract; the `&mut S` does not outlive this
+    // call.
+    unsafe { (*frame.buf.state::<S>()).resume(&mut ctx) }
 }
 
-unsafe fn free_spilled<S>(p: *mut u8) {
-    // SAFETY: caller guarantees `p` is the live S that `StrandFrame::new`
-    // got from `sched::recycle::alloc`.
-    if unsafe { sched::recycle::free(p as *mut S) } {
-        obs::counter!("sched.strand_recycled").inc();
-    } else {
-        obs::counter!("sched.strand_dropped").inc();
-    }
-}
-
-/// The vertex's body storage: empty, inline (captures ≤
-/// `INLINE_BODY_BYTES`, no heap), the boxed fallback, or a resumable
-/// strand frame.
-pub(crate) enum BodySlot<C: CounterFamily> {
-    None,
-    Boxed(Body<C>),
-    Inline(InlineBody<C>),
-    Strand(StrandFrame<C>),
-}
-
-impl<C: CounterFamily> BodySlot<C> {
-    /// Store `f` inline when it fits the size class, boxed otherwise.
-    pub(crate) fn from_closure<F>(f: F) -> BodySlot<C>
-    where
-        F: for<'a> FnOnce(Ctx<'a, C>) + Send + 'static,
-    {
-        if std::mem::size_of::<F>() <= INLINE_BODY_BYTES
-            && std::mem::align_of::<F>() <= INLINE_BODY_ALIGN
-        {
-            obs::counter!("spdag.body_inline").inc();
-            BodySlot::Inline(InlineBody::new(f))
+/// The drop thunk of both kinds; a spilled strand's end is counted
+/// (`STRAND`), a spilled closure's is not — which slab a capture got is no
+/// property of the schedule, and the benchmark's traced runs require every
+/// counter to repeat.
+///
+/// # Safety
+/// `buf` must hold a live `S` stored by [`Frame::store`].
+unsafe fn drop_state<S, const STRAND: bool>(buf: &mut FrameBuf) {
+    // SAFETY: the caller's contract.
+    unsafe {
+        let p = buf.state::<S>();
+        if const { fits_inline::<S>() } {
+            std::ptr::drop_in_place(p);
         } else {
-            obs::counter!("spdag.body_boxed").inc();
-            BodySlot::Boxed(Box::new(f))
+            let recycled = sched::recycle::free(p);
+            if STRAND && recycled {
+                obs::counter!("sched.strand_recycled").inc();
+            } else if STRAND {
+                obs::counter!("sched.strand_dropped").inc();
+            }
         }
     }
-
-    /// Store an already-boxed body (the `_boxed` public API paths).
-    pub(crate) fn from_boxed(body: Body<C>) -> BodySlot<C> {
-        obs::counter!("spdag.body_boxed").inc();
-        BodySlot::Boxed(body)
-    }
-
-    /// Store a resumable strand frame.
-    pub(crate) fn from_strand<S: Strand<C>>(strand: S) -> BodySlot<C> {
-        BodySlot::Strand(StrandFrame::new(strand))
-    }
-
-    /// Move the body out (if any), leaving the slot empty. The result is
-    /// detached from the vertex, so running it may mutably borrow the
-    /// vertex that held it. Strand frames are moved back into the slot by
-    /// the executor when the strand parks instead of completing.
-    pub(crate) fn take(&mut self) -> Option<TakenBody<C>> {
-        match std::mem::replace(self, BodySlot::None) {
-            BodySlot::None => None,
-            BodySlot::Boxed(body) => Some(TakenBody::Boxed(body)),
-            BodySlot::Inline(body) => Some(TakenBody::Inline(body)),
-            BodySlot::Strand(frame) => Some(TakenBody::Strand(frame)),
-        }
-    }
-}
-
-/// A body moved out of its vertex: one-shot bodies run exactly once;
-/// strand frames run until they complete or park (and park puts the frame
-/// back into the vertex).
-pub(crate) enum TakenBody<C: CounterFamily> {
-    Boxed(Body<C>),
-    Inline(InlineBody<C>),
-    Strand(StrandFrame<C>),
 }
 
 /// One vertex of the sp-dag.
@@ -396,8 +354,9 @@ pub struct Vertex<C: CounterFamily> {
     /// ever read/written by the current executor — parking hands the
     /// vertex over through the in-counter's release/acquire edge.
     pub(crate) park_pending: bool,
-    /// The code to run; taken by the executor.
-    pub(crate) body: BodySlot<C>,
+    /// The code to run; taken by the executor, empty for the dag's final
+    /// vertex and after a body that panicked while parked.
+    pub(crate) body: Frame<C>,
 }
 
 // SAFETY: the only field ever accessed across threads is `counter` (Sync
@@ -424,7 +383,7 @@ impl<C: CounterFamily> Vertex<C> {
         dec: PairRef<C::Dec>,
         fin: *const Vertex<C>,
         is_left: bool,
-        body: BodySlot<C>,
+        body: Frame<C>,
     ) -> *mut Vertex<C> {
         let counter = if n > 0 { Some(C::make(cfg, n)) } else { None };
         Self::alloc_parts(counter, inc, dec, fin, is_left, body)
@@ -439,7 +398,7 @@ impl<C: CounterFamily> Vertex<C> {
         dec: PairRef<C::Dec>,
         fin: *const Vertex<C>,
         is_left: bool,
-        body: BodySlot<C>,
+        body: Frame<C>,
     ) -> *mut Vertex<C> {
         let (ptr, reused) = sched::recycle::alloc(|| Vertex {
             counter,
@@ -510,15 +469,6 @@ impl<C: CounterFamily> Vertex<C> {
     /// vertex (an sp-dag structural bug, not a user error).
     pub(crate) fn counter_ref(&self) -> &C::Counter {
         self.counter.as_ref().expect("sp-dag invariant violated: finish vertex without a counter")
-    }
-
-    /// Non-destructive zero test on this vertex's own counter (the paper's
-    /// `is_zero`); `true` for vertices that never had dependencies.
-    pub fn is_zero(&self) -> bool {
-        match &self.counter {
-            Some(c) => C::is_zero(c),
-            None => true,
-        }
     }
 }
 

@@ -199,6 +199,50 @@ fn async_bridge_composes_with_strands() {
     assert_eq!(out.load(Ordering::Relaxed), 42);
 }
 
+/// The async bridge's bounce arm, forced: with `spdag.force_bounce` armed
+/// the bridge holds its registration until the awaited future seals, so
+/// `AsyncStrand::resume` takes "sealed between poll and registration →
+/// disarm → re-poll". The future's body waits for the block's first poll
+/// to begin, which makes that poll find it unready (a round where it
+/// still won the race never reaches the failpoint and is retried). Either
+/// way the hold ends — sealed, or its spin budget spent and the strand
+/// parked — every park is repaid and the value arrives.
+#[cfg(feature = "fault-inject")]
+#[test]
+fn async_await_survives_a_forced_bounce() {
+    use sched::failpoint::{self, FaultMode, FaultPlan, SiteSpec};
+    use std::sync::atomic::AtomicBool;
+
+    let _g = serial();
+    let site = SiteSpec { site: "spdag.force_bounce".into(), mode: FaultMode::Always };
+    for round in 0..20 {
+        failpoint::install(&FaultPlan::new(round, vec![site.clone()]));
+        let out = Arc::new(AtomicU64::new(0));
+        let polling = Arc::new(AtomicBool::new(false));
+        let (o, p) = (Arc::clone(&out), Arc::clone(&polling));
+        let stats = run_dag::<DynSnzi, _>(DynConfig::default(), 2, move |mut ctx| {
+            let f = ctx.future(move |_| {
+                while !polling.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                21u64
+            });
+            ctx.fork_async(async move {
+                p.store(true, Ordering::Release);
+                o.store(f.await * 2, Ordering::Relaxed);
+            });
+        });
+        let held = failpoint::injected_count();
+        failpoint::clear();
+        assert_eq!(out.load(Ordering::Relaxed), 42);
+        assert_eq!(stats.pool.suspends, stats.pool.resumes, "every park is repaid");
+        if held > 0 {
+            return;
+        }
+    }
+    panic!("the bridge's registration never reached the spdag.force_bounce failpoint");
+}
+
 /// Minimal foreign executor: poll on the calling thread, park it between
 /// wakes. Exercises the boxed-waker (tagged-token) path in the sweep.
 fn block_on<F: std::future::Future>(fut: F) -> F::Output {

@@ -16,8 +16,11 @@
 //! 3. **Steady state** — once a few runs have filled the pools to the
 //!    peak-live high-water mark, further identical runs stop minting
 //!    fresh vertices and live on reuse.
-//! 4. **Inline bodies** — closures within the inline size class never
-//!    box; oversized captures fall back to the boxed path.
+//! 4. **One frame, one storage rule** — a body's state (a closure's
+//!    capture, a strand's saved state) within the inline size class lives
+//!    in the vertex; larger state spills to a recycled slab, and is
+//!    dropped exactly once on every exit: ran, panicked, parked and
+//!    completed, panicked while parked.
 //!
 //! Counter-based asserts are skipped under `--no-default-features`
 //! (telemetry compiled out); the exactly-once execution checks and the
@@ -218,7 +221,7 @@ fn warm_runs_stop_minting_vertices() {
 }
 
 #[test]
-fn inline_class_inlines_and_oversize_boxes() {
+fn inline_class_inlines_and_oversize_spills() {
     let _guard = lock();
     if !obs::enabled() {
         return;
@@ -227,7 +230,7 @@ fn inline_class_inlines_and_oversize_boxes() {
     let hits = Arc::new(AtomicU64::new(0));
     let h = Arc::clone(&hits);
     run_dag::<DynSnzi, _>(DynConfig::default(), 2, move |ctx| {
-        let big = [1u8; 64]; // over the inline class: must box
+        let big = [1u8; 64]; // over the inline class: must spill
         let h2 = Arc::clone(&h);
         ctx.spawn(
             move |_| {
@@ -240,8 +243,9 @@ fn inline_class_inlines_and_oversize_boxes() {
     });
     let d = Snapshot::take().diff(&before);
     assert_eq!(hits.load(Ordering::Relaxed), 2);
-    assert!(d.counter("spdag.body_boxed") >= 1, "64-byte capture must take the boxed path");
-    assert!(d.counter("spdag.body_inline") >= 1, "small capture must take the inline path");
+    // `spdag.body_boxed` kept its name; it counts spilled one-shot bodies.
+    assert_eq!(d.counter("spdag.body_boxed"), 1, "only the 64-byte capture spills");
+    assert_eq!(d.counter("spdag.body_inline"), 2, "the root and the small capture stay inline");
 }
 
 #[test]
@@ -278,6 +282,24 @@ fn off_ladder<T>(_: &T) -> bool {
 fn family(d: &Snapshot, prefix: &str) -> (u64, u64, u64, u64) {
     let get = |suffix: &str| d.counter(&format!("{prefix}_{suffix}"));
     (get("alloc"), get("reuse"), get("recycled"), get("dropped"))
+}
+
+/// Run `round` until it is fed entirely by what earlier rounds retired —
+/// it leaves `cached_slabs()` where it found it (this thread's batch
+/// refills leave the worker short the first few times). Returns the
+/// rounds run and the gauge they settled on; after 32 unsettled rounds it
+/// gives up, and the caller's gauge assert fails.
+fn warm(mut round: impl FnMut()) -> (u64, usize) {
+    let mut cached = recycle::cached_slabs();
+    for rounds in 1.. {
+        round();
+        let now = recycle::cached_slabs();
+        if now == cached || rounds == 32 {
+            return (rounds, now);
+        }
+        cached = now;
+    }
+    unreachable!()
 }
 
 #[test]
@@ -337,19 +359,7 @@ fn oversized_strand_frame_spills_to_the_plain_allocator() {
         });
         sched::slab::flush_this_thread();
     };
-    // Warm until a run is fed entirely by what earlier ones retired (this
-    // thread's batch refills leave the worker short the first few times).
-    let mut cached = recycle::cached_slabs();
-    let mut runs = 0;
-    loop {
-        run(&drops, &sum);
-        runs += 1;
-        let now = recycle::cached_slabs();
-        if now == cached || runs == 32 {
-            break; // stable — or never: the gauge assert below then fails
-        }
-        cached = now;
-    }
+    let (mut runs, cached) = warm(|| run(&drops, &sum));
     let before = Snapshot::take();
     run(&drops, &sum);
     runs += 1;
@@ -362,4 +372,131 @@ fn oversized_strand_frame_spills_to_the_plain_allocator() {
         assert_eq!(family(&d, "sched.strand"), (1, 0, 0, 1), "born fresh, dropped, never pooled");
         assert_eq!(d.counter("sched.vertex_alloc"), 0, "the warm run minted no vertex");
     }
+}
+
+/// Above the inline class, inside the ladder: a body that owns one spills
+/// to a recycled slab.
+struct Big {
+    tally: Tally,
+    pad: [u64; 8],
+}
+
+/// One exit path of a spilled body, checked for exactly-once lifetime.
+/// `round` runs a one-worker dag (so every round asks the class pools for
+/// the same slabs) whose body owns the `Big` it is given. Once the pools
+/// are warm, one more round must drop its capture exactly once, leave
+/// `cached_slabs()` alone and keep the ledgers exact. Four spare slabs of
+/// every class stand by for that round: a leaked slab then moves the gauge
+/// instead of hiding behind an empty pool, where its successor would
+/// simply be born fresh.
+fn spilled_state_lives_exactly_once(round: impl Fn(Big)) {
+    let _guard = lock();
+    let drops = Arc::new(AtomicU64::new(0));
+    let run = || {
+        round(Big { tally: Tally(Arc::clone(&drops)), pad: [3; 8] });
+        sched::slab::flush_this_thread();
+    };
+    let (mut rounds, _) = warm(run);
+    for bytes in [32, 64, 128, 256, 512, 1024] {
+        let class = recycle::class_for(bytes, 8).expect("a ladder size");
+        let spare: Vec<*mut u8> = (0..4).map(|_| recycle::acquire_or_alloc(class).0).collect();
+        spare.into_iter().for_each(|slab| recycle::release(class, slab));
+    }
+    sched::slab::flush_this_thread();
+    let cached = recycle::cached_slabs();
+    let before = Snapshot::take();
+    run();
+    rounds += 1;
+    let d = Snapshot::take().diff(&before);
+    assert_eq!(drops.load(Ordering::SeqCst), rounds, "each capture is dropped exactly once");
+    assert_eq!(recycle::cached_slabs(), cached, "a slab leaked or was released twice");
+    if obs::enabled() {
+        for prefix in ["sched.vertex", "sched.strand"] {
+            let (alloc, reuse, recycled, dropped) = family(&d, prefix);
+            assert_eq!(alloc + reuse, recycled + dropped, "{prefix} ledger");
+        }
+        assert_eq!(d.counter("sched.vertex_alloc"), 0, "the warm round minted no vertex");
+    }
+}
+
+/// Run a dag whose body panics: it must drain, and the panic reach here.
+fn panics(dag: impl FnOnce() -> dynsnzi::DagRunStats) {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(dag))
+        .expect_err("the body's panic is re-raised at the run_dag caller");
+}
+
+#[test]
+fn spilled_closure_that_runs_drops_its_capture_once() {
+    spilled_state_lives_exactly_once(|big| {
+        let sum = Arc::new(AtomicU64::new(0));
+        let s = Arc::clone(&sum);
+        run_dag::<DynSnzi, _>(DynConfig::default(), 1, move |mut ctx| {
+            let body = move |_: Ctx<'_, DynSnzi>| {
+                s.fetch_add(big.pad[7], Ordering::Relaxed);
+                let _ = &big.tally;
+            };
+            assert!(std::mem::size_of_val(&body) > recycle::INLINE_SLOT_BYTES);
+            ctx.fork(body);
+        });
+        assert_eq!(sum.load(Ordering::Relaxed), 3, "the body ran exactly once");
+    });
+}
+
+#[test]
+fn spilled_closure_that_panics_drops_its_capture_once() {
+    spilled_state_lives_exactly_once(|big| {
+        panics(|| {
+            run_dag::<DynSnzi, _>(DynConfig::default(), 1, move |mut ctx| {
+                ctx.fork(move |_| {
+                    let _owned = big;
+                    panic!("mid-body");
+                });
+            })
+        });
+    });
+}
+
+#[test]
+fn spilled_strand_that_parks_twice_drops_its_state_once() {
+    spilled_state_lives_exactly_once(|big| {
+        let sum = Arc::new(AtomicU64::new(0));
+        let s = Arc::clone(&sum);
+        let stats = run_dag::<DynSnzi, _>(DynConfig::default(), 1, move |mut ctx| {
+            let a = ctx.future(|_| 40u64);
+            // Made only once `a` is ready, so its await parks too.
+            let mut b = None;
+            ctx.fork_strand(move |sc: &mut Ctx<'_, DynSnzi>| {
+                let x = *strand_await!(sc, &a);
+                if b.is_none() {
+                    b = Some(sc.future(|_| 2u64));
+                }
+                let y = *strand_await!(sc, b.as_ref().expect("made above"));
+                s.fetch_add(x + y + big.pad[0], Ordering::Relaxed);
+                let _ = &big.tally;
+                StrandPoll::Done(())
+            });
+        });
+        assert_eq!((stats.pool.suspends, stats.pool.resumes), (2, 2));
+        assert_eq!(sum.load(Ordering::Relaxed), 45, "the strand completed exactly once");
+    });
+}
+
+#[test]
+fn spilled_strand_that_panics_while_parked_drops_its_state_once() {
+    spilled_state_lives_exactly_once(|big| {
+        panics(|| {
+            run_dag::<DynSnzi, _>(DynConfig::default(), 1, move |mut ctx| {
+                // Unready when the strand runs: the one worker pops the
+                // strand (pushed last) before the future's body.
+                let f = ctx.future(|_| 7u64);
+                ctx.fork_strand(move |sc: &mut Ctx<'_, DynSnzi>| {
+                    let _ = &big;
+                    match sc.touch_await(&f) {
+                        StrandTouch::Parked => panic!("after a Parked touch"),
+                        StrandTouch::Ready(_) => unreachable!("the future cannot have run"),
+                    }
+                });
+            })
+        });
+    });
 }
