@@ -302,6 +302,25 @@ fn check_strand_bounds(opts: &Opts) -> bool {
     all_ok
 }
 
+/// The three slab ledgers as `(label, births, deaths)` counter names:
+/// every slab is born fresh or reused and dies into its recycler — or,
+/// for a vertex or header too large for the class ladder, the plain
+/// allocator. An out-set block has the one exit.
+type SlabLedger = (&'static str, [&'static str; 2], &'static [&'static str]);
+const SLAB_LEDGERS: [SlabLedger; 3] = [
+    ("block", ["outset.blocks_allocated", "outset.blocks_reused"], &["outset.blocks_recycled"]),
+    (
+        "vertex",
+        ["sched.vertex_alloc", "sched.vertex_reuse"],
+        &["sched.vertex_recycled", "sched.vertex_dropped"],
+    ),
+    (
+        "poolarc",
+        ["sched.poolarc_alloc", "sched.poolarc_reuse"],
+        &["sched.poolarc_recycled", "sched.poolarc_dropped"],
+    ),
+];
+
 /// Recompute the accounting across a *poisoned* run — a dag whose body
 /// panics under panic isolation (`docs/robustness.md`). Drain-to-
 /// completion poisoning claims the panic changes *what* runs (the
@@ -361,31 +380,9 @@ fn check_poisoned_bounds(opts: &Opts) -> bool {
                 d.counter("spdag.body_panics")
             ),
         );
-        for (label, alloc, reuse, recycled, dropped) in [
-            (
-                "vertex",
-                "sched.vertex_alloc",
-                "sched.vertex_reuse",
-                "sched.vertex_recycled",
-                "sched.vertex_dropped",
-            ),
-            (
-                "block",
-                "outset.blocks_allocated",
-                "outset.blocks_reused",
-                "outset.blocks_recycled",
-                "outset.blocks_dropped",
-            ),
-            (
-                "poolarc",
-                "sched.poolarc_alloc",
-                "sched.poolarc_reuse",
-                "sched.poolarc_recycled",
-                "sched.poolarc_dropped",
-            ),
-        ] {
+        for (label, [alloc, reuse], deaths) in SLAB_LEDGERS {
             let born = d.counter(alloc) + d.counter(reuse);
-            let dead = d.counter(recycled) + d.counter(dropped);
+            let dead: u64 = deaths.iter().map(|name| d.counter(name)).sum();
             check(
                 &format!("poisoned-{label}-conservation"),
                 born == dead,
@@ -451,36 +448,13 @@ fn check_recycle_bounds(opts: &Opts) -> bool {
     if !obs::enabled() || total.is_empty() {
         println!("  (telemetry compiled out; gauge-only checks)");
     } else {
-        // Both snapshot boundaries are quiescent (runs joined, domains
-        // drained, worker caches flushed), so births equal deaths — for
+        // Both snapshot boundaries are quiescent (runs joined, out-sets
+        // dropped, worker caches flushed), so births equal deaths — for
         // out-set blocks, dag vertices, and pooled refcount headers
         // alike.
-        let conservation = [
-            (
-                "block",
-                "outset.blocks_allocated",
-                "outset.blocks_reused",
-                "outset.blocks_recycled",
-                "outset.blocks_dropped",
-            ),
-            (
-                "vertex",
-                "sched.vertex_alloc",
-                "sched.vertex_reuse",
-                "sched.vertex_recycled",
-                "sched.vertex_dropped",
-            ),
-            (
-                "poolarc",
-                "sched.poolarc_alloc",
-                "sched.poolarc_reuse",
-                "sched.poolarc_recycled",
-                "sched.poolarc_dropped",
-            ),
-        ];
-        for (label, alloc, reuse, recycled, dropped) in conservation {
+        for (label, [alloc, reuse], deaths) in SLAB_LEDGERS {
             let born = total.counter(alloc) + total.counter(reuse);
-            let dead = total.counter(recycled) + total.counter(dropped);
+            let dead: u64 = deaths.iter().map(|name| total.counter(name)).sum();
             check(
                 &format!("{label}-conservation"),
                 born == dead,
@@ -1099,11 +1073,6 @@ fn growth_study(opts: &Opts) {
         f.adaptive_one_add.to_string(),
     ]);
     print_row(&[
-        "  …of which epoch domain".to_string(),
-        f.adaptive_domain.to_string(),
-        f.adaptive_domain.to_string(),
-    ]);
-    print_row(&[
         format!("fixed ({} lanes, superseded default)", f.fixed_lanes),
         f.fixed_fresh.to_string(),
         f.fixed_one_add.to_string(),
@@ -1117,7 +1086,6 @@ fn growth_study(opts: &Opts) {
     r.input("fixed_lanes", f.fixed_lanes);
     r.output("adaptive_fresh_bytes", f.adaptive_fresh)
         .output("adaptive_one_add_bytes", f.adaptive_one_add)
-        .output("adaptive_domain_bytes", f.adaptive_domain)
         .output("fixed_fresh_bytes", f.fixed_fresh)
         .output("fixed_one_add_bytes", f.fixed_one_add)
         .output("recycler_cached_blocks", f.recycler_cached_blocks)

@@ -493,14 +493,10 @@ pub fn fanout_broadcast_probed<C: CounterFamily>(
 /// measured last.
 #[derive(Clone, Copy, Debug)]
 pub struct FootprintReport {
-    /// A fresh adaptive out-set (1 lane, no blocks, private epoch domain).
+    /// A fresh adaptive out-set (1 lane, no blocks).
     pub adaptive_fresh: usize,
     /// An adaptive out-set holding one registered dependent.
     pub adaptive_one_add: usize,
-    /// The part of `adaptive_fresh` that is the private epoch
-    /// reclamation domain — a fixed once-per-out-set cost growable
-    /// out-sets pay and frozen ones do not.
-    pub adaptive_domain: usize,
     /// The fixed lane count the first iteration allocated up front.
     pub fixed_lanes: usize,
     /// A fresh fixed-lane out-set of that size.
@@ -521,7 +517,6 @@ pub fn outset_footprint_report() -> FootprintReport {
     let fixed_lanes = cores.next_power_of_two().min(16);
     let adaptive = TreeOutsetObj::new();
     let adaptive_fresh = adaptive.footprint_bytes();
-    let adaptive_domain = adaptive.domain_footprint_bytes();
     let _ = adaptive.add(1, 0);
     let adaptive_one_add = adaptive.footprint_bytes();
     let fixed = TreeOutsetObj::with_lanes(fixed_lanes);
@@ -531,7 +526,6 @@ pub fn outset_footprint_report() -> FootprintReport {
     FootprintReport {
         adaptive_fresh,
         adaptive_one_add,
-        adaptive_domain,
         fixed_lanes,
         fixed_fresh,
         fixed_one_add,
@@ -747,15 +741,11 @@ mod tests {
     #[test]
     fn footprint_report_orders_as_documented() {
         let r = outset_footprint_report();
-        assert!(r.adaptive_domain > 0, "growable out-sets carry a reclamation domain");
-        assert!(
-            r.adaptive_fresh - r.adaptive_domain <= r.fixed_fresh,
-            "net of the fixed domain cost, the adaptive start must not cost more"
-        );
+        assert!(r.adaptive_fresh <= r.fixed_fresh, "the adaptive start must not cost more");
         assert!(r.adaptive_one_add > r.adaptive_fresh, "one add allocates the first block");
         if r.fixed_lanes > 1 {
             assert!(
-                r.fixed_fresh > r.adaptive_fresh - r.adaptive_domain,
+                r.fixed_fresh > r.adaptive_fresh,
                 "a multi-lane fixed table costs more than the single-lane start"
             );
         }

@@ -39,10 +39,10 @@
 //! probabilistic `grow`. See [`tree`] for the mechanism and
 //! `docs/outset-contention.md` for the contention accounting.
 //!
-//! Swept slot blocks are **recycled**: `finish` retires each block
-//! through the out-set's epoch domain into per-worker slab caches (the
-//! [`recycle`] module holds the switch and the probes), so steady-state
-//! future churn reaches zero allocator traffic.
+//! Slot blocks are **recycled**: an out-set owns its blocks until it
+//! drops, and its `Drop` hands each one to per-worker slab caches (the
+//! [`recycle`] module holds the probes), so steady-state future churn
+//! reaches zero allocator traffic.
 //!
 //! ```
 //! use outset::{AddEdge, OutsetFamily, TreeOutset};

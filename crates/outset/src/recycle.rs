@@ -1,25 +1,23 @@
 //! The block recycler's probes and its release valve.
 //!
-//! The mechanism itself lives in [`crate::tree`] (retirement through the
-//! out-set's epoch domain) and `sched::slab` (per-worker caches over a
-//! global free list); this module is the small public surface around it:
-//! the gauges the bench harness and the reclamation tests read, and
-//! [`trim`]. Every growable out-set recycles its swept blocks; a frozen
-//! one (no epoch domain to retire through) keeps them until `Drop`.
+//! The mechanism itself lives in [`crate::tree`] (an out-set's `Drop`
+//! retires every block it owns) and `sched::slab` (per-worker caches
+//! over a global free list); this module is the small public surface
+//! around it: the gauges the bench harness and the reclamation tests
+//! read, and [`trim`].
 //!
 //! ## Accounting
 //!
-//! Five counters (`telemetry` feature) and one gauge tell the whole
+//! Four counters (`telemetry` feature) and one gauge tell the whole
 //! story. Every block is born through `outset.blocks_allocated` (fresh
-//! `Box`) or `outset.blocks_reused` (served by the recycler), and dies
-//! into `outset.blocks_recycled` (retired to the recycler),
-//! `outset.blocks_dropped` (freed by an out-set's `Drop` — frozen
-//! out-sets, never-finished out-sets, and post-seal straggler blocks) or
-//! `outset.blocks_trimmed` ([`trim`] handed it back to the allocator).
-//! At quiescence (every out-set dropped, every domain drained):
+//! `Box`) or `outset.blocks_reused` (served by the recycler), leaves its
+//! out-set through `outset.blocks_recycled` (retired to the recycler —
+//! there is no other exit), and leaves the recycler for the allocator
+//! through `outset.blocks_trimmed` ([`trim`]). At quiescence (every
+//! out-set dropped):
 //!
 //! ```text
-//! blocks_allocated + blocks_reused == blocks_recycled + blocks_dropped   (live = 0)
+//! blocks_allocated + blocks_reused == blocks_recycled   (live = 0)
 //! cached_blocks() == blocks_recycled − blocks_reused − blocks_trimmed
 //! ```
 //!

@@ -39,12 +39,11 @@ fn isolated() -> Serial {
     guard
 }
 
-/// A growable, recycling out-set filled with exactly `blocks` blocks on
-/// one lane, finished (scheduling the chain's retirement) and drained
-/// (pushing the blocks into this thread's cache).
+/// An out-set filled with exactly `blocks` blocks on one lane, finished
+/// (which unlinks nothing) and dropped (pushing the blocks into this
+/// thread's cache).
 fn churn_one(blocks: u64, token_base: u64) -> Vec<u64> {
     let set = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(2));
-    assert!(set.recycles_blocks(), "accounting tests require recycling enabled");
     let n = blocks * BLOCK_SLOTS;
     for t in 0..n {
         let _ = set.add(token_base + t, 0);
@@ -52,8 +51,10 @@ fn churn_one(blocks: u64, token_base: u64) -> Vec<u64> {
     assert_eq!(set.block_count(), blocks as usize);
     let mut got = Vec::new();
     assert!(set.finish(&mut |t| got.push(t)));
-    assert_eq!(set.blocks_retired(), blocks as usize);
-    assert!(set.drain_retired(), "quiescent: retirement must complete");
+    let cached = recycle::cached_blocks();
+    assert_eq!(set.block_count(), blocks as usize, "a finished out-set keeps its chain");
+    drop(set);
+    assert_eq!(recycle::cached_blocks(), cached + blocks as usize, "drop returns all of it");
     got
 }
 
@@ -62,7 +63,7 @@ fn retired_blocks_land_in_the_recycler_and_are_reused() {
     let _guard = isolated();
     let got = churn_one(3, 0);
     assert_eq!(got.len(), 3 * BLOCK_SLOTS as usize);
-    assert_eq!(recycle::cached_blocks(), 3, "the swept chain is cached, block for block");
+    assert_eq!(recycle::cached_blocks(), 3, "the dropped chain is cached, block for block");
     assert_eq!(recycle::cached_bytes(), 3 * recycle::block_bytes());
 
     // A successor out-set's first blocks must come from the cache…
@@ -80,7 +81,7 @@ fn retired_blocks_land_in_the_recycler_and_are_reused() {
     let mut got = Vec::new();
     assert!(set.finish(&mut |t| got.push(t)));
     assert_eq!(got.len(), 1 + 3 * BLOCK_SLOTS as usize, "97 adds span four blocks");
-    assert!(set.drain_retired());
+    drop(set);
     assert_eq!(recycle::cached_blocks(), 4, "reused and fresh blocks all retire alike");
     assert_eq!(recycle::trim(), 0, "blocks sit in the thread cache until flushed");
     sched::slab::flush_this_thread();
@@ -107,27 +108,48 @@ fn worker_cache_overflows_to_the_global_pool() {
 }
 
 #[test]
-fn frozen_out_sets_keep_the_drop_path() {
+fn fixed_lane_out_sets_recycle_like_any_other() {
     let _guard = isolated();
     let set = TreeOutsetObj::with_lanes(2);
-    assert!(!set.recycles_blocks(), "a frozen out-set has no domain to retire through");
     for t in 0..(2 * BLOCK_SLOTS) {
         let _ = set.add(t, 0);
     }
     let mut n = 0u64;
     assert!(set.finish(&mut |_| n += 1));
     assert_eq!(n, 2 * BLOCK_SLOTS);
-    assert_eq!(set.blocks_retired(), 0);
-    assert_eq!(set.block_count(), 2, "without recycling the chain stays until Drop");
+    assert_eq!(set.block_count(), 2);
+    assert_eq!(recycle::cached_blocks(), 0, "nothing leaves before the drop");
     drop(set);
-    assert_eq!(recycle::cached_blocks(), 0, "dropped blocks go to the allocator, not the pool");
+    assert_eq!(recycle::cached_blocks(), 2, "a fixed policy is a cap, not another lifetime");
+}
+
+#[test]
+fn unfinished_drop_with_registered_tokens_recycles_cleanly() {
+    // An out-set dropped before `finish` may still hold tokens (the dag
+    // runtime sweeps first; a raw user may not). Its block must retire
+    // without tripping the undelivered-token check, come back poisoned
+    // (`reset` debug-asserts that on reuse) and serve the next out-set
+    // with none of the stale tokens.
+    let _guard = isolated();
+    let set = TreeOutsetObj::new();
+    for t in 0..5 {
+        let _ = set.add(9_000 + t, 0);
+    }
+    drop(set);
+    assert_eq!(recycle::cached_blocks(), 1);
+    let next = TreeOutsetObj::new();
+    let _ = next.add(1, 0);
+    assert_eq!(recycle::cached_blocks(), 0, "the abandoned block is the one reused");
+    let mut got = Vec::new();
+    assert!(next.finish(&mut |t| got.push(t)));
+    assert_eq!(got, vec![1]);
 }
 
 #[test]
 fn conservation_identity_holds_at_quiescence() {
     // The ROADMAP leak check, in miniature: after churning many
     // out-sets to quiescence, every block born (fresh or reused) is
-    // accounted dead (recycled or dropped), and the recycler gauge
+    // accounted dead (recycled — the one way a block dies), and the recycler gauge
     // matches the counter flows. Skipped without telemetry — the
     // counters are no-ops there; `tests/recycle_stress.rs` covers the
     // gauge-only story in that mode.
@@ -139,16 +161,15 @@ fn conservation_identity_holds_at_quiescence() {
     for round in 0..20u64 {
         churn_one(2 + round % 3, round * 10_000);
     }
-    // One non-recycling (frozen) out-set exercises the dropped flow.
-    let frozen = TreeOutsetObj::with_lanes(1);
+    // A fixed-lane out-set dropped unfinished takes the same exit.
+    let fixed = TreeOutsetObj::with_lanes(1);
     for t in 0..BLOCK_SLOTS {
-        let _ = frozen.add(t, 0);
+        let _ = fixed.add(t, 0);
     }
-    frozen.finish(&mut |_| {});
-    drop(frozen);
+    drop(fixed);
     let d = obs::Snapshot::take().diff(&before);
     let born = d.counter("outset.blocks_allocated") + d.counter("outset.blocks_reused");
-    let dead = d.counter("outset.blocks_recycled") + d.counter("outset.blocks_dropped");
+    let dead = d.counter("outset.blocks_recycled");
     assert_eq!(born, dead, "no live blocks remain, so births must equal deaths");
     assert!(d.counter("outset.blocks_reused") > 0, "steady churn must actually reuse");
     assert_eq!(

@@ -1,36 +1,56 @@
 //! Reclamation-race battery for the block recycler.
 //!
 //! Recycling turns the add/finish race into an add ∥ grow ∥ finish ∥
-//! recycle ∥ realloc pentagon: while adders are claiming and publishing,
-//! the sweep may unlink their block, retire it through the epoch domain,
-//! and a *different* out-set may re-allocate the same memory — possibly
-//! installing it at the same lane index the adder is still staring at
-//! (the ABA shape). These tests drive that pentagon with real threads
-//! and disjoint token ranges per out-set, so any stale delivery — a
-//! token surfacing in the wrong set, twice, or never — fails an exact
-//! set-equality assert. The poison/generation stamps (`debug_assert`s in
-//! the retire/reset paths, active in this build) vouch for the
-//! complementary property: nobody writes into a block while it is free.
+//! recycle ∥ realloc pentagon: an out-set's blocks go to the recycler
+//! when its last sharer drops it — an adder or the finisher, whoever is
+//! last — while the same threads are already adding to the *next*
+//! out-set, which re-allocates exactly that memory, possibly installing
+//! it at the same lane index it had in its previous life. These tests
+//! drive that pentagon with real threads and disjoint token ranges per
+//! out-set, so any stale delivery — a token surfacing in the wrong set,
+//! twice, or never — fails an exact set-equality assert. The
+//! poison/generation stamps (`debug_assert`s in the retire/reset paths,
+//! active in this build) vouch for the complementary property: nobody
+//! writes into a block while it is free.
 //!
-//! Gauge-exact accounting lives in `recycle_accounting.rs` (serialized);
-//! these tests only assert delivery semantics, so they can race each
-//! other freely.
+//! The tests that claim the realloc leg is exercised read the recycler
+//! gauge, so every test here holds the file-level lock (its threads race
+//! each other, not the other tests). Gauge-exact accounting lives in
+//! `recycle_accounting.rs`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 use outset::tree::TreeOutsetObj;
-use outset::{AddEdge, GrowthPolicy};
+use outset::{recycle, AddEdge, GrowthPolicy};
 use proptest::prelude::*;
 use snzi::Probability;
 
 /// Slots per block, mirrored from `outset::growth` (not public).
 const BLOCK_SLOTS: u64 = 32;
 
-/// Drain one out-set's scheduled retirements so a successor can realloc
-/// its blocks (best effort: a still-pinned racer may defer it further).
-fn drain(set: &TreeOutsetObj) {
-    set.drain_retired();
+static LOCK: Mutex<()> = Mutex::new(());
+
+/// The file-level lock. Dropping it flushes the test thread's block cache
+/// *before* unlocking, so the next test's gauge reads see every block.
+struct Serial(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+impl Drop for Serial {
+    fn drop(&mut self) {
+        sched::slab::flush_this_thread();
+    }
+}
+
+fn serial() -> Serial {
+    Serial(LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner()))
+}
+
+/// Blocks in the recycler, this thread's cache flushed to the shared
+/// list first — where the next spawned adder's dry cache refills from.
+/// Exact under the file lock once every spawned thread has exited.
+fn pooled() -> usize {
+    sched::slab::flush_this_thread();
+    recycle::cached_blocks()
 }
 
 /// Deliveries for one out-set: `swept` from its unique finish, `inline`
@@ -45,11 +65,15 @@ fn assert_exactly_once(name: &str, swept: Vec<u64>, inline: Vec<u64>, expect: Ve
 }
 
 /// The pentagon driver: `threads` adders churn through a *sequence* of
-/// out-sets with disjoint token ranges. The main thread finishes set `g`
-/// mid-race (recycling its blocks) while adders — detecting the seal via
-/// their bounced adds — move on to set `g+1`, whose allocation prefers
-/// exactly those recycled blocks. `lanes`/`policy` shape the concurrent
-/// growth dimension.
+/// out-sets with disjoint token ranges, each shared by `Arc` the way a
+/// future's core is. The main thread finishes set `g` mid-race and drops
+/// its clone; each adder drops its own when it moves on to set `g+1`, so
+/// the last of them — whoever that is — runs the destructor that feeds
+/// set `g`'s blocks to the recycler sets `g+1…` allocate from.
+/// `lanes`/`policy` shape the concurrent growth dimension.
+///
+/// Returns a lower bound on the blocks the sets installed: a swept token
+/// sat in a slot, and a block has `BLOCK_SLOTS` of them.
 fn drive_pentagon(
     threads: usize,
     adds_per_set: u64,
@@ -57,7 +81,7 @@ fn drive_pentagon(
     initial_lanes: usize,
     policy: GrowthPolicy,
     finish_frac: u64,
-) {
+) -> usize {
     let outsets: Vec<Arc<TreeOutsetObj>> =
         (0..sets).map(|_| Arc::new(TreeOutsetObj::with_policy(initial_lanes, policy))).collect();
     let barrier = Arc::new(Barrier::new(threads + 1));
@@ -76,7 +100,9 @@ fn drive_pentagon(
             let inline = inline.clone();
             scope.spawn(move || {
                 barrier.wait();
-                for (g, set) in outsets.iter().enumerate() {
+                // By value: this thread's clone of set `g` drops at the
+                // end of its iteration.
+                for (g, set) in outsets.into_iter().enumerate() {
                     let mut mine = Vec::new();
                     let base = range(g).start + tid as u64 * adds_per_set;
                     for i in 0..adds_per_set {
@@ -86,15 +112,13 @@ fn drive_pentagon(
                         done.fetch_add(1, Ordering::Relaxed);
                     }
                     inline[g].lock().unwrap().extend(mine);
-                    // Next iteration reallocates from this set's recycled
-                    // blocks once the main thread finishes it.
                 }
             });
         }
         barrier.wait();
         let total = threads as u64 * adds_per_set;
         let mut all_swept = Vec::new();
-        for (g, set) in outsets.iter().enumerate() {
+        for (g, set) in outsets.into_iter().enumerate() {
             // Seal mid-race: after finish_frac% of this set's adds.
             let target = g as u64 * total + total * finish_frac / 100;
             while done.load(Ordering::Relaxed) < target {
@@ -102,12 +126,11 @@ fn drive_pentagon(
             }
             let mut swept = Vec::new();
             assert!(set.finish(&mut |t| swept.push(t)));
-            // Recycle eagerly so the *next* set's installs race reuse.
-            drain(set);
             all_swept.push(swept);
         }
         all_swept
     });
+    let installed: usize = swept.iter().map(|s| s.len().div_ceil(BLOCK_SLOTS as usize)).sum();
     for (g, swept) in swept.into_iter().enumerate() {
         let inline = std::mem::take(&mut *inline[g].lock().unwrap());
         for &t in swept.iter().chain(&inline) {
@@ -115,6 +138,7 @@ fn drive_pentagon(
         }
         assert_exactly_once(&format!("set {g}"), swept, inline, range(g).collect());
     }
+    installed
 }
 
 proptest! {
@@ -133,6 +157,7 @@ proptest! {
         max_lanes in 2usize..9,
         finish_frac in 0u64..100,
     ) {
+        let _serial = serial();
         let policy = GrowthPolicy::new(
             Probability::from_f64(p_percent as f64 / 100.0),
             max_lanes,
@@ -144,22 +169,20 @@ proptest! {
 /// The ABA regression shape, deterministically: a 1-lane out-set's block
 /// is recycled and then re-installed at the *same* lane index of a
 /// successor out-set, over many generations, while racing adders hammer
-/// both. Before the pin-across-publish fix this is exactly the
-/// interleaving that could cross-link two out-sets through a stale head
-/// CAS; with it, every generation must still deliver exactly once.
+/// each. A block that changed owner while an adder of its previous life
+/// could still CAS on it would cross-link two out-sets; the drop between
+/// lives is what rules that out, and every generation must deliver
+/// exactly once.
 #[test]
 fn aba_recycled_block_reinstalled_at_same_lane() {
     const ROUNDS: usize = if cfg!(debug_assertions) { 60 } else { 200 };
     const THREADS: usize = 3;
     const ADDS: u64 = 2 * BLOCK_SLOTS + 7; // > 2 blocks per generation
+    let _serial = serial();
     for round in 0..ROUNDS {
-        // Effectively single-lane but still *growable* (recycling rides
-        // the domain only growable sets own): a vanishingly small split
-        // coin with cap 2, so lane 0 — where the recycled block gets
-        // re-installed each round — keeps its index even if a split
-        // sneaks in.
-        let policy = GrowthPolicy::new(Probability::one_over(1 << 20), 2);
-        let set = Arc::new(TreeOutsetObj::with_policy(1, policy));
+        // One lane, so lane 0 is where every recycled block is
+        // re-installed each round.
+        let set = TreeOutsetObj::with_lanes(1);
         let barrier = Barrier::new(THREADS + 1);
         let inline = Mutex::new(Vec::new());
         let swept = std::thread::scope(|scope| {
@@ -188,9 +211,11 @@ fn aba_recycled_block_reinstalled_at_same_lane() {
             assert!(set.finish(&mut |t| swept.push(t)));
             swept
         });
-        // All adders done: retirements can drain, so the next round's
-        // lane-0 install reuses this round's lane-0 blocks.
-        drain(&set);
+        // The drop between lives; flushed to the shared list, where the
+        // next round's adder threads (fresh, caches dry) refill from, so
+        // their lane-0 installs reuse this round's lane-0 blocks.
+        drop(set);
+        sched::slab::flush_this_thread();
         let inline = inline.into_inner().unwrap();
         assert_exactly_once(
             &format!("aba round {round}"),
@@ -208,15 +233,18 @@ fn aba_recycled_block_reinstalled_at_same_lane() {
 /// must survive blocks that have lived previous lives.
 #[test]
 fn cross_generation_sweep_is_deterministic_with_reused_blocks() {
+    let _serial = serial();
     // Warm the recycler with one full out-set's worth of blocks.
     let warm = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(16));
     for t in 0..(8 * BLOCK_SLOTS) {
         let _ = warm.add(t, t);
     }
     warm.finish(&mut |_| {});
-    drain(&warm);
+    drop(warm);
 
     for round in 0..10u64 {
+        let warm_blocks = recycle::cached_blocks();
+        assert!(warm_blocks >= 8, "round {round}: the previous life's blocks are pooled");
         let set = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(16));
         let base = 10_000 * (round + 1);
         let mut expect = Vec::new();
@@ -232,13 +260,18 @@ fn cross_generation_sweep_is_deterministic_with_reused_blocks() {
             }
         }
         assert_eq!(set.lane_count(), 8);
+        let blocks = set.block_count();
+        assert!(blocks >= expect.len() / BLOCK_SLOTS as usize);
+        assert_eq!(
+            recycle::cached_blocks(),
+            warm_blocks.saturating_sub(blocks),
+            "round {round}: the recycler is drained before anything is allocated"
+        );
         let mut got = Vec::new();
         assert!(set.finish(&mut |t| got.push(t)));
         got.sort_unstable();
         assert_eq!(got, expect, "round {round}: all generations, exactly once, nothing stale");
-        assert_eq!(set.block_count(), 0, "the sweep retired every block it visited");
-        assert!(set.blocks_retired() >= expect.len() / BLOCK_SLOTS as usize);
-        drain(&set);
+        assert_eq!(set.block_count(), blocks, "the sweep unlinks nothing");
     }
 }
 
@@ -253,8 +286,11 @@ fn no_stale_tokens_across_reuse_under_contention() {
     const ROUNDS: usize = if cfg!(debug_assertions) { 40 } else { 120 };
     const THREADS: usize = 4;
     const ADDS: u64 = 96;
+    let _serial = serial();
+    let before = pooled();
+    let mut installed = 0;
     for round in 0..ROUNDS as u64 {
-        drive_pentagon(
+        installed += drive_pentagon(
             THREADS,
             ADDS,
             2,
@@ -263,4 +299,9 @@ fn no_stale_tokens_across_reuse_under_contention() {
             (round * 13) % 100,
         );
     }
+    // Every set is dropped and every adder thread has exited, so what
+    // the pool gained is what had to be allocated fresh; the rest of
+    // what was installed lived a previous life.
+    let fresh = pooled() - before;
+    assert!(installed > fresh, "reuse must be real: {installed} installed, {fresh} fresh");
 }

@@ -50,14 +50,14 @@
 //! dependents and never grow, and a broadcast hub pays a short growth
 //! transient on its first contended adds.
 //!
-//! Slot-block lifetime is **not** tied to the handle: when the
-//! completion vertex sweeps the out-set, the swept blocks are retired
-//! through the out-set's epoch domain into the block recycler
-//! (`outset::recycle`) immediately — dropping the last [`FutureHandle`]
-//! clone afterwards frees only the out-set shell (lane table, lanes,
-//! any post-seal straggler blocks). Steady-state future churn therefore
-//! reaches zero allocator traffic for slot blocks: each new future's
-//! out-set is fed from blocks previous futures already retired.
+//! Slot-block lifetime **is** the core's lifetime: the completion
+//! vertex's sweep unlinks nothing, and dropping the last
+//! [`FutureHandle`] clone drops the out-set, which hands every block it
+//! owns to the block recycler (`outset::recycle`). Steady-state future
+//! churn therefore reaches zero allocator traffic for slot blocks: each
+//! new future's out-set is fed from blocks dropped futures returned. A
+//! handle kept long after completion keeps its future's swept blocks
+//! with it.
 //!
 //! ## Caveat: deadlock is expressible
 //!

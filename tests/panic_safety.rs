@@ -233,7 +233,7 @@ fn run_case(prog: &Prog, workers: usize, victim: Option<usize>) {
         let dead = d.counter("sched.poolarc_recycled") + d.counter("sched.poolarc_dropped");
         assert_eq!(born, dead, "PoolArc conservation broke across a poisoned run");
         let born = d.counter("outset.blocks_allocated") + d.counter("outset.blocks_reused");
-        let dead = d.counter("outset.blocks_recycled") + d.counter("outset.blocks_dropped");
+        let dead = d.counter("outset.blocks_recycled");
         assert_eq!(born, dead, "out-set block conservation broke across a poisoned run");
         let adds = d.counter("outset.adds");
         let delivered = d.counter("outset.adds_bounced") + d.counter("outset.swept");

@@ -162,7 +162,7 @@ fn run_and_check(workers: usize, prog: &Prog) {
     assert_eq!(born, freed, "decrement-pair leak: born {born} != freed {freed}");
     assert!(born > 0, "every dag has at least its root pair");
     let blocks_born = d.counter("outset.blocks_allocated") + d.counter("outset.blocks_reused");
-    let blocks_dead = d.counter("outset.blocks_recycled") + d.counter("outset.blocks_dropped");
+    let blocks_dead = d.counter("outset.blocks_recycled");
     assert_eq!(blocks_born, blocks_dead, "out-set block leak or double-account");
     for kind in ["vertex", "poolarc"] {
         let born =
