@@ -225,6 +225,10 @@ fn obs_cmd(opts: &Opts) {
 ///   quiescent boundaries used here the term is zero, which is itself
 ///   part of the claim.
 ///
+/// And one scheduler bound, on the warm run: **steal pacing** —
+/// `sched.steals ≤ W · (1 + wall / STEAL_PAYS)` on the workload whose
+/// every steal moves one link of a serial chain.
+///
 /// Also re-checks the warm-run claim for strands: with the class ladder
 /// warm, a repeat run mints zero fresh spilled frames (and the
 /// `await_chain` frames are small enough to inline — allocation-free
@@ -249,9 +253,24 @@ fn check_strand_bounds(opts: &Opts) -> bool {
     }
     let warm_cached = sched::recycle::cached_slabs();
     let mid = obs::Snapshot::take();
-    await_chain::<DynSnzi>(cfg(), w, depth);
+    let run = await_chain::<DynSnzi>(cfg(), w, depth);
     let steady = obs::Snapshot::take().diff(&mid);
     let total = obs::Snapshot::take().diff(&before);
+
+    // From `PoolStats`, so it holds with telemetry compiled out too; with
+    // it, the registry's count for the same run has to agree.
+    let steals = run.pool.steals;
+    let paced = paced_steals(w, 1, run.elapsed);
+    check(
+        "steal-pacing",
+        steals <= paced && (!obs::enabled() || steady.counter("sched.steals") == steals),
+        format!(
+            "{steals} steals ({} rests) in {:?} <= {w} x (1 + wall / {:?}) = {paced}",
+            run.pool.rests,
+            run.elapsed,
+            sched::STEAL_PAYS
+        ),
+    );
 
     let mut parked_live = 0u64;
     if !obs::enabled() || total.is_empty() {
@@ -300,6 +319,13 @@ fn check_strand_bounds(opts: &Opts) -> bool {
     );
     println!("# strand checks: {}", if all_ok { "PASS" } else { "FAIL" });
     all_ok
+}
+
+/// Steals must pay (`sched::pool`): one worker lets `STEAL_PAYS` pass
+/// between two of its steals, so `runs` pool runs on `w` workers that
+/// took `wall` together made at most this many.
+fn paced_steals(w: usize, runs: u64, wall: Duration) -> u64 {
+    w as u64 * (runs + (wall.as_nanos() / sched::STEAL_PAYS.as_nanos()) as u64)
 }
 
 /// The three slab ledgers as `(label, births, deaths)` counter names:
@@ -1299,7 +1325,7 @@ fn chaos_run_once(battery: &ChaosBattery, w: usize, tasks: u64) -> ChaosRun {
 /// `k` at site `s` is pure in `(seed, s, k)`, see `docs/robustness.md`),
 /// and the **conservation** claim (at quiescence the vertex,
 /// decrement-pair and out-set identities still close, even across a
-/// poisoned run). Every
+/// poisoned run, and the steal count stays inside the pacing bound). Every
 /// battery prints the seed that reproduces it; the machine-checkable
 /// summary goes to `results/chaos.json` and any failed claim exits
 /// non-zero.
@@ -1324,8 +1350,10 @@ fn chaos_cmd(opts: &Opts) {
     for &seed in seeds {
         for battery in chaos_batteries(seed) {
             let before = obs::Snapshot::take();
+            let start = std::time::Instant::now();
             let r1 = chaos_run_once(&battery, w, tasks);
             let r2 = chaos_run_once(&battery, w, tasks);
+            let wall = start.elapsed();
             let d = obs::Snapshot::take().diff(&before);
 
             let outcome_ok = if battery.expect_panic {
@@ -1349,7 +1377,10 @@ fn chaos_cmd(opts: &Opts) {
                 let adds = d.counter("outset.adds");
                 let delivered = d.counter("outset.adds_bounced") + d.counter("outset.swept");
                 let pairs = d.counter("sched.pairs_born") == d.counter("sched.pairs_freed");
-                vborn == vdead && adds == delivered && pairs
+                // No fault may buy a thief more than one steal per
+                // `STEAL_PAYS`, over the two runs together.
+                let paced = d.counter("sched.steals") <= paced_steals(w, 2, wall);
+                vborn == vdead && adds == delivered && pairs && paced
             } else {
                 true
             };

@@ -14,7 +14,7 @@ use incounter::CounterFamily;
 use outset::tree::TreeOutsetObj;
 use outset::{GrowthPolicy, MutexOutset, OutsetFamily, TreeOutset};
 use snzi::{FixedSnzi, Probability};
-use spdag::{run_dag, strand_await, Ctx, FutureHandle, StrandPoll};
+use spdag::{run_dag, strand_await, Ctx, DagRunStats, FutureHandle, StrandPoll};
 
 /// Calibrated busy work: roughly `units` nanoseconds of arithmetic on this
 /// machine (the paper: "each unit of dummy work takes approximately one
@@ -254,12 +254,12 @@ pub fn pipeline_stages_ops(stages: u64, width: u64) -> u64 {
 /// worker on, or the pool deadlocks instantly.
 ///
 /// Asserts the fold (final value = `depth − 1`) before returning the
-/// wall-clock time.
-pub fn await_chain<C: CounterFamily>(cfg: C::Config, workers: usize, depth: u64) -> Duration {
+/// run's wall-clock time and scheduler statistics.
+pub fn await_chain<C: CounterFamily>(cfg: C::Config, workers: usize, depth: u64) -> DagRunStats {
     assert!(depth >= 1);
     let out = Arc::new(AtomicU64::new(u64::MAX));
     let o = Arc::clone(&out);
-    let elapsed = run_dag::<C, _>(cfg, workers, move |mut ctx| {
+    let stats = run_dag::<C, _>(cfg, workers, move |mut ctx| {
         let mut prev: FutureHandle<u64> = ctx.future(|_| 0u64);
         for _ in 1..depth {
             let f = prev;
@@ -275,10 +275,9 @@ pub fn await_chain<C: CounterFamily>(cfg: C::Config, workers: usize, depth: u64)
             o.store(*strand_await!(c, &f), Ordering::Relaxed);
             StrandPoll::Done(())
         });
-    })
-    .elapsed;
+    });
     assert_eq!(out.load(Ordering::Relaxed), depth - 1, "await_chain(depth={depth}) misfolded");
-    elapsed
+    stats
 }
 
 /// Which out-set implementation a raw/dag out-set benchmark exercises.

@@ -45,7 +45,9 @@ pub mod slab;
 
 pub use deque::{StealResult, Stealer, Word, WorkerDeque};
 pub use failpoint::{FaultMode, FaultPlan, SiteSpec};
-pub use pool::{run, run_watched, PoolState, PoolStats, Termination, WatchdogCfg, WorkerCtx};
+pub use pool::{
+    run, run_watched, PoolState, PoolStats, Termination, WatchdogCfg, WorkerCtx, STEAL_PAYS,
+};
 pub use poolarc::PoolArc;
 pub use slab::SlabPool;
 

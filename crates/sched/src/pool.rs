@@ -30,18 +30,29 @@
 //! can see surplus work on any deque, so a burst of pushes fans wakeups
 //! out as a chain instead of stampeding every sleeper at once (the
 //! thundering herd that made `sched.parks` spike under trickle loads).
-//! Only termination broadcasts to everybody. Before parking at all, an
-//! idle worker climbs a bounded backoff ladder — a few spin-relax steal
-//! sweeps, then a few `yield_now` sweeps — and a worker that just woke
-//! from a park re-enters the ladder partway up (steal-to-park
-//! hysteresis), so a straggler task doesn't bounce the pool in and out
-//! of the kernel.
+//! Only termination broadcasts to everybody. An idle worker makes a few
+//! spin-relax steal sweeps over the other workers' deques, then parks; a
+//! woken worker starts that ladder again.
+//!
+//! **Steals must pay.** A worker stamps the clock when a steal lands; the
+//! next time its own deque runs dry it must have been busy for
+//! [`STEAL_PAYS`] since the stamp, or it *rests* for the remainder before
+//! it hunts again. A rester is not a sleeper: it is not in `waiters`, so
+//! no push pays a futex for it; it waits on a condvar only termination
+//! signals, so a push's `notify_one` is never spent on it and [`run`]
+//! never waits out a rest; it loops on its deadline, so a spurious return
+//! cannot shorten it. Hence `steals ≤ W · (1 + elapsed / STEAL_PAYS)` on
+//! every run, and a steal that takes a long-running subtree never rests.
+//! **Known limit:** a flat loop of forks each shorter than `STEAL_PAYS`
+//! gives a thief a duty cycle of `ran / STEAL_PAYS`; no caller here has
+//! that shape (`parallel_for` halves recursively, the tree workloads fork
+//! subtrees) and steal-half is the answer if one ever does.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicBool, AtomicIsize, AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -81,6 +92,9 @@ pub struct PoolStats {
     pub steals: u64,
     /// Times a worker parked, summed over workers.
     pub parks: u64,
+    /// Times a worker rested after a steal that kept it busy for less than
+    /// [`STEAL_PAYS`]: at most one per steal, and never a park or a wakeup.
+    pub rests: u64,
     /// Strand suspensions: tasks that exited by parking on a dependency
     /// instead of completing, reported via [`WorkerCtx::note_suspend`].
     /// The task's frame stays live off-deque until its dependency
@@ -207,20 +221,40 @@ struct Shared<T: Word> {
     /// Where the watchdog sidecar waits between polls, so termination can
     /// cut its wait short instead of `run_inner` joining a sleeping thread.
     watchdog_wake: (Mutex<()>, Condvar),
+    /// Where a thief whose steal did not pay rests: signalled by
+    /// [`Shared::terminate`] alone; the lock holds [`PoolStats::rests`].
+    rest_wake: (Mutex<u64>, Condvar),
 }
 
 impl<T: Word> Shared<T> {
-    /// Signal termination: set the done flag, wake every parked worker
-    /// and (if one is attached) the watchdog.
+    /// Signal termination: set the done flag, wake every parked worker,
+    /// every rester and (if one is attached) the watchdog.
     fn terminate(&self) {
         self.done.store(true, Ordering::Release);
         self.sleep.notify_all_force();
+        // A rester checks `done` under this lock (as the watchdog below).
+        drop(self.rest_wake.0.lock());
+        self.rest_wake.1.notify_all();
         if self.watched {
             // Taking the lock orders this after the watchdog's check of
             // `done` under the same lock: it either sees the flag or is
             // already waiting when the notify lands.
             drop(self.watchdog_wake.0.lock());
             self.watchdog_wake.1.notify_all();
+        }
+    }
+
+    /// Rest until `deadline` (looping on it: a spurious return cannot
+    /// shorten a rest) or termination, whichever is first.
+    fn rest_until(&self, deadline: Instant) {
+        let mut rests = self.rest_wake.0.lock();
+        *rests += 1;
+        while !self.done.load(Ordering::Acquire) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            self.rest_wake.1.wait_for(&mut rests, left);
         }
     }
 
@@ -358,10 +392,15 @@ impl<'a, T: Word> WorkerCtx<'a, T> {
 }
 
 /// Failed whole-pool steal sweeps spent spin-relaxing (with the pause
-/// budget doubling each rung) before the ladder moves on to yielding.
+/// budget doubling each rung) before the worker parks.
 const SPIN_SWEEPS: usize = 3;
-/// Further failed sweeps spent `yield_now`-ing before the worker parks.
-const YIELD_SWEEPS: usize = 4;
+
+/// How long a steal has to keep its thief busy (module docs). A
+/// measurement, not a tunable: what it costs to get one task run by the
+/// other worker (`pool.remote_run_ns`, 36–42 µs on the 2-core host,
+/// `benchmark/README.md` finding 8) — a steal that bought less did not pay.
+/// `pub` so tests and `harness obs --assert-bound` can state the bound.
+pub const STEAL_PAYS: Duration = Duration::from_micros(40);
 
 fn worker_loop<T, F>(ctx: &WorkerCtx<'_, T>, f: &F)
 where
@@ -370,28 +409,32 @@ where
 {
     let shared = ctx.shared;
     let n = shared.stealers.len();
+    let mut stolen_at: Option<Instant> = None;
     loop {
         // Drain own deque first (work-first / LIFO).
         while let Some(task) = ctx.deque.pop() {
             execute(ctx, f, task);
         }
+        // Steals must pay: what ran since the last steal is what it
+        // bought; under `STEAL_PAYS`, rest for the remainder.
+        if let Some(at) = stolen_at.take().filter(|at| at.elapsed() < STEAL_PAYS) {
+            shared.rest_until(at + STEAL_PAYS);
+        }
         if shared.done.load(Ordering::Acquire) {
             return;
         }
         // Idle phase: hunt until a steal lands or the pool terminates.
-        // `hunt_start` is taken once and survives parks, so the
-        // steal-to-run histogram prices the *whole* idle gap — park
-        // latency included — not just the final successful sweep.
+        // `hunt_start` is taken once, after any rest, and survives parks,
+        // so the steal-to-run histogram prices hunt plus park latency —
+        // not the deliberate pause, not just the final successful sweep.
         let hunt_start = obs::now();
         let mut failed_sweeps = 0usize;
         let task = 'hunt: loop {
             for _ in 0..n {
-                let victim = if n == 1 { 0 } else { ctx.rng_below(n) };
-                if victim == ctx.id && n > 1 {
-                    continue;
-                }
+                let victim = if n == 1 { 0 } else { (ctx.id + 1 + ctx.rng_below(n - 1)) % n };
                 match shared.stealers[victim].steal() {
                     StealResult::Success(task) => {
+                        stolen_at = Some(Instant::now());
                         ctx.steals.set(ctx.steals.get() + 1);
                         obs::histogram!("sched.steal_to_run_ns").record_since(hunt_start);
                         obs::trace::record_span(obs::EventKind::Steal, victim as u64, hunt_start);
@@ -406,16 +449,13 @@ where
             if shared.done.load(Ordering::Acquire) {
                 return;
             }
-            // Exponential backoff ladder: spin-relax sweeps (cheap,
-            // keeps the core ready for an imminent push), then yields
-            // (give a sibling hyperthread the cycles), then park.
+            // Backoff ladder: spin-relax sweeps (cheap, keeps the core
+            // ready for an imminent push), then park.
             failed_sweeps += 1;
             if failed_sweeps <= SPIN_SWEEPS {
                 for _ in 0..(1usize << (failed_sweeps + 2)) {
                     std::hint::spin_loop();
                 }
-            } else if failed_sweeps <= SPIN_SWEEPS + YIELD_SWEEPS {
-                std::thread::yield_now();
             } else {
                 ctx.parks.set(ctx.parks.get() + 1);
                 obs::trace::record(obs::EventKind::Park, ctx.id as u64);
@@ -423,11 +463,7 @@ where
                     shared.done.load(Ordering::Acquire)
                         || shared.stealers.iter().any(|s| !s.is_empty())
                 });
-                // Hysteresis: a woken worker re-enters the ladder at the
-                // yield rungs — it must fail a full yield stretch again
-                // before re-parking, so one trickling producer doesn't
-                // bounce it in and out of the kernel every task.
-                failed_sweeps = SPIN_SWEEPS;
+                failed_sweeps = 0;
             }
         };
         // Wake handoff: we consumed the notification that woke us (or
@@ -511,6 +547,7 @@ fn stall_report<T: Word>(shared: &Shared<T>, cfg: &WatchdogCfg) -> String {
         shared.sleep.waiters.load(Ordering::SeqCst),
         n
     );
+    let _ = writeln!(s, "  rests taken         : {}", *shared.rest_wake.0.lock());
     let occupied: Vec<usize> = (0..n).filter(|&i| !shared.stealers[i].is_empty()).collect();
     let _ = writeln!(s, "  non-empty deques    : {occupied:?}");
     if shared.termination == Termination::Quiesce {
@@ -662,6 +699,7 @@ where
         progress: AtomicU64::new(0),
         watched: watchdog.is_some(),
         watchdog_wake: (Mutex::new(()), Condvar::new()),
+        rest_wake: (Mutex::new(0), Condvar::new()),
     };
     let f = &f;
     let shared_ref = &shared;
@@ -731,6 +769,7 @@ where
         out.resumes += res;
         out.tasks_per_worker.push(t);
     }
+    out.rests = *shared.rest_wake.0.lock();
     out.wakeups = shared.sleep.wakes.load(Ordering::Relaxed);
     out.spurious_wakes = shared.sleep.spurious.load(Ordering::Relaxed);
     out.panics = shared.panics.load(Ordering::SeqCst);
@@ -742,6 +781,7 @@ where
     obs::counter!("sched.tasks").add(out.tasks);
     obs::counter!("sched.steals").add(out.steals);
     obs::counter!("sched.parks").add(out.parks);
+    obs::counter!("sched.rests").add(out.rests);
     obs::counter!("sched.suspends").add(out.suspends);
     obs::counter!("sched.resumes").add(out.resumes);
     obs::counter!("sched.wakeups").add(out.wakeups);

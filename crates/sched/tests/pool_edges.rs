@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use sched::{run, run_watched, Termination, WatchdogCfg};
+use sched::{run, run_watched, PoolStats, Termination, WatchdogCfg, STEAL_PAYS};
 
 #[test]
 fn done_flag_drains_own_deques_before_exit() {
@@ -128,6 +128,80 @@ fn trickle_workload_wakes_at_most_once_per_task() {
         stats.spurious_wakes,
         stats.parks
     );
+}
+
+/// A serial chain of `links` one-push tasks — no parallelism at all, so
+/// every steal moves the single live task and buys one link's work.
+/// Returns the stats and the wall clock taken around `run`.
+fn serial_chain(workers: usize, links: usize, termination: Termination) -> (PoolStats, Duration) {
+    let start = Instant::now();
+    let stats = run(workers, vec![0usize], termination, |ctx, t| {
+        if t + 1 < links {
+            ctx.push(t + 1);
+        } else if termination == Termination::DoneFlag {
+            ctx.finish();
+        }
+    });
+    let elapsed = start.elapsed();
+    assert_eq!(stats.tasks, links as u64, "every link of the chain runs once");
+    (stats, elapsed)
+}
+
+/// The pacing invariant: at least `STEAL_PAYS` passes between two steals
+/// of one worker, so a run of `elapsed` makes at most this many.
+fn steal_bound(workers: usize, elapsed: Duration) -> u64 {
+    workers as u64 * (1 + (elapsed.as_nanos() / STEAL_PAYS.as_nanos()) as u64)
+}
+
+#[test]
+fn steals_are_paced_by_the_wall_clock() {
+    // The count is bounded by the wall clock, never the wall clock by a
+    // constant: a slow host makes fewer steals *and* a larger bound.
+    for workers in [2, 4] {
+        let (stats, elapsed) = serial_chain(workers, 20_000, Termination::DoneFlag);
+        let bound = steal_bound(workers, elapsed);
+        assert!(
+            stats.steals <= bound,
+            "W={workers}: {} steals in {elapsed:?}, but a steal every {STEAL_PAYS:?} per worker \
+             allows {bound}",
+            stats.steals
+        );
+    }
+}
+
+#[test]
+fn coarse_tasks_are_never_rested() {
+    // Every task outlasts `STEAL_PAYS` on its own, so whatever a steal
+    // takes has paid by the time the thief's deque is dry again.
+    let stats = run(2, (0..64usize).collect(), Termination::Quiesce, |_, _| {
+        let start = Instant::now();
+        while start.elapsed() < 4 * STEAL_PAYS {
+            std::hint::spin_loop();
+        }
+    });
+    assert_eq!(stats.tasks, 64);
+    assert_eq!(stats.rests, 0, "a steal that paid was rested anyway ({} steals)", stats.steals);
+}
+
+#[test]
+fn a_rest_follows_a_steal_and_is_not_a_park() {
+    for termination in [Termination::DoneFlag, Termination::Quiesce] {
+        let (solo, _) = serial_chain(1, 20_000, termination);
+        assert_eq!((solo.steals, solo.rests), (0, 0), "one worker never steals, so never rests");
+        for workers in [2, 4] {
+            // Under `Quiesce` the last task's own retirement terminates
+            // the pool: a rester is woken by that, never by a push, and
+            // `serial_chain` has checked that every task was counted.
+            let (stats, elapsed) = serial_chain(workers, 20_000, termination);
+            assert!(
+                stats.rests <= stats.steals,
+                "W={workers} {termination:?}: {} rests for {} steals",
+                stats.rests,
+                stats.steals
+            );
+            assert!(stats.steals <= steal_bound(workers, elapsed));
+        }
+    }
 }
 
 #[test]
