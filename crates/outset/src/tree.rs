@@ -3,14 +3,22 @@
 //! ## Structure
 //!
 //! ```text
-//!  TreeOutsetObj
-//!  ├── sealed : AtomicBool             (the one-shot finish latch)
-//!  └── table ──► LaneTable { mask, lanes[L], prev }   (L grows 1, 2, 4, ...)
+//!  TreeOutsetObj                        (56 B; a fresh one owns nothing else)
+//!  ├── sealed      : AtomicBool        (the one-shot finish latch)
+//!  ├── inline_head ──► Block ──► ...   (lane 0 of an out-set born with one lane)
+//!  └── table ──► LaneTable { mask, lanes[L], prev }   (null until the first split;
+//!                  │                          │         L grows 2, 4, 8, ...)
 //!                  │                          └──► superseded generations
-//!                  └── lane ──► Block ──► Block ──► ...  (newest first)
-//!                                ├ claimed : AtomicUsize (slot cursor)
-//!                                └ slots[B] : AtomicU64  (EMPTY | SWEPT | token+2)
+//!                  └── lanes[i] ──► Lane ──► Block ──► Block ──► ...  (newest first)
+//!                      (null = the inline lane)       ├ claimed : AtomicUsize (slot cursor)
+//!                                                     └ slots[B] : AtomicU64  (EMPTY | SWEPT | token+2)
 //! ```
+//!
+//! An out-set born with one lane — every future's — *is* its first table
+//! generation: a null `table` means "one lane, the inline one", whose
+//! head word sits in the object itself. Out-of-line lanes and tables
+//! exist only after a split (or for an out-set born wider,
+//! [`TreeOutsetObj::with_lanes`]).
 //!
 //! An `add(token, key)` hashes `key` to a lane, claims a slot index with
 //! one `fetch_add` on the newest block's cursor (installing a fresh block
@@ -22,8 +30,8 @@
 //! ## Adaptive growth
 //!
 //! Unlike the fixed lane array of the first iteration, the lane table
-//! **starts at one lane** — a single-dependent future pays one lane and
-//! one table entry, not a hardware-thread-sized array — and grows only
+//! **starts at one lane** — a single-dependent future pays one head word
+//! inside the object, not a hardware-thread-sized array — and grows only
 //! under *observed* contention, the same pay-for-contention shape as the
 //! in-counter's probabilistic `grow`: when an adder loses the
 //! block-install CAS on its lane (direct evidence of a concurrent adder
@@ -34,8 +42,9 @@
 //! add. `docs/outset-contention.md` derives the expected per-add
 //! contention bound this policy buys.
 //!
-//! Growth allocates a doubled table that **shares** the existing `Lane`
-//! allocations and appends fresh ones, links the generation it replaces
+//! Growth allocates a doubled table that **shares** the existing lanes
+//! (the inline one by a null entry, so the object stays movable) and
+//! appends fresh ones, links the generation it replaces
 //! behind it (`prev`), and installs it with one CAS on the table pointer.
 //! Two invariants keep every racing party correct across a split:
 //!
@@ -85,8 +94,23 @@
 //! moment it is linked until the object's `Drop`, which runs under
 //! `&mut self`. Nothing is unlinked, deferred or handed on before that,
 //! so an adder or sweeper holding `&self` may follow any pointer it
-//! loaded, for as long as it likes, with no guard. `Drop` frees the lanes
-//! and tables and hands every block to the recycler: the block is
+//! loaded, for as long as it likes, with no guard.
+//!
+//! What an out-set owns **inline** is its first generation: the one
+//! lane's head word, with "no table yet" spelled as a null `table`. A
+//! fresh out-set therefore allocates nothing, and its first `add` takes
+//! one block from the block pool. The null-lane rule keeps that lane
+//! reachable after growth: a grown table lists the inline lane as a null
+//! entry, which every reader resolves against `&self` — never as an
+//! address inside the object, so moving an out-set that nobody shares
+//! (returning it by value, boxing it) cannot strand a table pointing at
+//! its old home. Lanes born by a split are padded to a cache-line pair
+//! and come from the scheduler's class recycler (`sched::recycle`); the
+//! table headers and pointer arrays of grown generations are the only
+//! plain allocations left, one per split.
+//!
+//! `Drop` frees the lanes and tables and hands every block to the
+//! recycler: the block is
 //! poisoned (`POISON` in every slot, generation stamp bumped to odd) and
 //! pushed into the per-worker slab caches (`sched::slab`) that
 //! `alloc_block` prefers, so steady-state future churn reaches zero
@@ -235,24 +259,30 @@ pub(crate) fn trim_block_pool() -> usize {
     n
 }
 
+/// An out-of-line lane: born by a split (or by an out-set born wider than
+/// one lane), so by then there *are* concurrent adders to keep apart.
 #[repr(align(128))] // one lane per cache-line pair: adders on distinct lanes never false-share
 struct Lane {
     head: AtomicPtr<Block>,
 }
 
 impl Lane {
+    /// A fresh lane in a slab of the class recycler (128 B, born
+    /// 128-aligned); ended by `sched::recycle::free`.
     fn boxed() -> *mut Lane {
-        Box::into_raw(Box::new(Lane { head: AtomicPtr::new(std::ptr::null_mut()) }))
+        sched::recycle::alloc(|| Lane { head: AtomicPtr::new(std::ptr::null_mut()) }).0
     }
 }
 
-/// One immutable snapshot of the lane array. Growth installs a doubled
-/// table in front of the old one; the `Lane` allocations behind the
-/// pointers are shared between generations and freed through the newest.
+/// One immutable snapshot of an out-of-line lane array. Growth installs a
+/// doubled table in front of the old one; the lanes behind the pointers
+/// are shared between generations and freed through the newest.
 struct LaneTable {
     /// `lanes.len() - 1`; the length is always a power of two, so key
     /// hashing is a mask.
     mask: u64,
+    /// A null entry is the owning out-set's inline lane (always index 0,
+    /// and only in tables grown from an out-set born with one lane).
     lanes: Box<[*mut Lane]>,
     /// The generation this one superseded (null for the first). Kept
     /// until `Drop` so a reader of the table pointer needs no guard; the
@@ -268,23 +298,26 @@ impl LaneTable {
         Box::into_raw(Box::new(LaneTable { mask, lanes: lanes.into_boxed_slice(), prev }))
     }
 
-    /// The lane `key` hashes to in this table generation.
-    fn lane_for(&self, key: u64) -> &Lane {
+    /// The index of the lane `key` hashes to in this table generation.
+    fn index_for(&self, key: u64) -> usize {
         // Fibonacci hash spreads dense keys (worker ids, addresses).
         let mix = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let idx = ((mix >> 32) & self.mask) as usize;
-        // SAFETY: lanes are freed only by the owning out-set's `Drop`,
-        // which also frees every table that points to them.
-        unsafe { &*self.lanes[idx] }
+        ((mix >> 32) & self.mask) as usize
     }
 }
 
 /// The lock-free tree-of-blocks out-set (see module docs).
 pub struct TreeOutsetObj {
     sealed: AtomicBool,
-    /// Newest lane-table generation; growth CASes a doubled table in
-    /// front, and superseded generations stay linked behind it.
+    /// Newest out-of-line lane-table generation; growth CASes a doubled
+    /// table in front, and superseded generations stay linked behind it.
+    /// Null while the out-set is still its inline first generation: one
+    /// lane, `inline_head`.
     table: AtomicPtr<LaneTable>,
+    /// Head word of the inline lane — lane 0 of an out-set born with one
+    /// lane, listed as a null entry by every table grown from it. An
+    /// out-set born wider never touches it.
+    inline_head: AtomicPtr<Block>,
     policy: GrowthPolicy,
     /// Successful lane splits (diagnostic, see [`splits`](Self::splits)).
     split_count: AtomicUsize,
@@ -322,22 +355,40 @@ impl TreeOutsetObj {
     /// policy's cap.
     pub fn with_policy(initial_lanes: usize, policy: GrowthPolicy) -> TreeOutsetObj {
         let initial = initial_lanes.max(1).next_power_of_two().min(policy.max_lanes());
-        let lanes: Vec<*mut Lane> = (0..initial).map(|_| Lane::boxed()).collect();
+        // One lane is the inline generation and allocates nothing; a
+        // wider birth is out of line from the start.
+        let table = if initial == 1 {
+            std::ptr::null_mut()
+        } else {
+            LaneTable::boxed((0..initial).map(|_| Lane::boxed()).collect(), std::ptr::null_mut())
+        };
         obs::counter!("outset.created").inc();
         TreeOutsetObj {
             sealed: AtomicBool::new(false),
-            table: AtomicPtr::new(LaneTable::boxed(lanes, std::ptr::null_mut())),
+            table: AtomicPtr::new(table),
+            inline_head: AtomicPtr::new(std::ptr::null_mut()),
             policy,
             split_count: AtomicUsize::new(0),
             race_count: AtomicUsize::new(0),
         }
     }
 
-    /// The newest lane-table generation.
-    fn table(&self) -> &LaneTable {
-        // SAFETY: tables are freed only in `Drop`; `&self` outlives the
-        // returned borrow.
-        unsafe { &*self.table.load(Ordering::SeqCst) }
+    /// Lane count of generation `table` (null: the inline generation).
+    fn lanes_in(table: *const LaneTable) -> usize {
+        // SAFETY: tables are freed only in `Drop`.
+        unsafe { table.as_ref() }.map_or(1, |t| t.lanes.len())
+    }
+
+    /// Head word of lane `idx` of generation `table`: the null-lane rule
+    /// in one place. A null `table` has the inline lane alone; a null
+    /// entry of a grown table is that same lane.
+    fn head_at(&self, table: *const LaneTable, idx: usize) -> &AtomicPtr<Block> {
+        // SAFETY: tables and lanes are freed only in `Drop`; `&self`
+        // outlives the returned borrow.
+        match unsafe { table.as_ref().and_then(|t| t.lanes[idx].as_ref()) } {
+            Some(lane) => &lane.head,
+            None => &self.inline_head,
+        }
     }
 
     /// Register `token`; see [`OutsetFamily::add`] for the contract.
@@ -381,8 +432,9 @@ impl TreeOutsetObj {
             // competitor's) re-hashes the key over more lanes.
             let table_ptr = self.table.load(Ordering::SeqCst);
             // SAFETY: tables are freed only in `Drop`.
-            let lane = unsafe { (*table_ptr).lane_for(key) };
-            let head = lane.head.load(Ordering::SeqCst);
+            let lane = unsafe { table_ptr.as_ref() }.map_or(0, |t| t.index_for(key));
+            let lane_head = self.head_at(table_ptr, lane);
+            let head = lane_head.load(Ordering::SeqCst);
             if !head.is_null() {
                 // SAFETY: a linked block stays linked, and ours, until
                 // `Drop` (exclusive access).
@@ -402,8 +454,7 @@ impl TreeOutsetObj {
             // exercises the contention transient the adaptive policy is
             // built around, on a single quiet thread if need be.
             let lost = sched::failpoint::fire("outset.install_cas")
-                || lane
-                    .head
+                || lane_head
                     .compare_exchange(head, fresh, Ordering::SeqCst, Ordering::SeqCst)
                     .is_err();
             if lost {
@@ -444,18 +495,21 @@ impl TreeOutsetObj {
     /// silently to concurrent splits; no-op at the policy cap or once
     /// sealed.
     fn try_split(&self, old_ptr: *mut LaneTable) {
-        // SAFETY: tables are freed only in `Drop`.
-        let old = unsafe { &*old_ptr };
-        let old_len = old.lanes.len();
+        let old_len = Self::lanes_in(old_ptr);
         if old_len >= self.policy.max_lanes() || self.sealed.load(Ordering::SeqCst) {
             // Post-seal growth would be correct (the monotone-lane
             // argument doesn't care) but can only waste memory.
             return;
         }
-        // The doubled generation shares every existing lane and appends
-        // fresh ones, so claimed slots never move.
+        // The doubled generation shares every existing lane — the inline
+        // generation's one lane as a null entry — and appends fresh ones,
+        // so claimed slots never move.
         let mut lanes = Vec::with_capacity(old_len * 2);
-        lanes.extend_from_slice(&old.lanes);
+        // SAFETY: tables are freed only in `Drop`.
+        match unsafe { old_ptr.as_ref() } {
+            Some(old) => lanes.extend_from_slice(&old.lanes),
+            None => lanes.push(std::ptr::null_mut()),
+        }
         lanes.extend((0..old_len).map(|_| Lane::boxed()));
         let fresh = LaneTable::boxed(lanes, old_ptr);
         match self.table.compare_exchange(old_ptr, fresh, Ordering::SeqCst, Ordering::SeqCst) {
@@ -470,10 +524,10 @@ impl TreeOutsetObj {
                 // A competitor split first; discard our never-published
                 // generation and the fresh lanes only it knew about.
                 // SAFETY: `fresh` was never published; lanes beyond
-                // `old_len` were allocated above and shared with nobody.
+                // `old_len` were born above and shared with nobody.
                 let table = unsafe { Box::from_raw(fresh) };
                 for &lane in &table.lanes[old_len..] {
-                    drop(unsafe { Box::from_raw(lane) });
+                    unsafe { sched::recycle::free(lane) };
                 }
             }
         }
@@ -495,14 +549,13 @@ impl TreeOutsetObj {
         }
         // Loaded after the seal: by lane-set monotonicity this table
         // contains every lane a pre-seal adder could have claimed through.
-        let table = self.table();
+        let table = self.table.load(Ordering::SeqCst);
+        let lanes = Self::lanes_in(table);
         obs::counter!("outset.seals").inc();
-        obs::trace::record(obs::EventKind::Seal, table.lanes.len() as u64);
+        obs::trace::record(obs::EventKind::Seal, lanes as u64);
         let sweep_start = obs::now();
         let mut delivered = 0u64;
-        for &lane_ptr in table.lanes.iter() {
-            // SAFETY: lanes are freed only in Drop.
-            let lane = unsafe { &*lane_ptr };
+        for idx in 0..lanes {
             // Every pre-seal publish lives in a block linked before this
             // load (installing a block requires claiming through it, and
             // pre-seal claims reach only linked blocks). An adder that
@@ -510,7 +563,7 @@ impl TreeOutsetObj {
             // value read below, afterwards necessarily published after
             // the seal, so it observes `sealed` on its re-check and
             // delivers inline.
-            let mut head = lane.head.load(Ordering::SeqCst);
+            let mut head = self.head_at(table, idx).load(Ordering::SeqCst);
             while !head.is_null() {
                 // SAFETY: as in `claim_slot`.
                 let block = unsafe { &*head };
@@ -542,7 +595,7 @@ impl TreeOutsetObj {
     /// Current lane count (a racy but monotone snapshot — the
     /// growth-curve probe).
     pub fn lane_count(&self) -> usize {
-        self.table().lanes.len()
+        Self::lanes_in(self.table.load(Ordering::SeqCst))
     }
 
     /// Successful lane splits so far (diagnostic).
@@ -558,14 +611,13 @@ impl TreeOutsetObj {
     }
 
     /// Blocks reachable from a given table generation.
-    fn blocks_in(table: &LaneTable) -> usize {
+    fn blocks_in(&self, table: *const LaneTable) -> usize {
         let mut n = 0;
-        for &lane_ptr in table.lanes.iter() {
-            // SAFETY: lanes/blocks are freed only in Drop; the `&self`
-            // behind `table` keeps them alive.
-            let mut head = unsafe { (*lane_ptr).head.load(Ordering::SeqCst) };
+        for idx in 0..Self::lanes_in(table) {
+            let mut head = self.head_at(table, idx).load(Ordering::SeqCst);
             while !head.is_null() {
                 n += 1;
+                // SAFETY: blocks are freed only in Drop.
                 head = unsafe { (*head).next };
             }
         }
@@ -575,12 +627,13 @@ impl TreeOutsetObj {
     /// Number of blocks this out-set owns (test/diagnostic aid) —
     /// exactly what its drop will hand to the recycler.
     pub fn block_count(&self) -> usize {
-        Self::blocks_in(self.table())
+        self.blocks_in(self.table.load(Ordering::SeqCst))
     }
 
-    /// Bytes of heap currently held (every table generation + lanes +
-    /// blocks), plus the object itself — the footprint-study probe.
-    /// Quiescent use only (the walk is racy under concurrent growth).
+    /// Bytes of heap currently held (every out-of-line table generation,
+    /// out-of-line lanes and blocks), plus the object itself, which holds
+    /// the inline generation — the footprint-study probe. Quiescent use
+    /// only (the walk is racy under concurrent growth).
     ///
     /// Lanes and blocks are counted through **one** load of the newest
     /// generation (see the
@@ -588,20 +641,23 @@ impl TreeOutsetObj {
     /// superseded tables are owned until drop, so their pointer arrays
     /// count too — geometric, hence less than the live one in total.
     pub fn footprint_bytes(&self) -> usize {
-        let table = self.table();
+        let table: *const LaneTable = self.table.load(Ordering::SeqCst);
+        // SAFETY: tables (the `prev` chain included) are immutable and
+        // freed only in Drop.
+        let lanes = unsafe { table.as_ref() }
+            .map_or(0, |t| t.lanes.iter().filter(|lane| !lane.is_null()).count());
         let mut tables = 0;
-        let mut generation: *const LaneTable = table;
-        while !generation.is_null() {
-            // SAFETY: the `prev` chain is immutable and freed only in Drop.
-            let t = unsafe { &*generation };
+        let mut generation = table;
+        // SAFETY: as above.
+        while let Some(t) = unsafe { generation.as_ref() } {
             tables +=
                 std::mem::size_of::<LaneTable>() + t.lanes.len() * std::mem::size_of::<*mut Lane>();
             generation = t.prev;
         }
         std::mem::size_of::<Self>()
             + tables
-            + table.lanes.len() * std::mem::size_of::<Lane>()
-            + Self::blocks_in(table) * std::mem::size_of::<Block>()
+            + lanes * std::mem::size_of::<Lane>()
+            + self.blocks_in(table) * std::mem::size_of::<Block>()
     }
 }
 
@@ -614,36 +670,47 @@ impl Default for TreeOutsetObj {
 impl Drop for TreeOutsetObj {
     fn drop(&mut self) {
         let sealed = *self.sealed.get_mut();
-        // SAFETY: exclusive access, and this drop is the one place tables
-        // are freed. Every table came from `LaneTable::boxed`, every lane
-        // from `Lane::boxed`, every block from `alloc_block`.
-        let newest = unsafe { Box::from_raw(*self.table.get_mut()) };
-        // By monotonicity the newest table points to every lane (and
-        // thus block) ever linked.
-        for &lane_ptr in newest.lanes.iter() {
-            // SAFETY: as above; each lane is listed once per generation
-            // and freed through the newest only.
-            let mut lane = unsafe { Box::from_raw(lane_ptr) };
-            let mut head = *lane.head.get_mut();
+        let retire_chain = |mut head: *mut Block| {
             while !head.is_null() {
-                // SAFETY: as above; the chain is walked once and given up.
+                // SAFETY: exclusive access; every block came from
+                // `alloc_block`, and each chain is walked once and given up.
                 let block = unsafe { &mut *head };
                 head = block.next;
                 Block::retire(block, sealed);
             }
+        };
+        // The inline lane needs no table to be found (and is empty for an
+        // out-set born wider).
+        retire_chain(*self.inline_head.get_mut());
+        // By monotonicity the newest table points to every out-of-line
+        // lane (and thus block) ever linked: each lane is listed once per
+        // generation and freed through the newest only.
+        let newest = *self.table.get_mut();
+        // SAFETY: exclusive access, and this drop is the one place tables
+        // and lanes are freed; every table came from `LaneTable::boxed`,
+        // every out-of-line lane from `Lane::boxed`.
+        let lanes = unsafe { newest.as_ref() }.map_or(&[][..], |t| &t.lanes);
+        let inline_born = lanes.first().is_none_or(|lane| lane.is_null());
+        for &lane_ptr in lanes.iter().filter(|lane| !lane.is_null()) {
+            // SAFETY: as above.
+            unsafe {
+                retire_chain(*(*lane_ptr).head.get_mut());
+                sched::recycle::free(lane_ptr);
+            }
         }
-        let mut superseded = 0;
-        let mut prev = newest.prev;
-        while !prev.is_null() {
-            // SAFETY: as above; frees only the pointer array (raw lane
-            // pointers have no drop glue).
-            prev = unsafe { Box::from_raw(prev) }.prev;
-            superseded += 1;
+        // The generations themselves: just headers and pointer arrays.
+        let (mut generation, mut freed_tables) = (newest, 0);
+        while !generation.is_null() {
+            // SAFETY: as above.
+            generation = unsafe { Box::from_raw(generation) }.prev;
+            freed_tables += 1;
         }
+        // An out-set has `splits + 1` generations; the first one of an
+        // out-set born with one lane is the object itself.
         debug_assert_eq!(
-            superseded,
-            *self.split_count.get_mut(),
-            "every superseded lane table is freed exactly once"
+            freed_tables + inline_born as usize,
+            *self.split_count.get_mut() + 1,
+            "every lane table generation is freed exactly once"
         );
     }
 }
@@ -677,15 +744,97 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fresh_outset_allocates_exactly_one_lane() {
-        // The acceptance criterion of the adaptive redesign: creation
-        // pays for no contention it has not seen.
+    fn fresh_outset_allocates_nothing() {
+        // The acceptance criterion of the adaptive redesign, taken to its
+        // end: creation pays for no contention it has not seen, and its
+        // one lane lives in the object.
         let set = TreeOutsetObj::new();
         assert_eq!(set.lane_count(), 1);
         assert_eq!(set.block_count(), 0);
         assert_eq!(set.splits(), 0);
+        assert!(set.table.load(Ordering::SeqCst).is_null(), "no out-of-line generation yet");
+        assert_eq!(set.footprint_bytes(), std::mem::size_of::<TreeOutsetObj>());
+        assert_eq!(std::mem::size_of::<TreeOutsetObj>(), 56);
         let set = TreeOutset::make();
         assert_eq!(set.lane_count(), 1);
+        assert_eq!(set.footprint_bytes(), std::mem::size_of::<TreeOutsetObj>());
+    }
+
+    /// An inline-born out-set with `per_round` tokens registered before
+    /// and after each of `splits` forced splits; key 0 always hashes to
+    /// lane 0, the inline one. Returned **by value**: the move is part of
+    /// what the callers test.
+    fn split_with_tokens_in_lane0(splits: usize, per_round: u64) -> (TreeOutsetObj, Vec<u64>) {
+        let set = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(16));
+        let mut expect = Vec::new();
+        for round in 0..=splits as u64 {
+            for t in round * per_round..(round + 1) * per_round {
+                assert_eq!(set.add(t, 0), AddEdge::Registered);
+                expect.push(t);
+            }
+            if round < splits as u64 {
+                assert!(set.force_split());
+            }
+        }
+        (set, expect)
+    }
+
+    #[test]
+    fn moved_outset_still_sweeps_its_inline_lane() {
+        // A grown table names the inline lane by a null entry, never by
+        // its address: moving the object (return by value, then into a
+        // box on the heap) must leave every lane-0 token reachable.
+        let (set, expect) = split_with_tokens_in_lane0(2, BLOCK_SLOTS as u64 + 5);
+        let here = &set as *const TreeOutsetObj as usize;
+        let boxed = Box::new(set);
+        assert_ne!(&*boxed as *const TreeOutsetObj as usize, here, "the object really moved");
+        assert_eq!(boxed.lane_count(), 4);
+        assert!(!boxed.inline_head.load(Ordering::SeqCst).is_null(), "lane 0 is the inline one");
+        // A post-move add through the grown table lands in the same lane.
+        let late = expect.len() as u64;
+        assert_eq!(boxed.add(late, 0), AddEdge::Registered);
+        let mut got = Vec::new();
+        assert!(boxed.finish(&mut |t| got.push(t)));
+        got.sort_unstable();
+        assert_eq!(got, (0..=late).collect::<Vec<_>>(), "each lane-0 token exactly once");
+    }
+
+    #[test]
+    fn drop_frees_every_generation_once_whatever_the_birth() {
+        // Drop's debug assertion counts generations: `splits + 1`, the
+        // first of which is the object itself for an inline birth. Run it
+        // over never split, split from inline, born wide, born wide and
+        // split, and dropped unfinished with tokens in the inline lane.
+        drop(TreeOutsetObj::new());
+        let (set, expect) = split_with_tokens_in_lane0(3, 3);
+        assert_eq!((set.splits(), set.lane_count()), (3, 8));
+        let mut n = 0;
+        assert!(set.finish(&mut |_| n += 1));
+        assert_eq!(n, expect.len());
+        drop(set);
+        drop(TreeOutsetObj::with_lanes(4));
+        let wide = TreeOutsetObj::with_policy(2, GrowthPolicy::eager(8));
+        while wide.force_split() {}
+        assert_eq!((wide.splits(), wide.lane_count()), (2, 8));
+        drop(wide);
+        drop(split_with_tokens_in_lane0(1, 2));
+    }
+
+    #[test]
+    fn born_wide_is_out_of_line_and_never_touches_the_inline_head() {
+        let set = TreeOutsetObj::with_lanes(4);
+        // SAFETY: the table is alive until `set` drops.
+        let table = unsafe { &*set.table.load(Ordering::SeqCst) };
+        assert!(table.lanes.iter().all(|lane| !lane.is_null()), "no null-lane entry");
+        for key in 0..64u64 {
+            assert_eq!(set.add(key, key), AddEdge::Registered);
+        }
+        assert!(set.block_count() >= 2);
+        assert!(set.inline_head.load(Ordering::SeqCst).is_null());
+        let mut n = 0;
+        assert!(set.finish(&mut |_| n += 1));
+        assert_eq!(n, 64);
+        assert!(set.inline_head.load(Ordering::SeqCst).is_null());
     }
 
     #[test]
@@ -802,25 +951,28 @@ mod tests {
         // Regression (ISSUE 6 satellite): the probe used to load the
         // table twice, so the sum could mix two generations around a
         // split. Lanes and blocks must come from the live generation
-        // only: growing 1 → 8 lanes costs what a table born at 8 lanes
-        // costs, plus the superseded generations it still owns — one
-        // header per split and pointer arrays of 1 + 2 + 4 lanes, less
-        // than the live array.
+        // only. Growing 1 → 8 lanes from the inline start owns three
+        // out-of-line generations (pointer arrays of 2 + 4 + 8) and seven
+        // out-of-line lanes; a table born at 8 owns one generation of 8
+        // and eight lanes. So growth costs two more headers and the
+        // 2 + 4 superseded pointers — less than the live array — and
+        // saves the one lane that lives in the object.
         let grown = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(8));
         while grown.force_split() {}
         assert_eq!(grown.lane_count(), 8);
         assert_eq!(grown.splits(), 3);
         let born = TreeOutsetObj::with_policy(8, GrowthPolicy::eager(16));
         assert_eq!(born.lane_count(), 8);
-        let residue = 3 * std::mem::size_of::<LaneTable>() + 7 * std::mem::size_of::<*mut Lane>();
-        assert_eq!(grown.footprint_bytes(), born.footprint_bytes() + residue);
+        let residue = 2 * std::mem::size_of::<LaneTable>() + 6 * std::mem::size_of::<*mut Lane>();
+        let inline_lane = std::mem::size_of::<Lane>();
+        assert_eq!(grown.footprint_bytes() + inline_lane, born.footprint_bytes() + residue);
         // Identical add sequences keep the probes in step, and the
         // probe is stable across repeated reads.
         for t in 0..(2 * BLOCK_SLOTS as u64) {
             let _ = grown.add(t, t);
             let _ = born.add(t, t);
         }
-        assert_eq!(grown.footprint_bytes(), born.footprint_bytes() + residue);
+        assert_eq!(grown.footprint_bytes() + inline_lane, born.footprint_bytes() + residue);
         assert_eq!(grown.footprint_bytes(), grown.footprint_bytes());
     }
 
@@ -898,7 +1050,7 @@ mod tests {
         // thread's cache is LIFO, so the next three acquires are them
         // whatever other tests do to the shared list.
         let mut owned = Vec::new();
-        let mut head = set.table().lane_for(0).head.load(Ordering::SeqCst);
+        let mut head = set.inline_head.load(Ordering::SeqCst);
         while !head.is_null() {
             owned.push(head as *mut u8);
             head = unsafe { (*head).next };

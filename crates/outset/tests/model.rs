@@ -204,6 +204,32 @@ fn growth_races_preserve_exactly_once() {
 }
 
 #[test]
+fn inline_born_then_split_races_exactly_once() {
+    // The same triangle from a start no adder can produce by itself: an
+    // out-set born on its inline lane, split twice while quiet, then
+    // *moved* (out of the constructor, into the harness's `Arc`) before
+    // adders and the finisher meet. Lane 0 of the grown table is the
+    // inline head word, reached through the null-lane rule; tid 0's adds
+    // hash there.
+    for &(threads, adds, delay) in &[(2usize, 2000u64, 0u64), (4, 1000, 20_000), (8, 500, 0)] {
+        for _ in 0..8 {
+            let set = race_tree(
+                || {
+                    let set = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(16));
+                    assert!(set.force_split() && set.force_split());
+                    set
+                },
+                threads,
+                adds,
+                delay,
+            );
+            assert!((4..=16).contains(&set.lane_count()));
+            assert_eq!(set.splits(), set.lane_count().trailing_zeros() as usize);
+        }
+    }
+}
+
+#[test]
 fn lane1_fast_path_add_finish_race() {
     // The new default start: one lane, growth disabled — the add/finish
     // slot protocol alone (no spreading, no table swaps) must already be

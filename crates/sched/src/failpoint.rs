@@ -28,8 +28,9 @@
 //! (drop a `notify` — the event-count's bounded wait recovers),
 //! `sched.delayed_wake` (stall a `notify` ~50µs), `spdag.force_bounce`
 //! (hold a touch registration until the future fulfills, forcing the
-//! sealed-bounce path), `spdag.panic_vertex` (panic on the Nth body
-//! execution — the chaos battery's panic injector).
+//! sealed-bounce path), `spdag.panic_vertex` (panic on the Nth execution
+//! of a vertex that owns no counter, i.e. never inside the runtime's own
+//! seal-and-sweep — the chaos battery's panic injector).
 
 /// How a site decides whether call `k` (0-based) injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

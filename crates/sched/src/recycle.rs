@@ -27,12 +27,18 @@
 //!   object born there. (The odd/even *generation* stamp of the out-set
 //!   recycler guards re-publication races of shared blocks; class slabs
 //!   are never shared while dead, so poison alone closes their surface.)
-//! * **Layout by class.** Slabs are allocated with the class layout
-//!   (class bytes, [`CLASS_ALIGN`]), not the object's, so a slab retired
-//!   by a `Vertex<DynSnzi>` can be reborn as a `DecPair`.
-//!   Objects whose size or alignment exceed the ladder are the one
-//!   fallback left: [`alloc`] and [`free`] send them to the plain
-//!   allocator, selected by the same layout arithmetic.
+//! * **Layout by class.** Slabs are allocated with the class layout, not
+//!   the object's, so a slab retired by a `Vertex<DynSnzi>` can be reborn
+//!   as a `DecPair`. Alignment is per class: the 32 B and 64 B classes
+//!   are 16-aligned, every class of 128 B and up is born 128-aligned —
+//!   two cache lines, what the runtime's padded objects (`snzi::Root`,
+//!   `snzi::ChildPair`, an out-set lane) ask for so that neighbours never
+//!   false-share. A layout lands in the smallest class that covers both
+//!   its size and its alignment (64 B / align 32 rides in the 128 B
+//!   class). What is still off the ladder — anything above 1024 B or
+//!   aligned past 128 — is the one fallback left: [`alloc`] and [`free`]
+//!   send it to the plain allocator, selected by the same layout
+//!   arithmetic.
 //!
 //! ## Accounting
 //!
@@ -57,13 +63,21 @@ use std::alloc::{dealloc, handle_alloc_error, Layout};
 
 use crate::slab::SlabPool;
 
-/// Alignment every class slab provides (and the most a pooled object may
-/// require).
-pub const CLASS_ALIGN: usize = 16;
-
 /// The size ladder. Powers of two keep `class_for` a couple of
 /// instructions and internal fragmentation under 2×.
 const CLASS_BYTES: [usize; 6] = [32, 64, 128, 256, 512, 1024];
+
+/// Alignment of every slab of `class` (and the most an object pooled there
+/// may require): a cache-line pair from the 128 B class up, the
+/// allocator's natural 16 below it, where a padded object cannot fit
+/// anyway.
+const fn class_align(class: usize) -> usize {
+    if CLASS_BYTES[class] >= 128 {
+        128
+    } else {
+        16
+    }
+}
 
 /// Per-thread cache bound per class (slabs); overflow spills half to the
 /// class's shared list, exactly as for out-set blocks.
@@ -104,12 +118,9 @@ pub const INLINE_SLOT_ALIGN: usize = 8;
 /// The class that serves a `size`/`align` layout, or `None` when the
 /// layout is off the ladder and the caller must use the plain allocator.
 pub const fn class_for(size: usize, align: usize) -> Option<u8> {
-    if align > CLASS_ALIGN {
-        return None;
-    }
     let mut class = 0;
     while class < CLASS_BYTES.len() {
-        if CLASS_BYTES[class] >= size {
+        if CLASS_BYTES[class] >= size && class_align(class) >= align {
             return Some(class as u8);
         }
         class += 1;
@@ -128,9 +139,10 @@ pub fn class_bytes(class: u8) -> usize {
 }
 
 fn class_layout(class: u8) -> Layout {
-    // Every ladder size is a power of two >= 32, hence a multiple of
-    // CLASS_ALIGN: this never fails.
-    Layout::from_size_align(class_bytes(class), CLASS_ALIGN).expect("valid class layout")
+    // Every ladder size is a power of two and a multiple of its class's
+    // alignment: this never fails.
+    Layout::from_size_align(class_bytes(class), class_align(class as usize))
+        .expect("valid class layout")
 }
 
 /// Take one recycled slab of `class`, or allocate a fresh one with the
@@ -180,7 +192,7 @@ pub fn release(class: u8, ptr: *mut u8) {
         unsafe { (ptr as *mut u64).add(word).write(POISON) };
     }
     // SAFETY: the documented contract of this function — `ptr` is a dead
-    // slab of `class` (≥ 32 bytes, CLASS_ALIGN-aligned, obtained from
+    // slab of `class` (≥ 32 bytes, class-aligned, obtained from
     // `acquire_or_alloc`) that the caller owns and gives up.
     unsafe { POOLS[class as usize].release(ptr) };
 }
@@ -204,8 +216,8 @@ pub fn alloc<T>(make: impl FnOnce() -> T) -> (*mut T, bool) {
         Some(class) => {
             let (raw, reused) = acquire_or_alloc(class);
             let ptr = raw as *mut T;
-            // SAFETY: the slab is class-sized >= size_of::<T>,
-            // CLASS_ALIGN-aligned >= align_of::<T>, and exclusively ours.
+            // SAFETY: `class_of` picked a class whose slabs are at least
+            // `T`'s size and alignment, and this one is exclusively ours.
             unsafe { ptr.write(make()) };
             (ptr, reused)
         }
@@ -287,8 +299,27 @@ mod tests {
         assert_eq!(class_for(33, 8), Some(1));
         assert_eq!(class_for(1024, 16), Some(5));
         assert_eq!(class_for(1025, 8), None, "off the ladder");
-        assert_eq!(class_for(64, 32), None, "over-aligned");
+        assert_eq!(class_for(64, 256), None, "over-aligned for every class");
         assert_eq!(class_bytes(2), 128);
+        // Alignment is per class: the padded layouts ride in the first
+        // class that is both big enough and aligned enough.
+        assert_eq!(class_for(128, 128), Some(2), "snzi::Root");
+        assert_eq!(class_for(256, 128), Some(3), "snzi::ChildPair");
+        assert_eq!(class_for(64, 32), Some(2), "past the 64 B class's 16");
+        assert_eq!(class_for(64, 16), Some(1));
+    }
+
+    #[test]
+    fn fresh_slabs_of_the_padded_classes_are_line_pair_aligned() {
+        // Hold several at once so at least one is fresh whatever the
+        // pool's state; reused ones were born with the same layout.
+        for class in [class_for(128, 128).unwrap(), class_for(256, 128).unwrap()] {
+            let held: Vec<*mut u8> = (0..4).map(|_| acquire_or_alloc(class).0).collect();
+            for &slab in &held {
+                assert_eq!(slab as usize % 128, 0, "class {class}");
+            }
+            held.into_iter().for_each(|slab| release(class, slab));
+        }
     }
 
     #[test]
@@ -335,15 +366,15 @@ mod tests {
 
     #[test]
     fn typed_pair_sends_off_ladder_layouts_to_the_allocator() {
-        #[repr(align(32))]
+        #[repr(align(256))]
         struct Wide(#[allow(dead_code)] Tally<1>);
         let drops = Arc::new(AtomicUsize::new(0));
         assert_eq!(class_of::<Tally<256>>(), None, "2 KiB is above the ladder");
-        assert_eq!(class_of::<Wide>(), None, "align 32 is above CLASS_ALIGN");
+        assert_eq!(class_of::<Wide>(), None, "align 256 is above every class's");
         let (big, big_reused) = alloc(|| Tally(drops.clone(), [0u64; 256]));
         let (wide, wide_reused) = alloc(|| Wide(Tally(drops.clone(), [0u64; 1])));
         assert!(!big_reused && !wide_reused, "the allocator never reuses");
-        assert_eq!(wide as usize % 32, 0, "the fallback honours the type's own alignment");
+        assert_eq!(wide as usize % 256, 0, "the fallback honours the type's own alignment");
         // SAFETY: both came from `alloc` and are not used afterwards.
         unsafe {
             assert!(!free(big), "not recycled");

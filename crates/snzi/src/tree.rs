@@ -11,7 +11,13 @@
 //! The tree owns every node it ever created; nodes are freed only when the
 //! tree is dropped (an explicit early-release discipline for finished
 //! subtrees, following the paper's Appendix B, is provided by
-//! [`prune_children`](SnziTree::prune_children)). [`Handle`]s are plain
+//! [`prune_children`](SnziTree::prune_children)). Node memory — the root
+//! and every child pair — is born and ended through the scheduler's
+//! size-class recycler ([`sched::recycle::alloc`] / [`sched::recycle::free`],
+//! whose 128 B and 256 B classes carry the nodes' two-line alignment): an
+//! in-counter is made per finish vertex, so a tree that went to the plain
+//! allocator would put one process-wide lock under every counted vertex.
+//! [`Handle`]s are plain
 //! copyable pointers into the tree, which is why the handle-based
 //! operations are `unsafe`: the caller must keep the tree alive and respect
 //! execution validity. The `incounter`/`spdag` crates enforce both
@@ -20,6 +26,8 @@
 #[cfg(debug_assertions)]
 use std::sync::atomic::AtomicU32;
 use std::sync::atomic::Ordering;
+
+use sched::recycle;
 
 use crate::coin::{Coin, Probability, ThreadCoin};
 use crate::node::{node_arrive, node_depart, ChildPair, Node, OpPath, ParentRef};
@@ -104,7 +112,9 @@ impl Handle {
 
 /// A dynamically growing scalable non-zero indicator.
 pub struct SnziTree {
-    root: Box<Root>,
+    /// Born by `recycle::alloc` in the constructor, ended by `Drop`; never
+    /// null, never replaced, so `&self` may always dereference it.
+    root: *mut Root,
     p: Probability,
     id: u32,
     /// When set, operations pin an epoch guard so that subtrees detached
@@ -114,6 +124,12 @@ pub struct SnziTree {
     pub(crate) shrinkable: bool,
     stats: TreeStats,
 }
+
+// SAFETY: `root` is the unique owning pointer to a `Root`, which is
+// `Send + Sync` (all of its mutable state is atomic), so the tree is what
+// a box of one would be; the remaining fields are plain data and atomics.
+unsafe impl Send for SnziTree {}
+unsafe impl Sync for SnziTree {}
 
 impl SnziTree {
     /// Create a tree with the given initial surplus and growth probability
@@ -130,7 +146,7 @@ impl SnziTree {
         #[cfg(feature = "global-stats")]
         crate::stats::global::TREES_CREATED.fetch_add(1, Ordering::Relaxed);
         SnziTree {
-            root: Box::new(Root::new(initial as u32, id)),
+            root: recycle::alloc(|| Root::new(initial as u32, id)).0,
             p,
             id,
             shrinkable: false,
@@ -153,15 +169,21 @@ impl SnziTree {
         self.p
     }
 
+    #[inline]
+    fn root(&self) -> &Root {
+        // SAFETY: see the field: alive from the constructor to `Drop`.
+        unsafe { &*self.root }
+    }
+
     /// Handle to the root node.
     pub fn root_handle(&self) -> Handle {
-        Handle(NodeRefInner::Root(&*self.root))
+        Handle(NodeRefInner::Root(self.root))
     }
 
     /// `query`: does the tree have surplus? Reads one word at the root.
     #[inline]
     pub fn query(&self) -> bool {
-        self.root.query()
+        self.root().query()
     }
 
     #[inline]
@@ -292,10 +314,10 @@ impl SnziTree {
             NodeRefInner::Node(n) => unsafe { (&(*n).children, ParentRef::Node(n), (*n).depth) },
         };
         if heads && children.load(Ordering::Acquire).is_null() {
-            let pair = Box::into_raw(Box::new(ChildPair {
+            let (pair, _) = recycle::alloc(|| ChildPair {
                 left: Node::new(parent_ref, self.id, depth + 1),
                 right: Node::new(parent_ref, self.id, depth + 1),
-            }));
+            });
             match children.compare_exchange(
                 std::ptr::null_mut(),
                 pair,
@@ -310,9 +332,9 @@ impl SnziTree {
                 }
                 Err(_) => {
                     // Lost the race; reclaim the local allocation.
-                    // SAFETY: `pair` came from Box::into_raw above and was
-                    // never published.
-                    drop(unsafe { Box::from_raw(pair) });
+                    // SAFETY: `pair` came from `recycle::alloc` above and
+                    // was never published.
+                    unsafe { recycle::free(pair) };
                     self.stats.grow_losses.fetch_add(1, Ordering::Relaxed);
                     obs::counter!("snzi.grow_losses").inc();
                 }
@@ -357,11 +379,11 @@ impl SnziTree {
     #[cfg(feature = "stats")]
     pub fn contention_profile(&mut self) -> ContentionProfile {
         let mut nodes = 1u64;
-        let mut max_touch = self.root.touches.load(Ordering::Relaxed);
+        let mut max_touch = self.root().touches.load(Ordering::Relaxed);
         let mut total_touch = max_touch;
         let mut max_depth = 0u32;
         let mut stack = Vec::new();
-        let first = self.root.children.load(Ordering::Relaxed);
+        let first = self.root().children.load(Ordering::Relaxed);
         if !first.is_null() {
             stack.push(first);
         }
@@ -413,7 +435,7 @@ impl SnziTree {
     /// Root surplus, for tests.
     #[doc(hidden)]
     pub fn root_surplus_for_test(&self) -> u32 {
-        self.root.surplus()
+        self.root().surplus()
     }
 }
 
@@ -444,14 +466,16 @@ pub(crate) unsafe fn free_subtrees(first: *mut ChildPair) -> u64 {
         stack.push(first);
     }
     while let Some(p) = stack.pop() {
-        // SAFETY: exclusive access per caller contract; pointer originates
-        // from Box::into_raw in grow_impl.
-        let pair = unsafe { Box::from_raw(p) };
-        for child in [&pair.left, &pair.right] {
-            let c = child.children.load(Ordering::Relaxed);
-            if !c.is_null() {
-                stack.push(c);
+        // SAFETY: exclusive access per caller contract; every pair was born
+        // by `recycle::alloc` in `grow_impl` and is ended here, once.
+        unsafe {
+            for child in [&(*p).left, &(*p).right] {
+                let c = child.children.load(Ordering::Relaxed);
+                if !c.is_null() {
+                    stack.push(c);
+                }
             }
+            recycle::free(p);
         }
         freed += 2;
     }
@@ -460,9 +484,13 @@ pub(crate) unsafe fn free_subtrees(first: *mut ChildPair) -> u64 {
 
 impl Drop for SnziTree {
     fn drop(&mut self) {
-        let first = self.root.children.swap(std::ptr::null_mut(), Ordering::AcqRel);
-        // SAFETY: &mut self gives exclusive access to the whole tree.
-        unsafe { free_subtrees(first) };
+        let first = self.root().children.swap(std::ptr::null_mut(), Ordering::AcqRel);
+        // SAFETY: &mut self gives exclusive access to the whole tree, and
+        // the root is the constructor's `recycle::alloc`, ended here.
+        unsafe {
+            free_subtrees(first);
+            recycle::free(self.root);
+        }
     }
 }
 

@@ -286,7 +286,12 @@ fn execute_vertex<C: CounterFamily>(
     // captured payload at the caller. `docs/robustness.md` walks the
     // state machine.
     let parked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if sched::failpoint::fire("spdag.panic_vertex") {
+        // Failpoint (no-op unless `fault-inject` arms it): stand in for a
+        // *user* body that panics. Vertices that own a counter are kept
+        // out — a future's completion vertex is one, and its body is the
+        // runtime's seal-and-sweep, which no user panic can reach and
+        // whose loss would strand every registered dependent.
+        if v.counter.is_none() && sched::failpoint::fire("spdag.panic_vertex") {
             panic!("failpoint: spdag.panic_vertex injected a body panic");
         }
         let mut frame = v.body.take();

@@ -43,7 +43,8 @@
 //!
 //! A future's out-set is its family's [`outset::OutsetFamily::make`] and
 //! nothing else: under the adaptive [`TreeOutset`] that is the
-//! single-dependent shape — one lane, one word of lane metadata — and the
+//! single-dependent shape — one lane, whose head word sits inside the
+//! core, so creating the future allocates nothing for it — and a
 //! lane table grows only if that future's dependents actually contend
 //! (`docs/outset-contention.md` derives the bound). Nobody declares a
 //! fan-out: pipeline and wavefront interior vertices have one or two
@@ -402,13 +403,20 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // Completion vertex: waits (count 1) for the future's body
         // subtree; its own body publishes completion and sweeps the
         // out-set — it runs with a worker context, so swept dependents go
-        // straight onto the deque as one batch. Captures one PoolArc (8
-        // bytes): an inline body.
+        // straight onto the deque, a stack chunk at a time: one sleeper
+        // notification per `SWEEP_CHUNK` dependents, and no allocation
+        // however many there are. Captures one PoolArc (8 bytes): an
+        // inline body.
+        const SWEEP_CHUNK: usize = 32;
         let sweep_core = core.clone();
         let completion = Frame::once(move |c: Ctx<'_, C>| {
             let fulfill_start = obs::now();
             sweep_core.completed.store(true, Ordering::SeqCst);
-            let mut ready: Vec<VertexPtr<C>> = Vec::new();
+            let mut chunk = [std::ptr::null_mut::<Vertex<C>>(); SWEEP_CHUNK];
+            let (mut filled, mut ready) = (0, 0u64);
+            let flush = |chunk: &[*mut Vertex<C>]| {
+                c.worker.push_batch(chunk.iter().map(|&w| VertexPtr(w)));
+            };
             O::finish(&sweep_core.outset, &mut |token| {
                 if token & 1 == 1 {
                     // A foreign-executor waker from the async bridge
@@ -426,16 +434,18 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
                 // or parked by `touch_await`, scheduled by nobody else;
                 // this sweep holds its fulfiller delivery right.
                 if unsafe { resolve_dependent::<C>(w) } {
-                    ready.push(VertexPtr(w));
+                    chunk[filled] = w;
+                    filled += 1;
+                    ready += 1;
+                    if filled == SWEEP_CHUNK {
+                        flush(&chunk);
+                        filled = 0;
+                    }
                 }
             });
+            flush(&chunk[..filled]);
             obs::counter!("spdag.fulfills").inc();
-            obs::trace::record_span(
-                obs::EventKind::FutureFulfill,
-                ready.len() as u64,
-                fulfill_start,
-            );
-            c.worker.push_batch(ready);
+            obs::trace::record_span(obs::EventKind::FutureFulfill, ready, fulfill_start);
         });
         let fw_ptr = Vertex::alloc(cfg, 1, i1, pair, fin, true, completion);
         // Body vertex: ready now, finish vertex = the completion vertex

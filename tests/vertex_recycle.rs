@@ -10,9 +10,10 @@
 //!    pairs_freed`). A violation is a leak or a double-free caught by
 //!    arithmetic.
 //! 2. **Provenance is the layout** — objects whose layout is off the
-//!    class ladder (too big, over-aligned) take the plain allocator and
-//!    never enter a class pool (`reused == recycled == 0`, gauges
-//!    unchanged), even when the pools are warm from earlier runs.
+//!    class ladder (too big, aligned past a cache-line pair) take the
+//!    plain allocator and never enter a class pool (`reused == recycled
+//!    == 0`, gauges unchanged), even when the pools are warm from
+//!    earlier runs; a 128-aligned one rides in the padded classes.
 //! 3. **Steady state** — once a few runs have filled the pools to the
 //!    peak-live high-water mark, further identical runs stop minting
 //!    fresh vertices and live on reuse.
@@ -304,8 +305,10 @@ fn warm(mut round: impl FnMut()) -> (u64, usize) {
 
 #[test]
 fn off_ladder_headers_take_the_plain_allocator() {
-    #[repr(align(32))]
+    #[repr(align(256))]
     struct Wide(Tally);
+    #[repr(align(128))]
+    struct Padded(Tally);
 
     let _guard = lock();
     // Warm the class pools, so "never reused" is a claim about routing and
@@ -324,9 +327,9 @@ fn off_ladder_headers_take_the_plain_allocator() {
     drop(b);
     assert_eq!(drops.load(Ordering::SeqCst), 1, "the last handle drops the value once");
 
-    let wide = sched::PoolArc::new(Wide(Tally(Arc::clone(&drops)))); // align 32 > CLASS_ALIGN
+    let wide = sched::PoolArc::new(Wide(Tally(Arc::clone(&drops)))); // align 256: past every class
     assert!(off_ladder(&*wide));
-    assert_eq!(&wide.0 as *const Tally as usize % 32, 0, "the fallback honours the alignment");
+    assert_eq!(&wide.0 as *const Tally as usize % 256, 0, "the fallback honours the alignment");
     drop(wide);
     assert_eq!(drops.load(Ordering::SeqCst), 2);
 
@@ -334,6 +337,20 @@ fn off_ladder_headers_take_the_plain_allocator() {
     if obs::enabled() {
         let d = Snapshot::take().diff(&before);
         assert_eq!(family(&d, "sched.poolarc"), (2, 0, 0, 2), "born fresh, dropped, never pooled");
+    }
+
+    // The other side of the line: a cache-line-pair alignment is what the
+    // 128 B-and-up classes are born with, so a padded header is pooled.
+    let before = Snapshot::take();
+    let padded = sched::PoolArc::new(Padded(Tally(Arc::clone(&drops))));
+    assert!(!off_ladder(&*padded));
+    assert_eq!(&padded.0 as *const Tally as usize % 128, 0, "the class honours the alignment");
+    drop(padded);
+    assert_eq!(drops.load(Ordering::SeqCst), 3);
+    if obs::enabled() {
+        let d = Snapshot::take().diff(&before);
+        let (alloc, reuse, recycled, dropped) = family(&d, "sched.poolarc");
+        assert_eq!((alloc + reuse, recycled, dropped), (1, 1, 0), "born and ended in a class pool");
     }
 }
 
