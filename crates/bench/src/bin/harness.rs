@@ -458,9 +458,16 @@ fn check_recycle_bounds(opts: &Opts) -> bool {
     };
 
     let before = obs::Snapshot::take();
-    // Warm the pools: their content converges to the high-water mark of
-    // simultaneously-live slabs, and one run's peak is a noisy draw, so
-    // take a few before claiming the warm run mints nothing.
+    // The cold run: the same pipeline at twice the width, so that what
+    // it retires is far more than a warm run ever needs at once. A run's
+    // need is its live peak *plus* what the other workers' caches hold at
+    // that instant (a thief whose first acquire takes a full magazine
+    // off the depot keeps the rest of it from the builder) plus a
+    // `ChildPair` per in-counter that grows, and the last two are draws
+    // from the schedule: pools that hold exactly one run's need reach
+    // the high-water mark in steps that can be a hundred runs apart.
+    pipeline_stages::<DynSnzi, outset::TreeOutset>(cfg(), w, stages, 2 * width);
+    // Then the warm runs proper, identical to the one that is measured.
     for _ in 0..3 {
         pipeline_stages::<DynSnzi, outset::TreeOutset>(cfg(), w, stages, width);
     }

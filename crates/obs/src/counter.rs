@@ -24,7 +24,10 @@
 //!
 //! A cell must outlive its thread (counts survive thread exit) and stay
 //! readable forever, so it is `Box::leak`ed into the counter's list —
-//! bounded by threads × call sites, and this runtime pools its workers.
+//! bounded by threads × call sites, and this runtime's workers are its
+//! callers and a resident set of helper threads: a run registers no cell
+//! its threads have not registered before ([`registered`] is the probe
+//! `tests/resident_telemetry.rs` holds that to).
 //! Increments arriving while a thread's TLS is already torn down fall
 //! back to one shared `fetch_add` cell.
 
@@ -38,6 +41,19 @@ const REGISTERING: u8 = 1;
 const REGISTERED: u8 = 2;
 
 static HEAD: AtomicPtr<Counter> = AtomicPtr::new(ptr::null_mut());
+
+/// Counters ever registered and cells ever leaked (bumped on the cold
+/// paths only).
+static COUNTERS: AtomicU64 = AtomicU64::new(0);
+static CELLS: AtomicU64 = AtomicU64::new(0);
+
+/// How many counters (call sites that have fired) and how many of their
+/// per-thread cells have been registered so far: what a
+/// [`crate::Snapshot::take`] has to walk. A test probe.
+#[doc(hidden)]
+pub fn registered() -> (u64, u64) {
+    (COUNTERS.load(Ordering::Relaxed), CELLS.load(Ordering::Relaxed))
+}
 
 /// One thread's private cell of a [`Counter`] (public only because the
 /// [`crate::counter!`] expansion names the type in user crates).
@@ -104,6 +120,7 @@ impl Counter {
             value: AtomicU64::new(0),
             next: AtomicPtr::new(ptr::null_mut()),
         }));
+        CELLS.fetch_add(1, Ordering::Relaxed);
         let me = cell as *const ThreadCell as *mut ThreadCell;
         let mut head = self.cells.load(Ordering::Acquire);
         loop {
@@ -133,6 +150,7 @@ impl Counter {
             Ordering::Acquire,
         ) {
             Ok(_) => {
+                COUNTERS.fetch_add(1, Ordering::Relaxed);
                 let me = self as *const Counter as *mut Counter;
                 let mut head = HEAD.load(Ordering::Acquire);
                 loop {

@@ -31,7 +31,7 @@ pub enum EventKind {
     /// resolved.
     FutureFulfill = 10,
     /// A swept slot block was poisoned and pushed into the recycler
-    /// (`outset`); arg = blocks the push spilled to the shared list.
+    /// (`outset`); arg = blocks the push handed to the depot.
     BlockRecycle = 11,
     /// A strand parked itself on an unready future (`spdag`): its vertex
     /// left the executor un-retired, awaiting the fulfill handshake; arg

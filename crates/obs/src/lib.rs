@@ -57,7 +57,7 @@ pub use event::EventKind;
 pub use report::{HistogramSnapshot, Snapshot, TraceEvent, TraceSnapshot, HIST_BUCKETS};
 
 #[cfg(feature = "telemetry")]
-pub use counter::{Counter, Probe, ThreadCell};
+pub use counter::{registered, Counter, Probe, ThreadCell};
 #[cfg(feature = "telemetry")]
 pub use hist::Histogram;
 #[cfg(feature = "telemetry")]
@@ -66,7 +66,7 @@ pub use time::now;
 #[cfg(not(feature = "telemetry"))]
 pub use noop::trace;
 #[cfg(not(feature = "telemetry"))]
-pub use noop::{now, Counter, Histogram};
+pub use noop::{now, registered, Counter, Histogram};
 
 /// An opaque monotonic timestamp from [`now`], in nanoseconds since an
 /// arbitrary process-local epoch. With telemetry compiled out it is a

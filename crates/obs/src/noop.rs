@@ -35,6 +35,12 @@ impl Counter {
     }
 }
 
+/// Always zero: the no-op counters never register and have no cells.
+#[doc(hidden)]
+pub fn registered() -> (u64, u64) {
+    (0, 0)
+}
+
 /// A named histogram whose operations compile to nothing.
 pub struct Histogram {
     name: &'static str,
@@ -104,6 +110,12 @@ pub mod trace {
     /// No-op.
     #[inline(always)]
     pub fn record_span(_kind: EventKind, _arg: u64, _start: Ticks) {}
+
+    /// Always 0: nothing records, so no ring is ever made.
+    #[doc(hidden)]
+    pub fn rings_registered() -> usize {
+        0
+    }
 
     /// Always empty.
     pub fn take() -> TraceSnapshot {

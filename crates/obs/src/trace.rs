@@ -77,6 +77,16 @@ fn new_ring() -> Arc<Ring> {
     ring
 }
 
+/// How many per-thread rings have been registered so far (each stays
+/// alive, and is walked by [`take`], for good). A test probe.
+#[doc(hidden)]
+pub fn rings_registered() -> usize {
+    match RINGS.lock() {
+        Ok(r) => r.len(),
+        Err(poisoned) => poisoned.into_inner().len(),
+    }
+}
+
 /// Start recording trace events (also pins the time epoch).
 pub fn enable() {
     let _ = crate::now();

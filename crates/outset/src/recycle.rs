@@ -28,8 +28,9 @@
 use crate::tree;
 
 /// Blocks held by the recycler: the global free list plus the calling
-/// thread's cache. Exact once every worker has torn down (each flushes
-/// its cache then); a lower bound while workers run.
+/// thread's cache. Exact at every `sched::run`'s return (each participant
+/// flushes its cache before it reports done); a lower bound while
+/// workers run.
 pub fn cached_blocks() -> usize {
     tree::block_pool().cached_slabs()
 }

@@ -233,7 +233,7 @@ impl Block {
 /// recycler: blocks are uniform and carry no owner state while free, so
 /// a block retired by one out-set's drop can seed any other out-set.
 pub(crate) fn block_pool() -> &'static sched::SlabPool {
-    // Per-worker cache bound: past this many free blocks a worker spills
+    // Per-worker cache bound: past this many free blocks a worker hands
     // half to the global list (a churning worker idles ≲ 10 KiB).
     const CACHE_CAP: usize = 32;
     static POOL: sched::SlabPool =

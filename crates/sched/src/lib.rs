@@ -14,13 +14,17 @@
 //!   an event-count for idle parking, and two termination modes
 //!   (an explicit done-flag set by the computation's final task — the
 //!   contention-free mode used for dag execution — or global quiescence
-//!   for task-soup workloads).
-//! * [`slab`] — bounded per-worker free lists of uniform raw blocks with
-//!   a global overflow pool, so block-recycling layers above (the
-//!   out-set) reach zero allocator traffic in steady state. The
-//!   per-worker list is intrusive and thread-local: a cache hit performs
-//!   no atomic read-modify-write and touches no shared word. Workers
-//!   flush their caches to the shared lists at teardown.
+//!   for task-soup workloads). No thread is born per run: the caller of
+//!   [`run`] is worker 0 and the other workers are leased from a
+//!   process-wide set of resident helper threads.
+//! * [`slab`] — bounded per-worker caches of uniform raw blocks in front
+//!   of a global depot, so block-recycling layers above (the out-set)
+//!   reach zero allocator traffic in steady state. A cache is two
+//!   intrusive thread-local magazines: a hit performs no atomic
+//!   read-modify-write and touches no shared word, and a miss moves one
+//!   whole magazine under one lock without reading a slab. Every
+//!   participant of a run flushes its caches before it reports done, so
+//!   [`run`]'s return is the point at which the gauges are exact.
 //! * [`recycle`] — a fixed ladder of *size-class* slab pools (each one a
 //!   [`SlabPool`]) behind one typed `alloc`/`free` pair, serving the
 //!   layers whose hot objects are generic and so can't own a typed pool:

@@ -1,7 +1,7 @@
 //! Work-stealing worker pool.
 //!
-//! [`run`] spawns `n` workers, each owning one Chase–Lev deque, and drives
-//! them until the computation terminates. Ready tasks go to the bottom of
+//! [`run`] drives `n` workers, each owning one Chase–Lev deque, until the
+//! computation terminates. Ready tasks go to the bottom of
 //! the running worker's own deque (work-first, LIFO for locality); idle
 //! workers steal from the top of a uniformly random victim (FIFO — the
 //! oldest, typically largest, piece of work), the classic Blumofe–Leiserson
@@ -47,6 +47,39 @@
 //! gives a thief a duty cycle of `ran / STEAL_PAYS`; no caller here has
 //! that shape (`parallel_for` halves recursively, the tree workloads fork
 //! subtrees) and steal-half is the answer if one ever does.
+//!
+//! ## Who runs the workers
+//!
+//! No thread is born per run. The thread that calls [`run`] *is* worker 0:
+//! a one-worker run executes every task on its caller and performs no
+//! thread operation at all (which is also what lets a caller pin itself
+//! and have the work inherit the mask). Workers `1..n` — and the watchdog
+//! of [`run_watched`], one more of the same — are **leased** from a
+//! process-wide set of resident helper threads: spawned on first demand,
+//! parked on a one-slot mailbox between runs, never retired. A lease is
+//! exclusive, so the set's size is the high-water mark of concurrent
+//! demand; concurrent runs get disjoint helpers and a `run` nested inside
+//! a task leases more. One caveat: a helper keeps the CPU mask of the
+//! thread whose run first needed it.
+//!
+//! Everything a run shares (`Shared`, the deques, the tallies, the panic
+//! slot, the steal-pacing stamps) is still built on the caller's stack,
+//! per run, so nothing carries over from one run to the next — a
+//! poisoned run does not poison the helpers. Each helper is handed a
+//! lifetime-erased job that borrows that state. **The latch rule** is
+//! what makes the loan sound: a helper's mailbox slot stays occupied from
+//! the hand-off until the job has *ended* (a job that unwinds has ended
+//! too: the helper catches it and lives on), and the run's `Leases` guard
+//! — on the normal path and on unwind alike — signals termination if
+//! nobody has and then waits for every slot to clear before the caller's
+//! frame can go. It is the hand-written equivalent of a scoped thread's
+//! join.
+//!
+//! Every participant, worker 0 included, flushes its slab caches
+//! ([`crate::slab::flush_this_thread`]) *before* it reports done, so
+//! **`run`'s return is the runtime's quiescent point**: every cache is
+//! empty, the recycler gauges are exact, and no thread of the pool is
+//! still touching anything the run owned.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -219,7 +252,7 @@ struct Shared<T: Word> {
     progress: AtomicU64,
     watched: bool,
     /// Where the watchdog sidecar waits between polls, so termination can
-    /// cut its wait short instead of `run_inner` joining a sleeping thread.
+    /// cut its wait short instead of `run_inner` waiting out a sleeping one.
     watchdog_wake: (Mutex<()>, Condvar),
     /// Where a thief whose steal did not pay rests: signalled by
     /// [`Shared::terminate`] alone; the lock holds [`PoolStats::rests`].
@@ -255,6 +288,24 @@ impl<T: Word> Shared<T> {
                 break;
             }
             self.rest_wake.1.wait_for(&mut rests, left);
+        }
+    }
+
+    /// Run a participant's whole `body` — a worker's loop, the watchdog's —
+    /// so that it cannot unwind into the thread that runs it: a panic
+    /// that escapes ends the run and is recorded like any other. Returns
+    /// whether `body` returned normally.
+    fn contain(&self, body: impl FnOnce()) -> bool {
+        match catch_unwind(AssertUnwindSafe(body)) {
+            Ok(()) => true,
+            Err(payload) => {
+                // In this order: recording drops a payload that is not
+                // the first, a destructor may panic, and whoever is left
+                // must not wait for a participant that is gone.
+                self.terminate();
+                self.record_panic(payload);
+                false
+            }
         }
     }
 
@@ -322,7 +373,17 @@ impl<'a, T: Word> WorkerCtx<'a, T> {
             self.shared.pending.fetch_add(1, Ordering::Relaxed);
         }
         self.deque.push(task);
-        self.shared.sleep.notify();
+        self.notify();
+    }
+
+    /// Wake one sleeper for freshly pushed work. A one-worker pool has no
+    /// sleeper — its only worker is the one pushing — so it skips the
+    /// probe's fence and load altogether.
+    #[inline]
+    fn notify(&self) {
+        if self.num_workers() > 1 {
+            self.shared.sleep.notify();
+        }
     }
 
     /// Make a batch of tasks available with a single sleeper notification
@@ -342,7 +403,7 @@ impl<'a, T: Word> WorkerCtx<'a, T> {
             any = true;
         }
         if any {
-            self.shared.sleep.notify();
+            self.notify();
         }
     }
 
@@ -502,8 +563,8 @@ where
     }
 }
 
-/// Opt-in stall monitor for [`run_watched`]: a sidecar thread that
-/// watches the pool's executed-task count and, if it stops moving for
+/// Opt-in stall monitor for [`run_watched`]: a sidecar (one more leased
+/// helper, see the module docs) that watches the pool's executed-task count and, if it stops moving for
 /// `stall_timeout` while the pool has not terminated, dumps a diagnostic
 /// (queue occupancy, park state, live counter snapshot, trace-ring tail)
 /// to stderr, force-terminates the pool, and re-raises the report as a
@@ -623,6 +684,171 @@ impl Drop for CacheFlushGuard {
     }
 }
 
+/// What one worker hands back: tasks, steals, parks, suspends, resumes.
+type Tallies = (u64, u64, u64, u64, u64);
+
+/// Be worker `id` of this run on the calling thread, until termination.
+fn participate<T, F>(id: usize, deque: &WorkerDeque<T>, shared: &Shared<T>, f: &F) -> Tallies
+where
+    T: Word,
+    F: Fn(&WorkerCtx<'_, T>, T) + Sync,
+{
+    // Leave nothing stranded in this worker's slab caches: the guard
+    // flushes when the worker is through *and* when it unwinds, and in
+    // either case before its helper (or `run_inner`) reports it done.
+    let _flush = CacheFlushGuard;
+    let ctx = WorkerCtx {
+        deque,
+        shared,
+        id,
+        tasks: Cell::new(0),
+        steals: Cell::new(0),
+        parks: Cell::new(0),
+        suspends: Cell::new(0),
+        resumes: Cell::new(0),
+        rng: RefCell::new(VictimRng::new(0x853C_49E6_748F_EA9B ^ (id as u64 + 1))),
+    };
+    // The loop itself unwinds only if a panic escaped the execute
+    // backstop (e.g. out of a panic payload's destructor). It is captured
+    // like any other — first payload wins, and a helper thread must
+    // outlive its job — and that worker contributes zero tallies.
+    if !shared.contain(|| worker_loop(&ctx, f)) {
+        return (0, 0, 0, 0, 0);
+    }
+    (ctx.tasks.get(), ctx.steals.get(), ctx.parks.get(), ctx.suspends.get(), ctx.resumes.get())
+}
+
+/// A job in its leaser's stack frame, lifetime erased so a resident
+/// thread can be handed it ([`Helper::send`] states what that takes).
+#[derive(Clone, Copy)]
+struct Job(*mut (dyn FnMut() + Send));
+
+// SAFETY: the closure behind the pointer is `Send`, and `Helper::send`'s
+// contract gives the one helper that receives the pointer exclusive use
+// of it.
+unsafe impl Send for Job {}
+
+/// One resident helper thread, parked on `wake` between jobs.
+struct Helper {
+    /// The one-slot mailbox, and the latch: occupied from [`Helper::send`]
+    /// until the job has **ended**, not merely been picked up.
+    slot: Mutex<Option<Job>>,
+    /// Signalled when `slot` fills (to the helper) and when it clears (to
+    /// the leaser); a lease is exclusive, so at most one of them waits.
+    wake: Condvar,
+}
+
+/// Helpers nobody holds. None is ever retired, so this set plus the
+/// leases out is the high-water mark of concurrent demand.
+static IDLE: Mutex<Vec<&'static Helper>> = Mutex::new(Vec::new());
+
+impl Helper {
+    /// Take a parked helper out of the idle set — exclusively, until it
+    /// is pushed back — or start one if every helper is out.
+    fn lease() -> &'static Helper {
+        if let Some(helper) = IDLE.lock().pop() {
+            return helper;
+        }
+        let helper: &'static Helper =
+            Box::leak(Box::new(Helper { slot: Mutex::new(None), wake: Condvar::new() }));
+        std::thread::Builder::new()
+            .name("sched-helper".into())
+            .spawn(move || helper.serve())
+            .expect("spawn a resident helper thread");
+        helper
+    }
+
+    /// The helper thread's whole life: take a job, run it, clear the slot.
+    fn serve(&self) {
+        let mut slot = self.slot.lock();
+        loop {
+            let Some(job) = *slot else {
+                self.wake.wait(&mut slot);
+                continue;
+            };
+            drop(slot);
+            // SAFETY: `send`'s contract — the closure is alive and ours
+            // alone until we clear the slot below.
+            let ended = catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)() }));
+            // A job must not unwind, and `run_inner`'s contain their
+            // panics — all but one out of a payload's destructor, which
+            // `contain` runs last. The job has ended all the same, so the
+            // latch opens and this thread lives on; the payload is
+            // forgotten, because dropping it is what went wrong.
+            if let Err(payload) = ended {
+                std::mem::forget(payload);
+            }
+            slot = self.slot.lock();
+            *slot = None;
+            self.wake.notify_one();
+        }
+    }
+
+    /// Hand `job` to this (leased, hence idle) helper.
+    ///
+    /// # Safety
+    /// The closure must stay alive and untouched by anyone else until
+    /// [`wait`](Helper::wait) has returned, and must not unwind.
+    unsafe fn send(&self, job: &mut (dyn FnMut() + Send + '_)) {
+        // SAFETY: only the lifetime bound changes; the contract above is
+        // what keeps the erased borrow valid for as long as it is used.
+        let job = unsafe {
+            std::mem::transmute::<*mut (dyn FnMut() + Send + '_), *mut (dyn FnMut() + Send)>(job)
+        };
+        let job = Job(job);
+        let mut slot = self.slot.lock();
+        debug_assert!(slot.is_none(), "a leased helper is idle");
+        *slot = Some(job);
+        self.wake.notify_one();
+    }
+
+    /// Block until the job last sent has returned (at once if none was).
+    fn wait(&self) {
+        let mut slot = self.slot.lock();
+        while slot.is_some() {
+            self.wake.wait(&mut slot);
+        }
+    }
+}
+
+/// The helpers one run holds, and the latch rule of the module docs: the
+/// run's frame — which every job borrows — cannot be left, by return or
+/// by unwind, before this guard has dropped, and dropping it waits for
+/// every job to have returned.
+struct Leases<'run, T: Word> {
+    shared: &'run Shared<T>,
+    helpers: Vec<&'static Helper>,
+}
+
+impl<'run, T: Word> Leases<'run, T> {
+    /// Lease one helper and set it to `job`, which must not unwind.
+    fn send(&mut self, job: &'run mut (dyn FnMut() + Send + 'run)) {
+        let helper = Helper::lease();
+        self.helpers.push(helper);
+        // SAFETY: `job` outlives this guard (`'run`, and the guard has a
+        // destructor), nothing else can reach it while the guard holds
+        // its unique borrow, and the guard — a local of `run_inner`, never
+        // forgotten — waits on `helper` when it drops. The jobs built
+        // there catch their own panics.
+        unsafe { helper.send(job) };
+    }
+}
+
+impl<T: Word> Drop for Leases<'_, T> {
+    fn drop(&mut self) {
+        // Worker 0 only returns once the run is over; getting here with
+        // it still on means the caller is unwinding. End it, or the
+        // helpers would work (or sleep) on while we wait for them.
+        if !self.shared.done.load(Ordering::Acquire) {
+            self.shared.terminate();
+        }
+        for helper in &self.helpers {
+            helper.wait();
+        }
+        IDLE.lock().append(&mut self.helpers);
+    }
+}
+
 /// Execute `roots` (and everything they transitively push) on `n` workers.
 ///
 /// `f` is the task interpreter: it receives the per-worker context and one
@@ -702,66 +928,37 @@ where
         rest_wake: (Mutex::new(0), Condvar::new()),
     };
     let f = &f;
-    let shared_ref = &shared;
-    let watchdog_ref = watchdog.as_ref();
-    let stats: Vec<(u64, u64, u64, u64, u64)> = std::thread::scope(|scope| {
-        if let Some(cfg) = watchdog_ref {
-            scope.spawn(move || watchdog_loop(shared_ref, cfg));
-        }
-        let handles: Vec<_> = deques
-            .into_iter()
+    let shared = &shared;
+    let mut tallies: Vec<Tallies> = vec![(0, 0, 0, 0, 0); n];
+    {
+        let mut deques = deques.into_iter();
+        let own_deque = deques.next().expect("n >= 1");
+        let (own_tally, helper_tallies) = tallies.split_first_mut().expect("n >= 1");
+        // One job per helper, owning that worker's deque and its tally.
+        let mut jobs: Vec<_> = deques
+            .zip(helper_tallies)
             .enumerate()
-            .map(|(id, deque)| {
-                scope.spawn(move || {
-                    // Leave nothing stranded in this worker's slab
-                    // caches: the guard flushes at loop exit *and* on an
-                    // unwinding worker (a panic that escaped even the
-                    // execute backstop), so post-run recycler gauges are
-                    // deterministic for poisoned runs too.
-                    let _flush = CacheFlushGuard;
-                    let ctx = WorkerCtx {
-                        deque: &deque,
-                        shared: shared_ref,
-                        id,
-                        tasks: Cell::new(0),
-                        steals: Cell::new(0),
-                        parks: Cell::new(0),
-                        suspends: Cell::new(0),
-                        resumes: Cell::new(0),
-                        rng: RefCell::new(VictimRng::new(0x853C_49E6_748F_EA9B ^ (id as u64 + 1))),
-                    };
-                    worker_loop(&ctx, f);
-                    (
-                        ctx.tasks.get(),
-                        ctx.steals.get(),
-                        ctx.parks.get(),
-                        ctx.suspends.get(),
-                        ctx.resumes.get(),
-                    )
-                })
-            })
+            .map(|(i, (deque, tally))| move || *tally = participate(i + 1, &deque, shared, f))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(tallies) => tallies,
-                Err(payload) => {
-                    // A worker thread itself unwound (possible only if
-                    // unwinding escaped the execute backstop, e.g. a
-                    // panic inside a task destructor). Capture instead of
-                    // re-panicking here: re-raising mid-join while
-                    // another worker's panic is in flight would be a
-                    // double-panic abort. First payload wins; its worker
-                    // contributes zero tallies.
-                    shared_ref.record_panic(payload);
-                    shared_ref.terminate();
-                    (0, 0, 0, 0, 0)
-                }
-            })
-            .collect()
-    });
+        let mut watchdog_job = watchdog.as_ref().map(|cfg| {
+            move || {
+                shared.contain(|| watchdog_loop(shared, cfg));
+            }
+        });
+        // Declared after the jobs it lends out, so dropped — waited on —
+        // before them, whichever way this block is left.
+        let demand = jobs.len() + usize::from(watchdog_job.is_some());
+        let mut leases = Leases { shared, helpers: Vec::with_capacity(demand) };
+        if let Some(job) = &mut watchdog_job {
+            leases.send(job);
+        }
+        for job in &mut jobs {
+            leases.send(job);
+        }
+        *own_tally = participate(0, &own_deque, shared, f);
+    }
     let mut out = PoolStats::default();
-    for &(t, s, p, sus, res) in &stats {
+    for &(t, s, p, sus, res) in &tallies {
         out.tasks += t;
         out.steals += s;
         out.parks += p;
@@ -775,7 +972,7 @@ where
     out.panics = shared.panics.load(Ordering::SeqCst);
     out.state = if out.panics > 0 { PoolState::Poisoned } else { PoolState::Completed };
     // Per-worker tallies are cheap `Cell`s on the hot path; fold them
-    // into the registry in one bulk add per counter at pool teardown.
+    // into the registry in one bulk add per counter at the run's return.
     // This happens *before* a poisoned run re-raises, so `--assert-bound`
     // style checks see the full sched tallies of a panicked run.
     obs::counter!("sched.tasks").add(out.tasks);
@@ -798,6 +995,7 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::Arc;
 
     #[test]
     fn quiesce_executes_everything() {
@@ -936,5 +1134,166 @@ mod tests {
             executed.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(executed.load(Ordering::Relaxed), 5000);
+    }
+
+    #[test]
+    fn one_worker_run_stays_on_the_calling_thread() {
+        // What a caller that pinned itself relies on: at one worker there
+        // is no second thread for the work to land on.
+        let caller = std::thread::current().id();
+        let stats = run(1, (0..100usize).collect(), Termination::Quiesce, |ctx, task| {
+            assert_eq!(std::thread::current().id(), caller);
+            if task < 10 {
+                ctx.push(task + 1000);
+                ctx.push_batch([task + 2000, task + 3000]);
+            }
+        });
+        assert_eq!(stats.tasks, 130);
+        assert_eq!((stats.wakeups, stats.parks), (0, 0), "nobody to wake, nothing to wait for");
+    }
+
+    #[test]
+    fn a_run_nested_inside_a_task_completes() {
+        let inner_tasks = AtomicU64::new(0);
+        let stats = run(2, vec![0usize, 1], Termination::Quiesce, |_, _| {
+            // Worker 0 of the inner run is whichever worker runs this task;
+            // its second worker is one more lease.
+            let inner = run(2, (0..50usize).collect(), Termination::Quiesce, |_, _| {
+                inner_tasks.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(inner.tasks, 50);
+        });
+        assert_eq!(stats.tasks, 2);
+        assert_eq!(inner_tasks.load(Ordering::Relaxed), 100);
+    }
+
+    #[test]
+    fn a_poisoned_run_leaves_nothing_for_the_next() {
+        let poisoned = catch_unwind(AssertUnwindSafe(|| {
+            run(3, (0..100usize).collect(), Termination::Quiesce, |_, task| {
+                if task == 37 {
+                    std::panic::panic_any(37usize);
+                }
+            })
+        }));
+        let payload = poisoned.expect_err("the task's panic is re-raised at the caller");
+        assert_eq!(payload.downcast_ref::<usize>(), Some(&37), "with its original payload");
+        // Same helpers (nothing else holds them for long), fresh state.
+        let stats = run(3, (0..100usize).collect(), Termination::Quiesce, |_, _| {});
+        assert_eq!(stats.state, PoolState::Completed);
+        assert_eq!((stats.panics, stats.tasks), (0, 100));
+    }
+
+    /// A panic payload whose destructor panics with another of its kind,
+    /// as long as the fuse lasts.
+    struct Bomb(Arc<AtomicUsize>);
+
+    impl Drop for Bomb {
+        fn drop(&mut self) {
+            let lit = |fuse: usize| fuse.checked_sub(1);
+            if self.0.fetch_update(Ordering::SeqCst, Ordering::SeqCst, lit).is_ok() {
+                std::panic::panic_any(Bomb(Arc::clone(&self.0)));
+            }
+        }
+    }
+
+    /// Record two bombs from inside a task. The second is not the first
+    /// payload, so `record_panic` drops it and its destructor panics out
+    /// of the task; `execute`'s backstop records *that* payload, whose
+    /// destructor panics out of `execute`; `contain` records that one, and
+    /// the last panic leaves the worker's whole loop — three fuses.
+    fn blow_through_every_backstop(ctx: &WorkerCtx<'_, usize>, fuse: &Arc<AtomicUsize>) {
+        fuse.store(3, Ordering::SeqCst);
+        ctx.record_panic(Box::new(Bomb(Arc::clone(fuse))));
+        ctx.record_panic(Box::new(Bomb(Arc::clone(fuse))));
+    }
+
+    /// Stands for the run's state: moved into the task closure, it is
+    /// dropped with `run`'s frame.
+    struct Canary(Arc<AtomicBool>);
+
+    impl Drop for Canary {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn an_unwinding_worker_zero_still_waits_for_its_helpers() {
+        let (fuse, frame_gone) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicBool::new(false)));
+        let canary = Canary(Arc::clone(&frame_gone));
+        let (caller_blew, outlived, helper_ran) =
+            (AtomicBool::new(false), AtomicBool::new(false), AtomicBool::new(false));
+        let (caller_blew, outlived, helper_ran) = (&caller_blew, &outlived, &helper_ran);
+        let caller = std::thread::current().id();
+        let on_the_way_out = Arc::clone(&fuse);
+        // Whichever of its tasks the caller runs first takes worker 0 out
+        // through every backstop, and nothing has ended the run by then;
+        // whichever the helper runs first waits for that, then stays in
+        // flight for 50 ms more. The frame must wait for it.
+        let result = catch_unwind(AssertUnwindSafe(move || {
+            run(2, (0..4usize).collect(), Termination::Quiesce, move |ctx, _| {
+                let _state = &canary;
+                if std::thread::current().id() == caller {
+                    caller_blew.store(true, Ordering::SeqCst);
+                    blow_through_every_backstop(ctx, &fuse);
+                } else if !helper_ran.load(Ordering::SeqCst) {
+                    while !caller_blew.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(Duration::from_millis(50));
+                    outlived.store(frame_gone.load(Ordering::SeqCst), Ordering::SeqCst);
+                    helper_ran.store(true, Ordering::SeqCst);
+                }
+            })
+        }));
+        let payload = result.expect_err("worker 0 unwound out of `run`");
+        assert!(payload.is::<Bomb>(), "with the last destructor's panic");
+        assert_eq!(on_the_way_out.load(Ordering::SeqCst), 0, "every backstop was passed");
+        assert!(helper_ran.load(Ordering::SeqCst), "the helper's task ran to its end");
+        assert!(!outlived.load(Ordering::SeqCst), "the run's state was dropped under a helper");
+    }
+
+    #[test]
+    fn a_job_that_unwinds_opens_the_latch_and_its_helper_lives_on() {
+        let fuse = Arc::new(AtomicUsize::new(0));
+        let helper_blew = AtomicBool::new(false);
+        let caller = std::thread::current().id();
+        // The mirror image: the helper's participant is the one that goes,
+        // out of its job. The caller's tasks wait for it, so worker 0 can
+        // only come home if losing a participant ends the run, and `run`
+        // can only return if a job that unwound still counts as ended.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            run(2, (0..4usize).collect(), Termination::Quiesce, |ctx, _| {
+                if std::thread::current().id() == caller {
+                    while !ctx.is_finished() {
+                        std::thread::yield_now();
+                    }
+                } else if !helper_blew.swap(true, Ordering::SeqCst) {
+                    blow_through_every_backstop(ctx, &fuse);
+                }
+            })
+        }));
+        let payload = result.expect_err("the run is poisoned");
+        assert!(payload.is::<Bomb>(), "and re-raises the first payload");
+        assert_eq!(fuse.load(Ordering::SeqCst), 0, "every backstop was passed");
+        // The helper that caught its job went back to the idle set, which
+        // is last in, first out: the next run leases it.
+        let stats = run(2, (0..100usize).collect(), Termination::Quiesce, |_, _| {});
+        assert_eq!((stats.state, stats.tasks), (PoolState::Completed, 100));
+    }
+
+    #[test]
+    fn a_stalled_watched_run_reports_through_its_leased_watchdog() {
+        // The only worker is the caller and it never finishes, so the
+        // report can only come from a helper: the leased watchdog.
+        let cfg = WatchdogCfg { stall_timeout: Duration::from_millis(40) };
+        let stalled = catch_unwind(AssertUnwindSafe(|| {
+            run_watched(1, vec![0usize], Termination::DoneFlag, cfg, |_, _| {})
+        }));
+        let payload = stalled.expect_err("the watchdog fails the run");
+        let report = payload.downcast_ref::<String>().expect("the stall report");
+        assert!(report.contains("sched watchdog"), "unexpected payload: {report}");
+        assert!(report.contains("tasks executed      : 1"), "{report}");
     }
 }

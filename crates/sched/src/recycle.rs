@@ -44,9 +44,9 @@
 //!
 //! Consumers count births and deaths (`sched.vertex_*`,
 //! `sched.poolarc_*`, `sched.pairs_*`); this module only owns the standby
-//! gauges, which cost the fast path nothing: they are the shared lists'
-//! lengths plus the calling thread's own caches, exact whenever every
-//! worker has torn down (see [`crate::slab`]). At quiescence, per
+//! gauges, which cost the fast path nothing: they are the depots' slab
+//! totals plus the calling thread's own caches, exact at every
+//! [`crate::run`]'s return (see [`crate::slab`]). At quiescence, per
 //! consumer:
 //!
 //! ```text
@@ -79,8 +79,9 @@ const fn class_align(class: usize) -> usize {
     }
 }
 
-/// Per-thread cache bound per class (slabs); overflow spills half to the
-/// class's shared list, exactly as for out-set blocks.
+/// Per-thread cache bound per class (slabs): two magazines of half of it,
+/// the older handed whole to the class's depot on overflow, exactly as
+/// for out-set blocks.
 const CACHE_CAP: usize = 64;
 
 static POOLS: [SlabPool; 6] = [
@@ -251,11 +252,18 @@ pub unsafe fn free<T>(ptr: *mut T) -> bool {
     }
 }
 
-/// Slabs held across all class pools: the shared lists plus the calling
-/// thread's caches — exact once every worker has torn down, a lower
+/// Slabs held across all class pools: the depots plus the calling
+/// thread's caches — exact at every [`crate::run`]'s return, a lower
 /// bound while workers run ([`SlabPool::cached_slabs`]).
 pub fn cached_slabs() -> usize {
     POOLS.iter().map(|p| p.cached_slabs()).sum()
+}
+
+/// [`cached_slabs`] class by class, smallest first: what a gauge test
+/// prints when the total is off, so the failure names the class.
+#[doc(hidden)]
+pub fn cached_slabs_by_class() -> [usize; CLASS_BYTES.len()] {
+    std::array::from_fn(|class| POOLS[class].cached_slabs())
 }
 
 /// Bytes held across all class pools — the standby footprint, bounded
@@ -264,13 +272,13 @@ pub fn cached_bytes() -> usize {
     POOLS.iter().map(|p| p.cached_bytes()).sum()
 }
 
-/// Slabs ever spilled from a full thread cache to a shared list, summed
-/// over classes.
+/// Slabs ever handed from a full thread cache to a depot, summed over
+/// classes.
 pub fn overflowed() -> u64 {
     POOLS.iter().map(|p| p.overflowed()).sum()
 }
 
-/// Return every slab on the shared lists to the allocator (thread caches
+/// Return every slab in the depots to the allocator (thread caches
 /// are not touched — [`crate::slab::flush_this_thread`] on their threads
 /// first). Returns the number of slabs freed.
 pub fn trim() -> usize {
@@ -400,7 +408,7 @@ mod tests {
     #[test]
     fn trim_frees_flushed_slabs() {
         // Class 1024 is untouched by sibling tests, so the flushed slab
-        // deterministically survives on the shared list until trim.
+        // deterministically survives in the depot until trim.
         let cl = class_for(1000, 16).unwrap();
         assert_eq!(class_bytes(cl), 1024);
         let (a, _) = acquire_or_alloc(cl);

@@ -1,49 +1,60 @@
-//! Per-worker slab caches with a global overflow pool.
+//! Per-worker slab caches in front of a depot of whole magazines.
 //!
 //! The out-set recycler (and any future fixed-size-block consumer) wants
 //! allocator-free steady state: a block freed by one future's sweep
 //! should satisfy the next future's first add without touching `malloc`.
 //! Workers already carry identity and a private RNG ([`crate::WorkerCtx`]);
 //! this module gives each worker (thread) a bounded private cache of raw
-//! blocks per [`SlabPool`], spilling to the pool's shared free list when
-//! the cache overflows and refilling from it in batches when the cache
-//! runs dry.
+//! blocks per [`SlabPool`], built as Bonwick's magazine pair without the
+//! magazine objects: two intrusive chains, `cur` and `prev`, of at most
+//! `M = cache_cap / 2` slabs each. `release` pushes on `cur`; when `cur`
+//! is full, `prev` goes to the pool's *depot* **whole** and the two swap.
+//! `acquire` pops `cur`; when `cur` is empty it swaps in a non-empty
+//! `prev`, else takes one whole magazine off the depot. A thread that
+//! frees and allocates around a magazine boundary only ever swaps its own
+//! two chains.
 //!
 //! The pool is deliberately type-erased (`*mut u8`): callers own both
 //! allocation and re-initialization of their blocks, so the pool never
 //! runs drop glue and never needs to know the block type. `slab_bytes`
 //! exists purely for footprint accounting. The one thing the pool asks of
 //! a dead slab is its **first word**: a cached slab's first
-//! `size_of::<usize>()` bytes hold the link to the next cached slab, so
-//! slabs must be at least pointer-sized and pointer-aligned, and whatever
-//! the consumer keeps in a dead slab (poison stamps, generation counters)
-//! must live past that word.
+//! `size_of::<usize>()` bytes hold the link to the next slab of its
+//! magazine, so slabs must be at least pointer-sized and pointer-aligned,
+//! and whatever the consumer keeps in a dead slab (poison stamps,
+//! generation counters) must live past that word.
 //!
-//! ## No shared word on the fast path
+//! ## No shared word on the fast path, no slab touched on the slow one
 //!
 //! This pool sits under every `spawn` of a runtime whose subject is
 //! contention, so its fast path is held to the paper's own standard: a
 //! [`SlabPool::acquire`] or [`SlabPool::release`] that hits the thread's
-//! cache performs **no atomic read-modify-write and touches no memory
-//! another thread writes**. The cache is an intrusive LIFO list in a
-//! const-initialised thread-local table, found in O(1) by the pool's
-//! *slot* (an index handed out once, on the pool's first use); push and
-//! pop are two plain loads and two plain stores. Shared state — the
-//! mutex-guarded overflow list and the gauges — is touched only when a
-//! cache spills (half a cache, one lock acquisition), refills (likewise),
-//! or is flushed.
+//! `cur` magazine performs **no atomic read-modify-write and touches no
+//! memory another thread writes**. The cache lives in a const-initialised
+//! thread-local table, found in O(1) by the pool's *slot* (an index
+//! handed out once, on the pool's first use); push and pop are two plain
+//! loads and two plain stores. Shared state — the mutex-guarded depot and
+//! the gauges — is touched only when a magazine is handed over, and a
+//! hand-over moves one `(head, len)` pair under one lock acquisition: it
+//! **reads and writes no slab**, so its cost does not grow with the
+//! magazine and no cold line is pulled in while the lock is held. The one
+//! walker is [`SlabPool::trim`], which has to visit every slab to free it.
 //!
-//! The gauges follow from that: [`SlabPool::cached_slabs`] is the length
-//! of the shared list (mirrored into an atomic under the list's lock)
-//! plus the *calling* thread's own cache. It is exact whenever every
-//! other thread that used the pool has flushed — which worker teardown
-//! guarantees — and a lower bound while workers are running.
+//! The gauges follow from that: [`SlabPool::cached_slabs`] is the depot's
+//! slab total (kept incrementally under the depot's lock, read without
+//! it) plus the *calling* thread's own two magazines. It is exact
+//! whenever every other thread that used the pool has flushed — which
+//! holds at every [`crate::run`]'s return — and a lower bound while
+//! workers are running.
 //!
-//! Because workers *are* threads in this pool (`sched::run` spawns one
-//! scoped thread per worker), "per-worker cache" is realized as a
-//! thread-local; [`crate::run`] flushes the running thread's caches back
-//! to the shared lists at worker teardown ([`flush_this_thread`]), and a
-//! thread-local destructor backstops non-pool threads.
+//! Because workers *are* threads in this pool (the caller of
+//! [`crate::run`] is worker 0 and the others are resident helper threads,
+//! see [`crate::pool`]), "per-worker cache" is realized as a
+//! thread-local. Every participant of a run flushes its caches to the
+//! depots — up to two partial magazines per pool — *before* it reports
+//! done ([`flush_this_thread`]), so **`run`'s return is the quiescent
+//! point**: nothing is cached anywhere but on threads outside the pool,
+//! which a thread-local destructor backstops.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -61,27 +72,27 @@ const SLOT_UNASSIGNED: usize = 0;
 /// it). Locked only to hand out a slot and to flush a whole thread.
 static REGISTRY: Mutex<Vec<&'static SlabPool>> = Mutex::new(Vec::new());
 
-/// A global free list of uniform raw slabs plus the per-thread caches in
-/// front of it. Designed to live in a `static` (`new` is `const`).
+/// A depot of whole magazines plus the per-thread magazine pairs in front
+/// of it. Designed to live in a `static` (`new` is `const`).
 pub struct SlabPool {
     name: &'static str,
     slab_bytes: usize,
-    /// Per-thread cache bound; overflow spills `cache_cap / 2 + 1` slabs
-    /// to the shared list, refill pulls up to `cache_cap / 2` back.
+    /// Per-thread cache bound: two magazines of `cache_cap / 2` slabs.
     cache_cap: usize,
     /// 1-based index of this pool's cache in every thread's table;
     /// written once (under the registry lock), read-only ever after.
     slot: AtomicUsize,
-    shared: Mutex<Vec<*mut u8>>,
-    /// `shared.len()`, stored under the `shared` lock so the gauges read
-    /// it without taking it.
-    shared_len: AtomicUsize,
-    /// Slabs spilled from a full thread cache to the shared list (ever);
-    /// bumped once per spill, never per operation.
+    /// Magazines handed over by full or flushing caches, newest last.
+    depot: Mutex<Vec<Magazine>>,
+    /// Slabs in `depot`, adjusted under its lock so the gauges read it
+    /// without taking it.
+    depot_slabs: AtomicUsize,
+    /// Slabs handed over by a full thread cache (ever); bumped once per
+    /// spill, never per operation.
     overflowed: AtomicU64,
 }
 
-// SAFETY: the raw pointers in `shared` are inert storage — the pool only
+// SAFETY: the raw pointers in `depot` are inert storage — the pool only
 // ever touches a slab's first word, and only while it owns the slab — and
 // the caller's contract (release hands over exclusive ownership, acquire
 // returns it) makes moving them across threads sound.
@@ -107,61 +118,55 @@ unsafe fn set_next(slab: *mut u8, next: *mut u8) {
     unsafe { (slab as *mut *mut u8).write(next) }
 }
 
-/// One thread's cache for one pool: an intrusive LIFO list threaded
-/// through the cached slabs' first words. Single-threaded by construction
-/// (it lives in a thread-local), hence plain `Cell`s.
+/// A null-terminated intrusive LIFO chain of dead slabs, threaded through
+/// their first words, and its length: the unit a cache holds two of and
+/// the depot deals in. Whoever holds the pair owns every slab on it.
+#[derive(Clone, Copy)]
+struct Magazine {
+    head: *mut u8,
+    len: usize,
+}
+
+impl Magazine {
+    const EMPTY: Magazine = Magazine { head: std::ptr::null_mut(), len: 0 };
+}
+
+/// One thread's cache for one pool. Single-threaded by construction (it
+/// lives in a thread-local), hence plain `Cell`s.
 struct Cache {
-    head: Cell<*mut u8>,
-    len: Cell<usize>,
+    /// Where `release` pushes and `acquire` pops.
+    cur: Cell<Magazine>,
+    /// The magazine `cur` last displaced: full after a spill, whatever
+    /// is left of it after a reload.
+    prev: Cell<Magazine>,
 }
 
 impl Cache {
     const fn new() -> Cache {
-        Cache { head: Cell::new(std::ptr::null_mut()), len: Cell::new(0) }
+        Cache { cur: Cell::new(Magazine::EMPTY), prev: Cell::new(Magazine::EMPTY) }
+    }
+
+    fn len(&self) -> usize {
+        self.cur.get().len + self.prev.get().len
     }
 
     /// # Safety
-    /// `slab` must be a dead slab the caller owns: just handed to the pool
-    /// (`release`) or just taken off the shared list (`refill`).
+    /// `slab` must be a dead slab the caller owns and hands to this cache.
     unsafe fn push(&self, slab: *mut u8) {
+        let cur = self.cur.get();
         // SAFETY: per the contract above.
-        unsafe { set_next(slab, self.head.get()) };
-        self.head.set(slab);
-        self.len.set(self.len.get() + 1);
+        unsafe { set_next(slab, cur.head) };
+        self.cur.set(Magazine { head: slab, len: cur.len + 1 });
     }
 
     fn pop(&self) -> Option<*mut u8> {
-        let slab = self.head.get();
-        if slab.is_null() {
+        let cur = self.cur.get();
+        if cur.head.is_null() {
             return None;
         }
-        // SAFETY: every slab on the list is dead and owned by this cache.
-        self.head.set(unsafe { next_of(slab) });
-        self.len.set(self.len.get() - 1);
-        Some(slab)
-    }
-
-    /// Detach everything after the newest `keep` slabs, returning the
-    /// detached chain's head (null when there is nothing past `keep`).
-    fn split_off(&self, keep: usize) -> *mut u8 {
-        debug_assert!(keep == 0 || keep < self.len.get());
-        let tail = if keep == 0 {
-            self.head.replace(std::ptr::null_mut())
-        } else {
-            let mut last = self.head.get();
-            for _ in 1..keep {
-                // SAFETY: `keep < len`, so the walk stays on the list.
-                last = unsafe { next_of(last) };
-            }
-            // SAFETY: as above; `last` is the `keep`-th slab.
-            unsafe {
-                let tail = next_of(last);
-                set_next(last, std::ptr::null_mut());
-                tail
-            }
-        };
-        self.len.set(keep);
-        tail
+        // SAFETY: every slab of `cur` is dead and owned by this cache.
+        self.cur.set(Magazine { head: unsafe { next_of(cur.head) }, len: cur.len - 1 });
+        Some(cur.head)
     }
 }
 
@@ -170,15 +175,15 @@ impl Cache {
 struct ThreadCaches([Cache; MAX_POOLS]);
 
 impl ThreadCaches {
-    /// Move every cached slab of this thread onto its pool's shared list.
+    /// Hand every magazine of this thread to its pool's depot.
     fn flush(&self) {
-        if self.0.iter().all(|c| c.head.get().is_null()) {
+        if self.0.iter().all(|c| c.len() == 0) {
             return;
         }
         // A non-empty cache implies its pool registered, and slots are
         // handed out in registry order.
         for (pool, cache) in REGISTRY.lock().iter().zip(&self.0) {
-            pool.push_chain(cache.split_off(0));
+            pool.flush(cache);
         }
     }
 }
@@ -198,13 +203,14 @@ impl SlabPool {
     /// at `cache_cap` slabs. Const, so pools can be `static`.
     pub const fn new(name: &'static str, slab_bytes: usize, cache_cap: usize) -> SlabPool {
         assert!(slab_bytes >= std::mem::size_of::<usize>(), "a slab must hold the cache link");
+        assert!(cache_cap >= 2, "a cache is two magazines of at least one slab");
         SlabPool {
             name,
             slab_bytes,
             cache_cap,
             slot: AtomicUsize::new(SLOT_UNASSIGNED),
-            shared: Mutex::new(Vec::new()),
-            shared_len: AtomicUsize::new(0),
+            depot: Mutex::new(Vec::new()),
+            depot_slabs: AtomicUsize::new(0),
             overflowed: AtomicU64::new(0),
         }
     }
@@ -220,12 +226,13 @@ impl SlabPool {
         self.slab_bytes
     }
 
-    /// Slabs held by the recycler: the shared list plus the calling
-    /// thread's cache. Exact once every other thread has flushed (worker
-    /// teardown does); a lower bound while other threads hold caches.
+    /// Slabs held by the recycler: the depot plus the calling thread's
+    /// two magazines. Exact once every other thread has flushed (true at
+    /// every [`crate::run`]'s return); a lower bound while other threads
+    /// hold caches.
     pub fn cached_slabs(&'static self) -> usize {
-        let own = self.with_cache(|cache| cache.len.get()).unwrap_or(0);
-        self.shared_len.load(Ordering::Relaxed) + own
+        let own = self.with_cache(Cache::len).unwrap_or(0);
+        self.depot_slabs.load(Ordering::Relaxed) + own
     }
 
     /// Bytes held by the recycler (see [`cached_slabs`](SlabPool::cached_slabs)).
@@ -233,13 +240,13 @@ impl SlabPool {
         self.cached_slabs() * self.slab_bytes
     }
 
-    /// Slabs ever spilled from a full thread cache to the shared list.
+    /// Slabs ever handed from a full thread cache to the depot.
     pub fn overflowed(&self) -> u64 {
         self.overflowed.load(Ordering::Relaxed)
     }
 
-    /// Take one cached slab, preferring this thread's cache and
-    /// refilling it from the shared list in one batch when dry. `None`
+    /// Take one cached slab, preferring this thread's magazines and
+    /// taking a whole one off the depot when both are empty. `None`
     /// means the recycler is empty and the caller should allocate fresh.
     ///
     /// The returned slab is owned exclusively by the caller (it was
@@ -248,16 +255,22 @@ impl SlabPool {
     #[inline]
     pub fn acquire(&'static self) -> Option<*mut u8> {
         let got = self.with_cache(|cache| {
-            if cache.head.get().is_null() {
-                self.refill(cache);
+            if cache.cur.get().head.is_null() {
+                self.reload(cache);
             }
             cache.pop()
         });
         match got {
             Some(slab) => slab,
-            // No cache (thread-locals torn down): straight to the shared
-            // list.
-            None => self.with_shared(Vec::pop),
+            // No cache (thread-locals torn down): split one slab off a
+            // depot magazine and put the rest back.
+            None => {
+                let Magazine { head, len } = self.take()?;
+                // SAFETY: taking the magazine made every slab on it ours.
+                let rest = unsafe { next_of(head) };
+                self.put(Magazine { head: rest, len: len - 1 });
+                Some(head)
+            }
         }
     }
 
@@ -266,8 +279,8 @@ impl SlabPool {
     /// (or [`trim`](SlabPool::trim) hands it back for freeing); the pool
     /// overwrites the slab's first word.
     ///
-    /// Returns how many slabs overflowed from this thread's cache to the
-    /// shared list as a result (0 on the fast path).
+    /// Returns how many slabs this thread's cache handed to the depot to
+    /// make room (0 on the fast path, one whole magazine otherwise).
     ///
     /// # Safety
     /// `slab` must point to at least `size_of::<usize>()` writable bytes,
@@ -277,97 +290,103 @@ impl SlabPool {
     #[inline]
     pub unsafe fn release(&'static self, slab: *mut u8) -> usize {
         let spilled = self.with_cache(|cache| {
+            let spilled =
+                if cache.cur.get().len < self.cache_cap / 2 { 0 } else { self.spill(cache) };
             // SAFETY: the caller hands over a dead slab it owns.
             unsafe { cache.push(slab) };
-            if cache.len.get() <= self.cache_cap {
-                return 0;
-            }
-            self.spill(cache)
+            spilled
         });
         spilled.unwrap_or_else(|| {
             // SAFETY: the slab is dead and ours (caller contract).
             unsafe { set_next(slab, std::ptr::null_mut()) };
-            self.push_chain(slab);
+            self.put(Magazine { head: slab, len: 1 });
             0
         })
     }
 
-    /// Overflow: move the oldest `cache_cap / 2 + 1` slabs of `cache` to
-    /// the shared list in one lock acquisition.
+    /// `cur` is full: it becomes `prev`, and the magazine it displaces
+    /// goes to the depot whole. Returns how many slabs that was.
     #[cold]
     fn spill(&self, cache: &Cache) -> usize {
-        let spill = self.cache_cap / 2 + 1;
-        let keep = cache.len.get().saturating_sub(spill);
-        let spilled = self.push_chain(cache.split_off(keep));
-        self.overflowed.fetch_add(spilled as u64, Ordering::Relaxed);
-        spilled
+        let displaced = cache.prev.replace(cache.cur.replace(Magazine::EMPTY));
+        self.put(displaced);
+        self.overflowed.fetch_add(displaced.len as u64, Ordering::Relaxed);
+        displaced.len
     }
 
-    /// Dry cache: pull up to `cache_cap / 2` slabs off the shared list in
-    /// one lock acquisition.
+    /// `cur` is empty: swap in what `prev` holds, else one magazine off
+    /// the depot.
     #[cold]
-    fn refill(&self, cache: &Cache) {
-        if self.shared_len.load(Ordering::Relaxed) == 0 {
-            return; // nothing to take; skip the lock
+    fn reload(&self, cache: &Cache) {
+        let prev = cache.prev.replace(Magazine::EMPTY);
+        if prev.len > 0 {
+            cache.cur.set(prev);
+        } else if let Some(magazine) = self.take() {
+            cache.cur.set(magazine);
         }
-        let refill = (self.cache_cap / 2).max(1);
-        self.with_shared(|shared| {
-            while cache.len.get() < refill {
-                match shared.pop() {
-                    // SAFETY: everything on the shared list is a dead
-                    // slab, and popping it under the lock made it ours.
-                    Some(slab) => unsafe { cache.push(slab) },
-                    None => break,
-                }
-            }
-        });
     }
 
-    /// Append a null-terminated chain of dead slabs to the shared list,
-    /// returning its length.
-    fn push_chain(&self, mut slab: *mut u8) -> usize {
-        if slab.is_null() {
-            return 0;
+    /// Hand a magazine to the depot (nothing to do for an empty one).
+    fn put(&self, magazine: Magazine) {
+        if magazine.len == 0 {
+            return;
         }
-        self.with_shared(|shared| {
-            let before = shared.len();
-            while !slab.is_null() {
-                shared.push(slab);
-                // SAFETY: the chain is dead slabs the caller owned until now.
-                slab = unsafe { next_of(slab) };
-            }
-            shared.len() - before
-        })
+        let mut depot = self.depot.lock();
+        depot.push(magazine);
+        // A plain add: every writer of `depot_slabs` holds the lock.
+        let slabs = self.depot_slabs.load(Ordering::Relaxed) + magazine.len;
+        self.depot_slabs.store(slabs, Ordering::Relaxed);
     }
 
-    /// Run `f` on the shared list under its lock, then mirror the list's
-    /// length for the gauges, which read it without the lock.
-    fn with_shared<R>(&self, f: impl FnOnce(&mut Vec<*mut u8>) -> R) -> R {
-        let mut shared = self.shared.lock();
-        let out = f(&mut shared);
-        self.shared_len.store(shared.len(), Ordering::Relaxed);
-        out
+    /// Take the newest magazine off the depot.
+    fn take(&self) -> Option<Magazine> {
+        if self.depot_slabs.load(Ordering::Relaxed) == 0 {
+            return None; // nothing to take; skip the lock
+        }
+        let mut depot = self.depot.lock();
+        let magazine = depot.pop()?;
+        let slabs = self.depot_slabs.load(Ordering::Relaxed) - magazine.len;
+        self.depot_slabs.store(slabs, Ordering::Relaxed);
+        Some(magazine)
     }
 
-    /// Drain the **shared** list, handing each slab to `free` (which
-    /// must actually release the memory — typically `Box::from_raw`
-    /// after casting back to the real block type). Thread caches are not
+    /// Drain the **depot**, handing each slab to `free` (which must
+    /// actually release the memory — typically `Box::from_raw` after
+    /// casting back to the real block type). Thread caches are not
     /// touched; flush them first for a full drain. Returns the number of
     /// slabs drained.
     pub fn trim(&self, mut free: impl FnMut(*mut u8)) -> usize {
-        let drained = self.with_shared(std::mem::take);
-        let n = drained.len();
-        for slab in drained {
-            free(slab);
+        let drained = {
+            let mut depot = self.depot.lock();
+            self.depot_slabs.store(0, Ordering::Relaxed);
+            std::mem::take(&mut *depot)
+        };
+        let mut n = 0;
+        for magazine in drained {
+            let mut slab = magazine.head;
+            while !slab.is_null() {
+                // SAFETY: draining the depot made the chain ours; the
+                // link is read before `free` may release the slab.
+                let next = unsafe { next_of(slab) };
+                free(slab);
+                slab = next;
+                n += 1;
+            }
         }
         n
     }
 
-    /// Move this thread's cache for this pool (if any) onto the shared
-    /// list, so another thread — or [`trim`](SlabPool::trim) — can see
-    /// those slabs. The slabs stay in the recycler.
+    /// Hand this thread's magazines for this pool (if any) to the depot,
+    /// so another thread — or [`trim`](SlabPool::trim) — can see those
+    /// slabs. The slabs stay in the recycler.
     pub fn flush_thread_cache(&'static self) {
-        self.with_cache(|cache| self.push_chain(cache.split_off(0)));
+        self.with_cache(|cache| self.flush(cache));
+    }
+
+    /// Hand both magazines of `cache`, full or partial, to the depot.
+    fn flush(&self, cache: &Cache) {
+        self.put(cache.cur.replace(Magazine::EMPTY));
+        self.put(cache.prev.replace(Magazine::EMPTY));
     }
 
     /// Run `f` on this thread's cache for this pool; `None` when the
@@ -398,8 +417,8 @@ impl SlabPool {
 }
 
 /// Flush every pool cache held by the current thread back to its pool's
-/// shared list. Called by the worker pool at worker teardown so that a
-/// finished [`crate::run`] leaves all recycled slabs globally visible
+/// depot. Every participant of a [`crate::run`] calls it before it reports
+/// done, so a returned `run` leaves all recycled slabs globally visible
 /// (exact gauges for tests and the bench harness).
 pub fn flush_this_thread() {
     let _ = CACHES.try_with(ThreadCaches::flush);
@@ -455,55 +474,84 @@ mod tests {
     }
 
     #[test]
-    fn overflow_spills_to_shared_and_refills() {
+    fn overflow_hands_a_whole_magazine_to_the_depot_and_it_comes_back() {
         static POOL: SlabPool = SlabPool::new("test.overflow", 64, 4);
-        let slabs: Vec<*mut u8> = (0..6).map(|_| leak_slab()).collect();
+        let (cap, m) = (POOL.cache_cap, POOL.cache_cap / 2);
+        let slabs: Vec<*mut u8> = (0..cap + m).map(|_| leak_slab()).collect();
         let mut spilled = 0;
         for &s in &slabs {
             spilled += unsafe { POOL.release(s) };
+            let held = POOL.with_cache(Cache::len).unwrap();
+            assert!(held <= cap, "a thread never holds more than the cap, held {held}");
         }
-        assert!(spilled >= 3, "exceeding the cap must spill half the cache, got {spilled}");
-        assert_eq!(POOL.overflowed(), spilled as u64);
-        assert_eq!(POOL.cached_slabs(), 6, "spilling keeps slabs in the recycler");
-        // All six come back (cache first, then a batched refill).
+        assert_eq!(spilled, m, "cap + M releases displace exactly one magazine");
+        assert_eq!(POOL.overflowed(), m as u64);
+        assert_eq!(POOL.depot.lock().len(), 1, "handed over as one unit");
+        assert_eq!(POOL.cached_slabs(), slabs.len(), "spilling keeps slabs in the recycler");
+        // All come back: cur, then prev swapped in, then the depot's magazine.
         let mut want: Vec<usize> = slabs.iter().map(|&p| p as usize).collect();
         want.sort_unstable();
         assert_eq!(drain_sorted(&POOL), want);
+        assert_eq!(POOL.cached_slabs(), 0);
         for p in slabs {
             unsafe { free_slab(p) };
         }
     }
 
     #[test]
-    fn spill_and_refill_at_the_cap_boundary() {
+    fn spill_and_reload_at_the_cap_boundary() {
         static POOL: SlabPool = SlabPool::new("test.boundary", 64, 8);
-        const CAP: usize = 8;
-        let slabs: Vec<*mut u8> = (0..CAP + 1).map(|_| leak_slab()).collect();
-        // One short of the cap, and exactly at it: nothing leaves the cache.
-        for &s in &slabs[..CAP - 1] {
-            assert_eq!(unsafe { POOL.release(s) }, 0);
+        let (cap, m) = (POOL.cache_cap, POOL.cache_cap / 2);
+        let slabs: Vec<*mut u8> = (0..cap + 1).map(|_| leak_slab()).collect();
+        // Up to and including the cap nothing leaves the cache: the M-th
+        // release fills `cur`, the next one only swaps the pair.
+        for &s in &slabs[..cap] {
+            assert_eq!(unsafe { POOL.release(s) }, 0, "a full cache is not an overflowing one");
         }
-        assert_eq!(
-            unsafe { POOL.release(slabs[CAP - 1]) },
-            0,
-            "a full cache is not an overflowing one"
-        );
         assert_eq!(POOL.overflowed(), 0);
-        // One past it: the oldest half (plus the one that tipped it) goes
-        // to the shared list, the newest stay for this thread.
-        assert_eq!(unsafe { POOL.release(slabs[CAP]) }, CAP / 2 + 1);
-        assert_eq!(POOL.overflowed(), (CAP / 2 + 1) as u64);
-        assert_eq!(POOL.cached_slabs(), CAP + 1);
-        for &s in slabs[CAP / 2 + 1..].iter().rev() {
+        assert_eq!(POOL.depot_slabs.load(Ordering::Relaxed), 0);
+        // One past it: the older magazine goes over whole, in one bump.
+        assert_eq!(unsafe { POOL.release(slabs[cap]) }, m);
+        assert_eq!(POOL.overflowed(), m as u64);
+        assert_eq!(POOL.depot_slabs.load(Ordering::Relaxed), m);
+        assert_eq!(POOL.cached_slabs(), cap + 1);
+        // The oldest M slabs are the ones that left; the newest come back
+        // newest first without touching the depot.
+        for &s in slabs[m..].iter().rev() {
             assert_eq!(POOL.acquire(), Some(s), "the newest slabs were kept");
+            assert_eq!(POOL.depot_slabs.load(Ordering::Relaxed), m);
         }
-        // Dry: the next acquire refills half a cache in one go, so the
-        // shared list keeps the one slab the refill bound left behind.
-        assert!(POOL.acquire().is_some());
-        let in_cache = CAP / 2 - 1;
-        assert_eq!(POOL.shared_len.load(Ordering::Relaxed), 1);
-        assert_eq!(POOL.cached_slabs(), in_cache + 1);
-        assert_eq!(drain_sorted(&POOL).len(), in_cache + 1);
+        // Dry: the next acquire takes the depot's magazine whole.
+        assert_eq!(POOL.acquire(), Some(slabs[m - 1]));
+        assert_eq!(POOL.depot_slabs.load(Ordering::Relaxed), 0);
+        assert_eq!(POOL.cached_slabs(), m - 1);
+        assert_eq!(drain_sorted(&POOL).len(), m - 1);
+        for s in slabs {
+            unsafe { free_slab(s) };
+        }
+    }
+
+    #[test]
+    fn alternating_at_a_magazine_boundary_never_reaches_the_depot() {
+        static POOL: SlabPool = SlabPool::new("test.thrash", 64, 8);
+        let cap = POOL.cache_cap;
+        let slabs: Vec<*mut u8> = (0..cap + 1).map(|_| leak_slab()).collect();
+        for &s in &slabs {
+            unsafe { POOL.release(s) };
+        }
+        let handed = POOL.overflowed();
+        // `cur` holds one slab over a full `prev`: popping two crosses the
+        // boundary one way, pushing them back crosses it the other.
+        for _ in 0..100 {
+            let a = POOL.acquire().unwrap();
+            let b = POOL.acquire().unwrap();
+            unsafe {
+                POOL.release(b);
+                POOL.release(a);
+            }
+        }
+        assert_eq!(POOL.overflowed(), handed, "the pair absorbs the oscillation");
+        assert_eq!(drain_sorted(&POOL).len(), cap + 1);
         for s in slabs {
             unsafe { free_slab(s) };
         }
@@ -531,19 +579,30 @@ mod tests {
         })
         .join()
         .unwrap();
-        // ... released on B, which flushes explicitly ...
+        // ... released on B, which flushes mid-way (two partial magazines
+        // join the full ones) and again at the end ...
         let to_release = born.clone();
         std::thread::spawn(move || {
-            for p in to_release {
+            for (i, p) in to_release.into_iter().enumerate() {
                 unsafe { POOL.release(p as *mut u8) };
+                if i == N / 2 {
+                    POOL.flush_thread_cache();
+                }
             }
             POOL.flush_thread_cache();
         })
         .join()
         .unwrap();
-        assert_eq!(POOL.cached_slabs(), N, "all of B's slabs are on the shared list");
-        // ... and acquired on C: each exactly once, none invented.
-        let got = std::thread::spawn(|| drain_sorted(&POOL)).join().unwrap();
+        assert_eq!(POOL.cached_slabs(), N, "all of B's slabs are in the depot");
+        let m = POOL.cache_cap / 2;
+        assert!(POOL.depot.lock().iter().any(|mag| mag.len < m), "some magazine is partial");
+        // ... and acquired on C and D, half each: every slab exactly
+        // once, none invented, whatever the magazines' sizes.
+        let take_half =
+            || std::iter::from_fn(|| POOL.acquire()).take(N / 2).map(|p| p as usize).collect();
+        let mut got: Vec<usize> = std::thread::spawn(take_half).join().unwrap();
+        got.extend(std::thread::spawn(|| drain_sorted(&POOL)).join().unwrap());
+        got.sort_unstable();
         let mut want = born;
         want.sort_unstable();
         assert_eq!(got, want);
@@ -568,33 +627,65 @@ mod tests {
     }
 
     #[test]
-    fn worker_teardown_leaves_the_gauge_exact() {
+    fn the_gauge_is_exact_at_every_runs_return() {
         static POOL: SlabPool = SlabPool::new("test.teardown", 64, 8);
         const TASKS: usize = 100;
-        // Every task retires one slab into whichever worker ran it; the
-        // pool's teardown flush must leave all of them globally counted.
-        crate::run(3, (0..TASKS).collect(), crate::Termination::Quiesce, |_, _task: usize| {
-            unsafe { POOL.release(leak_slab()) };
-        });
-        assert_eq!(POOL.cached_slabs(), TASKS);
-        POOL.flush_thread_cache(); // this thread's refill share, if any
+        // Every task retires one slab into whichever worker ran it — the
+        // caller or a resident helper, which outlives the run and so has
+        // no thread exit to flush it: each participant's flush before it
+        // reports done must leave all of them counted when `run` returns.
+        for round in 1..=100 {
+            crate::run(3, (0..TASKS).collect(), crate::Termination::Quiesce, |_, _task: usize| {
+                unsafe { POOL.release(leak_slab()) };
+            });
+            assert_eq!(POOL.cached_slabs(), round * TASKS, "after run {round}");
+            assert_eq!(POOL.with_cache(Cache::len), Some(0), "worker 0 flushed too");
+        }
         let mut freed = 0;
         POOL.trim(|p| {
             unsafe { free_slab(p) };
             freed += 1;
         });
-        assert_eq!(freed, TASKS);
+        assert_eq!(freed, 100 * TASKS);
         assert_eq!(POOL.cached_slabs(), 0);
     }
 
     #[test]
-    fn trim_drains_shared_list_only() {
+    fn trim_after_mixed_hand_overs_frees_exactly_the_gauge() {
+        static POOL: SlabPool = SlabPool::new("test.trim_mixed", 64, 4);
+        let cap = POOL.cache_cap;
+        // Full magazines from spills, partial ones from two flushes.
+        for n in [2 * cap + 1, 1, cap - 1] {
+            for _ in 0..n {
+                unsafe { POOL.release(leak_slab()) };
+            }
+            POOL.flush_thread_cache();
+        }
+        let cached = POOL.cached_slabs();
+        assert_eq!(cached, 3 * cap + 1);
+        let lens: Vec<usize> = POOL.depot.lock().iter().map(|mag| mag.len).collect();
+        assert!(lens.contains(&(cap / 2)) && lens.contains(&1), "full and partial: {lens:?}");
+        let mut freed = 0;
+        assert_eq!(
+            POOL.trim(|p| {
+                unsafe { free_slab(p) };
+                freed += 1;
+            }),
+            cached
+        );
+        assert_eq!(freed, cached);
+        assert_eq!(POOL.cached_slabs(), 0);
+        assert!(POOL.acquire().is_none());
+    }
+
+    #[test]
+    fn trim_drains_the_depot_only() {
         static POOL: SlabPool = SlabPool::new("test.trim", 64, 8);
         let a = leak_slab();
         let b = leak_slab();
         unsafe { POOL.release(a) };
         unsafe { POOL.release(b) };
-        assert_eq!(POOL.trim(|_| panic!("cache not flushed: shared list is empty")), 0);
+        assert_eq!(POOL.trim(|_| panic!("cache not flushed: the depot is empty")), 0);
         POOL.flush_thread_cache();
         let mut freed = 0;
         assert_eq!(

@@ -405,7 +405,10 @@ struct Big {
 /// `cached_slabs()` alone and keep the ledgers exact. Four spare slabs of
 /// every class stand by for that round: a leaked slab then moves the gauge
 /// instead of hiding behind an empty pool, where its successor would
-/// simply be born fresh.
+/// simply be born fresh. They are four *more* than the warm rounds settled
+/// on, because the rounds are not quite identical: an in-counter grows on
+/// a coin flip (`DynConfig::default()`, p = 1/(25·cores)), and a round
+/// that draws one takes a `ChildPair` from the vertex class's pool.
 fn spilled_state_lives_exactly_once(round: impl Fn(Big)) {
     let _guard = lock();
     let drops = Arc::new(AtomicU64::new(0));
@@ -416,17 +419,28 @@ fn spilled_state_lives_exactly_once(round: impl Fn(Big)) {
     let (mut rounds, _) = warm(run);
     for bytes in [32, 64, 128, 256, 512, 1024] {
         let class = recycle::class_for(bytes, 8).expect("a ladder size");
-        let spare: Vec<*mut u8> = (0..4).map(|_| recycle::acquire_or_alloc(class).0).collect();
-        spare.into_iter().for_each(|slab| recycle::release(class, slab));
+        // Hold whatever the pool has until four came fresh from the allocator.
+        let (mut held, mut fresh) = (Vec::new(), 0);
+        while fresh < 4 {
+            let (slab, reused) = recycle::acquire_or_alloc(class);
+            fresh += usize::from(!reused);
+            held.push(slab);
+        }
+        held.into_iter().for_each(|slab| recycle::release(class, slab));
     }
     sched::slab::flush_this_thread();
-    let cached = recycle::cached_slabs();
+    let (cached, by_class) = (recycle::cached_slabs(), recycle::cached_slabs_by_class());
     let before = Snapshot::take();
     run();
     rounds += 1;
     let d = Snapshot::take().diff(&before);
     assert_eq!(drops.load(Ordering::SeqCst), rounds, "each capture is dropped exactly once");
-    assert_eq!(recycle::cached_slabs(), cached, "a slab leaked or was released twice");
+    assert_eq!(
+        recycle::cached_slabs(),
+        cached,
+        "a slab leaked or was released twice; by class, before {by_class:?}, after {:?}",
+        recycle::cached_slabs_by_class()
+    );
     if obs::enabled() {
         for prefix in ["sched.vertex", "sched.strand"] {
             let (alloc, reuse, recycled, dropped) = family(&d, prefix);
