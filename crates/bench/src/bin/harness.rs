@@ -442,8 +442,13 @@ fn check_poisoned_bounds(opts: &Opts) -> bool {
 /// steady-state claims on the pipeline: a second identically-shaped
 /// `pipeline_stages` run must be fed from the slabs the first retired
 /// (for vertices: **zero** fresh allocations), and neither free list may
-/// keep growing (size tracks peak-live, not cumulative churn). Returns
-/// whether everything passed.
+/// keep growing (size tracks peak-live, not cumulative churn). Last, the
+/// Figure 8 question asked of the allocator under every `spawn`
+/// (`slab-flat`): the recycler's fast path touches only the calling
+/// thread's cache, so the per-thread price of an `alloc` → `free` cycle at
+/// T = min(hardware threads, 4) must stay under 1.5× its one-thread price
+/// — best sample of each, so a noisy neighbour cannot fail it alone.
+/// Returns whether everything passed.
 fn check_recycle_bounds(opts: &Opts) -> bool {
     let w = opts.measure.max_workers;
     let n = (opts.measure.n / 4).max(1 << 10);
@@ -534,8 +539,62 @@ fn check_recycle_bounds(opts: &Opts) -> bool {
              (peak-live, not churn)"
         ),
     );
+    // Alternating samples, so a spell of the host prices both alike.
+    const SLAB_SAMPLES: usize = 60;
+    let wide = sched::num_cpus().min(4);
+    let (mut one, mut many) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..SLAB_SAMPLES {
+        one = one.min(slab_cycle_ns(1));
+        many = many.min(slab_cycle_ns(wide));
+    }
+    check(
+        "slab-flat",
+        many < 1.5 * one,
+        format!(
+            "recycler cycle {one:.1} ns on one thread, {many:.1} ns per thread on T={wide}: \
+             growth {:.2}x < 1.5x (best of {SLAB_SAMPLES} each)",
+            many / one
+        ),
+    );
     println!("# recycling checks: {}", if all_ok { "PASS" } else { "FAIL" });
     all_ok
+}
+
+/// One `slab-flat` sample: `threads` threads, released together, each
+/// cycle a vertex-sized object through the typed pair the runtime itself
+/// uses (`sched::recycle::{alloc, free}`); the mean over threads of each
+/// thread's own ns per cycle.
+fn slab_cycle_ns(threads: usize) -> f64 {
+    /// Cycles per thread: a few ms, so the barrier and the thread's start
+    /// stay out of the per-cycle price.
+    const CYCLES: u64 = 400_000;
+    /// The 200-byte class `spawn` cycles its vertices through.
+    type Slab = std::mem::MaybeUninit<[u64; 25]>;
+    let cycle = || {
+        let (slab, _) = sched::recycle::alloc(Slab::uninit);
+        // SAFETY: just born by `alloc`, owned here, not used again.
+        unsafe { sched::recycle::free(std::hint::black_box(slab)) };
+    };
+    let start = std::sync::Barrier::new(threads);
+    let per_thread: Vec<f64> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    // Warm this thread's cache: the loop then times the
+                    // recycled path, not one fresh allocation.
+                    cycle();
+                    start.wait();
+                    let t0 = std::time::Instant::now();
+                    for _ in 0..CYCLES {
+                        cycle();
+                    }
+                    t0.elapsed().as_nanos() as f64 / CYCLES as f64
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("cycling thread")).collect()
+    });
+    per_thread.iter().sum::<f64>() / threads as f64
 }
 
 /// Recompute the paper's Section-4-style amortized contention bound for
@@ -679,14 +738,58 @@ fn measure_growth(runs: usize, mut f: impl FnMut() -> GrowthStats) -> (Duration,
     (elapsed, stats.expect("measure ran at least once"))
 }
 
-fn record_fanin(
+// ---------------------------------------------------------------------------
+// What every table and record is made of, written once: a figure below is
+// its axes and its cell.
+
+/// One table row: its label, then `cell(x)` for every `x` of the axis.
+fn print_series<X>(label: impl ToString, axis: &[X], cell: impl FnMut(&X) -> String) {
+    let mut row = vec![label.to_string()];
+    row.extend(axis.iter().map(cell));
+    print_row(&row);
+}
+
+/// A table's header row: the corner label, then the axis itself.
+fn print_header(corner: &str, axis: &[impl ToString]) {
+    print_series(corner, axis, |x| x.to_string());
+}
+
+/// The two outputs every timed record carries — the wall clock and the
+/// paper's y-axis, operations per second per core — and the latter
+/// formatted as the table's cell.
+fn timed(r: &mut Record, ops: u64, elapsed: Duration, workers: usize) -> String {
+    let per_core = throughput_per_core(ops, elapsed, workers);
+    r.output("exectime", format!("{:.6}", elapsed.as_secs_f64()))
+        .output("throughput_per_core", format!("{per_core:.1}"));
+    fmt_throughput(per_core)
+}
+
+/// The cell of the speedup figures: `base` over `t`.
+fn fmt_speedup(base: Duration, t: Duration) -> String {
+    format!("{:.2}", base.as_secs_f64() / t.as_secs_f64())
+}
+
+/// A row's algorithm at `workers`: a fixed one, or (`None`) the in-counter,
+/// whose threshold tracks the worker count.
+fn algo_at(row: Option<Algo>, workers: usize) -> Algo {
+    row.unwrap_or_else(|| Algo::incounter_default(workers))
+}
+
+fn algo_label(row: Option<Algo>) -> String {
+    row.map_or("incounter".to_string(), |algo| algo.name())
+}
+
+/// Measure one fanin configuration and record it: the median wall clock
+/// and the throughput cell.
+fn fanin(
     rep: &mut Reporter,
-    algo: &Algo,
+    runs: usize,
+    algo: Algo,
     workers: usize,
     n: u64,
     leaf_work: u64,
-    elapsed: Duration,
-) {
+) -> (Duration, String) {
+    let elapsed = measure(runs, || algo.run_fanin(workers, n, leaf_work));
     let mut r = Record::new("fanin", algo.family());
     r.input("algo_full", algo.name())
         .input("proc", workers)
@@ -698,86 +801,50 @@ fn record_fanin(
     if let Algo::Fixed { depth } = algo {
         r.input("depth", depth);
     }
-    r.output("exectime", format!("{:.6}", elapsed.as_secs_f64())).output(
-        "throughput_per_core",
-        format!("{:.1}", throughput_per_core(fanin_ops(n), elapsed, workers)),
-    );
-    #[cfg(feature = "global-stats")]
-    {
-        r.output("nb_incounter_nodes", snzi::stats::global::live_nodes());
-        snzi::stats::global::reset();
-    }
+    let cell = timed(&mut r, fanin_ops(n), elapsed, workers);
     rep.record(&r);
+    (elapsed, cell)
 }
 
 /// Figure 8: fanin throughput per core vs worker count, all algorithms.
 fn fig8(opts: &Opts) {
-    println!(
-        "\n## Figure 8 — fanin, n={}, throughput/core vs workers (higher is better)",
-        opts.measure.n
-    );
+    let (n, runs) = (opts.measure.n, opts.measure.runs);
+    println!("\n## Figure 8 — fanin, n={n}, throughput/core vs workers (higher is better)");
     let mut rep = open_reporter(&opts.outdir, "fig8");
     let workers = opts.measure.worker_counts();
-    let mut algos: Vec<Algo> = vec![Algo::FetchAdd];
-    for d in 1..=9 {
-        algos.push(Algo::Fixed { depth: d });
-    }
-    let mut header = vec!["algo \\ workers".to_string()];
-    header.extend(workers.iter().map(|w| w.to_string()));
-    print_row(&header);
-    for algo_kind in 0..=algos.len() {
-        // Last row: the in-counter, whose threshold tracks the worker count.
-        let mut cols = Vec::new();
-        for &w in &workers {
-            let algo =
-                if algo_kind < algos.len() { algos[algo_kind] } else { Algo::incounter_default(w) };
-            let t = measure(opts.measure.runs, || algo.run_fanin(w, opts.measure.n, 0));
-            record_fanin(&mut rep, &algo, w, opts.measure.n, 0, t);
-            cols.push(fmt_throughput(throughput_per_core(fanin_ops(opts.measure.n), t, w)));
-        }
-        let name =
-            if algo_kind < algos.len() { algos[algo_kind].name() } else { "incounter".to_string() };
-        let mut row = vec![name];
-        row.extend(cols);
-        print_row(&row);
+    let fixed = (1..=9).map(|depth| Algo::Fixed { depth });
+    print_header("algo \\ workers", &workers);
+    for row in [Algo::FetchAdd].into_iter().chain(fixed).map(Some).chain([None]) {
+        print_series(algo_label(row), &workers, |&w| {
+            fanin(&mut rep, runs, algo_at(row, w), w, n, 0).1
+        });
     }
     println!("# wrote {}", rep.path().display());
 }
 
 /// Figure 9: size invariance — in-counter throughput/core vs n.
 fn fig9(opts: &Opts) {
+    let (n, runs) = (opts.measure.n, opts.measure.runs);
     println!("\n## Figure 9 — fanin size-invariance: in-counter throughput/core vs n");
     let mut rep = open_reporter(&opts.outdir, "fig9");
-    let workers = opts.measure.worker_counts();
     let mut sizes = Vec::new();
-    let mut n = 1u64 << 12;
-    while n <= opts.measure.n {
+    let mut size = 1u64 << 12;
+    while size <= n {
+        sizes.push(size);
+        size *= 4;
+    }
+    if sizes.last() != Some(&n) {
         sizes.push(n);
-        n *= 4;
     }
-    if *sizes.last().unwrap() != opts.measure.n {
-        sizes.push(opts.measure.n);
-    }
-    let mut header = vec!["workers \\ n".to_string()];
-    header.extend(sizes.iter().map(|s| s.to_string()));
-    print_row(&header);
-    for &w in &workers {
+    print_header("workers \\ n", &sizes);
+    for w in opts.measure.worker_counts() {
         let algo = Algo::incounter_default(w);
-        let mut row = vec![format!("incounter w={w}")];
-        for &size in &sizes {
-            let t = measure(opts.measure.runs, || algo.run_fanin(w, size, 0));
-            record_fanin(&mut rep, &algo, w, size, 0, t);
-            row.push(fmt_throughput(throughput_per_core(fanin_ops(size), t, w)));
-        }
-        print_row(&row);
+        print_series(format!("incounter w={w}"), &sizes, |&size| {
+            fanin(&mut rep, runs, algo, w, size, 0).1
+        });
     }
     // Reference: single-core fetch-and-add (the paper's "within factor 2").
-    let t = measure(opts.measure.runs, || Algo::FetchAdd.run_fanin(1, opts.measure.n, 0));
-    record_fanin(&mut rep, &Algo::FetchAdd, 1, opts.measure.n, 0, t);
-    print_row(&[
-        "fetch-add w=1".to_string(),
-        fmt_throughput(throughput_per_core(fanin_ops(opts.measure.n), t, 1)),
-    ]);
+    print_series("fetch-add w=1", &[n], |&n| fanin(&mut rep, runs, Algo::FetchAdd, 1, n, 0).1);
     println!("# wrote {}", rep.path().display());
 }
 
@@ -787,92 +854,54 @@ fn fig10(opts: &Opts) {
     println!("\n## Figure 10 — indegree2, n={n}, throughput/core vs workers");
     let mut rep = open_reporter(&opts.outdir, "fig10");
     let workers = opts.measure.worker_counts();
-    let mut header = vec!["algo \\ workers".to_string()];
-    header.extend(workers.iter().map(|w| w.to_string()));
-    print_row(&header);
-    let static_algos = [Algo::FetchAdd, Algo::Fixed { depth: 2 }, Algo::Fixed { depth: 4 }];
-    for idx in 0..=static_algos.len() {
-        let mut cols = Vec::new();
-        let mut label = String::new();
-        for &w in &workers {
-            let algo = if idx < static_algos.len() {
-                static_algos[idx]
-            } else {
-                Algo::incounter_default(w)
-            };
-            label = if idx < static_algos.len() { algo.name() } else { "incounter".to_string() };
+    print_header("algo \\ workers", &workers);
+    let fixed = [Algo::FetchAdd, Algo::Fixed { depth: 2 }, Algo::Fixed { depth: 4 }];
+    for row in fixed.into_iter().map(Some).chain([None]) {
+        print_series(algo_label(row), &workers, |&w| {
+            let algo = algo_at(row, w);
             let t = measure(opts.measure.runs, || algo.run_indegree2(w, n));
             let mut r = Record::new("indegree2", algo.family());
             r.input("algo_full", algo.name()).input("proc", w).input("n", n);
-            r.output("exectime", format!("{:.6}", t.as_secs_f64())).output(
-                "throughput_per_core",
-                format!("{:.1}", throughput_per_core(indegree2_ops(n), t, w)),
-            );
+            let cell = timed(&mut r, indegree2_ops(n), t, w);
             rep.record(&r);
-            cols.push(fmt_throughput(throughput_per_core(indegree2_ops(n), t, w)));
-        }
-        let mut row = vec![label];
-        row.extend(cols);
-        print_row(&row);
+            cell
+        });
     }
     println!("# wrote {}", rep.path().display());
 }
 
 /// Figure 11: the threshold study (p = 1/threshold) at max workers.
 fn fig11(opts: &Opts) {
-    let w = opts.measure.max_workers;
-    println!("\n## Figure 11 — fanin threshold study at {w} workers, n={}", opts.measure.n);
+    let (w, n) = (opts.measure.max_workers, opts.measure.n);
+    println!("\n## Figure 11 — fanin threshold study at {w} workers, n={n}");
     let mut rep = open_reporter(&opts.outdir, "fig11");
-    print_row(&["threshold".to_string(), "ops/s/core".to_string()]);
+    print_header("threshold", &["ops/s/core"]);
     for threshold in [10u64, 50, 100, 500, 1_000, 5_000, 10_000, 50_000, 1_000_000] {
         let algo = Algo::incounter_threshold(threshold);
-        let t = measure(opts.measure.runs, || algo.run_fanin(w, opts.measure.n, 0));
-        record_fanin(&mut rep, &algo, w, opts.measure.n, 0, t);
-        print_row(&[
-            threshold.to_string(),
-            fmt_throughput(throughput_per_core(fanin_ops(opts.measure.n), t, w)),
-        ]);
+        print_series(threshold, &[w], |&w| fanin(&mut rep, opts.measure.runs, algo, w, n, 0).1);
     }
     println!("# wrote {}", rep.path().display());
 }
 
 /// Figure 12: SNZI reproduction study — raw counter ops, no dag.
 fn fig12(opts: &Opts) {
+    let pairs = opts.pairs;
     println!(
-        "\n## Figure 12 — raw counter microbenchmark ({} arrive/depart pairs per thread)",
-        opts.pairs
+        "\n## Figure 12 — raw counter microbenchmark ({pairs} arrive/depart pairs per thread)"
     );
     let mut rep = open_reporter(&opts.outdir, "fig12");
-    let threads: Vec<usize> = {
-        let mut v = vec![1usize];
-        while *v.last().unwrap() < opts.measure.max_workers {
-            v.push((v.last().unwrap() * 2).min(opts.measure.max_workers));
-        }
-        v.dedup();
-        v
-    };
-    let mut header = vec!["counter \\ threads".to_string()];
-    header.extend(threads.iter().map(|t| t.to_string()));
-    print_row(&header);
-    let mut kinds = vec![(RawCounter::FetchAdd, "fetch-add".to_string())];
-    for d in 1..=5 {
-        kinds.push((RawCounter::FixedSnzi { depth: d }, format!("snzi-depth-{d}")));
-    }
-    for (kind, name) in kinds {
-        let mut row = vec![name.clone()];
-        for &t in &threads {
-            let elapsed = measure(opts.measure.runs, || raw_counter_bench(kind, t, opts.pairs));
-            let ops = 2 * t as u64 * opts.pairs;
+    let threads = opts.measure.worker_counts();
+    print_header("counter \\ threads", &threads);
+    let snzi = (1..=5).map(|d| (RawCounter::FixedSnzi { depth: d }, format!("snzi-depth-{d}")));
+    for (kind, name) in [(RawCounter::FetchAdd, "fetch-add".to_string())].into_iter().chain(snzi) {
+        print_series(&name, &threads, |&t| {
+            let elapsed = measure(opts.measure.runs, || raw_counter_bench(kind, t, pairs));
             let mut r = Record::new("raw-counter", &name);
-            r.input("proc", t).input("pairs", opts.pairs);
-            r.output("exectime", format!("{:.6}", elapsed.as_secs_f64())).output(
-                "throughput_per_core",
-                format!("{:.1}", throughput_per_core(ops, elapsed, t)),
-            );
+            r.input("proc", t).input("pairs", pairs);
+            let cell = timed(&mut r, 2 * t as u64 * pairs, elapsed, t);
             rep.record(&r);
-            row.push(fmt_throughput(throughput_per_core(ops, elapsed, t)));
-        }
-        print_row(&row);
+            cell
+        });
     }
     println!("# wrote {}", rep.path().display());
 }
@@ -881,25 +910,16 @@ fn fig12(opts: &Opts) {
 /// vs eager remote pre-placement). The paper's NUMA study was a null
 /// result; the check here is that the two policies coincide too.
 fn fig13(opts: &Opts) {
-    println!(
-        "\n## Figure 13 (substituted) — node placement policy A/B, fanin n={}",
-        opts.measure.n
-    );
+    let (n, runs) = (opts.measure.n, opts.measure.runs);
+    println!("\n## Figure 13 (substituted) — node placement policy A/B, fanin n={n}");
     let mut rep = open_reporter(&opts.outdir, "fig13");
     let workers = opts.measure.worker_counts();
-    let mut header = vec!["policy \\ workers".to_string()];
-    header.extend(workers.iter().map(|w| w.to_string()));
-    print_row(&header);
-    for pregrow in [0u32, 2] {
-        let mut row =
-            vec![if pregrow == 0 { "first-touch".to_string() } else { "pre-placed".to_string() }];
-        for &w in &workers {
+    print_header("policy \\ workers", &workers);
+    for (policy, pregrow) in [("first-touch", 0u32), ("pre-placed", 2)] {
+        print_series(policy, &workers, |&w| {
             let algo = Algo::InCounter { threshold: 25 * w as u64, pregrow };
-            let t = measure(opts.measure.runs, || algo.run_fanin(w, opts.measure.n, 0));
-            record_fanin(&mut rep, &algo, w, opts.measure.n, 0, t);
-            row.push(fmt_throughput(throughput_per_core(fanin_ops(opts.measure.n), t, w)));
-        }
-        print_row(&row);
+            fanin(&mut rep, runs, algo, w, n, 0).1
+        });
     }
     println!("# wrote {}", rep.path().display());
 }
@@ -909,74 +929,62 @@ fn fig13(opts: &Opts) {
 /// dag-level fanout broadcast, and (c) the pipeline wavefront.
 fn outset_bench(opts: &Opts) {
     let n = (opts.measure.n / 4).max(1 << 10);
+    let runs = opts.measure.runs;
     let mut rep = open_reporter(&opts.outdir, "outset");
     let workers = opts.measure.worker_counts();
     let kinds = [RawOutset::Tree, RawOutset::Mutex];
+    let cfg = |w| DynConfig::with_threshold(Algo::default_threshold(w));
 
     println!("\n## Outset (raw) — adds/s/core vs threads, one shared out-set");
-    let mut header = vec!["outset \\ threads".to_string()];
-    header.extend(workers.iter().map(|w| w.to_string()));
-    print_row(&header);
+    print_header("outset \\ threads", &workers);
     let raw_adds = (opts.measure.n / 8).max(1 << 12);
     for kind in kinds {
-        let mut row = vec![kind.name().to_string()];
-        for &t in &workers {
-            let elapsed = measure(opts.measure.runs, || raw_outset_bench(kind, t, raw_adds));
-            let ops = t as u64 * raw_adds;
+        print_series(kind.name(), &workers, |&t| {
+            let elapsed = measure(runs, || raw_outset_bench(kind, t, raw_adds));
             let mut r = Record::new("raw-outset", kind.name());
             r.input("proc", t).input("adds", raw_adds);
-            r.output("exectime", format!("{:.6}", elapsed.as_secs_f64())).output(
-                "throughput_per_core",
-                format!("{:.1}", throughput_per_core(ops, elapsed, t)),
-            );
+            let cell = timed(&mut r, t as u64 * raw_adds, elapsed, t);
             rep.record(&r);
-            row.push(fmt_throughput(throughput_per_core(ops, elapsed, t)));
-        }
-        print_row(&row);
+            cell
+        });
     }
 
     println!("\n## Outset (dag) — fanout_broadcast, n={n}, ops/s/core vs workers");
-    let mut header = vec!["outset \\ workers".to_string()];
-    header.extend(workers.iter().map(|w| w.to_string()));
-    print_row(&header);
+    print_header("outset \\ workers", &workers);
     for kind in kinds {
-        let mut row = vec![kind.name().to_string()];
-        for &w in &workers {
-            let cfg = DynConfig::with_threshold(Algo::default_threshold(w));
-            let t = measure(opts.measure.runs, || kind.run_fanout(cfg, w, n));
+        print_series(kind.name(), &workers, |&w| {
+            let t = measure(runs, || kind.run_fanout(cfg(w), w, n));
             let mut r = Record::new("fanout-broadcast", kind.name());
             r.input("proc", w).input("n", n);
-            r.output("exectime", format!("{:.6}", t.as_secs_f64())).output(
-                "throughput_per_core",
-                format!("{:.1}", throughput_per_core(fanout_broadcast_ops(n), t, w)),
-            );
+            let cell = timed(&mut r, fanout_broadcast_ops(n), t, w);
             rep.record(&r);
-            row.push(fmt_throughput(throughput_per_core(fanout_broadcast_ops(n), t, w)));
-        }
-        print_row(&row);
+            cell
+        });
     }
 
     let (stages, width) = (32u64, (n / 64).max(16));
     println!("\n## Outset (dag) — pipeline_stages {stages}×{width}, ops/s/core vs workers");
-    let mut header = vec!["outset \\ workers".to_string()];
-    header.extend(workers.iter().map(|w| w.to_string()));
-    print_row(&header);
+    print_header("outset \\ workers", &workers);
     for kind in kinds {
-        let mut row = vec![kind.name().to_string()];
-        for &w in &workers {
-            let cfg = DynConfig::with_threshold(Algo::default_threshold(w));
-            let t = measure(opts.measure.runs, || kind.run_pipeline(cfg, w, stages, width));
-            let ops = pipeline_stages_ops(stages, width);
+        print_series(kind.name(), &workers, |&w| {
+            let t = measure(runs, || kind.run_pipeline(cfg(w), w, stages, width));
             let mut r = Record::new("pipeline-stages", kind.name());
             r.input("proc", w).input("stages", stages).input("width", width);
-            r.output("exectime", format!("{:.6}", t.as_secs_f64()))
-                .output("throughput_per_core", format!("{:.1}", throughput_per_core(ops, t, w)));
+            let cell = timed(&mut r, pipeline_stages_ops(stages, width), t, w);
             rep.record(&r);
-            row.push(fmt_throughput(throughput_per_core(ops, t, w)));
-        }
-        print_row(&row);
+            cell
+        });
     }
     println!("# wrote {}", rep.path().display());
+}
+
+/// The observables every growth record and growth row carries: converged
+/// lane count, splits, lost installation races.
+fn growth_columns(r: &mut Record, stats: &GrowthStats) -> [String; 3] {
+    r.output("final_lanes", stats.final_lanes)
+        .output("splits", stats.splits)
+        .output("install_races", stats.install_races);
+    [stats.final_lanes, stats.splits, stats.install_races].map(|c| c.to_string())
 }
 
 /// Growth-curve study of the adaptive lane table (the validation half of
@@ -987,54 +995,32 @@ fn outset_bench(opts: &Opts) {
 /// single-dependent footprint against the superseded fixed default.
 fn growth_study(opts: &Opts) {
     let adds = opts.grow_adds.unwrap_or((opts.measure.n / 8).max(1 << 12));
+    let runs = opts.measure.runs;
     let mut rep = open_reporter(&opts.outdir, "growth");
     let workers = opts.measure.worker_counts();
 
     println!("\n## Growth (raw) — adaptive outset from 1 lane, {adds} adds/thread, p=1/2");
-    print_row(&[
-        "threads".to_string(),
-        "Madds/s/core".to_string(),
-        "final lanes".to_string(),
-        "splits".to_string(),
-        "lost CASes".to_string(),
-        "adds@1st split".to_string(),
-    ]);
+    print_header(
+        "threads",
+        &["Madds/s/core", "final lanes", "splits", "lost CASes", "adds@1st split"],
+    );
     for &t in &workers {
-        let (elapsed, stats) = measure_growth(opts.measure.runs, || {
-            raw_growth_bench(t, adds, 1, GrowthPolicy::default())
-        });
-        let ops = t as u64 * adds;
+        let (elapsed, stats) =
+            measure_growth(runs, || raw_growth_bench(t, adds, 1, GrowthPolicy::default()));
+        let first_split = stats.adds_to_first_split.map_or("-".to_string(), |a| a.to_string());
         let mut r = Record::new("growth-curve", "outset-tree-adaptive");
         r.input("proc", t).input("adds", adds);
-        r.output("exectime", format!("{:.6}", elapsed.as_secs_f64()))
-            .output("throughput_per_core", format!("{:.1}", throughput_per_core(ops, elapsed, t)))
-            .output("final_lanes", stats.final_lanes)
-            .output("splits", stats.splits)
-            .output("install_races", stats.install_races)
-            .output(
-                "adds_to_first_split",
-                stats.adds_to_first_split.map_or("-".to_string(), |a| a.to_string()),
-            );
+        let mut row = vec![t.to_string(), timed(&mut r, t as u64 * adds, elapsed, t)];
+        row.extend(growth_columns(&mut r, &stats));
+        r.output("adds_to_first_split", &first_split);
+        row.push(first_split);
         rep.record(&r);
-        print_row(&[
-            t.to_string(),
-            fmt_throughput(throughput_per_core(ops, elapsed, t)),
-            stats.final_lanes.to_string(),
-            stats.splits.to_string(),
-            stats.install_races.to_string(),
-            stats.adds_to_first_split.map_or("-".to_string(), |a| a.to_string()),
-        ]);
+        print_row(&row);
     }
 
     let w = opts.measure.max_workers;
     println!("\n## Growth (raw) — lanes vs split probability at {w} threads, {adds} adds/thread");
-    print_row(&[
-        "p(split|lost CAS)".to_string(),
-        "Madds/s/core".to_string(),
-        "final lanes".to_string(),
-        "splits".to_string(),
-        "lost CASes".to_string(),
-    ]);
+    print_header("p(split|lost CAS)", &["Madds/s/core", "final lanes", "splits", "lost CASes"]);
     let max_lanes = GrowthPolicy::default_max_lanes();
     for (name, p) in [
         ("1", Probability::ALWAYS),
@@ -1044,77 +1030,44 @@ fn growth_study(opts: &Opts) {
         ("0 (fixed 1 lane)", Probability::NEVER),
     ] {
         let policy = GrowthPolicy::new(p, max_lanes);
-        let (elapsed, stats) =
-            measure_growth(opts.measure.runs, || raw_growth_bench(w, adds, 1, policy));
-        let ops = w as u64 * adds;
+        let (elapsed, stats) = measure_growth(runs, || raw_growth_bench(w, adds, 1, policy));
         let mut r = Record::new("growth-policy", "outset-tree-adaptive");
         r.input("proc", w).input("adds", adds).input("p", name);
-        r.output("exectime", format!("{:.6}", elapsed.as_secs_f64()))
-            .output("throughput_per_core", format!("{:.1}", throughput_per_core(ops, elapsed, w)))
-            .output("final_lanes", stats.final_lanes)
-            .output("splits", stats.splits)
-            .output("install_races", stats.install_races);
+        let mut row = vec![name.to_string(), timed(&mut r, w as u64 * adds, elapsed, w)];
+        row.extend(growth_columns(&mut r, &stats));
         rep.record(&r);
-        print_row(&[
-            name.to_string(),
-            fmt_throughput(throughput_per_core(ops, elapsed, w)),
-            stats.final_lanes.to_string(),
-            stats.splits.to_string(),
-            stats.install_races.to_string(),
-        ]);
+        print_row(&row);
     }
 
     let n = (opts.measure.n / 4).max(1 << 10);
     println!("\n## Growth (dag) — fanout_broadcast hub probe, n={n}");
-    print_row(&[
-        "workers".to_string(),
-        "ops/s/core".to_string(),
-        "hub lanes".to_string(),
-        "splits".to_string(),
-        "lost CASes".to_string(),
-    ]);
+    print_header("workers", &["ops/s/core", "hub lanes", "splits", "lost CASes"]);
     for &w in &workers {
         let cfg = DynConfig::with_threshold(Algo::default_threshold(w));
         let (elapsed, stats) =
-            measure_growth(opts.measure.runs, || fanout_broadcast_probed::<DynSnzi>(cfg, w, n).1);
+            measure_growth(runs, || fanout_broadcast_probed::<DynSnzi>(cfg, w, n).1);
         let mut r = Record::new("fanout-broadcast-growth", "outset-tree-adaptive");
         r.input("proc", w).input("n", n);
-        r.output("exectime", format!("{:.6}", elapsed.as_secs_f64()))
-            .output(
-                "throughput_per_core",
-                format!("{:.1}", throughput_per_core(fanout_broadcast_ops(n), elapsed, w)),
-            )
-            .output("final_lanes", stats.final_lanes)
-            .output("splits", stats.splits)
-            .output("install_races", stats.install_races);
+        let mut row = vec![w.to_string(), timed(&mut r, fanout_broadcast_ops(n), elapsed, w)];
+        row.extend(growth_columns(&mut r, &stats));
         rep.record(&r);
-        print_row(&[
-            w.to_string(),
-            fmt_throughput(throughput_per_core(fanout_broadcast_ops(n), elapsed, w)),
-            stats.final_lanes.to_string(),
-            stats.splits.to_string(),
-            stats.install_races.to_string(),
-        ]);
+        print_row(&row);
     }
 
     println!("\n## Growth — single-dependent footprint (bytes of heap per out-set)");
     let f = outset_footprint_report();
-    print_row(&["shape".to_string(), "fresh".to_string(), "after 1 add".to_string()]);
-    print_row(&[
-        "adaptive (1 lane)".to_string(),
-        f.adaptive_fresh.to_string(),
-        f.adaptive_one_add.to_string(),
-    ]);
-    print_row(&[
+    print_header("shape", &["fresh", "after 1 add"]);
+    print_series("adaptive (1 lane)", &[f.adaptive_fresh, f.adaptive_one_add], usize::to_string);
+    print_series(
         format!("fixed ({} lanes, superseded default)", f.fixed_lanes),
-        f.fixed_fresh.to_string(),
-        f.fixed_one_add.to_string(),
-    ]);
-    print_row(&[
+        &[f.fixed_fresh, f.fixed_one_add],
+        usize::to_string,
+    );
+    print_series(
         format!("recycler standby ({} blocks, process-wide)", f.recycler_cached_blocks),
-        f.recycler_cached_bytes.to_string(),
-        f.recycler_cached_bytes.to_string(),
-    ]);
+        &[f.recycler_cached_bytes, f.recycler_cached_bytes],
+        usize::to_string,
+    );
     let mut r = Record::new("outset-footprint", "outset-tree-adaptive");
     r.input("fixed_lanes", f.fixed_lanes);
     r.output("adaptive_fresh_bytes", f.adaptive_fresh)
@@ -1136,25 +1089,19 @@ fn grain_n(base_n: u64, leaf_work: u64) -> u64 {
 /// Figure 14: speedup of each algorithm over fetch-and-add at max workers,
 /// as per-task dummy work varies.
 fn fig14(opts: &Opts) {
-    let w = opts.measure.max_workers;
+    let (w, runs) = (opts.measure.max_workers, opts.measure.runs);
     println!("\n## Figure 14 — granularity study at {w} workers (speedup vs fetch-add)");
     let mut rep = open_reporter(&opts.outdir, "fig14");
-    print_row(&[
-        "work(ns)".to_string(),
-        "n".to_string(),
-        "fetch-add".to_string(),
-        "snzi-depth-9".to_string(),
-        "incounter".to_string(),
-    ]);
+    let algos = [Algo::FetchAdd, Algo::Fixed { depth: 9 }, Algo::incounter_default(w)];
+    print_header("work(ns)", &["n", "fetch-add", "snzi-depth-9", "incounter"]);
     for leaf_work in [1u64, 10, 100, 1_000, 10_000] {
         let n = grain_n(opts.measure.n, leaf_work);
-        let t_fa = measure(opts.measure.runs, || Algo::FetchAdd.run_fanin(w, n, leaf_work));
-        record_fanin(&mut rep, &Algo::FetchAdd, w, n, leaf_work, t_fa);
-        let mut row = vec![leaf_work.to_string(), n.to_string(), "1.00".to_string()];
-        for algo in [Algo::Fixed { depth: 9 }, Algo::incounter_default(w)] {
-            let t = measure(opts.measure.runs, || algo.run_fanin(w, n, leaf_work));
-            record_fanin(&mut rep, &algo, w, n, leaf_work, t);
-            row.push(format!("{:.2}", t_fa.as_secs_f64() / t.as_secs_f64()));
+        let mut row = vec![leaf_work.to_string(), n.to_string()];
+        // The first algorithm, fetch-and-add, is the row's base.
+        let mut base = None;
+        for algo in algos {
+            let (t, _) = fanin(&mut rep, runs, algo, w, n, leaf_work);
+            row.push(fmt_speedup(*base.get_or_insert(t), t));
         }
         print_row(&row);
     }
@@ -1164,34 +1111,19 @@ fn fig14(opts: &Opts) {
 /// Figure 15 (a–e): speedup over single-core fetch-and-add vs worker
 /// count, one panel per dummy-work amount.
 fn fig15(opts: &Opts) {
+    let runs = opts.measure.runs;
     println!("\n## Figure 15 — speedup vs workers at fixed dummy work (baseline: fetch-add @1)");
     let mut rep = open_reporter(&opts.outdir, "fig15");
     let workers = opts.measure.worker_counts();
     for leaf_work in [1u64, 10, 100, 1_000, 10_000] {
         let n = grain_n(opts.measure.n, leaf_work);
         println!("# panel: {leaf_work} ns dummy work per task, n={n}");
-        let base = measure(opts.measure.runs, || Algo::FetchAdd.run_fanin(1, n, leaf_work));
-        record_fanin(&mut rep, &Algo::FetchAdd, 1, n, leaf_work, base);
-        let mut header = vec!["algo \\ workers".to_string()];
-        header.extend(workers.iter().map(|w| w.to_string()));
-        print_row(&header);
-        for idx in 0..3 {
-            let mut row = Vec::new();
-            let mut label = String::new();
-            for &w in &workers {
-                let algo = match idx {
-                    0 => Algo::FetchAdd,
-                    1 => Algo::Fixed { depth: 9 },
-                    _ => Algo::incounter_default(w),
-                };
-                label = if idx == 2 { "incounter".to_string() } else { algo.name() };
-                let t = measure(opts.measure.runs, || algo.run_fanin(w, n, leaf_work));
-                record_fanin(&mut rep, &algo, w, n, leaf_work, t);
-                row.push(format!("{:.2}", base.as_secs_f64() / t.as_secs_f64()));
-            }
-            let mut cols = vec![label];
-            cols.extend(row);
-            print_row(&cols);
+        let (base, _) = fanin(&mut rep, runs, Algo::FetchAdd, 1, n, leaf_work);
+        print_header("algo \\ workers", &workers);
+        for row in [Some(Algo::FetchAdd), Some(Algo::Fixed { depth: 9 }), None] {
+            print_series(algo_label(row), &workers, |&w| {
+                fmt_speedup(base, fanin(&mut rep, runs, algo_at(row, w), w, n, leaf_work).0)
+            });
         }
     }
     println!("# wrote {}", rep.path().display());

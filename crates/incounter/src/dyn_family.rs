@@ -33,30 +33,24 @@ pub struct DynConfig {
     /// placement) — the closest controllable analogue of the paper's NUMA
     /// page-placement study (Figure 13), which found no significant effect.
     pub pregrow_levels: u32,
-    /// Ablation knob: reverse the decrement-pair order, handing the
-    /// *fresh, lower* handle to the first claimer. This violates the
-    /// "decrement higher nodes first" discipline behind Lemma 4.6 —
-    /// correctness is unaffected (any valid matching works) but the
-    /// contention bound's mechanism is disabled. Benchmarks only.
-    pub ablate_claim_order: bool,
 }
 
 impl DynConfig {
     /// Grow on every increment (`p = 1`): the regime of the paper's
     /// theorems, and the strongest contention avoidance.
     pub fn always_grow() -> DynConfig {
-        DynConfig { p: Probability::ALWAYS, ..DynConfig::base() }
+        DynConfig { p: Probability::ALWAYS, pregrow_levels: 0 }
     }
 
     /// Never grow: collapses onto a single cell. Correct, but intentionally
     /// forfeits the contention bound — used for failure injection.
     pub fn never_grow() -> DynConfig {
-        DynConfig { p: Probability::NEVER, ..DynConfig::base() }
+        DynConfig { p: Probability::NEVER, pregrow_levels: 0 }
     }
 
     /// The paper's `p = 1/threshold` parameterisation (Figure 11).
     pub fn with_threshold(threshold: u64) -> DynConfig {
-        DynConfig { p: Probability::one_over(threshold), ..DynConfig::base() }
+        DynConfig { p: Probability::one_over(threshold), pregrow_levels: 0 }
     }
 
     /// Builder-style override of the pre-grow level count.
@@ -64,22 +58,12 @@ impl DynConfig {
         self.pregrow_levels = levels;
         self
     }
-
-    /// Builder-style override of the claim-order ablation.
-    pub fn ablated_claim_order(mut self) -> DynConfig {
-        self.ablate_claim_order = true;
-        self
-    }
-
-    fn base() -> DynConfig {
-        DynConfig { p: Probability::ALWAYS, pregrow_levels: 0, ablate_claim_order: false }
-    }
 }
 
 impl Default for DynConfig {
     /// Default to the paper's recommended `1/(25·cores)`.
     fn default() -> DynConfig {
-        DynConfig { p: Probability::default_for_cores(sched_cores()), ..DynConfig::base() }
+        DynConfig { p: Probability::default_for_cores(sched_cores()), pregrow_levels: 0 }
     }
 }
 
@@ -153,14 +137,6 @@ impl CounterFamily for DynSnzi {
 
     fn is_zero(counter: &SnziTree) -> bool {
         !counter.query()
-    }
-
-    fn make_pair(cfg: &DynConfig, inherited: Handle, fresh: Handle) -> crate::DecPair<Handle> {
-        if cfg.ablate_claim_order {
-            crate::DecPair::new(fresh, inherited)
-        } else {
-            crate::DecPair::new(inherited, fresh)
-        }
     }
 }
 

@@ -133,9 +133,9 @@ pub trait CounterFamily: 'static {
     fn is_zero(counter: &Self::Counter) -> bool;
 
     /// Build the shared decrement pair for two sibling vertices from the
-    /// inherited (higher) and fresh (lower) handles. The default keeps the
-    /// paper's ordering invariant — inherited first, so higher nodes are
-    /// decremented earlier (Lemma 4.6). Overridable for ablation studies.
+    /// inherited (higher) and fresh (lower) handles, in the paper's order:
+    /// inherited first, so higher nodes are decremented earlier
+    /// (Lemma 4.6). No family overrides it.
     fn make_pair(
         _cfg: &Self::Config,
         inherited: Self::Dec,

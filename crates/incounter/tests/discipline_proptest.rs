@@ -99,12 +99,6 @@ proptest! {
     }
 
     #[test]
-    fn dyn_snzi_ablated_claim_order(choices in schedule()) {
-        // Reversed claim order stays *correct* (the bound is what breaks).
-        drive::<DynSnzi>(DynConfig::always_grow().ablated_claim_order(), &choices);
-    }
-
-    #[test]
     fn fetch_add(choices in schedule()) {
         drive::<FetchAdd>((), &choices);
     }

@@ -95,43 +95,6 @@ impl StatsSnapshot {
     }
 }
 
-/// Process-wide counters for the harness's artifact output (`global-stats`
-/// feature). These are hot shared lines by design — never enable them for
-/// contention measurements.
-#[cfg(feature = "global-stats")]
-pub mod global {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Trees (in-counters) created since process start / last reset.
-    pub static TREES_CREATED: AtomicU64 = AtomicU64::new(0);
-    /// Child pairs installed by `grow`.
-    pub static PAIRS_INSTALLED: AtomicU64 = AtomicU64::new(0);
-    /// Child pairs detached by pruning.
-    pub static PAIRS_PRUNED: AtomicU64 = AtomicU64::new(0);
-
-    /// `(trees, pairs_installed, pairs_pruned)` snapshot.
-    pub fn snapshot() -> (u64, u64, u64) {
-        (
-            TREES_CREATED.load(Ordering::Relaxed),
-            PAIRS_INSTALLED.load(Ordering::Relaxed),
-            PAIRS_PRUNED.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Total SNZI nodes currently implied by the counters.
-    pub fn live_nodes() -> u64 {
-        let (trees, installed, pruned) = snapshot();
-        trees + 2 * (installed - pruned)
-    }
-
-    /// Zero all counters (between harness configurations).
-    pub fn reset() {
-        TREES_CREATED.store(0, Ordering::Relaxed);
-        PAIRS_INSTALLED.store(0, Ordering::Relaxed);
-        PAIRS_PRUNED.store(0, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

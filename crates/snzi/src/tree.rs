@@ -143,8 +143,6 @@ impl SnziTree {
         assert!(initial <= MAX_ROOT_SURPLUS as u64, "initial surplus too large");
         let id = next_tree_id();
         obs::counter!("snzi.trees_created").inc();
-        #[cfg(feature = "global-stats")]
-        crate::stats::global::TREES_CREATED.fetch_add(1, Ordering::Relaxed);
         SnziTree {
             root: recycle::alloc(|| Root::new(initial as u32, id)).0,
             p,
@@ -327,8 +325,6 @@ impl SnziTree {
                 Ok(_) => {
                     self.stats.grow_installs.fetch_add(1, Ordering::Relaxed);
                     obs::counter!("snzi.grow_installs").inc();
-                    #[cfg(feature = "global-stats")]
-                    crate::stats::global::PAIRS_INSTALLED.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(_) => {
                     // Lost the race; reclaim the local allocation.

@@ -107,6 +107,12 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     /// left` with continuation `right`). Creates two vertices that may run
     /// concurrently; the enclosing finish scope waits for both. The
     /// current vertex dies — it does not signal.
+    ///
+    /// The body may keep running plain code after this call, but that
+    /// code is ordered before nothing in the dag: the children carry the
+    /// scope's obligation and the enclosing finish can run while it is
+    /// still executing. The one exception is the return value of a
+    /// future's body — the future completes only once it is published.
     pub fn spawn(
         self,
         left: impl for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
@@ -141,7 +147,9 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     /// Serial composition (the paper's `chain`; equivalently `finish {
     /// first }` followed by `then`). `then` runs only after `first` and
     /// everything it transitively spawns have finished. The current vertex
-    /// dies — `then` inherits its handles and obligations.
+    /// dies — `then` inherits its handles and obligations. As after
+    /// [`spawn`](Ctx::spawn), code after this call is ordered before
+    /// nothing but the enclosing future's completion.
     pub fn chain(
         self,
         first: impl for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,

@@ -25,6 +25,15 @@
 //! [`FutureHandle`]; the enclosing finish scope waits for the future like
 //! for any fork, so a future can never dangle.
 //!
+//! **A future completes after its subtree *and* after its value is
+//! published or its setter dropped.** The two are not the same moment: a
+//! body that ends its vertex with [`Ctx::spawn`], [`Ctx::chain`] or
+//! [`Ctx::touch`] and *then* returns the value has handed its obligation
+//! to children that may finish, on another worker, before the `return`.
+//! The completion vertex therefore waits for the body's one value setter
+//! to go — after its write, or unused when the body panicked (the future
+//! is then *poisoned*: complete, without a value; `docs/robustness.md`).
+//!
 //! [`Ctx::touch`] ends the current vertex —
 //! like [`Ctx::chain`] — with a continuation that runs strictly after
 //! **both** the toucher's position in its own scope allows it **and** the
@@ -124,14 +133,19 @@ struct FutureCore<T, O: OutsetFamily> {
     /// Set by the completion vertex just before the out-set seal; the
     /// publication edge for [`FutureHandle::try_get`].
     completed: AtomicBool,
+    /// Set when the one [`ValueSetter`] goes — after its write, or without
+    /// one (poisoned). The completion vertex waits for it: the body may end
+    /// its vertex with a consuming `spawn`/`chain`/`touch` and still be
+    /// running toward its `return` when the subtree it left behind is done.
+    published: AtomicBool,
 }
 
-// SAFETY: `value` is written exactly once (by the body vertex) and read
-// only after `completed` is observed true or the reader was scheduled by
-// the completion sweep, both of which happen-after the write through the
-// scheduler's synchronization — so `&T` may be shared across threads
-// (T: Sync) after a cross-thread move (T: Send). The out-set is Sync by
-// its trait bounds.
+// SAFETY: `value` is written exactly once (through the one `ValueSetter`)
+// and read only after `completed` is observed true or the reader was
+// scheduled by the completion sweep; the completion vertex sets neither in
+// motion before it has acquired `published`, which the setter releases
+// after the write — so `&T` may be shared across threads (T: Sync) after a
+// cross-thread move (T: Send). The out-set is Sync by its trait bounds.
 unsafe impl<T: Send + Sync, O: OutsetFamily> Send for FutureCore<T, O> {}
 unsafe impl<T: Send + Sync, O: OutsetFamily> Sync for FutureCore<T, O> {}
 
@@ -235,12 +249,24 @@ struct ValueSetter<T, O: OutsetFamily> {
 
 impl<T: Send + Sync, O: OutsetFamily> ValueSetter<T, O> {
     /// Publish the future's value. Consumes the setter: the type system
-    /// enforces the single write `FutureCore::value_ref` relies on.
+    /// enforces the single write `FutureCore::value_ref` relies on, and
+    /// the drop at the end of this call releases it to the completion
+    /// vertex.
     fn set(self, value: T) {
         // SAFETY: the setter is handed out once and consumed here, by a
         // strand of the future's own subtree — ordered before every read
         // via the completion protocol (see FutureCore).
         unsafe { *self.core.value.get() = Some(value) };
+    }
+}
+
+/// The one publication point of every constructor: the setter going —
+/// after [`set`](ValueSetter::set)'s write, or unused because the body
+/// panicked or its continuation was skipped (the future stays poisoned) —
+/// is what lets the completion vertex complete the future.
+impl<T, O: OutsetFamily> Drop for ValueSetter<T, O> {
+    fn drop(&mut self) {
+        self.core.published.store(true, Ordering::Release);
     }
 }
 
@@ -389,6 +415,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
             outset: O::make(),
             value: UnsafeCell::new(None),
             completed: AtomicBool::new(false),
+            published: AtomicBool::new(false),
         });
         obs::counter!("spdag.futures_created").inc();
         obs::trace::record(obs::EventKind::FutureCreate, &*core as *const FutureCore<T, O> as u64);
@@ -411,6 +438,16 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         let sweep_core = core.clone();
         let completion = Frame::once(move |c: Ctx<'_, C>| {
             let fulfill_start = obs::now();
+            // The subtree is done; the value may not be. A body that ended
+            // its vertex with `spawn`/`chain`/`touch` handed its obligation
+            // to children that can finish on another worker while it is
+            // still on its way to `return value`. Bounded: an unreleased
+            // setter whose subtree is done sits in a closure that is
+            // running right now on another worker (at W = 1 that closure
+            // returned before this vertex could be popped).
+            while !sweep_core.published.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
             sweep_core.completed.store(true, Ordering::SeqCst);
             let mut chunk = [std::ptr::null_mut::<Vertex<C>>(); SWEEP_CHUNK];
             let (mut filled, mut ready) = (0, 0u64);
@@ -587,7 +624,8 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     /// completes (a runtime-added dependency edge). The continuation
     /// inherits this vertex's obligations in its scope — its enclosing
     /// finish waits for it, exactly as for a [`chain`](Ctx::chain)
-    /// continuation.
+    /// continuation. As after [`spawn`](Ctx::spawn), code after this call
+    /// is ordered before nothing but the enclosing future's completion.
     ///
     /// Touching an already-completed future degrades to a plain
     /// continuation push (the edge is satisfied; the continuation is

@@ -6,6 +6,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use dynsnzi::prelude::*;
 
@@ -76,6 +77,116 @@ fn staged_chain_through_futures() {
         assert_eq!(drive::<TreeOutset>(workers, 50), 51, "tree, workers={workers}");
         assert_eq!(drive::<MutexOutset>(workers, 50), 51, "mutex, workers={workers}");
     }
+}
+
+/// A future completes after its subtree **and** after its value is
+/// published. Each body ends its vertex with a consuming call — after
+/// which the children carry the scope's obligation and can finish on the
+/// other worker — and only then, some milliseconds later, returns the
+/// value. A dependent must still see it: before the fix the completion
+/// vertex ran on the children's signal alone, `touch` skipped its
+/// continuation as if the future were poisoned and `touch_await` panicked
+/// (that was `staged_chain_through_futures`'s one-in-200 short chain).
+#[test]
+fn value_is_published_before_completion() {
+    /// How a body ends its vertex before it lingers on the way to its
+    /// `return`.
+    #[derive(Clone, Copy, Debug)]
+    enum LastAct {
+        Spawn,
+        Chain,
+        /// `touch` of a future that has already completed.
+        Touch,
+    }
+
+    type Build<O> = fn(&mut Ctx<'_, DynSnzi>, LastAct, &FutureHandle<u64>) -> FutureHandle<u64, O>;
+
+    fn linger(c: Ctx<'_, DynSnzi>, act: LastAct, done: &FutureHandle<u64>) -> u64 {
+        match act {
+            LastAct::Spawn => c.spawn(|_| {}, |_| {}),
+            LastAct::Chain => c.chain(|_| {}, |_| {}),
+            LastAct::Touch => c.touch(done, |_, _| {}),
+        }
+        std::thread::sleep(Duration::from_millis(10));
+        7
+    }
+
+    fn plain<O: OutsetFamily>(
+        ctx: &mut Ctx<'_, DynSnzi>,
+        act: LastAct,
+        done: &FutureHandle<u64>,
+    ) -> FutureHandle<u64, O> {
+        let done = done.clone();
+        ctx.future_in::<O, _, _>(move |c| linger(c, act, &done))
+    }
+
+    fn then(
+        ctx: &mut Ctx<'_, DynSnzi>,
+        act: LastAct,
+        done: &FutureHandle<u64>,
+    ) -> FutureHandle<u64> {
+        let d = done.clone();
+        ctx.future_then(done, move |c, zero| zero + linger(c, act, &d))
+    }
+
+    fn join<O: OutsetFamily>(
+        ctx: &mut Ctx<'_, DynSnzi>,
+        act: LastAct,
+        done: &FutureHandle<u64>,
+    ) -> FutureHandle<u64, O> {
+        let d = done.clone();
+        ctx.future_join_in::<_, _, _, _, _, O, _>(done, done, move |c, a, b| {
+            a + b + linger(c, act, &d)
+        })
+    }
+
+    /// One future built by `build`, one dependent; what the dependent saw.
+    fn case<O: OutsetFamily>(workers: usize, act: LastAct, awaits: bool, build: Build<O>) -> u64 {
+        let out = Arc::new(AtomicU64::new(0));
+        let o = Arc::clone(&out);
+        Runtime::new().workers(workers).run(move |mut ctx| {
+            let done = ctx.future(|_| 0u64);
+            let d = done.clone();
+            // Inside this continuation `done` has completed, at any W.
+            ctx.touch(&done, move |mut ctx, _| {
+                let f = build(&mut ctx, act, &d);
+                if awaits {
+                    ctx.fork_strand(move |c: &mut Ctx<'_, DynSnzi>| {
+                        o.store(*strand_await!(c, &f), Ordering::Relaxed);
+                        StrandPoll::Done(())
+                    });
+                } else {
+                    ctx.touch(&f, move |_, v| o.store(*v, Ordering::Relaxed));
+                }
+            });
+        });
+        out.load(Ordering::Relaxed)
+    }
+
+    let before = Snapshot::take();
+    for workers in [1, 2] {
+        for act in [LastAct::Spawn, LastAct::Chain, LastAct::Touch] {
+            for awaits in [false, true] {
+                let seen = [
+                    ("future/tree", case::<TreeOutset>(workers, act, awaits, plain)),
+                    ("future/mutex", case::<MutexOutset>(workers, act, awaits, plain)),
+                    ("future_then", case::<TreeOutset>(workers, act, awaits, then)),
+                    ("future_join/tree", case::<TreeOutset>(workers, act, awaits, join)),
+                    ("future_join/mutex", case::<MutexOutset>(workers, act, awaits, join)),
+                ];
+                for (name, value) in seen {
+                    assert_eq!(
+                        value, 7,
+                        "{name}: body ended with {act:?}, dependent awaits={awaits}, \
+                         workers={workers}: completed before its value was published"
+                    );
+                }
+            }
+        }
+    }
+    // No test of this binary panics, so process-wide the count stays 0.
+    let d = Snapshot::take().diff(&before);
+    assert_eq!(d.counter("spdag.poisoned_touches"), 0, "a touch continuation was skipped");
 }
 
 /// Futures created at every level of a recursive spawn tree, each touched

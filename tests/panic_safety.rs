@@ -258,22 +258,25 @@ proptest! {
     }
 }
 
-/// A `touch` on the poisoned future skips its closure; `try_get` and
-/// `is_poisoned` stay non-panicking probes for it — checked from the
-/// caller after the run, where quiescence makes the state definite.
-#[test]
-fn poisoned_future_probes_and_touch_skip() {
-    let _g = serial();
+/// Run `make`'s future — whose body panics with [`INJECTED`] — with one
+/// `touch` dependent, watchdog-bounded (a hang fails fast), and check the
+/// poisoning contract from the caller, where quiescence makes the state
+/// definite: the payload propagates, the `touch` closure is skipped, the
+/// future reads completed-without-value. Returns the handle.
+fn run_poisoned(
+    workers: usize,
+    make: fn(&mut Ctx<'_, DynSnzi>) -> spdag::FutureHandle<u64>,
+) -> spdag::FutureHandle<u64> {
     let touched = Arc::new(AtomicU64::new(0));
-    let escaped: Arc<Mutex<Option<spdag::FutureHandle<u64>>>> = Arc::new(Mutex::new(None));
+    let escaped = Arc::new(Mutex::new(None));
     let (t, esc) = (Arc::clone(&touched), Arc::clone(&escaped));
     let result = catch_unwind(AssertUnwindSafe(|| {
         run_dag_watched::<DynSnzi, _>(
             DynConfig::default(),
-            2,
+            workers,
             WatchdogCfg { stall_timeout: Duration::from_secs(20) },
             move |mut ctx| {
-                let f = ctx.future(|_| -> u64 { panic!("{INJECTED}") });
+                let f = make(&mut ctx);
                 *esc.lock().unwrap() = Some(f.clone());
                 ctx.touch(&f, move |_, _| {
                     t.fetch_add(1, Ordering::SeqCst);
@@ -285,7 +288,38 @@ fn poisoned_future_probes_and_touch_skip() {
     assert_eq!(touched.load(Ordering::SeqCst), 0, "touch closure ran on a poisoned future");
     let f = escaped.lock().unwrap().take().expect("handle escaped the run");
     assert!(f.is_poisoned(), "a drained poisoned future reads as completed-without-value");
+    f
+}
+
+/// A `touch` on the poisoned future skips its closure; `try_get` and
+/// `is_poisoned` stay non-panicking probes for it.
+#[test]
+fn poisoned_future_probes_and_touch_skip() {
+    let _g = serial();
+    let f = run_poisoned(2, |ctx| ctx.future(|_| -> u64 { panic!("{INJECTED}") }));
     assert!(f.try_get().is_none(), "try_get must stay a non-panicking probe");
+}
+
+/// A body that panics *after* the consuming call that ended its vertex:
+/// its children may already have finished on another worker, and the
+/// completion vertex is waiting for the value setter to go. The unwind
+/// drops the setter unused, so the future still completes — poisoned —
+/// and the dag drains.
+#[test]
+fn panic_after_a_consuming_call_still_poisons_and_drains() {
+    fn body(c: Ctx<'_, DynSnzi>) -> u64 {
+        c.spawn(|_| {}, |_| {});
+        std::thread::sleep(Duration::from_millis(5));
+        panic!("{INJECTED}")
+    }
+    let _g = serial();
+    for workers in [1, 2] {
+        run_poisoned(workers, |ctx| ctx.future(body));
+        run_poisoned(workers, |ctx| {
+            let input = ctx.future(|_| 1u64);
+            ctx.future_then(&input, |c, _| body(c))
+        });
+    }
 }
 
 /// A worker body that genuinely stops retiring tasks trips the
