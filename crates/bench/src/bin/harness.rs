@@ -219,11 +219,18 @@ fn obs_cmd(opts: &Opts) {
 ///   birth/death identity (`alloc + reuse == recycled + dropped`) still
 ///   must, for vertices and spilled strand frames alike, because
 ///   suspension defers retirement rather than skipping it.
-/// * **Footprint with live parked frames**: the class-pool ceiling gains
-///   a `(suspend − resume)` term — a frame parked across the snapshot
-///   holds its slab without it being "leaked" by the pool. At the
-///   quiescent boundaries used here the term is zero, which is itself
-///   part of the claim.
+/// * **Footprint, per link**: the class pools are emptied first, so what
+///   they hold after the runs is the live peak of one run, and a link of
+///   the chain keeps four recycler slabs live — the future's shared core,
+///   the pair of the fork that joined it to the root's scope, its
+///   completion vertex and the strand's own vertex ([`LINK_SLABS`]). A
+///   parked strand counts on a word in its vertex and a scope of one
+///   strand has no counter, so an in-counter or a pair per future, touch
+///   or park that grows back fails here. The ceiling gains a
+///   `(suspend − resume)` term — a frame parked across the snapshot holds
+///   its slab without it being "leaked" by the pool; at the quiescent
+///   boundaries used here the term is zero, which is itself part of the
+///   claim.
 ///
 /// And one scheduler bound, on the warm run: **steal pacing** —
 /// `sched.steals ≤ W · (1 + wall / STEAL_PAYS)` on the workload whose
@@ -237,7 +244,9 @@ fn obs_cmd(opts: &Opts) {
 fn check_strand_bounds(opts: &Opts) -> bool {
     let w = opts.measure.max_workers;
     let n = (opts.measure.n / 4).max(1 << 10);
-    let depth = (n / 16).max(64);
+    // Deep enough that one slab more per link is more than the slack of
+    // `footprint_ceiling`.
+    let depth = (n / 16).max(1 << 10);
     let cfg = || DynConfig::with_threshold(Algo::default_threshold(w));
     println!("\n## Strand accounting — await_chain depth={depth}, workers={w}");
 
@@ -247,11 +256,13 @@ fn check_strand_bounds(opts: &Opts) -> bool {
         all_ok &= pass;
     };
 
+    // Every run so far has returned, so every cache is flushed: emptying
+    // the depots makes what they hold afterwards these runs' live peak.
+    sched::recycle::trim();
     let before = obs::Snapshot::take();
     for _ in 0..3 {
         await_chain::<DynSnzi>(cfg(), w, depth);
     }
-    let warm_cached = sched::recycle::cached_slabs();
     let mid = obs::Snapshot::take();
     let run = await_chain::<DynSnzi>(cfg(), w, depth);
     let steady = obs::Snapshot::take().diff(&mid);
@@ -309,16 +320,36 @@ fn check_strand_bounds(opts: &Opts) -> bool {
         );
     }
     let cached = sched::recycle::cached_slabs();
+    let ceiling = footprint_ceiling(depth, w) + parked_live as usize;
     check(
         "strand-footprint-ceiling",
-        cached <= 2 * warm_cached + 64 + parked_live as usize,
+        cached <= ceiling,
         format!(
-            "class pools {cached} slabs <= 2 x warm {warm_cached} + 64 + {parked_live} \
-             suspended-but-live frames"
+            "class pools {cached} slabs <= {LINK_SLABS} x {depth} links + {} beside them + \
+             {parked_live} suspended-but-live frames",
+            footprint_ceiling(0, w)
         ),
     );
     println!("# strand checks: {}", if all_ok { "PASS" } else { "FAIL" });
     all_ok
+}
+
+/// Recycler slabs one future keeps live from its creation to its sweep:
+/// the shared core (`PoolArc`), the pair of the fork that joined it to the
+/// enclosing scope, the completion vertex, and one more vertex — the body,
+/// or the `touch` continuation or parked strand the body became. No
+/// in-counter and no second pair: a scope that never forks makes neither.
+const LINK_SLABS: usize = 4;
+
+/// The most the class pools may hold after runs whose live peak is `links`
+/// futures, starting from empty depots. Beside the links: what the other
+/// workers' caches hold while one builds (up to two magazines of 32 per
+/// class; the checks read 20–70 slabs in all at W=4) and the handful of
+/// slabs a run has of its own — root, final vertex, the root scope's
+/// counter and the child pairs it draws. Both callers have at least 1 024
+/// links, so one slab more per link is well over this slack.
+fn footprint_ceiling(links: u64, workers: usize) -> usize {
+    LINK_SLABS * links as usize + 128 * workers + 64
 }
 
 /// Steals must pay (`sched::pool`): one worker lets `STEAL_PAYS` pass
@@ -441,8 +472,11 @@ fn check_poisoned_bounds(opts: &Opts) -> bool {
 /// (`sched::recycle`) — on a fresh quiesced workload, plus the
 /// steady-state claims on the pipeline: a second identically-shaped
 /// `pipeline_stages` run must be fed from the slabs the first retired
-/// (for vertices: **zero** fresh allocations), and neither free list may
-/// keep growing (size tracks peak-live, not cumulative churn). Last, the
+/// (for vertices: **zero** fresh allocations), the block free list may not
+/// keep growing (size tracks peak-live, not cumulative churn), and the
+/// class pools, emptied first, end at [`LINK_SLABS`] slabs per cell of the
+/// largest run and no more — a counter or a pair per future that grows
+/// back fails it. Last, the
 /// Figure 8 question asked of the allocator under every `spawn`
 /// (`slab-flat`): the recycler's fast path touches only the calling
 /// thread's cache, so the per-thread price of an `alloc` → `free` cycle at
@@ -462,6 +496,9 @@ fn check_recycle_bounds(opts: &Opts) -> bool {
         all_ok &= pass;
     };
 
+    // As in `check_strand_bounds`: from empty depots, what the class pools
+    // hold afterwards is the live peak of the largest run below.
+    sched::recycle::trim();
     let before = obs::Snapshot::take();
     // The cold run: the same pipeline at twice the width, so that what
     // it retires is far more than a warm run ever needs at once. A run's
@@ -477,7 +514,6 @@ fn check_recycle_bounds(opts: &Opts) -> bool {
         pipeline_stages::<DynSnzi, outset::TreeOutset>(cfg(), w, stages, width);
     }
     let warm_cached = outset::recycle::cached_blocks();
-    let warm_sched_cached = sched::recycle::cached_slabs();
     let mid = obs::Snapshot::take();
     pipeline_stages::<DynSnzi, outset::TreeOutset>(cfg(), w, stages, width);
     let steady = obs::Snapshot::take().diff(&mid);
@@ -500,12 +536,18 @@ fn check_recycle_bounds(opts: &Opts) -> bool {
             );
         }
         // Decrement pairs own themselves: no alloc/reuse split, one
-        // birth and one death (the last claim) per pair.
+        // birth and one death (the last claim) per pair — and one pair per
+        // increment, nowhere else: a run forks once per cell and once per
+        // last-row sink, the cold run at twice the width.
         let (born, freed) = (total.counter("sched.pairs_born"), total.counter("sched.pairs_freed"));
+        let increments = (stages + 1) * (2 * width + 4 * width);
         check(
             "pair-conservation",
-            born == freed && born > 0,
-            format!("decrement pairs born {born} == freed by their last claim {freed}"),
+            born == freed && born == increments,
+            format!(
+                "decrement pairs born {born} == freed by their last claim {freed} == \
+                 increments {increments}"
+            ),
         );
         let (reused, allocated) =
             (steady.counter("outset.blocks_reused"), steady.counter("outset.blocks_allocated"));
@@ -531,12 +573,14 @@ fn check_recycle_bounds(opts: &Opts) -> bool {
         format!("free list {cached} blocks <= 2 x warm {warm_cached} + 64 (peak-live, not churn)"),
     );
     let sched_cached = sched::recycle::cached_slabs();
+    let cells = stages * 2 * width;
     check(
         "sched-footprint-ceiling",
-        sched_cached <= 2 * warm_sched_cached + 64,
+        sched_cached <= footprint_ceiling(cells, w),
         format!(
-            "class pools {sched_cached} slabs <= 2 x warm {warm_sched_cached} + 64 \
-             (peak-live, not churn)"
+            "class pools {sched_cached} slabs <= {LINK_SLABS} x {cells} cells of the cold run + \
+             {} beside them (peak-live, not churn)",
+            footprint_ceiling(0, w)
         ),
     );
     // Alternating samples, so a spell of the host prices both alike.

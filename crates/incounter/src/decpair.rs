@@ -24,11 +24,10 @@
 //! [`DecPair::claim_last`] reports that, and is written so the loser of
 //! the race never touches the pair after its own `swap` — it reads both
 //! handles *first*, then swaps. The winner's reads are ordered before the
-//! loser's free by the swap's release/acquire edge. A pair with a single
-//! user ([`DecPair::new_claimed`] — the root pair of a finish scope) is
-//! born with the flag set, so its one claim is also its last. The dag
-//! layer (`spdag::pair`) builds on this: a pair shared by two vertices
-//! costs one allocation and no reference-count traffic.
+//! loser's free by the swap's release/acquire edge. The dag layer
+//! (`spdag::pair`) builds on this: a pair shared by two vertices costs one
+//! allocation and no reference-count traffic. (There is no pair with a
+//! single user: the only strand of a finish scope holds none at all.)
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -56,16 +55,6 @@ impl<D: Copy> DecPair<D> {
         }
     }
 
-    /// Build a pair with a **single** user: the first claim is already
-    /// spent, so the one claim that follows takes `only` and is the last.
-    /// This is the root pair of a finish scope (a `chain`'s first child, a
-    /// future's body, the dag's root), whose two handles coincide.
-    pub fn new_claimed(only: D) -> DecPair<D> {
-        let pair = DecPair::new(only, only);
-        pair.claimed.store(true, Ordering::Relaxed);
-        pair
-    }
-
     /// Claim a handle: the first claimer receives the first (higher)
     /// handle, the second claimer the second. The paper's `claim_dec`.
     ///
@@ -88,8 +77,7 @@ impl<D: Copy> DecPair<D> {
     /// # Safety
     /// `this` must point to a live pair that stays allocated until its
     /// last claim returns, and the execution must be valid: at most two
-    /// claims in total (one for a [`new_claimed`](DecPair::new_claimed)
-    /// pair).
+    /// claims in total.
     #[inline]
     pub unsafe fn claim_last(this: *const DecPair<D>) -> (D, bool) {
         // SAFETY: the pair is live until the last claim, and no claim has
@@ -142,13 +130,6 @@ mod tests {
         p.claim();
         p.claim();
         p.claim();
-    }
-
-    #[test]
-    fn born_claimed_pair_ends_on_its_single_claim() {
-        let p = DecPair::new_claimed(7u32);
-        assert!(p.first_claimed());
-        assert_eq!(unsafe { DecPair::claim_last(&p) }, (7, true));
     }
 
     #[test]

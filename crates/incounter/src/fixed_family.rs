@@ -1,11 +1,11 @@
 //! The fixed-depth SNZI baseline family (Section 5).
 //!
-//! For each finish vertex a complete SNZI tree of `2^(d+1) − 1` nodes is
-//! allocated eagerly. Increments arrive at the leaf selected by hashing the
-//! incrementing vertex's identity; the matching decrement must target the
-//! same leaf, which the [`FixedDec`] handle records. The initial surplus of
-//! the counter lives at the root, so its matching decrement handle is the
-//! special [`FixedDec::Root`].
+//! For each finish scope that forks a complete SNZI tree of `2^(d+1) − 1`
+//! nodes is allocated whole. Increments arrive at the leaf selected by
+//! hashing the incrementing vertex's identity; the matching decrement must
+//! target the same leaf, which the [`FixedDec`] handle records. The initial
+//! surplus of the counter lives at the root, so its matching decrement
+//! handle is the special [`FixedDec::Root`].
 //!
 //! Compared with the in-counter this baseline pays the full tree allocation
 //! per finish block whether or not contention materialises — the effect the

@@ -67,9 +67,10 @@ pub use fixed_family::{FixedConfig, FixedDec, FixedDepth};
 
 /// A family of dependency-counter implementations usable by the sp-dag.
 ///
-/// One `Counter` instance exists per finish vertex; `Inc` and `Dec` are
-/// small copyable handles aimed into that counter which the dag threads
-/// through its vertices (the paper's increment/decrement handles).
+/// One `Counter` instance exists per finish scope that forks (`spdag`
+/// makes it at the scope's first increment); `Inc` and `Dec` are small
+/// copyable handles aimed into that counter which the dag threads through
+/// its vertices (the paper's increment/decrement handles).
 ///
 /// # Safety contract
 /// The `unsafe` methods require that the handles passed in were produced by

@@ -11,7 +11,7 @@
 //!   thread-local the strand's executor owns for the duration of the
 //!   poll, and [`AsyncStrand`] turns that request into an armed out-set
 //!   registration. No waker machinery runs on this path at all — the
-//!   in-counter **is** the waker.
+//!   vertex's `owed` word **is** the waker.
 //! * **Runtime futures on a foreign executor.** Awaiting a
 //!   [`FutureHandle`] from an ordinary executor (no strand on the stack)
 //!   falls back to real wakers: the cloned waker is boxed and its

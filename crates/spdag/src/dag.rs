@@ -16,14 +16,21 @@
 //!   chained, the executor claims a decrement handle and decrements the
 //!   finish vertex's counter; a `true` return (counter hit zero) schedules
 //!   the finish vertex. This is the paper's implementation note that
-//!   readiness detection rides on `snzi_depart`'s return value.
+//!   readiness detection rides on `snzi_depart`'s return value. The only
+//!   strand of a scope that never forked holds no handle and there is no
+//!   counter: its signal schedules the finish vertex outright.
+//!
+//! One departure from Figure 3, argued in [`crate::vertex`]: `chain` does
+//! not call `new_vertex(1)`. Every vertex is born without a counter, and a
+//! scope's counter is made at its first `increment` — by `spawn` or a
+//! fork, never by `chain`, a future or `run_dag` themselves.
 
+use std::mem::MaybeUninit;
 use std::time::{Duration, Instant};
 
-use incounter::{CounterFamily, DecPair};
+use incounter::CounterFamily;
 use sched::{PoolStats, Termination, WorkerCtx};
 
-use crate::pair::PairRef;
 use crate::vertex::{Frame, Strand, StrandPoll, Vertex, VertexPtr};
 
 /// Per-body execution context: the running vertex plus scheduler access.
@@ -71,9 +78,10 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         self.vertex
     }
 
-    /// Arm the count-2 park handshake on the running vertex (the
+    /// Arm the two-delivery park handshake on the running vertex (the
     /// [`touch_await`](Ctx::touch_await) protocol, exposed to the async
-    /// bridge which registers the token itself). Returns the out-set
+    /// bridge which registers the token itself): `owed` = 2, one for the
+    /// fulfiller and one for this executor's commit. Returns the out-set
     /// registration token: the vertex address.
     pub(crate) fn arm_park(&mut self) -> u64 {
         assert!(
@@ -82,20 +90,22 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
              (fork_strand/future_strand/fork_async and friends) can park; a one-shot \
              body has no frame to resume"
         );
-        let cfg = self.cfg;
         let u = self.vertex_mut();
         debug_assert!(!u.park_pending, "park armed twice in one resumption");
-        u.counter = Some(C::make(cfg, 2));
+        // Exclusive: nothing is registered yet, so nobody holds a delivery
+        // right. The registration that follows publishes the word.
+        *u.owed.get_mut() = 2;
         u.park_pending = true;
         u as *mut Vertex<C> as usize as u64
     }
 
     /// Undo [`arm_park`](Ctx::arm_park) after a bounced registration (the
-    /// future sealed first — no fulfiller decrement will ever come).
+    /// future sealed first — no fulfiller delivery will ever come, so the
+    /// word is still this executor's alone).
     pub(crate) fn disarm_park(&mut self) {
         let u = self.vertex_mut();
         debug_assert!(u.park_pending, "disarm without a pending park");
-        u.counter = None;
+        *u.owed.get_mut() = 0;
         u.park_pending = false;
     }
 
@@ -119,26 +129,16 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         right: impl for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
     ) {
         let u = self.vertex;
-        // SAFETY: `fin` is alive — this vertex is an unfinished strand of
-        // `fin`'s scope, so `fin`'s counter cannot have reached zero.
-        let fin_ref = unsafe { &*u.fin };
-        let fc = fin_ref.counter_ref();
         // The vertex address serves as the placement key for hashed
         // families; it is unique among live vertices and free to compute.
         let vid = u as *const Vertex<C> as u64;
         obs::counter!("spdag.spawns").inc();
         obs::trace::record(obs::EventKind::Spawn, vid);
-        // Figure 5: grow + arrive first ...
-        // SAFETY: `u.inc` points into `fc` by construction; validity is
-        // the sp-dag discipline itself.
-        let (d2, i1, i2) = unsafe { C::increment(self.cfg, fc, u.inc, u.is_left, vid) };
-        // ... and only then claim the inherited handle (ordering invariant:
-        // the first handle of the new pair is the higher one).
-        // SAFETY: `u`'s one claim on its pair — it dies here, unsignalled.
-        let d1 = unsafe { u.dec.claim() };
-        let pair = PairRef::new(C::make_pair(self.cfg, d1, d2));
-        let v = Vertex::alloc(self.cfg, 0, i1, pair, u.fin, true, Frame::once(left));
-        let w = Vertex::alloc(self.cfg, 0, i2, pair, u.fin, false, Frame::once(right));
+        // One increment (Figure 5); `u` dies here, unsignalled, and its two
+        // children share the fresh pair.
+        let (i1, i2, pair) = u.increment(self.cfg, vid);
+        let v = Vertex::alloc(MaybeUninit::new(i1), pair, u.fin, true, Frame::once(left));
+        let w = Vertex::alloc(MaybeUninit::new(i2), pair, u.fin, false, Frame::once(right));
         u.dead = true;
         self.worker.push(VertexPtr(v));
         self.worker.push(VertexPtr(w));
@@ -160,24 +160,16 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         obs::trace::record(obs::EventKind::Chain, u as *const Vertex<C> as u64);
         // w: the new finish vertex; takes over u's position in u's scope
         // (inherits fin, inc, left/right position, and u's pair pointer
-        // with the one claim u still owes it) and waits on one dependency
-        // — the completion of `first`'s subtree.
-        let w_ptr = Vertex::alloc(self.cfg, 1, u.inc, u.dec, u.fin, u.is_left, Frame::once(then));
-        // SAFETY: just created, uniquely owned until scheduled; shared
-        // references derived here point at the stable slab allocation.
-        let wc = unsafe { (*w_ptr).counter_ref() };
-        let v = Vertex::alloc(
-            self.cfg,
-            0,
-            C::root_inc(wc),
-            PairRef::new(DecPair::new_claimed(C::root_dec(wc))),
-            w_ptr,
-            true,
-            Frame::once(first),
-        );
+        // with the one claim u still owes it — or u's place as its scope's
+        // only strand) and waits on one dependency: the completion of
+        // `first`'s subtree.
+        let w_ptr = Vertex::alloc(u.inc, u.dec, u.fin, u.is_left, Frame::once(then));
+        // v: the only strand of w's scope, which has no counter until v (or
+        // what replaces it) forks.
+        let v = Vertex::alloc_sole(w_ptr, Frame::once(first));
         u.dead = true;
-        // v is ready (no dependencies); w waits for the signal that zeroes
-        // its counter — nobody pushes it until then.
+        // v is ready (no dependencies); w waits for the signal that ends
+        // its scope — nobody pushes it until then.
         self.worker.push(VertexPtr(v));
     }
 
@@ -207,7 +199,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // child, ready immediately.
         let fin = u.fin;
         let (i1, pair) = u.fork_rotate(cfg);
-        let v = Vertex::alloc(cfg, 0, i1, pair, fin, true, body);
+        let v = Vertex::alloc(MaybeUninit::new(i1), pair, fin, true, body);
         worker.push(VertexPtr(v));
     }
 }
@@ -245,10 +237,10 @@ impl<C: CounterFamily> Drop for OwnedVertex<C> {
 /// Commit a park: hand the vertex to whoever resumes it. Called with the
 /// body back in the vertex (or left empty, after a panic) and every other
 /// field final; the decrement below releases the executor's half of the
-/// count-2 handshake `touch_await` armed — one decrement belongs to the
-/// fulfiller's sweep, one to us, and whoever lands second zeroes the
-/// counter and reschedules the vertex. Decrement-last makes every field
-/// write above it visible to the resuming executor through the counter's
+/// two deliveries `touch_await` armed in `owed` — one belongs to the
+/// fulfiller's sweep, one to us, and whoever lands second zeroes the word
+/// and reschedules the vertex. Decrement-last makes every field write
+/// above it visible to the resuming executor through the word's
 /// release/acquire edge — after our decrement we own nothing.
 fn commit_park<C: CounterFamily>(v: OwnedVertex<C>, worker: &WorkerCtx<'_, VertexPtr<C>>) {
     worker.note_suspend();
@@ -257,9 +249,8 @@ fn commit_park<C: CounterFamily>(v: OwnedVertex<C>, worker: &WorkerCtx<'_, Verte
     let vp = v.0;
     // Ownership parks with the vertex.
     std::mem::forget(v);
-    // SAFETY: touch_await installed the count-2 counter and registered
-    // exactly one out-set waker; this is the executor's single matching
-    // decrement.
+    // SAFETY: touch_await armed `owed` with 2 and registered exactly one
+    // out-set waker; this is the executor's single matching decrement.
     if unsafe { crate::futures::resolve_dependent::<C>(vp) } {
         worker.push(VertexPtr(vp));
     }
@@ -280,7 +271,7 @@ fn execute_vertex<C: CounterFamily>(
     if v.park_pending {
         // This schedule is a *resumption*: a previous executor parked the
         // strand on a future's out-set and the fulfill handshake zeroed
-        // the vertex's park counter. The flag survived the park precisely
+        // the vertex's `owed` word. The flag survived the park precisely
         // so this entry check can tell resumptions from first runs.
         v.park_pending = false;
         worker.note_resume();
@@ -295,11 +286,11 @@ fn execute_vertex<C: CounterFamily>(
     // state machine.
     let parked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         // Failpoint (no-op unless `fault-inject` arms it): stand in for a
-        // *user* body that panics. Vertices that own a counter are kept
-        // out — a future's completion vertex is one, and its body is the
-        // runtime's seal-and-sweep, which no user panic can reach and
-        // whose loss would strand every registered dependent.
-        if v.counter.is_none() && sched::failpoint::fire("spdag.panic_vertex") {
+        // *user* body that panics. The runtime's own bodies are kept out —
+        // a future's completion vertex runs the seal-and-sweep, which no
+        // user panic can reach and whose loss would strand every
+        // registered dependent.
+        if !v.runtime_body && sched::failpoint::fire("spdag.panic_vertex") {
             panic!("failpoint: spdag.panic_vertex injected a body panic");
         }
         let mut frame = v.body.take();
@@ -331,8 +322,8 @@ fn execute_vertex<C: CounterFamily>(
                 // registered this vertex on a future's out-set (user code
                 // only regains control once the registration is in; see
                 // docs/robustness.md for the window argument). The
-                // fulfill side holds the other half of the count-2
-                // handshake and will deliver to this address, so the
+                // fulfill side holds the other of the two owed
+                // deliveries and will deliver to this address, so the
                 // vertex must stay alive: commit the park with the body
                 // left empty — the frame already dropped during the
                 // unwind, releasing any spilled state. The resumption
@@ -368,13 +359,25 @@ fn execute_vertex<C: CounterFamily>(
     }
     // SAFETY: fin outlives all vertices of its scope (module docs).
     let fin_ref = unsafe { &*v.fin };
-    // SAFETY: the vertex neither spawned, chained nor touched (`dead` is
-    // clear), so its one claim on the pair it holds is still unspent.
-    let d = unsafe { v.dec.claim() };
-    // SAFETY: `d` was produced by an increment on `fin`'s counter (or is
-    // its root handle matching the initial count) and is consumed exactly
-    // once — the claim protocol's guarantee.
-    let ready = unsafe { C::decrement(fin_ref.counter_ref(), d) };
+    let ready = if v.dec.is_none() {
+        // The scope's only strand: nothing was ever counted, so its end is
+        // the scope's end — no claim, no decrement, no counter.
+        // SAFETY: as the only strand, nobody else reaches the field.
+        debug_assert!(
+            !unsafe { fin_ref.has_counter() },
+            "sp-dag invariant violated: a sole strand's scope has a counter"
+        );
+        true
+    } else {
+        // SAFETY: the vertex neither spawned, chained nor touched (`dead`
+        // is clear), so its one claim on the pair it holds is still unspent.
+        let d = unsafe { v.dec.claim() };
+        // SAFETY: a strand with a real pair; `d` was produced by an
+        // increment on `fin`'s counter (or is its root handle matching the
+        // initial count) and is consumed exactly once — the claim
+        // protocol's guarantee.
+        unsafe { C::decrement(fin_ref.counter_ref(), d) }
+    };
     if ready {
         worker.push(VertexPtr(v.fin as *mut Vertex<C>));
     }
@@ -429,35 +432,14 @@ fn run_dag_inner<C: CounterFamily>(
     root: Frame<C>,
 ) -> DagRunStats {
     // Final vertex z: one dependency (the root strand), no finish of its
-    // own. Its increment handle is a placeholder aimed at its own counter
-    // and it holds no decrement pair: neither is ever used, because
-    // fin == null short-circuits signalling.
-    let z_ptr = {
-        let counter = C::make(&cfg, 1);
-        let inc = C::root_inc(&counter);
-        Vertex::<C>::alloc_parts(
-            Some(counter),
-            inc,
-            PairRef::none(),
-            std::ptr::null(),
-            true,
-            Frame::empty(),
-        )
-    };
-    // Root vertex u: ready immediately; signals z when its whole subtree
-    // is done.
-    // SAFETY: z_ptr was just allocated and stays alive until its executor
-    // retires it, strictly after u's scope completes.
-    let zc = unsafe { (*z_ptr).counter_ref() };
-    let u = Vertex::alloc(
-        &cfg,
-        0,
-        C::root_inc(zc),
-        PairRef::new(DecPair::new_claimed(C::root_dec(zc))),
-        z_ptr,
-        true,
-        root,
-    );
+    // own, so no handles either — fin == null short-circuits signalling.
+    // It runs nothing, and nothing of a user's.
+    let z_ptr = Vertex::<C>::alloc_sole(std::ptr::null(), Frame::empty());
+    // SAFETY: just allocated, unpublished.
+    unsafe { (*z_ptr).runtime_body = true };
+    // Root vertex u: ready immediately, the only strand of z's scope;
+    // signals z when its whole subtree is done.
+    let u = Vertex::alloc_sole(z_ptr, root);
     let start = Instant::now();
     let cfg_ref = &cfg;
     let interp =

@@ -7,9 +7,12 @@
 //! vertex's completion. This module supplies that primitive, split across
 //! the two dual structures:
 //!
-//! * **readiness** of the edge's target stays with the existing
-//!   [`incounter::CounterFamily`] in-counters — a toucher waits on a
-//!   one-dependency counter exactly like a `chain` continuation;
+//! * **readiness** of the edge's target needs no counter at all: a
+//!   toucher's in-degree is fixed when it starts to wait — one delivery
+//!   for a `touch` continuation, two for a parked strand — so it counts
+//!   on one word in its own vertex (`Vertex::owed`), and the
+//!   [`incounter::CounterFamily`] in-counters stay where in-degree is
+//!   unbounded, on scopes that fork;
 //! * **completion broadcast** from the edge's source is the job of the
 //!   new [`outset`] crate: each future vertex carries an out-set, touches
 //!   register dependent edges in it, and the future's completion vertex
@@ -43,10 +46,14 @@
 //!
 //! Under the hood a `future` is one in-counter increment (the completion
 //! vertex joins the enclosing scope by the [`Scope::fork`](crate::Scope)
-//! rotation) plus one out-set allocation, and a `touch` is one out-set
-//! add — so the paper's O(1)-amortized bounds extend to the dynamic-edge
-//! operations, with the broadcast cost paid once per future, linear in
-//! the number of dependents swept.
+//! rotation) plus one out-set, and a `touch` is one out-set add — so the
+//! paper's O(1)-amortized bounds extend to the dynamic-edge operations,
+//! with the broadcast cost paid once per future, linear in the number of
+//! dependents swept. The future's own scope opens with one strand, its
+//! body, and has no counter unless that body forks (`crate::vertex`): a
+//! future whose body only computes, touches or parks costs four recycler
+//! slabs — the shared core, the fork's pair, the completion vertex and
+//! the body vertex.
 //!
 //! ## Footprint: every future starts on one lane
 //!
@@ -95,14 +102,14 @@
 //! ```
 
 use std::cell::UnsafeCell;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use incounter::{CounterFamily, DecPair};
+use incounter::CounterFamily;
 use outset::{AddEdge, OutsetFamily, TreeOutset};
 use sched::PoolArc;
 
 use crate::dag::Ctx;
-use crate::pair::PairRef;
 use crate::vertex::{Frame, Strand, StrandPoll, Vertex, VertexPtr};
 
 /// Result of [`Ctx::touch_await`]: the blocking-style dual of
@@ -427,8 +434,9 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // (Vertex::fork_rotate encodes the handle discipline once).
         let fin = u.fin;
         let (i1, pair) = u.fork_rotate(cfg);
-        // Completion vertex: waits (count 1) for the future's body
-        // subtree; its own body publishes completion and sweeps the
+        // Completion vertex: waits for the future's body subtree (a scope
+        // of one strand until that body forks); its own body publishes
+        // completion and sweeps the
         // out-set — it runs with a worker context, so swept dependents go
         // straight onto the deque, a stack chunk at a time: one sleeper
         // notification per `SWEEP_CHUNK` dependents, and no allocation
@@ -484,25 +492,17 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
             obs::counter!("spdag.fulfills").inc();
             obs::trace::record_span(obs::EventKind::FutureFulfill, ready, fulfill_start);
         });
-        let fw_ptr = Vertex::alloc(cfg, 1, i1, pair, fin, true, completion);
-        // Body vertex: ready now, finish vertex = the completion vertex
-        // (the same wiring Ctx::chain gives its `first`).
-        // SAFETY: just allocated, retired only by its executor, strictly
-        // after the body subtree (which signals through these handles) is
-        // done.
-        let wc = unsafe { (*fw_ptr).counter_ref() };
+        let fw_ptr = Vertex::alloc(MaybeUninit::new(i1), pair, fin, true, completion);
+        // The sweep is the runtime's own body: `spdag.panic_vertex`, which
+        // stands in for user code, must not skip it.
+        // SAFETY: just allocated, unpublished.
+        unsafe { (*fw_ptr).runtime_body = true };
+        // Body vertex: ready now, the only strand of the completion
+        // vertex's scope (the same wiring Ctx::chain gives its `first`).
         // The body's state is what `build` captures plus one word, the
         // setter.
         let body = build(ValueSetter { core: core.clone() });
-        let fv = Vertex::alloc(
-            cfg,
-            0,
-            C::root_inc(wc),
-            PairRef::new(DecPair::new_claimed(C::root_dec(wc))),
-            fw_ptr,
-            true,
-            body,
-        );
+        let fv = Vertex::alloc_sole(fw_ptr, body);
         worker.push(VertexPtr(fv));
         FutureHandle { core }
     }
@@ -677,9 +677,11 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         });
         // The waiting vertex takes over u's scope position (inc, the pair
         // pointer with u's unspent claim, fin, side) like a chain
-        // continuation, and waits on exactly one dependency of its own:
-        // the future's completion.
-        let w_ptr = Vertex::alloc(self.cfg, 1, u.inc, u.dec, u.fin, u.is_left, body);
+        // continuation, and is owed exactly one delivery of its own: the
+        // future's completion.
+        let w_ptr = Vertex::alloc(u.inc, u.dec, u.fin, u.is_left, body);
+        // SAFETY: just allocated; the registration below publishes it.
+        unsafe { *(*w_ptr).owed.get_mut() = 1 };
         u.dead = true;
         let token = w_ptr as usize as u64;
         let key = self.worker.worker_id() as u64;
@@ -712,14 +714,15 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     ///
     /// ## Exactly-once resumption under fulfill ∥ suspend
     ///
-    /// An unready touch arms the running vertex with a fresh count-**2**
-    /// in-counter *before* registering it on the future's out-set. One
-    /// decrement belongs to the fulfiller (sweep or bounce delivery), one
-    /// to this vertex's executor after the strand's state is safely
-    /// reinstalled — so whichever side finishes second finds zero and
-    /// reschedules the vertex, exactly once, and the loser's earlier
-    /// decrement has already published its writes through the counter's
-    /// release/acquire edge. A bounced registration
+    /// An unready touch arms the running vertex's `owed` word with **2**
+    /// *before* registering it on the future's out-set. One decrement
+    /// belongs to the fulfiller (sweep or bounce delivery), one to this
+    /// vertex's executor after the strand's state is safely reinstalled —
+    /// so whichever side finishes second finds zero and reschedules the
+    /// vertex, exactly once, and the loser's earlier decrement has already
+    /// published its writes through the word's release/acquire edge. The
+    /// in-degree is fixed at two and the word has two writers, so no
+    /// in-counter is involved. A bounced registration
     /// ([`outset::AddEdge::Finished`]) means no waker was stored: the
     /// handshake is disarmed and the value returned inline.
     pub fn touch_await<'f, T, O>(&mut self, future: &'f FutureHandle<T, O>) -> StrandTouch<'f, T>
@@ -742,11 +745,9 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
             return StrandTouch::Ready(unsafe { future.core.value_ref() });
         }
         obs::counter!("spdag.touch_awaits").inc();
-        // Arm before registering: the count-2 counter must be in place
-        // before the sweep can possibly deliver. Overwriting the vertex's
-        // `counter` is sound — an executing vertex's own counter is never
-        // referenced by others (it is nobody's `fin` while it runs), and
-        // a previous park's spent counter drops there.
+        // Arm before registering: the two owed deliveries must be in place
+        // before the sweep can possibly deliver. The word is this
+        // executor's alone until then — a previous park left it at zero.
         let token = self.arm_park();
         obs::trace::record(obs::EventKind::FutureTouch, token);
         let key = self.worker.worker_id() as u64;
@@ -754,7 +755,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
             return StrandTouch::Parked;
         }
         // The future sealed first: no waker was stored, so no fulfiller
-        // decrement will ever come — disarm the handshake and deliver
+        // delivery will ever come — disarm the handshake and deliver
         // inline. The seal's release chain guarantees `completed` is
         // visible.
         self.disarm_park();
@@ -813,39 +814,40 @@ pub(crate) fn register_dependent<O: OutsetFamily>(
     }
 }
 
-/// Drop one unit of the dependent's future-dependency surplus; `true`
-/// when that zeroed the counter and the caller must schedule the vertex.
-/// Two kinds of dependent flow through here: `touch` continuations
-/// (count 1, one sweep/bounce delivery) and parked strands (count 2 —
-/// the fulfiller's delivery plus the parking executor's own release in
-/// `execute_vertex`, in either order).
+/// Make one of the deliveries a waiting dependent is owed; `true` when it
+/// was the last and the caller must schedule the vertex. Two kinds of
+/// dependent flow through here: `touch` continuations (owed 1, one
+/// sweep/bounce delivery) and parked strands (owed 2 — the fulfiller's
+/// delivery plus the parking executor's own release in `commit_park`, in
+/// either order). The in-degree is fixed before the first delivery can
+/// happen, so one word in the vertex carries the whole handshake: the
+/// delivery that lands second schedules, and the first one's release half
+/// publishes its writes (a parking executor's reinstalled body) to the
+/// second one's acquire half, which the deque push hands on to whoever
+/// runs the vertex.
 ///
 /// # Safety
 /// `w` must be a waiting vertex (a `touch` continuation or a parked
 /// strand), not scheduled, and the caller must hold one — exactly one —
 /// of its pending delivery rights.
 pub(crate) unsafe fn resolve_dependent<C: CounterFamily>(w: *mut Vertex<C>) -> bool {
-    // Project straight to the counter field: materializing `&Vertex`
-    // here would claim read validity over the *whole* struct while the
-    // parking executor may still hold `&mut Vertex` and be writing
-    // `body`/`park_pending` before its own decrement — undefined
-    // behaviour under the aliasing model even though only the counter
-    // would be read. The counter field itself is quiescent: `arm_park`
-    // (or `touch`'s vertex construction) wrote it strictly before the
-    // registration that handed this caller its delivery right, and
-    // nothing writes it again until the resumed executor owns the vertex.
+    // Project straight to the word: materializing `&Vertex` here would
+    // claim read validity over the *whole* struct while the parking
+    // executor may still hold `&mut Vertex` and be writing
+    // `body`/`park_pending` before its own decrement — undefined behaviour
+    // under the aliasing model even though only the word would be touched.
+    // The word itself is an atomic: `arm_park` (or `touch`, on the vertex
+    // it had just built) wrote it strictly before the registration that
+    // handed this caller its delivery right, and nothing but the owed
+    // deliveries writes it until the resumed executor owns the vertex.
     //
     // SAFETY: `w` is alive (leaked, unscheduled) per the caller contract,
-    // so the field projection is in bounds; the shared reference created
-    // below covers only the counter bytes, which no one mutates
-    // concurrently (the counter's internals are atomics, Sync by the
-    // CounterFamily bounds).
-    let counter = unsafe {
-        (*std::ptr::addr_of!((*w).counter)).as_ref().expect("waiting dependent without a counter")
-    };
-    // SAFETY: each root decrement handle consumes one unit of the
-    // counter's initial surplus, once per delivery right.
-    unsafe { C::decrement(counter, C::root_dec(counter)) }
+    // so the field projection is in bounds; the shared reference covers
+    // only the atomic's bytes.
+    let owed = unsafe { &*std::ptr::addr_of!((*w).owed) };
+    let before = owed.fetch_sub(1, Ordering::AcqRel);
+    debug_assert!(before >= 1, "a dependent got a delivery it was not owed");
+    before == 1
 }
 
 #[cfg(test)]

@@ -29,6 +29,9 @@
 //! *signals* (decrements) when a vertex's body returns without spawning or
 //! chaining; the decrement that takes the counter to zero returns `true`
 //! exactly once and schedules the finish vertex. No polling, no locks.
+//! (A scope has a counter only from its first fork on: while it has one
+//! strand, that strand's signal schedules the finish vertex outright —
+//! see [`vertex`].)
 //!
 //! ```
 //! use spdag::run_dag;

@@ -8,10 +8,18 @@
 //! `chain`/`touch` continuation that does one of those in its place — and
 //! nobody touches a pair after its second claim. So the claim flag is the
 //! reference count ([`DecPair::claim_last`]): the claimer that finds the
-//! flag set takes the second handle and frees the slab. The root pair of a
-//! finish scope has one holder and is born with the flag set
-//! ([`DecPair::new_claimed`]); the dag's final vertex never claims and
-//! holds no pair at all ([`PairRef::none`]).
+//! flag set takes the second handle and frees the slab.
+//!
+//! A pair exists only where a scope forked. A finish scope opens with one
+//! strand — `run_dag`'s root, a `chain`'s `first`, a future's body — and
+//! that strand holds [`PairRef::none`]: a pair with one holder would be
+//! claimed once, by the same vertex that would free it, so it is no object
+//! at all. The invariant the dag layer rests on (`spdag::vertex`): *a
+//! vertex whose pair is `none` is the only strand of its finish scope, and
+//! that scope's counter has never been stepped*. Only `spawn` and
+//! `Vertex::fork_rotate` add a strand, and both leave every strand of the
+//! scope with a real pair. The dag's final vertex signals nobody and holds
+//! `none` too.
 //!
 //! Pairs are carved from the scheduler's size-class ladder through the
 //! typed pair every recycled object uses ([`recycle::alloc`] /
@@ -36,10 +44,16 @@ impl<D> Clone for PairRef<D> {
 impl<D> Copy for PairRef<D> {}
 
 impl<D: Copy> PairRef<D> {
-    /// The final vertex's placeholder: it signals nobody, so it holds no
-    /// pair. Must never be claimed.
+    /// What the only strand of a finish scope holds (and the final
+    /// vertex, which has no scope to signal): no pair. Must never be
+    /// claimed.
     pub(crate) const fn none() -> PairRef<D> {
         PairRef(std::ptr::null_mut())
+    }
+
+    /// Whether the holder is the only strand of its scope (module docs).
+    pub(crate) fn is_none(self) -> bool {
+        self.0.is_null()
     }
 
     /// Move `pair` into a slab of its own. The slab lives until the
@@ -55,9 +69,9 @@ impl<D: Copy> PairRef<D> {
     /// # Safety
     /// The caller must be one of the pair's holders and must not have
     /// claimed before: across all copies of this pointer, two claims in
-    /// total (one for a born-claimed pair). The pointer is dead afterwards.
+    /// total. The pointer is dead afterwards.
     pub(crate) unsafe fn claim(self) -> D {
-        debug_assert!(!self.0.is_null(), "the final vertex's placeholder pair was claimed");
+        debug_assert!(!self.0.is_null(), "a sole strand's `none` pair was claimed");
         // SAFETY: the pair is live until its last claim (caller contract).
         let (dec, last) = unsafe { DecPair::claim_last(self.0) };
         if last {
@@ -83,8 +97,9 @@ mod tests {
         assert_eq!(unsafe { b.claim() }, 2);
         // Freed on the second claim: the thread's LIFO cache serves the
         // very same slab to the next pair.
-        let c = PairRef::new(DecPair::new_claimed(9u64));
+        let c = PairRef::new(DecPair::new(3u64, 4u64));
         assert_eq!(c.0 as usize, addr);
-        assert_eq!(unsafe { c.claim() }, 9, "a born-claimed pair ends on its single claim");
+        assert!(!c.is_none() && PairRef::<u64>::none().is_none());
+        assert_eq!(unsafe { (c.claim(), c.claim()) }, (3, 4));
     }
 }

@@ -2,14 +2,14 @@
 //!
 //! A vertex carries:
 //!
-//! * its own dependency counter (the paper's `query` handle) — allocated
-//!   **lazily**: only finish vertices (the final vertex of the dag and the
-//!   `w` of every `chain`) start with a non-zero count and are ever
-//!   counted against, so plain spawn children skip the allocation
-//!   entirely. This matches the paper's implementation, which allocates
-//!   one counter per finish block;
+//! * the dependency counter of the finish scope it closes (the paper's
+//!   `query` handle) — `None` at birth for every vertex, finish vertices
+//!   included, and made **at the scope's first increment** (below);
 //! * an increment handle `inc` and a shared decrement pair `dec`, both
-//!   aimed into the counter of the vertex's *finish vertex* `fin`;
+//!   aimed into the counter of the vertex's *finish vertex* `fin` — held
+//!   only by a strand of a scope that has forked;
+//! * `owed`, the in-degree of a dependent whose in-degree is fixed when it
+//!   starts to wait (a `touch` continuation, a parked strand);
 //! * the `is_left` bit (which of its parent's two children this vertex
 //!   is), used by the in-counter to spread sibling traffic onto disjoint
 //!   SNZI nodes (Figure 5, line 22);
@@ -17,6 +17,43 @@
 //!   instead of signalling;
 //! * the body frame, taken by the executing worker (and put back only by
 //!   a strand that parks).
+//!
+//! ## An in-counter only where a scope forks
+//!
+//! The in-counter earns its O(1) contention on scopes of unbounded
+//! in-degree. Most scopes of a future-heavy dag have in-degree one, and a
+//! word with at most two writers has constant contention already. One
+//! invariant carries both cases:
+//!
+//! > **A vertex whose `dec` is `PairRef::none()` is the only strand of its
+//! > finish scope, and that scope's counter has never been stepped** (it
+//! > is still `None`).
+//!
+//! Scopes open with one strand — `run_dag`'s root, `chain`'s `first`, a
+//! future's body — born with `dec = none`. `chain`, `touch` and a park
+//! replace a strand one for one and hand `dec` on unchanged. Only
+//! [`Ctx::spawn`] and `Vertex::fork_rotate` add a strand; both go
+//! through `Vertex::increment`, which leaves every strand it touches
+//! with a real pair. Three consequences:
+//!
+//! 1. **A sole strand's signal readies `fin` outright** — no claim, no
+//!    decrement, no counter (`dag::execute_vertex`). The scope's counter is
+//!    made, with count 1 for the sole strand itself, by that strand at the
+//!    scope's *first* increment: exclusive by the invariant, and published
+//!    to the new strands by the deque push that publishes them. The fresh
+//!    counter's `root_inc`/`root_dec` stand for the handles the sole strand
+//!    never stored. This departs from the paper's Figure 3, where `chain`
+//!    calls `new_vertex(1)` eagerly; making the counter at the first
+//!    `increment` changes no bound — it only removes operations from
+//!    scopes that never fork.
+//! 2. **The single-holder pair is no object**: it is `PairRef::none()`.
+//! 3. **A dependent of fixed in-degree counts on one word in its vertex**,
+//!    `owed`: 1 for a `touch` continuation (one delivery), 2 for a parked
+//!    strand (the fulfiller's delivery and the parking executor's release,
+//!    in either order), 0 otherwise. `futures::resolve_dependent` is
+//!    `owed.fetch_sub(1, AcqRel) == 1`: the delivery that lands second
+//!    schedules the vertex, and the first one's release publishes its
+//!    writes to it.
 //!
 //! ## Allocation and recycling
 //!
@@ -54,14 +91,17 @@
 //!
 //! * a vertex executes only after all vertices that reference it (as
 //!   their `fin`, or through handles into its counter) have signalled;
-//! * the only field of a vertex ever accessed through a shared reference
-//!   from other threads is `counter` (by its scope's concurrent signals),
-//!   and counters are `Sync`;
+//! * two fields of a vertex are reached from other threads while it
+//!   waits: `counter`, written once by its scope's sole strand and then
+//!   read by that scope's signals (counters are `Sync`), and `owed`, an
+//!   atomic (see the `Sync` impl);
 //! * handles a vertex hands out point into its *finish vertex's* counter,
 //!   and a finish vertex executes — hence is retired — strictly after
 //!   every vertex of its scope.
 
+use std::cell::UnsafeCell;
 use std::mem::{ManuallyDrop, MaybeUninit};
+use std::sync::atomic::AtomicU32;
 
 use incounter::CounterFamily;
 use sched::recycle::{INLINE_SLOT_ALIGN, INLINE_SLOT_BYTES};
@@ -327,89 +367,110 @@ unsafe fn drop_state<S, const STRAND: bool>(buf: &mut FrameBuf) {
 }
 
 /// One vertex of the sp-dag.
+///
+/// `repr(C)`, the body first and the counter last: the frame moves into
+/// the slab as four aligned 16-byte copies. In the order rustc picks, the
+/// counter sits right before the body and the padding bytes behind its
+/// `None` tag are folded into that copy, which then reloads the frame
+/// three bytes off the stores that just wrote it — a store-forwarding
+/// stall per vertex, 8 ns on `spdag.spawn_ns_per_vertex` (measured,
+/// `cores: 2`).
+#[repr(C)]
 pub struct Vertex<C: CounterFamily> {
-    /// This vertex's own dependency counter (`None` until someone needs to
-    /// wait on this vertex, i.e. for non-finish vertices).
-    pub(crate) counter: Option<C::Counter>,
+    /// The code to run; taken by the executor, empty for the dag's final
+    /// vertex and after a body that panicked while parked.
+    pub(crate) body: Frame<C>,
     /// Increment handle into `fin`'s counter (rotated by `Scope::fork`).
-    pub(crate) inc: C::Inc,
+    /// Initialized exactly when `dec` is a real pair.
+    pub(crate) inc: MaybeUninit<C::Inc>,
     /// Ordered decrement pair into `fin`'s counter, shared with the
     /// sibling; claimed exactly once by this vertex or by the continuation
-    /// it hands the pointer to. `PairRef::none` only for the final vertex.
+    /// it hands the pointer to. `PairRef::none` for the only strand of a
+    /// scope (module docs) and for the final vertex.
     pub(crate) dec: PairRef<C::Dec>,
     /// The finish vertex this vertex signals; null only for the final
     /// vertex of the whole dag.
     pub(crate) fin: *const Vertex<C>,
+    /// Number of `Scope::fork`s performed by this vertex (also salts the
+    /// placement key so consecutive forks hash to different leaves).
+    pub(crate) forks: u64,
+    /// Deliveries still owed to this vertex before it may be scheduled: 1
+    /// on a `touch` continuation, 2 while a strand parks, 0 otherwise
+    /// (module docs, consequence 3).
+    pub(crate) owed: AtomicU32,
     /// Left/right position under the parent (spreads in-counter traffic).
     pub(crate) is_left: bool,
     /// Set when the vertex terminates by spawning/chaining (no signal).
     pub(crate) dead: bool,
-    /// Number of `Scope::fork`s performed by this vertex (also salts the
-    /// placement key so consecutive forks hash to different leaves).
-    pub(crate) forks: u64,
+    /// The body is the runtime's own, not a user's: a future's
+    /// seal-and-sweep, the final vertex's nothing. Keeps the
+    /// `spdag.panic_vertex` failpoint, which stands in for a *user* body
+    /// that panics, off them.
+    pub(crate) runtime_body: bool,
     /// Set by [`Ctx::touch_await`] when it arms this vertex on an unready
     /// future's out-set; still `true` when the vertex is rescheduled, so
     /// the executor's entry check is how a resumption is recognized (and
     /// the `StrandPoll::Parked`-without-registration bug is caught). Only
     /// ever read/written by the current executor — parking hands the
-    /// vertex over through the in-counter's release/acquire edge.
+    /// vertex over through `owed`'s release/acquire edge.
     pub(crate) park_pending: bool,
-    /// The code to run; taken by the executor, empty for the dag's final
-    /// vertex and after a body that panicked while parked.
-    pub(crate) body: Frame<C>,
+    /// The counter of the finish scope this vertex closes: `None` until
+    /// that scope's first increment, which its sole strand performs
+    /// (`Vertex::increment`) — so `None` for good on a vertex that closes
+    /// no scope, or one whose only strand never forked. In a cell because
+    /// that strand writes it through its `fin` pointer.
+    counter: UnsafeCell<Option<C::Counter>>,
 }
 
-// SAFETY: the only field ever accessed across threads is `counter` (Sync
-// by the CounterFamily bounds); every other field is touched solely by
-// the single creator (before publication) or the single executor (which
-// holds the vertex exclusively). Concurrent deliveries against a vertex
-// whose executor is still unwinding (`futures::resolve_dependent` racing
-// a park commit) reach the counter through a raw field projection, never
-// a whole-`&Vertex` reference, so they assert nothing about the fields
-// the executor is writing. The raw `fin` pointer is dereferenced only
-// while the pointee is provably alive (see module docs).
+// SAFETY: two fields are reached from other threads while the vertex
+// waits, and each has its own argument.
+//
+// * `counter` is written once, by the only strand of the scope this
+//   vertex closes, at that scope's first increment (`Vertex::increment`).
+//   By the invariant in the module docs nobody else can be reading it
+//   then: every reader is a strand of the scope that holds a real pair,
+//   and such strands exist only from that increment on — they (or the
+//   strands they descend from) were published by a deque push the writer
+//   made after the write, which orders the write before their reads. From
+//   then until this vertex runs the field is only read, and counters are
+//   `Sync` by the `CounterFamily` bounds.
+// * `owed` is an atomic. Deliveries against a vertex whose executor is
+//   still unwinding (`futures::resolve_dependent` racing a park commit)
+//   reach it through a raw field projection, never a whole-`&Vertex`
+//   reference, so they assert nothing about the fields the executor is
+//   writing.
+//
+// Every other field is touched solely by the single creator (before
+// publication) or the single executor (which holds the vertex
+// exclusively). The raw `fin` pointer is dereferenced only while the
+// pointee is provably alive (see module docs).
 unsafe impl<C: CounterFamily> Send for Vertex<C> {}
 unsafe impl<C: CounterFamily> Sync for Vertex<C> {}
 
 impl<C: CounterFamily> Vertex<C> {
-    /// Allocate a vertex (the paper's `new_vertex`, with the counter made
-    /// lazily: `n = 0` vertices carry no counter), preferring a recycled
-    /// size-class slab. The caller owns the returned pointer and must
-    /// eventually pass it to `Vertex::retire`.
+    /// Allocate a vertex (the paper's `new_vertex`, minus the counter: see
+    /// the module docs), preferring a recycled size-class slab. `inc` must
+    /// be initialized when `dec` is a real pair. The caller owns the
+    /// returned pointer and must eventually pass it to `Vertex::retire`.
     pub(crate) fn alloc(
-        cfg: &C::Config,
-        n: u64,
-        inc: C::Inc,
-        dec: PairRef<C::Dec>,
-        fin: *const Vertex<C>,
-        is_left: bool,
-        body: Frame<C>,
-    ) -> *mut Vertex<C> {
-        let counter = if n > 0 { Some(C::make(cfg, n)) } else { None };
-        Self::alloc_parts(counter, inc, dec, fin, is_left, body)
-    }
-
-    /// As `Vertex::alloc` with a pre-built counter (the dag's final
-    /// vertex builds its root handles from the counter before the vertex
-    /// exists).
-    pub(crate) fn alloc_parts(
-        counter: Option<C::Counter>,
-        inc: C::Inc,
+        inc: MaybeUninit<C::Inc>,
         dec: PairRef<C::Dec>,
         fin: *const Vertex<C>,
         is_left: bool,
         body: Frame<C>,
     ) -> *mut Vertex<C> {
         let (ptr, reused) = sched::recycle::alloc(|| Vertex {
-            counter,
+            body,
             inc,
             dec,
             fin,
+            forks: 0,
+            owed: AtomicU32::new(0),
             is_left,
             dead: false,
-            forks: 0,
+            runtime_body: false,
             park_pending: false,
-            body,
+            counter: UnsafeCell::new(None),
         });
         if reused {
             obs::counter!("sched.vertex_reuse").inc();
@@ -419,12 +480,19 @@ impl<C: CounterFamily> Vertex<C> {
         ptr
     }
 
+    /// Allocate the vertex a finish scope opens with: its only strand,
+    /// which holds no handles (module docs). `fin` is null for the dag's
+    /// final vertex, which has no scope to signal.
+    pub(crate) fn alloc_sole(fin: *const Vertex<C>, body: Frame<C>) -> *mut Vertex<C> {
+        Self::alloc(MaybeUninit::uninit(), PairRef::none(), fin, true, body)
+    }
+
     /// Retire an executed (or otherwise finally-owned) vertex: run drop
     /// glue, then send the memory back to its size class.
     ///
     /// # Safety
-    /// `ptr` must have come from `Vertex::alloc`/[`Vertex::alloc_parts`],
-    /// be exclusively owned by the caller, and never be used afterwards.
+    /// `ptr` must have come from `Vertex::alloc`, be exclusively owned by
+    /// the caller, and never be used afterwards.
     pub(crate) unsafe fn retire(ptr: *mut Vertex<C>) {
         // SAFETY: the caller's contract is `free`'s.
         if unsafe { sched::recycle::free(ptr) } {
@@ -434,41 +502,122 @@ impl<C: CounterFamily> Vertex<C> {
         }
     }
 
+    /// One increment on this vertex's finish scope, making room for one
+    /// more strand (Figure 5's `increment` plus the pair it feeds): returns
+    /// the two increment handles and the decrement pair the two strands
+    /// that replace this one share. The one place a scope's counter is
+    /// made and stepped, shared by [`Ctx::spawn`] and
+    /// [`fork_rotate`](Vertex::fork_rotate).
+    ///
+    /// Encodes the ordering invariant the analysis leans on: the
+    /// increment (grow + arrive, Figure 5) happens strictly **before**
+    /// the inherited handle is claimed.
+    ///
+    /// Inlined into its two callers: out of line the three results come
+    /// back through memory, which `spawn` reloads straight after the
+    /// stores — 2 ns of `spdag.spawn_ns_per_vertex`'s 55 (lower quartile
+    /// of 20 alternating runs, `cores: 2`).
+    #[inline(always)]
+    pub(crate) fn increment(
+        &mut self,
+        cfg: &C::Config,
+        vid: u64,
+    ) -> (C::Inc, C::Inc, PairRef<C::Dec>) {
+        let sole = self.dec.is_none();
+        // SAFETY: `fin` is alive — this vertex is an unfinished strand of
+        // `fin`'s scope, so that scope cannot have completed.
+        let fc = unsafe {
+            if sole {
+                Self::open_counter(self.fin, cfg)
+            } else {
+                (*self.fin).counter_ref()
+            }
+        };
+        // The fresh counter's root handles stand for the ones a sole
+        // strand never stored.
+        let inc = if sole {
+            C::root_inc(fc)
+        } else {
+            // SAFETY: a real pair comes with an initialized `inc`
+            // (`Vertex::alloc`'s contract).
+            unsafe { self.inc.assume_init() }
+        };
+        // One increment, exactly as in Figure 5 ...
+        // SAFETY: `inc` points into `fc` by construction; validity is the
+        // sp-dag discipline itself.
+        let (d2, i1, i2) = unsafe { C::increment(cfg, fc, inc, self.is_left, vid) };
+        // ... and only then claim the inherited handle (the first handle
+        // of the new pair is the higher one).
+        let d1 = if sole {
+            C::root_dec(fc)
+        } else {
+            // SAFETY: this vertex's one claim on the pair it holds; it dies
+            // or moves onto the fresh pair right after.
+            unsafe { self.dec.claim() }
+        };
+        (i1, i2, PairRef::new(C::make_pair(cfg, d1, d2)))
+    }
+
+    /// Make the counter of the scope `fin` closes, with count 1: the
+    /// calling strand itself.
+    ///
+    /// # Safety
+    /// The caller must be the only strand of `fin`'s scope (it holds
+    /// `PairRef::none`), and `fin` must be alive. The returned reference
+    /// is good until `fin` runs.
+    unsafe fn open_counter<'f>(fin: *const Vertex<C>, cfg: &C::Config) -> &'f C::Counter {
+        // SAFETY: a raw projection to the cell — no reference to the
+        // vertex exists or is made. Nobody else reads or writes the field
+        // now: the caller is the scope's only strand, and the vertex
+        // itself waits for that scope (see the `Sync` impl).
+        unsafe {
+            let slot = UnsafeCell::raw_get(std::ptr::addr_of!((*fin).counter));
+            debug_assert!(
+                (*slot).is_none(),
+                "sp-dag invariant violated: a sole strand's scope already has a counter"
+            );
+            (*slot).insert(C::make(cfg, 1))
+        }
+    }
+
     /// The fork step shared by [`Scope::fork`](crate::Scope::fork) and the
     /// future constructors: perform one increment on this vertex's finish
     /// counter to make room for a new sibling, then *rotate* this vertex
     /// onto the fresh right-hand handles (it becomes the right child of
     /// its own fork). Returns the left child's increment handle and the
     /// shared decrement pair to build the sibling with.
-    ///
-    /// Encodes the ordering invariant the analysis leans on: the
-    /// increment (grow + arrive, Figure 5) happens strictly **before**
-    /// the inherited handle is claimed.
     pub(crate) fn fork_rotate(&mut self, cfg: &C::Config) -> (C::Inc, PairRef<C::Dec>) {
-        // SAFETY: `fin` is alive — this vertex is an unfinished strand of
-        // its scope (same argument as Ctx::spawn).
-        let fin_ref = unsafe { &*self.fin };
-        let fc = fin_ref.counter_ref();
         let vid = (self as *const Vertex<C> as u64).wrapping_add(self.forks);
-        // One increment per fork, exactly as in Figure 5 ...
-        // SAFETY: self.inc belongs to fc by construction.
-        let (d2, i1, i2) = unsafe { C::increment(cfg, fc, self.inc, self.is_left, vid) };
-        // ... then claim the inherited handle and build the shared pair.
-        // SAFETY: this is the vertex's one claim on the pair it holds; it
-        // moves onto the fresh pair below.
-        let d1 = unsafe { self.dec.claim() };
-        let pair = PairRef::new(C::make_pair(cfg, d1, d2));
-        self.inc = i2;
+        let (i1, i2, pair) = self.increment(cfg, vid);
+        self.inc = MaybeUninit::new(i2);
         self.dec = pair;
         self.is_left = false;
         self.forks += 1;
         (i1, pair)
     }
 
-    /// The counter of this vertex; panics if the vertex is not a finish
-    /// vertex (an sp-dag structural bug, not a user error).
-    pub(crate) fn counter_ref(&self) -> &C::Counter {
-        self.counter.as_ref().expect("sp-dag invariant violated: finish vertex without a counter")
+    /// The counter of the scope this vertex closes; panics if that scope
+    /// never made one (an sp-dag structural bug, not a user error).
+    ///
+    /// # Safety
+    /// The caller must be a strand of that scope holding a real pair — so
+    /// ordered after the counter's one write (see the `Sync` impl).
+    pub(crate) unsafe fn counter_ref(&self) -> &C::Counter {
+        // SAFETY: the field is not written again before this vertex runs,
+        // which is after every strand of its scope.
+        unsafe { (*self.counter.get()).as_ref() }
+            .expect("sp-dag invariant violated: a strand holds a pair but its scope has no counter")
+    }
+
+    /// Whether the scope this vertex closes has made its counter. For the
+    /// invariant's debug checks.
+    ///
+    /// # Safety
+    /// As [`counter_ref`](Vertex::counter_ref), or the caller is the
+    /// scope's only strand.
+    pub(crate) unsafe fn has_counter(&self) -> bool {
+        // SAFETY: the caller's contract.
+        unsafe { (*self.counter.get()).is_some() }
     }
 }
 

@@ -328,6 +328,57 @@ fn seeded_churn_phases_run_every_touch_exactly_once() {
     }
 }
 
+/// Fulfil ∥ suspend on the park word: a parked strand counts its two
+/// deliveries — the fulfiller's sweep and its own executor's commit — on
+/// one word in its vertex, and whichever lands second reschedules it. `n`
+/// strands await one future whose producer spins a pseudo-random while, so
+/// across rounds the registrations land before, during and after the seal
+/// (parked and swept, parked with the sweep's delivery first, bounced and
+/// disarmed); each strand then awaits a second, slower future, so a word a
+/// first await left behind — zeroed by two deliveries or by a disarm — is
+/// armed again. Exactly-once makes the sum exact, and every park is
+/// repaid. In this binary so that CI's 100-run loop watches the rare
+/// interleavings.
+#[test]
+fn fulfil_races_suspend_on_the_park_word() {
+    fn drive<C: CounterFamily>(cfg: C::Config, workers: usize, round: u64) {
+        let n = 1 + round % 6;
+        let (fast, slow) = ((round * 37) % 400, 200 + (round * 91) % 900);
+        let sum = Arc::new(AtomicU64::new(0));
+        let s = Arc::clone(&sum);
+        let spun = move |iters: u64, value: u64| {
+            move |_: Ctx<'_, C>| {
+                for i in 0..iters {
+                    std::hint::black_box(i);
+                }
+                value
+            }
+        };
+        let stats = run_dag::<C, _>(cfg, workers, move |mut ctx| {
+            let first = ctx.future(spun(fast, 7));
+            let second = ctx.future(spun(slow, 100));
+            let mut scope = ctx.into_scope();
+            for _ in 0..n {
+                let (first, second, s) = (first.clone(), second.clone(), Arc::clone(&s));
+                scope.fork_strand(move |c: &mut Ctx<'_, C>| {
+                    let a = *strand_await!(c, &first);
+                    let b = *strand_await!(c, &second);
+                    s.fetch_add(a + b, Ordering::Relaxed);
+                    StrandPoll::Done(())
+                });
+            }
+        });
+        assert_eq!(sum.load(Ordering::Relaxed), 107 * n, "{} round {round}", C::NAME);
+        assert_eq!(stats.pool.suspends, stats.pool.resumes, "{} round {round}", C::NAME);
+    }
+    for round in 0u64..60 {
+        let workers = [2, 4][(round % 2) as usize];
+        drive::<DynSnzi>(DynConfig::default(), workers, round);
+        drive::<FetchAdd>((), workers, round);
+        drive::<FixedDepth>(FixedConfig { depth: 2 }, workers, round);
+    }
+}
+
 /// try_get never lies: false negatives allowed, never false positives.
 #[test]
 fn try_get_is_safe_snapshot() {

@@ -13,9 +13,11 @@
 //!    `touch_await` on it panics with the descriptive poisoned message
 //!    rather than hanging;
 //! 4. the conservation identities — vertices, decrement pairs
-//!    (`pairs_born == pairs_freed`), PoolArcs, out-set blocks and adds —
-//!    close at quiescence even across a poisoned run (checked when
-//!    telemetry is compiled in).
+//!    (`pairs_born == pairs_freed`, both equal to the program's
+//!    increments: a pair exists only where a scope forked, and a panic
+//!    removes none), PoolArcs, out-set blocks and adds — close at
+//!    quiescence even across a poisoned run (checked when telemetry is
+//!    compiled in).
 //!
 //! The file runs identically in every feature leg: it injects panics
 //! with plain `panic!`, not failpoints, so `fault-inject` being absent
@@ -66,6 +68,35 @@ impl Prog {
         match self {
             Prog::Leaf(_) | Prog::Touch(_) | Prog::TouchAwait(_) => 1,
             Prog::Spawn(a, b) | Prog::Chain(a, b) | Prog::Fork(a, b) => a.cells() + b.cells(),
+        }
+    }
+
+    /// In-counter increments the program performs, panic or no panic (the
+    /// dag drains structurally): one per spawn, fork and future. A chain
+    /// makes none, and a cut-down victim is a leaf or a future's body.
+    fn increments(&self) -> u64 {
+        match self {
+            Prog::Leaf(_) => 0,
+            Prog::Touch(_) => 1,
+            Prog::TouchAwait(_) => 2,
+            Prog::Chain(a, b) => a.increments() + b.increments(),
+            Prog::Spawn(a, b) | Prog::Fork(a, b) => 1 + a.increments() + b.increments(),
+        }
+    }
+
+    /// In-counters the program makes: one per finish scope that forks.
+    /// Returns whether the scope `self` runs in is stepped by it, and the
+    /// counters of the scopes nested inside (each `chain` opens one around
+    /// its first side; a future's body here is a leaf and never forks).
+    fn counters(&self) -> (bool, u64) {
+        match self {
+            Prog::Leaf(_) => (false, 0),
+            Prog::Touch(_) | Prog::TouchAwait(_) => (true, 0),
+            Prog::Spawn(a, b) | Prog::Fork(a, b) => (true, a.counters().1 + b.counters().1),
+            Prog::Chain(a, b) => {
+                let ((inner, na), (outer, nb)) = (a.counters(), b.counters());
+                (outer, na + nb + u64::from(inner))
+            }
         }
     }
 
@@ -225,10 +256,18 @@ fn run_case(prog: &Prog, workers: usize, victim: Option<usize>) {
         assert_eq!(born, dead, "vertex conservation broke across a poisoned run");
         // A panicked vertex still makes its one claim in the signal
         // epilogue (or its children make it for it), so every self-owning
-        // decrement pair still sees its last claim and is freed.
+        // decrement pair still sees its last claim and is freed. And a
+        // pair is born per increment, nowhere else: a scope's only strand
+        // holds none, so a leaf dag makes no pair and no counter at all.
         let (born, freed) = (d.counter("sched.pairs_born"), d.counter("sched.pairs_freed"));
         assert_eq!(born, freed, "decrement pairs leaked across a poisoned run");
-        assert!(born > 0, "every dag has at least its root pair");
+        assert_eq!(born, prog.increments(), "one pair per increment: {prog:?}");
+        let (root, nested) = prog.counters();
+        assert_eq!(
+            d.counter("snzi.trees_created"),
+            u64::from(root) + nested,
+            "one in-counter per scope that forked: {prog:?}"
+        );
         let born = d.counter("sched.poolarc_alloc") + d.counter("sched.poolarc_reuse");
         let dead = d.counter("sched.poolarc_recycled") + d.counter("sched.poolarc_dropped");
         assert_eq!(born, dead, "PoolArc conservation broke across a poisoned run");

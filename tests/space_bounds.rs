@@ -10,11 +10,38 @@
 //!    example records 415 nodes for n = 16.7M at threshold 40000;
 //! 2. pruning per Lemma B.1 (subtree surplus returned to zero) recovers
 //!    the space while the tree keeps functioning.
+//!
+//! And one for the dag layer above the tree: a future link keeps four
+//! recycler slabs live — its shared core, the pair of the fork that joined
+//! it to the enclosing scope, its completion vertex and one more vertex
+//! (its body, or the continuation or parked strand the body became) — and
+//! no in-counter: only a scope that forks makes one.
+//!
+//! The recycler gauges and SNZI roots are process-global, so the tests
+//! serialize on a lock.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use incounter::{CounterFamily, DecPair, DynConfig, DynSnzi};
 use snzi::{Probability, SnziTree};
+use spdag::{run_dag, strand_await, Ctx, FutureHandle, StrandPoll};
+
+/// The file-level lock; its guard flushes the test thread's slab caches
+/// before unlocking, so the next test's gauge reads are exact (as `Serial`
+/// in `tests/vertex_recycle.rs`).
+struct Serial(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+impl Drop for Serial {
+    fn drop(&mut self) {
+        sched::slab::flush_this_thread();
+    }
+}
+
+fn lock() -> Serial {
+    static LOCK: Mutex<()> = Mutex::new(());
+    Serial(LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner()))
+}
 
 struct SimV {
     inc: snzi::Handle,
@@ -74,6 +101,7 @@ fn run_fanin_sim(cfg: &DynConfig, leaves_pow: u32) -> (SnziTree, u64) {
 
 #[test]
 fn node_count_never_exceeds_vertex_count() {
+    let _g = lock();
     // With p = 1 the tree grows one pair per increment: nodes = 1 + 2·inc,
     // and each increment creates two dag vertices — the Appendix B bound.
     let cfg = DynConfig::always_grow();
@@ -91,6 +119,7 @@ fn node_count_never_exceeds_vertex_count() {
 
 #[test]
 fn probabilistic_growth_keeps_trees_tiny() {
+    let _g = lock();
     // The artifact reports 415 nodes for 16.7M increments at threshold
     // 40000 — i.e. node count ≈ 2·increments/threshold, thousands of
     // times smaller than the dag. Check the same scaling here.
@@ -112,6 +141,7 @@ fn probabilistic_growth_keeps_trees_tiny() {
 
 #[test]
 fn never_grow_is_constant_space() {
+    let _g = lock();
     let cfg = DynConfig::never_grow();
     let (tree, _) = run_fanin_sim(&cfg, 10);
     assert_eq!(tree.stats().node_count(), 1);
@@ -119,6 +149,7 @@ fn never_grow_is_constant_space() {
 
 #[test]
 fn pruning_recovers_space_during_a_run() {
+    let _g = lock();
     // Interleave work and Lemma B.1 pruning on a shrinkable tree: after
     // each drained burst, prune below the root and verify the node count
     // returns to 1 while the tree stays usable.
@@ -158,4 +189,54 @@ fn pruning_recovers_space_during_a_run() {
         );
     }
     assert!(tree.query(), "the initial surplus survived 50 prune rounds");
+}
+
+/// `depth` futures in one serial chain, all built by the root before any
+/// runs; each hop awaits its predecessor in blocking style (`blocking`) or
+/// touches it from a `future_then` body. Returns the last value.
+fn future_chain(depth: u64, blocking: bool) -> u64 {
+    let out = Arc::new(AtomicU64::new(u64::MAX));
+    let o = Arc::clone(&out);
+    // Never grow: a SNZI child pair is a recycler slab too, and whether
+    // the root scope's counter draws one is a coin.
+    run_dag::<DynSnzi, _>(DynConfig::never_grow(), 1, move |mut ctx| {
+        let mut prev: FutureHandle<u64> = ctx.future(|_| 0u64);
+        for _ in 1..depth {
+            prev = if blocking {
+                let f = prev.clone();
+                ctx.future_strand(move |c: &mut Ctx<'_, DynSnzi>| {
+                    StrandPoll::Done(*strand_await!(c, &f) + 1)
+                })
+            } else {
+                ctx.future_then(&prev, |_, v| v + 1)
+            };
+        }
+        ctx.touch(&prev, move |_, v| o.store(*v, Ordering::Relaxed));
+    });
+    out.load(Ordering::Relaxed)
+}
+
+#[test]
+fn a_future_link_keeps_four_recycler_slabs() {
+    let _g = lock();
+    const DEPTH: u64 = 600;
+    // Beside the links: the root, the final vertex, the root scope's
+    // counter, the last touch's vertex, the one body that is running while
+    // the continuation that replaces it is born.
+    const BESIDE: usize = 8;
+    for blocking in [false, true] {
+        sched::recycle::trim();
+        assert_eq!(future_chain(DEPTH, blocking), DEPTH - 1);
+        // `run` flushed every cache on its way out: with the pools emptied
+        // before it, what they hold now is the run's live peak.
+        let slabs = sched::recycle::cached_slabs();
+        let bound = 4 * DEPTH as usize + BESIDE;
+        assert!(
+            slabs <= bound,
+            "a chain of {DEPTH} {} links peaked at {slabs} recycler slabs, over 4 per link \
+             + {BESIDE} = {bound}: a counter or a pair per future has grown back",
+            if blocking { "touch_await" } else { "future_then" },
+        );
+        assert!(slabs >= 4 * DEPTH as usize, "the gauge lost slabs: {slabs} for {DEPTH} links");
+    }
 }

@@ -7,8 +7,10 @@
 //!    header and out-set block born is accounted dead exactly once
 //!    (`allocated + reused == recycled + dropped`), and every decrement
 //!    pair born was freed by its last claim (`pairs_born ==
-//!    pairs_freed`). A violation is a leak or a double-free caught by
-//!    arithmetic.
+//!    pairs_freed`), one pair per increment and one in-counter per scope
+//!    that forked. A violation is a leak or a double-free caught by
+//!    arithmetic — or a pair or counter per chain/future/touch/park
+//!    grown back.
 //! 2. **Provenance is the layout** — objects whose layout is off the
 //!    class ladder (too big, aligned past a cache-line pair) take the
 //!    plain allocator and never enter a class pool (`reused == recycled
@@ -77,6 +79,36 @@ impl Prog {
             Prog::Spawn(a, b) | Prog::Chain(a, b) => a.hits() + b.hits(),
             Prog::Fork(k, a) => u64::from(*k) + a.hits(),
             Prog::Future(a) | Prog::Await(a) => 1 + a.hits(),
+        }
+    }
+
+    /// In-counter increments the program performs: one per spawn, scope
+    /// fork and future (an `Await` makes a future and forks a strand); a
+    /// chain, a touch and a park make none.
+    fn increments(&self) -> u64 {
+        match self {
+            Prog::Leaf => 0,
+            Prog::Spawn(a, b) => 1 + a.increments() + b.increments(),
+            Prog::Chain(a, b) => a.increments() + b.increments(),
+            Prog::Fork(k, a) => u64::from(*k) + a.increments(),
+            Prog::Future(a) => 1 + a.increments(),
+            Prog::Await(a) => 2 + a.increments(),
+        }
+    }
+
+    /// In-counters the program makes: one per finish scope that forks.
+    /// Returns whether the scope `self` runs in is stepped by it, and the
+    /// counters of the scopes nested inside (each `chain` opens one around
+    /// its first side; the futures' bodies here never fork).
+    fn counters(&self) -> (bool, u64) {
+        match self {
+            Prog::Leaf => (false, 0),
+            Prog::Spawn(a, b) => (true, a.counters().1 + b.counters().1),
+            Prog::Chain(a, b) => {
+                let ((inner, na), (outer, nb)) = (a.counters(), b.counters());
+                (outer, na + nb + u64::from(inner))
+            }
+            Prog::Fork(_, a) | Prog::Future(a) | Prog::Await(a) => (true, a.counters().1),
         }
     }
 }
@@ -156,12 +188,20 @@ fn run_and_check(workers: usize, prog: &Prog) {
     if !obs::enabled() {
         return;
     }
-    // Pairs own themselves: the last of a pair's (one or two) claims
-    // frees it, so a pair that is born and not freed leaked, and a third
-    // claim would have double-freed (caught by the poison/claim asserts).
+    // Pairs own themselves: the second of a pair's two claims frees it,
+    // so a pair that is born and not freed leaked, and a third claim would
+    // have double-freed (caught by the poison/claim asserts). One is born
+    // per increment and nowhere else — a scope's only strand holds none —
+    // and a scope makes its in-counter only if it forks.
     let (born, freed) = (d.counter("sched.pairs_born"), d.counter("sched.pairs_freed"));
     assert_eq!(born, freed, "decrement-pair leak: born {born} != freed {freed}");
-    assert!(born > 0, "every dag has at least its root pair");
+    assert_eq!(born, prog.increments(), "one pair per increment: {prog:?}");
+    let (root, nested) = prog.counters();
+    assert_eq!(
+        d.counter("snzi.trees_created"),
+        u64::from(root) + nested,
+        "one in-counter per scope that forked: {prog:?}"
+    );
     let blocks_born = d.counter("outset.blocks_allocated") + d.counter("outset.blocks_reused");
     let blocks_dead = d.counter("outset.blocks_recycled");
     assert_eq!(blocks_born, blocks_dead, "out-set block leak or double-account");
