@@ -319,15 +319,17 @@ fn check_strand_bounds(opts: &Opts) -> bool {
             format!("warm run: {sa} fresh spilled frames ({si} frames inlined alloc-free)"),
         );
     }
-    let cached = sched::recycle::cached_slabs();
-    let ceiling = footprint_ceiling(depth, w) + parked_live as usize;
+    let (cached, bytes) = (sched::recycle::cached_slabs(), sched::recycle::cached_bytes());
+    let (slabs, room) = footprint_ceiling(depth, w);
+    let parked_live = parked_live as usize;
     check(
         "strand-footprint-ceiling",
-        cached <= ceiling,
+        cached <= slabs + parked_live && bytes <= room + 256 * parked_live,
         format!(
-            "class pools {cached} slabs <= {LINK_SLABS} x {depth} links + {} beside them + \
-             {parked_live} suspended-but-live frames",
-            footprint_ceiling(0, w)
+            "class pools {cached} slabs, {bytes} B <= ({LINK_SLABS} slabs, {LINK_BYTES} B) x \
+             {depth} links + {} slabs of up to 256 B beside them + {parked_live} \
+             suspended-but-live frames",
+            footprint_ceiling(0, w).0
         ),
     );
     println!("# strand checks: {}", if all_ok { "PASS" } else { "FAIL" });
@@ -341,15 +343,22 @@ fn check_strand_bounds(opts: &Opts) -> bool {
 /// in-counter and no second pair: a scope that never forks makes neither.
 const LINK_SLABS: usize = 4;
 
+/// The same in bytes: the core and the two vertices ride the 128 B class,
+/// the pair the 64 B one. (A vertex that grows past 128 B rides the 256 B
+/// class and makes this 704.)
+const LINK_BYTES: usize = 128 + 64 + 2 * 128;
+
 /// The most the class pools may hold after runs whose live peak is `links`
 /// futures, starting from empty depots. Beside the links: what the other
 /// workers' caches hold while one builds (up to two magazines of 32 per
 /// class; the checks read 20–70 slabs in all at W=4) and the handful of
 /// slabs a run has of its own — root, final vertex, the root scope's
 /// counter and the child pairs it draws. Both callers have at least 1 024
-/// links, so one slab more per link is well over this slack.
-fn footprint_ceiling(links: u64, workers: usize) -> usize {
-    LINK_SLABS * links as usize + 128 * workers + 64
+/// links, so one slab more per link — or one class more per vertex — is
+/// well over this slack. Returns the bound in slabs and in bytes.
+fn footprint_ceiling(links: u64, workers: usize) -> (usize, usize) {
+    let (links, beside) = (links as usize, 128 * workers + 64);
+    (LINK_SLABS * links + beside, LINK_BYTES * links + 256 * beside)
 }
 
 /// Steals must pay (`sched::pool`): one worker lets `STEAL_PAYS` pass
@@ -572,15 +581,18 @@ fn check_recycle_bounds(opts: &Opts) -> bool {
         cached <= 2 * warm_cached + 64,
         format!("free list {cached} blocks <= 2 x warm {warm_cached} + 64 (peak-live, not churn)"),
     );
-    let sched_cached = sched::recycle::cached_slabs();
+    let (sched_cached, sched_bytes) =
+        (sched::recycle::cached_slabs(), sched::recycle::cached_bytes());
     let cells = stages * 2 * width;
+    let (slabs, room) = footprint_ceiling(cells, w);
     check(
         "sched-footprint-ceiling",
-        sched_cached <= footprint_ceiling(cells, w),
+        sched_cached <= slabs && sched_bytes <= room,
         format!(
-            "class pools {sched_cached} slabs <= {LINK_SLABS} x {cells} cells of the cold run + \
-             {} beside them (peak-live, not churn)",
-            footprint_ceiling(0, w)
+            "class pools {sched_cached} slabs, {sched_bytes} B <= ({LINK_SLABS} slabs, \
+             {LINK_BYTES} B) x {cells} cells of the cold run + {} slabs of up to 256 B beside \
+             them (peak-live, not churn)",
+            footprint_ceiling(0, w).0
         ),
     );
     // Alternating samples, so a spell of the host prices both alike.

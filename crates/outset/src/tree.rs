@@ -110,16 +110,31 @@
 //! plain allocations left, one per split.
 //!
 //! `Drop` frees the lanes and tables and hands every block to the
-//! recycler: the block is
-//! poisoned (`POISON` in every slot, generation stamp bumped to odd) and
-//! pushed into the per-worker slab caches (`sched::slab`) that
+//! recycler: pushed into the per-worker slab caches (`sched::slab`) that
 //! `alloc_block` prefers, so steady-state future churn reaches zero
 //! allocator traffic. A block therefore changes owner only inside a
-//! destructor no adder can race, which is why a recycled block
-//! re-installed at the same lane index of another out-set is harmless:
-//! nobody can still hold it from its previous life. `retire`/`reset`
-//! debug-assert the poison and the stamp, so a stale write into a cached
-//! block trips on its next reuse instead of corrupting a later out-set.
+//! destructor no adder can race (or as an install loser nobody ever saw),
+//! which is why a recycled block re-installed at the same lane index of
+//! another out-set is harmless: nobody can still hold it from its
+//! previous life.
+//!
+//! **What a cached block holds: `EMPTY` in every slot.** A block is
+//! 280 B, five cache lines, and a future with one or two dependents uses
+//! the first. The protocol can only have written the slots below the
+//! cursor — an adder stores into the slot whose index its `fetch_add`
+//! returned, the sweep into the slots below the cursor it loaded — so
+//! `Block::retire` clears `slots[..claimed.min(BLOCK_SLOTS)]` and
+//! `Block::reset` writes the cursor and `next` and no slot at all: a
+//! one-dependent future dirties one line of its block per life, where
+//! clearing all 32 slots on the way out and again on the way in dirtied
+//! five, twice. (`footprint_bytes` is what a block occupies, not what it
+//! touches, and does not move.) Debug builds keep the whole-block check:
+//! `retire` asserts that nothing above the cursor was written, fills
+//! every slot with `POISON` and bumps the generation stamp to odd, and
+//! `reset` asserts the poison and the stamp before clearing — so a stale
+//! write into a cached block trips on its next reuse instead of
+//! corrupting a later out-set, and the sweep asserts it never reads the
+//! poison.
 //!
 //! The out-set is expected to be shared via `Arc` by the completing
 //! vertex and all edge-adding handles, so no add or finish can race the
@@ -133,11 +148,11 @@ use crate::{AddEdge, GrowthPolicy, OutsetFamily};
 const EMPTY: u64 = 0;
 const SWEPT: u64 = 1;
 const TOKEN_BIAS: u64 = 2;
-/// Written into every slot of a retired block while it sits in the
-/// recycler. The live protocol never stores it (`MAX_TOKEN` keeps biased
-/// tokens below), so a sweep reading `POISON` — or a reuse *not* reading
-/// it — is a reclamation bug caught by the debug asserts in
-/// `Block::retire`/`Block::reset`.
+/// Written, in debug builds, into every slot of a retired block while it
+/// sits in the recycler (a release build leaves `EMPTY` there). The live
+/// protocol never stores it (`MAX_TOKEN` keeps biased tokens below), so a
+/// sweep reading `POISON` — or a reuse *not* reading it — is a
+/// reclamation bug caught by the asserts in `Block::retire`/`Block::reset`.
 const POISON: u64 = u64::MAX;
 /// Largest accepted token: `MAX_TOKEN + TOKEN_BIAS < POISON`.
 const MAX_TOKEN: u64 = u64::MAX - 3;
@@ -165,9 +180,9 @@ struct Block {
     /// Slot cursor; values past `BLOCK_SLOTS` mean "this block was full,
     /// the adder moved on" and are harmless.
     claimed: AtomicUsize,
-    /// Reclamation stamp: bumped to odd by `retire`, back to even by
-    /// `reset`, so the debug asserts can tell a live block from a cached
-    /// one across arbitrarily many reuse cycles.
+    /// Reclamation stamp, stepped in debug builds only: bumped to odd by
+    /// `retire`, back to even by `reset`, so the asserts can tell a live
+    /// block from a cached one across arbitrarily many reuse cycles.
     generation: u64,
     slots: [AtomicU64; BLOCK_SLOTS],
 }
@@ -182,24 +197,40 @@ impl Block {
         })
     }
 
-    /// Poison `block` and hand it to the recycler. Taking the leaked
+    /// Clear `block` and hand it to the recycler. Taking the leaked
     /// block's one `&'static mut` by value is the caller giving it up:
     /// the out-set's `Drop` (exclusive by `&mut self`) and the
     /// install-race loser (never published) are the only two callers.
+    ///
+    /// A cached block holds `EMPTY` in every slot. Only the slots below
+    /// the cursor can hold anything else — an adder writes the slot whose
+    /// index its `fetch_add` returned, the sweep the slots below the cursor
+    /// it loaded — so those are the ones cleared: a block that served one
+    /// dependent goes back with one line written, not five.
     ///
     /// `delivered` says every slot must be `EMPTY` or `SWEPT` — true of a
     /// sealed out-set (the slot protocol emptied it) and of a block that
     /// was never published. An out-set dropped unfinished may still hold
     /// tokens; those are cleared without the check.
     fn retire(block: &'static mut Block, delivered: bool) {
-        debug_assert_eq!(block.generation % 2, 0, "double retirement of a slot block");
-        block.generation += 1;
-        for slot in &mut block.slots {
-            let prev = std::mem::replace(slot.get_mut(), POISON);
+        let claimed = (*block.claimed.get_mut()).min(BLOCK_SLOTS);
+        for slot in &mut block.slots[..claimed] {
+            let prev = std::mem::replace(slot.get_mut(), EMPTY);
             debug_assert!(
                 !delivered || prev < TOKEN_BIAS,
                 "retired a slot block still holding an undelivered token"
             );
+        }
+        if cfg!(debug_assertions) {
+            // What a release build relies on and never looks at: nothing
+            // above the cursor was written. Then the poison, over the whole
+            // block, and the stamp that tells a cached block from a live one.
+            assert_eq!(block.generation % 2, 0, "double retirement of a slot block");
+            block.generation += 1;
+            for slot in &mut block.slots {
+                let prev = std::mem::replace(slot.get_mut(), POISON);
+                assert_eq!(prev, EMPTY, "a slot above the cursor of a retiring block was written");
+            }
         }
         block.next = std::ptr::null_mut();
         obs::counter!("outset.blocks_recycled").inc();
@@ -214,15 +245,18 @@ impl Block {
         obs::trace::record(obs::EventKind::BlockRecycle, spilled as u64);
     }
 
-    /// Re-initialize a block just taken from the recycler: verify the
-    /// poison (nobody scribbled on it while it was free), clear the
-    /// slots, restart the cursor.
+    /// Re-initialize a block just taken from the recycler: restart the
+    /// cursor and link it. Its slots are `EMPTY` already (`retire`); a
+    /// debug build, where they hold the poison instead, verifies that
+    /// nobody scribbled on the block while it was free and clears them.
     fn reset(block: &mut Block, next: *mut Block) {
-        debug_assert_eq!(block.generation % 2, 1, "reused a slot block that was never retired");
-        block.generation += 1;
-        for slot in &mut block.slots {
-            let prev = std::mem::replace(slot.get_mut(), EMPTY);
-            debug_assert_eq!(prev, POISON, "a cached slot block was written to while free");
+        if cfg!(debug_assertions) {
+            assert_eq!(block.generation % 2, 1, "reused a slot block that was never retired");
+            block.generation += 1;
+            for slot in &mut block.slots {
+                let prev = std::mem::replace(slot.get_mut(), EMPTY);
+                assert_eq!(prev, POISON, "a cached slot block was written to while free");
+            }
         }
         *block.claimed.get_mut() = 0;
         block.next = next;
@@ -1046,9 +1080,9 @@ mod tests {
         assert_eq!(set.add(7, 0), AddEdge::Finished(7));
         assert_eq!(set.block_count(), 3);
 
-        // Drop hands exactly those blocks to the recycler, poisoned. The
-        // thread's cache is LIFO, so the next three acquires are them
-        // whatever other tests do to the shared list.
+        // Drop hands exactly those blocks to the recycler, every slot
+        // cleared. The thread's cache is LIFO, so the next three acquires
+        // are them whatever other tests do to the shared list.
         let mut owned = Vec::new();
         let mut head = set.inline_head.load(Ordering::SeqCst);
         while !head.is_null() {
@@ -1064,9 +1098,80 @@ mod tests {
         for raw in back {
             // SAFETY: just acquired, untouched, handed straight back.
             unsafe {
-                assert_eq!((*(raw as *mut Block)).slots[0].load(Ordering::SeqCst), POISON);
+                assert_cached(&mut *(raw as *mut Block));
                 block_pool().release(raw);
             }
+        }
+    }
+
+    /// What a block holds while it sits in the recycler: `EMPTY` in every
+    /// slot — in a debug build the poison over that, under an odd stamp.
+    fn assert_cached(block: &mut Block) {
+        let (want, odd) = if cfg!(debug_assertions) { (POISON, 1) } else { (EMPTY, 0) };
+        assert!(block.slots.iter_mut().all(|slot| *slot.get_mut() == want));
+        assert_eq!(block.generation % 2, odd);
+    }
+
+    #[test]
+    fn a_block_is_reborn_empty_whatever_its_last_life_left_in_it() {
+        // `retire` clears the slots below the cursor and `reset` writes no
+        // slot (release builds), so the cursor has to cover everything a
+        // life can have written: no claim at all, one, a block one short
+        // of full, full, and full with the cursor overshot by the adder
+        // that moved on — tokens still in place throughout (`delivered ==
+        // false`: the out-sets are dropped unfinished).
+        let b = BLOCK_SLOTS as u64;
+        for (round, k) in [0, 1, b - 1, b, b + 1].into_iter().enumerate() {
+            let old = TreeOutsetObj::new();
+            // A linked block nobody claimed in has no other way to exist.
+            let untouched = old.alloc_block(std::ptr::null_mut());
+            old.inline_head.store(untouched, Ordering::SeqCst);
+            for t in 0..k {
+                assert_eq!(old.add(1000 + t, 0), AddEdge::Registered);
+            }
+            let mut owned = Vec::new();
+            let mut head = old.inline_head.load(Ordering::SeqCst);
+            while !head.is_null() {
+                owned.push(head);
+                // SAFETY: linked blocks live until `old` drops.
+                head = unsafe { (*head).next };
+            }
+            assert_eq!(owned.len(), if k > b { 2 } else { 1 });
+            // SAFETY: as above.
+            let cursor = unsafe { (*untouched).claimed.load(Ordering::SeqCst) };
+            assert_eq!(cursor as u64, k, "k = {b} + 1 is the overshoot");
+            drop(old);
+            // The cache is LIFO and `Drop` walks newest first: the blocks
+            // come back oldest first.
+            let back: Vec<*mut Block> = (0..owned.len())
+                .map(|_| block_pool().acquire().expect("drop fed the recycler") as *mut Block)
+                .collect();
+            assert!(back.iter().eq(owned.iter().rev()));
+            for &raw in back.iter().rev() {
+                // SAFETY: just acquired, exclusively ours, untouched, and
+                // handed straight back.
+                unsafe {
+                    assert_cached(&mut *raw);
+                    block_pool().release(raw as *mut u8);
+                }
+            }
+            // The next life: exactly what is added to it comes out.
+            let next = TreeOutsetObj::new();
+            let reborn = next.alloc_block(std::ptr::null_mut());
+            assert_eq!(reborn, back[0], "a block of the last life, by LIFO");
+            // SAFETY: ours until installed below.
+            let block = unsafe { &mut *reborn };
+            assert!(block.slots.iter_mut().all(|slot| *slot.get_mut() == EMPTY));
+            assert_eq!((*block.claimed.get_mut(), block.generation % 2), (0, 0));
+            next.inline_head.store(reborn, Ordering::SeqCst);
+            let expect: Vec<u64> = (0..b + 2).map(|t| round as u64 * 100 + t).collect();
+            for &t in &expect {
+                assert_eq!(next.add(t, 0), AddEdge::Registered);
+            }
+            let mut got = Vec::new();
+            assert!(next.finish(&mut |t| got.push(t)));
+            got.sort_unstable();
+            assert_eq!(got, expect, "k = {k}: nothing stale, nothing lost");
         }
     }
 }

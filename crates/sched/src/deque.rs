@@ -5,7 +5,7 @@
 //! classic one (Chase & Lev, SPAA'05) with the memory orderings of the C11
 //! formulation (Lê, Pop, Cohen, Nardelli, PPoPP'13).
 //!
-//! Two implementation choices worth calling out:
+//! Three implementation choices worth calling out:
 //!
 //! * **Atomic slots.** Buffer slots are `AtomicUsize` accessed with
 //!   relaxed ordering. The classic formulation reads a slot non-atomically
@@ -14,6 +14,15 @@
 //!   race. Making the slots atomics keeps every execution defined without
 //!   measurable cost — slot payloads are machine words anyway, via the
 //!   [`Word`] trait.
+//! * **An owner with no thief pays for none.** The barrier in `pop` and
+//!   the CAS on the last element exist to settle a race with `steal`, and
+//!   they cost more than their own cycles: a full barrier drains the store
+//!   buffer, so on a path full of store misses it exposes latency the core
+//!   would have overlapped. `pop_solo` is the same take without either,
+//!   `unsafe` and crate-private; the pool uses it for a one-worker run,
+//!   where no `steal` can be running (`pool::WorkerCtx::pop` states why).
+//!   `push`, `pop` and `steal` themselves are the published protocol,
+//!   unchanged, and are what every run of two or more workers executes.
 //! * **Buffer retirement.** When the owner grows the buffer, the old one
 //!   cannot be freed immediately (a stalled thief may still read from it).
 //!   Retired buffers are parked in a side list owned by the deque and
@@ -232,6 +241,32 @@ impl<T: Word> WorkerDeque<T> {
         Some(unsafe { T::from_word(w) })
     }
 
+    /// [`pop`](WorkerDeque::pop) for an owner that has no thief: the same
+    /// LIFO take with no barrier and no CAS, because both exist only to
+    /// settle the last element against a concurrent `steal`. `bottom` and
+    /// `top` are left exactly as the general `pop` would leave them, so the
+    /// two may be mixed on one deque (the destructor uses the general one).
+    ///
+    /// # Safety
+    /// No [`Stealer::steal`] of this deque may run concurrently with the
+    /// call. Concurrent [`Stealer::len`]/[`Stealer::is_empty`] are fine:
+    /// they read the two indices and nothing else.
+    pub(crate) unsafe fn pop_solo(&self) -> Option<T> {
+        let inner = &*self.inner;
+        let b = inner.bottom.0.load(Ordering::Relaxed);
+        // Nobody but a thief advances `top`, and there is none.
+        if b <= inner.top.0.load(Ordering::Relaxed) {
+            return None;
+        }
+        let buf = inner.buffer.load(Ordering::Relaxed);
+        // SAFETY: buffer valid until Inner::drop.
+        let w = unsafe { (*buf).read(b - 1) };
+        inner.bottom.0.store(b - 1, Ordering::Relaxed);
+        // SAFETY: word produced by into_word in push; with no thief the
+        // owner is the only taker, and lowering `bottom` took it.
+        Some(unsafe { T::from_word(w) })
+    }
+
     /// Approximate number of queued tasks (owner's view; racy for others).
     pub fn len(&self) -> usize {
         let b = self.inner.bottom.0.load(Ordering::Relaxed);
@@ -399,6 +434,48 @@ mod tests {
         assert_eq!(w.pop(), Some(2));
         assert_eq!(w.pop(), None);
         assert_eq!(s.steal(), StealResult::Empty);
+    }
+
+    #[test]
+    fn pop_solo_is_pop_when_nobody_steals() {
+        // The same seeded push/pop/steal program on two deques, one popped
+        // through the general protocol and one through the owner-only
+        // take (steals are sequential here, which is all `pop_solo` asks):
+        // same answers, same lengths, across buffer growth, the
+        // last-element case and pops of an empty deque. Then the two pops
+        // mixed on one deque, as `Drop` mixes them.
+        let (general, gs) = deque_with_capacity::<usize>(2);
+        let (solo, ss) = deque_with_capacity::<usize>(2);
+        let mut rng = VictimRng::new(7);
+        for i in 0..20_000usize {
+            match rng.next_below(8) {
+                0..=3 => {
+                    general.push(i);
+                    solo.push(i);
+                }
+                4..=6 => {
+                    // SAFETY: no steal runs concurrently; this is one thread.
+                    assert_eq!(unsafe { solo.pop_solo() }, general.pop());
+                }
+                _ => assert_eq!(ss.steal(), gs.steal()),
+            }
+            assert_eq!((solo.len(), ss.len()), (general.len(), gs.len()));
+        }
+        while let Some(v) = general.pop() {
+            // SAFETY: as above.
+            assert_eq!(unsafe { solo.pop_solo() }, Some(v));
+        }
+        // SAFETY: as above.
+        assert_eq!(unsafe { solo.pop_solo() }, None);
+        for i in 0..10 {
+            solo.push(i);
+        }
+        for i in (0..10).rev() {
+            // SAFETY: as above.
+            let got = if i % 2 == 0 { solo.pop() } else { unsafe { solo.pop_solo() } };
+            assert_eq!(got, Some(i));
+        }
+        assert!(solo.is_empty() && ss.is_empty());
     }
 
     #[test]

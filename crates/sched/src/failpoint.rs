@@ -29,8 +29,9 @@
 //! `sched.delayed_wake` (stall a `notify` ~50µs), `spdag.force_bounce`
 //! (hold a touch registration until the future fulfills, forcing the
 //! sealed-bounce path), `spdag.panic_vertex` (panic on the Nth execution
-//! of a vertex that owns no counter, i.e. never inside the runtime's own
-//! seal-and-sweep — the chaos battery's panic injector).
+//! of a vertex whose body is a user's — every vertex but the two that
+//! carry `Vertex::runtime_body`, a future's seal-and-sweep and the dag's
+//! final vertex — the chaos battery's panic injector).
 
 /// How a site decides whether call `k` (0-based) injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -75,6 +75,25 @@
 //! frame can go. It is the hand-written equivalent of a scoped thread's
 //! join.
 //!
+//! ## What one worker does not pay
+//!
+//! A barrier or a locked instruction buys an ordering against another
+//! thread, and costs more than its own cycles: it drains the store buffer,
+//! so on the dag layer's store-miss-heavy paths it exposes misses the core
+//! would have overlapped (30–40 ns a vertex against 8 ns for the barrier
+//! alone, ROADMAP item 3). A one-worker run has no other thread — the
+//! caller is its only worker — so it is decided once, when the run starts
+//! (`WorkerCtx::solo`), that it pays for neither handshake: a push skips
+//! the sleeper probe (nobody sleeps) and a pop goes through
+//! `WorkerDeque::pop_solo`, the owner-only take with no barrier and no CAS
+//! (nobody steals; `WorkerCtx::pop` states why that holds with a watchdog
+//! attached and under nested runs). The protocols themselves —
+//! `WorkerDeque::{push, pop, steal}`, `EventCount::{park, notify}` — are
+//! untouched, and a run of two or more workers executes exactly them: the
+//! larger half of the same cost, an asymmetric barrier for `pop` ∥ `steal`
+//! and `notify` ∥ `park`, changes both handshakes and waits for ROADMAP
+//! item 4.
+//!
 //! Every participant, worker 0 included, flushes its slab caches
 //! ([`crate::slab::flush_this_thread`]) *before* it reports done, so
 //! **`run`'s return is the runtime's quiescent point**: every cache is
@@ -325,6 +344,10 @@ pub struct WorkerCtx<'a, T: Word> {
     deque: &'a WorkerDeque<T>,
     shared: &'a Shared<T>,
     id: usize,
+    /// This worker is the run's only one, decided once when the run starts:
+    /// nobody sleeps and nobody steals, so [`notify`](WorkerCtx::notify)
+    /// and [`pop`](WorkerCtx::pop) skip what exists for a second thread.
+    solo: bool,
     tasks: Cell<u64>,
     steals: Cell<u64>,
     parks: Cell<u64>,
@@ -381,9 +404,29 @@ impl<'a, T: Word> WorkerCtx<'a, T> {
     /// probe's fence and load altogether.
     #[inline]
     fn notify(&self) {
-        if self.num_workers() > 1 {
+        if !self.solo {
             self.shared.sleep.notify();
         }
+    }
+
+    /// Take the newest task of this worker's own deque. A one-worker pool
+    /// has no thief either, so it skips the pop's fence and CAS the same
+    /// way (module docs, "What one worker does not pay").
+    #[inline]
+    fn pop(&self) -> Option<T> {
+        if !self.solo {
+            return self.deque.pop();
+        }
+        // SAFETY: no `Stealer::steal` of this deque runs concurrently,
+        // because nothing that could call one exists. The deque's stealers
+        // are the one in `shared.stealers` and no other (`run_inner` makes
+        // the pair and hands out no clone); `steal` is called on them by
+        // `worker_loop` alone; and this run's only `worker_loop` is on this
+        // thread, between two pops. The watchdog of a watched run is a
+        // second thread that holds `shared`, and reads lengths only
+        // (`stall_report`: `Stealer::is_empty`). A `run` nested inside a
+        // task builds its own deques and never sees this one.
+        unsafe { self.deque.pop_solo() }
     }
 
     /// Make a batch of tasks available with a single sleeper notification
@@ -473,7 +516,7 @@ where
     let mut stolen_at: Option<Instant> = None;
     loop {
         // Drain own deque first (work-first / LIFO).
-        while let Some(task) = ctx.deque.pop() {
+        while let Some(task) = ctx.pop() {
             execute(ctx, f, task);
         }
         // Steals must pay: what ran since the last steal is what it
@@ -701,6 +744,7 @@ where
         deque,
         shared,
         id,
+        solo: shared.stealers.len() == 1,
         tasks: Cell::new(0),
         steals: Cell::new(0),
         parks: Cell::new(0),
@@ -1150,6 +1194,106 @@ mod tests {
         });
         assert_eq!(stats.tasks, 130);
         assert_eq!((stats.wakeups, stats.parks), (0, 0), "nobody to wake, nothing to wait for");
+    }
+
+    /// A one-worker run of `program` checked against a stack: `program`
+    /// says what a task pushes (singly, then as a batch), every task must
+    /// be the one a LIFO deque holds on top, and the run must execute
+    /// exactly what was pushed. Task 0 is the root; in `DoneFlag` mode the
+    /// task the stack holds last — the first one the root pushes, `LAST` —
+    /// ends the run.
+    fn one_worker_lifo(
+        termination: Termination,
+        watchdog: Option<WatchdogCfg>,
+        program: impl Fn(usize) -> (Vec<usize>, Vec<usize>) + Sync,
+    ) -> PoolStats {
+        const LAST: usize = usize::MAX;
+        let model = Mutex::new(vec![0usize]);
+        let pushed = AtomicU64::new(1);
+        let caller = std::thread::current().id();
+        let body = |ctx: &WorkerCtx<'_, usize>, task: usize| {
+            assert_eq!(std::thread::current().id(), caller);
+            assert_eq!(model.lock().pop(), Some(task), "not the newest task");
+            let (singly, batch) = program(task);
+            let first = if task == 0 { vec![LAST] } else { Vec::new() };
+            pushed.fetch_add((first.len() + singly.len() + batch.len()) as u64, Ordering::Relaxed);
+            model.lock().extend(first.iter().chain(&singly).chain(&batch));
+            first.into_iter().chain(singly).for_each(|t| ctx.push(t));
+            ctx.push_batch(batch);
+            if task == LAST {
+                assert!(model.lock().is_empty(), "the oldest task runs last");
+                ctx.finish();
+            }
+        };
+        let stats = match watchdog {
+            None => run(1, vec![0], termination, body),
+            Some(cfg) => run_watched(1, vec![0], termination, cfg, body),
+        };
+        assert_eq!(stats.tasks, pushed.load(Ordering::Relaxed), "{termination:?}");
+        assert_eq!(stats.tasks_per_worker, vec![stats.tasks]);
+        assert_eq!((stats.steals, stats.wakeups, stats.parks), (0, 0, 0));
+        stats
+    }
+
+    #[test]
+    fn one_worker_runs_are_lifo_and_count_exactly_in_both_modes() {
+        for termination in [Termination::Quiesce, Termination::DoneFlag] {
+            let inner_tasks = AtomicU64::new(0);
+            let stats = one_worker_lifo(termination, None, |task| match task {
+                0 => (vec![1, 2], vec![3, 4]),
+                // A run nested in a task has deques of its own: it takes
+                // nothing from this one and leaves nothing in it.
+                3 => {
+                    let inner = one_worker_lifo(termination, None, |t| match t {
+                        0 => (vec![1], vec![2, 3]),
+                        _ => (vec![], vec![]),
+                    });
+                    inner_tasks.fetch_add(inner.tasks, Ordering::Relaxed);
+                    (vec![30], vec![31])
+                }
+                _ => (vec![], vec![]),
+            });
+            assert_eq!((stats.tasks, inner_tasks.load(Ordering::Relaxed)), (8, 5));
+        }
+    }
+
+    #[test]
+    fn one_worker_push_pop_cycles_cross_a_buffer_grow() {
+        // The root's 600 pushes take the 256-slot buffer through two
+        // grows; then 100 000 push/pop cycles run on top of them, in the
+        // grown buffer, before the 600 drain.
+        let cycles = AtomicU64::new(100_000);
+        let stats = one_worker_lifo(Termination::Quiesce, None, |task| match task {
+            0 => ((1..=300).collect(), (301..=600).collect()),
+            600.. => {
+                let left =
+                    cycles.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+                (left.map(|n| 600 + n as usize).into_iter().collect(), vec![])
+            }
+            _ => (vec![], vec![]),
+        });
+        assert_eq!(stats.tasks, 1 + 1 + 600 + 100_000);
+    }
+
+    #[test]
+    fn a_watchdog_polls_a_busy_one_worker_run_and_leaves_it_alone() {
+        // The watchdog is the one other thread that can see a one-worker
+        // run's deque. 5 ms polls over ~60 ms of 1 ms tasks: it reads the
+        // progress count while the owner pops, and never declares a stall.
+        let cfg = WatchdogCfg { stall_timeout: Duration::from_millis(40) };
+        for termination in [Termination::Quiesce, Termination::DoneFlag] {
+            let stats = one_worker_lifo(termination, Some(cfg.clone()), |task| {
+                let until = Instant::now() + Duration::from_millis(1);
+                while Instant::now() < until {
+                    std::hint::spin_loop();
+                }
+                match task {
+                    0 => ((1..=30).collect(), (31..=60).collect()),
+                    _ => (vec![], vec![]),
+                }
+            });
+            assert_eq!((stats.tasks, stats.state), (62, PoolState::Completed));
+        }
     }
 
     #[test]

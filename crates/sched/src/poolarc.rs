@@ -11,6 +11,13 @@
 //! back there ([`recycle::alloc`] / [`recycle::free`]), so warm-run churn
 //! stops touching the allocator.
 //!
+//! A refcount step is a locked instruction on a line every holder shares,
+//! so a holder known when the value is made should not cost one:
+//! [`PoolArc::new_held`] births the count at `N` and returns the `N`
+//! handles together (a future's core has three — its handle, its
+//! completion sweep, its value setter), and from there each is an ordinary
+//! handle.
+//!
 //! It is for objects whose holder count is genuinely open-ended. The
 //! decrement pair two sibling vertices share is *not* one: it has
 //! exactly two users, so its claim flag doubles as its reference count
@@ -59,14 +66,27 @@ impl<T> PoolArc<T> {
     /// Allocate a new shared `T`, the header served by the size-class
     /// pool its layout fits (the plain allocator when it fits none).
     pub fn new(value: T) -> Self {
-        let (ptr, reused) = recycle::alloc(|| Inner { strong: AtomicUsize::new(1), value });
+        let [only] = Self::new_held(value);
+        only
+    }
+
+    /// [`new`](PoolArc::new) for a value whose first `N` holders are known
+    /// where it is made: the count is born at `N` and the `N` handles come
+    /// back together, so none of them costs the locked increment of a
+    /// `clone` — on a line the holders are about to share. One birth on
+    /// the `sched.poolarc_*` counters, as for `new`.
+    pub fn new_held<const N: usize>(value: T) -> [Self; N] {
+        const { assert!(N >= 1, "a value nobody holds would never be dropped") };
+        let (ptr, reused) = recycle::alloc(|| Inner { strong: AtomicUsize::new(N), value });
         if reused {
             obs::counter!("sched.poolarc_reuse").inc();
         } else {
             obs::counter!("sched.poolarc_alloc").inc();
         }
         // SAFETY: `alloc` returns a valid, non-null allocation.
-        Self { ptr: unsafe { NonNull::new_unchecked(ptr) }, _marker: PhantomData }
+        let ptr = unsafe { NonNull::new_unchecked(ptr) };
+        // Exactly the `N` handles the count was born with.
+        std::array::from_fn(|_| Self { ptr, _marker: PhantomData })
     }
 
     fn inner(&self) -> &Inner<T> {

@@ -108,8 +108,8 @@ const POISON_WORDS: std::ops::Range<usize> = 1..3;
 /// lands in, not anything about dag semantics. 48 B keeps a suspended
 /// strand frame with up to 40 B of saved state (a few handles plus loop
 /// indices) inline — suspension then touches no memory outside the
-/// vertex's own slab — while still fitting `Vertex<DynSnzi>` comfortably
-/// inside the 256 B class.
+/// vertex's own slab — and is the most that still fits `Vertex<DynSnzi>`
+/// (120 B, its scope's counter behind a pointer) inside the 128 B class.
 pub const INLINE_SLOT_BYTES: usize = 48;
 
 /// Alignment ceiling for inline slot storage (the in-vertex buffer is

@@ -15,8 +15,11 @@
 //! and every child pair — is born and ended through the scheduler's
 //! size-class recycler ([`sched::recycle::alloc`] / [`sched::recycle::free`],
 //! whose 128 B and 256 B classes carry the nodes' two-line alignment): an
-//! in-counter is made per finish vertex, so a tree that went to the plain
-//! allocator would put one process-wide lock under every counted vertex.
+//! in-counter is made per finish scope that forks, so a tree that went to
+//! the plain allocator would put one process-wide lock under every such
+//! scope. The `SnziTree` object itself — the root pointer, the coin and
+//! the statistics — is plain data its owner places: `spdag` keeps it out
+//! of the vertex, in one more slab of that recycler (the 64 B class).
 //! [`Handle`]s are plain
 //! copyable pointers into the tree, which is why the handle-based
 //! operations are `unsafe`: the caller must keep the tree alive and respect

@@ -140,8 +140,8 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         let v = Vertex::alloc(MaybeUninit::new(i1), pair, u.fin, true, Frame::once(left));
         let w = Vertex::alloc(MaybeUninit::new(i2), pair, u.fin, false, Frame::once(right));
         u.dead = true;
-        self.worker.push(VertexPtr(v));
-        self.worker.push(VertexPtr(w));
+        // One publication for the pair: one sleeper probe, not two.
+        self.worker.push_batch([VertexPtr(v), VertexPtr(w)]);
     }
 
     /// Serial composition (the paper's `chain`; equivalently `finish {

@@ -53,7 +53,31 @@
 //! body, and has no counter unless that body forks (`crate::vertex`): a
 //! future whose body only computes, touches or parks costs four recycler
 //! slabs — the shared core, the fork's pair, the completion vertex and
-//! the body vertex.
+//! the body vertex — 448 B in all (three of the 128 B class, one of the
+//! 64 B).
+//!
+//! ## Who holds the core, and the registration-lifetime rule
+//!
+//! A refcount step on the core is a locked instruction on a line every
+//! holder shares, so the runtime takes none it can name in advance. The
+//! core is **born with its three holders** — the handle the constructor
+//! returns, the completion vertex's sweep, the body's value setter
+//! (`PoolArc::new_held`) — and a join's second stage reads its first
+//! input through the reference the first `touch` already took for its
+//! waiting vertex, handed on by value (`Ctx::touch_holding`), instead of
+//! through one more clone: a `future_join` cell costs 11 refcount steps,
+//! 4 up and 7 down, where it cost 15.
+//!
+//! One clone is **not** negotiable: *a registration runs under a
+//! reference its caller holds.* `touch` borrows the handle and gives the
+//! waiting vertex a clone. Moving the caller's own handle into that vertex
+//! would save the clone and is a use-after-free: once `O::add` has
+//! published the token the vertex can be swept, run and retired on another
+//! worker, dropping what it owns — and with the last reference the core,
+//! out-set and slot blocks included — while `O::add` is still in its
+//! post-publish `sealed` re-check.
+//! `tests/futures_stress.rs::a_join_is_the_last_holder_of_its_inputs`
+//! holds that window open.
 //!
 //! ## Footprint: every future starts on one lane
 //!
@@ -418,7 +442,10 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         T: Send + Sync + 'static,
         G: FnOnce(ValueSetter<T, O>) -> Frame<C>,
     {
-        let core = PoolArc::new(FutureCore::<T, O> {
+        // The core is born with its three holders — the handle returned
+        // below, the completion vertex's sweep, the body's setter — so
+        // none of them is a `clone`.
+        let [core, sweep_core, setter_core] = PoolArc::new_held(FutureCore::<T, O> {
             outset: O::make(),
             value: UnsafeCell::new(None),
             completed: AtomicBool::new(false),
@@ -443,7 +470,6 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // however many there are. Captures one PoolArc (8 bytes): an
         // inline body.
         const SWEEP_CHUNK: usize = 32;
-        let sweep_core = core.clone();
         let completion = Frame::once(move |c: Ctx<'_, C>| {
             let fulfill_start = obs::now();
             // The subtree is done; the value may not be. A body that ended
@@ -501,7 +527,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // vertex's scope (the same wiring Ctx::chain gives its `first`).
         // The body's state is what `build` captures plus one word, the
         // setter.
-        let body = build(ValueSetter { core: core.clone() });
+        let body = build(ValueSetter { core: setter_core });
         let fv = Vertex::alloc_sole(fw_ptr, body);
         worker.push(VertexPtr(fv));
         FutureHandle { core }
@@ -606,12 +632,18 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         let right = right.clone();
         self.future_slot(move |setter| {
             Frame::once(move |c: Ctx<'_, C>| {
-                let left2 = left.clone();
-                c.touch(&left, move |c2, _a| {
+                // The inner continuation reads `left`'s value through the
+                // reference the outer touch took for its own continuation,
+                // handed on — not through one more clone of `left`. The
+                // handle itself stays in this frame until `touch` returns
+                // (the registration-lifetime rule, on `touch_holding`).
+                c.touch_holding(&left, move |c2, left_core| {
                     c2.touch(&right, move |c3, b| {
                         // SAFETY: this chain runs strictly after `left`'s
-                        // completion (the outer touch ordered it).
-                        let a = unsafe { left2.core.value_ref() };
+                        // completion (the outer touch ordered it), and with
+                        // a value: a poisoned `left` skips the outer
+                        // continuation, so nothing gets here.
+                        let a = unsafe { left_core.value_ref() };
                         let value = f(c3, a, b);
                         setter.set(value);
                     });
@@ -652,6 +684,33 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         O: OutsetFamily,
         K: for<'b> FnOnce(Ctx<'b, C>, &T) + Send + 'static,
     {
+        self.touch_holding(future, move |c, core| {
+            // SAFETY: `touch_holding` runs this strictly after completion,
+            // and only when a value was published.
+            then(c, unsafe { core.value_ref() })
+        });
+    }
+
+    /// [`touch`](Ctx::touch), with the continuation handed the reference
+    /// to the future's core that the waiting vertex holds anyway — by
+    /// value, so a continuation that needs the future's value *later* (a
+    /// join's second stage) keeps that one reference instead of cloning
+    /// the handle beforehand. `then` runs only if the future published a
+    /// value.
+    ///
+    /// **Registration runs under a reference the caller holds**: `future`
+    /// is borrowed, and what the waiting vertex owns is a clone. Handing
+    /// the caller's own handle to the waiting vertex instead would save
+    /// that clone and is unsound: the moment `O::add` publishes the token
+    /// the vertex can be swept, run and retired on another worker, dropping
+    /// what it owns — with the last reference the core, out-set included —
+    /// while `O::add` is still in its post-publish `sealed` re-check.
+    fn touch_holding<T, O, K>(self, future: &FutureHandle<T, O>, then: K)
+    where
+        T: Send + Sync + 'static,
+        O: OutsetFamily,
+        K: for<'b> FnOnce(Ctx<'b, C>, PoolArc<FutureCore<T, O>>) + Send + 'static,
+    {
         let u = self.vertex;
         obs::counter!("spdag.touches").inc();
         obs::trace::record(obs::EventKind::FutureTouch, u as *const Vertex<C> as u64);
@@ -662,17 +721,16 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
             // SAFETY: this vertex is scheduled only by the completion
             // sweep or the post-seal bounce, both ordered after the value
             // write (if any).
-            match unsafe { core.value_opt() } {
-                Some(value) => then(c, value),
-                None => {
-                    // Poisoned: the future's body panicked and published
-                    // nothing. Skip the continuation closure — its
-                    // payload-producing panic is already being re-raised
-                    // at the run caller — but let this vertex fall
-                    // through to its signal epilogue so the scope still
-                    // drains (the closure and its captures drop here).
-                    obs::counter!("spdag.poisoned_touches").inc();
-                }
+            if unsafe { core.value_opt() }.is_some() {
+                then(c, core);
+            } else {
+                // Poisoned: the future's body panicked and published
+                // nothing. Skip the continuation closure — its
+                // payload-producing panic is already being re-raised
+                // at the run caller — but let this vertex fall
+                // through to its signal epilogue so the scope still
+                // drains (the closure and its captures drop here).
+                obs::counter!("spdag.poisoned_touches").inc();
             }
         });
         // The waiting vertex takes over u's scope position (inc, the pair

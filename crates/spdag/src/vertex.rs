@@ -2,9 +2,10 @@
 //!
 //! A vertex carries:
 //!
-//! * the dependency counter of the finish scope it closes (the paper's
-//!   `query` handle) — `None` at birth for every vertex, finish vertices
-//!   included, and made **at the scope's first increment** (below);
+//! * a pointer to the dependency counter of the finish scope it closes
+//!   (the paper's `query` handle) — null at birth for every vertex, finish
+//!   vertices included; the counter is made **at the scope's first
+//!   increment** and **out of line** (below);
 //! * an increment handle `inc` and a shared decrement pair `dec`, both
 //!   aimed into the counter of the vertex's *finish vertex* `fin` — held
 //!   only by a strand of a scope that has forked;
@@ -27,7 +28,7 @@
 //!
 //! > **A vertex whose `dec` is `PairRef::none()` is the only strand of its
 //! > finish scope, and that scope's counter has never been stepped** (it
-//! > is still `None`).
+//! > does not exist yet: the finish vertex's pointer is null).
 //!
 //! Scopes open with one strand — `run_dag`'s root, `chain`'s `first`, a
 //! future's body — born with `dec = none`. `chain`, `touch` and a park
@@ -71,7 +72,23 @@
 //! type-erased `Frame`: state of up to
 //! [`sched::recycle::INLINE_SLOT_BYTES`] (a closure's capture, a strand's
 //! saved state) is stored *inside* the vertex, larger state in a slab of
-//! the same ladder. The third object of
+//! the same ladder.
+//!
+//! **The vertex fits the 128 B class** — 120 B for every counter family,
+//! on both `stats` legs (a unit test here holds it) — because the scope's
+//! counter is not in it. An `Option<SnziTree>` in the vertex was 64 B that
+//! every vertex carried and, by the invariant above, all but one vertex of
+//! a future-heavy run left `None`: it put the vertex at 176 B, in the
+//! 256 B class, three cache lines touched per vertex. The field is one
+//! pointer instead. `Vertex::open_counter` — still the one `C::make` call
+//! site, still run once per scope by the scope's sole strand — builds the
+//! counter in a slab of the counter's own class ([`sched::recycle::alloc`])
+//! and stores the pointer; the vertex's `Drop`, which `Vertex::retire`
+//! runs, ends it. A forking scope pays one small slab; every other vertex
+//! is two lines, and a future link keeps 448 B of slabs live instead of
+//! 704 B.
+//!
+//! The third object of
 //! a spawn, the shared `DecPair`, is a slab of the same ladder that owns
 //! itself: `dec` is a plain copyable pointer (`pair::PairRef`), and the
 //! second of the pair's two claims frees it — a spawn pays one pair
@@ -92,9 +109,9 @@
 //! * a vertex executes only after all vertices that reference it (as
 //!   their `fin`, or through handles into its counter) have signalled;
 //! * two fields of a vertex are reached from other threads while it
-//!   waits: `counter`, written once by its scope's sole strand and then
-//!   read by that scope's signals (counters are `Sync`), and `owed`, an
-//!   atomic (see the `Sync` impl);
+//!   waits: `counter`, the pointer written once by its scope's sole strand
+//!   and then read — and followed — by that scope's signals (counters are
+//!   `Sync`), and `owed`, an atomic (see the `Sync` impl);
 //! * handles a vertex hands out point into its *finish vertex's* counter,
 //!   and a finish vertex executes — hence is retired — strictly after
 //!   every vertex of its scope.
@@ -414,26 +431,45 @@ pub struct Vertex<C: CounterFamily> {
     /// ever read/written by the current executor — parking hands the
     /// vertex over through `owed`'s release/acquire edge.
     pub(crate) park_pending: bool,
-    /// The counter of the finish scope this vertex closes: `None` until
-    /// that scope's first increment, which its sole strand performs
-    /// (`Vertex::increment`) — so `None` for good on a vertex that closes
-    /// no scope, or one whose only strand never forked. In a cell because
-    /// that strand writes it through its `fin` pointer.
-    counter: UnsafeCell<Option<C::Counter>>,
+    /// The counter of the finish scope this vertex closes, out of line:
+    /// null until that scope's first increment, which its sole strand
+    /// performs (`Vertex::increment`) — so null for good on a vertex that
+    /// closes no scope, or one whose only strand never forked, which is all
+    /// but one vertex of a future-heavy run. Born by
+    /// [`sched::recycle::alloc`] in `Vertex::open_counter`, ended with the
+    /// vertex (`Drop`). One word here instead of the counter itself is
+    /// what keeps the vertex inside the 128 B class (module docs). In a
+    /// cell because that strand writes it through its `fin` pointer.
+    counter: UnsafeCell<*mut C::Counter>,
+}
+
+impl<C: CounterFamily> Drop for Vertex<C> {
+    fn drop(&mut self) {
+        let counter = *self.counter.get_mut();
+        if !counter.is_null() {
+            // SAFETY: born by `recycle::alloc` in `open_counter`, owned by
+            // this vertex alone, and every strand that held a handle into
+            // it has signalled — that is what made this vertex run.
+            unsafe { sched::recycle::free(counter) };
+        }
+    }
 }
 
 // SAFETY: two fields are reached from other threads while the vertex
 // waits, and each has its own argument.
 //
-// * `counter` is written once, by the only strand of the scope this
-//   vertex closes, at that scope's first increment (`Vertex::increment`).
+// * `counter` is written once — the counter built, then its pointer
+//   stored — by the only strand of the scope this vertex closes, at that
+//   scope's first increment (`Vertex::increment`).
 //   By the invariant in the module docs nobody else can be reading it
 //   then: every reader is a strand of the scope that holds a real pair,
 //   and such strands exist only from that increment on — they (or the
 //   strands they descend from) were published by a deque push the writer
-//   made after the write, which orders the write before their reads. From
-//   then until this vertex runs the field is only read, and counters are
-//   `Sync` by the `CounterFamily` bounds.
+//   made after the write, which orders both writes before their reads.
+//   From then until this vertex runs the field is only read, and counters
+//   are `Sync` by the `CounterFamily` bounds. The counter is this vertex's
+//   alone (`Drop` frees it), so sending the vertex sends it too, and
+//   counters are `Send` by the same bounds.
 // * `owed` is an atomic. Deliveries against a vertex whose executor is
 //   still unwinding (`futures::resolve_dependent` racing a park commit)
 //   reach it through a raw field projection, never a whole-`&Vertex`
@@ -470,7 +506,7 @@ impl<C: CounterFamily> Vertex<C> {
             dead: false,
             runtime_body: false,
             park_pending: false,
-            counter: UnsafeCell::new(None),
+            counter: UnsafeCell::new(std::ptr::null_mut()),
         });
         if reused {
             obs::counter!("sched.vertex_reuse").inc();
@@ -573,10 +609,12 @@ impl<C: CounterFamily> Vertex<C> {
         unsafe {
             let slot = UnsafeCell::raw_get(std::ptr::addr_of!((*fin).counter));
             debug_assert!(
-                (*slot).is_none(),
+                (*slot).is_null(),
                 "sp-dag invariant violated: a sole strand's scope already has a counter"
             );
-            (*slot).insert(C::make(cfg, 1))
+            // In a slab of the counter's own class; `fin`'s drop frees it.
+            *slot = sched::recycle::alloc(|| C::make(cfg, 1)).0;
+            &**slot
         }
     }
 
@@ -617,7 +655,7 @@ impl<C: CounterFamily> Vertex<C> {
     /// scope's only strand.
     pub(crate) unsafe fn has_counter(&self) -> bool {
         // SAFETY: the caller's contract.
-        unsafe { (*self.counter.get()).is_some() }
+        unsafe { !(*self.counter.get()).is_null() }
     }
 }
 
@@ -636,5 +674,28 @@ unsafe impl<C: CounterFamily> Word for VertexPtr<C> {
     }
     unsafe fn from_word(w: usize) -> Self {
         VertexPtr(w as *mut Vertex<C>)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use incounter::{DynSnzi, FetchAdd, FixedDepth};
+
+    #[test]
+    fn a_vertex_rides_the_128_byte_class() {
+        // Two lines a vertex, not three: a field that pushes any family's
+        // vertex past 128 B sends it to the 256 B class and fails here, on
+        // whichever `stats` leg is being tested (CI runs both).
+        fn check<C: CounterFamily>() {
+            let size = std::mem::size_of::<Vertex<C>>();
+            assert!(size <= 128, "Vertex<{}> is {size} B", C::NAME);
+            let class = sched::recycle::class_of::<Vertex<C>>().expect("on the ladder");
+            assert_eq!(sched::recycle::class_bytes(class), 128, "Vertex<{}>", C::NAME);
+        }
+        check::<DynSnzi>();
+        check::<FetchAdd>();
+        check::<FixedDepth>();
+        assert_eq!(INLINE_SLOT_BYTES, 48, "the inline body did not pay for it");
     }
 }

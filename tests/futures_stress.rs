@@ -379,6 +379,50 @@ fn fulfil_races_suspend_on_the_park_word() {
     }
 }
 
+/// A join whose inputs are held by nobody but the join: the caller drops
+/// every handle of both inputs before either may complete, so the only
+/// references left are the ones the join's own registrations run under and
+/// hand to their waiting vertices. The moment a registration publishes its
+/// token the input can complete on another worker, whose sweep runs the
+/// waiting vertex, which drops what it owns: a registration that *moved*
+/// the join's handle into that vertex (instead of cloning it) would have
+/// the input's core — out-set included — freed under `add`'s post-publish
+/// re-check. The inputs spin a per-round while after the gate so the
+/// completion lands before, inside and after the registration; the values
+/// live on the heap so a stale read does not look right.
+#[test]
+fn a_join_is_the_last_holder_of_its_inputs() {
+    for workers in [2, 4] {
+        for round in 0u64..100 {
+            let out = Arc::new(AtomicU64::new(0));
+            let o = Arc::clone(&out);
+            Runtime::new().workers(workers).run(move |mut ctx| {
+                let gate = Arc::new(AtomicU64::new(0));
+                let input = |value: u64, spin: u64| {
+                    let gate = Arc::clone(&gate);
+                    move |_: Ctx<'_, DynSnzi>| {
+                        while gate.load(Ordering::Acquire) == 0 {
+                            std::hint::spin_loop();
+                        }
+                        for i in 0..spin {
+                            std::hint::black_box(i);
+                        }
+                        vec![value; 4]
+                    }
+                };
+                let a = ctx.future(input(10, (round * 29) % 600));
+                let b = ctx.future(input(11, (round * 53) % 600));
+                let j = ctx.future_join(&a, &b, |_, x, y| x.iter().chain(y.iter()).sum::<u64>());
+                assert!(!a.is_done() && !b.is_done());
+                drop((a, b));
+                gate.store(1, Ordering::Release);
+                ctx.touch(&j, move |_, v| o.store(*v, Ordering::Relaxed));
+            });
+            assert_eq!(out.load(Ordering::Relaxed), 84, "workers={workers} round={round}");
+        }
+    }
+}
+
 /// try_get never lies: false negatives allowed, never false positives.
 #[test]
 fn try_get_is_safe_snapshot() {

@@ -238,5 +238,17 @@ fn a_future_link_keeps_four_recycler_slabs() {
             if blocking { "touch_await" } else { "future_then" },
         );
         assert!(slabs >= 4 * DEPTH as usize, "the gauge lost slabs: {slabs} for {DEPTH} links");
+        // And in bytes: the core and the two vertices ride the 128 B class,
+        // the pair the 64 B one. A vertex back in the 256 B class makes a
+        // link 704 B.
+        const LINK_BYTES: usize = 128 + 64 + 2 * 128;
+        let bytes = sched::recycle::cached_bytes();
+        let bound = LINK_BYTES * DEPTH as usize + BESIDE * 256;
+        assert!(
+            bytes <= bound,
+            "a chain of {DEPTH} links peaked at {bytes} B of recycler slabs, over {LINK_BYTES} \
+             per link + {BESIDE} x 256 = {bound}; slabs by class {:?}",
+            sched::recycle::cached_slabs_by_class(),
+        );
     }
 }
