@@ -337,10 +337,9 @@ pub fn raw_outset_bench(kind: RawOutset, threads: usize, adds: u64) -> Duration 
         let set = Arc::new(O::make());
         let elapsed = {
             let set = Arc::clone(&set);
-            run_threads(threads, move |tid, barrier| {
+            run_threads(threads, move |tid| {
                 let set = Arc::clone(&set);
                 move || {
-                    barrier.wait();
                     for i in 0..adds {
                         let token = (tid as u64) * adds + i;
                         match O::add(&set, token, tid as u64) {
@@ -413,12 +412,11 @@ pub fn raw_growth_bench(
         let set = Arc::clone(&set);
         let total_adds = Arc::clone(&total_adds);
         let first_split = Arc::clone(&first_split);
-        run_threads(threads, move |tid, barrier| {
+        run_threads(threads, move |tid| {
             let set = Arc::clone(&set);
             let total_adds = Arc::clone(&total_adds);
             let first_split = Arc::clone(&first_split);
             move || {
-                barrier.wait();
                 for i in 0..adds_per_thread {
                     let token = (tid as u64) * adds_per_thread + i;
                     match set.add(token, tid as u64) {
@@ -553,24 +551,21 @@ pub fn raw_counter_bench(counter: RawCounter, threads: usize, pairs: u64) -> Dur
     match counter {
         RawCounter::FetchAdd => {
             let cell = Arc::new(PaddedCell { v: AtomicU64::new(0) });
-            run_threads(threads, move |tid, barrier| {
+            run_threads(threads, move |_| {
                 let cell = Arc::clone(&cell);
                 move || {
-                    barrier.wait();
                     for _ in 0..pairs {
                         cell.v.fetch_add(1, Ordering::AcqRel);
                         cell.v.fetch_sub(1, Ordering::AcqRel);
                     }
-                    let _ = tid;
                 }
             })
         }
         RawCounter::FixedSnzi { depth } => {
             let tree = Arc::new(FixedSnzi::new(depth, 0));
-            run_threads(threads, move |tid, barrier| {
+            run_threads(threads, move |tid| {
                 let tree = Arc::clone(&tree);
                 move || {
-                    barrier.wait();
                     for i in 0..pairs {
                         let key = (tid as u64) << 32 | i;
                         let leaf = tree.arrive_key(key);
@@ -587,23 +582,35 @@ struct PaddedCell {
     v: AtomicU64,
 }
 
-/// Spawn `threads` threads from a factory, synchronise their start on a
-/// barrier, and time the whole batch.
+/// Spawn `threads` threads from a factory, start their bodies together on
+/// a barrier, and time the batch by the threads' own clocks: from the
+/// earliest body's start to the latest body's end. (Stamping on the
+/// spawning thread after it left the barrier missed every body that ran
+/// before it was scheduled again — at more threads than cores whole
+/// studies — and `growth --quick` printed thousands of millions of adds per
+/// second per core.)
 fn run_threads<F, G>(threads: usize, factory: F) -> Duration
 where
-    F: Fn(usize, Arc<Barrier>) -> G,
+    F: Fn(usize) -> G,
     G: FnOnce() + Send + 'static,
 {
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let handles: Vec<_> =
-        (0..threads).map(|tid| std::thread::spawn(factory(tid, Arc::clone(&barrier)))).collect();
-    // Release all threads at once, then time until they are done.
-    barrier.wait();
-    let t0 = Instant::now();
-    for h in handles {
-        h.join().expect("benchmark thread panicked");
-    }
-    t0.elapsed()
+    let barrier = Arc::new(Barrier::new(threads));
+    let handles: Vec<_> = (0..threads)
+        .map(|tid| {
+            let (body, barrier) = (factory(tid), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                barrier.wait();
+                let start = Instant::now();
+                body();
+                (start, Instant::now())
+            })
+        })
+        .collect();
+    let spans: Vec<(Instant, Instant)> =
+        handles.into_iter().map(|h| h.join().expect("benchmark thread panicked")).collect();
+    let start = spans.iter().map(|s| s.0).min().expect("at least one thread");
+    let end = spans.iter().map(|s| s.1).max().expect("at least one thread");
+    end - start
 }
 
 #[cfg(test)]
@@ -783,6 +790,29 @@ mod tests {
         let t1 = best(2_000_000);
         let t8 = best(16_000_000);
         assert!(t8 > t1 * 3, "8x work should take >3x time: {t1:?} vs {t8:?}");
+    }
+
+    #[test]
+    fn run_threads_covers_what_every_thread_measured() {
+        // Each body times itself; the batch must cover every one of them,
+        // however the threads and the spawning thread were scheduled —
+        // three times more threads than this host has cores, too.
+        let threads = 3 * std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
+        let own = Arc::new(Mutex::new(Vec::new()));
+        let o = Arc::clone(&own);
+        let batch = run_threads(threads, move |tid| {
+            let o = Arc::clone(&o);
+            move || {
+                let t0 = Instant::now();
+                dummy_work(20_000 * (tid as u64 + 1));
+                o.lock().unwrap().push(t0.elapsed());
+            }
+        });
+        let own = own.lock().unwrap();
+        assert_eq!(own.len(), threads);
+        for (tid, d) in own.iter().enumerate() {
+            assert!(batch >= *d, "thread {tid} measured {d:?}, the batch only {batch:?}");
+        }
     }
 
     #[test]

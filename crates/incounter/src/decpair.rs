@@ -28,6 +28,14 @@
 //! (`spdag::pair`) builds on this: a pair shared by two vertices costs one
 //! allocation and no reference-count traffic. (There is no pair with a
 //! single user: the only strand of a finish scope holds none at all.)
+//!
+//! ## The exclusive claim
+//!
+//! [`DecPair::claim_last_exclusive`] is the same claim for a caller that
+//! has the pair to itself — both claimers on one thread, as in a
+//! one-worker run: it reads the handles, then loads the flag and stores
+//! `true`, which is what the `swap` does when nothing interferes. The two
+//! claims may mix on one pair as long as they do not overlap.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -101,6 +109,36 @@ impl<D: Copy> DecPair<D> {
             );
         }
         (second, true)
+    }
+
+    /// [`claim_last`](DecPair::claim_last) for a caller that has the pair
+    /// to itself: the flag is loaded and then stored, with no locked
+    /// instruction (module docs, "The exclusive claim").
+    ///
+    /// # Safety
+    /// As [`claim_last`](DecPair::claim_last), and the pair's other claim
+    /// does not overlap this one: it is ordered before or after it.
+    #[inline]
+    pub unsafe fn claim_last_exclusive(this: *const DecPair<D>) -> (D, bool) {
+        // SAFETY: the pair is live until its last claim, which is this one
+        // or ordered after it (the caller's contract).
+        unsafe {
+            let (first, second) = ((*this).first, (*this).second);
+            let last = (*this).claimed.load(Ordering::Relaxed);
+            (*this).claimed.store(true, Ordering::Relaxed);
+            if !last {
+                return (first, false);
+            }
+            #[cfg(debug_assertions)]
+            {
+                assert!(
+                    !(*this).second_claimed.load(Ordering::Relaxed),
+                    "DecPair claimed three times: execution is not valid (Definition 1)"
+                );
+                (*this).second_claimed.store(true, Ordering::Relaxed);
+            }
+            (second, true)
+        }
     }
 
     /// Whether the first handle has been claimed (diagnostics).
@@ -178,6 +216,38 @@ mod tests {
             assert!(a.1 != b.1, "round {round}: exactly one claim is the last");
             let (early, late) = if a.1 { (b.0, a.0) } else { (a.0, b.0) };
             assert_eq!((early, late), (first, second), "round {round}: handles split in order");
+        }
+    }
+
+    #[test]
+    fn the_exclusive_claim_is_the_claim() {
+        // Every order of the two claims over the two modes: the same
+        // handles, the same "last" answers and the same flag after each.
+        type Claim = unsafe fn(*const DecPair<u64>) -> (u64, bool);
+        let shared: Claim = DecPair::claim_last;
+        let exclusive: Claim = DecPair::claim_last_exclusive;
+        for (first, second) in
+            [(shared, shared), (shared, exclusive), (exclusive, shared), (exclusive, exclusive)]
+        {
+            let p = DecPair::new(7u64, 9u64);
+            // SAFETY: two claims on a live pair, one after the other.
+            assert_eq!(unsafe { first(&p) }, (7, false));
+            assert!(p.first_claimed());
+            assert_eq!(unsafe { second(&p) }, (9, true));
+            assert!(p.first_claimed());
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not valid")]
+    fn triple_exclusive_claim_panics_in_debug() {
+        let p = DecPair::new(1u32, 2u32);
+        // SAFETY: the pair outlives the claims; the third is the bug.
+        unsafe {
+            DecPair::claim_last_exclusive(&p);
+            DecPair::claim_last_exclusive(&p);
+            DecPair::claim_last_exclusive(&p);
         }
     }
 

@@ -135,6 +135,30 @@ impl CounterFamily for DynSnzi {
         unsafe { counter.depart(dec) }
     }
 
+    unsafe fn increment_exclusive(
+        _cfg: &DynConfig,
+        counter: &SnziTree,
+        inc: Handle,
+        is_left: bool,
+        _vid: u64,
+    ) -> (Handle, Handle, Handle) {
+        // `grow` is the shared one: it installs a pair at most once per
+        // node, its compare-and-swap is as rare as that, and its coin is
+        // flipped the same way in both modes.
+        // SAFETY: as in `increment`.
+        let (a, b) = unsafe { counter.grow(inc) };
+        let d2 = if is_left { a } else { b };
+        // SAFETY: as in `increment`; no other arrive or depart on
+        // `counter` overlaps this one (the trait's exclusive contract).
+        unsafe { counter.arrive_exclusive(d2) };
+        (d2, a, b)
+    }
+
+    unsafe fn decrement_exclusive(counter: &SnziTree, dec: Handle) -> bool {
+        // SAFETY: as in `decrement`, plus the trait's exclusive contract.
+        unsafe { counter.depart_exclusive(dec) }
+    }
+
     fn is_zero(counter: &SnziTree) -> bool {
         !counter.query()
     }

@@ -63,6 +63,27 @@ impl CounterFamily for FetchAdd {
         prev == 1
     }
 
+    unsafe fn increment_exclusive(
+        _cfg: &(),
+        counter: &FaCell,
+        _inc: (),
+        _is_left: bool,
+        _vid: u64,
+    ) -> ((), (), ()) {
+        // Nothing else writes the cell meanwhile (the exclusive contract):
+        // the add is a load and a store.
+        let v = counter.value.load(Ordering::Relaxed);
+        counter.value.store(v + 1, Ordering::Relaxed);
+        ((), (), ())
+    }
+
+    unsafe fn decrement_exclusive(counter: &FaCell, _dec: ()) -> bool {
+        let prev = counter.value.load(Ordering::Relaxed);
+        debug_assert!(prev >= 1, "fetch-add counter went negative: invalid execution");
+        counter.value.store(prev - 1, Ordering::Relaxed);
+        prev == 1
+    }
+
     fn is_zero(counter: &FaCell) -> bool {
         counter.value.load(Ordering::Acquire) == 0
     }

@@ -81,6 +81,30 @@ impl CounterFamily for FixedDepth {
         }
     }
 
+    unsafe fn increment_exclusive(
+        _cfg: &FixedConfig,
+        counter: &FixedSnzi,
+        _inc: (),
+        _is_left: bool,
+        vid: u64,
+    ) -> (FixedDec, (), ()) {
+        let leaf = counter.leaf_for_key(vid);
+        // SAFETY: no other arrive or depart on `counter` overlaps this one
+        // (the trait's exclusive contract).
+        unsafe { counter.arrive_leaf_exclusive(leaf) };
+        (FixedDec::Leaf(leaf as u32), (), ())
+    }
+
+    unsafe fn decrement_exclusive(counter: &FixedSnzi, dec: FixedDec) -> bool {
+        // SAFETY: as in `increment_exclusive`.
+        unsafe {
+            match dec {
+                FixedDec::Root => counter.depart_root_exclusive(),
+                FixedDec::Leaf(leaf) => counter.depart_leaf_exclusive(leaf as usize),
+            }
+        }
+    }
+
     fn is_zero(counter: &FixedSnzi) -> bool {
         !counter.query()
     }

@@ -9,11 +9,23 @@
 //! All three live behind one abstraction, [`CounterFamily`], so the sp-dag
 //! machinery and the benchmarks are generic over the counter algorithm:
 //!
-//! | family | counter object | increment | decrement |
-//! |---|---|---|---|
-//! | [`DynSnzi`] | dynamic SNZI tree | `grow` + `arrive` at a fresh child | `depart` at the claimed handle |
-//! | [`FetchAdd`] | one padded atomic cell | `fetch_add` | `fetch_sub` |
-//! | [`FixedDepth`] | complete SNZI tree of depth `d` | `arrive` at a hashed leaf | `depart` at the same leaf |
+//! | family | counter object | increment | decrement | exclusive twins |
+//! |---|---|---|---|---|
+//! | [`DynSnzi`] | dynamic SNZI tree | `grow` + `arrive` at a fresh child | `depart` at the claimed handle | `grow` + `SnziTree::arrive_exclusive`; `depart_exclusive` |
+//! | [`FetchAdd`] | one padded atomic cell | `fetch_add` | `fetch_sub` | a load and a store of the cell |
+//! | [`FixedDepth`] | complete SNZI tree of depth `d` | `arrive` at a hashed leaf | `depart` at the same leaf | `FixedSnzi::{arrive_leaf,depart_leaf,depart_root}_exclusive` |
+//!
+//! Every family states its own **exclusive twins**,
+//! [`CounterFamily::increment_exclusive`] and
+//! [`CounterFamily::decrement_exclusive`]: the same operation for a caller
+//! that has the counter to itself, each of its steps committed by a load
+//! and a store instead of a locked read-modify-write (for the SNZI families
+//! the same state machine, `snzi::node`'s "Two ways to commit a step"). The
+//! dag layer takes them in a one-worker run, where the run's one thread is
+//! the only one that can reach a counter. They are required methods with
+//! no default, so a comparison of families at W = 1 compares each family's
+//! own exclusive cost, not one family's shared cost against another's
+//! exclusive one. [`DecPair::claim_last_exclusive`] is the pair's twin.
 //!
 //! The piece of the in-counter protocol that is *independent* of the
 //! algorithm — the ordered pair of decrement handles shared between two
@@ -130,6 +142,34 @@ pub trait CounterFamily: 'static {
     /// See the trait-level contract.
     unsafe fn decrement(counter: &Self::Counter, dec: Self::Dec) -> bool;
 
+    /// [`increment`](CounterFamily::increment) for a caller that has the
+    /// counter to itself: the same transitions and the same results, with
+    /// no locked instruction where `increment` needs one only against
+    /// another thread.
+    ///
+    /// # Safety
+    /// As [`increment`](CounterFamily::increment), and no other
+    /// `increment` or `decrement` on `counter` — shared or exclusive — may
+    /// overlap this call on any thread: each is ordered before or after it.
+    unsafe fn increment_exclusive(
+        cfg: &Self::Config,
+        counter: &Self::Counter,
+        inc: Self::Inc,
+        is_left: bool,
+        vid: u64,
+    ) -> (Self::Dec, Self::Inc, Self::Inc);
+
+    /// [`decrement`](CounterFamily::decrement) for a caller that has the
+    /// counter to itself, as
+    /// [`increment_exclusive`](CounterFamily::increment_exclusive) is
+    /// `increment`'s.
+    ///
+    /// # Safety
+    /// As [`decrement`](CounterFamily::decrement), and as for
+    /// [`increment_exclusive`](CounterFamily::increment_exclusive) no other
+    /// operation on `counter` may overlap this call.
+    unsafe fn decrement_exclusive(counter: &Self::Counter, dec: Self::Dec) -> bool;
+
     /// Non-destructive zero test (the paper's `is_zero`; one root read).
     fn is_zero(counter: &Self::Counter) -> bool;
 
@@ -150,7 +190,9 @@ pub trait CounterFamily: 'static {
 mod family_tests {
     //! A sequential mini-dag driver exercising every family through the
     //! exact handle discipline the sp-dag uses, checking exactly-once
-    //! readiness. The real concurrent discipline is tested in `spdag`.
+    //! readiness — once with the shared operations and once with the
+    //! exclusive twins, which must give the same answers. The real
+    //! concurrent discipline is tested in `spdag`.
 
     use super::*;
     use std::sync::Arc;
@@ -186,14 +228,39 @@ mod family_tests {
         }
     }
 
+    /// Which operations the driver takes: the shared ones or their
+    /// exclusive twins (the driver is sequential, so both are allowed).
+    #[derive(Clone, Copy, Debug)]
+    enum Mode {
+        Shared,
+        Exclusive,
+    }
+
+    const MODES: [Mode; 2] = [Mode::Shared, Mode::Exclusive];
+
+    fn claim<D: Copy>(pair: &DecPair<D>, mode: Mode) -> D {
+        match mode {
+            Mode::Shared => pair.claim(),
+            // SAFETY: `pair` is borrowed for the call; the driver is
+            // sequential, so no claim overlaps it.
+            Mode::Exclusive => unsafe { DecPair::claim_last_exclusive(pair) }.0,
+        }
+    }
+
     /// spawn: one increment, two children sharing the fresh pair.
     fn spawn<C: CounterFamily>(
         cfg: &C::Config,
         u: &SimVertex<C>,
         vid: u64,
+        mode: Mode,
     ) -> (SimVertex<C>, SimVertex<C>) {
-        let (d2, i1, i2) = unsafe { C::increment(cfg, &u.counter, u.inc, u.is_left, vid) };
-        let d1 = u.pair.claim();
+        let (d2, i1, i2) = unsafe {
+            match mode {
+                Mode::Shared => C::increment(cfg, &u.counter, u.inc, u.is_left, vid),
+                Mode::Exclusive => C::increment_exclusive(cfg, &u.counter, u.inc, u.is_left, vid),
+            }
+        };
+        let d1 = claim(&u.pair, mode);
         let pair = Arc::new(DecPair::new(d1, d2));
         let v = SimVertex {
             counter: Arc::clone(&u.counter),
@@ -206,40 +273,49 @@ mod family_tests {
     }
 
     /// signal: claim a handle and decrement.
-    fn signal<C: CounterFamily>(u: &SimVertex<C>) -> bool {
-        let d = u.pair.claim();
-        unsafe { C::decrement(&u.counter, d) }
+    fn signal<C: CounterFamily>(u: &SimVertex<C>, mode: Mode) -> bool {
+        let d = claim(&u.pair, mode);
+        unsafe {
+            match mode {
+                Mode::Shared => C::decrement(&u.counter, d),
+                Mode::Exclusive => C::decrement_exclusive(&u.counter, d),
+            }
+        }
     }
 
     fn exercise_family<C: CounterFamily>(cfg: C::Config) {
         // Build a random-ish binary spawn tree of leaves, then signal all
-        // leaves; the counter must report zero exactly once, at the end.
+        // leaves; the counter must report zero exactly once, at the end —
+        // and every signal must answer the same in both modes.
         for depth in 0..6u32 {
-            let root = root_vertex::<C>(&cfg);
-            let mut frontier = vec![root.clone()];
-            let mut vid = 0u64;
-            for _ in 0..depth {
-                let mut next = Vec::new();
-                for u in frontier {
-                    vid += 1;
-                    let (v, w) = spawn::<C>(&cfg, &u, vid);
-                    next.push(v);
-                    next.push(w);
+            let answers = MODES.map(|mode| {
+                let root = root_vertex::<C>(&cfg);
+                let mut frontier = vec![root.clone()];
+                let mut vid = 0u64;
+                for _ in 0..depth {
+                    let mut next = Vec::new();
+                    for u in frontier {
+                        vid += 1;
+                        let (v, w) = spawn::<C>(&cfg, &u, vid, mode);
+                        next.push(v);
+                        next.push(w);
+                    }
+                    frontier = next;
                 }
-                frontier = next;
-            }
-            assert!(!C::is_zero(&root.counter), "depth {depth}: live leaves pending");
-            let total = frontier.len();
-            let mut zeros = 0;
-            for (i, leaf) in frontier.iter().enumerate() {
-                let z = signal::<C>(leaf);
-                if z {
-                    zeros += 1;
-                    assert_eq!(i, total - 1, "zero must come from the last signal");
-                }
-            }
-            assert_eq!(zeros, 1, "depth {depth}: exactly one readiness signal");
-            assert!(C::is_zero(&root.counter));
+                assert!(!C::is_zero(&root.counter), "depth {depth} {mode:?}: live leaves pending");
+                let total = frontier.len();
+                let signals: Vec<bool> =
+                    frontier.iter().map(|leaf| signal::<C>(leaf, mode)).collect();
+                let zeros: Vec<usize> = (0..total).filter(|&i| signals[i]).collect();
+                assert_eq!(
+                    zeros,
+                    [total - 1],
+                    "depth {depth} {mode:?}: one readiness signal, the last"
+                );
+                assert!(C::is_zero(&root.counter));
+                signals
+            });
+            assert_eq!(answers[0], answers[1], "depth {depth}: the two modes disagree");
         }
     }
 
@@ -267,17 +343,19 @@ mod family_tests {
         // Signal some leaves before spawning others: counter must stay
         // non-zero while any strand is outstanding.
         fn drive<C: CounterFamily>(cfg: C::Config) {
-            let root = root_vertex::<C>(&cfg);
-            let (v, w) = spawn::<C>(&cfg, &root, 1);
-            let (vl, vr) = spawn::<C>(&cfg, &v, 2);
-            assert!(!signal::<C>(&vl));
-            assert!(!C::is_zero(&root.counter));
-            let (wl, wr) = spawn::<C>(&cfg, &w, 3);
-            assert!(!signal::<C>(&wl));
-            assert!(!signal::<C>(&vr));
-            assert!(!C::is_zero(&root.counter));
-            assert!(signal::<C>(&wr), "last strand must report zero");
-            assert!(C::is_zero(&root.counter));
+            for mode in MODES {
+                let root = root_vertex::<C>(&cfg);
+                let (v, w) = spawn::<C>(&cfg, &root, 1, mode);
+                let (vl, vr) = spawn::<C>(&cfg, &v, 2, mode);
+                assert!(!signal::<C>(&vl, mode));
+                assert!(!C::is_zero(&root.counter));
+                let (wl, wr) = spawn::<C>(&cfg, &w, 3, mode);
+                assert!(!signal::<C>(&wl, mode));
+                assert!(!signal::<C>(&vr, mode));
+                assert!(!C::is_zero(&root.counter));
+                assert!(signal::<C>(&wr, mode), "last strand must report zero ({mode:?})");
+                assert!(C::is_zero(&root.counter));
+            }
         }
         drive::<DynSnzi>(DynConfig::always_grow());
         drive::<FetchAdd>(());

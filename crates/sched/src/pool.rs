@@ -94,6 +94,16 @@
 //! and `notify` ∥ `park`, changes both handshakes and waits for ROADMAP
 //! item 4.
 //!
+//! The same bit is public ([`WorkerCtx::is_solo`]) for the layer above: a
+//! one-worker run executes every task on its caller, one after another, so
+//! whatever only the run's tasks can reach needs no locked instruction
+//! either. `spdag` reads it once per vertex and then steps its in-counters,
+//! decrement pairs and `owed` words by load and store
+//! (`CounterFamily::{increment,decrement}_exclusive`,
+//! `DecPair::claim_last_exclusive`); `spdag::vertex` states why nothing
+//! else can reach them. A run of two or more workers pays one predictable
+//! branch for the choice and executes the shared instructions.
+//!
 //! Every participant, worker 0 included, flushes its slab caches
 //! ([`crate::slab::flush_this_thread`]) *before* it reports done, so
 //! **`run`'s return is the runtime's quiescent point**: every cache is
@@ -427,6 +437,33 @@ impl<'a, T: Word> WorkerCtx<'a, T> {
         // (`stall_report`: `Stealer::is_empty`). A `run` nested inside a
         // task builds its own deques and never sees this one.
         unsafe { self.deque.pop_solo() }
+    }
+
+    /// Whether this worker is its run's only one — the bit `pop` and
+    /// `notify` read, decided once when the run starts. If it is, every
+    /// task of the run executes on this thread, one after another, so an
+    /// object that only the run's tasks can reach is this thread's alone
+    /// for the whole run and a task interpreter may step it without the
+    /// locked instructions another thread would need (module docs, "What
+    /// one worker does not pay").
+    ///
+    /// `spdag` relies on that for a scope's counter, the SNZI nodes its
+    /// handles point into, a decrement pair and a waiting vertex's `owed`
+    /// word. The argument, as for `pop`: all of these are reached only
+    /// through the run's vertices, and only the run's workers execute
+    /// vertices — at W = 1 that is the caller, here. The watchdog of a
+    /// watched run, the one other thread that holds this run's `Shared`,
+    /// reads the progress count and deque lengths and nothing of a task's.
+    /// A run nested inside a task builds vertices of its own. A future's
+    /// handle is touched only within its own run (`spdag::FutureHandle`'s
+    /// contract). What a thread outside the run *can* reach stays shared in
+    /// `spdag` whatever this says: a foreign executor's poll registers a
+    /// tagged waker on a future's out-set, and any thread that holds a
+    /// handle reaches the out-set, the `PoolArc` refcount and
+    /// `FutureCore::completed`.
+    #[inline]
+    pub fn is_solo(&self) -> bool {
+        self.solo
     }
 
     /// Make a batch of tasks available with a single sleeper notification

@@ -14,7 +14,7 @@
 #[cfg(feature = "stats")]
 use std::sync::atomic::Ordering;
 
-use crate::node::{node_arrive, node_depart, Node, ParentRef};
+use crate::node::{node_arrive, node_depart, Exclusive, Node, ParentRef, Shared, Step};
 use crate::packed::MAX_ROOT_SURPLUS;
 use crate::root::Root;
 #[cfg(feature = "stats")]
@@ -118,11 +118,33 @@ impl FixedSnzi {
     /// # Panics
     /// If `leaf >= leaf_count()`.
     pub fn arrive_leaf(&self, leaf: usize) {
+        self.arrive_leaf_with::<Shared>(leaf);
+    }
+
+    /// [`arrive_leaf`](Self::arrive_leaf) for a caller that has the tree
+    /// to itself: the same steps, each committed by a load and a store
+    /// (`crate::node`, "Two ways to commit a step").
+    ///
+    /// # Safety
+    /// No other arrive or depart on this tree may overlap this call, on
+    /// any thread: each is ordered before or after it.
+    ///
+    /// # Panics
+    /// If `leaf >= leaf_count()`.
+    #[inline]
+    pub unsafe fn arrive_leaf_exclusive(&self, leaf: usize) {
+        self.arrive_leaf_with::<Exclusive>(leaf);
+    }
+
+    /// `S` is `Shared` unless the caller has the tree to itself.
+    #[inline]
+    fn arrive_leaf_with<S: Step>(&self, leaf: usize) {
         assert!(leaf < self.leaf_count(), "leaf {leaf} out of range");
         let path = match self.leaf_node(leaf) {
-            // SAFETY: the node belongs to self and lives as long as &self.
-            Some(n) => unsafe { node_arrive(n) },
-            None => self.root.arrive(),
+            // SAFETY: the node belongs to self and lives as long as &self;
+            // `S` per this function's contract.
+            Some(n) => unsafe { node_arrive::<S>(n) },
+            None => self.root.arrive::<S>(),
         };
         self.stats.record_arrive(path.arrives);
     }
@@ -146,11 +168,31 @@ impl FixedSnzi {
     /// # Panics
     /// If `leaf >= leaf_count()`, or if the execution is not valid.
     pub fn depart_leaf(&self, leaf: usize) -> bool {
+        self.depart_leaf_with::<Shared>(leaf)
+    }
+
+    /// [`depart_leaf`](Self::depart_leaf) for a caller that has the tree
+    /// to itself, as [`arrive_leaf_exclusive`](Self::arrive_leaf_exclusive)
+    /// is `arrive_leaf`'s.
+    ///
+    /// # Safety
+    /// As for [`arrive_leaf_exclusive`](Self::arrive_leaf_exclusive).
+    ///
+    /// # Panics
+    /// If `leaf >= leaf_count()`, or if the execution is not valid.
+    #[inline]
+    pub unsafe fn depart_leaf_exclusive(&self, leaf: usize) -> bool {
+        self.depart_leaf_with::<Exclusive>(leaf)
+    }
+
+    /// `S` is `Shared` unless the caller has the tree to itself.
+    #[inline]
+    fn depart_leaf_with<S: Step>(&self, leaf: usize) -> bool {
         assert!(leaf < self.leaf_count(), "leaf {leaf} out of range");
         let (ended, path) = match self.leaf_node(leaf) {
-            // SAFETY: as in arrive_leaf.
-            Some(n) => unsafe { node_depart(n) },
-            None => self.root.depart(),
+            // SAFETY: as in arrive_leaf_with.
+            Some(n) => unsafe { node_depart::<S>(n) },
+            None => self.root.depart::<S>(),
         };
         self.stats.record_depart(path.departs);
         ended
@@ -159,14 +201,29 @@ impl FixedSnzi {
     /// Arrive directly at the root (used for initial-surplus bookkeeping
     /// by the counter-family layer).
     pub fn arrive_root(&self) {
-        let path = self.root.arrive();
+        let path = self.root.arrive::<Shared>();
         self.stats.record_arrive(path.arrives);
     }
 
     /// Depart directly at the root; returns `true` iff this departure
     /// ended the tree's non-zero period.
     pub fn depart_root(&self) -> bool {
-        let (ended, path) = self.root.depart();
+        self.depart_root_with::<Shared>()
+    }
+
+    /// [`depart_root`](Self::depart_root) for a caller that has the tree
+    /// to itself.
+    ///
+    /// # Safety
+    /// As for [`arrive_leaf_exclusive`](Self::arrive_leaf_exclusive).
+    #[inline]
+    pub unsafe fn depart_root_exclusive(&self) -> bool {
+        self.depart_root_with::<Exclusive>()
+    }
+
+    #[inline]
+    fn depart_root_with<S: Step>(&self) -> bool {
+        let (ended, path) = self.root.depart::<S>();
         self.stats.record_depart(path.departs);
         ended
     }
@@ -181,6 +238,18 @@ impl FixedSnzi {
     #[cfg(feature = "stats")]
     pub fn stats(&self) -> StatsSnapshot {
         self.stats.snapshot()
+    }
+
+    /// Every packed word and touch tally of the tree — the root's, then
+    /// the nodes' in heap order — and its statistics (differential tests).
+    #[cfg(test)]
+    pub(crate) fn state_for_test(&self) -> (Vec<u64>, crate::stats::StatsSnapshot) {
+        let mut out = Vec::new();
+        self.root.state_for_test(&mut out);
+        for n in &self.nodes {
+            n.state_for_test(&mut out);
+        }
+        (out, self.stats.snapshot())
     }
 
     /// Maximum per-node touch count across the whole tree.

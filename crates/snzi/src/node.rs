@@ -31,11 +31,84 @@
 //! *root's* non-zero period — the readiness signal used by the in-counter
 //! (the paper's implementation note: "our `snzi_depart` returns true if the
 //! call brought the counter to zero").
+//!
+//! ### Two ways to commit a step
+//!
+//! `node_arrive` and `node_depart` — and the root's operations, in
+//! [`crate::root`] — are written once, generic over a `Step`: how one
+//! transition `old → new` of a packed word is committed. `Shared` commits
+//! it with a compare-and-swap, as the SNZI paper does, and is what every
+//! operation that may meet another thread uses. `Exclusive` commits it
+//! with a load and a store — which is what that CAS does when nothing
+//! interferes — for an operation no other operation on the same tree can
+//! overlap (a one-worker run's counters; the caller of the `unsafe`
+//! `*_exclusive` entry points promises it). The state machine is the same
+//! one: the ½ and announce-bit transitions, the version bumps, the
+//! [`OpPath`] counts and the `stats` touch tallies are identical in both
+//! modes, step for step.
+//!
+//! Alone on a tree, the ½ state and the announce bit are unobservable — an
+//! arrival that installs ½ completes it to 1 before anyone can look — so an
+//! exclusive arrival writes a word it overwrites at once. That is kept on
+//! purpose: a second, sequential state machine without those steps was
+//! measured 9 % faster on `fib` and would be a second algorithm to keep in
+//! step with this one.
 
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
 use crate::packed::{pack_node, unpack_node, HALF, MAX_NODE_SURPLUS, ONE};
 use crate::root::Root;
+
+/// How one step of the SNZI state machine is committed (module docs).
+pub(crate) trait Step {
+    /// Replace `old` by `new` in `word` if `word` still holds `old`;
+    /// whether it did.
+    fn cas(word: &AtomicU64, old: u64, new: u64) -> bool;
+    /// Count one non-trivial step on a node's touch tally.
+    #[cfg(feature = "stats")]
+    fn tally(tally: &AtomicU64);
+}
+
+/// Steps committed by compare-and-swap: any operation that may overlap
+/// another operation on the same tree.
+pub(crate) enum Shared {}
+
+impl Step for Shared {
+    #[inline(always)]
+    fn cas(word: &AtomicU64, old: u64, new: u64) -> bool {
+        word.compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire).is_ok()
+    }
+
+    #[cfg(feature = "stats")]
+    #[inline(always)]
+    fn tally(tally: &AtomicU64) {
+        tally.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Steps committed by a load and a store: an operation that no other
+/// operation on the same tree overlaps, so nothing can change a word
+/// between the two. Relaxed suffices: every other access to the tree is
+/// ordered before or after the whole operation by whatever made it
+/// exclusive (for `spdag`, a one-worker run is one thread).
+pub(crate) enum Exclusive {}
+
+impl Step for Exclusive {
+    #[inline(always)]
+    fn cas(word: &AtomicU64, old: u64, new: u64) -> bool {
+        let holds = word.load(Ordering::Relaxed) == old;
+        if holds {
+            word.store(new, Ordering::Relaxed);
+        }
+        holds
+    }
+
+    #[cfg(feature = "stats")]
+    #[inline(always)]
+    fn tally(tally: &AtomicU64) {
+        tally.store(tally.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+}
 
 /// Reference to a node's parent: either the tree root or another
 /// hierarchical node. Immutable after construction.
@@ -132,18 +205,22 @@ impl Node {
         unpack_node(self.state.load(Ordering::Acquire)).0
     }
 
-    /// Record one non-trivial step against this node.
-    #[inline(always)]
-    fn touch(&self) {
+    /// Append the packed `(c_half, v)` word and, under `stats`, the touch
+    /// tally (differential tests).
+    #[cfg(test)]
+    pub(crate) fn state_for_test(&self, out: &mut Vec<u64>) {
+        out.push(self.state.load(Ordering::Relaxed));
         #[cfg(feature = "stats")]
-        self.touches.fetch_add(1, Ordering::Relaxed);
+        out.push(self.touches.load(Ordering::Relaxed));
     }
 
+    /// Commit one step on this node's word, tallying it if it landed.
     #[inline(always)]
-    fn cas(&self, old: u64, new: u64) -> bool {
-        let ok = self.state.compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire).is_ok();
+    fn cas<S: Step>(&self, old: u64, new: u64) -> bool {
+        let ok = S::cas(&self.state, old, new);
+        #[cfg(feature = "stats")]
         if ok {
-            self.touch();
+            S::tally(&self.touches);
         }
         ok
     }
@@ -152,13 +229,14 @@ impl Node {
 /// Arrive at `parent`, dispatching on its kind.
 ///
 /// # Safety
-/// The referenced parent must be alive (guaranteed by tree ownership).
+/// The referenced parent must be alive (guaranteed by tree ownership), and
+/// `S` must be [`Shared`] unless the caller has the tree to itself.
 #[inline]
-pub(crate) unsafe fn parent_arrive(parent: ParentRef) -> OpPath {
+pub(crate) unsafe fn parent_arrive<S: Step>(parent: ParentRef) -> OpPath {
     match parent {
         // SAFETY: parents outlive children; see type-level invariant.
-        ParentRef::Root(r) => unsafe { (*r).arrive() },
-        ParentRef::Node(n) => unsafe { node_arrive(&*n) },
+        ParentRef::Root(r) => unsafe { (*r).arrive::<S>() },
+        ParentRef::Node(n) => unsafe { node_arrive::<S>(&*n) },
     }
 }
 
@@ -167,13 +245,13 @@ pub(crate) unsafe fn parent_arrive(parent: ParentRef) -> OpPath {
 /// cleared the root indicator.
 ///
 /// # Safety
-/// The referenced parent must be alive.
+/// As [`parent_arrive`].
 #[inline]
-pub(crate) unsafe fn parent_depart(parent: ParentRef) -> (bool, OpPath) {
+pub(crate) unsafe fn parent_depart<S: Step>(parent: ParentRef) -> (bool, OpPath) {
     match parent {
         // SAFETY: as above.
-        ParentRef::Root(r) => unsafe { (*r).depart() },
-        ParentRef::Node(n) => unsafe { node_depart(&*n) },
+        ParentRef::Root(r) => unsafe { (*r).depart::<S>() },
+        ParentRef::Node(n) => unsafe { node_depart::<S>(&*n) },
     }
 }
 
@@ -187,8 +265,9 @@ pub(crate) unsafe fn parent_depart(parent: ParentRef) -> (bool, OpPath) {
 /// [`node_depart`]).
 ///
 /// # Safety
-/// `node` must belong to a live tree.
-pub(crate) unsafe fn node_arrive(node: &Node) -> OpPath {
+/// `node` must belong to a live tree, and `S` must be [`Shared`] unless no
+/// other operation on that tree overlaps this one.
+pub(crate) unsafe fn node_arrive<S: Step>(node: &Node) -> OpPath {
     let mut path = OpPath { arrives: 1, departs: 0 };
     let mut succ = false;
     let mut undo = 0u32;
@@ -197,19 +276,19 @@ pub(crate) unsafe fn node_arrive(node: &Node) -> OpPath {
         let (c, v) = unpack_node(x);
         if c >= ONE {
             assert!(c / 2 < MAX_NODE_SURPLUS, "SNZI node surplus overflow (>{MAX_NODE_SURPLUS})");
-            if node.cas(x, pack_node(c + ONE, v)) {
+            if node.cas::<S>(x, pack_node(c + ONE, v)) {
                 succ = true;
             }
         } else if c == 0 {
-            if node.cas(x, pack_node(HALF, v.wrapping_add(1))) {
+            if node.cas::<S>(x, pack_node(HALF, v.wrapping_add(1))) {
                 succ = true;
                 // We installed the ½; arrive at the parent and try to
                 // complete it (the paper re-enters the c == ½ case with
                 // the freshly written value).
                 let nv = v.wrapping_add(1);
                 // SAFETY: caller contract.
-                path.merge(unsafe { parent_arrive(node.parent) });
-                if !node.cas(pack_node(HALF, nv), pack_node(ONE, nv)) {
+                path.merge(unsafe { parent_arrive::<S>(node.parent) });
+                if !node.cas::<S>(pack_node(HALF, nv), pack_node(ONE, nv)) {
                     undo += 1;
                 }
             }
@@ -218,8 +297,8 @@ pub(crate) unsafe fn node_arrive(node: &Node) -> OpPath {
             // Help complete someone else's ½: arrive at the parent first so
             // invariant (1) holds when the completion lands.
             // SAFETY: caller contract.
-            path.merge(unsafe { parent_arrive(node.parent) });
-            if !node.cas(pack_node(HALF, v), pack_node(ONE, v)) {
+            path.merge(unsafe { parent_arrive::<S>(node.parent) });
+            if !node.cas::<S>(pack_node(HALF, v), pack_node(ONE, v)) {
                 undo += 1;
             }
         }
@@ -230,7 +309,7 @@ pub(crate) unsafe fn node_arrive(node: &Node) -> OpPath {
         // added at the parent moments ago, so they can never underflow,
         // and in valid in-counter executions they never end the root
         // period (there is always other surplus while an arrive races).
-        let (_ended, p) = unsafe { parent_depart(node.parent) };
+        let (_ended, p) = unsafe { parent_depart::<S>(node.parent) };
         path.merge(p);
     }
     path
@@ -246,9 +325,10 @@ pub(crate) unsafe fn node_arrive(node: &Node) -> OpPath {
 /// and a recursive formulation overflows the stack on such chains.
 ///
 /// # Safety
-/// `node` must belong to a live tree, and the departure must match an
-/// earlier completed arrival at this node (validity, Definition 1).
-pub(crate) unsafe fn node_depart(start: &Node) -> (bool, OpPath) {
+/// `node` must belong to a live tree, the departure must match an earlier
+/// completed arrival at this node (validity, Definition 1), and `S` must be
+/// [`Shared`] unless no other operation on that tree overlaps this one.
+pub(crate) unsafe fn node_depart<S: Step>(start: &Node) -> (bool, OpPath) {
     let mut path = OpPath { arrives: 0, departs: 0 };
     let mut node = start;
     loop {
@@ -261,7 +341,7 @@ pub(crate) unsafe fn node_depart(start: &Node) -> (bool, OpPath) {
                 "SNZI depart on a node with surplus {c}/2: execution is not valid \
                  (more departs than completed arrives)"
             );
-            if node.cas(x, pack_node(c - ONE, v)) {
+            if node.cas::<S>(x, pack_node(c - ONE, v)) {
                 if c != ONE {
                     return (false, path);
                 }
@@ -270,7 +350,7 @@ pub(crate) unsafe fn node_depart(start: &Node) -> (bool, OpPath) {
                 // this node, and parents outlive children.
                 match node.parent {
                     ParentRef::Root(r) => {
-                        let (ended, p) = unsafe { (*r).depart() };
+                        let (ended, p) = unsafe { (*r).depart::<S>() };
                         path.merge(p);
                         return (ended, path);
                     }

@@ -23,10 +23,20 @@
 //! The boolean returned by `Root::depart` is therefore an exactly-once
 //! "this departure ended the non-zero period" signal, which is what the
 //! sp-dag layer uses for readiness detection.
+//!
+//! Like the nodes' (`crate::node`, "Two ways to commit a step"), every
+//! operation here is generic over how a step commits: a CAS when another
+//! operation may overlap, a load and a store when none can. The announce
+//! bit exists for overlapping operations — a departure that finds it set
+//! helps publish the indicator before it decrements — and an operation
+//! alone on the tree never finds it set: the arrival that raises it
+//! publishes and clears it before it returns. It is raised and cleared in
+//! both modes all the same, so the root word, the indicator and their
+//! version numbers go through the same values either way.
 
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
-use crate::node::{ChildPair, OpPath};
+use crate::node::{ChildPair, OpPath, Step};
 use crate::packed::{pack_ind, pack_root, unpack_ind, unpack_root, MAX_ROOT_SURPLUS};
 
 /// The root of a SNZI tree.
@@ -74,19 +84,26 @@ impl Root {
         }
     }
 
+    /// Commit one step on `word` (the root word or the indicator),
+    /// tallying it if it landed.
     #[inline(always)]
-    fn touch(&self) {
+    fn cas<S: Step>(&self, word: &AtomicU64, old: u64, new: u64) -> bool {
+        let ok = S::cas(word, old, new);
         #[cfg(feature = "stats")]
-        self.touches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline(always)]
-    fn cas_x(&self, old: u64, new: u64) -> bool {
-        let ok = self.x.compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire).is_ok();
         if ok {
-            self.touch();
+            S::tally(&self.touches);
         }
         ok
+    }
+
+    /// Append the packed `(c, a, v)` root word, the `(ver, bit)` indicator
+    /// and, under `stats`, the touch tally (differential tests).
+    #[cfg(test)]
+    pub(crate) fn state_for_test(&self, out: &mut Vec<u64>) {
+        out.push(self.x.load(Ordering::Relaxed));
+        out.push(self.ind.load(Ordering::Relaxed));
+        #[cfg(feature = "stats")]
+        out.push(self.touches.load(Ordering::Relaxed));
     }
 
     /// `query`: read the indicator bit. A single trivial (read-only) step.
@@ -98,19 +115,14 @@ impl Root {
     /// Raise the indicator for period `ver`, never moving the version
     /// backwards. Idempotent and safe to call concurrently from the
     /// transitioning arrival and any number of helping departures.
-    fn publish_indicator(&self, ver: u32) {
+    fn publish_indicator<S: Step>(&self, ver: u32) {
         loop {
             let i = self.ind.load(Ordering::Acquire);
             let (iv, _bit) = unpack_ind(i);
             if iv >= ver {
                 return;
             }
-            if self
-                .ind
-                .compare_exchange_weak(i, pack_ind(ver, true), Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                self.touch();
+            if self.cas::<S>(&self.ind, i, pack_ind(ver, true)) {
                 return;
             }
         }
@@ -118,14 +130,14 @@ impl Root {
 
     /// Clear the announce bit for period `ver` (a no-op if the period has
     /// moved on). Must only be called after `publish_indicator(ver)`.
-    fn clear_announce(&self, ver: u32) {
+    fn clear_announce<S: Step>(&self, ver: u32) {
         loop {
             let w = self.x.load(Ordering::Acquire);
             let (c, a, v) = unpack_root(w);
             if v != ver || !a {
                 return;
             }
-            if self.cas_x(w, pack_root(c, false, v)) {
+            if self.cas::<S>(&self.x, w, pack_root(c, false, v)) {
                 return;
             }
         }
@@ -140,16 +152,19 @@ impl Root {
     /// transitioning thread is stalled before its publish, and a query by
     /// our caller (who must, by linearizability, observe a non-zero
     /// counter) would read a stale `false`.
-    pub(crate) fn arrive(&self) -> OpPath {
+    ///
+    /// `S` must be `Shared` unless no other
+    /// operation on this tree overlaps this one.
+    pub(crate) fn arrive<S: Step>(&self) -> OpPath {
         loop {
             let w = self.x.load(Ordering::Acquire);
             let (c, a, v) = unpack_root(w);
             assert!(c < MAX_ROOT_SURPLUS, "SNZI root surplus overflow");
             let (nc, na, nv) = if c == 0 { (1, true, v.wrapping_add(1)) } else { (c + 1, a, v) };
-            if self.cas_x(w, pack_root(nc, na, nv)) {
+            if self.cas::<S>(&self.x, w, pack_root(nc, na, nv)) {
                 if na {
-                    self.publish_indicator(nv);
-                    self.clear_announce(nv);
+                    self.publish_indicator::<S>(nv);
+                    self.clear_announce::<S>(nv);
                 }
                 return OpPath { arrives: 1, departs: 0 };
             }
@@ -160,34 +175,25 @@ impl Root {
     /// is true iff this departure took the counter to zero *and* closed
     /// the indicator for its period — i.e. the whole tree's surplus is
     /// gone and this caller is the unique witness.
-    pub(crate) fn depart(&self) -> (bool, OpPath) {
+    ///
+    /// `S` as for [`arrive`](Root::arrive).
+    pub(crate) fn depart<S: Step>(&self) -> (bool, OpPath) {
         loop {
             let w = self.x.load(Ordering::Acquire);
             let (c, a, v) = unpack_root(w);
             if a {
                 // Help: make the indicator for this period visible before
                 // anyone (including us) may decrement.
-                self.publish_indicator(v);
-                self.clear_announce(v);
+                self.publish_indicator::<S>(v);
+                self.clear_announce::<S>(v);
                 continue;
             }
             assert!(c >= 1, "SNZI depart on the root with surplus 0: execution is not valid");
-            if self.cas_x(w, pack_root(c - 1, false, v)) {
+            if self.cas::<S>(&self.x, w, pack_root(c - 1, false, v)) {
                 if c == 1 {
                     // We ended period `v` unless a newer period already
                     // started; the indicator CAS decides, exactly once.
-                    let ended = self
-                        .ind
-                        .compare_exchange(
-                            pack_ind(v, true),
-                            pack_ind(v, false),
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok();
-                    if ended {
-                        self.touch();
-                    }
+                    let ended = self.cas::<S>(&self.ind, pack_ind(v, true), pack_ind(v, false));
                     return (ended, OpPath { arrives: 0, departs: 1 });
                 }
                 return (false, OpPath { arrives: 0, departs: 1 });
@@ -204,6 +210,7 @@ impl Root {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::Shared;
 
     #[test]
     fn fresh_root_is_zero() {
@@ -217,9 +224,9 @@ mod tests {
         let r = Root::new(3, 0);
         assert!(r.query());
         assert_eq!(r.surplus(), 3);
-        assert!(!r.depart().0);
-        assert!(!r.depart().0);
-        assert!(r.depart().0, "third depart ends the period");
+        assert!(!r.depart::<Shared>().0);
+        assert!(!r.depart::<Shared>().0);
+        assert!(r.depart::<Shared>().0, "third depart ends the period");
         assert!(!r.query());
     }
 
@@ -227,11 +234,11 @@ mod tests {
     fn arrive_depart_cycle() {
         let r = Root::new(0, 0);
         for round in 0..5 {
-            r.arrive();
+            r.arrive::<Shared>();
             assert!(r.query(), "round {round}");
-            r.arrive();
-            assert!(!r.depart().0);
-            assert!(r.depart().0);
+            r.arrive::<Shared>();
+            assert!(!r.depart::<Shared>().0);
+            assert!(r.depart::<Shared>().0);
             assert!(!r.query(), "round {round}");
         }
     }
@@ -239,12 +246,12 @@ mod tests {
     #[test]
     fn ended_period_reported_exactly_once() {
         let r = Root::new(0, 0);
-        r.arrive();
-        r.arrive();
-        r.arrive();
+        r.arrive::<Shared>();
+        r.arrive::<Shared>();
+        r.arrive::<Shared>();
         let mut endings = 0;
         for _ in 0..3 {
-            if r.depart().0 {
+            if r.depart::<Shared>().0 {
                 endings += 1;
             }
         }
@@ -255,7 +262,7 @@ mod tests {
     #[should_panic(expected = "not valid")]
     fn depart_on_empty_root_panics() {
         let r = Root::new(0, 0);
-        let _ = r.depart();
+        let _ = r.depart::<Shared>();
     }
 
     #[test]
@@ -271,12 +278,12 @@ mod tests {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     for _ in 0..rounds {
-                        r.arrive();
+                        r.arrive::<Shared>();
                         barrier.wait();
                         // All threads have arrived: indicator must be up.
                         assert!(r.query());
                         barrier.wait();
-                        let _ = r.depart();
+                        let _ = r.depart::<Shared>();
                         barrier.wait();
                         // All threads have departed: indicator must be down.
                         assert!(!r.query());
@@ -306,9 +313,9 @@ mod tests {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     for _ in 0..rounds {
-                        r.arrive();
+                        r.arrive::<Shared>();
                         barrier.wait();
-                        if r.depart().0 {
+                        if r.depart::<Shared>().0 {
                             endings.fetch_add(1, Ordering::Relaxed);
                         }
                         barrier.wait();

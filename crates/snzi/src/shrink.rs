@@ -121,11 +121,11 @@ mod tests {
         let (l, _) = unsafe { t.grow_always(r) };
         let (ll, _) = unsafe { t.grow_always(l) };
         let _ = unsafe { t.grow_always(ll) };
-        assert_eq!(t.stats().node_count(), 7);
+        assert_eq!(t.stats_ref().snapshot().node_count(), 7);
         // Drain any surplus? none was added. Prune below l.
         assert!(unsafe { t.prune_children_deferred(l) });
-        assert_eq!(t.stats().pruned_pairs, 2);
-        assert_eq!(t.stats().node_count(), 3);
+        assert_eq!(t.stats_ref().snapshot().pruned_pairs, 2);
+        assert_eq!(t.stats_ref().snapshot().node_count(), 3);
         assert!(!unsafe { t.prune_children_deferred(l) }, "already detached");
         // The tree keeps working: grow fresh children and count through them.
         let (nl, _) = unsafe { t.grow_always(l) };
@@ -207,7 +207,7 @@ mod tests {
         stop.store(true, Ordering::Release);
         let total: u64 = workers.into_iter().map(|h| h.join().unwrap()).sum();
         assert!(total > 0);
-        assert_eq!(t.stats().pruned_pairs, 200);
+        assert_eq!(t.stats_ref().snapshot().pruned_pairs, 200);
         assert!(!t.query());
     }
 

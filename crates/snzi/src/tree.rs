@@ -33,7 +33,9 @@ use std::sync::atomic::Ordering;
 use sched::recycle;
 
 use crate::coin::{Coin, Probability, ThreadCoin};
-use crate::node::{node_arrive, node_depart, ChildPair, Node, OpPath, ParentRef};
+use crate::node::{
+    node_arrive, node_depart, ChildPair, Exclusive, Node, OpPath, ParentRef, Shared, Step,
+};
 use crate::packed::MAX_ROOT_SURPLUS;
 use crate::root::Root;
 #[cfg(feature = "stats")]
@@ -217,12 +219,34 @@ impl SnziTree {
     /// # Safety
     /// As [`arrive`](Self::arrive).
     pub unsafe fn arrive_counted(&self, h: Handle) -> OpPath {
+        // SAFETY: forwarded contract; `Shared` tolerates any overlap.
+        unsafe { self.arrive_with::<Shared>(h) }
+    }
+
+    /// [`arrive`](Self::arrive) for a caller that has the tree to itself:
+    /// the same steps, each committed by a load and a store instead of a
+    /// compare-and-swap (`crate::node`, "Two ways to commit a step").
+    ///
+    /// # Safety
+    /// As [`arrive`](Self::arrive), and no other `arrive` or `depart` on
+    /// this tree may overlap this call, on any thread: each is ordered
+    /// before or after it. (`query` and `grow` may overlap it.)
+    #[inline]
+    pub unsafe fn arrive_exclusive(&self, h: Handle) {
+        // SAFETY: forwarded contract.
+        let _ = unsafe { self.arrive_with::<Exclusive>(h) };
+    }
+
+    /// # Safety
+    /// As [`arrive`](Self::arrive); `S` is `Shared` unless the caller has
+    /// the tree to itself.
+    pub(crate) unsafe fn arrive_with<S: Step>(&self, h: Handle) -> OpPath {
         self.check_handle(h);
         let _guard = self.pin_if_shrinkable();
         let path = match h.0 {
             // SAFETY: caller contract.
-            NodeRefInner::Root(r) => unsafe { (*r).arrive() },
-            NodeRefInner::Node(n) => unsafe { node_arrive(&*n) },
+            NodeRefInner::Root(r) => unsafe { (*r).arrive::<S>() },
+            NodeRefInner::Node(n) => unsafe { node_arrive::<S>(&*n) },
         };
         self.stats.record_arrive(path.arrives);
         path
@@ -248,12 +272,33 @@ impl SnziTree {
     /// # Safety
     /// As [`depart`](Self::depart).
     pub unsafe fn depart_counted(&self, h: Handle) -> (bool, OpPath) {
+        // SAFETY: forwarded contract; `Shared` tolerates any overlap.
+        unsafe { self.depart_with::<Shared>(h) }
+    }
+
+    /// [`depart`](Self::depart) for a caller that has the tree to itself,
+    /// as [`arrive_exclusive`](Self::arrive_exclusive) is `arrive`'s.
+    ///
+    /// # Safety
+    /// As [`depart`](Self::depart), and as for
+    /// [`arrive_exclusive`](Self::arrive_exclusive) no other `arrive` or
+    /// `depart` on this tree may overlap this call.
+    #[inline]
+    pub unsafe fn depart_exclusive(&self, h: Handle) -> bool {
+        // SAFETY: forwarded contract.
+        unsafe { self.depart_with::<Exclusive>(h) }.0
+    }
+
+    /// # Safety
+    /// As [`depart`](Self::depart); `S` is `Shared` unless the caller has
+    /// the tree to itself.
+    pub(crate) unsafe fn depart_with<S: Step>(&self, h: Handle) -> (bool, OpPath) {
         self.check_handle(h);
         let _guard = self.pin_if_shrinkable();
         let (ended, path) = match h.0 {
             // SAFETY: caller contract.
-            NodeRefInner::Root(r) => unsafe { (*r).depart() },
-            NodeRefInner::Node(n) => unsafe { node_depart(&*n) },
+            NodeRefInner::Root(r) => unsafe { (*r).depart::<S>() },
+            NodeRefInner::Node(n) => unsafe { node_depart::<S>(&*n) },
         };
         self.stats.record_depart(path.departs);
         (ended, path)
@@ -436,6 +481,27 @@ impl SnziTree {
     pub fn root_surplus_for_test(&self) -> u32 {
         self.root().surplus()
     }
+
+    /// Every packed word and touch tally of the tree: the root's, then each
+    /// node's depth-first, left before right (differential tests).
+    #[cfg(test)]
+    pub(crate) fn state_for_test(&self) -> Vec<u64> {
+        let mut out = Vec::new();
+        self.root().state_for_test(&mut out);
+        let mut stack = vec![self.root().children.load(Ordering::Relaxed)];
+        while let Some(p) = stack.pop() {
+            if p.is_null() {
+                continue;
+            }
+            // SAFETY: pairs are owned by this tree, alive while it is.
+            let pair = unsafe { &*p };
+            pair.left.state_for_test(&mut out);
+            pair.right.state_for_test(&mut out);
+            stack.push(pair.right.children.load(Ordering::Relaxed));
+            stack.push(pair.left.children.load(Ordering::Relaxed));
+        }
+        out
+    }
 }
 
 /// Result of [`SnziTree::contention_profile`].
@@ -526,7 +592,7 @@ mod tests {
         assert_eq!(l1.addr(), l2.addr());
         assert_eq!(r1.addr(), r2.addr());
         assert_ne!(l1.addr(), r1.addr());
-        assert_eq!(t.stats().grow_installs, 1);
+        assert_eq!(t.stats_ref().snapshot().grow_installs, 1);
     }
 
     #[test]
@@ -536,7 +602,7 @@ mod tests {
         let (a, b) = unsafe { t.grow(r) };
         assert_eq!(a.addr(), r.addr());
         assert_eq!(b.addr(), r.addr());
-        assert_eq!(t.stats().grow_installs, 0);
+        assert_eq!(t.stats_ref().snapshot().grow_installs, 0);
     }
 
     #[test]
@@ -546,7 +612,7 @@ mod tests {
         let t = SnziTree::with_probability(0, Probability::one_over(4));
         let r = t.root_handle();
         let mut calls = 0u64;
-        while t.stats().grow_installs == 0 {
+        while t.stats_ref().snapshot().grow_installs == 0 {
             let _ = unsafe { t.grow_with(r, &mut coin) };
             calls += 1;
             assert!(calls < 1000, "coin never landed heads?");
@@ -576,7 +642,7 @@ mod tests {
             let (l, _) = unsafe { t.grow_always(h) };
             h = l;
         }
-        assert_eq!(t.stats().grow_installs, 100_000);
+        assert_eq!(t.stats_ref().snapshot().grow_installs, 100_000);
         drop(t); // must not overflow the stack
     }
 
@@ -605,6 +671,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(feature = "stats")]
     fn contention_profile_counts_nodes() {
         let mut t = SnziTree::new(0);
         let r = t.root_handle();
@@ -633,7 +700,7 @@ mod tests {
         for r in &results {
             assert_eq!(*r, first, "all threads must see the same installed pair");
         }
-        let s = t.stats();
+        let s = t.stats_ref().snapshot();
         assert_eq!(s.grow_installs, 1);
         assert!(s.grow_installs + s.grow_losses <= 8);
     }

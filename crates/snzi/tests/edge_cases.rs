@@ -99,6 +99,7 @@ fn handle_debug_and_identity() {
 }
 
 #[test]
+#[cfg(feature = "stats")]
 fn stats_snapshot_is_coherent() {
     let t = SnziTree::new(0);
     let r = t.root_handle();

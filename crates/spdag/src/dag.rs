@@ -136,7 +136,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         obs::trace::record(obs::EventKind::Spawn, vid);
         // One increment (Figure 5); `u` dies here, unsignalled, and its two
         // children share the fresh pair.
-        let (i1, i2, pair) = u.increment(self.cfg, vid);
+        let (i1, i2, pair) = u.increment(self.cfg, vid, self.worker.is_solo());
         let v = Vertex::alloc(MaybeUninit::new(i1), pair, u.fin, true, Frame::once(left));
         let w = Vertex::alloc(MaybeUninit::new(i2), pair, u.fin, false, Frame::once(right));
         u.dead = true;
@@ -198,7 +198,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // handles (Vertex::fork_rotate); the forked task is the left
         // child, ready immediately.
         let fin = u.fin;
-        let (i1, pair) = u.fork_rotate(cfg);
+        let (i1, pair) = u.fork_rotate(cfg, worker.is_solo());
         let v = Vertex::alloc(MaybeUninit::new(i1), pair, fin, true, body);
         worker.push(VertexPtr(v));
     }
@@ -250,8 +250,10 @@ fn commit_park<C: CounterFamily>(v: OwnedVertex<C>, worker: &WorkerCtx<'_, Verte
     // Ownership parks with the vertex.
     std::mem::forget(v);
     // SAFETY: touch_await armed `owed` with 2 and registered exactly one
-    // out-set waker; this is the executor's single matching decrement.
-    if unsafe { crate::futures::resolve_dependent::<C>(vp) } {
+    // out-set waker; this is the executor's single matching decrement. The
+    // other delivery is a vertex's of this run, so with `is_solo` it is
+    // made on this thread too.
+    if unsafe { crate::futures::resolve_dependent::<C>(vp, worker.is_solo()) } {
         worker.push(VertexPtr(vp));
     }
 }
@@ -359,6 +361,7 @@ fn execute_vertex<C: CounterFamily>(
     }
     // SAFETY: fin outlives all vertices of its scope (module docs).
     let fin_ref = unsafe { &*v.fin };
+    let solo = worker.is_solo();
     let ready = if v.dec.is_none() {
         // The scope's only strand: nothing was ever counted, so its end is
         // the scope's end — no claim, no decrement, no counter.
@@ -371,12 +374,20 @@ fn execute_vertex<C: CounterFamily>(
     } else {
         // SAFETY: the vertex neither spawned, chained nor touched (`dead`
         // is clear), so its one claim on the pair it holds is still unspent.
-        let d = unsafe { v.dec.claim() };
+        // With `solo` its sibling claims on this thread (`PairRef::claim`).
+        let d = unsafe { v.dec.claim(solo) };
         // SAFETY: a strand with a real pair; `d` was produced by an
         // increment on `fin`'s counter (or is its root handle matching the
         // initial count) and is consumed exactly once — the claim
-        // protocol's guarantee.
-        unsafe { C::decrement(fin_ref.counter_ref(), d) }
+        // protocol's guarantee. With `solo` every step on that counter is
+        // this thread's (`crate::vertex`, "One worker, no lock prefix").
+        unsafe {
+            if solo {
+                C::decrement_exclusive(fin_ref.counter_ref(), d)
+            } else {
+                C::decrement(fin_ref.counter_ref(), d)
+            }
+        }
     };
     if ready {
         worker.push(VertexPtr(v.fin as *mut Vertex<C>));
@@ -583,8 +594,10 @@ mod tests {
 
     #[test]
     fn deep_spawn_tree_fixed() {
-        for depth in [0, 2, 5] {
-            check_spawn_tree::<FixedDepth>(FixedConfig { depth }, 3, 10);
+        for workers in [1, 3] {
+            for depth in [0, 2, 5] {
+                check_spawn_tree::<FixedDepth>(FixedConfig { depth }, workers, 10);
+            }
         }
     }
 

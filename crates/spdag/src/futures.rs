@@ -12,7 +12,11 @@
 //!   for a `touch` continuation, two for a parked strand — so it counts
 //!   on one word in its own vertex (`Vertex::owed`), and the
 //!   [`incounter::CounterFamily`] in-counters stay where in-degree is
-//!   unbounded, on scopes that fork;
+//!   unbounded, on scopes that fork. Every delivery — the `touch` bounce,
+//!   the completion sweep, a parking executor's `commit_park` — goes
+//!   through `resolve_dependent`, a locked decrement of that word, or a
+//!   load and a store in a one-worker run, whose one thread makes both
+//!   deliveries (`crate::vertex`, "One worker, no lock prefix");
 //! * **completion broadcast** from the edge's source is the job of the
 //!   new [`outset`] crate: each future vertex carries an out-set, touches
 //!   register dependent edges in it, and the future's completion vertex
@@ -255,7 +259,13 @@ impl<T: Send + Sync, O: OutsetFamily> ParkTarget for PoolArc<FutureCore<T, O>> {
 ///
 /// Handles may travel to any vertex of the same dag run; any of them may
 /// [`touch`](Ctx::touch) the future any number of times (each touch is
-/// one dependent). Dropping handles never blocks the future.
+/// one dependent). Dropping handles never blocks the future. A handle is
+/// touched only within the run that created it — by `touch`,
+/// `touch_await` or a strand's `.await` — because a touch makes the
+/// future's completion sweep deliver to a vertex of the toucher's run and
+/// schedule it on the sweeping worker's deque. Outside any run it may be
+/// polled as a `std::future::Future` (`crate::async_bridge`), and read
+/// with [`try_get`](FutureHandle::try_get).
 ///
 /// The shared core rides in a [`PoolArc`], so handle churn recycles its
 /// header through the scheduler's size-class slabs instead of the
@@ -460,7 +470,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // rotate this vertex onto the fresh right-hand handles
         // (Vertex::fork_rotate encodes the handle discipline once).
         let fin = u.fin;
-        let (i1, pair) = u.fork_rotate(cfg);
+        let (i1, pair) = u.fork_rotate(cfg, worker.is_solo());
         // Completion vertex: waits for the future's body subtree (a scope
         // of one strand until that body forks); its own body publishes
         // completion and sweeps the
@@ -483,6 +493,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
                 std::hint::spin_loop();
             }
             sweep_core.completed.store(true, Ordering::SeqCst);
+            let solo = c.worker.is_solo();
             let mut chunk = [std::ptr::null_mut::<Vertex<C>>(); SWEEP_CHUNK];
             let (mut filled, mut ready) = (0, 0u64);
             let flush = |chunk: &[*mut Vertex<C>]| {
@@ -503,8 +514,10 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
                 let w = token as usize as *mut Vertex<C>;
                 // SAFETY: the token is a waiting vertex leaked by `touch`
                 // or parked by `touch_await`, scheduled by nobody else;
-                // this sweep holds its fulfiller delivery right.
-                if unsafe { resolve_dependent::<C>(w) } {
+                // this sweep holds its fulfiller delivery right. It is a
+                // vertex of this run (`FutureHandle`'s contract), so with
+                // `solo` its other delivery is this thread's too.
+                if unsafe { resolve_dependent::<C>(w, solo) } {
                     chunk[filled] = w;
                     filled += 1;
                     ready += 1;
@@ -749,7 +762,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
             // inline.
             // SAFETY: as in the sweep; the bounce transfers exclusive
             // delivery to this caller.
-            if unsafe { resolve_dependent::<C>(w_ptr) } {
+            if unsafe { resolve_dependent::<C>(w_ptr, self.worker.is_solo()) } {
                 self.worker.push(VertexPtr(w_ptr));
             }
         }
@@ -884,11 +897,17 @@ pub(crate) fn register_dependent<O: OutsetFamily>(
 /// second one's acquire half, which the deque push hands on to whoever
 /// runs the vertex.
 ///
+/// In a one-worker run (`solo`, the worker's `sched::WorkerCtx::is_solo`)
+/// both deliveries are made on the run's one thread, one after the other,
+/// so the decrement is a load and a store (`crate::vertex`, "One worker,
+/// no lock prefix").
+///
 /// # Safety
 /// `w` must be a waiting vertex (a `touch` continuation or a parked
 /// strand), not scheduled, and the caller must hold one — exactly one —
-/// of its pending delivery rights.
-pub(crate) unsafe fn resolve_dependent<C: CounterFamily>(w: *mut Vertex<C>) -> bool {
+/// of its pending delivery rights. With `solo`, `w` belongs to the
+/// caller's one-worker run, so no other delivery overlaps this one.
+pub(crate) unsafe fn resolve_dependent<C: CounterFamily>(w: *mut Vertex<C>, solo: bool) -> bool {
     // Project straight to the word: materializing `&Vertex` here would
     // claim read validity over the *whole* struct while the parking
     // executor may still hold `&mut Vertex` and be writing
@@ -903,7 +922,13 @@ pub(crate) unsafe fn resolve_dependent<C: CounterFamily>(w: *mut Vertex<C>) -> b
     // so the field projection is in bounds; the shared reference covers
     // only the atomic's bytes.
     let owed = unsafe { &*std::ptr::addr_of!((*w).owed) };
-    let before = owed.fetch_sub(1, Ordering::AcqRel);
+    let before = if solo {
+        let before = owed.load(Ordering::Relaxed);
+        owed.store(before.wrapping_sub(1), Ordering::Relaxed);
+        before
+    } else {
+        owed.fetch_sub(1, Ordering::AcqRel)
+    };
     debug_assert!(before >= 1, "a dependent got a delivery it was not owed");
     before == 1
 }
@@ -1112,15 +1137,17 @@ mod tests {
     #[test]
     fn futures_work_on_all_counter_families() {
         fn drive<C: CounterFamily>(cfg: C::Config) {
-            let out = Arc::new(AtomicU64::new(0));
-            let o = Arc::clone(&out);
-            run_dag::<C, _>(cfg, 2, move |mut ctx| {
-                let f = ctx.future(|_| 21u64);
-                ctx.touch(&f, move |_, v| {
-                    o.fetch_add(*v * 2, Ordering::Relaxed);
+            for workers in [1, 2] {
+                let out = Arc::new(AtomicU64::new(0));
+                let o = Arc::clone(&out);
+                run_dag::<C, _>(cfg.clone(), workers, move |mut ctx| {
+                    let f = ctx.future(|_| 21u64);
+                    ctx.touch(&f, move |_, v| {
+                        o.fetch_add(*v * 2, Ordering::Relaxed);
+                    });
                 });
-            });
-            assert_eq!(out.load(Ordering::Relaxed), 42);
+                assert_eq!(out.load(Ordering::Relaxed), 42, "{} at W={workers}", C::NAME);
+            }
         }
         drive::<DynSnzi>(DynConfig::always_grow());
         drive::<DynSnzi>(DynConfig::never_grow());

@@ -64,16 +64,27 @@ impl<D: Copy> PairRef<D> {
     }
 
     /// Claim this holder's handle (the paper's `claim_dec`), freeing the
-    /// pair if this was its last claim.
+    /// pair if this was its last claim. `solo`: the claimer is a one-worker
+    /// run's, which claims by load and store
+    /// ([`DecPair::claim_last_exclusive`]).
     ///
     /// # Safety
     /// The caller must be one of the pair's holders and must not have
     /// claimed before: across all copies of this pointer, two claims in
-    /// total. The pointer is dead afterwards.
-    pub(crate) unsafe fn claim(self) -> D {
+    /// total. The pointer is dead afterwards. With `solo`, the run has one
+    /// worker (`sched::WorkerCtx::is_solo`), so the pair's other claim —
+    /// by a vertex of the same run — is made on this thread too, and does
+    /// not overlap this one.
+    pub(crate) unsafe fn claim(self, solo: bool) -> D {
         debug_assert!(!self.0.is_null(), "a sole strand's `none` pair was claimed");
         // SAFETY: the pair is live until its last claim (caller contract).
-        let (dec, last) = unsafe { DecPair::claim_last(self.0) };
+        let (dec, last) = unsafe {
+            if solo {
+                DecPair::claim_last_exclusive(self.0)
+            } else {
+                DecPair::claim_last(self.0)
+            }
+        };
         if last {
             obs::counter!("sched.pairs_freed").inc();
             // SAFETY: last claim — the slab `new` got from `recycle::alloc`
@@ -93,13 +104,16 @@ mod tests {
         let a = PairRef::new(DecPair::new(1u64, 2u64));
         let addr = a.0 as usize;
         let b = a; // the sibling's copy
-        assert_eq!(unsafe { a.claim() }, 1);
-        assert_eq!(unsafe { b.claim() }, 2);
+        assert_eq!(unsafe { a.claim(false) }, 1);
+        assert_eq!(unsafe { b.claim(false) }, 2);
         // Freed on the second claim: the thread's LIFO cache serves the
-        // very same slab to the next pair.
+        // very same slab to the next pair — whichever way it was claimed.
         let c = PairRef::new(DecPair::new(3u64, 4u64));
         assert_eq!(c.0 as usize, addr);
         assert!(!c.is_none() && PairRef::<u64>::none().is_none());
-        assert_eq!(unsafe { (c.claim(), c.claim()) }, (3, 4));
+        assert_eq!(unsafe { (c.claim(true), c.claim(true)) }, (3, 4));
+        let d = PairRef::new(DecPair::new(5u64, 6u64));
+        assert_eq!(d.0 as usize, addr);
+        assert_eq!(unsafe { (d.claim(true), d.claim(false)) }, (5, 6));
     }
 }

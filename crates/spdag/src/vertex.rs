@@ -56,6 +56,40 @@
 //!    schedules the vertex, and the first one's release publishes its
 //!    writes to it.
 //!
+//! ## One worker, no lock prefix
+//!
+//! A step on a scope's counter, a claim on a decrement pair and a delivery
+//! to `owed` are locked read-modify-writes because two workers may make
+//! them at once. A one-worker run has one thread
+//! (`sched::WorkerCtx::is_solo`, read once per vertex, in the operation
+//! that ends it or forks from it), and then each takes its exclusive twin,
+//! the same step committed by a load and a store:
+//! `CounterFamily::{increment,decrement}_exclusive` in
+//! `Vertex::increment` (so `spawn`, `fork` and the future constructors) and
+//! in `dag::execute_vertex`'s signal epilogue,
+//! `DecPair::claim_last_exclusive` in `PairRef::claim`, and a plain
+//! decrement of `owed` in `futures::resolve_dependent` (the `touch`
+//! bounce, the completion sweep, `commit_park`). Why nothing else can
+//! reach them meanwhile:
+//!
+//! * all of them — a scope's counter, the SNZI nodes its handles point
+//!   into, a pair, a waiting vertex's `owed` — are reached only through
+//!   the run's vertices, and only the run's workers execute vertices: at
+//!   W = 1, the caller of `run_dag`;
+//! * the watchdog of a watched run reads the pool's progress count and
+//!   deque lengths, nothing of a vertex's; a `run_dag` nested in a vertex
+//!   builds vertices of its own, and its own `WorkerCtx` says whether
+//!   *it* is solo;
+//! * a [`FutureHandle`](crate::FutureHandle) is touched only within its own
+//!   run (its documented contract), so every registration, bounce and
+//!   sweep delivery against a run's vertex is made by that run's worker.
+//!
+//! What a thread outside the run can reach stays shared at every W: a
+//! foreign executor's `poll` registers a tagged waker on the future's
+//! out-set, and any thread holding a handle reaches the out-set, the
+//! `PoolArc` refcount and `FutureCore::completed`. A run of two or more
+//! workers executes the shared instructions plus one predictable branch.
+//!
 //! ## Allocation and recycling
 //!
 //! Vertices are the runtime's highest-churn allocation: every `spawn`
@@ -474,7 +508,9 @@ impl<C: CounterFamily> Drop for Vertex<C> {
 //   still unwinding (`futures::resolve_dependent` racing a park commit)
 //   reach it through a raw field projection, never a whole-`&Vertex`
 //   reference, so they assert nothing about the fields the executor is
-//   writing.
+//   writing. (In a one-worker run the two deliveries are a load and a
+//   store each, made on the run's one thread — module docs, "One worker,
+//   no lock prefix".)
 //
 // Every other field is touched solely by the single creator (before
 // publication) or the single executor (which holds the vertex
@@ -549,6 +585,10 @@ impl<C: CounterFamily> Vertex<C> {
     /// increment (grow + arrive, Figure 5) happens strictly **before**
     /// the inherited handle is claimed.
     ///
+    /// `solo` is the executing worker's `sched::WorkerCtx::is_solo`: in a
+    /// one-worker run the increment and the claim take their exclusive
+    /// twins (module docs, "One worker, no lock prefix").
+    ///
     /// Inlined into its two callers: out of line the three results come
     /// back through memory, which `spawn` reloads straight after the
     /// stores — 2 ns of `spdag.spawn_ns_per_vertex`'s 55 (lower quartile
@@ -558,6 +598,7 @@ impl<C: CounterFamily> Vertex<C> {
         &mut self,
         cfg: &C::Config,
         vid: u64,
+        solo: bool,
     ) -> (C::Inc, C::Inc, PairRef<C::Dec>) {
         let sole = self.dec.is_none();
         // SAFETY: `fin` is alive — this vertex is an unfinished strand of
@@ -580,16 +621,23 @@ impl<C: CounterFamily> Vertex<C> {
         };
         // One increment, exactly as in Figure 5 ...
         // SAFETY: `inc` points into `fc` by construction; validity is the
-        // sp-dag discipline itself.
-        let (d2, i1, i2) = unsafe { C::increment(cfg, fc, inc, self.is_left, vid) };
+        // sp-dag discipline itself. With `solo` the run's one thread is the
+        // only one that reaches `fc` (module docs), so nothing overlaps.
+        let (d2, i1, i2) = unsafe {
+            if solo {
+                C::increment_exclusive(cfg, fc, inc, self.is_left, vid)
+            } else {
+                C::increment(cfg, fc, inc, self.is_left, vid)
+            }
+        };
         // ... and only then claim the inherited handle (the first handle
         // of the new pair is the higher one).
         let d1 = if sole {
             C::root_dec(fc)
         } else {
             // SAFETY: this vertex's one claim on the pair it holds; it dies
-            // or moves onto the fresh pair right after.
-            unsafe { self.dec.claim() }
+            // or moves onto the fresh pair right after. `solo` as above.
+            unsafe { self.dec.claim(solo) }
         };
         (i1, i2, PairRef::new(C::make_pair(cfg, d1, d2)))
     }
@@ -623,10 +671,11 @@ impl<C: CounterFamily> Vertex<C> {
     /// counter to make room for a new sibling, then *rotate* this vertex
     /// onto the fresh right-hand handles (it becomes the right child of
     /// its own fork). Returns the left child's increment handle and the
-    /// shared decrement pair to build the sibling with.
-    pub(crate) fn fork_rotate(&mut self, cfg: &C::Config) -> (C::Inc, PairRef<C::Dec>) {
+    /// shared decrement pair to build the sibling with. `solo` as for
+    /// [`increment`](Vertex::increment).
+    pub(crate) fn fork_rotate(&mut self, cfg: &C::Config, solo: bool) -> (C::Inc, PairRef<C::Dec>) {
         let vid = (self as *const Vertex<C> as u64).wrapping_add(self.forks);
-        let (i1, i2, pair) = self.increment(cfg, vid);
+        let (i1, i2, pair) = self.increment(cfg, vid, solo);
         self.inc = MaybeUninit::new(i2);
         self.dec = pair;
         self.is_left = false;

@@ -1,0 +1,360 @@
+//! One worker, no lock prefix (`spdag::vertex`, module docs): in a
+//! one-worker run the dag layer steps its in-counters, decrement pairs and
+//! `owed` words by load and store. This battery drives every route to those
+//! steps at W = 1 over every counter family — `DynSnzi` at `always_grow`,
+//! `never_grow` and the default coin, `FetchAdd`, `FixedDepth` at depths 0
+//! and 2 — and checks exact results and exact ledgers: every decrement pair
+//! born is freed (`sched.pairs_born == sched.pairs_freed`), every vertex
+//! born is retired, and `tasks − resumes` is the number of vertices.
+//!
+//! The routes: spawn trees (increment, both claims, the signal's
+//! decrement), chains nested in spawns, a `touch` whose registration lands
+//! and one that bounces (the two deliveries of a continuation's `owed`), a
+//! `touch_await` that parks and resumes (both deliveries of a parked
+//! strand's), and a strand that panics while parked (`commit_park` from
+//! the unwind path). Then the two cases the exclusivity argument must
+//! survive: a watched one-worker run, whose watchdog is a second thread
+//! holding the run's pool state, and one-worker runs nested in the
+//! vertices of a two-worker run, whose workers step shared counters of
+//! their own meanwhile.
+//!
+//! Tests serialize on a process-wide lock: the ledgers are diffs of the
+//! global telemetry registry.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+
+use dynsnzi::prelude::*;
+use sched::{PoolStats, WatchdogCfg};
+use spdag::{run_dag_watched, DagRunStats};
+
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Run `$case::<C>(cfg)` over every family.
+macro_rules! over_families {
+    ($case:ident) => {
+        $case::<DynSnzi>(DynConfig::always_grow());
+        $case::<DynSnzi>(DynConfig::never_grow());
+        $case::<DynSnzi>(DynConfig::default());
+        $case::<FetchAdd>(());
+        $case::<FixedDepth>(FixedConfig { depth: 0 });
+        $case::<FixedDepth>(FixedConfig { depth: 2 });
+    };
+}
+
+/// Run `body` and check the ledgers over everything it ran: pairs born are
+/// freed, vertices born are retired and — for the runs whose stats it
+/// returns — each run's `tasks − resumes` adds up to the vertices born.
+/// Returns the counter diff (empty without telemetry).
+fn ledgers(what: &str, body: impl FnOnce() -> Vec<PoolStats>) -> Snapshot {
+    let before = Snapshot::take();
+    let runs = body();
+    let d = Snapshot::take().diff(&before);
+    if obs::enabled() {
+        let (born, freed) = (d.counter("sched.pairs_born"), d.counter("sched.pairs_freed"));
+        assert_eq!(born, freed, "{what}: decrement pairs born {born}, freed {freed}");
+        let born = d.counter("sched.vertex_alloc") + d.counter("sched.vertex_reuse");
+        let dead = d.counter("sched.vertex_recycled") + d.counter("sched.vertex_dropped");
+        assert_eq!(born, dead, "{what}: vertices born {born}, retired {dead}");
+        if !runs.is_empty() {
+            let executed: u64 = runs.iter().map(|s| s.tasks - s.resumes).sum();
+            assert_eq!(executed, born, "{what}: tasks - resumes against vertices born");
+        }
+    }
+    for s in &runs {
+        assert_eq!(s.suspends, s.resumes, "{what}: every park is repaid");
+    }
+    d
+}
+
+fn label<C: CounterFamily>(shape: &str) -> String {
+    format!("{shape} on {} at W=1", C::NAME)
+}
+
+fn spawn_tree<C: CounterFamily>(ctx: Ctx<'_, C>, depth: u32, hits: Arc<AtomicU64>) {
+    if depth == 0 {
+        hits.fetch_add(1, Ordering::Relaxed);
+        return;
+    }
+    let h = Arc::clone(&hits);
+    ctx.spawn(move |c| spawn_tree(c, depth - 1, h), move |c| spawn_tree(c, depth - 1, hits));
+}
+
+/// `n` leaves below binary chains and spawns: every level opens a finish
+/// scope of its own and forks it once.
+fn chains_and_spawns<C: CounterFamily>(ctx: Ctx<'_, C>, n: u64, hits: Arc<AtomicU64>) {
+    if n < 2 {
+        hits.fetch_add(1, Ordering::Relaxed);
+        return;
+    }
+    let h = Arc::clone(&hits);
+    ctx.chain(
+        move |c| {
+            let (a, b) = (Arc::clone(&h), h);
+            c.spawn(
+                move |c2| chains_and_spawns(c2, n / 2, a),
+                move |c2| chains_and_spawns(c2, n / 2, b),
+            );
+        },
+        move |_| {
+            hits.fetch_add(1000, Ordering::Relaxed);
+        },
+    );
+}
+
+fn trees_and_chains<C: CounterFamily>(cfg: C::Config) {
+    let hits = Arc::new(AtomicU64::new(0));
+    let h = Arc::clone(&hits);
+    ledgers(&label::<C>("spawn tree"), || {
+        vec![run_dag::<C, _>(cfg.clone(), 1, move |ctx| spawn_tree(ctx, 10, h)).pool]
+    });
+    assert_eq!(hits.load(Ordering::Relaxed), 1 << 10, "{}", label::<C>("spawn tree"));
+    let hits = Arc::new(AtomicU64::new(0));
+    let h = Arc::clone(&hits);
+    ledgers(&label::<C>("chains and spawns"), || {
+        vec![run_dag::<C, _>(cfg, 1, move |ctx| chains_and_spawns(ctx, 64, h)).pool]
+    });
+    // 64 leaves; 63 chains, each with a `then` worth 1000.
+    assert_eq!(hits.load(Ordering::Relaxed), 64 + 63 * 1000, "{}", label::<C>("chains and spawns"));
+}
+
+/// A `touch` whose registration lands: at W = 1 the future's body waits in
+/// the deque behind the root, so the root's touch finds it unfinished and
+/// the completion sweep makes the delivery.
+fn touch_registered<C: CounterFamily>(cfg: C::Config) {
+    let out = Arc::new(AtomicU64::new(0));
+    let o = Arc::clone(&out);
+    let d = ledgers(&label::<C>("registered touch"), || {
+        vec![
+            run_dag::<C, _>(cfg, 1, move |mut ctx| {
+                // Eight futures fork the root's scope eight times; the touch
+                // is on the last, whose body the worker pops first.
+                let futures: Vec<FutureHandle<u64>> =
+                    (0..8u64).map(|i| ctx.future(move |_| i + 1)).collect();
+                ctx.touch(&futures[7], move |_, v| o.store(*v, Ordering::Relaxed));
+            })
+            .pool,
+        ]
+    });
+    assert_eq!(out.load(Ordering::Relaxed), 8, "{}", label::<C>("registered touch"));
+    if obs::enabled() {
+        assert_eq!(d.counter("outset.adds_bounced"), 0, "{}", label::<C>("registered touch"));
+        assert_eq!(d.counter("outset.swept"), 1, "{}", label::<C>("registered touch"));
+    }
+}
+
+/// A `touch` that bounces: the future completes inside `first` of a
+/// chain, so the touch in `then` finds its out-set sealed and delivers the
+/// continuation's one owed delivery inline.
+fn touch_bounced<C: CounterFamily>(cfg: C::Config) {
+    let out = Arc::new(AtomicU64::new(0));
+    let o = Arc::clone(&out);
+    let d = ledgers(&label::<C>("bounced touch"), || {
+        vec![
+            run_dag::<C, _>(cfg, 1, move |ctx| {
+                let slot: Arc<Mutex<Option<FutureHandle<u64>>>> = Arc::new(Mutex::new(None));
+                let s = Arc::clone(&slot);
+                ctx.chain(
+                    move |mut c| {
+                        let f = c.future(|_| 42u64);
+                        *s.lock().unwrap() = Some(f);
+                    },
+                    move |c| {
+                        let f = slot.lock().unwrap().take().expect("first ran");
+                        assert!(f.is_done(), "`then` runs after `first`'s future");
+                        c.touch(&f, move |_, v| o.store(*v, Ordering::Relaxed));
+                    },
+                );
+            })
+            .pool,
+        ]
+    });
+    assert_eq!(out.load(Ordering::Relaxed), 42, "{}", label::<C>("bounced touch"));
+    if obs::enabled() {
+        assert_eq!(d.counter("outset.adds_bounced"), 1, "{}", label::<C>("bounced touch"));
+    }
+}
+
+/// Strands that park and resume: each awaits a future made before it,
+/// whose body the one worker pops only after the strand (pushed later):
+/// both deliveries of every park — the sweep's and `commit_park`'s — are
+/// made on the one thread.
+fn strands_park_and_resume<C: CounterFamily>(cfg: C::Config) {
+    const LINKS: u64 = 32;
+    let out = Arc::new(AtomicU64::new(0));
+    let o = Arc::clone(&out);
+    let mut parks = 0;
+    ledgers(&label::<C>("touch_await chain"), || {
+        let stats = run_dag::<C, _>(cfg, 1, move |mut ctx| {
+            let mut prev: FutureHandle<u64> = ctx.future(|_| 0u64);
+            for _ in 1..LINKS {
+                let f = prev.clone();
+                prev = ctx.future_strand(move |c: &mut Ctx<'_, C>| {
+                    StrandPoll::Done(*strand_await!(c, &f) + 1)
+                });
+            }
+            ctx.fork_strand(move |c: &mut Ctx<'_, C>| {
+                o.store(*strand_await!(c, &prev), Ordering::Relaxed);
+                StrandPoll::Done(())
+            });
+        });
+        parks = stats.pool.suspends;
+        vec![stats.pool]
+    });
+    assert_eq!(out.load(Ordering::Relaxed), LINKS - 1, "{}", label::<C>("touch_await chain"));
+    assert!(parks >= 1, "{}: nothing parked", label::<C>("touch_await chain"));
+}
+
+/// A strand that panics right after its `touch_await` parked: the unwind
+/// path commits the park with the body left empty, the future's sweep
+/// makes the other delivery, the scope drains, and the panic reaches the
+/// caller — with every ledger exact.
+fn strand_panics_while_parked<C: CounterFamily>(cfg: C::Config) {
+    let ran_after = Arc::new(AtomicU64::new(0));
+    let r = Arc::clone(&ran_after);
+    ledgers(&label::<C>("panic while parked"), || {
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            run_dag::<C, _>(cfg, 1, move |mut ctx| {
+                let f = ctx.future(|_| 7u64);
+                let r2 = Arc::clone(&r);
+                ctx.fork(move |_| {
+                    r2.fetch_add(1, Ordering::Relaxed);
+                });
+                ctx.fork_strand(move |c: &mut Ctx<'_, C>| match c.touch_await(&f) {
+                    StrandTouch::Parked => panic!("parked, then panicked"),
+                    StrandTouch::Ready(_) => unreachable!("the future's body runs after this"),
+                });
+                r.fetch_add(10, Ordering::Relaxed);
+            });
+        }));
+        let payload = result.expect_err("the body's panic reaches the caller");
+        let text = payload.downcast_ref::<&str>().copied().unwrap_or("");
+        assert_eq!(text, "parked, then panicked", "{}", label::<C>("panic while parked"));
+        Vec::new()
+    });
+    assert_eq!(ran_after.load(Ordering::Relaxed), 11, "{}: the rest drained", label::<C>("panic"));
+}
+
+#[test]
+fn one_worker_runs_keep_exact_ledgers_on_every_family() {
+    let _g = serial();
+    over_families!(trees_and_chains);
+    over_families!(touch_registered);
+    over_families!(touch_bounced);
+    over_families!(strands_park_and_resume);
+    over_families!(strand_panics_while_parked);
+}
+
+/// Every route above in one dag body: a spawn tree of `2^depth` leaves,
+/// each spinning `leaf` first, as the `first` of a chain whose `then`
+/// touches a future, and a strand that awaits a `future_then` of that
+/// future. Adds `mixed_expect(depth)` to `out`.
+fn mixed<C: CounterFamily>(mut ctx: Ctx<'_, C>, depth: u32, leaf: Duration, out: Arc<AtomicU64>) {
+    fn tree<C: CounterFamily>(ctx: Ctx<'_, C>, depth: u32, leaf: Duration, out: Arc<AtomicU64>) {
+        if depth == 0 {
+            let until = Instant::now() + leaf;
+            while Instant::now() < until {
+                std::hint::spin_loop();
+            }
+            out.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let o = Arc::clone(&out);
+        ctx.spawn(move |c| tree(c, depth - 1, leaf, o), move |c| tree(c, depth - 1, leaf, out));
+    }
+    let a = ctx.future(|_| 100u64);
+    let b = ctx.future_then(&a, |_, v| v + 1);
+    let o = Arc::clone(&out);
+    ctx.fork_strand(move |c: &mut Ctx<'_, C>| {
+        o.fetch_add(*strand_await!(c, &b) * 1000, Ordering::Relaxed);
+        StrandPoll::Done(())
+    });
+    let o = Arc::clone(&out);
+    ctx.chain(
+        move |c| tree(c, depth, leaf, o),
+        move |c| {
+            // At W = 1 `a`'s body still waits at the bottom of the deque,
+            // under the chain: a registration the sweep delivers.
+            c.touch(&a, move |_, v| {
+                out.fetch_add(*v * 1_000_000, Ordering::Relaxed);
+            });
+        },
+    );
+}
+
+fn mixed_expect(depth: u32) -> u64 {
+    (1 << depth) + 101 * 1000 + 100 * 1_000_000
+}
+
+fn watched_one_worker_run<C: CounterFamily>(cfg: C::Config) {
+    // The watchdog polls every 25 ms over a run of about 64 × 2 ms: it
+    // reads the pool's progress while the one worker steps the dag layer
+    // by load and store, and never declares a stall.
+    let watchdog = WatchdogCfg { stall_timeout: Duration::from_millis(200) };
+    let out = Arc::new(AtomicU64::new(0));
+    let o = Arc::clone(&out);
+    ledgers(&label::<C>("watched run"), || {
+        let stats: DagRunStats = run_dag_watched::<C, _>(cfg, 1, watchdog, move |ctx| {
+            mixed(ctx, 6, Duration::from_millis(2), o)
+        });
+        vec![stats.pool]
+    });
+    assert_eq!(out.load(Ordering::Relaxed), mixed_expect(6), "{}", label::<C>("watched run"));
+}
+
+#[test]
+fn a_watched_one_worker_run_is_exact() {
+    let _g = serial();
+    over_families!(watched_one_worker_run);
+}
+
+fn nested_in_a_two_worker_run<C: CounterFamily>(cfg: C::Config) {
+    // Every forked vertex of the outer run (two workers, shared steps on
+    // the outer counter) runs a one-worker dag of its own (exclusive steps
+    // on its counters), while the outer run's futures are touched by the
+    // outer run only.
+    const INNER: u64 = 12;
+    let total = Arc::new(AtomicU64::new(0));
+    let t = Arc::clone(&total);
+    let outer_cfg = cfg.clone();
+    ledgers(&label::<C>("nested one-worker runs"), move || {
+        run_dag::<C, _>(outer_cfg, 2, move |mut ctx| {
+            let gate = ctx.future(|_| 5u64);
+            let mut scope = ctx.into_scope();
+            for _ in 0..INNER {
+                let (t, cfg, gate) = (Arc::clone(&t), cfg.clone(), gate.clone());
+                scope.fork(move |c| {
+                    let inner = Arc::new(AtomicU64::new(0));
+                    let i = Arc::clone(&inner);
+                    let stats =
+                        run_dag::<C, _>(cfg, 1, move |ctx| mixed(ctx, 5, Duration::ZERO, i));
+                    assert_eq!(stats.pool.suspends, stats.pool.resumes);
+                    assert_eq!(inner.load(Ordering::Relaxed), mixed_expect(5));
+                    let t2 = Arc::clone(&t);
+                    c.touch(&gate, move |_, v| {
+                        t2.fetch_add(mixed_expect(5) + *v, Ordering::Relaxed);
+                    });
+                });
+            }
+        });
+        // Outer and inner stats both count: only conservation is checked.
+        Vec::new()
+    });
+    assert_eq!(
+        total.load(Ordering::Relaxed),
+        INNER * (mixed_expect(5) + 5),
+        "{}",
+        label::<C>("nested one-worker runs")
+    );
+}
+
+#[test]
+fn one_worker_runs_nested_in_a_two_worker_run() {
+    let _g = serial();
+    over_families!(nested_in_a_two_worker_run);
+}
