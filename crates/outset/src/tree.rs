@@ -332,6 +332,12 @@ impl LaneTable {
         Box::into_raw(Box::new(LaneTable { mask, lanes: lanes.into_boxed_slice(), prev }))
     }
 
+    /// The first generation of an out-set born with `lanes` (> 1) lanes.
+    #[cold]
+    fn born_wide(lanes: usize) -> *mut LaneTable {
+        LaneTable::boxed((0..lanes).map(|_| Lane::boxed()).collect(), std::ptr::null_mut())
+    }
+
     /// The index of the lane `key` hashes to in this table generation.
     fn index_for(&self, key: u64) -> usize {
         // Fibonacci hash spreads dense keys (worker ids, addresses).
@@ -371,6 +377,11 @@ impl TreeOutsetObj {
     /// [`GrowthPolicy`]: the cheapest possible start (single-dependent
     /// futures never pay for spreading they don't need), growing under
     /// observed contention up to the machine-derived cap.
+    ///
+    /// Inlined, as is [`with_policy`](Self::with_policy), so that a future's
+    /// core gets its out-set written field by field into its slab rather
+    /// than returned through the stack and copied in.
+    #[inline]
     pub fn new() -> TreeOutsetObj {
         TreeOutsetObj::with_policy(1, GrowthPolicy::default())
     }
@@ -387,15 +398,12 @@ impl TreeOutsetObj {
     /// An out-set with an explicit initial lane count and growth policy.
     /// `initial_lanes` is rounded up to a power of two and clamped to the
     /// policy's cap.
+    #[inline]
     pub fn with_policy(initial_lanes: usize, policy: GrowthPolicy) -> TreeOutsetObj {
         let initial = initial_lanes.max(1).next_power_of_two().min(policy.max_lanes());
         // One lane is the inline generation and allocates nothing; a
         // wider birth is out of line from the start.
-        let table = if initial == 1 {
-            std::ptr::null_mut()
-        } else {
-            LaneTable::boxed((0..initial).map(|_| Lane::boxed()).collect(), std::ptr::null_mut())
-        };
+        let table = if initial == 1 { std::ptr::null_mut() } else { LaneTable::born_wide(initial) };
         obs::counter!("outset.created").inc();
         TreeOutsetObj {
             sealed: AtomicBool::new(false),
@@ -756,6 +764,7 @@ impl OutsetFamily for TreeOutset {
     type Outset = TreeOutsetObj;
     const NAME: &'static str = "outset-tree";
 
+    #[inline]
     fn make() -> TreeOutsetObj {
         TreeOutsetObj::new()
     }

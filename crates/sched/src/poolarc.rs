@@ -8,7 +8,7 @@
 //! layer relies on — `clone` is a relaxed increment, the last `drop`
 //! runs the value's drop glue exactly once with release/acquire
 //! publication — but births the header from a class slab and retires it
-//! back there ([`recycle::alloc`] / [`recycle::free`]), so warm-run churn
+//! back there ([`recycle::alloc_uninit`] / [`recycle::free`]), so warm-run churn
 //! stops touching the allocator.
 //!
 //! A refcount step is a locked instruction on a line every holder shares,
@@ -16,7 +16,8 @@
 //! [`PoolArc::new_held`] births the count at `N` and returns the `N`
 //! handles together (a future's core has three — its handle, its
 //! completion sweep, its value setter), and from there each is an ordinary
-//! handle.
+//! handle. [`PoolArc::new_held_in_place`] is the same birth with the value
+//! written straight into the slab instead of moved in.
 //!
 //! It is for objects whose holder count is genuinely open-ended. The
 //! decrement pair two sibling vertices share is *not* one: it has
@@ -76,14 +77,34 @@ impl<T> PoolArc<T> {
     /// `clone` — on a line the holders are about to share. One birth on
     /// the `sched.poolarc_*` counters, as for `new`.
     pub fn new_held<const N: usize>(value: T) -> [Self; N] {
+        // SAFETY: the one write initializes the whole value.
+        unsafe { Self::new_held_in_place(|slot| slot.write(value)) }
+    }
+
+    /// [`new_held`](PoolArc::new_held) for a value built **in place**: the
+    /// slab is taken first, and `init` writes the value straight into it —
+    /// field by field, so that nothing is assembled on the stack and copied
+    /// over (`recycle::alloc_uninit`). A future's core is born this way.
+    ///
+    /// # Safety
+    /// `init` must leave `*slot` fully initialized (one that unwinds leaks
+    /// the slab).
+    #[inline(always)]
+    pub unsafe fn new_held_in_place<const N: usize>(init: impl FnOnce(*mut T)) -> [Self; N] {
         const { assert!(N >= 1, "a value nobody holds would never be dropped") };
-        let (ptr, reused) = recycle::alloc(|| Inner { strong: AtomicUsize::new(N), value });
+        let (ptr, reused) = recycle::alloc_uninit::<Inner<T>>();
+        // SAFETY: `alloc_uninit` returned memory for an `Inner<T>`,
+        // exclusively ours; the caller's `init` fills the value.
+        unsafe {
+            std::ptr::addr_of_mut!((*ptr).strong).write(AtomicUsize::new(N));
+            init(std::ptr::addr_of_mut!((*ptr).value));
+        }
         if reused {
             obs::counter!("sched.poolarc_reuse").inc();
         } else {
             obs::counter!("sched.poolarc_alloc").inc();
         }
-        // SAFETY: `alloc` returns a valid, non-null allocation.
+        // SAFETY: `alloc_uninit` returns a valid, non-null allocation.
         let ptr = unsafe { NonNull::new_unchecked(ptr) };
         // Exactly the `N` handles the count was born with.
         std::array::from_fn(|_| Self { ptr, _marker: PhantomData })
@@ -132,7 +153,8 @@ impl<T> Drop for PoolArc<T> {
         // running drop glue (the std Arc protocol).
         fence(Ordering::Acquire);
         // SAFETY: we hold the last reference; nobody else can reach the
-        // allocation, which `new` obtained from `recycle::alloc`.
+        // allocation, which `new_held_in_place` obtained from
+        // `recycle::alloc_uninit` and initialized.
         if unsafe { recycle::free(self.ptr.as_ptr()) } {
             obs::counter!("sched.poolarc_recycled").inc();
         } else {

@@ -16,9 +16,9 @@
 //! * **Provenance is the type.** Recycling is unconditional: where an
 //!   object's memory comes from — and so where it must go back to — is a
 //!   compile-time function of its layout ([`class_of`] is `size_of` /
-//!   `align_of` arithmetic). [`alloc`] and [`free`] are the one typed pair
-//!   every consumer goes through; no object records how it was born, and
-//!   there is nothing to flip mid-run.
+//!   `align_of` arithmetic). [`alloc_uninit`] (or [`alloc`]) and [`free`]
+//!   are the one typed pair every consumer goes through; no object records
+//!   how it was born, and there is nothing to flip mid-run.
 //! * **Poison stamps.** In debug builds every slab released to a class
 //!   pool is stamped with [`POISON`] in its second and third words (the
 //!   first belongs to the slab cache's intrusive link, see
@@ -36,9 +36,36 @@
 //!   false-share. A layout lands in the smallest class that covers both
 //!   its size and its alignment (64 B / align 32 rides in the 128 B
 //!   class). What is still off the ladder — anything above 1024 B or
-//!   aligned past 128 — is the one fallback left: [`alloc`] and [`free`]
-//!   send it to the plain allocator, selected by the same layout
+//!   aligned past 128 — is the one fallback left: [`alloc_uninit`] and
+//!   [`free`] send it to the plain allocator, selected by the same layout
 //!   arithmetic.
+//!
+//! ## The fast path is compiled into the call site
+//!
+//! Because the class is a constant of `T`, so is everything the fast path
+//! looks up: class `c`'s pool owns cache slot `c + 1` of every thread
+//! ([`crate::slab`]), and [`alloc_uninit`] and [`free`] inline the pop or
+//! push on the thread's `cur` magazine — a thread-local state check, two
+//! loads and two stores at a fixed offset. What is not the fast path stays
+//! out of line and `#[cold]`: swapping in `prev` or a depot magazine, the
+//! fresh allocation, a spill, and the `sched.recycle_miss` failpoint.
+//! [`acquire_or_alloc`] and [`release`] route a class chosen at run time
+//! through the same code, out of line.
+//!
+//! The typed pair also decides how an object is *built*. A SIGPROF profile
+//! of `fib` at W = 1 (`cores: 2`) found the recycler called out of line —
+//! 9.2 % of samples in `acquire_or_alloc`, 7.0 % in `release` — and, in
+//! `spdag`'s `Ctx::spawn`, 7.1 % on two 16-byte loads that read back a
+//! vertex and frame just written to the stack 8 bytes at a time. A value
+//! built before its slab is in hand lives on the stack across the acquire
+//! (the compiler must be able to drop it if the acquire unwinds) and is
+//! copied in afterwards; a 16-byte load of two fresh 8-byte stores cannot
+//! take its data from them and waits until they retire — a
+//! store-forwarding stall. Inlining the acquire alone made that stall
+//! worse (11.5 % on one instruction): the copy moved closer to the stores.
+//! So the runtime takes the slab first and writes each field into it
+//! ([`alloc_uninit`], `spdag::vertex`'s "Built where it lives"), and
+//! [`alloc`] is for values that come out of `make` in registers.
 //!
 //! ## Accounting
 //!
@@ -61,11 +88,11 @@
 
 use std::alloc::{dealloc, handle_alloc_error, Layout};
 
-use crate::slab::SlabPool;
+use crate::slab::{self, SlabPool};
 
 /// The size ladder. Powers of two keep `class_for` a couple of
 /// instructions and internal fragmentation under 2×.
-const CLASS_BYTES: [usize; 6] = [32, 64, 128, 256, 512, 1024];
+const CLASS_BYTES: [usize; slab::CLASS_SLOTS] = [32, 64, 128, 256, 512, 1024];
 
 /// Alignment of every slab of `class` (and the most an object pooled there
 /// may require): a cache-line pair from the 128 B class up, the
@@ -84,14 +111,21 @@ const fn class_align(class: usize) -> usize {
 /// for out-set blocks.
 const CACHE_CAP: usize = 64;
 
-static POOLS: [SlabPool; 6] = [
-    SlabPool::new("sched.class32", 32, CACHE_CAP),
-    SlabPool::new("sched.class64", 64, CACHE_CAP),
-    SlabPool::new("sched.class128", 128, CACHE_CAP),
-    SlabPool::new("sched.class256", 256, CACHE_CAP),
-    SlabPool::new("sched.class512", 512, CACHE_CAP),
-    SlabPool::new("sched.class1024", 1024, CACHE_CAP),
+/// Class `c`'s pool owns cache slot `c + 1` of every thread
+/// (`slab::CLASS_SLOTS`): a constant wherever `c` is.
+static POOLS: [SlabPool; slab::CLASS_SLOTS] = [
+    SlabPool::in_slot("sched.class32", 32, CACHE_CAP, 1),
+    SlabPool::in_slot("sched.class64", 64, CACHE_CAP, 2),
+    SlabPool::in_slot("sched.class128", 128, CACHE_CAP, 3),
+    SlabPool::in_slot("sched.class256", 256, CACHE_CAP, 4),
+    SlabPool::in_slot("sched.class512", 512, CACHE_CAP, 5),
+    SlabPool::in_slot("sched.class1024", 1024, CACHE_CAP, 6),
 ];
+
+/// The class pools, in slot order (for the slab caches' flush).
+pub(crate) fn class_pools() -> &'static [SlabPool; slab::CLASS_SLOTS] {
+    &POOLS
+}
 
 /// Debug poison stamped over dead slabs while they sit in a pool.
 pub const POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;
@@ -146,34 +180,118 @@ fn class_layout(class: u8) -> Layout {
         .expect("valid class layout")
 }
 
-/// Take one recycled slab of `class`, or allocate a fresh one with the
-/// class layout. Returns the slab and whether it was served by the pool
-/// (`true` = reused). The caller owns the (uninitialized) memory and
-/// must eventually [`release`] it with the same class.
-pub fn acquire_or_alloc(class: u8) -> (*mut u8, bool) {
+/// Take one slab of `class`: the thread's `cur` magazine inline, every
+/// other route out of line. Returns the slab and whether it was reused.
+/// With a constant `class` — every [`alloc`] — the pool and the cache slot
+/// are constants too.
+#[inline(always)]
+fn take(class: usize) -> (*mut u8, bool) {
     // Failpoint (no-op unless `fault-inject` arms it): pretend the class
     // pool is empty, forcing the fresh-allocation path. Conservation
     // (`allocated + reused == recycled + dropped`) is unaffected — the
     // slab is simply born fresh — which is exactly what makes the site
-    // safe to fire anywhere.
-    if !crate::failpoint::fire("sched.recycle_miss") {
-        if let Some(ptr) = POOLS[class as usize].acquire() {
-            #[cfg(debug_assertions)]
-            for word in POISON_WORDS {
-                // SAFETY: the slab is at least 32 bytes and exclusively ours.
-                let stamp = unsafe { (ptr as *const u64).add(word).read() };
-                assert_eq!(stamp, POISON, "a cached slab was written to while free");
-            }
-            return (ptr, true);
-        }
+    // safe to fire anywhere. Without the feature the test is a constant.
+    if crate::failpoint::enabled() && forced_miss() {
+        return fresh(class);
     }
-    let layout = class_layout(class);
+    match slab::pop_local(class + 1) {
+        Some(ptr) => {
+            check_poison(ptr);
+            (ptr, true)
+        }
+        None => refill(class),
+    }
+}
+
+/// Whether the `sched.recycle_miss` failpoint fires for this acquire.
+#[cold]
+#[inline(never)]
+fn forced_miss() -> bool {
+    crate::failpoint::fire("sched.recycle_miss")
+}
+
+/// `cur` was empty (or the thread's locals are gone): the pool's general
+/// acquire — `prev` swapped in, or a magazine off the depot — and a fresh
+/// slab when the recycler holds none.
+#[cold]
+#[inline(never)]
+fn refill(class: usize) -> (*mut u8, bool) {
+    match POOLS[class].acquire() {
+        Some(ptr) => {
+            check_poison(ptr);
+            (ptr, true)
+        }
+        None => fresh(class),
+    }
+}
+
+/// A new slab of `class` from the plain allocator, with the class layout.
+#[cold]
+#[inline(never)]
+fn fresh(class: usize) -> (*mut u8, bool) {
+    let layout = class_layout(class as u8);
     // SAFETY: the class layout has non-zero size.
     let ptr = unsafe { std::alloc::alloc(layout) };
     if ptr.is_null() {
         handle_alloc_error(layout);
     }
     (ptr, false)
+}
+
+/// In debug builds: a slab served by a pool still carries the stamp its
+/// release left.
+#[inline(always)]
+fn check_poison(_ptr: *mut u8) {
+    #[cfg(debug_assertions)]
+    for word in POISON_WORDS {
+        // SAFETY: the slab is at least 32 bytes and exclusively ours.
+        let stamp = unsafe { (_ptr as *const u64).add(word).read() };
+        assert_eq!(stamp, POISON, "a cached slab was written to while free");
+    }
+}
+
+/// Give one dead slab of `class` back: the thread's `cur` magazine inline,
+/// a full one (or a torn-down thread) out of line. Constant `class` as for
+/// [`take`].
+///
+/// # Safety
+/// `ptr` is a dead slab of `class` that the caller owns and gives up.
+#[inline(always)]
+unsafe fn give(class: usize, ptr: *mut u8) {
+    #[cfg(debug_assertions)]
+    for word in POISON_WORDS {
+        // SAFETY: the slab is dead, at least 32 bytes, exclusively ours.
+        unsafe { (ptr as *mut u64).add(word).write(POISON) };
+    }
+    // SAFETY: the caller's contract.
+    if !unsafe { slab::push_local(class + 1, CACHE_CAP / 2, ptr) } {
+        // SAFETY: the caller's contract; `push_local` kept nothing.
+        unsafe { spill(class, ptr) };
+    }
+}
+
+/// `cur` was full (or the thread's locals are gone): the pool's general
+/// release, which hands a magazine to the depot.
+///
+/// # Safety
+/// As [`give`].
+#[cold]
+#[inline(never)]
+unsafe fn spill(class: usize, ptr: *mut u8) {
+    // SAFETY: the caller's contract.
+    unsafe { POOLS[class].release(ptr) };
+}
+
+/// Take one recycled slab of `class`, or allocate a fresh one with the
+/// class layout. Returns the slab and whether it was served by the pool
+/// (`true` = reused). The caller owns the (uninitialized) memory and
+/// must eventually [`release`] it with the same class.
+///
+/// The untyped, out-of-line entry for a class chosen at run time; the
+/// runtime's objects go through [`alloc_uninit`], which compiles the same
+/// path into its call site with the class fixed.
+pub fn acquire_or_alloc(class: u8) -> (*mut u8, bool) {
+    take(class as usize)
 }
 
 /// Hand one dead slab of `class` back to the recycler. The memory must
@@ -187,65 +305,72 @@ pub fn acquire_or_alloc(class: u8) -> (*mut u8, bool) {
 /// the lint is silenced here rather than the signature changed.)
 #[allow(clippy::not_unsafe_ptr_arg_deref)]
 pub fn release(class: u8, ptr: *mut u8) {
-    #[cfg(debug_assertions)]
-    for word in POISON_WORDS {
-        // SAFETY: the slab is dead, at least 32 bytes, exclusively ours.
-        unsafe { (ptr as *mut u64).add(word).write(POISON) };
-    }
     // SAFETY: the documented contract of this function — `ptr` is a dead
     // slab of `class` (≥ 32 bytes, class-aligned, obtained from
     // `acquire_or_alloc`) that the caller owns and gives up.
-    unsafe { POOLS[class as usize].release(ptr) };
+    unsafe { give(class as usize, ptr) };
 }
 
-/// Build a `T` in recycled memory: a slab of its layout's class, or — for
-/// the off-ladder layouts no class serves — a plain allocation. Returns
-/// the object and whether a cached slab was reused (`false` for a fresh
-/// slab and for every off-ladder birth). The caller owns the pointer and
-/// must end it with [`free`].
+/// Memory for a `T`, to be built **in place**: a slab of its layout's
+/// class, or — for the off-ladder layouts no class serves — a plain
+/// allocation. Returns the uninitialized object and whether a cached slab
+/// was reused (`false` for a fresh slab and for every off-ladder birth).
+/// The caller writes every field before anything reads the object, owns
+/// the pointer, and ends it with [`free`].
 ///
-/// The value comes as a constructor so that the slab is in hand *before*
-/// the value exists: `alloc(|| Vertex { .. })` assembles the vertex
-/// straight into its slab, where a by-value argument would be assembled
-/// on the stack and `memcpy`'d over (measured on `fib`, `cores: 2`: about
-/// 6 ns per vertex). A `make` that panics leaks its slab; the runtime's
-/// constructors only move fields.
-#[inline]
-pub fn alloc<T>(make: impl FnOnce() -> T) -> (*mut T, bool) {
+/// This is the runtime's constructor path: `spdag`'s vertices, bodies,
+/// pairs and future cores take their slab first and then write each field
+/// into it, so no value is assembled on the stack and copied over (module
+/// docs, "The fast path is compiled into the call site").
+#[inline(always)]
+pub fn alloc_uninit<T>() -> (*mut T, bool) {
     // A constant, so each instantiation compiles to exactly one arm.
     match const { class_of::<T>() } {
         Some(class) => {
-            let (raw, reused) = acquire_or_alloc(class);
-            let ptr = raw as *mut T;
-            // SAFETY: `class_of` picked a class whose slabs are at least
-            // `T`'s size and alignment, and this one is exclusively ours.
-            unsafe { ptr.write(make()) };
-            (ptr, reused)
+            let (raw, reused) = take(class as usize);
+            (raw as *mut T, reused)
         }
-        None => (Box::into_raw(Box::new(make())), false),
+        None => (Box::into_raw(Box::<T>::new_uninit()) as *mut T, false),
     }
 }
 
-/// End an object born by [`alloc`]: run its drop glue, then send the
-/// memory back where `T`'s layout says it came from. Returns whether the
-/// slab was recycled (`false`: an off-ladder object went to the plain
-/// allocator).
+/// Build a `T` in recycled memory ([`alloc_uninit`]), from a value:
+/// `make` runs once the slab is in hand. Right for a value `make` returns
+/// in registers; one it would return through memory is better written
+/// field by field. A `make` that panics leaks its slab.
+#[inline(always)]
+pub fn alloc<T>(make: impl FnOnce() -> T) -> (*mut T, bool) {
+    let (ptr, reused) = alloc_uninit::<T>();
+    // SAFETY: `alloc_uninit` returned memory of `T`'s size and alignment,
+    // exclusively ours.
+    unsafe { ptr.write(make()) };
+    (ptr, reused)
+}
+
+/// End an object born by [`alloc`] or [`alloc_uninit`]: run its drop
+/// glue, then send the memory back where `T`'s layout says it came from.
+/// Returns whether the slab was recycled (`false`: an off-ladder object
+/// went to the plain allocator).
 ///
 /// # Safety
-/// `ptr` must have come from [`alloc::<T>`](alloc), be exclusively owned
-/// by the caller, and never be used afterwards.
-#[inline]
+/// `ptr` must have come from [`alloc::<T>`](alloc) or
+/// [`alloc_uninit::<T>`](alloc_uninit), hold an initialized `T`, be
+/// exclusively owned by the caller, and never be used afterwards.
+#[inline(always)]
 pub unsafe fn free<T>(ptr: *mut T) -> bool {
     match const { class_of::<T>() } {
         Some(class) => {
             // SAFETY: valid for drop per the caller contract; the slab
             // then goes back to the class `alloc` acquired it from.
-            unsafe { std::ptr::drop_in_place(ptr) };
-            release(class, ptr as *mut u8);
+            unsafe {
+                std::ptr::drop_in_place(ptr);
+                give(class as usize, ptr as *mut u8);
+            }
             true
         }
         None => {
-            // SAFETY: off-ladder objects were boxed by `alloc`.
+            // SAFETY: off-ladder objects were boxed by `alloc_uninit`
+            // (a `Box<MaybeUninit<T>>`, the same layout).
             drop(unsafe { Box::from_raw(ptr) });
             false
         }

@@ -31,10 +31,14 @@
 //! [`SlabPool::acquire`] or [`SlabPool::release`] that hits the thread's
 //! `cur` magazine performs **no atomic read-modify-write and touches no
 //! memory another thread writes**. The cache lives in a const-initialised
-//! thread-local table, found in O(1) by the pool's *slot* (an index
-//! handed out once, on the pool's first use); push and pop are two plain
-//! loads and two plain stores. Shared state — the mutex-guarded depot and
-//! the gauges — is touched only when a magazine is handed over, and a
+//! thread-local table, found in O(1) by the pool's *slot*; push and pop
+//! are two plain loads and two plain stores. The six class pools of
+//! [`crate::recycle`] own slots 1–6 of every table from the start, so at
+//! each of their call sites the slot is a compile-time constant and the
+//! push or pop (`pop_local`, `push_local`) compiles into the call site; a
+//! pool made with [`SlabPool::new`] takes the next free slot after them
+//! on first use. Shared state — the mutex-guarded depot and the gauges —
+//! is touched only when a magazine is handed over, and a
 //! hand-over moves one `(head, len)` pair under one lock acquisition: it
 //! **reads and writes no slab**, so its cost does not grow with the
 //! magazine and no cold line is pulled in while the lock is held. The one
@@ -65,11 +69,16 @@ use parking_lot::Mutex;
 /// runtime has seven, tests add a handful more); one past it panics.
 const MAX_POOLS: usize = 32;
 
+/// Slots `1..=CLASS_SLOTS` belong to the class pools of [`crate::recycle`],
+/// fixed where the pools are declared (`SlabPool::in_slot`).
+pub(crate) const CLASS_SLOTS: usize = 6;
+
 /// `SlabPool::slot` before the pool's first use.
 const SLOT_UNASSIGNED: usize = 0;
 
-/// Every pool that owns a cache slot, in slot order (`slot - 1` indexes
-/// it). Locked only to hand out a slot and to flush a whole thread.
+/// Every pool made with [`SlabPool::new`] that owns a cache slot, in slot
+/// order (slot `CLASS_SLOTS + 1 + i` is `REGISTRY[i]`'s). Locked only to
+/// hand out a slot and to flush a whole thread.
 static REGISTRY: Mutex<Vec<&'static SlabPool>> = Mutex::new(Vec::new());
 
 /// A depot of whole magazines plus the per-thread magazine pairs in front
@@ -79,8 +88,9 @@ pub struct SlabPool {
     slab_bytes: usize,
     /// Per-thread cache bound: two magazines of `cache_cap / 2` slabs.
     cache_cap: usize,
-    /// 1-based index of this pool's cache in every thread's table;
-    /// written once (under the registry lock), read-only ever after.
+    /// 1-based index of this pool's cache in every thread's table: fixed
+    /// at construction for a class pool, else written once (under the
+    /// registry lock) and read-only ever after.
     slot: AtomicUsize,
     /// Magazines handed over by full or flushing caches, newest last.
     depot: Mutex<Vec<Magazine>>,
@@ -180,9 +190,12 @@ impl ThreadCaches {
         if self.0.iter().all(|c| c.len() == 0) {
             return;
         }
-        // A non-empty cache implies its pool registered, and slots are
-        // handed out in registry order.
-        for (pool, cache) in REGISTRY.lock().iter().zip(&self.0) {
+        // The class pools first, in their fixed slots; then every pool
+        // that registered, in the order its slot was handed out. A
+        // non-empty cache past the class slots implies its pool registered.
+        let registry = REGISTRY.lock();
+        let pools = crate::recycle::class_pools().iter().chain(registry.iter().copied());
+        for (pool, cache) in pools.zip(&self.0) {
             pool.flush(cache);
         }
     }
@@ -198,17 +211,73 @@ std::thread_local! {
     static CACHES: ThreadCaches = const { ThreadCaches([const { Cache::new() }; MAX_POOLS]) };
 }
 
+/// The fast half of [`SlabPool::acquire`] for the pool in the fixed
+/// `slot`: pop this thread's `cur` magazine. `None` when `cur` is empty or
+/// the thread's locals are torn down — the caller then takes the pool's
+/// `acquire`, which reloads from `prev` or the depot. Inlined, so with a
+/// constant `slot` the cache is a fixed offset into the thread's table.
+#[inline(always)]
+pub(crate) fn pop_local(slot: usize) -> Option<*mut u8> {
+    CACHES.try_with(|caches| caches.0[slot - 1].pop()).ok().flatten()
+}
+
+/// The fast half of [`SlabPool::release`] for the pool in the fixed `slot`,
+/// whose magazines hold `magazine` slabs: push `slab` on this thread's
+/// `cur` magazine. `false` — nothing done, the slab still the caller's —
+/// when `cur` is full or the thread's locals are torn down; the caller
+/// then takes the pool's `release`, which spills.
+///
+/// # Safety
+/// As [`SlabPool::release`].
+#[inline(always)]
+pub(crate) unsafe fn push_local(slot: usize, magazine: usize, slab: *mut u8) -> bool {
+    CACHES
+        .try_with(|caches| {
+            let cache = &caches.0[slot - 1];
+            if cache.cur.get().len >= magazine {
+                return false;
+            }
+            // SAFETY: the caller hands over a dead slab it owns.
+            unsafe { cache.push(slab) };
+            true
+        })
+        .unwrap_or(false)
+}
+
 impl SlabPool {
     /// A pool of `slab_bytes`-sized slabs with per-thread caches bounded
-    /// at `cache_cap` slabs. Const, so pools can be `static`.
+    /// at `cache_cap` slabs. Const, so pools can be `static`. Its cache
+    /// slot is the next free one after the class slots, taken on first
+    /// use.
     pub const fn new(name: &'static str, slab_bytes: usize, cache_cap: usize) -> SlabPool {
+        SlabPool::with_slot(name, slab_bytes, cache_cap, SLOT_UNASSIGNED)
+    }
+
+    /// A class pool: [`new`](SlabPool::new), in the fixed cache `slot`
+    /// (`1..=CLASS_SLOTS`) that its call sites name as a constant.
+    pub(crate) const fn in_slot(
+        name: &'static str,
+        slab_bytes: usize,
+        cache_cap: usize,
+        slot: usize,
+    ) -> SlabPool {
+        assert!(slot >= 1 && slot <= CLASS_SLOTS, "a fixed slot is a class slot");
+        SlabPool::with_slot(name, slab_bytes, cache_cap, slot)
+    }
+
+    const fn with_slot(
+        name: &'static str,
+        slab_bytes: usize,
+        cache_cap: usize,
+        slot: usize,
+    ) -> SlabPool {
         assert!(slab_bytes >= std::mem::size_of::<usize>(), "a slab must hold the cache link");
         assert!(cache_cap >= 2, "a cache is two magazines of at least one slab");
         SlabPool {
             name,
             slab_bytes,
             cache_cap,
-            slot: AtomicUsize::new(SLOT_UNASSIGNED),
+            slot: AtomicUsize::new(slot),
             depot: Mutex::new(Vec::new()),
             depot_slabs: AtomicUsize::new(0),
             overflowed: AtomicU64::new(0),
@@ -400,16 +469,20 @@ impl SlabPool {
         CACHES.try_with(|caches| f(&caches.0[slot - 1])).ok()
     }
 
-    /// First use of this pool by anyone: claim the next cache slot.
+    /// First use of this pool by anyone: claim the next cache slot after
+    /// the class slots.
     #[cold]
     fn assign_slot(&'static self) -> usize {
         let mut registry = REGISTRY.lock();
         // Re-check under the lock: another thread may have registered us.
         let mut slot = self.slot.load(Ordering::Relaxed);
         if slot == SLOT_UNASSIGNED {
-            assert!(registry.len() < MAX_POOLS, "too many SlabPools; raise MAX_POOLS");
+            assert!(
+                CLASS_SLOTS + registry.len() < MAX_POOLS,
+                "too many SlabPools; raise MAX_POOLS"
+            );
             registry.push(self);
-            slot = registry.len();
+            slot = CLASS_SLOTS + registry.len();
             self.slot.store(slot, Ordering::Relaxed);
         }
         slot

@@ -328,6 +328,12 @@ pub(crate) unsafe fn node_arrive<S: Step>(node: &Node) -> OpPath {
 /// `node` must belong to a live tree, the departure must match an earlier
 /// completed arrival at this node (validity, Definition 1), and `S` must be
 /// [`Shared`] unless no other operation on that tree overlaps this one.
+///
+/// `#[inline]` so that `SnziTree::depart` gets it inlined whatever
+/// codegen unit the compiler puts each in: left to the split, it went out
+/// of line when an unrelated change moved the split, and
+/// `snzi.arrive_depart_ns` read 18 % higher (`cores: 2`).
+#[inline]
 pub(crate) unsafe fn node_depart<S: Step>(start: &Node) -> (bool, OpPath) {
     let mut path = OpPath { arrives: 0, departs: 0 };
     let mut node = start;

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use incounter::CounterFamily;
 use sched::{PoolStats, Termination, WorkerCtx};
 
-use crate::vertex::{Frame, Strand, StrandPoll, Vertex, VertexPtr};
+use crate::vertex::{Body, NoBody, Once, Resumable, Strand, StrandPoll, Vertex, VertexPtr};
 
 /// Per-body execution context: the running vertex plus scheduler access.
 ///
@@ -137,8 +137,8 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // One increment (Figure 5); `u` dies here, unsignalled, and its two
         // children share the fresh pair.
         let (i1, i2, pair) = u.increment(self.cfg, vid, self.worker.is_solo());
-        let v = Vertex::alloc(MaybeUninit::new(i1), pair, u.fin, true, Frame::once(left));
-        let w = Vertex::alloc(MaybeUninit::new(i2), pair, u.fin, false, Frame::once(right));
+        let v = Vertex::slab().emplace(MaybeUninit::new(i1), pair, u.fin, true, Once(left));
+        let w = Vertex::slab().emplace(MaybeUninit::new(i2), pair, u.fin, false, Once(right));
         u.dead = true;
         // One publication for the pair: one sleeper probe, not two.
         self.worker.push_batch([VertexPtr(v), VertexPtr(w)]);
@@ -163,10 +163,10 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // with the one claim u still owes it — or u's place as its scope's
         // only strand) and waits on one dependency: the completion of
         // `first`'s subtree.
-        let w_ptr = Vertex::alloc(u.inc, u.dec, u.fin, u.is_left, Frame::once(then));
+        let w_ptr = Vertex::slab().emplace(u.inc, u.dec, u.fin, u.is_left, Once(then));
         // v: the only strand of w's scope, which has no counter until v (or
         // what replaces it) forks.
-        let v = Vertex::alloc_sole(w_ptr, Frame::once(first));
+        let v = Vertex::slab().emplace_sole(w_ptr, Once(first));
         u.dead = true;
         // v is ready (no dependencies); w waits for the signal that ends
         // its scope — nobody pushes it until then.
@@ -181,17 +181,17 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     /// consuming [`spawn`](Ctx::spawn)/[`chain`](Ctx::chain) are off
     /// limits to it by construction.
     pub fn fork(&mut self, body: impl for<'b> FnOnce(Ctx<'b, C>) + Send + 'static) {
-        self.fork_frame(Frame::once(body));
+        self.fork_body(Once(body));
     }
 
     /// [`fork`](Ctx::fork) a *resumable strand*: the child may
     /// [`touch_await`](Ctx::touch_await) futures mid-body, parking itself
     /// (never its worker) until they fulfill.
     pub fn fork_strand<S: Strand<C>>(&mut self, strand: S) {
-        self.fork_frame(Frame::strand(strand));
+        self.fork_body(Resumable(strand));
     }
 
-    fn fork_frame(&mut self, body: Frame<C>) {
+    fn fork_body(&mut self, body: impl Body<C>) {
         let (cfg, worker) = (self.cfg, self.worker);
         let u = self.vertex_mut();
         // One increment, then rotate this vertex onto the right-hand
@@ -199,7 +199,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // child, ready immediately.
         let fin = u.fin;
         let (i1, pair) = u.fork_rotate(cfg, worker.is_solo());
-        let v = Vertex::alloc(MaybeUninit::new(i1), pair, fin, true, body);
+        let v = Vertex::slab().emplace(MaybeUninit::new(i1), pair, fin, true, body);
         worker.push(VertexPtr(v));
     }
 }
@@ -413,7 +413,7 @@ where
     C: CounterFamily,
     F: for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
 {
-    run_dag_inner::<C>(cfg, workers, None, Frame::once(root))
+    run_dag_inner::<C>(cfg, workers, None, first_vertices(Once(root)))
 }
 
 /// As [`run_dag`], with a [`sched::WatchdogCfg`] stall monitor attached:
@@ -433,24 +433,31 @@ where
     C: CounterFamily,
     F: for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
 {
-    run_dag_inner::<C>(cfg, workers, Some(watchdog), Frame::once(root))
+    run_dag_inner::<C>(cfg, workers, Some(watchdog), first_vertices(Once(root)))
 }
 
+/// Build the dag's first two vertices and return the root, `u`. The final
+/// vertex `z` has one dependency (the root strand), no finish of its own
+/// and so no handles either — `fin == null` short-circuits signalling; it
+/// runs nothing, and nothing of a user's. The root is ready immediately,
+/// the only strand of `z`'s scope, and signals `z` when its whole subtree
+/// is done.
+fn first_vertices<C: CounterFamily>(root: impl Body<C>) -> *mut Vertex<C> {
+    let z_ptr = Vertex::<C>::slab().emplace_sole(std::ptr::null(), NoBody);
+    // SAFETY: just built, unpublished.
+    unsafe { (*z_ptr).runtime_body = true };
+    Vertex::slab().emplace_sole(z_ptr, root)
+}
+
+/// Run the dag whose root vertex `u` [`first_vertices`] built. Not generic
+/// over the root's body, so the pool's worker loop is compiled once per
+/// counter family, not once per root closure.
 fn run_dag_inner<C: CounterFamily>(
     cfg: C::Config,
     workers: usize,
     watchdog: Option<sched::WatchdogCfg>,
-    root: Frame<C>,
+    u: *mut Vertex<C>,
 ) -> DagRunStats {
-    // Final vertex z: one dependency (the root strand), no finish of its
-    // own, so no handles either — fin == null short-circuits signalling.
-    // It runs nothing, and nothing of a user's.
-    let z_ptr = Vertex::<C>::alloc_sole(std::ptr::null(), Frame::empty());
-    // SAFETY: just allocated, unpublished.
-    unsafe { (*z_ptr).runtime_body = true };
-    // Root vertex u: ready immediately, the only strand of z's scope;
-    // signals z when its whole subtree is done.
-    let u = Vertex::alloc_sole(z_ptr, root);
     let start = Instant::now();
     let cfg_ref = &cfg;
     let interp =

@@ -131,6 +131,7 @@
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
+use std::ptr::addr_of_mut;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use incounter::CounterFamily;
@@ -138,7 +139,7 @@ use outset::{AddEdge, OutsetFamily, TreeOutset};
 use sched::PoolArc;
 
 use crate::dag::Ctx;
-use crate::vertex::{Frame, Strand, StrandPoll, Vertex, VertexPtr};
+use crate::vertex::{Body, Once, Resumable, Strand, StrandPoll, Vertex, VertexPtr};
 
 /// Result of [`Ctx::touch_await`]: the blocking-style dual of
 /// [`Ctx::touch`]'s continuation passing.
@@ -432,7 +433,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         F: for<'b> FnOnce(Ctx<'b, C>) -> T + Send + 'static,
     {
         self.future_slot(move |setter| {
-            Frame::once(move |c: Ctx<'_, C>| {
+            Once(move |c: Ctx<'_, C>| {
                 let value = body(c);
                 setter.set(value);
             })
@@ -442,25 +443,30 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     /// The one place a future is built: the shared core, the enclosing
     /// finish scope's fork step, the completion (sweep) vertex and the
     /// body vertex. `build` turns the one-shot value setter into the
-    /// body's frame — a closure that sets the value where the combinator
-    /// produces it (possibly inside nested touch continuations, which
-    /// belong to the future's own finish scope and therefore always
-    /// precede completion), or a strand that sets it on `Done`.
-    fn future_slot<O, T, G>(&mut self, build: G) -> FutureHandle<T, O>
+    /// body — a closure that sets the value where the combinator produces
+    /// it (possibly inside nested touch continuations, which belong to the
+    /// future's own finish scope and therefore always precede completion),
+    /// or a strand that sets it on `Done`. All three objects are built
+    /// where they live (`crate::vertex`, "Built where it lives").
+    fn future_slot<O, T, B, G>(&mut self, build: G) -> FutureHandle<T, O>
     where
         O: OutsetFamily,
         T: Send + Sync + 'static,
-        G: FnOnce(ValueSetter<T, O>) -> Frame<C>,
+        B: Body<C>,
+        G: FnOnce(ValueSetter<T, O>) -> B,
     {
         // The core is born with its three holders — the handle returned
         // below, the completion vertex's sweep, the body's setter — so
         // none of them is a `clone`.
-        let [core, sweep_core, setter_core] = PoolArc::new_held(FutureCore::<T, O> {
-            outset: O::make(),
-            value: UnsafeCell::new(None),
-            completed: AtomicBool::new(false),
-            published: AtomicBool::new(false),
-        });
+        // SAFETY: the closure writes every field of the core.
+        let [core, sweep_core, setter_core] = unsafe {
+            PoolArc::new_held_in_place(|core: *mut FutureCore<T, O>| {
+                addr_of_mut!((*core).outset).write(O::make());
+                addr_of_mut!((*core).value).write(UnsafeCell::new(None));
+                addr_of_mut!((*core).completed).write(AtomicBool::new(false));
+                addr_of_mut!((*core).published).write(AtomicBool::new(false));
+            })
+        };
         obs::counter!("spdag.futures_created").inc();
         obs::trace::record(obs::EventKind::FutureCreate, &*core as *const FutureCore<T, O> as u64);
         let (cfg, worker) = (self.cfg, self.worker);
@@ -472,76 +478,18 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         let fin = u.fin;
         let (i1, pair) = u.fork_rotate(cfg, worker.is_solo());
         // Completion vertex: waits for the future's body subtree (a scope
-        // of one strand until that body forks); its own body publishes
-        // completion and sweeps the
-        // out-set — it runs with a worker context, so swept dependents go
-        // straight onto the deque, a stack chunk at a time: one sleeper
-        // notification per `SWEEP_CHUNK` dependents, and no allocation
-        // however many there are. Captures one PoolArc (8 bytes): an
-        // inline body.
-        const SWEEP_CHUNK: usize = 32;
-        let completion = Frame::once(move |c: Ctx<'_, C>| {
-            let fulfill_start = obs::now();
-            // The subtree is done; the value may not be. A body that ended
-            // its vertex with `spawn`/`chain`/`touch` handed its obligation
-            // to children that can finish on another worker while it is
-            // still on its way to `return value`. Bounded: an unreleased
-            // setter whose subtree is done sits in a closure that is
-            // running right now on another worker (at W = 1 that closure
-            // returned before this vertex could be popped).
-            while !sweep_core.published.load(Ordering::Acquire) {
-                std::hint::spin_loop();
-            }
-            sweep_core.completed.store(true, Ordering::SeqCst);
-            let solo = c.worker.is_solo();
-            let mut chunk = [std::ptr::null_mut::<Vertex<C>>(); SWEEP_CHUNK];
-            let (mut filled, mut ready) = (0, 0u64);
-            let flush = |chunk: &[*mut Vertex<C>]| {
-                c.worker.push_batch(chunk.iter().map(|&w| VertexPtr(w)));
-            };
-            O::finish(&sweep_core.outset, &mut |token| {
-                if token & 1 == 1 {
-                    // A foreign-executor waker from the async bridge
-                    // (vertex tokens are ≥ 8-aligned pointers, so bit 0
-                    // distinguishes). SAFETY: tagged tokens are minted
-                    // exclusively by `async_bridge` from Box::into_raw,
-                    // one delivery each.
-                    let waker =
-                        unsafe { Box::from_raw((token & !1) as usize as *mut std::task::Waker) };
-                    waker.wake();
-                    return;
-                }
-                let w = token as usize as *mut Vertex<C>;
-                // SAFETY: the token is a waiting vertex leaked by `touch`
-                // or parked by `touch_await`, scheduled by nobody else;
-                // this sweep holds its fulfiller delivery right. It is a
-                // vertex of this run (`FutureHandle`'s contract), so with
-                // `solo` its other delivery is this thread's too.
-                if unsafe { resolve_dependent::<C>(w, solo) } {
-                    chunk[filled] = w;
-                    filled += 1;
-                    ready += 1;
-                    if filled == SWEEP_CHUNK {
-                        flush(&chunk);
-                        filled = 0;
-                    }
-                }
-            });
-            flush(&chunk[..filled]);
-            obs::counter!("spdag.fulfills").inc();
-            obs::trace::record_span(obs::EventKind::FutureFulfill, ready, fulfill_start);
-        });
-        let fw_ptr = Vertex::alloc(MaybeUninit::new(i1), pair, fin, true, completion);
+        // of one strand until that body forks), then sweeps.
+        let fw_ptr =
+            Vertex::slab().emplace(MaybeUninit::new(i1), pair, fin, true, Once(sweep(sweep_core)));
         // The sweep is the runtime's own body: `spdag.panic_vertex`, which
         // stands in for user code, must not skip it.
-        // SAFETY: just allocated, unpublished.
+        // SAFETY: just built, unpublished.
         unsafe { (*fw_ptr).runtime_body = true };
         // Body vertex: ready now, the only strand of the completion
         // vertex's scope (the same wiring Ctx::chain gives its `first`).
         // The body's state is what `build` captures plus one word, the
         // setter.
-        let body = build(ValueSetter { core: setter_core });
-        let fv = Vertex::alloc_sole(fw_ptr, body);
+        let fv = Vertex::slab().emplace_sole(fw_ptr, build(ValueSetter { core: setter_core }));
         worker.push(VertexPtr(fv));
         FutureHandle { core }
     }
@@ -578,7 +526,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     {
         let input = input.clone();
         self.future_slot(move |setter| {
-            Frame::once(move |c: Ctx<'_, C>| {
+            Once(move |c: Ctx<'_, C>| {
                 c.touch(&input, move |c2, a| {
                     let value = f(c2, a);
                     setter.set(value);
@@ -644,7 +592,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         let left = left.clone();
         let right = right.clone();
         self.future_slot(move |setter| {
-            Frame::once(move |c: Ctx<'_, C>| {
+            Once(move |c: Ctx<'_, C>| {
                 // The inner continuation reads `left`'s value through the
                 // reference the outer touch took for its own continuation,
                 // handed on — not through one more clone of `left`. The
@@ -728,30 +676,35 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         obs::counter!("spdag.touches").inc();
         obs::trace::record(obs::EventKind::FutureTouch, u as *const Vertex<C> as u64);
         let core = future.core.clone();
-        // Captures one PoolArc plus the user continuation: inline as long
-        // as `then`'s captures stay within two words.
-        let body = Frame::once(move |c: Ctx<'_, C>| {
-            // SAFETY: this vertex is scheduled only by the completion
-            // sweep or the post-seal bounce, both ordered after the value
-            // write (if any).
-            if unsafe { core.value_opt() }.is_some() {
-                then(c, core);
-            } else {
-                // Poisoned: the future's body panicked and published
-                // nothing. Skip the continuation closure — its
-                // payload-producing panic is already being re-raised
-                // at the run caller — but let this vertex fall
-                // through to its signal epilogue so the scope still
-                // drains (the closure and its captures drop here).
-                obs::counter!("spdag.poisoned_touches").inc();
-            }
-        });
         // The waiting vertex takes over u's scope position (inc, the pair
         // pointer with u's unspent claim, fin, side) like a chain
         // continuation, and is owed exactly one delivery of its own: the
-        // future's completion.
-        let w_ptr = Vertex::alloc(u.inc, u.dec, u.fin, u.is_left, body);
-        // SAFETY: just allocated; the registration below publishes it.
+        // future's completion. Its body captures one PoolArc plus the user
+        // continuation: inline as long as `then`'s captures stay within
+        // two words.
+        let w_ptr = Vertex::slab().emplace(
+            u.inc,
+            u.dec,
+            u.fin,
+            u.is_left,
+            Once(move |c: Ctx<'_, C>| {
+                // SAFETY: this vertex is scheduled only by the completion
+                // sweep or the post-seal bounce, both ordered after the
+                // value write (if any).
+                if unsafe { core.value_opt() }.is_some() {
+                    then(c, core);
+                } else {
+                    // Poisoned: the future's body panicked and published
+                    // nothing. Skip the continuation closure — its
+                    // payload-producing panic is already being re-raised
+                    // at the run caller — but let this vertex fall
+                    // through to its signal epilogue so the scope still
+                    // drains (the closure and its captures drop here).
+                    obs::counter!("spdag.poisoned_touches").inc();
+                }
+            }),
+        );
+        // SAFETY: just built; the registration below publishes it.
         unsafe { *(*w_ptr).owed.get_mut() = 1 };
         u.dead = true;
         let token = w_ptr as usize as u64;
@@ -846,8 +799,75 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         S: Strand<C, T>,
     {
         self.future_slot(move |setter| {
-            Frame::strand(ValueStrandAdapter { strand, setter: Some(setter) })
+            Resumable(ValueStrandAdapter { strand, setter: Some(setter) })
         })
+    }
+}
+
+/// The body of a future's completion vertex: publish completion and sweep
+/// the out-set. It runs with a worker context, so swept dependents go
+/// straight onto the deque, a stack chunk at a time: one sleeper
+/// notification per `SWEEP_CHUNK` dependents, and no allocation however
+/// many there are. Captures one `PoolArc` (8 bytes): an inline body.
+fn sweep<C, T, O>(
+    core: PoolArc<FutureCore<T, O>>,
+) -> impl for<'b> FnOnce(Ctx<'b, C>) + Send + 'static
+where
+    C: CounterFamily,
+    T: Send + Sync + 'static,
+    O: OutsetFamily,
+{
+    const SWEEP_CHUNK: usize = 32;
+    move |c: Ctx<'_, C>| {
+        let fulfill_start = obs::now();
+        // The subtree is done; the value may not be. A body that ended
+        // its vertex with `spawn`/`chain`/`touch` handed its obligation
+        // to children that can finish on another worker while it is
+        // still on its way to `return value`. Bounded: an unreleased
+        // setter whose subtree is done sits in a closure that is
+        // running right now on another worker (at W = 1 that closure
+        // returned before this vertex could be popped).
+        while !core.published.load(Ordering::Acquire) {
+            std::hint::spin_loop();
+        }
+        core.completed.store(true, Ordering::SeqCst);
+        let solo = c.worker.is_solo();
+        let mut chunk = [std::ptr::null_mut::<Vertex<C>>(); SWEEP_CHUNK];
+        let (mut filled, mut ready) = (0, 0u64);
+        let flush = |chunk: &[*mut Vertex<C>]| {
+            c.worker.push_batch(chunk.iter().map(|&w| VertexPtr(w)));
+        };
+        O::finish(&core.outset, &mut |token| {
+            if token & 1 == 1 {
+                // A foreign-executor waker from the async bridge
+                // (vertex tokens are ≥ 8-aligned pointers, so bit 0
+                // distinguishes). SAFETY: tagged tokens are minted
+                // exclusively by `async_bridge` from Box::into_raw,
+                // one delivery each.
+                let waker =
+                    unsafe { Box::from_raw((token & !1) as usize as *mut std::task::Waker) };
+                waker.wake();
+                return;
+            }
+            let w = token as usize as *mut Vertex<C>;
+            // SAFETY: the token is a waiting vertex leaked by `touch`
+            // or parked by `touch_await`, scheduled by nobody else;
+            // this sweep holds its fulfiller delivery right. It is a
+            // vertex of this run (`FutureHandle`'s contract), so with
+            // `solo` its other delivery is this thread's too.
+            if unsafe { resolve_dependent::<C>(w, solo) } {
+                chunk[filled] = w;
+                filled += 1;
+                ready += 1;
+                if filled == SWEEP_CHUNK {
+                    flush(&chunk);
+                    filled = 0;
+                }
+            }
+        });
+        flush(&chunk[..filled]);
+        obs::counter!("spdag.fulfills").inc();
+        obs::trace::record_span(obs::EventKind::FutureFulfill, ready, fulfill_start);
     }
 }
 
@@ -941,6 +961,33 @@ mod tests {
     use outset::MutexOutset;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::Arc;
+
+    #[test]
+    fn a_future_core_is_built_where_it_lives() {
+        // Over scribbled slabs, at W = 1 (the body has not run when the
+        // constructor returns): every field of the core reads as born.
+        crate::scribble::scribble();
+        let out = Arc::new(AtomicU64::new(0));
+        let o = Arc::clone(&out);
+        run_dag::<DynSnzi, _>(DynConfig::default(), 1, move |mut ctx| {
+            let f = ctx.future(|_| 7u64);
+            assert_eq!(PoolArc::strong_count(&f.core), 3, "born with its three holders");
+            assert!(!f.core.completed.load(Ordering::SeqCst), "completed");
+            assert!(!f.core.published.load(Ordering::SeqCst), "published");
+            // `None`, read as its tag byte: an unwritten tag need not read as
+            // `Some`, since a two-variant tag is compared with one value.
+            // SAFETY: the body has not run (one worker, still in this body).
+            assert_eq!(crate::scribble::byte(unsafe { &*f.core.value.get() }), 0, "value");
+            let outset = f.outset();
+            assert!(!outset.is_finished(), "the out-set's seal");
+            assert_eq!(outset.lane_count(), 1, "the out-set's lanes");
+            assert_eq!((outset.splits(), outset.install_races()), (0, 0), "the out-set's tallies");
+            ctx.touch(&f, move |_, v| {
+                o.store(*v, Ordering::Relaxed);
+            });
+        });
+        assert_eq!(out.load(Ordering::Relaxed), 7);
+    }
 
     #[test]
     fn touch_after_completion_gets_value() {

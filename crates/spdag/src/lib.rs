@@ -71,6 +71,8 @@ pub mod dag;
 pub mod futures;
 mod pair;
 pub mod scope;
+#[cfg(test)]
+mod scribble;
 pub mod vertex;
 
 pub use async_bridge::AsyncStrand;

@@ -56,8 +56,10 @@ impl<D: Copy> PairRef<D> {
         self.0.is_null()
     }
 
-    /// Move `pair` into a slab of its own. The slab lives until the
-    /// pair's last claim.
+    /// Write `pair` into a slab of its own, taken before the write: the
+    /// pair's handles come from the increment in registers and are stored
+    /// straight into the slab. The slab lives until the pair's last claim.
+    #[inline(always)]
     pub(crate) fn new(pair: DecPair<D>) -> PairRef<D> {
         obs::counter!("sched.pairs_born").inc();
         PairRef(recycle::alloc(|| pair).0)
@@ -115,5 +117,20 @@ mod tests {
         let d = PairRef::new(DecPair::new(5u64, 6u64));
         assert_eq!(d.0 as usize, addr);
         assert_eq!(unsafe { (d.claim(true), d.claim(false)) }, (5, 6));
+    }
+
+    #[test]
+    fn a_pair_is_built_where_it_lives() {
+        // Pairs of 16-byte handles ride the 64 B class, as the dynamic
+        // family's do. Over scribbled slabs, a claim flag the constructor
+        // left unwritten would read as claimed, and the first claim would
+        // take the second handle.
+        crate::scribble::scribble();
+        let pairs: Vec<PairRef<[u64; 2]>> =
+            (0..8).map(|i| PairRef::new(DecPair::new([i; 2], [i + 100; 2]))).collect();
+        for (i, p) in (0u64..).zip(pairs) {
+            // SAFETY: the pair's two claims, one after the other.
+            assert_eq!(unsafe { (p.claim(i % 2 == 0), p.claim(false)) }, ([i; 2], [i + 100; 2]));
+        }
     }
 }

@@ -96,8 +96,9 @@
 //! makes two, every `chain`/`future`/`touch` at least one, and each lives
 //! exactly from creation to its single execution. They are carved from
 //! the scheduler's size-class slab pools instead of `Box`:
-//! `Vertex::alloc` builds the vertex in a slab of the class its layout
-//! fits ([`sched::recycle::alloc`]) and `Vertex::retire` runs drop glue
+//! `Vertex::slab` takes a slab of the class its layout fits
+//! ([`sched::recycle::alloc_uninit`]), `VertexSlab::emplace` builds the
+//! vertex in it (below), and `Vertex::retire` runs drop glue
 //! and sends the slab back there ([`sched::recycle::free`]) — the class is
 //! a function of `Vertex<C>`'s layout, so the vertex records nothing about
 //! its birth — and warm-run spawn churn recirculates a small working set of
@@ -130,6 +131,38 @@
 //! obligation towards its pair: it either claims it (signal, spawn, fork)
 //! or hands the pointer on (`chain`, `touch`).
 //!
+//! ## Built where it lives
+//!
+//! Every vertex, body, pair and future core is written field by field into
+//! its slab, and the slab is taken *before* anything that goes into it is
+//! made. There is one emplacing constructor, `VertexSlab::emplace` (and
+//! `emplace_sole` for a scope's only strand), reached as
+//! `Vertex::slab().emplace(inc, dec, fin, is_left, body)`: Rust evaluates
+//! the receiver first, so the slab is in hand when the arguments — the
+//! body above all — are built. The body is a `Body`: `Once(closure)`,
+//! `Resumable(strand)` or `NoBody`, which writes its state straight into
+//! the frame's buffer (or into the slab it spills to) next to its two
+//! thunks; then every other field is written through a raw projection.
+//! `spawn`, `chain`, `fork`/`fork_strand`, `touch`, `run_dag`'s root and
+//! final vertex and a future's body and completion vertices all go through
+//! it; a future's core is written into its slab by
+//! `sched::PoolArc::new_held_in_place`, its out-set by an inlined
+//! `O::make`.
+//!
+//! The rule behind it is **store forwarding**. A load that reads back
+//! bytes written by several narrower stores still in flight — a 16-byte
+//! `movups` over two fresh 8-byte stores — cannot take its data from them
+//! and waits until they retire. A value built before its slab exists
+//! lives on the stack across the acquire (the compiler must be able to
+//! drop it if the acquire unwinds) and is then copied in by exactly such
+//! loads: `Ctx::spawn` lost 7 % of `fib`'s samples to two of them when a
+//! `Frame` value was built and moved into `Vertex::alloc`, and inlining the
+//! recycler alone moved the copy closer to its stores and made it worse. A
+//! new vertex kind must keep the order — slab, then body, then fields.
+//! Two objects keep a copy on purpose: a spilled state (over
+//! [`sched::recycle::INLINE_SLOT_BYTES`]) is made before its spill slab,
+//! and a counter comes out of `C::make` (once per forking scope).
+//!
 //! ## Ownership, aliasing and lifetime discipline
 //!
 //! Vertices travel through the scheduler as raw pointers (`VertexPtr`).
@@ -152,6 +185,7 @@
 
 use std::cell::UnsafeCell;
 use std::mem::{ManuallyDrop, MaybeUninit};
+use std::ptr::addr_of_mut;
 use std::sync::atomic::AtomicU32;
 
 use incounter::CounterFamily;
@@ -220,12 +254,12 @@ impl FrameBuf {
     /// Where this buffer's `S` lives.
     ///
     /// # Safety
-    /// The buffer must have been filled by `Frame::store::<S>`.
+    /// The buffer must have been filled by `Frame::emplace::<S>`.
     unsafe fn state<S>(&mut self) -> *mut S {
         if const { fits_inline::<S>() } {
             self.0.as_mut_ptr() as *mut S
         } else {
-            // SAFETY: `store` wrote the spilled state's pointer here.
+            // SAFETY: `emplace` wrote the spilled state's pointer here.
             unsafe { (self.0.as_ptr() as *const *mut S).read() }
         }
     }
@@ -247,7 +281,9 @@ type DropFn = unsafe fn(&mut FrameBuf);
 /// a [`Strand`]'s saved state — plus the two monomorphized thunks that run
 /// and end it. The state is stored in the vertex when it fits
 /// ([`fits_inline`]) and otherwise spilled onto the scheduler's class
-/// ladder ([`sched::recycle::alloc`]), closures and strands alike.
+/// ladder ([`sched::recycle::alloc_uninit`]), closures and strands alike.
+/// A frame is only ever made in place, by a [`Body`] in the vertex being
+/// built.
 ///
 /// The executor [`take`](Frame::take)s the frame out of its vertex to
 /// [`run`](Frame::run) it (the `Ctx` borrows the vertex) and moves it back
@@ -267,57 +303,36 @@ pub(crate) struct Frame<C: CounterFamily> {
 }
 
 impl<C: CounterFamily> Frame<C> {
-    /// The frame of a vertex that runs nothing (the dag's final vertex).
-    pub(crate) fn empty() -> Frame<C> {
-        Frame { buf: FrameBuf([MaybeUninit::uninit(); INLINE_SLOT_BYTES]), thunks: None }
-    }
-
-    /// Store `state` by the one storage rule. Returns the frame and, for
-    /// spilled state, whether its memory was a reused slab.
-    fn store<S>(state: S, run_fn: RunFn<C>, drop_fn: DropFn) -> (Frame<C>, Option<bool>) {
-        let mut buf = FrameBuf([MaybeUninit::uninit(); INLINE_SLOT_BYTES]);
-        let spilled = if const { fits_inline::<S>() } {
-            // SAFETY: size and alignment just checked; the buffer is ours.
-            unsafe { (buf.0.as_mut_ptr() as *mut S).write(state) };
-            None
-        } else {
-            let (ptr, reused) = sched::recycle::alloc(|| state);
-            // SAFETY: the buffer is ≥ 8 bytes and 8-aligned; it carries the
-            // pointer instead of the state.
-            unsafe { (buf.0.as_mut_ptr() as *mut *mut S).write(ptr) };
-            Some(reused)
-        };
-        (Frame { buf, thunks: Some((run_fn, drop_fn)) }, spilled)
-    }
-
-    /// The frame of a one-shot closure.
-    pub(crate) fn once<F>(f: F) -> Frame<C>
-    where
-        F: for<'a> FnOnce(Ctx<'a, C>) + Send + 'static,
-    {
-        let (frame, spilled) = Frame::store(f, run_once::<C, F>, drop_state::<F, false>);
-        match spilled {
-            None => obs::counter!("spdag.body_inline").inc(),
-            Some(_) => obs::counter!("spdag.body_boxed").inc(),
+    /// Write `state` into the frame at `dst` by the one storage rule — into
+    /// the buffer, or into a slab of its own whose pointer goes into the
+    /// buffer — next to its two thunks. Returns, for spilled state, whether
+    /// its slab was reused.
+    ///
+    /// # Safety
+    /// `dst` must be valid for writes and hold no live frame.
+    #[inline(always)]
+    unsafe fn emplace<S>(
+        dst: *mut Frame<C>,
+        state: S,
+        run_fn: RunFn<C>,
+        drop_fn: DropFn,
+    ) -> Option<bool> {
+        // SAFETY: the caller's contract; the buffer is `INLINE_SLOT_BYTES`
+        // long and 8-aligned, which holds an inline `S` or a pointer.
+        unsafe {
+            let buf = addr_of_mut!((*dst).buf) as *mut u8;
+            let spilled = if const { fits_inline::<S>() } {
+                (buf as *mut S).write(state);
+                None
+            } else {
+                let (ptr, reused) = sched::recycle::alloc_uninit::<S>();
+                ptr.write(state);
+                (buf as *mut *mut S).write(ptr);
+                Some(reused)
+            };
+            addr_of_mut!((*dst).thunks).write(Some((run_fn, drop_fn)));
+            spilled
         }
-        frame
-    }
-
-    /// The frame of a resumable strand.
-    pub(crate) fn strand<S: Strand<C>>(strand: S) -> Frame<C> {
-        let (frame, spilled) = Frame::store(strand, run_strand::<C, S>, drop_state::<S, true>);
-        match spilled {
-            None => obs::counter!("spdag.strand_inline").inc(),
-            Some(reused) => {
-                obs::counter!("spdag.strand_spilled").inc();
-                if reused {
-                    obs::counter!("sched.strand_reuse").inc();
-                } else {
-                    obs::counter!("sched.strand_alloc").inc();
-                }
-            }
-        }
-        frame
     }
 
     /// Move the frame out, leaving this one empty. The result is detached
@@ -338,7 +353,7 @@ impl<C: CounterFamily> Frame<C> {
         match self.thunks {
             None => StrandPoll::Done(()),
             // SAFETY: the frame is live, so the buffer holds the state
-            // `store` put there together with this thunk.
+            // `emplace` put there together with this thunk.
             Some((run_fn, _)) => unsafe { run_fn(self, ctx) },
         }
     }
@@ -349,14 +364,78 @@ impl<C: CounterFamily> Drop for Frame<C> {
         if let Some((_, drop_fn)) = self.thunks {
             // SAFETY: a live frame still owns its state (a strand's `run`
             // takes `&mut`; a closure's `run` empties the frame first), and
-            // `drop_fn` is the thunk `store` paired with it.
+            // `drop_fn` is the thunk `emplace` paired with it.
             unsafe { drop_fn(&mut self.buf) };
         }
     }
 }
 
+/// A vertex body as the emplacing constructor ([`VertexSlab::emplace`])
+/// takes it: a state and the kind that says which thunks run and end it.
+/// The constructor writes it into the vertex's frame.
+pub(crate) trait Body<C: CounterFamily> {
+    /// Write this body into the frame at `dst`, counting where its state
+    /// went.
+    ///
+    /// # Safety
+    /// `dst` must be valid for writes and hold no live frame.
+    unsafe fn emplace(self, dst: *mut Frame<C>);
+}
+
+/// A one-shot closure: what `spawn`, `chain`, `fork`, `touch` and the
+/// future constructors run.
+pub(crate) struct Once<F>(pub(crate) F);
+
+impl<C, F> Body<C> for Once<F>
+where
+    C: CounterFamily,
+    F: for<'a> FnOnce(Ctx<'a, C>) + Send + 'static,
+{
+    #[inline(always)]
+    unsafe fn emplace(self, dst: *mut Frame<C>) {
+        // SAFETY: the caller's contract; the thunks are `F`'s.
+        match unsafe { Frame::emplace(dst, self.0, run_once::<C, F>, drop_state::<F, false>) } {
+            None => obs::counter!("spdag.body_inline").inc(),
+            Some(_) => obs::counter!("spdag.body_boxed").inc(),
+        }
+    }
+}
+
+/// A resumable [`Strand`]: what `fork_strand` and `future_strand` run.
+pub(crate) struct Resumable<S>(pub(crate) S);
+
+impl<C: CounterFamily, S: Strand<C>> Body<C> for Resumable<S> {
+    #[inline(always)]
+    unsafe fn emplace(self, dst: *mut Frame<C>) {
+        // SAFETY: the caller's contract; the thunks are `S`'s.
+        match unsafe { Frame::emplace(dst, self.0, run_strand::<C, S>, drop_state::<S, true>) } {
+            None => obs::counter!("spdag.strand_inline").inc(),
+            Some(reused) => {
+                obs::counter!("spdag.strand_spilled").inc();
+                if reused {
+                    obs::counter!("sched.strand_reuse").inc();
+                } else {
+                    obs::counter!("sched.strand_alloc").inc();
+                }
+            }
+        }
+    }
+}
+
+/// No body: the dag's final vertex runs nothing.
+pub(crate) struct NoBody;
+
+impl<C: CounterFamily> Body<C> for NoBody {
+    #[inline(always)]
+    unsafe fn emplace(self, dst: *mut Frame<C>) {
+        // SAFETY: the caller's contract. The empty frame is its `None`
+        // thunks; the buffer stays uninitialized.
+        unsafe { addr_of_mut!((*dst).thunks).write(None) };
+    }
+}
+
 /// # Safety
-/// `frame` must be live and hold an `F` stored by [`Frame::once`].
+/// `frame` must be live and hold an `F` written by [`Once`].
 unsafe fn run_once<C, F>(frame: &mut Frame<C>, ctx: Ctx<'_, C>) -> StrandPoll
 where
     C: CounterFamily,
@@ -380,7 +459,7 @@ where
 }
 
 /// # Safety
-/// `frame` must be live and hold an `S` stored by [`Frame::strand`].
+/// `frame` must be live and hold an `S` written by [`Resumable`].
 unsafe fn run_strand<C, S>(frame: &mut Frame<C>, mut ctx: Ctx<'_, C>) -> StrandPoll
 where
     C: CounterFamily,
@@ -399,7 +478,7 @@ where
 /// counter to repeat.
 ///
 /// # Safety
-/// `buf` must hold a live `S` stored by [`Frame::store`].
+/// `buf` must hold a live `S` written by [`Frame::emplace`].
 unsafe fn drop_state<S, const STRAND: bool>(buf: &mut FrameBuf) {
     // SAFETY: the caller's contract.
     unsafe {
@@ -520,51 +599,22 @@ unsafe impl<C: CounterFamily> Send for Vertex<C> {}
 unsafe impl<C: CounterFamily> Sync for Vertex<C> {}
 
 impl<C: CounterFamily> Vertex<C> {
-    /// Allocate a vertex (the paper's `new_vertex`, minus the counter: see
-    /// the module docs), preferring a recycled size-class slab. `inc` must
-    /// be initialized when `dec` is a real pair. The caller owns the
-    /// returned pointer and must eventually pass it to `Vertex::retire`.
-    pub(crate) fn alloc(
-        inc: MaybeUninit<C::Inc>,
-        dec: PairRef<C::Dec>,
-        fin: *const Vertex<C>,
-        is_left: bool,
-        body: Frame<C>,
-    ) -> *mut Vertex<C> {
-        let (ptr, reused) = sched::recycle::alloc(|| Vertex {
-            body,
-            inc,
-            dec,
-            fin,
-            forks: 0,
-            owed: AtomicU32::new(0),
-            is_left,
-            dead: false,
-            runtime_body: false,
-            park_pending: false,
-            counter: UnsafeCell::new(std::ptr::null_mut()),
-        });
-        if reused {
-            obs::counter!("sched.vertex_reuse").inc();
-        } else {
-            obs::counter!("sched.vertex_alloc").inc();
-        }
-        ptr
-    }
-
-    /// Allocate the vertex a finish scope opens with: its only strand,
-    /// which holds no handles (module docs). `fin` is null for the dag's
-    /// final vertex, which has no scope to signal.
-    pub(crate) fn alloc_sole(fin: *const Vertex<C>, body: Frame<C>) -> *mut Vertex<C> {
-        Self::alloc(MaybeUninit::uninit(), PairRef::none(), fin, true, body)
+    /// Take the slab a vertex will be built in — one of the vertex's class,
+    /// preferring a recycled one — before anything that goes into the
+    /// vertex exists: `Vertex::slab().emplace(.., Once(body))` evaluates
+    /// the body after the slab (module docs, "Built where it lives").
+    #[inline(always)]
+    pub(crate) fn slab() -> VertexSlab<C> {
+        let (v, reused) = sched::recycle::alloc_uninit::<Vertex<C>>();
+        VertexSlab { v, reused }
     }
 
     /// Retire an executed (or otherwise finally-owned) vertex: run drop
     /// glue, then send the memory back to its size class.
     ///
     /// # Safety
-    /// `ptr` must have come from `Vertex::alloc`, be exclusively owned by
-    /// the caller, and never be used afterwards.
+    /// `ptr` must have come from [`VertexSlab::emplace`], be exclusively
+    /// owned by the caller, and never be used afterwards.
     pub(crate) unsafe fn retire(ptr: *mut Vertex<C>) {
         // SAFETY: the caller's contract is `free`'s.
         if unsafe { sched::recycle::free(ptr) } {
@@ -616,7 +666,7 @@ impl<C: CounterFamily> Vertex<C> {
             C::root_inc(fc)
         } else {
             // SAFETY: a real pair comes with an initialized `inc`
-            // (`Vertex::alloc`'s contract).
+            // (`VertexSlab::emplace`'s contract).
             unsafe { self.inc.assume_init() }
         };
         // One increment, exactly as in Figure 5 ...
@@ -673,6 +723,13 @@ impl<C: CounterFamily> Vertex<C> {
     /// its own fork). Returns the left child's increment handle and the
     /// shared decrement pair to build the sibling with. `solo` as for
     /// [`increment`](Vertex::increment).
+    ///
+    /// Inlined for the reason `increment` is: out of line, the left handle
+    /// comes back through the stack, and the 16-byte load that copies it
+    /// into the new vertex's slab stalls on the callee's 8-byte stores
+    /// (`future_slot`'s hottest instruction on `await_chain` and
+    /// `pipeline_stages` at W = 1, `cores: 2`).
+    #[inline(always)]
     pub(crate) fn fork_rotate(&mut self, cfg: &C::Config, solo: bool) -> (C::Inc, PairRef<C::Dec>) {
         let vid = (self as *const Vertex<C> as u64).wrapping_add(self.forks);
         let (i1, i2, pair) = self.increment(cfg, vid, solo);
@@ -708,6 +765,62 @@ impl<C: CounterFamily> Vertex<C> {
     }
 }
 
+/// The slab of a vertex not yet built ([`Vertex::slab`]). Dropping it
+/// unused leaks the slab.
+pub(crate) struct VertexSlab<C: CounterFamily> {
+    v: *mut Vertex<C>,
+    reused: bool,
+}
+
+impl<C: CounterFamily> VertexSlab<C> {
+    /// The emplacing constructor (the paper's `new_vertex`, minus the
+    /// counter: see the module docs): write every field of the vertex into
+    /// this slab, the body's state straight into the frame. `inc` must be
+    /// initialized when `dec` is a real pair. The caller owns the returned
+    /// pointer and must eventually pass it to `Vertex::retire`.
+    #[inline(always)]
+    pub(crate) fn emplace(
+        self,
+        inc: MaybeUninit<C::Inc>,
+        dec: PairRef<C::Dec>,
+        fin: *const Vertex<C>,
+        is_left: bool,
+        body: impl Body<C>,
+    ) -> *mut Vertex<C> {
+        let v = self.v;
+        // SAFETY: a slab of `Vertex<C>`'s size and alignment, exclusively
+        // ours; each field is written once, through a raw projection, before
+        // the pointer leaves this function.
+        unsafe {
+            body.emplace(addr_of_mut!((*v).body));
+            addr_of_mut!((*v).inc).write(inc);
+            addr_of_mut!((*v).dec).write(dec);
+            addr_of_mut!((*v).fin).write(fin);
+            addr_of_mut!((*v).forks).write(0);
+            addr_of_mut!((*v).owed).write(AtomicU32::new(0));
+            addr_of_mut!((*v).is_left).write(is_left);
+            addr_of_mut!((*v).dead).write(false);
+            addr_of_mut!((*v).runtime_body).write(false);
+            addr_of_mut!((*v).park_pending).write(false);
+            addr_of_mut!((*v).counter).write(UnsafeCell::new(std::ptr::null_mut()));
+        }
+        if self.reused {
+            obs::counter!("sched.vertex_reuse").inc();
+        } else {
+            obs::counter!("sched.vertex_alloc").inc();
+        }
+        v
+    }
+
+    /// [`emplace`](VertexSlab::emplace) the vertex a finish scope opens
+    /// with: its only strand, which holds no handles (module docs). `fin`
+    /// is null for the dag's final vertex, which has no scope to signal.
+    #[inline(always)]
+    pub(crate) fn emplace_sole(self, fin: *const Vertex<C>, body: impl Body<C>) -> *mut Vertex<C> {
+        self.emplace(MaybeUninit::uninit(), PairRef::none(), fin, true, body)
+    }
+}
+
 /// A word-sized, sendable pointer to a scheduled vertex.
 pub(crate) struct VertexPtr<C: CounterFamily>(pub(crate) *mut Vertex<C>);
 
@@ -729,7 +842,223 @@ unsafe impl<C: CounterFamily> Word for VertexPtr<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incounter::{DynSnzi, FetchAdd, FixedDepth};
+    use crate::scribble::{byte, scribble, SCRIBBLE};
+    use incounter::{DecPair, DynConfig, DynSnzi, FetchAdd, FixedDepth};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    /// The first word of `field`, read as a word.
+    fn word<T>(field: &T) -> usize {
+        // SAFETY: every field checked this way is at least a word long.
+        unsafe { *(field as *const T as *const usize) }
+    }
+
+    /// What a scribbled word reads as.
+    const SCRIBBLED: usize = usize::from_ne_bytes([SCRIBBLE; std::mem::size_of::<usize>()]);
+
+    /// The fields every vertex is born with, as its own body finds them when
+    /// it starts: nothing forked, nothing ended, no park armed, nothing owed
+    /// (a `touch` continuation's one delivery and a resumed strand's two
+    /// have been made), no counter of its own, and a user's body.
+    fn started<C: CounterFamily>(v: &Vertex<C>, what: &str) {
+        assert_eq!(v.forks, 0, "{what}: forks");
+        assert_eq!(byte(&v.dead), 0, "{what}: dead");
+        assert_eq!(byte(&v.runtime_body), 0, "{what}: runtime_body");
+        assert_eq!(byte(&v.park_pending), 0, "{what}: park_pending");
+        assert!(byte(&v.is_left) <= 1, "{what}: is_left");
+        assert_eq!(v.owed.load(Ordering::Relaxed), 0, "{what}: owed");
+        // SAFETY: a vertex reads its own field while it runs.
+        assert!(!unsafe { v.has_counter() }, "{what}: counter");
+    }
+
+    /// The fields of a finish vertex as its scope's only strand finds them:
+    /// born as `started` says, with its body still in place.
+    fn waiting<C: CounterFamily>(fin: *const Vertex<C>, runtime_body: bool, what: &str) {
+        // SAFETY: `fin` waits for the calling strand's scope, so it is alive,
+        // and the caller is that scope's only strand, so nobody writes it.
+        let w = unsafe { &*fin };
+        assert_ne!(word(&w.body.thunks), 0, "{what}: a body");
+        assert_ne!(word(&w.body.thunks), SCRIBBLED, "{what}: thunks");
+        assert_eq!(byte(&w.runtime_body), runtime_body as u8, "{what}: runtime_body");
+        assert_eq!(w.forks, 0, "{what}: forks");
+        assert_eq!(byte(&w.dead), 0, "{what}: dead");
+        assert_eq!(byte(&w.park_pending), 0, "{what}: park_pending");
+        assert!(byte(&w.is_left) <= 1, "{what}: is_left");
+        assert_eq!(w.owed.load(Ordering::Relaxed), 0, "{what}: owed");
+        // SAFETY: the caller is the scope's only strand.
+        assert!(!unsafe { w.has_counter() }, "{what}: counter");
+    }
+
+    /// Counts its drops: a body's capture, so that its drop thunk shows.
+    struct Tally(Arc<AtomicUsize>);
+
+    impl Drop for Tally {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn every_field_is_written_where_the_vertex_lives() {
+        // Every kind of body — a closure in the frame, one spilled to its own
+        // slab, a strand, none — with a real pair and without, each built
+        // over scribbled slabs and read back field by field before it is
+        // retired.
+        type C = FetchAdd;
+        let drops = Arc::new(AtomicUsize::new(0));
+        let (t1, t2, t3) = (Tally(drops.clone()), Tally(drops.clone()), Tally(drops.clone()));
+        scribble();
+        let pair = PairRef::new(DecPair::new((), ()));
+        let fin = std::ptr::NonNull::<Vertex<C>>::dangling().as_ptr() as *const Vertex<C>;
+        let spilled = (t2, [7u64; 8]);
+        assert!(!fits_inline::<(Tally, [u64; 8])>());
+        let built = [
+            (
+                "an inline closure",
+                Vertex::slab().emplace(
+                    MaybeUninit::new(()),
+                    pair,
+                    fin,
+                    true,
+                    Once(move |_: Ctx<'_, C>| drop(t1)),
+                ),
+                (pair, fin, true, true),
+            ),
+            (
+                "a spilled closure",
+                Vertex::slab().emplace(
+                    MaybeUninit::new(()),
+                    pair,
+                    fin,
+                    false,
+                    Once(move |_: Ctx<'_, C>| drop(spilled)),
+                ),
+                (pair, fin, false, true),
+            ),
+            (
+                "a strand",
+                Vertex::slab().emplace_sole(
+                    fin,
+                    Resumable(move |_: &mut Ctx<'_, C>| {
+                        let _ = &t3;
+                        StrandPoll::Done(())
+                    }),
+                ),
+                (PairRef::none(), fin, true, true),
+            ),
+            (
+                "no body",
+                Vertex::slab().emplace_sole(std::ptr::null(), NoBody),
+                (PairRef::none(), std::ptr::null(), true, false),
+            ),
+        ];
+        for (what, v, (dec, fin, is_left, has_body)) in built {
+            // SAFETY: just built, and nobody else has the pointer.
+            let r = unsafe { &*v };
+            assert_eq!(word(&r.body.thunks) != 0, has_body, "{what}: thunks");
+            assert_ne!(word(&r.body.thunks), SCRIBBLED, "{what}: thunks");
+            assert_eq!(word(&r.dec), word(&dec), "{what}: dec");
+            assert_eq!(r.fin, fin, "{what}: fin");
+            assert_eq!(byte(&r.is_left), is_left as u8, "{what}: is_left");
+            assert_eq!(r.forks, 0, "{what}: forks");
+            assert_eq!(r.owed.load(Ordering::Relaxed), 0, "{what}: owed");
+            assert_eq!(byte(&r.dead), 0, "{what}: dead");
+            assert_eq!(byte(&r.runtime_body), 0, "{what}: runtime_body");
+            assert_eq!(byte(&r.park_pending), 0, "{what}: park_pending");
+            // SAFETY: nobody else reaches the vertex.
+            assert!(!unsafe { r.has_counter() }, "{what}: counter");
+            // SAFETY: built above, not published; the drop thunk ends the
+            // body's state.
+            unsafe { Vertex::retire(v) };
+        }
+        assert_eq!(drops.load(Ordering::SeqCst), 3, "each body's state dropped once");
+        // The two vertices that held the pair never claimed it.
+        // SAFETY: the pair's two claims, one after the other.
+        assert_eq!(unsafe { (pair.claim(false), pair.claim(false)) }, ((), ()));
+    }
+
+    /// One run that builds every kind of vertex, each of which checks the
+    /// fields it starts from. The values it adds into `out` sum to 135.
+    fn every_kind(ctx: Ctx<'_, DynSnzi>, out: Arc<AtomicU64>) {
+        started(ctx.vertex_ref(), "the root, a sole strand");
+        assert!(ctx.vertex_ref().dec.is_none(), "the root holds no pair");
+        let mut ctx = ctx;
+        // A future: its body is its scope's only strand, and its completion
+        // vertex waits with the runtime's body.
+        let f = ctx.future(|c| {
+            started(c.vertex_ref(), "a future's body");
+            assert!(c.vertex_ref().dec.is_none(), "a future's body holds no pair");
+            waiting(c.vertex_ref().fin, true, "a future's completion vertex");
+            20u64
+        });
+        // A strand that awaits a future forked before it: at W = 1 the deque
+        // runs the strand first, so it parks and resumes.
+        let g = ctx.future(|_| 100u64);
+        let o = Arc::clone(&out);
+        ctx.fork_strand(move |c: &mut Ctx<'_, DynSnzi>| {
+            started(c.vertex_ref(), "a strand, on each entry");
+            o.fetch_add(*crate::strand_await!(c, &g), Ordering::SeqCst);
+            StrandPoll::Done(())
+        });
+        let o = Arc::clone(&out);
+        ctx.fork(move |c| {
+            started(c.vertex_ref(), "a forked child");
+            assert!(!c.vertex_ref().dec.is_none(), "a forked child holds a pair");
+            let (a, b) = (Arc::clone(&o), o);
+            c.spawn(
+                move |c| {
+                    started(c.vertex_ref(), "a spawn's left child");
+                    assert_eq!(byte(&c.vertex_ref().is_left), 1);
+                    a.fetch_add(1, Ordering::SeqCst);
+                },
+                move |c| {
+                    started(c.vertex_ref(), "a spawn's right child");
+                    assert_eq!(byte(&c.vertex_ref().is_left), 0);
+                    b.fetch_add(2, Ordering::SeqCst);
+                },
+            );
+        });
+        let o = Arc::clone(&out);
+        ctx.fork(move |c| {
+            let (a, b) = (Arc::clone(&o), o);
+            c.chain(
+                move |c| {
+                    started(c.vertex_ref(), "a chain's first, a sole strand");
+                    assert!(c.vertex_ref().dec.is_none(), "a chain's first holds no pair");
+                    waiting(c.vertex_ref().fin, false, "a chain's continuation");
+                    a.fetch_add(4, Ordering::SeqCst);
+                },
+                move |c| {
+                    started(c.vertex_ref(), "a chain's continuation");
+                    b.fetch_add(8, Ordering::SeqCst);
+                },
+            );
+        });
+        ctx.touch(&f, move |c, v| {
+            started(c.vertex_ref(), "a touch continuation");
+            out.fetch_add(*v, Ordering::SeqCst);
+        });
+    }
+
+    #[test]
+    fn every_vertex_kind_starts_from_its_initial_fields() {
+        for workers in [1, 2] {
+            for _ in 0..20 {
+                scribble();
+                let out = Arc::new(AtomicU64::new(0));
+                let o = Arc::clone(&out);
+                let stats =
+                    crate::run_dag::<DynSnzi, _>(DynConfig::default(), workers, move |ctx| {
+                        every_kind(ctx, o)
+                    });
+                assert_eq!(out.load(Ordering::SeqCst), 135, "W={workers}");
+                if workers == 1 {
+                    assert_eq!(stats.pool.suspends, 1, "the strand parked");
+                }
+                assert_eq!(stats.pool.suspends, stats.pool.resumes);
+            }
+        }
+    }
 
     #[test]
     fn a_vertex_rides_the_128_byte_class() {
