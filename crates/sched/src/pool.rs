@@ -502,6 +502,19 @@ impl<'a, T: Word> WorkerCtx<'a, T> {
         self.resumes.set(self.resumes.get() + 1);
     }
 
+    /// Record that the interpreter ran a task *in place*: inside the task
+    /// being executed, on this worker's stack, never pushed or popped. It
+    /// counts as an executed task ([`PoolStats::tasks`]) and, in a watched
+    /// run, as the progress the watchdog reads. Nothing was pushed, so
+    /// [`Termination::Quiesce`]'s pending count does not move.
+    #[inline]
+    pub fn note_run_in_place(&self) {
+        self.tasks.set(self.tasks.get() + 1);
+        if self.shared.watched {
+            self.shared.progress.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Announce that the whole computation is complete (DoneFlag mode).
     /// Idempotent; in Quiesce mode it simply forces early termination.
     pub fn finish(&self) {
@@ -1476,5 +1489,28 @@ mod tests {
         let report = payload.downcast_ref::<String>().expect("the stall report");
         assert!(report.contains("sched watchdog"), "unexpected payload: {report}");
         assert!(report.contains("tasks executed      : 1"), "{report}");
+    }
+
+    #[test]
+    fn a_task_run_in_place_counts_as_executed() {
+        // Every task runs two more in place: both count as executed, and
+        // quiescence waits for no pop of them (nothing was pushed).
+        let stats = run(2, (0..10usize).collect(), Termination::Quiesce, |ctx, _| {
+            ctx.note_run_in_place();
+            ctx.note_run_in_place();
+        });
+        assert_eq!(stats.tasks, 30);
+        // And as the progress a watchdog reads: the stalled run's report
+        // counts the root and its two.
+        let cfg = WatchdogCfg { stall_timeout: Duration::from_millis(40) };
+        let stalled = catch_unwind(AssertUnwindSafe(|| {
+            run_watched(1, vec![0usize], Termination::DoneFlag, cfg, |ctx, _| {
+                ctx.note_run_in_place();
+                ctx.note_run_in_place();
+            })
+        }));
+        let payload = stalled.expect_err("the watchdog fails the run");
+        let report = payload.downcast_ref::<String>().expect("the stall report");
+        assert!(report.contains("tasks executed      : 3"), "{report}");
     }
 }

@@ -11,14 +11,18 @@
 //! * [`Ctx::spawn`] and [`Ctx::chain`] are `spawn`/`chain`; they take the
 //!   children's bodies directly instead of returning raw vertices (the
 //!   paper's two-phase "create, then assign `body`" is an artifact of its
-//!   pseudocode language — the handle discipline is identical).
-//! * `signal` is implicit: when a body returns without having spawned or
-//!   chained, the executor claims a decrement handle and decrements the
-//!   finish vertex's counter; a `true` return (counter hit zero) schedules
-//!   the finish vertex. This is the paper's implementation note that
-//!   readiness detection rides on `snzi_depart`'s return value. The only
-//!   strand of a scope that never forked holds no handle and there is no
-//!   counter: its signal schedules the finish vertex outright.
+//!   pseudocode language — the handle discipline is identical). `spawn` is
+//!   work-first: a child no other worker could take runs in the spawning
+//!   vertex instead of becoming one (`crate::in_place`).
+//! * `signal` is implicit: when a body returns without having ended its
+//!   vertex (a chain, a touch), the executor claims the decrement handle
+//!   the vertex holds — its own, or that of the last spawned child that ran
+//!   in it — and decrements the finish vertex's counter; a `true` return
+//!   (counter hit zero) schedules the finish vertex. This is the paper's
+//!   implementation note that readiness detection rides on
+//!   `snzi_depart`'s return value. The only strand of a scope that never
+//!   forked holds no handle and there is no counter: its signal schedules
+//!   the finish vertex outright.
 //!
 //! One departure from Figure 3, argued in [`crate::vertex`]: `chain` does
 //! not call `new_vertex(1)`. Every vertex is born without a counter, and a
@@ -31,6 +35,7 @@ use std::time::{Duration, Instant};
 use incounter::CounterFamily;
 use sched::{PoolStats, Termination, WorkerCtx};
 
+use crate::in_place::{self, PendingLeft, StackRoom};
 use crate::vertex::{Body, NoBody, Once, Resumable, Strand, StrandPoll, Vertex, VertexPtr};
 
 /// Per-body execution context: the running vertex plus scheduler access.
@@ -114,34 +119,67 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     }
 
     /// Parallel composition (the paper's `spawn`; equivalently `async
-    /// left` with continuation `right`). Creates two vertices that may run
+    /// left` with continuation `right`). Its two children may run
     /// concurrently; the enclosing finish scope waits for both. The
-    /// current vertex dies — it does not signal.
+    /// calling body's strand ends here: its children signal, it does not.
     ///
-    /// The body may keep running plain code after this call, but that
-    /// code is ordered before nothing in the dag: the children carry the
-    /// scope's obligation and the enclosing finish can run while it is
-    /// still executing. The one exception is the return value of a
-    /// future's body — the future completes only once it is published.
+    /// The spawn is **work-first** (`crate::in_place`): a child no other
+    /// worker could take runs at once, in this vertex and on this stack,
+    /// instead of becoming a vertex of its own. With two or more workers
+    /// the left child becomes a vertex and is pushed, and the right child
+    /// runs in place; in a one-worker run both run in place, the right
+    /// child first. So:
+    ///
+    /// * code after this call runs **after the children that ran in
+    ///   place** — after the right child's body, and in a one-worker run
+    ///   after the left child's too — but it is still ordered before
+    ///   nothing in the dag: the children carry the scope's obligation,
+    ///   and what they pushed (the left child at W ≥ 2, the `first` of a
+    ///   `chain`) may finish, and the enclosing finish run, while it is
+    ///   still executing. The one exception is the return value of a
+    ///   future's body — the future completes only once it is published;
+    /// * in a one-worker run the left child runs **before** the work the
+    ///   right child's subtree pushed (a `chain`'s `first`, a `touch`
+    ///   continuation), not after it as a deque's LIFO order would have it.
+    ///
+    /// Past a fixed stack bound both children become vertices and are
+    /// pushed, so recursion through `spawn` never grows the stack without
+    /// limit.
     pub fn spawn(
         self,
         left: impl for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
         right: impl for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
     ) {
-        let u = self.vertex;
-        // The vertex address serves as the placement key for hashed
-        // families; it is unique among live vertices and free to compute.
-        let vid = u as *const Vertex<C> as u64;
+        let Ctx { vertex: u, worker, cfg, .. } = self;
         obs::counter!("spdag.spawns").inc();
-        obs::trace::record(obs::EventKind::Spawn, vid);
-        // One increment (Figure 5); `u` dies here, unsignalled, and its two
-        // children share the fresh pair.
-        let (i1, i2, pair) = u.increment(self.cfg, vid, self.worker.is_solo());
-        let v = Vertex::slab().emplace(MaybeUninit::new(i1), pair, u.fin, true, Once(left));
-        let w = Vertex::slab().emplace(MaybeUninit::new(i2), pair, u.fin, false, Once(right));
-        u.dead = true;
-        // One publication for the pair: one sleeper probe, not two.
-        self.worker.push_batch([VertexPtr(v), VertexPtr(w)]);
+        obs::trace::record(obs::EventKind::Spawn, u as *const Vertex<C> as u64);
+        let solo = worker.is_solo();
+        // One increment (Figure 5); the two children share the fresh pair.
+        let vid = u.key();
+        let (i1, i2, pair) = u.increment(cfg, vid, solo);
+        u.increments += 1;
+        let fin = u.fin;
+        let Some(_room) = StackRoom::take() else {
+            // Past the stack bound: two vertices, and `u` dies here,
+            // unsignalled. One publication for the pair: one sleeper probe.
+            let v = Vertex::slab().emplace(MaybeUninit::new(i1), pair, fin, true, Once(left));
+            let w = Vertex::slab().emplace(MaybeUninit::new(i2), pair, fin, false, Once(right));
+            u.dead = true;
+            worker.push_batch([VertexPtr(v), VertexPtr(w)]);
+            return;
+        };
+        if solo {
+            // Nobody can steal the left child: it waits here, and becomes a
+            // vertex only if the right child unwinds.
+            let left = PendingLeft::new(left, (i1, pair), fin, worker);
+            in_place::run_child(u, worker, cfg, (i2, pair, false), right);
+            in_place::end_child_solo(u, worker);
+            in_place::run_child(u, worker, cfg, (i1, pair, true), left.take());
+        } else {
+            let v = Vertex::slab().emplace(MaybeUninit::new(i1), pair, fin, true, Once(left));
+            worker.push(VertexPtr(v));
+            in_place::run_child(u, worker, cfg, (i2, pair, false), right);
+        }
     }
 
     /// Serial composition (the paper's `chain`; equivalently `finish {
@@ -397,7 +435,9 @@ fn execute_vertex<C: CounterFamily>(
 /// Statistics from one dag execution.
 #[derive(Debug, Clone, Default)]
 pub struct DagRunStats {
-    /// Scheduler statistics (tasks = vertices executed, steals, parks).
+    /// Scheduler statistics (tasks = vertex executions plus the spawned
+    /// children run in place, so `tasks − resumes` is the dag's vertex
+    /// count; steals, parks).
     pub pool: PoolStats,
     /// Wall-clock time of the parallel phase (pool spin-up included).
     pub elapsed: Duration,
@@ -653,6 +693,33 @@ mod tests {
         });
         assert_eq!(hits.load(Ordering::Relaxed), 2);
         assert_eq!(tail.load(Ordering::Relaxed), 99);
+    }
+
+    #[test]
+    fn spawns_in_one_vertex_take_distinct_placement_keys() {
+        // Every spawn of a right spine runs in the root's vertex, at W = 2
+        // as at W = 1; a hashed family must still see a different key for
+        // each, or all of them would arrive on one leaf.
+        fn spine(ctx: Ctx<'_, FixedDepth>, n: u32, seen: Arc<std::sync::Mutex<Vec<(usize, u64)>>>) {
+            let v = ctx.vertex_ref();
+            seen.lock().unwrap().push((v as *const _ as usize, v.key()));
+            if n > 0 {
+                ctx.spawn(|_| {}, move |c| spine(c, n - 1, seen));
+            }
+        }
+        for workers in [1, 2] {
+            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let s = Arc::clone(&seen);
+            run_dag::<FixedDepth, _>(FixedConfig { depth: 3 }, workers, move |ctx| {
+                spine(ctx, 8, s)
+            });
+            let seen = seen.lock().unwrap();
+            assert!(seen.iter().all(|&(v, _)| v == seen[0].0), "W={workers}: one vertex");
+            let mut keys: Vec<u64> = seen.iter().map(|&(_, k)| k).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            assert_eq!(keys.len(), 9, "W={workers}: a key per spawn, salted: {keys:?}");
+        }
     }
 
     #[test]

@@ -26,9 +26,11 @@
 //!
 //! Readiness detection — "has everything in this scope finished?" — is the
 //! job of the per-finish-vertex dependency counter. The executing worker
-//! *signals* (decrements) when a vertex's body returns without spawning or
-//! chaining; the decrement that takes the counter to zero returns `true`
-//! exactly once and schedules the finish vertex. No polling, no locks.
+//! *signals* (decrements) when a body returns without handing its place on
+//! (`chain`, `touch`) — a vertex's body, or a spawned child that ran in its
+//! parent's vertex (`spawn` is work-first); the decrement that takes the
+//! counter to zero returns `true` exactly once and schedules the finish
+//! vertex. No polling, no locks.
 //! (A scope has a counter only from its first fork on: while it has one
 //! strand, that strand's signal schedules the finish vertex outright —
 //! see [`vertex`].)
@@ -69,6 +71,7 @@
 pub mod async_bridge;
 pub mod dag;
 pub mod futures;
+mod in_place;
 mod pair;
 pub mod scope;
 #[cfg(test)]

@@ -47,6 +47,9 @@ use crate::dag::Ctx;
 /// finish as usual when the body ends, using the rotated handles.
 pub struct Scope<'a, C: CounterFamily> {
     pub(crate) ctx: Ctx<'a, C>,
+    /// The vertex's increment count when the scope opened: a body that
+    /// runs in place in its parent's vertex finds its parent's there.
+    opened_at: u64,
 }
 
 impl<'a, C: CounterFamily> Ctx<'a, C> {
@@ -55,7 +58,8 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     /// the vertex: the body keeps running as the continuation of every
     /// [`Scope::fork`] it performs.
     pub fn into_scope(self) -> Scope<'a, C> {
-        Scope { ctx: self }
+        let opened_at = self.vertex_ref().increments;
+        Scope { ctx: self, opened_at }
     }
 }
 
@@ -78,7 +82,7 @@ impl<'a, C: CounterFamily> Scope<'a, C> {
 
     /// Number of forks performed through this scope so far.
     pub fn forked(&self) -> u64 {
-        self.ctx.vertex_ref().forks
+        self.ctx.vertex_ref().increments - self.opened_at
     }
 
     /// End the scope, recovering the plain context (e.g. to terminate
@@ -188,6 +192,35 @@ mod tests {
             f.store(scope.forked(), Ordering::Relaxed);
         });
         assert_eq!(forked.load(Ordering::Relaxed), 7);
+    }
+
+    #[test]
+    fn a_scope_opened_in_place_counts_its_own_forks() {
+        // A spawn's right child (at W = 1 its left child too) runs in its
+        // parent's vertex, whose increments the parent's forks and the
+        // spawn itself already counted.
+        for workers in [1, 2] {
+            let seen = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+            let s = Arc::clone(&seen);
+            run_dag::<DynSnzi, _>(DynConfig::default(), workers, move |ctx| {
+                let mut scope = ctx.into_scope();
+                for _ in 0..3 {
+                    scope.fork(|_| {});
+                }
+                let fork_n = |n: u64, i: usize, s: Arc<[AtomicU64; 2]>| {
+                    move |c: Ctx<'_, DynSnzi>| {
+                        let mut scope = c.into_scope();
+                        for _ in 0..n {
+                            scope.fork(|_| {});
+                        }
+                        s[i].store(scope.forked(), Ordering::Relaxed);
+                    }
+                };
+                scope.into_ctx().spawn(fork_n(2, 0, Arc::clone(&s)), fork_n(5, 1, s));
+            });
+            let forked = seen.each_ref().map(|a| a.load(Ordering::Relaxed));
+            assert_eq!(forked, [2, 5], "W={workers}");
+        }
     }
 
     #[test]

@@ -41,7 +41,8 @@
 //!    decrement, no counter (`dag::execute_vertex`). The scope's counter is
 //!    made, with count 1 for the sole strand itself, by that strand at the
 //!    scope's *first* increment: exclusive by the invariant, and published
-//!    to the new strands by the deque push that publishes them. The fresh
+//!    to the new strands by the deque push that publishes them (a child
+//!    that runs in place runs on the thread that made it). The fresh
 //!    counter's `root_inc`/`root_dec` stand for the handles the sole strand
 //!    never stored. This departs from the paper's Figure 3, where `chain`
 //!    calls `new_vertex(1)` eagerly; making the counter at the first
@@ -66,7 +67,8 @@
 //! the same step committed by a load and a store:
 //! `CounterFamily::{increment,decrement}_exclusive` in
 //! `Vertex::increment` (so `spawn`, `fork` and the future constructors) and
-//! in `dag::execute_vertex`'s signal epilogue,
+//! in the signal epilogue (`dag::execute_vertex`'s, and
+//! `in_place::end_child_solo`'s for a right child run in place),
 //! `DecPair::claim_last_exclusive` in `PairRef::claim`, and a plain
 //! decrement of `owed` in `futures::resolve_dependent` (the `touch`
 //! bounce, the completion sweep, `commit_park`). Why nothing else can
@@ -92,9 +94,14 @@
 //!
 //! ## Allocation and recycling
 //!
-//! Vertices are the runtime's highest-churn allocation: every `spawn`
-//! makes two, every `chain`/`future`/`touch` at least one, and each lives
-//! exactly from creation to its single execution. They are carved from
+//! Vertices are the runtime's highest-churn allocation: every
+//! `chain`/`future`/`touch` makes at least one, and each lives exactly
+//! from creation to its single execution. A `spawn` makes one only for a
+//! child another worker could take — its left child, with two or more
+//! workers — and none in a one-worker run: a child no thief can take runs
+//! in its parent's vertex instead, which takes the child's `inc`, `dec`
+//! and `is_left` (`crate::in_place`; both past a fixed stack bound). They
+//! are carved from
 //! the scheduler's size-class slab pools instead of `Box`:
 //! `Vertex::slab` takes a slab of the class its layout fits
 //! ([`sched::recycle::alloc_uninit`]), `VertexSlab::emplace` builds the
@@ -521,9 +528,12 @@ pub struct Vertex<C: CounterFamily> {
     /// The finish vertex this vertex signals; null only for the final
     /// vertex of the whole dag.
     pub(crate) fin: *const Vertex<C>,
-    /// Number of `Scope::fork`s performed by this vertex (also salts the
-    /// placement key so consecutive forks hash to different leaves).
-    pub(crate) forks: u64,
+    /// Number of increments made from this vertex — its body's forks and
+    /// futures, and the spawns of every child that ran in it
+    /// (`crate::in_place`). Salts the placement key
+    /// ([`key`](Vertex::key)), so that successive increments from one
+    /// vertex hash to different leaves.
+    pub(crate) increments: u64,
     /// Deliveries still owed to this vertex before it may be scheduled: 1
     /// on a `touch` continuation, 2 while a strand parks, 0 otherwise
     /// (module docs, consequence 3).
@@ -731,13 +741,24 @@ impl<C: CounterFamily> Vertex<C> {
     /// `pipeline_stages` at W = 1, `cores: 2`).
     #[inline(always)]
     pub(crate) fn fork_rotate(&mut self, cfg: &C::Config, solo: bool) -> (C::Inc, PairRef<C::Dec>) {
-        let vid = (self as *const Vertex<C> as u64).wrapping_add(self.forks);
+        let vid = self.key();
         let (i1, i2, pair) = self.increment(cfg, vid, solo);
         self.inc = MaybeUninit::new(i2);
         self.dec = pair;
         self.is_left = false;
-        self.forks += 1;
+        self.increments += 1;
         (i1, pair)
+    }
+
+    /// The placement key of the next increment made from this vertex, for
+    /// hashed families: its address — unique among live vertices and free
+    /// to compute — salted with the increments made from it before. The
+    /// caller counts the increment it makes in `increments`, so forks of
+    /// one body, and the spawns of children that run in this vertex one
+    /// after another, land on different leaves.
+    #[inline(always)]
+    pub(crate) fn key(&self) -> u64 {
+        (self as *const Vertex<C> as u64).wrapping_add(self.increments)
     }
 
     /// The counter of the scope this vertex closes; panics if that scope
@@ -796,7 +817,7 @@ impl<C: CounterFamily> VertexSlab<C> {
             addr_of_mut!((*v).inc).write(inc);
             addr_of_mut!((*v).dec).write(dec);
             addr_of_mut!((*v).fin).write(fin);
-            addr_of_mut!((*v).forks).write(0);
+            addr_of_mut!((*v).increments).write(0);
             addr_of_mut!((*v).owed).write(AtomicU32::new(0));
             addr_of_mut!((*v).is_left).write(is_left);
             addr_of_mut!((*v).dead).write(false);
@@ -861,7 +882,14 @@ mod tests {
     /// (a `touch` continuation's one delivery and a resumed strand's two
     /// have been made), no counter of its own, and a user's body.
     fn started<C: CounterFamily>(v: &Vertex<C>, what: &str) {
-        assert_eq!(v.forks, 0, "{what}: forks");
+        assert_eq!(v.increments, 0, "{what}: increments");
+        started_in_place(v, what);
+    }
+
+    /// As `started`, but for a spawn's child, which may run in its parent's
+    /// vertex (`crate::in_place`): the spawn's increment was made from it.
+    fn started_in_place<C: CounterFamily>(v: &Vertex<C>, what: &str) {
+        assert!(v.increments <= 1, "{what}: increments");
         assert_eq!(byte(&v.dead), 0, "{what}: dead");
         assert_eq!(byte(&v.runtime_body), 0, "{what}: runtime_body");
         assert_eq!(byte(&v.park_pending), 0, "{what}: park_pending");
@@ -880,7 +908,7 @@ mod tests {
         assert_ne!(word(&w.body.thunks), 0, "{what}: a body");
         assert_ne!(word(&w.body.thunks), SCRIBBLED, "{what}: thunks");
         assert_eq!(byte(&w.runtime_body), runtime_body as u8, "{what}: runtime_body");
-        assert_eq!(w.forks, 0, "{what}: forks");
+        assert_eq!(w.increments, 0, "{what}: increments");
         assert_eq!(byte(&w.dead), 0, "{what}: dead");
         assert_eq!(byte(&w.park_pending), 0, "{what}: park_pending");
         assert!(byte(&w.is_left) <= 1, "{what}: is_left");
@@ -960,7 +988,7 @@ mod tests {
             assert_eq!(word(&r.dec), word(&dec), "{what}: dec");
             assert_eq!(r.fin, fin, "{what}: fin");
             assert_eq!(byte(&r.is_left), is_left as u8, "{what}: is_left");
-            assert_eq!(r.forks, 0, "{what}: forks");
+            assert_eq!(r.increments, 0, "{what}: increments");
             assert_eq!(r.owed.load(Ordering::Relaxed), 0, "{what}: owed");
             assert_eq!(byte(&r.dead), 0, "{what}: dead");
             assert_eq!(byte(&r.runtime_body), 0, "{what}: runtime_body");
@@ -1007,12 +1035,12 @@ mod tests {
             let (a, b) = (Arc::clone(&o), o);
             c.spawn(
                 move |c| {
-                    started(c.vertex_ref(), "a spawn's left child");
+                    started_in_place(c.vertex_ref(), "a spawn's left child");
                     assert_eq!(byte(&c.vertex_ref().is_left), 1);
                     a.fetch_add(1, Ordering::SeqCst);
                 },
                 move |c| {
-                    started(c.vertex_ref(), "a spawn's right child");
+                    started_in_place(c.vertex_ref(), "a spawn's right child");
                     assert_eq!(byte(&c.vertex_ref().is_left), 0);
                     b.fetch_add(2, Ordering::SeqCst);
                 },

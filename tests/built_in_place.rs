@@ -7,7 +7,9 @@
 //! and checks what the runtime's own ledgers say: the output is right,
 //! every decrement pair born is freed (`sched.pairs_born ==
 //! sched.pairs_freed`), every vertex and `PoolArc` born is retired, and
-//! `tasks − resumes` is the number of vertices born.
+//! `tasks − resumes` is the number of vertices born plus the spawn's
+//! children that ran in their parent's vertex (`spdag.spawn_inline`: the
+//! right one at W = 2, both at W = 1).
 //!
 //! Tests serialize on a process-wide lock: the ledgers are diffs of the
 //! global telemetry registry.
@@ -106,7 +108,14 @@ fn over_scribbled_slabs<C: CounterFamily>(cfg: C::Config) {
         let dead = d.counter("sched.vertex_recycled") + d.counter("sched.vertex_dropped");
         assert_eq!(born, dead, "{what}: vertices born {born}, retired {dead}");
         let executed: u64 = runs.iter().map(|s| s.tasks - s.resumes).sum();
-        assert_eq!(executed, born, "{what}: tasks - resumes against vertices born");
+        let in_place = d.counter("spdag.spawn_inline");
+        assert_eq!(
+            executed,
+            born + in_place,
+            "{what}: tasks - resumes against vertices born and children run in place"
+        );
+        let in_place_per_run = if workers == 1 { 2 } else { 1 };
+        assert_eq!(in_place, 20 * in_place_per_run, "{what}: the spawn's children run in place");
         let born = d.counter("sched.poolarc_alloc") + d.counter("sched.poolarc_reuse");
         let dead = d.counter("sched.poolarc_recycled") + d.counter("sched.poolarc_dropped");
         assert_eq!(born, dead, "{what}: future cores born {born}, retired {dead}");

@@ -49,8 +49,9 @@ macro_rules! over_families {
 
 /// Run `body` and check the ledgers over everything it ran: pairs born are
 /// freed, vertices born are retired and — for the runs whose stats it
-/// returns — each run's `tasks − resumes` adds up to the vertices born.
-/// Returns the counter diff (empty without telemetry).
+/// returns — each run's `tasks − resumes` adds up to the vertices born plus
+/// the spawns' children run in place (both children of every spawn, at
+/// W = 1). Returns the counter diff (empty without telemetry).
 fn ledgers(what: &str, body: impl FnOnce() -> Vec<PoolStats>) -> Snapshot {
     let before = Snapshot::take();
     let runs = body();
@@ -63,7 +64,12 @@ fn ledgers(what: &str, body: impl FnOnce() -> Vec<PoolStats>) -> Snapshot {
         assert_eq!(born, dead, "{what}: vertices born {born}, retired {dead}");
         if !runs.is_empty() {
             let executed: u64 = runs.iter().map(|s| s.tasks - s.resumes).sum();
-            assert_eq!(executed, born, "{what}: tasks - resumes against vertices born");
+            let in_place = d.counter("spdag.spawn_inline");
+            assert_eq!(
+                executed,
+                born + in_place,
+                "{what}: tasks - resumes against vertices born and children run in place"
+            );
         }
     }
     for s in &runs {

@@ -270,23 +270,33 @@ fn inline_class_inlines_and_oversize_spills() {
     let before = Snapshot::take();
     let hits = Arc::new(AtomicU64::new(0));
     let h = Arc::clone(&hits);
+    // At W = 2 a spawn's left child becomes a vertex and its right child
+    // runs in place, in the parent's vertex, with no frame of its own.
     run_dag::<DynSnzi, _>(DynConfig::default(), 2, move |ctx| {
         let big = [1u8; 64]; // over the inline class: must spill
-        let h2 = Arc::clone(&h);
+        let (h2, h3) = (Arc::clone(&h), Arc::clone(&h));
         ctx.spawn(
             move |_| {
                 h.fetch_add(u64::from(big[0]), Ordering::Relaxed);
             },
-            move |_| {
-                h2.fetch_add(1, Ordering::Relaxed); // 8-byte capture: must inline
+            move |c| {
+                c.spawn(
+                    move |_| {
+                        h2.fetch_add(1, Ordering::Relaxed); // 8-byte capture: must inline
+                    },
+                    move |_| {
+                        h3.fetch_add(1, Ordering::Relaxed);
+                    },
+                );
             },
         );
     });
     let d = Snapshot::take().diff(&before);
-    assert_eq!(hits.load(Ordering::Relaxed), 2);
+    assert_eq!(hits.load(Ordering::Relaxed), 3);
     // `spdag.body_boxed` kept its name; it counts spilled one-shot bodies.
     assert_eq!(d.counter("spdag.body_boxed"), 1, "only the 64-byte capture spills");
     assert_eq!(d.counter("spdag.body_inline"), 2, "the root and the small capture stay inline");
+    assert_eq!(d.counter("spdag.spawn_inline"), 2, "the right children build no frame");
 }
 
 #[test]
