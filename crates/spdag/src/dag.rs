@@ -13,21 +13,24 @@
 //!   paper's two-phase "create, then assign `body`" is an artifact of its
 //!   pseudocode language — the handle discipline is identical). `spawn` is
 //!   work-first: a child no other worker could take runs in the spawning
-//!   vertex instead of becoming one (`crate::in_place`).
+//!   vertex instead of becoming one, and in a one-worker run a spawn counts
+//!   nothing (`crate::in_place`).
 //! * `signal` is implicit: when a body returns without having ended its
 //!   vertex (a chain, a touch), the executor claims the decrement handle
 //!   the vertex holds — its own, or that of the last spawned child that ran
-//!   in it — and decrements the finish vertex's counter; a `true` return
-//!   (counter hit zero) schedules the finish vertex. This is the paper's
-//!   implementation note that readiness detection rides on
+//!   in it at W ≥ 2 — and decrements the finish vertex's counter; a `true`
+//!   return (counter hit zero) schedules the finish vertex. This is the
+//!   paper's implementation note that readiness detection rides on
 //!   `snzi_depart`'s return value. The only strand of a scope that never
 //!   forked holds no handle and there is no counter: its signal schedules
 //!   the finish vertex outright.
 //!
 //! One departure from Figure 3, argued in [`crate::vertex`]: `chain` does
 //! not call `new_vertex(1)`. Every vertex is born without a counter, and a
-//! scope's counter is made at its first `increment` — by `spawn` or a
-//! fork, never by `chain`, a future or `run_dag` themselves.
+//! scope's counter is made at its first `increment` — by `spawn` or a fork
+//! (a future joins its enclosing scope by one), never by `run_dag`, and by
+//! a `chain` or `touch` only when it splits a one-worker vertex
+//! (`crate::in_place`).
 
 use std::mem::MaybeUninit;
 use std::time::{Duration, Instant};
@@ -35,7 +38,7 @@ use std::time::{Duration, Instant};
 use incounter::CounterFamily;
 use sched::{PoolStats, Termination, WorkerCtx};
 
-use crate::in_place::{self, PendingLeft, StackRoom};
+use crate::in_place::{self, StackRoom};
 use crate::vertex::{Body, NoBody, Once, Resumable, Strand, StrandPoll, Vertex, VertexPtr};
 
 /// Per-body execution context: the running vertex plus scheduler access.
@@ -126,9 +129,13 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     /// The spawn is **work-first** (`crate::in_place`): a child no other
     /// worker could take runs at once, in this vertex and on this stack,
     /// instead of becoming a vertex of its own. With two or more workers
-    /// the left child becomes a vertex and is pushed, and the right child
-    /// runs in place; in a one-worker run both run in place, the right
-    /// child first. So:
+    /// the spawn makes one in-counter increment, the left child becomes a
+    /// vertex and is pushed, and the right child runs in place. In a
+    /// one-worker run both run in place, the right child first, and the
+    /// spawn counts nothing: no increment, no decrement pair, no
+    /// decrement. The two children cannot overlap, so this vertex's own
+    /// place in its scope covers both; a `chain` or `touch` made while the
+    /// left child still waits splits that place by one increment. So:
     ///
     /// * code after this call runs **after the children that ran in
     ///   place** — after the right child's body, and in a one-worker run
@@ -154,32 +161,13 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         obs::counter!("spdag.spawns").inc();
         obs::trace::record(obs::EventKind::Spawn, u as *const Vertex<C> as u64);
         let solo = worker.is_solo();
-        // One increment (Figure 5); the two children share the fresh pair.
-        let vid = u.key();
-        let (i1, i2, pair) = u.increment(cfg, vid, solo);
-        u.increments += 1;
-        let fin = u.fin;
-        let Some(_room) = StackRoom::take() else {
-            // Past the stack bound: two vertices, and `u` dies here,
-            // unsignalled. One publication for the pair: one sleeper probe.
-            let v = Vertex::slab().emplace(MaybeUninit::new(i1), pair, fin, true, Once(left));
-            let w = Vertex::slab().emplace(MaybeUninit::new(i2), pair, fin, false, Once(right));
-            u.dead = true;
-            worker.push_batch([VertexPtr(v), VertexPtr(w)]);
-            return;
-        };
-        if solo {
-            // Nobody can steal the left child: it waits here, and becomes a
-            // vertex only if the right child unwinds.
-            let left = PendingLeft::new(left, (i1, pair), fin, worker);
-            in_place::run_child(u, worker, cfg, (i2, pair, false), right);
-            in_place::end_child_solo(u, worker);
-            in_place::run_child(u, worker, cfg, (i1, pair, true), left.take());
-        } else {
-            let v = Vertex::slab().emplace(MaybeUninit::new(i1), pair, fin, true, Once(left));
-            worker.push(VertexPtr(v));
-            in_place::run_child(u, worker, cfg, (i2, pair, false), right);
+        let room = StackRoom::take();
+        if solo && room.is_some() {
+            // Nobody can take either child: both run here, one after the
+            // other, inside what `u`'s own handles already count.
+            return in_place::run_serially(u, worker, cfg, left, right);
         }
+        spawn_counted(u, worker, cfg, solo, room, left, right);
     }
 
     /// Serial composition (the paper's `chain`; equivalently `finish {
@@ -199,13 +187,14 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // w: the new finish vertex; takes over u's position in u's scope
         // (inherits fin, inc, left/right position, and u's pair pointer
         // with the one claim u still owes it — or u's place as its scope's
-        // only strand) and waits on one dependency: the completion of
-        // `first`'s subtree.
-        let w_ptr = Vertex::slab().emplace(u.inc, u.dec, u.fin, u.is_left, Once(then));
+        // only strand; a place split off u's while a one-worker spawn's left
+        // child waits to run in u) and waits on one dependency: the
+        // completion of `first`'s subtree.
+        let (inc, dec, is_left) = u.hand_off(self.cfg);
+        let w_ptr = Vertex::slab().emplace(inc, dec, u.fin, is_left, Once(then));
         // v: the only strand of w's scope, which has no counter until v (or
         // what replaces it) forks.
         let v = Vertex::slab().emplace_sole(w_ptr, Once(first));
-        u.dead = true;
         // v is ready (no dependencies); w waits for the signal that ends
         // its scope — nobody pushes it until then.
         self.worker.push(VertexPtr(v));
@@ -240,6 +229,59 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         let v = Vertex::slab().emplace(MaybeUninit::new(i1), pair, fin, true, body);
         worker.push(VertexPtr(v));
     }
+}
+
+/// The spawns that count their children ([`Ctx::spawn`]): with two or
+/// more workers, and past the stack bound. Out of `spawn`'s own body, so
+/// that a debug build's frame for the one-worker path — which a spawn
+/// recursion nests once a level — does not hold all of this one's too; an
+/// optimised build inlines it into its one caller.
+fn spawn_counted<C, L, R>(
+    u: &mut Vertex<C>,
+    worker: &WorkerCtx<'_, VertexPtr<C>>,
+    cfg: &C::Config,
+    solo: bool,
+    room: Option<StackRoom>,
+    left: L,
+    right: R,
+) where
+    C: CounterFamily,
+    L: for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
+    R: for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
+{
+    if u.pending > 0 {
+        // Past the stack bound (at W = 1) while a left sibling waits to run
+        // in `u`: each child splits a place of its own off `u`'s
+        // (`Vertex::hand_off`), and `u` lives on for the sibling.
+        let fin = u.fin;
+        let (i1, p1) = u.fork_rotate(cfg, true);
+        let v = Vertex::slab().emplace(MaybeUninit::new(i1), p1, fin, true, Once(left));
+        let (i2, p2) = u.fork_rotate(cfg, true);
+        let w = Vertex::slab().emplace(MaybeUninit::new(i2), p2, fin, true, Once(right));
+        worker.push_batch([VertexPtr(v), VertexPtr(w)]);
+        return;
+    }
+    // One increment (Figure 5); the two children share the fresh pair.
+    let vid = u.key();
+    let (i1, i2, pair) = u.increment(cfg, vid, solo);
+    u.increments += 1;
+    let fin = u.fin;
+    let Some(_room) = room else {
+        // Past the stack bound: two vertices, and `u` dies here,
+        // unsignalled. One publication for the pair: one sleeper probe.
+        let v = Vertex::slab().emplace(MaybeUninit::new(i1), pair, fin, true, Once(left));
+        let w = Vertex::slab().emplace(MaybeUninit::new(i2), pair, fin, false, Once(right));
+        u.dead = true;
+        worker.push_batch([VertexPtr(v), VertexPtr(w)]);
+        return;
+    };
+    // A thief may take the left child; the right one becomes `u`.
+    let v = Vertex::slab().emplace(MaybeUninit::new(i1), pair, fin, true, Once(left));
+    worker.push(VertexPtr(v));
+    u.inc = MaybeUninit::new(i2);
+    u.dec = pair;
+    u.is_left = false;
+    in_place::run_child(u, worker, cfg, right);
 }
 
 /// Exclusive ownership of a scheduled vertex for the duration of its
@@ -698,8 +740,9 @@ mod tests {
     #[test]
     fn spawns_in_one_vertex_take_distinct_placement_keys() {
         // Every spawn of a right spine runs in the root's vertex, at W = 2
-        // as at W = 1; a hashed family must still see a different key for
-        // each, or all of them would arrive on one leaf.
+        // as at W = 1. At W = 2 each makes an increment, and a hashed
+        // family must see a different key for each, or all of them would
+        // arrive on one leaf. At W = 1 none makes one, and none takes a key.
         fn spine(ctx: Ctx<'_, FixedDepth>, n: u32, seen: Arc<std::sync::Mutex<Vec<(usize, u64)>>>) {
             let v = ctx.vertex_ref();
             seen.lock().unwrap().push((v as *const _ as usize, v.key()));
@@ -715,10 +758,10 @@ mod tests {
             });
             let seen = seen.lock().unwrap();
             assert!(seen.iter().all(|&(v, _)| v == seen[0].0), "W={workers}: one vertex");
-            let mut keys: Vec<u64> = seen.iter().map(|&(_, k)| k).collect();
-            keys.sort_unstable();
-            keys.dedup();
-            assert_eq!(keys.len(), 9, "W={workers}: a key per spawn, salted: {keys:?}");
+            let keys: Vec<u64> = seen.iter().map(|&(_, k)| k).collect();
+            let salts = if workers == 1 { [0; 9] } else { std::array::from_fn(|i| i as u64) };
+            let expected = salts.map(|s| seen[0].1 + s);
+            assert_eq!(keys, expected, "W={workers}: a key per increment, salted");
         }
     }
 

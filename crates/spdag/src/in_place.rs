@@ -2,25 +2,29 @@
 //! vertex, on its parent's stack.
 //!
 //! The in-counter prices a spawn as one increment and a claimed decrement
-//! per child; nothing in that accounting needs each child to be a heap
-//! vertex that travels through the deque. So a spawn builds a vertex only
-//! for a child another worker could take:
+//! per child. That price buys a count that children running *concurrently*
+//! can share; nothing in it needs each child to be a heap vertex that
+//! travels through the deque. So a spawn builds a vertex only for a child
+//! another worker could take, and counts only children that may overlap:
 //!
-//! * **W ≥ 2.** The left child is built and pushed, as before. The right
-//!   child — the one the worker's LIFO pop would have run next — runs at
-//!   once, inside the spawning vertex: that vertex's `inc`, `dec` and
-//!   `is_left` become the right child's, and its end is signalled by the
-//!   executor's epilogue, exactly as if it had been popped.
+//! * **W ≥ 2.** The spawn makes its increment. The left child is built and
+//!   pushed. The right child — the one the worker's LIFO pop would have run
+//!   next — runs at once, inside the spawning vertex: that vertex's `inc`,
+//!   `dec` and `is_left` become the right child's, and its end is signalled
+//!   by the executor's epilogue, exactly as if it had been popped.
 //! * **W = 1** ([`sched::WorkerCtx::is_solo`]). No thief exists to take
-//!   either child, so both run in place: the right child, then its end is
-//!   signalled here, then the left child, whose end the epilogue signals.
-//!   If the right child unwinds, a guard ([`PendingLeft`]) builds and
-//!   pushes the left child as the vertex it would have been, so the scope
-//!   still drains.
+//!   either child, so both run in place, the right one first, and nothing
+//!   is counted ([`run_serially`]): no increment, no pair, no decrement.
+//!   The vertex's own handles stand for everything that still runs in it,
+//!   so its one epilogue signal covers both children. While a left child
+//!   waits (`Vertex::pending`), a child that hands the vertex's place on —
+//!   a `chain`, a `touch`, a spawn past the stack bound — splits it
+//!   instead, by one increment per vertex it builds (`Vertex::hand_off`),
+//!   and the vertex lives on for the left child. If the right child unwinds, a guard ([`PendingLeft`])
+//!   splits the vertex the same way and pushes the left child as a vertex
+//!   of its own, so the scope still drains.
 //!
-//! Either way the increment, both claims of the pair and both decrements
-//! happen as they did for two vertices; only where the children run
-//! changed. Each child run in place counts as an executed task
+//! Each child run in place counts as an executed task
 //! ([`sched::WorkerCtx::note_run_in_place`]) and as `spdag.spawn_inline`,
 //! so the ledger reads *vertices born + children run in place = tasks −
 //! resumes*.
@@ -40,7 +44,6 @@ use incounter::CounterFamily;
 use sched::WorkerCtx;
 
 use crate::dag::Ctx;
-use crate::pair::PairRef;
 use crate::vertex::{Once, Vertex, VertexPtr};
 
 /// How much stack the children a thread runs in place may take, measured
@@ -94,26 +97,20 @@ impl Drop for StackRoom {
     }
 }
 
-/// Run one child of a spawn in place: `u` takes the child's handles and
-/// position, then the child's body runs with `u` as its vertex. The child's
-/// end is whatever `u` holds when the body returns — its own handles, or
-/// those of the last child it ran in place itself — unless the body ended
-/// `u` (`dead`: a `chain`, a `touch`, a spawn past the bound).
+/// Run one child of a spawn in place: its body runs with `u` as its
+/// vertex, in whatever position `u` holds. The child's end is whatever `u`
+/// holds when the body returns, unless the body ended `u` (`dead`).
 #[inline(always)]
 pub(crate) fn run_child<C, F>(
     u: &mut Vertex<C>,
     worker: &WorkerCtx<'_, VertexPtr<C>>,
     cfg: &C::Config,
-    (inc, pair, is_left): (C::Inc, PairRef<C::Dec>, bool),
     body: F,
 ) where
     C: CounterFamily,
     F: for<'b> FnOnce(Ctx<'b, C>),
 {
     debug_assert!(!u.dead, "a child runs in place in a vertex that ended");
-    u.inc = MaybeUninit::new(inc);
-    u.dec = pair;
-    u.is_left = is_left;
     worker.note_run_in_place();
     obs::counter!("spdag.spawn_inline").inc();
     // The failpoint stands in for a user body that panics, and this is one
@@ -124,71 +121,67 @@ pub(crate) fn run_child<C, F>(
     body(Ctx { vertex: u, worker, cfg, resumable: false });
 }
 
-/// Signal the end of the child that last ran in place in `u` of a
-/// one-worker run — `dag::execute_vertex`'s epilogue, on its exclusive
-/// path — so that `u` can take its sibling. A child that ended `u` handed
-/// its obligation on, and only the flag is reset.
+/// A one-worker spawn within the stack bound: run `right`, then `left`, in
+/// `u`, with no increment (module docs). The left child waits in a
+/// [`PendingLeft`] meanwhile, and runs as a tail call: `pending` is back
+/// where the spawn found it.
 #[inline(always)]
-pub(crate) fn end_child_solo<C: CounterFamily>(
+pub(crate) fn run_serially<'w, C, L, R>(
     u: &mut Vertex<C>,
-    worker: &WorkerCtx<'_, VertexPtr<C>>,
-) {
-    if u.dead {
-        u.dead = false;
-        return;
-    }
-    // SAFETY: the child neither spawned past the bound, chained nor
-    // touched (`dead` is clear), so its one claim on the pair `u` holds is
-    // unspent, and the run has one worker: the pair's other claim and every
-    // step on `fin`'s counter are this thread's (`crate::vertex`, "One
-    // worker, no lock prefix"). `fin` is alive: it waits for this child.
-    let ready = unsafe {
-        let d = u.dec.claim(true);
-        C::decrement_exclusive((*u.fin).counter_ref(), d)
-    };
-    if ready {
-        worker.push(VertexPtr(u.fin as *mut Vertex<C>));
-    }
+    worker: &'w WorkerCtx<'w, VertexPtr<C>>,
+    cfg: &'w C::Config,
+    left: L,
+    right: R,
+) where
+    C: CounterFamily,
+    L: for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
+    R: for<'b> FnOnce(Ctx<'b, C>),
+{
+    // The guard and both children reach `u` through this one pointer, so
+    // no `&mut` the guard could alias lives across an unwind.
+    let u: *mut Vertex<C> = u;
+    // SAFETY: `u` is the running vertex, exclusively ours; each child's
+    // borrow ends before the guard or the next child touches it.
+    unsafe { (*u).pending += 1 };
+    let left = PendingLeft { body: ManuallyDrop::new(left), u, cfg, worker };
+    // SAFETY: as above.
+    run_child(unsafe { &mut *u }, worker, cfg, right);
+    let left = left.take();
+    // SAFETY: as above.
+    run_child(unsafe { &mut *u }, worker, cfg, left);
 }
 
-/// A one-worker spawn's left child while its right sibling runs in place.
-/// Taken ([`take`](PendingLeft::take)), it runs in place in turn; dropped
-/// — the right child unwound — it is built into the vertex it would have
-/// been at W ≥ 2 and pushed, so its scope still drains.
-pub(crate) struct PendingLeft<'w, C, F>
+/// A one-worker spawn's left child while its right sibling runs in place,
+/// counted in its vertex's `pending`. Taken ([`take`](PendingLeft::take)),
+/// it runs in place in turn; dropped — the right child unwound — it splits
+/// the vertex as a handoff does and is built into a vertex and pushed, so
+/// its scope still drains.
+struct PendingLeft<'w, C, F>
 where
     C: CounterFamily,
     F: for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
 {
     body: ManuallyDrop<F>,
-    inc: C::Inc,
-    pair: PairRef<C::Dec>,
-    fin: *const Vertex<C>,
+    u: *mut Vertex<C>,
+    cfg: &'w C::Config,
     worker: &'w WorkerCtx<'w, VertexPtr<C>>,
 }
 
-impl<'w, C, F> PendingLeft<'w, C, F>
+impl<C, F> PendingLeft<'_, C, F>
 where
     C: CounterFamily,
     F: for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
 {
-    #[inline(always)]
-    pub(crate) fn new(
-        body: F,
-        (inc, pair): (C::Inc, PairRef<C::Dec>),
-        fin: *const Vertex<C>,
-        worker: &'w WorkerCtx<'w, VertexPtr<C>>,
-    ) -> Self {
-        PendingLeft { body: ManuallyDrop::new(body), inc, pair, fin, worker }
-    }
-
     /// The body, to run in place; the guard is spent.
     #[inline(always)]
-    pub(crate) fn take(self) -> F {
+    fn take(self) -> F {
         let mut this = ManuallyDrop::new(self);
-        // SAFETY: read once; `this` is never dropped, so nothing reads it
-        // again.
-        unsafe { ManuallyDrop::take(&mut this.body) }
+        // SAFETY: the right child returned, so no borrow of `u` is live;
+        // the body is read once — `this` is never dropped.
+        unsafe {
+            (*this.u).pending -= 1;
+            ManuallyDrop::take(&mut this.body)
+        }
     }
 }
 
@@ -199,15 +192,15 @@ where
 {
     fn drop(&mut self) {
         // SAFETY: the guard was not taken (that forgets it), so the body is
-        // still here, and this is its one read.
-        let body = unsafe { ManuallyDrop::take(&mut self.body) };
-        let v = Vertex::slab().emplace(
-            MaybeUninit::new(self.inc),
-            self.pair,
-            self.fin,
-            true,
-            Once(body),
-        );
+        // still here, and this is its one read. The right child unwound, so
+        // its borrow of `u` is gone, and `u` is still alive: the unwind
+        // ends in its executor's `catch_unwind`, and nothing ended `u`
+        // while `pending` was raised.
+        let (body, u) = unsafe { (ManuallyDrop::take(&mut self.body), &mut *self.u) };
+        u.pending -= 1;
+        let fin = u.fin;
+        let (inc, pair) = u.fork_rotate(self.cfg, true);
+        let v = Vertex::slab().emplace(MaybeUninit::new(inc), pair, fin, true, Once(body));
         self.worker.push(VertexPtr(v));
     }
 }

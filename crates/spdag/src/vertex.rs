@@ -14,8 +14,10 @@
 //! * the `is_left` bit (which of its parent's two children this vertex
 //!   is), used by the in-counter to spread sibling traffic onto disjoint
 //!   SNZI nodes (Figure 5, line 22);
-//! * the `dead` flag, set when the vertex ends by spawning or chaining
+//! * the `dead` flag, set when the vertex ends by handing its place on
 //!   instead of signalling;
+//! * `pending`, the one-worker spawns whose left child still waits to run
+//!   in the vertex (`crate::in_place`);
 //! * the body frame, taken by the executing worker (and put back only by
 //!   a strand that parks).
 //!
@@ -30,12 +32,20 @@
 //! > finish scope, and that scope's counter has never been stepped** (it
 //! > does not exist yet: the finish vertex's pointer is null).
 //!
-//! Scopes open with one strand — `run_dag`'s root, `chain`'s `first`, a
-//! future's body — born with `dec = none`. `chain`, `touch` and a park
-//! replace a strand one for one and hand `dec` on unchanged. Only
-//! [`Ctx::spawn`] and `Vertex::fork_rotate` add a strand; both go
-//! through `Vertex::increment`, which leaves every strand it touches
-//! with a real pair. Three consequences:
+//! A strand is a place in the scope, and **the handle a vertex holds covers
+//! its serial remainder**: everything that still runs in the vertex. In a
+//! one-worker run that includes the children of its spawns, which run in
+//! it one after the other (`crate::in_place`), so such a spawn adds no
+//! strand. Scopes open with one strand — `run_dag`'s root, `chain`'s
+//! `first`, a future's body — born with `dec = none`. `chain`, `touch` and
+//! a park replace a strand one for one and hand `dec` on unchanged — except
+//! while a left child waits to run in the vertex (`pending`): then a
+//! `chain` or `touch` splits the strand instead
+//! (`Vertex::hand_off`), because the vertex stays a strand for
+//! that child. Only [`Ctx::spawn`] (with two or more workers, or past the
+//! stack bound) and `Vertex::fork_rotate` (forks, futures, splitting
+//! handoffs) add a strand; both go through `Vertex::increment`, which
+//! leaves every strand it touches with a real pair. Three consequences:
 //!
 //! 1. **A sole strand's signal readies `fin` outright** — no claim, no
 //!    decrement, no counter (`dag::execute_vertex`). The scope's counter is
@@ -66,13 +76,16 @@
 //! that ends it or forks from it), and then each takes its exclusive twin,
 //! the same step committed by a load and a store:
 //! `CounterFamily::{increment,decrement}_exclusive` in
-//! `Vertex::increment` (so `spawn`, `fork` and the future constructors) and
-//! in the signal epilogue (`dag::execute_vertex`'s, and
-//! `in_place::end_child_solo`'s for a right child run in place),
-//! `DecPair::claim_last_exclusive` in `PairRef::claim`, and a plain
-//! decrement of `owed` in `futures::resolve_dependent` (the `touch`
-//! bounce, the completion sweep, `commit_park`). Why nothing else can
-//! reach them meanwhile:
+//! `Vertex::increment` (so a spawn past the stack bound, `fork`, the future
+//! constructors and a splitting handoff) and in `dag::execute_vertex`'s
+//! signal epilogue, `DecPair::claim_last_exclusive` in `PairRef::claim`,
+//! and a plain decrement of `owed` in `futures::resolve_dependent` (the
+//! `touch` bounce, the completion sweep, `commit_park`). A spawn within
+//! the stack bound takes no step at all: its children cannot overlap, so
+//! the vertex's held handle covers them as part of its serial remainder,
+//! and the one signal of its epilogue ends both; while the left child
+//! waits (`pending > 0`) a handoff splits the vertex rather than moving
+//! its handle. Why nothing else can reach them meanwhile:
 //!
 //! * all of them — a scope's counter, the SNZI nodes its handles point
 //!   into, a pair, a waiting vertex's `owed` — are reached only through
@@ -99,10 +112,11 @@
 //! from creation to its single execution. A `spawn` makes one only for a
 //! child another worker could take — its left child, with two or more
 //! workers — and none in a one-worker run: a child no thief can take runs
-//! in its parent's vertex instead, which takes the child's `inc`, `dec`
-//! and `is_left` (`crate::in_place`; both past a fixed stack bound). They
-//! are carved from
-//! the scheduler's size-class slab pools instead of `Box`:
+//! in its parent's vertex instead (`crate::in_place`; both become vertices
+//! past a fixed stack bound). At W ≥ 2 that vertex takes the right child's
+//! `inc`, `dec` and `is_left`; at W = 1 its own handles cover both
+//! children. They are carved from the scheduler's size-class slab pools
+//! instead of `Box`:
 //! `Vertex::slab` takes a slab of the class its layout fits
 //! ([`sched::recycle::alloc_uninit`]), `VertexSlab::emplace` builds the
 //! vertex in it (below), and `Vertex::retire` runs drop glue
@@ -116,8 +130,9 @@
 //! saved state) is stored *inside* the vertex, larger state in a slab of
 //! the same ladder.
 //!
-//! **The vertex fits the 128 B class** — 120 B for every counter family,
-//! on both `stats` legs (a unit test here holds it) — because the scope's
+//! **The vertex fits the 128 B class** — at most 128 B for every counter
+//! family, on both `stats` legs (a unit test here holds it; `pending`, the
+//! last field, took the dynamic family's last 8 B) — because the scope's
 //! counter is not in it. An `Option<SnziTree>` in the vertex was 64 B that
 //! every vertex carried and, by the invariant above, all but one vertex of
 //! a future-heavy run left `None`: it put the vertex at 176 B, in the
@@ -133,7 +148,7 @@
 //! The third object of
 //! a spawn, the shared `DecPair`, is a slab of the same ladder that owns
 //! itself: `dec` is a plain copyable pointer (`pair::PairRef`), and the
-//! second of the pair's two claims frees it — a spawn pays one pair
+//! second of the pair's two claims frees it — an increment pays one pair
 //! allocation and no reference counting. A vertex therefore has no drop
 //! obligation towards its pair: it either claims it (signal, spawn, fork)
 //! or hands the pointer on (`chain`, `touch`).
@@ -528,8 +543,9 @@ pub struct Vertex<C: CounterFamily> {
     /// The finish vertex this vertex signals; null only for the final
     /// vertex of the whole dag.
     pub(crate) fin: *const Vertex<C>,
-    /// Number of increments made from this vertex — its body's forks and
-    /// futures, and the spawns of every child that ran in it
+    /// Number of increments made from this vertex — the forks, futures and
+    /// splitting handoffs of its body and of every child that ran in it,
+    /// and those children's spawns with two or more workers
     /// (`crate::in_place`). Salts the placement key
     /// ([`key`](Vertex::key)), so that successive increments from one
     /// vertex hash to different leaves.
@@ -540,7 +556,9 @@ pub struct Vertex<C: CounterFamily> {
     pub(crate) owed: AtomicU32,
     /// Left/right position under the parent (spreads in-counter traffic).
     pub(crate) is_left: bool,
-    /// Set when the vertex terminates by spawning/chaining (no signal).
+    /// Set when the vertex ends by handing its place on (a spawn past the
+    /// stack bound, a chain, a touch) instead of signalling; never while
+    /// `pending` is nonzero (`hand_off`).
     pub(crate) dead: bool,
     /// The body is the runtime's own, not a user's: a future's
     /// seal-and-sweep, the final vertex's nothing. Keeps the
@@ -564,6 +582,12 @@ pub struct Vertex<C: CounterFamily> {
     /// what keeps the vertex inside the 128 B class (module docs). In a
     /// cell because that strand writes it through its `fin` pointer.
     counter: UnsafeCell<*mut C::Counter>,
+    /// One-worker spawns whose left child still waits to run in this
+    /// vertex (`crate::in_place`): raised before the right child runs,
+    /// lowered before the left one does. While it is nonzero a handoff
+    /// splits ([`hand_off`](Vertex::hand_off)). Last, so that it moves no
+    /// other field.
+    pub(crate) pending: u32,
 }
 
 impl<C: CounterFamily> Drop for Vertex<C> {
@@ -750,12 +774,35 @@ impl<C: CounterFamily> Vertex<C> {
         (i1, pair)
     }
 
+    /// Hand this vertex's place in its scope to the vertex about to be built
+    /// in its stead — a `chain`'s continuation, a `touch`'s waiting vertex —
+    /// and return the handles and side to build it with. Normally the new
+    /// vertex takes them all and this one ends (`dead`). While a one-worker
+    /// spawn's left child still waits to run here (`pending`), this vertex
+    /// must stay a strand for it: it splits instead, by one increment
+    /// ([`fork_rotate`](Vertex::fork_rotate)), and the new vertex takes the
+    /// fresh left handle.
+    #[inline(always)]
+    pub(crate) fn hand_off(
+        &mut self,
+        cfg: &C::Config,
+    ) -> (MaybeUninit<C::Inc>, PairRef<C::Dec>, bool) {
+        if self.pending > 0 {
+            // Only a one-worker spawn raises it.
+            let (inc, pair) = self.fork_rotate(cfg, true);
+            (MaybeUninit::new(inc), pair, true)
+        } else {
+            self.dead = true;
+            (self.inc, self.dec, self.is_left)
+        }
+    }
+
     /// The placement key of the next increment made from this vertex, for
     /// hashed families: its address — unique among live vertices and free
     /// to compute — salted with the increments made from it before. The
     /// caller counts the increment it makes in `increments`, so forks of
-    /// one body, and the spawns of children that run in this vertex one
-    /// after another, land on different leaves.
+    /// one body, and the increments of children that run in this vertex
+    /// one after another, land on different leaves.
     #[inline(always)]
     pub(crate) fn key(&self) -> u64 {
         (self as *const Vertex<C> as u64).wrapping_add(self.increments)
@@ -824,6 +871,7 @@ impl<C: CounterFamily> VertexSlab<C> {
             addr_of_mut!((*v).runtime_body).write(false);
             addr_of_mut!((*v).park_pending).write(false);
             addr_of_mut!((*v).counter).write(UnsafeCell::new(std::ptr::null_mut()));
+            addr_of_mut!((*v).pending).write(0);
         }
         if self.reused {
             obs::counter!("sched.vertex_reuse").inc();
@@ -882,14 +930,14 @@ mod tests {
     /// (a `touch` continuation's one delivery and a resumed strand's two
     /// have been made), no counter of its own, and a user's body.
     fn started<C: CounterFamily>(v: &Vertex<C>, what: &str) {
-        assert_eq!(v.increments, 0, "{what}: increments");
+        assert_eq!((v.increments, v.pending), (0, 0), "{what}: increments, pending");
         started_in_place(v, what);
     }
 
     /// As `started`, but for a spawn's child, which may run in its parent's
-    /// vertex (`crate::in_place`): the spawn's increment was made from it.
+    /// vertex (`crate::in_place`); its caller checks `increments`, `pending`
+    /// and `is_left`, which are what the spawn left.
     fn started_in_place<C: CounterFamily>(v: &Vertex<C>, what: &str) {
-        assert!(v.increments <= 1, "{what}: increments");
         assert_eq!(byte(&v.dead), 0, "{what}: dead");
         assert_eq!(byte(&v.runtime_body), 0, "{what}: runtime_body");
         assert_eq!(byte(&v.park_pending), 0, "{what}: park_pending");
@@ -908,7 +956,7 @@ mod tests {
         assert_ne!(word(&w.body.thunks), 0, "{what}: a body");
         assert_ne!(word(&w.body.thunks), SCRIBBLED, "{what}: thunks");
         assert_eq!(byte(&w.runtime_body), runtime_body as u8, "{what}: runtime_body");
-        assert_eq!(w.increments, 0, "{what}: increments");
+        assert_eq!((w.increments, w.pending), (0, 0), "{what}: increments, pending");
         assert_eq!(byte(&w.dead), 0, "{what}: dead");
         assert_eq!(byte(&w.park_pending), 0, "{what}: park_pending");
         assert!(byte(&w.is_left) <= 1, "{what}: is_left");
@@ -988,7 +1036,7 @@ mod tests {
             assert_eq!(word(&r.dec), word(&dec), "{what}: dec");
             assert_eq!(r.fin, fin, "{what}: fin");
             assert_eq!(byte(&r.is_left), is_left as u8, "{what}: is_left");
-            assert_eq!(r.increments, 0, "{what}: increments");
+            assert_eq!((r.increments, r.pending), (0, 0), "{what}: increments, pending");
             assert_eq!(r.owed.load(Ordering::Relaxed), 0, "{what}: owed");
             assert_eq!(byte(&r.dead), 0, "{what}: dead");
             assert_eq!(byte(&r.runtime_body), 0, "{what}: runtime_body");
@@ -1033,15 +1081,23 @@ mod tests {
             started(c.vertex_ref(), "a forked child");
             assert!(!c.vertex_ref().dec.is_none(), "a forked child holds a pair");
             let (a, b) = (Arc::clone(&o), o);
+            // `(increments, pending, is_left)` as each child finds them. At
+            // W = 1 both run in the forked child's vertex with nothing
+            // counted, so they keep its side (left) and no increment, and
+            // the right one runs while the left one waits. At W = 2 the left
+            // child is a vertex of its own, and the right one runs in place
+            // after the spawn's increment, on its right-hand handles.
+            let right = if c.num_workers() == 1 { (0, 1, 1) } else { (1, 0, 0) };
+            let fields = |v: &Vertex<DynSnzi>| (v.increments, v.pending, byte(&v.is_left));
             c.spawn(
                 move |c| {
                     started_in_place(c.vertex_ref(), "a spawn's left child");
-                    assert_eq!(byte(&c.vertex_ref().is_left), 1);
+                    assert_eq!(fields(c.vertex_ref()), (0, 0, 1), "a spawn's left child");
                     a.fetch_add(1, Ordering::SeqCst);
                 },
                 move |c| {
                     started_in_place(c.vertex_ref(), "a spawn's right child");
-                    assert_eq!(byte(&c.vertex_ref().is_left), 0);
+                    assert_eq!(fields(c.vertex_ref()), right, "a spawn's right child");
                     b.fetch_add(2, Ordering::SeqCst);
                 },
             );

@@ -14,8 +14,9 @@
 //!    rather than hanging;
 //! 4. the conservation identities — vertices, decrement pairs
 //!    (`pairs_born == pairs_freed`, both equal to the program's
-//!    increments: a pair exists only where a scope forked, and a panic
-//!    removes none), PoolArcs, out-set blocks and adds — close at
+//!    increments: a pair exists only where a scope forked, a panic
+//!    removes none, and at W = 1 an unwinding right child adds one per
+//!    left sibling it leaves waiting), PoolArcs, out-set blocks and adds — close at
 //!    quiescence even across a poisoned run (checked when telemetry is
 //!    compiled in).
 //!
@@ -71,16 +72,27 @@ impl Prog {
         }
     }
 
-    /// In-counter increments the program performs, panic or no panic (the
-    /// dag drains structurally): one per spawn, fork and future. A chain
-    /// makes none, and a cut-down victim is a leaf or a future's body.
-    fn increments(&self) -> u64 {
+    /// In-counter increments the program performs (the dag drains
+    /// structurally, so a cut-down victim — a leaf or a future's body —
+    /// removes none): one per fork and future, and one per spawn with two
+    /// or more workers. In a one-worker run (`solo`) a spawn makes none:
+    /// its children run one after the other in its vertex, the right one
+    /// while the left one waits (`pending`), and a touch or a chain made
+    /// meanwhile splits that vertex by one increment. So does a right child
+    /// that unwinds (`panics_here`): its waiting sibling becomes a vertex of
+    /// its own, and runs with nothing pending.
+    fn increments(&self, solo: bool, pending: bool, victim: Option<usize>) -> u64 {
+        let inc = |p: &Prog, pending| p.increments(solo, pending, victim);
         match self {
             Prog::Leaf(_) => 0,
-            Prog::Touch(_) => 1,
+            Prog::Touch(_) => 1 + u64::from(pending),
             Prog::TouchAwait(_) => 2,
-            Prog::Chain(a, b) => a.increments() + b.increments(),
-            Prog::Spawn(a, b) | Prog::Fork(a, b) => 1 + a.increments() + b.increments(),
+            Prog::Chain(a, b) => u64::from(pending) + inc(a, false) + inc(b, false),
+            Prog::Fork(a, b) => 1 + inc(a, false) + inc(b, pending),
+            Prog::Spawn(a, b) => {
+                let unwinds = solo && b.panics_here(victim);
+                u64::from(!solo || unwinds) + inc(a, pending && !unwinds) + inc(b, solo)
+            }
         }
     }
 
@@ -88,15 +100,34 @@ impl Prog {
     /// Returns whether the scope `self` runs in is stepped by it, and the
     /// counters of the scopes nested inside (each `chain` opens one around
     /// its first side; a future's body here is a leaf and never forks).
-    fn counters(&self) -> (bool, u64) {
+    /// The arguments are [`increments`](Prog::increments)'.
+    fn counters(&self, solo: bool, pending: bool, victim: Option<usize>) -> (bool, u64) {
+        let cnt = |p: &Prog, pending| p.counters(solo, pending, victim);
         match self {
             Prog::Leaf(_) => (false, 0),
             Prog::Touch(_) | Prog::TouchAwait(_) => (true, 0),
-            Prog::Spawn(a, b) | Prog::Fork(a, b) => (true, a.counters().1 + b.counters().1),
-            Prog::Chain(a, b) => {
-                let ((inner, na), (outer, nb)) = (a.counters(), b.counters());
-                (outer, na + nb + u64::from(inner))
+            Prog::Fork(a, b) => (true, cnt(a, false).1 + cnt(b, pending).1),
+            Prog::Spawn(a, b) => {
+                let unwinds = solo && b.panics_here(victim);
+                let ((sa, na), (sb, nb)) = (cnt(a, pending && !unwinds), cnt(b, solo));
+                (!solo || unwinds || sa || sb, na + nb)
             }
+            Prog::Chain(a, b) => {
+                let ((inner, na), (outer, nb)) = (cnt(a, false), cnt(b, false));
+                (pending || outer, na + nb + u64::from(inner))
+            }
+        }
+    }
+
+    /// Whether cell `victim` panics in the vertex `self` starts in at
+    /// W = 1: a leaf reached through spawns (whose children run in place)
+    /// and the inline side of forks, not through a chain or a future.
+    fn panics_here(&self, victim: Option<usize>) -> bool {
+        match self {
+            Prog::Leaf(id) => victim == Some(*id),
+            Prog::Spawn(a, b) => a.panics_here(victim) || b.panics_here(victim),
+            Prog::Fork(_, b) => b.panics_here(victim),
+            Prog::Chain(..) | Prog::Touch(_) | Prog::TouchAwait(_) => false,
         }
     }
 
@@ -261,8 +292,9 @@ fn run_case(prog: &Prog, workers: usize, victim: Option<usize>) {
         // holds none, so a leaf dag makes no pair and no counter at all.
         let (born, freed) = (d.counter("sched.pairs_born"), d.counter("sched.pairs_freed"));
         assert_eq!(born, freed, "decrement pairs leaked across a poisoned run");
-        assert_eq!(born, prog.increments(), "one pair per increment: {prog:?}");
-        let (root, nested) = prog.counters();
+        let solo = workers == 1;
+        assert_eq!(born, prog.increments(solo, false, victim), "one pair per increment: {prog:?}");
+        let (root, nested) = prog.counters(solo, false, victim);
         assert_eq!(
             d.counter("snzi.trees_created"),
             u64::from(root) + nested,

@@ -9,8 +9,8 @@
 //!    pair born was freed by its last claim (`pairs_born ==
 //!    pairs_freed`), one pair per increment and one in-counter per scope
 //!    that forked. A violation is a leak or a double-free caught by
-//!    arithmetic — or a pair or counter per chain/future/touch/park
-//!    grown back.
+//!    arithmetic — or a pair or counter per chain/future/touch/park, or
+//!    per one-worker spawn, grown back.
 //! 2. **Provenance is the layout** — objects whose layout is off the
 //!    class ladder (too big, aligned past a cache-line pair) take the
 //!    plain allocator and never enter a class pool (`reused == recycled
@@ -82,33 +82,46 @@ impl Prog {
         }
     }
 
-    /// In-counter increments the program performs: one per spawn, scope
-    /// fork and future (an `Await` makes a future and forks a strand); a
-    /// chain, a touch and a park make none.
-    fn increments(&self) -> u64 {
+    /// In-counter increments the program performs, in a one-worker run
+    /// (`solo`) or not: one per scope fork and future (an `Await` makes a
+    /// future and forks a strand), and one per spawn with two or more
+    /// workers. A one-worker spawn makes none: its children run one after
+    /// the other in its vertex, the right one while the left one waits
+    /// (`pending`). Then a chain or a touch splits that vertex by one
+    /// increment; otherwise a chain, a touch and a park make none.
+    fn increments(&self, solo: bool, pending: bool) -> u64 {
         match self {
             Prog::Leaf => 0,
-            Prog::Spawn(a, b) => 1 + a.increments() + b.increments(),
-            Prog::Chain(a, b) => a.increments() + b.increments(),
-            Prog::Fork(k, a) => u64::from(*k) + a.increments(),
-            Prog::Future(a) => 1 + a.increments(),
-            Prog::Await(a) => 2 + a.increments(),
+            Prog::Spawn(a, b) => {
+                u64::from(!solo) + a.increments(solo, pending) + b.increments(solo, solo)
+            }
+            Prog::Chain(a, b) => {
+                u64::from(pending) + a.increments(solo, false) + b.increments(solo, false)
+            }
+            Prog::Fork(k, a) => u64::from(*k) + a.increments(solo, pending),
+            Prog::Future(a) => 1 + u64::from(pending) + a.increments(solo, false),
+            Prog::Await(a) => 2 + a.increments(solo, pending),
         }
     }
 
     /// In-counters the program makes: one per finish scope that forks.
     /// Returns whether the scope `self` runs in is stepped by it, and the
     /// counters of the scopes nested inside (each `chain` opens one around
-    /// its first side; the futures' bodies here never fork).
-    fn counters(&self) -> (bool, u64) {
+    /// its first side; the futures' bodies here never fork). `solo` and
+    /// `pending` as for [`increments`](Prog::increments).
+    fn counters(&self, solo: bool, pending: bool) -> (bool, u64) {
         match self {
             Prog::Leaf => (false, 0),
-            Prog::Spawn(a, b) => (true, a.counters().1 + b.counters().1),
-            Prog::Chain(a, b) => {
-                let ((inner, na), (outer, nb)) = (a.counters(), b.counters());
-                (outer, na + nb + u64::from(inner))
+            Prog::Spawn(a, b) => {
+                let ((sa, na), (sb, nb)) = (a.counters(solo, pending), b.counters(solo, solo));
+                (!solo || sa || sb, na + nb)
             }
-            Prog::Fork(_, a) | Prog::Future(a) | Prog::Await(a) => (true, a.counters().1),
+            Prog::Chain(a, b) => {
+                let ((inner, na), (outer, nb)) = (a.counters(solo, false), b.counters(solo, false));
+                (pending || outer, na + nb + u64::from(inner))
+            }
+            Prog::Fork(_, a) | Prog::Await(a) => (true, a.counters(solo, pending).1),
+            Prog::Future(a) => (true, a.counters(solo, false).1),
         }
     }
 }
@@ -195,8 +208,9 @@ fn run_and_check(workers: usize, prog: &Prog) {
     // and a scope makes its in-counter only if it forks.
     let (born, freed) = (d.counter("sched.pairs_born"), d.counter("sched.pairs_freed"));
     assert_eq!(born, freed, "decrement-pair leak: born {born} != freed {freed}");
-    assert_eq!(born, prog.increments(), "one pair per increment: {prog:?}");
-    let (root, nested) = prog.counters();
+    let solo = workers == 1;
+    assert_eq!(born, prog.increments(solo, false), "one pair per increment: {prog:?}");
+    let (root, nested) = prog.counters(solo, false);
     assert_eq!(
         d.counter("snzi.trees_created"),
         u64::from(root) + nested,
