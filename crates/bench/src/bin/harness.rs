@@ -698,7 +698,7 @@ fn check_contention_bounds(d: &obs::Snapshot, workers: usize) -> bool {
     // W-1 rivals racing the same 32-slot block tail, so expected losses
     // are O(adds * (W-1) / B) plus the O(log cap) growth transient per
     // set. x4 slack absorbs the in-expectation part.
-    const BLOCK_SLOTS: u64 = 32; // outset::growth::BLOCK_SLOTS
+    const BLOCK_SLOTS: u64 = outset::BLOCK_SLOTS as u64;
     const SLACK: u64 = 4;
     let bound = SLACK * (adds * (workers as u64 - 1)).div_ceil(BLOCK_SLOTS)
         + 2 * created * log_cap

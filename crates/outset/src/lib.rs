@@ -66,7 +66,7 @@ pub mod tree;
 
 pub use growth::GrowthPolicy;
 pub use mutex::MutexOutset;
-pub use tree::TreeOutset;
+pub use tree::{TreeOutset, BLOCK_SLOTS};
 
 /// Outcome of registering a dependent edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -167,7 +167,9 @@ pub const OUTSET_PIN_STRIPES: usize = 4;
 /// between per-future footprint (futures with one or two dependents —
 /// pipelines — pay one ~300 B block on their single lane) and allocation
 /// amortization for fan-out-heavy broadcasts (one allocation per 32 adds).
-const BLOCK_SLOTS: usize = 32;
+/// Public so that the contention bounds and block-counting tests outside
+/// the crate read this one value.
+pub const BLOCK_SLOTS: usize = 32;
 
 /// `repr(C)` with `next` first: while a block sits in the recycler its
 /// first word is the slab cache's intrusive link (`sched::slab`), which

@@ -13,8 +13,7 @@ use std::sync::{Mutex, MutexGuard};
 use outset::tree::TreeOutsetObj;
 use outset::{recycle, GrowthPolicy};
 
-/// Slots per block, mirrored from `outset::growth` (not public).
-const BLOCK_SLOTS: u64 = 32;
+const BLOCK_SLOTS: u64 = outset::BLOCK_SLOTS as u64;
 
 static LOCK: Mutex<()> = Mutex::new(());
 

@@ -26,8 +26,7 @@ use outset::{recycle, AddEdge, GrowthPolicy};
 use proptest::prelude::*;
 use snzi::Probability;
 
-/// Slots per block, mirrored from `outset::growth` (not public).
-const BLOCK_SLOTS: u64 = 32;
+const BLOCK_SLOTS: u64 = outset::BLOCK_SLOTS as u64;
 
 static LOCK: Mutex<()> = Mutex::new(());
 

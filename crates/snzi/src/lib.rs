@@ -21,13 +21,16 @@
 //! departures) is implemented in [`node`], and the root protocol (with its
 //! announce bit and version-tagged indicator word) in [`root`].
 //!
-//! Two tree containers are provided:
+//! Three tree containers are provided:
 //!
 //! * [`SnziTree`] — a dynamically growing tree (the paper's Section 2). New
 //!   pairs of children are spliced under a node by [`SnziTree::grow`], which
 //!   flips a `p`-biased coin *before* inspecting the node so that an
 //!   adversarial schedule cannot force more than `1/p` childless returns in
-//!   expectation.
+//!   expectation. It frees its nodes only when it drops.
+//! * [`ShrinkingTree`] — a `SnziTree` whose finished subtrees may be deleted
+//!   in use (Appendix B): every step, prunes included, goes through a
+//!   [`shrink::Pinned`] view that holds an epoch guard.
 //! * [`FixedSnzi`] — a statically allocated complete binary tree of depth
 //!   `d` (2^(d+1) − 1 nodes), the paper's fixed-depth baseline, with callers
 //!   hashed onto leaves.
@@ -84,5 +87,6 @@ pub use coin::{Coin, Probability, ThreadCoin, XorShift64Star};
 pub use fixed::FixedSnzi;
 pub use node::{ChildPair, Node};
 pub use root::Root;
+pub use shrink::ShrinkingTree;
 pub use stats::TreeStats;
 pub use tree::{Handle, SnziTree};

@@ -15,14 +15,19 @@
 //! still *in flight* — a departure that has performed its final decrement
 //! but whose call frames are still returning, or a helper spinning on a
 //! stale read. The C++ implementation leans on quiescence arguments; here
-//! the gap is closed mechanically with [`crossbeam::epoch`]:
+//! the gap is closed mechanically with [`crossbeam::epoch`], and by a type:
 //!
-//! * a tree created with [`SnziTree::shrinkable`] pins an epoch guard for
-//!   the duration of every `arrive`/`depart`/`grow`;
-//! * [`SnziTree::prune_children_deferred`] detaches the subtree with a
+//! * a [`ShrinkingTree`] owns a [`SnziTree`] and reaches it only through
+//!   [`pinned`](ShrinkingTree::pinned), a [`Pinned`] view that holds an
+//!   epoch guard for as long as it lives, so every `arrive`/`depart`/`grow`
+//!   on a tree that may shrink runs pinned;
+//! * [`Pinned::prune_children_deferred`] detaches the subtree with a
 //!   single atomic swap and registers its destruction with the collector,
 //!   which frees the memory only after every guard pinned at (or before)
 //!   the detach has been dropped.
+//!
+//! A plain [`SnziTree`] (Section 2's, the in-counters' tree) never deletes
+//! a node before it drops: its steps take no guard, and it cannot prune.
 //!
 //! A detached-but-not-yet-freed subtree remains perfectly functional for
 //! stragglers: parent pointers still lead out of it into the live tree, so
@@ -30,33 +35,87 @@
 //! detaching only removes the path *in*, which is exactly what the
 //! Appendix B preconditions already guarantee nobody needs.
 
+use std::ops::Deref;
+use std::sync::atomic::Ordering;
+
+use crossbeam::epoch::{self, Guard};
+
+use crate::coin::Probability;
 use crate::tree::{free_subtrees, Handle, SnziTree};
 
-impl SnziTree {
+/// A [`SnziTree`] whose subtrees may be deleted while it is in use
+/// (Appendix B). Its only way to the tree is [`pinned`](Self::pinned).
+pub struct ShrinkingTree {
+    tree: SnziTree,
+}
+
+impl ShrinkingTree {
+    /// As [`SnziTree::new`].
+    pub fn new(initial: u64) -> ShrinkingTree {
+        ShrinkingTree { tree: SnziTree::new(initial) }
+    }
+
+    /// As [`SnziTree::with_probability`].
+    pub fn with_probability(initial: u64, p: Probability) -> ShrinkingTree {
+        ShrinkingTree { tree: SnziTree::with_probability(initial, p) }
+    }
+
+    /// Pin the current thread in the default epoch domain and view the
+    /// tree through the guard: a subtree detached while the view lives is
+    /// freed only after it drops.
+    pub fn pinned(&self) -> Pinned<'_> {
+        Pinned { tree: &self.tree, guard: epoch::pin() }
+    }
+}
+
+/// The tree of a [`ShrinkingTree`] under an epoch guard. It dereferences
+/// to the [`SnziTree`], and the borrow it hands out cannot outlive it.
+pub struct Pinned<'t> {
+    tree: &'t SnziTree,
+    guard: Guard<'static>,
+}
+
+impl Deref for Pinned<'_> {
+    type Target = SnziTree;
+    fn deref(&self) -> &SnziTree {
+        self.tree
+    }
+}
+
+impl Pinned<'_> {
+    /// Detach and free the entire subtree **below** `h` (excluding `h`
+    /// itself), following the paper's Appendix B safety property: once the
+    /// dag vertex owning the increment handle to `h` has finished, no live
+    /// handle points into `h`'s subtree, so it may be deleted.
+    ///
+    /// Returns the number of nodes freed.
+    ///
+    /// # Safety
+    /// `h` must have been produced by this tree and — this is the
+    /// Appendix B obligation — no other thread may concurrently access any
+    /// node strictly below `h`, now or later.
+    pub unsafe fn prune_children(&self, h: Handle) -> u64 {
+        // SAFETY: `h` belongs to this tree, and access below it is
+        // exclusive, per the caller contract.
+        unsafe { free_subtrees(self.detach_children(h)) }
+    }
+
     /// Detach and *defer-free* the subtree strictly below `h`.
     ///
     /// Returns `true` if there was a subtree to detach. The memory is
-    /// handed to the epoch collector and released once all operations
-    /// that might still be inside the subtree have completed; the tree
-    /// must have been created [`shrinkable`](SnziTree::shrinkable), so
-    /// that all operations participate in the epoch protocol.
+    /// handed to the epoch collector and released once this view and all
+    /// operations that might still be inside the subtree have dropped
+    /// their guards.
     ///
     /// # Safety
-    ///
     /// `h` must belong to this tree, and the Appendix B precondition must
     /// hold: no operation will **start** at a node strictly below `h`
     /// after this call (Lemma B.1 or Theorem B.3 provide this in the
     /// sp-dag discipline). In-flight operations are tolerated — that is
     /// the point of the epochs.
     pub unsafe fn prune_children_deferred(&self, h: Handle) -> bool {
-        assert!(
-            self.shrinkable,
-            "prune_children_deferred requires a tree built with .shrinkable()"
-        );
         // SAFETY: `h` belongs to this tree per the caller contract.
-        let slot = unsafe { self.children_slot(h) };
-        let guard = crossbeam::epoch::pin();
-        let first = slot.swap(std::ptr::null_mut(), std::sync::atomic::Ordering::AcqRel);
+        let first = unsafe { self.detach_children(h) };
         if first.is_null() {
             return false;
         }
@@ -71,27 +130,24 @@ impl SnziTree {
             // SAFETY: alive under the guard; topology below is frozen.
             let pair = unsafe { &*p };
             for child in [&pair.left, &pair.right] {
-                let c = child.children.load(std::sync::atomic::Ordering::Acquire);
+                let c = child.children.load(Ordering::Acquire);
                 if !c.is_null() {
                     stack.push(c);
                 }
             }
         }
-        self.stats_ref().pruned_pairs.fetch_add(pairs, std::sync::atomic::Ordering::Relaxed);
+        self.stats_ref().pruned_pairs.fetch_add(pairs, Ordering::Relaxed);
         obs::counter!("snzi.pruned_pairs").add(pairs);
-        let first_addr = first as usize;
         // SAFETY (defer_unchecked): the closure runs once, after every
         // guard pinned at detach time has unpinned; by the caller's
         // Appendix-B obligation no new operation can enter the subtree,
         // so at that point access is exclusive and `free_subtrees` frees
-        // it safely. The pointer is smuggled as usize purely to make the
-        // closure Send.
+        // it safely.
         unsafe {
-            guard.defer_unchecked(move || {
-                let _ = free_subtrees(first_addr as *mut crate::node::ChildPair);
+            self.guard.defer_unchecked(move || {
+                free_subtrees(first);
             });
         }
-        guard.flush();
         true
     }
 }
@@ -99,61 +155,49 @@ impl SnziTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coin::Probability;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64};
     use std::sync::Arc;
 
     #[test]
-    fn prune_requires_shrinkable() {
-        let t = SnziTree::new(0);
-        let r = t.root_handle();
-        let _ = unsafe { t.grow_always(r) };
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
-            t.prune_children_deferred(r)
-        }));
-        assert!(result.is_err(), "must reject non-shrinkable trees");
-    }
-
-    #[test]
     fn sequential_prune_and_regrow() {
-        let t = SnziTree::new(0).shrinkable();
-        let r = t.root_handle();
-        let (l, _) = unsafe { t.grow_always(r) };
-        let (ll, _) = unsafe { t.grow_always(l) };
-        let _ = unsafe { t.grow_always(ll) };
-        assert_eq!(t.stats_ref().snapshot().node_count(), 7);
+        let t = ShrinkingTree::new(0);
+        let r = t.pinned().root_handle();
+        let (l, _) = unsafe { t.pinned().grow_always(r) };
+        let (ll, _) = unsafe { t.pinned().grow_always(l) };
+        let _ = unsafe { t.pinned().grow_always(ll) };
+        assert_eq!(t.pinned().stats_ref().snapshot().node_count(), 7);
         // Drain any surplus? none was added. Prune below l.
-        assert!(unsafe { t.prune_children_deferred(l) });
-        assert_eq!(t.stats_ref().snapshot().pruned_pairs, 2);
-        assert_eq!(t.stats_ref().snapshot().node_count(), 3);
-        assert!(!unsafe { t.prune_children_deferred(l) }, "already detached");
+        assert!(unsafe { t.pinned().prune_children_deferred(l) });
+        assert_eq!(t.pinned().stats_ref().snapshot().pruned_pairs, 2);
+        assert_eq!(t.pinned().stats_ref().snapshot().node_count(), 3);
+        assert!(!unsafe { t.pinned().prune_children_deferred(l) }, "already detached");
         // The tree keeps working: grow fresh children and count through them.
-        let (nl, _) = unsafe { t.grow_always(l) };
-        unsafe { t.arrive(nl) };
-        assert!(t.query());
-        assert!(unsafe { t.depart(nl) });
-        assert!(!t.query());
+        let (nl, _) = unsafe { t.pinned().grow_always(l) };
+        unsafe { t.pinned().arrive(nl) };
+        assert!(t.pinned().query());
+        assert!(unsafe { t.pinned().depart(nl) });
+        assert!(!t.pinned().query());
     }
 
     #[test]
     fn lemma_b1_prune_after_surplus_returns_to_zero() {
         // A node's subtree saw surplus, drained to zero → prunable.
-        let t = SnziTree::new(1).shrinkable();
-        let r = t.root_handle();
-        let (l, rr) = unsafe { t.grow_always(r) };
-        unsafe { t.arrive(l) };
-        unsafe { t.arrive(rr) };
-        assert!(!unsafe { t.depart(l) });
+        let t = ShrinkingTree::new(1);
+        let r = t.pinned().root_handle();
+        let (l, rr) = unsafe { t.pinned().grow_always(r) };
+        unsafe { t.pinned().arrive(l) };
+        unsafe { t.pinned().arrive(rr) };
+        assert!(!unsafe { t.pinned().depart(l) });
         // l's surplus returned to zero: by Lemma B.1 its subtree (empty
         // here) and by extension pruning *below* l is safe.
-        assert!(!unsafe { t.prune_children_deferred(l) }, "no children below l");
-        assert!(!unsafe { t.depart(rr) });
+        assert!(!unsafe { t.pinned().prune_children_deferred(l) }, "no children below l");
+        assert!(!unsafe { t.pinned().depart(rr) });
         // Everything below the root is now quiescent; root still holds
         // the initial surplus.
-        assert!(unsafe { t.prune_children_deferred(r) });
-        assert!(t.query(), "initial surplus unaffected by pruning");
-        assert!(unsafe { t.depart(r) });
-        assert!(!t.query());
+        assert!(unsafe { t.pinned().prune_children_deferred(r) });
+        assert!(t.pinned().query(), "initial surplus unaffected by pruning");
+        assert!(unsafe { t.pinned().depart(r) });
+        assert!(!t.pinned().query());
     }
 
     #[test]
@@ -161,11 +205,11 @@ mod tests {
         // Worker threads hammer the RIGHT subtree while the main thread
         // repeatedly grows and prunes the LEFT subtree. Epoch pinning in
         // the workers must keep every straggler safe.
-        let t = Arc::new(SnziTree::with_probability(0, Probability::ALWAYS).shrinkable());
-        let r = t.root_handle();
-        let (l, rhandle) = unsafe { t.grow_always(r) };
+        let t = Arc::new(ShrinkingTree::with_probability(0, Probability::ALWAYS));
+        let r = t.pinned().root_handle();
+        let (l, rhandle) = unsafe { t.pinned().grow_always(r) };
         let stop = Arc::new(AtomicBool::new(false));
-        let total_rounds = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let total_rounds = Arc::new(AtomicU64::new(0));
         let workers: Vec<_> = (0..3)
             .map(|_| {
                 let t = Arc::clone(&t);
@@ -175,9 +219,9 @@ mod tests {
                     let mut rounds = 0u64;
                     while !stop.load(Ordering::Acquire) {
                         unsafe {
-                            t.arrive(rhandle);
-                            assert!(t.query());
-                            let _ = t.depart(rhandle);
+                            t.pinned().arrive(rhandle);
+                            assert!(t.pinned().query());
+                            let _ = t.pinned().depart(rhandle);
                         }
                         rounds += 1;
                         total_rounds.fetch_add(1, Ordering::Release);
@@ -194,39 +238,39 @@ mod tests {
             std::thread::yield_now();
         }
         for _ in 0..200 {
-            let (a, b) = unsafe { t.grow_always(l) };
+            let (a, b) = unsafe { t.pinned().grow_always(l) };
             unsafe {
-                t.arrive(a);
-                let _ = t.depart(a);
-                t.arrive(b);
-                let _ = t.depart(b);
+                t.pinned().arrive(a);
+                let _ = t.pinned().depart(a);
+                t.pinned().arrive(b);
+                let _ = t.pinned().depart(b);
             }
             // Left subtree quiescent again → prunable.
-            assert!(unsafe { t.prune_children_deferred(l) });
+            assert!(unsafe { t.pinned().prune_children_deferred(l) });
         }
         stop.store(true, Ordering::Release);
         let total: u64 = workers.into_iter().map(|h| h.join().unwrap()).sum();
         assert!(total > 0);
-        assert_eq!(t.stats_ref().snapshot().pruned_pairs, 200);
-        assert!(!t.query());
+        assert_eq!(t.pinned().stats_ref().snapshot().pruned_pairs, 200);
+        assert!(!t.pinned().query());
     }
 
     #[test]
     fn straggler_guard_keeps_detached_memory_alive() {
-        // Simulate a mid-flight operation: pin a guard, capture a node in
-        // the soon-to-be-pruned subtree, prune, and keep reading through
-        // the captured reference — the guard must keep it valid.
-        let t = SnziTree::new(0).shrinkable();
-        let r = t.root_handle();
-        let (l, _) = unsafe { t.grow_always(r) };
-        let straggler_guard = crossbeam::epoch::pin();
-        unsafe { t.arrive(l) };
-        assert!(unsafe { t.prune_children_deferred(r) });
+        // Simulate a mid-flight operation: hold a pinned view, capture a
+        // node in the soon-to-be-pruned subtree, prune, and keep reading
+        // through the captured reference — the view must keep it valid.
+        let t = ShrinkingTree::new(0);
+        let r = t.pinned().root_handle();
+        let (l, _) = unsafe { t.pinned().grow_always(r) };
+        let straggler = t.pinned();
+        unsafe { straggler.arrive(l) };
+        assert!(unsafe { t.pinned().prune_children_deferred(r) });
         // Still pinned: the node behind `l` is detached but not freed.
         unsafe {
-            assert!(t.depart(l), "straggler finishes its matched depart");
+            assert!(straggler.depart(l), "straggler finishes its matched depart");
         }
-        drop(straggler_guard);
-        assert!(!t.query());
+        drop(straggler);
+        assert!(!t.pinned().query());
     }
 }

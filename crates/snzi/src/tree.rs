@@ -9,10 +9,10 @@
 //! most `1/p` times in expectation.
 //!
 //! The tree owns every node it ever created; nodes are freed only when the
-//! tree is dropped (an explicit early-release discipline for finished
-//! subtrees, following the paper's Appendix B, is provided by
-//! [`prune_children`](SnziTree::prune_children)). Node memory — the root
-//! and every child pair — is born and ended through the scheduler's
+//! tree is dropped, and its steps take no epoch guard. Deleting finished
+//! subtrees early, the paper's Appendix B, is a type of its own that wraps
+//! this one: [`ShrinkingTree`](crate::ShrinkingTree). Node memory — the
+//! root and every child pair — is born and ended through the scheduler's
 //! size-class recycler ([`sched::recycle::alloc`] / [`sched::recycle::free`],
 //! whose 128 B and 256 B classes carry the nodes' two-line alignment): an
 //! in-counter is made per finish scope that forks, so a tree that went to
@@ -122,11 +122,6 @@ pub struct SnziTree {
     root: *mut Root,
     p: Probability,
     id: u32,
-    /// When set, operations pin an epoch guard so that subtrees detached
-    /// by [`prune_children_deferred`](SnziTree::prune_children_deferred)
-    /// are reclaimed only after all straggling operations have left them
-    /// (the Appendix B shrinking discipline).
-    pub(crate) shrinkable: bool,
     stats: TreeStats,
 }
 
@@ -152,19 +147,8 @@ impl SnziTree {
             root: recycle::alloc(|| Root::new(initial as u32, id)).0,
             p,
             id,
-            shrinkable: false,
             stats: TreeStats::default(),
         }
-    }
-
-    /// Enable epoch-protected dynamic shrinking (Appendix B): operations
-    /// pin an epoch guard (a few nanoseconds each) and
-    /// [`prune_children_deferred`](SnziTree::prune_children_deferred)
-    /// becomes tolerant of in-flight operations in the pruned subtree.
-    /// Must be called before the tree is shared.
-    pub fn shrinkable(mut self) -> SnziTree {
-        self.shrinkable = true;
-        self
     }
 
     /// The growth probability this tree was configured with.
@@ -242,7 +226,6 @@ impl SnziTree {
     /// the tree to itself.
     pub(crate) unsafe fn arrive_with<S: Step>(&self, h: Handle) -> OpPath {
         self.check_handle(h);
-        let _guard = self.pin_if_shrinkable();
         let path = match h.0 {
             // SAFETY: caller contract.
             NodeRefInner::Root(r) => unsafe { (*r).arrive::<S>() },
@@ -294,7 +277,6 @@ impl SnziTree {
     /// the tree to itself.
     pub(crate) unsafe fn depart_with<S: Step>(&self, h: Handle) -> (bool, OpPath) {
         self.check_handle(h);
-        let _guard = self.pin_if_shrinkable();
         let (ended, path) = match h.0 {
             // SAFETY: caller contract.
             NodeRefInner::Root(r) => unsafe { (*r).depart::<S>() },
@@ -342,18 +324,8 @@ impl SnziTree {
         unsafe { self.grow_impl(h, true) }
     }
 
-    #[inline]
-    pub(crate) fn pin_if_shrinkable(&self) -> Option<crossbeam::epoch::Guard<'static>> {
-        if self.shrinkable {
-            Some(crossbeam::epoch::pin())
-        } else {
-            None
-        }
-    }
-
     unsafe fn grow_impl(&self, h: Handle, heads: bool) -> (Handle, Handle) {
         self.check_handle(h);
-        let _guard = self.pin_if_shrinkable();
         let (children, parent_ref, depth) = match h.0 {
             // SAFETY: caller contract.
             NodeRefInner::Root(r) => unsafe { (&(*r).children, ParentRef::Root(r), 0) },
@@ -391,29 +363,6 @@ impl SnziTree {
         // SAFETY: `c` points to a pair owned by this tree, alive until drop.
         let pair = unsafe { &*c };
         (Handle(NodeRefInner::Node(&pair.left)), Handle(NodeRefInner::Node(&pair.right)))
-    }
-
-    /// Detach and free the entire subtree **below** `h` (excluding `h`
-    /// itself), following the paper's Appendix B safety property: once the
-    /// dag vertex owning the increment handle to `h` has finished, no live
-    /// handle points into `h`'s subtree, so it may be deleted.
-    ///
-    /// Returns the number of nodes freed.
-    ///
-    /// # Safety
-    /// `h` must have been produced by this tree, the tree must outlive the
-    /// call, and — this is the Appendix B obligation — no other thread may
-    /// concurrently access any node strictly below `h`, now or later.
-    pub unsafe fn prune_children(&self, h: Handle) -> u64 {
-        self.check_handle(h);
-        let children = match h.0 {
-            // SAFETY: caller contract.
-            NodeRefInner::Root(r) => unsafe { &(*r).children },
-            NodeRefInner::Node(n) => unsafe { &(*n).children },
-        };
-        let first = children.swap(std::ptr::null_mut(), Ordering::AcqRel);
-        // SAFETY: exclusive access below `h` per caller contract.
-        unsafe { free_subtrees(first) }
     }
 
     /// Walk the tree and return `(node_count, max_touch, total_touch)`
@@ -461,19 +410,19 @@ impl SnziTree {
         &self.stats
     }
 
-    /// Internal: the children slot of a handle's node.
+    /// Internal: null the children pointer of `h`'s node and return the
+    /// subtree it led to (the shrink module's one way to detach).
     ///
     /// # Safety
     /// `h` must belong to this tree, which must be alive.
-    pub(crate) unsafe fn children_slot(
-        &self,
-        h: Handle,
-    ) -> &std::sync::atomic::AtomicPtr<ChildPair> {
-        match h.0 {
+    pub(crate) unsafe fn detach_children(&self, h: Handle) -> *mut ChildPair {
+        self.check_handle(h);
+        let children = match h.0 {
             // SAFETY: caller contract.
             NodeRefInner::Root(r) => unsafe { &(*r).children },
             NodeRefInner::Node(n) => unsafe { &(*n).children },
-        }
+        };
+        children.swap(std::ptr::null_mut(), Ordering::AcqRel)
     }
 
     /// Root surplus, for tests.
@@ -648,7 +597,8 @@ mod tests {
 
     #[test]
     fn prune_children_frees_subtree() {
-        let t = SnziTree::new(0);
+        let s = crate::shrink::ShrinkingTree::new(0);
+        let t = s.pinned();
         let r = t.root_handle();
         let (l, _) = unsafe { t.grow_always(r) };
         let (ll, _) = unsafe { t.grow_always(l) };

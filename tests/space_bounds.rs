@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use incounter::{CounterFamily, DecPair, DynConfig, DynSnzi};
-use snzi::{Probability, SnziTree};
+use snzi::{Probability, ShrinkingTree, SnziTree};
 use spdag::{run_dag, strand_await, Ctx, FutureHandle, StrandPoll};
 
 /// The file-level lock; its guard flushes the test thread's slab caches
@@ -150,15 +150,15 @@ fn never_grow_is_constant_space() {
 #[test]
 fn pruning_recovers_space_during_a_run() {
     let _g = lock();
-    // Interleave work and Lemma B.1 pruning on a shrinkable tree: after
+    // Interleave work and Lemma B.1 pruning on a shrinking tree: after
     // each drained burst, prune below the root and verify the node count
-    // returns to 1 while the tree stays usable.
-    let tree = SnziTree::with_probability(1, Probability::ALWAYS).shrinkable();
+    // returns to 1 while the tree stays usable. Every step runs pinned.
+    let tree = ShrinkingTree::with_probability(1, Probability::ALWAYS);
     for round in 0..50 {
         // Open a fresh "finish block": one unit of surplus backing the
         // round's root strand (mirrors Incounter.make(1) per block).
-        unsafe { tree.arrive(tree.root_handle()) };
-        let root = root_vertex(&tree);
+        unsafe { tree.pinned().arrive(tree.pinned().root_handle()) };
+        let root = root_vertex(&tree.pinned());
         // A small burst: spawn 8 strands, signal them all. The burst's
         // 7 increments + 1 block-opening arrive balance its 8 signals.
         let mut frontier = vec![root];
@@ -166,29 +166,30 @@ fn pruning_recovers_space_during_a_run() {
             let mut next = Vec::new();
             for u in &frontier {
                 let cfg = DynConfig::always_grow();
-                let (v, w) = sim_spawn(&cfg, &tree, u, round);
+                let (v, w) = sim_spawn(&cfg, &tree.pinned(), u, round);
                 next.push(v);
                 next.push(w);
             }
             frontier = next;
         }
         for leaf in &frontier {
-            let ended = sim_signal(&tree, leaf);
+            let ended = sim_signal(&tree.pinned(), leaf);
             assert!(!ended, "initial surplus 1 keeps the tree non-zero");
         }
         // Quiescent below the root: prune (Lemma B.1 applies — every
         // subtree's surplus returned to zero).
+        let pinned = tree.pinned();
         unsafe {
-            let _ = tree.prune_children_deferred(tree.root_handle());
+            let _ = pinned.prune_children_deferred(pinned.root_handle());
         }
-        let s = tree.stats();
+        let s = pinned.stats();
         assert_eq!(
             s.node_count(),
             1,
             "round {round}: pruning must reclaim everything below the root"
         );
     }
-    assert!(tree.query(), "the initial surplus survived 50 prune rounds");
+    assert!(tree.pinned().query(), "the initial surplus survived 50 prune rounds");
 }
 
 /// `depth` futures in one serial chain, all built by the root before any
