@@ -372,6 +372,9 @@ pub struct WorkerCtx<'a, T: Word> {
     /// per-thread streams, which coincide with per-worker streams since
     /// workers are threads.)
     rng: RefCell<VictimRng>,
+    /// The interpreter's word: the head of its list of latent tasks on this
+    /// worker, this run ([`latent`](WorkerCtx::latent)).
+    latent: Cell<*mut ()>,
 }
 
 impl<'a, T: Word> WorkerCtx<'a, T> {
@@ -464,6 +467,27 @@ impl<'a, T: Word> WorkerCtx<'a, T> {
     #[inline]
     pub fn is_solo(&self) -> bool {
         self.solo
+    }
+
+    /// A word the task interpreter keeps for itself, one per worker and run:
+    /// `spdag` keeps the head of its list of *latent* tasks there — work
+    /// that runs in the executing task unless it is published first.
+    /// Null when a run starts; the pool never reads it. Per run, not per
+    /// thread, so a run nested inside a task starts with a list of its own
+    /// and cannot reach the tasks latent in the one around it.
+    #[inline]
+    pub fn latent(&self) -> &Cell<*mut ()> {
+        &self.latent
+    }
+
+    /// Whether this worker's own deque looks empty: nothing is queued for
+    /// a thief to take. A racy hint, read without a barrier (the owner's
+    /// `bottom`, the last `top` it saw); a thief only ever moves `top` up,
+    /// so a deque that looks empty is empty, and one that does not may
+    /// have been emptied a moment ago.
+    #[inline]
+    pub fn deque_looks_empty(&self) -> bool {
+        self.deque.is_empty()
     }
 
     /// Make a batch of tasks available with a single sleeper notification
@@ -801,6 +825,7 @@ where
         suspends: Cell::new(0),
         resumes: Cell::new(0),
         rng: RefCell::new(VictimRng::new(0x853C_49E6_748F_EA9B ^ (id as u64 + 1))),
+        latent: Cell::new(std::ptr::null_mut()),
     };
     // The loop itself unwinds only if a panic escaped the execute
     // backstop (e.g. out of a panic payload's destructor). It is captured

@@ -12,13 +12,14 @@
 //!   children's bodies directly instead of returning raw vertices (the
 //!   paper's two-phase "create, then assign `body`" is an artifact of its
 //!   pseudocode language — the handle discipline is identical). `spawn` is
-//!   work-first: a child no other worker could take runs in the spawning
-//!   vertex instead of becoming one, and in a one-worker run a spawn counts
-//!   nothing (`crate::in_place`).
+//!   lazy and work-first: both children run in the spawning vertex, and the
+//!   spawn counts nothing, unless a worker whose deque has nothing for a
+//!   thief promotes the waiting left child into a vertex of its own, by one
+//!   increment (`crate::in_place`).
 //! * `signal` is implicit: when a body returns without having ended its
 //!   vertex (a chain, a touch), the executor claims the decrement handle
-//!   the vertex holds — its own, or that of the last spawned child that ran
-//!   in it at W ≥ 2 — and decrements the finish vertex's counter; a `true`
+//!   the vertex holds — its own, or the one it rotated onto when a fork or
+//!   a promotion split it — and decrements the finish vertex's counter; a `true`
 //!   return (counter hit zero) schedules the finish vertex. This is the
 //!   paper's implementation note that readiness detection rides on
 //!   `snzi_depart`'s return value. The only strand of a scope that never
@@ -27,10 +28,11 @@
 //!
 //! One departure from Figure 3, argued in [`crate::vertex`]: `chain` does
 //! not call `new_vertex(1)`. Every vertex is born without a counter, and a
-//! scope's counter is made at its first `increment` — by `spawn` or a fork
-//! (a future joins its enclosing scope by one), never by `run_dag`, and by
-//! a `chain` or `touch` only when it splits a one-worker vertex
-//! (`crate::in_place`).
+//! scope's counter is made at its first `increment` — by a fork (a future
+//! joins its enclosing scope by one), the promotion of a spawn's waiting
+//! left child or a spawn past the stack bound, never by `run_dag`, and by
+//! a `chain` or `touch` only when it splits a vertex in which a spawn's
+//! left child waits (`crate::in_place`).
 
 use std::mem::MaybeUninit;
 use std::time::{Duration, Instant};
@@ -126,28 +128,31 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     /// concurrently; the enclosing finish scope waits for both. The
     /// calling body's strand ends here: its children signal, it does not.
     ///
-    /// The spawn is **work-first** (`crate::in_place`): a child no other
-    /// worker could take runs at once, in this vertex and on this stack,
-    /// instead of becoming a vertex of its own. With two or more workers
-    /// the spawn makes one in-counter increment, the left child becomes a
-    /// vertex and is pushed, and the right child runs in place. In a
-    /// one-worker run both run in place, the right child first, and the
-    /// spawn counts nothing: no increment, no decrement pair, no
-    /// decrement. The two children cannot overlap, so this vertex's own
-    /// place in its scope covers both; a `chain` or `touch` made while the
-    /// left child still waits splits that place by one increment. So:
+    /// The spawn is **lazy and work-first** (`crate::in_place`): both
+    /// children run at once, in this vertex and on this stack, the right
+    /// child first while the left one waits, and the spawn counts nothing
+    /// — no increment, no decrement pair, no decrement. Children that run
+    /// one after the other cannot overlap, so this vertex's own place in its
+    /// scope covers both; a `chain` or `touch` made while the left child
+    /// still waits splits that place by one increment. With two or more
+    /// workers a waiting left child is work a thief could take: when a
+    /// spawn finds its worker's deque empty it **promotes** the oldest left
+    /// child waiting in this vertex into a vertex of its own, by one
+    /// increment, and pushes it; that child then runs wherever it is taken,
+    /// and not here. So:
     ///
-    /// * code after this call runs **after the children that ran in
-    ///   place** — after the right child's body, and in a one-worker run
-    ///   after the left child's too — but it is still ordered before
-    ///   nothing in the dag: the children carry the scope's obligation,
-    ///   and what they pushed (the left child at W ≥ 2, the `first` of a
-    ///   `chain`) may finish, and the enclosing finish run, while it is
-    ///   still executing. The one exception is the return value of a
-    ///   future's body — the future completes only once it is published;
-    /// * in a one-worker run the left child runs **before** the work the
-    ///   right child's subtree pushed (a `chain`'s `first`, a `touch`
-    ///   continuation), not after it as a deque's LIFO order would have it.
+    /// * code after this call runs **after both children** unless the left
+    ///   child was promoted (then after the right child only), but it is
+    ///   still ordered before nothing in the dag: the children carry the
+    ///   scope's obligation, and what they pushed (a promoted left child,
+    ///   the `first` of a `chain`) may finish, and the enclosing finish
+    ///   run, while it is still executing. The one exception is the return
+    ///   value of a future's body — the future completes only once it is
+    ///   published;
+    /// * a left child that was not promoted runs **before** the work its
+    ///   right sibling's subtree pushed (a `chain`'s `first`, a `touch`
+    ///   continuation, a promoted left child), not after it as a deque's
+    ///   LIFO order would have it.
     ///
     /// Past a fixed stack bound both children become vertices and are
     /// pushed, so recursion through `spawn` never grows the stack without
@@ -161,13 +166,12 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         obs::counter!("spdag.spawns").inc();
         obs::trace::record(obs::EventKind::Spawn, u as *const Vertex<C> as u64);
         let solo = worker.is_solo();
-        let room = StackRoom::take();
-        if solo && room.is_some() {
-            // Nobody can take either child: both run here, one after the
-            // other, inside what `u`'s own handles already count.
-            return in_place::run_serially(u, worker, cfg, left, right);
-        }
-        spawn_counted(u, worker, cfg, solo, room, left, right);
+        let Some(_room) = StackRoom::take() else {
+            return spawn_counted(u, worker, cfg, solo, left, right);
+        };
+        // Both children run here, one after the other, inside what `u`'s
+        // own handles already count — unless a thief could use the left one.
+        in_place::run_in_place(u, worker, cfg, solo, left, right);
     }
 
     /// Serial composition (the paper's `chain`; equivalently `finish {
@@ -187,10 +191,10 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // w: the new finish vertex; takes over u's position in u's scope
         // (inherits fin, inc, left/right position, and u's pair pointer
         // with the one claim u still owes it — or u's place as its scope's
-        // only strand; a place split off u's while a one-worker spawn's left
-        // child waits to run in u) and waits on one dependency: the
+        // only strand; a place split off u's while a spawn's left child
+        // waits to run in u) and waits on one dependency: the
         // completion of `first`'s subtree.
-        let (inc, dec, is_left) = u.hand_off(self.cfg);
+        let (inc, dec, is_left) = u.hand_off(self.cfg, self.worker.is_solo());
         let w_ptr = Vertex::slab().emplace(inc, dec, u.fin, is_left, Once(then));
         // v: the only strand of w's scope, which has no counter until v (or
         // what replaces it) forks.
@@ -231,17 +235,16 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     }
 }
 
-/// The spawns that count their children ([`Ctx::spawn`]): with two or
-/// more workers, and past the stack bound. Out of `spawn`'s own body, so
-/// that a debug build's frame for the one-worker path — which a spawn
-/// recursion nests once a level — does not hold all of this one's too; an
-/// optimised build inlines it into its one caller.
+/// The spawn that counts its children ([`Ctx::spawn`]): past the stack
+/// bound, where both become vertices and are pushed. Out of `spawn`'s own
+/// body, so that a debug build's frame for the in-place path — which a
+/// spawn recursion nests once a level — does not hold all of this one's
+/// too.
 fn spawn_counted<C, L, R>(
     u: &mut Vertex<C>,
     worker: &WorkerCtx<'_, VertexPtr<C>>,
     cfg: &C::Config,
     solo: bool,
-    room: Option<StackRoom>,
     left: L,
     right: R,
 ) where
@@ -249,39 +252,28 @@ fn spawn_counted<C, L, R>(
     L: for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
     R: for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
 {
+    let fin = u.fin;
     if u.pending > 0 {
-        // Past the stack bound (at W = 1) while a left sibling waits to run
-        // in `u`: each child splits a place of its own off `u`'s
-        // (`Vertex::hand_off`), and `u` lives on for the sibling.
-        let fin = u.fin;
-        let (i1, p1) = u.fork_rotate(cfg, true);
+        // A left sibling waits to run in `u`: each child splits a place of
+        // its own off `u`'s (`Vertex::hand_off`), and `u` lives on for the
+        // sibling.
+        let (i1, p1) = u.fork_rotate(cfg, solo);
         let v = Vertex::slab().emplace(MaybeUninit::new(i1), p1, fin, true, Once(left));
-        let (i2, p2) = u.fork_rotate(cfg, true);
+        let (i2, p2) = u.fork_rotate(cfg, solo);
         let w = Vertex::slab().emplace(MaybeUninit::new(i2), p2, fin, true, Once(right));
         worker.push_batch([VertexPtr(v), VertexPtr(w)]);
         return;
     }
-    // One increment (Figure 5); the two children share the fresh pair.
+    // One increment (Figure 5); the two children share the fresh pair, and
+    // `u` dies here, unsignalled. One publication for the pair: one
+    // sleeper probe.
     let vid = u.key();
     let (i1, i2, pair) = u.increment(cfg, vid, solo);
     u.increments += 1;
-    let fin = u.fin;
-    let Some(_room) = room else {
-        // Past the stack bound: two vertices, and `u` dies here,
-        // unsignalled. One publication for the pair: one sleeper probe.
-        let v = Vertex::slab().emplace(MaybeUninit::new(i1), pair, fin, true, Once(left));
-        let w = Vertex::slab().emplace(MaybeUninit::new(i2), pair, fin, false, Once(right));
-        u.dead = true;
-        worker.push_batch([VertexPtr(v), VertexPtr(w)]);
-        return;
-    };
-    // A thief may take the left child; the right one becomes `u`.
     let v = Vertex::slab().emplace(MaybeUninit::new(i1), pair, fin, true, Once(left));
-    worker.push(VertexPtr(v));
-    u.inc = MaybeUninit::new(i2);
-    u.dec = pair;
-    u.is_left = false;
-    in_place::run_child(u, worker, cfg, right);
+    let w = Vertex::slab().emplace(MaybeUninit::new(i2), pair, fin, false, Once(right));
+    u.dead = true;
+    worker.push_batch([VertexPtr(v), VertexPtr(w)]);
 }
 
 /// Exclusive ownership of a scheduled vertex for the duration of its
@@ -739,29 +731,40 @@ mod tests {
 
     #[test]
     fn spawns_in_one_vertex_take_distinct_placement_keys() {
-        // Every spawn of a right spine runs in the root's vertex, at W = 2
-        // as at W = 1. At W = 2 each makes an increment, and a hashed
-        // family must see a different key for each, or all of them would
-        // arrive on one leaf. At W = 1 none makes one, and none takes a key.
-        fn spine(ctx: Ctx<'_, FixedDepth>, n: u32, seen: Arc<std::sync::Mutex<Vec<(usize, u64)>>>) {
+        // Every spawn of a right spine runs in the root's vertex. A spawn
+        // makes an increment only when it promotes a waiting left child
+        // (W = 2; at the root's first spawn always, its worker's deque
+        // being empty), and a hashed family must see a different key for
+        // each, or all of them would arrive on one leaf: the key is salted
+        // by the increments made so far. At W = 1 none makes one, and none
+        // takes a key.
+        type Seen = Arc<std::sync::Mutex<Vec<(usize, u64, u64)>>>;
+        fn spine(ctx: Ctx<'_, FixedDepth>, n: u32, seen: Seen) {
             let v = ctx.vertex_ref();
-            seen.lock().unwrap().push((v as *const _ as usize, v.key()));
+            seen.lock().unwrap().push((v as *const _ as usize, v.key(), v.increments));
             if n > 0 {
                 ctx.spawn(|_| {}, move |c| spine(c, n - 1, seen));
             }
         }
         for workers in [1, 2] {
-            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let seen: Seen = Arc::default();
             let s = Arc::clone(&seen);
             run_dag::<FixedDepth, _>(FixedConfig { depth: 3 }, workers, move |ctx| {
                 spine(ctx, 8, s)
             });
             let seen = seen.lock().unwrap();
-            assert!(seen.iter().all(|&(v, _)| v == seen[0].0), "W={workers}: one vertex");
-            let keys: Vec<u64> = seen.iter().map(|&(_, k)| k).collect();
-            let salts = if workers == 1 { [0; 9] } else { std::array::from_fn(|i| i as u64) };
-            let expected = salts.map(|s| seen[0].1 + s);
-            assert_eq!(keys, expected, "W={workers}: a key per increment, salted");
+            let (root, key0, _) = seen[0];
+            assert!(seen.iter().all(|&(v, ..)| v == root), "W={workers}: one vertex");
+            for (i, &(_, key, increments)) in seen.iter().enumerate() {
+                assert_eq!(key, key0 + increments, "W={workers}, level {i}: salted");
+                let promoted = if i == 0 { 0 } else { increments - seen[i - 1].2 };
+                // A spawn promotes one waiting left child or none; at W = 1
+                // none.
+                assert!(matches!(promoted, 0 | 1), "W={workers}, level {i}: {promoted}");
+                assert!(workers > 1 || increments == 0, "W={workers}, level {i}: {increments}");
+            }
+            let first = u64::from(workers > 1);
+            assert_eq!(seen[1].2, first, "W={workers}: the first spawn promotes iff W > 1");
         }
     }
 

@@ -196,9 +196,9 @@ mod tests {
 
     #[test]
     fn a_scope_opened_in_place_counts_its_own_forks() {
-        // A spawn's right child (at W = 1 its left child too) runs in its
-        // parent's vertex, whose increments the parent's forks and the
-        // spawn itself already counted.
+        // A spawn's children run in their parent's vertex (a left child
+        // unless it was promoted), whose increments the parent's forks and
+        // any promotion already counted.
         for workers in [1, 2] {
             let seen = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
             let s = Arc::clone(&seen);

@@ -16,8 +16,8 @@
 //!   SNZI nodes (Figure 5, line 22);
 //! * the `dead` flag, set when the vertex ends by handing its place on
 //!   instead of signalling;
-//! * `pending`, the one-worker spawns whose left child still waits to run
-//!   in the vertex (`crate::in_place`);
+//! * `pending`, the spawns whose left child still waits to run in the
+//!   vertex (`crate::in_place`);
 //! * the body frame, taken by the executing worker (and put back only by
 //!   a strand that parks).
 //!
@@ -33,17 +33,16 @@
 //! > does not exist yet: the finish vertex's pointer is null).
 //!
 //! A strand is a place in the scope, and **the handle a vertex holds covers
-//! its serial remainder**: everything that still runs in the vertex. In a
-//! one-worker run that includes the children of its spawns, which run in
-//! it one after the other (`crate::in_place`), so such a spawn adds no
-//! strand. Scopes open with one strand — `run_dag`'s root, `chain`'s
-//! `first`, a future's body — born with `dec = none`. `chain`, `touch` and
-//! a park replace a strand one for one and hand `dec` on unchanged — except
-//! while a left child waits to run in the vertex (`pending`): then a
-//! `chain` or `touch` splits the strand instead
-//! (`Vertex::hand_off`), because the vertex stays a strand for
-//! that child. Only [`Ctx::spawn`] (with two or more workers, or past the
-//! stack bound) and `Vertex::fork_rotate` (forks, futures, splitting
+//! its serial remainder**: everything that still runs in the vertex. That
+//! includes the children of its spawns, which run in it one after the
+//! other (`crate::in_place`), so such a spawn adds no strand. Scopes open
+//! with one strand — `run_dag`'s root, `chain`'s `first`, a future's body —
+//! born with `dec = none`. `chain`, `touch` and a park replace a strand one
+//! for one and hand `dec` on unchanged — except while a left child waits to
+//! run in the vertex (`pending`): then a `chain` or `touch` splits the
+//! strand instead (`Vertex::hand_off`), because the vertex stays a strand
+//! for that child. Only [`Ctx::spawn`] past the stack bound and
+//! `Vertex::fork_rotate` (forks, futures, promoted left children, splitting
 //! handoffs) add a strand; both go through `Vertex::increment`, which
 //! leaves every strand it touches with a real pair. Three consequences:
 //!
@@ -77,7 +76,8 @@
 //! the same step committed by a load and a store:
 //! `CounterFamily::{increment,decrement}_exclusive` in
 //! `Vertex::increment` (so a spawn past the stack bound, `fork`, the future
-//! constructors and a splitting handoff) and in `dag::execute_vertex`'s
+//! constructors, a splitting handoff and an unwind guard's split; no left
+//! child is promoted at W = 1) and in `dag::execute_vertex`'s
 //! signal epilogue, `DecPair::claim_last_exclusive` in `PairRef::claim`,
 //! and a plain decrement of `owed` in `futures::resolve_dependent` (the
 //! `touch` bounce, the completion sweep, `commit_park`). A spawn within
@@ -110,12 +110,11 @@
 //! Vertices are the runtime's highest-churn allocation: every
 //! `chain`/`future`/`touch` makes at least one, and each lives exactly
 //! from creation to its single execution. A `spawn` makes one only for a
-//! child another worker could take — its left child, with two or more
-//! workers — and none in a one-worker run: a child no thief can take runs
-//! in its parent's vertex instead (`crate::in_place`; both become vertices
-//! past a fixed stack bound). At W ≥ 2 that vertex takes the right child's
-//! `inc`, `dec` and `is_left`; at W = 1 its own handles cover both
-//! children. They are carved from the scheduler's size-class slab pools
+//! child a thief could use — a waiting left child, promoted when its
+//! worker's deque is empty, with two or more workers — and otherwise none:
+//! its children run in its parent's vertex, under that vertex's own
+//! handles (`crate::in_place`; both become vertices past a fixed stack
+//! bound). They are carved from the scheduler's size-class slab pools
 //! instead of `Box`:
 //! `Vertex::slab` takes a slab of the class its layout fits
 //! ([`sched::recycle::alloc_uninit`]), `VertexSlab::emplace` builds the
@@ -543,10 +542,9 @@ pub struct Vertex<C: CounterFamily> {
     /// The finish vertex this vertex signals; null only for the final
     /// vertex of the whole dag.
     pub(crate) fin: *const Vertex<C>,
-    /// Number of increments made from this vertex — the forks, futures and
-    /// splitting handoffs of its body and of every child that ran in it,
-    /// and those children's spawns with two or more workers
-    /// (`crate::in_place`). Salts the placement key
+    /// Number of increments made from this vertex — the forks, futures,
+    /// splitting handoffs and promoted left children of its body and of
+    /// every child that ran in it (`crate::in_place`). Salts the placement key
     /// ([`key`](Vertex::key)), so that successive increments from one
     /// vertex hash to different leaves.
     pub(crate) increments: u64,
@@ -558,7 +556,8 @@ pub struct Vertex<C: CounterFamily> {
     pub(crate) is_left: bool,
     /// Set when the vertex ends by handing its place on (a spawn past the
     /// stack bound, a chain, a touch) instead of signalling; never while
-    /// `pending` is nonzero (`hand_off`).
+    /// `pending` is nonzero (`hand_off`), so never while a left child waits
+    /// to run in it — a promoted one runs in a vertex of its own.
     pub(crate) dead: bool,
     /// The body is the runtime's own, not a user's: a future's
     /// seal-and-sweep, the final vertex's nothing. Keeps the
@@ -582,11 +581,12 @@ pub struct Vertex<C: CounterFamily> {
     /// what keeps the vertex inside the 128 B class (module docs). In a
     /// cell because that strand writes it through its `fin` pointer.
     counter: UnsafeCell<*mut C::Counter>,
-    /// One-worker spawns whose left child still waits to run in this
-    /// vertex (`crate::in_place`): raised before the right child runs,
-    /// lowered before the left one does. While it is nonzero a handoff
-    /// splits ([`hand_off`](Vertex::hand_off)). Last, so that it moves no
-    /// other field.
+    /// Spawns whose left child still waits to run in this vertex
+    /// (`crate::in_place`): raised before the right child runs, lowered
+    /// before the left one does — or when it is promoted, or pushed by the
+    /// unwind guard. At W ≥ 2 it is the length of the worker's latent list.
+    /// While it is nonzero a handoff splits ([`hand_off`](Vertex::hand_off)).
+    /// Last, so that it moves no other field.
     pub(crate) pending: u32,
 }
 
@@ -777,19 +777,19 @@ impl<C: CounterFamily> Vertex<C> {
     /// Hand this vertex's place in its scope to the vertex about to be built
     /// in its stead — a `chain`'s continuation, a `touch`'s waiting vertex —
     /// and return the handles and side to build it with. Normally the new
-    /// vertex takes them all and this one ends (`dead`). While a one-worker
-    /// spawn's left child still waits to run here (`pending`), this vertex
-    /// must stay a strand for it: it splits instead, by one increment
+    /// vertex takes them all and this one ends (`dead`). While a spawn's
+    /// left child still waits to run here (`pending`), this vertex must
+    /// stay a strand for it: it splits instead, by one increment
     /// ([`fork_rotate`](Vertex::fork_rotate)), and the new vertex takes the
-    /// fresh left handle.
+    /// fresh left handle. `solo` as for [`increment`](Vertex::increment).
     #[inline(always)]
     pub(crate) fn hand_off(
         &mut self,
         cfg: &C::Config,
+        solo: bool,
     ) -> (MaybeUninit<C::Inc>, PairRef<C::Dec>, bool) {
         if self.pending > 0 {
-            // Only a one-worker spawn raises it.
-            let (inc, pair) = self.fork_rotate(cfg, true);
+            let (inc, pair) = self.fork_rotate(cfg, solo);
             (MaybeUninit::new(inc), pair, true)
         } else {
             self.dead = true;
@@ -1081,13 +1081,18 @@ mod tests {
             started(c.vertex_ref(), "a forked child");
             assert!(!c.vertex_ref().dec.is_none(), "a forked child holds a pair");
             let (a, b) = (Arc::clone(&o), o);
-            // `(increments, pending, is_left)` as each child finds them. At
-            // W = 1 both run in the forked child's vertex with nothing
-            // counted, so they keep its side (left) and no increment, and
-            // the right one runs while the left one waits. At W = 2 the left
-            // child is a vertex of its own, and the right one runs in place
-            // after the spawn's increment, on its right-hand handles.
-            let right = if c.num_workers() == 1 { (0, 1, 1) } else { (1, 0, 0) };
+            // `(increments, pending, is_left)` as each child finds them.
+            // Both run in the forked child's vertex with nothing counted, so
+            // they keep its side (left) and no increment, and the right one
+            // runs while the left one waits — unless, at W = 2, the spawn
+            // finds its worker's deque empty and promotes the left child:
+            // then the right one runs after that increment, on the
+            // right-hand handles, with nothing waiting, and the left one is
+            // a vertex of its own. Either way the left child finds
+            // `(0, 0, 1)`.
+            let waiting = (0, 1, 1);
+            let promoted = (1, 0, 0);
+            let solo = c.num_workers() == 1;
             let fields = |v: &Vertex<DynSnzi>| (v.increments, v.pending, byte(&v.is_left));
             c.spawn(
                 move |c| {
@@ -1097,7 +1102,11 @@ mod tests {
                 },
                 move |c| {
                     started_in_place(c.vertex_ref(), "a spawn's right child");
-                    assert_eq!(fields(c.vertex_ref()), right, "a spawn's right child");
+                    let right = fields(c.vertex_ref());
+                    assert!(
+                        right == waiting || (!solo && right == promoted),
+                        "a spawn's right child: {right:?}"
+                    );
                     b.fetch_add(2, Ordering::SeqCst);
                 },
             );

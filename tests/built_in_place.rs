@@ -6,11 +6,12 @@
 //! future's body and completion, and a parked strand — at W = 1 and W = 2,
 //! and checks what the runtime's own ledgers say: the output is right,
 //! every decrement pair born is freed (`sched.pairs_born ==
-//! sched.pairs_freed`, one per increment: none for the spawn at W = 1),
+//! sched.pairs_freed`, one per increment: none for the spawn unless its
+//! left child was promoted),
 //! every vertex and `PoolArc` born is retired, and
 //! `tasks − resumes` is the number of vertices born plus the spawn's
-//! children that ran in their parent's vertex (`spdag.spawn_inline`: the
-//! right one at W = 2, both at W = 1).
+//! children that ran in their parent's vertex (`spdag.spawn_inline`: both,
+//! unless at W = 2 the left one was promoted, `spdag.spawn_promoted`).
 //!
 //! Tests serialize on a process-wide lock: the ledgers are diffs of the
 //! global telemetry registry.
@@ -104,10 +105,14 @@ fn over_scribbled_slabs<C: CounterFamily>(cfg: C::Config) {
         }
         let (born, freed) = (d.counter("sched.pairs_born"), d.counter("sched.pairs_freed"));
         assert_eq!(born, freed, "{what}: decrement pairs born {born}, freed {freed}");
-        // One pair per increment: 2 futures, 3 forks, and the spawn at
-        // W = 2. A one-worker spawn makes none.
-        let increments = if workers == 1 { 5 } else { 6 };
-        assert_eq!(born, 20 * increments, "{what}: one pair per increment");
+        // One pair per increment: 2 futures, 3 forks, and the spawn's when
+        // its left child was promoted — which only a run of two or more
+        // workers does.
+        let promoted = d.counter("spdag.spawn_promoted");
+        if workers == 1 {
+            assert_eq!(promoted, 0, "{what}: nothing to promote to");
+        }
+        assert_eq!(born, 20 * 5 + promoted, "{what}: one pair per increment");
         let born = d.counter("sched.vertex_alloc") + d.counter("sched.vertex_reuse");
         let dead = d.counter("sched.vertex_recycled") + d.counter("sched.vertex_dropped");
         assert_eq!(born, dead, "{what}: vertices born {born}, retired {dead}");
@@ -118,8 +123,11 @@ fn over_scribbled_slabs<C: CounterFamily>(cfg: C::Config) {
             born + in_place,
             "{what}: tasks - resumes against vertices born and children run in place"
         );
-        let in_place_per_run = if workers == 1 { 2 } else { 1 };
-        assert_eq!(in_place, 20 * in_place_per_run, "{what}: the spawn's children run in place");
+        assert_eq!(
+            in_place + promoted,
+            20 * 2,
+            "{what}: the spawn's children run in place unless promoted"
+        );
         let born = d.counter("sched.poolarc_alloc") + d.counter("sched.poolarc_reuse");
         let dead = d.counter("sched.poolarc_recycled") + d.counter("sched.poolarc_dropped");
         assert_eq!(born, dead, "{what}: future cores born {born}, retired {dead}");

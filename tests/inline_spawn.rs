@@ -1,41 +1,52 @@
-//! Work-first spawn (`spdag::in_place`): a spawn's right child runs in its
-//! parent's vertex at W ≥ 2, and both children do at W = 1, under the
-//! parent's own handles. A child that is no vertex is held to what a vertex
-//! guarantees:
+//! Lazy, work-first spawn (`spdag::in_place`): both children of a spawn
+//! run in their parent's vertex, under the parent's own handles, the right
+//! one while the left one waits — unless, with two or more workers, the
+//! worker promotes the waiting left child into a vertex of its own, oldest
+//! first, when its deque has nothing for a thief. A child that is no vertex
+//! is held to what a vertex guarantees:
 //!
 //! 1. **Panics.** A right child that panics in place re-raises its payload
-//!    at the caller *and* leaves its left sibling to run. At W = 1 that
-//!    sibling is not yet a vertex when the right child unwinds: a guard
-//!    must build and push it, or the scope never drains. Checked at depth 1
-//!    and 3 of a right spine, at W = 1 and W = 2, with the pair and vertex
-//!    ledgers closed; and a left child that panics after its right sibling
-//!    signalled.
+//!    at the caller *and* leaves its left sibling to run. A sibling that is
+//!    not yet a vertex when the right child unwinds must be built and
+//!    pushed by a guard, or the scope never drains. Checked at depth 1 and
+//!    3 of a right spine, at W = 1 and W = 2, with the pair and vertex
+//!    ledgers closed; a left child that panics after its right sibling
+//!    signalled; and at W ∈ {2, 4} a right child that panics after its
+//!    sibling was promoted and one that panics while it still waits.
 //! 2. **Stack.** Children run in place nest; past a fixed stack bound a
 //!    spawn pushes both children instead. 100 000-deep right-linear and
 //!    left-linear recursions run on a thread with a 256 KiB stack.
 //! 3. **Counting.** `fib(20)` is exact on every counter family at
 //!    W ∈ {1, 2, 4}, and `tasks − resumes` is the number of vertices the
-//!    dag has — the identity the benchmark checks after every iteration.
-//!    At W = 1 a spawn counts nothing: `fib(20)` makes no decrement pair
-//!    and no in-counter.
-//! 4. **Splits.** At W = 1 a right child runs while its left sibling waits,
-//!    and a `chain` or `touch` it makes splits the vertex by one increment
-//!    instead of ending it; so does a spawn past the stack bound, for each
-//!    child, and the guard of a right child that unwinds. A right child
-//!    that chains, touches, forks and makes a future; one that panics
-//!    after it chained; and a right spine that crosses the stack bound are
-//!    each exact in output and in what they made — pairs, vertices,
-//!    children in place, in-counters — on every family at W = 1 and 2.
-//! 5. **Failpoints** (`--features fault-inject`): `spdag.panic_vertex`
-//!    fires on children run in place, which run user bodies.
+//!    dag has — the identity the benchmark checks after every iteration. A
+//!    spawn counts nothing unless its left child is promoted: at W = 1
+//!    `fib(20)` makes no decrement pair and no in-counter, and at W ≥ 2 one
+//!    pair and one vertex per promotion (`spdag.spawn_promoted`).
+//! 4. **Splits.** A right child runs while its left sibling waits, and a
+//!    `chain` or `touch` it makes splits the vertex by one increment instead
+//!    of ending it; so does a spawn past the stack bound, for each child,
+//!    and the guard of a right child that unwinds. A right child that
+//!    chains, touches, forks and makes a future; one that panics after it
+//!    chained; and a right spine that crosses the stack bound are each
+//!    exact in output and in what they made — pairs, vertices, children in
+//!    place, in-counters, promotions — on every family at W = 1 and 2.
+//! 5. **Promotion.** At W ∈ {2, 4}, on every family: the oldest waiting
+//!    left child is the one promoted, and it reaches a thief; and a
+//!    `run_dag` nested in a right child promotes nothing of the run around
+//!    it.
+//! 6. **Failpoints** (`--features fault-inject`): `spdag.panic_vertex`
+//!    fires on children run in place, which run user bodies; armed in turn
+//!    on every body of a spawn tree at W ∈ {1, 2, 4}, on every family, the
+//!    dag drains.
 //!
 //! Tests serialize on a process-wide lock: the ledgers are diffs of the
 //! global telemetry registry, and the failpoint plan is global.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 use dynsnzi::prelude::*;
 use sched::{PoolStats, WatchdogCfg};
@@ -81,9 +92,9 @@ fn right_spine(ctx: Ctx<'_, DynSnzi>, depth: u32, lefts: Arc<AtomicU64>) {
 }
 
 /// What one run made, from the telemetry diff `d` and the run's stats:
-/// pairs born, vertices born, children run in place and in-counters made
-/// (the dynamic family counts its counters as trees, the baselines by
-/// their own probe). Checks the conservation ledgers on the way: every pair
+/// pairs born, vertices born, children run in place, in-counters made (the
+/// dynamic family counts its counters as trees, the baselines by their own
+/// probe) and left children promoted. Checks the conservation ledgers on the way: every pair
 /// born is freed, every vertex born retired, and — given the stats —
 /// `tasks − resumes` is the vertices born plus the children run in place.
 fn made(what: &str, d: &Snapshot, stats: Option<&PoolStats>) -> Made {
@@ -97,7 +108,7 @@ fn made(what: &str, d: &Snapshot, stats: Option<&PoolStats>) -> Made {
         assert_eq!(s.tasks - s.resumes, vertices + in_place, "{what}: tasks - resumes");
     }
     let counters = d.counter("snzi.trees_created") + d.counter("incounter.created");
-    Made { pairs, vertices, in_place, counters }
+    Made { pairs, vertices, in_place, counters, promoted: d.counter("spdag.spawn_promoted") }
 }
 
 #[derive(Debug, PartialEq)]
@@ -106,6 +117,7 @@ struct Made {
     vertices: u64,
     in_place: u64,
     counters: u64,
+    promoted: u64,
 }
 
 /// Run `root`, which must panic with `expected`, and check that the dag
@@ -263,17 +275,20 @@ fn fib_counts_exactly<C: CounterFamily>(cfg: C::Config) {
             let m = made(&what, &d, Some(&stats));
             assert_eq!(m.vertices + m.in_place, VERTICES, "{what}: vertices and children in place");
             assert_eq!(d.counter("spdag.spawns"), SPAWNS, "{what}: spawns");
+            // fib(20) nests 20 spawns deep, well inside the stack bound:
+            // every child runs in place unless it is a left child its
+            // worker promoted, by one increment, into a vertex of its own.
+            // Only a run of two or more workers promotes, and then the
+            // root's first spawn does: its worker's deque is empty. At
+            // W = 1 nothing is counted.
+            let p = m.promoted;
             if workers == 1 {
-                // fib(20) nests 20 spawns deep, well inside the stack bound:
-                // every child runs in place, and nothing is counted.
-                let nothing = Made { pairs: 0, vertices: 2, in_place: 2 * SPAWNS, counters: 0 };
-                assert_eq!(m, nothing, "{what}: no pair, no counter");
-            } else {
-                // How many spawns found their stack bound depends on the
-                // build's frame sizes, not on the dag.
-                assert!(m.in_place > 0, "{what}: children run in place");
-                assert_eq!((m.pairs, m.counters), (SPAWNS, 1), "{what}: an increment a spawn");
+                assert_eq!(p, 0, "{what}: nothing to promote to");
             }
+            let counters = u64::from(workers > 1);
+            let expected =
+                Made { pairs: p, vertices: 2 + p, in_place: 2 * SPAWNS - p, counters, promoted: p };
+            assert_eq!(m, expected, "{what}: a pair and a vertex per promotion");
         }
     }
 }
@@ -334,18 +349,25 @@ fn a_busy_right_child_splits_its_vertex<C: CounterFamily>(cfg: C::Config) {
         if !obs::enabled() {
             continue;
         }
-        // Four increments either way: at W = 1 the fork, the future, and
-        // the chain and the touch that split the vertex; at W = 2 the fork,
-        // the future and the two spawns, and the chains and the touch move
-        // their vertex's handles on. Vertices: the root and the final one,
-        // the fork, the future's two, two per chain and the touch's; at
-        // W = 2 also the two spawns' left children.
-        let expected = if workers == 1 {
-            Made { pairs: 4, vertices: 10, in_place: 4, counters: 1 }
-        } else {
-            Made { pairs: 4, vertices: 12, in_place: 2, counters: 1 }
-        };
-        assert_eq!(made(&what, &d, Some(&stats.pool)), expected, "{what}");
+        // Four increments whatever is promoted: the fork, the future, and
+        // two more. The outer left child waits, or is promoted — at W = 2
+        // always, by the root's first spawn, whose worker's deque is empty.
+        // The inner one waits unless the deque is empty again at the inner
+        // spawn: then it is promoted (the outer one went first, oldest
+        // first), and the chain and the touch move their vertex's handles
+        // on. If it waits, the chain splits the vertex, and the touch, made
+        // by the inner left child in place with nothing left waiting, moves
+        // them on; at W = 1 the touch splits too, for the outer left child.
+        // Vertices: the root and the final one, the fork, the future's two,
+        // two per chain and the touch's, and one per promotion.
+        let m = made(&what, &d, Some(&stats.pool));
+        let p = m.promoted;
+        if workers == 1 {
+            assert_eq!(p, 0, "{what}: nothing to promote to");
+        }
+        let expected =
+            Made { pairs: 4, vertices: 10 + p, in_place: 4 - p, counters: 1, promoted: p };
+        assert_eq!(m, expected, "{what}");
     }
 }
 
@@ -372,11 +394,14 @@ fn a_right_child_that_chained_unwinds<C: CounterFamily>(cfg: C::Config) {
         let m = panics_and_drains::<C>(cfg.clone(), workers, &what, CHAINED_PANICS, root);
         assert_eq!(out.load(Ordering::Relaxed), 7, "{what}: the chain and the left child ran");
         // At W = 1 the chain splits the vertex, and so does the guard that
-        // pushes the left child when the right one unwinds; at W = 2 the
-        // spawn makes the one increment, and the chain moves the handles.
-        let pairs = if workers == 1 { 2 } else { 1 };
+        // pushes the left child when the right one unwinds. At W = 2 the
+        // spawn finds its worker's deque empty and promotes the left child,
+        // by the one increment; the chain moves the handles, and the guard
+        // finds nothing waiting.
+        let (pairs, promoted) = if workers == 1 { (2, 0) } else { (1, 1) };
         if let Some(m) = m {
-            assert_eq!(m, Made { pairs, vertices: 5, in_place: 1, counters: 1 }, "{what}");
+            let expected = Made { pairs, vertices: 5, in_place: 1, counters: 1, promoted };
+            assert_eq!(m, expected, "{what}");
         }
     }
 }
@@ -387,11 +412,46 @@ fn a_right_child_that_panics_after_it_chained_leaves_both_to_drain() {
     over_families!(a_right_child_that_chained_unwinds);
 }
 
-/// A right spine `n` spawns deep; every left child adds 1 into `lefts`.
-fn spine<C: CounterFamily>(ctx: Ctx<'_, C>, n: u32, lefts: Arc<AtomicU64>) {
-    if n > 0 {
-        ctx.spawn(add(&lefts, 1), move |c| spine(c, n - 1, lefts));
+/// Spin until `done()`; a test that waits longer than this has lost the
+/// schedule it built, and fails here instead of stalling.
+fn spin_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(4);
+    while !done() {
+        assert!(Instant::now() < deadline, "inline_spawn: waited too long for {what}");
+        std::thread::yield_now();
     }
+}
+
+/// Keep this worker's deque holding work, so that the spawns after this
+/// call find something there for a thief and promote nothing, until `go`
+/// is set: fork `workers − 1` bodies that spin until then — each thief
+/// that takes one is held by it — and one more behind them, which no thief
+/// can reach before it has taken one of those. Each adds 1 to `ran` when
+/// it is done: at `workers` the deque is empty again.
+fn hold_thieves<C: CounterFamily>(
+    ctx: &mut Ctx<'_, C>,
+    workers: usize,
+    go: &Arc<AtomicBool>,
+    ran: &Arc<AtomicU64>,
+) {
+    for _ in 1..workers {
+        let (go, ran) = (Arc::clone(go), Arc::clone(ran));
+        ctx.fork(move |_| {
+            spin_until("go", || go.load(Ordering::SeqCst));
+            ran.fetch_add(1, Ordering::SeqCst);
+        });
+    }
+    ctx.fork(add(ran, 1));
+}
+
+/// A right spine `n` spawns deep; every left child adds 1 into `lefts`, and
+/// the last right child sets `done`.
+fn spine<C: CounterFamily>(ctx: Ctx<'_, C>, n: u32, lefts: Arc<AtomicU64>, done: Arc<AtomicBool>) {
+    if n == 0 {
+        done.store(true, Ordering::SeqCst);
+        return;
+    }
+    ctx.spawn(add(&lefts, 1), move |c| spine(c, n - 1, lefts, done));
 }
 
 fn a_right_spine_crosses_the_bound<C: CounterFamily>(cfg: C::Config) {
@@ -402,28 +462,29 @@ fn a_right_spine_crosses_the_bound<C: CounterFamily>(cfg: C::Config) {
         let before = Snapshot::take();
         let lefts = Arc::new(AtomicU64::new(0));
         let l = Arc::clone(&lefts);
-        let stats =
-            run_dag_watched::<C, _>(cfg.clone(), workers, watchdog(), move |ctx| spine(ctx, N, l));
+        let stats = run_dag_watched::<C, _>(cfg.clone(), workers, watchdog(), move |mut ctx| {
+            // Every left sibling waits: the thief is held, and the deque
+            // holds work, until the spine is done.
+            let (done, held) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicU64::new(0)));
+            hold_thieves(&mut ctx, workers, &done, &held);
+            spine(ctx, N, l, done)
+        });
         let d = Snapshot::take().diff(&before);
         assert_eq!(lefts.load(Ordering::Relaxed), u64::from(N), "{what}: every left ran");
         if !obs::enabled() {
             continue;
         }
         let m = made(&what, &d, Some(&stats.pool));
-        let spawns = u64::from(N);
-        // A spawn within the bound runs its children in place: both at
-        // W = 1, the right one at W = 2.
-        let per_spawn = if workers == 1 { 2 } else { 1 };
-        let past = spawns - m.in_place / per_spawn;
+        // A spawn within the bound runs both children in place; each spawn
+        // past the bound finds a left sibling waiting, and splits a place
+        // off its vertex for each of its two children. Besides: the root
+        // and the final vertex, and a pair and a vertex per held fork.
+        let past = u64::from(N) - m.in_place / 2;
         assert!(past > 0, "{what}: the spine crossed the stack bound");
-        let (pairs, vertices) = if workers == 1 {
-            // Each spawn past the bound finds a left sibling waiting, and
-            // splits a place off its vertex for each of its two children.
-            (2 * past, 2 + 2 * past)
-        } else {
-            (spawns, 2 + 2 * past + (spawns - past))
-        };
-        assert_eq!(m, Made { pairs, vertices, in_place: m.in_place, counters: 1 }, "{what}");
+        let forks = workers as u64;
+        let (pairs, vertices) = (forks + 2 * past, 2 + forks + 2 * past);
+        let expected = Made { pairs, vertices, in_place: m.in_place, counters: 1, promoted: 0 };
+        assert_eq!(m, expected, "{what}");
     }
 }
 
@@ -433,9 +494,173 @@ fn a_right_spine_crosses_the_stack_bound_while_its_siblings_wait() {
     over_families!(a_right_spine_crosses_the_bound);
 }
 
+/// Where each marked left child ran.
+type Ran = Arc<Mutex<Vec<(&'static str, ThreadId)>>>;
+
+/// A body that notes in `ran` that `name` ran on this thread.
+fn mark<C: CounterFamily>(
+    ran: &Ran,
+    name: &'static str,
+) -> impl for<'b> FnOnce(Ctx<'b, C>) + Send + 'static {
+    let ran = Arc::clone(ran);
+    move |_| ran.lock().unwrap().push((name, std::thread::current().id()))
+}
+
+fn the_oldest_waiting_left_child_is_promoted<C: CounterFamily>(cfg: C::Config) {
+    for workers in [2, 4] {
+        let what = format!("oldest first on {} at W={workers}", C::NAME);
+        let before = Snapshot::take();
+        let ran: Ran = Arc::default();
+        let r = Arc::clone(&ran);
+        let stats = run_dag_watched::<C, _>(cfg.clone(), workers, watchdog(), move |mut ctx| {
+            let (go, held) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicU64::new(0)));
+            hold_thieves(&mut ctx, workers, &go, &held);
+            r.lock().unwrap().push(("root", std::thread::current().id()));
+            // Two spawns whose left children wait: the deque holds work.
+            ctx.spawn(mark(&r, "outer"), move |c| {
+                c.spawn(mark(&r, "middle"), move |c| {
+                    go.store(true, Ordering::SeqCst);
+                    spin_until("the held bodies", || held.load(Ordering::SeqCst) == workers as u64);
+                    // The deque is empty: this spawn promotes the oldest
+                    // waiting left child, and this right child finishes
+                    // only once a thief has started it.
+                    let outer = |r: &Ran| r.lock().unwrap().iter().any(|(n, _)| *n == "outer");
+                    c.spawn(mark(&r, "inner"), move |_| {
+                        spin_until("the outer left child", || outer(&r))
+                    })
+                })
+            })
+        });
+        let d = Snapshot::take().diff(&before);
+        let ran = ran.lock().unwrap();
+        let on = |name| ran.iter().filter(|(n, _)| *n == name).map(|(_, t)| *t).collect::<Vec<_>>();
+        let root = on("root")[0];
+        assert_ne!(on("outer"), [root], "{what}: the outer left child ran on a thief");
+        assert_eq!(on("outer").len(), 1, "{what}: the outer left child ran once");
+        assert_eq!(on("middle"), [root], "{what}: the middle left child ran in place");
+        assert_eq!(on("inner"), [root], "{what}: the inner left child ran in place");
+        if obs::enabled() {
+            // A pair and a vertex per held fork and for the one promotion;
+            // the root and the final vertex; the other five children ran
+            // in place.
+            let w = workers as u64;
+            let expected =
+                Made { pairs: w + 1, vertices: w + 3, in_place: 5, counters: 1, promoted: 1 };
+            assert_eq!(made(&what, &d, Some(&stats.pool)), expected, "{what}");
+        }
+    }
+}
+
+#[test]
+fn the_oldest_waiting_left_child_is_promoted_to_a_thief() {
+    let _g = serial();
+    over_families!(the_oldest_waiting_left_child_is_promoted);
+}
+
+fn a_right_child_panics_around_a_promotion<C: CounterFamily>(cfg: C::Config) {
+    for workers in [2, 4] {
+        for waits in [false, true] {
+            let what = format!(
+                "a right child that panics while its sibling {} on {} at W={workers}",
+                if waits { "waits" } else { "is promoted" },
+                C::NAME
+            );
+            let lefts = Arc::new(AtomicU64::new(0));
+            let l = Arc::clone(&lefts);
+            let root = move |mut ctx: Ctx<'_, C>| {
+                let (go, held) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicU64::new(0)));
+                if waits {
+                    hold_thieves(&mut ctx, workers, &go, &held);
+                }
+                // Without held work the spawn finds its worker's deque
+                // empty, and promotes the left child at once.
+                ctx.spawn(add(&l, 1), move |_| {
+                    go.store(true, Ordering::SeqCst);
+                    panic!("{}", RIGHT_PANICS);
+                })
+            };
+            let m = panics_and_drains::<C>(cfg.clone(), workers, &what, RIGHT_PANICS, root);
+            assert_eq!(lefts.load(Ordering::Relaxed), 1, "{what}: the left child ran once");
+            let Some(m) = m else { continue };
+            // One increment for the left child either way: its promotion,
+            // or the guard's split when the right child unwinds. The root,
+            // the final vertex and the left child are vertices; so is each
+            // held fork, with a pair of its own.
+            let forks = if waits { workers as u64 } else { 0 };
+            let promoted = u64::from(!waits);
+            let expected =
+                Made { pairs: forks + 1, vertices: forks + 3, in_place: 1, counters: 1, promoted };
+            assert_eq!(m, expected, "{what}");
+        }
+    }
+}
+
+#[test]
+fn a_right_child_that_panics_around_a_promotion_drains_exactly() {
+    let _g = serial();
+    over_families!(a_right_child_panics_around_a_promotion);
+}
+
+fn a_nested_run_leaves_the_waiting_left_child<C: CounterFamily>(cfg: C::Config) {
+    // fib(12): 232 spawns.
+    const SPAWNS: u64 = 233 - 1;
+    for workers in [2, 4] {
+        let what = format!("a run nested in a right child on {} at W={workers}", C::NAME);
+        let before = Snapshot::take();
+        let ran: Ran = Arc::default();
+        let r = Arc::clone(&ran);
+        let inner_cfg = cfg.clone();
+        run_dag_watched::<C, _>(cfg.clone(), workers, watchdog(), move |mut ctx| {
+            let (go, held) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicU64::new(0)));
+            hold_thieves(&mut ctx, workers, &go, &held);
+            r.lock().unwrap().push(("root", std::thread::current().id()));
+            let right_done = Arc::new(AtomicBool::new(false));
+            let done = Arc::clone(&right_done);
+            let left = mark(&r, "left");
+            ctx.spawn(
+                move |c| {
+                    assert!(done.load(Ordering::SeqCst), "the left child ran before its sibling");
+                    left(c)
+                },
+                move |_| {
+                    // The nested run's first spawn finds its own deque empty
+                    // and promotes: its own left child, never this one.
+                    let sum = Arc::new(AtomicU64::new(0));
+                    let s = Arc::clone(&sum);
+                    run_dag::<C, _>(inner_cfg, 2, move |c| fib(c, 12, s));
+                    assert_eq!(sum.load(Ordering::Relaxed), 144, "the nested run's fib(12)");
+                    go.store(true, Ordering::SeqCst);
+                    right_done.store(true, Ordering::SeqCst);
+                },
+            )
+        });
+        let d = Snapshot::take().diff(&before);
+        let ran = ran.lock().unwrap();
+        assert_eq!(ran[0].0, "root");
+        assert_eq!(ran[1..], [("left", ran[0].1)], "{what}: the left child ran in place");
+        if obs::enabled() {
+            // Both runs' telemetry: the outer one promoted nothing, so every
+            // promotion, pair and vertex past the held forks, the two runs'
+            // roots and final vertices is the nested run's.
+            let m = made(&what, &d, None);
+            let (w, p) = (workers as u64, m.promoted);
+            let in_place = 2 + 2 * SPAWNS - p;
+            let expected =
+                Made { pairs: w + p, vertices: w + 4 + p, in_place, counters: 2, promoted: p };
+            assert_eq!(m, expected, "{what}");
+        }
+    }
+}
+
+#[test]
+fn a_run_nested_in_a_right_child_promotes_nothing_of_the_run_around_it() {
+    let _g = serial();
+    over_families!(a_nested_run_leaves_the_waiting_left_child);
+}
+
 /// A spawn tree `depth` levels deep; every leaf adds 1 to `leaves`.
 #[cfg(feature = "fault-inject")]
-fn tree(ctx: Ctx<'_, DynSnzi>, depth: u32, leaves: Arc<AtomicU64>) {
+fn tree<C: CounterFamily>(ctx: Ctx<'_, C>, depth: u32, leaves: Arc<AtomicU64>) {
     if depth == 0 {
         leaves.fetch_add(1, Ordering::Relaxed);
         return;
@@ -445,39 +670,36 @@ fn tree(ctx: Ctx<'_, DynSnzi>, depth: u32, leaves: Arc<AtomicU64>) {
 }
 
 #[cfg(feature = "fault-inject")]
-#[test]
-fn the_panic_vertex_failpoint_fires_on_children_run_in_place() {
+fn the_panic_vertex_failpoint_fires_on_every_body<C: CounterFamily>(cfg: C::Config) {
     use sched::failpoint::{self, FaultMode, FaultPlan, SiteSpec};
     const DEPTH: u32 = 3;
-    let _g = serial();
     let plan = |mode| FaultPlan::new(1, vec![SiteSpec { site: "spdag.panic_vertex".into(), mode }]);
     // At W = 1 every child of the tree runs in place: the eligible bodies
     // are the root vertex and two per spawn (the final vertex is the
     // runtime's). Without a firing on children run in place, only the root
-    // would be eligible.
+    // would be eligible. At W ≥ 2 a promoted left child is a vertex, and
+    // eligible as one.
     failpoint::install(&plan(FaultMode::Nth(u64::MAX)));
     let leaves = Arc::new(AtomicU64::new(0));
     let l = Arc::clone(&leaves);
-    run_dag::<DynSnzi, _>(DynConfig::default(), 1, move |ctx| tree(ctx, DEPTH, l));
+    run_dag::<C, _>(cfg.clone(), 1, move |ctx| tree(ctx, DEPTH, l));
     let eligible = failpoint::tallies()[0].1;
     failpoint::clear();
     assert_eq!(leaves.load(Ordering::Relaxed), 1 << DEPTH);
     assert_eq!(eligible, 1 + 2 * ((1 << DEPTH) - 1), "the root and every child");
 
-    for workers in [1, 2] {
+    for workers in [1, 2, 4] {
         for nth in 1..=eligible {
-            let what = format!("W={workers}, panic at eligible body {nth} of {eligible}");
+            let what =
+                format!("{} at W={workers}, panic at eligible body {nth} of {eligible}", C::NAME);
             failpoint::install(&plan(FaultMode::Nth(nth)));
             let before = Snapshot::take();
             let leaves = Arc::new(AtomicU64::new(0));
             let l = Arc::clone(&leaves);
             let result = catch_unwind(AssertUnwindSafe(|| {
-                run_dag_watched::<DynSnzi, _>(
-                    DynConfig::default(),
-                    workers,
-                    watchdog(),
-                    move |ctx| tree(ctx, DEPTH, l),
-                )
+                run_dag_watched::<C, _>(cfg.clone(), workers, watchdog(), move |ctx| {
+                    tree(ctx, DEPTH, l)
+                })
             }));
             let d = Snapshot::take().diff(&before);
             let injected = failpoint::injected_count();
@@ -489,11 +711,16 @@ fn the_panic_vertex_failpoint_fires_on_children_run_in_place() {
             // One body was cut down, with the leaves below it.
             assert!(leaves.load(Ordering::Relaxed) < 1 << DEPTH, "{what}");
             if obs::enabled() {
-                assert_eq!(d.counter("sched.pairs_born"), d.counter("sched.pairs_freed"), "{what}");
-                let born = d.counter("sched.vertex_alloc") + d.counter("sched.vertex_reuse");
-                let dead = d.counter("sched.vertex_recycled") + d.counter("sched.vertex_dropped");
-                assert_eq!(born, dead, "{what}: vertices");
+                // Every pair born freed, every vertex born retired.
+                made(&what, &d, None);
             }
         }
     }
+}
+
+#[cfg(feature = "fault-inject")]
+#[test]
+fn the_panic_vertex_failpoint_fires_on_children_run_in_place() {
+    let _g = serial();
+    over_families!(the_panic_vertex_failpoint_fires_on_every_body);
 }

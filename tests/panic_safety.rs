@@ -15,20 +15,23 @@
 //! 4. the conservation identities — vertices, decrement pairs
 //!    (`pairs_born == pairs_freed`, both equal to the program's
 //!    increments: a pair exists only where a scope forked, a panic
-//!    removes none, and at W = 1 an unwinding right child adds one per
-//!    left sibling it leaves waiting), PoolArcs, out-set blocks and adds — close at
-//!    quiescence even across a poisoned run (checked when telemetry is
-//!    compiled in).
+//!    removes none, a promoted left child adds one, and an unwinding right
+//!    child adds one per left sibling it leaves waiting), PoolArcs,
+//!    out-set blocks and adds — close at quiescence even across a poisoned
+//!    run (checked when telemetry is compiled in).
 //!
 //! The file runs identically in every feature leg: it injects panics
 //! with plain `panic!`, not failpoints, so `fault-inject` being absent
 //! changes nothing.
+
+mod common;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
+use common::Lefts;
 use incounter::{DynConfig, DynSnzi};
 use proptest::prelude::*;
 use sched::WatchdogCfg;
@@ -72,27 +75,88 @@ impl Prog {
         }
     }
 
+    /// The first cell, which names a spawn by its right side (distinct
+    /// spawns have distinct right sides, and a right side's first cell is
+    /// none of its left sibling's).
+    fn first(&self) -> usize {
+        match self {
+            Prog::Leaf(id) | Prog::Touch(id) | Prog::TouchAwait(id) => *id,
+            Prog::Spawn(a, _) | Prog::Chain(a, _) | Prog::Fork(a, _) => a.first(),
+        }
+    }
+
+    /// Every spawn's name ([`first`](Prog::first) of its right side).
+    fn spawns(&self, out: &mut Vec<usize>) {
+        match self {
+            Prog::Leaf(_) | Prog::Touch(_) | Prog::TouchAwait(_) => {}
+            Prog::Spawn(a, b) | Prog::Chain(a, b) | Prog::Fork(a, b) => {
+                if matches!(self, Prog::Spawn(..)) {
+                    out.push(b.first());
+                }
+                a.spawns(out);
+                b.spawns(out);
+            }
+        }
+    }
+
+    /// The spawns whose right child the victim's panic unwinds in place,
+    /// outermost first, in the vertex where it panics; and whether that is
+    /// the vertex `self` starts in. `lefts` says which left children ran
+    /// in place (a left child that did not runs in a vertex of its own, and
+    /// so do a chain's sides, a fork's forked side and a future's body).
+    fn unwind_path(&self, victim: usize, lefts: &Lefts) -> Option<(Vec<usize>, bool)> {
+        let elsewhere = |(path, _): (Vec<usize>, bool)| (path, false);
+        match self {
+            Prog::Leaf(id) => (*id == victim).then(|| (Vec::new(), true)),
+            Prog::Touch(id) | Prog::TouchAwait(id) => (*id == victim).then(|| (Vec::new(), false)),
+            Prog::Chain(a, b) => {
+                a.unwind_path(victim, lefts).or_else(|| b.unwind_path(victim, lefts)).map(elsewhere)
+            }
+            Prog::Fork(a, b) => {
+                a.unwind_path(victim, lefts).map(elsewhere).or_else(|| b.unwind_path(victim, lefts))
+            }
+            Prog::Spawn(a, b) => {
+                let s = b.first();
+                match b.unwind_path(victim, lefts) {
+                    Some((mut path, true)) => {
+                        path.insert(0, s);
+                        Some((path, true))
+                    }
+                    Some(elsewhere) => Some(elsewhere),
+                    None => a
+                        .unwind_path(victim, lefts)
+                        .map(|(path, here)| (path, here && lefts.in_place(s))),
+                }
+            }
+        }
+    }
+
     /// In-counter increments the program performs (the dag drains
     /// structurally, so a cut-down victim — a leaf or a future's body —
-    /// removes none): one per fork and future, and one per spawn with two
-    /// or more workers. In a one-worker run (`solo`) a spawn makes none:
-    /// its children run one after the other in its vertex, the right one
-    /// while the left one waits (`pending`), and a touch or a chain made
-    /// meanwhile splits that vertex by one increment. So does a right child
-    /// that unwinds (`panics_here`): its waiting sibling becomes a vertex of
-    /// its own, and runs with nothing pending.
-    fn increments(&self, solo: bool, pending: bool, victim: Option<usize>) -> u64 {
-        let inc = |p: &Prog, pending| p.increments(solo, pending, victim);
+    /// removes none), given what became of each spawn's left child
+    /// ([`fates`]): one per fork and future, and one per spawn whose left
+    /// child became a vertex. A spawn whose left child ran in place makes
+    /// none: its children run one after the other in its vertex, the right
+    /// one while the left one waits (`pending`), and a touch or a chain
+    /// made meanwhile splits that vertex by one increment. A left child
+    /// that was promoted left nothing waiting in its right sibling: promotion
+    /// takes the oldest first, and it went before any chain or touch of
+    /// that sibling (nothing but a spawn promotes, and a spawn, a chain and
+    /// a touch each end a strand). One that the unwind guard pushed waited
+    /// until the panic.
+    fn increments(&self, fates: &[Left], pending: bool) -> u64 {
+        let inc = |p: &Prog, pending| p.increments(fates, pending);
         match self {
             Prog::Leaf(_) => 0,
             Prog::Touch(_) => 1 + u64::from(pending),
             Prog::TouchAwait(_) => 2,
             Prog::Chain(a, b) => u64::from(pending) + inc(a, false) + inc(b, false),
             Prog::Fork(a, b) => 1 + inc(a, false) + inc(b, pending),
-            Prog::Spawn(a, b) => {
-                let unwinds = solo && b.panics_here(victim);
-                u64::from(!solo || unwinds) + inc(a, pending && !unwinds) + inc(b, solo)
-            }
+            Prog::Spawn(a, b) => match fates[b.first()] {
+                Left::InPlace => inc(a, pending) + inc(b, true),
+                Left::Promoted => 1 + inc(a, false) + inc(b, false),
+                Left::Pushed => 1 + inc(a, false) + inc(b, true),
+            },
         }
     }
 
@@ -101,33 +165,23 @@ impl Prog {
     /// counters of the scopes nested inside (each `chain` opens one around
     /// its first side; a future's body here is a leaf and never forks).
     /// The arguments are [`increments`](Prog::increments)'.
-    fn counters(&self, solo: bool, pending: bool, victim: Option<usize>) -> (bool, u64) {
-        let cnt = |p: &Prog, pending| p.counters(solo, pending, victim);
+    fn counters(&self, fates: &[Left], pending: bool) -> (bool, u64) {
+        let cnt = |p: &Prog, pending| p.counters(fates, pending);
         match self {
             Prog::Leaf(_) => (false, 0),
             Prog::Touch(_) | Prog::TouchAwait(_) => (true, 0),
             Prog::Fork(a, b) => (true, cnt(a, false).1 + cnt(b, pending).1),
             Prog::Spawn(a, b) => {
-                let unwinds = solo && b.panics_here(victim);
-                let ((sa, na), (sb, nb)) = (cnt(a, pending && !unwinds), cnt(b, solo));
-                (!solo || unwinds || sa || sb, na + nb)
+                let fate = fates[b.first()];
+                let here = fate == Left::InPlace;
+                let ((sa, na), (sb, nb)) =
+                    (cnt(a, pending && here), cnt(b, fate != Left::Promoted));
+                (!here || sa || sb, na + nb)
             }
             Prog::Chain(a, b) => {
                 let ((inner, na), (outer, nb)) = (cnt(a, false), cnt(b, false));
                 (pending || outer, na + nb + u64::from(inner))
             }
-        }
-    }
-
-    /// Whether cell `victim` panics in the vertex `self` starts in at
-    /// W = 1: a leaf reached through spawns (whose children run in place)
-    /// and the inline side of forks, not through a chain or a future.
-    fn panics_here(&self, victim: Option<usize>) -> bool {
-        match self {
-            Prog::Leaf(id) => victim == Some(*id),
-            Prog::Spawn(a, b) => a.panics_here(victim) || b.panics_here(victim),
-            Prog::Fork(_, b) => b.panics_here(victim),
-            Prog::Chain(..) | Prog::Touch(_) | Prog::TouchAwait(_) => false,
         }
     }
 
@@ -164,6 +218,49 @@ impl Prog {
     }
 }
 
+/// What became of a spawn's left child.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Left {
+    /// It ran in its parent's vertex, after its right sibling.
+    InPlace,
+    /// It waited, and was promoted into a vertex of its own.
+    Promoted,
+    /// It waited until its right sibling unwound, whose guard pushed it.
+    Pushed,
+}
+
+/// What became of each spawn's left child, by spawn name: where it ran
+/// (`lefts`), and for one that ran as a vertex, whether a promotion or the
+/// unwind guard made it one. The guard pushes the left children still
+/// waiting when the victim's panic unwinds through their spawns: the
+/// newest ones on the unwind path, since promotion takes the oldest first;
+/// the others there, and every other left child that did not run in place,
+/// were promoted — `promoted` of them (`spdag.spawn_promoted`).
+fn fates(prog: &Prog, victim: Option<usize>, lefts: &Lefts, promoted: u64) -> Vec<Left> {
+    let mut spawns = Vec::new();
+    prog.spawns(&mut spawns);
+    let mut fates = vec![Left::InPlace; prog.cells()];
+    for &s in &spawns {
+        if !lefts.in_place(s) {
+            fates[s] = Left::Promoted;
+        }
+    }
+    let path = victim.and_then(|v| prog.unwind_path(v, lefts)).map(|(path, _)| path);
+    let path = path.unwrap_or_default();
+    assert!(
+        path.iter().all(|&s| fates[s] != Left::InPlace),
+        "an unwound spawn's left ran in place"
+    );
+    let vertices = spawns.iter().filter(|&&s| fates[s] != Left::InPlace).count() as u64;
+    let pushed = vertices.checked_sub(promoted).expect("a promotion per left run as a vertex");
+    let pushed = usize::try_from(pushed).unwrap();
+    assert!(pushed <= path.len(), "the guards pushed {pushed} left children, {path:?} unwound");
+    for &s in &path[path.len() - pushed..] {
+        fates[s] = Left::Pushed;
+    }
+    fates
+}
+
 fn prog_strategy() -> impl Strategy<Value = Prog> {
     let leaf = prop_oneof![Just(Prog::Leaf(0)), Just(Prog::Touch(0)), Just(Prog::TouchAwait(0)),];
     leaf.prop_recursive(4, 20, 2, |inner| {
@@ -179,27 +276,38 @@ fn prog_strategy() -> impl Strategy<Value = Prog> {
     })
 }
 
+/// A run's cells: one stamp each, and where each spawn's left child ran.
+struct Cells {
+    stamps: Vec<AtomicU64>,
+    lefts: Arc<Lefts>,
+}
+
 /// Execute `prog`; cell `victim` (if any) panics instead of stamping —
 /// in its future's body for `Touch`/`TouchAwait` cells.
-fn exec(mut ctx: Ctx<'_, DynSnzi>, prog: Prog, stamps: Arc<Vec<AtomicU64>>, victim: Option<usize>) {
+fn exec(mut ctx: Ctx<'_, DynSnzi>, prog: Prog, cells: Arc<Cells>, victim: Option<usize>) {
     let hit = move |id: usize| victim == Some(id);
     match prog {
         Prog::Leaf(id) => {
             assert!(!hit(id), "{INJECTED}");
-            stamps[id].fetch_add(1, Ordering::SeqCst);
+            cells.stamps[id].fetch_add(1, Ordering::SeqCst);
         }
         Prog::Spawn(a, b) => {
-            let (s1, s2) = (Arc::clone(&stamps), stamps);
-            ctx.spawn(move |c| exec(c, *a, s1, victim), move |c| exec(c, *b, s2, victim));
+            let (c1, c2) = (Arc::clone(&cells), Arc::clone(&cells));
+            cells.lefts.spawn(
+                ctx,
+                b.first(),
+                move |c| exec(c, *a, c1, victim),
+                move |c| exec(c, *b, c2, victim),
+            );
         }
         Prog::Chain(a, b) => {
-            let (s1, s2) = (Arc::clone(&stamps), stamps);
-            ctx.chain(move |c| exec(c, *a, s1, victim), move |c| exec(c, *b, s2, victim));
+            let (c1, c2) = (Arc::clone(&cells), cells);
+            ctx.chain(move |c| exec(c, *a, c1, victim), move |c| exec(c, *b, c2, victim));
         }
         Prog::Fork(a, b) => {
-            let s1 = Arc::clone(&stamps);
-            ctx.fork(move |c| exec(c, *a, s1, victim));
-            exec(ctx, *b, stamps, victim);
+            let c1 = Arc::clone(&cells);
+            ctx.fork(move |c| exec(c, *a, c1, victim));
+            exec(ctx, *b, cells, victim);
         }
         Prog::Touch(id) => {
             let f = ctx.future(move |_| {
@@ -208,7 +316,7 @@ fn exec(mut ctx: Ctx<'_, DynSnzi>, prog: Prog, stamps: Arc<Vec<AtomicU64>>, vict
             });
             ctx.touch(&f, move |_, v| {
                 assert_eq!(*v, id as u64);
-                stamps[id].fetch_add(1, Ordering::SeqCst);
+                cells.stamps[id].fetch_add(1, Ordering::SeqCst);
             });
         }
         Prog::TouchAwait(id) => {
@@ -219,7 +327,7 @@ fn exec(mut ctx: Ctx<'_, DynSnzi>, prog: Prog, stamps: Arc<Vec<AtomicU64>>, vict
             ctx.fork_strand(move |c: &mut Ctx<'_, DynSnzi>| {
                 let v = *strand_await!(c, &f);
                 assert_eq!(v, id as u64);
-                stamps[id].fetch_add(1, Ordering::SeqCst);
+                cells.stamps[id].fetch_add(1, Ordering::SeqCst);
                 StrandPoll::Done(())
             });
         }
@@ -239,9 +347,10 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// Run one case watchdog-bounded and check the full contract.
 fn run_case(prog: &Prog, workers: usize, victim: Option<usize>) {
     let n = prog.cells();
-    let stamps = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>());
+    let stamps = (0..n).map(|_| AtomicU64::new(0)).collect();
+    let cells = Arc::new(Cells { stamps, lefts: Lefts::new(n) });
     let before = obs::Snapshot::take();
-    let (s, p) = (Arc::clone(&stamps), prog.clone());
+    let (s, p) = (Arc::clone(&cells), prog.clone());
     let result = catch_unwind(AssertUnwindSafe(|| {
         run_dag_watched::<DynSnzi, _>(
             DynConfig::with_threshold(4),
@@ -270,7 +379,7 @@ fn run_case(prog: &Prog, workers: usize, victim: Option<usize>) {
 
     // Drain-to-completion: poisoning changes what the victim's cell
     // does, never whether the rest of the dag runs.
-    for (id, cell) in stamps.iter().enumerate() {
+    for (id, cell) in cells.stamps.iter().enumerate() {
         let got = cell.load(Ordering::SeqCst);
         let expect = if victim == Some(id) { 0 } else { 1 };
         assert_eq!(
@@ -292,9 +401,13 @@ fn run_case(prog: &Prog, workers: usize, victim: Option<usize>) {
         // holds none, so a leaf dag makes no pair and no counter at all.
         let (born, freed) = (d.counter("sched.pairs_born"), d.counter("sched.pairs_freed"));
         assert_eq!(born, freed, "decrement pairs leaked across a poisoned run");
-        let solo = workers == 1;
-        assert_eq!(born, prog.increments(solo, false, victim), "one pair per increment: {prog:?}");
-        let (root, nested) = prog.counters(solo, false, victim);
+        let promoted = d.counter("spdag.spawn_promoted");
+        if workers == 1 {
+            assert_eq!(promoted, 0, "nothing to promote to: {prog:?}");
+        }
+        let fates = fates(prog, victim, &cells.lefts, promoted);
+        assert_eq!(born, prog.increments(&fates, false), "one pair per increment: {prog:?}");
+        let (root, nested) = prog.counters(&fates, false);
         assert_eq!(
             d.counter("snzi.trees_created"),
             u64::from(root) + nested,

@@ -10,7 +10,7 @@
 //!    pairs_freed`), one pair per increment and one in-counter per scope
 //!    that forked. A violation is a leak or a double-free caught by
 //!    arithmetic — or a pair or counter per chain/future/touch/park, or
-//!    per one-worker spawn, grown back.
+//!    per spawn whose left child ran in place, grown back.
 //! 2. **Provenance is the layout** — objects whose layout is off the
 //!    class ladder (too big, aligned past a cache-line pair) take the
 //!    plain allocator and never enter a class pool (`reused == recycled
@@ -29,9 +29,12 @@
 //! (telemetry compiled out); the exactly-once execution checks and the
 //! trim/footprint gauge checks hold in both modes.
 
+mod common;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use common::Lefts;
 use dynsnzi::prelude::*;
 use proptest::prelude::*;
 use sched::recycle;
@@ -82,46 +85,88 @@ impl Prog {
         }
     }
 
-    /// In-counter increments the program performs, in a one-worker run
-    /// (`solo`) or not: one per scope fork and future (an `Await` makes a
-    /// future and forks a strand), and one per spawn with two or more
-    /// workers. A one-worker spawn makes none: its children run one after
-    /// the other in its vertex, the right one while the left one waits
-    /// (`pending`). Then a chain or a touch splits that vertex by one
-    /// increment; otherwise a chain, a touch and a park make none.
-    fn increments(&self, solo: bool, pending: bool) -> u64 {
+    /// Nodes of the program tree. A node's id is its pre-order index: the
+    /// root is `id`, a first child `id + 1`, a second child `id + 1 +` the
+    /// first child's nodes.
+    fn nodes(&self) -> usize {
+        match self {
+            Prog::Leaf => 1,
+            Prog::Spawn(a, b) | Prog::Chain(a, b) => 1 + a.nodes() + b.nodes(),
+            Prog::Fork(_, a) | Prog::Future(a) | Prog::Await(a) => 1 + a.nodes(),
+        }
+    }
+
+    /// In-counter increments the program performs, the node being `id`:
+    /// one per scope fork and future (an `Await` makes a future and forks a
+    /// strand). A spawn makes none when its left child ran in place
+    /// (`lefts`): its children run one after the other in its vertex, the
+    /// right one while the left one waits (`pending`), and a chain or a
+    /// touch made meanwhile splits that vertex by one increment. A spawn
+    /// whose left child was promoted made one increment for it, and left
+    /// nothing waiting: promotion takes the oldest first, so everything
+    /// older in the vertex had gone before it, and it went before any
+    /// chain or touch of its right sibling (nothing but a spawn promotes,
+    /// and a spawn, a chain and a touch each end a strand). Otherwise a
+    /// chain, a touch and a park make none.
+    fn increments(&self, id: usize, lefts: &Lefts, pending: bool) -> u64 {
         match self {
             Prog::Leaf => 0,
             Prog::Spawn(a, b) => {
-                u64::from(!solo) + a.increments(solo, pending) + b.increments(solo, solo)
+                let (ia, ib) = (id + 1, id + 1 + a.nodes());
+                if lefts.in_place(id) {
+                    a.increments(ia, lefts, pending) + b.increments(ib, lefts, true)
+                } else {
+                    1 + a.increments(ia, lefts, false) + b.increments(ib, lefts, false)
+                }
             }
             Prog::Chain(a, b) => {
-                u64::from(pending) + a.increments(solo, false) + b.increments(solo, false)
+                u64::from(pending)
+                    + a.increments(id + 1, lefts, false)
+                    + b.increments(id + 1 + a.nodes(), lefts, false)
             }
-            Prog::Fork(k, a) => u64::from(*k) + a.increments(solo, pending),
-            Prog::Future(a) => 1 + u64::from(pending) + a.increments(solo, false),
-            Prog::Await(a) => 2 + a.increments(solo, pending),
+            Prog::Fork(k, a) => u64::from(*k) + a.increments(id + 1, lefts, pending),
+            Prog::Future(a) => 1 + u64::from(pending) + a.increments(id + 1, lefts, false),
+            Prog::Await(a) => 2 + a.increments(id + 1, lefts, pending),
+        }
+    }
+
+    /// Spawns whose left child did not run in place: with no panic, each
+    /// was promoted.
+    fn promoted(&self, id: usize, lefts: &Lefts) -> u64 {
+        match self {
+            Prog::Leaf => 0,
+            Prog::Spawn(a, b) | Prog::Chain(a, b) => {
+                let spawned = matches!(self, Prog::Spawn(..)) && !lefts.in_place(id);
+                u64::from(spawned)
+                    + a.promoted(id + 1, lefts)
+                    + b.promoted(id + 1 + a.nodes(), lefts)
+            }
+            Prog::Fork(_, a) | Prog::Future(a) | Prog::Await(a) => a.promoted(id + 1, lefts),
         }
     }
 
     /// In-counters the program makes: one per finish scope that forks.
     /// Returns whether the scope `self` runs in is stepped by it, and the
     /// counters of the scopes nested inside (each `chain` opens one around
-    /// its first side; the futures' bodies here never fork). `solo` and
-    /// `pending` as for [`increments`](Prog::increments).
-    fn counters(&self, solo: bool, pending: bool) -> (bool, u64) {
+    /// its first side; the futures' bodies here never fork). The arguments
+    /// are [`increments`](Prog::increments)'.
+    fn counters(&self, id: usize, lefts: &Lefts, pending: bool) -> (bool, u64) {
         match self {
             Prog::Leaf => (false, 0),
             Prog::Spawn(a, b) => {
-                let ((sa, na), (sb, nb)) = (a.counters(solo, pending), b.counters(solo, solo));
-                (!solo || sa || sb, na + nb)
+                let (ia, ib) = (id + 1, id + 1 + a.nodes());
+                let here = lefts.in_place(id);
+                let (sa, na) = a.counters(ia, lefts, pending && here);
+                let (sb, nb) = b.counters(ib, lefts, here);
+                (!here || sa || sb, na + nb)
             }
             Prog::Chain(a, b) => {
-                let ((inner, na), (outer, nb)) = (a.counters(solo, false), b.counters(solo, false));
+                let (inner, na) = a.counters(id + 1, lefts, false);
+                let (outer, nb) = b.counters(id + 1 + a.nodes(), lefts, false);
                 (pending || outer, na + nb + u64::from(inner))
             }
-            Prog::Fork(_, a) | Prog::Await(a) => (true, a.counters(solo, pending).1),
-            Prog::Future(a) => (true, a.counters(solo, false).1),
+            Prog::Fork(_, a) | Prog::Await(a) => (true, a.counters(id + 1, lefts, pending).1),
+            Prog::Future(a) => (true, a.counters(id + 1, lefts, false).1),
         }
     }
 }
@@ -139,18 +184,29 @@ fn prog_strategy() -> impl Strategy<Value = Prog> {
     })
 }
 
-fn exec(ctx: Ctx<'_, DynSnzi>, prog: Prog, hits: Arc<AtomicU64>) {
+/// Run node `id`, `prog` (ids as in [`Prog::nodes`]), noting in `lefts`
+/// where each spawn's left child ran.
+fn exec(ctx: Ctx<'_, DynSnzi>, prog: Prog, id: usize, hits: Arc<AtomicU64>, lefts: Arc<Lefts>) {
     match prog {
         Prog::Leaf => {
             hits.fetch_add(1, Ordering::Relaxed);
         }
         Prog::Spawn(a, b) => {
             let (h1, h2) = (Arc::clone(&hits), hits);
-            ctx.spawn(move |c| exec(c, *a, h1), move |c| exec(c, *b, h2));
+            let (l1, l2) = (Arc::clone(&lefts), Arc::clone(&lefts));
+            let ib = id + 1 + a.nodes();
+            lefts.spawn(
+                ctx,
+                id,
+                move |c| exec(c, *a, id + 1, h1, l1),
+                move |c| exec(c, *b, ib, h2, l2),
+            );
         }
         Prog::Chain(a, b) => {
             let (h1, h2) = (Arc::clone(&hits), hits);
-            ctx.chain(move |c| exec(c, *a, h1), move |c| exec(c, *b, h2));
+            let (l1, l2) = (Arc::clone(&lefts), lefts);
+            let ib = id + 1 + a.nodes();
+            ctx.chain(move |c| exec(c, *a, id + 1, h1, l1), move |c| exec(c, *b, ib, h2, l2));
         }
         Prog::Fork(k, a) => {
             let mut scope = ctx.into_scope();
@@ -160,7 +216,7 @@ fn exec(ctx: Ctx<'_, DynSnzi>, prog: Prog, hits: Arc<AtomicU64>) {
                     h.fetch_add(1, Ordering::Relaxed);
                 });
             }
-            exec(scope.into_ctx(), *a, hits);
+            exec(scope.into_ctx(), *a, id + 1, hits, lefts);
         }
         Prog::Future(a) => {
             let mut c = ctx;
@@ -168,7 +224,7 @@ fn exec(ctx: Ctx<'_, DynSnzi>, prog: Prog, hits: Arc<AtomicU64>) {
             c.touch(&f, move |c2, v| {
                 assert_eq!(*v, 7, "future value corrupted");
                 hits.fetch_add(1, Ordering::Relaxed);
-                exec(c2, *a, hits);
+                exec(c2, *a, id + 1, hits, lefts);
             });
         }
         Prog::Await(a) => {
@@ -182,7 +238,7 @@ fn exec(ctx: Ctx<'_, DynSnzi>, prog: Prog, hits: Arc<AtomicU64>) {
                 h.fetch_add(1, Ordering::Relaxed);
                 StrandPoll::Done(())
             });
-            exec(c, *a, hits);
+            exec(c, *a, id + 1, hits, lefts);
         }
     }
 }
@@ -195,7 +251,9 @@ fn run_and_check(workers: usize, prog: &Prog) {
     let hits = Arc::new(AtomicU64::new(0));
     let h = Arc::clone(&hits);
     let p = prog.clone();
-    run_dag::<DynSnzi, _>(DynConfig::default(), workers, move |ctx| exec(ctx, p, h));
+    let lefts = Lefts::new(prog.nodes());
+    let l = Arc::clone(&lefts);
+    run_dag::<DynSnzi, _>(DynConfig::default(), workers, move |ctx| exec(ctx, p, 0, h, l));
     let d = Snapshot::take().diff(&before);
     assert_eq!(hits.load(Ordering::Relaxed), prog.hits(), "every body exactly once");
     if !obs::enabled() {
@@ -208,9 +266,14 @@ fn run_and_check(workers: usize, prog: &Prog) {
     // and a scope makes its in-counter only if it forks.
     let (born, freed) = (d.counter("sched.pairs_born"), d.counter("sched.pairs_freed"));
     assert_eq!(born, freed, "decrement-pair leak: born {born} != freed {freed}");
-    let solo = workers == 1;
-    assert_eq!(born, prog.increments(solo, false), "one pair per increment: {prog:?}");
-    let (root, nested) = prog.counters(solo, false);
+    let promoted = d.counter("spdag.spawn_promoted");
+    if workers == 1 {
+        assert_eq!(promoted, 0, "nothing to promote to: {prog:?}");
+    }
+    assert_eq!(promoted, prog.promoted(0, &lefts), "a promotion per left not run in place");
+    let increments = prog.increments(0, &lefts, false);
+    assert_eq!(born, increments, "one pair per increment: {prog:?}");
+    let (root, nested) = prog.counters(0, &lefts, false);
     assert_eq!(
         d.counter("snzi.trees_created"),
         u64::from(root) + nested,
@@ -284,8 +347,11 @@ fn inline_class_inlines_and_oversize_spills() {
     let before = Snapshot::take();
     let hits = Arc::new(AtomicU64::new(0));
     let h = Arc::clone(&hits);
-    // At W = 2 a spawn's left child becomes a vertex and its right child
-    // runs in place, in the parent's vertex, with no frame of its own.
+    // A spawn's children run in place, in the parent's vertex, with no
+    // frame of their own, unless at W = 2 a left child is promoted into a
+    // vertex. The root's spawn finds its worker's deque empty and promotes
+    // its left child; the inner spawn's is promoted only if a thief took
+    // that one first.
     run_dag::<DynSnzi, _>(DynConfig::default(), 2, move |ctx| {
         let big = [1u8; 64]; // over the inline class: must spill
         let (h2, h3) = (Arc::clone(&h), Arc::clone(&h));
@@ -309,8 +375,13 @@ fn inline_class_inlines_and_oversize_spills() {
     assert_eq!(hits.load(Ordering::Relaxed), 3);
     // `spdag.body_boxed` kept its name; it counts spilled one-shot bodies.
     assert_eq!(d.counter("spdag.body_boxed"), 1, "only the 64-byte capture spills");
-    assert_eq!(d.counter("spdag.body_inline"), 2, "the root and the small capture stay inline");
-    assert_eq!(d.counter("spdag.spawn_inline"), 2, "the right children build no frame");
+    let promoted = d.counter("spdag.spawn_promoted");
+    assert_eq!(
+        d.counter("spdag.body_inline"),
+        1 + (promoted - 1),
+        "the root and, if it was promoted, the small capture stay inline"
+    );
+    assert_eq!(d.counter("spdag.spawn_inline"), 4 - promoted, "the rest build no frame");
 }
 
 #[test]
