@@ -15,7 +15,11 @@
 //!   lazy and work-first: both children run in the spawning vertex, and the
 //!   spawn counts nothing, unless a worker whose deque has nothing for a
 //!   thief promotes the waiting left child into a vertex of its own, by one
-//!   increment (`crate::in_place`).
+//!   increment (`crate::in_place`). A child becomes a vertex only by the
+//!   fork step that [`Ctx::fork`] takes (`crate::vertex::fork_vertex`):
+//!   promoted, left behind by a right child that unwound, or the left child
+//!   of a spawn past the stack bound, whose right child takes the spawning
+//!   vertex's place as a `chain` continuation does.
 //! * `signal` is implicit: when a body returns without having ended its
 //!   vertex (a chain, a touch), the executor claims the decrement handle
 //!   the vertex holds — its own, or the one it rotated onto when a fork or
@@ -28,20 +32,21 @@
 //!
 //! One departure from Figure 3, argued in [`crate::vertex`]: `chain` does
 //! not call `new_vertex(1)`. Every vertex is born without a counter, and a
-//! scope's counter is made at its first `increment` — by a fork (a future
-//! joins its enclosing scope by one), the promotion of a spawn's waiting
-//! left child or a spawn past the stack bound, never by `run_dag`, and by
-//! a `chain` or `touch` only when it splits a vertex in which a spawn's
-//! left child waits (`crate::in_place`).
+//! scope's counter is made at its first increment — by the fork step or a
+//! future (which joins its enclosing scope by one), never by `run_dag`, and
+//! by a `chain`, a `touch` or the right child of a spawn past the stack
+//! bound only when it splits a vertex in which a spawn's left child waits
+//! (`crate::in_place`).
 
-use std::mem::MaybeUninit;
 use std::time::{Duration, Instant};
 
 use incounter::CounterFamily;
 use sched::{PoolStats, Termination, WorkerCtx};
 
 use crate::in_place::{self, StackRoom};
-use crate::vertex::{Body, NoBody, Once, Resumable, Strand, StrandPoll, Vertex, VertexPtr};
+use crate::vertex::{
+    fork_vertex, Body, NoBody, Once, Resumable, Strand, StrandPoll, Vertex, VertexPtr,
+};
 
 /// Per-body execution context: the running vertex plus scheduler access.
 ///
@@ -155,8 +160,8 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     ///   LIFO order would have it.
     ///
     /// Past a fixed stack bound both children become vertices and are
-    /// pushed, so recursion through `spawn` never grows the stack without
-    /// limit.
+    /// pushed — the left one forked, the right one in this vertex's place —
+    /// so recursion through `spawn` never grows the stack without limit.
     pub fn spawn(
         self,
         left: impl for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
@@ -165,13 +170,12 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         let Ctx { vertex: u, worker, cfg, .. } = self;
         obs::counter!("spdag.spawns").inc();
         obs::trace::record(obs::EventKind::Spawn, u as *const Vertex<C> as u64);
-        let solo = worker.is_solo();
         let Some(_room) = StackRoom::take() else {
-            return spawn_counted(u, worker, cfg, solo, left, right);
+            return spawn_past_bound(u, worker, cfg, left, right);
         };
         // Both children run here, one after the other, inside what `u`'s
         // own handles already count — unless a thief could use the left one.
-        in_place::run_in_place(u, worker, cfg, solo, left, right);
+        in_place::run_in_place(u, worker, cfg, left, right);
     }
 
     /// Serial composition (the paper's `chain`; equivalently `finish {
@@ -194,7 +198,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // only strand; a place split off u's while a spawn's left child
         // waits to run in u) and waits on one dependency: the
         // completion of `first`'s subtree.
-        let (inc, dec, is_left) = u.hand_off(self.cfg, self.worker.is_solo());
+        let (inc, dec, is_left) = u.hand_off(self.cfg, self.worker);
         let w_ptr = Vertex::slab().emplace(inc, dec, u.fin, is_left, Once(then));
         // v: the only strand of w's scope, which has no counter until v (or
         // what replaces it) forks.
@@ -223,28 +227,21 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     }
 
     fn fork_body(&mut self, body: impl Body<C>) {
-        let (cfg, worker) = (self.cfg, self.worker);
-        let u = self.vertex_mut();
-        // One increment, then rotate this vertex onto the right-hand
-        // handles (Vertex::fork_rotate); the forked task is the left
-        // child, ready immediately.
-        let fin = u.fin;
-        let (i1, pair) = u.fork_rotate(cfg, worker.is_solo());
-        let v = Vertex::slab().emplace(MaybeUninit::new(i1), pair, fin, true, body);
-        worker.push(VertexPtr(v));
+        // The forked task is the left child, ready immediately.
+        fork_vertex(self.vertex, self.worker, self.cfg, body);
     }
 }
 
-/// The spawn that counts its children ([`Ctx::spawn`]): past the stack
-/// bound, where both become vertices and are pushed. Out of `spawn`'s own
-/// body, so that a debug build's frame for the in-place path — which a
-/// spawn recursion nests once a level — does not hold all of this one's
-/// too.
-fn spawn_counted<C, L, R>(
+/// A spawn past the stack bound ([`Ctx::spawn`], `crate::in_place`): the
+/// left child is forked, and the right child takes `u`'s place as a
+/// `chain` continuation does — or splits one off it while a left child
+/// waits to run in `u`. Out of `spawn`'s own body, so that a debug build's
+/// frame for the in-place path — which a spawn recursion nests once a
+/// level — does not hold all of this one's too.
+fn spawn_past_bound<C, L, R>(
     u: &mut Vertex<C>,
     worker: &WorkerCtx<'_, VertexPtr<C>>,
     cfg: &C::Config,
-    solo: bool,
     left: L,
     right: R,
 ) where
@@ -252,28 +249,10 @@ fn spawn_counted<C, L, R>(
     L: for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
     R: for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
 {
-    let fin = u.fin;
-    if u.pending > 0 {
-        // A left sibling waits to run in `u`: each child splits a place of
-        // its own off `u`'s (`Vertex::hand_off`), and `u` lives on for the
-        // sibling.
-        let (i1, p1) = u.fork_rotate(cfg, solo);
-        let v = Vertex::slab().emplace(MaybeUninit::new(i1), p1, fin, true, Once(left));
-        let (i2, p2) = u.fork_rotate(cfg, solo);
-        let w = Vertex::slab().emplace(MaybeUninit::new(i2), p2, fin, true, Once(right));
-        worker.push_batch([VertexPtr(v), VertexPtr(w)]);
-        return;
-    }
-    // One increment (Figure 5); the two children share the fresh pair, and
-    // `u` dies here, unsignalled. One publication for the pair: one
-    // sleeper probe.
-    let vid = u.key();
-    let (i1, i2, pair) = u.increment(cfg, vid, solo);
-    u.increments += 1;
-    let v = Vertex::slab().emplace(MaybeUninit::new(i1), pair, fin, true, Once(left));
-    let w = Vertex::slab().emplace(MaybeUninit::new(i2), pair, fin, false, Once(right));
-    u.dead = true;
-    worker.push_batch([VertexPtr(v), VertexPtr(w)]);
+    fork_vertex(u, worker, cfg, Once(left));
+    let (inc, dec, is_left) = u.hand_off(cfg, worker);
+    let w = Vertex::slab().emplace(inc, dec, u.fin, is_left, Once(right));
+    worker.push(VertexPtr(w));
 }
 
 /// Exclusive ownership of a scheduled vertex for the duration of its

@@ -682,7 +682,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // is owed exactly one delivery of its own: the future's completion.
         // Its body captures one PoolArc plus the user continuation: inline
         // as long as `then`'s captures stay within two words.
-        let (inc, dec, is_left) = u.hand_off(self.cfg, self.worker.is_solo());
+        let (inc, dec, is_left) = u.hand_off(self.cfg, self.worker);
         let w_ptr = Vertex::slab().emplace(
             inc,
             dec,

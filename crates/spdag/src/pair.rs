@@ -16,10 +16,10 @@
 //! claimed once, by the same vertex that would free it, so it is no object
 //! at all. The invariant the dag layer rests on (`spdag::vertex`): *a
 //! vertex whose pair is `none` is the only strand of its finish scope, and
-//! that scope's counter has never been stepped*. Only `spawn` and
-//! `Vertex::fork_rotate` add a strand, and both leave every strand of the
-//! scope with a real pair. The dag's final vertex signals nobody and holds
-//! `none` too.
+//! that scope's counter has never been stepped*. Only
+//! `Vertex::fork_rotate` adds a strand (the fork step, a splitting handoff,
+//! a future), and it leaves every strand of the scope with a real pair. The
+//! dag's final vertex signals nobody and holds `none` too.
 //!
 //! Pairs are carved from the scheduler's size-class ladder through the
 //! typed pair every recycled object uses ([`recycle::alloc`] /

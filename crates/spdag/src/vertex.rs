@@ -16,8 +16,6 @@
 //!   SNZI nodes (Figure 5, line 22);
 //! * the `dead` flag, set when the vertex ends by handing its place on
 //!   instead of signalling;
-//! * `pending`, the spawns whose left child still waits to run in the
-//!   vertex (`crate::in_place`);
 //! * the body frame, taken by the executing worker (and put back only by
 //!   a strand that parks).
 //!
@@ -37,14 +35,16 @@
 //! includes the children of its spawns, which run in it one after the
 //! other (`crate::in_place`), so such a spawn adds no strand. Scopes open
 //! with one strand — `run_dag`'s root, `chain`'s `first`, a future's body —
-//! born with `dec = none`. `chain`, `touch` and a park replace a strand one
-//! for one and hand `dec` on unchanged — except while a left child waits to
-//! run in the vertex (`pending`): then a `chain` or `touch` splits the
-//! strand instead (`Vertex::hand_off`), because the vertex stays a strand
-//! for that child. Only [`Ctx::spawn`] past the stack bound and
-//! `Vertex::fork_rotate` (forks, futures, promoted left children, splitting
-//! handoffs) add a strand; both go through `Vertex::increment`, which
-//! leaves every strand it touches with a real pair. Three consequences:
+//! born with `dec = none`. `chain`, `touch`, the right child of a spawn
+//! past the stack bound and a park replace a strand one for one and hand
+//! `dec` on unchanged — except while a left child waits to run in the
+//! vertex (its worker's latent list is non-empty, `crate::in_place`): then
+//! a handoff splits the strand instead (`Vertex::hand_off`), because the
+//! vertex stays a strand for that child. Only `Vertex::fork_rotate` adds a
+//! strand — in the fork step (`fork_vertex`: forks, promoted left
+//! children, an unwind guard's left child, the left child of a spawn past
+//! the bound), a splitting handoff and a future — and it leaves every
+//! strand it touches with a real pair. Three consequences:
 //!
 //! 1. **A sole strand's signal readies `fin` outright** — no claim, no
 //!    decrement, no counter (`dag::execute_vertex`). The scope's counter is
@@ -75,17 +75,18 @@
 //! that ends it or forks from it), and then each takes its exclusive twin,
 //! the same step committed by a load and a store:
 //! `CounterFamily::{increment,decrement}_exclusive` in
-//! `Vertex::increment` (so a spawn past the stack bound, `fork`, the future
-//! constructors, a splitting handoff and an unwind guard's split; no left
-//! child is promoted at W = 1) and in `dag::execute_vertex`'s
-//! signal epilogue, `DecPair::claim_last_exclusive` in `PairRef::claim`,
-//! and a plain decrement of `owed` in `futures::resolve_dependent` (the
-//! `touch` bounce, the completion sweep, `commit_park`). A spawn within
-//! the stack bound takes no step at all: its children cannot overlap, so
-//! the vertex's held handle covers them as part of its serial remainder,
-//! and the one signal of its epilogue ends both; while the left child
-//! waits (`pending > 0`) a handoff splits the vertex rather than moving
-//! its handle. Why nothing else can reach them meanwhile:
+//! `Vertex::fork_rotate` (so the fork step — `fork`, an unwind guard's left
+//! child, a past-the-bound spawn's left child; no left child is promoted at
+//! W = 1 — the future constructors and a splitting handoff) and in
+//! `dag::execute_vertex`'s signal epilogue, `DecPair::claim_last_exclusive`
+//! in `PairRef::claim`, and a plain decrement of `owed` in
+//! `futures::resolve_dependent` (the `touch` bounce, the completion sweep,
+//! `commit_park`). A spawn within the stack bound takes no step at all: its
+//! children cannot overlap, so the vertex's held handle covers them as part
+//! of its serial remainder, and the one signal of its epilogue ends both;
+//! while the left child waits (the worker's latent list is non-empty) a
+//! handoff splits the vertex rather than moving its handle. Why nothing
+//! else can reach them meanwhile:
 //!
 //! * all of them — a scope's counter, the SNZI nodes its handles point
 //!   into, a pair, a waiting vertex's `owed` — are reached only through
@@ -130,19 +131,18 @@
 //! the same ladder.
 //!
 //! **The vertex fits the 128 B class** — at most 128 B for every counter
-//! family, on both `stats` legs (a unit test here holds it; `pending`, the
-//! last field, took the dynamic family's last 8 B) — because the scope's
-//! counter is not in it. An `Option<SnziTree>` in the vertex was 64 B that
-//! every vertex carried and, by the invariant above, all but one vertex of
-//! a future-heavy run left `None`: it put the vertex at 176 B, in the
-//! 256 B class, three cache lines touched per vertex. The field is one
-//! pointer instead. `Vertex::open_counter` — still the one `C::make` call
-//! site, still run once per scope by the scope's sole strand — builds the
-//! counter in a slab of the counter's own class ([`sched::recycle::alloc`])
-//! and stores the pointer; the vertex's `Drop`, which `Vertex::retire`
-//! runs, ends it. A forking scope pays one small slab; every other vertex
-//! is two lines, and a future link keeps 448 B of slabs live instead of
-//! 704 B.
+//! family, on both `stats` legs (a unit test here holds it; the dynamic
+//! family's is 120 B) — because the scope's counter is not in it. An
+//! `Option<SnziTree>` in the vertex was 64 B that every vertex carried and,
+//! by the invariant above, all but one vertex of a future-heavy run left
+//! `None`: it put the vertex at 176 B, in the 256 B class, three cache
+//! lines touched per vertex. The field is one pointer instead.
+//! `Vertex::open_counter` — still the one `C::make` call site, still run
+//! once per scope by the scope's sole strand — builds the counter in a slab
+//! of the counter's own class ([`sched::recycle::alloc`]) and stores the
+//! pointer; the vertex's `Drop`, which `Vertex::retire` runs, ends it. A
+//! forking scope pays one small slab; every other vertex is two lines, and
+//! a future link keeps 448 B of slabs live instead of 704 B.
 //!
 //! The third object of
 //! a spawn, the shared `DecPair`, is a slab of the same ladder that owns
@@ -211,7 +211,7 @@ use std::sync::atomic::AtomicU32;
 
 use incounter::CounterFamily;
 use sched::recycle::{INLINE_SLOT_ALIGN, INLINE_SLOT_BYTES};
-use sched::Word;
+use sched::{Word, WorkerCtx};
 
 use crate::dag::Ctx;
 use crate::pair::PairRef;
@@ -555,9 +555,9 @@ pub struct Vertex<C: CounterFamily> {
     /// Left/right position under the parent (spreads in-counter traffic).
     pub(crate) is_left: bool,
     /// Set when the vertex ends by handing its place on (a spawn past the
-    /// stack bound, a chain, a touch) instead of signalling; never while
-    /// `pending` is nonzero (`hand_off`), so never while a left child waits
-    /// to run in it — a promoted one runs in a vertex of its own.
+    /// stack bound, a chain, a touch) instead of signalling; never while a
+    /// left child waits to run in it (`hand_off`) — a promoted one runs in a
+    /// vertex of its own.
     pub(crate) dead: bool,
     /// The body is the runtime's own, not a user's: a future's
     /// seal-and-sweep, the final vertex's nothing. Keeps the
@@ -573,7 +573,7 @@ pub struct Vertex<C: CounterFamily> {
     pub(crate) park_pending: bool,
     /// The counter of the finish scope this vertex closes, out of line:
     /// null until that scope's first increment, which its sole strand
-    /// performs (`Vertex::increment`) — so null for good on a vertex that
+    /// performs (`Vertex::fork_rotate`) — so null for good on a vertex that
     /// closes no scope, or one whose only strand never forked, which is all
     /// but one vertex of a future-heavy run. Born by
     /// [`sched::recycle::alloc`] in `Vertex::open_counter`, ended with the
@@ -581,13 +581,6 @@ pub struct Vertex<C: CounterFamily> {
     /// what keeps the vertex inside the 128 B class (module docs). In a
     /// cell because that strand writes it through its `fin` pointer.
     counter: UnsafeCell<*mut C::Counter>,
-    /// Spawns whose left child still waits to run in this vertex
-    /// (`crate::in_place`): raised before the right child runs, lowered
-    /// before the left one does — or when it is promoted, or pushed by the
-    /// unwind guard. At W ≥ 2 it is the length of the worker's latent list.
-    /// While it is nonzero a handoff splits ([`hand_off`](Vertex::hand_off)).
-    /// Last, so that it moves no other field.
-    pub(crate) pending: u32,
 }
 
 impl<C: CounterFamily> Drop for Vertex<C> {
@@ -607,7 +600,7 @@ impl<C: CounterFamily> Drop for Vertex<C> {
 //
 // * `counter` is written once — the counter built, then its pointer
 //   stored — by the only strand of the scope this vertex closes, at that
-//   scope's first increment (`Vertex::increment`).
+//   scope's first increment (`Vertex::fork_rotate`).
 //   By the invariant in the module docs nobody else can be reading it
 //   then: every reader is a strand of the scope that holds a real pair,
 //   and such strands exist only from that increment on — they (or the
@@ -658,12 +651,37 @@ impl<C: CounterFamily> Vertex<C> {
         }
     }
 
-    /// One increment on this vertex's finish scope, making room for one
-    /// more strand (Figure 5's `increment` plus the pair it feeds): returns
-    /// the two increment handles and the decrement pair the two strands
-    /// that replace this one share. The one place a scope's counter is
-    /// made and stepped, shared by [`Ctx::spawn`] and
-    /// [`fork_rotate`](Vertex::fork_rotate).
+    /// Make the counter of the scope `fin` closes, with count 1: the
+    /// calling strand itself.
+    ///
+    /// # Safety
+    /// The caller must be the only strand of `fin`'s scope (it holds
+    /// `PairRef::none`), and `fin` must be alive. The returned reference
+    /// is good until `fin` runs.
+    unsafe fn open_counter<'f>(fin: *const Vertex<C>, cfg: &C::Config) -> &'f C::Counter {
+        // SAFETY: a raw projection to the cell — no reference to the
+        // vertex exists or is made. Nobody else reads or writes the field
+        // now: the caller is the scope's only strand, and the vertex
+        // itself waits for that scope (see the `Sync` impl).
+        unsafe {
+            let slot = UnsafeCell::raw_get(std::ptr::addr_of!((*fin).counter));
+            debug_assert!(
+                (*slot).is_null(),
+                "sp-dag invariant violated: a sole strand's scope already has a counter"
+            );
+            // In a slab of the counter's own class; `fin`'s drop frees it.
+            *slot = sched::recycle::alloc(|| C::make(cfg, 1)).0;
+            &**slot
+        }
+    }
+
+    /// One increment on this vertex's finish scope, making room for one more
+    /// strand (Figure 5's `increment` plus the pair it feeds), then this
+    /// vertex *rotated* onto the fresh right-hand handles: it becomes the
+    /// right child of its own fork. Returns the left child's increment
+    /// handle and the decrement pair the two share. The one place a scope's
+    /// counter is made and stepped: the fork step ([`fork_vertex`]), a
+    /// splitting [`hand_off`](Vertex::hand_off) and a future.
     ///
     /// Encodes the ordering invariant the analysis leans on: the
     /// increment (grow + arrive, Figure 5) happens strictly **before**
@@ -673,17 +691,13 @@ impl<C: CounterFamily> Vertex<C> {
     /// one-worker run the increment and the claim take their exclusive
     /// twins (module docs, "One worker, no lock prefix").
     ///
-    /// Inlined into its two callers: out of line the three results come
-    /// back through memory, which `spawn` reloads straight after the
-    /// stores — 2 ns of `spdag.spawn_ns_per_vertex`'s 55 (lower quartile
-    /// of 20 alternating runs, `cores: 2`).
+    /// Inlined: out of line, the left handle comes back through the stack,
+    /// and the 16-byte load that copies it into the new vertex's slab stalls
+    /// on the callee's 8-byte stores (`future_slot`'s hottest instruction on
+    /// `await_chain` and `pipeline_stages` at W = 1, `cores: 2`).
     #[inline(always)]
-    pub(crate) fn increment(
-        &mut self,
-        cfg: &C::Config,
-        vid: u64,
-        solo: bool,
-    ) -> (C::Inc, C::Inc, PairRef<C::Dec>) {
+    pub(crate) fn fork_rotate(&mut self, cfg: &C::Config, solo: bool) -> (C::Inc, PairRef<C::Dec>) {
+        let vid = self.key();
         let sole = self.dec.is_none();
         // SAFETY: `fin` is alive — this vertex is an unfinished strand of
         // `fin`'s scope, so that scope cannot have completed.
@@ -719,54 +733,11 @@ impl<C: CounterFamily> Vertex<C> {
         let d1 = if sole {
             C::root_dec(fc)
         } else {
-            // SAFETY: this vertex's one claim on the pair it holds; it dies
-            // or moves onto the fresh pair right after. `solo` as above.
+            // SAFETY: this vertex's one claim on the pair it holds; it moves
+            // onto the fresh pair right below. `solo` as above.
             unsafe { self.dec.claim(solo) }
         };
-        (i1, i2, PairRef::new(C::make_pair(cfg, d1, d2)))
-    }
-
-    /// Make the counter of the scope `fin` closes, with count 1: the
-    /// calling strand itself.
-    ///
-    /// # Safety
-    /// The caller must be the only strand of `fin`'s scope (it holds
-    /// `PairRef::none`), and `fin` must be alive. The returned reference
-    /// is good until `fin` runs.
-    unsafe fn open_counter<'f>(fin: *const Vertex<C>, cfg: &C::Config) -> &'f C::Counter {
-        // SAFETY: a raw projection to the cell — no reference to the
-        // vertex exists or is made. Nobody else reads or writes the field
-        // now: the caller is the scope's only strand, and the vertex
-        // itself waits for that scope (see the `Sync` impl).
-        unsafe {
-            let slot = UnsafeCell::raw_get(std::ptr::addr_of!((*fin).counter));
-            debug_assert!(
-                (*slot).is_null(),
-                "sp-dag invariant violated: a sole strand's scope already has a counter"
-            );
-            // In a slab of the counter's own class; `fin`'s drop frees it.
-            *slot = sched::recycle::alloc(|| C::make(cfg, 1)).0;
-            &**slot
-        }
-    }
-
-    /// The fork step shared by [`Scope::fork`](crate::Scope::fork) and the
-    /// future constructors: perform one increment on this vertex's finish
-    /// counter to make room for a new sibling, then *rotate* this vertex
-    /// onto the fresh right-hand handles (it becomes the right child of
-    /// its own fork). Returns the left child's increment handle and the
-    /// shared decrement pair to build the sibling with. `solo` as for
-    /// [`increment`](Vertex::increment).
-    ///
-    /// Inlined for the reason `increment` is: out of line, the left handle
-    /// comes back through the stack, and the 16-byte load that copies it
-    /// into the new vertex's slab stalls on the callee's 8-byte stores
-    /// (`future_slot`'s hottest instruction on `await_chain` and
-    /// `pipeline_stages` at W = 1, `cores: 2`).
-    #[inline(always)]
-    pub(crate) fn fork_rotate(&mut self, cfg: &C::Config, solo: bool) -> (C::Inc, PairRef<C::Dec>) {
-        let vid = self.key();
-        let (i1, i2, pair) = self.increment(cfg, vid, solo);
+        let pair = PairRef::new(C::make_pair(cfg, d1, d2));
         self.inc = MaybeUninit::new(i2);
         self.dec = pair;
         self.is_left = false;
@@ -775,25 +746,27 @@ impl<C: CounterFamily> Vertex<C> {
     }
 
     /// Hand this vertex's place in its scope to the vertex about to be built
-    /// in its stead — a `chain`'s continuation, a `touch`'s waiting vertex —
-    /// and return the handles and side to build it with. Normally the new
-    /// vertex takes them all and this one ends (`dead`). While a spawn's
-    /// left child still waits to run here (`pending`), this vertex must
-    /// stay a strand for it: it splits instead, by one increment
+    /// in its stead — a `chain`'s continuation, a `touch`'s waiting vertex,
+    /// the right child of a spawn past the stack bound — and return the
+    /// handles and side to build it with. Normally the new vertex takes them
+    /// all and this one ends (`dead`). While a spawn's left child still
+    /// waits to run here — `worker`'s latent list is non-empty, and every
+    /// guard in it is this running vertex's (`crate::in_place`) — this
+    /// vertex must stay a strand for it: it splits instead, by one increment
     /// ([`fork_rotate`](Vertex::fork_rotate)), and the new vertex takes the
-    /// fresh left handle. `solo` as for [`increment`](Vertex::increment).
+    /// fresh left handle.
     #[inline(always)]
     pub(crate) fn hand_off(
         &mut self,
         cfg: &C::Config,
-        solo: bool,
+        worker: &WorkerCtx<'_, VertexPtr<C>>,
     ) -> (MaybeUninit<C::Inc>, PairRef<C::Dec>, bool) {
-        if self.pending > 0 {
-            let (inc, pair) = self.fork_rotate(cfg, solo);
-            (MaybeUninit::new(inc), pair, true)
-        } else {
+        if worker.latent().get().is_null() {
             self.dead = true;
             (self.inc, self.dec, self.is_left)
+        } else {
+            let (inc, pair) = self.fork_rotate(cfg, worker.is_solo());
+            (MaybeUninit::new(inc), pair, true)
         }
     }
 
@@ -831,6 +804,26 @@ impl<C: CounterFamily> Vertex<C> {
         // SAFETY: the caller's contract.
         unsafe { !(*self.counter.get()).is_null() }
     }
+}
+
+/// The fork step: one increment on `u`'s finish scope, `u` rotated onto
+/// the fresh right-hand handles ([`Vertex::fork_rotate`]), and `body` built
+/// into a vertex of its own on the left-hand ones and pushed, ready at
+/// once. What [`Ctx::fork`] does, and the one way a spawned child becomes a
+/// vertex: a promoted left child, the left child of a right child that
+/// unwound (`crate::in_place`), and the left child of a spawn past the
+/// stack bound.
+#[inline(always)]
+pub(crate) fn fork_vertex<C: CounterFamily>(
+    u: &mut Vertex<C>,
+    worker: &WorkerCtx<'_, VertexPtr<C>>,
+    cfg: &C::Config,
+    body: impl Body<C>,
+) {
+    let fin = u.fin;
+    let (inc, pair) = u.fork_rotate(cfg, worker.is_solo());
+    let v = Vertex::slab().emplace(MaybeUninit::new(inc), pair, fin, true, body);
+    worker.push(VertexPtr(v));
 }
 
 /// The slab of a vertex not yet built ([`Vertex::slab`]). Dropping it
@@ -871,7 +864,6 @@ impl<C: CounterFamily> VertexSlab<C> {
             addr_of_mut!((*v).runtime_body).write(false);
             addr_of_mut!((*v).park_pending).write(false);
             addr_of_mut!((*v).counter).write(UnsafeCell::new(std::ptr::null_mut()));
-            addr_of_mut!((*v).pending).write(0);
         }
         if self.reused {
             obs::counter!("sched.vertex_reuse").inc();
@@ -926,17 +918,19 @@ mod tests {
     const SCRIBBLED: usize = usize::from_ne_bytes([SCRIBBLE; std::mem::size_of::<usize>()]);
 
     /// The fields every vertex is born with, as its own body finds them when
-    /// it starts: nothing forked, nothing ended, no park armed, nothing owed
-    /// (a `touch` continuation's one delivery and a resumed strand's two
-    /// have been made), no counter of its own, and a user's body.
-    fn started<C: CounterFamily>(v: &Vertex<C>, what: &str) {
-        assert_eq!((v.increments, v.pending), (0, 0), "{what}: increments, pending");
+    /// it starts: nothing forked, no left child waiting on its worker's
+    /// latent list, nothing ended, no park armed, nothing owed (a `touch`
+    /// continuation's one delivery and a resumed strand's two have been
+    /// made), no counter of its own, and a user's body.
+    fn started<C: CounterFamily>(c: &Ctx<'_, C>, what: &str) {
+        let v = c.vertex_ref();
+        assert_eq!((v.increments, c.latent_len()), (0, 0), "{what}: increments, waiting");
         started_in_place(v, what);
     }
 
     /// As `started`, but for a spawn's child, which may run in its parent's
-    /// vertex (`crate::in_place`); its caller checks `increments`, `pending`
-    /// and `is_left`, which are what the spawn left.
+    /// vertex (`crate::in_place`); its caller checks `increments`, the
+    /// latent list and `is_left`, which are what the spawn left.
     fn started_in_place<C: CounterFamily>(v: &Vertex<C>, what: &str) {
         assert_eq!(byte(&v.dead), 0, "{what}: dead");
         assert_eq!(byte(&v.runtime_body), 0, "{what}: runtime_body");
@@ -947,16 +941,16 @@ mod tests {
         assert!(!unsafe { v.has_counter() }, "{what}: counter");
     }
 
-    /// The fields of a finish vertex as its scope's only strand finds them:
-    /// born as `started` says, with its body still in place.
-    fn waiting<C: CounterFamily>(fin: *const Vertex<C>, runtime_body: bool, what: &str) {
+    /// The fields of a finish vertex as `c`, its scope's only strand, finds
+    /// them: born as `started` says, with its body still in place.
+    fn waiting<C: CounterFamily>(c: &Ctx<'_, C>, runtime_body: bool, what: &str) {
         // SAFETY: `fin` waits for the calling strand's scope, so it is alive,
         // and the caller is that scope's only strand, so nobody writes it.
-        let w = unsafe { &*fin };
+        let w = unsafe { &*c.vertex_ref().fin };
         assert_ne!(word(&w.body.thunks), 0, "{what}: a body");
         assert_ne!(word(&w.body.thunks), SCRIBBLED, "{what}: thunks");
         assert_eq!(byte(&w.runtime_body), runtime_body as u8, "{what}: runtime_body");
-        assert_eq!((w.increments, w.pending), (0, 0), "{what}: increments, pending");
+        assert_eq!((w.increments, c.latent_len()), (0, 0), "{what}: increments, waiting");
         assert_eq!(byte(&w.dead), 0, "{what}: dead");
         assert_eq!(byte(&w.park_pending), 0, "{what}: park_pending");
         assert!(byte(&w.is_left) <= 1, "{what}: is_left");
@@ -1036,7 +1030,7 @@ mod tests {
             assert_eq!(word(&r.dec), word(&dec), "{what}: dec");
             assert_eq!(r.fin, fin, "{what}: fin");
             assert_eq!(byte(&r.is_left), is_left as u8, "{what}: is_left");
-            assert_eq!((r.increments, r.pending), (0, 0), "{what}: increments, pending");
+            assert_eq!(r.increments, 0, "{what}: increments");
             assert_eq!(r.owed.load(Ordering::Relaxed), 0, "{what}: owed");
             assert_eq!(byte(&r.dead), 0, "{what}: dead");
             assert_eq!(byte(&r.runtime_body), 0, "{what}: runtime_body");
@@ -1056,15 +1050,15 @@ mod tests {
     /// One run that builds every kind of vertex, each of which checks the
     /// fields it starts from. The values it adds into `out` sum to 135.
     fn every_kind(ctx: Ctx<'_, DynSnzi>, out: Arc<AtomicU64>) {
-        started(ctx.vertex_ref(), "the root, a sole strand");
+        started(&ctx, "the root, a sole strand");
         assert!(ctx.vertex_ref().dec.is_none(), "the root holds no pair");
         let mut ctx = ctx;
         // A future: its body is its scope's only strand, and its completion
         // vertex waits with the runtime's body.
         let f = ctx.future(|c| {
-            started(c.vertex_ref(), "a future's body");
+            started(&c, "a future's body");
             assert!(c.vertex_ref().dec.is_none(), "a future's body holds no pair");
-            waiting(c.vertex_ref().fin, true, "a future's completion vertex");
+            waiting(&c, true, "a future's completion vertex");
             20u64
         });
         // A strand that awaits a future forked before it: at W = 1 the deque
@@ -1072,16 +1066,16 @@ mod tests {
         let g = ctx.future(|_| 100u64);
         let o = Arc::clone(&out);
         ctx.fork_strand(move |c: &mut Ctx<'_, DynSnzi>| {
-            started(c.vertex_ref(), "a strand, on each entry");
+            started(c, "a strand, on each entry");
             o.fetch_add(*crate::strand_await!(c, &g), Ordering::SeqCst);
             StrandPoll::Done(())
         });
         let o = Arc::clone(&out);
         ctx.fork(move |c| {
-            started(c.vertex_ref(), "a forked child");
+            started(&c, "a forked child");
             assert!(!c.vertex_ref().dec.is_none(), "a forked child holds a pair");
             let (a, b) = (Arc::clone(&o), o);
-            // `(increments, pending, is_left)` as each child finds them.
+            // `(increments, waiting, is_left)` as each child finds them.
             // Both run in the forked child's vertex with nothing counted, so
             // they keep its side (left) and no increment, and the right one
             // runs while the left one waits — unless, at W = 2, the spawn
@@ -1093,16 +1087,19 @@ mod tests {
             let waiting = (0, 1, 1);
             let promoted = (1, 0, 0);
             let solo = c.num_workers() == 1;
-            let fields = |v: &Vertex<DynSnzi>| (v.increments, v.pending, byte(&v.is_left));
+            let fields = |c: &Ctx<'_, DynSnzi>| {
+                let v = c.vertex_ref();
+                (v.increments, c.latent_len(), byte(&v.is_left))
+            };
             c.spawn(
                 move |c| {
                     started_in_place(c.vertex_ref(), "a spawn's left child");
-                    assert_eq!(fields(c.vertex_ref()), (0, 0, 1), "a spawn's left child");
+                    assert_eq!(fields(&c), (0, 0, 1), "a spawn's left child");
                     a.fetch_add(1, Ordering::SeqCst);
                 },
                 move |c| {
                     started_in_place(c.vertex_ref(), "a spawn's right child");
-                    let right = fields(c.vertex_ref());
+                    let right = fields(&c);
                     assert!(
                         right == waiting || (!solo && right == promoted),
                         "a spawn's right child: {right:?}"
@@ -1116,19 +1113,19 @@ mod tests {
             let (a, b) = (Arc::clone(&o), o);
             c.chain(
                 move |c| {
-                    started(c.vertex_ref(), "a chain's first, a sole strand");
+                    started(&c, "a chain's first, a sole strand");
                     assert!(c.vertex_ref().dec.is_none(), "a chain's first holds no pair");
-                    waiting(c.vertex_ref().fin, false, "a chain's continuation");
+                    waiting(&c, false, "a chain's continuation");
                     a.fetch_add(4, Ordering::SeqCst);
                 },
                 move |c| {
-                    started(c.vertex_ref(), "a chain's continuation");
+                    started(&c, "a chain's continuation");
                     b.fetch_add(8, Ordering::SeqCst);
                 },
             );
         });
         ctx.touch(&f, move |c, v| {
-            started(c.vertex_ref(), "a touch continuation");
+            started(&c, "a touch continuation");
             out.fetch_add(*v, Ordering::SeqCst);
         });
     }

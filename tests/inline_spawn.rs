@@ -14,8 +14,10 @@
 //!    signalled; and at W ∈ {2, 4} a right child that panics after its
 //!    sibling was promoted and one that panics while it still waits.
 //! 2. **Stack.** Children run in place nest; past a fixed stack bound a
-//!    spawn pushes both children instead. 100 000-deep right-linear and
-//!    left-linear recursions run on a thread with a 256 KiB stack.
+//!    spawn makes both children vertices instead: it forks the left one,
+//!    and the right one takes the spawning vertex's place, as a `chain`
+//!    continuation does. 100 000-deep right-linear and left-linear
+//!    recursions run on a thread with a 256 KiB stack.
 //! 3. **Counting.** `fib(20)` is exact on every counter family at
 //!    W ∈ {1, 2, 4}, and `tasks − resumes` is the number of vertices the
 //!    dag has — the identity the benchmark checks after every iteration. A
@@ -24,16 +26,21 @@
 //!    pair and one vertex per promotion (`spdag.spawn_promoted`).
 //! 4. **Splits.** A right child runs while its left sibling waits, and a
 //!    `chain` or `touch` it makes splits the vertex by one increment instead
-//!    of ending it; so does a spawn past the stack bound, for each child,
-//!    and the guard of a right child that unwinds. A right child that
-//!    chains, touches, forks and makes a future; one that panics after it
-//!    chained; and a right spine that crosses the stack bound are each
+//!    of ending it; so does the right child of a spawn past the stack bound
+//!    (its left child is forked, by one increment, either way), and the
+//!    guard of a right child that unwinds forks its sibling. A right child
+//!    that chains, touches, forks and makes a future; one that panics after
+//!    it chained; and a right spine that crosses the stack bound are each
 //!    exact in output and in what they made — pairs, vertices, children in
-//!    place, in-counters, promotions — on every family at W = 1 and 2.
+//!    place, in-counters, promotions — on every family at W = 1 and 2. So
+//!    is, at W = 2, a spine whose spawns past the bound find nothing
+//!    waiting, every left child before them promoted: their right child
+//!    takes the spawning vertex's place and shares the left child's pair.
 //! 5. **Promotion.** At W ∈ {2, 4}, on every family: the oldest waiting
 //!    left child is the one promoted, and it reaches a thief; and a
-//!    `run_dag` nested in a right child promotes nothing of the run around
-//!    it.
+//!    `run_dag` nested in a right child — with W ∈ {1, 2, 4} around it —
+//!    promotes nothing of the run around it, and its root's `chain` reads
+//!    its own latent list, so splits nothing.
 //! 6. **Failpoints** (`--features fault-inject`): `spdag.panic_vertex`
 //!    fires on children run in place, which run user bodies; armed in turn
 //!    on every body of a spawn tree at W ∈ {1, 2, 4}, on every family, the
@@ -494,6 +501,83 @@ fn a_right_spine_crosses_the_stack_bound_while_its_siblings_wait() {
     over_families!(a_right_spine_crosses_the_bound);
 }
 
+/// Run `f` more than the stack bound below this frame.
+#[inline(never)]
+fn past_the_bound<R>(f: impl FnOnce() -> R) -> R {
+    let pad = [0u8; 80 << 10];
+    std::hint::black_box(&pad);
+    let r = f();
+    std::hint::black_box(&pad);
+    r
+}
+
+/// What each child of one spawn of [`handoff_spine`] has seen of itself:
+/// the thread that started the left one, and whether the right one started.
+#[derive(Default)]
+struct Started {
+    left: Mutex<Option<ThreadId>>,
+    right: AtomicBool,
+}
+
+/// A right spine `n` spawns deep in which the two children of every spawn
+/// run on two threads at once: each waits to see the other started, the
+/// right one its left sibling on another thread. Each right child then goes
+/// on past the stack bound, so the spawns alternate. One runs in place, and
+/// its worker promotes the left child, since its deque holds nothing. The
+/// next, past the bound, finds nothing waiting, and its right child is a
+/// vertex of its own, whose spawn runs in place again. Every left child
+/// adds 1 into `lefts`.
+fn handoff_spine<C: CounterFamily>(ctx: Ctx<'_, C>, n: u32, lefts: Arc<AtomicU64>) {
+    if n == 0 {
+        return;
+    }
+    let started = Arc::new(Started::default());
+    let (s, l) = (Arc::clone(&started), Arc::clone(&lefts));
+    ctx.spawn(
+        move |_| {
+            *s.left.lock().unwrap() = Some(std::thread::current().id());
+            spin_until("the right sibling", || s.right.load(Ordering::SeqCst));
+            l.fetch_add(1, Ordering::Relaxed);
+        },
+        move |c| {
+            started.right.store(true, Ordering::SeqCst);
+            let me = std::thread::current().id();
+            let left_elsewhere = || matches!(*started.left.lock().unwrap(), Some(t) if t != me);
+            spin_until("the left sibling on another thread", left_elsewhere);
+            past_the_bound(move || handoff_spine(c, n - 1, lefts))
+        },
+    );
+}
+
+fn a_spawn_past_the_bound_with_nothing_waiting<C: CounterFamily>(cfg: C::Config) {
+    // Spawns in place and past the bound, K of each.
+    const K: u64 = 8;
+    let what = format!("a spine past the bound with nothing waiting on {} at W=2", C::NAME);
+    let before = Snapshot::take();
+    let lefts = Arc::new(AtomicU64::new(0));
+    let l = Arc::clone(&lefts);
+    let stats =
+        run_dag_watched::<C, _>(cfg, 2, watchdog(), move |ctx| handoff_spine(ctx, 2 * K as u32, l));
+    let d = Snapshot::take().diff(&before);
+    assert_eq!(lefts.load(Ordering::Relaxed), 2 * K, "{what}: every left ran");
+    if !obs::enabled() {
+        return;
+    }
+    // A spawn in place: one promotion, a pair and a vertex, and its right
+    // child in place. A spawn past the bound: one increment, its pair shared
+    // by its two children, both vertices; the right one takes the spawning
+    // vertex's place. Besides: the root and the final vertex.
+    let expected =
+        Made { pairs: 2 * K, vertices: 2 + 3 * K, in_place: K, counters: 1, promoted: K };
+    assert_eq!(made(&what, &d, Some(&stats.pool)), expected, "{what}");
+}
+
+#[test]
+fn a_spawn_past_the_bound_with_nothing_waiting_hands_its_place_to_the_right_child() {
+    let _g = serial();
+    over_families!(a_spawn_past_the_bound_with_nothing_waiting);
+}
+
 /// Where each marked left child ran.
 type Ran = Arc<Mutex<Vec<(&'static str, ThreadId)>>>;
 
@@ -604,7 +688,7 @@ fn a_right_child_that_panics_around_a_promotion_drains_exactly() {
 fn a_nested_run_leaves_the_waiting_left_child<C: CounterFamily>(cfg: C::Config) {
     // fib(12): 232 spawns.
     const SPAWNS: u64 = 233 - 1;
-    for workers in [2, 4] {
+    for workers in [1, 2, 4] {
         let what = format!("a run nested in a right child on {} at W={workers}", C::NAME);
         let before = Snapshot::take();
         let ran: Ran = Arc::default();
@@ -623,11 +707,14 @@ fn a_nested_run_leaves_the_waiting_left_child<C: CounterFamily>(cfg: C::Config) 
                     left(c)
                 },
                 move |_| {
-                    // The nested run's first spawn finds its own deque empty
-                    // and promotes: its own left child, never this one.
+                    // The nested run's root chains: its handoff reads the
+                    // nested run's own latent list, empty while this run's
+                    // left child waits, and splits nothing. The nested run's
+                    // first spawn finds its own deque empty and promotes: its
+                    // own left child, never this one.
                     let sum = Arc::new(AtomicU64::new(0));
                     let s = Arc::clone(&sum);
-                    run_dag::<C, _>(inner_cfg, 2, move |c| fib(c, 12, s));
+                    run_dag::<C, _>(inner_cfg, 2, move |c| c.chain(|c| fib(c, 12, s), |_| {}));
                     assert_eq!(sum.load(Ordering::Relaxed), 144, "the nested run's fib(12)");
                     go.store(true, Ordering::SeqCst);
                     right_done.store(true, Ordering::SeqCst);
@@ -641,12 +728,13 @@ fn a_nested_run_leaves_the_waiting_left_child<C: CounterFamily>(cfg: C::Config) 
         if obs::enabled() {
             // Both runs' telemetry: the outer one promoted nothing, so every
             // promotion, pair and vertex past the held forks, the two runs'
-            // roots and final vertices is the nested run's.
+            // roots and final vertices and the chain's two is the nested
+            // run's.
             let m = made(&what, &d, None);
             let (w, p) = (workers as u64, m.promoted);
             let in_place = 2 + 2 * SPAWNS - p;
             let expected =
-                Made { pairs: w + p, vertices: w + 4 + p, in_place, counters: 2, promoted: p };
+                Made { pairs: w + p, vertices: w + 6 + p, in_place, counters: 2, promoted: p };
             assert_eq!(m, expected, "{what}");
         }
     }

@@ -137,8 +137,9 @@ impl Prog {
     /// ([`fates`]): one per fork and future, and one per spawn whose left
     /// child became a vertex. A spawn whose left child ran in place makes
     /// none: its children run one after the other in its vertex, the right
-    /// one while the left one waits (`pending`), and a touch or a chain
-    /// made meanwhile splits that vertex by one increment. A left child
+    /// one while the left one waits (on its worker's latent list:
+    /// `pending` here), and a touch or a chain made meanwhile splits that
+    /// vertex by one increment. A left child
     /// that was promoted left nothing waiting in its right sibling: promotion
     /// takes the oldest first, and it went before any chain or touch of
     /// that sibling (nothing but a spawn promotes, and a spawn, a chain and

@@ -100,8 +100,9 @@ impl Prog {
     /// one per scope fork and future (an `Await` makes a future and forks a
     /// strand). A spawn makes none when its left child ran in place
     /// (`lefts`): its children run one after the other in its vertex, the
-    /// right one while the left one waits (`pending`), and a chain or a
-    /// touch made meanwhile splits that vertex by one increment. A spawn
+    /// right one while the left one waits (on its worker's latent list:
+    /// `pending` here), and a chain or a touch made meanwhile splits that
+    /// vertex by one increment. A spawn
     /// whose left child was promoted made one increment for it, and left
     /// nothing waiting: promotion takes the oldest first, so everything
     /// older in the vertex had gone before it, and it went before any
