@@ -7,8 +7,8 @@
 //! step by compare-and-swap, one by load and store, one choosing per
 //! operation. After every operation each return value, every packed word
 //! (node `(c, v)`, root `(c, a, v)`, indicator `(ver, bit)`) and the trees'
-//! statistics must agree, and under `stats` every node's touch tally and
-//! the chain maxima too.
+//! shapes must agree, and under `telemetry` every node's touch tally, the
+//! chain maxima and the lost grows too (the trees' `ContentionProfile`s).
 
 use std::array::from_fn;
 
@@ -90,7 +90,7 @@ fn drive_tree(p: Probability, initial: u64, seed: u64, steps: usize) {
             assert_eq!(got[0].0, arrivals.is_empty(), "{at}: the last depart ends the period");
         }
         assert_same(from_fn(|k| trees[k].state_for_test()), &format!("{at}: words"));
-        assert_same(from_fn(|k| trees[k].stats_ref().snapshot()), &format!("{at}: stats"));
+        assert_same(from_fn(|k| trees[k].contention_profile()), &format!("{at}: profile"));
         assert_same(from_fn(|k| trees[k].query()), &format!("{at}: query"));
     }
 }
@@ -149,7 +149,7 @@ fn drive_fixed(depth: u32, initial: u64, seed: u64, steps: usize) {
             assert_same(got, &format!("{at}: depart ended"));
             assert_eq!(got[0], arrivals.is_empty(), "{at}: the last depart ends the period");
         }
-        assert_same(from_fn(|k| trees[k].state_for_test()), &format!("{at}: words and stats"));
+        assert_same(from_fn(|k| trees[k].state_for_test()), &format!("{at}: words and profile"));
     }
 }
 

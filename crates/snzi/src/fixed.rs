@@ -11,14 +11,11 @@
 //! Depth 0 degenerates to a single root cell — structurally the same shared
 //! hot-spot as a fetch-and-add counter, but with the SNZI root protocol.
 
-#[cfg(feature = "stats")]
-use std::sync::atomic::Ordering;
-
 use crate::node::{node_arrive, node_depart, Exclusive, Node, ParentRef, Shared, Step};
 use crate::packed::MAX_ROOT_SURPLUS;
 use crate::root::Root;
-#[cfg(feature = "stats")]
-use crate::stats::StatsSnapshot;
+use crate::stats::ContentionProfile;
+#[cfg(feature = "telemetry")]
 use crate::stats::TreeStats;
 use crate::tree::{Handle, NodeRefInner};
 
@@ -33,6 +30,7 @@ pub struct FixedSnzi {
     /// parent pointers into the buffer stay valid.
     nodes: Vec<Node>,
     depth: u32,
+    #[cfg(feature = "telemetry")]
     stats: TreeStats,
 }
 
@@ -62,7 +60,13 @@ impl FixedSnzi {
                 (*base.add(k - 1)).parent = ParentRef::Node(base.add(pk - 1) as *const Node);
             }
         }
-        FixedSnzi { root, nodes, depth, stats: TreeStats::default() }
+        FixedSnzi {
+            root,
+            nodes,
+            depth,
+            #[cfg(feature = "telemetry")]
+            stats: TreeStats::default(),
+        }
     }
 
     /// The configured depth `d`.
@@ -146,7 +150,10 @@ impl FixedSnzi {
             Some(n) => unsafe { node_arrive::<S>(n) },
             None => self.root.arrive::<S>(),
         };
+        #[cfg(feature = "telemetry")]
         self.stats.record_arrive(path.arrives);
+        #[cfg(not(feature = "telemetry"))]
+        let _ = path;
     }
 
     /// Arrive at the leaf selected by hashing `key`; returns the leaf index
@@ -194,7 +201,10 @@ impl FixedSnzi {
             Some(n) => unsafe { node_depart::<S>(n) },
             None => self.root.depart::<S>(),
         };
+        #[cfg(feature = "telemetry")]
         self.stats.record_depart(path.departs);
+        #[cfg(not(feature = "telemetry"))]
+        let _ = path;
         ended
     }
 
@@ -202,7 +212,10 @@ impl FixedSnzi {
     /// by the counter-family layer).
     pub fn arrive_root(&self) {
         let path = self.root.arrive::<Shared>();
+        #[cfg(feature = "telemetry")]
         self.stats.record_arrive(path.arrives);
+        #[cfg(not(feature = "telemetry"))]
+        let _ = path;
     }
 
     /// Depart directly at the root; returns `true` iff this departure
@@ -224,7 +237,10 @@ impl FixedSnzi {
     #[inline]
     fn depart_root_with<S: Step>(&self) -> bool {
         let (ended, path) = self.root.depart::<S>();
+        #[cfg(feature = "telemetry")]
         self.stats.record_depart(path.departs);
+        #[cfg(not(feature = "telemetry"))]
+        let _ = path;
         ended
     }
 
@@ -234,32 +250,30 @@ impl FixedSnzi {
         self.root.query()
     }
 
-    /// Snapshot of the per-tree operation statistics.
-    #[cfg(feature = "stats")]
-    pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+    /// Walk the tree: `2^(d+1) − 1` nodes of depth at most `d` on every
+    /// build and, under `telemetry`, the touch tallies and counters, as
+    /// [`SnziTree::contention_profile`](crate::SnziTree::contention_profile)
+    /// reports them. Exact when no operation overlaps the walk.
+    pub fn contention_profile(&self) -> ContentionProfile {
+        let mut profile = ContentionProfile::of_root(&self.root);
+        for n in &self.nodes {
+            profile.add(n);
+        }
+        #[cfg(feature = "telemetry")]
+        profile.read_counters(&self.stats);
+        profile
     }
 
     /// Every packed word and touch tally of the tree — the root's, then
-    /// the nodes' in heap order — and its statistics (differential tests).
+    /// the nodes' in heap order — and its profile (differential tests).
     #[cfg(test)]
-    pub(crate) fn state_for_test(&self) -> (Vec<u64>, crate::stats::StatsSnapshot) {
+    pub(crate) fn state_for_test(&self) -> (Vec<u64>, ContentionProfile) {
         let mut out = Vec::new();
         self.root.state_for_test(&mut out);
         for n in &self.nodes {
             n.state_for_test(&mut out);
         }
-        (out, self.stats.snapshot())
-    }
-
-    /// Maximum per-node touch count across the whole tree.
-    #[cfg(feature = "stats")]
-    pub fn max_node_touch(&mut self) -> u64 {
-        let mut m = self.root.touches.load(Ordering::Relaxed);
-        for n in &self.nodes {
-            m = m.max(n.touches.load(Ordering::Relaxed));
-        }
-        m
+        (out, self.contention_profile())
     }
 }
 
@@ -273,6 +287,9 @@ mod tests {
             let t = FixedSnzi::new(d, 0);
             assert_eq!(t.node_count(), (1 << (d + 1)) - 1, "depth {d}");
             assert_eq!(t.leaf_count(), 1 << d, "depth {d}");
+            let profile = t.contention_profile();
+            assert_eq!(profile.nodes, t.node_count() as u64, "depth {d}: the walk");
+            assert_eq!(profile.max_depth, d, "depth {d}: the walk");
         }
     }
 

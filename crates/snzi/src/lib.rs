@@ -44,11 +44,14 @@
 //! discipline on top, which is the paper's whole point: nested parallelism
 //! makes these invariants hold by construction.
 //!
-//! With the `stats` feature (on by default) trees record operation counts,
-//! arrive path lengths and per-node touch counts, which the test-suite uses
-//! to check the paper's contention theorems empirically (no increment may
-//! invoke more than 3 arrives — Corollary 4.7; no node is ever touched by
-//! more than 6 operations — Theorem 4.9).
+//! Every tree reports its shape through a walk, a [`ContentionProfile`].
+//! With the `telemetry` feature (on by default; the one switch of every
+//! probe in the workspace) trees also count arrive path lengths, per-node
+//! touches and lost grows, which the test-suite uses to check the paper's
+//! contention theorems empirically (no increment may invoke more than 3
+//! arrives — Corollary 4.7; no node is ever touched by more than 6
+//! operations — Theorem 4.9). A build without it keeps no statistics: the
+//! tree is its root pointer, its coin and its identity.
 //!
 //! ```
 //! use snzi::SnziTree;
@@ -80,7 +83,7 @@ pub mod node;
 pub mod packed;
 pub mod root;
 pub mod shrink;
-pub mod stats;
+mod stats;
 pub mod tree;
 
 pub use coin::{Coin, Probability, ThreadCoin, XorShift64Star};
@@ -88,5 +91,5 @@ pub use fixed::FixedSnzi;
 pub use node::{ChildPair, Node};
 pub use root::Root;
 pub use shrink::ShrinkingTree;
-pub use stats::TreeStats;
+pub use stats::ContentionProfile;
 pub use tree::{Handle, SnziTree};

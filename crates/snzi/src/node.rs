@@ -44,8 +44,8 @@
 //! overlap (a one-worker run's counters; the caller of the `unsafe`
 //! `*_exclusive` entry points promises it). The state machine is the same
 //! one: the ½ and announce-bit transitions, the version bumps, the
-//! [`OpPath`] counts and the `stats` touch tallies are identical in both
-//! modes, step for step.
+//! [`OpPath`] counts and, under `telemetry`, the touch tallies are
+//! identical in both modes, step for step.
 //!
 //! Alone on a tree, the ½ state and the announce bit are unobservable — an
 //! arrival that installs ½ completes it to 1 before anyone can look — so an
@@ -65,7 +65,7 @@ pub(crate) trait Step {
     /// whether it did.
     fn cas(word: &AtomicU64, old: u64, new: u64) -> bool;
     /// Count one non-trivial step on a node's touch tally.
-    #[cfg(feature = "stats")]
+    #[cfg(feature = "telemetry")]
     fn tally(tally: &AtomicU64);
 }
 
@@ -79,7 +79,7 @@ impl Step for Shared {
         word.compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire).is_ok()
     }
 
-    #[cfg(feature = "stats")]
+    #[cfg(feature = "telemetry")]
     #[inline(always)]
     fn tally(tally: &AtomicU64) {
         tally.fetch_add(1, Ordering::Relaxed);
@@ -103,7 +103,7 @@ impl Step for Exclusive {
         holds
     }
 
-    #[cfg(feature = "stats")]
+    #[cfg(feature = "telemetry")]
     #[inline(always)]
     fn tally(tally: &AtomicU64) {
         tally.store(tally.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
@@ -121,8 +121,8 @@ pub(crate) enum ParentRef {
 }
 
 /// Statistics returned by a single arrive/depart call chain. Always
-/// computed (the compiler removes it when unused); the `stats` feature only
-/// controls the heavier per-node counters.
+/// computed (the compiler removes it when unused); the `telemetry` feature
+/// only controls the per-node touch tallies and the tree's counters.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct OpPath {
     /// Number of nodes on which an `arrive` operation ran (the quantity
@@ -167,7 +167,7 @@ pub struct Node {
     /// Number of operations that performed a non-trivial (state-changing)
     /// step on this node; Theorem 4.9 bounds this by 6 in the in-counter
     /// discipline.
-    #[cfg(feature = "stats")]
+    #[cfg(feature = "telemetry")]
     pub(crate) touches: AtomicU64,
 }
 
@@ -194,7 +194,7 @@ impl Node {
             parent,
             tree_id,
             depth,
-            #[cfg(feature = "stats")]
+            #[cfg(feature = "telemetry")]
             touches: AtomicU64::new(0),
         }
     }
@@ -205,12 +205,12 @@ impl Node {
         unpack_node(self.state.load(Ordering::Acquire)).0
     }
 
-    /// Append the packed `(c_half, v)` word and, under `stats`, the touch
-    /// tally (differential tests).
+    /// Append the packed `(c_half, v)` word and, under `telemetry`, the
+    /// touch tally (differential tests).
     #[cfg(test)]
     pub(crate) fn state_for_test(&self, out: &mut Vec<u64>) {
         out.push(self.state.load(Ordering::Relaxed));
-        #[cfg(feature = "stats")]
+        #[cfg(feature = "telemetry")]
         out.push(self.touches.load(Ordering::Relaxed));
     }
 
@@ -218,7 +218,7 @@ impl Node {
     #[inline(always)]
     fn cas<S: Step>(&self, old: u64, new: u64) -> bool {
         let ok = S::cas(&self.state, old, new);
-        #[cfg(feature = "stats")]
+        #[cfg(feature = "telemetry")]
         if ok {
             S::tally(&self.touches);
         }

@@ -56,7 +56,7 @@ pub struct Root {
     pub(crate) tree_id: u32,
     /// Number of operations performing a non-trivial step here (excludes
     /// `query`, which is a trivial read).
-    #[cfg(feature = "stats")]
+    #[cfg(feature = "telemetry")]
     pub(crate) touches: AtomicU64,
 }
 
@@ -79,7 +79,7 @@ impl Root {
             ind: AtomicU64::new(ind),
             children: AtomicPtr::new(std::ptr::null_mut()),
             tree_id,
-            #[cfg(feature = "stats")]
+            #[cfg(feature = "telemetry")]
             touches: AtomicU64::new(0),
         }
     }
@@ -89,7 +89,7 @@ impl Root {
     #[inline(always)]
     fn cas<S: Step>(&self, word: &AtomicU64, old: u64, new: u64) -> bool {
         let ok = S::cas(word, old, new);
-        #[cfg(feature = "stats")]
+        #[cfg(feature = "telemetry")]
         if ok {
             S::tally(&self.touches);
         }
@@ -97,12 +97,12 @@ impl Root {
     }
 
     /// Append the packed `(c, a, v)` root word, the `(ver, bit)` indicator
-    /// and, under `stats`, the touch tally (differential tests).
+    /// and, under `telemetry`, the touch tally (differential tests).
     #[cfg(test)]
     pub(crate) fn state_for_test(&self, out: &mut Vec<u64>) {
         out.push(self.x.load(Ordering::Relaxed));
         out.push(self.ind.load(Ordering::Relaxed));
-        #[cfg(feature = "stats")]
+        #[cfg(feature = "telemetry")]
         out.push(self.touches.load(Ordering::Relaxed));
     }
 

@@ -1,133 +1,174 @@
-//! Instrumentation counters used to validate the paper's bounds.
+//! What a tree can report about itself, to check the paper's bounds.
 //!
-//! A structure whose whole point is low contention must not be profiled
-//! with a hot shared counter — a per-operation `fetch_add` on one tree-wide
-//! cache line would cost more than the algorithm it measures. The counters
-//! here are therefore only touched on *rare* events:
+//! A [`ContentionProfile`] is read by walking the tree
+//! ([`SnziTree::contention_profile`](crate::SnziTree::contention_profile),
+//! [`FixedSnzi::contention_profile`](crate::FixedSnzi::contention_profile)):
+//! its shape — node count and depth — is there in every build, because
+//! the walk sees it. Only what the walk cannot see is counted, and only
+//! under the `telemetry` feature, the switch of every other probe; a
+//! build without it keeps and writes no statistics at all.
 //!
-//! * `grow_installs` / `grow_losses` — at most once per installed pair
-//!   (with the recommended `p = 1/(25·cores)`, one in ~25·cores grows);
+//! What is counted is chosen so that a structure whose whole point is low
+//! contention is not profiled with a hot shared counter — a per-operation
+//! `fetch_add` on one tree-wide cache line would cost more than the
+//! algorithm it measures. The tree-wide counters of `TreeStats` are
+//! only touched on *rare* events:
+//!
+//! * `grow_losses` — a `grow` that lost its install race, at most once
+//!   per allocated pair (with the recommended `p = 1/(25·cores)`, one in
+//!   ~25·cores grows allocates one);
 //! * `max_arrive_chain` / `max_depart_chain` — only when a propagation
 //!   chain exceeds one node, which the paper's Theorem 4.8 makes rare by
-//!   construction, and only under the `stats` feature: the sole reader,
-//!   `SnziTree::stats()`, exists only there, so a build without it writes
-//!   nothing.
+//!   construction.
 //!
-//! Per-node touch counters (for the Theorem 4.9 check) live on the nodes
-//! themselves behind the `stats` feature: they add one relaxed RMW to a
-//! cache line the operation already owns.
+//! Per-node touch tallies (for the Theorem 4.9 check) live on the nodes
+//! themselves: they add one relaxed RMW to a cache line the operation
+//! already owns, and the walk sums them.
 
+#[cfg(feature = "telemetry")]
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::node::Node;
+use crate::root::Root;
+
+/// What a walk of a tree reports: its shape in every build, and under the
+/// `telemetry` feature what the tree counted as it ran.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ContentionProfile {
+    /// Total nodes in the tree (root included).
+    pub nodes: u64,
+    /// Deepest node in the tree (the root is at depth 0).
+    pub max_depth: u32,
+    /// Maximum non-trivial steps applied to any single node — the paper's
+    /// Theorem 4.9 bounds this by 6 operations under the in-counter
+    /// discipline.
+    #[cfg(feature = "telemetry")]
+    pub max_touch: u64,
+    /// Sum of non-trivial steps across all nodes.
+    #[cfg(feature = "telemetry")]
+    pub total_touch: u64,
+    /// Longest arrive propagation chain observed (at least 1): the number
+    /// of nodes on which one top-level arrive ran. Corollary 4.7 bounds it
+    /// by 3 for `p = 1` under the in-counter discipline.
+    #[cfg(feature = "telemetry")]
+    pub max_arrive_chain: u64,
+    /// Longest depart propagation chain observed (at least 1).
+    #[cfg(feature = "telemetry")]
+    pub max_depart_chain: u64,
+    /// Child pairs allocated by a `grow` that lost the install race (and
+    /// freed again).
+    #[cfg(feature = "telemetry")]
+    pub grow_losses: u64,
+}
+
+impl ContentionProfile {
+    /// A walk that has seen the root alone.
+    pub(crate) fn of_root(root: &Root) -> ContentionProfile {
+        #[cfg(feature = "telemetry")]
+        let t = root.touches.load(Ordering::Relaxed);
+        #[cfg(not(feature = "telemetry"))]
+        let _ = root;
+        ContentionProfile {
+            nodes: 1,
+            #[cfg(feature = "telemetry")]
+            max_touch: t,
+            #[cfg(feature = "telemetry")]
+            total_touch: t,
+            ..Default::default()
+        }
+    }
+
+    /// Add one more node the walk reached.
+    pub(crate) fn add(&mut self, node: &Node) {
+        self.nodes += 1;
+        self.max_depth = self.max_depth.max(node.depth);
+        #[cfg(feature = "telemetry")]
+        {
+            let t = node.touches.load(Ordering::Relaxed);
+            self.max_touch = self.max_touch.max(t);
+            self.total_touch += t;
+        }
+    }
+
+    /// Add what the tree counted that no walk can see.
+    #[cfg(feature = "telemetry")]
+    pub(crate) fn read_counters(&mut self, stats: &TreeStats) {
+        self.max_arrive_chain = stats.max_arrive_chain.load(Ordering::Relaxed).max(1);
+        self.max_depart_chain = stats.max_depart_chain.load(Ordering::Relaxed).max(1);
+        self.grow_losses = stats.grow_losses.load(Ordering::Relaxed);
+    }
+}
 
 /// Per-tree operation statistics (rare-event counters only; see module
 /// docs for why there is no per-operation counting).
+#[cfg(feature = "telemetry")]
 #[derive(Debug, Default)]
-pub struct TreeStats {
-    /// Child pairs successfully installed (each adds two nodes).
-    pub grow_installs: AtomicU64,
+pub(crate) struct TreeStats {
     /// Child pairs allocated but lost the installation race (freed).
-    pub grow_losses: AtomicU64,
+    grow_losses: AtomicU64,
     /// Maximum number of arrive invocations performed by any single
     /// top-level arrive **that propagated** (chains of length 1 are not
-    /// recorded; a snapshot value of 0 therefore means "never exceeded
-    /// 1"). Corollary 4.7 bounds this by 3 for `p = 1` under the
-    /// in-counter discipline.
-    pub max_arrive_chain: AtomicU64,
+    /// recorded; 0 therefore means "never exceeded 1").
+    max_arrive_chain: AtomicU64,
     /// As above for departs.
-    pub max_depart_chain: AtomicU64,
-    /// Child pairs detached by pruning (Appendix B shrinking).
-    pub pruned_pairs: AtomicU64,
+    max_depart_chain: AtomicU64,
 }
 
+#[cfg(feature = "telemetry")]
 impl TreeStats {
     #[inline(always)]
     pub(crate) fn record_arrive(&self, chain: u32) {
-        #[cfg(feature = "stats")]
         if chain > 1 {
             self.max_arrive_chain.fetch_max(chain as u64, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "stats"))]
-        let _ = chain;
     }
 
     #[inline(always)]
     pub(crate) fn record_depart(&self, chain: u32) {
-        #[cfg(feature = "stats")]
         if chain > 1 {
             self.max_depart_chain.fetch_max(chain as u64, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "stats"))]
-        let _ = chain;
     }
 
-    /// Snapshot the counters into a plain struct for reporting.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            grow_installs: self.grow_installs.load(Ordering::Relaxed),
-            grow_losses: self.grow_losses.load(Ordering::Relaxed),
-            max_arrive_chain: self.max_arrive_chain.load(Ordering::Relaxed).max(1),
-            max_depart_chain: self.max_depart_chain.load(Ordering::Relaxed).max(1),
-            pruned_pairs: self.pruned_pairs.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-data snapshot of [`TreeStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Child pairs installed.
-    pub grow_installs: u64,
-    /// Child pairs allocated but lost the race.
-    pub grow_losses: u64,
-    /// Longest arrive propagation chain observed (at least 1).
-    pub max_arrive_chain: u64,
-    /// Longest depart propagation chain observed (at least 1).
-    pub max_depart_chain: u64,
-    /// Child pairs detached by pruning.
-    pub pruned_pairs: u64,
-}
-
-impl StatsSnapshot {
-    /// Number of nodes currently in the tree implied by the install and
-    /// prune counts (1 root + 2 per installed, minus 2 per pruned pair).
-    pub fn node_count(&self) -> u64 {
-        1 + 2 * (self.grow_installs - self.pruned_pairs)
+    #[inline(always)]
+    pub(crate) fn record_grow_loss(&self) {
+        self.grow_losses.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
+#[cfg(feature = "telemetry")]
 mod tests {
     use super::*;
+    use crate::SnziTree;
 
     #[test]
-    #[cfg(feature = "stats")]
     fn snapshot_reflects_records() {
-        let s = TreeStats::default();
-        s.record_arrive(3);
-        s.record_arrive(1);
-        s.record_depart(2);
-        let snap = s.snapshot();
-        assert_eq!(snap.max_arrive_chain, 3);
-        assert_eq!(snap.max_depart_chain, 2);
-        assert_eq!(snap.node_count(), 1);
+        let t = SnziTree::new(0);
+        t.stats.record_arrive(3);
+        t.stats.record_arrive(1);
+        t.stats.record_depart(2);
+        let profile = t.contention_profile();
+        assert_eq!(profile.max_arrive_chain, 3);
+        assert_eq!(profile.max_depart_chain, 2);
+        assert_eq!(profile.nodes, 1);
     }
 
     #[test]
     fn unit_chains_are_not_recorded_but_report_one() {
-        let s = TreeStats::default();
-        s.record_arrive(1);
-        s.record_depart(1);
-        assert_eq!(s.max_arrive_chain.load(Ordering::Relaxed), 0);
-        assert_eq!(s.snapshot().max_arrive_chain, 1);
-        assert_eq!(s.snapshot().max_depart_chain, 1);
+        let t = SnziTree::new(0);
+        t.stats.record_arrive(1);
+        t.stats.record_depart(1);
+        assert_eq!(t.stats.max_arrive_chain.load(Ordering::Relaxed), 0);
+        assert_eq!(t.contention_profile().max_arrive_chain, 1);
+        assert_eq!(t.contention_profile().max_depart_chain, 1);
     }
 
     #[test]
-    #[cfg(feature = "stats")]
     fn max_is_monotone() {
-        let s = TreeStats::default();
-        s.record_arrive(5);
-        s.record_arrive(2);
-        assert_eq!(s.snapshot().max_arrive_chain, 5);
+        let t = SnziTree::new(0);
+        t.stats.record_arrive(5);
+        t.stats.record_arrive(2);
+        assert_eq!(t.contention_profile().max_arrive_chain, 5);
     }
 }

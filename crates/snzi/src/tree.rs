@@ -17,9 +17,10 @@
 //! whose 128 B and 256 B classes carry the nodes' two-line alignment): an
 //! in-counter is made per finish scope that forks, so a tree that went to
 //! the plain allocator would put one process-wide lock under every such
-//! scope. The `SnziTree` object itself — the root pointer, the coin and
-//! the statistics — is plain data its owner places: `spdag` keeps it out
-//! of the vertex, in one more slab of that recycler (the 64 B class).
+//! scope. The `SnziTree` object itself — the root pointer, the coin, the
+//! identity and, under `telemetry` only, the statistics — is plain data
+//! its owner places: `spdag` keeps it out of the vertex, in one more slab
+//! of that recycler (the 32 B class; the 64 B class under `telemetry`).
 //! [`Handle`]s are plain
 //! copyable pointers into the tree, which is why the handle-based
 //! operations are `unsafe`: the caller must keep the tree alive and respect
@@ -38,8 +39,8 @@ use crate::node::{
 };
 use crate::packed::MAX_ROOT_SURPLUS;
 use crate::root::Root;
-#[cfg(feature = "stats")]
-use crate::stats::StatsSnapshot;
+use crate::stats::ContentionProfile;
+#[cfg(feature = "telemetry")]
 use crate::stats::TreeStats;
 
 /// Allocate a fresh tree identity (shared with [`FixedSnzi`](crate::FixedSnzi)).
@@ -122,7 +123,10 @@ pub struct SnziTree {
     root: *mut Root,
     p: Probability,
     id: u32,
-    stats: TreeStats,
+    /// The tree's counters, under `telemetry` only: a plain tree writes
+    /// nothing after construction.
+    #[cfg(feature = "telemetry")]
+    pub(crate) stats: TreeStats,
 }
 
 // SAFETY: `root` is the unique owning pointer to a `Root`, which is
@@ -147,6 +151,7 @@ impl SnziTree {
             root: recycle::alloc(|| Root::new(initial as u32, id)).0,
             p,
             id,
+            #[cfg(feature = "telemetry")]
             stats: TreeStats::default(),
         }
     }
@@ -231,6 +236,7 @@ impl SnziTree {
             NodeRefInner::Root(r) => unsafe { (*r).arrive::<S>() },
             NodeRefInner::Node(n) => unsafe { node_arrive::<S>(&*n) },
         };
+        #[cfg(feature = "telemetry")]
         self.stats.record_arrive(path.arrives);
         path
     }
@@ -282,6 +288,7 @@ impl SnziTree {
             NodeRefInner::Root(r) => unsafe { (*r).depart::<S>() },
             NodeRefInner::Node(n) => unsafe { node_depart::<S>(&*n) },
         };
+        #[cfg(feature = "telemetry")]
         self.stats.record_depart(path.departs);
         (ended, path)
     }
@@ -342,16 +349,14 @@ impl SnziTree {
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
-                Ok(_) => {
-                    self.stats.grow_installs.fetch_add(1, Ordering::Relaxed);
-                    obs::counter!("snzi.grow_installs").inc();
-                }
+                Ok(_) => obs::counter!("snzi.grow_installs").inc(),
                 Err(_) => {
                     // Lost the race; reclaim the local allocation.
                     // SAFETY: `pair` came from `recycle::alloc` above and
                     // was never published.
                     unsafe { recycle::free(pair) };
-                    self.stats.grow_losses.fetch_add(1, Ordering::Relaxed);
+                    #[cfg(feature = "telemetry")]
+                    self.stats.record_grow_loss();
                     obs::counter!("snzi.grow_losses").inc();
                 }
             }
@@ -365,49 +370,35 @@ impl SnziTree {
         (Handle(NodeRefInner::Node(&pair.left)), Handle(NodeRefInner::Node(&pair.right)))
     }
 
-    /// Walk the tree and return `(node_count, max_touch, total_touch)`
-    /// where the touch figures come from the per-node instrumentation.
-    /// Intended for tests and reports; takes `&mut self` so no operations
-    /// race the traversal.
-    #[cfg(feature = "stats")]
-    pub fn contention_profile(&mut self) -> ContentionProfile {
-        let mut nodes = 1u64;
-        let mut max_touch = self.root().touches.load(Ordering::Relaxed);
-        let mut total_touch = max_touch;
-        let mut max_depth = 0u32;
+    /// Walk the tree: its node count and depth on every build and, under
+    /// `telemetry`, its touch tallies and counters ([`ContentionProfile`]).
+    /// Intended for tests and reports. Exact when no operation overlaps
+    /// the walk; otherwise it sees some of them. It reads only what a
+    /// `grow` publishes, and a node goes only when the tree drops — or,
+    /// for a [`ShrinkingTree`](crate::ShrinkingTree), after the guard of
+    /// the view it is called through.
+    pub fn contention_profile(&self) -> ContentionProfile {
+        let mut profile = ContentionProfile::of_root(self.root());
         let mut stack = Vec::new();
-        let first = self.root().children.load(Ordering::Relaxed);
+        let first = self.root().children.load(Ordering::Acquire);
         if !first.is_null() {
             stack.push(first);
         }
         while let Some(p) = stack.pop() {
-            // SAFETY: &mut self means no concurrent mutation; pointers in
-            // the children graph are owned by this tree.
+            // SAFETY: pairs reachable from the root are owned by this tree
+            // and alive (see above).
             let pair = unsafe { &*p };
             for child in [&pair.left, &pair.right] {
-                nodes += 1;
-                let t = child.touches.load(Ordering::Relaxed);
-                max_touch = max_touch.max(t);
-                total_touch += t;
-                max_depth = max_depth.max(child.depth);
-                let c = child.children.load(Ordering::Relaxed);
+                profile.add(child);
+                let c = child.children.load(Ordering::Acquire);
                 if !c.is_null() {
                     stack.push(c);
                 }
             }
         }
-        ContentionProfile { nodes, max_touch, total_touch, max_depth }
-    }
-
-    /// Snapshot of the per-tree operation statistics.
-    #[cfg(feature = "stats")]
-    pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// Internal access for the shrink module.
-    pub(crate) fn stats_ref(&self) -> &TreeStats {
-        &self.stats
+        #[cfg(feature = "telemetry")]
+        profile.read_counters(&self.stats);
+        profile
     }
 
     /// Internal: null the children pointer of `h`'s node and return the
@@ -451,21 +442,6 @@ impl SnziTree {
         }
         out
     }
-}
-
-/// Result of [`SnziTree::contention_profile`].
-#[cfg(feature = "stats")]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ContentionProfile {
-    /// Total nodes in the tree (root included).
-    pub nodes: u64,
-    /// Maximum non-trivial steps applied to any single node — the paper's
-    /// Theorem 4.9 bounds this by 6 under the in-counter discipline.
-    pub max_touch: u64,
-    /// Sum of non-trivial steps across all nodes.
-    pub total_touch: u64,
-    /// Deepest node in the tree.
-    pub max_depth: u32,
 }
 
 /// Free the chain of child pairs rooted at `first` iteratively (the tree
@@ -541,7 +517,7 @@ mod tests {
         assert_eq!(l1.addr(), l2.addr());
         assert_eq!(r1.addr(), r2.addr());
         assert_ne!(l1.addr(), r1.addr());
-        assert_eq!(t.stats_ref().snapshot().grow_installs, 1);
+        assert_eq!(t.contention_profile().nodes, 3, "one pair installed");
     }
 
     #[test]
@@ -551,7 +527,7 @@ mod tests {
         let (a, b) = unsafe { t.grow(r) };
         assert_eq!(a.addr(), r.addr());
         assert_eq!(b.addr(), r.addr());
-        assert_eq!(t.stats_ref().snapshot().grow_installs, 0);
+        assert_eq!(t.contention_profile().nodes, 1, "no pair installed");
     }
 
     #[test]
@@ -561,7 +537,7 @@ mod tests {
         let t = SnziTree::with_probability(0, Probability::one_over(4));
         let r = t.root_handle();
         let mut calls = 0u64;
-        while t.stats_ref().snapshot().grow_installs == 0 {
+        while t.contention_profile().nodes == 1 {
             let _ = unsafe { t.grow_with(r, &mut coin) };
             calls += 1;
             assert!(calls < 1000, "coin never landed heads?");
@@ -591,7 +567,7 @@ mod tests {
             let (l, _) = unsafe { t.grow_always(h) };
             h = l;
         }
-        assert_eq!(t.stats_ref().snapshot().grow_installs, 100_000);
+        assert_eq!(t.contention_profile().nodes, 1 + 2 * 100_000);
         drop(t); // must not overflow the stack
     }
 
@@ -621,9 +597,8 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "stats")]
     fn contention_profile_counts_nodes() {
-        let mut t = SnziTree::new(0);
+        let t = SnziTree::new(0);
         let r = t.root_handle();
         let (l, _) = unsafe { t.grow_always(r) };
         let _ = unsafe { t.grow_always(l) };
@@ -650,9 +625,32 @@ mod tests {
         for r in &results {
             assert_eq!(*r, first, "all threads must see the same installed pair");
         }
-        let s = t.stats_ref().snapshot();
-        assert_eq!(s.grow_installs, 1);
-        assert!(s.grow_installs + s.grow_losses <= 8);
+        let profile = t.contention_profile();
+        assert_eq!(profile.nodes, 3, "one pair installed");
+        #[cfg(feature = "telemetry")]
+        assert!(profile.grow_losses <= 7, "1 install + losses <= 8 grows");
+    }
+
+    #[test]
+    fn a_plain_tree_keeps_no_statistics() {
+        // Nothing in a plain tree is written after construction — its root
+        // pointer, coin and identity — so it rides the 32 B class: the slab
+        // every forking scope's in-counter takes. The statistics come with
+        // `telemetry` alone.
+        let size = std::mem::size_of::<SnziTree>();
+        let class = recycle::class_bytes(recycle::class_of::<SnziTree>().expect("on the ladder"));
+        #[cfg(not(feature = "telemetry"))]
+        {
+            assert!(size <= 32, "a plain SnziTree is {size} B");
+            assert_eq!(class, 32, "a plain SnziTree");
+            let fixed = std::mem::size_of::<crate::FixedSnzi>();
+            assert!(fixed <= 40, "a plain FixedSnzi is {fixed} B");
+        }
+        #[cfg(feature = "telemetry")]
+        {
+            assert!(size <= 64, "SnziTree under telemetry is {size} B");
+            assert_eq!(class, 64, "SnziTree under telemetry");
+        }
     }
 
     #[test]

@@ -5,12 +5,17 @@
 //! that wants to `async` *many* tasks into its finish scope (the paper's
 //! fanin pattern, a parallel-for) need not CPS-transform itself: the
 //! running vertex can play the continuation **in place**. Each
-//! [`Scope::fork`] performs one in-counter `increment` exactly as `spawn`
-//! does, gives the spawned task the left increment handle and the fresh
-//! decrement pair, and the running vertex *rotates* onto the right
-//! increment handle and the same pair — precisely the state its
-//! continuation vertex would have had. When the body returns, the normal
-//! signal epilogue uses the rotated state.
+//! [`Scope::fork`] takes the fork step (`vertex::fork_vertex`): one
+//! in-counter `increment` on the running vertex's scope, which gives the
+//! forked task the left increment handle and the fresh decrement pair,
+//! and the running vertex *rotates* onto the right increment handle and
+//! the same pair — precisely the state a continuation vertex would have
+//! had. When the body returns, the normal signal epilogue uses the
+//! rotated state. (A `spawn` within the stack bound makes no increment:
+//! both of its children run in the spawning vertex, `crate::in_place`.
+//! The fork step is also how a spawned child becomes a vertex — when it
+//! is promoted to a thief, when its right sibling unwinds while it waits,
+//! and past the stack bound.)
 //!
 //! The handle discipline is preserved verbatim, so all of Section 4's
 //! bounds apply: a `fork` is one increment (amortized O(1), O(1)

@@ -131,8 +131,8 @@
 //! the same ladder.
 //!
 //! **The vertex fits the 128 B class** — at most 128 B for every counter
-//! family, on both `stats` legs (a unit test here holds it; the dynamic
-//! family's is 120 B) — because the scope's counter is not in it. An
+//! family, with `telemetry` and without (a unit test here holds it; the
+//! dynamic family's is 120 B) — because the scope's counter is not in it. An
 //! `Option<SnziTree>` in the vertex was 64 B that every vertex carried and,
 //! by the invariant above, all but one vertex of a future-heavy run left
 //! `None`: it put the vertex at 176 B, in the 256 B class, three cache
@@ -1154,7 +1154,8 @@ mod tests {
     fn a_vertex_rides_the_128_byte_class() {
         // Two lines a vertex, not three: a field that pushes any family's
         // vertex past 128 B sends it to the 256 B class and fails here, on
-        // whichever `stats` leg is being tested (CI runs both).
+        // whichever leg of the `telemetry` switch is being tested (CI runs
+        // both).
         fn check<C: CounterFamily>() {
             let size = std::mem::size_of::<Vertex<C>>();
             assert!(size <= 128, "Vertex<{}> is {size} B", C::NAME);

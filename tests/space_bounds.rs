@@ -107,7 +107,7 @@ fn node_count_never_exceeds_vertex_count() {
     let cfg = DynConfig::always_grow();
     for pow in [4u32, 8, 11] {
         let (tree, increments) = run_fanin_sim(&cfg, pow);
-        let nodes = tree.stats().node_count();
+        let nodes = tree.contention_profile().nodes;
         let vertices_created = 2 * increments; // two per spawn
         assert!(
             nodes <= vertices_created + 1,
@@ -126,7 +126,7 @@ fn probabilistic_growth_keeps_trees_tiny() {
     for threshold in [64u64, 256, 1024] {
         let cfg = DynConfig::with_threshold(threshold);
         let (tree, increments) = run_fanin_sim(&cfg, 14); // 16383 increments
-        let nodes = tree.stats().node_count();
+        let nodes = tree.contention_profile().nodes;
         let expected = 1 + 2 * increments / threshold;
         assert!(
             nodes <= expected * 8 + 16,
@@ -144,7 +144,7 @@ fn never_grow_is_constant_space() {
     let _g = lock();
     let cfg = DynConfig::never_grow();
     let (tree, _) = run_fanin_sim(&cfg, 10);
-    assert_eq!(tree.stats().node_count(), 1);
+    assert_eq!(tree.contention_profile().nodes, 1);
 }
 
 #[test]
@@ -182,9 +182,8 @@ fn pruning_recovers_space_during_a_run() {
         unsafe {
             let _ = pinned.prune_children_deferred(pinned.root_handle());
         }
-        let s = pinned.stats();
         assert_eq!(
-            s.node_count(),
+            pinned.contention_profile().nodes,
             1,
             "round {round}: pruning must reclaim everything below the root"
         );
