@@ -14,9 +14,7 @@
 use crate::node::{node_arrive, node_depart, Exclusive, Node, ParentRef, Shared, Step};
 use crate::packed::MAX_ROOT_SURPLUS;
 use crate::root::Root;
-use crate::stats::ContentionProfile;
-#[cfg(feature = "telemetry")]
-use crate::stats::TreeStats;
+use crate::stats::{ContentionProfile, TreeStats};
 use crate::tree::{Handle, NodeRefInner};
 
 /// Largest supported depth (2^21 − 1 nodes ≈ 2M; the paper sweeps 1..=9).
@@ -30,7 +28,7 @@ pub struct FixedSnzi {
     /// parent pointers into the buffer stay valid.
     nodes: Vec<Node>,
     depth: u32,
-    #[cfg(feature = "telemetry")]
+    /// Zero-sized without `telemetry`.
     stats: TreeStats,
 }
 
@@ -60,13 +58,7 @@ impl FixedSnzi {
                 (*base.add(k - 1)).parent = ParentRef::Node(base.add(pk - 1) as *const Node);
             }
         }
-        FixedSnzi {
-            root,
-            nodes,
-            depth,
-            #[cfg(feature = "telemetry")]
-            stats: TreeStats::default(),
-        }
+        FixedSnzi { root, nodes, depth, stats: TreeStats::default() }
     }
 
     /// The configured depth `d`.
@@ -150,10 +142,7 @@ impl FixedSnzi {
             Some(n) => unsafe { node_arrive::<S>(n) },
             None => self.root.arrive::<S>(),
         };
-        #[cfg(feature = "telemetry")]
         self.stats.record_arrive(path.arrives);
-        #[cfg(not(feature = "telemetry"))]
-        let _ = path;
     }
 
     /// Arrive at the leaf selected by hashing `key`; returns the leaf index
@@ -201,10 +190,7 @@ impl FixedSnzi {
             Some(n) => unsafe { node_depart::<S>(n) },
             None => self.root.depart::<S>(),
         };
-        #[cfg(feature = "telemetry")]
         self.stats.record_depart(path.departs);
-        #[cfg(not(feature = "telemetry"))]
-        let _ = path;
         ended
     }
 
@@ -212,10 +198,7 @@ impl FixedSnzi {
     /// by the counter-family layer).
     pub fn arrive_root(&self) {
         let path = self.root.arrive::<Shared>();
-        #[cfg(feature = "telemetry")]
         self.stats.record_arrive(path.arrives);
-        #[cfg(not(feature = "telemetry"))]
-        let _ = path;
     }
 
     /// Depart directly at the root; returns `true` iff this departure
@@ -237,10 +220,7 @@ impl FixedSnzi {
     #[inline]
     fn depart_root_with<S: Step>(&self) -> bool {
         let (ended, path) = self.root.depart::<S>();
-        #[cfg(feature = "telemetry")]
         self.stats.record_depart(path.departs);
-        #[cfg(not(feature = "telemetry"))]
-        let _ = path;
         ended
     }
 
@@ -259,8 +239,7 @@ impl FixedSnzi {
         for n in &self.nodes {
             profile.add(n);
         }
-        #[cfg(feature = "telemetry")]
-        profile.read_counters(&self.stats);
+        self.stats.read_counters(&mut profile);
         profile
     }
 

@@ -51,7 +51,9 @@
 //! contention theorems empirically (no increment may invoke more than 3
 //! arrives — Corollary 4.7; no node is ever touched by more than 6
 //! operations — Theorem 4.9). A build without it keeps no statistics: the
-//! tree is its root pointer, its coin and its identity.
+//! counting types are zero-sized no-op twins, the profile's counted
+//! fields read 0, and the tree is its root pointer, its coin and its
+//! identity.
 //!
 //! ```
 //! use snzi::SnziTree;

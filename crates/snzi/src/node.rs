@@ -58,15 +58,15 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
 use crate::packed::{pack_node, unpack_node, HALF, MAX_NODE_SURPLUS, ONE};
 use crate::root::Root;
+use crate::stats::{Tally, Touches};
 
 /// How one step of the SNZI state machine is committed (module docs).
-pub(crate) trait Step {
+/// Under `telemetry` a step type also counts a landed step on the node's
+/// touch tally the way it commits ([`Tally`]).
+pub(crate) trait Step: Tally {
     /// Replace `old` by `new` in `word` if `word` still holds `old`;
     /// whether it did.
     fn cas(word: &AtomicU64, old: u64, new: u64) -> bool;
-    /// Count one non-trivial step on a node's touch tally.
-    #[cfg(feature = "telemetry")]
-    fn tally(tally: &AtomicU64);
 }
 
 /// Steps committed by compare-and-swap: any operation that may overlap
@@ -77,12 +77,6 @@ impl Step for Shared {
     #[inline(always)]
     fn cas(word: &AtomicU64, old: u64, new: u64) -> bool {
         word.compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire).is_ok()
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[inline(always)]
-    fn tally(tally: &AtomicU64) {
-        tally.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -101,12 +95,6 @@ impl Step for Exclusive {
             word.store(new, Ordering::Relaxed);
         }
         holds
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[inline(always)]
-    fn tally(tally: &AtomicU64) {
-        tally.store(tally.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
     }
 }
 
@@ -166,9 +154,8 @@ pub struct Node {
     pub(crate) depth: u32,
     /// Number of operations that performed a non-trivial (state-changing)
     /// step on this node; Theorem 4.9 bounds this by 6 in the in-counter
-    /// discipline.
-    #[cfg(feature = "telemetry")]
-    pub(crate) touches: AtomicU64,
+    /// discipline. Zero-sized without `telemetry`.
+    pub(crate) touches: Touches,
 }
 
 // SAFETY: all mutable state is atomic; parent/children pointers reference
@@ -194,8 +181,7 @@ impl Node {
             parent,
             tree_id,
             depth,
-            #[cfg(feature = "telemetry")]
-            touches: AtomicU64::new(0),
+            touches: Touches::default(),
         }
     }
 
@@ -205,24 +191,18 @@ impl Node {
         unpack_node(self.state.load(Ordering::Acquire)).0
     }
 
-    /// Append the packed `(c_half, v)` word and, under `telemetry`, the
-    /// touch tally (differential tests).
+    /// Append the packed `(c_half, v)` word and the touch tally (0
+    /// without `telemetry`) (differential tests).
     #[cfg(test)]
     pub(crate) fn state_for_test(&self, out: &mut Vec<u64>) {
         out.push(self.state.load(Ordering::Relaxed));
-        #[cfg(feature = "telemetry")]
-        out.push(self.touches.load(Ordering::Relaxed));
+        out.push(self.touches.get());
     }
 
     /// Commit one step on this node's word, tallying it if it landed.
     #[inline(always)]
     fn cas<S: Step>(&self, old: u64, new: u64) -> bool {
-        let ok = S::cas(&self.state, old, new);
-        #[cfg(feature = "telemetry")]
-        if ok {
-            S::tally(&self.touches);
-        }
-        ok
+        self.touches.count::<S>(S::cas(&self.state, old, new))
     }
 }
 

@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
 use crate::node::{ChildPair, OpPath, Step};
 use crate::packed::{pack_ind, pack_root, unpack_ind, unpack_root, MAX_ROOT_SURPLUS};
+use crate::stats::Touches;
 
 /// The root of a SNZI tree.
 ///
@@ -55,9 +56,8 @@ pub struct Root {
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
     pub(crate) tree_id: u32,
     /// Number of operations performing a non-trivial step here (excludes
-    /// `query`, which is a trivial read).
-    #[cfg(feature = "telemetry")]
-    pub(crate) touches: AtomicU64,
+    /// `query`, which is a trivial read). Zero-sized without `telemetry`.
+    pub(crate) touches: Touches,
 }
 
 // SAFETY: same argument as `Node`.
@@ -79,8 +79,7 @@ impl Root {
             ind: AtomicU64::new(ind),
             children: AtomicPtr::new(std::ptr::null_mut()),
             tree_id,
-            #[cfg(feature = "telemetry")]
-            touches: AtomicU64::new(0),
+            touches: Touches::default(),
         }
     }
 
@@ -88,22 +87,16 @@ impl Root {
     /// tallying it if it landed.
     #[inline(always)]
     fn cas<S: Step>(&self, word: &AtomicU64, old: u64, new: u64) -> bool {
-        let ok = S::cas(word, old, new);
-        #[cfg(feature = "telemetry")]
-        if ok {
-            S::tally(&self.touches);
-        }
-        ok
+        self.touches.count::<S>(S::cas(word, old, new))
     }
 
     /// Append the packed `(c, a, v)` root word, the `(ver, bit)` indicator
-    /// and, under `telemetry`, the touch tally (differential tests).
+    /// and the touch tally (0 without `telemetry`) (differential tests).
     #[cfg(test)]
     pub(crate) fn state_for_test(&self, out: &mut Vec<u64>) {
         out.push(self.x.load(Ordering::Relaxed));
         out.push(self.ind.load(Ordering::Relaxed));
-        #[cfg(feature = "telemetry")]
-        out.push(self.touches.load(Ordering::Relaxed));
+        out.push(self.touches.get());
     }
 
     /// `query`: read the indicator bit. A single trivial (read-only) step.

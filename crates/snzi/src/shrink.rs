@@ -36,7 +36,6 @@
 //! Appendix B preconditions already guarantee nobody needs.
 
 use std::ops::Deref;
-#[cfg(feature = "telemetry")]
 use std::sync::atomic::Ordering;
 
 use crossbeam::epoch::{self, Guard};
@@ -94,7 +93,10 @@ impl Pinned<'_> {
     /// # Safety
     /// `h` must have been produced by this tree and — this is the
     /// Appendix B obligation — no other thread may concurrently access any
-    /// node strictly below `h`, now or later.
+    /// node strictly below `h`, now or later. That includes a
+    /// [`contention_profile`](SnziTree::contention_profile) walk on any
+    /// view of the tree: the nodes are freed at once, and a walk that
+    /// read the detached pointer before the swap would go on into them.
     pub unsafe fn prune_children(&self, h: Handle) -> u64 {
         // SAFETY: `h` belongs to this tree, and access below it is
         // exclusive, per the caller contract.
@@ -124,8 +126,7 @@ impl Pinned<'_> {
         // guaranteed alive (we hold a guard, and the topology below is
         // frozen: grow can no longer reach it because the way in is gone —
         // stragglers only read/CAS node *state*).
-        #[cfg(feature = "telemetry")]
-        {
+        if obs::enabled() {
             let mut pairs = 0u64;
             let mut stack = vec![first];
             while let Some(p) = stack.pop() {
@@ -158,11 +159,37 @@ impl Pinned<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::{Arc, Mutex, MutexGuard};
+
+    /// The `snzi.pruned_pairs` counter is process-wide, so every test
+    /// here that prunes holds this lock: a diff of it is then the test's
+    /// own.
+    fn lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// The pairs `prune` detached, as the `snzi.pruned_pairs` counter
+    /// reports them, and what it returned.
+    fn pruned_pairs<R>(prune: impl FnOnce() -> R) -> (u64, R) {
+        let before = obs::Snapshot::take();
+        let out = prune();
+        (obs::Snapshot::take().diff(&before).counter("snzi.pruned_pairs"), out)
+    }
+
+    /// `pairs` under `telemetry`; a plain build counts nothing.
+    fn counted(pairs: u64) -> u64 {
+        if obs::enabled() {
+            pairs
+        } else {
+            0
+        }
+    }
 
     #[test]
     fn sequential_prune_and_regrow() {
+        let _g = lock();
         let t = ShrinkingTree::new(0);
         let r = t.pinned().root_handle();
         let (l, _) = unsafe { t.pinned().grow_always(r) };
@@ -170,8 +197,10 @@ mod tests {
         let _ = unsafe { t.pinned().grow_always(ll) };
         assert_eq!(t.pinned().contention_profile().nodes, 7);
         // Drain any surplus? none was added. Prune below l.
-        assert!(unsafe { t.pinned().prune_children_deferred(l) });
+        let (pairs, pruned) = pruned_pairs(|| unsafe { t.pinned().prune_children_deferred(l) });
+        assert!(pruned);
         // Two pairs detached: the walk no longer reaches their 4 nodes.
+        assert_eq!(pairs, counted(2));
         assert_eq!(t.pinned().contention_profile().nodes, 3);
         assert!(!unsafe { t.pinned().prune_children_deferred(l) }, "already detached");
         // The tree keeps working: grow fresh children and count through them.
@@ -184,6 +213,7 @@ mod tests {
 
     #[test]
     fn lemma_b1_prune_after_surplus_returns_to_zero() {
+        let _g = lock();
         // A node's subtree saw surplus, drained to zero → prunable.
         let t = ShrinkingTree::new(1);
         let r = t.pinned().root_handle();
@@ -208,6 +238,7 @@ mod tests {
         // Worker threads hammer the RIGHT subtree while the main thread
         // repeatedly grows and prunes the LEFT subtree. Epoch pinning in
         // the workers must keep every straggler safe.
+        let _g = lock();
         let t = Arc::new(ShrinkingTree::with_probability(0, Probability::ALWAYS));
         let r = t.pinned().root_handle();
         let (l, rhandle) = unsafe { t.pinned().grow_always(r) };
@@ -242,10 +273,11 @@ mod tests {
         }
         // The workers step on the right subtree only and grow nothing, so
         // the shape the walk reads is the main thread's alone.
-        let mut pruned_pairs = 0;
+        let mut walked_pairs = 0;
+        let before = obs::Snapshot::take();
         for _ in 0..200 {
             let (a, b) = unsafe { t.pinned().grow_always(l) };
-            let before = t.pinned().contention_profile().nodes;
+            let nodes = t.pinned().contention_profile().nodes;
             unsafe {
                 t.pinned().arrive(a);
                 let _ = t.pinned().depart(a);
@@ -254,12 +286,14 @@ mod tests {
             }
             // Left subtree quiescent again → prunable.
             assert!(unsafe { t.pinned().prune_children_deferred(l) });
-            pruned_pairs += (before - t.pinned().contention_profile().nodes) / 2;
+            walked_pairs += (nodes - t.pinned().contention_profile().nodes) / 2;
         }
+        let counted_pairs = obs::Snapshot::take().diff(&before).counter("snzi.pruned_pairs");
         stop.store(true, Ordering::Release);
         let total: u64 = workers.into_iter().map(|h| h.join().unwrap()).sum();
         assert!(total > 0);
-        assert_eq!(pruned_pairs, 200);
+        assert_eq!(walked_pairs, 200);
+        assert_eq!(counted_pairs, counted(200));
         assert!(!t.pinned().query());
     }
 
@@ -268,6 +302,7 @@ mod tests {
         // Simulate a mid-flight operation: hold a pinned view, capture a
         // node in the soon-to-be-pruned subtree, prune, and keep reading
         // through the captured reference — the view must keep it valid.
+        let _g = lock();
         let t = ShrinkingTree::new(0);
         let r = t.pinned().root_handle();
         let (l, _) = unsafe { t.pinned().grow_always(r) };

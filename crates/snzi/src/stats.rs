@@ -6,7 +6,10 @@
 //! its shape — node count and depth — is there in every build, because
 //! the walk sees it. Only what the walk cannot see is counted, and only
 //! under the `telemetry` feature, the switch of every other probe; a
-//! build without it keeps and writes no statistics at all.
+//! build without it keeps and writes no statistics at all. As `obs` does
+//! for its probes, the build without it has no-op twins — a zero-sized
+//! `TreeStats` and `Touches` whose writes compile to nothing — so no
+//! call site names the feature.
 //!
 //! What is counted is chosen so that a structure whose whole point is low
 //! contention is not profiled with a hot shared counter — a per-operation
@@ -25,14 +28,17 @@
 //! themselves: they add one relaxed RMW to a cache line the operation
 //! already owns, and the walk sums them.
 
-#[cfg(feature = "telemetry")]
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::node::Node;
 use crate::root::Root;
 
+#[cfg(feature = "telemetry")]
+pub(crate) use counted::{Tally, Touches, TreeStats};
+#[cfg(not(feature = "telemetry"))]
+pub(crate) use uncounted::{Tally, Touches, TreeStats};
+
 /// What a walk of a tree reports: its shape in every build, and under the
-/// `telemetry` feature what the tree counted as it ran.
+/// `telemetry` feature what the tree counted as it ran. A build without
+/// it counts nothing, and those fields read 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ContentionProfile {
     /// Total nodes in the tree (root included).
@@ -42,104 +48,183 @@ pub struct ContentionProfile {
     /// Maximum non-trivial steps applied to any single node — the paper's
     /// Theorem 4.9 bounds this by 6 operations under the in-counter
     /// discipline.
-    #[cfg(feature = "telemetry")]
     pub max_touch: u64,
     /// Sum of non-trivial steps across all nodes.
-    #[cfg(feature = "telemetry")]
     pub total_touch: u64,
-    /// Longest arrive propagation chain observed (at least 1): the number
-    /// of nodes on which one top-level arrive ran. Corollary 4.7 bounds it
-    /// by 3 for `p = 1` under the in-counter discipline.
-    #[cfg(feature = "telemetry")]
+    /// Longest arrive propagation chain observed (at least 1 under
+    /// `telemetry`): the number of nodes on which one top-level arrive
+    /// ran. Corollary 4.7 bounds it by 3 for `p = 1` under the in-counter
+    /// discipline.
     pub max_arrive_chain: u64,
-    /// Longest depart propagation chain observed (at least 1).
-    #[cfg(feature = "telemetry")]
+    /// Longest depart propagation chain observed (at least 1 under
+    /// `telemetry`).
     pub max_depart_chain: u64,
     /// Child pairs allocated by a `grow` that lost the install race (and
     /// freed again).
-    #[cfg(feature = "telemetry")]
     pub grow_losses: u64,
 }
 
 impl ContentionProfile {
     /// A walk that has seen the root alone.
     pub(crate) fn of_root(root: &Root) -> ContentionProfile {
-        #[cfg(feature = "telemetry")]
-        let t = root.touches.load(Ordering::Relaxed);
-        #[cfg(not(feature = "telemetry"))]
-        let _ = root;
-        ContentionProfile {
-            nodes: 1,
-            #[cfg(feature = "telemetry")]
-            max_touch: t,
-            #[cfg(feature = "telemetry")]
-            total_touch: t,
-            ..Default::default()
-        }
+        let t = root.touches.get();
+        ContentionProfile { nodes: 1, max_touch: t, total_touch: t, ..Default::default() }
     }
 
     /// Add one more node the walk reached.
     pub(crate) fn add(&mut self, node: &Node) {
         self.nodes += 1;
         self.max_depth = self.max_depth.max(node.depth);
-        #[cfg(feature = "telemetry")]
-        {
-            let t = node.touches.load(Ordering::Relaxed);
-            self.max_touch = self.max_touch.max(t);
-            self.total_touch += t;
-        }
-    }
-
-    /// Add what the tree counted that no walk can see.
-    #[cfg(feature = "telemetry")]
-    pub(crate) fn read_counters(&mut self, stats: &TreeStats) {
-        self.max_arrive_chain = stats.max_arrive_chain.load(Ordering::Relaxed).max(1);
-        self.max_depart_chain = stats.max_depart_chain.load(Ordering::Relaxed).max(1);
-        self.grow_losses = stats.grow_losses.load(Ordering::Relaxed);
+        let t = node.touches.get();
+        self.max_touch = self.max_touch.max(t);
+        self.total_touch += t;
     }
 }
 
-/// Per-tree operation statistics (rare-event counters only; see module
-/// docs for why there is no per-operation counting).
+/// The statistics of a `telemetry` build.
 #[cfg(feature = "telemetry")]
-#[derive(Debug, Default)]
-pub(crate) struct TreeStats {
-    /// Child pairs allocated but lost the installation race (freed).
-    grow_losses: AtomicU64,
-    /// Maximum number of arrive invocations performed by any single
-    /// top-level arrive **that propagated** (chains of length 1 are not
-    /// recorded; 0 therefore means "never exceeded 1").
-    max_arrive_chain: AtomicU64,
-    /// As above for departs.
-    max_depart_chain: AtomicU64,
+mod counted {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    use super::ContentionProfile;
+    use crate::node::{Exclusive, Shared};
+
+    /// Per-tree operation statistics (rare-event counters only; see
+    /// module docs for why there is no per-operation counting).
+    #[derive(Debug, Default)]
+    pub(crate) struct TreeStats {
+        /// Child pairs allocated but lost the installation race (freed).
+        grow_losses: AtomicU64,
+        /// Maximum number of arrive invocations performed by any single
+        /// top-level arrive **that propagated** (chains of length 1 are
+        /// not recorded; 0 therefore means "never exceeded 1").
+        pub(super) max_arrive_chain: AtomicU64,
+        /// As above for departs.
+        max_depart_chain: AtomicU64,
+    }
+
+    impl TreeStats {
+        #[inline(always)]
+        pub(crate) fn record_arrive(&self, chain: u32) {
+            if chain > 1 {
+                self.max_arrive_chain.fetch_max(chain as u64, Ordering::Relaxed);
+            }
+        }
+
+        #[inline(always)]
+        pub(crate) fn record_depart(&self, chain: u32) {
+            if chain > 1 {
+                self.max_depart_chain.fetch_max(chain as u64, Ordering::Relaxed);
+            }
+        }
+
+        #[inline(always)]
+        pub(crate) fn record_grow_loss(&self) {
+            self.grow_losses.fetch_add(1, Ordering::Relaxed);
+        }
+
+        /// Add what the tree counted that no walk can see.
+        pub(crate) fn read_counters(&self, profile: &mut ContentionProfile) {
+            profile.max_arrive_chain = self.max_arrive_chain.load(Ordering::Relaxed).max(1);
+            profile.max_depart_chain = self.max_depart_chain.load(Ordering::Relaxed).max(1);
+            profile.grow_losses = self.grow_losses.load(Ordering::Relaxed);
+        }
+    }
+
+    /// A node's touch tally: the operations that made a non-trivial
+    /// (state-changing) step on it. Theorem 4.9 bounds it by 6 under the
+    /// in-counter discipline.
+    #[derive(Debug, Default)]
+    pub(crate) struct Touches(AtomicU64);
+
+    impl Touches {
+        /// `landed`, after counting the step if it did.
+        #[inline(always)]
+        pub(crate) fn count<S: Tally>(&self, landed: bool) -> bool {
+            if landed {
+                S::add_one(&self.0);
+            }
+            landed
+        }
+
+        pub(crate) fn get(&self) -> u64 {
+            self.0.load(Ordering::Relaxed)
+        }
+    }
+
+    /// How a step type adds one to a tally: as it commits its steps.
+    pub(crate) trait Tally {
+        fn add_one(tally: &AtomicU64);
+    }
+
+    impl Tally for Shared {
+        #[inline(always)]
+        fn add_one(tally: &AtomicU64) {
+            tally.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    impl Tally for Exclusive {
+        #[inline(always)]
+        fn add_one(tally: &AtomicU64) {
+            tally.store(tally.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        }
+    }
 }
 
-#[cfg(feature = "telemetry")]
-impl TreeStats {
-    #[inline(always)]
-    pub(crate) fn record_arrive(&self, chain: u32) {
-        if chain > 1 {
-            self.max_arrive_chain.fetch_max(chain as u64, Ordering::Relaxed);
+/// The no-op twins of a build without `telemetry`: zero-sized, and every
+/// write compiles to nothing.
+#[cfg(not(feature = "telemetry"))]
+mod uncounted {
+    use super::ContentionProfile;
+
+    #[derive(Debug, Default)]
+    pub(crate) struct TreeStats {}
+
+    impl TreeStats {
+        #[inline(always)]
+        pub(crate) fn record_arrive(&self, _chain: u32) {}
+
+        #[inline(always)]
+        pub(crate) fn record_depart(&self, _chain: u32) {}
+
+        #[inline(always)]
+        pub(crate) fn record_grow_loss(&self) {}
+
+        #[inline(always)]
+        pub(crate) fn read_counters(&self, _profile: &mut ContentionProfile) {}
+    }
+
+    #[derive(Debug, Default)]
+    pub(crate) struct Touches {}
+
+    impl Touches {
+        /// An inherent method, not one of `Tally`'s: it inlines before `S`
+        /// is known, so a plain build's steps compile as if no tally were
+        /// there. (A method of `S` inlines only after monomorphisation,
+        /// and that moved where the root's `arrive` is inlined.)
+        #[inline(always)]
+        pub(crate) fn count<S: Tally>(&self, landed: bool) -> bool {
+            landed
+        }
+
+        #[inline(always)]
+        pub(crate) fn get(&self) -> u64 {
+            0
         }
     }
 
-    #[inline(always)]
-    pub(crate) fn record_depart(&self, chain: u32) {
-        if chain > 1 {
-            self.max_depart_chain.fetch_max(chain as u64, Ordering::Relaxed);
-        }
-    }
+    /// No step type counts anything.
+    pub(crate) trait Tally {}
 
-    #[inline(always)]
-    pub(crate) fn record_grow_loss(&self) {
-        self.grow_losses.fetch_add(1, Ordering::Relaxed);
-    }
+    impl<S> Tally for S {}
 }
 
 #[cfg(test)]
 #[cfg(feature = "telemetry")]
 mod tests {
-    use super::*;
+    use std::sync::atomic::Ordering;
+
     use crate::SnziTree;
 
     #[test]

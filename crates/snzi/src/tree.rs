@@ -39,9 +39,7 @@ use crate::node::{
 };
 use crate::packed::MAX_ROOT_SURPLUS;
 use crate::root::Root;
-use crate::stats::ContentionProfile;
-#[cfg(feature = "telemetry")]
-use crate::stats::TreeStats;
+use crate::stats::{ContentionProfile, TreeStats};
 
 /// Allocate a fresh tree identity (shared with [`FixedSnzi`](crate::FixedSnzi)).
 ///
@@ -123,9 +121,8 @@ pub struct SnziTree {
     root: *mut Root,
     p: Probability,
     id: u32,
-    /// The tree's counters, under `telemetry` only: a plain tree writes
-    /// nothing after construction.
-    #[cfg(feature = "telemetry")]
+    /// The tree's counters, zero-sized without `telemetry`: a plain tree
+    /// writes nothing after construction.
     pub(crate) stats: TreeStats,
 }
 
@@ -151,7 +148,6 @@ impl SnziTree {
             root: recycle::alloc(|| Root::new(initial as u32, id)).0,
             p,
             id,
-            #[cfg(feature = "telemetry")]
             stats: TreeStats::default(),
         }
     }
@@ -236,7 +232,6 @@ impl SnziTree {
             NodeRefInner::Root(r) => unsafe { (*r).arrive::<S>() },
             NodeRefInner::Node(n) => unsafe { node_arrive::<S>(&*n) },
         };
-        #[cfg(feature = "telemetry")]
         self.stats.record_arrive(path.arrives);
         path
     }
@@ -288,7 +283,6 @@ impl SnziTree {
             NodeRefInner::Root(r) => unsafe { (*r).depart::<S>() },
             NodeRefInner::Node(n) => unsafe { node_depart::<S>(&*n) },
         };
-        #[cfg(feature = "telemetry")]
         self.stats.record_depart(path.departs);
         (ended, path)
     }
@@ -355,7 +349,6 @@ impl SnziTree {
                     // SAFETY: `pair` came from `recycle::alloc` above and
                     // was never published.
                     unsafe { recycle::free(pair) };
-                    #[cfg(feature = "telemetry")]
                     self.stats.record_grow_loss();
                     obs::counter!("snzi.grow_losses").inc();
                 }
@@ -374,9 +367,13 @@ impl SnziTree {
     /// `telemetry`, its touch tallies and counters ([`ContentionProfile`]).
     /// Intended for tests and reports. Exact when no operation overlaps
     /// the walk; otherwise it sees some of them. It reads only what a
-    /// `grow` publishes, and a node goes only when the tree drops — or,
-    /// for a [`ShrinkingTree`](crate::ShrinkingTree), after the guard of
-    /// the view it is called through.
+    /// `grow` publishes. A plain tree frees a node only when it drops.
+    /// Through a [`ShrinkingTree`](crate::ShrinkingTree)'s view, a node
+    /// that [`prune_children_deferred`](crate::shrink::Pinned::prune_children_deferred)
+    /// detaches goes only after the guard of the view the walk runs
+    /// through; one that [`prune_children`](crate::shrink::Pinned::prune_children)
+    /// detaches goes at once, so that prune's caller must keep every walk
+    /// off the tree while it runs.
     pub fn contention_profile(&self) -> ContentionProfile {
         let mut profile = ContentionProfile::of_root(self.root());
         let mut stack = Vec::new();
@@ -396,8 +393,7 @@ impl SnziTree {
                 }
             }
         }
-        #[cfg(feature = "telemetry")]
-        profile.read_counters(&self.stats);
+        self.stats.read_counters(&mut profile);
         profile
     }
 

@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use incounter::{CounterFamily, DecPair, DynConfig, DynSnzi};
+use obs::Snapshot;
 use snzi::{Probability, ShrinkingTree, SnziTree};
 use spdag::{run_dag, strand_await, Ctx, FutureHandle, StrandPoll};
 
@@ -176,12 +177,16 @@ fn pruning_recovers_space_during_a_run() {
             let ended = sim_signal(&tree.pinned(), leaf);
             assert!(!ended, "initial surplus 1 keeps the tree non-zero");
         }
-        // Quiescent below the root: prune (Lemma B.1 applies — every
-        // subtree's surplus returned to zero).
+        // The burst's 7 increments grew one pair each.
         let pinned = tree.pinned();
-        unsafe {
-            let _ = pinned.prune_children_deferred(pinned.root_handle());
-        }
+        assert_eq!(pinned.contention_profile().nodes, 1 + 2 * 7, "round {round}: before the prune");
+        // Quiescent below the root: prune (Lemma B.1 applies — every
+        // subtree's surplus returned to zero). Under `telemetry` the prune
+        // counts what it detached, and it must account for every pair.
+        let before = Snapshot::take();
+        assert!(unsafe { pinned.prune_children_deferred(pinned.root_handle()) });
+        let pruned_pairs = Snapshot::take().diff(&before).counter("snzi.pruned_pairs");
+        assert_eq!(pruned_pairs, if obs::enabled() { 7 } else { 0 }, "round {round}");
         assert_eq!(
             pinned.contention_profile().nodes,
             1,
