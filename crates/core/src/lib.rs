@@ -90,15 +90,7 @@ pub mod prelude {
     };
 }
 
-use std::sync::Arc;
-
-use parking_lot_reexport::Mutex;
-
-// `spdag` already depends on parking_lot; avoid a version skew by going
-// through std here instead — a plain std Mutex is fine for OutCell.
-mod parking_lot_reexport {
-    pub use std::sync::Mutex;
-}
+use std::sync::{Arc, Mutex};
 
 /// A cloneable cell for carrying one result out of a dag computation.
 pub struct OutCell<T>(Arc<Mutex<Option<T>>>);

@@ -3,7 +3,7 @@
 //! The paper's claims are quantitative (amortized contention per add,
 //! lost CASes per growth transient), so the runtime needs evidence that
 //! can be collected *from one place* and correlated in time. This crate
-//! provides three primitives, all declared statically at the probe site
+//! provides two primitives, both declared statically at the probe site
 //! and registered lazily on first use:
 //!
 //! * **Counters** ([`counter!`]) — per-thread cache-padded cells; one
@@ -11,9 +11,6 @@
 //!   atomic read-modify-write), lock-free registration, and a lock-free
 //!   [`Snapshot::take`] that never loses a completed increment (see
 //!   `tests/consistency.rs`).
-//! * **Histograms** ([`histogram!`]) — power-of-two bucket latency
-//!   histograms for rare events (sweeps, steal-to-run), one relaxed
-//!   `fetch_add` per record.
 //! * **Event traces** ([`trace`]) — fixed-capacity per-thread ring
 //!   buffers of typed events with monotonic nanosecond timestamps,
 //!   exportable as Chrome Trace Event Format JSON. Off by default; when
@@ -32,8 +29,8 @@
 //!
 //! ## Naming scheme
 //!
-//! Counter and histogram names are `<subsystem>.<noun>[_<unit>]`, e.g.
-//! `outset.lost_cas`, `sched.steal_to_run_ns`. The full taxonomy lives
+//! Counter names are `<subsystem>.<noun>[_<unit>]`, e.g.
+//! `outset.lost_cas`, `outset.blocks_trimmed`. The full taxonomy lives
 //! in `docs/observability.md`.
 
 #![warn(missing_docs)]
@@ -44,8 +41,6 @@ mod report;
 #[cfg(feature = "telemetry")]
 mod counter;
 #[cfg(feature = "telemetry")]
-mod hist;
-#[cfg(feature = "telemetry")]
 mod time;
 #[cfg(feature = "telemetry")]
 pub mod trace;
@@ -54,19 +49,17 @@ pub mod trace;
 mod noop;
 
 pub use event::EventKind;
-pub use report::{HistogramSnapshot, Snapshot, TraceEvent, TraceSnapshot, HIST_BUCKETS};
+pub use report::{Snapshot, TraceEvent, TraceSnapshot};
 
 #[cfg(feature = "telemetry")]
 pub use counter::{registered, Counter, Probe, ThreadCell};
-#[cfg(feature = "telemetry")]
-pub use hist::Histogram;
 #[cfg(feature = "telemetry")]
 pub use time::now;
 
 #[cfg(not(feature = "telemetry"))]
 pub use noop::trace;
 #[cfg(not(feature = "telemetry"))]
-pub use noop::{now, registered, Counter, Histogram};
+pub use noop::{now, registered, Counter};
 
 /// An opaque monotonic timestamp from [`now`], in nanoseconds since an
 /// arbitrary process-local epoch. With telemetry compiled out it is a
@@ -120,21 +113,5 @@ macro_rules! counter {
     ($name:expr) => {{
         static COUNTER: $crate::Counter = $crate::Counter::new($name);
         &COUNTER
-    }};
-}
-
-/// Declare (once, statically, at the use site) and reference a named
-/// [`Histogram`].
-///
-/// ```
-/// let t0 = obs::now();
-/// // ... the operation being timed ...
-/// obs::histogram!("outset.sweep_ns").record_since(t0);
-/// ```
-#[macro_export]
-macro_rules! histogram {
-    ($name:expr) => {{
-        static HISTOGRAM: $crate::Histogram = $crate::Histogram::new($name);
-        &HISTOGRAM
     }};
 }

@@ -41,31 +41,6 @@ pub fn registered() -> (u64, u64) {
     (0, 0)
 }
 
-/// A named histogram whose operations compile to nothing.
-pub struct Histogram {
-    name: &'static str,
-}
-
-impl Histogram {
-    /// Const constructor used by the [`crate::histogram!`] macro.
-    pub const fn new(name: &'static str) -> Histogram {
-        Histogram { name }
-    }
-
-    /// The histogram's registry name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn record(&'static self, _value: u64) {}
-
-    /// No-op (never reads the clock).
-    #[inline(always)]
-    pub fn record_since(&'static self, _start: Ticks) {}
-}
-
 /// Constant zero timestamp (the no-op build never reads the clock).
 #[inline(always)]
 pub fn now() -> Ticks {

@@ -1,7 +1,7 @@
 //! Snapshot and export types shared by both build modes.
 //!
 //! Everything here is plain data: taking a snapshot is mode-dependent
-//! (it walks the registries only when telemetry is compiled in), but
+//! (it walks the counter registry only when telemetry is compiled in), but
 //! diffing, rendering, and Chrome-JSON export work identically — an
 //! empty snapshot just renders empty.
 
@@ -10,22 +10,16 @@ use std::fmt::Write as _;
 
 use crate::EventKind;
 
-/// Number of power-of-two buckets in a histogram: bucket `i > 0` counts
-/// values in `[2^(i-1), 2^i)`, bucket 0 counts zeros, and the last
-/// bucket absorbs everything above `2^62`.
-pub const HIST_BUCKETS: usize = 64;
-
-/// A point-in-time, lock-free reading of every registered counter and
-/// histogram, keyed by name (same-named probes from different call
-/// sites are summed).
+/// A point-in-time, lock-free reading of every registered counter,
+/// keyed by name (same-named probes from different call sites are
+/// summed).
 #[derive(Clone, Debug, Default)]
 pub struct Snapshot {
     pub(crate) counters: BTreeMap<&'static str, u64>,
-    pub(crate) histograms: BTreeMap<&'static str, HistogramSnapshot>,
 }
 
 impl Snapshot {
-    /// Capture the current counter and histogram totals.
+    /// Capture the current counter totals.
     ///
     /// Lock-free and safe to call concurrently with increments; any
     /// increment that completed before this call is included, and
@@ -39,12 +33,7 @@ impl Snapshot {
             crate::counter::for_each(&mut |c| {
                 *counters.entry(c.name()).or_insert(0) += c.value();
             });
-            let mut histograms: BTreeMap<&'static str, HistogramSnapshot> = BTreeMap::new();
-            crate::hist::for_each(&mut |h| {
-                let snap = h.snapshot();
-                histograms.entry(h.name()).and_modify(|s| s.merge(&snap)).or_insert(snap);
-            });
-            Snapshot { counters, histograms }
+            Snapshot { counters }
         }
         #[cfg(not(feature = "telemetry"))]
         {
@@ -62,20 +51,10 @@ impl Snapshot {
         self.counters.iter().map(|(&n, &v)| (n, v))
     }
 
-    /// The named histogram, if it ever registered.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.get(name)
-    }
-
-    /// All histograms, in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &HistogramSnapshot)> + '_ {
-        self.histograms.iter().map(|(&n, s)| (n, s))
-    }
-
     /// True when nothing has registered (always true with telemetry
     /// compiled out).
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty()
     }
 
     /// Per-name difference `self − baseline` (saturating), for
@@ -87,21 +66,10 @@ impl Snapshot {
             .iter()
             .map(|(&n, &v)| (n, v.saturating_sub(baseline.counter(n))))
             .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(&n, s)| {
-                let mut d = s.clone();
-                if let Some(b) = baseline.histogram(n) {
-                    d.subtract(b);
-                }
-                (n, d)
-            })
-            .collect();
-        Snapshot { counters, histograms }
+        Snapshot { counters }
     }
 
-    /// Human-readable table of every counter and histogram.
+    /// Human-readable table of every counter.
     pub fn render(&self) -> String {
         let mut out = String::new();
         if self.is_empty() {
@@ -111,85 +79,7 @@ impl Snapshot {
         for (name, value) in self.counters() {
             let _ = writeln!(out, "{name:<36} {value:>14}");
         }
-        for (name, h) in self.histograms() {
-            let _ = writeln!(
-                out,
-                "{name:<36} {:>14}  p50<{} p90<{} p99<{} max<{}",
-                h.count(),
-                h.quantile_bound(0.50),
-                h.quantile_bound(0.90),
-                h.quantile_bound(0.99),
-                h.max_bound(),
-            );
-        }
         out
-    }
-}
-
-/// Plain-data reading of one power-of-two histogram.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Bucket counts; see [`HIST_BUCKETS`] for the bucket boundaries.
-    pub buckets: [u64; HIST_BUCKETS],
-}
-
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        HistogramSnapshot { buckets: [0; HIST_BUCKETS] }
-    }
-}
-
-impl HistogramSnapshot {
-    /// Total number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// Exclusive upper bound of the bucket containing the `q`-quantile
-    /// (0 when empty). `q` is clamped to `[0, 1]`.
-    pub fn quantile_bound(&self, q: f64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return bucket_bound(i);
-            }
-        }
-        bucket_bound(HIST_BUCKETS - 1)
-    }
-
-    /// Exclusive upper bound of the highest non-empty bucket (0 when
-    /// empty).
-    pub fn max_bound(&self) -> u64 {
-        self.buckets.iter().rposition(|&b| b != 0).map_or(0, bucket_bound)
-    }
-
-    #[cfg(feature = "telemetry")]
-    pub(crate) fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-    }
-
-    pub(crate) fn subtract(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a = a.saturating_sub(*b);
-        }
-    }
-}
-
-/// Exclusive upper bound of bucket `i` (`u64::MAX` for the last, which
-/// absorbs everything above `2^62`).
-pub(crate) fn bucket_bound(i: usize) -> u64 {
-    if i >= HIST_BUCKETS - 1 {
-        u64::MAX
-    } else {
-        1u64 << i
     }
 }
 
@@ -261,28 +151,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucket_bounds_are_powers_of_two() {
-        assert_eq!(bucket_bound(0), 1);
-        assert_eq!(bucket_bound(1), 2);
-        assert_eq!(bucket_bound(10), 1024);
-        assert_eq!(bucket_bound(HIST_BUCKETS - 1), u64::MAX);
-    }
-
-    #[test]
-    fn quantiles_walk_the_cumulative_distribution() {
-        let mut h = HistogramSnapshot::default();
-        h.buckets[3] = 50; // values in [4, 8)
-        h.buckets[7] = 50; // values in [64, 128)
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.quantile_bound(0.25), 8);
-        assert_eq!(h.quantile_bound(0.50), 8);
-        assert_eq!(h.quantile_bound(0.51), 128);
-        assert_eq!(h.quantile_bound(1.0), 128);
-        assert_eq!(h.max_bound(), 128);
-        assert_eq!(HistogramSnapshot::default().quantile_bound(0.5), 0);
-    }
-
-    #[test]
     fn diff_saturates_and_keeps_new_names() {
         let mut before = Snapshot::default();
         before.counters.insert("a", 10);
@@ -318,13 +186,9 @@ mod tests {
     fn render_mentions_every_name() {
         let mut s = Snapshot::default();
         s.counters.insert("outset.adds", 42);
-        let mut h = HistogramSnapshot::default();
-        h.buckets[5] = 1;
-        s.histograms.insert("outset.sweep_ns", h);
         let r = s.render();
         assert!(r.contains("outset.adds"));
         assert!(r.contains("42"));
-        assert!(r.contains("outset.sweep_ns"));
         assert!(Snapshot::default().render().contains("nothing registered"));
     }
 }

@@ -1,4 +1,4 @@
-//! Monotonic timestamps for histograms and traces.
+//! Monotonic timestamps for trace events and spans.
 
 use std::sync::OnceLock;
 use std::time::Instant;

@@ -87,29 +87,6 @@ fn snapshot_sees_counters_registered_mid_run() {
     assert_eq!(Snapshot::take().counter("test.born_mid_run"), THREADS);
 }
 
-/// Histogram records are conserved: the bucket sum equals the number
-/// of records regardless of interleaving.
-#[test]
-fn histogram_counts_are_conserved() {
-    const THREADS: u64 = 4;
-    const PER_THREAD: u64 = 10_000;
-    let writers: Vec<_> = (0..THREADS)
-        .map(|t| {
-            thread::spawn(move || {
-                for i in 0..PER_THREAD {
-                    obs::histogram!("test.hist_conserved").record(t * 1000 + i);
-                }
-            })
-        })
-        .collect();
-    for w in writers {
-        w.join().unwrap();
-    }
-    let snap = Snapshot::take();
-    let h = snap.histogram("test.hist_conserved").expect("histogram must register");
-    assert_eq!(h.count(), THREADS * PER_THREAD);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 

@@ -61,7 +61,6 @@ impl MutexOutsetObj {
             sink(token);
         }
         obs::counter!("outset.swept").add(delivered);
-        obs::histogram!("outset.sweep_ns").record_since(sweep_start);
         obs::trace::record_span(obs::EventKind::Sweep, delivered, sweep_start);
         true
     }

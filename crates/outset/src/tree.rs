@@ -3,7 +3,7 @@
 //! ## Structure
 //!
 //! ```text
-//!  TreeOutsetObj                        (56 B; a fresh one owns nothing else)
+//!  TreeOutsetObj                        (40 B; a fresh one owns nothing else)
 //!  ├── sealed      : AtomicBool        (the one-shot finish latch)
 //!  ├── inline_head ──► Block ──► ...   (lane 0 of an out-set born with one lane)
 //!  └── table ──► LaneTable { mask, lanes[L], prev }   (null until the first split;
@@ -287,10 +287,6 @@ pub(crate) fn trim_block_pool() -> usize {
     });
     if n > 0 {
         obs::counter!("outset.blocks_trimmed").add(n as u64);
-        // The one place the standby footprint is exact without reading
-        // other threads' caches: what a phase change just gave back.
-        let bytes = n * block_pool().slab_bytes();
-        obs::histogram!("outset.steady_footprint_bytes").record(bytes as u64);
     }
     n
 }
@@ -361,11 +357,6 @@ pub struct TreeOutsetObj {
     /// out-set born wider never touches it.
     inline_head: AtomicPtr<Block>,
     policy: GrowthPolicy,
-    /// Successful lane splits (diagnostic, see [`splits`](Self::splits)).
-    split_count: AtomicUsize,
-    /// Lost block-install CASes (diagnostic — the contention signal that
-    /// feeds the growth coin; see [`install_races`](Self::install_races)).
-    race_count: AtomicUsize,
 }
 
 // SAFETY: all shared state is atomics; LaneTable/Lane/Block pointers are
@@ -412,8 +403,6 @@ impl TreeOutsetObj {
             table: AtomicPtr::new(table),
             inline_head: AtomicPtr::new(std::ptr::null_mut()),
             policy,
-            split_count: AtomicUsize::new(0),
-            race_count: AtomicUsize::new(0),
         }
     }
 
@@ -510,7 +499,6 @@ impl TreeOutsetObj {
                 // A lost CAS is direct evidence of a concurrent adder on
                 // this lane: flip the split coin (the adaptive analogue
                 // of the in-counter's per-increment grow coin).
-                self.race_count.fetch_add(1, Ordering::Relaxed);
                 obs::counter!("outset.lost_cas").inc();
                 if self.policy.flip() {
                     self.try_split(table_ptr);
@@ -535,15 +523,15 @@ impl TreeOutsetObj {
         Box::into_raw(Block::boxed(next))
     }
 
-    /// Attempt to double the lane table from the generation `old`. Loses
-    /// silently to concurrent splits; no-op at the policy cap or once
-    /// sealed.
-    fn try_split(&self, old_ptr: *mut LaneTable) {
+    /// Attempt to double the lane table from the generation `old`, and
+    /// say whether this call installed the doubled table. Loses to
+    /// concurrent splits; no-op at the policy cap or once sealed.
+    fn try_split(&self, old_ptr: *mut LaneTable) -> bool {
         let old_len = Self::lanes_in(old_ptr);
         if old_len >= self.policy.max_lanes() || self.sealed.load(Ordering::SeqCst) {
             // Post-seal growth would be correct (the monotone-lane
             // argument doesn't care) but can only waste memory.
-            return;
+            return false;
         }
         // The doubled generation shares every existing lane — the inline
         // generation's one lane as a null entry — and appends fresh ones,
@@ -560,9 +548,9 @@ impl TreeOutsetObj {
             Ok(_) => {
                 // `old` stays linked behind `fresh` for the readers that
                 // still hold it; `Drop` frees the chain.
-                self.split_count.fetch_add(1, Ordering::Relaxed);
                 obs::counter!("outset.splits").inc();
                 obs::trace::record(obs::EventKind::LaneSplit, (old_len * 2) as u64);
+                true
             }
             Err(_) => {
                 // A competitor split first; discard our never-published
@@ -573,6 +561,7 @@ impl TreeOutsetObj {
                 for &lane in &table.lanes[old_len..] {
                     unsafe { sched::recycle::free(lane) };
                 }
+                false
             }
         }
     }
@@ -581,9 +570,7 @@ impl TreeOutsetObj {
     /// cap). A deterministic handle on the growth machinery for tests and
     /// the footprint study; returns whether a split happened.
     pub fn force_split(&self) -> bool {
-        let before = self.split_count.load(Ordering::Relaxed);
-        self.try_split(self.table.load(Ordering::SeqCst));
-        self.split_count.load(Ordering::Relaxed) != before
+        self.try_split(self.table.load(Ordering::SeqCst))
     }
 
     /// Seal and sweep; see [`OutsetFamily::finish`] for the contract.
@@ -626,7 +613,6 @@ impl TreeOutsetObj {
             }
         }
         obs::counter!("outset.swept").add(delivered);
-        obs::histogram!("outset.sweep_ns").record_since(sweep_start);
         obs::trace::record_span(obs::EventKind::Sweep, delivered, sweep_start);
         true
     }
@@ -642,16 +628,24 @@ impl TreeOutsetObj {
         Self::lanes_in(self.table.load(Ordering::SeqCst))
     }
 
-    /// Successful lane splits so far (diagnostic).
+    /// Successful lane splits so far (a racy but monotone snapshot, read
+    /// off the structure): each split added one table generation, and an
+    /// out-set born with one lane has the object itself as its first.
     pub fn splits(&self) -> usize {
-        self.split_count.load(Ordering::Relaxed)
+        let newest = self.table.load(Ordering::SeqCst);
+        // Lane 0 is shared by every generation: null iff born with one.
+        let born_wide = self.generations(newest).next().is_some_and(|t| !t.lanes[0].is_null());
+        self.generations(newest).count() - born_wide as usize
     }
 
-    /// Lost block-install CASes observed so far — the contention events
-    /// that fed the growth coin (diagnostic; `docs/outset-contention.md`
-    /// predicts `splits ≈ p · install_races` and the harness checks it).
-    pub fn install_races(&self) -> usize {
-        self.race_count.load(Ordering::Relaxed)
+    /// The out-of-line generations from `newest` back, newest first.
+    fn generations(&self, newest: *const LaneTable) -> impl Iterator<Item = &LaneTable> {
+        let table = |t: *const LaneTable| {
+            // SAFETY: tables (the `prev` chain included) are immutable and
+            // freed only in `Drop`, which `&self` excludes.
+            unsafe { t.as_ref() }
+        };
+        std::iter::successors(table(newest), move |t| table(t.prev))
     }
 
     /// Blocks reachable from a given table generation.
@@ -690,14 +684,12 @@ impl TreeOutsetObj {
         // freed only in Drop.
         let lanes = unsafe { table.as_ref() }
             .map_or(0, |t| t.lanes.iter().filter(|lane| !lane.is_null()).count());
-        let mut tables = 0;
-        let mut generation = table;
-        // SAFETY: as above.
-        while let Some(t) = unsafe { generation.as_ref() } {
-            tables +=
-                std::mem::size_of::<LaneTable>() + t.lanes.len() * std::mem::size_of::<*mut Lane>();
-            generation = t.prev;
-        }
+        let tables: usize = self
+            .generations(table)
+            .map(|t| {
+                std::mem::size_of::<LaneTable>() + t.lanes.len() * std::mem::size_of::<*mut Lane>()
+            })
+            .sum();
         std::mem::size_of::<Self>()
             + tables
             + lanes * std::mem::size_of::<Lane>()
@@ -743,19 +735,21 @@ impl Drop for TreeOutsetObj {
             }
         }
         // The generations themselves: just headers and pointer arrays.
-        let (mut generation, mut freed_tables) = (newest, 0);
+        // Each split doubled the generation it superseded; the first one
+        // of an out-set born with one lane is the object itself.
+        let mut generation = newest;
         while !generation.is_null() {
             // SAFETY: as above.
-            generation = unsafe { Box::from_raw(generation) }.prev;
-            freed_tables += 1;
+            let table = unsafe { Box::from_raw(generation) };
+            // SAFETY: `prev` is freed on the next round, after this read.
+            let before =
+                unsafe { table.prev.as_ref() }.map(|t| t.lanes.len()).or(inline_born.then_some(1));
+            debug_assert!(
+                before.is_none_or(|n| table.lanes.len() == 2 * n),
+                "each generation doubles the one it superseded"
+            );
+            generation = table.prev;
         }
-        // An out-set has `splits + 1` generations; the first one of an
-        // out-set born with one lane is the object itself.
-        debug_assert_eq!(
-            freed_tables + inline_born as usize,
-            *self.split_count.get_mut() + 1,
-            "every lane table generation is freed exactly once"
-        );
     }
 }
 
@@ -799,7 +793,7 @@ mod tests {
         assert_eq!(set.splits(), 0);
         assert!(set.table.load(Ordering::SeqCst).is_null(), "no out-of-line generation yet");
         assert_eq!(set.footprint_bytes(), std::mem::size_of::<TreeOutsetObj>());
-        assert_eq!(std::mem::size_of::<TreeOutsetObj>(), 56);
+        assert_eq!(std::mem::size_of::<TreeOutsetObj>(), 40);
         let set = TreeOutset::make();
         assert_eq!(set.lane_count(), 1);
         assert_eq!(set.footprint_bytes(), std::mem::size_of::<TreeOutsetObj>());
@@ -846,10 +840,11 @@ mod tests {
 
     #[test]
     fn drop_frees_every_generation_once_whatever_the_birth() {
-        // Drop's debug assertion counts generations: `splits + 1`, the
-        // first of which is the object itself for an inline birth. Run it
-        // over never split, split from inline, born wide, born wide and
-        // split, and dropped unfinished with tokens in the inline lane.
+        // Drop's debug assertion checks that each generation doubles the
+        // one before it, the first of which is the object itself for an
+        // inline birth. Run it over never split, split from inline, born
+        // wide, born wide and split, and dropped unfinished with tokens
+        // in the inline lane.
         drop(TreeOutsetObj::new());
         let (set, expect) = split_with_tokens_in_lane0(3, 3);
         assert_eq!((set.splits(), set.lane_count()), (3, 8));

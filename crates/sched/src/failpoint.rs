@@ -158,7 +158,6 @@ mod imp {
         };
         if inject {
             s.injected.fetch_add(1, Ordering::Relaxed);
-            obs::counter!("fault.injected").inc();
         }
         inject
     }

@@ -29,7 +29,7 @@
 //! the woken worker re-notifies after its first successful steal if it
 //! can see surplus work on any deque, so a burst of pushes fans wakeups
 //! out as a chain instead of stampeding every sleeper at once (the
-//! thundering herd that made `sched.parks` spike under trickle loads).
+//! thundering herd that made `PoolStats::parks` spike under trickle loads).
 //! Only termination broadcasts to everybody. An idle worker makes a few
 //! spin-relax steal sweeps over the other workers' deques, then parks; a
 //! woken worker starts that ladder again.
@@ -603,8 +603,8 @@ where
         }
         // Idle phase: hunt until a steal lands or the pool terminates.
         // `hunt_start` is taken once, after any rest, and survives parks,
-        // so the steal-to-run histogram prices hunt plus park latency —
-        // not the deliberate pause, not just the final successful sweep.
+        // so the `Steal` trace span covers hunt plus park latency — not
+        // the deliberate pause, not just the final successful sweep.
         let hunt_start = obs::now();
         let mut failed_sweeps = 0usize;
         let task = 'hunt: loop {
@@ -614,7 +614,6 @@ where
                     StealResult::Success(task) => {
                         stolen_at = Some(Instant::now());
                         ctx.steals.set(ctx.steals.get() + 1);
-                        obs::histogram!("sched.steal_to_run_ns").record_since(hunt_start);
                         obs::trace::record_span(obs::EventKind::Steal, victim as u64, hunt_start);
                         break 'hunt task;
                     }
@@ -734,7 +733,12 @@ fn stall_report<T: Word>(shared: &Shared<T>, cfg: &WatchdogCfg) -> String {
     let _ = writeln!(s, "  panics recorded     : {}", shared.panics.load(Ordering::SeqCst));
     let snap = obs::Snapshot::take();
     if !snap.is_empty() {
-        let _ = writeln!(s, "  counter snapshot (suspends != resumes means a lost resume):");
+        // `sched.*` tallies are folded in at a run's return, so mid-stall
+        // they describe earlier runs; the strand pair counts live.
+        let _ = writeln!(
+            s,
+            "  counter snapshot (spdag.strand_suspend != spdag.strand_resume means a lost resume):"
+        );
         for (name, value) in snap.counters() {
             let _ = writeln!(s, "    {name:<28} {value}");
         }
@@ -1090,18 +1094,14 @@ where
     out.spurious_wakes = shared.sleep.spurious.load(Ordering::Relaxed);
     out.panics = shared.panics.load(Ordering::SeqCst);
     out.state = if out.panics > 0 { PoolState::Poisoned } else { PoolState::Completed };
-    // Per-worker tallies are cheap `Cell`s on the hot path; fold them
-    // into the registry in one bulk add per counter at the run's return.
-    // This happens *before* a poisoned run re-raises, so `--assert-bound`
+    // Per-worker tallies are cheap `Cell`s on the hot path; fold the ones
+    // a check reads into the registry in one bulk add per counter at the
+    // run's return (the rest are read from `PoolStats` alone). This
+    // happens *before* a poisoned run re-raises, so `--assert-bound`
     // style checks see the full sched tallies of a panicked run.
     obs::counter!("sched.tasks").add(out.tasks);
     obs::counter!("sched.steals").add(out.steals);
-    obs::counter!("sched.parks").add(out.parks);
-    obs::counter!("sched.rests").add(out.rests);
-    obs::counter!("sched.suspends").add(out.suspends);
     obs::counter!("sched.resumes").add(out.resumes);
-    obs::counter!("sched.wakeups").add(out.wakeups);
-    obs::counter!("sched.spurious_wakes").add(out.spurious_wakes);
     obs::counter!("sched.panics").add(out.panics);
     let first = shared.panic.lock().take();
     if let Some(payload) = first {

@@ -15,7 +15,6 @@ use crate::node::{node_arrive, node_depart, Exclusive, Node, ParentRef, Shared, 
 use crate::packed::MAX_ROOT_SURPLUS;
 use crate::root::Root;
 use crate::stats::{ContentionProfile, TreeStats};
-use crate::tree::{Handle, NodeRefInner};
 
 /// Largest supported depth (2^21 − 1 nodes ≈ 2M; the paper sweeps 1..=9).
 pub const MAX_DEPTH: u32 = 20;
@@ -94,19 +93,6 @@ impl FixedSnzi {
         }
         let heap = (1usize << self.depth) - 1 + leaf;
         Some(&self.nodes[heap - 1])
-    }
-
-    /// Handle to leaf `leaf`, for use with the generic handle-based
-    /// interface of the counter families.
-    ///
-    /// # Panics
-    /// If `leaf >= leaf_count()`.
-    pub fn leaf_handle(&self, leaf: usize) -> Handle {
-        assert!(leaf < self.leaf_count(), "leaf {leaf} out of range");
-        match self.leaf_node(leaf) {
-            Some(n) => Handle(NodeRefInner::Node(n)),
-            None => Handle(NodeRefInner::Root(&*self.root)),
-        }
     }
 
     /// Arrive at the given leaf.
@@ -192,13 +178,6 @@ impl FixedSnzi {
         };
         self.stats.record_depart(path.departs);
         ended
-    }
-
-    /// Arrive directly at the root (used for initial-surplus bookkeeping
-    /// by the counter-family layer).
-    pub fn arrive_root(&self) {
-        let path = self.root.arrive::<Shared>();
-        self.stats.record_arrive(path.arrives);
     }
 
     /// Depart directly at the root; returns `true` iff this departure

@@ -350,7 +350,6 @@ impl SnziTree {
                     // was never published.
                     unsafe { recycle::free(pair) };
                     self.stats.record_grow_loss();
-                    obs::counter!("snzi.grow_losses").inc();
                 }
             }
         }

@@ -980,8 +980,7 @@ mod tests {
             assert_eq!(crate::scribble::byte(unsafe { &*f.core.value.get() }), 0, "value");
             let outset = f.outset();
             assert!(!outset.is_finished(), "the out-set's seal");
-            assert_eq!(outset.lane_count(), 1, "the out-set's lanes");
-            assert_eq!((outset.splits(), outset.install_races()), (0, 0), "the out-set's tallies");
+            assert_eq!((outset.splits(), outset.lane_count()), (0, 1), "the out-set's generations");
             ctx.touch(&f, move |_, v| {
                 o.store(*v, Ordering::Relaxed);
             });
