@@ -73,11 +73,6 @@ pub mod trace {
     /// No-op.
     pub fn disable() {}
 
-    /// Always false.
-    pub fn is_enabled() -> bool {
-        false
-    }
-
     /// No-op.
     #[inline(always)]
     pub fn record(_kind: EventKind, _arg: u64) {}

@@ -99,11 +99,6 @@ pub fn disable() {
     ENABLED.store(false, Ordering::SeqCst);
 }
 
-/// Whether tracing is currently recording.
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
 /// Record an instant event (no-op unless tracing is enabled).
 #[inline]
 pub fn record(kind: EventKind, arg: u64) {

@@ -8,16 +8,14 @@
 //! discipline the paper's substrate scheduler (Acar–Charguéraud–Rainey,
 //! PPoPP'13) also follows.
 //!
-//! Two termination modes:
-//!
-//! * [`Termination::DoneFlag`] — the computation announces its own end via
-//!   [`WorkerCtx::finish`]. This is what sp-dag execution uses (the final
-//!   vertex of the dag runs last by construction) and it is completely
-//!   contention-free: no shared counter is touched per task, which matters
-//!   because this pool is the substrate underneath contention experiments.
-//! * [`Termination::Quiesce`] — a global outstanding-task counter detects
-//!   when everything pushed has been executed. Costs one fetch-add and one
-//!   fetch-sub per task; fine for tests and irregular task soups.
+//! A run ends when the computation says so: some task calls
+//! [`WorkerCtx::finish`] (sp-dag execution does it from the final vertex,
+//! which runs last by construction), and each worker drains its own deque
+//! and returns. No shared counter is touched per task — this pool is the
+//! substrate underneath the contention experiments, and detecting the end
+//! by counting outstanding tasks would be exactly the one shared
+//! fetch-and-add per task that the in-counters replace. A run with no
+//! roots returns at once.
 //!
 //! Idle workers park on an event-count built from a `parking_lot` mutex +
 //! condvar. The waiter/notifier handshake uses sequentially consistent
@@ -113,7 +111,7 @@
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{fence, AtomicBool, AtomicIsize, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -121,13 +119,12 @@ use parking_lot::{Condvar, Mutex};
 use crate::deque::{deque_with_capacity, StealResult, Stealer, Word, WorkerDeque};
 use crate::rng::VictimRng;
 
-/// How [`run`] decides that the computation has finished.
+/// How [`run`] decides that the computation has finished. There is one
+/// way (module docs); the argument stays because callers name it.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Termination {
     /// Stop when some task calls [`WorkerCtx::finish`].
     DoneFlag,
-    /// Stop when every pushed task has been executed (counted).
-    Quiesce,
 }
 
 /// How a [`run`] ended. A poisoned run never actually returns its stats —
@@ -268,8 +265,6 @@ impl EventCount {
 struct Shared<T: Word> {
     stealers: Vec<Stealer<T>>,
     done: AtomicBool,
-    pending: AtomicIsize,
-    termination: Termination,
     sleep: EventCount,
     /// First captured panic payload; re-raised by [`run`] after the pool
     /// drains. Later panics only bump `panics` (first wins).
@@ -405,9 +400,6 @@ impl<'a, T: Word> WorkerCtx<'a, T> {
     /// Make a task available for execution (bottom of this worker's own
     /// deque; thieves take from the other end).
     pub fn push(&self, task: T) {
-        if self.shared.termination == Termination::Quiesce {
-            self.shared.pending.fetch_add(1, Ordering::Relaxed);
-        }
         self.deque.push(task);
         self.notify();
     }
@@ -459,11 +451,11 @@ impl<'a, T: Word> WorkerCtx<'a, T> {
     /// reads the progress count and deque lengths and nothing of a task's.
     /// A run nested inside a task builds vertices of its own. A future's
     /// handle is touched only within its own run (`spdag::FutureHandle`'s
-    /// contract). What a thread outside the run *can* reach stays shared in
-    /// `spdag` whatever this says: a foreign executor's poll registers a
-    /// tagged waker on a future's out-set, and any thread that holds a
-    /// handle reaches the out-set, the `PoolArc` refcount and
-    /// `FutureCore::completed`.
+    /// contract): only the run's own workers add to a future's out-set. What
+    /// a thread outside the run *can* reach stays shared in `spdag` whatever
+    /// this says: any thread that holds a handle reaches the `PoolArc`
+    /// refcount and `FutureCore::completed`, and the last holder drops the
+    /// core.
     #[inline]
     pub fn is_solo(&self) -> bool {
         self.solo
@@ -492,17 +484,11 @@ impl<'a, T: Word> WorkerCtx<'a, T> {
 
     /// Make a batch of tasks available with a single sleeper notification
     /// at the end — the broadcast path used when an out-set sweep
-    /// unblocks many dependents at once. Counting for Quiesce mode is
-    /// per-task (the count must precede each task's visibility to
-    /// thieves), so the saving over repeated [`push`](WorkerCtx::push) is
-    /// the `n − 1` redundant wakeup probes.
+    /// unblocks many dependents at once. The saving over repeated
+    /// [`push`](WorkerCtx::push) is the `n − 1` redundant wakeup probes.
     pub fn push_batch(&self, tasks: impl IntoIterator<Item = T>) {
-        let quiesce = self.shared.termination == Termination::Quiesce;
         let mut any = false;
         for task in tasks {
-            if quiesce {
-                self.shared.pending.fetch_add(1, Ordering::Relaxed);
-            }
             self.deque.push(task);
             any = true;
         }
@@ -529,8 +515,7 @@ impl<'a, T: Word> WorkerCtx<'a, T> {
     /// Record that the interpreter ran a task *in place*: inside the task
     /// being executed, on this worker's stack, never pushed or popped. It
     /// counts as an executed task ([`PoolStats::tasks`]) and, in a watched
-    /// run, as the progress the watchdog reads. Nothing was pushed, so
-    /// [`Termination::Quiesce`]'s pending count does not move.
+    /// run, as the progress the watchdog reads.
     #[inline]
     pub fn note_run_in_place(&self) {
         self.tasks.set(self.tasks.get() + 1);
@@ -539,8 +524,8 @@ impl<'a, T: Word> WorkerCtx<'a, T> {
         }
     }
 
-    /// Announce that the whole computation is complete (DoneFlag mode).
-    /// Idempotent; in Quiesce mode it simply forces early termination.
+    /// Announce that the whole computation is complete: every worker
+    /// drains its own deque and returns. Idempotent.
     pub fn finish(&self) {
         self.shared.terminate();
     }
@@ -672,11 +657,6 @@ where
     if ctx.shared.watched {
         ctx.shared.progress.fetch_add(1, Ordering::Relaxed);
     }
-    if ctx.shared.termination == Termination::Quiesce
-        && ctx.shared.pending.fetch_sub(1, Ordering::AcqRel) == 1
-    {
-        ctx.shared.terminate();
-    }
 }
 
 /// Opt-in stall monitor for [`run_watched`]: a sidecar (one more leased
@@ -727,9 +707,6 @@ fn stall_report<T: Word>(shared: &Shared<T>, cfg: &WatchdogCfg) -> String {
     let _ = writeln!(s, "  rests taken         : {}", *shared.rest_wake.0.lock());
     let occupied: Vec<usize> = (0..n).filter(|&i| !shared.stealers[i].is_empty()).collect();
     let _ = writeln!(s, "  non-empty deques    : {occupied:?}");
-    if shared.termination == Termination::Quiesce {
-        let _ = writeln!(s, "  pending (quiesce)   : {}", shared.pending.load(Ordering::SeqCst));
-    }
     let _ = writeln!(s, "  panics recorded     : {}", shared.panics.load(Ordering::SeqCst));
     let snap = obs::Snapshot::take();
     if !snap.is_empty() {
@@ -975,8 +952,9 @@ impl<T: Word> Drop for Leases<'_, T> {
 /// Execute `roots` (and everything they transitively push) on `n` workers.
 ///
 /// `f` is the task interpreter: it receives the per-worker context and one
-/// task, may push more tasks, and — in [`Termination::DoneFlag`] mode —
-/// must eventually cause some task to call [`WorkerCtx::finish`].
+/// task, may push more tasks, and must eventually cause some task to call
+/// [`WorkerCtx::finish`] ([`Termination::DoneFlag`], the one way a run
+/// ends). With no roots nothing could, so `run` returns at once.
 ///
 /// # Panics
 ///
@@ -985,12 +963,12 @@ impl<T: Word> Drop for Leases<'_, T> {
 /// telemetry, and then re-raises the *first* captured payload here —
 /// callers observe the original panic, never a hang or a worker-thread
 /// abort.
-pub fn run<T, F>(n: usize, roots: Vec<T>, termination: Termination, f: F) -> PoolStats
+pub fn run<T, F>(n: usize, roots: Vec<T>, _: Termination, f: F) -> PoolStats
 where
     T: Word,
     F: Fn(&WorkerCtx<'_, T>, T) + Sync,
 {
-    run_inner(n, roots, termination, None, f)
+    run_inner(n, roots, None, f)
 }
 
 /// As [`run`], with a [`WatchdogCfg`] stall monitor attached (see its
@@ -998,7 +976,7 @@ where
 pub fn run_watched<T, F>(
     n: usize,
     roots: Vec<T>,
-    termination: Termination,
+    _: Termination,
     watchdog: WatchdogCfg,
     f: F,
 ) -> PoolStats
@@ -1006,25 +984,18 @@ where
     T: Word,
     F: Fn(&WorkerCtx<'_, T>, T) + Sync,
 {
-    run_inner(n, roots, termination, Some(watchdog), f)
+    run_inner(n, roots, Some(watchdog), f)
 }
 
-fn run_inner<T, F>(
-    n: usize,
-    roots: Vec<T>,
-    termination: Termination,
-    watchdog: Option<WatchdogCfg>,
-    f: F,
-) -> PoolStats
+fn run_inner<T, F>(n: usize, roots: Vec<T>, watchdog: Option<WatchdogCfg>, f: F) -> PoolStats
 where
     T: Word,
     F: Fn(&WorkerCtx<'_, T>, T) + Sync,
 {
     let n = n.max(1);
-    if roots.is_empty() && termination == Termination::Quiesce {
+    if roots.is_empty() {
         return PoolStats { tasks_per_worker: vec![0; n], ..PoolStats::default() };
     }
-    debug_assert!(!roots.is_empty(), "DoneFlag termination with no roots would never finish");
     let mut deques = Vec::with_capacity(n);
     let mut stealers = Vec::with_capacity(n);
     for _ in 0..n {
@@ -1032,7 +1003,6 @@ where
         deques.push(w);
         stealers.push(s);
     }
-    let pending = roots.len() as isize;
     // Distribute roots round-robin before the workers start.
     for (i, task) in roots.into_iter().enumerate() {
         deques[i % n].push(task);
@@ -1040,8 +1010,6 @@ where
     let shared = Shared {
         stealers,
         done: AtomicBool::new(false),
-        pending: AtomicIsize::new(pending),
-        termination,
         sleep: EventCount::new(),
         panic: Mutex::new(None),
         panics: AtomicU64::new(0),
@@ -1110,6 +1078,26 @@ where
     out
 }
 
+/// [`run`] for a test that knows how many tasks it makes: the one whose
+/// return brings the count of executed tasks to `expected` calls
+/// [`WorkerCtx::finish`]. Each caller asserts that count afterwards; a
+/// test's own bookkeeping, not a way for a run to end. `f` moves into the
+/// run's closure, so it drops with `run`'s frame.
+#[cfg(test)]
+pub(crate) fn run_counted<T, F>(n: usize, roots: Vec<T>, expected: u64, f: F) -> PoolStats
+where
+    T: Word,
+    F: Fn(&WorkerCtx<'_, T>, T) + Sync,
+{
+    let left = &AtomicU64::new(expected);
+    run(n, roots, Termination::DoneFlag, move |ctx, task| {
+        f(ctx, task);
+        if left.fetch_sub(1, Ordering::AcqRel) == 1 {
+            ctx.finish();
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1117,9 +1105,9 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn quiesce_executes_everything() {
+    fn every_root_executes() {
         let executed = AtomicU64::new(0);
-        let stats = run(3, (0..100usize).collect(), Termination::Quiesce, |_ctx, _task: usize| {
+        let stats = run_counted(3, (0..100usize).collect(), 100, |_ctx, _task: usize| {
             executed.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(executed.load(Ordering::Relaxed), 100);
@@ -1128,11 +1116,11 @@ mod tests {
     }
 
     #[test]
-    fn quiesce_with_dynamic_pushes() {
+    fn dynamic_pushes_all_execute() {
         // Each task < LIMIT pushes two children; count the whole tree.
         const LIMIT: usize = 10_000;
         let executed = AtomicU64::new(0);
-        run(4, vec![1usize], Termination::Quiesce, |ctx, task| {
+        run_counted(4, vec![1usize], LIMIT as u64 - 1, |ctx, task| {
             executed.fetch_add(1, Ordering::Relaxed);
             let l = task * 2;
             let r = task * 2 + 1;
@@ -1161,15 +1149,24 @@ mod tests {
     }
 
     #[test]
-    fn empty_quiesce_returns_immediately() {
-        let stats = run(2, Vec::<usize>::new(), Termination::Quiesce, |_, _| {});
-        assert_eq!(stats.tasks, 0);
+    fn a_run_with_no_roots_returns_at_once() {
+        // No task exists to call `finish`, so nothing could end the run:
+        // it returns before it starts, watched or not, in every build.
+        for n in [1, 2] {
+            let never =
+                |_: &WorkerCtx<'_, usize>, _| unreachable!("a run with no roots ran a task");
+            let stats = run(n, Vec::new(), Termination::DoneFlag, never);
+            assert_eq!((stats.tasks, stats.tasks_per_worker), (0, vec![0; n]));
+            let cfg = WatchdogCfg { stall_timeout: Duration::from_millis(40) };
+            let stats = run_watched(n, Vec::new(), Termination::DoneFlag, cfg, never);
+            assert_eq!((stats.tasks, stats.state), (0, PoolState::Completed));
+        }
     }
 
     #[test]
     fn single_worker_runs_sequentially() {
         let order = Mutex::new(Vec::new());
-        run(1, vec![10usize, 20, 30], Termination::Quiesce, |_, t| {
+        run_counted(1, vec![10usize, 20, 30], 3, |_, t| {
             order.lock().push(t);
         });
         assert_eq!(order.into_inner().len(), 3);
@@ -1178,7 +1175,7 @@ mod tests {
     #[test]
     fn push_batch_executes_everything() {
         let executed = AtomicU64::new(0);
-        run(3, vec![0usize], Termination::Quiesce, |ctx, task| {
+        run_counted(3, vec![0usize], 101, |ctx, task| {
             executed.fetch_add(1, Ordering::Relaxed);
             if task == 0 {
                 // One broadcast of 100 dependents, as an out-set sweep does.
@@ -1191,7 +1188,7 @@ mod tests {
     #[test]
     fn empty_push_batch_is_noop() {
         let executed = AtomicU64::new(0);
-        run(2, vec![0usize], Termination::Quiesce, |ctx, _| {
+        run_counted(2, vec![0usize], 1, |ctx, _| {
             executed.fetch_add(1, Ordering::Relaxed);
             ctx.push_batch(std::iter::empty());
         });
@@ -1201,7 +1198,7 @@ mod tests {
     #[test]
     fn per_worker_rng_is_seeded_apart_and_in_range() {
         let draws = Mutex::new(std::collections::HashMap::<usize, u64>::new());
-        run(4, (0..100usize).collect(), Termination::Quiesce, |ctx, _| {
+        run_counted(4, (0..100usize).collect(), 100, |ctx, _| {
             assert!(ctx.rng_below(7) < 7);
             draws.lock().entry(ctx.worker_id()).or_insert_with(|| ctx.rng_u64());
         });
@@ -1215,7 +1212,7 @@ mod tests {
     #[test]
     fn boxed_tasks_work() {
         let sum = AtomicU64::new(0);
-        run(2, (1..=100u64).map(Box::new).collect(), Termination::Quiesce, |_, task: Box<u64>| {
+        run_counted(2, (1..=100u64).map(Box::new).collect(), 100, |_, task: Box<u64>| {
             sum.fetch_add(*task, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 5050);
@@ -1224,7 +1221,7 @@ mod tests {
     #[test]
     fn worker_ids_are_distinct_and_in_range() {
         let seen = Mutex::new(std::collections::HashSet::new());
-        run(4, (0..1000usize).collect(), Termination::Quiesce, |ctx, _| {
+        run_counted(4, (0..1000usize).collect(), 1000, |ctx, _| {
             assert!(ctx.worker_id() < ctx.num_workers());
             assert_eq!(ctx.num_workers(), 4);
             seen.lock().insert(ctx.worker_id());
@@ -1235,7 +1232,7 @@ mod tests {
     #[test]
     fn stealing_actually_happens_with_skewed_roots() {
         // All roots land on worker 0; others must steal to make progress.
-        let stats = run(4, (0..10_000usize).collect(), Termination::Quiesce, |_, t| {
+        let stats = run_counted(4, (0..10_000usize).collect(), 10_000, |_, t| {
             // A little work so thieves have time to engage.
             std::hint::black_box(t * 2);
         });
@@ -1249,7 +1246,7 @@ mod tests {
     #[test]
     fn oversubscription_more_workers_than_cores() {
         let executed = AtomicU64::new(0);
-        run(16, (0..5000usize).collect(), Termination::Quiesce, |_, _| {
+        run_counted(16, (0..5000usize).collect(), 5000, |_, _| {
             executed.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(executed.load(Ordering::Relaxed), 5000);
@@ -1260,7 +1257,7 @@ mod tests {
         // What a caller that pinned itself relies on: at one worker there
         // is no second thread for the work to land on.
         let caller = std::thread::current().id();
-        let stats = run(1, (0..100usize).collect(), Termination::Quiesce, |ctx, task| {
+        let stats = run_counted(1, (0..100usize).collect(), 130, |ctx, task| {
             assert_eq!(std::thread::current().id(), caller);
             if task < 10 {
                 ctx.push(task + 1000);
@@ -1274,11 +1271,9 @@ mod tests {
     /// A one-worker run of `program` checked against a stack: `program`
     /// says what a task pushes (singly, then as a batch), every task must
     /// be the one a LIFO deque holds on top, and the run must execute
-    /// exactly what was pushed. Task 0 is the root; in `DoneFlag` mode the
-    /// task the stack holds last — the first one the root pushes, `LAST` —
-    /// ends the run.
+    /// exactly what was pushed. Task 0 is the root; the task the stack
+    /// holds last — the first one the root pushes, `LAST` — ends the run.
     fn one_worker_lifo(
-        termination: Termination,
         watchdog: Option<WatchdogCfg>,
         program: impl Fn(usize) -> (Vec<usize>, Vec<usize>) + Sync,
     ) -> PoolStats {
@@ -1301,35 +1296,33 @@ mod tests {
             }
         };
         let stats = match watchdog {
-            None => run(1, vec![0], termination, body),
-            Some(cfg) => run_watched(1, vec![0], termination, cfg, body),
+            None => run(1, vec![0], Termination::DoneFlag, body),
+            Some(cfg) => run_watched(1, vec![0], Termination::DoneFlag, cfg, body),
         };
-        assert_eq!(stats.tasks, pushed.load(Ordering::Relaxed), "{termination:?}");
+        assert_eq!(stats.tasks, pushed.load(Ordering::Relaxed));
         assert_eq!(stats.tasks_per_worker, vec![stats.tasks]);
         assert_eq!((stats.steals, stats.wakeups, stats.parks), (0, 0, 0));
         stats
     }
 
     #[test]
-    fn one_worker_runs_are_lifo_and_count_exactly_in_both_modes() {
-        for termination in [Termination::Quiesce, Termination::DoneFlag] {
-            let inner_tasks = AtomicU64::new(0);
-            let stats = one_worker_lifo(termination, None, |task| match task {
-                0 => (vec![1, 2], vec![3, 4]),
-                // A run nested in a task has deques of its own: it takes
-                // nothing from this one and leaves nothing in it.
-                3 => {
-                    let inner = one_worker_lifo(termination, None, |t| match t {
-                        0 => (vec![1], vec![2, 3]),
-                        _ => (vec![], vec![]),
-                    });
-                    inner_tasks.fetch_add(inner.tasks, Ordering::Relaxed);
-                    (vec![30], vec![31])
-                }
-                _ => (vec![], vec![]),
-            });
-            assert_eq!((stats.tasks, inner_tasks.load(Ordering::Relaxed)), (8, 5));
-        }
+    fn one_worker_runs_are_lifo_and_count_exactly() {
+        let inner_tasks = AtomicU64::new(0);
+        let stats = one_worker_lifo(None, |task| match task {
+            0 => (vec![1, 2], vec![3, 4]),
+            // A run nested in a task has deques of its own: it takes
+            // nothing from this one and leaves nothing in it.
+            3 => {
+                let inner = one_worker_lifo(None, |t| match t {
+                    0 => (vec![1], vec![2, 3]),
+                    _ => (vec![], vec![]),
+                });
+                inner_tasks.fetch_add(inner.tasks, Ordering::Relaxed);
+                (vec![30], vec![31])
+            }
+            _ => (vec![], vec![]),
+        });
+        assert_eq!((stats.tasks, inner_tasks.load(Ordering::Relaxed)), (8, 5));
     }
 
     #[test]
@@ -1338,7 +1331,7 @@ mod tests {
         // grows; then 100 000 push/pop cycles run on top of them, in the
         // grown buffer, before the 600 drain.
         let cycles = AtomicU64::new(100_000);
-        let stats = one_worker_lifo(Termination::Quiesce, None, |task| match task {
+        let stats = one_worker_lifo(None, |task| match task {
             0 => ((1..=300).collect(), (301..=600).collect()),
             600.. => {
                 let left =
@@ -1356,28 +1349,26 @@ mod tests {
         // run's deque. 5 ms polls over ~60 ms of 1 ms tasks: it reads the
         // progress count while the owner pops, and never declares a stall.
         let cfg = WatchdogCfg { stall_timeout: Duration::from_millis(40) };
-        for termination in [Termination::Quiesce, Termination::DoneFlag] {
-            let stats = one_worker_lifo(termination, Some(cfg.clone()), |task| {
-                let until = Instant::now() + Duration::from_millis(1);
-                while Instant::now() < until {
-                    std::hint::spin_loop();
-                }
-                match task {
-                    0 => ((1..=30).collect(), (31..=60).collect()),
-                    _ => (vec![], vec![]),
-                }
-            });
-            assert_eq!((stats.tasks, stats.state), (62, PoolState::Completed));
-        }
+        let stats = one_worker_lifo(Some(cfg), |task| {
+            let until = Instant::now() + Duration::from_millis(1);
+            while Instant::now() < until {
+                std::hint::spin_loop();
+            }
+            match task {
+                0 => ((1..=30).collect(), (31..=60).collect()),
+                _ => (vec![], vec![]),
+            }
+        });
+        assert_eq!((stats.tasks, stats.state), (62, PoolState::Completed));
     }
 
     #[test]
     fn a_run_nested_inside_a_task_completes() {
         let inner_tasks = AtomicU64::new(0);
-        let stats = run(2, vec![0usize, 1], Termination::Quiesce, |_, _| {
+        let stats = run_counted(2, vec![0usize, 1], 2, |_, _| {
             // Worker 0 of the inner run is whichever worker runs this task;
             // its second worker is one more lease.
-            let inner = run(2, (0..50usize).collect(), Termination::Quiesce, |_, _| {
+            let inner = run_counted(2, (0..50usize).collect(), 50, |_, _| {
                 inner_tasks.fetch_add(1, Ordering::Relaxed);
             });
             assert_eq!(inner.tasks, 50);
@@ -1389,7 +1380,7 @@ mod tests {
     #[test]
     fn a_poisoned_run_leaves_nothing_for_the_next() {
         let poisoned = catch_unwind(AssertUnwindSafe(|| {
-            run(3, (0..100usize).collect(), Termination::Quiesce, |_, task| {
+            run_counted(3, (0..100usize).collect(), 100, |_, task| {
                 if task == 37 {
                     std::panic::panic_any(37usize);
                 }
@@ -1398,7 +1389,7 @@ mod tests {
         let payload = poisoned.expect_err("the task's panic is re-raised at the caller");
         assert_eq!(payload.downcast_ref::<usize>(), Some(&37), "with its original payload");
         // Same helpers (nothing else holds them for long), fresh state.
-        let stats = run(3, (0..100usize).collect(), Termination::Quiesce, |_, _| {});
+        let stats = run_counted(3, (0..100usize).collect(), 100, |_, _| {});
         assert_eq!(stats.state, PoolState::Completed);
         assert_eq!((stats.panics, stats.tasks), (0, 100));
     }
@@ -1451,7 +1442,7 @@ mod tests {
         // whichever the helper runs first waits for that, then stays in
         // flight for 50 ms more. The frame must wait for it.
         let result = catch_unwind(AssertUnwindSafe(move || {
-            run(2, (0..4usize).collect(), Termination::Quiesce, move |ctx, _| {
+            run_counted(2, (0..4usize).collect(), 4, move |ctx, _| {
                 let _state = &canary;
                 if std::thread::current().id() == caller {
                     caller_blew.store(true, Ordering::SeqCst);
@@ -1483,7 +1474,7 @@ mod tests {
         // only come home if losing a participant ends the run, and `run`
         // can only return if a job that unwound still counts as ended.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            run(2, (0..4usize).collect(), Termination::Quiesce, |ctx, _| {
+            run_counted(2, (0..4usize).collect(), 4, |ctx, _| {
                 if std::thread::current().id() == caller {
                     while !ctx.is_finished() {
                         std::thread::yield_now();
@@ -1498,7 +1489,7 @@ mod tests {
         assert_eq!(fuse.load(Ordering::SeqCst), 0, "every backstop was passed");
         // The helper that caught its job went back to the idle set, which
         // is last in, first out: the next run leases it.
-        let stats = run(2, (0..100usize).collect(), Termination::Quiesce, |_, _| {});
+        let stats = run_counted(2, (0..100usize).collect(), 100, |_, _| {});
         assert_eq!((stats.state, stats.tasks), (PoolState::Completed, 100));
     }
 
@@ -1518,9 +1509,9 @@ mod tests {
 
     #[test]
     fn a_task_run_in_place_counts_as_executed() {
-        // Every task runs two more in place: both count as executed, and
-        // quiescence waits for no pop of them (nothing was pushed).
-        let stats = run(2, (0..10usize).collect(), Termination::Quiesce, |ctx, _| {
+        // Every task runs two more in place: both count as executed,
+        // though neither was pushed or popped.
+        let stats = run_counted(2, (0..10usize).collect(), 10, |ctx, _| {
             ctx.note_run_in_place();
             ctx.note_run_in_place();
         });

@@ -708,7 +708,7 @@ mod tests {
         // no thread exit to flush it: each participant's flush before it
         // reports done must leave all of them counted when `run` returns.
         for round in 1..=100 {
-            crate::run(3, (0..TASKS).collect(), crate::Termination::Quiesce, |_, _task: usize| {
+            crate::pool::run_counted(3, (0..TASKS).collect(), TASKS as u64, |_, _task: usize| {
                 unsafe { POOL.release(leak_slab()) };
             });
             assert_eq!(POOL.cached_slabs(), round * TASKS, "after run {round}");

@@ -7,6 +7,9 @@ use std::time::{Duration, Instant};
 
 use sched::{run, run_watched, PoolStats, Termination, WatchdogCfg, STEAL_PAYS};
 
+mod common;
+use common::run_counted;
+
 #[test]
 fn done_flag_drains_own_deques_before_exit() {
     // finish() is observed between tasks; tasks already queued on a
@@ -28,7 +31,7 @@ fn done_flag_drains_own_deques_before_exit() {
 #[test]
 fn many_workers_single_task() {
     let executed = AtomicU64::new(0);
-    let stats = run(8, vec![42usize], Termination::Quiesce, |_, t| {
+    let stats = run_counted(8, vec![42usize], 1, |_, t| {
         assert_eq!(t, 42);
         executed.fetch_add(1, Ordering::Relaxed);
     });
@@ -38,11 +41,11 @@ fn many_workers_single_task() {
 }
 
 #[test]
-fn quiesce_deep_sequential_chain() {
+fn deep_sequential_chain() {
     // Every task pushes exactly one successor: no parallelism at all,
-    // termination must still be detected promptly.
+    // and every one of them runs.
     let executed = AtomicU64::new(0);
-    run(4, vec![0usize], Termination::Quiesce, |ctx, task| {
+    run_counted(4, vec![0usize], 5001, |ctx, task| {
         executed.fetch_add(1, Ordering::Relaxed);
         if task < 5000 {
             ctx.push(task + 1);
@@ -55,7 +58,7 @@ fn quiesce_deep_sequential_chain() {
 fn exponential_then_quiet_burst() {
     // Fan out 2^12 tasks then go quiet; all counted, none duplicated.
     let seen = Mutex::new(vec![false; 1 << 12]);
-    run(3, vec![1usize], Termination::Quiesce, |ctx, task| {
+    run_counted(3, vec![1usize], (1 << 12) - 1, |ctx, task| {
         {
             let mut s = seen.lock().unwrap();
             assert!(!s[task], "task {task} executed twice");
@@ -76,7 +79,7 @@ fn exponential_then_quiet_burst() {
 #[test]
 fn is_finished_visible_to_tasks() {
     let observed = AtomicU64::new(0);
-    run(2, vec![0usize, 1], Termination::Quiesce, |ctx, _| {
+    run_counted(2, vec![0usize, 1], 2, |ctx, _| {
         if !ctx.is_finished() {
             observed.fetch_add(1, Ordering::Relaxed);
         }
@@ -86,7 +89,7 @@ fn is_finished_visible_to_tasks() {
 
 #[test]
 fn stats_accounting_sums() {
-    let stats = run(4, (0..256usize).collect(), Termination::Quiesce, |_, t| {
+    let stats = run_counted(4, (0..256usize).collect(), 256, |_, t| {
         std::hint::black_box(t);
     });
     assert_eq!(stats.tasks, 256);
@@ -104,7 +107,7 @@ fn trickle_workload_wakes_at_most_once_per_task() {
     // wakeup count would scale with workers x tasks.
     let tasks = 200usize;
     let workers = 4usize;
-    let stats = run(workers, vec![0usize], Termination::Quiesce, |ctx, t| {
+    let stats = run_counted(workers, vec![0usize], tasks as u64, |ctx, t| {
         // Enough spinning for the other workers to run dry and park.
         for _ in 0..20_000 {
             std::hint::spin_loop();
@@ -133,12 +136,12 @@ fn trickle_workload_wakes_at_most_once_per_task() {
 /// A serial chain of `links` one-push tasks — no parallelism at all, so
 /// every steal moves the single live task and buys one link's work.
 /// Returns the stats and the wall clock taken around `run`.
-fn serial_chain(workers: usize, links: usize, termination: Termination) -> (PoolStats, Duration) {
+fn serial_chain(workers: usize, links: usize) -> (PoolStats, Duration) {
     let start = Instant::now();
-    let stats = run(workers, vec![0usize], termination, |ctx, t| {
+    let stats = run(workers, vec![0usize], Termination::DoneFlag, |ctx, t| {
         if t + 1 < links {
             ctx.push(t + 1);
-        } else if termination == Termination::DoneFlag {
+        } else {
             ctx.finish();
         }
     });
@@ -158,7 +161,7 @@ fn steals_are_paced_by_the_wall_clock() {
     // The count is bounded by the wall clock, never the wall clock by a
     // constant: a slow host makes fewer steals *and* a larger bound.
     for workers in [2, 4] {
-        let (stats, elapsed) = serial_chain(workers, 20_000, Termination::DoneFlag);
+        let (stats, elapsed) = serial_chain(workers, 20_000);
         let bound = steal_bound(workers, elapsed);
         assert!(
             stats.steals <= bound,
@@ -173,7 +176,7 @@ fn steals_are_paced_by_the_wall_clock() {
 fn coarse_tasks_are_never_rested() {
     // Every task outlasts `STEAL_PAYS` on its own, so whatever a steal
     // takes has paid by the time the thief's deque is dry again.
-    let stats = run(2, (0..64usize).collect(), Termination::Quiesce, |_, _| {
+    let stats = run_counted(2, (0..64usize).collect(), 64, |_, _| {
         let start = Instant::now();
         while start.elapsed() < 4 * STEAL_PAYS {
             std::hint::spin_loop();
@@ -185,22 +188,20 @@ fn coarse_tasks_are_never_rested() {
 
 #[test]
 fn a_rest_follows_a_steal_and_is_not_a_park() {
-    for termination in [Termination::DoneFlag, Termination::Quiesce] {
-        let (solo, _) = serial_chain(1, 20_000, termination);
-        assert_eq!((solo.steals, solo.rests), (0, 0), "one worker never steals, so never rests");
-        for workers in [2, 4] {
-            // Under `Quiesce` the last task's own retirement terminates
-            // the pool: a rester is woken by that, never by a push, and
-            // `serial_chain` has checked that every task was counted.
-            let (stats, elapsed) = serial_chain(workers, 20_000, termination);
-            assert!(
-                stats.rests <= stats.steals,
-                "W={workers} {termination:?}: {} rests for {} steals",
-                stats.rests,
-                stats.steals
-            );
-            assert!(stats.steals <= steal_bound(workers, elapsed));
-        }
+    let (solo, _) = serial_chain(1, 20_000);
+    assert_eq!((solo.steals, solo.rests), (0, 0), "one worker never steals, so never rests");
+    for workers in [2, 4] {
+        // The last link's `finish` ends the pool: a rester is woken by
+        // that, never by a push, and `serial_chain` has checked that
+        // every task was counted.
+        let (stats, elapsed) = serial_chain(workers, 20_000);
+        assert!(
+            stats.rests <= stats.steals,
+            "W={workers}: {} rests for {} steals",
+            stats.rests,
+            stats.steals
+        );
+        assert!(stats.steals <= steal_bound(workers, elapsed));
     }
 }
 
@@ -208,7 +209,7 @@ fn a_rest_follows_a_steal_and_is_not_a_park() {
 fn repeated_pools_do_not_leak_state() {
     for round in 0..100 {
         let executed = AtomicU64::new(0);
-        run(2, (0..16usize).collect(), Termination::Quiesce, |_, _| {
+        run_counted(2, (0..16usize).collect(), 16, |_, _| {
             executed.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(executed.load(Ordering::Relaxed), 16, "round {round}");

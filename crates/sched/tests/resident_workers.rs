@@ -7,7 +7,8 @@ use std::collections::HashSet;
 use std::sync::{Barrier, Mutex, MutexGuard};
 use std::thread::ThreadId;
 
-use sched::{run, Termination};
+mod common;
+use common::run_counted;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -21,7 +22,7 @@ fn serial() -> MutexGuard<'static, ()> {
 fn full_house(workers: usize, also_wait_on: Option<&Barrier>) -> HashSet<ThreadId> {
     let ids = Mutex::new(HashSet::new());
     let all_in = Barrier::new(workers);
-    let stats = run(workers, (0..workers).collect(), Termination::Quiesce, |_, _task: usize| {
+    let stats = run_counted(workers, (0..workers).collect(), workers as u64, |_, _task: usize| {
         ids.lock().unwrap().insert(std::thread::current().id());
         all_in.wait();
         if let Some(barrier) = also_wait_on {

@@ -1,24 +1,22 @@
-//! Minimal bridge between runtime futures and `std::future::Future`.
+//! Minimal bridge between runtime futures and `std::future::Future`:
+//! `async` code on the pool, built on the strand park protocol
+//! ([`Ctx::touch_await`]'s count-2 handshake — see `docs/strands.md`).
 //!
-//! Two directions, both built on the strand park protocol
-//! ([`Ctx::touch_await`]'s count-2 handshake — see `docs/strands.md`):
+//! [`Ctx::fork_async`] / [`Ctx::future_async`] wrap a compiled `async`
+//! block in an [`AsyncStrand`] and schedule it like any strand. Inside it,
+//! awaiting a [`FutureHandle`] parks the strand through the ordinary
+//! vertex handshake: `FutureHandle::poll` publishes a *park request* into
+//! a thread-local the strand's executor owns for the duration of the
+//! poll, and [`AsyncStrand`] turns that request into an armed out-set
+//! registration. No waker machinery runs on this path at all — the
+//! vertex's `owed` word **is** the waker — so every token in a future's
+//! out-set is a vertex of its run.
 //!
-//! * **`async` code on the pool.** [`Ctx::fork_async`] /
-//!   [`Ctx::future_async`] wrap a compiled `async` block in an
-//!   [`AsyncStrand`] and schedule it like any strand. Inside it, awaiting
-//!   a [`FutureHandle`] parks the strand through the ordinary vertex
-//!   handshake: `FutureHandle::poll` publishes a *park request* into a
-//!   thread-local the strand's executor owns for the duration of the
-//!   poll, and [`AsyncStrand`] turns that request into an armed out-set
-//!   registration. No waker machinery runs on this path at all — the
-//!   vertex's `owed` word **is** the waker.
-//! * **Runtime futures on a foreign executor.** Awaiting a
-//!   [`FutureHandle`] from an ordinary executor (no strand on the stack)
-//!   falls back to real wakers: the cloned waker is boxed and its
-//!   pointer — tagged with bit 0, which no ≥ 8-aligned vertex pointer
-//!   carries — registered as the out-set token. The completion sweep
-//!   recognizes the tag and calls `wake()` instead of the vertex
-//!   delivery.
+//! Outside a strand there is no vertex to park. A handle polled there
+//! returns its value if the future has completed and panics otherwise:
+//! code off the pool reads a finished future with
+//! [`try_get`](FutureHandle::try_get), and code that must wait runs as
+//! `fork_async`/`future_async`.
 //!
 //! ## Pinning
 //!
@@ -46,7 +44,7 @@ use std::pin::Pin;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
 use incounter::CounterFamily;
-use outset::{AddEdge, OutsetFamily};
+use outset::OutsetFamily;
 
 use crate::dag::Ctx;
 use crate::futures::{FutureHandle, ParkTarget};
@@ -54,8 +52,7 @@ use crate::vertex::{Strand, StrandPoll};
 
 /// What the current thread's innermost poll context is.
 enum BridgeState {
-    /// Not inside a strand resumption: handle polls go through real
-    /// (boxed, tagged) wakers.
+    /// Not inside a strand resumption: an unready handle poll panics.
     Inactive,
     /// Inside [`AsyncStrand::resume`], no park requested yet.
     Active,
@@ -153,7 +150,7 @@ where
 {
     type Output = T;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<T> {
         if let Some(value) = self.try_get() {
             return Poll::Ready(value.clone());
         }
@@ -161,8 +158,8 @@ where
             // Completed with no value: the future's body panicked under
             // panic isolation. `Output = T` has no error channel, so the
             // poisoned error surfaces as a descriptive panic here —
-            // never a hang, and never a registration on a sealed
-            // out-set that would bounce into a confusing expect.
+            // never a hang: a strand's registration on the sealed
+            // out-set would bounce and re-poll for ever.
             panic!(
                 "polled future is poisoned: its body panicked before publishing a value \
                  (the original panic is re-raised at the run_dag caller)"
@@ -176,42 +173,19 @@ where
             b.set(state);
             in_strand
         });
-        if in_strand {
-            // File a park request for the enclosing AsyncStrand; it arms
-            // the vertex and performs the registration after the poll
-            // unwinds (a later unready handle in the same poll replaces
-            // this request — see the module docs on combinators). The
-            // request owns a cloned core reference, so the out-set it
-            // targets outlives even a handle dropped mid-poll.
-            BRIDGE.with(|b| b.set(BridgeState::Requested(self.park_target())));
-            return Poll::Pending;
-        }
-        // Foreign executor: box the real waker and register it, tagged
-        // with bit 0 so the completion sweep wakes instead of delivering
-        // a vertex. Each poll-while-pending registers one waker; the
-        // sweep consumes them all.
-        let raw = Box::into_raw(Box::new(cx.waker().clone()));
-        debug_assert_eq!(raw as usize & 1, 0, "boxed waker must be aligned");
-        let token = raw as usize as u64 | 1;
-        match O::add(self.outset(), token, token) {
-            AddEdge::Registered => Poll::Pending,
-            AddEdge::Finished(t) => {
-                debug_assert_eq!(t, token);
-                // Sealed first: reclaim the box, deliver inline.
-                // SAFETY: the bounce returns exclusive ownership of the
-                // token we just minted.
-                drop(unsafe { Box::from_raw(raw) });
-                let value = self
-                    .try_get()
-                    .expect(
-                        "bounced registration on a poisoned future: its body panicked \
-                         before publishing a value (the original panic is re-raised at \
-                         the run_dag caller)",
-                    )
-                    .clone();
-                Poll::Ready(value)
-            }
-        }
+        assert!(
+            in_strand,
+            "polled an unready FutureHandle outside any strand: only an async block run by \
+             Ctx::fork_async/future_async can await one (read a completed future with try_get)"
+        );
+        // File a park request for the enclosing AsyncStrand; it arms the
+        // vertex and performs the registration after the poll unwinds (a
+        // later unready handle in the same poll replaces this request —
+        // see the module docs on combinators). The request owns a cloned
+        // core reference, so the out-set it targets outlives even a handle
+        // dropped mid-poll.
+        BRIDGE.with(|b| b.set(BridgeState::Requested(self.park_target())));
+        Poll::Pending
     }
 }
 

@@ -214,31 +214,6 @@ impl<T, O: OutsetFamily> FutureCore<T, O> {
     }
 }
 
-impl<T, O: OutsetFamily> Drop for FutureCore<T, O> {
-    fn drop(&mut self) {
-        if O::is_finished(&self.outset) {
-            return; // the completion sweep ran and consumed every token
-        }
-        // The future was abandoned before its completion sweep (e.g. a
-        // torn-down dag, or a core that never ran). Registered tokens are
-        // still sitting in the out-set: tagged tokens are boxed
-        // foreign-executor wakers minted by the async bridge — reclaim
-        // them here so a repeatedly-polled-then-abandoned future does not
-        // leak one box per poll. Untagged tokens would be parked vertices,
-        // which only exist here if the dag around the future already broke
-        // its scoping invariants; no value was ever published, so they
-        // cannot be delivered and are left to the dag's own teardown.
-        O::finish(&self.outset, &mut |token| {
-            if token & 1 == 1 {
-                // SAFETY: tagged tokens are minted exclusively by
-                // `async_bridge` from `Box::into_raw`, one reclamation
-                // each; the sweep never ran, so this is the first.
-                drop(unsafe { Box::from_raw((token & !1) as usize as *mut std::task::Waker) });
-            }
-        });
-    }
-}
-
 /// Crate-internal: a type-erased **owning** registration surface for the
 /// async bridge's park requests. Holding one keeps the [`FutureCore`] —
 /// and thus the out-set the request targets — alive across the gap
@@ -264,9 +239,10 @@ impl<T: Send + Sync, O: OutsetFamily> ParkTarget for PoolArc<FutureCore<T, O>> {
 /// touched only within the run that created it — by `touch`,
 /// `touch_await` or a strand's `.await` — because a touch makes the
 /// future's completion sweep deliver to a vertex of the toucher's run and
-/// schedule it on the sweeping worker's deque. Outside any run it may be
-/// polled as a `std::future::Future` (`crate::async_bridge`), and read
-/// with [`try_get`](FutureHandle::try_get).
+/// schedule it on the sweeping worker's deque. Outside a strand it is read
+/// with [`try_get`](FutureHandle::try_get); polled there as a
+/// `std::future::Future` it returns a completed future's value and panics
+/// on an unready one (`crate::async_bridge`).
 ///
 /// The shared core rides in a [`PoolArc`], so handle churn recycles its
 /// header through the scheduler's size-class slabs instead of the
@@ -747,7 +723,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     /// published its writes through the word's release/acquire edge. The
     /// in-degree is fixed at two and the word has two writers, so no
     /// in-counter is involved. A bounced registration
-    /// ([`outset::AddEdge::Finished`]) means no waker was stored: the
+    /// ([`outset::AddEdge::Finished`]) means no token was stored: the
     /// handshake is disarmed and the value returned inline.
     pub fn touch_await<'f, T, O>(&mut self, future: &'f FutureHandle<T, O>) -> StrandTouch<'f, T>
     where
@@ -778,7 +754,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         if register_dependent::<O>(&future.core.outset, token, key) {
             return StrandTouch::Parked;
         }
-        // The future sealed first: no waker was stored, so no fulfiller
+        // The future sealed first: no token was stored, so no fulfiller
         // delivery will ever come — disarm the handshake and deliver
         // inline. The seal's release chain guarantees `completed` is
         // visible.
@@ -838,20 +814,10 @@ where
             c.worker.push_batch(chunk.iter().map(|&w| VertexPtr(w)));
         };
         O::finish(&core.outset, &mut |token| {
-            if token & 1 == 1 {
-                // A foreign-executor waker from the async bridge
-                // (vertex tokens are ≥ 8-aligned pointers, so bit 0
-                // distinguishes). SAFETY: tagged tokens are minted
-                // exclusively by `async_bridge` from Box::into_raw,
-                // one delivery each.
-                let waker =
-                    unsafe { Box::from_raw((token & !1) as usize as *mut std::task::Waker) };
-                waker.wake();
-                return;
-            }
             let w = token as usize as *mut Vertex<C>;
-            // SAFETY: the token is a waiting vertex leaked by `touch`
-            // or parked by `touch_await`, scheduled by nobody else;
+            // SAFETY: every token is a waiting vertex — leaked by
+            // `touch`, or parked by `touch_await` or an async strand —
+            // scheduled by nobody else;
             // this sweep holds its fulfiller delivery right. It is a
             // vertex of this run (`FutureHandle`'s contract), so with
             // `solo` its other delivery is this thread's too.

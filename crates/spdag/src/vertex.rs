@@ -97,14 +97,16 @@
 //!   builds vertices of its own, and its own `WorkerCtx` says whether
 //!   *it* is solo;
 //! * a [`FutureHandle`](crate::FutureHandle) is touched only within its own
-//!   run (its documented contract), so every registration, bounce and
-//!   sweep delivery against a run's vertex is made by that run's worker.
+//!   run (its documented contract), and a poll outside a strand registers
+//!   nothing (`crate::async_bridge`), so every out-set token is a vertex
+//!   and every registration, bounce and sweep delivery against a run's
+//!   vertex is made by that run's worker.
 //!
-//! What a thread outside the run can reach stays shared at every W: a
-//! foreign executor's `poll` registers a tagged waker on the future's
-//! out-set, and any thread holding a handle reaches the out-set, the
-//! `PoolArc` refcount and `FutureCore::completed`. A run of two or more
-//! workers executes the shared instructions plus one predictable branch.
+//! What a thread outside the run can reach stays shared at every W: any
+//! thread holding a handle reaches the `PoolArc` refcount and
+//! `FutureCore::completed`, and the last holder drops the core. A run of
+//! two or more workers executes the shared instructions plus one
+//! predictable branch.
 //!
 //! ## Allocation and recycling
 //!

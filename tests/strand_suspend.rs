@@ -12,9 +12,9 @@
 //!    (`spdag.strand_suspend == spdag.strand_resume`) — gated on
 //!    [`obs::enabled`] so the battery also passes with telemetry
 //!    compiled out;
-//! 4. the `std::future::Future` bridge works from both sides: `async`
-//!    bodies on the pool, and a foreign executor `block_on`ing a
-//!    [`FutureHandle`].
+//! 4. the `std::future::Future` bridge: `async` bodies on the pool await
+//!    a [`FutureHandle`], and a poll of an unready one outside any strand
+//!    panics by name and registers nothing.
 //!
 //! Tests serialize on a process-wide lock: the global telemetry registry
 //! can only be diffed meaningfully while no sibling test is mid-dag.
@@ -243,45 +243,60 @@ fn async_await_survives_a_forced_bounce() {
     panic!("the bridge's registration never reached the spdag.force_bounce failpoint");
 }
 
-/// Minimal foreign executor: poll on the calling thread, park it between
-/// wakes. Exercises the boxed-waker (tagged-token) path in the sweep.
-fn block_on<F: std::future::Future>(fut: F) -> F::Output {
-    use std::task::{Context, Poll, Wake, Waker};
-    struct Unpark(std::thread::Thread);
-    impl Wake for Unpark {
-        fn wake(self: Arc<Self>) {
-            self.0.unpark();
-        }
-    }
-    let waker = Waker::from(Arc::new(Unpark(std::thread::current())));
-    let mut cx = Context::from_waker(&waker);
-    let mut fut = Box::pin(fut);
-    loop {
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(v) => return v,
-            Poll::Pending => std::thread::park(),
-        }
-    }
-}
-
+/// A handle polled outside any strand has no vertex to park: unready, the
+/// poll panics naming the two ways to wait and to read, and leaves nothing
+/// in the out-set — the future then completes, an `async` awaiter on the
+/// pool included, and every park is repaid.
 #[test]
-fn foreign_executor_awaits_runtime_future() {
+fn an_unready_poll_outside_a_strand_panics_by_name() {
+    use std::future::Future;
+    use std::sync::atomic::AtomicBool;
+    use std::task::{Context, Waker};
+
     let _g = serial();
+    let release = Arc::new(AtomicBool::new(false));
+    let awaited = Arc::new(AtomicU64::new(0));
     let (tx, rx) = std::sync::mpsc::channel::<FutureHandle<u64>>();
+    let (r, a) = (Arc::clone(&release), Arc::clone(&awaited));
     let dag = std::thread::spawn(move || {
         run_dag::<DynSnzi, _>(DynConfig::default(), 2, move |mut ctx| {
-            let f = ctx.future(|_| {
-                // Give the foreign thread time to register a real waker
-                // (the unready path), not just hit the fast path.
-                std::thread::sleep(std::time::Duration::from_millis(10));
+            let f = ctx.future(move |_| {
+                while !r.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
                 21u64
             });
+            let g = f.clone();
+            ctx.fork_async(async move {
+                a.store(g.await, Ordering::Relaxed);
+            });
             tx.send(f).expect("receiver alive");
-        });
+        })
     });
-    let f = rx.recv().expect("dag sends the handle");
-    assert_eq!(block_on(f), 21);
-    dag.join().expect("dag thread clean");
+    let mut f = rx.recv().expect("the dag sends the handle");
+    let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut cx = Context::from_waker(Waker::noop());
+        std::pin::Pin::new(&mut f).poll(&mut cx)
+    }));
+    // Released before anything is asserted, so a failing check still lets
+    // the dag finish.
+    release.store(true, Ordering::Release);
+    let payload = match polled {
+        Err(payload) => payload,
+        Ok(poll) => panic!("an unready poll outside a strand returned {:?}", poll.is_ready()),
+    };
+    let message = payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .expect("a message");
+    for name in ["outside any strand", "fork_async", "future_async", "try_get"] {
+        assert!(message.contains(name), "{name:?} missing from {message:?}");
+    }
+    let stats = dag.join().expect("the dag thread is clean");
+    assert_eq!(f.try_get(), Some(&21));
+    assert_eq!(awaited.load(Ordering::Relaxed), 21, "the strand's await is delivered");
+    assert_eq!(stats.pool.suspends, stats.pool.resumes, "every park is repaid");
 }
 
 // ---------------------------------------------------------------------
