@@ -59,6 +59,8 @@
 #![deny(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+#[cfg(test)]
+mod differential;
 pub mod growth;
 pub mod mutex;
 pub mod recycle;
@@ -112,6 +114,24 @@ pub trait OutsetFamily: 'static {
     /// subsequent calls return `false` and deliver nothing.
     fn finish(out: &Self::Outset, sink: &mut dyn FnMut(u64)) -> bool;
 
+    /// [`add`](OutsetFamily::add) for a caller that has the out-set to
+    /// itself: the same transitions and the same result, with no locked
+    /// instruction where `add` needs one only against another thread.
+    ///
+    /// # Safety
+    /// No other `add` or `finish` on `out` — shared or exclusive — may
+    /// overlap this call on any thread: each is ordered before or after it.
+    unsafe fn add_exclusive(out: &Self::Outset, token: u64, key: u64) -> AddEdge;
+
+    /// [`finish`](OutsetFamily::finish) for a caller that has the out-set
+    /// to itself, as [`add_exclusive`](OutsetFamily::add_exclusive) is
+    /// `add`'s.
+    ///
+    /// # Safety
+    /// As for [`add_exclusive`](OutsetFamily::add_exclusive): no other
+    /// operation on `out` may overlap this call.
+    unsafe fn finish_exclusive(out: &Self::Outset, sink: &mut dyn FnMut(u64)) -> bool;
+
     /// Whether [`finish`](OutsetFamily::finish) has already sealed the set
     /// (a racy snapshot, useful only as a hint or in quiescent states).
     fn is_finished(out: &Self::Outset) -> bool;
@@ -141,6 +161,16 @@ mod family_tests {
 
         // Post-seal adds bounce back for inline delivery.
         assert_eq!(F::add(&set, 777, 5), AddEdge::Finished(777));
+
+        // The three top tokens are reserved on every family, sealed or not.
+        let fresh = F::make();
+        for token in u64::MAX - 2..=u64::MAX {
+            for set in [&set, &fresh] {
+                let add = std::panic::AssertUnwindSafe(|| F::add(set, token, 0));
+                assert!(std::panic::catch_unwind(add).is_err(), "{}: {token} accepted", F::NAME);
+            }
+        }
+        assert!(F::finish(&fresh, &mut |t| panic!("{}: a rejected token {t} was kept", F::NAME)));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use std::sync::Mutex;
 
+use crate::tree::MAX_TOKEN;
 use crate::{AddEdge, OutsetFamily};
 
 struct Inner {
@@ -31,6 +32,9 @@ impl MutexOutsetObj {
     /// `outset.adds == outset.adds_bounced + outset.swept` across both
     /// families.
     pub fn add(&self, token: u64) -> AddEdge {
+        // The family contract: the tree out-set's slot states and poison
+        // stamp take the three top values, so no family accepts them.
+        assert!(token <= MAX_TOKEN, "tokens u64::MAX-2..=u64::MAX are reserved");
         obs::counter!("outset.adds").inc();
         let mut inner = self.inner.lock().unwrap();
         if inner.sealed {
@@ -93,6 +97,16 @@ impl OutsetFamily for MutexOutset {
     }
 
     fn finish(out: &MutexOutsetObj, sink: &mut dyn FnMut(u64)) -> bool {
+        out.finish(sink)
+    }
+
+    /// The lock is the whole protocol: alone on the out-set, the locked
+    /// operation is the exclusive one.
+    unsafe fn add_exclusive(out: &MutexOutsetObj, token: u64, _key: u64) -> AddEdge {
+        out.add(token)
+    }
+
+    unsafe fn finish_exclusive(out: &MutexOutsetObj, sink: &mut dyn FnMut(u64)) -> bool {
         out.finish(sink)
     }
 

@@ -64,9 +64,10 @@
 //! `finish` seals the latch (one `swap`) and then sweeps: every claimed
 //! slot is `swap`ped to `SWEPT`; a slot that already carried a token is
 //! delivered. The interesting interleaving is an adder that claimed a
-//! slot before the seal but publishes around the sweep. All operations on
-//! `sealed` and on slots are `SeqCst`, and the adder re-checks `sealed`
-//! *after* publishing:
+//! slot before the seal but publishes around the sweep. Every operation
+//! that may meet another thread's — the shared steps, below — is `SeqCst`
+//! on `sealed` and on slots, and the adder re-checks `sealed` *after*
+//! publishing:
 //!
 //! * adder's publish CAS (`EMPTY → token+2`) fails — the sweep got there
 //!   first and left `SWEPT`; nobody will ever read the slot again, and the
@@ -86,6 +87,26 @@
 //! and blocks installed after the sweep passed are only reachable by
 //! their adders, which by the argument above observe the seal on their
 //! re-check and deliver inline.
+//!
+//! ## One worker, no lock prefix
+//!
+//! `add` (with the slot claim under it) and `finish` are written once,
+//! generic over a `Step`: how one read-modify-write of the protocol —
+//! a slot or head CAS, the cursor's fetch-add, the seal's and the sweep's
+//! swaps — is committed. `Shared` commits it with the `SeqCst`
+//! instruction the argument above needs against another thread. For an
+//! out-set that no other `add` or `finish` can overlap — a one-worker
+//! run's futures; the caller of [`TreeOutsetObj::add_exclusive`] or
+//! [`TreeOutsetObj::finish_exclusive`] promises it — `Exclusive`
+//! commits the same step with a load and a store, which is what the
+//! locked instruction does when nothing interferes: the same slot states,
+//! cursors, blocks and deliveries, in the same order. Its stores are
+//! `Release`, so a racy diagnostic walk from another thread
+//! ([`block_count`](TreeOutsetObj::block_count),
+//! [`footprint_bytes`](TreeOutsetObj::footprint_bytes)) that loads a
+//! freshly installed head also sees the block behind it initialised. A
+//! split stays shared in both modes: an exclusive add reaches it only
+//! through the `outset.install_cas` failpoint's lost install.
 //!
 //! ## Memory and block recycling
 //!
@@ -136,9 +157,10 @@
 //! corrupting a later out-set, and the sweep asserts it never reads the
 //! poison.
 //!
-//! The out-set is expected to be shared via `Arc` by the completing
-//! vertex and all edge-adding handles, so no add or finish can race the
-//! destructor.
+//! Whoever drops the out-set must hold it last, so no add or finish can
+//! race the destructor: in `spdag` it lives inside a future's core, and
+//! the core's last `PoolArc` holder drops it after every registration and
+//! the sweep have returned.
 
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
@@ -154,8 +176,100 @@ const TOKEN_BIAS: u64 = 2;
 /// sweep reading `POISON` — or a reuse *not* reading it — is a
 /// reclamation bug caught by the asserts in `Block::retire`/`Block::reset`.
 const POISON: u64 = u64::MAX;
-/// Largest accepted token: `MAX_TOKEN + TOKEN_BIAS < POISON`.
-const MAX_TOKEN: u64 = u64::MAX - 3;
+/// Largest accepted token: `MAX_TOKEN + TOKEN_BIAS < POISON`. Every
+/// family takes it as its bound ([`OutsetFamily`]'s contract).
+pub(crate) const MAX_TOKEN: u64 = u64::MAX - 3;
+
+/// How one read-modify-write of the slot protocol is committed (module
+/// docs, "One worker, no lock prefix"). Loads need no twin: a `SeqCst`
+/// load is a plain load where it matters (x86), and the protocol's loads
+/// read the same values in both modes.
+pub(crate) trait Step {
+    /// Replace `old` by `new` in a slot if it still holds `old`; whether
+    /// it did.
+    fn cas(word: &AtomicU64, old: u64, new: u64) -> bool;
+    /// [`cas`](Step::cas) on a lane's head word.
+    fn cas_ptr<T>(word: &AtomicPtr<T>, old: *mut T, new: *mut T) -> bool;
+    /// Add one to a block's cursor; the value before.
+    fn fetch_add(word: &AtomicUsize) -> usize;
+    /// Store `new` in a slot; the value before.
+    fn swap(word: &AtomicU64, new: u64) -> u64;
+    /// Store `new` in the seal latch; the value before.
+    fn swap_flag(word: &AtomicBool, new: bool) -> bool;
+}
+
+/// Steps committed by a `SeqCst` read-modify-write: any operation that may
+/// overlap another `add` or `finish` on the same out-set.
+pub(crate) enum Shared {}
+
+impl Step for Shared {
+    #[inline(always)]
+    fn cas(word: &AtomicU64, old: u64, new: u64) -> bool {
+        word.compare_exchange(old, new, Ordering::SeqCst, Ordering::SeqCst).is_ok()
+    }
+    #[inline(always)]
+    fn cas_ptr<T>(word: &AtomicPtr<T>, old: *mut T, new: *mut T) -> bool {
+        word.compare_exchange(old, new, Ordering::SeqCst, Ordering::SeqCst).is_ok()
+    }
+    #[inline(always)]
+    fn fetch_add(word: &AtomicUsize) -> usize {
+        word.fetch_add(1, Ordering::SeqCst)
+    }
+    #[inline(always)]
+    fn swap(word: &AtomicU64, new: u64) -> u64 {
+        word.swap(new, Ordering::SeqCst)
+    }
+    #[inline(always)]
+    fn swap_flag(word: &AtomicBool, new: bool) -> bool {
+        word.swap(new, Ordering::SeqCst)
+    }
+}
+
+/// Steps committed by a load and a store: an operation that no other `add`
+/// or `finish` on the same out-set overlaps, so nothing can change a word
+/// between the two. The load is relaxed: every other step is ordered before
+/// or after the whole operation by whatever made it exclusive (for `spdag`,
+/// a one-worker run is one thread). The store is `Release` for the readers
+/// that are not steps — a diagnostic walk, an `is_finished` probe — which
+/// costs nothing on x86.
+pub(crate) enum Exclusive {}
+
+impl Step for Exclusive {
+    #[inline(always)]
+    fn cas(word: &AtomicU64, old: u64, new: u64) -> bool {
+        let holds = word.load(Ordering::Relaxed) == old;
+        if holds {
+            word.store(new, Ordering::Release);
+        }
+        holds
+    }
+    #[inline(always)]
+    fn cas_ptr<T>(word: &AtomicPtr<T>, old: *mut T, new: *mut T) -> bool {
+        let holds = word.load(Ordering::Relaxed) == old;
+        if holds {
+            word.store(new, Ordering::Release);
+        }
+        holds
+    }
+    #[inline(always)]
+    fn fetch_add(word: &AtomicUsize) -> usize {
+        let prev = word.load(Ordering::Relaxed);
+        word.store(prev + 1, Ordering::Release);
+        prev
+    }
+    #[inline(always)]
+    fn swap(word: &AtomicU64, new: u64) -> u64 {
+        let prev = word.load(Ordering::Relaxed);
+        word.store(new, Ordering::Release);
+        prev
+    }
+    #[inline(always)]
+    fn swap_flag(word: &AtomicBool, new: bool) -> bool {
+        let prev = word.load(Ordering::Relaxed);
+        word.store(new, Ordering::Release);
+        prev
+    }
+}
 
 /// Stripe count of the epoch domain each out-set owned before out-sets
 /// stopped pinning. **Unused by the runtime**: it survives only because
@@ -432,15 +546,39 @@ impl TreeOutsetObj {
     /// or — once the out-set is sealed — `outset.swept` (delivered by
     /// the sweep), so `adds == adds_bounced + swept` after seal.
     pub fn add(&self, token: u64, key: u64) -> AddEdge {
+        self.add_with::<Shared>(token, key)
+    }
+
+    /// [`add`](Self::add) for a caller that has the out-set to itself:
+    /// the same transitions and the same result, each step committed by a
+    /// load and a store (module docs, "One worker, no lock prefix").
+    ///
+    /// # Safety
+    /// No other `add` or `finish` on this out-set — shared or exclusive —
+    /// may overlap this call on any thread: each is ordered before or
+    /// after it.
+    //
+    // `#[inline]`, as are `finish_exclusive` and `alloc_block`: the
+    // exclusive instances are compiled where they are called, so this
+    // crate compiles `add` alone, with the block pool's `acquire` inlined
+    // into its only caller as before there were two adds.
+    #[inline]
+    pub unsafe fn add_exclusive(&self, token: u64, key: u64) -> AddEdge {
+        self.add_with::<Exclusive>(token, key)
+    }
+
+    /// The one body of both adds.
+    #[inline(always)]
+    fn add_with<S: Step>(&self, token: u64, key: u64) -> AddEdge {
         assert!(token <= MAX_TOKEN, "tokens u64::MAX-2..=u64::MAX are reserved");
         obs::counter!("outset.adds").inc();
         if self.sealed.load(Ordering::SeqCst) {
             obs::counter!("outset.adds_bounced").inc();
             return AddEdge::Finished(token);
         }
-        let slot = self.claim_slot(key);
+        let slot = self.claim_slot::<S>(key);
         let biased = token + TOKEN_BIAS;
-        if slot.compare_exchange(EMPTY, biased, Ordering::SeqCst, Ordering::SeqCst).is_err() {
+        if !S::cas(slot, EMPTY, biased) {
             // The sweep resolved this slot before we published.
             obs::counter!("outset.adds_bounced").inc();
             return AddEdge::Finished(token);
@@ -448,7 +586,7 @@ impl TreeOutsetObj {
         if self.sealed.load(Ordering::SeqCst) {
             // Published around the seal: exactly one of us (this add, the
             // sweep) turns the slot over and owns the delivery.
-            if slot.compare_exchange(biased, SWEPT, Ordering::SeqCst, Ordering::SeqCst).is_ok() {
+            if S::cas(slot, biased, SWEPT) {
                 obs::counter!("outset.adds_bounced").inc();
                 return AddEdge::Finished(token);
             }
@@ -459,7 +597,7 @@ impl TreeOutsetObj {
     /// Claim one slot in `key`'s lane, growing the block list — and,
     /// under a lost install CAS plus a heads coin flip, the lane table —
     /// as needed.
-    fn claim_slot(&self, key: u64) -> &AtomicU64 {
+    fn claim_slot<S: Step>(&self, key: u64) -> &AtomicU64 {
         loop {
             // Re-read the table every round: a split (ours or a
             // competitor's) re-hashes the key over more lanes.
@@ -472,7 +610,7 @@ impl TreeOutsetObj {
                 // SAFETY: a linked block stays linked, and ours, until
                 // `Drop` (exclusive access).
                 let block = unsafe { &*head };
-                let idx = block.claimed.fetch_add(1, Ordering::SeqCst);
+                let idx = S::fetch_add(&block.claimed);
                 if idx < BLOCK_SLOTS {
                     return &block.slots[idx];
                 }
@@ -485,11 +623,10 @@ impl TreeOutsetObj {
             // competitor won — the never-published block goes back, the
             // split coin flips, and the loop retries. Deterministically
             // exercises the contention transient the adaptive policy is
-            // built around, on a single quiet thread if need be.
-            let lost = sched::failpoint::fire("outset.install_cas")
-                || lane_head
-                    .compare_exchange(head, fresh, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_err();
+            // built around, on a single quiet thread if need be — the one
+            // way an exclusive add reaches a split.
+            let lost =
+                sched::failpoint::fire("outset.install_cas") || !S::cas_ptr(lane_head, head, fresh);
             if lost {
                 // Lost the install race; the never-published block goes
                 // straight back to the recycler and we retry on the
@@ -509,7 +646,8 @@ impl TreeOutsetObj {
 
     /// One block headed for a lane whose current head is `next`: from the
     /// recycler when a cached block is available, else a fresh
-    /// allocation.
+    /// allocation. (`#[inline]`: see `add_exclusive`.)
+    #[inline]
     fn alloc_block(&self, next: *mut Block) -> *mut Block {
         if let Some(raw) = block_pool().acquire() {
             let block = raw as *mut Block;
@@ -575,7 +713,24 @@ impl TreeOutsetObj {
 
     /// Seal and sweep; see [`OutsetFamily::finish`] for the contract.
     pub fn finish(&self, sink: &mut dyn FnMut(u64)) -> bool {
-        if self.sealed.swap(true, Ordering::SeqCst) {
+        self.finish_with::<Shared>(sink)
+    }
+
+    /// [`finish`](Self::finish) for a caller that has the out-set to
+    /// itself, as [`add_exclusive`](Self::add_exclusive) is `add`'s.
+    ///
+    /// # Safety
+    /// As for [`add_exclusive`](Self::add_exclusive): no other `add` or
+    /// `finish` on this out-set may overlap this call.
+    #[inline]
+    pub unsafe fn finish_exclusive(&self, sink: &mut dyn FnMut(u64)) -> bool {
+        self.finish_with::<Exclusive>(sink)
+    }
+
+    /// The one body of both finishes.
+    #[inline(always)]
+    fn finish_with<S: Step>(&self, sink: &mut dyn FnMut(u64)) -> bool {
+        if S::swap_flag(&self.sealed, true) {
             return false;
         }
         // Loaded after the seal: by lane-set monotonicity this table
@@ -600,7 +755,7 @@ impl TreeOutsetObj {
                 let block = unsafe { &*head };
                 let claimed = block.claimed.load(Ordering::SeqCst).min(BLOCK_SLOTS);
                 for slot in &block.slots[..claimed] {
-                    let prev = slot.swap(SWEPT, Ordering::SeqCst);
+                    let prev = S::swap(slot, SWEPT);
                     debug_assert_ne!(prev, POISON, "swept a recycled (poisoned) block");
                     if prev >= TOKEN_BIAS {
                         delivered += 1;
@@ -697,6 +852,34 @@ impl TreeOutsetObj {
     }
 }
 
+/// One block as the differential test compares it: its cursor and every
+/// slot word.
+#[cfg(test)]
+pub(crate) type BlockWords = (usize, [u64; BLOCK_SLOTS]);
+
+#[cfg(test)]
+impl TreeOutsetObj {
+    /// Every lane of the newest generation, in index order, with its blocks
+    /// newest first: the whole protocol state a step can write.
+    pub(crate) fn words_for_test(&self) -> Vec<Vec<BlockWords>> {
+        let table = self.table.load(Ordering::SeqCst);
+        (0..Self::lanes_in(table))
+            .map(|idx| {
+                let mut blocks = Vec::new();
+                let mut head = self.head_at(table, idx).load(Ordering::SeqCst);
+                while !head.is_null() {
+                    // SAFETY: blocks are freed only in Drop.
+                    let block = unsafe { &*head };
+                    let slots = std::array::from_fn(|i| block.slots[i].load(Ordering::SeqCst));
+                    blocks.push((block.claimed.load(Ordering::SeqCst), slots));
+                    head = block.next;
+                }
+                blocks
+            })
+            .collect()
+    }
+}
+
 impl Default for TreeOutsetObj {
     fn default() -> Self {
         TreeOutsetObj::new()
@@ -771,6 +954,18 @@ impl OutsetFamily for TreeOutset {
 
     fn finish(out: &TreeOutsetObj, sink: &mut dyn FnMut(u64)) -> bool {
         out.finish(sink)
+    }
+
+    #[inline]
+    unsafe fn add_exclusive(out: &TreeOutsetObj, token: u64, key: u64) -> AddEdge {
+        // SAFETY: the caller's promise is `add_exclusive`'s.
+        unsafe { out.add_exclusive(token, key) }
+    }
+
+    #[inline]
+    unsafe fn finish_exclusive(out: &TreeOutsetObj, sink: &mut dyn FnMut(u64)) -> bool {
+        // SAFETY: the caller's promise is `finish_exclusive`'s.
+        unsafe { out.finish_exclusive(sink) }
     }
 
     fn is_finished(out: &TreeOutsetObj) -> bool {

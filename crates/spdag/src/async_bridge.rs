@@ -124,7 +124,7 @@ where
                         let key = ctx.worker_id() as u64;
                         // The target's owned core reference keeps the
                         // out-set alive until this registration lands.
-                        if target.register(token, key) {
+                        if target.register(token, key, ctx.worker.is_solo()) {
                             return StrandPoll::Parked;
                         }
                         // Sealed in the gap between poll and registration:

@@ -21,7 +21,10 @@
 //!   new [`outset`] crate: each future vertex carries an out-set, touches
 //!   register dependent edges in it, and the future's completion vertex
 //!   seals it and sweeps every registered dependent to the scheduler in
-//!   one batch.
+//!   one batch. A one-worker run adds, seals and sweeps by load and
+//!   store ([`outset::OutsetFamily::add_exclusive`],
+//!   [`outset::OutsetFamily::finish_exclusive`]): every add and the sweep
+//!   are made on its one thread.
 //!
 //! ## Model
 //!
@@ -167,7 +170,10 @@ struct FutureCore<T, O: OutsetFamily> {
     /// runs strictly after completion (see `value_ref`).
     value: UnsafeCell<Option<T>>,
     /// Set by the completion vertex just before the out-set seal; the
-    /// publication edge for [`FutureHandle::try_get`].
+    /// publication edge for [`FutureHandle::try_get`]. Its readers need
+    /// only its release half, which hands on the value write the sweep
+    /// acquired through `published`: a one-worker run stores it `Release`,
+    /// a run of two or more `SeqCst`.
     completed: AtomicBool,
     /// Set when the one [`ValueSetter`] goes — after its write, or without
     /// one (poisoned). The completion vertex waits for it: the body may end
@@ -222,12 +228,12 @@ impl<T, O: OutsetFamily> FutureCore<T, O> {
 /// handle (and every other core reference died) inside that gap.
 pub(crate) trait ParkTarget: Send {
     /// [`register_dependent`] on the underlying future's out-set.
-    fn register(&self, token: u64, key: u64) -> bool;
+    fn register(&self, token: u64, key: u64, solo: bool) -> bool;
 }
 
 impl<T: Send + Sync, O: OutsetFamily> ParkTarget for PoolArc<FutureCore<T, O>> {
-    fn register(&self, token: u64, key: u64) -> bool {
-        register_dependent::<O>(&self.outset, token, key)
+    fn register(&self, token: u64, key: u64, solo: bool) -> bool {
+        register_dependent::<O>(&self.outset, token, key, solo)
     }
 }
 
@@ -258,9 +264,10 @@ impl<T, O: OutsetFamily> Clone for FutureHandle<T, O> {
 }
 
 /// One-shot value publisher handed to the body every future constructor
-/// builds. A plain struct: constructing it allocates nothing beyond one
-/// [`PoolArc`] clone, and its 8 bytes keep the closures that carry it
-/// inside the frame's inline class.
+/// builds. A plain struct around one of the three references the core is
+/// born with (`PoolArc::new_held_in_place`): constructing it allocates
+/// nothing and takes no refcount step, and its 8 bytes keep the closures
+/// that carry it inside the frame's inline class.
 struct ValueSetter<T, O: OutsetFamily> {
     core: PoolArc<FutureCore<T, O>>,
 }
@@ -685,7 +692,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         unsafe { *(*w_ptr).owed.get_mut() = 1 };
         let token = w_ptr as usize as u64;
         let key = self.worker.worker_id() as u64;
-        if !register_dependent::<O>(&future.core.outset, token, key) {
+        if !register_dependent::<O>(&future.core.outset, token, key, self.worker.is_solo()) {
             // The future completed first (or the sweep claimed the race):
             // the dependency is already satisfied — resolve and schedule
             // inline.
@@ -751,7 +758,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         let token = self.arm_park();
         obs::trace::record(obs::EventKind::FutureTouch, token);
         let key = self.worker.worker_id() as u64;
-        if register_dependent::<O>(&future.core.outset, token, key) {
+        if register_dependent::<O>(&future.core.outset, token, key, self.worker.is_solo()) {
             return StrandTouch::Parked;
         }
         // The future sealed first: no token was stored, so no fulfiller
@@ -806,14 +813,22 @@ where
         while !core.published.load(Ordering::Acquire) {
             std::hint::spin_loop();
         }
-        core.completed.store(true, Ordering::SeqCst);
         let solo = c.worker.is_solo();
+        // `completed`'s readers need only the edge from the value write:
+        // the setter's release of `published`, acquired above, handed on
+        // by this store's release. A one-worker run stores it so; a run of
+        // two or more keeps the `SeqCst` store.
+        if solo {
+            core.completed.store(true, Ordering::Release);
+        } else {
+            core.completed.store(true, Ordering::SeqCst);
+        }
         let mut chunk = [std::ptr::null_mut::<Vertex<C>>(); SWEEP_CHUNK];
         let (mut filled, mut ready) = (0, 0u64);
         let flush = |chunk: &[*mut Vertex<C>]| {
             c.worker.push_batch(chunk.iter().map(|&w| VertexPtr(w)));
         };
-        O::finish(&core.outset, &mut |token| {
+        let mut deliver = |token: u64| {
             let w = token as usize as *mut Vertex<C>;
             // SAFETY: every token is a waiting vertex — leaked by
             // `touch`, or parked by `touch_await` or an async strand —
@@ -830,7 +845,14 @@ where
                     filled = 0;
                 }
             }
-        });
+        };
+        if solo {
+            // SAFETY: every add to this run's future is made by this
+            // thread (`register_dependent`), so none overlaps the sweep.
+            unsafe { O::finish_exclusive(&core.outset, &mut deliver) };
+        } else {
+            O::finish(&core.outset, &mut deliver);
+        }
         flush(&chunk[..filled]);
         obs::counter!("spdag.fulfills").inc();
         obs::trace::record_span(obs::EventKind::FutureFulfill, ready, fulfill_start);
@@ -843,6 +865,12 @@ where
 /// `false`: bounced — the out-set had sealed, nothing was stored, and the
 /// caller delivers inline.
 ///
+/// In a one-worker run (`solo`, the worker's `sched::WorkerCtx::is_solo`)
+/// the add is [`OutsetFamily::add_exclusive`]: the future is this run's
+/// (`FutureHandle`'s contract), so every other add to its out-set and its
+/// sweep are made on this thread (`crate::vertex`, "One worker, no lock
+/// prefix").
+///
 /// Failpoint (no-op unless `fault-inject` arms `spdag.force_bounce`): hold
 /// the registration until the out-set seals, so `O::add` deterministically
 /// takes the bounce path. The spin is bounded — the future's body may be
@@ -853,6 +881,7 @@ pub(crate) fn register_dependent<O: OutsetFamily>(
     outset: &O::Outset,
     token: u64,
     key: u64,
+    solo: bool,
 ) -> bool {
     if sched::failpoint::fire("spdag.force_bounce") {
         for _ in 0..200_000 {
@@ -862,7 +891,14 @@ pub(crate) fn register_dependent<O: OutsetFamily>(
             std::hint::spin_loop();
         }
     }
-    match O::add(outset, token, key) {
+    let edge = if solo {
+        // SAFETY: a one-worker run's out-set is stepped by its one thread
+        // alone, one operation after another (above).
+        unsafe { O::add_exclusive(outset, token, key) }
+    } else {
+        O::add(outset, token, key)
+    };
+    match edge {
         AddEdge::Registered => true,
         AddEdge::Finished(bounced) => {
             debug_assert_eq!(bounced, token);
@@ -1044,6 +1080,12 @@ mod tests {
                 out.add(token, key)
             }
             fn finish(out: &Self::Outset, sink: &mut dyn FnMut(u64)) -> bool {
+                out.finish(sink)
+            }
+            unsafe fn add_exclusive(out: &Self::Outset, token: u64, key: u64) -> AddEdge {
+                out.add(token, key)
+            }
+            unsafe fn finish_exclusive(out: &Self::Outset, sink: &mut dyn FnMut(u64)) -> bool {
                 out.finish(sink)
             }
             fn is_finished(out: &Self::Outset) -> bool {

@@ -68,9 +68,10 @@
 //!
 //! ## One worker, no lock prefix
 //!
-//! A step on a scope's counter, a claim on a decrement pair and a delivery
-//! to `owed` are locked read-modify-writes because two workers may make
-//! them at once. A one-worker run has one thread
+//! A step on a scope's counter, a claim on a decrement pair, a delivery
+//! to `owed` and an add to, or the seal and sweep of, a future's out-set
+//! are locked read-modify-writes because two workers may make them at
+//! once. A one-worker run has one thread
 //! (`sched::WorkerCtx::is_solo`, read once per vertex, in the operation
 //! that ends it or forks from it), and then each takes its exclusive twin,
 //! the same step committed by a load and a store:
@@ -79,9 +80,12 @@
 //! child, a past-the-bound spawn's left child; no left child is promoted at
 //! W = 1 — the future constructors and a splitting handoff) and in
 //! `dag::execute_vertex`'s signal epilogue, `DecPair::claim_last_exclusive`
-//! in `PairRef::claim`, and a plain decrement of `owed` in
+//! in `PairRef::claim`, a plain decrement of `owed` in
 //! `futures::resolve_dependent` (the `touch` bounce, the completion sweep,
-//! `commit_park`). A spawn within the stack bound takes no step at all: its
+//! `commit_park`), and `OutsetFamily::add_exclusive` in
+//! `futures::register_dependent` (`touch`, `touch_await`, the async
+//! bridge's park) and `OutsetFamily::finish_exclusive` in `futures::sweep`,
+//! which also stores `FutureCore::completed` with a plain release store. A spawn within the stack bound takes no step at all: its
 //! children cannot overlap, so the vertex's held handle covers them as part
 //! of its serial remainder, and the one signal of its epilogue ends both;
 //! while the left child waits (the worker's latent list is non-empty) a
@@ -89,24 +93,29 @@
 //! else can reach them meanwhile:
 //!
 //! * all of them — a scope's counter, the SNZI nodes its handles point
-//!   into, a pair, a waiting vertex's `owed` — are reached only through
-//!   the run's vertices, and only the run's workers execute vertices: at
-//!   W = 1, the caller of `run_dag`;
+//!   into, a pair, a waiting vertex's `owed`, a future's out-set — are
+//!   reached only through the run's vertices, and only the run's workers
+//!   execute vertices: at W = 1, the caller of `run_dag`;
 //! * the watchdog of a watched run reads the pool's progress count and
 //!   deque lengths, nothing of a vertex's; a `run_dag` nested in a vertex
 //!   builds vertices of its own, and its own `WorkerCtx` says whether
 //!   *it* is solo;
 //! * a [`FutureHandle`](crate::FutureHandle) is touched only within its own
 //!   run (its documented contract), and a poll outside a strand registers
-//!   nothing (`crate::async_bridge`), so every out-set token is a vertex
-//!   and every registration, bounce and sweep delivery against a run's
-//!   vertex is made by that run's worker.
+//!   nothing (`crate::async_bridge`), so every out-set token is a vertex,
+//!   every add to a run's future and its sweep are made by that run's
+//!   workers, and so is every registration, bounce and sweep delivery
+//!   against a run's vertex.
 //!
 //! What a thread outside the run can reach stays shared at every W: any
-//! thread holding a handle reaches the `PoolArc` refcount and
-//! `FutureCore::completed`, and the last holder drops the core. A run of
-//! two or more workers executes the shared instructions plus one
-//! predictable branch.
+//! thread holding a handle reaches the `PoolArc` refcount, and the last
+//! holder drops the core. It may also read `FutureCore::completed`
+//! (`is_done`, `try_get`) or probe the out-set (`is_finished`, the
+//! footprint walks), and those are loads: a reader needs the release half
+//! of the step it observes — the value write before `completed`, the
+//! initialised block behind a head — and the exclusive stores are
+//! `Release`. A run of two or more workers executes the shared
+//! instructions plus one predictable branch.
 //!
 //! ## Allocation and recycling
 //!

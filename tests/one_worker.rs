@@ -1,7 +1,7 @@
 //! One worker, no lock prefix (`spdag::vertex`, module docs): in a
-//! one-worker run the dag layer steps its in-counters, decrement pairs and
-//! `owed` words by load and store. This battery drives every route to those
-//! steps at W = 1 over every counter family — `DynSnzi` at `always_grow`,
+//! one-worker run the dag layer steps its in-counters, decrement pairs,
+//! `owed` words and out-sets by load and store. This battery drives every
+//! route to those steps at W = 1 over every counter family — `DynSnzi` at `always_grow`,
 //! `never_grow` and the default coin, `FetchAdd`, `FixedDepth` at depths 0
 //! and 2 — and checks exact results and exact ledgers: every decrement pair
 //! born is freed (`sched.pairs_born == sched.pairs_freed`), every vertex
@@ -12,7 +12,11 @@
 //! and one that bounces (the two deliveries of a continuation's `owed`), a
 //! `touch_await` that parks and resumes (both deliveries of a parked
 //! strand's), and a strand that panics while parked (`commit_park` from
-//! the unwind path). Then the two cases the exclusivity argument must
+//! the unwind path). The out-set routes run in one dag: a future with
+//! enough touchers to install three blocks, a bounced touch, a
+//! `touch_await` park and an `async` await, with the out-set's ledger
+//! checked too; under `fault-inject` its first block install is lost, and
+//! the lane table splits. Then the two cases the exclusivity argument must
 //! survive: a watched one-worker run, whose watchdog is a second thread
 //! holding the run's pool state, and one-worker runs nested in the
 //! vertices of a two-worker run, whose workers step shared counters of
@@ -254,6 +258,145 @@ fn one_worker_runs_keep_exact_ledgers_on_every_family() {
     over_families!(touch_bounced);
     over_families!(strands_park_and_resume);
     over_families!(strand_panics_while_parked);
+}
+
+/// More touchers than two blocks hold: the hub future's out-set installs a
+/// third block, every install by load and store.
+const HUB_TOUCHERS: u64 = 2 * outset::BLOCK_SLOTS as u64 + 1;
+
+/// Every out-set route at W = 1 in one run, all on one hub future of
+/// family `O`: `HUB_TOUCHERS` touches that register (the hub's body waits
+/// in the deque behind them), a strand whose `touch_await` parks and an
+/// `async` block whose `.await` parks (both pushed after the body, so
+/// popped before it), and in `then` of the chain around them a touch of
+/// the completed hub, which bounces. Checks the value each route read and
+/// the ledgers, the out-set's included; returns the hub's handle for its
+/// shape.
+fn outset_routes<C, O>(cfg: C::Config) -> FutureHandle<u64, O>
+where
+    C: CounterFamily,
+    O: OutsetFamily<Outset = outset::tree::TreeOutsetObj>,
+{
+    let what = label::<C>(&format!("out-set routes on {}", O::NAME));
+    let out = Arc::new(AtomicU64::new(0));
+    let slot: Arc<Mutex<Option<FutureHandle<u64, O>>>> = Arc::new(Mutex::new(None));
+    let (o, s) = (Arc::clone(&out), Arc::clone(&slot));
+    let d = ledgers(&what, || {
+        vec![
+            run_dag::<C, _>(cfg, 1, move |ctx| {
+                let o2 = Arc::clone(&o);
+                let s2 = Arc::clone(&s);
+                ctx.chain(
+                    move |mut c| {
+                        let hub = c.future_in::<O, _, _>(|_| 5u64);
+                        for _ in 0..HUB_TOUCHERS {
+                            let (h, o) = (hub.clone(), Arc::clone(&o2));
+                            c.fork(move |c| {
+                                c.touch(&h, move |_, v| {
+                                    o.fetch_add(*v, Ordering::Relaxed);
+                                })
+                            });
+                        }
+                        let (h, o) = (hub.clone(), Arc::clone(&o2));
+                        c.fork_strand(move |c: &mut Ctx<'_, C>| {
+                            o.fetch_add(*strand_await!(c, &h) * 100, Ordering::Relaxed);
+                            StrandPoll::Done(())
+                        });
+                        let (h, o) = (hub.clone(), o2);
+                        c.fork_async(async move {
+                            o.fetch_add(h.await * 10_000, Ordering::Relaxed);
+                        });
+                        *s2.lock().unwrap() = Some(hub);
+                    },
+                    move |c| {
+                        let hub = s.lock().unwrap().clone().expect("first ran");
+                        assert!(hub.is_done(), "`then` runs after `first`'s future");
+                        c.touch(&hub, move |_, v| {
+                            o.fetch_add(*v * 1_000_000, Ordering::Relaxed);
+                        });
+                    },
+                );
+            })
+            .pool,
+        ]
+    });
+    let want = 5 * (HUB_TOUCHERS + 100 + 10_000 + 1_000_000);
+    assert_eq!(out.load(Ordering::Relaxed), want, "{what}");
+    if obs::enabled() {
+        let (adds, bounced, swept) =
+            (d.counter("outset.adds"), d.counter("outset.adds_bounced"), d.counter("outset.swept"));
+        assert_eq!(adds, bounced + swept, "{what}: every add bounced or swept");
+        assert_eq!((adds, bounced), (HUB_TOUCHERS + 3, 1), "{what}: adds and bounces");
+    }
+    let hub = slot.lock().unwrap().take().expect("the run kept the hub");
+    assert_eq!(hub.outset().block_count(), 3, "{what}: blocks of the hub's lane");
+    hub
+}
+
+#[test]
+fn one_worker_out_sets_keep_exact_ledgers() {
+    let _g = serial();
+    macro_rules! tree {
+        ($c:ty, $cfg:expr) => {{
+            let hub = outset_routes::<$c, TreeOutset>($cfg);
+            assert_eq!(hub.outset().splits(), 0, "no install is lost at W = 1");
+        }};
+    }
+    tree!(DynSnzi, DynConfig::default());
+    tree!(DynSnzi, DynConfig::never_grow());
+    tree!(FetchAdd, ());
+    tree!(FixedDepth, FixedConfig { depth: 2 });
+}
+
+/// The hub's out-set splits on its first lost install: the exclusive add
+/// retries on the grown table.
+#[cfg(feature = "fault-inject")]
+struct EagerTree;
+
+#[cfg(feature = "fault-inject")]
+impl OutsetFamily for EagerTree {
+    type Outset = outset::tree::TreeOutsetObj;
+    const NAME: &'static str = "outset-tree-eager";
+    fn make() -> Self::Outset {
+        outset::tree::TreeOutsetObj::with_policy(1, outset::GrowthPolicy::eager(4))
+    }
+    fn add(out: &Self::Outset, token: u64, key: u64) -> outset::AddEdge {
+        out.add(token, key)
+    }
+    fn finish(out: &Self::Outset, sink: &mut dyn FnMut(u64)) -> bool {
+        out.finish(sink)
+    }
+    unsafe fn add_exclusive(out: &Self::Outset, token: u64, key: u64) -> outset::AddEdge {
+        // SAFETY: the caller's promise is `add_exclusive`'s.
+        unsafe { out.add_exclusive(token, key) }
+    }
+    unsafe fn finish_exclusive(out: &Self::Outset, sink: &mut dyn FnMut(u64)) -> bool {
+        // SAFETY: the caller's promise is `finish_exclusive`'s.
+        unsafe { out.finish_exclusive(sink) }
+    }
+    fn is_finished(out: &Self::Outset) -> bool {
+        out.is_finished()
+    }
+}
+
+#[cfg(feature = "fault-inject")]
+#[test]
+fn a_lost_install_at_one_worker_splits_the_lane_table() {
+    use sched::failpoint::{self, FaultMode, FaultPlan, SiteSpec};
+    let _g = serial();
+    // The first install of the run is the hub's first block, made by the
+    // first toucher's exclusive add: lose it, and the eager coin splits.
+    let lose_first = SiteSpec { site: "outset.install_cas".into(), mode: FaultMode::Nth(1) };
+    failpoint::install(&FaultPlan::new(37, vec![lose_first]));
+    let hub = catch_unwind(|| outset_routes::<DynSnzi, EagerTree>(DynConfig::default()));
+    let injected = failpoint::injected_count();
+    failpoint::clear();
+    let hub = hub.unwrap_or_else(|e| std::panic::resume_unwind(e));
+    assert_eq!(injected, 1, "the first install was lost");
+    // Every toucher keys on worker 0, which hashes to lane 0: the inline
+    // one, where all three blocks sit.
+    let set = hub.outset();
+    assert_eq!((set.splits(), set.lane_count()), (1, 2), "one split, two lanes");
 }
 
 /// Every route above in one dag body: a spawn tree of `2^depth` leaves,
