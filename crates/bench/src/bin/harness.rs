@@ -119,7 +119,7 @@ fn parse_args() -> Opts {
 
 fn main() {
     let opts = parse_args();
-    let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
+    let cores = sched::num_cpus();
     println!("# dynsnzi evaluation harness");
     println!(
         "# cores={cores} max_workers={} n={} runs={} dummy_unit≈{:.2}ns",

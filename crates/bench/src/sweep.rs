@@ -23,7 +23,7 @@ impl MeasureOpts {
     /// to 2× the hardware threads (oversubscription emulates the paper's
     /// higher core counts qualitatively).
     pub fn auto() -> MeasureOpts {
-        let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
+        let cores = sched::num_cpus();
         MeasureOpts { runs: 3, n: 1 << 17, max_workers: (2 * cores).max(2) }
     }
 

@@ -523,7 +523,7 @@ pub struct FootprintReport {
 
 /// Measure [`FootprintReport`] on this machine.
 pub fn outset_footprint_report() -> FootprintReport {
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = sched::num_cpus();
     let fixed_lanes = cores.next_power_of_two().min(16);
     let adaptive = TreeOutsetObj::new();
     let adaptive_fresh = adaptive.footprint_bytes();
@@ -812,7 +812,7 @@ mod tests {
         // Each body times itself; the batch must cover every one of them,
         // however the threads and the spawning thread were scheduled —
         // three times more threads than this host has cores, too.
-        let threads = 3 * std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
+        let threads = 3 * sched::num_cpus();
         let own = Arc::new(Mutex::new(Vec::new()));
         let o = Arc::clone(&own);
         let batch = run_threads(threads, move |tid| {

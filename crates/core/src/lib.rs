@@ -140,12 +140,6 @@ impl Runtime<DynSnzi> {
     pub fn new() -> Runtime<DynSnzi> {
         Runtime { workers: sched::num_cpus(), cfg: DynConfig::default() }
     }
-
-    /// Override the growth probability (the paper's `p`).
-    pub fn grow_probability(mut self, p: Probability) -> Self {
-        self.cfg.p = p;
-        self
-    }
 }
 
 impl Default for Runtime<DynSnzi> {
@@ -233,7 +227,9 @@ mod tests {
 
     #[test]
     fn grow_probability_builder() {
-        let rt = Runtime::new().grow_probability(Probability::ALWAYS).workers(3);
+        let cfg = DynConfig { p: Probability::ALWAYS, ..DynConfig::default() };
+        let rt = Runtime::<DynSnzi>::with_family(cfg).workers(3);
+        assert_eq!(rt.cfg.p, Probability::ALWAYS);
         assert_eq!(rt.num_workers(), 3);
         let x = Arc::new(AtomicU64::new(0));
         let y = Arc::clone(&x);

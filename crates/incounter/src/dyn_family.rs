@@ -63,12 +63,8 @@ impl DynConfig {
 impl Default for DynConfig {
     /// Default to the paper's recommended `1/(25·cores)`.
     fn default() -> DynConfig {
-        DynConfig { p: Probability::default_for_cores(sched_cores()), pregrow_levels: 0 }
+        DynConfig { p: Probability::default_for_cores(sched::num_cpus()), pregrow_levels: 0 }
     }
-}
-
-fn sched_cores() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// The dynamic-SNZI in-counter family — the paper's contribution.
@@ -207,7 +203,7 @@ mod tests {
     #[test]
     fn default_config_uses_core_count() {
         let cfg = DynConfig::default();
-        let expected = Probability::default_for_cores(sched_cores());
+        let expected = Probability::default_for_cores(sched::num_cpus());
         assert_eq!(cfg.p, expected);
     }
 }

@@ -33,9 +33,9 @@
 use std::marker::PhantomData;
 use std::mem::ManuallyDrop;
 use std::sync::atomic::{fence, AtomicIsize, AtomicPtr, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
+use crate::lock;
 
 /// Types that can be stored in the deque: losslessly convertible to and
 /// from a machine word, carrying ownership through the conversion.
@@ -127,7 +127,7 @@ impl Drop for Inner {
             // SAFETY: exclusive access in Drop; pointer from Box::into_raw.
             drop(unsafe { Box::from_raw(buf) });
         }
-        for p in self.retired.lock().drain(..) {
+        for p in lock(&self.retired).drain(..) {
             // SAFETY: retired pointers originate from Box::into_raw and are
             // freed exactly once, here.
             drop(unsafe { Box::from_raw(p) });
@@ -295,7 +295,7 @@ impl<T: Word> WorkerDeque<T> {
         let new_ptr = Box::into_raw(new);
         self.inner.buffer.store(new_ptr, Ordering::Release);
         // Thieves may still hold `old`; retire it until the deque drops.
-        self.inner.retired.lock().push(old);
+        lock(&self.inner.retired).push(old);
         new_ptr
     }
 }
@@ -358,7 +358,7 @@ struct NoDrop<T>(ManuallyDrop<T>);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::VictimRng;
+    use crate::rng::XorShift64Star;
     use std::collections::HashSet;
     use std::sync::atomic::AtomicU64;
 
@@ -446,7 +446,7 @@ mod tests {
         // mixed on one deque, as `Drop` mixes them.
         let (general, gs) = deque_with_capacity::<usize>(2);
         let (solo, ss) = deque_with_capacity::<usize>(2);
-        let mut rng = VictimRng::new(7);
+        let mut rng = XorShift64Star::new(7);
         for i in 0..20_000usize {
             match rng.next_below(8) {
                 0..=3 => {
@@ -493,7 +493,7 @@ mod tests {
                 let s = s.clone();
                 let done = &done;
                 scope.spawn(move || {
-                    let mut rng = VictimRng::new(tid as u64 + 1);
+                    let mut rng = XorShift64Star::new(tid as u64 + 1);
                     let mut local = Vec::new();
                     loop {
                         match s.steal() {
@@ -509,12 +509,12 @@ mod tests {
                             }
                         }
                     }
-                    *bucket.lock() = local;
+                    *lock(bucket) = local;
                 });
             }
             // Owner: push all, popping intermittently.
             let mut owner_got = Vec::new();
-            let mut rng = VictimRng::new(42);
+            let mut rng = XorShift64Star::new(42);
             for i in 1..=N {
                 w.push(i);
                 if rng.next_below(3) == 0 {
@@ -527,11 +527,11 @@ mod tests {
                 owner_got.push(v);
             }
             done.store(1, Ordering::Release);
-            owner_bucket.lock().extend(owner_got);
+            lock(&owner_bucket).extend(owner_got);
         });
-        let mut all: Vec<usize> = owner_bucket.into_inner();
+        let mut all: Vec<usize> = owner_bucket.into_inner().unwrap();
         for bucket in &consumed {
-            all.extend(bucket.lock().iter().copied());
+            all.extend(lock(bucket).iter().copied());
         }
         assert_eq!(all.len(), N, "every task consumed exactly once (count)");
         let set: HashSet<usize> = all.iter().copied().collect();

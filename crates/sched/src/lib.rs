@@ -11,10 +11,9 @@
 //!   owning types (e.g. `Box<T>`, raw vertex pointers) to and from words
 //!   without extra allocation.
 //! * [`pool`] — a worker pool: one deque per worker, randomized stealing,
-//!   an event-count for idle parking, and two termination modes
-//!   (an explicit done-flag set by the computation's final task — the
-//!   contention-free mode used for dag execution — or global quiescence
-//!   for task-soup workloads). No thread is born per run: the caller of
+//!   an event-count for idle parking, and one way to end a run (a
+//!   done-flag set by the computation's final task, so no shared counter
+//!   is touched per task). No thread is born per run: the caller of
 //!   [`run`] is worker 0 and the other workers are leased from a
 //!   process-wide set of resident helper threads.
 //! * [`slab`] — bounded per-worker caches of uniform raw blocks in front
@@ -32,6 +31,14 @@
 //!   strand frames. Always on: an object's class is its layout's.
 //! * [`poolarc`] — [`PoolArc`], an `Arc` twin whose header allocation is
 //!   recycled through the size classes.
+//! * [`rng`] — [`XorShift64Star`], the one pseudo-random generator of the
+//!   runtime: steal victims here, growth coins in `snzi` and `outset`.
+//!
+//! The crates above take their substrate primitives from here, one copy
+//! each: the generator, and the core count ([`num_cpus`], probed once per
+//! process). Locks are `std::sync`'s, taken through a crate-private helper
+//! that ignores poisoning: the pool records and re-raises a panic itself,
+//! and a lock whose holder unwound stays usable.
 //!
 //! The scheduler is deliberately *generic*: it knows nothing about sp-dags
 //! or counters. The `spdag` crate supplies vertices as word-sized tasks.
@@ -53,9 +60,53 @@ pub use pool::{
     run, run_watched, PoolState, PoolStats, Termination, WatchdogCfg, WorkerCtx, STEAL_PAYS,
 };
 pub use poolarc::PoolArc;
+pub use rng::XorShift64Star;
 pub use slab::SlabPool;
 
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+
 /// Number of hardware threads available, with a fallback of 1.
+///
+/// The probe runs once per process and is cached: one
+/// `available_parallelism` call reads the cgroup and affinity state and
+/// costs tens of microseconds (about 25 µs on a 2-core Xeon container host),
+/// more than an empty one-worker run. Inlined, so that a caller on a hot
+/// path (an out-set's growth policy, once per future) pays the cache's
+/// load and test and no call.
+#[inline]
 pub fn num_cpus() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+}
+
+/// Lock `mutex`, ignoring poison: a holder that panicked leaves the lock
+/// usable, and what it guards as the holder left it. Sound because every
+/// critical section of this crate leaves its data valid at every step (a
+/// push, pop or drain of a list, a slot set or taken, a counter bumped);
+/// one that could stop halfway through an invariant must not use this.
+pub(crate) fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lock_survives_a_panicked_holder() {
+        let m = Mutex::new(1);
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut g = lock(&m);
+                *g += 1;
+                panic!("poison attempt");
+            })
+            .join()
+            .is_err()
+        });
+        assert!(panicked);
+        assert!(m.is_poisoned(), "std poisons the lock");
+        *lock(&m) += 1;
+        assert_eq!(*lock(&m), 3, "the lock stays usable and keeps the holder's write");
+    }
 }

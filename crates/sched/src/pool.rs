@@ -17,7 +17,7 @@
 //! fetch-and-add per task that the in-counters replace. A run with no
 //! roots returns at once.
 //!
-//! Idle workers park on an event-count built from a `parking_lot` mutex +
+//! Idle workers park on an event-count built from a `std::sync` mutex +
 //! condvar. The waiter/notifier handshake uses sequentially consistent
 //! fences in the store-buffer pattern (waiter: announce, fence, re-check;
 //! notifier: publish, fence, check announcements), plus a bounded wait as
@@ -110,15 +110,15 @@
 //! still touching anything the run owned.
 
 use std::any::Any;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
-
 use crate::deque::{deque_with_capacity, StealResult, Stealer, Word, WorkerDeque};
-use crate::rng::VictimRng;
+use crate::lock;
+use crate::rng::XorShift64Star;
 
 /// How [`run`] decides that the computation has finished. There is one
 /// way (module docs); the argument stays because callers name it.
@@ -211,11 +211,15 @@ impl EventCount {
             self.waiters.fetch_sub(1, Ordering::SeqCst);
             return;
         }
-        let mut guard = self.mutex.lock();
+        let mut guard = lock(&self.mutex);
         if !has_work() {
             // Bounded wait: even a (theoretically impossible) lost wakeup
             // only costs this timeout, never a deadlock.
-            self.condvar.wait_for(&mut guard, Duration::from_micros(500));
+            guard = self
+                .condvar
+                .wait_timeout(guard, Duration::from_micros(500))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
         drop(guard);
         self.waiters.fetch_sub(1, Ordering::SeqCst);
@@ -245,19 +249,16 @@ impl EventCount {
         }
         fence(Ordering::SeqCst);
         if self.waiters.load(Ordering::SeqCst) > 0 {
-            let guard = self.mutex.lock();
-            drop(guard);
+            drop(lock(&self.mutex));
             self.condvar.notify_one();
             self.wakes.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Unconditional broadcast — termination only. (The vendored condvar
-    /// returns no wake count, so account one signal per announced
-    /// waiter.)
+    /// Unconditional broadcast — termination only. (`notify_all` returns
+    /// no wake count, so account one signal per announced waiter.)
     fn notify_all_force(&self) {
-        let guard = self.mutex.lock();
-        drop(guard);
+        drop(lock(&self.mutex));
         self.condvar.notify_all();
         self.wakes.fetch_add(self.waiters.load(Ordering::SeqCst) as u64, Ordering::Relaxed);
     }
@@ -291,13 +292,13 @@ impl<T: Word> Shared<T> {
         self.done.store(true, Ordering::Release);
         self.sleep.notify_all_force();
         // A rester checks `done` under this lock (as the watchdog below).
-        drop(self.rest_wake.0.lock());
+        drop(lock(&self.rest_wake.0));
         self.rest_wake.1.notify_all();
         if self.watched {
             // Taking the lock orders this after the watchdog's check of
             // `done` under the same lock: it either sees the flag or is
             // already waiting when the notify lands.
-            drop(self.watchdog_wake.0.lock());
+            drop(lock(&self.watchdog_wake.0));
             self.watchdog_wake.1.notify_all();
         }
     }
@@ -305,14 +306,15 @@ impl<T: Word> Shared<T> {
     /// Rest until `deadline` (looping on it: a spurious return cannot
     /// shorten a rest) or termination, whichever is first.
     fn rest_until(&self, deadline: Instant) {
-        let mut rests = self.rest_wake.0.lock();
+        let (mutex, wake) = &self.rest_wake;
+        let mut rests = lock(mutex);
         *rests += 1;
         while !self.done.load(Ordering::Acquire) {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 break;
             }
-            self.rest_wake.1.wait_for(&mut rests, left);
+            rests = wake.wait_timeout(rests, left).unwrap_or_else(PoisonError::into_inner).0;
         }
     }
 
@@ -338,7 +340,7 @@ impl<T: Word> Shared<T> {
     /// [`run`] caller, every one is counted.
     fn record_panic(&self, payload: Box<dyn Any + Send>) {
         self.panics.fetch_add(1, Ordering::SeqCst);
-        let mut slot = self.panic.lock();
+        let mut slot = lock(&self.panic);
         if slot.is_none() {
             *slot = Some(payload);
         }
@@ -363,11 +365,12 @@ pub struct WorkerCtx<'a, T: Word> {
     /// from it, and it is exposed ([`rng_u64`](WorkerCtx::rng_u64) /
     /// [`rng_below`](WorkerCtx::rng_below)) so workload and bench code
     /// can get per-worker randomness from the context that already owns
-    /// worker identity. (Layers below the scheduler — e.g. the out-set's
-    /// growth coin — cannot see a `WorkerCtx` and keep their own
-    /// per-thread streams, which coincide with per-worker streams since
-    /// workers are threads.)
-    rng: RefCell<VictimRng>,
+    /// worker identity. (Code that cannot see a `WorkerCtx` — the SNZI and
+    /// out-set growth coins — draws from `snzi::ThreadCoin`, a per-thread
+    /// stream of the same generator, which is a per-worker stream too
+    /// since workers are threads.) A `Cell`, not a `RefCell`: a draw
+    /// copies the state out and back and tests no borrow flag.
+    rng: Cell<XorShift64Star>,
     /// The interpreter's word: the head of its list of latent tasks on this
     /// worker, this run ([`latent`](WorkerCtx::latent)).
     latent: Cell<*mut ()>,
@@ -384,13 +387,23 @@ impl<'a, T: Word> WorkerCtx<'a, T> {
     /// coin flips and spreading keys without touching thread-local
     /// storage or sharing generator state across workers.
     pub fn rng_u64(&self) -> u64 {
-        self.rng.borrow_mut().next_u64()
+        self.draw(XorShift64Star::next_u64)
     }
 
     /// Uniform value in `[0, n)` from this worker's stream; `n` must be
     /// non-zero.
     pub fn rng_below(&self, n: usize) -> usize {
-        self.rng.borrow_mut().next_below(n)
+        self.draw(|rng| rng.next_below(n))
+    }
+
+    /// Step this worker's generator through `f`: a copy out and back, so a
+    /// draw takes no borrow flag.
+    #[inline(always)]
+    fn draw<R>(&self, f: impl FnOnce(&mut XorShift64Star) -> R) -> R {
+        let mut rng = self.rng.get();
+        let r = f(&mut rng);
+        self.rng.set(rng);
+        r
     }
 
     /// Total number of workers in the pool.
@@ -707,7 +720,7 @@ fn stall_report<T: Word>(shared: &Shared<T>, cfg: &WatchdogCfg) -> String {
         shared.sleep.waiters.load(Ordering::SeqCst),
         n
     );
-    let _ = writeln!(s, "  rests taken         : {}", *shared.rest_wake.0.lock());
+    let _ = writeln!(s, "  rests taken         : {}", *lock(&shared.rest_wake.0));
     let occupied: Vec<usize> = (0..n).filter(|&i| !shared.stealers[i].is_empty()).collect();
     let _ = writeln!(s, "  non-empty deques    : {occupied:?}");
     let _ = writeln!(s, "  panics recorded     : {}", shared.panics.load(Ordering::SeqCst));
@@ -743,13 +756,15 @@ fn watchdog_loop<T: Word>(shared: &Shared<T>, cfg: &WatchdogCfg) {
     let poll = (cfg.stall_timeout / 8).max(Duration::from_millis(1));
     let mut last = shared.progress.load(Ordering::SeqCst);
     let mut still = Duration::ZERO;
-    let (lock, wake) = &shared.watchdog_wake;
-    let mut guard = lock.lock();
+    let (mutex, wake) = &shared.watchdog_wake;
+    let mut guard = lock(mutex);
     loop {
         if shared.done.load(Ordering::Acquire) {
             return;
         }
-        if !wake.wait_for(&mut guard, poll).timed_out() {
+        let (woken, wait) = wake.wait_timeout(guard, poll).unwrap_or_else(PoisonError::into_inner);
+        guard = woken;
+        if !wait.timed_out() {
             continue; // woken (termination, or spuriously): re-check `done`
         }
         let now = shared.progress.load(Ordering::SeqCst);
@@ -808,7 +823,7 @@ where
         parks: Cell::new(0),
         suspends: Cell::new(0),
         resumes: Cell::new(0),
-        rng: RefCell::new(VictimRng::new(0x853C_49E6_748F_EA9B ^ (id as u64 + 1))),
+        rng: Cell::new(XorShift64Star::new(0x853C_49E6_748F_EA9B ^ (id as u64 + 1))),
         latent: Cell::new(std::ptr::null_mut()),
     };
     // The loop itself unwinds only if a panic escaped the execute
@@ -849,7 +864,7 @@ impl Helper {
     /// Take a parked helper out of the idle set — exclusively, until it
     /// is pushed back — or start one if every helper is out.
     fn lease() -> &'static Helper {
-        if let Some(helper) = IDLE.lock().pop() {
+        if let Some(helper) = lock(&IDLE).pop() {
             return helper;
         }
         let helper: &'static Helper =
@@ -863,10 +878,10 @@ impl Helper {
 
     /// The helper thread's whole life: take a job, run it, clear the slot.
     fn serve(&self) {
-        let mut slot = self.slot.lock();
+        let mut slot = lock(&self.slot);
         loop {
             let Some(job) = *slot else {
-                self.wake.wait(&mut slot);
+                slot = self.wake.wait(slot).unwrap_or_else(PoisonError::into_inner);
                 continue;
             };
             drop(slot);
@@ -881,7 +896,7 @@ impl Helper {
             if let Err(payload) = ended {
                 std::mem::forget(payload);
             }
-            slot = self.slot.lock();
+            slot = lock(&self.slot);
             *slot = None;
             self.wake.notify_one();
         }
@@ -899,7 +914,7 @@ impl Helper {
             std::mem::transmute::<*mut (dyn FnMut() + Send + '_), *mut (dyn FnMut() + Send)>(job)
         };
         let job = Job(job);
-        let mut slot = self.slot.lock();
+        let mut slot = lock(&self.slot);
         debug_assert!(slot.is_none(), "a leased helper is idle");
         *slot = Some(job);
         self.wake.notify_one();
@@ -907,9 +922,9 @@ impl Helper {
 
     /// Block until the job last sent has returned (at once if none was).
     fn wait(&self) {
-        let mut slot = self.slot.lock();
+        let mut slot = lock(&self.slot);
         while slot.is_some() {
-            self.wake.wait(&mut slot);
+            slot = self.wake.wait(slot).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -948,7 +963,7 @@ impl<T: Word> Drop for Leases<'_, T> {
         for helper in &self.helpers {
             helper.wait();
         }
-        IDLE.lock().append(&mut self.helpers);
+        lock(&IDLE).append(&mut self.helpers);
     }
 }
 
@@ -1060,7 +1075,7 @@ where
         out.resumes += res;
         out.tasks_per_worker.push(t);
     }
-    out.rests = *shared.rest_wake.0.lock();
+    out.rests = *lock(&shared.rest_wake.0);
     out.wakeups = shared.sleep.wakes.load(Ordering::Relaxed);
     out.spurious_wakes = shared.sleep.spurious.load(Ordering::Relaxed);
     out.panics = shared.panics.load(Ordering::SeqCst);
@@ -1074,7 +1089,7 @@ where
     obs::counter!("sched.steals").add(out.steals);
     obs::counter!("sched.resumes").add(out.resumes);
     obs::counter!("sched.panics").add(out.panics);
-    let first = shared.panic.lock().take();
+    let first = lock(&shared.panic).take();
     if let Some(payload) = first {
         resume_unwind(payload);
     }
@@ -1170,9 +1185,9 @@ mod tests {
     fn single_worker_runs_sequentially() {
         let order = Mutex::new(Vec::new());
         run_counted(1, vec![10usize, 20, 30], 3, |_, t| {
-            order.lock().push(t);
+            lock(&order).push(t);
         });
-        assert_eq!(order.into_inner().len(), 3);
+        assert_eq!(order.into_inner().unwrap().len(), 3);
     }
 
     #[test]
@@ -1203,9 +1218,9 @@ mod tests {
         let draws = Mutex::new(std::collections::HashMap::<usize, u64>::new());
         run_counted(4, (0..100usize).collect(), 100, |ctx, _| {
             assert!(ctx.rng_below(7) < 7);
-            draws.lock().entry(ctx.worker_id()).or_insert_with(|| ctx.rng_u64());
+            lock(&draws).entry(ctx.worker_id()).or_insert_with(|| ctx.rng_u64());
         });
-        let draws = draws.into_inner();
+        let draws = draws.into_inner().unwrap();
         let mut firsts: Vec<u64> = draws.values().copied().collect();
         firsts.sort_unstable();
         firsts.dedup();
@@ -1227,9 +1242,9 @@ mod tests {
         run_counted(4, (0..1000usize).collect(), 1000, |ctx, _| {
             assert!(ctx.worker_id() < ctx.num_workers());
             assert_eq!(ctx.num_workers(), 4);
-            seen.lock().insert(ctx.worker_id());
+            lock(&seen).insert(ctx.worker_id());
         });
-        assert!(!seen.into_inner().is_empty());
+        assert!(!seen.into_inner().unwrap().is_empty());
     }
 
     #[test]
@@ -1286,15 +1301,15 @@ mod tests {
         let caller = std::thread::current().id();
         let body = |ctx: &WorkerCtx<'_, usize>, task: usize| {
             assert_eq!(std::thread::current().id(), caller);
-            assert_eq!(model.lock().pop(), Some(task), "not the newest task");
+            assert_eq!(lock(&model).pop(), Some(task), "not the newest task");
             let (singly, batch) = program(task);
             let first = if task == 0 { vec![LAST] } else { Vec::new() };
             pushed.fetch_add((first.len() + singly.len() + batch.len()) as u64, Ordering::Relaxed);
-            model.lock().extend(first.iter().chain(&singly).chain(&batch));
+            lock(&model).extend(first.iter().chain(&singly).chain(&batch));
             first.into_iter().chain(singly).for_each(|t| ctx.push(t));
             ctx.push_batch(batch);
             if task == LAST {
-                assert!(model.lock().is_empty(), "the oldest task runs last");
+                assert!(lock(&model).is_empty(), "the oldest task runs last");
                 ctx.finish();
             }
         };

@@ -62,8 +62,9 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
+use crate::lock;
 
 /// Cache slots per thread, i.e. how many pools a process may use (the
 /// runtime has seven, tests add a handful more); one past it panics.
@@ -193,7 +194,7 @@ impl ThreadCaches {
         // The class pools first, in their fixed slots; then every pool
         // that registered, in the order its slot was handed out. A
         // non-empty cache past the class slots implies its pool registered.
-        let registry = REGISTRY.lock();
+        let registry = lock(&REGISTRY);
         let pools = crate::recycle::class_pools().iter().chain(registry.iter().copied());
         for (pool, cache) in pools.zip(&self.0) {
             pool.flush(cache);
@@ -400,7 +401,7 @@ impl SlabPool {
         if magazine.len == 0 {
             return;
         }
-        let mut depot = self.depot.lock();
+        let mut depot = lock(&self.depot);
         depot.push(magazine);
         // A plain add: every writer of `depot_slabs` holds the lock.
         let slabs = self.depot_slabs.load(Ordering::Relaxed) + magazine.len;
@@ -412,7 +413,7 @@ impl SlabPool {
         if self.depot_slabs.load(Ordering::Relaxed) == 0 {
             return None; // nothing to take; skip the lock
         }
-        let mut depot = self.depot.lock();
+        let mut depot = lock(&self.depot);
         let magazine = depot.pop()?;
         let slabs = self.depot_slabs.load(Ordering::Relaxed) - magazine.len;
         self.depot_slabs.store(slabs, Ordering::Relaxed);
@@ -426,7 +427,7 @@ impl SlabPool {
     /// slabs drained.
     pub fn trim(&self, mut free: impl FnMut(*mut u8)) -> usize {
         let drained = {
-            let mut depot = self.depot.lock();
+            let mut depot = lock(&self.depot);
             self.depot_slabs.store(0, Ordering::Relaxed);
             std::mem::take(&mut *depot)
         };
@@ -473,7 +474,7 @@ impl SlabPool {
     /// the class slots.
     #[cold]
     fn assign_slot(&'static self) -> usize {
-        let mut registry = REGISTRY.lock();
+        let mut registry = lock(&REGISTRY);
         // Re-check under the lock: another thread may have registered us.
         let mut slot = self.slot.load(Ordering::Relaxed);
         if slot == SLOT_UNASSIGNED {
@@ -559,7 +560,7 @@ mod tests {
         }
         assert_eq!(spilled, m, "cap + M releases displace exactly one magazine");
         assert_eq!(POOL.overflowed(), m as u64);
-        assert_eq!(POOL.depot.lock().len(), 1, "handed over as one unit");
+        assert_eq!(lock(&POOL.depot).len(), 1, "handed over as one unit");
         assert_eq!(POOL.cached_slabs(), slabs.len(), "spilling keeps slabs in the recycler");
         // All come back: cur, then prev swapped in, then the depot's magazine.
         let mut want: Vec<usize> = slabs.iter().map(|&p| p as usize).collect();
@@ -668,7 +669,7 @@ mod tests {
         .unwrap();
         assert_eq!(POOL.cached_slabs(), N, "all of B's slabs are in the depot");
         let m = POOL.cache_cap / 2;
-        assert!(POOL.depot.lock().iter().any(|mag| mag.len < m), "some magazine is partial");
+        assert!(lock(&POOL.depot).iter().any(|mag| mag.len < m), "some magazine is partial");
         // ... and acquired on C and D, half each: every slab exactly
         // once, none invented, whatever the magazines' sizes.
         let take_half =
@@ -736,7 +737,7 @@ mod tests {
         }
         let cached = POOL.cached_slabs();
         assert_eq!(cached, 3 * cap + 1);
-        let lens: Vec<usize> = POOL.depot.lock().iter().map(|mag| mag.len).collect();
+        let lens: Vec<usize> = lock(&POOL.depot).iter().map(|mag| mag.len).collect();
         assert!(lens.contains(&(cap / 2)) && lens.contains(&1), "full and partial: {lens:?}");
         let mut freed = 0;
         assert_eq!(

@@ -10,10 +10,14 @@
 //!
 //! Coin state is a thread-local [`XorShift64Star`] generator by default
 //! ([`ThreadCoin`]); tests and the benchmark harness may supply an explicit
-//! seeded generator through the [`Coin`] trait for reproducibility.
+//! seeded generator through the [`Coin`] trait for reproducibility. The
+//! generator is the scheduler's (`sched::rng`), re-exported here: one
+//! copy steers both the steals and the coins.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+pub use sched::XorShift64Star;
 
 /// A probability in `[0, 1]`, stored as a 64-bit acceptance threshold.
 ///
@@ -83,40 +87,6 @@ pub trait Coin {
     fn flip(&mut self, p: Probability) -> bool;
 }
 
-/// `xorshift64*` pseudo-random generator (Vigna 2016): tiny, fast, and good
-/// enough for coin flipping and steal-victim selection; not cryptographic.
-#[derive(Clone, Debug)]
-pub struct XorShift64Star {
-    state: u64,
-}
-
-impl XorShift64Star {
-    /// Create a generator from a seed; a zero seed is remapped since the
-    /// all-zero state is a fixed point of the xorshift recurrence.
-    pub fn new(seed: u64) -> Self {
-        XorShift64Star { state: if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed } }
-    }
-
-    /// Next uniform 64-bit value.
-    #[inline(always)]
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Next value in `[0, n)` (for victim selection). `n` must be non-zero.
-    #[inline(always)]
-    pub fn next_below(&mut self, n: usize) -> usize {
-        debug_assert!(n > 0);
-        // Multiply-shift range reduction (Lemire); slight bias is fine here.
-        (((self.next_u64() as u128) * (n as u128)) >> 64) as usize
-    }
-}
-
 impl Coin for XorShift64Star {
     #[inline(always)]
     fn flip(&mut self, p: Probability) -> bool {
@@ -127,12 +97,12 @@ impl Coin for XorShift64Star {
 static SEED_COUNTER: AtomicU64 = AtomicU64::new(0x5851_F42D_4C95_7F2D);
 
 thread_local! {
-    static THREAD_RNG: Cell<u64> = Cell::new(
+    static THREAD_RNG: Cell<XorShift64Star> = Cell::new(XorShift64Star::new(
         SEED_COUNTER
             .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed)
             .wrapping_mul(0xBF58_476D_1CE4_E5B9)
             | 1,
-    );
+    ));
 }
 
 /// The default coin: a per-thread `xorshift64*` stream, seeded from a
@@ -145,9 +115,9 @@ impl ThreadCoin {
     #[inline]
     pub fn next_u64() -> u64 {
         THREAD_RNG.with(|c| {
-            let mut rng = XorShift64Star { state: c.get() };
+            let mut rng = c.get();
             let v = rng.next_u64();
-            c.set(rng.state);
+            c.set(rng);
             v
         })
     }
@@ -209,16 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn next_below_in_range() {
-        let mut rng = XorShift64Star::new(7);
-        for n in 1..50usize {
-            for _ in 0..100 {
-                assert!(rng.next_below(n) < n);
-            }
-        }
-    }
-
-    #[test]
     fn thread_coin_degenerate_paths() {
         let mut c = ThreadCoin;
         assert!(c.flip(Probability::ALWAYS));
@@ -238,8 +198,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_seed_is_remapped() {
-        let mut rng = XorShift64Star::new(0);
-        assert_ne!(rng.next_u64(), 0);
+    fn thread_coin_draws_match_the_generator() {
+        let mut model = THREAD_RNG.with(Cell::get);
+        for _ in 0..100 {
+            assert_eq!(ThreadCoin::next_u64(), model.next_u64());
+        }
     }
 }

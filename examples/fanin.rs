@@ -24,10 +24,8 @@ fn time_fanin<C: CounterFamily>(cfg: C::Config, workers: usize, n: u64) -> Durat
 fn main() {
     let mut args = std::env::args().skip(1);
     let n: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(1 << 16);
-    let workers: usize = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1));
+    let workers: usize =
+        args.next().and_then(|s| s.parse().ok()).unwrap_or_else(dynsnzi::sched::num_cpus);
 
     println!("fanin n={n}, workers={workers}; ~{} counter ops per run\n", 2 * n);
 

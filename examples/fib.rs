@@ -49,10 +49,8 @@ fn fib<C: CounterFamily>(ctx: Ctx<'_, C>, n: u64, dest: Arc<AtomicU64>) {
 fn main() {
     let mut args = std::env::args().skip(1);
     let n: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(30);
-    let workers: usize = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1));
+    let workers: usize =
+        args.next().and_then(|s| s.parse().ok()).unwrap_or_else(dynsnzi::sched::num_cpus);
 
     let result = Arc::new(AtomicU64::new(0));
     let r = Arc::clone(&result);

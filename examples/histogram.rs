@@ -24,10 +24,8 @@ fn sample(i: u64) -> usize {
 fn main() {
     let mut args = std::env::args().skip(1);
     let len: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(8_000_000);
-    let workers: usize = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1));
+    let workers: usize =
+        args.next().and_then(|s| s.parse().ok()).unwrap_or_else(dynsnzi::sched::num_cpus);
 
     let bins = Arc::new((0..BINS).map(|_| AtomicU64::new(0)).collect::<Vec<_>>());
     let rt = Runtime::new().workers(workers);

@@ -30,10 +30,8 @@ fn time_it<C: CounterFamily>(cfg: C::Config, workers: usize, n: u64) -> Duration
 fn main() {
     let mut args = std::env::args().skip(1);
     let n: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(1 << 15);
-    let workers: usize = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1));
+    let workers: usize =
+        args.next().and_then(|s| s.parse().ok()).unwrap_or_else(dynsnzi::sched::num_cpus);
 
     println!("indegree2 n={n}, workers={workers}; ~{} finish blocks per run\n", n - 1);
 

@@ -64,10 +64,8 @@ fn map_reduce<C: CounterFamily>(
 fn main() {
     let mut args = std::env::args().skip(1);
     let len: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4_000_000);
-    let workers: usize = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1));
+    let workers: usize =
+        args.next().and_then(|s| s.parse().ok()).unwrap_or_else(dynsnzi::sched::num_cpus);
 
     let data = Arc::new((0..len as u64).collect::<Vec<u64>>());
 

@@ -81,10 +81,8 @@ fn solve<C: CounterFamily>(ctx: Ctx<'_, C>, board: Board, solutions: Arc<AtomicU
 fn main() {
     let mut args = std::env::args().skip(1);
     let n: u32 = args.next().and_then(|s| s.parse().ok()).unwrap_or(12);
-    let workers: usize = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1));
+    let workers: usize =
+        args.next().and_then(|s| s.parse().ok()).unwrap_or_else(dynsnzi::sched::num_cpus);
     assert!(n <= 16, "bitboards above hold n <= 16");
 
     let t0 = Instant::now();

@@ -87,7 +87,7 @@ fn nested_finish_pyramid() {
 fn chain_ladder_sequentializes_under_many_workers() {
     // A pure chain ladder has zero parallelism; stamps must be strictly
     // increasing no matter how many workers race.
-    fn ladder<C: CounterFamily>(ctx: Ctx<'_, C>, depth: u64, log: Arc<parking_lot_stub::Log>) {
+    fn ladder<C: CounterFamily>(ctx: Ctx<'_, C>, depth: u64, log: Arc<ordered_log::Log>) {
         if depth == 0 {
             return;
         }
@@ -99,7 +99,7 @@ fn chain_ladder_sequentializes_under_many_workers() {
             move |c| ladder(c, depth - 1, l2),
         );
     }
-    let log = Arc::new(parking_lot_stub::Log::default());
+    let log = Arc::new(ordered_log::Log::default());
     let l = Arc::clone(&log);
     run_dag::<DynSnzi, _>(DynConfig::always_grow(), 8, move |ctx| ladder(ctx, 64, l));
     let seen = log.snapshot();
@@ -110,7 +110,7 @@ fn chain_ladder_sequentializes_under_many_workers() {
 }
 
 /// Tiny ordered log (std mutex; no extra deps for the umbrella tests).
-mod parking_lot_stub {
+mod ordered_log {
     use std::sync::Mutex;
 
     #[derive(Default)]
