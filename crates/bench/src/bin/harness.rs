@@ -51,8 +51,6 @@ use dynsnzi_bench::workloads::{
 };
 use dynsnzi_bench::Algo;
 use incounter::{DynConfig, DynSnzi};
-use outset::GrowthPolicy;
-use snzi::Probability;
 
 struct Opts {
     figures: Vec<String>,
@@ -320,16 +318,17 @@ fn check_strand_bounds(opts: &Opts) -> bool {
         );
     }
     let (cached, bytes) = (sched::recycle::cached_slabs(), sched::recycle::cached_bytes());
-    let (slabs, room) = footprint_ceiling(depth, w);
+    let (slabs, room) = footprint_ceiling(depth, w, cached);
     let parked_live = parked_live as usize;
     check(
         "strand-footprint-ceiling",
-        cached <= slabs + parked_live && bytes <= room + 256 * parked_live,
+        cached <= slabs + parked_live && bytes <= room,
         format!(
-            "class pools {cached} slabs, {bytes} B <= ({LINK_SLABS} slabs, {LINK_BYTES} B) x \
-             {depth} links + {} slabs of up to 256 B beside them + {parked_live} \
-             suspended-but-live frames",
-            footprint_ceiling(0, w).0
+            "class pools {cached} slabs <= {LINK_SLABS} x {depth} links + {} beside them + \
+             {parked_live} suspended-but-live frames, {bytes} B <= {LINK_BYTES} B x {depth} \
+             links + 256 B x the {} slabs beyond theirs",
+            footprint_ceiling(0, w, 0).0,
+            cached.saturating_sub(LINK_SLABS * depth as usize),
         ),
     );
     println!("# strand checks: {}", if all_ok { "PASS" } else { "FAIL" });
@@ -343,22 +342,27 @@ fn check_strand_bounds(opts: &Opts) -> bool {
 /// in-counter and no second pair: a scope that never forks makes neither.
 const LINK_SLABS: usize = 4;
 
-/// The same in bytes: the core and the two vertices ride the 128 B class,
-/// the pair the 64 B one. (A vertex that grows past 128 B rides the 256 B
-/// class and makes this 704.)
-const LINK_BYTES: usize = 128 + 64 + 2 * 128;
+/// The same in bytes: the core and the pair ride the 64 B class, the two
+/// vertices the 128 B one. (A core that grows past 64 B rides the 128 B
+/// class and makes this 448; a vertex past 128 B, the 256 B class and
+/// 640.)
+const LINK_BYTES: usize = 64 + 64 + 2 * 128;
 
 /// The most the class pools may hold after runs whose live peak is `links`
-/// futures, starting from empty depots. Beside the links: what the other
-/// workers' caches hold while one builds (up to two magazines of 32 per
-/// class; the checks read 20–70 slabs in all at W=4) and the handful of
-/// slabs a run has of its own — root, final vertex, the root scope's
-/// counter and the child pairs it draws. Both callers have at least 1 024
-/// links, so one slab more per link — or one class more per vertex — is
-/// well over this slack. Returns the bound in slabs and in bytes.
-fn footprint_ceiling(links: u64, workers: usize) -> (usize, usize) {
+/// futures, starting from empty depots, when they hold `cached` slabs.
+/// Beside the links: what the other workers' caches hold while one builds
+/// (up to two magazines of 32 per class; the checks read 20–70 slabs in
+/// all at W=4) and the handful of slabs a run has of its own — root,
+/// final vertex, the root scope's counter and the child pairs it draws.
+/// In bytes, each link is charged `LINK_BYTES` and each slab the pools
+/// hold beyond the links' own at most 256 B. Both callers have at least
+/// 1 024 links, so one slab more per link, one class more per vertex or
+/// one class more per core is well over this slack. Returns the bound in
+/// slabs and in bytes.
+fn footprint_ceiling(links: u64, workers: usize, cached: usize) -> (usize, usize) {
     let (links, beside) = (links as usize, 128 * workers + 64);
-    (LINK_SLABS * links + beside, LINK_BYTES * links + 256 * beside)
+    let extra = cached.saturating_sub(LINK_SLABS * links);
+    (LINK_SLABS * links + beside, LINK_BYTES * links + 256 * extra)
 }
 
 /// Steals must pay (`sched::pool`): one worker lets `STEAL_PAYS` pass
@@ -584,15 +588,16 @@ fn check_recycle_bounds(opts: &Opts) -> bool {
     let (sched_cached, sched_bytes) =
         (sched::recycle::cached_slabs(), sched::recycle::cached_bytes());
     let cells = stages * 2 * width;
-    let (slabs, room) = footprint_ceiling(cells, w);
+    let (slabs, room) = footprint_ceiling(cells, w, sched_cached);
     check(
         "sched-footprint-ceiling",
         sched_cached <= slabs && sched_bytes <= room,
         format!(
-            "class pools {sched_cached} slabs, {sched_bytes} B <= ({LINK_SLABS} slabs, \
-             {LINK_BYTES} B) x {cells} cells of the cold run + {} slabs of up to 256 B beside \
-             them (peak-live, not churn)",
-            footprint_ceiling(0, w).0
+            "class pools {sched_cached} slabs <= {LINK_SLABS} x {cells} cells of the cold run + \
+             {} beside them, {sched_bytes} B <= {LINK_BYTES} B x {cells} cells + 256 B x the {} \
+             slabs beyond theirs (peak-live, not churn)",
+            footprint_ceiling(0, w, 0).0,
+            sched_cached.saturating_sub(LINK_SLABS * cells as usize),
         ),
     );
     // Alternating samples, so a spell of the host prices both alike.
@@ -669,7 +674,7 @@ fn check_contention_bounds(d: &obs::Snapshot, workers: usize) -> bool {
     let created = d.counter("outset.created");
     let splits = d.counter("outset.splits");
     let lost = d.counter("outset.lost_cas");
-    let cap = GrowthPolicy::default_max_lanes() as u64;
+    let cap = outset::tree::TreeOutsetObj::max_lanes() as u64;
     // Lane counts double from 1 toward the cap: log2(cap) splits per set.
     let log_cap = u64::from(cap.trailing_zeros()).max(1);
 
@@ -710,7 +715,7 @@ fn check_contention_bounds(d: &obs::Snapshot, workers: usize) -> bool {
     );
     if lost > 0 {
         println!(
-            "  [info] splits/lost = {:.3} (policy flips a p = 1/2 coin per lost CAS)",
+            "  [info] splits/lost = {:.3} (each lost CAS flips a p = 1/2 coin)",
             splits as f64 / lost as f64
         );
     }
@@ -1046,9 +1051,8 @@ fn growth_columns(r: &mut Record, stats: &GrowthStats) -> [String; 3] {
 /// Growth-curve study of the adaptive lane table (the validation half of
 /// `docs/outset-contention.md`): (a) growth curve vs thread count —
 /// adds-until-first-split, converged lane count, split/race bookkeeping;
-/// (b) lanes-vs-contention across the split probability `p`; (c) the
-/// dag-level fanout broadcast with the hub's out-set probed; (d) the
-/// single-dependent footprint against the superseded fixed default.
+/// (b) the dag-level fanout broadcast with the hub's out-set probed; (c)
+/// the single-dependent footprint.
 fn growth_study(opts: &Opts) {
     let adds = opts.grow_adds.unwrap_or((opts.measure.n / 8).max(1 << 12));
     let runs = opts.measure.runs;
@@ -1061,8 +1065,7 @@ fn growth_study(opts: &Opts) {
         &["Madds/s/core", "final lanes", "splits", "lost CASes", "adds@1st split"],
     );
     for &t in &workers {
-        let (elapsed, stats) =
-            measure_growth(runs, || raw_growth_bench(t, adds, 1, GrowthPolicy::default()));
+        let (elapsed, stats) = measure_growth(runs, || raw_growth_bench(t, adds));
         let first_split = stats.adds_to_first_split.map_or("-".to_string(), |a| a.to_string());
         let mut r = Record::new("growth-curve", "outset-tree-adaptive");
         r.input("proc", t).input("adds", adds);
@@ -1070,27 +1073,6 @@ fn growth_study(opts: &Opts) {
         row.extend(growth_columns(&mut r, &stats));
         r.output("adds_to_first_split", &first_split);
         row.push(first_split);
-        rep.record(&r);
-        print_row(&row);
-    }
-
-    let w = opts.measure.max_workers;
-    println!("\n## Growth (raw) — lanes vs split probability at {w} threads, {adds} adds/thread");
-    print_header("p(split|lost CAS)", &["Madds/s/core", "final lanes", "splits", "lost CASes"]);
-    let max_lanes = GrowthPolicy::default_max_lanes();
-    for (name, p) in [
-        ("1", Probability::ALWAYS),
-        ("1/2", Probability::from_f64(0.5)),
-        ("1/8", Probability::one_over(8)),
-        ("1/32", Probability::one_over(32)),
-        ("0 (fixed 1 lane)", Probability::NEVER),
-    ] {
-        let policy = GrowthPolicy::new(p, max_lanes);
-        let (elapsed, stats) = measure_growth(runs, || raw_growth_bench(w, adds, 1, policy));
-        let mut r = Record::new("growth-policy", "outset-tree-adaptive");
-        r.input("proc", w).input("adds", adds).input("p", name);
-        let mut row = vec![name.to_string(), timed(&mut r, w as u64 * adds, elapsed, w)];
-        row.extend(growth_columns(&mut r, &stats));
         rep.record(&r);
         print_row(&row);
     }
@@ -1115,21 +1097,13 @@ fn growth_study(opts: &Opts) {
     print_header("shape", &["fresh", "after 1 add"]);
     print_series("adaptive (1 lane)", &[f.adaptive_fresh, f.adaptive_one_add], usize::to_string);
     print_series(
-        format!("fixed ({} lanes, superseded default)", f.fixed_lanes),
-        &[f.fixed_fresh, f.fixed_one_add],
-        usize::to_string,
-    );
-    print_series(
         format!("recycler standby ({} blocks, process-wide)", f.recycler_cached_blocks),
         &[f.recycler_cached_bytes, f.recycler_cached_bytes],
         usize::to_string,
     );
     let mut r = Record::new("outset-footprint", "outset-tree-adaptive");
-    r.input("fixed_lanes", f.fixed_lanes);
     r.output("adaptive_fresh_bytes", f.adaptive_fresh)
         .output("adaptive_one_add_bytes", f.adaptive_one_add)
-        .output("fixed_fresh_bytes", f.fixed_fresh)
-        .output("fixed_one_add_bytes", f.fixed_one_add)
         .output("recycler_cached_blocks", f.recycler_cached_blocks)
         .output("recycler_cached_bytes", f.recycler_cached_bytes);
     rep.record(&r);

@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 
 use incounter::CounterFamily;
 use outset::tree::TreeOutsetObj;
-use outset::{GrowthPolicy, MutexOutset, OutsetFamily, TreeOutset};
-use snzi::{FixedSnzi, Probability};
+use outset::{MutexOutset, OutsetFamily, TreeOutset};
+use snzi::FixedSnzi;
 use spdag::{run_dag, strand_await, Ctx, DagRunStats, FutureHandle, StrandPoll};
 
 /// Calibrated busy work: roughly `units` nanoseconds of arithmetic on this
@@ -377,8 +377,8 @@ pub struct GrowthStats {
     pub splits: usize,
     /// Lost block-install CASes — the contention events that fed the
     /// growth coin — read as the run's `outset.lost_cas` diff (0 with
-    /// telemetry compiled out). The accounting predicts `splits ≈ p ·
-    /// races` (each loss flips once).
+    /// telemetry compiled out). The accounting predicts `splits ≈ races /
+    /// 2` below the cap (each loss flips a `p = 1/2` coin once).
     pub install_races: usize,
     /// Total adds completed (across all threads) when the table was first
     /// observed above one lane; `None` if it never grew.
@@ -392,30 +392,15 @@ fn lost_cas() -> usize {
 }
 
 /// The raw growth-curve microbenchmark: `threads` threads each register
-/// `adds_per_thread` edges in one shared out-set that starts at
-/// `initial_lanes` under `policy` (1 for the adaptive curve; the policy
-/// cap for a "pre-grown" baseline), then one finish sweeps it. The
-/// adaptive counterpart of [`raw_outset_bench`]: it measures when (in
-/// adds) the table first splits, how far it converges, and what the
-/// transient costs, under contention that is real rather than assumed.
-pub fn raw_growth_bench(
-    threads: usize,
-    adds_per_thread: u64,
-    initial_lanes: usize,
-    policy: GrowthPolicy,
-) -> GrowthStats {
-    let set = Arc::new(TreeOutsetObj::with_policy(initial_lanes, policy));
-    let born = set.lane_count();
+/// `adds_per_thread` edges in one shared out-set, born on its one lane,
+/// then one finish sweeps it. The adaptive counterpart of
+/// [`raw_outset_bench`]: it measures when (in adds) the table first
+/// splits, how far it converges, and what the transient costs, under
+/// contention that is real rather than assumed.
+pub fn raw_growth_bench(threads: usize, adds_per_thread: u64) -> GrowthStats {
+    let set = Arc::new(TreeOutsetObj::new());
     let total_adds = Arc::new(AtomicU64::new(0));
     let first_split = Arc::new(AtomicU64::new(u64::MAX));
-    // A policy that cannot split (p = 0, or already at its cap) gets no
-    // probe at all: pre-poison the latch so those baselines measure the
-    // pure add path.
-    if policy.probability() == Probability::NEVER
-        || initial_lanes.max(1).next_power_of_two() >= policy.max_lanes()
-    {
-        first_split.store(u64::MAX - 1, Ordering::Relaxed);
-    }
     let lost_before = lost_cas();
     let elapsed = {
         let set = Arc::clone(&set);
@@ -439,7 +424,7 @@ pub fn raw_growth_bench(
                     // throughput measurement probe-free.
                     if first_split.load(Ordering::Relaxed) == u64::MAX {
                         let done = total_adds.fetch_add(1, Ordering::Relaxed) + 1;
-                        if set.lane_count() > born {
+                        if set.lane_count() > 1 {
                             first_split.fetch_min(done, Ordering::Relaxed);
                         }
                     }
@@ -457,9 +442,7 @@ pub fn raw_growth_bench(
         final_lanes: set.lane_count(),
         splits: set.splits(),
         install_races,
-        // Both u64::MAX (never observed) and the poison value count as
-        // "no timestamp".
-        adds_to_first_split: (fs < u64::MAX - 1).then_some(fs),
+        adds_to_first_split: (fs < u64::MAX).then_some(fs),
     }
 }
 
@@ -491,9 +474,8 @@ pub fn fanout_broadcast_probed<C: CounterFamily>(
     (elapsed, stats)
 }
 
-/// Heap footprints contrasting the adaptive single-lane start against the
-/// superseded fixed default (hardware threads, capped at 16) — the
-/// "single-dependent futures pay one word" claim, in bytes.
+/// Heap footprint of a single-dependent out-set — the "single-dependent
+/// futures pay one word" claim, in bytes.
 ///
 /// Live bytes (blocks linked into an out-set) and recycler bytes (blocks
 /// sitting free in the slab pool, ready for reuse) are reported
@@ -507,12 +489,6 @@ pub struct FootprintReport {
     pub adaptive_fresh: usize,
     /// An adaptive out-set holding one registered dependent.
     pub adaptive_one_add: usize,
-    /// The fixed lane count the first iteration allocated up front.
-    pub fixed_lanes: usize,
-    /// A fresh fixed-lane out-set of that size.
-    pub fixed_fresh: usize,
-    /// The same, holding one registered dependent.
-    pub fixed_one_add: usize,
     /// Blocks sitting free in the block recycler when the report was
     /// taken — standby memory, **not** part of any out-set's live bytes.
     pub recycler_cached_blocks: usize,
@@ -523,22 +499,13 @@ pub struct FootprintReport {
 
 /// Measure [`FootprintReport`] on this machine.
 pub fn outset_footprint_report() -> FootprintReport {
-    let cores = sched::num_cpus();
-    let fixed_lanes = cores.next_power_of_two().min(16);
     let adaptive = TreeOutsetObj::new();
     let adaptive_fresh = adaptive.footprint_bytes();
     let _ = adaptive.add(1, 0);
     let adaptive_one_add = adaptive.footprint_bytes();
-    let fixed = TreeOutsetObj::with_lanes(fixed_lanes);
-    let fixed_fresh = fixed.footprint_bytes();
-    let _ = fixed.add(1, 0);
-    let fixed_one_add = fixed.footprint_bytes();
     FootprintReport {
         adaptive_fresh,
         adaptive_one_add,
-        fixed_lanes,
-        fixed_fresh,
-        fixed_one_add,
         recycler_cached_blocks: outset::recycle::cached_blocks(),
         recycler_cached_bytes: outset::recycle::cached_bytes(),
     }
@@ -733,15 +700,14 @@ mod tests {
 
     #[test]
     fn raw_growth_bench_reports_consistent_stats() {
-        // Fixed policy: never splits, whatever the contention.
-        let s = raw_growth_bench(2, 3_000, 1, GrowthPolicy::fixed(1));
-        assert_eq!(s.final_lanes, 1);
-        assert_eq!(s.splits, 0);
+        // One thread never loses an install, so it never splits.
+        let s = raw_growth_bench(1, 3_000);
+        assert_eq!((s.final_lanes, s.splits), (1, 0));
         assert_eq!(s.adds_to_first_split, None);
-        // Adaptive policy: splits (if any) stay within the cap, and the
+        // Under contention: splits (if any) stay within the cap, and the
         // split/race bookkeeping is coherent.
-        let s = raw_growth_bench(4, 3_000, 1, GrowthPolicy::eager(8));
-        assert!(s.final_lanes <= 8);
+        let s = raw_growth_bench(4, 3_000);
+        assert!(s.final_lanes <= TreeOutsetObj::max_lanes());
         assert_eq!(s.final_lanes, 1 << s.splits);
         if obs::enabled() {
             assert!(s.splits <= s.install_races, "every split was preceded by a lost CAS");
@@ -762,14 +728,8 @@ mod tests {
     #[test]
     fn footprint_report_orders_as_documented() {
         let r = outset_footprint_report();
-        assert!(r.adaptive_fresh <= r.fixed_fresh, "the adaptive start must not cost more");
+        assert_eq!(r.adaptive_fresh, std::mem::size_of::<TreeOutsetObj>(), "one lane, inline");
         assert!(r.adaptive_one_add > r.adaptive_fresh, "one add allocates the first block");
-        if r.fixed_lanes > 1 {
-            assert!(
-                r.fixed_fresh > r.adaptive_fresh,
-                "a multi-lane fixed table costs more than the single-lane start"
-            );
-        }
         // The recycler's standby pool is reported in its own columns,
         // never folded into the per-out-set live bytes (whose values
         // above are pure shape arithmetic, pool warm or cold).

@@ -68,7 +68,7 @@ pub use snzi;
 pub use spdag;
 
 pub use incounter::{CounterFamily, DynConfig, DynSnzi, FetchAdd, FixedConfig, FixedDepth};
-pub use outset::{AddEdge, GrowthPolicy, MutexOutset, OutsetFamily, TreeOutset};
+pub use outset::{AddEdge, MutexOutset, OutsetFamily, TreeOutset};
 pub use snzi::Probability;
 pub use spdag::{
     run_dag, AsyncStrand, Ctx, DagRunStats, FutureHandle, Scope, Strand, StrandPoll, StrandTouch,

@@ -32,12 +32,14 @@
 //! | [`TreeOutset`] | lane-hashed tree of slot blocks, one fetch-add + one CAS, O(1) amortized contention per add when keys spread | seal flag + per-slot swap sweep |
 //! | [`MutexOutset`] | global `Mutex<Vec>` push | lock, drain, deliver |
 //!
-//! The tree's lane table is **adaptive**: it starts at a single lane (a
-//! single-dependent future pays one word of lane metadata) and doubles
-//! under observed contention — an adder that loses its block-install CAS
-//! flips a [`GrowthPolicy`] coin, the out-set analogue of the in-counter's
-//! probabilistic `grow`. See [`tree`] for the mechanism and
-//! `docs/outset-contention.md` for the contention accounting.
+//! The tree's lane table is **adaptive**: every out-set is born on a
+//! single lane (a single-dependent future pays one word of lane metadata)
+//! and doubles under observed contention — an adder that loses its
+//! block-install CAS flips a `p = 1/2` coin toward a split, up to
+//! [`TreeOutsetObj::max_lanes`](tree::TreeOutsetObj::max_lanes), the
+//! out-set analogue of the in-counter's probabilistic `grow`. See [`tree`]
+//! for the mechanism and `docs/outset-contention.md` for the contention
+//! accounting.
 //!
 //! Slot blocks are **recycled**: an out-set owns its blocks until it
 //! drops, and its `Drop` hands each one to per-worker slab caches (the
@@ -58,15 +60,14 @@
 
 #![deny(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 #[cfg(test)]
 mod differential;
-pub mod growth;
 pub mod mutex;
 pub mod recycle;
 pub mod tree;
 
-pub use growth::GrowthPolicy;
 pub use mutex::MutexOutset;
 pub use tree::{TreeOutset, BLOCK_SLOTS};
 

@@ -3,22 +3,21 @@
 //! ## Structure
 //!
 //! ```text
-//!  TreeOutsetObj                        (40 B; a fresh one owns nothing else)
+//!  TreeOutsetObj                        (24 B; a fresh one owns nothing else)
 //!  ├── sealed      : AtomicBool        (the one-shot finish latch)
-//!  ├── inline_head ──► Block ──► ...   (lane 0 of an out-set born with one lane)
+//!  ├── inline_head ──► Block ──► ...   (lane 0, the one every out-set is born with)
 //!  └── table ──► LaneTable { mask, lanes[L], prev }   (null until the first split;
 //!                  │                          │         L grows 2, 4, 8, ...)
 //!                  │                          └──► superseded generations
 //!                  └── lanes[i] ──► Lane ──► Block ──► Block ──► ...  (newest first)
-//!                      (null = the inline lane)       ├ claimed : AtomicUsize (slot cursor)
+//!                      (lanes[0] null = the inline lane)  ├ claimed : AtomicUsize (slot cursor)
 //!                                                     └ slots[B] : AtomicU64  (EMPTY | SWEPT | token+2)
 //! ```
 //!
-//! An out-set born with one lane — every future's — *is* its first table
+//! Every out-set is born with one lane and *is* its first table
 //! generation: a null `table` means "one lane, the inline one", whose
 //! head word sits in the object itself. Out-of-line lanes and tables
-//! exist only after a split (or for an out-set born wider,
-//! [`TreeOutsetObj::with_lanes`]).
+//! exist only after a split.
 //!
 //! An `add(token, key)` hashes `key` to a lane, claims a slot index with
 //! one `fetch_add` on the newest block's cursor (installing a fresh block
@@ -35,12 +34,15 @@
 //! under *observed* contention, the same pay-for-contention shape as the
 //! in-counter's probabilistic `grow`: when an adder loses the
 //! block-install CAS on its lane (direct evidence of a concurrent adder
-//! on the same lane), it flips a [`GrowthPolicy`] coin, and heads means
-//! "try to double the lane table". The adder then re-hashes against the
-//! (possibly) larger table, so a grower immediately escapes the collision
-//! that triggered it; every later adder re-hashes naturally on its own
-//! add. `docs/outset-contention.md` derives the expected per-add
-//! contention bound this policy buys.
+//! on the same lane), it flips a `p = 1/2` coin on its thread's stream
+//! ([`snzi::ThreadCoin`]), and heads means "try to double the lane table",
+//! up to [`TreeOutsetObj::max_lanes`]. The adder then re-hashes against
+//! the (possibly) larger table, so a grower immediately escapes the
+//! collision that triggered it; every later adder re-hashes naturally on
+//! its own add. A lost CAS is already direct evidence of two adders on one
+//! lane, so unlike the in-counter's once-per-increment coin no further
+//! dampening is needed. `docs/outset-contention.md` derives the expected
+//! per-add contention bound this rule buys.
 //!
 //! Growth allocates a doubled table that **shares** the existing lanes
 //! (the inline one by a null entry, so the object stays movable) and
@@ -164,7 +166,9 @@
 
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
-use crate::{AddEdge, GrowthPolicy, OutsetFamily};
+use snzi::{Coin, Probability, ThreadCoin};
+
+use crate::{AddEdge, OutsetFamily};
 
 /// Slot states: anything in `TOKEN_BIAS..POISON` is a biased token.
 const EMPTY: u64 = 0;
@@ -405,8 +409,8 @@ pub(crate) fn trim_block_pool() -> usize {
     n
 }
 
-/// An out-of-line lane: born by a split (or by an out-set born wider than
-/// one lane), so by then there *are* concurrent adders to keep apart.
+/// An out-of-line lane: born by a split, so by then there *are* concurrent
+/// adders to keep apart.
 #[repr(align(128))] // one lane per cache-line pair: adders on distinct lanes never false-share
 struct Lane {
     head: AtomicPtr<Block>,
@@ -427,8 +431,8 @@ struct LaneTable {
     /// `lanes.len() - 1`; the length is always a power of two, so key
     /// hashing is a mask.
     mask: u64,
-    /// A null entry is the owning out-set's inline lane (always index 0,
-    /// and only in tables grown from an out-set born with one lane).
+    /// Entry 0 is null: the owning out-set's inline lane. Every other
+    /// entry is an out-of-line lane.
     lanes: Box<[*mut Lane]>,
     /// The generation this one superseded (null for the first). Kept
     /// until `Drop` so a reader of the table pointer needs no guard; the
@@ -442,12 +446,6 @@ impl LaneTable {
         debug_assert!(lanes.len().is_power_of_two());
         let mask = lanes.len() as u64 - 1;
         Box::into_raw(Box::new(LaneTable { mask, lanes: lanes.into_boxed_slice(), prev }))
-    }
-
-    /// The first generation of an out-set born with `lanes` (> 1) lanes.
-    #[cold]
-    fn born_wide(lanes: usize) -> *mut LaneTable {
-        LaneTable::boxed((0..lanes).map(|_| Lane::boxed()).collect(), std::ptr::null_mut())
     }
 
     /// The index of the lane `key` hashes to in this table generation.
@@ -466,58 +464,44 @@ pub struct TreeOutsetObj {
     /// Null while the out-set is still its inline first generation: one
     /// lane, `inline_head`.
     table: AtomicPtr<LaneTable>,
-    /// Head word of the inline lane — lane 0 of an out-set born with one
-    /// lane, listed as a null entry by every table grown from it. An
-    /// out-set born wider never touches it.
+    /// Head word of the inline lane — lane 0, listed as a null entry by
+    /// every table grown from it.
     inline_head: AtomicPtr<Block>,
-    policy: GrowthPolicy,
 }
 
-// SAFETY: all shared state is atomics; LaneTable/Lane/Block pointers are
-// published via SeqCst CAS, immutable or atomic once published, and freed
-// only in Drop (exclusive access).
+// SAFETY: every field is an atomic. The tables, lanes and blocks behind
+// them are published by a `SeqCst` CAS (or an exclusive step's `Release`
+// store), immutable or atomic once published, and freed only in `Drop`,
+// which holds `&mut self`. So a `&TreeOutsetObj` on another thread reads
+// only initialised memory that outlives it.
 unsafe impl Send for TreeOutsetObj {}
+// SAFETY: as for `Send`.
 unsafe impl Sync for TreeOutsetObj {}
 
 impl TreeOutsetObj {
-    /// An out-set with **one lane** and the default adaptive
-    /// [`GrowthPolicy`]: the cheapest possible start (single-dependent
-    /// futures never pay for spreading they don't need), growing under
-    /// observed contention up to the machine-derived cap.
+    /// An empty out-set on **one lane**, the inline one: the cheapest
+    /// possible start (single-dependent futures never pay for spreading
+    /// they don't need), growing under observed contention up to
+    /// [`max_lanes`](Self::max_lanes). It allocates nothing.
     ///
-    /// Inlined, as is [`with_policy`](Self::with_policy), so that a future's
-    /// core gets its out-set written field by field into its slab rather
-    /// than returned through the stack and copied in.
+    /// Inlined so that a future's core gets its out-set written field by
+    /// field into its slab rather than returned through the stack and
+    /// copied in.
     #[inline]
     pub fn new() -> TreeOutsetObj {
-        TreeOutsetObj::with_policy(1, GrowthPolicy::default())
-    }
-
-    /// An out-set born at a **fixed** lane count (rounded up to a power
-    /// of two) that is also its cap, so it never grows — the first
-    /// iteration's behaviour, kept for tests and benchmarks that isolate
-    /// the block machinery or the spreading from the adaptivity.
-    pub fn with_lanes(lanes: usize) -> TreeOutsetObj {
-        let lanes = lanes.max(1).next_power_of_two();
-        TreeOutsetObj::with_policy(lanes, GrowthPolicy::fixed(lanes))
-    }
-
-    /// An out-set with an explicit initial lane count and growth policy.
-    /// `initial_lanes` is rounded up to a power of two and clamped to the
-    /// policy's cap.
-    #[inline]
-    pub fn with_policy(initial_lanes: usize, policy: GrowthPolicy) -> TreeOutsetObj {
-        let initial = initial_lanes.max(1).next_power_of_two().min(policy.max_lanes());
-        // One lane is the inline generation and allocates nothing; a
-        // wider birth is out of line from the start.
-        let table = if initial == 1 { std::ptr::null_mut() } else { LaneTable::born_wide(initial) };
         obs::counter!("outset.created").inc();
         TreeOutsetObj {
             sealed: AtomicBool::new(false),
-            table: AtomicPtr::new(table),
+            table: AtomicPtr::new(std::ptr::null_mut()),
             inline_head: AtomicPtr::new(std::ptr::null_mut()),
-            policy,
         }
+    }
+
+    /// The lane-table cap: `4 × hardware threads`, rounded up to a power
+    /// of two and clamped to `[2, 64]`. The core count is
+    /// [`sched::num_cpus`]'s, probed once per process.
+    pub fn max_lanes() -> usize {
+        (sched::num_cpus() * 4).next_power_of_two().clamp(2, 64)
     }
 
     /// Lane count of generation `table` (null: the inline generation).
@@ -527,8 +511,8 @@ impl TreeOutsetObj {
     }
 
     /// Head word of lane `idx` of generation `table`: the null-lane rule
-    /// in one place. A null `table` has the inline lane alone; a null
-    /// entry of a grown table is that same lane.
+    /// in one place. A null `table` has the inline lane alone; entry 0 of
+    /// a grown table, null, is that same lane.
     fn head_at(&self, table: *const LaneTable, idx: usize) -> &AtomicPtr<Block> {
         // SAFETY: tables and lanes are freed only in `Drop`; `&self`
         // outlives the returned borrow.
@@ -622,9 +606,9 @@ impl TreeOutsetObj {
             // install attempt and take the lost-CAS branch as if a
             // competitor won — the never-published block goes back, the
             // split coin flips, and the loop retries. Deterministically
-            // exercises the contention transient the adaptive policy is
-            // built around, on a single quiet thread if need be — the one
-            // way an exclusive add reaches a split.
+            // exercises the contention transient the split rule is built
+            // around, on a single quiet thread if need be — the one way an
+            // exclusive add reaches a split.
             let lost =
                 sched::failpoint::fire("outset.install_cas") || !S::cas_ptr(lane_head, head, fresh);
             if lost {
@@ -637,7 +621,7 @@ impl TreeOutsetObj {
                 // this lane: flip the split coin (the adaptive analogue
                 // of the in-counter's per-increment grow coin).
                 obs::counter!("outset.lost_cas").inc();
-                if self.policy.flip() {
+                if ThreadCoin.flip(Probability::from_f64(0.5)) {
                     self.try_split(table_ptr);
                 }
             }
@@ -663,10 +647,11 @@ impl TreeOutsetObj {
 
     /// Attempt to double the lane table from the generation `old`, and
     /// say whether this call installed the doubled table. Loses to
-    /// concurrent splits; no-op at the policy cap or once sealed.
+    /// concurrent splits; no-op at [`max_lanes`](Self::max_lanes) or once
+    /// sealed.
     fn try_split(&self, old_ptr: *mut LaneTable) -> bool {
         let old_len = Self::lanes_in(old_ptr);
-        if old_len >= self.policy.max_lanes() || self.sealed.load(Ordering::SeqCst) {
+        if old_len >= Self::max_lanes() || self.sealed.load(Ordering::SeqCst) {
             // Post-seal growth would be correct (the monotone-lane
             // argument doesn't care) but can only waste memory.
             return false;
@@ -697,6 +682,8 @@ impl TreeOutsetObj {
                 // `old_len` were born above and shared with nobody.
                 let table = unsafe { Box::from_raw(fresh) };
                 for &lane in &table.lanes[old_len..] {
+                    // SAFETY: each such lane came from `Lane::boxed`, and
+                    // nobody else ever saw it, so it is freed once, here.
                     unsafe { sched::recycle::free(lane) };
                 }
                 false
@@ -704,9 +691,10 @@ impl TreeOutsetObj {
         }
     }
 
-    /// Split the lane table once, unconditionally (subject to the policy
-    /// cap). A deterministic handle on the growth machinery for tests and
-    /// the footprint study; returns whether a split happened.
+    /// Split the lane table once, unconditionally (up to
+    /// [`max_lanes`](Self::max_lanes)). A deterministic handle on the
+    /// growth machinery for tests and the growth study; returns whether a
+    /// split happened.
     pub fn force_split(&self) -> bool {
         self.try_split(self.table.load(Ordering::SeqCst))
     }
@@ -784,13 +772,10 @@ impl TreeOutsetObj {
     }
 
     /// Successful lane splits so far (a racy but monotone snapshot, read
-    /// off the structure): each split added one table generation, and an
-    /// out-set born with one lane has the object itself as its first.
+    /// off the structure): each split added one out-of-line table
+    /// generation, the first generation being the object itself.
     pub fn splits(&self) -> usize {
-        let newest = self.table.load(Ordering::SeqCst);
-        // Lane 0 is shared by every generation: null iff born with one.
-        let born_wide = self.generations(newest).next().is_some_and(|t| !t.lanes[0].is_null());
-        self.generations(newest).count() - born_wide as usize
+        self.generations(self.table.load(Ordering::SeqCst)).count()
     }
 
     /// The out-of-line generations from `newest` back, newest first.
@@ -829,16 +814,15 @@ impl TreeOutsetObj {
     /// only (the walk is racy under concurrent growth).
     ///
     /// Lanes and blocks are counted through **one** load of the newest
-    /// generation (see the
-    /// `footprint_matches_equivalent_born_table_after_growth` test);
+    /// generation (see the `footprint_matches_a_grown_tables_exact_bytes`
+    /// test);
     /// superseded tables are owned until drop, so their pointer arrays
     /// count too — geometric, hence less than the live one in total.
     pub fn footprint_bytes(&self) -> usize {
         let table: *const LaneTable = self.table.load(Ordering::SeqCst);
         // SAFETY: tables (the `prev` chain included) are immutable and
-        // freed only in Drop.
-        let lanes = unsafe { table.as_ref() }
-            .map_or(0, |t| t.lanes.iter().filter(|lane| !lane.is_null()).count());
+        // freed only in Drop. Entry 0 is the inline lane, in the object.
+        let lanes = unsafe { table.as_ref() }.map_or(0, |t| t.lanes.len() - 1);
         let tables: usize = self
             .generations(table)
             .map(|t| {
@@ -898,8 +882,7 @@ impl Drop for TreeOutsetObj {
                 Block::retire(block, sealed);
             }
         };
-        // The inline lane needs no table to be found (and is empty for an
-        // out-set born wider).
+        // The inline lane needs no table to be found.
         retire_chain(*self.inline_head.get_mut());
         // By monotonicity the newest table points to every out-of-line
         // lane (and thus block) ever linked: each lane is listed once per
@@ -908,9 +891,8 @@ impl Drop for TreeOutsetObj {
         // SAFETY: exclusive access, and this drop is the one place tables
         // and lanes are freed; every table came from `LaneTable::boxed`,
         // every out-of-line lane from `Lane::boxed`.
-        let lanes = unsafe { newest.as_ref() }.map_or(&[][..], |t| &t.lanes);
-        let inline_born = lanes.first().is_none_or(|lane| lane.is_null());
-        for &lane_ptr in lanes.iter().filter(|lane| !lane.is_null()) {
+        let lanes = unsafe { newest.as_ref() }.map_or(&[][..], |t| &t.lanes[1..]);
+        for &lane_ptr in lanes {
             // SAFETY: as above.
             unsafe {
                 retire_chain(*(*lane_ptr).head.get_mut());
@@ -919,16 +901,16 @@ impl Drop for TreeOutsetObj {
         }
         // The generations themselves: just headers and pointer arrays.
         // Each split doubled the generation it superseded; the first one
-        // of an out-set born with one lane is the object itself.
+        // is the object itself, with one lane.
         let mut generation = newest;
         while !generation.is_null() {
             // SAFETY: as above.
             let table = unsafe { Box::from_raw(generation) };
             // SAFETY: `prev` is freed on the next round, after this read.
-            let before =
-                unsafe { table.prev.as_ref() }.map(|t| t.lanes.len()).or(inline_born.then_some(1));
-            debug_assert!(
-                before.is_none_or(|n| table.lanes.len() == 2 * n),
+            let before = unsafe { table.prev.as_ref() }.map_or(1, |t| t.lanes.len());
+            debug_assert_eq!(
+                table.lanes.len(),
+                2 * before,
                 "each generation doubles the one it superseded"
             );
             generation = table.prev;
@@ -988,18 +970,18 @@ mod tests {
         assert_eq!(set.splits(), 0);
         assert!(set.table.load(Ordering::SeqCst).is_null(), "no out-of-line generation yet");
         assert_eq!(set.footprint_bytes(), std::mem::size_of::<TreeOutsetObj>());
-        assert_eq!(std::mem::size_of::<TreeOutsetObj>(), 40);
+        assert_eq!(std::mem::size_of::<TreeOutsetObj>(), 24);
         let set = TreeOutset::make();
         assert_eq!(set.lane_count(), 1);
         assert_eq!(set.footprint_bytes(), std::mem::size_of::<TreeOutsetObj>());
     }
 
-    /// An inline-born out-set with `per_round` tokens registered before
-    /// and after each of `splits` forced splits; key 0 always hashes to
-    /// lane 0, the inline one. Returned **by value**: the move is part of
-    /// what the callers test.
+    /// An out-set with `per_round` tokens registered before and after each
+    /// of `splits` forced splits; key 0 always hashes to lane 0, the
+    /// inline one. Returned **by value**: the move is part of what the
+    /// callers test.
     fn split_with_tokens_in_lane0(splits: usize, per_round: u64) -> (TreeOutsetObj, Vec<u64>) {
-        let set = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(16));
+        let set = TreeOutsetObj::new();
         let mut expect = Vec::new();
         for round in 0..=splits as u64 {
             for t in round * per_round..(round + 1) * per_round {
@@ -1033,48 +1015,54 @@ mod tests {
         assert_eq!(got, (0..=late).collect::<Vec<_>>(), "each lane-0 token exactly once");
     }
 
+    /// `log2(max_lanes())`: the splits that take an out-set to its cap.
+    fn splits_to_cap() -> usize {
+        TreeOutsetObj::max_lanes().trailing_zeros() as usize
+    }
+
     #[test]
-    fn drop_frees_every_generation_once_whatever_the_birth() {
+    fn drop_frees_every_generation_once() {
         // Drop's debug assertion checks that each generation doubles the
-        // one before it, the first of which is the object itself for an
-        // inline birth. Run it over never split, split from inline, born
-        // wide, born wide and split, and dropped unfinished with tokens
-        // in the inline lane.
+        // one before it, the first of which is the object itself. Run it
+        // over never split, split to the cap, split once, and dropped
+        // unfinished with tokens in the inline lane.
         drop(TreeOutsetObj::new());
-        let (set, expect) = split_with_tokens_in_lane0(3, 3);
-        assert_eq!((set.splits(), set.lane_count()), (3, 8));
+        let (set, expect) = split_with_tokens_in_lane0(splits_to_cap(), 3);
+        assert_eq!((set.splits(), set.lane_count()), (splits_to_cap(), TreeOutsetObj::max_lanes()));
         let mut n = 0;
         assert!(set.finish(&mut |_| n += 1));
         assert_eq!(n, expect.len());
         drop(set);
-        drop(TreeOutsetObj::with_lanes(4));
-        let wide = TreeOutsetObj::with_policy(2, GrowthPolicy::eager(8));
-        while wide.force_split() {}
-        assert_eq!((wide.splits(), wide.lane_count()), (2, 8));
-        drop(wide);
         drop(split_with_tokens_in_lane0(1, 2));
     }
 
     #[test]
-    fn born_wide_is_out_of_line_and_never_touches_the_inline_head() {
-        let set = TreeOutsetObj::with_lanes(4);
-        // SAFETY: the table is alive until `set` drops.
-        let table = unsafe { &*set.table.load(Ordering::SeqCst) };
-        assert!(table.lanes.iter().all(|lane| !lane.is_null()), "no null-lane entry");
+    fn every_grown_table_lists_the_inline_lane_first() {
+        // Entry 0 of every generation is the null entry that names the
+        // inline lane, and only it: an add keyed to lane 0 lands in the
+        // object's own head word whatever the table.
+        let set = TreeOutsetObj::new();
+        while set.force_split() {
+            // SAFETY: the table is alive until `set` drops.
+            let table = unsafe { &*set.table.load(Ordering::SeqCst) };
+            assert!(table.lanes[0].is_null(), "entry 0 is the inline lane");
+            assert!(
+                table.lanes[1..].iter().all(|lane| !lane.is_null()),
+                "the rest are out of line"
+            );
+        }
         for key in 0..64u64 {
             assert_eq!(set.add(key, key), AddEdge::Registered);
         }
-        assert!(set.block_count() >= 2);
-        assert!(set.inline_head.load(Ordering::SeqCst).is_null());
+        assert!(!set.inline_head.load(Ordering::SeqCst).is_null(), "key 0 hashes to lane 0");
         let mut n = 0;
         assert!(set.finish(&mut |_| n += 1));
         assert_eq!(n, 64);
-        assert!(set.inline_head.load(Ordering::SeqCst).is_null());
     }
 
     #[test]
     fn blocks_grow_and_free() {
-        let set = TreeOutsetObj::with_lanes(1);
+        let set = TreeOutsetObj::new();
         assert_eq!(set.block_count(), 0);
         for t in 0..(3 * BLOCK_SLOTS as u64 + 1) {
             let _ = set.add(t, 0);
@@ -1088,71 +1076,81 @@ mod tests {
 
     #[test]
     fn lanes_spread_by_key() {
-        let set = TreeOutsetObj::with_lanes(8);
+        // At the cap — at least 4 lanes on any host — 64 distinct keys
+        // reach every lane.
+        let set = TreeOutsetObj::new();
+        while set.force_split() {}
         for key in 0..64u64 {
             let _ = set.add(key, key);
         }
         assert!(
             set.block_count() >= 4,
-            "64 distinct keys should touch several of 8 lanes, got {} blocks",
+            "64 distinct keys should touch several of {} lanes, got {} blocks",
+            set.lane_count(),
             set.block_count()
         );
     }
 
     #[test]
-    fn with_lanes_rounds_and_never_grows() {
-        for (ask, want) in [(0usize, 1usize), (1, 1), (2, 2), (3, 4), (5, 8), (6, 8), (16, 16)] {
-            let set = TreeOutsetObj::with_lanes(ask);
-            assert_eq!(set.lane_count(), want, "with_lanes({ask})");
-            assert!(!set.force_split(), "with_lanes({ask}) must stay fixed");
-            assert_eq!(set.lane_count(), want);
-        }
+    fn max_lanes_is_cached_and_sane() {
+        let a = TreeOutsetObj::max_lanes();
+        assert_eq!(a, TreeOutsetObj::max_lanes());
+        assert!((4..=64).contains(&a), "4 x cores, at least one core: {a}");
+        assert!(a.is_power_of_two());
     }
 
     #[test]
-    fn with_policy_clamps_initial_to_cap() {
-        let set = TreeOutsetObj::with_policy(64, GrowthPolicy::eager(4));
-        assert_eq!(set.lane_count(), 4);
-        let set = TreeOutsetObj::with_policy(0, GrowthPolicy::eager(4));
-        assert_eq!(set.lane_count(), 1);
+    fn construction_is_cheap() {
+        // Regression guard for the out-set allocation hot path: the
+        // futures runtime builds one out-set per future, and the cap reads
+        // the core count, whose probe (`available_parallelism`) costs about
+        // 25 µs a call on a 2-core Xeon container host (2 000 calls in a
+        // loop, std only), so 4000 uncached constructions would take about
+        // 100 ms. Building an out-set reads no core count at all, and a
+        // construction costs nanoseconds (under 1 ms for all of them in a
+        // debug build); the bound sits at half the uncached price.
+        let t0 = std::time::Instant::now();
+        for _ in 0..4000 {
+            std::hint::black_box(TreeOutsetObj::new());
+        }
+        assert!(
+            t0.elapsed() < std::time::Duration::from_millis(50),
+            "TreeOutsetObj::new must not probe the machine, took {:?}",
+            t0.elapsed()
+        );
     }
 
     #[test]
     fn force_split_doubles_until_cap() {
-        let set = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(8));
-        for want in [2usize, 4, 8] {
+        let set = TreeOutsetObj::new();
+        for split in 1..=splits_to_cap() {
             assert!(set.force_split());
-            assert_eq!(set.lane_count(), want);
+            assert_eq!(set.lane_count(), 1 << split);
         }
         assert!(!set.force_split(), "capped at max_lanes");
-        assert_eq!(set.lane_count(), 8);
-        assert_eq!(set.splits(), 3);
-        // The coin only gates the adders' own attempts: a NEVER policy
-        // with headroom is one cap like any other.
-        let set = TreeOutsetObj::with_policy(1, GrowthPolicy::fixed(2));
-        assert!(set.force_split());
-        assert!(!set.force_split());
-        assert_eq!(set.lane_count(), 2);
+        assert_eq!(set.lane_count(), TreeOutsetObj::max_lanes());
+        assert_eq!(set.splits(), splits_to_cap());
     }
 
     #[test]
     fn tokens_survive_splits_exactly_once() {
-        // Claim slots through three different table generations, then
+        // Claim slots through up to four different table generations, then
         // sweep: the newest table must reach every block (lane sharing).
-        let set = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(16));
+        let set = TreeOutsetObj::new();
+        let splits = splits_to_cap().min(3);
         let mut expect = Vec::new();
         let mut token = 0u64;
-        for round in 0..4 {
+        for round in 0..=splits {
             for k in 0..(2 * BLOCK_SLOTS as u64) {
                 assert_eq!(set.add(token, k), AddEdge::Registered);
                 expect.push(token);
                 token += 1;
             }
-            if round < 3 {
+            if round < splits {
                 assert!(set.force_split());
             }
         }
-        assert_eq!(set.lane_count(), 8);
+        assert_eq!(set.lane_count(), 1 << splits);
         let mut got = Vec::new();
         assert!(set.finish(&mut |t| got.push(t)));
         got.sort_unstable();
@@ -1161,7 +1159,7 @@ mod tests {
 
     #[test]
     fn split_after_seal_is_refused() {
-        let set = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(8));
+        let set = TreeOutsetObj::new();
         assert!(set.finish(&mut |_| {}));
         assert!(!set.force_split());
         assert_eq!(set.lane_count(), 1);
@@ -1174,40 +1172,41 @@ mod tests {
         let _ = fresh.add(7, 0);
         let after_add = fresh.footprint_bytes();
         assert!(after_add > one_lane, "first add allocates the first block");
-        let wide = TreeOutsetObj::with_lanes(16);
+        let wide = TreeOutsetObj::new();
+        while wide.force_split() {}
         assert!(
             wide.footprint_bytes() > one_lane,
-            "a 16-lane table must cost more than the adaptive start"
+            "a table grown to the cap must cost more than the one-lane start"
         );
     }
 
     #[test]
-    fn footprint_matches_equivalent_born_table_after_growth() {
-        // Regression (ISSUE 6 satellite): the probe used to load the
-        // table twice, so the sum could mix two generations around a
-        // split. Lanes and blocks must come from the live generation
-        // only. Growing 1 → 8 lanes from the inline start owns three
-        // out-of-line generations (pointer arrays of 2 + 4 + 8) and seven
-        // out-of-line lanes; a table born at 8 owns one generation of 8
-        // and eight lanes. So growth costs two more headers and the
-        // 2 + 4 superseded pointers — less than the live array — and
-        // saves the one lane that lives in the object.
-        let grown = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(8));
+    fn footprint_matches_a_grown_tables_exact_bytes() {
+        // Regression: the probe used to load the table twice, so the sum
+        // could mix two generations around a split. Lanes and blocks must
+        // come from the live generation only. Growing 1 → L = 2^k lanes
+        // owns k out-of-line generations, whose pointer arrays hold
+        // 2 + 4 + … + L = 2L − 2 entries, and L − 1 out-of-line lanes:
+        // lane 0 lives in the object.
+        let grown = TreeOutsetObj::new();
         while grown.force_split() {}
-        assert_eq!(grown.lane_count(), 8);
-        assert_eq!(grown.splits(), 3);
-        let born = TreeOutsetObj::with_policy(8, GrowthPolicy::eager(16));
-        assert_eq!(born.lane_count(), 8);
-        let residue = 2 * std::mem::size_of::<LaneTable>() + 6 * std::mem::size_of::<*mut Lane>();
-        let inline_lane = std::mem::size_of::<Lane>();
-        assert_eq!(grown.footprint_bytes() + inline_lane, born.footprint_bytes() + residue);
-        // Identical add sequences keep the probes in step, and the
-        // probe is stable across repeated reads.
+        let (lanes, k) = (TreeOutsetObj::max_lanes(), splits_to_cap());
+        assert_eq!((grown.lane_count(), grown.splits()), (lanes, k));
+        let bytes = |blocks: usize| {
+            std::mem::size_of::<TreeOutsetObj>()
+                + k * std::mem::size_of::<LaneTable>()
+                + (2 * lanes - 2) * std::mem::size_of::<*mut Lane>()
+                + (lanes - 1) * std::mem::size_of::<Lane>()
+                + blocks * std::mem::size_of::<Block>()
+        };
+        assert_eq!(grown.footprint_bytes(), bytes(0));
+        // Adds link blocks and nothing else, and the probe is stable
+        // across repeated reads.
         for t in 0..(2 * BLOCK_SLOTS as u64) {
             let _ = grown.add(t, t);
-            let _ = born.add(t, t);
         }
-        assert_eq!(grown.footprint_bytes() + inline_lane, born.footprint_bytes() + residue);
+        assert!(grown.block_count() >= 2);
+        assert_eq!(grown.footprint_bytes(), bytes(grown.block_count()));
         assert_eq!(grown.footprint_bytes(), grown.footprint_bytes());
     }
 
@@ -1246,7 +1245,7 @@ mod tests {
         // generation stamp and poison checks (debug builds) vouching
         // that no stale state leaks across lives.
         for round in 0..8u64 {
-            let set = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(8));
+            let set = TreeOutsetObj::new();
             let base = round * 1000;
             let mut expect = Vec::new();
             for t in 0..(BLOCK_SLOTS as u64 + 3) {
@@ -1262,7 +1261,7 @@ mod tests {
 
     #[test]
     fn finished_outset_keeps_its_chain_until_drop_returns_it() {
-        let set = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(8));
+        let set = TreeOutsetObj::new();
         let fresh = set.footprint_bytes();
         let n = 2 * BLOCK_SLOTS as u64 + 1;
         for t in 0..n {
@@ -1288,6 +1287,7 @@ mod tests {
         let mut head = set.inline_head.load(Ordering::SeqCst);
         while !head.is_null() {
             owned.push(head as *mut u8);
+            // SAFETY: linked blocks live until `set` drops, below.
             head = unsafe { (*head).next };
         }
         drop(set);

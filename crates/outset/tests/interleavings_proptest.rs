@@ -14,9 +14,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 use outset::tree::TreeOutsetObj;
-use outset::{AddEdge, GrowthPolicy, MutexOutset, OutsetFamily, TreeOutset};
+use outset::{AddEdge, MutexOutset, OutsetFamily, TreeOutset};
 use proptest::prelude::*;
-use snzi::Probability;
+
+mod common;
 
 #[derive(Debug, Clone, Copy)]
 enum Step {
@@ -160,19 +161,24 @@ proptest! {
     }
 }
 
-/// As `drive_concurrent`, on a concrete tree with a strategy-chosen
-/// growth policy, so the add ∥ grow ∥ finish triangle is explored across
-/// the whole policy space (never/sometimes/always split, tight and loose
-/// caps, pre-grown and single-lane starts).
+/// As `drive_concurrent`, on a concrete tree split `presplit` times while
+/// quiet and, when `splitter` is `Some(pause)`, split toward its cap by a
+/// thread of its own (`common::split_until_sealed`). So the add ∥ grow ∥
+/// finish triangle is explored across strategy-chosen shapes: no splits
+/// but the adders' own, a few, or up to the cap, from single-lane and
+/// pre-grown starts.
 fn drive_concurrent_growth(
     threads: usize,
     adds: u64,
     finish_after: u64,
-    initial_lanes: usize,
-    policy: GrowthPolicy,
+    presplit: usize,
+    splitter: Option<u32>,
 ) {
-    let set = Arc::new(TreeOutsetObj::with_policy(initial_lanes, policy));
-    let barrier = Arc::new(Barrier::new(threads + 1));
+    let set = Arc::new(TreeOutsetObj::new());
+    for _ in 0..presplit {
+        set.force_split();
+    }
+    let barrier = Arc::new(Barrier::new(threads + 1 + splitter.is_some() as usize));
     let done_adds = Arc::new(AtomicU64::new(0));
     let inline = Arc::new(Mutex::new(Vec::new()));
     let swept = std::thread::scope(|scope| {
@@ -194,6 +200,13 @@ fn drive_concurrent_growth(
                 inline.lock().unwrap().extend(mine);
             });
         }
+        if let Some(pause) = splitter {
+            let (set, barrier) = (Arc::clone(&set), Arc::clone(&barrier));
+            scope.spawn(move || {
+                barrier.wait();
+                common::split_until_sealed(&set, pause);
+            });
+        }
         barrier.wait();
         while done_adds.load(Ordering::Relaxed) < finish_after {
             std::hint::spin_loop();
@@ -207,26 +220,22 @@ fn drive_concurrent_growth(
     all.extend(&inline);
     all.sort_unstable();
     assert_eq!(all, (0..threads as u64 * adds).collect::<Vec<_>>());
-    assert!(set.lane_count() <= policy.max_lanes(), "growth respects the cap");
+    assert!(set.lane_count() <= TreeOutsetObj::max_lanes(), "growth respects the cap");
+    assert_eq!(set.splits(), set.lane_count().trailing_zeros() as usize);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     #[test]
-    fn concurrent_races_growth_policies(
+    fn concurrent_races_growth(
         threads in 1usize..5,
         adds in 1u64..600,
         frac in 0u64..100,
-        initial in 1usize..4,
-        p_percent in prop_oneof![Just(0u64), Just(25), Just(50), Just(100)],
-        max_lanes in 1usize..17,
+        presplit in 0usize..3,
+        splitter in prop_oneof![Just(None), Just(Some(0u32)), Just(Some(500)), Just(Some(5_000))],
     ) {
         let total = threads as u64 * adds;
-        let policy = GrowthPolicy::new(
-            Probability::from_f64(p_percent as f64 / 100.0),
-            max_lanes,
-        );
-        drive_concurrent_growth(threads, adds, total * frac / 100, initial, policy);
+        drive_concurrent_growth(threads, adds, total * frac / 100, presplit, splitter);
     }
 }

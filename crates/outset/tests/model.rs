@@ -9,7 +9,9 @@
 use std::sync::{Arc, Barrier, Mutex};
 
 use outset::tree::TreeOutsetObj;
-use outset::{AddEdge, GrowthPolicy, MutexOutset, OutsetFamily, TreeOutset};
+use outset::{AddEdge, MutexOutset, OutsetFamily, TreeOutset};
+
+mod common;
 
 /// Spawn `threads` adders racing one finisher; return (swept, inline).
 fn race<F: OutsetFamily>(
@@ -137,17 +139,20 @@ fn concurrent_double_finish_single_seal() {
     }
 }
 
-/// Like `race`, but on a concrete `TreeOutsetObj` so the growth policy
-/// and probes are in play: `threads` adders race one finisher on a set
-/// built by `make`; exactly-once over swept ∪ inline is asserted.
+/// Like `race`, but on a concrete `TreeOutsetObj` so the splits and probes
+/// are in play: `threads` adders race one finisher — and, if `splitter`
+/// is `Some(pause)`, a thread that splits the table meanwhile
+/// (`common::split_until_sealed`) — on a set built by `make`;
+/// exactly-once over swept ∪ inline is asserted.
 fn race_tree(
     make: impl Fn() -> TreeOutsetObj,
     threads: usize,
     adds: u64,
     delay: u64,
+    splitter: Option<u32>,
 ) -> TreeOutsetObj {
     let set = Arc::new(make());
-    let barrier = Arc::new(Barrier::new(threads + 1));
+    let barrier = Arc::new(Barrier::new(threads + 1 + splitter.is_some() as usize));
     let inline = Arc::new(Mutex::new(Vec::new()));
     let swept = std::thread::scope(|scope| {
         for tid in 0..threads {
@@ -164,6 +169,13 @@ fn race_tree(
                     }
                 }
                 inline.lock().unwrap().extend(mine);
+            });
+        }
+        if let Some(pause) = splitter {
+            let (set, barrier) = (Arc::clone(&set), Arc::clone(&barrier));
+            scope.spawn(move || {
+                barrier.wait();
+                common::split_until_sealed(&set, pause);
             });
         }
         barrier.wait();
@@ -184,20 +196,17 @@ fn race_tree(
 
 #[test]
 fn growth_races_preserve_exactly_once() {
-    // The add ∥ grow ∥ finish triangle: an eager policy splits on every
-    // lost CAS, so table swaps race both the claim path and the sweep.
-    // Exactly-once must hold whether or not growth fired in a given run.
+    // The add ∥ grow ∥ finish triangle: a splitter thread doubles the
+    // table toward its cap while the adders claim and the finisher
+    // sweeps, so table swaps race both the claim path and the sweep.
+    // Exactly-once must hold whether or not a split landed before the
+    // seal in a given run.
     for &(threads, adds, delay) in
         &[(2usize, 2000u64, 0u64), (4, 2000, 0), (4, 1000, 50_000), (8, 500, 10_000)]
     {
-        for _ in 0..8 {
-            let set = race_tree(
-                || TreeOutsetObj::with_policy(1, GrowthPolicy::eager(16)),
-                threads,
-                adds,
-                delay,
-            );
-            assert!(set.lane_count() <= 16);
+        for pause in [0, 1_000, 10_000, 100_000].into_iter().cycle().take(8) {
+            let set = race_tree(TreeOutsetObj::new, threads, adds, delay, Some(pause));
+            assert!(set.lane_count() <= TreeOutsetObj::max_lanes());
             assert_eq!(set.splits(), set.lane_count().trailing_zeros() as usize);
         }
     }
@@ -208,22 +217,23 @@ fn inline_born_then_split_races_exactly_once() {
     // The same triangle from a start no adder can produce by itself: an
     // out-set born on its inline lane, split twice while quiet, then
     // *moved* (out of the constructor, into the harness's `Arc`) before
-    // adders and the finisher meet. Lane 0 of the grown table is the
-    // inline head word, reached through the null-lane rule; tid 0's adds
-    // hash there.
+    // adders, the splitter and the finisher meet. Lane 0 of the grown
+    // table is the inline head word, reached through the null-lane rule;
+    // tid 0's adds hash there.
     for &(threads, adds, delay) in &[(2usize, 2000u64, 0u64), (4, 1000, 20_000), (8, 500, 0)] {
-        for _ in 0..8 {
+        for pause in [0, 1_000, 10_000, 100_000].into_iter().cycle().take(8) {
             let set = race_tree(
                 || {
-                    let set = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(16));
+                    let set = TreeOutsetObj::new();
                     assert!(set.force_split() && set.force_split());
                     set
                 },
                 threads,
                 adds,
                 delay,
+                Some(pause),
             );
-            assert!((4..=16).contains(&set.lane_count()));
+            assert!((4..=TreeOutsetObj::max_lanes()).contains(&set.lane_count()));
             assert_eq!(set.splits(), set.lane_count().trailing_zeros() as usize);
         }
     }
@@ -231,13 +241,13 @@ fn inline_born_then_split_races_exactly_once() {
 
 #[test]
 fn lane1_fast_path_add_finish_race() {
-    // The new default start: one lane, growth disabled — the add/finish
-    // slot protocol alone (no spreading, no table swaps) must already be
-    // exactly-once under the heaviest interleaving pressure.
+    // The start every out-set has: one lane, no splitter — the add/finish
+    // slot protocol, with whatever splits the adders' own lost installs
+    // draw, must be exactly-once under the heaviest interleaving pressure.
     for &(threads, adds, delay) in &[(2usize, 3000u64, 0u64), (4, 1500, 20_000), (8, 800, 0)] {
         for _ in 0..8 {
-            let set = race_tree(|| TreeOutsetObj::with_lanes(1), threads, adds, delay);
-            assert_eq!(set.lane_count(), 1, "fixed policy must never split");
+            let set = race_tree(TreeOutsetObj::new, threads, adds, delay, None);
+            assert_eq!(set.splits(), set.lane_count().trailing_zeros() as usize);
         }
     }
 }
@@ -248,7 +258,7 @@ fn concurrent_force_splits_race_adders_and_finisher() {
     // generation while adders and a finisher run — the most table swaps
     // per token the structure can experience.
     for _ in 0..10 {
-        let set = Arc::new(TreeOutsetObj::with_policy(1, GrowthPolicy::eager(32)));
+        let set = Arc::new(TreeOutsetObj::new());
         let barrier = Arc::new(Barrier::new(4));
         let inline = Arc::new(Mutex::new(Vec::new()));
         let adds = 1500u64;

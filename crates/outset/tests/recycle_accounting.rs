@@ -10,8 +10,8 @@
 
 use std::sync::{Mutex, MutexGuard};
 
+use outset::recycle;
 use outset::tree::TreeOutsetObj;
-use outset::{recycle, GrowthPolicy};
 
 const BLOCK_SLOTS: u64 = outset::BLOCK_SLOTS as u64;
 
@@ -42,7 +42,7 @@ fn isolated() -> Serial {
 /// (which unlinks nothing) and dropped (pushing the blocks into this
 /// thread's cache).
 fn churn_one(blocks: u64, token_base: u64) -> Vec<u64> {
-    let set = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(2));
+    let set = TreeOutsetObj::new();
     let n = blocks * BLOCK_SLOTS;
     for t in 0..n {
         let _ = set.add(token_base + t, 0);
@@ -66,7 +66,7 @@ fn retired_blocks_land_in_the_recycler_and_are_reused() {
     assert_eq!(recycle::cached_bytes(), 3 * recycle::block_bytes());
 
     // A successor out-set's first blocks must come from the cache…
-    let set = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(2));
+    let set = TreeOutsetObj::new();
     let _ = set.add(1000, 0);
     assert_eq!(recycle::cached_blocks(), 2, "first install reuses a cached block");
     for t in 0..(2 * BLOCK_SLOTS) {
@@ -107,19 +107,23 @@ fn worker_cache_overflows_to_the_global_pool() {
 }
 
 #[test]
-fn fixed_lane_out_sets_recycle_like_any_other() {
+fn split_out_sets_recycle_like_any_other() {
+    // Blocks in the out-of-line lanes of a grown table, as well as in the
+    // inline one, leave through the same drop.
     let _guard = isolated();
-    let set = TreeOutsetObj::with_lanes(2);
+    let set = TreeOutsetObj::new();
+    while set.force_split() {}
     for t in 0..(2 * BLOCK_SLOTS) {
-        let _ = set.add(t, 0);
+        let _ = set.add(t, t);
     }
     let mut n = 0u64;
     assert!(set.finish(&mut |_| n += 1));
     assert_eq!(n, 2 * BLOCK_SLOTS);
-    assert_eq!(set.block_count(), 2);
+    let blocks = set.block_count();
+    assert!(blocks > 2, "spread keys touch several lanes: {blocks} blocks");
     assert_eq!(recycle::cached_blocks(), 0, "nothing leaves before the drop");
     drop(set);
-    assert_eq!(recycle::cached_blocks(), 2, "a fixed policy is a cap, not another lifetime");
+    assert_eq!(recycle::cached_blocks(), blocks, "every lane's blocks, and only they");
 }
 
 #[test]
@@ -160,12 +164,12 @@ fn conservation_identity_holds_at_quiescence() {
     for round in 0..20u64 {
         churn_one(2 + round % 3, round * 10_000);
     }
-    // A fixed-lane out-set dropped unfinished takes the same exit.
-    let fixed = TreeOutsetObj::with_lanes(1);
+    // An out-set dropped unfinished takes the same exit.
+    let unfinished = TreeOutsetObj::new();
     for t in 0..BLOCK_SLOTS {
-        let _ = fixed.add(t, 0);
+        let _ = unfinished.add(t, 0);
     }
-    drop(fixed);
+    drop(unfinished);
     let d = obs::Snapshot::take().diff(&before);
     let born = d.counter("outset.blocks_allocated") + d.counter("outset.blocks_reused");
     let dead = d.counter("outset.blocks_recycled");

@@ -22,9 +22,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 use outset::tree::TreeOutsetObj;
-use outset::{recycle, AddEdge, GrowthPolicy};
+use outset::{recycle, AddEdge};
 use proptest::prelude::*;
-use snzi::Probability;
+
+mod common;
 
 const BLOCK_SLOTS: u64 = outset::BLOCK_SLOTS as u64;
 
@@ -46,7 +47,8 @@ fn serial() -> Serial {
 
 /// Blocks in the recycler, this thread's cache flushed to the shared
 /// list first — where the next spawned adder's dry cache refills from.
-/// Exact under the file lock once every spawned thread has exited.
+/// Exact under the file lock once every spawned thread has flushed its
+/// own caches (the pentagon's do, as the last thing they run).
 fn pooled() -> usize {
     sched::slab::flush_this_thread();
     recycle::cached_blocks()
@@ -69,7 +71,11 @@ fn assert_exactly_once(name: &str, swept: Vec<u64>, inline: Vec<u64>, expect: Ve
 /// its clone; each adder drops its own when it moves on to set `g+1`, so
 /// the last of them — whoever that is — runs the destructor that feeds
 /// set `g`'s blocks to the recycler sets `g+1…` allocate from.
-/// `lanes`/`policy` shape the concurrent growth dimension.
+/// `presplit` (splits made while quiet) and `splitter` shape the
+/// concurrent growth dimension: with `Some(pause)` a thread of its own
+/// walks the sets in order too, splitting set `g` toward its cap
+/// (`common::split_until_sealed`) until the main thread seals it, and
+/// then drops its clone like an adder.
 ///
 /// Returns a lower bound on the blocks the sets installed: a swept token
 /// sat in a slot, and a block has `BLOCK_SLOTS` of them.
@@ -77,13 +83,20 @@ fn drive_pentagon(
     threads: usize,
     adds_per_set: u64,
     sets: usize,
-    initial_lanes: usize,
-    policy: GrowthPolicy,
+    presplit: usize,
+    splitter: Option<u32>,
     finish_frac: u64,
 ) -> usize {
-    let outsets: Vec<Arc<TreeOutsetObj>> =
-        (0..sets).map(|_| Arc::new(TreeOutsetObj::with_policy(initial_lanes, policy))).collect();
-    let barrier = Arc::new(Barrier::new(threads + 1));
+    let outsets: Vec<Arc<TreeOutsetObj>> = (0..sets)
+        .map(|_| {
+            let set = TreeOutsetObj::new();
+            for _ in 0..presplit {
+                set.force_split();
+            }
+            Arc::new(set)
+        })
+        .collect();
+    let barrier = Arc::new(Barrier::new(threads + 1 + splitter.is_some() as usize));
     let done = Arc::new(AtomicU64::new(0)); // adds completed on the current set
     let inline: Vec<Arc<Mutex<Vec<u64>>>> =
         (0..sets).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
@@ -112,6 +125,21 @@ fn drive_pentagon(
                     }
                     inline[g].lock().unwrap().extend(mine);
                 }
+                // Hand back what this thread's last drops cached before
+                // the scope sees it done: the thread-local destructor
+                // would flush it only after the scope has returned.
+                sched::slab::flush_this_thread();
+            });
+        }
+        if let Some(pause) = splitter {
+            let outsets = outsets.clone();
+            let barrier = Arc::clone(&barrier);
+            scope.spawn(move || {
+                barrier.wait();
+                for set in outsets {
+                    common::split_until_sealed(&set, pause);
+                }
+                sched::slab::flush_this_thread();
             });
         }
         barrier.wait();
@@ -144,24 +172,19 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     // add ∥ grow ∥ finish ∥ recycle ∥ realloc over strategy-chosen
-    // shapes: thread count, churn depth, growth policy, and where in
-    // the add stream the seal lands.
+    // shapes: thread count, churn depth, how far and when the tables
+    // split, and where in the add stream the seal lands.
     #[test]
     fn pentagon_interleavings(
         threads in 1usize..5,
         adds in 1u64..300,
         sets in 2usize..5,
-        initial in 1usize..3,
-        p_percent in prop_oneof![Just(0u64), Just(50), Just(100)],
-        max_lanes in 2usize..9,
+        presplit in 0usize..2,
+        splitter in prop_oneof![Just(None), Just(Some(0u32)), Just(Some(2_000))],
         finish_frac in 0u64..100,
     ) {
         let _serial = serial();
-        let policy = GrowthPolicy::new(
-            Probability::from_f64(p_percent as f64 / 100.0),
-            max_lanes,
-        );
-        drive_pentagon(threads, adds, sets, initial, policy, finish_frac);
+        drive_pentagon(threads, adds, sets, presplit, splitter, finish_frac);
     }
 }
 
@@ -179,9 +202,10 @@ fn aba_recycled_block_reinstalled_at_same_lane() {
     const ADDS: u64 = 2 * BLOCK_SLOTS + 7; // > 2 blocks per generation
     let _serial = serial();
     for round in 0..ROUNDS {
-        // One lane, so lane 0 is where every recycled block is
-        // re-installed each round.
-        let set = TreeOutsetObj::with_lanes(1);
+        // Every adder keys 0, which hashes to lane 0 whatever the table,
+        // so lane 0 is where every recycled block is re-installed each
+        // round.
+        let set = TreeOutsetObj::new();
         let barrier = Barrier::new(THREADS + 1);
         let inline = Mutex::new(Vec::new());
         let swept = std::thread::scope(|scope| {
@@ -234,7 +258,7 @@ fn aba_recycled_block_reinstalled_at_same_lane() {
 fn cross_generation_sweep_is_deterministic_with_reused_blocks() {
     let _serial = serial();
     // Warm the recycler with one full out-set's worth of blocks.
-    let warm = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(16));
+    let warm = TreeOutsetObj::new();
     for t in 0..(8 * BLOCK_SLOTS) {
         let _ = warm.add(t, t);
     }
@@ -244,21 +268,23 @@ fn cross_generation_sweep_is_deterministic_with_reused_blocks() {
     for round in 0..10u64 {
         let warm_blocks = recycle::cached_blocks();
         assert!(warm_blocks >= 8, "round {round}: the previous life's blocks are pooled");
-        let set = TreeOutsetObj::with_policy(1, GrowthPolicy::eager(16));
+        let set = TreeOutsetObj::new();
         let base = 10_000 * (round + 1);
         let mut expect = Vec::new();
         let mut token = base;
-        for generation in 0..4 {
+        // Up to four generations, as the cap allows (at least three).
+        let splits = TreeOutsetObj::max_lanes().trailing_zeros().min(3);
+        for generation in 0..=splits {
             for k in 0..(2 * BLOCK_SLOTS) {
                 assert_eq!(set.add(token, k), AddEdge::Registered);
                 expect.push(token);
                 token += 1;
             }
-            if generation < 3 {
+            if generation < splits {
                 assert!(set.force_split());
             }
         }
-        assert_eq!(set.lane_count(), 8);
+        assert_eq!(set.lane_count(), 1 << splits);
         let blocks = set.block_count();
         assert!(blocks >= expect.len() / BLOCK_SLOTS as usize);
         assert_eq!(
@@ -289,16 +315,11 @@ fn no_stale_tokens_across_reuse_under_contention() {
     let before = pooled();
     let mut installed = 0;
     for round in 0..ROUNDS as u64 {
-        installed += drive_pentagon(
-            THREADS,
-            ADDS,
-            2,
-            1,
-            GrowthPolicy::new(Probability::from_f64(0.5), 8),
-            (round * 13) % 100,
-        );
+        // Every other round, a splitter races the adders too.
+        let splitter = (round % 2 == 1).then_some(1_000);
+        installed += drive_pentagon(THREADS, ADDS, 2, 0, splitter, (round * 13) % 100);
     }
-    // Every set is dropped and every adder thread has exited, so what
+    // Every set is dropped and every thread has flushed its caches, so what
     // the pool gained is what had to be allocated fresh; the rest of
     // what was installed lived a previous life.
     let fresh = pooled() - before;

@@ -60,7 +60,7 @@
 //! body, and has no counter unless that body forks (`crate::vertex`): a
 //! future whose body only computes, touches or parks costs four recycler
 //! slabs — the shared core, the fork's pair, the completion vertex and
-//! the body vertex — 448 B in all (three of the 128 B class, one of the
+//! the body vertex — 384 B in all (two of the 128 B class, two of the
 //! 64 B).
 //!
 //! ## Who holds the core, and the registration-lifetime rule
@@ -965,6 +965,25 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
+    fn a_future_core_rides_the_64_byte_class() {
+        // One line a core, not two: with a 24 B out-set, a `u64` future's
+        // pooled core — `PoolArc`'s count word in front of the
+        // `FutureCore`, laid out as its `repr(C)` header does — is 56 B. A
+        // field that pushes it past 64 B sends it to the 128 B class and
+        // fails here, on either leg of the `telemetry` switch (CI runs
+        // both).
+        assert_eq!(std::mem::size_of::<outset::tree::TreeOutsetObj>(), 24);
+        let (pooled, _) = std::alloc::Layout::new::<std::sync::atomic::AtomicUsize>()
+            .extend(std::alloc::Layout::new::<FutureCore<u64, TreeOutset>>())
+            .expect("a small layout");
+        let pooled = pooled.pad_to_align();
+        assert_eq!(pooled.size(), 56, "the pooled core of a u64 future");
+        let class =
+            sched::recycle::class_for(pooled.size(), pooled.align()).expect("on the ladder");
+        assert_eq!(sched::recycle::class_bytes(class), 64);
+    }
+
+    #[test]
     fn a_future_core_is_built_where_it_lives() {
         // Over scribbled slabs, at W = 1 (the body has not run when the
         // constructor returns): every field of the core reads as born.
@@ -1064,38 +1083,15 @@ mod tests {
         // that grows while its dependents register is what its handle
         // reports after the run, and every dependent is still swept exactly
         // once. One toucher, halfway through the fan-out, forces the table
-        // from one lane to its cap of four (`TreeOutsetObj::force_split`)
-        // while the other workers' touchers add. The growth is forced, not
-        // left to the adaptive coin: that needs real lost CASes, which a
+        // up to its cap (`TreeOutsetObj::{force_split, max_lanes}`) while
+        // the other workers' touchers add. The growth is forced, not left
+        // to the adaptive coin alone: that needs real lost CASes, which a
         // 2-core host produced in one run of three. The coin under
         // contention is the `outset` crate's to test.
-        struct ForcedTree;
-        impl OutsetFamily for ForcedTree {
-            type Outset = outset::tree::TreeOutsetObj;
-            const NAME: &'static str = "outset-tree-forced";
-            fn make() -> Self::Outset {
-                outset::tree::TreeOutsetObj::with_policy(1, outset::GrowthPolicy::fixed(4))
-            }
-            fn add(out: &Self::Outset, token: u64, key: u64) -> AddEdge {
-                out.add(token, key)
-            }
-            fn finish(out: &Self::Outset, sink: &mut dyn FnMut(u64)) -> bool {
-                out.finish(sink)
-            }
-            unsafe fn add_exclusive(out: &Self::Outset, token: u64, key: u64) -> AddEdge {
-                out.add(token, key)
-            }
-            unsafe fn finish_exclusive(out: &Self::Outset, sink: &mut dyn FnMut(u64)) -> bool {
-                out.finish(sink)
-            }
-            fn is_finished(out: &Self::Outset) -> bool {
-                out.is_finished()
-            }
-        }
         const N: u64 = 4000;
         // Smuggle the handle out so the lane table is probed after the run
         // quiesced.
-        let escaped = Arc::new(std::sync::Mutex::new(None::<FutureHandle<u64, ForcedTree>>));
+        let escaped = Arc::new(std::sync::Mutex::new(None::<FutureHandle<u64>>));
         let swept = Arc::new(AtomicU64::new(0));
         let (l, s) = (Arc::clone(&escaped), Arc::clone(&swept));
         run_dag::<DynSnzi, _>(DynConfig::default(), 4, move |mut ctx| {
@@ -1103,7 +1099,7 @@ mod tests {
             let r = Arc::clone(&registered);
             // The hub completes only after every touch landed, so every
             // dependent goes through the registration path and the sweep.
-            let f = ctx.future_in::<ForcedTree, _, _>(move |_| {
+            let f = ctx.future(move |_| {
                 while r.load(Ordering::Acquire) < N {
                     std::hint::spin_loop();
                 }
@@ -1127,7 +1123,9 @@ mod tests {
         let handle = escaped.lock().unwrap().take().expect("handle escaped");
         assert_eq!(swept.load(Ordering::Relaxed), N, "every dependent swept once");
         let grown = handle.outset();
-        assert_eq!((grown.lane_count(), grown.splits()), (4, 2), "one lane, doubled twice");
+        let cap = outset::tree::TreeOutsetObj::max_lanes();
+        assert_eq!(grown.lane_count(), cap, "one lane, doubled to the cap");
+        assert_eq!(grown.splits(), cap.trailing_zeros() as usize);
     }
 
     #[test]

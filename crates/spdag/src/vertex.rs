@@ -153,7 +153,7 @@
 //! of the counter's own class ([`sched::recycle::alloc`]) and stores the
 //! pointer; the vertex's `Drop`, which `Vertex::retire` runs, ends it. A
 //! forking scope pays one small slab; every other vertex is two lines, and
-//! a future link keeps 448 B of slabs live instead of 704 B.
+//! a future link keeps 384 B of slabs live instead of 640 B.
 //!
 //! The third object of
 //! a spawn, the shared `DecPair`, is a slab of the same ladder that owns

@@ -15,12 +15,12 @@
 //! the unwind path). The out-set routes run in one dag: a future with
 //! enough touchers to install three blocks, a bounced touch, a
 //! `touch_await` park and an `async` await, with the out-set's ledger
-//! checked too; under `fault-inject` its first block install is lost, and
-//! the lane table splits. Then the two cases the exclusivity argument must
-//! survive: a watched one-worker run, whose watchdog is a second thread
-//! holding the run's pool state, and one-worker runs nested in the
-//! vertices of a two-worker run, whose workers step shared counters of
-//! their own meanwhile.
+//! checked too; under `fault-inject` its block installs are lost at
+//! random, and the lane table splits. Then the two cases the exclusivity
+//! argument must survive: a watched one-worker run, whose watchdog is a
+//! second thread holding the run's pool state, and one-worker runs nested
+//! in the vertices of a two-worker run, whose workers step shared counters
+//! of their own meanwhile.
 //!
 //! Tests serialize on a process-wide lock: the ledgers are diffs of the
 //! global telemetry registry.
@@ -264,22 +264,17 @@ fn one_worker_runs_keep_exact_ledgers_on_every_family() {
 /// third block, every install by load and store.
 const HUB_TOUCHERS: u64 = 2 * outset::BLOCK_SLOTS as u64 + 1;
 
-/// Every out-set route at W = 1 in one run, all on one hub future of
-/// family `O`: `HUB_TOUCHERS` touches that register (the hub's body waits
-/// in the deque behind them), a strand whose `touch_await` parks and an
-/// `async` block whose `.await` parks (both pushed after the body, so
-/// popped before it), and in `then` of the chain around them a touch of
-/// the completed hub, which bounces. Checks the value each route read and
-/// the ledgers, the out-set's included; returns the hub's handle for its
-/// shape.
-fn outset_routes<C, O>(cfg: C::Config) -> FutureHandle<u64, O>
-where
-    C: CounterFamily,
-    O: OutsetFamily<Outset = outset::tree::TreeOutsetObj>,
-{
-    let what = label::<C>(&format!("out-set routes on {}", O::NAME));
+/// Every out-set route at W = 1 in one run, all on one hub future:
+/// `HUB_TOUCHERS` touches that register (the hub's body waits in the deque
+/// behind them), a strand whose `touch_await` parks and an `async` block
+/// whose `.await` parks (both pushed after the body, so popped before it),
+/// and in `then` of the chain around them a touch of the completed hub,
+/// which bounces. Checks the value each route read and the ledgers, the
+/// out-set's included; returns the hub's handle for its shape.
+fn outset_routes<C: CounterFamily>(cfg: C::Config) -> FutureHandle<u64> {
+    let what = label::<C>("out-set routes");
     let out = Arc::new(AtomicU64::new(0));
-    let slot: Arc<Mutex<Option<FutureHandle<u64, O>>>> = Arc::new(Mutex::new(None));
+    let slot: Arc<Mutex<Option<FutureHandle<u64>>>> = Arc::new(Mutex::new(None));
     let (o, s) = (Arc::clone(&out), Arc::clone(&slot));
     let d = ledgers(&what, || {
         vec![
@@ -288,7 +283,7 @@ where
                 let s2 = Arc::clone(&s);
                 ctx.chain(
                     move |mut c| {
-                        let hub = c.future_in::<O, _, _>(|_| 5u64);
+                        let hub = c.future(|_| 5u64);
                         for _ in 0..HUB_TOUCHERS {
                             let (h, o) = (hub.clone(), Arc::clone(&o2));
                             c.fork(move |c| {
@@ -338,7 +333,7 @@ fn one_worker_out_sets_keep_exact_ledgers() {
     let _g = serial();
     macro_rules! tree {
         ($c:ty, $cfg:expr) => {{
-            let hub = outset_routes::<$c, TreeOutset>($cfg);
+            let hub = outset_routes::<$c>($cfg);
             assert_eq!(hub.outset().splits(), 0, "no install is lost at W = 1");
         }};
     }
@@ -348,55 +343,37 @@ fn one_worker_out_sets_keep_exact_ledgers() {
     tree!(FixedDepth, FixedConfig { depth: 2 });
 }
 
-/// The hub's out-set splits on its first lost install: the exclusive add
-/// retries on the grown table.
-#[cfg(feature = "fault-inject")]
-struct EagerTree;
-
-#[cfg(feature = "fault-inject")]
-impl OutsetFamily for EagerTree {
-    type Outset = outset::tree::TreeOutsetObj;
-    const NAME: &'static str = "outset-tree-eager";
-    fn make() -> Self::Outset {
-        outset::tree::TreeOutsetObj::with_policy(1, outset::GrowthPolicy::eager(4))
-    }
-    fn add(out: &Self::Outset, token: u64, key: u64) -> outset::AddEdge {
-        out.add(token, key)
-    }
-    fn finish(out: &Self::Outset, sink: &mut dyn FnMut(u64)) -> bool {
-        out.finish(sink)
-    }
-    unsafe fn add_exclusive(out: &Self::Outset, token: u64, key: u64) -> outset::AddEdge {
-        // SAFETY: the caller's promise is `add_exclusive`'s.
-        unsafe { out.add_exclusive(token, key) }
-    }
-    unsafe fn finish_exclusive(out: &Self::Outset, sink: &mut dyn FnMut(u64)) -> bool {
-        // SAFETY: the caller's promise is `finish_exclusive`'s.
-        unsafe { out.finish_exclusive(sink) }
-    }
-    fn is_finished(out: &Self::Outset) -> bool {
-        out.is_finished()
-    }
-}
-
+/// Under `fault-inject` the hub's block installs are lost at random: each
+/// lost install flips the split coin, and the exclusive add that lost it
+/// retries on whatever table it finds, grown or not.
 #[cfg(feature = "fault-inject")]
 #[test]
 fn a_lost_install_at_one_worker_splits_the_lane_table() {
     use sched::failpoint::{self, FaultMode, FaultPlan, SiteSpec};
     let _g = serial();
-    // The first install of the run is the hub's first block, made by the
-    // first toucher's exclusive add: lose it, and the eager coin splits.
-    let lose_first = SiteSpec { site: "outset.install_cas".into(), mode: FaultMode::Nth(1) };
-    failpoint::install(&FaultPlan::new(37, vec![lose_first]));
-    let hub = catch_unwind(|| outset_routes::<DynSnzi, EagerTree>(DynConfig::default()));
+    // Each install is lost with probability 1/2, and each loss splits
+    // with probability 1/2: 64 losses leave no split with probability
+    // 2^-64 (a hub at its cap splits no further, but it has split by then).
+    let lose_half = SiteSpec { site: "outset.install_cas".into(), mode: FaultMode::OneIn(2) };
+    failpoint::install(&FaultPlan::new(37, vec![lose_half]));
+    let result = catch_unwind(|| {
+        let (mut hubs, mut splits) = (0, 0);
+        while failpoint::injected_count() < 64 {
+            // Exactly-once delivery and the out-set's ledger are checked
+            // inside, and every toucher keys on worker 0, which hashes to
+            // lane 0 — the inline one, where all three blocks sit —
+            // whatever the table.
+            let set = outset_routes::<DynSnzi>(DynConfig::default());
+            assert_eq!(set.outset().lane_count(), 1 << set.outset().splits());
+            (hubs, splits) = (hubs + 1, splits + set.outset().splits());
+        }
+        (hubs, splits)
+    });
     let injected = failpoint::injected_count();
     failpoint::clear();
-    let hub = hub.unwrap_or_else(|e| std::panic::resume_unwind(e));
-    assert_eq!(injected, 1, "the first install was lost");
-    // Every toucher keys on worker 0, which hashes to lane 0: the inline
-    // one, where all three blocks sit.
-    let set = hub.outset();
-    assert_eq!((set.splits(), set.lane_count()), (1, 2), "one split, two lanes");
+    let (hubs, splits) = result.unwrap_or_else(|e| std::panic::resume_unwind(e));
+    assert!(injected >= 64, "{injected} installs lost");
+    assert!(splits >= 1, "{injected} lost installs over {hubs} hubs split nothing");
 }
 
 /// Every route above in one dag body: a spawn tree of `2^depth` leaves,

@@ -23,8 +23,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dynsnzi::prelude::*;
+use outset::recycle;
 use outset::tree::TreeOutsetObj;
-use outset::{recycle, GrowthPolicy};
 
 /// Per-worker block-cache bound, mirrored from `outset::tree` (not public).
 const BLOCK_CACHE_CAP: u64 = 32;
@@ -82,8 +82,7 @@ fn churn_round(workers: usize, chains: u64, len: u64) -> u64 {
 /// that many one-token out-sets alive at once on this thread, swept,
 /// dropped and flushed.
 fn prewarm(blocks: u64) {
-    let sets: Vec<TreeOutsetObj> =
-        (0..blocks).map(|_| TreeOutsetObj::with_policy(1, GrowthPolicy::eager(2))).collect();
+    let sets: Vec<TreeOutsetObj> = (0..blocks).map(|_| TreeOutsetObj::new()).collect();
     for (token, set) in sets.iter().enumerate() {
         let _ = set.add(token as u64, 0);
     }

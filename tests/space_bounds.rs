@@ -243,10 +243,10 @@ fn a_future_link_keeps_four_recycler_slabs() {
             if blocking { "touch_await" } else { "future_then" },
         );
         assert!(slabs >= 4 * DEPTH as usize, "the gauge lost slabs: {slabs} for {DEPTH} links");
-        // And in bytes: the core and the two vertices ride the 128 B class,
-        // the pair the 64 B one. A vertex back in the 256 B class makes a
-        // link 704 B.
-        const LINK_BYTES: usize = 128 + 64 + 2 * 128;
+        // And in bytes: the core and the pair ride the 64 B class, the two
+        // vertices the 128 B one. A core back in the 128 B class makes a
+        // link 448 B, a vertex back in the 256 B class 640 B.
+        const LINK_BYTES: usize = 64 + 64 + 2 * 128;
         let bytes = sched::recycle::cached_bytes();
         let bound = LINK_BYTES * DEPTH as usize + BESIDE * 256;
         assert!(
