@@ -469,14 +469,13 @@ pub struct TreeOutsetObj {
     inline_head: AtomicPtr<Block>,
 }
 
-// SAFETY: every field is an atomic. The tables, lanes and blocks behind
-// them are published by a `SeqCst` CAS (or an exclusive step's `Release`
-// store), immutable or atomic once published, and freed only in `Drop`,
-// which holds `&mut self`. So a `&TreeOutsetObj` on another thread reads
-// only initialised memory that outlives it.
-unsafe impl Send for TreeOutsetObj {}
-// SAFETY: as for `Send`.
-unsafe impl Sync for TreeOutsetObj {}
+// Every field is an atomic, so `Send` and `Sync` hold by themselves
+// (a compile-time assertion in `tests` keeps them). That is sound for what
+// the fields point at too: the tables, lanes and blocks are published by
+// a `SeqCst` CAS (or an exclusive step's `Release` store), immutable or
+// atomic once published, and freed only in `Drop`, which holds `&mut
+// self`; so a `&TreeOutsetObj` on another thread reads only initialised
+// memory that outlives it.
 
 impl TreeOutsetObj {
     /// An empty out-set on **one lane**, the inline one: the cheapest
@@ -958,6 +957,13 @@ impl OutsetFamily for TreeOutset {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Checked at compile time: an out-set is shared by every toucher of
+    /// its future and dropped by whichever thread drops the last handle.
+    const _: () = {
+        const fn an_outset_crosses_threads<T: Send + Sync>() {}
+        an_outset_crosses_threads::<TreeOutsetObj>()
+    };
 
     #[test]
     fn fresh_outset_allocates_nothing() {

@@ -466,9 +466,12 @@ impl<'a, T: Word> WorkerCtx<'a, T> {
     /// A run nested inside a task builds vertices of its own. A future's
     /// handle is touched only within its own run (`spdag::FutureHandle`'s
     /// contract): only the run's own workers add to a future's out-set or
-    /// sweep it. What a thread outside the run *can* reach stays shared in
-    /// `spdag` whatever this says: any thread that holds a handle reaches
-    /// the `PoolArc` refcount, and the last holder drops the core. Such a
+    /// sweep it, and only they take and drop the references `spdag` counts
+    /// on a future's core by load and store (its run-internal count). What
+    /// a thread outside the run *can* reach stays shared in `spdag`
+    /// whatever this says: any thread that holds a handle reaches the
+    /// `PoolArc` refcount — user handles step it at every W — and the last
+    /// holder drops the core. Such a
     /// thread may also load `FutureCore::completed` or probe the out-set;
     /// the exclusive steps store with `Release`, so what it observes comes
     /// with the writes before it.

@@ -14,10 +14,15 @@
 //! A refcount step is a locked instruction on a line every holder shares,
 //! so a holder known when the value is made should not cost one:
 //! [`PoolArc::new_held`] births the count at `N` and returns the `N`
-//! handles together (a future's core has three — its handle, its
-//! completion sweep, its value setter), and from there each is an ordinary
-//! handle. [`PoolArc::new_held_in_place`] is the same birth with the value
-//! written straight into the slab instead of moved in.
+//! handles together (a future's core has two — its handle and its
+//! completion sweep's), and from there each is an ordinary handle.
+//! [`PoolArc::new_held_in_place`] is the same birth with the value written
+//! straight into the slab instead of moved in. [`PoolArc::into_raw`] and
+//! [`PoolArc::from_raw`] give a reference up as a pointer and take it back,
+//! as `std::sync::Arc`'s do: `spdag` keeps one unit so for every reference
+//! a one-worker run takes to a future's core, which that run counts on a
+//! word of the core by load and store (`spdag::futures`, "Who holds the
+//! core"). The count here is stepped the same way whoever holds it.
 //!
 //! It is for objects whose holder count is genuinely open-ended. The
 //! decrement pair two sibling vertices share is *not* one: it has
@@ -110,6 +115,34 @@ impl<T> PoolArc<T> {
         std::array::from_fn(|_| Self { ptr, _marker: PhantomData })
     }
 
+    /// Give up the handle without releasing its reference, as
+    /// `std::sync::Arc::into_raw`: the returned pointer is the value's, and
+    /// the reference it stands for is released only by handing it back to
+    /// [`from_raw`](PoolArc::from_raw).
+    pub fn into_raw(this: Self) -> *const T {
+        let this = std::mem::ManuallyDrop::new(this);
+        // SAFETY: the inner struct is live while the reference `this`
+        // carried is, and that reference now rides the returned pointer.
+        unsafe { std::ptr::addr_of!((*this.ptr.as_ptr()).value) }
+    }
+
+    /// Take back a reference given up by [`into_raw`](PoolArc::into_raw),
+    /// as `std::sync::Arc::from_raw`.
+    ///
+    /// # Safety
+    /// `ptr` must come from `PoolArc::<T>::into_raw`, and each reference
+    /// given up that way may be taken back once. (Wrapping the result in
+    /// `ManuallyDrop` takes back none: the std idiom for a clone through a
+    /// raw pointer the caller's own reference keeps alive.)
+    pub unsafe fn from_raw(ptr: *const T) -> Self {
+        let offset = std::mem::offset_of!(Inner<T>, value);
+        // SAFETY: `ptr` points at the `value` field of a live `Inner<T>`,
+        // `offset` bytes into it; the result is that allocation's start,
+        // so it is non-null.
+        let ptr = unsafe { NonNull::new_unchecked(ptr.byte_sub(offset) as *mut Inner<T>) };
+        Self { ptr, _marker: PhantomData }
+    }
+
     fn inner(&self) -> &Inner<T> {
         // SAFETY: the inner struct is live while any PoolArc points at it.
         unsafe { self.ptr.as_ref() }
@@ -192,6 +225,20 @@ mod tests {
         assert_eq!(drops.load(Ordering::SeqCst), 0);
         drop(b);
         assert_eq!(drops.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_raw_round_trip_keeps_the_reference() {
+        let a = PoolArc::new(5u64);
+        let b = a.clone();
+        let raw = PoolArc::into_raw(b);
+        assert_eq!(PoolArc::strong_count(&a), 2, "the raw pointer still holds its reference");
+        // SAFETY: `raw` came from `into_raw` and is taken back once.
+        let b = unsafe { PoolArc::from_raw(raw) };
+        assert!(PoolArc::ptr_eq(&a, &b));
+        assert_eq!(*b, 5);
+        drop(b);
+        assert_eq!(PoolArc::strong_count(&a), 1);
     }
 
     #[test]

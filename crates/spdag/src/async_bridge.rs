@@ -47,7 +47,7 @@ use incounter::CounterFamily;
 use outset::OutsetFamily;
 
 use crate::dag::Ctx;
-use crate::futures::{FutureHandle, ParkTarget};
+use crate::futures::{FutureHandle, ParkRequest};
 use crate::vertex::{Strand, StrandPoll};
 
 /// What the current thread's innermost poll context is.
@@ -58,11 +58,12 @@ enum BridgeState {
     Active,
     /// A polled [`FutureHandle`] was unready and asks the strand to park:
     /// "register this strand's vertex on my out-set". The request
-    /// **owns** a core reference ([`ParkTarget`] wraps a cloned
-    /// `PoolArc`), so the out-set stays alive across the poll-to-register
-    /// gap even if the polled user future dropped its handle — and every
-    /// other reference died — before returning `Pending`.
-    Requested(Box<dyn ParkTarget>),
+    /// **owns** a core reference ([`ParkRequest`]: a pointer and two
+    /// functions, no box), so the out-set stays alive across the
+    /// poll-to-register gap even if the polled user future dropped its
+    /// handle — and every other reference died — before returning
+    /// `Pending`.
+    Requested(ParkRequest),
 }
 
 thread_local! {
@@ -119,12 +120,12 @@ where
                 // was never registered, so dropping it arms nothing.
                 Poll::Ready(value) => return StrandPoll::Done(value),
                 Poll::Pending => match state {
-                    BridgeState::Requested(target) => {
+                    BridgeState::Requested(request) => {
                         let token = ctx.arm_park();
                         let key = ctx.worker_id() as u64;
-                        // The target's owned core reference keeps the
+                        // The request's owned core reference keeps the
                         // out-set alive until this registration lands.
-                        if target.register(token, key, ctx.worker.is_solo()) {
+                        if request.register(token, key, ctx.worker.is_solo()) {
                             return StrandPoll::Parked;
                         }
                         // Sealed in the gap between poll and registration:
@@ -184,7 +185,7 @@ where
         // see the module docs on combinators). The request owns a cloned
         // core reference, so the out-set it targets outlives even a handle
         // dropped mid-poll.
-        BRIDGE.with(|b| b.set(BridgeState::Requested(self.park_target())));
+        BRIDGE.with(|b| b.set(BridgeState::Requested(self.park_request())));
         Poll::Pending
     }
 }

@@ -416,8 +416,8 @@ fn execute_vertex<C: CounterFamily>(
     let ready = if v.dec.is_none() {
         // The scope's only strand: nothing was ever counted, so its end is
         // the scope's end — no claim, no decrement, no counter.
-        // SAFETY: as the only strand, nobody else reaches the field.
         debug_assert!(
+            // SAFETY: as the only strand, nobody else reaches the field.
             !unsafe { fin_ref.has_counter() },
             "sp-dag invariant violated: a sole strand's scope has a counter"
         );

@@ -66,19 +66,49 @@
 //! ## Who holds the core, and the registration-lifetime rule
 //!
 //! A refcount step on the core is a locked instruction on a line every
-//! holder shares, so the runtime takes none it can name in advance. The
-//! core is **born with its three holders** — the handle the constructor
-//! returns, the completion vertex's sweep, the body's value setter
-//! (`PoolArc::new_held`) — and a join's second stage reads its first
+//! holder shares, so the runtime takes none it can name in advance, and
+//! none at all for a reference only its own vertices of a one-worker run
+//! hold.
+//!
+//! * **User handles** ([`FutureHandle`]) step the shared `PoolArc` count
+//!   at every W: a handle may escape to any thread.
+//! * **The runtime's own references** — the sweep's, a waiting vertex's
+//!   (`touch_holding`), the inputs a `future_then`/`future_join` body
+//!   captures, a join's handed-on left core — are `CoreRef`s. Minted by
+//!   the worker of a one-worker run on a core that run bore, one is
+//!   *internal*: it counts on `FutureCore::internal` by a load and a
+//!   store, and the internal references of a core hold **one** unit of the
+//!   shared count between them while any lives (taken at birth, retaken by
+//!   one increment on 0 → 1, released by one decrement on 1 → 0).
+//!   Otherwise it is one unit of the shared count, as a clone is.
+//! * **The value setter holds no count**: the sweep waits for its drop's
+//!   store to `published`, that store is its last access, and the sweep's
+//!   reference covers it.
+//!
+//! So the core is **born with its two units** — the handle the
+//! constructor returns and the sweep's (the group's, in a one-worker run)
+//! — by `PoolArc::new_held`, and a join's second stage reads its first
 //! input through the reference the first `touch` already took for its
 //! waiting vertex, handed on by value (`Ctx::touch_holding`), instead of
-//! through one more clone: a `future_join` cell costs 11 refcount steps,
-//! 4 up and 7 down, where it cost 15.
+//! through one more. The locked refcount steps, against the runtime
+//! before the count split (every reference shared, the setter holding
+//! one):
 //!
-//! One clone is **not** negotiable: *a registration runs under a
+//! | | before | W = 1 | W ≥ 2 |
+//! |---|---|---|---|
+//! | a `future_join` cell | 11: 4 up, 7 down | 2: the handle's drop, the group's release | 10: 4 up, 6 down |
+//! | a `touch` of a future of its run | 2 | 0 | 2 |
+//! | a future's birth and end (handle, sweep, setter) | 3 | 2 | 2 |
+//!
+//! At W ≥ 2 every step is one the runtime made before, less the setter's
+//! drop. A future touched in a later run, or by a run nested in a vertex,
+//! takes shared units: the token recorded at birth is the address of the
+//! birth run's worker context, which no other live run shares.
+//!
+//! One reference is **not** negotiable: *a registration runs under a
 //! reference its caller holds.* `touch` borrows the handle and gives the
-//! waiting vertex a clone. Moving the caller's own handle into that vertex
-//! would save the clone and is a use-after-free: once `O::add` has
+//! waiting vertex a new reference. Moving the caller's own handle into
+//! that vertex would save that step and is a use-after-free: once `O::add` has
 //! published the token the vertex can be swept, run and retired on another
 //! worker, dropping what it owns — and with the last reference the core,
 //! out-set and slot blocks included — while `O::add` is still in its
@@ -133,13 +163,15 @@
 //! ```
 
 use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::ptr::addr_of_mut;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::marker::PhantomData;
+use std::mem::{ManuallyDrop, MaybeUninit};
+use std::ops::Deref;
+use std::ptr::{addr_of_mut, NonNull};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 use incounter::CounterFamily;
 use outset::{AddEdge, OutsetFamily, TreeOutset};
-use sched::PoolArc;
+use sched::{PoolArc, WorkerCtx};
 
 use crate::dag::Ctx;
 use crate::vertex::{Body, Once, Resumable, Strand, StrandPoll, Vertex, VertexPtr};
@@ -169,6 +201,14 @@ struct FutureCore<T, O: OutsetFamily> {
     /// Written once by the future's body vertex, read only by code that
     /// runs strictly after completion (see `value_ref`).
     value: UnsafeCell<Option<T>>,
+    /// The [`run_token`] of the one-worker run the core was born in, 0 if
+    /// it was born in a run of two or more. Written at birth, then only
+    /// read: a [`CoreRef`] minted where it matches is internal.
+    owner: usize,
+    /// How many internal [`CoreRef`]s live. Stepped by a load and a store,
+    /// by the owner alone (see `CoreRef`); while it is non-zero the group
+    /// of them holds one unit of the shared `PoolArc` count.
+    internal: AtomicU32,
     /// Set by the completion vertex just before the out-set seal; the
     /// publication edge for [`FutureHandle::try_get`]. Its readers need
     /// only its release half, which hands on the value write the sweep
@@ -188,7 +228,10 @@ struct FutureCore<T, O: OutsetFamily> {
 // motion before it has acquired `published`, which the setter releases
 // after the write — so `&T` may be shared across threads (T: Sync) after a
 // cross-thread move (T: Send). The out-set is Sync by its trait bounds.
+// `owner` is written before the core is shared and never again;
+// `internal` is an atomic that only the owner thread steps (`CoreRef`).
 unsafe impl<T: Send + Sync, O: OutsetFamily> Send for FutureCore<T, O> {}
+// SAFETY: as for `Send`.
 unsafe impl<T: Send + Sync, O: OutsetFamily> Sync for FutureCore<T, O> {}
 
 impl<T, O: OutsetFamily> FutureCore<T, O> {
@@ -220,20 +263,156 @@ impl<T, O: OutsetFamily> FutureCore<T, O> {
     }
 }
 
-/// Crate-internal: a type-erased **owning** registration surface for the
-/// async bridge's park requests. Holding one keeps the [`FutureCore`] —
+/// The token of the run `worker` belongs to, for [`CoreRef`]s: the
+/// address of its context while the run is solo, 0 in a run of two or
+/// more. Two live runs never share it — each context is a local of its own
+/// worker's frame — and a later run that reuses an address finds every
+/// internal count it shares with an earlier one at 0 (see `CoreRef`).
+fn run_token<C: CounterFamily>(worker: &WorkerCtx<'_, VertexPtr<C>>) -> usize {
+    if worker.is_solo() {
+        worker as *const WorkerCtx<'_, VertexPtr<C>> as usize
+    } else {
+        0
+    }
+}
+
+/// A reference to a future's core that the runtime takes for itself: the
+/// sweep's, a waiting vertex's, an input a `future_then`/`future_join`
+/// body captures. It is one of two kinds, told apart by bit 0 of its
+/// pointer.
+///
+/// * **Internal**, when it was minted inside a one-worker run by that run's
+///   worker on a core born in that run (`run_token` equals the core's
+///   `owner`). It counts on `FutureCore::internal` by a load and a store,
+///   and the first of a group (count 0 → 1) takes one unit of the shared
+///   `PoolArc` count for the whole group — at birth with the handle
+///   (`PoolArc::new_held::<2>`), later by one ordinary increment under the
+///   reference the minting caller holds — which the last (1 → 0) releases
+///   by an ordinary `PoolArc` drop.
+/// * **Shared** otherwise: one ordinary unit of the `PoolArc` count, taken
+///   and given back as a clone and a drop.
+///
+/// An internal reference lives and dies in its run's vertices, all of
+/// which run on the owner thread and have run or been dropped before
+/// `run_dag` returns; so the count it steps is never stepped by two
+/// threads, and it is 0, with the group's unit released, whenever the run
+/// is over. User handles (`FutureHandle`) step the shared word at every W,
+/// so a handle that escapes to another thread behaves as it always has.
+struct CoreRef<T, O: OutsetFamily> {
+    /// The core, with bit 0 set when the reference is internal (a core is
+    /// at least 8-aligned: it holds a `usize`).
+    tagged: NonNull<FutureCore<T, O>>,
+    _marker: PhantomData<FutureCore<T, O>>,
+}
+
+// SAFETY: a shared `CoreRef` is a `PoolArc` reference and crosses threads
+// as one (the same bounds). An internal one never leaves its owner thread:
+// it moves only between vertices of a one-worker run, which all run there
+// (above) — the bound exists because vertex bodies must be `Send`.
+unsafe impl<T: Send + Sync, O: OutsetFamily> Send for CoreRef<T, O> {}
+
+impl<T, O: OutsetFamily> CoreRef<T, O> {
+    const INTERNAL: usize = 1;
+
+    /// The sweep's reference, out of the unit it was born with: the
+    /// group's, with the internal count born at 1, when `internal`.
+    fn born(unit: PoolArc<FutureCore<T, O>>, internal: bool) -> Self {
+        Self::tag(PoolArc::into_raw(unit), internal)
+    }
+
+    /// A new reference to `core` for a worker whose [`run_token`] is
+    /// `token`: internal when `token` is the core's owner, else shared.
+    ///
+    /// # Safety
+    /// `core` must be a future's core — every one lives in a `PoolArc`,
+    /// born by `future_slot` — and the caller must hold a reference to it
+    /// for the call.
+    #[inline]
+    unsafe fn mint(core: &FutureCore<T, O>, token: usize) -> Self {
+        // SAFETY: `core` is the value of a live `PoolArc`, and the caller's
+        // reference keeps it alive; `ManuallyDrop` takes that reference
+        // over for the clone below and never releases it (the std idiom
+        // `Arc::increment_strong_count`).
+        let held = ManuallyDrop::new(unsafe { PoolArc::from_raw(core) });
+        if token == 0 || core.owner != token {
+            return Self::tag(PoolArc::into_raw(PoolArc::clone(&held)), false);
+        }
+        let n = core.internal.load(Ordering::Relaxed);
+        assert!(n < u32::MAX, "internal CoreRef count overflow");
+        if n == 0 {
+            // The group retakes its unit, released by the 1 → 0 drop.
+            let _unit = PoolArc::into_raw(PoolArc::clone(&held));
+        }
+        core.internal.store(n + 1, Ordering::Relaxed);
+        Self::tag(core, true)
+    }
+
+    fn tag(core: *const FutureCore<T, O>, internal: bool) -> Self {
+        let tagged = core.map_addr(|a| a | if internal { Self::INTERNAL } else { 0 });
+        // SAFETY: a core's address, which is non-null; setting bit 0 keeps
+        // it so.
+        Self { tagged: unsafe { NonNull::new_unchecked(tagged.cast_mut()) }, _marker: PhantomData }
+    }
+
+    fn core(&self) -> *const FutureCore<T, O> {
+        self.tagged.as_ptr().map_addr(|a| a & !Self::INTERNAL)
+    }
+}
+
+impl<T, O: OutsetFamily> Deref for CoreRef<T, O> {
+    type Target = FutureCore<T, O>;
+
+    fn deref(&self) -> &FutureCore<T, O> {
+        // SAFETY: this reference keeps the core alive — its own unit, or
+        // the group's while the internal count it is part of is non-zero.
+        unsafe { &*self.core() }
+    }
+}
+
+impl<T, O: OutsetFamily> Drop for CoreRef<T, O> {
+    #[inline]
+    fn drop(&mut self) {
+        if self.tagged.as_ptr().addr() & Self::INTERNAL != 0 {
+            // On the owner thread, the only one that steps this count.
+            let n = self.internal.load(Ordering::Relaxed);
+            self.internal.store(n - 1, Ordering::Relaxed);
+            if n != 1 {
+                return;
+            }
+        }
+        // SAFETY: this reference's own unit, or the group's, which the last
+        // internal reference releases; either was given up by `into_raw`.
+        drop(unsafe { PoolArc::from_raw(self.core()) });
+    }
+}
+
+/// An owning, type-erased park request for the async bridge: one core
+/// reference (a shared unit, given up by `PoolArc::into_raw`) and the two
+/// functions that know its type. Holding one keeps the [`FutureCore`] —
 /// and thus the out-set the request targets — alive across the gap
 /// between the `FutureHandle::poll` that filed the request and the strand
 /// executor consuming it, even if the polled user future dropped its
-/// handle (and every other core reference died) inside that gap.
-pub(crate) trait ParkTarget: Send {
-    /// [`register_dependent`] on the underlying future's out-set.
-    fn register(&self, token: u64, key: u64, solo: bool) -> bool;
+/// handle (and every other core reference died) inside that gap. Filing
+/// one allocates nothing.
+pub(crate) struct ParkRequest {
+    core: *const (),
+    register: unsafe fn(*const (), u64, u64, bool) -> bool,
+    release: unsafe fn(*const ()),
 }
 
-impl<T: Send + Sync, O: OutsetFamily> ParkTarget for PoolArc<FutureCore<T, O>> {
-    fn register(&self, token: u64, key: u64, solo: bool) -> bool {
-        register_dependent::<O>(&self.outset, token, key, solo)
+impl ParkRequest {
+    /// [`register_dependent`] on the requested future's out-set.
+    pub(crate) fn register(&self, token: u64, key: u64, solo: bool) -> bool {
+        // SAFETY: `core` and `register` were made together, for one type,
+        // and the request's reference keeps the core alive.
+        unsafe { (self.register)(self.core, token, key, solo) }
+    }
+}
+
+impl Drop for ParkRequest {
+    fn drop(&mut self) {
+        // SAFETY: as in `register`; the reference is released once, here.
+        unsafe { (self.release)(self.core) }
     }
 }
 
@@ -264,13 +443,19 @@ impl<T, O: OutsetFamily> Clone for FutureHandle<T, O> {
 }
 
 /// One-shot value publisher handed to the body every future constructor
-/// builds. A plain struct around one of the three references the core is
-/// born with (`PoolArc::new_held_in_place`): constructing it allocates
-/// nothing and takes no refcount step, and its 8 bytes keep the closures
-/// that carry it inside the frame's inline class.
+/// builds. It holds no count: a raw pointer to the core, which the sweep's
+/// reference keeps alive until the setter's `Drop` — the sweep spins on
+/// `published` until that drop stores it, and that store is the setter's
+/// last access. Its 8 bytes keep the closures that carry it inside the
+/// frame's inline class.
 struct ValueSetter<T, O: OutsetFamily> {
-    core: PoolArc<FutureCore<T, O>>,
+    core: NonNull<FutureCore<T, O>>,
 }
+
+// SAFETY: the setter carries the right to write the value once, from
+// whichever thread runs the body (T: Send), into a core that is shared
+// across threads (its `Sync` bounds); the pointer stays valid (above).
+unsafe impl<T: Send + Sync, O: OutsetFamily> Send for ValueSetter<T, O> {}
 
 impl<T: Send + Sync, O: OutsetFamily> ValueSetter<T, O> {
     /// Publish the future's value. Consumes the setter: the type system
@@ -280,8 +465,9 @@ impl<T: Send + Sync, O: OutsetFamily> ValueSetter<T, O> {
     fn set(self, value: T) {
         // SAFETY: the setter is handed out once and consumed here, by a
         // strand of the future's own subtree — ordered before every read
-        // via the completion protocol (see FutureCore).
-        unsafe { *self.core.value.get() = Some(value) };
+        // via the completion protocol (see FutureCore). The core is alive:
+        // the sweep waits for this setter's drop.
+        unsafe { *self.core.as_ref().value.get() = Some(value) };
     }
 }
 
@@ -291,7 +477,9 @@ impl<T: Send + Sync, O: OutsetFamily> ValueSetter<T, O> {
 /// is what lets the completion vertex complete the future.
 impl<T, O: OutsetFamily> Drop for ValueSetter<T, O> {
     fn drop(&mut self) {
-        self.core.published.store(true, Ordering::Release);
+        // SAFETY: the sweep's reference holds the core until it has loaded
+        // this store, which is the setter's last access.
+        unsafe { self.core.as_ref() }.published.store(true, Ordering::Release);
     }
 }
 
@@ -357,6 +545,15 @@ impl<T: Send + Sync + 'static, O: OutsetFamily> FutureHandle<T, O> {
         self.is_done() && unsafe { self.core.value_opt() }.is_none()
     }
 
+    /// How many units the core's shared count holds (diagnostic; racy by
+    /// nature): one per handle, plus the runtime's own references — one
+    /// each, except that the references a one-worker run takes for itself
+    /// on its own futures hold one unit between them while any lives
+    /// (the module docs, "Who holds the core").
+    pub fn strong_count(&self) -> usize {
+        PoolArc::strong_count(&self.core)
+    }
+
     /// The future's completion out-set (diagnostic): how the growth-curve
     /// tests and the bench harness probe lane counts and footprints of
     /// out-sets embedded in a real dag run. Reading it never perturbs the
@@ -365,11 +562,32 @@ impl<T: Send + Sync + 'static, O: OutsetFamily> FutureHandle<T, O> {
         &self.core.outset
     }
 
-    /// Crate-internal: an owning, type-erased park-registration target
-    /// for the async bridge (one [`PoolArc`] clone behind a box — see
-    /// [`ParkTarget`]).
-    pub(crate) fn park_target(&self) -> Box<dyn ParkTarget> {
-        Box::new(self.core.clone())
+    /// Crate-internal: an owning, type-erased park request for the async
+    /// bridge (one `PoolArc` clone, no box — see [`ParkRequest`]).
+    pub(crate) fn park_request(&self) -> ParkRequest {
+        /// # Safety
+        /// `core` is a `FutureCore<T, O>` a reference keeps alive.
+        unsafe fn register<T, O: OutsetFamily>(
+            core: *const (),
+            token: u64,
+            key: u64,
+            solo: bool,
+        ) -> bool {
+            // SAFETY: the caller's contract.
+            let core = unsafe { &*(core as *const FutureCore<T, O>) };
+            register_dependent::<O>(&core.outset, token, key, solo)
+        }
+        /// # Safety
+        /// `core` came from `PoolArc::<FutureCore<T, O>>::into_raw`, once.
+        unsafe fn release<T, O: OutsetFamily>(core: *const ()) {
+            // SAFETY: the caller's contract.
+            drop(unsafe { PoolArc::from_raw(core as *const FutureCore<T, O>) });
+        }
+        ParkRequest {
+            core: PoolArc::into_raw(self.core.clone()) as *const (),
+            register: register::<T, O>,
+            release: release::<T, O>,
+        }
     }
 }
 
@@ -438,18 +656,25 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         B: Body<C>,
         G: FnOnce(ValueSetter<T, O>) -> B,
     {
-        // The core is born with its three holders — the handle returned
-        // below, the completion vertex's sweep, the body's setter — so
-        // none of them is a `clone`.
+        // The core is born with its two units — the handle returned below
+        // and the completion vertex's sweep, which in a one-worker run is
+        // the group unit of the run's internal references, the sweep's
+        // being the first (`CoreRef`) — so neither is a `clone`. The
+        // body's setter holds no count.
+        let token = run_token(self.worker);
         // SAFETY: the closure writes every field of the core.
-        let [core, sweep_core, setter_core] = unsafe {
+        let [core, unit] = unsafe {
             PoolArc::new_held_in_place(|core: *mut FutureCore<T, O>| {
                 addr_of_mut!((*core).outset).write(O::make());
                 addr_of_mut!((*core).value).write(UnsafeCell::new(None));
+                addr_of_mut!((*core).owner).write(token);
+                addr_of_mut!((*core).internal).write(AtomicU32::new(u32::from(token != 0)));
                 addr_of_mut!((*core).completed).write(AtomicBool::new(false));
                 addr_of_mut!((*core).published).write(AtomicBool::new(false));
             })
         };
+        let sweep_core = CoreRef::born(unit, token != 0);
+        let setter = ValueSetter { core: NonNull::from(&*core) };
         obs::counter!("spdag.futures_created").inc();
         obs::trace::record(obs::EventKind::FutureCreate, &*core as *const FutureCore<T, O> as u64);
         let (cfg, worker) = (self.cfg, self.worker);
@@ -472,7 +697,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // vertex's scope (the same wiring Ctx::chain gives its `first`).
         // The body's state is what `build` captures plus one word, the
         // setter.
-        let fv = Vertex::slab().emplace_sole(fw_ptr, build(ValueSetter { core: setter_core }));
+        let fv = Vertex::slab().emplace_sole(fw_ptr, build(setter));
         worker.push(VertexPtr(fv));
         FutureHandle { core }
     }
@@ -507,11 +732,14 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         OA: OutsetFamily,
         F: for<'b> FnOnce(Ctx<'b, C>, &A) -> T + Send + 'static,
     {
-        let input = input.clone();
+        // SAFETY: the handle holds the core for the call.
+        let input = unsafe { CoreRef::mint(&input.core, run_token(self.worker)) };
         self.future_slot(move |setter| {
             Once(move |c: Ctx<'_, C>| {
-                c.touch(&input, move |c2, a| {
-                    let value = f(c2, a);
+                c.touch_holding(&input, move |c2, a| {
+                    // SAFETY: `touch_holding` runs this strictly after
+                    // completion, and only when a value was published.
+                    let value = f(c2, unsafe { a.value_ref() });
                     setter.set(value);
                 });
             })
@@ -572,22 +800,25 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         O: OutsetFamily,
         F: for<'b> FnOnce(Ctx<'b, C>, &A, &B) -> T + Send + 'static,
     {
-        let left = left.clone();
-        let right = right.clone();
+        let token = run_token(self.worker);
+        // SAFETY: the handles hold their cores for the calls.
+        let (left, right) =
+            unsafe { (CoreRef::mint(&left.core, token), CoreRef::mint(&right.core, token)) };
         self.future_slot(move |setter| {
             Once(move |c: Ctx<'_, C>| {
                 // The inner continuation reads `left`'s value through the
                 // reference the outer touch took for its own continuation,
-                // handed on — not through one more clone of `left`. The
-                // handle itself stays in this frame until `touch` returns
-                // (the registration-lifetime rule, on `touch_holding`).
+                // handed on — not through one more reference to `left`. The
+                // captured one stays in this frame until `touch_holding`
+                // returns (the registration-lifetime rule, on
+                // `touch_holding`).
                 c.touch_holding(&left, move |c2, left_core| {
-                    c2.touch(&right, move |c3, b| {
-                        // SAFETY: this chain runs strictly after `left`'s
-                        // completion (the outer touch ordered it), and with
-                        // a value: a poisoned `left` skips the outer
+                    c2.touch_holding(&right, move |c3, right_core| {
+                        // SAFETY: this chain runs strictly after both
+                        // completions (each touch ordered its own), and with
+                        // both values: a poisoned input skips its
                         // continuation, so nothing gets here.
-                        let a = unsafe { left_core.value_ref() };
+                        let (a, b) = unsafe { (left_core.value_ref(), right_core.value_ref()) };
                         let value = f(c3, a, b);
                         setter.set(value);
                     });
@@ -628,42 +859,44 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         O: OutsetFamily,
         K: for<'b> FnOnce(Ctx<'b, C>, &T) + Send + 'static,
     {
-        self.touch_holding(future, move |c, core| {
+        self.touch_holding(&future.core, move |c, core| {
             // SAFETY: `touch_holding` runs this strictly after completion,
             // and only when a value was published.
             then(c, unsafe { core.value_ref() })
         });
     }
 
-    /// [`touch`](Ctx::touch), with the continuation handed the reference
-    /// to the future's core that the waiting vertex holds anyway — by
+    /// [`touch`](Ctx::touch) on a future's core, with the continuation
+    /// handed the reference to it that the waiting vertex holds anyway — by
     /// value, so a continuation that needs the future's value *later* (a
-    /// join's second stage) keeps that one reference instead of cloning
-    /// the handle beforehand. `then` runs only if the future published a
+    /// join's second stage) keeps that one reference instead of taking
+    /// another beforehand. `then` runs only if the future published a
     /// value.
     ///
     /// **Registration runs under a reference the caller holds**: `future`
-    /// is borrowed, and what the waiting vertex owns is a clone. Handing
-    /// the caller's own handle to the waiting vertex instead would save
-    /// that clone and is unsound: the moment `O::add` publishes the token
-    /// the vertex can be swept, run and retired on another worker, dropping
+    /// is borrowed from the caller's handle or `CoreRef`, and what the waiting
+    /// vertex owns is a new reference (`CoreRef::mint`). Handing the
+    /// caller's own reference to the waiting vertex instead would save that
+    /// step and is unsound: the moment `O::add` publishes the token the
+    /// vertex can be swept, run and retired on another worker, dropping
     /// what it owns — with the last reference the core, out-set included —
     /// while `O::add` is still in its post-publish `sealed` re-check.
-    fn touch_holding<T, O, K>(self, future: &FutureHandle<T, O>, then: K)
+    fn touch_holding<T, O, K>(self, future: &FutureCore<T, O>, then: K)
     where
         T: Send + Sync + 'static,
         O: OutsetFamily,
-        K: for<'b> FnOnce(Ctx<'b, C>, PoolArc<FutureCore<T, O>>) + Send + 'static,
+        K: for<'b> FnOnce(Ctx<'b, C>, CoreRef<T, O>) + Send + 'static,
     {
         let u = self.vertex;
         obs::counter!("spdag.touches").inc();
         obs::trace::record(obs::EventKind::FutureTouch, u as *const Vertex<C> as u64);
-        let core = future.core.clone();
+        // SAFETY: `future` is borrowed from the caller's reference to it.
+        let core = unsafe { CoreRef::mint(future, run_token(self.worker)) };
         // The waiting vertex takes over u's scope position (inc, the pair
         // pointer with u's unspent claim, fin, side) like a chain
         // continuation — or splits one off u's (`Vertex::hand_off`) — and
         // is owed exactly one delivery of its own: the future's completion.
-        // Its body captures one PoolArc plus the user continuation: inline
+        // Its body captures one `CoreRef` plus the user continuation: inline
         // as long as `then`'s captures stay within two words.
         let (inc, dec, is_left) = u.hand_off(self.cfg, self.worker);
         let w_ptr = Vertex::slab().emplace(
@@ -692,7 +925,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         unsafe { *(*w_ptr).owed.get_mut() = 1 };
         let token = w_ptr as usize as u64;
         let key = self.worker.worker_id() as u64;
-        if !register_dependent::<O>(&future.core.outset, token, key, self.worker.is_solo()) {
+        if !register_dependent::<O>(&future.outset, token, key, self.worker.is_solo()) {
             // The future completed first (or the sweep claimed the race):
             // the dependency is already satisfied — resolve and schedule
             // inline.
@@ -791,10 +1024,8 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
 /// the out-set. It runs with a worker context, so swept dependents go
 /// straight onto the deque, a stack chunk at a time: one sleeper
 /// notification per `SWEEP_CHUNK` dependents, and no allocation however
-/// many there are. Captures one `PoolArc` (8 bytes): an inline body.
-fn sweep<C, T, O>(
-    core: PoolArc<FutureCore<T, O>>,
-) -> impl for<'b> FnOnce(Ctx<'b, C>) + Send + 'static
+/// many there are. Captures one `CoreRef` (8 bytes): an inline body.
+fn sweep<C, T, O>(core: CoreRef<T, O>) -> impl for<'b> FnOnce(Ctx<'b, C>) + Send + 'static
 where
     C: CounterFamily,
     T: Send + Sync + 'static,
@@ -968,7 +1199,8 @@ mod tests {
     fn a_future_core_rides_the_64_byte_class() {
         // One line a core, not two: with a 24 B out-set, a `u64` future's
         // pooled core — `PoolArc`'s count word in front of the
-        // `FutureCore`, laid out as its `repr(C)` header does — is 56 B. A
+        // `FutureCore`, laid out as its `repr(C)` header does — is 64 B,
+        // the owner token and the internal count included. A
         // field that pushes it past 64 B sends it to the 128 B class and
         // fails here, on either leg of the `telemetry` switch (CI runs
         // both).
@@ -977,7 +1209,7 @@ mod tests {
             .extend(std::alloc::Layout::new::<FutureCore<u64, TreeOutset>>())
             .expect("a small layout");
         let pooled = pooled.pad_to_align();
-        assert_eq!(pooled.size(), 56, "the pooled core of a u64 future");
+        assert_eq!(pooled.size(), 64, "the pooled core of a u64 future");
         let class =
             sched::recycle::class_for(pooled.size(), pooled.align()).expect("on the ladder");
         assert_eq!(sched::recycle::class_bytes(class), 64);
@@ -992,7 +1224,10 @@ mod tests {
         let o = Arc::clone(&out);
         run_dag::<DynSnzi, _>(DynConfig::default(), 1, move |mut ctx| {
             let f = ctx.future(|_| 7u64);
-            assert_eq!(PoolArc::strong_count(&f.core), 3, "born with its three holders");
+            // The handle and the group unit of the run's internal
+            // references, the sweep's the first of them.
+            assert_eq!(f.strong_count(), 2, "born with its two units");
+            assert_eq!(f.core.internal.load(Ordering::Relaxed), 1, "the sweep's reference");
             assert!(!f.core.completed.load(Ordering::SeqCst), "completed");
             assert!(!f.core.published.load(Ordering::SeqCst), "published");
             // `None`, read as its tag byte: an unwritten tag need not read as

@@ -106,16 +106,23 @@ mod tests {
         let a = PairRef::new(DecPair::new(1u64, 2u64));
         let addr = a.0 as usize;
         let b = a; // the sibling's copy
+
+        // SAFETY: `a` and `b` are the pair's two holders; each claims once.
         assert_eq!(unsafe { a.claim(false) }, 1);
+        // SAFETY: as above.
         assert_eq!(unsafe { b.claim(false) }, 2);
         // Freed on the second claim: the thread's LIFO cache serves the
         // very same slab to the next pair — whichever way it was claimed.
         let c = PairRef::new(DecPair::new(3u64, 4u64));
         assert_eq!(c.0 as usize, addr);
         assert!(!c.is_none() && PairRef::<u64>::none().is_none());
+        // SAFETY: `c` stands for both holders of its pair, one claim each,
+        // on this one thread (`solo`).
         assert_eq!(unsafe { (c.claim(true), c.claim(true)) }, (3, 4));
         let d = PairRef::new(DecPair::new(5u64, 6u64));
         assert_eq!(d.0 as usize, addr);
+        // SAFETY: as for `c`; the exclusive claim does not overlap the
+        // shared one.
         assert_eq!(unsafe { (d.claim(true), d.claim(false)) }, (5, 6));
     }
 

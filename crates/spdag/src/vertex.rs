@@ -107,6 +107,14 @@
 //!   workers, and so is every registration, bounce and sweep delivery
 //!   against a run's vertex.
 //!
+//! The run's own references to a future's core count the same way: the
+//! sweep's, a waiting vertex's and the inputs a derived future captures
+//! step a count of their own in the core by load and store when the
+//! run's worker minted them on a core the run bore, and hold one unit of
+//! the shared `PoolArc` count between them (`futures::CoreRef`). What
+//! stays shared is the handle word: user `FutureHandle` clones and drops
+//! step the shared count at every W.
+//!
 //! What a thread outside the run can reach stays shared at every W: any
 //! thread holding a handle reaches the `PoolArc` refcount, and the last
 //! holder drops the core. It may also read `FutureCore::completed`
@@ -634,6 +642,7 @@ impl<C: CounterFamily> Drop for Vertex<C> {
 // exclusively). The raw `fin` pointer is dereferenced only while the
 // pointee is provably alive (see module docs).
 unsafe impl<C: CounterFamily> Send for Vertex<C> {}
+// SAFETY: as for `Send`.
 unsafe impl<C: CounterFamily> Sync for Vertex<C> {}
 
 impl<C: CounterFamily> Vertex<C> {

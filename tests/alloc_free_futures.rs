@@ -4,7 +4,8 @@
 //! This binary installs a counting `#[global_allocator]` (which is why it
 //! is a binary of its own) and runs the two future shapes of the
 //! benchmark — a `future_join` wavefront and a `touch_await` strand chain
-//! — at W = 1, each at a full size and at half of it. Whatever a run
+//! — and an `async` strand that parks on every `.await`, at W = 1, each at
+//! a full size and at half of it. Whatever a run
 //! still asks the allocator for (the pool's thread, the test's own
 //! buffers) does not depend on the number of futures, so the two sizes
 //! must make the same number of calls up to a small constant. Before the
@@ -105,6 +106,29 @@ fn chain(links: u64) -> u64 {
     sum.load(Ordering::Relaxed)
 }
 
+/// One `async` strand awaiting `parks` futures, newest first. At W = 1
+/// the strand runs before any of their bodies, and each resumption before
+/// the next older one, so every `.await` finds its future unready and
+/// parks the strand: one park request a future. The strand's own state
+/// machine is boxed once, and the handle list is one buffer.
+fn awaits(parks: u64) -> u64 {
+    let sum = Arc::new(AtomicU64::new(0));
+    let out = Arc::clone(&sum);
+    let stats = Runtime::new().workers(1).run(move |mut ctx| {
+        let mut futures: Vec<FutureHandle<u64>> = Vec::with_capacity(parks as usize);
+        futures.extend((0..parks).map(|v| ctx.future(move |_| v)));
+        ctx.fork_async(async move {
+            let mut total = 0;
+            while let Some(f) = futures.pop() {
+                total += f.await;
+            }
+            out.store(total, Ordering::Relaxed);
+        });
+    });
+    assert_eq!(stats.pool.suspends, parks, "every await parks");
+    sum.load(Ordering::Relaxed)
+}
+
 /// What two runs of different size may differ by: the shared lists' `Vec`s
 /// and the deque, which grow by doubling and only on the larger run's
 /// first high-water mark.
@@ -140,4 +164,6 @@ fn warm_futures_make_no_allocator_calls() {
         wavefront(stages as usize)
     });
     assert_flat("touch_await chain", 1, 256, chain);
+    assert_eq!(awaits(256), (0..256).sum::<u64>(), "the strand sums what it awaited");
+    assert_flat("async strand parking on each await", 1, 256, awaits);
 }
