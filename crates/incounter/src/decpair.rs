@@ -31,13 +31,14 @@
 //!
 //! ## The exclusive claim
 //!
-//! [`DecPair::claim_last_exclusive`] is the same claim for a caller that
-//! has the pair to itself — both claimers on one thread, as in a
-//! one-worker run: it reads the handles, then loads the flag and stores
-//! `true`, which is what the `swap` does when nothing interferes. The two
-//! claims may mix on one pair as long as they do not overlap.
+//! With an [`Exclusive`](sched::step::Exclusive) step — both claimers on
+//! one thread, as in a one-worker run — the claim's `swap` is a load of
+//! the flag and a store of `true`. The two kinds of claim may mix on one
+//! pair as long as they do not overlap.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+
+use sched::step::{Shared, Step};
 
 /// An ordered pair of decrement handles with a one-shot claim flag.
 #[derive(Debug)]
@@ -72,22 +73,23 @@ impl<D: Copy> DecPair<D> {
     pub fn claim(&self) -> D {
         // SAFETY: `self` is borrowed for the whole call, so the pair
         // outlives it whatever the other claimer does.
-        unsafe { Self::claim_last(self) }.0
+        unsafe { Self::claim_last(self, Shared) }.0
     }
 
-    /// [`claim`](DecPair::claim) for a pair that owns itself: also reports
-    /// whether this was the **last** claim, in which case the caller has
-    /// exclusive access to the pair and must free its memory. After a
-    /// claim that is *not* the last, the pair may be freed by the other
-    /// claimer at any instant: this function reads both handles before
-    /// the `swap` that decides, and touches nothing after it.
+    /// [`claim`](DecPair::claim) for a pair that owns itself, with its
+    /// `swap` committed by `step`: also reports whether this was the
+    /// **last** claim, in which case the caller has exclusive access to
+    /// the pair and must free its memory. After a claim that is *not* the
+    /// last, the pair may be freed by the other claimer at any instant:
+    /// this function reads both handles before the `swap` that decides,
+    /// and touches nothing after it (module docs, "The exclusive claim").
     ///
     /// # Safety
     /// `this` must point to a live pair that stays allocated until its
     /// last claim returns, and the execution must be valid: at most two
     /// claims in total.
     #[inline]
-    pub unsafe fn claim_last(this: *const DecPair<D>) -> (D, bool) {
+    pub unsafe fn claim_last<S: Step>(this: *const DecPair<D>, step: S) -> (D, bool) {
         // SAFETY: the pair is live until the last claim, and no claim has
         // been the last before this one's swap.
         let (first, second) = unsafe { ((*this).first, (*this).second) };
@@ -96,7 +98,7 @@ impl<D: Copy> DecPair<D> {
         // happen after them.
         // SAFETY: as above — the swap itself is this claim's last access
         // unless it turns out to be the last claim.
-        if !unsafe { (*this).claimed.swap(true, Ordering::AcqRel) } {
+        if !step.swap_flag(unsafe { &(*this).claimed }, true, Ordering::AcqRel) {
             return (first, false);
         }
         #[cfg(debug_assertions)]
@@ -104,41 +106,11 @@ impl<D: Copy> DecPair<D> {
         // execution and the pair is exclusively ours.
         unsafe {
             assert!(
-                !(*this).second_claimed.swap(true, Ordering::AcqRel),
+                !step.swap_flag(&(*this).second_claimed, true, Ordering::AcqRel),
                 "DecPair claimed three times: execution is not valid (Definition 1)"
             );
         }
         (second, true)
-    }
-
-    /// [`claim_last`](DecPair::claim_last) for a caller that has the pair
-    /// to itself: the flag is loaded and then stored, with no locked
-    /// instruction (module docs, "The exclusive claim").
-    ///
-    /// # Safety
-    /// As [`claim_last`](DecPair::claim_last), and the pair's other claim
-    /// does not overlap this one: it is ordered before or after it.
-    #[inline]
-    pub unsafe fn claim_last_exclusive(this: *const DecPair<D>) -> (D, bool) {
-        // SAFETY: the pair is live until its last claim, which is this one
-        // or ordered after it (the caller's contract).
-        unsafe {
-            let (first, second) = ((*this).first, (*this).second);
-            let last = (*this).claimed.load(Ordering::Relaxed);
-            (*this).claimed.store(true, Ordering::Relaxed);
-            if !last {
-                return (first, false);
-            }
-            #[cfg(debug_assertions)]
-            {
-                assert!(
-                    !(*this).second_claimed.load(Ordering::Relaxed),
-                    "DecPair claimed three times: execution is not valid (Definition 1)"
-                );
-                (*this).second_claimed.store(true, Ordering::Relaxed);
-            }
-            (second, true)
-        }
     }
 
     /// Whether the first handle has been claimed (diagnostics).
@@ -195,7 +167,7 @@ mod tests {
                     barrier.wait(); // the pair is published
                     let pair = slot.load(Ordering::Acquire);
                     // SAFETY: two claims per pair, freed only by the last.
-                    let (d, last) = unsafe { DecPair::claim_last(pair) };
+                    let (d, last) = unsafe { DecPair::claim_last(pair, Shared) };
                     if last {
                         // SAFETY: last claim: exclusive, Box-allocated above.
                         drop(unsafe { Box::from_raw(pair) });
@@ -220,39 +192,47 @@ mod tests {
     }
 
     #[test]
-    fn the_exclusive_claim_is_the_claim() {
-        // Every order of the two claims over the two modes: the same
+    fn claims_agree_under_either_step() {
+        // Every order of the two claims over the two steps: the same
         // handles, the same "last" answers and the same flag after each.
-        type Claim = unsafe fn(*const DecPair<u64>) -> (u64, bool);
-        let shared: Claim = DecPair::claim_last;
-        let exclusive: Claim = DecPair::claim_last_exclusive;
-        for (first, second) in
-            [(shared, shared), (shared, exclusive), (exclusive, shared), (exclusive, exclusive)]
-        {
-            let p = DecPair::new(7u64, 9u64);
+        // SAFETY: the pairs below are this test's, claimed on its thread
+        // one claim after another.
+        let x = unsafe { sched::step::Exclusive::new() };
+        type Claim<'c> = &'c dyn Fn(&DecPair<u64>) -> (u64, bool);
+        let claims: [Claim<'_>; 2] = [
             // SAFETY: two claims on a live pair, one after the other.
-            assert_eq!(unsafe { first(&p) }, (7, false));
-            assert!(p.first_claimed());
-            assert_eq!(unsafe { second(&p) }, (9, true));
-            assert!(p.first_claimed());
+            &|p| unsafe { DecPair::claim_last(p, Shared) },
+            // SAFETY: as above.
+            &|p| unsafe { DecPair::claim_last(p, x) },
+        ];
+        for first in claims {
+            for second in claims {
+                let p = DecPair::new(7u64, 9u64);
+                assert_eq!(first(&p), (7, false));
+                assert!(p.first_claimed());
+                assert_eq!(second(&p), (9, true));
+                assert!(p.first_claimed());
+            }
         }
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "not valid")]
-    fn triple_exclusive_claim_panics_in_debug() {
+    fn a_third_claim_panics_in_debug_under_either_step() {
         let p = DecPair::new(1u32, 2u32);
-        // SAFETY: the pair outlives the claims; the third is the bug.
+        // SAFETY: the pair outlives the claims, all on this thread; the
+        // third is the bug.
         unsafe {
-            DecPair::claim_last_exclusive(&p);
-            DecPair::claim_last_exclusive(&p);
-            DecPair::claim_last_exclusive(&p);
+            let x = sched::step::Exclusive::new();
+            DecPair::claim_last(&p, x);
+            DecPair::claim_last(&p, x);
+            DecPair::claim_last(&p, x);
         }
     }
 
     #[test]
-    fn concurrent_claims_are_exclusive() {
+    fn concurrent_claims_split_the_pair() {
         use std::sync::Arc;
         for _ in 0..200 {
             let p = Arc::new(DecPair::new(1u32, 2u32));

@@ -14,6 +14,7 @@
 //!    handle is claimed by the *caller* after the arrive completes — the
 //!    ordering that keeps phase changes rare.
 
+use sched::step::{Shared, Step};
 use snzi::{Handle, Probability, SnziTree};
 
 use crate::CounterFamily;
@@ -109,50 +110,46 @@ impl CounterFamily for DynSnzi {
     }
 
     unsafe fn increment(
+        cfg: &DynConfig,
+        counter: &SnziTree,
+        inc: Handle,
+        is_left: bool,
+        vid: u64,
+    ) -> (Handle, Handle, Handle) {
+        // SAFETY: forwarded from the trait contract.
+        unsafe { Self::increment_with(cfg, counter, inc, is_left, vid, Shared) }
+    }
+
+    unsafe fn decrement(counter: &SnziTree, dec: Handle) -> bool {
+        // SAFETY: forwarded from the trait contract.
+        unsafe { Self::decrement_with(counter, dec, Shared) }
+    }
+
+    unsafe fn increment_with<S: Step>(
         _cfg: &DynConfig,
         counter: &SnziTree,
         inc: Handle,
         is_left: bool,
         _vid: u64,
+        step: S,
     ) -> (Handle, Handle, Handle) {
+        // `grow` is shared whatever `step` is: it installs a pair at most
+        // once per node, its compare-and-swap is as rare as that, and its
+        // coin is flipped the same way either way.
         // SAFETY: forwarded from the trait contract — `inc` belongs to
         // `counter`, which outlives the call.
         let (a, b) = unsafe { counter.grow(inc) };
         let d2 = if is_left { a } else { b };
         // SAFETY: as above; `d2` is `a`, `b` or `inc` itself, all owned by
         // `counter`.
-        unsafe { counter.arrive(d2) };
+        unsafe { counter.arrive_with(d2, step) };
         (d2, a, b)
     }
 
-    unsafe fn decrement(counter: &SnziTree, dec: Handle) -> bool {
+    unsafe fn decrement_with<S: Step>(counter: &SnziTree, dec: Handle, step: S) -> bool {
         // SAFETY: forwarded from the trait contract; validity gives the
         // matching completed arrive.
-        unsafe { counter.depart(dec) }
-    }
-
-    unsafe fn increment_exclusive(
-        _cfg: &DynConfig,
-        counter: &SnziTree,
-        inc: Handle,
-        is_left: bool,
-        _vid: u64,
-    ) -> (Handle, Handle, Handle) {
-        // `grow` is the shared one: it installs a pair at most once per
-        // node, its compare-and-swap is as rare as that, and its coin is
-        // flipped the same way in both modes.
-        // SAFETY: as in `increment`.
-        let (a, b) = unsafe { counter.grow(inc) };
-        let d2 = if is_left { a } else { b };
-        // SAFETY: as in `increment`; no other arrive or depart on
-        // `counter` overlaps this one (the trait's exclusive contract).
-        unsafe { counter.arrive_exclusive(d2) };
-        (d2, a, b)
-    }
-
-    unsafe fn decrement_exclusive(counter: &SnziTree, dec: Handle) -> bool {
-        // SAFETY: as in `decrement`, plus the trait's exclusive contract.
-        unsafe { counter.depart_exclusive(dec) }
+        unsafe { counter.depart_with(dec, step) }.0
     }
 
     fn is_zero(counter: &SnziTree) -> bool {
@@ -177,12 +174,16 @@ mod tests {
         let cfg = DynConfig::always_grow();
         let c = DynSnzi::make(&cfg, 1);
         let root = DynSnzi::root_inc(&c);
+        // SAFETY: every handle is the tree's own, and the tree outlives
+        // them; each decrement, here and in the next test, matches an
+        // increment.
         let (d2, i1, i2) = unsafe { DynSnzi::increment(&cfg, &c, root, true, 0) };
-        assert_eq!(unsafe { d2.depth() }, 1, "arrive lands on a fresh child");
-        assert_eq!(unsafe { i1.depth() }, 1);
-        assert_eq!(unsafe { i2.depth() }, 1);
+        // SAFETY: as above.
+        let depths = unsafe { [d2.depth(), i1.depth(), i2.depth()] };
+        assert_eq!(depths, [1; 3], "the arrive lands on a fresh child");
         assert_ne!(i1.addr(), i2.addr());
         assert_eq!(d2.addr(), i1.addr(), "left vertex arrives at left child");
+        // SAFETY: as above.
         let (d2r, ..) = unsafe { DynSnzi::increment(&cfg, &c, root, false, 0) };
         assert_eq!(d2r.addr(), i2.addr(), "right vertex arrives at right child");
     }
@@ -192,12 +193,14 @@ mod tests {
         let cfg = DynConfig::never_grow();
         let c = DynSnzi::make(&cfg, 1);
         let root = DynSnzi::root_inc(&c);
+        // SAFETY: as in the test above.
         let (d2, i1, i2) = unsafe { DynSnzi::increment(&cfg, &c, root, true, 0) };
         assert_eq!(d2.addr(), root.addr());
         assert_eq!(i1.addr(), root.addr());
         assert_eq!(i2.addr(), root.addr());
-        assert!(!unsafe { DynSnzi::decrement(&c, d2) });
-        assert!(unsafe { DynSnzi::decrement(&c, DynSnzi::root_dec(&c)) });
+        // SAFETY: as above.
+        let ends = unsafe { [DynSnzi::decrement(&c, d2), DynSnzi::decrement(&c, root)] };
+        assert_eq!(ends, [false, true]);
     }
 
     #[test]

@@ -8,6 +8,8 @@
 
 use std::sync::atomic::{AtomicI64, Ordering};
 
+use sched::step::{Shared, Step};
+
 use crate::CounterFamily;
 
 /// The counter cell, aligned away from neighbours so the measured
@@ -47,40 +49,36 @@ impl CounterFamily for FetchAdd {
     fn root_dec(_counter: &FaCell) {}
 
     unsafe fn increment(
+        cfg: &(),
+        counter: &FaCell,
+        inc: (),
+        is_left: bool,
+        vid: u64,
+    ) -> ((), (), ()) {
+        // SAFETY: forwarded from the trait contract.
+        unsafe { Self::increment_with(cfg, counter, inc, is_left, vid, Shared) }
+    }
+
+    unsafe fn decrement(counter: &FaCell, dec: ()) -> bool {
+        // SAFETY: forwarded from the trait contract.
+        unsafe { Self::decrement_with(counter, dec, Shared) }
+    }
+
+    unsafe fn increment_with<S: Step>(
         _cfg: &(),
         counter: &FaCell,
         _inc: (),
         _is_left: bool,
         _vid: u64,
+        step: S,
     ) -> ((), (), ()) {
-        counter.value.fetch_add(1, Ordering::AcqRel);
+        step.fetch_add(&counter.value, 1, Ordering::AcqRel);
         ((), (), ())
     }
 
-    unsafe fn decrement(counter: &FaCell, _dec: ()) -> bool {
-        let prev = counter.value.fetch_sub(1, Ordering::AcqRel);
+    unsafe fn decrement_with<S: Step>(counter: &FaCell, _dec: (), step: S) -> bool {
+        let prev = step.fetch_sub(&counter.value, 1, Ordering::AcqRel);
         debug_assert!(prev >= 1, "fetch-add counter went negative: invalid execution");
-        prev == 1
-    }
-
-    unsafe fn increment_exclusive(
-        _cfg: &(),
-        counter: &FaCell,
-        _inc: (),
-        _is_left: bool,
-        _vid: u64,
-    ) -> ((), (), ()) {
-        // Nothing else writes the cell meanwhile (the exclusive contract):
-        // the add is a load and a store.
-        let v = counter.value.load(Ordering::Relaxed);
-        counter.value.store(v + 1, Ordering::Relaxed);
-        ((), (), ())
-    }
-
-    unsafe fn decrement_exclusive(counter: &FaCell, _dec: ()) -> bool {
-        let prev = counter.value.load(Ordering::Relaxed);
-        debug_assert!(prev >= 1, "fetch-add counter went negative: invalid execution");
-        counter.value.store(prev - 1, Ordering::Relaxed);
         prev == 1
     }
 
@@ -97,11 +95,14 @@ mod tests {
     fn basic_counting() {
         let c = FetchAdd::make(&(), 1);
         assert!(!FetchAdd::is_zero(&c));
+        // SAFETY: the family's handles carry nothing, and each decrement
+        // below matches an increment or the initial count.
         unsafe {
             let _ = FetchAdd::increment(&(), &c, (), true, 0);
             let _ = FetchAdd::increment(&(), &c, (), false, 1);
         }
         assert_eq!(c.value(), 3);
+        // SAFETY: as above.
         unsafe {
             assert!(!FetchAdd::decrement(&c, ()));
             assert!(!FetchAdd::decrement(&c, ()));
@@ -124,6 +125,8 @@ mod tests {
                 let zeros = Arc::clone(&zeros);
                 std::thread::spawn(move || {
                     for _ in 0..per {
+                        // SAFETY: one decrement per unit of the initial
+                        // count.
                         if unsafe { FetchAdd::decrement(&c, ()) } {
                             zeros.fetch_add(1, Ordering::Relaxed);
                         }

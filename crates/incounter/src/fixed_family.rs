@@ -12,6 +12,7 @@
 //! paper's indegree-2 study (Figure 10) isolates — and cannot adapt its
 //! size to the actual degree of concurrency.
 
+use sched::step::{Shared, Step};
 use snzi::FixedSnzi;
 
 use crate::CounterFamily;
@@ -64,44 +65,38 @@ impl CounterFamily for FixedDepth {
     }
 
     unsafe fn increment(
-        _cfg: &FixedConfig,
+        cfg: &FixedConfig,
         counter: &FixedSnzi,
-        _inc: (),
-        _is_left: bool,
+        inc: (),
+        is_left: bool,
         vid: u64,
     ) -> (FixedDec, (), ()) {
-        let leaf = counter.arrive_key(vid);
-        (FixedDec::Leaf(leaf as u32), (), ())
+        // SAFETY: forwarded from the trait contract.
+        unsafe { Self::increment_with(cfg, counter, inc, is_left, vid, Shared) }
     }
 
     unsafe fn decrement(counter: &FixedSnzi, dec: FixedDec) -> bool {
-        match dec {
-            FixedDec::Root => counter.depart_root(),
-            FixedDec::Leaf(leaf) => counter.depart_leaf(leaf as usize),
-        }
+        // SAFETY: forwarded from the trait contract.
+        unsafe { Self::decrement_with(counter, dec, Shared) }
     }
 
-    unsafe fn increment_exclusive(
+    unsafe fn increment_with<S: Step>(
         _cfg: &FixedConfig,
         counter: &FixedSnzi,
         _inc: (),
         _is_left: bool,
         vid: u64,
+        step: S,
     ) -> (FixedDec, (), ()) {
         let leaf = counter.leaf_for_key(vid);
-        // SAFETY: no other arrive or depart on `counter` overlaps this one
-        // (the trait's exclusive contract).
-        unsafe { counter.arrive_leaf_exclusive(leaf) };
+        counter.arrive_leaf_with(leaf, step);
         (FixedDec::Leaf(leaf as u32), (), ())
     }
 
-    unsafe fn decrement_exclusive(counter: &FixedSnzi, dec: FixedDec) -> bool {
-        // SAFETY: as in `increment_exclusive`.
-        unsafe {
-            match dec {
-                FixedDec::Root => counter.depart_root_exclusive(),
-                FixedDec::Leaf(leaf) => counter.depart_leaf_exclusive(leaf as usize),
-            }
+    unsafe fn decrement_with<S: Step>(counter: &FixedSnzi, dec: FixedDec, step: S) -> bool {
+        match dec {
+            FixedDec::Root => counter.depart_root_with(step),
+            FixedDec::Leaf(leaf) => counter.depart_leaf_with(leaf as usize, step),
         }
     }
 
@@ -120,6 +115,9 @@ mod tests {
         let c = FixedDepth::make(&cfg, 1);
         let mut decs = Vec::new();
         for vid in 0..50u64 {
+            // SAFETY: the family's handles name leaves of the tree they
+            // came from, and each decrement in these tests matches an
+            // increment or the initial count.
             let (d, ..) = unsafe { FixedDepth::increment(&cfg, &c, (), true, vid) };
             match d {
                 FixedDec::Leaf(l) => {
@@ -130,15 +128,9 @@ mod tests {
             }
         }
         // Departs at the recorded leaves + the root handle drain it fully.
-        let mut zeros = 0;
-        for d in decs {
-            if unsafe { FixedDepth::decrement(&c, d) } {
-                zeros += 1;
-            }
-        }
-        if unsafe { FixedDepth::decrement(&c, FixedDec::Root) } {
-            zeros += 1;
-        }
+        decs.push(FixedDec::Root);
+        // SAFETY: as above.
+        let zeros = decs.into_iter().filter(|&d| unsafe { FixedDepth::decrement(&c, d) }).count();
         assert_eq!(zeros, 1);
         assert!(FixedDepth::is_zero(&c));
     }
@@ -147,8 +139,10 @@ mod tests {
     fn depth_zero_collapses_to_root() {
         let cfg = FixedConfig { depth: 0 };
         let c = FixedDepth::make(&cfg, 0);
+        // SAFETY: as above.
         let (d, ..) = unsafe { FixedDepth::increment(&cfg, &c, (), true, 7) };
         assert_eq!(d, FixedDec::Leaf(0));
+        // SAFETY: as above.
         assert!(unsafe { FixedDepth::decrement(&c, d) });
     }
 

@@ -9,23 +9,19 @@
 //! All three live behind one abstraction, [`CounterFamily`], so the sp-dag
 //! machinery and the benchmarks are generic over the counter algorithm:
 //!
-//! | family | counter object | increment | decrement | exclusive twins |
-//! |---|---|---|---|---|
-//! | [`DynSnzi`] | dynamic SNZI tree | `grow` + `arrive` at a fresh child | `depart` at the claimed handle | `grow` + `SnziTree::arrive_exclusive`; `depart_exclusive` |
-//! | [`FetchAdd`] | one padded atomic cell | `fetch_add` | `fetch_sub` | a load and a store of the cell |
-//! | [`FixedDepth`] | complete SNZI tree of depth `d` | `arrive` at a hashed leaf | `depart` at the same leaf | `FixedSnzi::{arrive_leaf,depart_leaf,depart_root}_exclusive` |
+//! | family | counter object | increment | decrement |
+//! |---|---|---|---|
+//! | [`DynSnzi`] | dynamic SNZI tree | `grow` + `arrive` at a fresh child | `depart` at the claimed handle |
+//! | [`FetchAdd`] | one padded atomic cell | `fetch_add` | `fetch_sub` |
+//! | [`FixedDepth`] | complete SNZI tree of depth `d` | `arrive` at a hashed leaf | `depart` at the same leaf |
 //!
-//! Every family states its own **exclusive twins**,
-//! [`CounterFamily::increment_exclusive`] and
-//! [`CounterFamily::decrement_exclusive`]: the same operation for a caller
-//! that has the counter to itself, each of its steps committed by a load
-//! and a store instead of a locked read-modify-write (for the SNZI families
-//! the same state machine, `snzi::node`'s "Two ways to commit a step"). The
-//! dag layer takes them in a one-worker run, where the run's one thread is
-//! the only one that can reach a counter. They are required methods with
-//! no default, so a comparison of families at W = 1 compares each family's
-//! own exclusive cost, not one family's shared cost against another's
-//! exclusive one. [`DecPair::claim_last_exclusive`] is the pair's twin.
+//! Every family writes each operation once, generic over the
+//! [`sched::step::Step`] it is handed ([`CounterFamily::increment_with`],
+//! [`CounterFamily::decrement_with`]; [`DecPair::claim_last`] too): the
+//! locked read-modify-write, or a load and a store for a caller that has
+//! the counter to itself, as a one-worker run's dag layer has. So a
+//! comparison of families at W = 1 compares each family's own exclusive
+//! cost.
 //!
 //! The piece of the in-counter protocol that is *independent* of the
 //! algorithm — the ordered pair of decrement handles shared between two
@@ -66,6 +62,7 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod decpair;
 pub mod dyn_family;
@@ -76,6 +73,8 @@ pub use decpair::DecPair;
 pub use dyn_family::{DynConfig, DynSnzi};
 pub use fetch_add::FetchAdd;
 pub use fixed_family::{FixedConfig, FixedDec, FixedDepth};
+
+use sched::step::Step;
 
 /// A family of dependency-counter implementations usable by the sp-dag.
 ///
@@ -142,33 +141,30 @@ pub trait CounterFamily: 'static {
     /// See the trait-level contract.
     unsafe fn decrement(counter: &Self::Counter, dec: Self::Dec) -> bool;
 
-    /// [`increment`](CounterFamily::increment) for a caller that has the
-    /// counter to itself: the same transitions and the same results, with
-    /// no locked instruction where `increment` needs one only against
-    /// another thread.
+    /// [`increment`](CounterFamily::increment) with each step committed by
+    /// `step`: the family's one body of it, which `increment` calls with
+    /// [`Shared`](sched::step::Shared). An
+    /// [`Exclusive`](sched::step::Exclusive) step's promise covers every
+    /// `increment` and `decrement` on `counter`.
     ///
     /// # Safety
-    /// As [`increment`](CounterFamily::increment), and no other
-    /// `increment` or `decrement` on `counter` — shared or exclusive — may
-    /// overlap this call on any thread: each is ordered before or after it.
-    unsafe fn increment_exclusive(
+    /// See the trait-level contract.
+    unsafe fn increment_with<S: Step>(
         cfg: &Self::Config,
         counter: &Self::Counter,
         inc: Self::Inc,
         is_left: bool,
         vid: u64,
+        step: S,
     ) -> (Self::Dec, Self::Inc, Self::Inc);
 
-    /// [`decrement`](CounterFamily::decrement) for a caller that has the
-    /// counter to itself, as
-    /// [`increment_exclusive`](CounterFamily::increment_exclusive) is
+    /// [`decrement`](CounterFamily::decrement) with each step committed by
+    /// `step`, as [`increment_with`](CounterFamily::increment_with) is
     /// `increment`'s.
     ///
     /// # Safety
-    /// As [`decrement`](CounterFamily::decrement), and as for
-    /// [`increment_exclusive`](CounterFamily::increment_exclusive) no other
-    /// operation on `counter` may overlap this call.
-    unsafe fn decrement_exclusive(counter: &Self::Counter, dec: Self::Dec) -> bool;
+    /// See the trait-level contract.
+    unsafe fn decrement_with<S: Step>(counter: &Self::Counter, dec: Self::Dec, step: S) -> bool;
 
     /// Non-destructive zero test (the paper's `is_zero`; one root read).
     fn is_zero(counter: &Self::Counter) -> bool;
@@ -190,11 +186,12 @@ pub trait CounterFamily: 'static {
 mod family_tests {
     //! A sequential mini-dag driver exercising every family through the
     //! exact handle discipline the sp-dag uses, checking exactly-once
-    //! readiness — once with the shared operations and once with the
-    //! exclusive twins, which must give the same answers. The real
-    //! concurrent discipline is tested in `spdag`.
+    //! readiness — once with shared steps and once with exclusive ones,
+    //! which must give the same answers. The real concurrent discipline is
+    //! tested in `spdag`.
 
     use super::*;
+    use sched::step::{Exclusive, Shared};
     use std::sync::Arc;
 
     /// A simulated dag vertex: its fin counter, handles and shared pair.
@@ -228,39 +225,31 @@ mod family_tests {
         }
     }
 
-    /// Which operations the driver takes: the shared ones or their
-    /// exclusive twins (the driver is sequential, so both are allowed).
-    #[derive(Clone, Copy, Debug)]
-    enum Mode {
-        Shared,
-        Exclusive,
+    /// The exclusive step for the driver's counters.
+    fn exclusive() -> Exclusive<'static> {
+        // SAFETY: each driver run steps counters and pairs of its own, on
+        // one thread, one operation after another.
+        unsafe { Exclusive::new() }
     }
 
-    const MODES: [Mode; 2] = [Mode::Shared, Mode::Exclusive];
-
-    fn claim<D: Copy>(pair: &DecPair<D>, mode: Mode) -> D {
-        match mode {
-            Mode::Shared => pair.claim(),
-            // SAFETY: `pair` is borrowed for the call; the driver is
-            // sequential, so no claim overlaps it.
-            Mode::Exclusive => unsafe { DecPair::claim_last_exclusive(pair) }.0,
-        }
+    fn claim<D: Copy, S: Step>(pair: &DecPair<D>, step: S) -> D {
+        // SAFETY: `pair` is borrowed for the call; the driver claims each
+        // pair at most twice.
+        unsafe { DecPair::claim_last(pair, step) }.0
     }
 
     /// spawn: one increment, two children sharing the fresh pair.
-    fn spawn<C: CounterFamily>(
+    fn spawn<C: CounterFamily, S: Step>(
         cfg: &C::Config,
         u: &SimVertex<C>,
         vid: u64,
-        mode: Mode,
+        step: S,
     ) -> (SimVertex<C>, SimVertex<C>) {
-        let (d2, i1, i2) = unsafe {
-            match mode {
-                Mode::Shared => C::increment(cfg, &u.counter, u.inc, u.is_left, vid),
-                Mode::Exclusive => C::increment_exclusive(cfg, &u.counter, u.inc, u.is_left, vid),
-            }
-        };
-        let d1 = claim(&u.pair, mode);
+        // SAFETY: `u.inc` was made for `u.counter`, which the vertex keeps
+        // alive; the driver follows the sp-dag discipline.
+        let (d2, i1, i2) =
+            unsafe { C::increment_with(cfg, &u.counter, u.inc, u.is_left, vid, step) };
+        let d1 = claim(&u.pair, step);
         let pair = Arc::new(DecPair::new(d1, d2));
         let v = SimVertex {
             counter: Arc::clone(&u.counter),
@@ -273,49 +262,43 @@ mod family_tests {
     }
 
     /// signal: claim a handle and decrement.
-    fn signal<C: CounterFamily>(u: &SimVertex<C>, mode: Mode) -> bool {
-        let d = claim(&u.pair, mode);
-        unsafe {
-            match mode {
-                Mode::Shared => C::decrement(&u.counter, d),
-                Mode::Exclusive => C::decrement_exclusive(&u.counter, d),
+    fn signal<C: CounterFamily, S: Step>(u: &SimVertex<C>, step: S) -> bool {
+        let d = claim(&u.pair, step);
+        // SAFETY: as in `spawn`; `d` is this vertex's claimed handle.
+        unsafe { C::decrement_with(&u.counter, d, step) }
+    }
+
+    /// A binary spawn tree of `depth` levels, then every leaf signals; the
+    /// signals' answers.
+    fn spawn_tree<C: CounterFamily, S: Step>(cfg: &C::Config, depth: u32, step: S) -> Vec<bool> {
+        let root = root_vertex::<C>(cfg);
+        let mut frontier = vec![root.clone()];
+        let mut vid = 0u64;
+        for _ in 0..depth {
+            let mut next = Vec::new();
+            for u in frontier {
+                vid += 1;
+                let (v, w) = spawn::<C, S>(cfg, &u, vid, step);
+                next.push(v);
+                next.push(w);
             }
+            frontier = next;
         }
+        assert!(!C::is_zero(&root.counter), "depth {depth}: live leaves pending");
+        let signals: Vec<bool> = frontier.iter().map(|leaf| signal::<C, S>(leaf, step)).collect();
+        assert!(C::is_zero(&root.counter));
+        signals
     }
 
     fn exercise_family<C: CounterFamily>(cfg: C::Config) {
-        // Build a random-ish binary spawn tree of leaves, then signal all
-        // leaves; the counter must report zero exactly once, at the end —
+        // The counter must report zero exactly once, at the last signal —
         // and every signal must answer the same in both modes.
         for depth in 0..6u32 {
-            let answers = MODES.map(|mode| {
-                let root = root_vertex::<C>(&cfg);
-                let mut frontier = vec![root.clone()];
-                let mut vid = 0u64;
-                for _ in 0..depth {
-                    let mut next = Vec::new();
-                    for u in frontier {
-                        vid += 1;
-                        let (v, w) = spawn::<C>(&cfg, &u, vid, mode);
-                        next.push(v);
-                        next.push(w);
-                    }
-                    frontier = next;
-                }
-                assert!(!C::is_zero(&root.counter), "depth {depth} {mode:?}: live leaves pending");
-                let total = frontier.len();
-                let signals: Vec<bool> =
-                    frontier.iter().map(|leaf| signal::<C>(leaf, mode)).collect();
-                let zeros: Vec<usize> = (0..total).filter(|&i| signals[i]).collect();
-                assert_eq!(
-                    zeros,
-                    [total - 1],
-                    "depth {depth} {mode:?}: one readiness signal, the last"
-                );
-                assert!(C::is_zero(&root.counter));
-                signals
-            });
-            assert_eq!(answers[0], answers[1], "depth {depth}: the two modes disagree");
+            let shared = spawn_tree::<C, _>(&cfg, depth, Shared);
+            let zeros: Vec<usize> = (0..shared.len()).filter(|&i| shared[i]).collect();
+            assert_eq!(zeros, [shared.len() - 1], "depth {depth}: one readiness signal, the last");
+            let exclusive = spawn_tree::<C, _>(&cfg, depth, exclusive());
+            assert_eq!(shared, exclusive, "depth {depth}: the two modes disagree");
         }
     }
 
@@ -342,23 +325,25 @@ mod family_tests {
     fn interleaved_spawn_signal_mix() {
         // Signal some leaves before spawning others: counter must stay
         // non-zero while any strand is outstanding.
-        fn drive<C: CounterFamily>(cfg: C::Config) {
-            for mode in MODES {
-                let root = root_vertex::<C>(&cfg);
-                let (v, w) = spawn::<C>(&cfg, &root, 1, mode);
-                let (vl, vr) = spawn::<C>(&cfg, &v, 2, mode);
-                assert!(!signal::<C>(&vl, mode));
-                assert!(!C::is_zero(&root.counter));
-                let (wl, wr) = spawn::<C>(&cfg, &w, 3, mode);
-                assert!(!signal::<C>(&wl, mode));
-                assert!(!signal::<C>(&vr, mode));
-                assert!(!C::is_zero(&root.counter));
-                assert!(signal::<C>(&wr, mode), "last strand must report zero ({mode:?})");
-                assert!(C::is_zero(&root.counter));
-            }
+        fn drive<C: CounterFamily, S: Step>(cfg: &C::Config, s: S) {
+            let root = root_vertex::<C>(cfg);
+            let (v, w) = spawn::<C, S>(cfg, &root, 1, s);
+            let (vl, vr) = spawn::<C, S>(cfg, &v, 2, s);
+            assert!(!signal::<C, S>(&vl, s));
+            assert!(!C::is_zero(&root.counter));
+            let (wl, wr) = spawn::<C, S>(cfg, &w, 3, s);
+            assert!(!signal::<C, S>(&wl, s));
+            assert!(!signal::<C, S>(&vr, s));
+            assert!(!C::is_zero(&root.counter));
+            assert!(signal::<C, S>(&wr, s), "the last strand must report zero");
+            assert!(C::is_zero(&root.counter));
         }
-        drive::<DynSnzi>(DynConfig::always_grow());
-        drive::<FetchAdd>(());
-        drive::<FixedDepth>(FixedConfig { depth: 3 });
+        fn both<C: CounterFamily>(cfg: C::Config) {
+            drive::<C, _>(&cfg, Shared);
+            drive::<C, _>(&cfg, exclusive());
+        }
+        both::<DynSnzi>(DynConfig::always_grow());
+        both::<FetchAdd>(());
+        both::<FixedDepth>(FixedConfig { depth: 3 });
     }
 }

@@ -62,14 +62,14 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-#[cfg(test)]
-mod differential;
 pub mod mutex;
 pub mod recycle;
 pub mod tree;
 
 pub use mutex::MutexOutset;
 pub use tree::{TreeOutset, BLOCK_SLOTS};
+
+use sched::step::Step;
 
 /// Outcome of registering a dependent edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,23 +115,16 @@ pub trait OutsetFamily: 'static {
     /// subsequent calls return `false` and deliver nothing.
     fn finish(out: &Self::Outset, sink: &mut dyn FnMut(u64)) -> bool;
 
-    /// [`add`](OutsetFamily::add) for a caller that has the out-set to
-    /// itself: the same transitions and the same result, with no locked
-    /// instruction where `add` needs one only against another thread.
-    ///
-    /// # Safety
-    /// No other `add` or `finish` on `out` — shared or exclusive — may
-    /// overlap this call on any thread: each is ordered before or after it.
-    unsafe fn add_exclusive(out: &Self::Outset, token: u64, key: u64) -> AddEdge;
+    /// [`add`](OutsetFamily::add) with each step committed by `step`: the
+    /// same transitions and the same result, which `add` gets with
+    /// [`Shared`](sched::step::Shared). An
+    /// [`Exclusive`](sched::step::Exclusive) step's promise covers every
+    /// `add` and `finish` on `out`.
+    fn add_with<S: Step>(out: &Self::Outset, token: u64, key: u64, step: S) -> AddEdge;
 
-    /// [`finish`](OutsetFamily::finish) for a caller that has the out-set
-    /// to itself, as [`add_exclusive`](OutsetFamily::add_exclusive) is
-    /// `add`'s.
-    ///
-    /// # Safety
-    /// As for [`add_exclusive`](OutsetFamily::add_exclusive): no other
-    /// operation on `out` may overlap this call.
-    unsafe fn finish_exclusive(out: &Self::Outset, sink: &mut dyn FnMut(u64)) -> bool;
+    /// [`finish`](OutsetFamily::finish) with each step committed by
+    /// `step`, as [`add_with`](OutsetFamily::add_with) is `add`'s.
+    fn finish_with<S: Step>(out: &Self::Outset, sink: &mut dyn FnMut(u64), step: S) -> bool;
 
     /// Whether [`finish`](OutsetFamily::finish) has already sealed the set
     /// (a racy snapshot, useful only as a hint or in quiescent states).

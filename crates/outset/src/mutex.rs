@@ -7,6 +7,8 @@
 
 use std::sync::Mutex;
 
+use sched::step::Step;
+
 use crate::tree::MAX_TOKEN;
 use crate::{AddEdge, OutsetFamily};
 
@@ -101,12 +103,12 @@ impl OutsetFamily for MutexOutset {
     }
 
     /// The lock is the whole protocol: alone on the out-set, the locked
-    /// operation is the exclusive one.
-    unsafe fn add_exclusive(out: &MutexOutsetObj, token: u64, _key: u64) -> AddEdge {
+    /// operation is the exclusive one, whatever the step.
+    fn add_with<S: Step>(out: &MutexOutsetObj, token: u64, _key: u64, _step: S) -> AddEdge {
         out.add(token)
     }
 
-    unsafe fn finish_exclusive(out: &MutexOutsetObj, sink: &mut dyn FnMut(u64)) -> bool {
+    fn finish_with<S: Step>(out: &MutexOutsetObj, sink: &mut dyn FnMut(u64), _step: S) -> bool {
         out.finish(sink)
     }
 

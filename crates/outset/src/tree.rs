@@ -93,22 +93,17 @@
 //! ## One worker, no lock prefix
 //!
 //! `add` (with the slot claim under it) and `finish` are written once,
-//! generic over a `Step`: how one read-modify-write of the protocol —
-//! a slot or head CAS, the cursor's fetch-add, the seal's and the sweep's
-//! swaps — is committed. `Shared` commits it with the `SeqCst`
-//! instruction the argument above needs against another thread. For an
-//! out-set that no other `add` or `finish` can overlap — a one-worker
-//! run's futures; the caller of [`TreeOutsetObj::add_exclusive`] or
-//! [`TreeOutsetObj::finish_exclusive`] promises it — `Exclusive`
-//! commits the same step with a load and a store, which is what the
-//! locked instruction does when nothing interferes: the same slot states,
-//! cursors, blocks and deliveries, in the same order. Its stores are
-//! `Release`, so a racy diagnostic walk from another thread
+//! generic over the [`sched::step::Step`] that commits each of the
+//! protocol's `SeqCst` read-modify-writes — a slot or head CAS, the
+//! cursor's fetch-add, the seal's and the sweep's swaps. With an
+//! [`Exclusive`](sched::step::Exclusive) step (a one-worker run's futures)
+//! each is a load and a `Release` store: the same slot states, cursors,
+//! blocks and deliveries, in the same order, and a racy diagnostic walk
 //! ([`block_count`](TreeOutsetObj::block_count),
-//! [`footprint_bytes`](TreeOutsetObj::footprint_bytes)) that loads a
-//! freshly installed head also sees the block behind it initialised. A
-//! split stays shared in both modes: an exclusive add reaches it only
-//! through the `outset.install_cas` failpoint's lost install.
+//! [`footprint_bytes`](TreeOutsetObj::footprint_bytes)) that loads a fresh
+//! head still sees the block behind it initialised. A split stays shared:
+//! an exclusive add reaches one only through the `outset.install_cas`
+//! failpoint's lost install.
 //!
 //! ## Memory and block recycling
 //!
@@ -166,6 +161,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
+use sched::step::{Shared, Step};
 use snzi::{Coin, Probability, ThreadCoin};
 
 use crate::{AddEdge, OutsetFamily};
@@ -183,97 +179,6 @@ const POISON: u64 = u64::MAX;
 /// Largest accepted token: `MAX_TOKEN + TOKEN_BIAS < POISON`. Every
 /// family takes it as its bound ([`OutsetFamily`]'s contract).
 pub(crate) const MAX_TOKEN: u64 = u64::MAX - 3;
-
-/// How one read-modify-write of the slot protocol is committed (module
-/// docs, "One worker, no lock prefix"). Loads need no twin: a `SeqCst`
-/// load is a plain load where it matters (x86), and the protocol's loads
-/// read the same values in both modes.
-pub(crate) trait Step {
-    /// Replace `old` by `new` in a slot if it still holds `old`; whether
-    /// it did.
-    fn cas(word: &AtomicU64, old: u64, new: u64) -> bool;
-    /// [`cas`](Step::cas) on a lane's head word.
-    fn cas_ptr<T>(word: &AtomicPtr<T>, old: *mut T, new: *mut T) -> bool;
-    /// Add one to a block's cursor; the value before.
-    fn fetch_add(word: &AtomicUsize) -> usize;
-    /// Store `new` in a slot; the value before.
-    fn swap(word: &AtomicU64, new: u64) -> u64;
-    /// Store `new` in the seal latch; the value before.
-    fn swap_flag(word: &AtomicBool, new: bool) -> bool;
-}
-
-/// Steps committed by a `SeqCst` read-modify-write: any operation that may
-/// overlap another `add` or `finish` on the same out-set.
-pub(crate) enum Shared {}
-
-impl Step for Shared {
-    #[inline(always)]
-    fn cas(word: &AtomicU64, old: u64, new: u64) -> bool {
-        word.compare_exchange(old, new, Ordering::SeqCst, Ordering::SeqCst).is_ok()
-    }
-    #[inline(always)]
-    fn cas_ptr<T>(word: &AtomicPtr<T>, old: *mut T, new: *mut T) -> bool {
-        word.compare_exchange(old, new, Ordering::SeqCst, Ordering::SeqCst).is_ok()
-    }
-    #[inline(always)]
-    fn fetch_add(word: &AtomicUsize) -> usize {
-        word.fetch_add(1, Ordering::SeqCst)
-    }
-    #[inline(always)]
-    fn swap(word: &AtomicU64, new: u64) -> u64 {
-        word.swap(new, Ordering::SeqCst)
-    }
-    #[inline(always)]
-    fn swap_flag(word: &AtomicBool, new: bool) -> bool {
-        word.swap(new, Ordering::SeqCst)
-    }
-}
-
-/// Steps committed by a load and a store: an operation that no other `add`
-/// or `finish` on the same out-set overlaps, so nothing can change a word
-/// between the two. The load is relaxed: every other step is ordered before
-/// or after the whole operation by whatever made it exclusive (for `spdag`,
-/// a one-worker run is one thread). The store is `Release` for the readers
-/// that are not steps — a diagnostic walk, an `is_finished` probe — which
-/// costs nothing on x86.
-pub(crate) enum Exclusive {}
-
-impl Step for Exclusive {
-    #[inline(always)]
-    fn cas(word: &AtomicU64, old: u64, new: u64) -> bool {
-        let holds = word.load(Ordering::Relaxed) == old;
-        if holds {
-            word.store(new, Ordering::Release);
-        }
-        holds
-    }
-    #[inline(always)]
-    fn cas_ptr<T>(word: &AtomicPtr<T>, old: *mut T, new: *mut T) -> bool {
-        let holds = word.load(Ordering::Relaxed) == old;
-        if holds {
-            word.store(new, Ordering::Release);
-        }
-        holds
-    }
-    #[inline(always)]
-    fn fetch_add(word: &AtomicUsize) -> usize {
-        let prev = word.load(Ordering::Relaxed);
-        word.store(prev + 1, Ordering::Release);
-        prev
-    }
-    #[inline(always)]
-    fn swap(word: &AtomicU64, new: u64) -> u64 {
-        let prev = word.load(Ordering::Relaxed);
-        word.store(new, Ordering::Release);
-        prev
-    }
-    #[inline(always)]
-    fn swap_flag(word: &AtomicBool, new: bool) -> bool {
-        let prev = word.load(Ordering::Relaxed);
-        word.store(new, Ordering::Release);
-        prev
-    }
-}
 
 /// Stripe count of the epoch domain each out-set owned before out-sets
 /// stopped pinning. **Unused by the runtime**: it survives only because
@@ -472,7 +377,7 @@ pub struct TreeOutsetObj {
 // Every field is an atomic, so `Send` and `Sync` hold by themselves
 // (a compile-time assertion in `tests` keeps them). That is sound for what
 // the fields point at too: the tables, lanes and blocks are published by
-// a `SeqCst` CAS (or an exclusive step's `Release` store), immutable or
+// a `SeqCst` step (an exclusive one's store is `Release`), immutable or
 // atomic once published, and freed only in `Drop`, which holds `&mut
 // self`; so a `&TreeOutsetObj` on another thread reads only initialised
 // memory that outlives it.
@@ -529,39 +434,29 @@ impl TreeOutsetObj {
     /// or — once the out-set is sealed — `outset.swept` (delivered by
     /// the sweep), so `adds == adds_bounced + swept` after seal.
     pub fn add(&self, token: u64, key: u64) -> AddEdge {
-        self.add_with::<Shared>(token, key)
+        self.add_with(token, key, Shared)
     }
 
-    /// [`add`](Self::add) for a caller that has the out-set to itself:
-    /// the same transitions and the same result, each step committed by a
-    /// load and a store (module docs, "One worker, no lock prefix").
-    ///
-    /// # Safety
-    /// No other `add` or `finish` on this out-set — shared or exclusive —
-    /// may overlap this call on any thread: each is ordered before or
-    /// after it.
+    /// [`add`](Self::add) with each step committed by `step`: the same
+    /// transitions and the same result (module docs, "One worker, no lock
+    /// prefix"). An [`Exclusive`](sched::step::Exclusive) step's promise
+    /// covers every `add` and `finish` on this out-set.
     //
-    // `#[inline]`, as are `finish_exclusive` and `alloc_block`: the
-    // exclusive instances are compiled where they are called, so this
-    // crate compiles `add` alone, with the block pool's `acquire` inlined
-    // into its only caller as before there were two adds.
-    #[inline]
-    pub unsafe fn add_exclusive(&self, token: u64, key: u64) -> AddEdge {
-        self.add_with::<Exclusive>(token, key)
-    }
-
-    /// The one body of both adds.
+    // `#[inline(always)]`, as `finish_with` is, and `alloc_block`
+    // `#[inline]`: an exclusive instance is compiled where it is called,
+    // so this crate compiles `add` alone, with the block pool's `acquire`
+    // inlined into its only caller.
     #[inline(always)]
-    fn add_with<S: Step>(&self, token: u64, key: u64) -> AddEdge {
+    pub fn add_with<S: Step>(&self, token: u64, key: u64, step: S) -> AddEdge {
         assert!(token <= MAX_TOKEN, "tokens u64::MAX-2..=u64::MAX are reserved");
         obs::counter!("outset.adds").inc();
         if self.sealed.load(Ordering::SeqCst) {
             obs::counter!("outset.adds_bounced").inc();
             return AddEdge::Finished(token);
         }
-        let slot = self.claim_slot::<S>(key);
+        let slot = self.claim_slot(key, step);
         let biased = token + TOKEN_BIAS;
-        if !S::cas(slot, EMPTY, biased) {
+        if !step.cas(slot, EMPTY, biased, Ordering::SeqCst) {
             // The sweep resolved this slot before we published.
             obs::counter!("outset.adds_bounced").inc();
             return AddEdge::Finished(token);
@@ -569,7 +464,7 @@ impl TreeOutsetObj {
         if self.sealed.load(Ordering::SeqCst) {
             // Published around the seal: exactly one of us (this add, the
             // sweep) turns the slot over and owns the delivery.
-            if S::cas(slot, biased, SWEPT) {
+            if step.cas(slot, biased, SWEPT, Ordering::SeqCst) {
                 obs::counter!("outset.adds_bounced").inc();
                 return AddEdge::Finished(token);
             }
@@ -580,7 +475,7 @@ impl TreeOutsetObj {
     /// Claim one slot in `key`'s lane, growing the block list — and,
     /// under a lost install CAS plus a heads coin flip, the lane table —
     /// as needed.
-    fn claim_slot<S: Step>(&self, key: u64) -> &AtomicU64 {
+    fn claim_slot<S: Step>(&self, key: u64, step: S) -> &AtomicU64 {
         loop {
             // Re-read the table every round: a split (ours or a
             // competitor's) re-hashes the key over more lanes.
@@ -593,7 +488,7 @@ impl TreeOutsetObj {
                 // SAFETY: a linked block stays linked, and ours, until
                 // `Drop` (exclusive access).
                 let block = unsafe { &*head };
-                let idx = S::fetch_add(&block.claimed);
+                let idx = step.fetch_add(&block.claimed, 1, Ordering::SeqCst);
                 if idx < BLOCK_SLOTS {
                     return &block.slots[idx];
                 }
@@ -608,8 +503,8 @@ impl TreeOutsetObj {
             // exercises the contention transient the split rule is built
             // around, on a single quiet thread if need be — the one way an
             // exclusive add reaches a split.
-            let lost =
-                sched::failpoint::fire("outset.install_cas") || !S::cas_ptr(lane_head, head, fresh);
+            let lost = sched::failpoint::fire("outset.install_cas")
+                || !step.cas_ptr(lane_head, head, fresh, Ordering::SeqCst);
             if lost {
                 // Lost the install race; the never-published block goes
                 // straight back to the recycler and we retry on the
@@ -629,7 +524,7 @@ impl TreeOutsetObj {
 
     /// One block headed for a lane whose current head is `next`: from the
     /// recycler when a cached block is available, else a fresh
-    /// allocation. (`#[inline]`: see `add_exclusive`.)
+    /// allocation. (`#[inline]`: see `add_with`.)
     #[inline]
     fn alloc_block(&self, next: *mut Block) -> *mut Block {
         if let Some(raw) = block_pool().acquire() {
@@ -700,24 +595,14 @@ impl TreeOutsetObj {
 
     /// Seal and sweep; see [`OutsetFamily::finish`] for the contract.
     pub fn finish(&self, sink: &mut dyn FnMut(u64)) -> bool {
-        self.finish_with::<Shared>(sink)
+        self.finish_with(sink, Shared)
     }
 
-    /// [`finish`](Self::finish) for a caller that has the out-set to
-    /// itself, as [`add_exclusive`](Self::add_exclusive) is `add`'s.
-    ///
-    /// # Safety
-    /// As for [`add_exclusive`](Self::add_exclusive): no other `add` or
-    /// `finish` on this out-set may overlap this call.
-    #[inline]
-    pub unsafe fn finish_exclusive(&self, sink: &mut dyn FnMut(u64)) -> bool {
-        self.finish_with::<Exclusive>(sink)
-    }
-
-    /// The one body of both finishes.
+    /// [`finish`](Self::finish) with each step committed by `step`, as
+    /// [`add_with`](Self::add_with) is `add`'s.
     #[inline(always)]
-    fn finish_with<S: Step>(&self, sink: &mut dyn FnMut(u64)) -> bool {
-        if S::swap_flag(&self.sealed, true) {
+    pub fn finish_with<S: Step>(&self, sink: &mut dyn FnMut(u64), step: S) -> bool {
+        if step.swap_flag(&self.sealed, true, Ordering::SeqCst) {
             return false;
         }
         // Loaded after the seal: by lane-set monotonicity this table
@@ -742,7 +627,7 @@ impl TreeOutsetObj {
                 let block = unsafe { &*head };
                 let claimed = block.claimed.load(Ordering::SeqCst).min(BLOCK_SLOTS);
                 for slot in &block.slots[..claimed] {
-                    let prev = S::swap(slot, SWEPT);
+                    let prev = step.swap(slot, SWEPT, Ordering::SeqCst);
                     debug_assert_ne!(prev, POISON, "swept a recycled (poisoned) block");
                     if prev >= TOKEN_BIAS {
                         delivered += 1;
@@ -938,15 +823,13 @@ impl OutsetFamily for TreeOutset {
     }
 
     #[inline]
-    unsafe fn add_exclusive(out: &TreeOutsetObj, token: u64, key: u64) -> AddEdge {
-        // SAFETY: the caller's promise is `add_exclusive`'s.
-        unsafe { out.add_exclusive(token, key) }
+    fn add_with<S: Step>(out: &TreeOutsetObj, token: u64, key: u64, step: S) -> AddEdge {
+        out.add_with(token, key, step)
     }
 
     #[inline]
-    unsafe fn finish_exclusive(out: &TreeOutsetObj, sink: &mut dyn FnMut(u64)) -> bool {
-        // SAFETY: the caller's promise is `finish_exclusive`'s.
-        unsafe { out.finish_exclusive(sink) }
+    fn finish_with<S: Step>(out: &TreeOutsetObj, sink: &mut dyn FnMut(u64), step: S) -> bool {
+        out.finish_with(sink, step)
     }
 
     fn is_finished(out: &TreeOutsetObj) -> bool {
@@ -956,7 +839,90 @@ impl OutsetFamily for TreeOutset {
 
 #[cfg(test)]
 mod tests {
+    use sched::step::{differential, Differential};
+    use sched::XorShift64Star;
+
     use super::*;
+
+    /// One copy of an out-set under [`differential`]: the tokens its
+    /// sweep delivered, in order, the operations made so far, the one at
+    /// which the finish comes, and the next token to register.
+    struct OutsetCopy {
+        set: TreeOutsetObj,
+        delivered: Vec<u64>,
+        made: usize,
+        seal_at: usize,
+        token: u64,
+    }
+
+    // SAFETY: `apply` steps this copy's own out-set alone, on the calling
+    // thread.
+    unsafe impl Differential for OutsetCopy {
+        /// An add's edge, or whether a finish sealed or a split split; the
+        /// tokens delivered so far, in order; the seal, lanes, splits,
+        /// blocks and footprint; every cursor and slot word.
+        type Seen = (
+            Option<AddEdge>,
+            bool,
+            Vec<u64>,
+            (bool, usize, usize, usize, usize),
+            Vec<Vec<BlockWords>>,
+        );
+
+        fn apply<S: Step>(&mut self, draw: u64, step: S) -> Self::Seen {
+            let mut pick = XorShift64Star::new(draw);
+            let sealed = self.made > self.seal_at;
+            let mut edge = None;
+            let flag = if self.made == self.seal_at || (sealed && pick.next_below(16) == 0) {
+                // The first finish seals and sweeps every registered token
+                // once; a later one seals and delivers nothing.
+                let (before, delivered) = (self.delivered.len(), &mut self.delivered);
+                let sealed_now = self.set.finish_with(&mut |t| delivered.push(t), step);
+                let swept = if sealed { before } else { self.token as usize };
+                assert_eq!((sealed_now, self.delivered.len()), (!sealed, swept), "the finish");
+                sealed_now
+            } else if pick.next_below(16) == 0 {
+                self.set.force_split()
+            } else {
+                let e = self.set.add_with(self.token, pick.next_u64(), step);
+                assert_eq!(e == AddEdge::Finished(self.token), sealed, "bounces iff sealed");
+                self.token += !sealed as u64;
+                edge = Some(e);
+                false
+            };
+            self.made += 1;
+            let set = &self.set;
+            let shape = (
+                set.is_finished(),
+                set.lane_count(),
+                set.splits(),
+                set.block_count(),
+                set.footprint_bytes(),
+            );
+            (edge, flag, self.delivered.clone(), shape, set.words_for_test())
+        }
+    }
+
+    #[test]
+    fn outsets_step_alike_under_every_step() {
+        const OPS: usize = 400;
+        // Fresh, and already split twice: the forced splits then start
+        // from four lanes, three of them out of line.
+        for splits in [0, 2] {
+            for seed in 1..=12u64 {
+                let seed = seed * 0x9E37_79B9;
+                let copy = || {
+                    let set = TreeOutsetObj::new();
+                    for _ in 0..splits {
+                        assert!(set.force_split());
+                    }
+                    let seal_at = OPS / 2 + XorShift64Star::new(seed).next_below(OPS / 2);
+                    OutsetCopy { set, delivered: Vec::new(), made: 0, seal_at, token: 0 }
+                };
+                differential(copy, seed, OPS);
+            }
+        }
+    }
 
     /// Checked at compile time: an out-set is shared by every toucher of
     /// its future and dropped by whichever thread drops the last handle.

@@ -33,6 +33,10 @@
 //!   recycled through the size classes.
 //! * [`rng`] — [`XorShift64Star`], the one pseudo-random generator of the
 //!   runtime: steal victims here, growth coins in `snzi` and `outset`.
+//! * [`step`] — the one vocabulary the lock-free objects above commit
+//!   their steps in: [`step::Shared`], by the atomic instruction, or
+//!   [`step::Exclusive`], by a load and a store for an operation nothing
+//!   overlaps, minted only by `unsafe`.
 //!
 //! The crates above take their substrate primitives from here, one copy
 //! each: the generator, and the core count ([`num_cpus`], probed once per
@@ -53,6 +57,7 @@ pub mod poolarc;
 pub mod recycle;
 pub mod rng;
 pub mod slab;
+pub mod step;
 
 pub use deque::{StealResult, Stealer, Word, WorkerDeque};
 pub use failpoint::{FaultMode, FaultPlan, SiteSpec};

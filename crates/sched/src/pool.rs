@@ -95,13 +95,10 @@
 //! The same bit is public ([`WorkerCtx::is_solo`]) for the layer above: a
 //! one-worker run executes every task on its caller, one after another, so
 //! whatever only the run's tasks can reach needs no locked instruction
-//! either. `spdag` reads it once per vertex and then steps its in-counters,
-//! decrement pairs, `owed` words and out-sets by load and store
-//! (`CounterFamily::{increment,decrement}_exclusive`,
-//! `DecPair::claim_last_exclusive`,
-//! `OutsetFamily::{add,finish}_exclusive`); `spdag::vertex` states why
-//! nothing else can reach them. A run of two or more workers pays one predictable
-//! branch for the choice and executes the shared instructions.
+//! either: `spdag` mints its [`step::Exclusive`](crate::step::Exclusive)
+//! from the bit (`WorkerCtx::is_solo` says where), and a run of two or
+//! more workers pays one predictable branch for the choice and executes
+//! the shared instructions.
 //!
 //! Every participant, worker 0 included, flushes its slab caches
 //! ([`crate::slab::flush_this_thread`]) *before* it reports done, so
@@ -456,25 +453,11 @@ impl<'a, T: Word> WorkerCtx<'a, T> {
     /// locked instructions another thread would need (module docs, "What
     /// one worker does not pay").
     ///
-    /// `spdag` relies on that for a scope's counter, the SNZI nodes its
-    /// handles point into, a decrement pair, a waiting vertex's `owed`
-    /// word and a future's out-set (its adds, seal and sweep). The argument, as for `pop`: all of these are reached only
-    /// through the run's vertices, and only the run's workers execute
-    /// vertices — at W = 1 that is the caller, here. The watchdog of a
-    /// watched run, the one other thread that holds this run's `Shared`,
-    /// reads the progress count and deque lengths and nothing of a task's.
-    /// A run nested inside a task builds vertices of its own. A future's
-    /// handle is touched only within its own run (`spdag::FutureHandle`'s
-    /// contract): only the run's own workers add to a future's out-set or
-    /// sweep it, and only they take and drop the references `spdag` counts
-    /// on a future's core by load and store (its run-internal count). What
-    /// a thread outside the run *can* reach stays shared in `spdag`
-    /// whatever this says: any thread that holds a handle reaches the
-    /// `PoolArc` refcount — user handles step it at every W — and the last
-    /// holder drops the core. Such a
-    /// thread may also load `FutureCore::completed` or probe the out-set;
-    /// the exclusive steps store with `Release`, so what it observes comes
-    /// with the writes before it.
+    /// The bit is no licence by itself: a step that skips the lock takes
+    /// a [`step::Exclusive`](crate::step::Exclusive), which only `unsafe`
+    /// mints. `spdag` mints it from this bit in one place,
+    /// `spdag::vertex::solo_step`, and argues there that nothing outside
+    /// the run reaches what the run's vertices step.
     #[inline]
     pub fn is_solo(&self) -> bool {
         self.solo

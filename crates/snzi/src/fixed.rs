@@ -11,7 +11,9 @@
 //! Depth 0 degenerates to a single root cell — structurally the same shared
 //! hot-spot as a fetch-and-add counter, but with the SNZI root protocol.
 
-use crate::node::{node_arrive, node_depart, Exclusive, Node, ParentRef, Shared, Step};
+use sched::step::{Shared, Step};
+
+use crate::node::{node_arrive, node_depart, Node, ParentRef};
 use crate::packed::MAX_ROOT_SURPLUS;
 use crate::root::Root;
 use crate::stats::{ContentionProfile, TreeStats};
@@ -100,33 +102,23 @@ impl FixedSnzi {
     /// # Panics
     /// If `leaf >= leaf_count()`.
     pub fn arrive_leaf(&self, leaf: usize) {
-        self.arrive_leaf_with::<Shared>(leaf);
+        self.arrive_leaf_with(leaf, Shared);
     }
 
-    /// [`arrive_leaf`](Self::arrive_leaf) for a caller that has the tree
-    /// to itself: the same steps, each committed by a load and a store
-    /// (`crate::node`, "Two ways to commit a step").
-    ///
-    /// # Safety
-    /// No other arrive or depart on this tree may overlap this call, on
-    /// any thread: each is ordered before or after it.
+    /// [`arrive_leaf`](Self::arrive_leaf) with each step committed by
+    /// `step` (`crate::node`, "Two ways to commit a step"). An
+    /// [`Exclusive`](sched::step::Exclusive) step's promise covers this
+    /// tree's arrives and departs.
     ///
     /// # Panics
     /// If `leaf >= leaf_count()`.
     #[inline]
-    pub unsafe fn arrive_leaf_exclusive(&self, leaf: usize) {
-        self.arrive_leaf_with::<Exclusive>(leaf);
-    }
-
-    /// `S` is `Shared` unless the caller has the tree to itself.
-    #[inline]
-    fn arrive_leaf_with<S: Step>(&self, leaf: usize) {
+    pub fn arrive_leaf_with<S: Step>(&self, leaf: usize, step: S) {
         assert!(leaf < self.leaf_count(), "leaf {leaf} out of range");
         let path = match self.leaf_node(leaf) {
-            // SAFETY: the node belongs to self and lives as long as &self;
-            // `S` per this function's contract.
-            Some(n) => unsafe { node_arrive::<S>(n) },
-            None => self.root.arrive::<S>(),
+            // SAFETY: the node belongs to self and lives as long as &self.
+            Some(n) => unsafe { node_arrive(n, step) },
+            None => self.root.arrive(step),
         };
         self.stats.record_arrive(path.arrives);
     }
@@ -150,31 +142,22 @@ impl FixedSnzi {
     /// # Panics
     /// If `leaf >= leaf_count()`, or if the execution is not valid.
     pub fn depart_leaf(&self, leaf: usize) -> bool {
-        self.depart_leaf_with::<Shared>(leaf)
+        self.depart_leaf_with(leaf, Shared)
     }
 
-    /// [`depart_leaf`](Self::depart_leaf) for a caller that has the tree
-    /// to itself, as [`arrive_leaf_exclusive`](Self::arrive_leaf_exclusive)
-    /// is `arrive_leaf`'s.
-    ///
-    /// # Safety
-    /// As for [`arrive_leaf_exclusive`](Self::arrive_leaf_exclusive).
+    /// [`depart_leaf`](Self::depart_leaf) with each step committed by
+    /// `step`, as [`arrive_leaf_with`](Self::arrive_leaf_with) is
+    /// `arrive_leaf`'s.
     ///
     /// # Panics
     /// If `leaf >= leaf_count()`, or if the execution is not valid.
     #[inline]
-    pub unsafe fn depart_leaf_exclusive(&self, leaf: usize) -> bool {
-        self.depart_leaf_with::<Exclusive>(leaf)
-    }
-
-    /// `S` is `Shared` unless the caller has the tree to itself.
-    #[inline]
-    fn depart_leaf_with<S: Step>(&self, leaf: usize) -> bool {
+    pub fn depart_leaf_with<S: Step>(&self, leaf: usize, step: S) -> bool {
         assert!(leaf < self.leaf_count(), "leaf {leaf} out of range");
         let (ended, path) = match self.leaf_node(leaf) {
             // SAFETY: as in arrive_leaf_with.
-            Some(n) => unsafe { node_depart::<S>(n) },
-            None => self.root.depart::<S>(),
+            Some(n) => unsafe { node_depart(n, step) },
+            None => self.root.depart(step),
         };
         self.stats.record_depart(path.departs);
         ended
@@ -183,22 +166,14 @@ impl FixedSnzi {
     /// Depart directly at the root; returns `true` iff this departure
     /// ended the tree's non-zero period.
     pub fn depart_root(&self) -> bool {
-        self.depart_root_with::<Shared>()
+        self.depart_root_with(Shared)
     }
 
-    /// [`depart_root`](Self::depart_root) for a caller that has the tree
-    /// to itself.
-    ///
-    /// # Safety
-    /// As for [`arrive_leaf_exclusive`](Self::arrive_leaf_exclusive).
+    /// [`depart_root`](Self::depart_root) with each step committed by
+    /// `step`, as for [`arrive_leaf_with`](Self::arrive_leaf_with).
     #[inline]
-    pub unsafe fn depart_root_exclusive(&self) -> bool {
-        self.depart_root_with::<Exclusive>()
-    }
-
-    #[inline]
-    fn depart_root_with<S: Step>(&self) -> bool {
-        let (ended, path) = self.root.depart::<S>();
+    pub fn depart_root_with<S: Step>(&self, step: S) -> bool {
+        let (ended, path) = self.root.depart(step);
         self.stats.record_depart(path.departs);
         ended
     }
@@ -237,7 +212,53 @@ impl FixedSnzi {
 
 #[cfg(test)]
 mod tests {
+    use sched::step::{differential, Differential};
+    use sched::XorShift64Star;
+
     use super::*;
+
+    /// One copy of a fixed tree under [`differential`], with its completed
+    /// arrivals not yet departed: `None` at the root, else the leaf.
+    struct FixedCopy(FixedSnzi, Vec<Option<usize>>);
+
+    // SAFETY: `apply` steps this copy's own tree alone, on the calling
+    // thread.
+    unsafe impl Differential for FixedCopy {
+        /// Whether a depart ended the period; every word, tally and the
+        /// profile.
+        type Seen = (bool, (Vec<u64>, ContentionProfile));
+
+        fn apply<S: Step>(&mut self, draw: u64, step: S) -> Self::Seen {
+            let (tree, arrivals) = (&self.0, &mut self.1);
+            let mut pick = XorShift64Star::new(draw);
+            let mut ended = false;
+            if pick.next_below(2) == 0 || arrivals.is_empty() {
+                let leaf = tree.leaf_for_key(pick.next_u64());
+                tree.arrive_leaf_with(leaf, step);
+                arrivals.push(Some(leaf));
+            } else {
+                ended = match arrivals.swap_remove(pick.next_below(arrivals.len())) {
+                    None => tree.depart_root_with(step),
+                    Some(leaf) => tree.depart_leaf_with(leaf, step),
+                };
+                assert_eq!(ended, arrivals.is_empty(), "the last depart ends the period");
+            }
+            (ended, tree.state_for_test())
+        }
+    }
+
+    #[test]
+    fn fixed_trees_step_alike_under_every_step() {
+        for depth in 0..=4 {
+            for seed in 1..=6u64 {
+                for initial in [0, 1] {
+                    let copy =
+                        || FixedCopy(FixedSnzi::new(depth, initial), vec![None; initial as usize]);
+                    differential(copy, seed * 0x51_7CC1 + initial, 400);
+                }
+            }
+        }
+    }
 
     #[test]
     fn shape_matches_depth() {

@@ -78,8 +78,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod coin;
-#[cfg(test)]
-mod differential;
 pub mod fixed;
 pub mod node;
 pub mod packed;

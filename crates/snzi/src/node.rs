@@ -35,17 +35,14 @@
 //! ### Two ways to commit a step
 //!
 //! `node_arrive` and `node_depart` — and the root's operations, in
-//! [`crate::root`] — are written once, generic over a `Step`: how one
-//! transition `old → new` of a packed word is committed. `Shared` commits
-//! it with a compare-and-swap, as the SNZI paper does, and is what every
-//! operation that may meet another thread uses. `Exclusive` commits it
-//! with a load and a store — which is what that CAS does when nothing
-//! interferes — for an operation no other operation on the same tree can
-//! overlap (a one-worker run's counters; the caller of the `unsafe`
-//! `*_exclusive` entry points promises it). The state machine is the same
-//! one: the ½ and announce-bit transitions, the version bumps, the
-//! [`OpPath`] counts and, under `telemetry`, the touch tallies are
-//! identical in both modes, step for step.
+//! [`crate::root`] — are written once, generic over the
+//! [`sched::step::Step`] that commits each transition `old → new` of a
+//! packed word: an `AcqRel` compare-and-swap, as the SNZI paper has it,
+//! for an operation that may meet another thread, or with an
+//! [`Exclusive`](sched::step::Exclusive) step a load and a `Relaxed` store
+//! (a one-worker run's counters). The ½ and announce-bit transitions, the
+//! version bumps, the [`OpPath`] counts and, under `telemetry`, the touch
+//! tallies are identical either way, step for step.
 //!
 //! Alone on a tree, the ½ state and the announce bit are unobservable — an
 //! arrival that installs ½ completes it to 1 before anyone can look — so an
@@ -56,47 +53,11 @@
 
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
+use sched::step::Step;
+
 use crate::packed::{pack_node, unpack_node, HALF, MAX_NODE_SURPLUS, ONE};
 use crate::root::Root;
-use crate::stats::{Tally, Touches};
-
-/// How one step of the SNZI state machine is committed (module docs).
-/// Under `telemetry` a step type also counts a landed step on the node's
-/// touch tally the way it commits ([`Tally`]).
-pub(crate) trait Step: Tally {
-    /// Replace `old` by `new` in `word` if `word` still holds `old`;
-    /// whether it did.
-    fn cas(word: &AtomicU64, old: u64, new: u64) -> bool;
-}
-
-/// Steps committed by compare-and-swap: any operation that may overlap
-/// another operation on the same tree.
-pub(crate) enum Shared {}
-
-impl Step for Shared {
-    #[inline(always)]
-    fn cas(word: &AtomicU64, old: u64, new: u64) -> bool {
-        word.compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire).is_ok()
-    }
-}
-
-/// Steps committed by a load and a store: an operation that no other
-/// operation on the same tree overlaps, so nothing can change a word
-/// between the two. Relaxed suffices: every other access to the tree is
-/// ordered before or after the whole operation by whatever made it
-/// exclusive (for `spdag`, a one-worker run is one thread).
-pub(crate) enum Exclusive {}
-
-impl Step for Exclusive {
-    #[inline(always)]
-    fn cas(word: &AtomicU64, old: u64, new: u64) -> bool {
-        let holds = word.load(Ordering::Relaxed) == old;
-        if holds {
-            word.store(new, Ordering::Relaxed);
-        }
-        holds
-    }
-}
+use crate::stats::Touches;
 
 /// Reference to a node's parent: either the tree root or another
 /// hierarchical node. Immutable after construction.
@@ -201,22 +162,21 @@ impl Node {
 
     /// Commit one step on this node's word, tallying it if it landed.
     #[inline(always)]
-    fn cas<S: Step>(&self, old: u64, new: u64) -> bool {
-        self.touches.count::<S>(S::cas(&self.state, old, new))
+    fn cas<S: Step>(&self, step: S, old: u64, new: u64) -> bool {
+        self.touches.count(step, step.cas(&self.state, old, new, Ordering::AcqRel))
     }
 }
 
 /// Arrive at `parent`, dispatching on its kind.
 ///
 /// # Safety
-/// The referenced parent must be alive (guaranteed by tree ownership), and
-/// `S` must be [`Shared`] unless the caller has the tree to itself.
+/// The referenced parent must be alive (guaranteed by tree ownership).
 #[inline]
-pub(crate) unsafe fn parent_arrive<S: Step>(parent: ParentRef) -> OpPath {
+pub(crate) unsafe fn parent_arrive<S: Step>(parent: ParentRef, step: S) -> OpPath {
     match parent {
         // SAFETY: parents outlive children; see type-level invariant.
-        ParentRef::Root(r) => unsafe { (*r).arrive::<S>() },
-        ParentRef::Node(n) => unsafe { node_arrive::<S>(&*n) },
+        ParentRef::Root(r) => unsafe { (*r).arrive(step) },
+        ParentRef::Node(n) => unsafe { node_arrive(&*n, step) },
     }
 }
 
@@ -227,11 +187,11 @@ pub(crate) unsafe fn parent_arrive<S: Step>(parent: ParentRef) -> OpPath {
 /// # Safety
 /// As [`parent_arrive`].
 #[inline]
-pub(crate) unsafe fn parent_depart<S: Step>(parent: ParentRef) -> (bool, OpPath) {
+pub(crate) unsafe fn parent_depart<S: Step>(parent: ParentRef, step: S) -> (bool, OpPath) {
     match parent {
         // SAFETY: as above.
-        ParentRef::Root(r) => unsafe { (*r).depart::<S>() },
-        ParentRef::Node(n) => unsafe { node_depart::<S>(&*n) },
+        ParentRef::Root(r) => unsafe { (*r).depart(step) },
+        ParentRef::Node(n) => unsafe { node_depart(&*n, step) },
     }
 }
 
@@ -245,9 +205,8 @@ pub(crate) unsafe fn parent_depart<S: Step>(parent: ParentRef) -> (bool, OpPath)
 /// [`node_depart`]).
 ///
 /// # Safety
-/// `node` must belong to a live tree, and `S` must be [`Shared`] unless no
-/// other operation on that tree overlaps this one.
-pub(crate) unsafe fn node_arrive<S: Step>(node: &Node) -> OpPath {
+/// `node` must belong to a live tree.
+pub(crate) unsafe fn node_arrive<S: Step>(node: &Node, step: S) -> OpPath {
     let mut path = OpPath { arrives: 1, departs: 0 };
     let mut succ = false;
     let mut undo = 0u32;
@@ -256,19 +215,19 @@ pub(crate) unsafe fn node_arrive<S: Step>(node: &Node) -> OpPath {
         let (c, v) = unpack_node(x);
         if c >= ONE {
             assert!(c / 2 < MAX_NODE_SURPLUS, "SNZI node surplus overflow (>{MAX_NODE_SURPLUS})");
-            if node.cas::<S>(x, pack_node(c + ONE, v)) {
+            if node.cas(step, x, pack_node(c + ONE, v)) {
                 succ = true;
             }
         } else if c == 0 {
-            if node.cas::<S>(x, pack_node(HALF, v.wrapping_add(1))) {
+            if node.cas(step, x, pack_node(HALF, v.wrapping_add(1))) {
                 succ = true;
                 // We installed the ½; arrive at the parent and try to
                 // complete it (the paper re-enters the c == ½ case with
                 // the freshly written value).
                 let nv = v.wrapping_add(1);
                 // SAFETY: caller contract.
-                path.merge(unsafe { parent_arrive::<S>(node.parent) });
-                if !node.cas::<S>(pack_node(HALF, nv), pack_node(ONE, nv)) {
+                path.merge(unsafe { parent_arrive(node.parent, step) });
+                if !node.cas(step, pack_node(HALF, nv), pack_node(ONE, nv)) {
                     undo += 1;
                 }
             }
@@ -277,8 +236,8 @@ pub(crate) unsafe fn node_arrive<S: Step>(node: &Node) -> OpPath {
             // Help complete someone else's ½: arrive at the parent first so
             // invariant (1) holds when the completion lands.
             // SAFETY: caller contract.
-            path.merge(unsafe { parent_arrive::<S>(node.parent) });
-            if !node.cas::<S>(pack_node(HALF, v), pack_node(ONE, v)) {
+            path.merge(unsafe { parent_arrive(node.parent, step) });
+            if !node.cas(step, pack_node(HALF, v), pack_node(ONE, v)) {
                 undo += 1;
             }
         }
@@ -289,7 +248,7 @@ pub(crate) unsafe fn node_arrive<S: Step>(node: &Node) -> OpPath {
         // added at the parent moments ago, so they can never underflow,
         // and in valid in-counter executions they never end the root
         // period (there is always other surplus while an arrive races).
-        let (_ended, p) = unsafe { parent_depart::<S>(node.parent) };
+        let (_ended, p) = unsafe { parent_depart(node.parent, step) };
         path.merge(p);
     }
     path
@@ -306,15 +265,14 @@ pub(crate) unsafe fn node_arrive<S: Step>(node: &Node) -> OpPath {
 ///
 /// # Safety
 /// `node` must belong to a live tree, the departure must match an earlier
-/// completed arrival at this node (validity, Definition 1), and `S` must be
-/// [`Shared`] unless no other operation on that tree overlaps this one.
+/// completed arrival at this node (validity, Definition 1).
 ///
 /// `#[inline]` so that `SnziTree::depart` gets it inlined whatever
 /// codegen unit the compiler puts each in: left to the split, it went out
 /// of line when an unrelated change moved the split, and
 /// `snzi.arrive_depart_ns` read 18 % higher (`cores: 2`).
 #[inline]
-pub(crate) unsafe fn node_depart<S: Step>(start: &Node) -> (bool, OpPath) {
+pub(crate) unsafe fn node_depart<S: Step>(start: &Node, step: S) -> (bool, OpPath) {
     let mut path = OpPath { arrives: 0, departs: 0 };
     let mut node = start;
     loop {
@@ -327,7 +285,7 @@ pub(crate) unsafe fn node_depart<S: Step>(start: &Node) -> (bool, OpPath) {
                 "SNZI depart on a node with surplus {c}/2: execution is not valid \
                  (more departs than completed arrives)"
             );
-            if node.cas::<S>(x, pack_node(c - ONE, v)) {
+            if node.cas(step, x, pack_node(c - ONE, v)) {
                 if c != ONE {
                     return (false, path);
                 }
@@ -336,7 +294,7 @@ pub(crate) unsafe fn node_depart<S: Step>(start: &Node) -> (bool, OpPath) {
                 // this node, and parents outlive children.
                 match node.parent {
                     ParentRef::Root(r) => {
-                        let (ended, p) = unsafe { (*r).depart::<S>() };
+                        let (ended, p) = unsafe { (*r).depart(step) };
                         path.merge(p);
                         return (ended, path);
                     }
@@ -352,6 +310,8 @@ pub(crate) unsafe fn node_depart<S: Step>(start: &Node) -> (bool, OpPath) {
 
 #[cfg(test)]
 mod tests {
+    use sched::step::Shared;
+
     use crate::tree::SnziTree;
 
     // The node protocol is exercised through `SnziTree`, which owns node
@@ -416,7 +376,7 @@ mod tests {
         let (ll, _lr) = unsafe { tree.grow_always(l) };
         unsafe { tree.arrive(l) };
         // Arriving at the grandchild now stops at `l` (surplus ≥ 1 there).
-        let path = unsafe { tree.arrive_counted(ll) };
+        let path = unsafe { tree.arrive_with(ll, Shared) };
         assert_eq!(path.arrives, 2, "grandchild + child, root untouched");
     }
 }

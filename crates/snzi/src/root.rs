@@ -25,18 +25,20 @@
 //! sp-dag layer uses for readiness detection.
 //!
 //! Like the nodes' (`crate::node`, "Two ways to commit a step"), every
-//! operation here is generic over how a step commits: a CAS when another
-//! operation may overlap, a load and a store when none can. The announce
-//! bit exists for overlapping operations — a departure that finds it set
-//! helps publish the indicator before it decrements — and an operation
-//! alone on the tree never finds it set: the arrival that raises it
-//! publishes and clears it before it returns. It is raised and cleared in
-//! both modes all the same, so the root word, the indicator and their
+//! operation here is generic over how a step commits: an `AcqRel` CAS
+//! when another operation may overlap, a load and a store when none can.
+//! The announce bit exists for overlapping operations — a departure that
+//! finds it set helps publish the indicator before it decrements — and an
+//! operation alone on the tree never finds it set: the arrival that raises
+//! it publishes and clears it before it returns. It is raised and cleared
+//! in both modes all the same, so the root word, the indicator and their
 //! version numbers go through the same values either way.
 
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
-use crate::node::{ChildPair, OpPath, Step};
+use sched::step::Step;
+
+use crate::node::{ChildPair, OpPath};
 use crate::packed::{pack_ind, pack_root, unpack_ind, unpack_root, MAX_ROOT_SURPLUS};
 use crate::stats::Touches;
 
@@ -86,8 +88,8 @@ impl Root {
     /// Commit one step on `word` (the root word or the indicator),
     /// tallying it if it landed.
     #[inline(always)]
-    fn cas<S: Step>(&self, word: &AtomicU64, old: u64, new: u64) -> bool {
-        self.touches.count::<S>(S::cas(word, old, new))
+    fn cas<S: Step>(&self, step: S, word: &AtomicU64, old: u64, new: u64) -> bool {
+        self.touches.count(step, step.cas(word, old, new, Ordering::AcqRel))
     }
 
     /// Append the packed `(c, a, v)` root word, the `(ver, bit)` indicator
@@ -108,14 +110,14 @@ impl Root {
     /// Raise the indicator for period `ver`, never moving the version
     /// backwards. Idempotent and safe to call concurrently from the
     /// transitioning arrival and any number of helping departures.
-    fn publish_indicator<S: Step>(&self, ver: u32) {
+    fn publish_indicator<S: Step>(&self, step: S, ver: u32) {
         loop {
             let i = self.ind.load(Ordering::Acquire);
             let (iv, _bit) = unpack_ind(i);
             if iv >= ver {
                 return;
             }
-            if self.cas::<S>(&self.ind, i, pack_ind(ver, true)) {
+            if self.cas(step, &self.ind, i, pack_ind(ver, true)) {
                 return;
             }
         }
@@ -123,14 +125,14 @@ impl Root {
 
     /// Clear the announce bit for period `ver` (a no-op if the period has
     /// moved on). Must only be called after `publish_indicator(ver)`.
-    fn clear_announce<S: Step>(&self, ver: u32) {
+    fn clear_announce<S: Step>(&self, step: S, ver: u32) {
         loop {
             let w = self.x.load(Ordering::Acquire);
             let (c, a, v) = unpack_root(w);
             if v != ver || !a {
                 return;
             }
-            if self.cas::<S>(&self.x, w, pack_root(c, false, v)) {
+            if self.cas(step, &self.x, w, pack_root(c, false, v)) {
                 return;
             }
         }
@@ -146,18 +148,16 @@ impl Root {
     /// our caller (who must, by linearizability, observe a non-zero
     /// counter) would read a stale `false`.
     ///
-    /// `S` must be `Shared` unless no other
-    /// operation on this tree overlaps this one.
-    pub(crate) fn arrive<S: Step>(&self) -> OpPath {
+    pub(crate) fn arrive<S: Step>(&self, step: S) -> OpPath {
         loop {
             let w = self.x.load(Ordering::Acquire);
             let (c, a, v) = unpack_root(w);
             assert!(c < MAX_ROOT_SURPLUS, "SNZI root surplus overflow");
             let (nc, na, nv) = if c == 0 { (1, true, v.wrapping_add(1)) } else { (c + 1, a, v) };
-            if self.cas::<S>(&self.x, w, pack_root(nc, na, nv)) {
+            if self.cas(step, &self.x, w, pack_root(nc, na, nv)) {
                 if na {
-                    self.publish_indicator::<S>(nv);
-                    self.clear_announce::<S>(nv);
+                    self.publish_indicator(step, nv);
+                    self.clear_announce(step, nv);
                 }
                 return OpPath { arrives: 1, departs: 0 };
             }
@@ -168,25 +168,23 @@ impl Root {
     /// is true iff this departure took the counter to zero *and* closed
     /// the indicator for its period — i.e. the whole tree's surplus is
     /// gone and this caller is the unique witness.
-    ///
-    /// `S` as for [`arrive`](Root::arrive).
-    pub(crate) fn depart<S: Step>(&self) -> (bool, OpPath) {
+    pub(crate) fn depart<S: Step>(&self, step: S) -> (bool, OpPath) {
         loop {
             let w = self.x.load(Ordering::Acquire);
             let (c, a, v) = unpack_root(w);
             if a {
                 // Help: make the indicator for this period visible before
                 // anyone (including us) may decrement.
-                self.publish_indicator::<S>(v);
-                self.clear_announce::<S>(v);
+                self.publish_indicator(step, v);
+                self.clear_announce(step, v);
                 continue;
             }
             assert!(c >= 1, "SNZI depart on the root with surplus 0: execution is not valid");
-            if self.cas::<S>(&self.x, w, pack_root(c - 1, false, v)) {
+            if self.cas(step, &self.x, w, pack_root(c - 1, false, v)) {
                 if c == 1 {
                     // We ended period `v` unless a newer period already
                     // started; the indicator CAS decides, exactly once.
-                    let ended = self.cas::<S>(&self.ind, pack_ind(v, true), pack_ind(v, false));
+                    let ended = self.cas(step, &self.ind, pack_ind(v, true), pack_ind(v, false));
                     return (ended, OpPath { arrives: 0, departs: 1 });
                 }
                 return (false, OpPath { arrives: 0, departs: 1 });
@@ -203,7 +201,7 @@ impl Root {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::Shared;
+    use sched::step::Shared;
 
     #[test]
     fn fresh_root_is_zero() {
@@ -217,9 +215,9 @@ mod tests {
         let r = Root::new(3, 0);
         assert!(r.query());
         assert_eq!(r.surplus(), 3);
-        assert!(!r.depart::<Shared>().0);
-        assert!(!r.depart::<Shared>().0);
-        assert!(r.depart::<Shared>().0, "third depart ends the period");
+        assert!(!r.depart(Shared).0);
+        assert!(!r.depart(Shared).0);
+        assert!(r.depart(Shared).0, "third depart ends the period");
         assert!(!r.query());
     }
 
@@ -227,11 +225,11 @@ mod tests {
     fn arrive_depart_cycle() {
         let r = Root::new(0, 0);
         for round in 0..5 {
-            r.arrive::<Shared>();
+            r.arrive(Shared);
             assert!(r.query(), "round {round}");
-            r.arrive::<Shared>();
-            assert!(!r.depart::<Shared>().0);
-            assert!(r.depart::<Shared>().0);
+            r.arrive(Shared);
+            assert!(!r.depart(Shared).0);
+            assert!(r.depart(Shared).0);
             assert!(!r.query(), "round {round}");
         }
     }
@@ -239,12 +237,12 @@ mod tests {
     #[test]
     fn ended_period_reported_exactly_once() {
         let r = Root::new(0, 0);
-        r.arrive::<Shared>();
-        r.arrive::<Shared>();
-        r.arrive::<Shared>();
+        r.arrive(Shared);
+        r.arrive(Shared);
+        r.arrive(Shared);
         let mut endings = 0;
         for _ in 0..3 {
-            if r.depart::<Shared>().0 {
+            if r.depart(Shared).0 {
                 endings += 1;
             }
         }
@@ -255,7 +253,7 @@ mod tests {
     #[should_panic(expected = "not valid")]
     fn depart_on_empty_root_panics() {
         let r = Root::new(0, 0);
-        let _ = r.depart::<Shared>();
+        let _ = r.depart(Shared);
     }
 
     #[test]
@@ -271,12 +269,12 @@ mod tests {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     for _ in 0..rounds {
-                        r.arrive::<Shared>();
+                        r.arrive(Shared);
                         barrier.wait();
                         // All threads have arrived: indicator must be up.
                         assert!(r.query());
                         barrier.wait();
-                        let _ = r.depart::<Shared>();
+                        let _ = r.depart(Shared);
                         barrier.wait();
                         // All threads have departed: indicator must be down.
                         assert!(!r.query());
@@ -306,9 +304,9 @@ mod tests {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     for _ in 0..rounds {
-                        r.arrive::<Shared>();
+                        r.arrive(Shared);
                         barrier.wait();
-                        if r.depart::<Shared>().0 {
+                        if r.depart(Shared).0 {
                             endings.fetch_add(1, Ordering::Relaxed);
                         }
                         barrier.wait();

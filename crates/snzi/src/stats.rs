@@ -32,9 +32,9 @@ use crate::node::Node;
 use crate::root::Root;
 
 #[cfg(feature = "telemetry")]
-pub(crate) use counted::{Tally, Touches, TreeStats};
+pub(crate) use counted::{Touches, TreeStats};
 #[cfg(not(feature = "telemetry"))]
-pub(crate) use uncounted::{Tally, Touches, TreeStats};
+pub(crate) use uncounted::{Touches, TreeStats};
 
 /// What a walk of a tree reports: its shape in every build, and under the
 /// `telemetry` feature what the tree counted as it ran. A build without
@@ -86,8 +86,9 @@ impl ContentionProfile {
 mod counted {
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    use sched::step::Step;
+
     use super::ContentionProfile;
-    use crate::node::{Exclusive, Shared};
 
     /// Per-tree operation statistics (rare-event counters only; see
     /// module docs for why there is no per-operation counting).
@@ -138,11 +139,12 @@ mod counted {
     pub(crate) struct Touches(AtomicU64);
 
     impl Touches {
-        /// `landed`, after counting the step if it did.
+        /// `landed`, after counting the step if it did — committed the way
+        /// `step` commits the step it counts.
         #[inline(always)]
-        pub(crate) fn count<S: Tally>(&self, landed: bool) -> bool {
+        pub(crate) fn count<S: Step>(&self, step: S, landed: bool) -> bool {
             if landed {
-                S::add_one(&self.0);
+                step.fetch_add(&self.0, 1, Ordering::Relaxed);
             }
             landed
         }
@@ -151,31 +153,14 @@ mod counted {
             self.0.load(Ordering::Relaxed)
         }
     }
-
-    /// How a step type adds one to a tally: as it commits its steps.
-    pub(crate) trait Tally {
-        fn add_one(tally: &AtomicU64);
-    }
-
-    impl Tally for Shared {
-        #[inline(always)]
-        fn add_one(tally: &AtomicU64) {
-            tally.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    impl Tally for Exclusive {
-        #[inline(always)]
-        fn add_one(tally: &AtomicU64) {
-            tally.store(tally.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        }
-    }
 }
 
 /// The no-op twins of a build without `telemetry`: zero-sized, and every
 /// write compiles to nothing.
 #[cfg(not(feature = "telemetry"))]
 mod uncounted {
+    use sched::step::Step;
+
     use super::ContentionProfile;
 
     #[derive(Debug, Default)]
@@ -199,12 +184,13 @@ mod uncounted {
     pub(crate) struct Touches {}
 
     impl Touches {
-        /// An inherent method, not one of `Tally`'s: it inlines before `S`
-        /// is known, so a plain build's steps compile as if no tally were
-        /// there. (A method of `S` inlines only after monomorphisation,
-        /// and that moved where the root's `arrive` is inlined.)
+        /// An inherent method that never calls the step: it inlines
+        /// before `S` is known, so a plain build's steps compile as if no
+        /// tally were there. (A method of `S` inlines only after
+        /// monomorphisation, and that moved where the root's `arrive` is
+        /// inlined.)
         #[inline(always)]
-        pub(crate) fn count<S: Tally>(&self, landed: bool) -> bool {
+        pub(crate) fn count<S: Step>(&self, _step: S, landed: bool) -> bool {
             landed
         }
 
@@ -213,11 +199,6 @@ mod uncounted {
             0
         }
     }
-
-    /// No step type counts anything.
-    pub(crate) trait Tally {}
-
-    impl<S> Tally for S {}
 }
 
 #[cfg(test)]

@@ -34,9 +34,9 @@ use std::sync::atomic::Ordering;
 use sched::recycle;
 
 use crate::coin::{Coin, Probability, ThreadCoin};
-use crate::node::{
-    node_arrive, node_depart, ChildPair, Exclusive, Node, OpPath, ParentRef, Shared, Step,
-};
+use sched::step::{Shared, Step};
+
+use crate::node::{node_arrive, node_depart, ChildPair, Node, OpPath, ParentRef};
 use crate::packed::MAX_ROOT_SURPLUS;
 use crate::root::Root;
 use crate::stats::{ContentionProfile, TreeStats};
@@ -193,44 +193,25 @@ impl SnziTree {
     /// # Safety
     /// `h` must have been produced by this tree, and the tree must outlive
     /// the call.
-    #[inline]
     pub unsafe fn arrive(&self, h: Handle) {
         // SAFETY: forwarded contract.
-        let _ = unsafe { self.arrive_counted(h) };
+        let _ = unsafe { self.arrive_with(h, Shared) };
     }
 
-    /// As [`arrive`](Self::arrive), returning the propagation path counts.
+    /// [`arrive`](Self::arrive) with each step committed by `step`
+    /// (`crate::node`, "Two ways to commit a step"), returning the
+    /// propagation path counts. An
+    /// [`Exclusive`](sched::step::Exclusive) step's promise covers this
+    /// tree's arrives and departs; `query` and `grow` may overlap the call.
     ///
     /// # Safety
     /// As [`arrive`](Self::arrive).
-    pub unsafe fn arrive_counted(&self, h: Handle) -> OpPath {
-        // SAFETY: forwarded contract; `Shared` tolerates any overlap.
-        unsafe { self.arrive_with::<Shared>(h) }
-    }
-
-    /// [`arrive`](Self::arrive) for a caller that has the tree to itself:
-    /// the same steps, each committed by a load and a store instead of a
-    /// compare-and-swap (`crate::node`, "Two ways to commit a step").
-    ///
-    /// # Safety
-    /// As [`arrive`](Self::arrive), and no other `arrive` or `depart` on
-    /// this tree may overlap this call, on any thread: each is ordered
-    /// before or after it. (`query` and `grow` may overlap it.)
-    #[inline]
-    pub unsafe fn arrive_exclusive(&self, h: Handle) {
-        // SAFETY: forwarded contract.
-        let _ = unsafe { self.arrive_with::<Exclusive>(h) };
-    }
-
-    /// # Safety
-    /// As [`arrive`](Self::arrive); `S` is `Shared` unless the caller has
-    /// the tree to itself.
-    pub(crate) unsafe fn arrive_with<S: Step>(&self, h: Handle) -> OpPath {
+    pub unsafe fn arrive_with<S: Step>(&self, h: Handle, step: S) -> OpPath {
         self.check_handle(h);
         let path = match h.0 {
             // SAFETY: caller contract.
-            NodeRefInner::Root(r) => unsafe { (*r).arrive::<S>() },
-            NodeRefInner::Node(n) => unsafe { node_arrive::<S>(&*n) },
+            NodeRefInner::Root(r) => unsafe { (*r).arrive(step) },
+            NodeRefInner::Node(n) => unsafe { node_arrive(&*n, step) },
         };
         self.stats.record_arrive(path.arrives);
         path
@@ -245,43 +226,23 @@ impl SnziTree {
     /// call, and the execution must be valid: this departure matches an
     /// earlier completed arrival at the same node that no other departure
     /// consumes.
-    #[inline]
     pub unsafe fn depart(&self, h: Handle) -> bool {
         // SAFETY: forwarded contract.
-        unsafe { self.depart_counted(h) }.0
+        unsafe { self.depart_with(h, Shared) }.0
     }
 
-    /// As [`depart`](Self::depart), returning the propagation path counts.
+    /// [`depart`](Self::depart) with each step committed by `step`, as
+    /// [`arrive_with`](Self::arrive_with) is `arrive`'s, returning the
+    /// propagation path counts too.
     ///
     /// # Safety
     /// As [`depart`](Self::depart).
-    pub unsafe fn depart_counted(&self, h: Handle) -> (bool, OpPath) {
-        // SAFETY: forwarded contract; `Shared` tolerates any overlap.
-        unsafe { self.depart_with::<Shared>(h) }
-    }
-
-    /// [`depart`](Self::depart) for a caller that has the tree to itself,
-    /// as [`arrive_exclusive`](Self::arrive_exclusive) is `arrive`'s.
-    ///
-    /// # Safety
-    /// As [`depart`](Self::depart), and as for
-    /// [`arrive_exclusive`](Self::arrive_exclusive) no other `arrive` or
-    /// `depart` on this tree may overlap this call.
-    #[inline]
-    pub unsafe fn depart_exclusive(&self, h: Handle) -> bool {
-        // SAFETY: forwarded contract.
-        unsafe { self.depart_with::<Exclusive>(h) }.0
-    }
-
-    /// # Safety
-    /// As [`depart`](Self::depart); `S` is `Shared` unless the caller has
-    /// the tree to itself.
-    pub(crate) unsafe fn depart_with<S: Step>(&self, h: Handle) -> (bool, OpPath) {
+    pub unsafe fn depart_with<S: Step>(&self, h: Handle, step: S) -> (bool, OpPath) {
         self.check_handle(h);
         let (ended, path) = match h.0 {
             // SAFETY: caller contract.
-            NodeRefInner::Root(r) => unsafe { (*r).depart::<S>() },
-            NodeRefInner::Node(n) => unsafe { node_depart::<S>(&*n) },
+            NodeRefInner::Root(r) => unsafe { (*r).depart(step) },
+            NodeRefInner::Node(n) => unsafe { node_depart(&*n, step) },
         };
         self.stats.record_depart(path.departs);
         (ended, path)
@@ -481,8 +442,80 @@ impl Drop for SnziTree {
 
 #[cfg(test)]
 mod tests {
+    use sched::step::{differential, Differential};
+
     use super::*;
     use crate::coin::XorShift64Star;
+
+    /// One copy of a growing tree under [`differential`]: its handles on
+    /// the nodes grown so far (node 0 is the root), its own growth coin —
+    /// seeded alike in every copy, so the shapes stay equal — and the
+    /// completed arrivals not yet departed, by node.
+    struct TreeCopy {
+        tree: SnziTree,
+        coin: XorShift64Star,
+        handles: Vec<Handle>,
+        arrivals: Vec<usize>,
+    }
+
+    // SAFETY: `apply` steps this copy's own tree alone, on the calling
+    // thread.
+    unsafe impl Differential for TreeCopy {
+        /// Whether a grow found children or a depart ended the period, and
+        /// the path; then every word and tally, the profile and the query.
+        type Seen = (bool, OpPath, Vec<u64>, ContentionProfile, bool);
+
+        fn apply<S: Step>(&mut self, draw: u64, step: S) -> Self::Seen {
+            let mut pick = XorShift64Star::new(draw);
+            let what = pick.next_below(8);
+            let (flag, path) = if what < 2 {
+                let i = pick.next_below(self.handles.len());
+                // SAFETY: every handle belongs to this copy's tree.
+                let (l, r) = unsafe { self.tree.grow_with(self.handles[i], &mut self.coin) };
+                let has = l.addr() != self.handles[i].addr();
+                if has && self.handles.iter().all(|h| h.addr() != l.addr()) {
+                    self.handles.extend([l, r]);
+                }
+                (has, OpPath::default())
+            } else if what < 5 || self.arrivals.is_empty() {
+                let i = pick.next_below(self.handles.len());
+                self.arrivals.push(i);
+                // SAFETY: as above.
+                (false, unsafe { self.tree.arrive_with(self.handles[i], step) })
+            } else {
+                let i = self.arrivals.swap_remove(pick.next_below(self.arrivals.len()));
+                // SAFETY: as above, and the depart matches a completed
+                // arrival at the same node that no other depart consumes.
+                let (ended, path) = unsafe { self.tree.depart_with(self.handles[i], step) };
+                assert_eq!(ended, self.arrivals.is_empty(), "the last depart ends the period");
+                (ended, path)
+            };
+            let t = &self.tree;
+            (flag, path, t.state_for_test(), t.contention_profile(), t.query())
+        }
+    }
+
+    #[test]
+    fn trees_step_alike_under_every_step() {
+        for p in [Probability::ALWAYS, Probability::NEVER, Probability::default_for_cores(2)] {
+            for seed in 1..=8u64 {
+                for initial in [0, 1] {
+                    let seed = seed * 0x9E37_79B9 + initial;
+                    let copy = || {
+                        let tree = SnziTree::with_probability(initial, p);
+                        TreeCopy {
+                            handles: vec![tree.root_handle()],
+                            tree,
+                            coin: XorShift64Star::new(seed ^ 0xC0FF_EE00),
+                            // The initial surplus sits at the root.
+                            arrivals: vec![0; initial as usize],
+                        }
+                    };
+                    differential(copy, seed, 600);
+                }
+            }
+        }
+    }
 
     #[test]
     fn fresh_tree_query_matches_initial() {

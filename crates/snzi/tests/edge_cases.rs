@@ -1,5 +1,6 @@
 //! Edge-case and boundary tests for the SNZI crate's public API.
 
+use sched::step::Shared;
 use snzi::{FixedSnzi, Probability, SnziTree};
 
 #[test]
@@ -36,7 +37,7 @@ fn deep_depart_cascade_is_iterative_enough() {
     }
     unsafe { t.arrive(h) };
     assert!(t.query());
-    let (ended, path) = unsafe { t.depart_counted(h) };
+    let (ended, path) = unsafe { t.depart_with(h, Shared) };
     assert!(ended);
     assert_eq!(path.departs, 2001, "cascade visits every level plus the root");
     assert!(!t.query());
@@ -49,16 +50,16 @@ fn arrive_path_counts_track_propagation() {
     let (l, _) = unsafe { t.grow_always(r) };
     let (ll, _) = unsafe { t.grow_always(l) };
     // Empty tree: the arrive propagates grandchild → child → root.
-    let path = unsafe { t.arrive_counted(ll) };
+    let path = unsafe { t.arrive_with(ll, Shared) };
     assert_eq!(path.arrives, 3);
     // Second arrive at the same node stops immediately (surplus ≥ 1).
-    let path = unsafe { t.arrive_counted(ll) };
+    let path = unsafe { t.arrive_with(ll, Shared) };
     assert_eq!(path.arrives, 1);
     // Sibling-of-parent arrive stops at the root? No — it phase-changes
     // its own node and must reach the root, which already has surplus:
     // chain = 2 (node + root).
     let (_, lr) = unsafe { t.grow_always(l) };
-    let path = unsafe { t.arrive_counted(lr) };
+    let path = unsafe { t.arrive_with(lr, Shared) };
     assert_eq!(path.arrives, 2);
 }
 

@@ -48,7 +48,7 @@ use outset::OutsetFamily;
 
 use crate::dag::Ctx;
 use crate::futures::{FutureHandle, ParkRequest};
-use crate::vertex::{Strand, StrandPoll};
+use crate::vertex::{solo_step, Strand, StrandPoll};
 
 /// What the current thread's innermost poll context is.
 enum BridgeState {
@@ -125,7 +125,7 @@ where
                         let key = ctx.worker_id() as u64;
                         // The request's owned core reference keeps the
                         // out-set alive until this registration lands.
-                        if request.register(token, key, ctx.worker.is_solo()) {
+                        if request.register(token, key, solo_step(ctx.worker)) {
                             return StrandPoll::Parked;
                         }
                         // Sealed in the gap between poll and registration:

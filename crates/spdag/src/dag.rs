@@ -45,7 +45,7 @@ use sched::{PoolStats, Termination, WorkerCtx};
 
 use crate::in_place::{self, StackRoom};
 use crate::vertex::{
-    fork_vertex, Body, NoBody, Once, Resumable, Strand, StrandPoll, Vertex, VertexPtr,
+    fork_vertex, solo_step, Body, NoBody, Once, Resumable, Strand, StrandPoll, Vertex, VertexPtr,
 };
 
 /// Per-body execution context: the running vertex plus scheduler access.
@@ -301,10 +301,8 @@ fn commit_park<C: CounterFamily>(v: OwnedVertex<C>, worker: &WorkerCtx<'_, Verte
     // Ownership parks with the vertex.
     std::mem::forget(v);
     // SAFETY: touch_await armed `owed` with 2 and registered exactly one
-    // out-set waker; this is the executor's single matching decrement. The
-    // other delivery is a vertex's of this run, so with `is_solo` it is
-    // made on this thread too.
-    if unsafe { crate::futures::resolve_dependent::<C>(vp, worker.is_solo()) } {
+    // out-set waker; this is the executor's single matching decrement.
+    if unsafe { crate::futures::resolve_dependent::<C>(vp, solo_step(worker)) } {
         worker.push(VertexPtr(vp));
     }
 }
@@ -412,7 +410,7 @@ fn execute_vertex<C: CounterFamily>(
     }
     // SAFETY: fin outlives all vertices of its scope (module docs).
     let fin_ref = unsafe { &*v.fin };
-    let solo = worker.is_solo();
+    let solo = solo_step(worker);
     let ready = if v.dec.is_none() {
         // The scope's only strand: nothing was ever counted, so its end is
         // the scope's end — no claim, no decrement, no counter.
@@ -425,18 +423,15 @@ fn execute_vertex<C: CounterFamily>(
     } else {
         // SAFETY: the vertex neither spawned, chained nor touched (`dead`
         // is clear), so its one claim on the pair it holds is still unspent.
-        // With `solo` its sibling claims on this thread (`PairRef::claim`).
         let d = unsafe { v.dec.claim(solo) };
         // SAFETY: a strand with a real pair; `d` was produced by an
         // increment on `fin`'s counter (or is its root handle matching the
         // initial count) and is consumed exactly once — the claim
-        // protocol's guarantee. With `solo` every step on that counter is
-        // this thread's (`crate::vertex`, "One worker, no lock prefix").
+        // protocol's guarantee.
         unsafe {
-            if solo {
-                C::decrement_exclusive(fin_ref.counter_ref(), d)
-            } else {
-                C::decrement(fin_ref.counter_ref(), d)
+            match solo {
+                Some(x) => C::decrement_with(fin_ref.counter_ref(), d, x),
+                None => C::decrement(fin_ref.counter_ref(), d),
             }
         }
     };

@@ -22,9 +22,9 @@
 //!   register dependent edges in it, and the future's completion vertex
 //!   seals it and sweeps every registered dependent to the scheduler in
 //!   one batch. A one-worker run adds, seals and sweeps by load and
-//!   store ([`outset::OutsetFamily::add_exclusive`],
-//!   [`outset::OutsetFamily::finish_exclusive`]): every add and the sweep
-//!   are made on its one thread.
+//!   store ([`outset::OutsetFamily::add_with`] and
+//!   [`outset::OutsetFamily::finish_with`] with an exclusive step): every
+//!   add and the sweep are made on its one thread.
 //!
 //! ## Model
 //!
@@ -171,10 +171,11 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 use incounter::CounterFamily;
 use outset::{AddEdge, OutsetFamily, TreeOutset};
+use sched::step::{Exclusive, Shared, Step};
 use sched::{PoolArc, WorkerCtx};
 
 use crate::dag::Ctx;
-use crate::vertex::{Body, Once, Resumable, Strand, StrandPoll, Vertex, VertexPtr};
+use crate::vertex::{solo_step, Body, Once, Resumable, Strand, StrandPoll, Vertex, VertexPtr};
 
 /// Result of [`Ctx::touch_await`]: the blocking-style dual of
 /// [`Ctx::touch`]'s continuation passing.
@@ -269,7 +270,7 @@ impl<T, O: OutsetFamily> FutureCore<T, O> {
 /// worker's frame — and a later run that reuses an address finds every
 /// internal count it shares with an earlier one at 0 (see `CoreRef`).
 fn run_token<C: CounterFamily>(worker: &WorkerCtx<'_, VertexPtr<C>>) -> usize {
-    if worker.is_solo() {
+    if solo_step(worker).is_some() {
         worker as *const WorkerCtx<'_, VertexPtr<C>> as usize
     } else {
         0
@@ -396,13 +397,13 @@ impl<T, O: OutsetFamily> Drop for CoreRef<T, O> {
 /// one allocates nothing.
 pub(crate) struct ParkRequest {
     core: *const (),
-    register: unsafe fn(*const (), u64, u64, bool) -> bool,
+    register: unsafe fn(*const (), u64, u64, Option<Exclusive<'_>>) -> bool,
     release: unsafe fn(*const ()),
 }
 
 impl ParkRequest {
     /// [`register_dependent`] on the requested future's out-set.
-    pub(crate) fn register(&self, token: u64, key: u64, solo: bool) -> bool {
+    pub(crate) fn register(&self, token: u64, key: u64, solo: Option<Exclusive<'_>>) -> bool {
         // SAFETY: `core` and `register` were made together, for one type,
         // and the request's reference keeps the core alive.
         unsafe { (self.register)(self.core, token, key, solo) }
@@ -571,7 +572,7 @@ impl<T: Send + Sync + 'static, O: OutsetFamily> FutureHandle<T, O> {
             core: *const (),
             token: u64,
             key: u64,
-            solo: bool,
+            solo: Option<Exclusive<'_>>,
         ) -> bool {
             // SAFETY: the caller's contract.
             let core = unsafe { &*(core as *const FutureCore<T, O>) };
@@ -684,7 +685,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // rotate this vertex onto the fresh right-hand handles
         // (Vertex::fork_rotate encodes the handle discipline once).
         let fin = u.fin;
-        let (i1, pair) = u.fork_rotate(cfg, worker.is_solo());
+        let (i1, pair) = u.fork_rotate(cfg, solo_step(worker));
         // Completion vertex: waits for the future's body subtree (a scope
         // of one strand until that body forks), then sweeps.
         let fw_ptr =
@@ -925,13 +926,14 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         unsafe { *(*w_ptr).owed.get_mut() = 1 };
         let token = w_ptr as usize as u64;
         let key = self.worker.worker_id() as u64;
-        if !register_dependent::<O>(&future.outset, token, key, self.worker.is_solo()) {
+        let solo = solo_step(self.worker);
+        if !register_dependent::<O>(&future.outset, token, key, solo) {
             // The future completed first (or the sweep claimed the race):
             // the dependency is already satisfied — resolve and schedule
             // inline.
             // SAFETY: as in the sweep; the bounce transfers exclusive
             // delivery to this caller.
-            if unsafe { resolve_dependent::<C>(w_ptr, self.worker.is_solo()) } {
+            if unsafe { resolve_dependent::<C>(w_ptr, solo) } {
                 self.worker.push(VertexPtr(w_ptr));
             }
         }
@@ -991,7 +993,7 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         let token = self.arm_park();
         obs::trace::record(obs::EventKind::FutureTouch, token);
         let key = self.worker.worker_id() as u64;
-        if register_dependent::<O>(&future.core.outset, token, key, self.worker.is_solo()) {
+        if register_dependent::<O>(&future.core.outset, token, key, solo_step(self.worker)) {
             return StrandTouch::Parked;
         }
         // The future sealed first: no token was stored, so no fulfiller
@@ -1044,16 +1046,13 @@ where
         while !core.published.load(Ordering::Acquire) {
             std::hint::spin_loop();
         }
-        let solo = c.worker.is_solo();
+        let solo = solo_step(c.worker);
         // `completed`'s readers need only the edge from the value write:
         // the setter's release of `published`, acquired above, handed on
         // by this store's release. A one-worker run stores it so; a run of
         // two or more keeps the `SeqCst` store.
-        if solo {
-            core.completed.store(true, Ordering::Release);
-        } else {
-            core.completed.store(true, Ordering::SeqCst);
-        }
+        let ord = if solo.is_some() { Ordering::Release } else { Ordering::SeqCst };
+        core.completed.store(true, ord);
         let mut chunk = [std::ptr::null_mut::<Vertex<C>>(); SWEEP_CHUNK];
         let (mut filled, mut ready) = (0, 0u64);
         let flush = |chunk: &[*mut Vertex<C>]| {
@@ -1063,10 +1062,8 @@ where
             let w = token as usize as *mut Vertex<C>;
             // SAFETY: every token is a waiting vertex — leaked by
             // `touch`, or parked by `touch_await` or an async strand —
-            // scheduled by nobody else;
-            // this sweep holds its fulfiller delivery right. It is a
-            // vertex of this run (`FutureHandle`'s contract), so with
-            // `solo` its other delivery is this thread's too.
+            // scheduled by nobody else; this sweep holds its fulfiller
+            // delivery right.
             if unsafe { resolve_dependent::<C>(w, solo) } {
                 chunk[filled] = w;
                 filled += 1;
@@ -1077,13 +1074,10 @@ where
                 }
             }
         };
-        if solo {
-            // SAFETY: every add to this run's future is made by this
-            // thread (`register_dependent`), so none overlaps the sweep.
-            unsafe { O::finish_exclusive(&core.outset, &mut deliver) };
-        } else {
-            O::finish(&core.outset, &mut deliver);
-        }
+        match solo {
+            Some(x) => O::finish_with(&core.outset, &mut deliver, x),
+            None => O::finish(&core.outset, &mut deliver),
+        };
         flush(&chunk[..filled]);
         obs::counter!("spdag.fulfills").inc();
         obs::trace::record_span(obs::EventKind::FutureFulfill, ready, fulfill_start);
@@ -1096,11 +1090,8 @@ where
 /// `false`: bounced — the out-set had sealed, nothing was stored, and the
 /// caller delivers inline.
 ///
-/// In a one-worker run (`solo`, the worker's `sched::WorkerCtx::is_solo`)
-/// the add is [`OutsetFamily::add_exclusive`]: the future is this run's
-/// (`FutureHandle`'s contract), so every other add to its out-set and its
-/// sweep are made on this thread (`crate::vertex`, "One worker, no lock
-/// prefix").
+/// `solo` is the worker's `solo_step` (`crate::vertex`, "One worker, no
+/// lock prefix").
 ///
 /// Failpoint (no-op unless `fault-inject` arms `spdag.force_bounce`): hold
 /// the registration until the out-set seals, so `O::add` deterministically
@@ -1112,7 +1103,7 @@ pub(crate) fn register_dependent<O: OutsetFamily>(
     outset: &O::Outset,
     token: u64,
     key: u64,
-    solo: bool,
+    solo: Option<Exclusive<'_>>,
 ) -> bool {
     if sched::failpoint::fire("spdag.force_bounce") {
         for _ in 0..200_000 {
@@ -1122,12 +1113,9 @@ pub(crate) fn register_dependent<O: OutsetFamily>(
             std::hint::spin_loop();
         }
     }
-    let edge = if solo {
-        // SAFETY: a one-worker run's out-set is stepped by its one thread
-        // alone, one operation after another (above).
-        unsafe { O::add_exclusive(outset, token, key) }
-    } else {
-        O::add(outset, token, key)
+    let edge = match solo {
+        Some(x) => O::add_with(outset, token, key, x),
+        None => O::add(outset, token, key),
     };
     match edge {
         AddEdge::Registered => true,
@@ -1150,17 +1138,16 @@ pub(crate) fn register_dependent<O: OutsetFamily>(
 /// second one's acquire half, which the deque push hands on to whoever
 /// runs the vertex.
 ///
-/// In a one-worker run (`solo`, the worker's `sched::WorkerCtx::is_solo`)
-/// both deliveries are made on the run's one thread, one after the other,
-/// so the decrement is a load and a store (`crate::vertex`, "One worker,
-/// no lock prefix").
+/// `solo` is the worker's `solo_step`, as for [`register_dependent`].
 ///
 /// # Safety
 /// `w` must be a waiting vertex (a `touch` continuation or a parked
 /// strand), not scheduled, and the caller must hold one — exactly one —
-/// of its pending delivery rights. With `solo`, `w` belongs to the
-/// caller's one-worker run, so no other delivery overlaps this one.
-pub(crate) unsafe fn resolve_dependent<C: CounterFamily>(w: *mut Vertex<C>, solo: bool) -> bool {
+/// of its pending delivery rights.
+pub(crate) unsafe fn resolve_dependent<C: CounterFamily>(
+    w: *mut Vertex<C>,
+    solo: Option<Exclusive<'_>>,
+) -> bool {
     // Project straight to the word: materializing `&Vertex` here would
     // claim read validity over the *whole* struct while the parking
     // executor may still hold `&mut Vertex` and be writing
@@ -1175,12 +1162,9 @@ pub(crate) unsafe fn resolve_dependent<C: CounterFamily>(w: *mut Vertex<C>, solo
     // so the field projection is in bounds; the shared reference covers
     // only the atomic's bytes.
     let owed = unsafe { &*std::ptr::addr_of!((*w).owed) };
-    let before = if solo {
-        let before = owed.load(Ordering::Relaxed);
-        owed.store(before.wrapping_sub(1), Ordering::Relaxed);
-        before
-    } else {
-        owed.fetch_sub(1, Ordering::AcqRel)
+    let before = match solo {
+        Some(x) => x.fetch_sub(owed, 1, Ordering::AcqRel),
+        None => Shared.fetch_sub(owed, 1, Ordering::AcqRel),
     };
     debug_assert!(before >= 1, "a dependent got a delivery it was not owed");
     before == 1

@@ -49,8 +49,8 @@
 //! of a spawn past the stack bound — splits it instead, by one increment
 //! (`Vertex::hand_off`), and the vertex lives on for the left child. If the
 //! right child unwinds, the guard forks the left child by the fork step, so
-//! the scope still drains. Each step takes the worker's solo bit: exclusive
-//! at W = 1, shared at W ≥ 2.
+//! the scope still drains. Each step takes the worker's step
+//! (`vertex::solo_step`): exclusive at W = 1, shared at W ≥ 2.
 //!
 //! Each child run in place counts as an executed task
 //! ([`sched::WorkerCtx::note_run_in_place`]) and as `spdag.spawn_inline`,
@@ -180,7 +180,7 @@ pub(crate) fn run_in_place<'w, C, L, R>(
     };
     // SAFETY: `u` is the running vertex, exclusively ours, and `left`
     // stays where it is until it is taken or dropped.
-    unsafe { left.link(worker.is_solo()) };
+    unsafe { left.link() };
     // SAFETY: as above; each child's borrow of `u` ends before the guard or
     // the next child touches it.
     run_child(unsafe { &mut *u }, worker, cfg, right);
@@ -245,7 +245,8 @@ where
     /// `u` must be the guard's vertex, the running one, and the guard must
     /// not move until it is taken or dropped.
     #[inline(always)]
-    unsafe fn link(&mut self, solo: bool) {
+    unsafe fn link(&mut self) {
+        let solo = self.worker.is_solo();
         let head = self.worker.latent();
         self.latent.older = head.get().cast();
         if !solo {

@@ -31,6 +31,7 @@
 
 use incounter::DecPair;
 use sched::recycle;
+use sched::step::{Exclusive, Shared};
 
 /// A vertex's pointer to its shared decrement pair (see module docs).
 pub(crate) struct PairRef<D>(*mut DecPair<D>);
@@ -66,25 +67,21 @@ impl<D: Copy> PairRef<D> {
     }
 
     /// Claim this holder's handle (the paper's `claim_dec`), freeing the
-    /// pair if this was its last claim. `solo`: the claimer is a one-worker
-    /// run's, which claims by load and store
-    /// ([`DecPair::claim_last_exclusive`]).
+    /// pair if this was its last claim. `solo`: the claimer's
+    /// `vertex::solo_step`, with which a one-worker run claims by load and
+    /// store.
     ///
     /// # Safety
     /// The caller must be one of the pair's holders and must not have
     /// claimed before: across all copies of this pointer, two claims in
-    /// total. The pointer is dead afterwards. With `solo`, the run has one
-    /// worker (`sched::WorkerCtx::is_solo`), so the pair's other claim —
-    /// by a vertex of the same run — is made on this thread too, and does
-    /// not overlap this one.
-    pub(crate) unsafe fn claim(self, solo: bool) -> D {
+    /// total. The pointer is dead afterwards.
+    pub(crate) unsafe fn claim(self, solo: Option<Exclusive<'_>>) -> D {
         debug_assert!(!self.0.is_null(), "a sole strand's `none` pair was claimed");
         // SAFETY: the pair is live until its last claim (caller contract).
         let (dec, last) = unsafe {
-            if solo {
-                DecPair::claim_last_exclusive(self.0)
-            } else {
-                DecPair::claim_last(self.0)
+            match solo {
+                Some(x) => DecPair::claim_last(self.0, x),
+                None => DecPair::claim_last(self.0, Shared),
             }
         };
         if last {
@@ -101,6 +98,13 @@ impl<D: Copy> PairRef<D> {
 mod tests {
     use super::*;
 
+    /// The exclusive step for pairs a test claims on its one thread.
+    fn solo() -> Option<Exclusive<'static>> {
+        // SAFETY: every pair these tests claim is theirs, claimed on this
+        // thread one claim after another.
+        Some(unsafe { Exclusive::new() })
+    }
+
     #[test]
     fn last_claim_frees_the_slab() {
         let a = PairRef::new(DecPair::new(1u64, 2u64));
@@ -108,22 +112,22 @@ mod tests {
         let b = a; // the sibling's copy
 
         // SAFETY: `a` and `b` are the pair's two holders; each claims once.
-        assert_eq!(unsafe { a.claim(false) }, 1);
+        assert_eq!(unsafe { a.claim(None) }, 1);
         // SAFETY: as above.
-        assert_eq!(unsafe { b.claim(false) }, 2);
+        assert_eq!(unsafe { b.claim(None) }, 2);
         // Freed on the second claim: the thread's LIFO cache serves the
         // very same slab to the next pair — whichever way it was claimed.
         let c = PairRef::new(DecPair::new(3u64, 4u64));
         assert_eq!(c.0 as usize, addr);
         assert!(!c.is_none() && PairRef::<u64>::none().is_none());
         // SAFETY: `c` stands for both holders of its pair, one claim each,
-        // on this one thread (`solo`).
-        assert_eq!(unsafe { (c.claim(true), c.claim(true)) }, (3, 4));
+        // on this one thread.
+        assert_eq!(unsafe { (c.claim(solo()), c.claim(solo())) }, (3, 4));
         let d = PairRef::new(DecPair::new(5u64, 6u64));
         assert_eq!(d.0 as usize, addr);
         // SAFETY: as for `c`; the exclusive claim does not overlap the
         // shared one.
-        assert_eq!(unsafe { (d.claim(true), d.claim(false)) }, (5, 6));
+        assert_eq!(unsafe { (d.claim(solo()), d.claim(None)) }, (5, 6));
     }
 
     #[test]
@@ -136,8 +140,9 @@ mod tests {
         let pairs: Vec<PairRef<[u64; 2]>> =
             (0..8).map(|i| PairRef::new(DecPair::new([i; 2], [i + 100; 2]))).collect();
         for (i, p) in (0u64..).zip(pairs) {
+            let first = if i % 2 == 0 { solo() } else { None };
             // SAFETY: the pair's two claims, one after the other.
-            assert_eq!(unsafe { (p.claim(i % 2 == 0), p.claim(false)) }, ([i; 2], [i + 100; 2]));
+            assert_eq!(unsafe { (p.claim(first), p.claim(None)) }, ([i; 2], [i + 100; 2]));
         }
     }
 }

@@ -69,28 +69,21 @@
 //! ## One worker, no lock prefix
 //!
 //! A step on a scope's counter, a claim on a decrement pair, a delivery
-//! to `owed` and an add to, or the seal and sweep of, a future's out-set
+//! to `owed`, and an add to or the seal and sweep of a future's out-set
 //! are locked read-modify-writes because two workers may make them at
-//! once. A one-worker run has one thread
-//! (`sched::WorkerCtx::is_solo`, read once per vertex, in the operation
-//! that ends it or forks from it), and then each takes its exclusive twin,
-//! the same step committed by a load and a store:
-//! `CounterFamily::{increment,decrement}_exclusive` in
-//! `Vertex::fork_rotate` (so the fork step — `fork`, an unwind guard's left
-//! child, a past-the-bound spawn's left child; no left child is promoted at
-//! W = 1 — the future constructors and a splitting handoff) and in
-//! `dag::execute_vertex`'s signal epilogue, `DecPair::claim_last_exclusive`
-//! in `PairRef::claim`, a plain decrement of `owed` in
-//! `futures::resolve_dependent` (the `touch` bounce, the completion sweep,
-//! `commit_park`), and `OutsetFamily::add_exclusive` in
-//! `futures::register_dependent` (`touch`, `touch_await`, the async
-//! bridge's park) and `OutsetFamily::finish_exclusive` in `futures::sweep`,
-//! which also stores `FutureCore::completed` with a plain release store. A spawn within the stack bound takes no step at all: its
-//! children cannot overlap, so the vertex's held handle covers them as part
-//! of its serial remainder, and the one signal of its epilogue ends both;
-//! while the left child waits (the worker's latent list is non-empty) a
-//! handoff splits the vertex rather than moving its handle. Why nothing
-//! else can reach them meanwhile:
+//! once. Each takes the step it commits with by value (`sched::step`), and
+//! `solo_step` is where that step comes from: read once per vertex, in the
+//! operation that ends it or forks from it, it is shared at W ≥ 2 and, in
+//! a one-worker run, the `Exclusive` step — a load and a store — minted
+//! there, this crate's one promise that no operation overlaps another.
+//! (The sweep then also stores `FutureCore::completed` `Release`, not
+//! `SeqCst`.) A spawn within the stack bound takes no step at all: its
+//! children cannot overlap, so the vertex's held handle covers them as
+//! part of its serial remainder, and the one signal of its epilogue ends
+//! both; while the left child waits (the worker's latent list is
+//! non-empty) a handoff splits the vertex rather than moving its handle.
+//! Why nothing else can reach what the run's vertices step — the argument
+//! behind that promise:
 //!
 //! * all of them — a scope's counter, the SNZI nodes its handles point
 //!   into, a pair, a waiting vertex's `owed`, a future's out-set — are
@@ -230,6 +223,7 @@ use std::sync::atomic::AtomicU32;
 
 use incounter::CounterFamily;
 use sched::recycle::{INLINE_SLOT_ALIGN, INLINE_SLOT_BYTES};
+use sched::step::Exclusive;
 use sched::{Word, WorkerCtx};
 
 use crate::dag::Ctx;
@@ -707,16 +701,20 @@ impl<C: CounterFamily> Vertex<C> {
     /// increment (grow + arrive, Figure 5) happens strictly **before**
     /// the inherited handle is claimed.
     ///
-    /// `solo` is the executing worker's `sched::WorkerCtx::is_solo`: in a
-    /// one-worker run the increment and the claim take their exclusive
-    /// twins (module docs, "One worker, no lock prefix").
+    /// `solo` is the executing worker's [`solo_step`]: in a one-worker run
+    /// the increment and the claim commit by load and store (module docs,
+    /// "One worker, no lock prefix").
     ///
     /// Inlined: out of line, the left handle comes back through the stack,
     /// and the 16-byte load that copies it into the new vertex's slab stalls
     /// on the callee's 8-byte stores (`future_slot`'s hottest instruction on
     /// `await_chain` and `pipeline_stages` at W = 1, `cores: 2`).
     #[inline(always)]
-    pub(crate) fn fork_rotate(&mut self, cfg: &C::Config, solo: bool) -> (C::Inc, PairRef<C::Dec>) {
+    pub(crate) fn fork_rotate(
+        &mut self,
+        cfg: &C::Config,
+        solo: Option<Exclusive<'_>>,
+    ) -> (C::Inc, PairRef<C::Dec>) {
         let vid = self.key();
         let sole = self.dec.is_none();
         // SAFETY: `fin` is alive — this vertex is an unfinished strand of
@@ -739,13 +737,11 @@ impl<C: CounterFamily> Vertex<C> {
         };
         // One increment, exactly as in Figure 5 ...
         // SAFETY: `inc` points into `fc` by construction; validity is the
-        // sp-dag discipline itself. With `solo` the run's one thread is the
-        // only one that reaches `fc` (module docs), so nothing overlaps.
+        // sp-dag discipline itself.
         let (d2, i1, i2) = unsafe {
-            if solo {
-                C::increment_exclusive(cfg, fc, inc, self.is_left, vid)
-            } else {
-                C::increment(cfg, fc, inc, self.is_left, vid)
+            match solo {
+                Some(x) => C::increment_with(cfg, fc, inc, self.is_left, vid, x),
+                None => C::increment(cfg, fc, inc, self.is_left, vid),
             }
         };
         // ... and only then claim the inherited handle (the first handle
@@ -754,7 +750,7 @@ impl<C: CounterFamily> Vertex<C> {
             C::root_dec(fc)
         } else {
             // SAFETY: this vertex's one claim on the pair it holds; it moves
-            // onto the fresh pair right below. `solo` as above.
+            // onto the fresh pair right below.
             unsafe { self.dec.claim(solo) }
         };
         let pair = PairRef::new(C::make_pair(cfg, d1, d2));
@@ -785,7 +781,7 @@ impl<C: CounterFamily> Vertex<C> {
             self.dead = true;
             (self.inc, self.dec, self.is_left)
         } else {
-            let (inc, pair) = self.fork_rotate(cfg, worker.is_solo());
+            let (inc, pair) = self.fork_rotate(cfg, solo_step(worker));
             (MaybeUninit::new(inc), pair, true)
         }
     }
@@ -841,9 +837,27 @@ pub(crate) fn fork_vertex<C: CounterFamily>(
     body: impl Body<C>,
 ) {
     let fin = u.fin;
-    let (inc, pair) = u.fork_rotate(cfg, worker.is_solo());
+    let (inc, pair) = u.fork_rotate(cfg, solo_step(worker));
     let v = Vertex::slab().emplace(MaybeUninit::new(inc), pair, fin, true, body);
     worker.push(VertexPtr(v));
+}
+
+/// The step a vertex of `worker`'s run commits on the run's objects:
+/// `Some` — by load and store — when the run has one worker, `None` —
+/// shared — otherwise. This crate's one [`Exclusive`] mint (module docs,
+/// "One worker, no lock prefix").
+#[inline(always)]
+pub(crate) fn solo_step<'w, C: CounterFamily>(
+    worker: &'w WorkerCtx<'_, VertexPtr<C>>,
+) -> Option<Exclusive<'w>> {
+    // SAFETY: the run has one worker, this thread, and the token can
+    // neither leave it (`Exclusive` is not `Send`) nor outlive the borrow
+    // of its context. This crate commits it only on what the run's
+    // vertices reach — their scopes' counters and the SNZI nodes behind
+    // them, their decrement pairs, waiting vertices' `owed` words, the
+    // out-sets of the run's futures — which only the run's one thread
+    // steps, one operation after another (module docs).
+    worker.is_solo().then(|| unsafe { Exclusive::new() })
 }
 
 /// The slab of a vertex not yet built ([`Vertex::slab`]). Dropping it
@@ -1064,7 +1078,7 @@ mod tests {
         assert_eq!(drops.load(Ordering::SeqCst), 3, "each body's state dropped once");
         // The two vertices that held the pair never claimed it.
         // SAFETY: the pair's two claims, one after the other.
-        assert_eq!(unsafe { (pair.claim(false), pair.claim(false)) }, ((), ()));
+        assert_eq!(unsafe { (pair.claim(None), pair.claim(None)) }, ((), ()));
     }
 
     /// One run that builds every kind of vertex, each of which checks the
