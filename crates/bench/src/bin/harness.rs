@@ -481,7 +481,7 @@ fn check_poisoned_bounds(opts: &Opts) -> bool {
 }
 
 /// Recompute the slab-recycling accounting — both the out-set block pool
-/// (`outset::recycle`) and the vertex/continuation class pools
+/// (`outset::tree::block_pool`) and the vertex/continuation class pools
 /// (`sched::recycle`) — on a fresh quiesced workload, plus the
 /// steady-state claims on the pipeline: a second identically-shaped
 /// `pipeline_stages` run must be fed from the slabs the first retired
@@ -526,7 +526,7 @@ fn check_recycle_bounds(opts: &Opts) -> bool {
     for _ in 0..3 {
         pipeline_stages::<DynSnzi, outset::TreeOutset>(cfg(), w, stages, width);
     }
-    let warm_cached = outset::recycle::cached_blocks();
+    let warm_cached = outset::tree::block_pool().cached_slabs();
     let mid = obs::Snapshot::take();
     pipeline_stages::<DynSnzi, outset::TreeOutset>(cfg(), w, stages, width);
     let steady = obs::Snapshot::take().diff(&mid);
@@ -579,7 +579,7 @@ fn check_recycle_bounds(opts: &Opts) -> bool {
             format!("warm run: {va} fresh vertices (reused {vr})"),
         );
     }
-    let cached = outset::recycle::cached_blocks();
+    let cached = outset::tree::block_pool().cached_slabs();
     check(
         "footprint-ceiling",
         cached <= 2 * warm_cached + 64,

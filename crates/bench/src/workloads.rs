@@ -11,7 +11,7 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use incounter::CounterFamily;
-use outset::tree::TreeOutsetObj;
+use outset::tree::{block_pool, TreeOutsetObj};
 use outset::{MutexOutset, OutsetFamily, TreeOutset};
 use snzi::FixedSnzi;
 use spdag::{run_dag, strand_await, Ctx, DagRunStats, FutureHandle, StrandPoll};
@@ -506,8 +506,8 @@ pub fn outset_footprint_report() -> FootprintReport {
     FootprintReport {
         adaptive_fresh,
         adaptive_one_add,
-        recycler_cached_blocks: outset::recycle::cached_blocks(),
-        recycler_cached_bytes: outset::recycle::cached_bytes(),
+        recycler_cached_blocks: block_pool().cached_slabs(),
+        recycler_cached_bytes: block_pool().cached_bytes(),
     }
 }
 
@@ -735,7 +735,7 @@ mod tests {
         // above are pure shape arithmetic, pool warm or cold).
         assert_eq!(
             r.recycler_cached_bytes,
-            r.recycler_cached_blocks * outset::recycle::block_bytes(),
+            r.recycler_cached_blocks * block_pool().slab_bytes(),
             "cached bytes must be cached blocks x block size"
         );
     }

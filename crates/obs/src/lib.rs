@@ -30,7 +30,7 @@
 //! ## Naming scheme
 //!
 //! Counter names are `<subsystem>.<noun>[_<unit>]`, e.g.
-//! `outset.lost_cas`, `outset.blocks_trimmed`. The full taxonomy lives
+//! `outset.lost_cas`, `outset.blocks_recycled`. The full taxonomy lives
 //! in `docs/observability.md`.
 
 #![warn(missing_docs)]

@@ -42,9 +42,9 @@
 //! accounting.
 //!
 //! Slot blocks are **recycled**: an out-set owns its blocks until it
-//! drops, and its `Drop` hands each one to per-worker slab caches (the
-//! [`recycle`] module holds the probes), so steady-state future churn
-//! reaches zero allocator traffic.
+//! drops, and its `Drop` hands each one to the per-worker slab caches of
+//! one `sched::SlabPool` ([`tree::block_pool`], whose gauges are the
+//! probes), so steady-state future churn reaches zero allocator traffic.
 //!
 //! ```
 //! use outset::{AddEdge, OutsetFamily, TreeOutset};
@@ -63,7 +63,6 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod mutex;
-pub mod recycle;
 pub mod tree;
 
 pub use mutex::MutexOutset;

@@ -213,16 +213,7 @@ struct Block {
 }
 
 impl Block {
-    fn boxed(next: *mut Block) -> Box<Block> {
-        Box::new(Block {
-            next,
-            claimed: AtomicUsize::new(0),
-            generation: 0,
-            slots: std::array::from_fn(|_| AtomicU64::new(EMPTY)),
-        })
-    }
-
-    /// Clear `block` and hand it to the recycler. Taking the leaked
+    /// Clear `block` and hand it to the recycler. Taking the pooled
     /// block's one `&'static mut` by value is the caller giving it up:
     /// the out-set's `Drop` (exclusive by `&mut self`) and the
     /// install-race loser (never published) are the only two callers.
@@ -259,9 +250,9 @@ impl Block {
         }
         block.next = std::ptr::null_mut();
         obs::counter!("outset.blocks_recycled").inc();
-        // SAFETY: `block` is the unique reference to a leaked `Box<Block>`
-        // (every block is born in `alloc_block`) and is consumed here, so
-        // nothing touches the memory until the pool hands it out again;
+        // SAFETY: `block` is the unique reference to a slab of the block
+        // pool (every block is born in `alloc_block`) and is consumed here,
+        // so nothing touches the memory until the pool hands it out again;
         // its first word is the dead `next` field.
         let spilled = unsafe { block_pool().release(block as *mut Block as *mut u8) };
         if spilled > 0 {
@@ -288,30 +279,24 @@ impl Block {
     }
 }
 
-/// The process-wide free list of slot blocks. All out-sets share one
-/// recycler: blocks are uniform and carry no owner state while free, so
-/// a block retired by one out-set's drop can seed any other out-set.
-pub(crate) fn block_pool() -> &'static sched::SlabPool {
+/// The slot blocks' recycler, shared by every out-set (a free block
+/// carries no owner state), in a pool of its own so that blocks stay
+/// type-stable. Its gauges are the probes — `cached_slabs` is exact at
+/// every `sched::run`'s return — and its `trim` the release valve. Every
+/// block is born `outset.blocks_allocated` or `_reused` and dies
+/// `_recycled`, so at quiescence, `trimmed` being what `trim` returned:
+///
+/// ```text
+/// blocks_allocated + blocks_reused == blocks_recycled   (live = 0)
+/// cached_slabs() == blocks_recycled − blocks_reused − trimmed
+/// ```
+pub fn block_pool() -> &'static sched::SlabPool {
     // Per-worker cache bound: past this many free blocks a worker hands
     // half to the global list (a churning worker idles ≲ 10 KiB).
     const CACHE_CAP: usize = 32;
     static POOL: sched::SlabPool =
-        sched::SlabPool::new("outset.block", std::mem::size_of::<Block>(), CACHE_CAP);
+        sched::SlabPool::new("outset.block", std::alloc::Layout::new::<Block>(), CACHE_CAP);
     &POOL
-}
-
-/// Free every block on the recycler's global list back to the allocator;
-/// see [`crate::recycle::trim`].
-pub(crate) fn trim_block_pool() -> usize {
-    let n = block_pool().trim(|raw| {
-        // SAFETY: everything on the free list was leaked from
-        // `Block::boxed` and handed over whole by `Block::retire`.
-        drop(unsafe { Box::from_raw(raw as *mut Block) });
-    });
-    if n > 0 {
-        obs::counter!("outset.blocks_trimmed").add(n as u64);
-    }
-    n
 }
 
 /// An out-of-line lane: born by a split, so by then there *are* concurrent
@@ -444,7 +429,7 @@ impl TreeOutsetObj {
     //
     // `#[inline(always)]`, as `finish_with` is, and `alloc_block`
     // `#[inline]`: an exclusive instance is compiled where it is called,
-    // so this crate compiles `add` alone, with the block pool's `acquire`
+    // so this crate compiles `add` alone, with the block pool's `take`
     // inlined into its only caller.
     #[inline(always)]
     pub fn add_with<S: Step>(&self, token: u64, key: u64, step: S) -> AddEdge {
@@ -522,21 +507,26 @@ impl TreeOutsetObj {
         }
     }
 
-    /// One block headed for a lane whose current head is `next`: from the
-    /// recycler when a cached block is available, else a fresh
-    /// allocation. (`#[inline]`: see `add_with`.)
+    /// One block headed for a lane whose current head is `next`, in a
+    /// slab of the block pool: a cached block reset, or a fresh slab with
+    /// the block written into it. (`#[inline]`: see `add_with`.)
     #[inline]
     fn alloc_block(&self, next: *mut Block) -> *mut Block {
-        if let Some(raw) = block_pool().acquire() {
-            let block = raw as *mut Block;
-            // SAFETY: `acquire` hands over exclusive ownership of a block
+        let (raw, reused) = block_pool().take();
+        let block = raw as *mut Block;
+        if reused {
+            // SAFETY: `take` hands over exclusive ownership of a block
             // `retire` released.
             Block::reset(unsafe { &mut *block }, next);
             obs::counter!("outset.blocks_reused").inc();
-            return block;
+        } else {
+            let slots = [const { AtomicU64::new(EMPTY) }; BLOCK_SLOTS];
+            let fresh = Block { next, claimed: AtomicUsize::new(0), generation: 0, slots };
+            // SAFETY: a fresh slab in `Block`'s layout, exclusively ours.
+            unsafe { block.write(fresh) };
+            obs::counter!("outset.blocks_allocated").inc();
         }
-        obs::counter!("outset.blocks_allocated").inc();
-        Box::into_raw(Block::boxed(next))
+        block
     }
 
     /// Attempt to double the lane table from the generation `old`, and
@@ -645,6 +635,7 @@ impl TreeOutsetObj {
     }
 
     /// Racy seal snapshot.
+    #[inline]
     pub fn is_finished(&self) -> bool {
         self.sealed.load(Ordering::SeqCst)
     }
@@ -814,10 +805,12 @@ impl OutsetFamily for TreeOutset {
         TreeOutsetObj::new()
     }
 
+    #[inline]
     fn add(out: &TreeOutsetObj, token: u64, key: u64) -> AddEdge {
         out.add(token, key)
     }
 
+    #[inline]
     fn finish(out: &TreeOutsetObj, sink: &mut dyn FnMut(u64)) -> bool {
         out.finish(sink)
     }
@@ -832,6 +825,7 @@ impl OutsetFamily for TreeOutset {
         out.finish_with(sink, step)
     }
 
+    #[inline]
     fn is_finished(out: &TreeOutsetObj) -> bool {
         out.is_finished()
     }
@@ -1263,8 +1257,7 @@ mod tests {
             head = unsafe { (*head).next };
         }
         drop(set);
-        let mut back: Vec<*mut u8> =
-            (0..3).map(|_| block_pool().acquire().expect("drop fed the recycler")).collect();
+        let mut back: Vec<*mut u8> = (0..3).map(|_| taken_back()).collect();
         owned.sort_unstable();
         back.sort_unstable();
         assert_eq!(back, owned, "drop returns exactly block_count() blocks");
@@ -1275,6 +1268,13 @@ mod tests {
                 block_pool().release(raw);
             }
         }
+    }
+
+    /// A block the last drop fed the recycler, as the next `take` serves it.
+    fn taken_back() -> *mut u8 {
+        let (raw, reused) = block_pool().take();
+        assert!(reused, "drop fed the recycler");
+        raw
     }
 
     /// What a block holds while it sits in the recycler: `EMPTY` in every
@@ -1316,9 +1316,8 @@ mod tests {
             drop(old);
             // The cache is LIFO and `Drop` walks newest first: the blocks
             // come back oldest first.
-            let back: Vec<*mut Block> = (0..owned.len())
-                .map(|_| block_pool().acquire().expect("drop fed the recycler") as *mut Block)
-                .collect();
+            let back: Vec<*mut Block> =
+                (0..owned.len()).map(|_| taken_back() as *mut Block).collect();
             assert!(back.iter().eq(owned.iter().rev()));
             for &raw in back.iter().rev() {
                 // SAFETY: just acquired, exclusively ours, untouched, and

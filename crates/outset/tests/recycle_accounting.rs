@@ -10,8 +10,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use outset::recycle;
-use outset::tree::TreeOutsetObj;
+use outset::tree::{block_pool, TreeOutsetObj};
 
 const BLOCK_SLOTS: u64 = outset::BLOCK_SLOTS as u64;
 
@@ -33,8 +32,8 @@ impl Drop for Serial {
 fn isolated() -> Serial {
     let guard = Serial(LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner()));
     sched::slab::flush_this_thread();
-    recycle::trim();
-    assert_eq!(recycle::cached_blocks(), 0, "pool must start empty (single-threaded binary)");
+    block_pool().trim();
+    assert_eq!(block_pool().cached_slabs(), 0, "pool must start empty (single-threaded binary)");
     guard
 }
 
@@ -50,10 +49,10 @@ fn churn_one(blocks: u64, token_base: u64) -> Vec<u64> {
     assert_eq!(set.block_count(), blocks as usize);
     let mut got = Vec::new();
     assert!(set.finish(&mut |t| got.push(t)));
-    let cached = recycle::cached_blocks();
+    let cached = block_pool().cached_slabs();
     assert_eq!(set.block_count(), blocks as usize, "a finished out-set keeps its chain");
     drop(set);
-    assert_eq!(recycle::cached_blocks(), cached + blocks as usize, "drop returns all of it");
+    assert_eq!(block_pool().cached_slabs(), cached + blocks as usize, "drop returns all of it");
     got
 }
 
@@ -62,17 +61,17 @@ fn retired_blocks_land_in_the_recycler_and_are_reused() {
     let _guard = isolated();
     let got = churn_one(3, 0);
     assert_eq!(got.len(), 3 * BLOCK_SLOTS as usize);
-    assert_eq!(recycle::cached_blocks(), 3, "the dropped chain is cached, block for block");
-    assert_eq!(recycle::cached_bytes(), 3 * recycle::block_bytes());
+    assert_eq!(block_pool().cached_slabs(), 3, "the dropped chain is cached, block for block");
+    assert_eq!(block_pool().cached_bytes(), 3 * block_pool().slab_bytes());
 
     // A successor out-set's first blocks must come from the cache…
     let set = TreeOutsetObj::new();
     let _ = set.add(1000, 0);
-    assert_eq!(recycle::cached_blocks(), 2, "first install reuses a cached block");
+    assert_eq!(block_pool().cached_slabs(), 2, "first install reuses a cached block");
     for t in 0..(2 * BLOCK_SLOTS) {
         let _ = set.add(1001 + t, 0);
     }
-    assert_eq!(recycle::cached_blocks(), 0, "steady churn drains the cache before allocating");
+    assert_eq!(block_pool().cached_slabs(), 0, "steady churn drains the cache before allocating");
     // …and once the cache is dry, allocation falls back to fresh boxes.
     for t in 0..BLOCK_SLOTS {
         let _ = set.add(2000 + t, 0);
@@ -81,11 +80,11 @@ fn retired_blocks_land_in_the_recycler_and_are_reused() {
     assert!(set.finish(&mut |t| got.push(t)));
     assert_eq!(got.len(), 1 + 3 * BLOCK_SLOTS as usize, "97 adds span four blocks");
     drop(set);
-    assert_eq!(recycle::cached_blocks(), 4, "reused and fresh blocks all retire alike");
-    assert_eq!(recycle::trim(), 0, "blocks sit in the thread cache until flushed");
+    assert_eq!(block_pool().cached_slabs(), 4, "reused and fresh blocks all retire alike");
+    assert_eq!(block_pool().trim(), 0, "blocks sit in the thread cache until flushed");
     sched::slab::flush_this_thread();
-    assert_eq!(recycle::trim(), 4, "trim returns the whole free list to the allocator");
-    assert_eq!(recycle::cached_blocks(), 0);
+    assert_eq!(block_pool().trim(), 4, "trim returns the whole free list to the allocator");
+    assert_eq!(block_pool().cached_slabs(), 0);
 }
 
 #[test]
@@ -94,16 +93,16 @@ fn worker_cache_overflows_to_the_global_pool() {
     // Retire well past the per-thread cache bound in one go: the excess
     // must spill to the global list rather than grow the cache.
     let blocks = 48u64;
-    let before = recycle::overflowed_blocks();
+    let before = block_pool().overflowed();
     churn_one(blocks, 100_000);
-    assert_eq!(recycle::cached_blocks(), blocks as usize, "spilled blocks stay recycled");
-    let spilled = recycle::overflowed_blocks() - before;
+    assert_eq!(block_pool().cached_slabs(), blocks as usize, "spilled blocks stay recycled");
+    let spilled = block_pool().overflowed() - before;
     assert!(spilled > 0, "48 retirements must overflow a 32-block cache");
     // Spilled blocks are on the global list already — visible to trim
     // without a flush.
-    assert_eq!(recycle::trim(), spilled as usize);
+    assert_eq!(block_pool().trim(), spilled as usize);
     sched::slab::flush_this_thread();
-    assert_eq!(recycle::trim(), blocks as usize - spilled as usize);
+    assert_eq!(block_pool().trim(), blocks as usize - spilled as usize);
 }
 
 #[test]
@@ -121,9 +120,9 @@ fn split_out_sets_recycle_like_any_other() {
     assert_eq!(n, 2 * BLOCK_SLOTS);
     let blocks = set.block_count();
     assert!(blocks > 2, "spread keys touch several lanes: {blocks} blocks");
-    assert_eq!(recycle::cached_blocks(), 0, "nothing leaves before the drop");
+    assert_eq!(block_pool().cached_slabs(), 0, "nothing leaves before the drop");
     drop(set);
-    assert_eq!(recycle::cached_blocks(), blocks, "every lane's blocks, and only they");
+    assert_eq!(block_pool().cached_slabs(), blocks, "every lane's blocks, and only they");
 }
 
 #[test]
@@ -139,10 +138,10 @@ fn unfinished_drop_with_registered_tokens_recycles_cleanly() {
         let _ = set.add(9_000 + t, 0);
     }
     drop(set);
-    assert_eq!(recycle::cached_blocks(), 1);
+    assert_eq!(block_pool().cached_slabs(), 1);
     let next = TreeOutsetObj::new();
     let _ = next.add(1, 0);
-    assert_eq!(recycle::cached_blocks(), 0, "the abandoned block is the one reused");
+    assert_eq!(block_pool().cached_slabs(), 0, "the abandoned block is the one reused");
     let mut got = Vec::new();
     assert!(next.finish(&mut |t| got.push(t)));
     assert_eq!(got, vec![1]);
@@ -176,12 +175,10 @@ fn conservation_identity_holds_at_quiescence() {
     assert_eq!(born, dead, "no live blocks remain, so births must equal deaths");
     assert!(d.counter("outset.blocks_reused") > 0, "steady churn must actually reuse");
     assert_eq!(
-        recycle::cached_blocks() as u64,
-        d.counter("outset.blocks_recycled")
-            - d.counter("outset.blocks_reused")
-            - d.counter("outset.blocks_trimmed"),
-        "the recycler holds exactly the retired-not-reused-not-trimmed blocks"
+        block_pool().cached_slabs() as u64,
+        d.counter("outset.blocks_recycled") - d.counter("outset.blocks_reused"),
+        "the recycler holds exactly the retired-not-reused blocks (no trim in the window)"
     );
     sched::slab::flush_this_thread();
-    recycle::trim();
+    block_pool().trim();
 }

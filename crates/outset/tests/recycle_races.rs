@@ -21,8 +21,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
-use outset::tree::TreeOutsetObj;
-use outset::{recycle, AddEdge};
+use outset::tree::{block_pool, TreeOutsetObj};
+use outset::AddEdge;
 use proptest::prelude::*;
 
 mod common;
@@ -51,7 +51,7 @@ fn serial() -> Serial {
 /// own caches (the pentagon's do, as the last thing they run).
 fn pooled() -> usize {
     sched::slab::flush_this_thread();
-    recycle::cached_blocks()
+    block_pool().cached_slabs()
 }
 
 /// Deliveries for one out-set: `swept` from its unique finish, `inline`
@@ -226,6 +226,11 @@ fn aba_recycled_block_reinstalled_at_same_lane() {
                         }
                     }
                     inline.lock().unwrap().extend(mine);
+                    // The blocks that lost an install race sit in this
+                    // thread's cache: flush them now, not in the TLS
+                    // destructor after `scope` returns, which would race
+                    // the next test's gauge reads.
+                    sched::slab::flush_this_thread();
                 });
             }
             barrier.wait();
@@ -266,7 +271,7 @@ fn cross_generation_sweep_is_deterministic_with_reused_blocks() {
     drop(warm);
 
     for round in 0..10u64 {
-        let warm_blocks = recycle::cached_blocks();
+        let warm_blocks = block_pool().cached_slabs();
         assert!(warm_blocks >= 8, "round {round}: the previous life's blocks are pooled");
         let set = TreeOutsetObj::new();
         let base = 10_000 * (round + 1);
@@ -288,7 +293,7 @@ fn cross_generation_sweep_is_deterministic_with_reused_blocks() {
         let blocks = set.block_count();
         assert!(blocks >= expect.len() / BLOCK_SLOTS as usize);
         assert_eq!(
-            recycle::cached_blocks(),
+            block_pool().cached_slabs(),
             warm_blocks.saturating_sub(blocks),
             "round {round}: the recycler is drained before anything is allocated"
         );

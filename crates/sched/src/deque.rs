@@ -116,6 +116,7 @@ struct Inner {
 // SAFETY: the raw buffer pointers are owned by Inner and only freed in its
 // Drop; all shared mutation goes through atomics / the mutex.
 unsafe impl Send for Inner {}
+// SAFETY: as for `Send`.
 unsafe impl Sync for Inner {}
 
 impl Drop for Inner {
@@ -165,6 +166,7 @@ pub struct Stealer<T: Word> {
 
 // SAFETY: stealing is designed for concurrent use.
 unsafe impl<T: Word> Send for Stealer<T> {}
+// SAFETY: as for `Send`: every steal is a CAS on the shared `top`.
 unsafe impl<T: Word> Sync for Stealer<T> {}
 
 impl<T: Word> Clone for Stealer<T> {

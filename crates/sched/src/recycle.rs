@@ -5,8 +5,9 @@
 //! themselves, which cannot share one typed pool: `Vertex<C>` is a
 //! different type — and size — per counter family, and Rust has no
 //! generic statics. Instead a small fixed ladder of power-of-two **size
-//! classes** (each one a [`crate::slab::SlabPool`], so the per-worker
-//! cache / shared-overflow machinery is reused verbatim) serves every
+//! classes** (each one a [`crate::slab::SlabPool`] made with its class
+//! layout, which mints, caches and frees the class's slabs exactly as the
+//! out-set's block pool does its blocks) serves every
 //! consumer whose layout fits: dag vertices, the decrement pairs sibling
 //! vertices share, pooled reference-counted headers ([`crate::PoolArc`]),
 //! spilled strand frames, and anything a later layer wants to recycle.
@@ -27,7 +28,7 @@
 //!   object born there. (The odd/even *generation* stamp of the out-set
 //!   recycler guards re-publication races of shared blocks; class slabs
 //!   are never shared while dead, so poison alone closes their surface.)
-//! * **Layout by class.** Slabs are allocated with the class layout, not
+//! * **Layout by class.** Slabs are born with the class layout, not
 //!   the object's, so a slab retired by a `Vertex<DynSnzi>` can be reborn
 //!   as a `DecPair`. Alignment is per class: the 32 B and 64 B classes
 //!   are 16-aligned, every class of 128 B and up is born 128-aligned —
@@ -86,7 +87,7 @@
 //! the high-water mark of births minus deaths. [`trim`] is the release
 //! valve that hands the standby memory back to the allocator.
 
-use std::alloc::{dealloc, handle_alloc_error, Layout};
+use std::alloc::Layout;
 
 use crate::slab::{self, SlabPool};
 
@@ -114,13 +115,23 @@ const CACHE_CAP: usize = 64;
 /// Class `c`'s pool owns cache slot `c + 1` of every thread
 /// (`slab::CLASS_SLOTS`): a constant wherever `c` is.
 static POOLS: [SlabPool; slab::CLASS_SLOTS] = [
-    SlabPool::in_slot("sched.class32", 32, CACHE_CAP, 1),
-    SlabPool::in_slot("sched.class64", 64, CACHE_CAP, 2),
-    SlabPool::in_slot("sched.class128", 128, CACHE_CAP, 3),
-    SlabPool::in_slot("sched.class256", 256, CACHE_CAP, 4),
-    SlabPool::in_slot("sched.class512", 512, CACHE_CAP, 5),
-    SlabPool::in_slot("sched.class1024", 1024, CACHE_CAP, 6),
+    class_pool("sched.class32", 0),
+    class_pool("sched.class64", 1),
+    class_pool("sched.class128", 2),
+    class_pool("sched.class256", 3),
+    class_pool("sched.class512", 4),
+    class_pool("sched.class1024", 5),
 ];
+
+/// The pool of `class`, whose slabs are born and freed with the class
+/// layout: every ladder size is a power of two and a multiple of its
+/// class's alignment.
+const fn class_pool(name: &'static str, class: usize) -> SlabPool {
+    let Ok(layout) = Layout::from_size_align(CLASS_BYTES[class], class_align(class)) else {
+        panic!("a class layout is valid")
+    };
+    SlabPool::in_slot(name, layout, CACHE_CAP, class + 1)
+}
 
 /// The class pools, in slot order (for the slab caches' flush).
 pub(crate) fn class_pools() -> &'static [SlabPool; slab::CLASS_SLOTS] {
@@ -173,13 +184,6 @@ pub fn class_bytes(class: u8) -> usize {
     CLASS_BYTES[class as usize]
 }
 
-fn class_layout(class: u8) -> Layout {
-    // Every ladder size is a power of two and a multiple of its class's
-    // alignment: this never fails.
-    Layout::from_size_align(class_bytes(class), class_align(class as usize))
-        .expect("valid class layout")
-}
-
 /// Take one slab of `class`: the thread's `cur` magazine inline, every
 /// other route out of line. Returns the slab and whether it was reused.
 /// With a constant `class` — every [`alloc`] — the pool and the cache slot
@@ -210,32 +214,23 @@ fn forced_miss() -> bool {
     crate::failpoint::fire("sched.recycle_miss")
 }
 
-/// `cur` was empty (or the thread's locals are gone): the pool's general
-/// acquire — `prev` swapped in, or a magazine off the depot — and a fresh
-/// slab when the recycler holds none.
+/// `cur` was empty (or the thread's locals are gone): the pool's own
+/// `take` — `prev` swapped in, a magazine off the depot, else a fresh slab.
 #[cold]
 #[inline(never)]
 fn refill(class: usize) -> (*mut u8, bool) {
-    match POOLS[class].acquire() {
-        Some(ptr) => {
-            check_poison(ptr);
-            (ptr, true)
-        }
-        None => fresh(class),
+    let (ptr, reused) = POOLS[class].take();
+    if reused {
+        check_poison(ptr);
     }
+    (ptr, reused)
 }
 
-/// A new slab of `class` from the plain allocator, with the class layout.
+/// The failpoint's forced miss: a fresh slab of `class`, past its cache.
 #[cold]
 #[inline(never)]
 fn fresh(class: usize) -> (*mut u8, bool) {
-    let layout = class_layout(class as u8);
-    // SAFETY: the class layout has non-zero size.
-    let ptr = unsafe { std::alloc::alloc(layout) };
-    if ptr.is_null() {
-        handle_alloc_error(layout);
-    }
-    (ptr, false)
+    (POOLS[class].fresh(), false)
 }
 
 /// In debug builds: a slab served by a pool still carries the stamp its
@@ -407,16 +402,7 @@ pub fn overflowed() -> u64 {
 /// are not touched — [`crate::slab::flush_this_thread`] on their threads
 /// first). Returns the number of slabs freed.
 pub fn trim() -> usize {
-    let mut n = 0;
-    for (i, pool) in POOLS.iter().enumerate() {
-        let layout = class_layout(i as u8);
-        n += pool.trim(|ptr| {
-            // SAFETY: every slab in class pool `i` was allocated with
-            // that class's layout (acquire_or_alloc is the only source).
-            unsafe { dealloc(ptr, layout) };
-        });
-    }
-    n
+    POOLS.iter().map(SlabPool::trim).sum()
 }
 
 #[cfg(test)]
@@ -526,6 +512,8 @@ mod tests {
         let (a, _) = acquire_or_alloc(cl);
         release(cl, a);
         // A stale writer: past the cache's link word, inside the stamp.
+        // SAFETY: the slab stays allocated in the pool; the write is the
+        // very fault the stamp exists to catch.
         unsafe { (a as *mut u64).add(2).write(7) };
         let _ = acquire_or_alloc(cl);
     }

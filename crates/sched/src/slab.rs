@@ -1,24 +1,24 @@
 //! Per-worker slab caches in front of a depot of whole magazines.
 //!
-//! The out-set recycler (and any future fixed-size-block consumer) wants
-//! allocator-free steady state: a block freed by one future's sweep
-//! should satisfy the next future's first add without touching `malloc`.
-//! Workers already carry identity and a private RNG ([`crate::WorkerCtx`]);
-//! this module gives each worker (thread) a bounded private cache of raw
-//! blocks per [`SlabPool`], built as Bonwick's magazine pair without the
-//! magazine objects: two intrusive chains, `cur` and `prev`, of at most
-//! `M = cache_cap / 2` slabs each. `release` pushes on `cur`; when `cur`
-//! is full, `prev` goes to the pool's *depot* **whole** and the two swap.
-//! `acquire` pops `cur`; when `cur` is empty it swaps in a non-empty
-//! `prev`, else takes one whole magazine off the depot. A thread that
-//! frees and allocates around a magazine boundary only ever swaps its own
-//! two chains.
+//! Every recycled object of the runtime — the class ladder's vertices,
+//! pairs and headers ([`crate::recycle`]) and the out-set's slot blocks —
+//! lives in a slab of a [`SlabPool`], so that steady-state churn never
+//! touches `malloc`. Each worker (thread) keeps a bounded private cache per
+//! pool, built as Bonwick's magazine pair without the magazine objects:
+//! two intrusive chains, `cur` and `prev`, of at most `M = cache_cap / 2`
+//! slabs each. `release` pushes on `cur`; when `cur` is full, `prev` goes
+//! to the pool's *depot* **whole** and the two swap. `take` pops `cur`;
+//! when `cur` is empty it swaps in a non-empty `prev`, else takes one whole
+//! magazine off the depot, else mints. A thread that frees and allocates
+//! around a magazine boundary only ever swaps its own two chains.
 //!
-//! The pool is deliberately type-erased (`*mut u8`): callers own both
-//! allocation and re-initialization of their blocks, so the pool never
-//! runs drop glue and never needs to know the block type. `slab_bytes`
-//! exists purely for footprint accounting. The one thing the pool asks of
-//! a dead slab is its **first word**: a cached slab's first
+//! A pool owns its slabs, as each object cache of Bonwick and Adams'
+//! *Magazines and Vmem* (USENIX 2001) does: it is made with their
+//! [`Layout`], mints in it ([`SlabPool::take`], the one fresh-slab path)
+//! and frees its depot with it ([`SlabPool::trim`]). It is type-erased
+//! (`*mut u8`): the caller builds its object in the slab and clears it
+//! before giving it back, so the pool runs no drop glue. The one thing the
+//! pool asks of a dead slab is its **first word**: a cached slab's first
 //! `size_of::<usize>()` bytes hold the link to the next slab of its
 //! magazine, so slabs must be at least pointer-sized and pointer-aligned,
 //! and whatever the consumer keeps in a dead slab (poison stamps,
@@ -28,7 +28,7 @@
 //!
 //! This pool sits under every `spawn` of a runtime whose subject is
 //! contention, so its fast path is held to the paper's own standard: a
-//! [`SlabPool::acquire`] or [`SlabPool::release`] that hits the thread's
+//! [`SlabPool::take`] or [`SlabPool::release`] that hits the thread's
 //! `cur` magazine performs **no atomic read-modify-write and touches no
 //! memory another thread writes**. The cache lives in a const-initialised
 //! thread-local table, found in O(1) by the pool's *slot*; push and pop
@@ -60,6 +60,7 @@
 //! point**: nothing is cached anywhere but on threads outside the pool,
 //! which a thread-local destructor backstops.
 
+use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -86,7 +87,9 @@ static REGISTRY: Mutex<Vec<&'static SlabPool>> = Mutex::new(Vec::new());
 /// of it. Designed to live in a `static` (`new` is `const`).
 pub struct SlabPool {
     name: &'static str,
-    slab_bytes: usize,
+    /// What every slab of this pool is born with ([`SlabPool::take`]) and
+    /// freed with ([`SlabPool::trim`]).
+    layout: Layout,
     /// Per-thread cache bound: two magazines of `cache_cap / 2` slabs.
     cache_cap: usize,
     /// 1-based index of this pool's cache in every thread's table: fixed
@@ -105,9 +108,10 @@ pub struct SlabPool {
 
 // SAFETY: the raw pointers in `depot` are inert storage — the pool only
 // ever touches a slab's first word, and only while it owns the slab — and
-// the caller's contract (release hands over exclusive ownership, acquire
+// the caller's contract (release hands over exclusive ownership, take
 // returns it) makes moving them across threads sound.
 unsafe impl Send for SlabPool {}
+// SAFETY: every shared field is an atomic or behind the depot's mutex.
 unsafe impl Sync for SlabPool {}
 
 /// The link word of a cached slab.
@@ -145,7 +149,7 @@ impl Magazine {
 /// One thread's cache for one pool. Single-threaded by construction (it
 /// lives in a thread-local), hence plain `Cell`s.
 struct Cache {
-    /// Where `release` pushes and `acquire` pops.
+    /// Where `release` pushes and `take` pops.
     cur: Cell<Magazine>,
     /// The magazine `cur` last displaced: full after a spill, whatever
     /// is left of it after a reload.
@@ -212,11 +216,12 @@ std::thread_local! {
     static CACHES: ThreadCaches = const { ThreadCaches([const { Cache::new() }; MAX_POOLS]) };
 }
 
-/// The fast half of [`SlabPool::acquire`] for the pool in the fixed
-/// `slot`: pop this thread's `cur` magazine. `None` when `cur` is empty or
-/// the thread's locals are torn down — the caller then takes the pool's
-/// `acquire`, which reloads from `prev` or the depot. Inlined, so with a
-/// constant `slot` the cache is a fixed offset into the thread's table.
+/// The fast half of [`SlabPool::take`] for the pool in the fixed `slot`:
+/// pop this thread's `cur` magazine. `None` when `cur` is empty or the
+/// thread's locals are torn down — the caller then takes the pool's
+/// `take`, which reloads from `prev` or the depot, else mints. Inlined,
+/// so with a constant `slot` the cache is a fixed offset into the thread's
+/// table.
 #[inline(always)]
 pub(crate) fn pop_local(slot: usize) -> Option<*mut u8> {
     CACHES.try_with(|caches| caches.0[slot - 1].pop()).ok().flatten()
@@ -246,37 +251,39 @@ pub(crate) unsafe fn push_local(slot: usize, magazine: usize, slab: *mut u8) -> 
 }
 
 impl SlabPool {
-    /// A pool of `slab_bytes`-sized slabs with per-thread caches bounded
-    /// at `cache_cap` slabs. Const, so pools can be `static`. Its cache
-    /// slot is the next free one after the class slots, taken on first
-    /// use.
-    pub const fn new(name: &'static str, slab_bytes: usize, cache_cap: usize) -> SlabPool {
-        SlabPool::with_slot(name, slab_bytes, cache_cap, SLOT_UNASSIGNED)
+    /// A pool of slabs of `layout` with per-thread caches bounded at
+    /// `cache_cap` slabs. Const, so pools can be `static`. Its cache slot
+    /// is the next free one after the class slots, taken on first use.
+    pub const fn new(name: &'static str, layout: Layout, cache_cap: usize) -> SlabPool {
+        SlabPool::with_slot(name, layout, cache_cap, SLOT_UNASSIGNED)
     }
 
     /// A class pool: [`new`](SlabPool::new), in the fixed cache `slot`
     /// (`1..=CLASS_SLOTS`) that its call sites name as a constant.
     pub(crate) const fn in_slot(
         name: &'static str,
-        slab_bytes: usize,
+        layout: Layout,
         cache_cap: usize,
         slot: usize,
     ) -> SlabPool {
         assert!(slot >= 1 && slot <= CLASS_SLOTS, "a fixed slot is a class slot");
-        SlabPool::with_slot(name, slab_bytes, cache_cap, slot)
+        SlabPool::with_slot(name, layout, cache_cap, slot)
     }
 
     const fn with_slot(
         name: &'static str,
-        slab_bytes: usize,
+        layout: Layout,
         cache_cap: usize,
         slot: usize,
     ) -> SlabPool {
-        assert!(slab_bytes >= std::mem::size_of::<usize>(), "a slab must hold the cache link");
+        assert!(
+            layout.size() >= size_of::<usize>() && layout.align() >= align_of::<usize>(),
+            "a slab must hold the cache link"
+        );
         assert!(cache_cap >= 2, "a cache is two magazines of at least one slab");
         SlabPool {
             name,
-            slab_bytes,
+            layout,
             cache_cap,
             slot: AtomicUsize::new(slot),
             depot: Mutex::new(Vec::new()),
@@ -290,10 +297,9 @@ impl SlabPool {
         self.name
     }
 
-    /// Size of one slab in bytes (accounting only; the pool touches just
-    /// the first word of a dead slab).
+    /// Size of one slab in bytes.
     pub fn slab_bytes(&self) -> usize {
-        self.slab_bytes
+        self.layout.size()
     }
 
     /// Slabs held by the recycler: the depot plus the calling thread's
@@ -307,7 +313,7 @@ impl SlabPool {
 
     /// Bytes held by the recycler (see [`cached_slabs`](SlabPool::cached_slabs)).
     pub fn cached_bytes(&'static self) -> usize {
-        self.cached_slabs() * self.slab_bytes
+        self.cached_slabs() * self.layout.size()
     }
 
     /// Slabs ever handed from a full thread cache to the depot.
@@ -315,15 +321,25 @@ impl SlabPool {
         self.overflowed.load(Ordering::Relaxed)
     }
 
-    /// Take one cached slab, preferring this thread's magazines and
-    /// taking a whole one off the depot when both are empty. `None`
-    /// means the recycler is empty and the caller should allocate fresh.
+    /// Take one slab: from this thread's magazines, else a whole magazine
+    /// off the depot, else a fresh slab in the pool's layout. Returns the
+    /// slab and whether it was reused (`false`: fresh).
     ///
-    /// The returned slab is owned exclusively by the caller (it was
-    /// handed over exactly once via [`release`](SlabPool::release)); its
-    /// first word is garbage.
+    /// The slab is owned exclusively by the caller, uninitialised (a
+    /// reused one holds what its last owner left past the first word,
+    /// which is garbage), until it goes back by
+    /// [`release`](SlabPool::release).
     #[inline]
-    pub fn acquire(&'static self) -> Option<*mut u8> {
+    pub fn take(&'static self) -> (*mut u8, bool) {
+        match self.cached() {
+            Some(slab) => (slab, true),
+            None => (self.fresh(), false),
+        }
+    }
+
+    /// A cached slab, or `None` when the recycler holds none.
+    #[inline]
+    fn cached(&'static self) -> Option<*mut u8> {
         let got = self.with_cache(|cache| {
             if cache.cur.get().head.is_null() {
                 self.reload(cache);
@@ -335,7 +351,7 @@ impl SlabPool {
             // No cache (thread-locals torn down): split one slab off a
             // depot magazine and put the rest back.
             None => {
-                let Magazine { head, len } = self.take()?;
+                let Magazine { head, len } = self.take_magazine()?;
                 // SAFETY: taking the magazine made every slab on it ours.
                 let rest = unsafe { next_of(head) };
                 self.put(Magazine { head: rest, len: len - 1 });
@@ -344,19 +360,31 @@ impl SlabPool {
         }
     }
 
+    /// A slab from the allocator, in the pool's layout: the one place a
+    /// slab is born.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn fresh(&self) -> *mut u8 {
+        // SAFETY: the layout is at least a word (`with_slot`), not zero.
+        let slab = unsafe { alloc(self.layout) };
+        if slab.is_null() {
+            handle_alloc_error(self.layout);
+        }
+        slab
+    }
+
     /// Hand one dead slab to the recycler. Ownership transfers to the
-    /// pool until some [`acquire`](SlabPool::acquire) hands it out again
-    /// (or [`trim`](SlabPool::trim) hands it back for freeing); the pool
-    /// overwrites the slab's first word.
+    /// pool until some [`take`](SlabPool::take) hands it out again (or
+    /// [`trim`](SlabPool::trim) frees it); the pool overwrites the slab's
+    /// first word.
     ///
     /// Returns how many slabs this thread's cache handed to the depot to
     /// make room (0 on the fast path, one whole magazine otherwise).
     ///
     /// # Safety
-    /// `slab` must point to at least `size_of::<usize>()` writable bytes,
-    /// pointer-aligned, that the caller owns exclusively and gives up:
-    /// nothing may read or write the slab until an `acquire` (or `trim`)
-    /// returns it.
+    /// `slab` must have come from this pool's [`take`](SlabPool::take), be
+    /// owned exclusively by the caller, and be given up: nothing may read
+    /// or write it until a `take` returns it again.
     #[inline]
     pub unsafe fn release(&'static self, slab: *mut u8) -> usize {
         let spilled = self.with_cache(|cache| {
@@ -391,7 +419,7 @@ impl SlabPool {
         let prev = cache.prev.replace(Magazine::EMPTY);
         if prev.len > 0 {
             cache.cur.set(prev);
-        } else if let Some(magazine) = self.take() {
+        } else if let Some(magazine) = self.take_magazine() {
             cache.cur.set(magazine);
         }
     }
@@ -409,7 +437,7 @@ impl SlabPool {
     }
 
     /// Take the newest magazine off the depot.
-    fn take(&self) -> Option<Magazine> {
+    fn take_magazine(&self) -> Option<Magazine> {
         if self.depot_slabs.load(Ordering::Relaxed) == 0 {
             return None; // nothing to take; skip the lock
         }
@@ -420,12 +448,11 @@ impl SlabPool {
         Some(magazine)
     }
 
-    /// Drain the **depot**, handing each slab to `free` (which must
-    /// actually release the memory — typically `Box::from_raw` after
-    /// casting back to the real block type). Thread caches are not
+    /// Free every slab of the **depot** to the allocator, with the pool's
+    /// layout: the release valve for standby memory. Thread caches are not
     /// touched; flush them first for a full drain. Returns the number of
-    /// slabs drained.
-    pub fn trim(&self, mut free: impl FnMut(*mut u8)) -> usize {
+    /// slabs freed.
+    pub fn trim(&self) -> usize {
         let drained = {
             let mut depot = lock(&self.depot);
             self.depot_slabs.store(0, Ordering::Relaxed);
@@ -435,10 +462,12 @@ impl SlabPool {
         for magazine in drained {
             let mut slab = magazine.head;
             while !slab.is_null() {
-                // SAFETY: draining the depot made the chain ours; the
-                // link is read before `free` may release the slab.
+                // SAFETY: draining the depot made the chain ours, and every
+                // slab of it was born by `fresh` in this layout (`release`'s
+                // contract); the link is read before the slab is freed.
                 let next = unsafe { next_of(slab) };
-                free(slab);
+                // SAFETY: as above.
+                unsafe { dealloc(slab, self.layout) };
                 slab = next;
                 n += 1;
             }
@@ -502,59 +531,101 @@ pub fn flush_this_thread() {
 mod tests {
     use super::*;
 
-    fn leak_slab() -> *mut u8 {
-        Box::into_raw(Box::new([0u64; 8])) as *mut u8
+    /// The layout of most test pools: 64 bytes, pointer-aligned.
+    const SLAB: Layout = Layout::new::<[u64; 8]>();
+
+    /// Give `slab` back to `pool`; returns what `release` spilled.
+    fn give(pool: &'static SlabPool, slab: *mut u8) -> usize {
+        // SAFETY: every slab a test gives back came from `pool` and is
+        // neither touched nor given again until a `take` returns it.
+        unsafe { pool.release(slab) }
     }
 
-    unsafe fn free_slab(ptr: *mut u8) {
-        drop(unsafe { Box::from_raw(ptr as *mut [u64; 8]) });
+    /// `n` slabs taken from `pool`, which must mint every one.
+    fn mint(pool: &'static SlabPool, n: usize) -> Vec<*mut u8> {
+        let take = || {
+            let (slab, reused) = pool.take();
+            assert!(!reused, "{}: nothing cached yet", pool.name());
+            slab
+        };
+        std::iter::repeat_with(take).take(n).collect()
     }
 
-    /// Drain `pool` through `acquire`, sorted for set comparison.
+    /// Free every slab of `pool`, cached or still in `held`: what each
+    /// test ends with.
+    fn free_all(pool: &'static SlabPool, held: impl IntoIterator<Item = *mut u8>) {
+        for slab in held {
+            give(pool, slab);
+        }
+        pool.flush_thread_cache();
+        pool.trim();
+        assert_eq!(pool.cached_slabs(), 0);
+    }
+
+    /// Drain `pool`'s cached slabs, sorted for set comparison.
     fn drain_sorted(pool: &'static SlabPool) -> Vec<usize> {
         let mut got: Vec<usize> =
-            std::iter::from_fn(|| pool.acquire()).map(|p| p as usize).collect();
+            std::iter::from_fn(|| pool.cached()).map(|p| p as usize).collect();
         got.sort_unstable();
         got
     }
 
     #[test]
-    fn release_then_acquire_round_trips() {
-        static POOL: SlabPool = SlabPool::new("test.round_trip", 64, 8);
-        let a = leak_slab();
-        assert_eq!(unsafe { POOL.release(a) }, 0);
+    fn release_then_take_round_trips() {
+        static POOL: SlabPool = SlabPool::new("test.round_trip", SLAB, 8);
+        let a = mint(&POOL, 1)[0];
+        assert_eq!(give(&POOL, a), 0);
         assert_eq!(POOL.cached_slabs(), 1);
         assert_eq!(POOL.cached_bytes(), 64);
-        let got = POOL.acquire().expect("cached slab comes back");
-        assert_eq!(got, a);
+        assert_eq!(POOL.take(), (a, true), "the cached slab comes back");
         assert_eq!(POOL.cached_slabs(), 0);
-        assert!(POOL.acquire().is_none(), "empty recycler yields None");
-        unsafe { free_slab(got) };
+        assert!(POOL.cached().is_none(), "an empty recycler caches nothing");
+        free_all(&POOL, [a]);
+    }
+
+    #[test]
+    fn take_mints_in_the_pools_layout_and_trim_frees_the_depot() {
+        #[repr(align(128))]
+        struct LinePair(#[allow(dead_code)] [u8; 256]);
+        static POOL: SlabPool = SlabPool::new("test.line_pair", Layout::new::<LinePair>(), 4);
+        let slabs = mint(&POOL, 6);
+        assert!(
+            slabs.iter().all(|&slab| (slab as usize).is_multiple_of(128)),
+            "fresh slabs are aligned"
+        );
+        // Magazines of two: the fifth release spills the first two whole.
+        for &slab in &slabs {
+            give(&POOL, slab);
+        }
+        let depot = POOL.depot_slabs.load(Ordering::Relaxed);
+        assert_eq!((depot, POOL.cached_slabs()), (2, 6));
+        assert_eq!(POOL.trim(), depot, "trim frees the depot, and only it");
+        assert_eq!(POOL.cached_slabs(), 4);
+        assert_eq!(POOL.take(), (slabs[5], true), "the thread's cache still serves");
+        free_all(&POOL, [slabs[5]]);
     }
 
     #[test]
     fn cache_is_lifo() {
-        static POOL: SlabPool = SlabPool::new("test.lifo", 64, 8);
-        let slabs: Vec<*mut u8> = (0..4).map(|_| leak_slab()).collect();
+        static POOL: SlabPool = SlabPool::new("test.lifo", SLAB, 8);
+        let slabs = mint(&POOL, 4);
         for &s in &slabs {
-            unsafe { POOL.release(s) };
+            give(&POOL, s);
         }
         for &s in slabs.iter().rev() {
-            assert_eq!(POOL.acquire(), Some(s), "newest (cache-hot) slab first");
+            assert_eq!(POOL.take(), (s, true), "newest (cache-hot) slab first");
         }
-        for s in slabs {
-            unsafe { free_slab(s) };
-        }
+        free_all(&POOL, slabs);
     }
 
     #[test]
     fn overflow_hands_a_whole_magazine_to_the_depot_and_it_comes_back() {
-        static POOL: SlabPool = SlabPool::new("test.overflow", 64, 4);
+        static POOL: SlabPool = SlabPool::new("test.overflow", SLAB, 4);
         let (cap, m) = (POOL.cache_cap, POOL.cache_cap / 2);
-        let slabs: Vec<*mut u8> = (0..cap + m).map(|_| leak_slab()).collect();
+        let slabs = mint(&POOL, cap + m);
         let mut spilled = 0;
         for &s in &slabs {
-            spilled += unsafe { POOL.release(s) };
+            spilled += give(&POOL, s);
             let held = POOL.with_cache(Cache::len).unwrap();
             assert!(held <= cap, "a thread never holds more than the cap, held {held}");
         }
@@ -567,98 +638,88 @@ mod tests {
         want.sort_unstable();
         assert_eq!(drain_sorted(&POOL), want);
         assert_eq!(POOL.cached_slabs(), 0);
-        for p in slabs {
-            unsafe { free_slab(p) };
-        }
+        free_all(&POOL, slabs);
     }
 
     #[test]
     fn spill_and_reload_at_the_cap_boundary() {
-        static POOL: SlabPool = SlabPool::new("test.boundary", 64, 8);
+        static POOL: SlabPool = SlabPool::new("test.boundary", SLAB, 8);
         let (cap, m) = (POOL.cache_cap, POOL.cache_cap / 2);
-        let slabs: Vec<*mut u8> = (0..cap + 1).map(|_| leak_slab()).collect();
+        let slabs = mint(&POOL, cap + 1);
         // Up to and including the cap nothing leaves the cache: the M-th
         // release fills `cur`, the next one only swaps the pair.
         for &s in &slabs[..cap] {
-            assert_eq!(unsafe { POOL.release(s) }, 0, "a full cache is not an overflowing one");
+            assert_eq!(give(&POOL, s), 0, "a full cache is not an overflowing one");
         }
         assert_eq!(POOL.overflowed(), 0);
         assert_eq!(POOL.depot_slabs.load(Ordering::Relaxed), 0);
         // One past it: the older magazine goes over whole, in one bump.
-        assert_eq!(unsafe { POOL.release(slabs[cap]) }, m);
+        assert_eq!(give(&POOL, slabs[cap]), m);
         assert_eq!(POOL.overflowed(), m as u64);
         assert_eq!(POOL.depot_slabs.load(Ordering::Relaxed), m);
         assert_eq!(POOL.cached_slabs(), cap + 1);
         // The oldest M slabs are the ones that left; the newest come back
         // newest first without touching the depot.
         for &s in slabs[m..].iter().rev() {
-            assert_eq!(POOL.acquire(), Some(s), "the newest slabs were kept");
+            assert_eq!(POOL.take(), (s, true), "the newest slabs were kept");
             assert_eq!(POOL.depot_slabs.load(Ordering::Relaxed), m);
         }
-        // Dry: the next acquire takes the depot's magazine whole.
-        assert_eq!(POOL.acquire(), Some(slabs[m - 1]));
+        // Dry: the next take takes the depot's magazine whole.
+        assert_eq!(POOL.take(), (slabs[m - 1], true));
         assert_eq!(POOL.depot_slabs.load(Ordering::Relaxed), 0);
         assert_eq!(POOL.cached_slabs(), m - 1);
         assert_eq!(drain_sorted(&POOL).len(), m - 1);
-        for s in slabs {
-            unsafe { free_slab(s) };
-        }
+        free_all(&POOL, slabs);
     }
 
     #[test]
     fn alternating_at_a_magazine_boundary_never_reaches_the_depot() {
-        static POOL: SlabPool = SlabPool::new("test.thrash", 64, 8);
+        static POOL: SlabPool = SlabPool::new("test.thrash", SLAB, 8);
         let cap = POOL.cache_cap;
-        let slabs: Vec<*mut u8> = (0..cap + 1).map(|_| leak_slab()).collect();
+        let slabs = mint(&POOL, cap + 1);
         for &s in &slabs {
-            unsafe { POOL.release(s) };
+            give(&POOL, s);
         }
         let handed = POOL.overflowed();
         // `cur` holds one slab over a full `prev`: popping two crosses the
         // boundary one way, pushing them back crosses it the other.
         for _ in 0..100 {
-            let a = POOL.acquire().unwrap();
-            let b = POOL.acquire().unwrap();
-            unsafe {
-                POOL.release(b);
-                POOL.release(a);
-            }
+            let (a, b) = (POOL.take().0, POOL.take().0);
+            give(&POOL, b);
+            give(&POOL, a);
         }
         assert_eq!(POOL.overflowed(), handed, "the pair absorbs the oscillation");
         assert_eq!(drain_sorted(&POOL).len(), cap + 1);
-        for s in slabs {
-            unsafe { free_slab(s) };
-        }
+        free_all(&POOL, slabs);
     }
 
     #[test]
     fn flush_makes_cache_visible_to_other_threads() {
-        static POOL: SlabPool = SlabPool::new("test.flush", 64, 8);
-        let a = leak_slab();
-        unsafe { POOL.release(a) };
+        static POOL: SlabPool = SlabPool::new("test.flush", SLAB, 8);
+        let a = mint(&POOL, 1)[0];
+        give(&POOL, a);
         POOL.flush_thread_cache();
-        let got = std::thread::spawn(|| POOL.acquire().map_or(0, |p| p as usize)).join().unwrap();
+        let got = std::thread::spawn(|| POOL.take().0 as usize).join().unwrap();
         assert_eq!(got, a as usize, "flushed slab must be visible cross-thread");
-        unsafe { free_slab(a) };
+        free_all(&POOL, [a]);
     }
 
     #[test]
     fn cross_thread_hand_over_keeps_every_slab_exactly_once() {
-        static POOL: SlabPool = SlabPool::new("test.hand_over", 64, 4);
-        const N: usize = 11; // past the cap: the releaser spills on the way
-                             // Born on A (nothing cached yet, so the consumer allocates) ...
-        let born: Vec<usize> = std::thread::spawn(|| {
-            assert!(POOL.acquire().is_none());
-            (0..N).map(|_| leak_slab() as usize).collect()
-        })
-        .join()
-        .unwrap();
+        static POOL: SlabPool = SlabPool::new("test.hand_over", SLAB, 4);
+        // Past the cap: the releaser spills on the way.
+        const N: usize = 11;
+        // Born on A (nothing cached yet, so every take mints) ...
+        let born: Vec<usize> =
+            std::thread::spawn(|| mint(&POOL, N).into_iter().map(|p| p as usize).collect())
+                .join()
+                .unwrap();
         // ... released on B, which flushes mid-way (two partial magazines
         // join the full ones) and again at the end ...
         let to_release = born.clone();
         std::thread::spawn(move || {
             for (i, p) in to_release.into_iter().enumerate() {
-                unsafe { POOL.release(p as *mut u8) };
+                give(&POOL, p as *mut u8);
                 if i == N / 2 {
                     POOL.flush_thread_cache();
                 }
@@ -670,10 +731,10 @@ mod tests {
         assert_eq!(POOL.cached_slabs(), N, "all of B's slabs are in the depot");
         let m = POOL.cache_cap / 2;
         assert!(lock(&POOL.depot).iter().any(|mag| mag.len < m), "some magazine is partial");
-        // ... and acquired on C and D, half each: every slab exactly
-        // once, none invented, whatever the magazines' sizes.
+        // ... and taken on C and D, half each: every slab exactly once,
+        // none invented, whatever the magazines' sizes.
         let take_half =
-            || std::iter::from_fn(|| POOL.acquire()).take(N / 2).map(|p| p as usize).collect();
+            || std::iter::from_fn(|| POOL.cached()).take(N / 2).map(|p| p as usize).collect();
         let mut got: Vec<usize> = std::thread::spawn(take_half).join().unwrap();
         got.extend(std::thread::spawn(|| drain_sorted(&POOL)).join().unwrap());
         got.sort_unstable();
@@ -681,57 +742,51 @@ mod tests {
         want.sort_unstable();
         assert_eq!(got, want);
         assert_eq!(POOL.cached_slabs(), 0);
-        for p in got {
-            unsafe { free_slab(p as *mut u8) };
-        }
+        free_all(&POOL, got.into_iter().map(|p| p as *mut u8));
     }
 
     #[test]
     fn thread_exit_flushes_implicitly() {
-        static POOL: SlabPool = SlabPool::new("test.exit", 64, 8);
+        static POOL: SlabPool = SlabPool::new("test.exit", SLAB, 8);
         let a = std::thread::spawn(|| {
-            let a = leak_slab();
-            unsafe { POOL.release(a) };
+            let a = mint(&POOL, 1)[0];
+            give(&POOL, a);
             a as usize // cached thread-locally; the TLS destructor must flush it
         })
         .join()
         .unwrap();
-        assert_eq!(POOL.acquire(), Some(a as *mut u8));
-        unsafe { free_slab(a as *mut u8) };
+        assert_eq!(POOL.take(), (a as *mut u8, true));
+        free_all(&POOL, [a as *mut u8]);
     }
 
     #[test]
     fn the_gauge_is_exact_at_every_runs_return() {
-        static POOL: SlabPool = SlabPool::new("test.teardown", 64, 8);
+        static POOL: SlabPool = SlabPool::new("test.teardown", SLAB, 8);
         const TASKS: usize = 100;
-        // Every task retires one slab into whichever worker ran it — the
-        // caller or a resident helper, which outlives the run and so has
-        // no thread exit to flush it: each participant's flush before it
-        // reports done must leave all of them counted when `run` returns.
+        // Every task retires one fresh slab into whichever worker ran it —
+        // the caller or a resident helper, which outlives the run and so
+        // has no thread exit to flush it: each participant's flush before
+        // it reports done must leave all of them counted when `run`
+        // returns.
         for round in 1..=100 {
             crate::pool::run_counted(3, (0..TASKS).collect(), TASKS as u64, |_, _task: usize| {
-                unsafe { POOL.release(leak_slab()) };
+                give(&POOL, POOL.fresh());
             });
             assert_eq!(POOL.cached_slabs(), round * TASKS, "after run {round}");
             assert_eq!(POOL.with_cache(Cache::len), Some(0), "worker 0 flushed too");
         }
-        let mut freed = 0;
-        POOL.trim(|p| {
-            unsafe { free_slab(p) };
-            freed += 1;
-        });
-        assert_eq!(freed, 100 * TASKS);
+        assert_eq!(POOL.trim(), 100 * TASKS);
         assert_eq!(POOL.cached_slabs(), 0);
     }
 
     #[test]
     fn trim_after_mixed_hand_overs_frees_exactly_the_gauge() {
-        static POOL: SlabPool = SlabPool::new("test.trim_mixed", 64, 4);
+        static POOL: SlabPool = SlabPool::new("test.trim_mixed", SLAB, 4);
         let cap = POOL.cache_cap;
         // Full magazines from spills, partial ones from two flushes.
         for n in [2 * cap + 1, 1, cap - 1] {
             for _ in 0..n {
-                unsafe { POOL.release(leak_slab()) };
+                give(&POOL, POOL.fresh());
             }
             POOL.flush_thread_cache();
         }
@@ -739,48 +794,32 @@ mod tests {
         assert_eq!(cached, 3 * cap + 1);
         let lens: Vec<usize> = lock(&POOL.depot).iter().map(|mag| mag.len).collect();
         assert!(lens.contains(&(cap / 2)) && lens.contains(&1), "full and partial: {lens:?}");
-        let mut freed = 0;
-        assert_eq!(
-            POOL.trim(|p| {
-                unsafe { free_slab(p) };
-                freed += 1;
-            }),
-            cached
-        );
-        assert_eq!(freed, cached);
+        assert_eq!(POOL.trim(), cached);
         assert_eq!(POOL.cached_slabs(), 0);
-        assert!(POOL.acquire().is_none());
+        assert!(POOL.cached().is_none());
     }
 
     #[test]
     fn trim_drains_the_depot_only() {
-        static POOL: SlabPool = SlabPool::new("test.trim", 64, 8);
-        let a = leak_slab();
-        let b = leak_slab();
-        unsafe { POOL.release(a) };
-        unsafe { POOL.release(b) };
-        assert_eq!(POOL.trim(|_| panic!("cache not flushed: the depot is empty")), 0);
+        static POOL: SlabPool = SlabPool::new("test.trim", SLAB, 8);
+        for s in mint(&POOL, 2) {
+            give(&POOL, s);
+        }
+        assert_eq!(POOL.trim(), 0, "cache not flushed: the depot is empty");
+        assert_eq!(POOL.cached_slabs(), 2);
         POOL.flush_thread_cache();
-        let mut freed = 0;
-        assert_eq!(
-            POOL.trim(|p| {
-                unsafe { free_slab(p) };
-                freed += 1;
-            }),
-            2
-        );
-        assert_eq!(freed, 2);
+        assert_eq!(POOL.trim(), 2);
         assert_eq!(POOL.cached_slabs(), 0);
     }
 
     #[test]
     fn caches_are_per_pool() {
-        static A: SlabPool = SlabPool::new("test.per_pool_a", 64, 8);
-        static B: SlabPool = SlabPool::new("test.per_pool_b", 64, 8);
-        let s = leak_slab();
-        unsafe { A.release(s) };
-        assert!(B.acquire().is_none(), "pools must not share caches");
-        assert_eq!(A.acquire(), Some(s));
-        unsafe { free_slab(s) };
+        static A: SlabPool = SlabPool::new("test.per_pool_a", SLAB, 8);
+        static B: SlabPool = SlabPool::new("test.per_pool_b", SLAB, 8);
+        let s = mint(&A, 1)[0];
+        give(&A, s);
+        assert!(B.cached().is_none(), "pools must not share caches");
+        assert_eq!(A.take(), (s, true));
+        free_all(&A, [s]);
     }
 }

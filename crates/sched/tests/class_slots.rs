@@ -5,18 +5,21 @@
 //! its own class's depot. One test in a binary of its own: the gauges are
 //! process-wide, and nothing in this process touches a pool before it.
 
+use std::alloc::Layout;
+
 use sched::{recycle, slab, SlabPool};
 
 #[test]
 fn class_slots_are_fixed() {
-    static DYNAMIC: SlabPool = SlabPool::new("test.first_pool", 64, 8);
+    static DYNAMIC: SlabPool = SlabPool::new("test.first_pool", Layout::new::<[u64; 8]>(), 8);
     const CLASSES: usize = 6;
     assert_eq!(recycle::cached_slabs_by_class(), [0; CLASSES], "a fresh process");
 
     // The first pool this process uses is a dynamic one. Had it taken slot
     // 1, its slab would sit in the 32 B class's cache.
-    let mine = Box::into_raw(Box::new([0u64; 8])) as *mut u8;
-    // SAFETY: a 64-byte, pointer-aligned block this test owns and gives up.
+    let (mine, reused) = DYNAMIC.take();
+    assert!(!reused, "nothing cached yet");
+    // SAFETY: a slab of `DYNAMIC` this test owns and gives up.
     unsafe { DYNAMIC.release(mine) };
     assert_eq!(DYNAMIC.cached_slabs(), 1);
     assert_eq!(recycle::cached_slabs_by_class(), [0; CLASSES], "in no class's cache");
@@ -50,13 +53,14 @@ fn class_slots_are_fixed() {
     .unwrap();
     assert_eq!(got, born.iter().map(|&slab| (slab, true)).collect::<Vec<_>>());
     assert_eq!(recycle::cached_slabs_by_class(), [0; CLASSES], "the depots handed them over");
-    assert_eq!(DYNAMIC.acquire(), Some(mine), "the dynamic pool kept its own");
+    assert_eq!(DYNAMIC.take(), (mine, true), "the dynamic pool kept its own");
 
     for (class, (slab, _)) in (0u8..).zip(got) {
         recycle::release(class, slab as *mut u8);
     }
+    // SAFETY: as above.
+    unsafe { DYNAMIC.release(mine) };
     slab::flush_this_thread();
     assert_eq!(recycle::trim(), CLASSES);
-    // SAFETY: `mine` came from the box above and is no pool's any more.
-    drop(unsafe { Box::from_raw(mine as *mut [u64; 8]) });
+    assert_eq!(DYNAMIC.trim(), 1);
 }

@@ -131,7 +131,7 @@
 //! Slot-block lifetime **is** the core's lifetime: the completion
 //! vertex's sweep unlinks nothing, and dropping the last
 //! [`FutureHandle`] clone drops the out-set, which hands every block it
-//! owns to the block recycler (`outset::recycle`). Steady-state future
+//! owns to the block recycler (`outset::tree::block_pool`). Steady-state future
 //! churn therefore reaches zero allocator traffic for slot blocks: each
 //! new future's out-set is fed from blocks dropped futures returned. A
 //! handle kept long after completion keeps its future's swept blocks

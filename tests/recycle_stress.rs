@@ -23,8 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dynsnzi::prelude::*;
-use outset::recycle;
-use outset::tree::TreeOutsetObj;
+use outset::tree::{block_pool, TreeOutsetObj};
 
 /// Per-worker block-cache bound, mirrored from `outset::tree` (not public).
 const BLOCK_CACHE_CAP: u64 = 32;
@@ -91,7 +90,7 @@ fn prewarm(blocks: u64) {
     }
     drop(sets);
     sched::slab::flush_this_thread();
-    assert!(recycle::cached_blocks() as u64 >= blocks, "prewarm left the recycler short");
+    assert!(block_pool().cached_slabs() as u64 >= blocks, "prewarm left the recycler short");
 }
 
 #[test]
@@ -125,25 +124,25 @@ fn million_future_churn_is_conserved_and_bounded() {
         let allocated = so_far.counter("outset.blocks_allocated");
         allocated_per_round.push(allocated - prev_allocated);
         prev_allocated = allocated;
-        cached_peak = cached_peak.max(recycle::cached_blocks());
+        cached_peak = cached_peak.max(block_pool().cached_slabs());
         // Footprint ceiling, per round: the free list holds at most
         // ~peak-live blocks. Peak-live ≈ chains (one future each) plus
         // scheduler slack; total churn this round is chains × len blocks,
         // so the ceiling is the claim that churn does NOT accumulate.
         assert!(
-            recycle::cached_blocks() as u64 <= 8 * chains + 64,
+            block_pool().cached_slabs() as u64 <= 8 * chains + 64,
             "free list grew with churn, not with peak-live: {} blocks cached, {} chains",
-            recycle::cached_blocks(),
+            block_pool().cached_slabs(),
             chains
         );
     }
 
     // Hard steady-state byte ceiling, independent of telemetry.
-    let ceiling = (8 * chains as usize + 64) * recycle::block_bytes();
+    let ceiling = (8 * chains as usize + 64) * block_pool().slab_bytes();
     assert!(
-        recycle::cached_bytes() <= ceiling,
+        block_pool().cached_bytes() <= ceiling,
         "steady-state footprint {}B exceeds ceiling {}B",
-        recycle::cached_bytes(),
+        block_pool().cached_bytes(),
         ceiling
     );
 
@@ -154,12 +153,11 @@ fn million_future_churn_is_conserved_and_bounded() {
         let dead = d.counter("outset.blocks_recycled");
         assert_eq!(born, dead, "block leak or double-account: born {born} != dead {dead}");
         // The recycler gauge agrees with the counter flows.
+        // No trim falls in the window: the other test trims under the lock.
         assert_eq!(
-            recycle::cached_blocks() as u64,
-            d.counter("outset.blocks_recycled")
-                - d.counter("outset.blocks_reused")
-                - d.counter("outset.blocks_trimmed"),
-            "gauge out of step with recycled/reused/trimmed flows"
+            block_pool().cached_slabs() as u64,
+            d.counter("outset.blocks_recycled") - d.counter("outset.blocks_reused"),
+            "gauge out of step with recycled/reused flows"
         );
         // Steady state mints (almost) nothing: once the first quarter of
         // the rounds has warmed the cache, each later round may mint at
@@ -186,25 +184,25 @@ fn million_future_churn_is_conserved_and_bounded() {
 
     // Leave the pool empty for whatever runs next in this process.
     sched::slab::flush_this_thread();
-    recycle::trim();
+    block_pool().trim();
 }
 
 #[test]
 fn trim_releases_the_steady_state_footprint() {
     let _guard = lock();
     sched::slab::flush_this_thread();
-    recycle::trim();
+    block_pool().trim();
     let (chains, len) = if cfg!(debug_assertions) { (16u64, 64u64) } else { (32u64, 256u64) };
     assert_eq!(churn_round(2, chains, len), chains * len);
     // A phase change gives the warm cache back to the allocator: flush
     // this thread's share (workers flushed theirs at teardown), then
     // trim must leave the recycler empty.
     sched::slab::flush_this_thread();
-    let freed = recycle::trim();
+    let freed = block_pool().trim();
     assert_eq!(
-        recycle::cached_blocks(),
+        block_pool().cached_slabs(),
         0,
         "trim left {} blocks cached after freeing {freed}",
-        recycle::cached_blocks()
+        block_pool().cached_slabs()
     );
 }
