@@ -14,7 +14,7 @@ use incounter::CounterFamily;
 use outset::tree::{block_pool, TreeOutsetObj};
 use outset::{MutexOutset, OutsetFamily, TreeOutset};
 use snzi::FixedSnzi;
-use spdag::{run_dag, strand_await, Ctx, DagRunStats, FutureHandle, StrandPoll};
+use spdag::{run_dag, Ctx, FutureHandle};
 
 /// Calibrated busy work: roughly `units` nanoseconds of arithmetic on this
 /// machine (the paper: "each unit of dummy work takes approximately one
@@ -243,41 +243,6 @@ pub fn pipeline_stages<C: CounterFamily, O: OutsetFamily>(
 /// interior cell plus one finish per cell — ≈ `3·stages·width`.
 pub fn pipeline_stages_ops(stages: u64, width: u64) -> u64 {
     3 * stages * width
-}
-
-/// The await-chain benchmark: `depth` futures in one sequential
-/// dependency chain — `f_0 = 0`, `f_i = f_{i-1} + 1` — folded by a final
-/// sink strand. The maximally *serial* future workload: no two stages can
-/// ever overlap, so wall clock is pure per-await overhead, and the shape
-/// that makes the no-worker-blocking property load-bearing: at `W = 1`
-/// with `depth` ≫ 1 every stage must park its *strand* and hand the
-/// worker on, or the pool deadlocks instantly.
-///
-/// Asserts the fold (final value = `depth − 1`) before returning the
-/// run's wall-clock time and scheduler statistics.
-pub fn await_chain<C: CounterFamily>(cfg: C::Config, workers: usize, depth: u64) -> DagRunStats {
-    assert!(depth >= 1);
-    let out = Arc::new(AtomicU64::new(u64::MAX));
-    let o = Arc::clone(&out);
-    let stats = run_dag::<C, _>(cfg, workers, move |mut ctx| {
-        let mut prev: FutureHandle<u64> = ctx.future(|_| 0u64);
-        for _ in 1..depth {
-            let f = prev;
-            // 8 B of state (one handle): rides inline in the vertex, so a
-            // park touches no extra memory.
-            prev = ctx.future_strand(move |c: &mut Ctx<'_, C>| {
-                let v = *strand_await!(c, &f);
-                StrandPoll::Done(v + 1)
-            });
-        }
-        let f = prev;
-        ctx.fork_strand(move |c: &mut Ctx<'_, C>| {
-            o.store(*strand_await!(c, &f), Ordering::Relaxed);
-            StrandPoll::Done(())
-        });
-    });
-    assert_eq!(out.load(Ordering::Relaxed), depth - 1, "await_chain(depth={depth}) misfolded");
-    stats
 }
 
 /// Which out-set implementation a raw/dag out-set benchmark exercises.
@@ -663,23 +628,6 @@ mod tests {
             pipeline_stages::<DynSnzi, MutexOutset>(DynConfig::default(), workers, 8, 16);
         }
         assert_eq!(pipeline_stages_ops(8, 16), 384);
-    }
-
-    #[test]
-    fn await_chain_runs_on_two_families() {
-        for workers in [1, 2] {
-            await_chain::<DynSnzi>(DynConfig::default(), workers, 64);
-            await_chain::<FetchAdd>((), workers, 64);
-        }
-    }
-
-    #[test]
-    fn await_chain_deep_blocking_single_worker() {
-        // The acceptance shape: 1000 sequentially dependent blocking
-        // awaits on ONE worker. Strands must park (not the worker) or
-        // this deadlocks on the first unready touch_await.
-        await_chain::<DynSnzi>(DynConfig::default(), 1, 1000);
-        await_chain::<FixedDepth>(FixedConfig::default(), 1, 1000);
     }
 
     #[test]

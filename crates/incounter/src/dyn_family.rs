@@ -14,7 +14,7 @@
 //!    handle is claimed by the *caller* after the arrive completes — the
 //!    ordering that keeps phase changes rare.
 
-use sched::step::{Shared, Step};
+use sched::step::Step;
 use snzi::{Handle, Probability, SnziTree};
 
 use crate::CounterFamily;
@@ -107,22 +107,6 @@ impl CounterFamily for DynSnzi {
 
     fn root_dec(counter: &SnziTree) -> Handle {
         counter.root_handle()
-    }
-
-    unsafe fn increment(
-        cfg: &DynConfig,
-        counter: &SnziTree,
-        inc: Handle,
-        is_left: bool,
-        vid: u64,
-    ) -> (Handle, Handle, Handle) {
-        // SAFETY: forwarded from the trait contract.
-        unsafe { Self::increment_with(cfg, counter, inc, is_left, vid, Shared) }
-    }
-
-    unsafe fn decrement(counter: &SnziTree, dec: Handle) -> bool {
-        // SAFETY: forwarded from the trait contract.
-        unsafe { Self::decrement_with(counter, dec, Shared) }
     }
 
     unsafe fn increment_with<S: Step>(

@@ -8,7 +8,7 @@
 
 use std::sync::atomic::{AtomicI64, Ordering};
 
-use sched::step::{Shared, Step};
+use sched::step::Step;
 
 use crate::CounterFamily;
 
@@ -47,22 +47,6 @@ impl CounterFamily for FetchAdd {
     fn root_inc(_counter: &FaCell) {}
 
     fn root_dec(_counter: &FaCell) {}
-
-    unsafe fn increment(
-        cfg: &(),
-        counter: &FaCell,
-        inc: (),
-        is_left: bool,
-        vid: u64,
-    ) -> ((), (), ()) {
-        // SAFETY: forwarded from the trait contract.
-        unsafe { Self::increment_with(cfg, counter, inc, is_left, vid, Shared) }
-    }
-
-    unsafe fn decrement(counter: &FaCell, dec: ()) -> bool {
-        // SAFETY: forwarded from the trait contract.
-        unsafe { Self::decrement_with(counter, dec, Shared) }
-    }
 
     unsafe fn increment_with<S: Step>(
         _cfg: &(),

@@ -12,7 +12,7 @@
 //! paper's indegree-2 study (Figure 10) isolates — and cannot adapt its
 //! size to the actual degree of concurrency.
 
-use sched::step::{Shared, Step};
+use sched::step::Step;
 use snzi::FixedSnzi;
 
 use crate::CounterFamily;
@@ -62,22 +62,6 @@ impl CounterFamily for FixedDepth {
 
     fn root_dec(_counter: &FixedSnzi) -> FixedDec {
         FixedDec::Root
-    }
-
-    unsafe fn increment(
-        cfg: &FixedConfig,
-        counter: &FixedSnzi,
-        inc: (),
-        is_left: bool,
-        vid: u64,
-    ) -> (FixedDec, (), ()) {
-        // SAFETY: forwarded from the trait contract.
-        unsafe { Self::increment_with(cfg, counter, inc, is_left, vid, Shared) }
-    }
-
-    unsafe fn decrement(counter: &FixedSnzi, dec: FixedDec) -> bool {
-        // SAFETY: forwarded from the trait contract.
-        unsafe { Self::decrement_with(counter, dec, Shared) }
     }
 
     unsafe fn increment_with<S: Step>(

@@ -74,7 +74,7 @@ pub use dyn_family::{DynConfig, DynSnzi};
 pub use fetch_add::FetchAdd;
 pub use fixed_family::{FixedConfig, FixedDec, FixedDepth};
 
-use sched::step::Step;
+use sched::step::{Shared, Step};
 
 /// A family of dependency-counter implementations usable by the sp-dag.
 ///
@@ -126,24 +126,35 @@ pub trait CounterFamily: 'static {
     ///
     /// # Safety
     /// See the trait-level contract.
+    //
+    // `#[inline]`: a caller calls the family's shared `increment_with`
+    // instance itself, through no wrapper.
+    #[inline]
     unsafe fn increment(
         cfg: &Self::Config,
         counter: &Self::Counter,
         inc: Self::Inc,
         is_left: bool,
         vid: u64,
-    ) -> (Self::Dec, Self::Inc, Self::Inc);
+    ) -> (Self::Dec, Self::Inc, Self::Inc) {
+        // SAFETY: forwarded from the trait contract.
+        unsafe { Self::increment_with(cfg, counter, inc, is_left, vid, Shared) }
+    }
 
     /// Remove one unit of surplus at `dec`; returns `true` iff the counter
     /// reached zero — the readiness signal.
     ///
     /// # Safety
     /// See the trait-level contract.
-    unsafe fn decrement(counter: &Self::Counter, dec: Self::Dec) -> bool;
+    #[inline]
+    unsafe fn decrement(counter: &Self::Counter, dec: Self::Dec) -> bool {
+        // SAFETY: forwarded from the trait contract.
+        unsafe { Self::decrement_with(counter, dec, Shared) }
+    }
 
     /// [`increment`](CounterFamily::increment) with each step committed by
     /// `step`: the family's one body of it, which `increment` calls with
-    /// [`Shared`](sched::step::Shared). An
+    /// [`Shared`]. An
     /// [`Exclusive`](sched::step::Exclusive) step's promise covers every
     /// `increment` and `decrement` on `counter`.
     ///
@@ -191,7 +202,7 @@ mod family_tests {
     //! tested in `spdag`.
 
     use super::*;
-    use sched::step::{Exclusive, Shared};
+    use sched::step::Exclusive;
     use std::sync::Arc;
 
     /// A simulated dag vertex: its fin counter, handles and shared pair.

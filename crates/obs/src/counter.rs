@@ -99,7 +99,7 @@ impl Counter {
         let mut sum = self.orphan.load(Ordering::Relaxed);
         let mut p = self.cells.load(Ordering::Acquire);
         while !p.is_null() {
-            // Cells are leaked boxes: alive forever once linked.
+            // SAFETY: cells are leaked boxes, alive forever once linked.
             let cell = unsafe { &*p };
             sum += cell.value.load(Ordering::Relaxed);
             p = cell.next.load(Ordering::Acquire);
@@ -210,7 +210,7 @@ impl Probe {
                 p = self.counter.new_cell();
                 s.set(p);
             }
-            // Linked cells are leaked: alive forever.
+            // SAFETY: linked cells are leaked boxes, alive forever.
             let cell = unsafe { &*p };
             cell.value.store(cell.value.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
         });
@@ -236,8 +236,8 @@ impl Probe {
 pub(crate) fn for_each(f: &mut dyn FnMut(&'static Counter)) {
     let mut p = HEAD.load(Ordering::Acquire);
     while !p.is_null() {
-        // Registered counters are 'static by construction (the macro
-        // only ever creates statics) and never unlink.
+        // SAFETY: registered counters are 'static by construction (the
+        // macro only ever creates statics) and never unlink.
         let c: &'static Counter = unsafe { &*p };
         f(c);
         p = c.next.load(Ordering::Acquire);

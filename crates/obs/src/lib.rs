@@ -34,6 +34,8 @@
 //! in `docs/observability.md`.
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod event;
 mod report;

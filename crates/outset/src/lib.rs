@@ -68,7 +68,7 @@ pub mod tree;
 pub use mutex::MutexOutset;
 pub use tree::{TreeOutset, BLOCK_SLOTS};
 
-use sched::step::Step;
+use sched::step::{Shared, Step};
 
 /// Outcome of registering a dependent edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,18 +105,28 @@ pub trait OutsetFamily: 'static {
     /// Register dependent-edge `token`. `key` spreads concurrent adders
     /// over internal structure (pass a worker/thread id or vertex
     /// address); correctness never depends on it.
-    fn add(out: &Self::Outset, token: u64, key: u64) -> AddEdge;
+    //
+    // `#[inline(never)]`: the shared add and finish stay one instance
+    // each, called, so `spdag`'s registration step (which inlines the
+    // exclusive ones) stays small enough to inline into `touch`.
+    #[inline(never)]
+    fn add(out: &Self::Outset, token: u64, key: u64) -> AddEdge {
+        Self::add_with(out, token, key, Shared)
+    }
 
     /// Seal the set and deliver every registered token to `sink`, exactly
     /// once across both delivery sides (see [`AddEdge::Finished`]).
     ///
     /// Returns `true` for the unique call that performed the seal;
     /// subsequent calls return `false` and deliver nothing.
-    fn finish(out: &Self::Outset, sink: &mut dyn FnMut(u64)) -> bool;
+    #[inline(never)]
+    fn finish(out: &Self::Outset, sink: &mut dyn FnMut(u64)) -> bool {
+        Self::finish_with(out, sink, Shared)
+    }
 
     /// [`add`](OutsetFamily::add) with each step committed by `step`: the
     /// same transitions and the same result, which `add` gets with
-    /// [`Shared`](sched::step::Shared). An
+    /// [`Shared`]. An
     /// [`Exclusive`](sched::step::Exclusive) step's promise covers every
     /// `add` and `finish` on `out`.
     fn add_with<S: Step>(out: &Self::Outset, token: u64, key: u64, step: S) -> AddEdge;

@@ -94,14 +94,6 @@ impl OutsetFamily for MutexOutset {
         MutexOutsetObj::new()
     }
 
-    fn add(out: &MutexOutsetObj, token: u64, _key: u64) -> AddEdge {
-        out.add(token)
-    }
-
-    fn finish(out: &MutexOutsetObj, sink: &mut dyn FnMut(u64)) -> bool {
-        out.finish(sink)
-    }
-
     /// The lock is the whole protocol: alone on the out-set, the locked
     /// operation is the exclusive one, whatever the step.
     fn add_with<S: Step>(out: &MutexOutsetObj, token: u64, _key: u64, _step: S) -> AddEdge {

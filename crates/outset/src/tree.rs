@@ -413,11 +413,12 @@ impl TreeOutsetObj {
 
     /// Register `token`; see [`OutsetFamily::add`] for the contract.
     ///
-    /// Telemetry conservation invariant (checked by `harness obs
-    /// --assert-bound`): every add ends up in exactly one of
-    /// `outset.adds_bounced` (delivered inline, [`AddEdge::Finished`])
-    /// or — once the out-set is sealed — `outset.swept` (delivered by
-    /// the sweep), so `adds == adds_bounced + swept` after seal.
+    /// Telemetry conservation invariant (checked by `tests/theorems.rs`,
+    /// `tests/chaos.rs` and the dag batteries): every add ends up in
+    /// exactly one of `outset.adds_bounced` (delivered inline,
+    /// [`AddEdge::Finished`]) or — once the out-set is sealed —
+    /// `outset.swept` (delivered by the sweep), so
+    /// `adds == adds_bounced + swept` after seal.
     pub fn add(&self, token: u64, key: u64) -> AddEdge {
         self.add_with(token, key, Shared)
     }
@@ -803,16 +804,6 @@ impl OutsetFamily for TreeOutset {
     #[inline]
     fn make() -> TreeOutsetObj {
         TreeOutsetObj::new()
-    }
-
-    #[inline]
-    fn add(out: &TreeOutsetObj, token: u64, key: u64) -> AddEdge {
-        out.add(token, key)
-    }
-
-    #[inline]
-    fn finish(out: &TreeOutsetObj, sink: &mut dyn FnMut(u64)) -> bool {
-        out.finish(sink)
     }
 
     #[inline]

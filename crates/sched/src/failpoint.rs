@@ -18,7 +18,8 @@
 //! consumes decision `k` still depends on the schedule. That is the
 //! strongest guarantee a library-level injector can make without a
 //! model checker, and in practice it reproduces chaos failures from
-//! their printed seed (`harness chaos` prints one per battery).
+//! their seed (each failure of `tests/chaos.rs` names its battery and
+//! seed).
 //!
 //! ## Site taxonomy
 //!

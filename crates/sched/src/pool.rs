@@ -564,7 +564,8 @@ const SPIN_SWEEPS: usize = 3;
 /// measurement, not a tunable: what it costs to get one task run by the
 /// other worker (`pool.remote_run_ns`, 36–42 µs on the 2-core host,
 /// `benchmark/README.md` finding 8) — a steal that bought less did not pay.
-/// `pub` so tests and `harness obs --assert-bound` can state the bound.
+/// `pub` so tests (`pool_edges`, `vertex_recycle`, `chaos`) can state the
+/// bound.
 pub const STEAL_PAYS: Duration = Duration::from_micros(40);
 
 fn worker_loop<T, F>(ctx: &WorkerCtx<'_, T>, f: &F)
@@ -777,7 +778,7 @@ fn watchdog_loop<T: Word>(shared: &Shared<T>, cfg: &WatchdogCfg) {
 /// Flushes this worker's slab caches when dropped, so the flush happens
 /// on the unwind path too — a poisoned run must leave the recycler's
 /// global gauges as deterministic as a clean one, or the conservation
-/// identities `obs --assert-bound` checks would dangle on cached blocks.
+/// identities the tests check would dangle on cached blocks.
 struct CacheFlushGuard;
 
 impl Drop for CacheFlushGuard {
@@ -1069,8 +1070,8 @@ where
     // Per-worker tallies are cheap `Cell`s on the hot path; fold the ones
     // a check reads into the registry in one bulk add per counter at the
     // run's return (the rest are read from `PoolStats` alone). This
-    // happens *before* a poisoned run re-raises, so `--assert-bound`
-    // style checks see the full sched tallies of a panicked run.
+    // happens *before* a poisoned run re-raises, so a test's counter diff
+    // sees the full sched tallies of a panicked run (`tests/panic_safety.rs`).
     obs::counter!("sched.tasks").add(out.tasks);
     obs::counter!("sched.steals").add(out.steals);
     obs::counter!("sched.resumes").add(out.resumes);

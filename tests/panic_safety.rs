@@ -447,7 +447,8 @@ proptest! {
 /// `touch` dependent, watchdog-bounded (a hang fails fast), and check the
 /// poisoning contract from the caller, where quiescence makes the state
 /// definite: the payload propagates, the `touch` closure is skipped, the
-/// future reads completed-without-value. Returns the handle.
+/// future reads completed-without-value, and the run counts the one panic
+/// (`sched.panics`, `spdag.body_panics`). Returns the handle.
 fn run_poisoned(
     workers: usize,
     make: fn(&mut Ctx<'_, DynSnzi>) -> spdag::FutureHandle<u64>,
@@ -455,6 +456,7 @@ fn run_poisoned(
     let touched = Arc::new(AtomicU64::new(0));
     let escaped = Arc::new(Mutex::new(None));
     let (t, esc) = (Arc::clone(&touched), Arc::clone(&escaped));
+    let before = obs::Snapshot::take();
     let result = catch_unwind(AssertUnwindSafe(|| {
         run_dag_watched::<DynSnzi, _>(
             DynConfig::default(),
@@ -469,8 +471,13 @@ fn run_poisoned(
             },
         );
     }));
+    let d = obs::Snapshot::take().diff(&before);
     assert!(panic_text(result.expect_err("must propagate").as_ref()).contains(INJECTED));
     assert_eq!(touched.load(Ordering::SeqCst), 0, "touch closure ran on a poisoned future");
+    if obs::enabled() {
+        let panics = (d.counter("sched.panics"), d.counter("spdag.body_panics"));
+        assert_eq!(panics, (1, 1), "(sched.panics, spdag.body_panics) of one poisoned run");
+    }
     let f = escaped.lock().unwrap().take().expect("handle escaped the run");
     assert!(f.is_poisoned(), "a drained poisoned future reads as completed-without-value");
     f

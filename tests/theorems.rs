@@ -16,16 +16,32 @@
 //! * **Negative control** — with growth probability 0 the precondition of
 //!   the theorems fails, and the per-node bound must blow up linearly.
 //!   This shows the instrumentation actually measures what it claims.
+//! * **The out-set's dual** (`docs/outset-contention.md`) — on a fanout
+//!   broadcast through the runtime, every add is delivered once, lane
+//!   splits follow lost install CASes and stop at the cap, a one-worker run
+//!   loses none, and the lost CASes stay within the amortized per-add
+//!   bound. Under `fault-inject` the `outset.install_cas` failpoint forces
+//!   lost installs, so the bound is checked on a run that has some.
 //!
 //! The in-counter discipline (Figure 5) is driven directly here — the same
 //! spawn/signal handle dance `spdag` performs — so the trees stay
 //! reachable for profiling.
+//!
+//! The out-set test reads process-wide counters and may arm a process-wide
+//! failpoint, so every test in the file serializes on one lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use incounter::{CounterFamily, DecPair, DynConfig, DynSnzi};
+use dynsnzi::prelude::*;
+use incounter::DecPair;
+use sched::failpoint::{self, FaultMode, FaultPlan, SiteSpec};
 use snzi::SnziTree;
+
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A simulated dag vertex of the in-counter discipline.
 #[derive(Clone)]
@@ -74,6 +90,7 @@ fn expand_seq(cfg: &DynConfig, tree: &SnziTree, root: SimV, depth: u32) -> Vec<S
 
 #[test]
 fn corollary_4_7_arrive_chains_bounded_by_three() {
+    let _g = serial();
     let cfg = DynConfig::always_grow();
     for depth in [2u32, 6, 10, 12] {
         let tree = DynSnzi::make(&cfg, 1);
@@ -102,6 +119,7 @@ fn corollary_4_7_arrive_chains_bounded_by_three() {
 #[test]
 #[cfg(feature = "telemetry")]
 fn theorem_4_9_per_node_touches_constant_in_n() {
+    let _g = serial();
     let cfg = DynConfig::always_grow();
     let mut observed = Vec::new();
     for depth in [4u32, 8, 12] {
@@ -127,6 +145,7 @@ fn theorem_4_9_per_node_touches_constant_in_n() {
 
 #[test]
 fn negative_control_p0_concentrates_touches() {
+    let _g = serial();
     // With growth disabled the theorems' precondition fails: every
     // operation lands on the root and its touch count grows linearly.
     let cfg = DynConfig::never_grow();
@@ -149,6 +168,7 @@ fn negative_control_p0_concentrates_touches() {
 
 #[test]
 fn theorem_4_9_holds_under_parallel_expansion() {
+    let _g = serial();
     // The same discipline with real threads: a parallel top of the spawn
     // tree (8 threads), sequential below, leaves signalled by their own
     // thread. Exactly-once readiness and the per-node bound must survive
@@ -194,5 +214,84 @@ fn theorem_4_9_holds_under_parallel_expansion() {
     {
         assert!(profile.max_arrive_chain <= 3, "Corollary 4.7 under concurrency");
         assert!(profile.max_touch <= 16, "Theorem 4.9 under concurrency: {}", profile.max_touch);
+    }
+}
+
+/// `n` forks of the root each `touch` one hub future, whose body spins
+/// until every fork's add has landed: all `n` adds race for the hub's
+/// out-set while it is unsealed. Returns the counters the run moved.
+fn fanout_broadcast(workers: usize, n: u64) -> Snapshot {
+    let before = Snapshot::take();
+    let delivered = Arc::new(AtomicU64::new(0));
+    let d = Arc::clone(&delivered);
+    Runtime::new().workers(workers).run(move |mut ctx| {
+        let registered = Arc::new(AtomicU64::new(0));
+        let r = Arc::clone(&registered);
+        let hub = ctx.future(move |_| {
+            while r.load(Ordering::Acquire) < n {
+                std::hint::spin_loop();
+            }
+            1u64
+        });
+        let mut scope = ctx.into_scope();
+        for _ in 0..n {
+            let (hub, registered, d) = (hub.clone(), Arc::clone(&registered), Arc::clone(&d));
+            scope.fork(move |c| {
+                c.touch(&hub, move |_, v| {
+                    d.fetch_add(*v, Ordering::Relaxed);
+                });
+                registered.fetch_add(1, Ordering::Release);
+            });
+        }
+    });
+    assert_eq!(delivered.load(Ordering::Relaxed), n, "every dependent exactly once");
+    Snapshot::take().diff(&before)
+}
+
+/// The out-set's amortized contention bound, recomputed from the counters
+/// of a fanout broadcast at W = 1 and W = 4. A slot claim can lose its
+/// block install to at most W − 1 rivals racing the same 32-slot block
+/// tail, so the lost CASes are O(adds · (W − 1) / B) plus the O(log cap)
+/// growth transient per out-set; ×4 slack absorbs the in-expectation part.
+/// With `fault-inject` the W = 4 run arms `outset.install_cas` (one install
+/// in two treated as lost) so the bound and the split rule face real losses.
+#[test]
+fn outset_lost_installs_stay_within_the_amortized_bound() {
+    let _g = serial();
+    let n = if cfg!(debug_assertions) { 1 << 10 } else { 1 << 12 };
+    let cap = outset::tree::TreeOutsetObj::max_lanes() as u64;
+    // Lane counts double from 1 toward the cap: log2(cap) splits per set.
+    let log_cap = u64::from(cap.trailing_zeros()).max(1);
+    const B: u64 = outset::BLOCK_SLOTS as u64;
+    for workers in [1usize, 4] {
+        let armed = workers > 1 && failpoint::enabled();
+        if armed {
+            let site = SiteSpec { site: "outset.install_cas".into(), mode: FaultMode::OneIn(2) };
+            failpoint::install(&FaultPlan::new(0x0DDC_0DE5, vec![site]));
+        }
+        let d = fanout_broadcast(workers, n);
+        failpoint::clear();
+        if !obs::enabled() {
+            continue;
+        }
+        let at = format!("W={workers}, n={n}, install_cas armed: {armed}");
+        let (adds, bounced, swept) =
+            (d.counter("outset.adds"), d.counter("outset.adds_bounced"), d.counter("outset.swept"));
+        assert_eq!(adds, bounced + swept, "{at}: adds == bounced + swept");
+        let (created, splits, lost) =
+            (d.counter("outset.created"), d.counter("outset.splits"), d.counter("outset.lost_cas"));
+        assert!(splits <= created * log_cap, "{at}: {splits} splits > {created} sets x {log_cap}");
+        assert!(splits <= lost, "{at}: {splits} splits without as many lost CASes ({lost})");
+        if workers == 1 {
+            assert_eq!((lost, splits), (0, 0), "{at}: a lone worker has no rival to lose to");
+        }
+        if armed {
+            assert!(lost > 0, "{at}: the armed failpoint forced no lost install");
+        }
+        let bound = 4 * (adds * (workers as u64 - 1)).div_ceil(B) + 2 * created * log_cap + B;
+        assert!(
+            lost <= bound,
+            "{at}: {lost} lost CASes > 4*adds*(W-1)/B + 2*sets*log2(cap) + B = {bound}"
+        );
     }
 }

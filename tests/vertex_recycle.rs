@@ -18,10 +18,15 @@
 //!    earlier runs; a 128-aligned one rides in the padded classes.
 //! 3. **Steady state** — once a few runs have filled the pools to the
 //!    peak-live high-water mark, further identical runs stop minting
-//!    fresh vertices and live on reuse.
+//!    fresh vertices and live on reuse; after a cold `pipeline_stages` run
+//!    at twice the width, a warm one mints none at all, makes one pair per
+//!    increment, steals no faster than the pool's pacing allows, and
+//!    leaves the pools at its live peak (four recycler slabs per cell),
+//!    not its churn.
 //! 4. **One frame, one storage rule** — a body's state (a closure's
 //!    capture, a strand's saved state) within the inline size class lives
-//!    in the vertex; larger state spills to a recycled slab, and is
+//!    in the vertex (nine bodies in ten on a fanout broadcast and on
+//!    `fib`); larger state spills to a recycled slab, and is
 //!    dropped exactly once on every exit: ran, panicked, parked and
 //!    completed, panicked while parked.
 //!
@@ -383,6 +388,155 @@ fn inline_class_inlines_and_oversize_spills() {
         "the root and, if it was promoted, the small capture stay inline"
     );
     assert_eq!(d.counter("spdag.spawn_inline"), 4 - promoted, "the rest build no frame");
+}
+
+/// A `stages × width` wavefront of futures, each cell joining two cells of
+/// the row before, folded by a forked `touch` per last-row cell (the
+/// benchmark's `pipeline_stages`). Returns the run's statistics.
+fn pipeline(workers: usize, stages: u64, width: u64) -> dynsnzi::DagRunStats {
+    let sunk = Arc::new(AtomicU64::new(0));
+    let s = Arc::clone(&sunk);
+    let stats = run_dag::<DynSnzi, _>(DynConfig::default(), workers, move |mut ctx| {
+        let mut row: Vec<FutureHandle<u64>> = (0..width).map(|i| ctx.future(move |_| i)).collect();
+        for _ in 1..stages {
+            row = (0..width as usize)
+                .map(|i| {
+                    let j = (i + 1) % width as usize;
+                    ctx.future_join(&row[i], &row[j], |_, a, b| a.wrapping_add(*b))
+                })
+                .collect();
+        }
+        for cell in row {
+            let s = Arc::clone(&s);
+            ctx.fork(move |c| {
+                c.touch(&cell, move |_, _| {
+                    s.fetch_add(1, Ordering::Relaxed);
+                });
+            });
+        }
+    });
+    assert_eq!(sunk.load(Ordering::Relaxed), width, "every last-row cell sunk once");
+    stats
+}
+
+/// Recycler slabs one future keeps live from its creation to its sweep:
+/// its core, the pair of the fork that joined it to the root's scope, its
+/// completion vertex and its body's vertex (`tests/space_bounds.rs`). The
+/// core and the pair ride the 64 B class, the two vertices the 128 B one.
+const LINK_SLABS: usize = 4;
+
+#[test]
+fn warm_pipeline_mints_nothing_and_keeps_its_live_peak() {
+    let _guard = lock();
+    const WORKERS: usize = 4;
+    // 1 024 cells in the cold run, so that one slab more per cell is far
+    // over the footprint bounds' slack; small enough for a debug build.
+    let (stages, width) = (32u64, 16u64);
+    // From empty depots, what the class pools hold afterwards is the live
+    // peak of the largest run below.
+    recycle::trim();
+    let before = Snapshot::take();
+    // The cold run is twice as wide, so it retires far more than a warm run
+    // needs at once: a run's need is its live peak plus what the other
+    // workers' caches hold at that instant, and pools that hold exactly one
+    // run's need reach it in steps that can be a hundred runs apart.
+    pipeline(WORKERS, stages, 2 * width);
+    for _ in 0..3 {
+        pipeline(WORKERS, stages, width);
+    }
+    let warm_blocks = outset::tree::block_pool().cached_slabs();
+    let mid = Snapshot::take();
+    let run = pipeline(WORKERS, stages, width);
+    let steady = Snapshot::take().diff(&mid);
+    let total = Snapshot::take().diff(&before);
+
+    // Steals must pay (`sched::pool`): a worker lets `STEAL_PAYS` pass
+    // between two of its steals. `PoolStats` holds on both legs; with
+    // telemetry the registry's count of the same run has to agree.
+    let paced =
+        WORKERS as u64 * (1 + (run.elapsed.as_nanos() / sched::STEAL_PAYS.as_nanos()) as u64);
+    let steals = run.pool.steals;
+    assert!(steals <= paced, "{steals} steals in {:?} on {WORKERS} workers > {paced}", run.elapsed);
+
+    let blocks = outset::tree::block_pool().cached_slabs();
+    assert!(
+        blocks <= 2 * warm_blocks + 64,
+        "block pool {blocks} > 2 x the warm {warm_blocks} + 64: it grows with churn"
+    );
+    // Beside the cells: what the other workers' caches hold while one
+    // builds (up to two magazines of 32 per class each) and the run's own
+    // few slabs — root, final vertex, the root scope's counter and the
+    // child pairs it draws (this host reads 33–37 per class, 21 above the
+    // 128 B class, at W = 4). One slab more per cell, or a core, a pair or
+    // a vertex a class up (448 B or 640 B a cell instead of 384 B), is far
+    // over it.
+    let cells = (stages * 2 * width) as usize;
+    let (total_slack, class_slack) = (128 * WORKERS + 64, 64 * WORKERS + 64);
+    let (slabs, by_class) = (recycle::cached_slabs(), recycle::cached_slabs_by_class());
+    assert!(
+        slabs <= LINK_SLABS * cells + total_slack,
+        "class pools {slabs} slabs > {LINK_SLABS} x {cells} cells + slack"
+    );
+    let [_, small, mid, large @ ..] = by_class;
+    assert!(
+        small <= 2 * cells + class_slack
+            && mid <= 2 * cells + class_slack
+            && large.iter().sum::<usize>() <= class_slack,
+        "{cells} cells keep two 64 B and two 128 B slabs each, and no larger one; \
+         slabs by class {by_class:?}"
+    );
+
+    if !obs::enabled() {
+        return;
+    }
+    assert_eq!(steady.counter("sched.steals"), steals, "the registry and PoolStats disagree");
+    let (va, vr) = (steady.counter("sched.vertex_alloc"), steady.counter("sched.vertex_reuse"));
+    assert_eq!(va, 0, "a warm run minted {va} fresh vertices (reused {vr})");
+    // One pair per increment and nowhere else: a run forks once per cell
+    // and once per last-row sink, the cold run at twice the width.
+    let (born, freed) = (total.counter("sched.pairs_born"), total.counter("sched.pairs_freed"));
+    let increments = (stages + 1) * (2 * width + 4 * width);
+    assert_eq!((born, freed), (increments, increments), "pairs born, freed != increments");
+}
+
+/// Nine one-shot bodies in ten keep their capture in the vertex's frame
+/// (`spdag.body_inline`) rather than spilling it (`spdag.body_boxed`) on
+/// the spawn-heavy shapes: a fanout broadcast and `fib(20)`.
+#[test]
+fn spawn_heavy_bodies_ride_inline() {
+    let _guard = lock();
+    fn fib(ctx: Ctx<'_, DynSnzi>, n: u64, acc: Arc<AtomicU64>) {
+        if n < 2 {
+            acc.fetch_add(n, Ordering::Relaxed);
+            return;
+        }
+        let a2 = Arc::clone(&acc);
+        ctx.spawn(move |c| fib(c, n - 1, acc), move |c| fib(c, n - 2, a2));
+    }
+    fn inline_share(workload: &str, root: impl FnOnce(Ctx<'_, DynSnzi>) + Send + 'static) {
+        let before = Snapshot::take();
+        run_dag::<DynSnzi, _>(DynConfig::default(), 4, root);
+        let d = Snapshot::take().diff(&before);
+        let (inline, boxed) = (d.counter("spdag.body_inline"), d.counter("spdag.body_boxed"));
+        if obs::enabled() {
+            assert!(
+                inline > 0 && 10 * inline >= 9 * (inline + boxed),
+                "{workload}: {inline} inline, {boxed} spilled"
+            );
+        }
+    }
+    inline_share("fanout_broadcast", |mut ctx| {
+        let hub = ctx.future(|_| 1u64);
+        let mut scope = ctx.into_scope();
+        for _ in 0..1024 {
+            let hub = hub.clone();
+            scope.fork(move |c| c.touch(&hub, |_, v| assert_eq!(*v, 1)));
+        }
+    });
+    let acc = Arc::new(AtomicU64::new(0));
+    let a = Arc::clone(&acc);
+    inline_share("fib(20)", move |c| fib(c, 20, a));
+    assert_eq!(acc.load(Ordering::Relaxed), 6765, "fib(20)");
 }
 
 #[test]
