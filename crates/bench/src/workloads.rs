@@ -67,45 +67,6 @@ pub fn fanin_ops(n: u64) -> u64 {
     2 * n - 1
 }
 
-fn fib_rec<C: CounterFamily>(ctx: Ctx<'_, C>, n: u64, acc: Arc<AtomicU64>) {
-    if n < 2 {
-        acc.fetch_add(n, Ordering::Relaxed);
-        return;
-    }
-    let acc2 = Arc::clone(&acc);
-    ctx.spawn(move |c| fib_rec(c, n - 1, acc), move |c| fib_rec(c, n - 2, acc2));
-}
-
-/// Naive parallel Fibonacci: the canonical spawn-cost microbenchmark —
-/// `fib(n)` spawns ~`2·fib(n)` vertices whose bodies do nothing but
-/// recurse, so wall clock is dominated by vertex allocation, scheduling
-/// and synchronisation. Each leaf adds its `n ∈ {0, 1}` into a shared
-/// accumulator, which at quiescence holds `fib(n)` (checked here). The
-/// spawn arms capture 16 bytes (an `Arc` and a `u64`), deliberately
-/// within the runtime's inline-body class so the workload measures the
-/// zero-allocation fast path. Returns wall-clock time.
-pub fn fib<C: CounterFamily>(cfg: C::Config, workers: usize, n: u64) -> Duration {
-    let acc = Arc::new(AtomicU64::new(0));
-    let a = Arc::clone(&acc);
-    let elapsed = run_dag::<C, _>(cfg, workers, move |ctx| fib_rec(ctx, n, a)).elapsed;
-    let (mut x, mut y) = (0u64, 1u64);
-    for _ in 0..n {
-        (x, y) = (y, x + y);
-    }
-    assert_eq!(acc.load(Ordering::Relaxed), x, "fib({n}) accumulated wrongly");
-    elapsed
-}
-
-/// Vertices allocated by `fib(n)`: two per spawn plus the root pair;
-/// spawns number `fib(n+1) - 1` (every internal call spawns once).
-pub fn fib_ops(n: u64) -> u64 {
-    let (mut x, mut y) = (0u64, 1u64);
-    for _ in 0..=n {
-        (x, y) = (y, x + y);
-    }
-    2 * (x - 1) + 2
-}
-
 fn indegree2_rec<C: CounterFamily>(ctx: Ctx<'_, C>, n: u64) {
     if n >= 2 {
         ctx.chain(
@@ -579,18 +540,6 @@ mod tests {
             fanin::<FetchAdd>((), workers, 256, 0);
             fanin::<FixedDepth>(FixedConfig { depth: 3 }, workers, 256, 0);
         }
-    }
-
-    #[test]
-    fn fib_computes_fib_on_all_families() {
-        // `fib` asserts the accumulated value internally.
-        for workers in [1, 2, 4] {
-            fib::<DynSnzi>(DynConfig::default(), workers, 12);
-            fib::<FetchAdd>((), workers, 12);
-        }
-        fib::<FixedDepth>(FixedConfig { depth: 3 }, 2, 10);
-        assert_eq!(fib_ops(1), 2, "fib(1) is a leaf: just the root pair");
-        assert_eq!(fib_ops(5), 2 * 7 + 2, "fib(6)-1 = 7 spawns");
     }
 
     #[test]

@@ -10,31 +10,27 @@
 //!    pool drained rather than hung;
 //! 2. **replay** — the second run reproduces the first's outcome: decision
 //!    `k` at site `s` is pure in `(seed, s, k)`;
-//! 3. **conservation** (with telemetry) — across both runs every vertex
-//!    born is retired, every decrement pair freed, every out-set add swept
-//!    or bounced, and no fault bought a thief more than one steal per
-//!    `sched::STEAL_PAYS`.
+//! 3. **conservation** (with telemetry) — across both runs the ledger of
+//!    `tests/common` closes: everything born dies, every out-set add is
+//!    swept or bounced, every park repaid; and no fault bought a thief more
+//!    than one steal per `sched::STEAL_PAYS`.
 //!
 //! Every failure message names its battery and seed; re-running the test
 //! replays the same plans. Without `fault-inject` only the baseline (an
 //! empty plan) runs; the armed batteries are ignored.
 //!
 //! The plan, the panic hook and the counters are process-wide: the tests
-//! serialize on one lock.
+//! serialize on the binary's lock.
+
+mod common;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
+use common::{panic_text, serial, watchdog, Ledger};
 use dynsnzi::prelude::*;
 use sched::failpoint::{self, FaultMode, FaultPlan, SiteSpec};
-use sched::WatchdogCfg;
 use spdag::run_dag_watched;
-
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 const WORKERS: usize = 4;
 
@@ -47,8 +43,7 @@ fn site(name: &str, mode: FaultMode) -> SiteSpec {
 fn run_once(plan: &FaultPlan, tasks: u64) -> (Option<String>, u64) {
     failpoint::install(plan);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let wd = WatchdogCfg { stall_timeout: Duration::from_secs(30) };
-        run_dag_watched::<DynSnzi, _>(DynConfig::default(), WORKERS, wd, move |mut ctx| {
+        run_dag_watched::<DynSnzi, _>(DynConfig::default(), WORKERS, watchdog(), move |mut ctx| {
             for i in 0..tasks {
                 ctx.fork(move |mut c: Ctx<'_, DynSnzi>| {
                     let f = c.future(move |_| i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
@@ -61,24 +56,18 @@ fn run_once(plan: &FaultPlan, tasks: u64) -> (Option<String>, u64) {
     }));
     let injected = failpoint::injected_count();
     failpoint::clear();
-    let msg = result.err().map(|p| {
-        p.downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| p.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "<non-string panic payload>".to_string())
-    });
-    (msg, injected)
+    (result.err().map(|p| panic_text(p.as_ref())), injected)
 }
 
 /// Run the battery `name` — the sites `sites(seed)` arm — twice per seed
 /// and check its three claims.
 fn battery(name: &str, expect_panic: bool, sites: impl Fn(u64) -> Vec<SiteSpec>) {
-    let _g = serial();
+    let s = serial();
     let tasks = if cfg!(debug_assertions) { 512 } else { 2048 };
     let seeds: &[u64] = if failpoint::enabled() { &[0x00C0_FFEE, 0x0DDC_0DE5, 42] } else { &[42] };
     for &seed in seeds {
         let plan = FaultPlan::new(seed, sites(seed));
-        let before = Snapshot::take();
+        let ledger = Ledger::open(&s);
         let start = Instant::now();
         // Injected panics are expected and caught: keep the default hook's
         // report out of the output while the runs are armed.
@@ -87,7 +76,6 @@ fn battery(name: &str, expect_panic: bool, sites: impl Fn(u64) -> Vec<SiteSpec>)
         let (r1, r2) = (run_once(&plan, tasks), run_once(&plan, tasks));
         std::panic::set_hook(hook);
         let wall = start.elapsed();
-        let d = Snapshot::take().diff(&before);
 
         let at = format!("battery `{name}`, seed {seed:#x}, W={WORKERS}, {tasks} tasks");
         if expect_panic {
@@ -102,17 +90,7 @@ fn battery(name: &str, expect_panic: bool, sites: impl Fn(u64) -> Vec<SiteSpec>)
         // `OneIn` tallies follow how often the schedule reaches a site, so
         // the replay compares outcomes; an `Nth` tally is exact (above).
         assert_eq!(r1.0, r2.0, "{at}: the replay diverged");
-        if !obs::enabled() {
-            continue;
-        }
-        let vborn = d.counter("sched.vertex_alloc") + d.counter("sched.vertex_reuse");
-        let vdead = d.counter("sched.vertex_recycled") + d.counter("sched.vertex_dropped");
-        assert_eq!(vborn, vdead, "{at}: vertices born != retired");
-        let pairs = (d.counter("sched.pairs_born"), d.counter("sched.pairs_freed"));
-        assert_eq!(pairs.0, pairs.1, "{at}: decrement pairs born != freed");
-        let adds = d.counter("outset.adds");
-        let delivered = d.counter("outset.adds_bounced") + d.counter("outset.swept");
-        assert_eq!(adds, delivered, "{at}: out-set adds != bounced + swept");
+        let Some((_, d)) = ledger.close(&at, &[]) else { continue };
         let steals = d.counter("sched.steals");
         let paced = WORKERS as u64 * (2 + (wall.as_nanos() / sched::STEAL_PAYS.as_nanos()) as u64);
         assert!(steals <= paced, "{at}: {steals} steals in {wall:?} over two runs > {paced}");

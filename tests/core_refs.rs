@@ -11,23 +11,22 @@
 //! the sweep, which takes the group's unit back (count 0 → 1); an escaped
 //! handle used by later runs of every kind (W = 2, W = 1 on another
 //! thread, one nested in a one-worker vertex); and a poisoned future. Each
-//! value must be dropped exactly once, and with telemetry every `PoolArc`
-//! born must die (`sched.poolarc_*`).
+//! value must be dropped exactly once, and with telemetry the ledger of
+//! `tests/common` must close over each test — every `PoolArc` born dies
+//! among the rest — once its last handle is dropped.
 //!
-//! Tests serialize on a process-wide lock: the ledgers are diffs of the
+//! Tests serialize on the binary's lock: the ledgers are diffs of the
 //! global telemetry registry.
+
+mod common;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use common::{serial, Ledger};
 use dynsnzi::prelude::*;
-
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A value that counts its drops.
 struct Tally(Arc<AtomicU64>);
@@ -43,17 +42,6 @@ where
     F: for<'b> FnOnce(Ctx<'b, DynSnzi>) + Send + 'static,
 {
     run_dag::<DynSnzi, _>(DynConfig::default(), workers, root);
-}
-
-/// Every `PoolArc` born since `before` has died (telemetry builds only).
-fn assert_cores_conserved(before: &Snapshot, what: &str) {
-    if !obs::enabled() {
-        return;
-    }
-    let d = Snapshot::take().diff(before);
-    let born = d.counter("sched.poolarc_alloc") + d.counter("sched.poolarc_reuse");
-    let dead = d.counter("sched.poolarc_recycled") + d.counter("sched.poolarc_dropped");
-    assert_eq!(born, dead, "{what}: future cores born {born}, died {dead}");
 }
 
 /// Whether `h`'s shared count reads `n` within a few seconds: at W ≥ 2 a
@@ -72,8 +60,8 @@ fn settles_at<T: Send + Sync + 'static>(h: &FutureHandle<T>, n: usize) -> bool {
 
 #[test]
 fn a_one_worker_run_holds_one_unit_for_its_own_references() {
-    let _g = serial();
-    let before = Snapshot::take();
+    let s = serial();
+    let ledger = Ledger::open(&s);
     // W = 1: the join's capture of each input, the inputs' sweeps and the
     // derived futures' captures are the run's own — one unit between
     // them, beside the handle (with every reference a unit and a counted
@@ -124,7 +112,7 @@ fn a_one_worker_run_holds_one_unit_for_its_own_references() {
         ctx.touch(&j, move |_, v| o.store(*v, Ordering::SeqCst));
     });
     assert_eq!(out.load(Ordering::SeqCst), 42);
-    assert_cores_conserved(&before, "structural counts");
+    ledger.close("structural counts", &[]);
 }
 
 /// A handle escapes to a plain thread, which clones and drops it in a loop
@@ -135,8 +123,8 @@ fn a_one_worker_run_holds_one_unit_for_its_own_references() {
 /// references.
 #[test]
 fn an_escaped_handle_steps_the_shared_word_beside_the_run() {
-    let _g = serial();
-    let before = Snapshot::take();
+    let s = serial();
+    let ledger = Ledger::open(&s);
     let drops = Arc::new(AtomicU64::new(0));
     for round in 0..1000u64 {
         let stop = Arc::new(AtomicBool::new(false));
@@ -195,7 +183,7 @@ fn an_escaped_handle_steps_the_shared_word_beside_the_run() {
             "round {round}: the value dropped once"
         );
     }
-    assert_cores_conserved(&before, "escaped handles");
+    ledger.close("escaped handles", &[]);
 }
 
 /// A touch made after the sweep has run, at W = 1: every reference the run
@@ -203,8 +191,8 @@ fn an_escaped_handle_steps_the_shared_word_beside_the_run() {
 /// vertex takes it back (count 0 → 1) under the toucher's handle.
 #[test]
 fn a_touch_after_the_sweep_retakes_the_group_unit() {
-    let _g = serial();
-    let before = Snapshot::take();
+    let s = serial();
+    let ledger = Ledger::open(&s);
     let drops = Arc::new(AtomicU64::new(0));
     let seen = Arc::new(AtomicU64::new(0));
     let (d, s) = (Arc::clone(&drops), Arc::clone(&seen));
@@ -233,7 +221,7 @@ fn a_touch_after_the_sweep_retakes_the_group_unit() {
     });
     assert_eq!(seen.load(Ordering::SeqCst), 1, "the continuation ran");
     assert_eq!(drops.load(Ordering::SeqCst), 1, "the value dropped once");
-    assert_cores_conserved(&before, "retake");
+    ledger.close("retake", &[]);
 }
 
 /// Touch and `future_then` an escaped handle from `ctx`, adding its value
@@ -260,8 +248,8 @@ fn use_escaped(mut ctx: Ctx<'_, DynSnzi>, f: FutureHandle<u64>, sum: Arc<AtomicU
 /// references of that run alive, is touched too.
 #[test]
 fn an_escaped_handle_serves_later_runs() {
-    let _g = serial();
-    let before = Snapshot::take();
+    let s = serial();
+    let ledger = Ledger::open(&s);
     let slot = Arc::new(Mutex::new(None::<FutureHandle<u64>>));
     let put = Arc::clone(&slot);
     run(1, move |mut ctx| {
@@ -322,15 +310,15 @@ fn an_escaped_handle_serves_later_runs() {
     assert_eq!(sum.load(Ordering::SeqCst), 21 + 15 + 105, "a run nested in a one-worker vertex");
     assert_eq!(f.strong_count(), 1, "every later run let go");
     drop(f);
-    assert_cores_conserved(&before, "later runs");
+    ledger.close("later runs", &[]);
 }
 
 /// A poisoned future at W = 1: its touch, its `future_then` and a join over
 /// it skip their continuations, and every core still dies once.
 #[test]
 fn a_poisoned_future_at_one_worker_releases_every_reference() {
-    let _g = serial();
-    let before = Snapshot::take();
+    let s = serial();
+    let ledger = Ledger::open(&s);
     let drops = Arc::new(AtomicU64::new(0));
     let ran = Arc::new(AtomicU64::new(0));
     let slot = Arc::new(Mutex::new(None::<FutureHandle<Tally>>));
@@ -366,5 +354,5 @@ fn a_poisoned_future_at_one_worker_releases_every_reference() {
     assert_eq!(drops.load(Ordering::SeqCst), 0);
     drop(good);
     assert_eq!(drops.load(Ordering::SeqCst), 1, "the value dropped once");
-    assert_cores_conserved(&before, "poisoned");
+    ledger.close("poisoned", &[]);
 }

@@ -11,29 +11,27 @@
 //!    The battery arms the failpoint on each eligible execution of a
 //!    wavefront in turn — future bodies, `touch` continuations, fork arms,
 //!    a strand's first run and its resumptions — and sees the dag drain:
-//!    the injected payload reaches the caller, every out-set add is swept
-//!    or bounced, every vertex and pair born is retired, every park repaid.
+//!    the injected payload reaches the caller, the ledger of `tests/common`
+//!    closes — every out-set add is swept or bounced, everything born dies,
+//!    every park is repaid — and every future is fulfilled.
 //! 2. `spdag.force_bounce` holds a `touch_await` registration until the
 //!    future seals: the bounce disarms the park word (2 → 0 with nothing
 //!    delivered), and the strand's next await must arm it again.
 //!
-//! The failpoint plan is process-global: the tests serialize on a lock.
+//! The failpoint plan is process-global: the tests serialize on the
+//! binary's lock.
 #![cfg(feature = "fault-inject")]
+
+mod common;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::Arc;
 
+use common::{panic_text, serial, watchdog, Ledger};
 use dynsnzi::prelude::*;
 use sched::failpoint::{self, FaultMode, FaultPlan, SiteSpec};
-use sched::WatchdogCfg;
 use spdag::run_dag_watched;
-
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 const STAGES: usize = 3;
 const WIDTH: usize = 3;
@@ -42,69 +40,39 @@ const WIDTH: usize = 3;
 /// futures, folded by a forked `touch` per last-row cell and one strand
 /// that awaits them all. `delivered` counts the folds that saw a value.
 fn wavefront(workers: usize, delivered: Arc<AtomicU64>) {
-    run_dag_watched::<DynSnzi, _>(
-        DynConfig::default(),
-        workers,
-        WatchdogCfg { stall_timeout: Duration::from_secs(20) },
-        move |mut ctx| {
-            let mut row: Vec<FutureHandle<u64>> =
-                (0..WIDTH as u64).map(|i| ctx.future(move |_| i)).collect();
-            for _ in 0..STAGES {
-                row = (0..WIDTH)
-                    .map(|i| ctx.future_join(&row[i], &row[(i + 1) % WIDTH], |_, a, b| a + b))
-                    .collect();
-            }
-            for cell in &row {
-                let (cell, d) = (cell.clone(), Arc::clone(&delivered));
-                ctx.fork(move |c| {
-                    c.touch(&cell, move |_, _| {
-                        d.fetch_add(1, Ordering::Relaxed);
-                    });
+    run_dag_watched::<DynSnzi, _>(DynConfig::default(), workers, watchdog(), move |mut ctx| {
+        let mut row: Vec<FutureHandle<u64>> =
+            (0..WIDTH as u64).map(|i| ctx.future(move |_| i)).collect();
+        for _ in 0..STAGES {
+            row = (0..WIDTH)
+                .map(|i| ctx.future_join(&row[i], &row[(i + 1) % WIDTH], |_, a, b| a + b))
+                .collect();
+        }
+        for cell in &row {
+            let (cell, d) = (cell.clone(), Arc::clone(&delivered));
+            ctx.fork(move |c| {
+                c.touch(&cell, move |_, _| {
+                    d.fetch_add(1, Ordering::Relaxed);
                 });
-            }
-            ctx.fork_strand(move |c: &mut Ctx<'_, DynSnzi>| {
-                for cell in &row {
-                    let _ = *strand_await!(c, cell);
-                }
-                delivered.fetch_add(1, Ordering::Relaxed);
-                StrandPoll::Done(())
             });
-        },
-    );
+        }
+        ctx.fork_strand(move |c: &mut Ctx<'_, DynSnzi>| {
+            for cell in &row {
+                let _ = *strand_await!(c, cell);
+            }
+            delivered.fetch_add(1, Ordering::Relaxed);
+            StrandPoll::Done(())
+        });
+    });
 }
 
 fn plan(mode: FaultMode) -> FaultPlan {
     FaultPlan::new(1, vec![SiteSpec { site: "spdag.panic_vertex".into(), mode }])
 }
 
-/// The conservation identities of a drained run, panic or no panic.
-fn assert_drained(d: &Snapshot, what: &str) {
-    if !obs::enabled() {
-        return;
-    }
-    let sum = |names: &[&str]| names.iter().map(|n| d.counter(n)).sum::<u64>();
-    assert_eq!(
-        d.counter("outset.adds"),
-        sum(&["outset.swept", "outset.adds_bounced"]),
-        "{what}: a registered dependent was never delivered"
-    );
-    assert_eq!(
-        sum(&["sched.vertex_alloc", "sched.vertex_reuse"]),
-        sum(&["sched.vertex_recycled", "sched.vertex_dropped"]),
-        "{what}: a vertex never ran to its retirement"
-    );
-    assert_eq!(d.counter("sched.pairs_born"), d.counter("sched.pairs_freed"), "{what}: pairs");
-    assert_eq!(
-        d.counter("spdag.strand_suspend"),
-        d.counter("spdag.strand_resume"),
-        "{what}: a park was never repaid"
-    );
-    assert_eq!(d.counter("spdag.fulfills"), d.counter("spdag.futures_created"), "{what}: sweeps");
-}
-
 #[test]
 fn every_eligible_vertex_of_a_wavefront_can_panic() {
-    let _g = serial();
+    let s = serial();
     // How many executions are eligible: a W=1 run repeats exactly, so count
     // the site's calls under a plan that never fires.
     failpoint::install(&plan(FaultMode::Nth(u64::MAX)));
@@ -127,11 +95,10 @@ fn every_eligible_vertex_of_a_wavefront_can_panic() {
         // must then be clean.
         for nth in 1..=eligible {
             failpoint::install(&plan(FaultMode::Nth(nth)));
-            let before = Snapshot::take();
+            let ledger = Ledger::open(&s);
             let delivered = Arc::new(AtomicU64::new(0));
             let d = Arc::clone(&delivered);
             let result = catch_unwind(AssertUnwindSafe(|| wavefront(workers, d)));
-            let diff = Snapshot::take().diff(&before);
             let injected = failpoint::injected_count();
             failpoint::clear();
             let what = format!("W={workers}, panic at eligible execution {nth} of {eligible}");
@@ -142,28 +109,27 @@ fn every_eligible_vertex_of_a_wavefront_can_panic() {
                 }
                 Err(payload) => {
                     assert_eq!(injected, 1, "{what}");
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_default();
+                    let msg = panic_text(payload.as_ref());
                     // First panic wins: not a poisoned await that followed
                     // it, and not a watchdog report — nothing stalled.
                     assert!(msg.contains("spdag.panic_vertex"), "{what}: propagated {msg:?}");
                 }
             }
-            assert_drained(&diff, &what);
+            if let Some((_, d)) = ledger.close(&what, &[]) {
+                let fulfilled = d.counter("spdag.fulfills");
+                assert_eq!(fulfilled, d.counter("spdag.futures_created"), "{what}: sweeps");
+            }
         }
     }
 }
 
 #[test]
 fn a_bounced_registration_disarms_the_park_word() {
-    let _g = serial();
+    let s = serial();
     let site = SiteSpec { site: "spdag.force_bounce".into(), mode: FaultMode::Nth(1) };
     for round in 0..50 {
         failpoint::install(&FaultPlan::new(round, vec![site.clone()]));
-        let before = Snapshot::take();
+        let ledger = Ledger::open(&s);
         let out = Arc::new(AtomicU64::new(0));
         let o = Arc::clone(&out);
         let stats = run_dag::<DynSnzi, _>(DynConfig::default(), 2, move |mut ctx| {
@@ -200,15 +166,14 @@ fn a_bounced_registration_disarms_the_park_word() {
                 StrandPoll::Done(())
             });
         });
-        let d = Snapshot::take().diff(&before);
         let held = failpoint::injected_count();
         failpoint::clear();
         assert_eq!(out.load(Ordering::Relaxed), 42, "round {round}");
-        assert_eq!(stats.pool.suspends, stats.pool.resumes, "every park is repaid");
         assert!(stats.pool.suspends >= 1, "the second await parks by construction");
         // The round counts when the first await was held and bounced: one
         // park only (the second await's), after a disarm.
-        let bounced = !obs::enabled() || d.counter("outset.adds_bounced") == 1;
+        let d = ledger.close(&format!("round {round}"), &[&stats.pool]);
+        let bounced = d.is_none_or(|(_, d)| d.counter("outset.adds_bounced") == 1);
         if held == 1 && bounced && stats.pool.suspends == 1 {
             return;
         }

@@ -46,38 +46,32 @@
 //!    on every body of a spawn tree at W ∈ {1, 2, 4}, on every family, the
 //!    dag drains.
 //!
-//! Tests serialize on a process-wide lock: the ledgers are diffs of the
-//! global telemetry registry, and the failpoint plan is global.
+//! What a run made is read from the ledger of `tests/common`, which also
+//! checks that everything born died and — given the run's statistics —
+//! that `tasks − resumes` is the vertices born plus the children run in
+//! place. Tests serialize on the binary's lock: the ledgers are diffs of
+//! the global telemetry registry, and the failpoint plan is global.
+
+mod common;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
+use common::{panic_text, serial, watchdog, Ledger, Made, Serial};
 use dynsnzi::prelude::*;
-use sched::{PoolStats, WatchdogCfg};
 use spdag::run_dag_watched;
 
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Run `$case::<C>(cfg)` on every counter family.
+/// Run `$case::<C>(s, cfg)` on every counter family.
 macro_rules! over_families {
-    ($case:ident) => {
-        $case::<DynSnzi>(DynConfig::default());
-        $case::<DynSnzi>(DynConfig::always_grow());
-        $case::<FetchAdd>(());
-        $case::<FixedDepth>(FixedConfig { depth: 3 });
+    ($case:ident, $s:expr) => {
+        $case::<DynSnzi>($s, DynConfig::default());
+        $case::<DynSnzi>($s, DynConfig::always_grow());
+        $case::<FetchAdd>($s, ());
+        $case::<FixedDepth>($s, FixedConfig { depth: 3 });
     };
-}
-
-/// A run that loses a vertex stalls; the watchdog turns that into a
-/// failure in seconds.
-fn watchdog() -> WatchdogCfg {
-    WatchdogCfg { stall_timeout: Duration::from_secs(5) }
 }
 
 const RIGHT_PANICS: &str = "inline_spawn: the right child panics";
@@ -98,70 +92,45 @@ fn right_spine(ctx: Ctx<'_, DynSnzi>, depth: u32, lefts: Arc<AtomicU64>) {
     );
 }
 
-/// What one run made, from the telemetry diff `d` and the run's stats:
-/// pairs born, vertices born, children run in place, in-counters made (the
-/// dynamic family counts its counters as trees, the baselines by their own
-/// probe) and left children promoted. Checks the conservation ledgers on the way: every pair
-/// born is freed, every vertex born retired, and — given the stats —
-/// `tasks − resumes` is the vertices born plus the children run in place.
-fn made(what: &str, d: &Snapshot, stats: Option<&PoolStats>) -> Made {
-    let (pairs, freed) = (d.counter("sched.pairs_born"), d.counter("sched.pairs_freed"));
-    assert_eq!(pairs, freed, "{what}: decrement pairs born {pairs}, freed {freed}");
-    let vertices = d.counter("sched.vertex_alloc") + d.counter("sched.vertex_reuse");
-    let dead = d.counter("sched.vertex_recycled") + d.counter("sched.vertex_dropped");
-    assert_eq!(vertices, dead, "{what}: vertices born {vertices}, retired {dead}");
-    let in_place = d.counter("spdag.spawn_inline");
-    if let Some(s) = stats {
-        assert_eq!(s.tasks - s.resumes, vertices + in_place, "{what}: tasks - resumes");
-    }
-    let counters = d.counter("snzi.trees_created") + d.counter("incounter.created");
-    Made { pairs, vertices, in_place, counters, promoted: d.counter("spdag.spawn_promoted") }
-}
-
-#[derive(Debug, PartialEq)]
-struct Made {
-    pairs: u64,
-    vertices: u64,
-    in_place: u64,
-    counters: u64,
-    promoted: u64,
-}
-
 /// Run `root`, which must panic with `expected`, and check that the dag
-/// drained: the payload reached the caller, and every decrement pair and
-/// vertex born was freed and retired. Returns what the run made (`None`
-/// without telemetry).
+/// drained: the payload reached the caller, and the ledger closes. Returns
+/// what the run made (`None` without telemetry).
 fn panics_and_drains<C: CounterFamily>(
+    s: &Serial,
     cfg: C::Config,
     workers: usize,
     what: &str,
     expected: &str,
     root: impl for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
 ) -> Option<Made> {
-    let before = Snapshot::take();
+    let ledger = Ledger::open(s);
     let result =
         catch_unwind(AssertUnwindSafe(|| run_dag_watched::<C, _>(cfg, workers, watchdog(), root)));
-    let d = Snapshot::take().diff(&before);
     let payload = result.expect_err("the panic reaches the caller");
-    let text = payload.downcast_ref::<String>().cloned().unwrap_or_default();
+    let text = panic_text(payload.as_ref());
     assert_eq!(text, expected, "{what}: the first payload, not a watchdog report");
-    if !obs::enabled() {
-        return None;
-    }
+    let (made, d) = ledger.close(what, &[])?;
     assert_eq!(d.counter("spdag.body_panics"), 1, "{what}: one body panicked");
-    Some(made(what, &d, None))
+    Some(made)
 }
 
 #[test]
 fn a_right_child_that_panics_in_place_leaves_its_left_sibling_to_run() {
-    let _g = serial();
+    let s = serial();
     for workers in [1, 2] {
         for depth in [1, 3] {
             let what = format!("right child at depth {depth}, W={workers}");
             let lefts = Arc::new(AtomicU64::new(0));
             let l = Arc::clone(&lefts);
             let root = move |ctx: Ctx<'_, DynSnzi>| right_spine(ctx, depth, l);
-            panics_and_drains::<DynSnzi>(DynConfig::default(), workers, &what, RIGHT_PANICS, root);
+            panics_and_drains::<DynSnzi>(
+                &s,
+                DynConfig::default(),
+                workers,
+                &what,
+                RIGHT_PANICS,
+                root,
+            );
             assert_eq!(lefts.load(Ordering::Relaxed), u64::from(depth), "{what}: every left ran");
         }
     }
@@ -169,7 +138,7 @@ fn a_right_child_that_panics_in_place_leaves_its_left_sibling_to_run() {
 
 #[test]
 fn a_left_child_that_panics_after_its_sibling_still_drains() {
-    let _g = serial();
+    let s = serial();
     for workers in [1, 2] {
         let what = format!("left child, W={workers}");
         let rights = Arc::new(AtomicU64::new(0));
@@ -192,7 +161,7 @@ fn a_left_child_that_panics_after_its_sibling_still_drains() {
                 },
             )
         };
-        panics_and_drains::<DynSnzi>(DynConfig::default(), workers, &what, LEFT_PANICS, root);
+        panics_and_drains::<DynSnzi>(&s, DynConfig::default(), workers, &what, LEFT_PANICS, root);
         assert_eq!(rights.load(Ordering::Relaxed), 2, "{what}: the right subtree ran");
     }
 }
@@ -262,7 +231,7 @@ fn fib<C: CounterFamily>(ctx: Ctx<'_, C>, n: u64, sum: Arc<AtomicU64>) {
     ctx.spawn(move |c| fib(c, n - 1, sum), move |c| fib(c, n - 2, other));
 }
 
-fn fib_counts_exactly<C: CounterFamily>(cfg: C::Config) {
+fn fib_counts_exactly<C: CounterFamily>(s: &Serial, cfg: C::Config) {
     // fib(n + 1) − 1 spawns of two children each, plus the root and the
     // final vertex.
     const N: u64 = 20;
@@ -270,16 +239,14 @@ fn fib_counts_exactly<C: CounterFamily>(cfg: C::Config) {
     const VERTICES: u64 = 2 * SPAWNS + 2;
     for workers in [1, 2, 4] {
         let what = format!("fib({N}) on {} at W={workers}", C::NAME);
-        let before = Snapshot::take();
+        let ledger = Ledger::open(s);
         let sum = Arc::new(AtomicU64::new(0));
-        let s = Arc::clone(&sum);
-        let stats = run_dag::<C, _>(cfg.clone(), workers, move |ctx| fib(ctx, N, s)).pool;
-        let d = Snapshot::take().diff(&before);
+        let acc = Arc::clone(&sum);
+        let stats = run_dag::<C, _>(cfg.clone(), workers, move |ctx| fib(ctx, N, acc)).pool;
         assert_eq!(sum.load(Ordering::Relaxed), 6_765, "{what}");
         assert_eq!((stats.suspends, stats.resumes), (0, 0), "{what}");
         assert_eq!(stats.tasks - stats.resumes, VERTICES, "{what}: tasks - resumes");
-        if obs::enabled() {
-            let m = made(&what, &d, Some(&stats));
+        if let Some((m, d)) = ledger.close(&what, &[&stats]) {
             assert_eq!(m.vertices + m.in_place, VERTICES, "{what}: vertices and children in place");
             assert_eq!(d.counter("spdag.spawns"), SPAWNS, "{what}: spawns");
             // fib(20) nests 20 spawns deep, well inside the stack bound:
@@ -302,8 +269,8 @@ fn fib_counts_exactly<C: CounterFamily>(cfg: C::Config) {
 
 #[test]
 fn fib_counts_every_child_once_on_every_family() {
-    let _g = serial();
-    over_families!(fib_counts_exactly);
+    let s = serial();
+    over_families!(fib_counts_exactly, &s);
 }
 
 /// A body that adds `n` into `out`.
@@ -342,20 +309,17 @@ fn busy_right<C: CounterFamily>(ctx: Ctx<'_, C>, out: Arc<AtomicU64>) {
     );
 }
 
-fn a_busy_right_child_splits_its_vertex<C: CounterFamily>(cfg: C::Config) {
+fn a_busy_right_child_splits_its_vertex<C: CounterFamily>(s: &Serial, cfg: C::Config) {
     for workers in [1, 2] {
         let what = format!("a busy right child on {} at W={workers}", C::NAME);
-        let before = Snapshot::take();
+        let ledger = Ledger::open(s);
         let out = Arc::new(AtomicU64::new(0));
         let o = Arc::clone(&out);
         let stats = run_dag_watched::<C, _>(cfg.clone(), workers, watchdog(), move |ctx| {
             busy_right(ctx, o)
         });
-        let d = Snapshot::take().diff(&before);
         assert_eq!(out.load(Ordering::Relaxed), 63, "{what}");
-        if !obs::enabled() {
-            continue;
-        }
+        let Some((m, _)) = ledger.close(&what, &[&stats.pool]) else { continue };
         // Four increments whatever is promoted: the fork, the future, and
         // two more. The outer left child waits, or is promoted — at W = 2
         // always, by the root's first spawn, whose worker's deque is empty.
@@ -367,7 +331,6 @@ fn a_busy_right_child_splits_its_vertex<C: CounterFamily>(cfg: C::Config) {
         // them on; at W = 1 the touch splits too, for the outer left child.
         // Vertices: the root and the final one, the fork, the future's two,
         // two per chain and the touch's, and one per promotion.
-        let m = made(&what, &d, Some(&stats.pool));
         let p = m.promoted;
         if workers == 1 {
             assert_eq!(p, 0, "{what}: nothing to promote to");
@@ -380,13 +343,13 @@ fn a_busy_right_child_splits_its_vertex<C: CounterFamily>(cfg: C::Config) {
 
 #[test]
 fn a_right_child_that_hands_off_while_its_sibling_waits_splits_its_vertex() {
-    let _g = serial();
-    over_families!(a_busy_right_child_splits_its_vertex);
+    let s = serial();
+    over_families!(a_busy_right_child_splits_its_vertex, &s);
 }
 
 const CHAINED_PANICS: &str = "inline_spawn: the right child panics after it chained";
 
-fn a_right_child_that_chained_unwinds<C: CounterFamily>(cfg: C::Config) {
+fn a_right_child_that_chained_unwinds<C: CounterFamily>(s: &Serial, cfg: C::Config) {
     for workers in [1, 2] {
         let what =
             format!("a right child that chained, then panicked, on {} at W={workers}", C::NAME);
@@ -398,7 +361,7 @@ fn a_right_child_that_chained_unwinds<C: CounterFamily>(cfg: C::Config) {
                 panic!("{}", CHAINED_PANICS);
             })
         };
-        let m = panics_and_drains::<C>(cfg.clone(), workers, &what, CHAINED_PANICS, root);
+        let m = panics_and_drains::<C>(s, cfg.clone(), workers, &what, CHAINED_PANICS, root);
         assert_eq!(out.load(Ordering::Relaxed), 7, "{what}: the chain and the left child ran");
         // At W = 1 the chain splits the vertex, and so does the guard that
         // pushes the left child when the right one unwinds. At W = 2 the
@@ -415,8 +378,8 @@ fn a_right_child_that_chained_unwinds<C: CounterFamily>(cfg: C::Config) {
 
 #[test]
 fn a_right_child_that_panics_after_it_chained_leaves_both_to_drain() {
-    let _g = serial();
-    over_families!(a_right_child_that_chained_unwinds);
+    let s = serial();
+    over_families!(a_right_child_that_chained_unwinds, &s);
 }
 
 /// Spin until `done()`; a test that waits longer than this has lost the
@@ -461,12 +424,12 @@ fn spine<C: CounterFamily>(ctx: Ctx<'_, C>, n: u32, lefts: Arc<AtomicU64>, done:
     ctx.spawn(add(&lefts, 1), move |c| spine(c, n - 1, lefts, done));
 }
 
-fn a_right_spine_crosses_the_bound<C: CounterFamily>(cfg: C::Config) {
+fn a_right_spine_crosses_the_bound<C: CounterFamily>(s: &Serial, cfg: C::Config) {
     // Far deeper than the stack bound in any build.
     const N: u32 = 4_000;
     for workers in [1, 2] {
         let what = format!("a {N}-deep right spine on {} at W={workers}", C::NAME);
-        let before = Snapshot::take();
+        let ledger = Ledger::open(s);
         let lefts = Arc::new(AtomicU64::new(0));
         let l = Arc::clone(&lefts);
         let stats = run_dag_watched::<C, _>(cfg.clone(), workers, watchdog(), move |mut ctx| {
@@ -476,12 +439,8 @@ fn a_right_spine_crosses_the_bound<C: CounterFamily>(cfg: C::Config) {
             hold_thieves(&mut ctx, workers, &done, &held);
             spine(ctx, N, l, done)
         });
-        let d = Snapshot::take().diff(&before);
         assert_eq!(lefts.load(Ordering::Relaxed), u64::from(N), "{what}: every left ran");
-        if !obs::enabled() {
-            continue;
-        }
-        let m = made(&what, &d, Some(&stats.pool));
+        let Some((m, _)) = ledger.close(&what, &[&stats.pool]) else { continue };
         // A spawn within the bound runs both children in place; each spawn
         // past the bound finds a left sibling waiting, and splits a place
         // off its vertex for each of its two children. Besides: the root
@@ -497,8 +456,8 @@ fn a_right_spine_crosses_the_bound<C: CounterFamily>(cfg: C::Config) {
 
 #[test]
 fn a_right_spine_crosses_the_stack_bound_while_its_siblings_wait() {
-    let _g = serial();
-    over_families!(a_right_spine_crosses_the_bound);
+    let s = serial();
+    over_families!(a_right_spine_crosses_the_bound, &s);
 }
 
 /// Run `f` more than the stack bound below this frame.
@@ -549,33 +508,30 @@ fn handoff_spine<C: CounterFamily>(ctx: Ctx<'_, C>, n: u32, lefts: Arc<AtomicU64
     );
 }
 
-fn a_spawn_past_the_bound_with_nothing_waiting<C: CounterFamily>(cfg: C::Config) {
+fn a_spawn_past_the_bound_with_nothing_waiting<C: CounterFamily>(s: &Serial, cfg: C::Config) {
     // Spawns in place and past the bound, K of each.
     const K: u64 = 8;
     let what = format!("a spine past the bound with nothing waiting on {} at W=2", C::NAME);
-    let before = Snapshot::take();
+    let ledger = Ledger::open(s);
     let lefts = Arc::new(AtomicU64::new(0));
     let l = Arc::clone(&lefts);
     let stats =
         run_dag_watched::<C, _>(cfg, 2, watchdog(), move |ctx| handoff_spine(ctx, 2 * K as u32, l));
-    let d = Snapshot::take().diff(&before);
     assert_eq!(lefts.load(Ordering::Relaxed), 2 * K, "{what}: every left ran");
-    if !obs::enabled() {
-        return;
-    }
+    let Some((m, _)) = ledger.close(&what, &[&stats.pool]) else { return };
     // A spawn in place: one promotion, a pair and a vertex, and its right
     // child in place. A spawn past the bound: one increment, its pair shared
     // by its two children, both vertices; the right one takes the spawning
     // vertex's place. Besides: the root and the final vertex.
     let expected =
         Made { pairs: 2 * K, vertices: 2 + 3 * K, in_place: K, counters: 1, promoted: K };
-    assert_eq!(made(&what, &d, Some(&stats.pool)), expected, "{what}");
+    assert_eq!(m, expected, "{what}");
 }
 
 #[test]
 fn a_spawn_past_the_bound_with_nothing_waiting_hands_its_place_to_the_right_child() {
-    let _g = serial();
-    over_families!(a_spawn_past_the_bound_with_nothing_waiting);
+    let s = serial();
+    over_families!(a_spawn_past_the_bound_with_nothing_waiting, &s);
 }
 
 /// Where each marked left child ran.
@@ -590,10 +546,10 @@ fn mark<C: CounterFamily>(
     move |_| ran.lock().unwrap().push((name, std::thread::current().id()))
 }
 
-fn the_oldest_waiting_left_child_is_promoted<C: CounterFamily>(cfg: C::Config) {
+fn the_oldest_waiting_left_child_is_promoted<C: CounterFamily>(s: &Serial, cfg: C::Config) {
     for workers in [2, 4] {
         let what = format!("oldest first on {} at W={workers}", C::NAME);
-        let before = Snapshot::take();
+        let ledger = Ledger::open(s);
         let ran: Ran = Arc::default();
         let r = Arc::clone(&ran);
         let stats = run_dag_watched::<C, _>(cfg.clone(), workers, watchdog(), move |mut ctx| {
@@ -615,7 +571,6 @@ fn the_oldest_waiting_left_child_is_promoted<C: CounterFamily>(cfg: C::Config) {
                 })
             })
         });
-        let d = Snapshot::take().diff(&before);
         let ran = ran.lock().unwrap();
         let on = |name| ran.iter().filter(|(n, _)| *n == name).map(|(_, t)| *t).collect::<Vec<_>>();
         let root = on("root")[0];
@@ -623,25 +578,25 @@ fn the_oldest_waiting_left_child_is_promoted<C: CounterFamily>(cfg: C::Config) {
         assert_eq!(on("outer").len(), 1, "{what}: the outer left child ran once");
         assert_eq!(on("middle"), [root], "{what}: the middle left child ran in place");
         assert_eq!(on("inner"), [root], "{what}: the inner left child ran in place");
-        if obs::enabled() {
+        if let Some((m, _)) = ledger.close(&what, &[&stats.pool]) {
             // A pair and a vertex per held fork and for the one promotion;
             // the root and the final vertex; the other five children ran
             // in place.
             let w = workers as u64;
             let expected =
                 Made { pairs: w + 1, vertices: w + 3, in_place: 5, counters: 1, promoted: 1 };
-            assert_eq!(made(&what, &d, Some(&stats.pool)), expected, "{what}");
+            assert_eq!(m, expected, "{what}");
         }
     }
 }
 
 #[test]
 fn the_oldest_waiting_left_child_is_promoted_to_a_thief() {
-    let _g = serial();
-    over_families!(the_oldest_waiting_left_child_is_promoted);
+    let s = serial();
+    over_families!(the_oldest_waiting_left_child_is_promoted, &s);
 }
 
-fn a_right_child_panics_around_a_promotion<C: CounterFamily>(cfg: C::Config) {
+fn a_right_child_panics_around_a_promotion<C: CounterFamily>(s: &Serial, cfg: C::Config) {
     for workers in [2, 4] {
         for waits in [false, true] {
             let what = format!(
@@ -663,7 +618,7 @@ fn a_right_child_panics_around_a_promotion<C: CounterFamily>(cfg: C::Config) {
                     panic!("{}", RIGHT_PANICS);
                 })
             };
-            let m = panics_and_drains::<C>(cfg.clone(), workers, &what, RIGHT_PANICS, root);
+            let m = panics_and_drains::<C>(s, cfg.clone(), workers, &what, RIGHT_PANICS, root);
             assert_eq!(lefts.load(Ordering::Relaxed), 1, "{what}: the left child ran once");
             let Some(m) = m else { continue };
             // One increment for the left child either way: its promotion,
@@ -681,16 +636,16 @@ fn a_right_child_panics_around_a_promotion<C: CounterFamily>(cfg: C::Config) {
 
 #[test]
 fn a_right_child_that_panics_around_a_promotion_drains_exactly() {
-    let _g = serial();
-    over_families!(a_right_child_panics_around_a_promotion);
+    let s = serial();
+    over_families!(a_right_child_panics_around_a_promotion, &s);
 }
 
-fn a_nested_run_leaves_the_waiting_left_child<C: CounterFamily>(cfg: C::Config) {
+fn a_nested_run_leaves_the_waiting_left_child<C: CounterFamily>(s: &Serial, cfg: C::Config) {
     // fib(12): 232 spawns.
     const SPAWNS: u64 = 233 - 1;
     for workers in [1, 2, 4] {
         let what = format!("a run nested in a right child on {} at W={workers}", C::NAME);
-        let before = Snapshot::take();
+        let ledger = Ledger::open(s);
         let ran: Ran = Arc::default();
         let r = Arc::clone(&ran);
         let inner_cfg = cfg.clone();
@@ -713,24 +668,22 @@ fn a_nested_run_leaves_the_waiting_left_child<C: CounterFamily>(cfg: C::Config) 
                     // first spawn finds its own deque empty and promotes: its
                     // own left child, never this one.
                     let sum = Arc::new(AtomicU64::new(0));
-                    let s = Arc::clone(&sum);
-                    run_dag::<C, _>(inner_cfg, 2, move |c| c.chain(|c| fib(c, 12, s), |_| {}));
+                    let acc = Arc::clone(&sum);
+                    run_dag::<C, _>(inner_cfg, 2, move |c| c.chain(|c| fib(c, 12, acc), |_| {}));
                     assert_eq!(sum.load(Ordering::Relaxed), 144, "the nested run's fib(12)");
                     go.store(true, Ordering::SeqCst);
                     right_done.store(true, Ordering::SeqCst);
                 },
             )
         });
-        let d = Snapshot::take().diff(&before);
         let ran = ran.lock().unwrap();
         assert_eq!(ran[0].0, "root");
         assert_eq!(ran[1..], [("left", ran[0].1)], "{what}: the left child ran in place");
-        if obs::enabled() {
+        if let Some((m, _)) = ledger.close(&what, &[]) {
             // Both runs' telemetry: the outer one promoted nothing, so every
             // promotion, pair and vertex past the held forks, the two runs'
             // roots and final vertices and the chain's two is the nested
             // run's.
-            let m = made(&what, &d, None);
             let (w, p) = (workers as u64, m.promoted);
             let in_place = 2 + 2 * SPAWNS - p;
             let expected =
@@ -742,8 +695,8 @@ fn a_nested_run_leaves_the_waiting_left_child<C: CounterFamily>(cfg: C::Config) 
 
 #[test]
 fn a_run_nested_in_a_right_child_promotes_nothing_of_the_run_around_it() {
-    let _g = serial();
-    over_families!(a_nested_run_leaves_the_waiting_left_child);
+    let s = serial();
+    over_families!(a_nested_run_leaves_the_waiting_left_child, &s);
 }
 
 /// A spawn tree `depth` levels deep; every leaf adds 1 to `leaves`.
@@ -758,7 +711,7 @@ fn tree<C: CounterFamily>(ctx: Ctx<'_, C>, depth: u32, leaves: Arc<AtomicU64>) {
 }
 
 #[cfg(feature = "fault-inject")]
-fn the_panic_vertex_failpoint_fires_on_every_body<C: CounterFamily>(cfg: C::Config) {
+fn the_panic_vertex_failpoint_fires_on_every_body<C: CounterFamily>(s: &Serial, cfg: C::Config) {
     use sched::failpoint::{self, FaultMode, FaultPlan, SiteSpec};
     const DEPTH: u32 = 3;
     let plan = |mode| FaultPlan::new(1, vec![SiteSpec { site: "spdag.panic_vertex".into(), mode }]);
@@ -781,7 +734,7 @@ fn the_panic_vertex_failpoint_fires_on_every_body<C: CounterFamily>(cfg: C::Conf
             let what =
                 format!("{} at W={workers}, panic at eligible body {nth} of {eligible}", C::NAME);
             failpoint::install(&plan(FaultMode::Nth(nth)));
-            let before = Snapshot::take();
+            let ledger = Ledger::open(s);
             let leaves = Arc::new(AtomicU64::new(0));
             let l = Arc::clone(&leaves);
             let result = catch_unwind(AssertUnwindSafe(|| {
@@ -789,19 +742,15 @@ fn the_panic_vertex_failpoint_fires_on_every_body<C: CounterFamily>(cfg: C::Conf
                     tree(ctx, DEPTH, l)
                 })
             }));
-            let d = Snapshot::take().diff(&before);
             let injected = failpoint::injected_count();
             failpoint::clear();
             assert_eq!(injected, 1, "{what}");
             let payload = result.expect_err("the injected panic reaches the caller");
-            let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+            let msg = panic_text(payload.as_ref());
             assert!(msg.contains("spdag.panic_vertex"), "{what}: propagated {msg:?}");
             // One body was cut down, with the leaves below it.
             assert!(leaves.load(Ordering::Relaxed) < 1 << DEPTH, "{what}");
-            if obs::enabled() {
-                // Every pair born freed, every vertex born retired.
-                made(&what, &d, None);
-            }
+            ledger.close(&what, &[]);
         }
     }
 }
@@ -809,6 +758,6 @@ fn the_panic_vertex_failpoint_fires_on_every_body<C: CounterFamily>(cfg: C::Conf
 #[cfg(feature = "fault-inject")]
 #[test]
 fn the_panic_vertex_failpoint_fires_on_children_run_in_place() {
-    let _g = serial();
-    over_families!(the_panic_vertex_failpoint_fires_on_every_body);
+    let s = serial();
+    over_families!(the_panic_vertex_failpoint_fires_on_every_body, &s);
 }

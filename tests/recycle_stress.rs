@@ -19,32 +19,17 @@
 //! (telemetry compiled out); the gauge-based footprint ceiling and the
 //! exactly-once delivery count hold in both modes.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+mod common;
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use common::{serial, Ledger};
 use dynsnzi::prelude::*;
 use outset::tree::{block_pool, TreeOutsetObj};
 
 /// Per-worker block-cache bound, mirrored from `outset::tree` (not public).
 const BLOCK_CACHE_CAP: u64 = 32;
-
-/// Both tests read process-global recycler gauges: serialize them.
-static LOCK: Mutex<()> = Mutex::new(());
-
-/// The file-level lock. Dropping it flushes the test thread's slab caches
-/// *before* unlocking — otherwise the thread-local destructor flushes
-/// them after the next test has taken the lock (and trimmed).
-struct Serial(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
-
-impl Drop for Serial {
-    fn drop(&mut self) {
-        sched::slab::flush_this_thread();
-    }
-}
-
-fn lock() -> Serial {
-    Serial(LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner()))
-}
 
 /// One future-churn chain: create a future, touch it, and continue from
 /// the touch continuation — so at any instant the chain keeps at most a
@@ -95,7 +80,7 @@ fn prewarm(blocks: u64) {
 
 #[test]
 fn million_future_churn_is_conserved_and_bounded() {
-    let _guard = lock();
+    let s = serial();
     // ~1M futures in release (32 rounds × 64 chains × 512), scaled down
     // in debug builds where the point is coverage, not volume. Chain
     // depth stays modest: a touch on an already-completed future runs
@@ -104,6 +89,7 @@ fn million_future_churn_is_conserved_and_bounded() {
         if cfg!(debug_assertions) { (6, 16u64, 128u64, 4) } else { (32, 64u64, 512u64, 4) };
 
     let before = obs::Snapshot::take();
+    let ledger = Ledger::open(&s);
     // Warm the recycler to the standby the per-worker caches can demand.
     // Every round starts new workers with empty caches, and a worker
     // mints only when its cache and the shared list are both dry — by
@@ -146,12 +132,8 @@ fn million_future_churn_is_conserved_and_bounded() {
         ceiling
     );
 
-    if obs::enabled() {
-        let d = obs::Snapshot::take().diff(&before);
-        // Conservation at quiescence: births == deaths, zero live.
-        let born = d.counter("outset.blocks_allocated") + d.counter("outset.blocks_reused");
-        let dead = d.counter("outset.blocks_recycled");
-        assert_eq!(born, dead, "block leak or double-account: born {born} != dead {dead}");
+    // Conservation at quiescence: births == deaths, zero live.
+    if let Some((_, d)) = ledger.close("future churn", &[]) {
         // The recycler gauge agrees with the counter flows.
         // No trim falls in the window: the other test trims under the lock.
         assert_eq!(
@@ -189,7 +171,7 @@ fn million_future_churn_is_conserved_and_bounded() {
 
 #[test]
 fn trim_releases_the_steady_state_footprint() {
-    let _guard = lock();
+    let _s = serial();
     sched::slab::flush_this_thread();
     block_pool().trim();
     let (chains, len) = if cfg!(debug_assertions) { (16u64, 64u64) } else { (32u64, 256u64) };

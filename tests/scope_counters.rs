@@ -23,33 +23,32 @@
 //! 3. **Counts that pin the representation.** A leaf dag and a chain of
 //!    leaves make no pair and no counter; a warm `future_join` wavefront
 //!    and a `touch_await` chain make exactly one counter per run — the
-//!    root's scope — and `sched.pairs_born == sched.pairs_freed ==` the
-//!    number of increments. A counter or a pair per chain, future, touch or
-//!    park that grows back fails here.
+//!    root's scope — and one decrement pair per increment, each freed (the
+//!    ledger of `tests/common`). A counter or a pair per chain, future,
+//!    touch or park that grows back fails here.
 //!
-//! Tests serialize on a process-wide lock: the counts are diffs of the
+//! Tests serialize on the binary's lock: the counts are diffs of the
 //! global telemetry registry.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+mod common;
 
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use common::{serial, Ledger, Serial};
 use dynsnzi::prelude::*;
 use spdag::DagRunStats;
 
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Run `$case::<C>(cfg, workers)` at W ∈ {1, 2, 4} over every family.
+/// Run `$case::<C>($($s,)? cfg, workers)` at W ∈ {1, 2, 4} over every
+/// family.
 macro_rules! over_families {
-    ($case:ident) => {
+    ($case:ident $(, $s:expr)?) => {
         for workers in [1usize, 2, 4] {
-            $case::<DynSnzi>(DynConfig::always_grow(), workers);
-            $case::<DynSnzi>(DynConfig::never_grow(), workers);
-            $case::<DynSnzi>(DynConfig::default(), workers);
-            $case::<FetchAdd>((), workers);
-            $case::<FixedDepth>(FixedConfig { depth: 2 }, workers);
+            $case::<DynSnzi>($($s,)? DynConfig::always_grow(), workers);
+            $case::<DynSnzi>($($s,)? DynConfig::never_grow(), workers);
+            $case::<DynSnzi>($($s,)? DynConfig::default(), workers);
+            $case::<FetchAdd>($($s,)? (), workers);
+            $case::<FixedDepth>($($s,)? FixedConfig { depth: 2 }, workers);
         }
     };
 }
@@ -351,26 +350,18 @@ fn the_park_word_rearms() {
 // ---------------------------------------------------------------------
 // 3. Counts that pin the representation.
 
-/// What one run made: `(pairs born, pairs freed, in-counters made)`. The
-/// dynamic family counts its counters as trees, the baselines by their own
-/// probe; a run uses one family, so the sum is that family's count.
-fn counts(d: &Snapshot) -> (u64, u64, u64) {
-    (
-        d.counter("sched.pairs_born"),
-        d.counter("sched.pairs_freed"),
-        d.counter("snzi.trees_created") + d.counter("incounter.created"),
-    )
-}
-
-fn diff_of(run: impl FnOnce()) -> Snapshot {
-    let before = Snapshot::take();
+/// What `run` made, with the ledger closed over it: `(pairs born,
+/// in-counters made)`. Telemetry builds only.
+fn counts(s: &Serial, what: &str, run: impl FnOnce()) -> (u64, u64) {
+    let ledger = Ledger::open(s);
     run();
-    Snapshot::take().diff(&before)
+    let (made, _) = ledger.close(what, &[]).expect("telemetry is compiled in");
+    (made.pairs, made.counters)
 }
 
 /// A dag that never forks: a lone leaf, and chains of leaves nested in
 /// both positions. Zero pairs, zero counters.
-fn unforked_dags_make_nothing<C: CounterFamily>(cfg: C::Config, workers: usize) {
+fn unforked_dags_make_nothing<C: CounterFamily>(s: &Serial, cfg: C::Config, workers: usize) {
     fn chains<C: CounterFamily>(ctx: Ctx<'_, C>, depth: u32, hits: Arc<AtomicU64>) {
         if depth == 0 {
             hits.fetch_add(1, Ordering::Relaxed);
@@ -379,17 +370,19 @@ fn unforked_dags_make_nothing<C: CounterFamily>(cfg: C::Config, workers: usize) 
         let h = Arc::clone(&hits);
         ctx.chain(move |c| chains(c, depth - 1, h), move |c| chains(c, depth - 1, hits));
     }
-    let d = diff_of(|| {
+    let what = format!("{}: a leaf dag", label::<C>(workers));
+    let made = counts(s, &what, || {
         run_dag::<C, _>(cfg.clone(), workers, |_| {});
     });
-    assert_eq!(counts(&d), (0, 0, 0), "{}: a leaf dag", label::<C>(workers));
+    assert_eq!(made, (0, 0), "{what}");
     let hits = Arc::new(AtomicU64::new(0));
     let h = Arc::clone(&hits);
-    let d = diff_of(|| {
+    let what = format!("{}: a chain of leaves", label::<C>(workers));
+    let made = counts(s, &what, || {
         run_dag::<C, _>(cfg, workers, move |ctx| chains(ctx, 6, h));
     });
     assert_eq!(hits.load(Ordering::Relaxed), 1 << 6);
-    assert_eq!(counts(&d), (0, 0, 0), "{}: a chain of leaves", label::<C>(workers));
+    assert_eq!(made, (0, 0), "{what}");
 }
 
 /// `stages` rows of `width` `future_join` cells over a first row of plain
@@ -447,7 +440,7 @@ fn await_chain<C: CounterFamily>(cfg: C::Config, workers: usize, depth: u64) -> 
 /// one pair per increment — every future (it joins its enclosing scope by
 /// a fork) and every `fork`/`fork_strand`; no chain, future, touch or park
 /// makes either.
-fn future_shapes_make_one_counter<C: CounterFamily>(cfg: C::Config, workers: usize) {
+fn future_shapes_make_one_counter<C: CounterFamily>(s: &Serial, cfg: C::Config, workers: usize) {
     const STAGES: u64 = 6;
     const WIDTH: u64 = 8;
     const DEPTH: u64 = 48;
@@ -462,36 +455,28 @@ fn future_shapes_make_one_counter<C: CounterFamily>(cfg: C::Config, workers: usi
     };
     // Warm first: the counts must not depend on what the recycler holds.
     assert_eq!(wavefront::<C>(cfg.clone(), workers, STAGES, WIDTH), elision);
-    let d = diff_of(|| {
+    let what = format!("{}: a warm future_join wavefront", label::<C>(workers));
+    let made = counts(s, &what, || {
         assert_eq!(wavefront::<C>(cfg.clone(), workers, STAGES, WIDTH), elision);
     });
     let increments = WIDTH + STAGES * WIDTH + WIDTH; // first row, joins, folding forks
-    assert_eq!(
-        counts(&d),
-        (increments, increments, 1),
-        "{}: a warm future_join wavefront",
-        label::<C>(workers)
-    );
+    assert_eq!(made, (increments, 1), "{what}");
     assert_eq!(await_chain::<C>(cfg.clone(), workers, DEPTH), DEPTH - 1);
-    let d = diff_of(|| {
+    let what = format!("{}: a warm touch_await chain", label::<C>(workers));
+    let made = counts(s, &what, || {
         assert_eq!(await_chain::<C>(cfg, workers, DEPTH), DEPTH - 1);
     });
     let increments = DEPTH + 1; // the futures and the sink's fork
-    assert_eq!(
-        counts(&d),
-        (increments, increments, 1),
-        "{}: a warm touch_await chain",
-        label::<C>(workers)
-    );
+    assert_eq!(made, (increments, 1), "{what}");
 }
 
 #[test]
 fn counts_pin_the_representation() {
-    let _g = serial();
+    let s = serial();
     if !obs::enabled() {
         eprintln!("skipping: telemetry compiled out");
         return;
     }
-    over_families!(unforked_dags_make_nothing);
-    over_families!(future_shapes_make_one_counter);
+    over_families!(unforked_dags_make_nothing, &s);
+    over_families!(future_shapes_make_one_counter, &s);
 }

@@ -18,31 +18,17 @@
 //! no in-counter: only a scope that forks makes one.
 //!
 //! The recycler gauges and SNZI roots are process-global, so the tests
-//! serialize on a lock.
+//! serialize on the binary's lock.
+
+mod common;
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use incounter::{CounterFamily, DecPair, DynConfig, DynSnzi};
 use obs::Snapshot;
 use snzi::{Probability, ShrinkingTree, SnziTree};
 use spdag::{run_dag, strand_await, Ctx, FutureHandle, StrandPoll};
-
-/// The file-level lock; its guard flushes the test thread's slab caches
-/// before unlocking, so the next test's gauge reads are exact (as `Serial`
-/// in `tests/vertex_recycle.rs`).
-struct Serial(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for Serial {
-    fn drop(&mut self) {
-        sched::slab::flush_this_thread();
-    }
-}
-
-fn lock() -> Serial {
-    static LOCK: Mutex<()> = Mutex::new(());
-    Serial(LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner()))
-}
 
 struct SimV {
     inc: snzi::Handle,
@@ -102,7 +88,7 @@ fn run_fanin_sim(cfg: &DynConfig, leaves_pow: u32) -> (SnziTree, u64) {
 
 #[test]
 fn node_count_never_exceeds_vertex_count() {
-    let _g = lock();
+    let _g = common::serial();
     // With p = 1 the tree grows one pair per increment: nodes = 1 + 2·inc,
     // and each increment creates two dag vertices — the Appendix B bound.
     let cfg = DynConfig::always_grow();
@@ -120,7 +106,7 @@ fn node_count_never_exceeds_vertex_count() {
 
 #[test]
 fn probabilistic_growth_keeps_trees_tiny() {
-    let _g = lock();
+    let _g = common::serial();
     // The artifact reports 415 nodes for 16.7M increments at threshold
     // 40000 — i.e. node count ≈ 2·increments/threshold, thousands of
     // times smaller than the dag. Check the same scaling here.
@@ -142,7 +128,7 @@ fn probabilistic_growth_keeps_trees_tiny() {
 
 #[test]
 fn never_grow_is_constant_space() {
-    let _g = lock();
+    let _g = common::serial();
     let cfg = DynConfig::never_grow();
     let (tree, _) = run_fanin_sim(&cfg, 10);
     assert_eq!(tree.contention_profile().nodes, 1);
@@ -150,7 +136,7 @@ fn never_grow_is_constant_space() {
 
 #[test]
 fn pruning_recovers_space_during_a_run() {
-    let _g = lock();
+    let _g = common::serial();
     // Interleave work and Lemma B.1 pruning on a shrinking tree: after
     // each drained burst, prune below the root and verify the node count
     // returns to 1 while the tree stays usable. Every step runs pinned.
@@ -223,7 +209,7 @@ fn future_chain(depth: u64, blocking: bool) -> u64 {
 
 #[test]
 fn a_future_link_keeps_four_recycler_slabs() {
-    let _g = lock();
+    let _g = common::serial();
     const DEPTH: u64 = 600;
     // Beside the links: the root, the final vertex, the root scope's
     // counter, the last touch's vertex, the one body that is running while

@@ -8,30 +8,26 @@
 //!    real fulfill ∥ suspend races (the count-2 handshake);
 //! 2. parking never blocks a *worker*: a chain of blocking awaits far
 //!    longer than the worker count completes on a single-worker pool;
-//! 3. at quiescence the suspension counters balance
-//!    (`spdag.strand_suspend == spdag.strand_resume`) — gated on
-//!    [`obs::enabled`] so the battery also passes with telemetry
-//!    compiled out;
+//! 3. at quiescence the suspension counters balance (`tests/common`'s
+//!    ledger) — gated on [`obs::enabled`] so the battery also passes with
+//!    telemetry compiled out;
 //! 4. the `std::future::Future` bridge: `async` bodies on the pool await
 //!    a [`FutureHandle`], and a poll of an unready one outside any strand
 //!    panics by name and registers nothing.
 //!
-//! Tests serialize on a process-wide lock: the global telemetry registry
-//! can only be diffed meaningfully while no sibling test is mid-dag.
+//! Tests serialize on the binary's lock (`tests/common`): the global
+//! telemetry registry can only be diffed meaningfully while no sibling test
+//! is mid-dag.
+
+mod common;
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
+use common::{panic_text, serial, Ledger, Prog};
 use incounter::{CounterFamily, DynConfig, DynSnzi, FetchAdd, FixedConfig, FixedDepth};
 use proptest::prelude::*;
 use spdag::{run_dag, strand_await, Ctx, FutureHandle, StrandPoll};
-
-/// Serialize the whole binary: counter-diff assertions need a quiet
-/// process, and the dag tests are individually fast.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The acceptance workload: `depth` futures in one sequential dependency
 /// chain, every hop awaited in blocking style, folded by a blocking
@@ -107,17 +103,16 @@ fn deep_chain_on_one_worker_never_blocks_it() {
 
 #[test]
 fn suspend_and_resume_counters_balance() {
-    let _g = serial();
-    let before = obs::Snapshot::take();
+    let s = serial();
+    let ledger = Ledger::open(&s);
     deep_chain::<DynSnzi>(DynConfig::default(), 2, 300);
-    let d = obs::Snapshot::take().diff(&before);
-    if obs::enabled() {
-        let (s, r) = (d.counter("spdag.strand_suspend"), d.counter("spdag.strand_resume"));
-        assert!(s > 0, "a 300-deep chain on 2 workers must park somewhere");
-        assert_eq!(s, r, "every suspend must be repaid by exactly one resume");
+    // The ledger checks that every suspend is repaid by exactly one resume.
+    if let Some((_, d)) = ledger.close("a 300-deep chain", &[]) {
+        let parks = d.counter("spdag.strand_suspend");
+        assert!(parks > 0, "a 300-deep chain on 2 workers must park somewhere");
         // Every await either hit the ready fast path or parked; parks
         // can't exceed awaits.
-        assert!(s <= d.counter("spdag.touch_awaits"));
+        assert!(parks <= d.counter("spdag.touch_awaits"));
     }
 }
 
@@ -281,15 +276,10 @@ fn an_unready_poll_outside_a_strand_panics_by_name() {
     // Released before anything is asserted, so a failing check still lets
     // the dag finish.
     release.store(true, Ordering::Release);
-    let payload = match polled {
-        Err(payload) => payload,
+    let message = match polled {
+        Err(payload) => panic_text(payload.as_ref()),
         Ok(poll) => panic!("an unready poll outside a strand returned {:?}", poll.is_ready()),
     };
-    let message = payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .expect("a message");
     for name in ["outside any strand", "fork_async", "future_async", "try_get"] {
         assert!(message.contains(name), "{name:?} missing from {message:?}");
     }
@@ -300,108 +290,34 @@ fn an_unready_poll_outside_a_strand_panics_by_name() {
 }
 
 // ---------------------------------------------------------------------
-// Random programs: structural ops and both await styles interleaved.
-
-#[derive(Debug, Clone)]
-enum Prog {
-    Leaf,
-    Spawn(Box<Prog>, Box<Prog>),
-    Chain(Box<Prog>, Box<Prog>),
-    /// Create a future worth 7, fork a CPS toucher, keep going.
-    AwaitCps(Box<Prog>),
-    /// Create a future worth 7, fork a blocking strand awaiter, keep
-    /// going.
-    AwaitBlocking(Box<Prog>),
-}
-
-impl Prog {
-    /// The exact sum the accumulator must reach: 1 per leaf, 7 per
-    /// await of either style (exactly-once makes it exact).
-    fn expected(&self) -> u64 {
-        match self {
-            Prog::Leaf => 1,
-            Prog::Spawn(a, b) | Prog::Chain(a, b) => a.expected() + b.expected(),
-            Prog::AwaitCps(rest) | Prog::AwaitBlocking(rest) => 7 + rest.expected(),
-        }
-    }
-}
-
-fn prog_strategy() -> impl Strategy<Value = Prog> {
-    let leaf = Just(Prog::Leaf);
-    leaf.prop_recursive(5, 32, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Prog::Spawn(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Prog::Chain(Box::new(a), Box::new(b))),
-            inner.clone().prop_map(|p| Prog::AwaitCps(Box::new(p))),
-            inner.prop_map(|p| Prog::AwaitBlocking(Box::new(p))),
-        ]
-    })
-}
-
-fn exec<C: CounterFamily>(mut ctx: Ctx<'_, C>, prog: Prog, acc: Arc<AtomicU64>) {
-    match prog {
-        Prog::Leaf => {
-            acc.fetch_add(1, Ordering::Relaxed);
-        }
-        Prog::Spawn(a, b) => {
-            let (x, y) = (Arc::clone(&acc), acc);
-            ctx.spawn(move |c| exec(c, *a, x), move |c| exec(c, *b, y));
-        }
-        Prog::Chain(a, b) => {
-            let (x, y) = (Arc::clone(&acc), acc);
-            ctx.chain(move |c| exec(c, *a, x), move |c| exec(c, *b, y));
-        }
-        Prog::AwaitCps(rest) => {
-            let f = ctx.future(|_| 7u64);
-            let a = Arc::clone(&acc);
-            ctx.fork(move |c| {
-                c.touch(&f, move |_, v| {
-                    a.fetch_add(*v, Ordering::Relaxed);
-                });
-            });
-            exec(ctx, *rest, acc);
-        }
-        Prog::AwaitBlocking(rest) => {
-            let f = ctx.future(|_| 7u64);
-            let a = Arc::clone(&acc);
-            ctx.fork_strand(move |c: &mut Ctx<'_, C>| {
-                a.fetch_add(*strand_await!(c, &f), Ordering::Relaxed);
-                StrandPoll::Done(())
-            });
-            exec(ctx, *rest, acc);
-        }
-    }
-}
+// Random programs (`tests/common`): structural ops and both await styles
+// interleaved, every cell run exactly once on every family.
 
 fn run_prog<C: CounterFamily>(cfg: C::Config, workers: usize, prog: &Prog) {
     let _g = serial();
-    let acc = Arc::new(AtomicU64::new(0));
-    let a = Arc::clone(&acc);
-    let p = prog.clone();
-    run_dag::<C, _>(cfg, workers, move |ctx| exec(ctx, p, a));
-    assert_eq!(acc.load(Ordering::Relaxed), prog.expected());
+    prog.run::<C>(cfg, workers, None).assert_drained();
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
 
     #[test]
-    fn random_mixed_awaits_incounter(prog in prog_strategy(), workers in 1usize..4) {
+    fn random_mixed_awaits_incounter(prog in Prog::strategy(5), workers in 1usize..4) {
         run_prog::<DynSnzi>(DynConfig::with_threshold(4), workers, &prog);
     }
 
     #[test]
-    fn random_mixed_awaits_incounter_always_grow(prog in prog_strategy(), workers in 1usize..4) {
+    fn random_mixed_awaits_incounter_always_grow(prog in Prog::strategy(5), workers in 1usize..4) {
         run_prog::<DynSnzi>(DynConfig::always_grow(), workers, &prog);
     }
 
     #[test]
-    fn random_mixed_awaits_fetch_add(prog in prog_strategy(), workers in 1usize..4) {
+    fn random_mixed_awaits_fetch_add(prog in Prog::strategy(5), workers in 1usize..4) {
         run_prog::<FetchAdd>((), workers, &prog);
     }
 
     #[test]
-    fn random_mixed_awaits_fixed_depth(prog in prog_strategy(), depth in 0u32..5, workers in 1usize..4) {
+    fn random_mixed_awaits_fixed_depth(prog in Prog::strategy(5), depth in 0u32..5, workers in 1usize..4) {
         run_prog::<FixedDepth>(FixedConfig { depth }, workers, &prog);
     }
 }
