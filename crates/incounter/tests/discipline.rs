@@ -1,4 +1,4 @@
-//! Property-based testing of the in-counter handle discipline across all
+//! Randomized testing of the in-counter handle discipline across all
 //! three families: random interleavings of spawn/signal on a simulated dag
 //! frontier must preserve (a) the counter reads non-zero while any strand
 //! is outstanding, (b) exactly one decrement reports zero, and (c) the
@@ -7,7 +7,8 @@
 use std::sync::Arc;
 
 use incounter::{CounterFamily, DecPair, DynConfig, DynSnzi, FetchAdd, FixedConfig, FixedDepth};
-use proptest::prelude::*;
+use sched::rng::battery;
+use sched::XorShift64Star;
 
 struct SimV<C: CounterFamily> {
     inc: C::Inc,
@@ -76,35 +77,44 @@ fn drive<C: CounterFamily>(cfg: C::Config, choices: &[(bool, u16)]) {
     assert!(C::is_zero(&counter));
 }
 
-fn schedule() -> impl Strategy<Value = Vec<(bool, u16)>> {
-    proptest::collection::vec((any::<bool>(), any::<u16>()), 0..80)
+/// Up to 79 steps, each a spawn or a signal as likely, from a strand
+/// picked by a 16-bit draw.
+fn schedule(rng: &mut XorShift64Star) -> Vec<(bool, u16)> {
+    let len = rng.next_below(80);
+    (0..len).map(|_| (rng.next_below(2) == 1, rng.next_u64() as u16)).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+#[test]
+fn dyn_snzi_p1() {
+    battery("dyn_snzi_p1", 128, |rng| drive::<DynSnzi>(DynConfig::always_grow(), &schedule(rng)));
+}
 
-    #[test]
-    fn dyn_snzi_p1(choices in schedule()) {
-        drive::<DynSnzi>(DynConfig::always_grow(), &choices);
-    }
-
-    #[test]
-    fn dyn_snzi_probabilistic(choices in schedule(), threshold in 1u64..64) {
+#[test]
+fn dyn_snzi_probabilistic() {
+    battery("dyn_snzi_probabilistic", 128, |rng| {
+        let choices = schedule(rng);
+        let threshold = 1 + rng.next_below(63) as u64;
         drive::<DynSnzi>(DynConfig::with_threshold(threshold), &choices);
-    }
+    });
+}
 
-    #[test]
-    fn dyn_snzi_never_grow(choices in schedule()) {
-        drive::<DynSnzi>(DynConfig::never_grow(), &choices);
-    }
+#[test]
+fn dyn_snzi_never_grow() {
+    battery("dyn_snzi_never_grow", 128, |rng| {
+        drive::<DynSnzi>(DynConfig::never_grow(), &schedule(rng))
+    });
+}
 
-    #[test]
-    fn fetch_add(choices in schedule()) {
-        drive::<FetchAdd>((), &choices);
-    }
+#[test]
+fn fetch_add() {
+    battery("fetch_add", 128, |rng| drive::<FetchAdd>((), &schedule(rng)));
+}
 
-    #[test]
-    fn fixed_depth(choices in schedule(), depth in 0u32..6) {
+#[test]
+fn fixed_depth() {
+    battery("fixed_depth", 128, |rng| {
+        let choices = schedule(rng);
+        let depth = rng.next_below(6) as u32;
         drive::<FixedDepth>(FixedConfig { depth }, &choices);
-    }
+    });
 }

@@ -9,7 +9,6 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 
 use obs::{EventKind, Snapshot};
-use proptest::prelude::*;
 
 /// Model test: every completed increment is visible to the final
 /// snapshot, and concurrently-taken snapshots are monotone.
@@ -87,48 +86,65 @@ fn snapshot_sees_counters_registered_mid_run() {
     assert_eq!(Snapshot::take().counter("test.born_mid_run"), THREADS);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+/// Adds of 1 to 99, one to five a writer: with one to three writers, the
+/// grid's 24 inputs.
+const AMOUNTS: [&[u64]; 8] = [
+    &[1],
+    &[99],
+    &[1, 99],
+    &[42, 7],
+    &[50, 50, 50],
+    &[3, 97, 11, 89],
+    &[1, 2, 3, 4, 5],
+    &[99, 98, 97, 96, 95],
+];
 
-    // Random interleavings of adders and snapshotters: the diff over
-    // the case equals the sum of all adds, and every mid-run snapshot
-    // diff lies in [0, total] and is monotone.
-    #[test]
-    fn snapshot_diff_matches_model(
-        amounts in proptest::collection::vec(1u64..100, 1..6),
-        threads in 1usize..4,
-    ) {
-        let before = Snapshot::take().counter("test.prop_diff");
-        let total: u64 = amounts.iter().sum::<u64>() * threads as u64;
-        let stop = Arc::new(AtomicBool::new(false));
-        let observer = {
-            let stop = Arc::clone(&stop);
+// Interleavings of adders and snapshotters: the diff over the case equals
+// the sum of all adds, and every mid-run snapshot diff lies in
+// [0, total] and is monotone.
+#[test]
+fn snapshot_diff_matches_model() {
+    for threads in 1..4 {
+        for amounts in AMOUNTS {
+            snapshot_diff(amounts, threads);
+        }
+    }
+}
+
+fn snapshot_diff(amounts: &'static [u64], threads: usize) {
+    let before = Snapshot::take().counter("test.prop_diff");
+    let total: u64 = amounts.iter().sum::<u64>() * threads as u64;
+    let stop = Arc::new(AtomicBool::new(false));
+    let observer = {
+        let stop = Arc::clone(&stop);
+        thread::spawn(move || {
+            let mut last = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                let d = Snapshot::take().counter("test.prop_diff") - before;
+                assert!(d >= last && d <= total, "diff {d} outside [{last}, {total}]");
+                last = d;
+            }
+        })
+    };
+    let writers: Vec<_> = (0..threads)
+        .map(|_| {
             thread::spawn(move || {
-                let mut last = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let d = Snapshot::take().counter("test.prop_diff") - before;
-                    assert!(d >= last && d <= total, "diff {d} outside [{last}, {total}]");
-                    last = d;
+                for &a in amounts {
+                    obs::counter!("test.prop_diff").add(a);
                 }
             })
-        };
-        let writers: Vec<_> = (0..threads)
-            .map(|_| {
-                let amounts = amounts.clone();
-                thread::spawn(move || {
-                    for &a in &amounts {
-                        obs::counter!("test.prop_diff").add(a);
-                    }
-                })
-            })
-            .collect();
-        for w in writers {
-            w.join().unwrap();
-        }
-        stop.store(true, Ordering::Relaxed);
-        observer.join().unwrap();
-        prop_assert_eq!(Snapshot::take().counter("test.prop_diff") - before, total);
+        })
+        .collect();
+    for w in writers {
+        w.join().unwrap();
     }
+    stop.store(true, Ordering::Relaxed);
+    observer.join().unwrap();
+    assert_eq!(
+        Snapshot::take().counter("test.prop_diff") - before,
+        total,
+        "{threads} x {amounts:?}"
+    );
 }
 
 /// Trace readers must never observe a torn record: writers encode the

@@ -1,4 +1,4 @@
-//! Property-based testing of the out-set contract over random operation
+//! Randomized testing of the out-set contract over random operation
 //! interleavings, checked against a trivial reference model.
 //!
 //! Two layers:
@@ -7,7 +7,7 @@
 //!   `LateAdd` steps against a model set (covers the one-shot seal logic
 //!   and slot-state machine through every block boundary), and
 //! * a randomized concurrent driver where the finish point and per-thread
-//!   add counts come from the strategy, re-checking exactly-once delivery
+//!   add counts are drawn per case, re-checking exactly-once delivery
 //!   under real races (complementing the fixed timings in `model.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,7 +15,8 @@ use std::sync::{Arc, Barrier, Mutex};
 
 use outset::tree::TreeOutsetObj;
 use outset::{AddEdge, MutexOutset, OutsetFamily, TreeOutset};
-use proptest::prelude::*;
+use sched::rng::battery;
+use sched::XorShift64Star;
 
 mod common;
 
@@ -27,14 +28,15 @@ enum Step {
     Finish,
 }
 
-fn step_strategy() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        (any::<u16>()).prop_map(Step::Add),
-        Just(Step::Finish),
-        // Weight adds higher by listing the arm again (uniform arms).
-        (any::<u16>()).prop_map(Step::Add),
-        (any::<u16>()).prop_map(Step::Add),
-    ]
+/// Fewer than `len` steps, three adds to a finish.
+fn draw_steps(rng: &mut XorShift64Star, len: usize) -> Vec<Step> {
+    let len = rng.next_below(len);
+    (0..len)
+        .map(|_| match rng.next_below(4) {
+            0 => Step::Finish,
+            _ => Step::Add(rng.next_u64() as u16),
+        })
+        .collect()
 }
 
 fn drive_sequential<F: OutsetFamily>(steps: &[Step]) {
@@ -81,21 +83,21 @@ fn drive_sequential<F: OutsetFamily>(steps: &[Step]) {
     assert_eq!(all, (0..next_token).collect::<Vec<_>>(), "{}: no token lost", F::NAME);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
-
-    #[test]
-    fn sequential_schedules_tree(steps in proptest::collection::vec(step_strategy(), 0..400)) {
-        drive_sequential::<TreeOutset>(&steps);
-    }
-
-    #[test]
-    fn sequential_schedules_mutex(steps in proptest::collection::vec(step_strategy(), 0..200)) {
-        drive_sequential::<MutexOutset>(&steps);
-    }
+#[test]
+fn sequential_schedules_tree() {
+    battery("sequential_schedules_tree", 256, |rng| {
+        drive_sequential::<TreeOutset>(&draw_steps(rng, 400));
+    });
 }
 
-/// Concurrent exactly-once with strategy-chosen shape: thread count, adds
+#[test]
+fn sequential_schedules_mutex() {
+    battery("sequential_schedules_mutex", 256, |rng| {
+        drive_sequential::<MutexOutset>(&draw_steps(rng, 200));
+    });
+}
+
+/// Concurrent exactly-once with a drawn shape: thread count, adds
 /// per thread, and how many total adds the finisher waits for before
 /// sealing mid-race.
 fn drive_concurrent<F: OutsetFamily>(threads: usize, adds: u64, finish_after: u64) {
@@ -137,34 +139,31 @@ fn drive_concurrent<F: OutsetFamily>(threads: usize, adds: u64, finish_after: u6
     assert_eq!(all, (0..threads as u64 * adds).collect::<Vec<_>>());
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+/// Twenty-four races of up to `threads_below - 1` adders with up to
+/// `adds_below - 1` adds each, sealed after a drawn share of the adds.
+fn concurrent_races<F: OutsetFamily>(name: &str, threads_below: usize, adds_below: usize) {
+    battery(name, 24, |rng| {
+        let threads = 1 + rng.next_below(threads_below - 1);
+        let adds = 1 + rng.next_below(adds_below - 1) as u64;
+        let frac = rng.next_below(100) as u64;
+        drive_concurrent::<F>(threads, adds, threads as u64 * adds * frac / 100);
+    });
+}
 
-    #[test]
-    fn concurrent_races_tree(
-        threads in 1usize..5,
-        adds in 1u64..800,
-        frac in 0u64..100,
-    ) {
-        let total = threads as u64 * adds;
-        drive_concurrent::<TreeOutset>(threads, adds, total * frac / 100);
-    }
+#[test]
+fn concurrent_races_tree() {
+    concurrent_races::<TreeOutset>("concurrent_races_tree", 5, 800);
+}
 
-    #[test]
-    fn concurrent_races_mutex(
-        threads in 1usize..4,
-        adds in 1u64..400,
-        frac in 0u64..100,
-    ) {
-        let total = threads as u64 * adds;
-        drive_concurrent::<MutexOutset>(threads, adds, total * frac / 100);
-    }
+#[test]
+fn concurrent_races_mutex() {
+    concurrent_races::<MutexOutset>("concurrent_races_mutex", 4, 400);
 }
 
 /// As `drive_concurrent`, on a concrete tree split `presplit` times while
 /// quiet and, when `splitter` is `Some(pause)`, split toward its cap by a
 /// thread of its own (`common::split_until_sealed`). So the add ∥ grow ∥
-/// finish triangle is explored across strategy-chosen shapes: no splits
+/// finish triangle is explored across drawn shapes: no splits
 /// but the adders' own, a few, or up to the cap, from single-lane and
 /// pre-grown starts.
 fn drive_concurrent_growth(
@@ -224,18 +223,15 @@ fn drive_concurrent_growth(
     assert_eq!(set.splits(), set.lane_count().trailing_zeros() as usize);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    #[test]
-    fn concurrent_races_growth(
-        threads in 1usize..5,
-        adds in 1u64..600,
-        frac in 0u64..100,
-        presplit in 0usize..3,
-        splitter in prop_oneof![Just(None), Just(Some(0u32)), Just(Some(500)), Just(Some(5_000))],
-    ) {
+#[test]
+fn concurrent_races_growth() {
+    battery("concurrent_races_growth", 24, |rng| {
+        let threads = 1 + rng.next_below(4);
+        let adds = 1 + rng.next_below(599) as u64;
+        let frac = rng.next_below(100) as u64;
+        let presplit = rng.next_below(3);
+        let splitter = [None, Some(0u32), Some(500), Some(5_000)][rng.next_below(4)];
         let total = threads as u64 * adds;
         drive_concurrent_growth(threads, adds, total * frac / 100, presplit, splitter);
-    }
+    });
 }

@@ -23,7 +23,6 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 use outset::tree::{block_pool, TreeOutsetObj};
 use outset::AddEdge;
-use proptest::prelude::*;
 
 mod common;
 
@@ -168,24 +167,21 @@ fn drive_pentagon(
     installed
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-    // add ∥ grow ∥ finish ∥ recycle ∥ realloc over strategy-chosen
-    // shapes: thread count, churn depth, how far and when the tables
-    // split, and where in the add stream the seal lands.
-    #[test]
-    fn pentagon_interleavings(
-        threads in 1usize..5,
-        adds in 1u64..300,
-        sets in 2usize..5,
-        presplit in 0usize..2,
-        splitter in prop_oneof![Just(None), Just(Some(0u32)), Just(Some(2_000))],
-        finish_frac in 0u64..100,
-    ) {
+// add ∥ grow ∥ finish ∥ recycle ∥ realloc over drawn shapes: thread
+// count, churn depth, how far and when the tables split, and where in the
+// add stream the seal lands.
+#[test]
+fn pentagon_interleavings() {
+    sched::rng::battery("pentagon_interleavings", 16, |rng| {
+        let threads = 1 + rng.next_below(4);
+        let adds = 1 + rng.next_below(299) as u64;
+        let sets = 2 + rng.next_below(3);
+        let presplit = rng.next_below(2);
+        let splitter = [None, Some(0u32), Some(2_000)][rng.next_below(3)];
+        let finish_frac = rng.next_below(100) as u64;
         let _serial = serial();
         drive_pentagon(threads, adds, sets, presplit, splitter, finish_frac);
-    }
+    });
 }
 
 /// The ABA regression shape, deterministically: a 1-lane out-set's block

@@ -32,7 +32,8 @@
 //! * [`poolarc`] — [`PoolArc`], an `Arc` twin whose header allocation is
 //!   recycled through the size classes.
 //! * [`rng`] — [`XorShift64Star`], the one pseudo-random generator of the
-//!   runtime: steal victims here, growth coins in `snzi` and `outset`.
+//!   runtime: steal victims here, growth coins in `snzi` and `outset`,
+//!   and the cases of every randomized test battery ([`rng::battery`]).
 //! * [`step`] — the one vocabulary the lock-free objects above commit
 //!   their steps in: [`step::Shared`], by the atomic instruction, or
 //!   [`step::Exclusive`], by a load and a store for an operation nothing

@@ -1,11 +1,12 @@
-//! Property-based testing of the Chase–Lev deque against a `VecDeque`
+//! Randomized testing of the Chase–Lev deque against a `VecDeque`
 //! reference model (sequentially: owner push/pop at the back, steal at
 //! the front), plus randomized multi-threaded exactly-once checks.
 
 use std::collections::VecDeque;
 
-use proptest::prelude::*;
 use sched::deque::{deque_with_capacity, StealResult};
+use sched::rng::battery;
+use sched::XorShift64Star;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -14,18 +15,23 @@ enum Op {
     Steal,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![any::<u64>().prop_map(Op::Push), Just(Op::Pop), Just(Op::Steal),]
+/// Up to 199 operations, each kind as likely.
+fn draw_ops(rng: &mut XorShift64Star) -> Vec<Op> {
+    let len = rng.next_below(200);
+    (0..len)
+        .map(|_| match rng.next_below(3) {
+            0 => Op::Push(rng.next_u64()),
+            1 => Op::Pop,
+            _ => Op::Steal,
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
-
-    #[test]
-    fn sequential_model_equivalence(
-        ops in proptest::collection::vec(op_strategy(), 0..200),
-        cap in 1usize..32,
-    ) {
+#[test]
+fn sequential_model_equivalence() {
+    battery("sequential_model_equivalence", 256, |rng| {
+        let ops = draw_ops(rng);
+        let cap = 1 + rng.next_below(31);
         let (w, s) = deque_with_capacity::<usize>(cap);
         let mut model: VecDeque<u64> = VecDeque::new();
         let mut values: Vec<u64> = Vec::new();
@@ -41,28 +47,28 @@ proptest! {
                 }
                 Op::Pop => {
                     let got = w.pop().map(|i| values[i]);
-                    prop_assert_eq!(got, model.pop_back());
+                    assert_eq!(got, model.pop_back());
                 }
                 Op::Steal => {
                     let got = match s.steal() {
                         StealResult::Success(i) => Some(values[i]),
                         StealResult::Empty => None,
-                        StealResult::Retry => {
-                            // No concurrency: retries cannot happen.
-                            prop_assert!(false, "sequential steal retried");
-                            None
-                        }
+                        // No concurrency: retries cannot happen.
+                        StealResult::Retry => panic!("sequential steal retried"),
                     };
-                    prop_assert_eq!(got, model.pop_front());
+                    assert_eq!(got, model.pop_front());
                 }
             }
-            prop_assert_eq!(w.len(), model.len());
-            prop_assert_eq!(w.is_empty(), model.is_empty());
+            assert_eq!(w.len(), model.len());
+            assert_eq!(w.is_empty(), model.is_empty());
         }
-    }
+    });
+}
 
-    #[test]
-    fn two_thieves_exactly_once(seed in any::<u64>(), n in 1usize..2000) {
+#[test]
+fn two_thieves_exactly_once() {
+    battery("two_thieves_exactly_once", 256, |rng| {
+        let n = 1 + rng.next_below(1999);
         let (w, s1) = deque_with_capacity::<usize>(8);
         let s2 = s1.clone();
         let collected = std::sync::Mutex::new(Vec::<usize>::new());
@@ -91,15 +97,11 @@ proptest! {
                 }
                 c2.lock().unwrap().extend(got);
             });
-            // Owner pushes everything, popping a pseudo-random subset.
-            let mut state = seed | 1;
+            // Owner pushes everything, popping after one push in three.
             let mut owner_got = Vec::new();
             for i in 0..n {
                 w.push(i);
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                if state.is_multiple_of(3) {
+                if rng.next_below(3) == 0 {
                     if let Some(v) = w.pop() {
                         owner_got.push(v);
                     }
@@ -117,8 +119,8 @@ proptest! {
         // Thieves may exit on an early Empty while the owner still pushes;
         // whatever was consumed must be consumed exactly once, and the
         // owner drains the rest, so the union must be exactly 0..n.
-        prop_assert_eq!(all.len(), n);
+        assert_eq!(all.len(), n);
         all.dedup();
-        prop_assert_eq!(all.len(), n, "duplicate consumption detected");
-    }
+        assert_eq!(all.len(), n, "duplicate consumption detected");
+    });
 }

@@ -123,6 +123,8 @@ pub struct Node {
 // nodes that the owning tree keeps alive, and topology edges are written
 // once before becoming visible (children via CAS with release ordering).
 unsafe impl Send for Node {}
+// SAFETY: as for `Send`: a shared `Node` is read and stepped only through
+// its atomics and its write-once edges.
 unsafe impl Sync for Node {}
 
 /// A pair of sibling nodes allocated together by `grow`, giving the two new
@@ -176,6 +178,7 @@ pub(crate) unsafe fn parent_arrive<S: Step>(parent: ParentRef, step: S) -> OpPat
     match parent {
         // SAFETY: parents outlive children; see type-level invariant.
         ParentRef::Root(r) => unsafe { (*r).arrive(step) },
+        // SAFETY: as above.
         ParentRef::Node(n) => unsafe { node_arrive(&*n, step) },
     }
 }
@@ -191,6 +194,7 @@ pub(crate) unsafe fn parent_depart<S: Step>(parent: ParentRef, step: S) -> (bool
     match parent {
         // SAFETY: as above.
         ParentRef::Root(r) => unsafe { (*r).depart(step) },
+        // SAFETY: as above.
         ParentRef::Node(n) => unsafe { node_depart(&*n, step) },
     }
 }
@@ -290,15 +294,16 @@ pub(crate) unsafe fn node_depart<S: Step>(start: &Node, step: S) -> (bool, OpPat
                     return (false, path);
                 }
                 // Our departure flipped this node to zero; propagate.
-                // SAFETY: invariant (1): the parent holds surplus due to
-                // this node, and parents outlive children.
                 match node.parent {
                     ParentRef::Root(r) => {
+                        // SAFETY: invariant (1): the parent holds surplus
+                        // due to this node, and parents outlive children.
                         let (ended, p) = unsafe { (*r).depart(step) };
                         path.merge(p);
                         return (ended, path);
                     }
                     ParentRef::Node(n) => {
+                        // SAFETY: as above.
                         node = unsafe { &*n };
                     }
                 }
@@ -318,29 +323,39 @@ mod tests {
     // memory; direct construction here would need a parent. These tests
     // focus on single-node behaviours reachable through a tree of depth 1.
 
+    // SAFETY (every test below): each handle is its own tree's, used while
+    // the tree lives, and each depart follows an arrive at the same handle
+    // that no other depart consumed — but in the test of the assert that
+    // catches a depart without one before any step lands.
+
     #[test]
     fn arrive_then_depart_roundtrip_through_child() {
         let tree = SnziTree::new(0);
-        let (l, _r) = unsafe { tree.grow_always(tree.root_handle()) };
-        assert!(!tree.query());
-        unsafe { tree.arrive(l) };
-        assert!(tree.query());
-        let ended = unsafe { tree.depart(l) };
-        assert!(ended);
+        // SAFETY: see the module comment.
+        unsafe {
+            let (l, _r) = tree.grow_always(tree.root_handle());
+            assert!(!tree.query());
+            tree.arrive(l);
+            assert!(tree.query());
+            assert!(tree.depart(l));
+        }
         assert!(!tree.query());
     }
 
     #[test]
     fn multiple_arrivals_at_child_reach_parent_once() {
         let tree = SnziTree::new(0);
+        // SAFETY: see the module comment.
         let (l, _r) = unsafe { tree.grow_always(tree.root_handle()) };
         for _ in 0..10 {
+            // SAFETY: see the module comment.
             unsafe { tree.arrive(l) };
         }
         // Root surplus should be exactly 1 (one retained phase-change
         // arrival), not 10.
         assert_eq!(tree.root_surplus_for_test(), 1);
         for i in 0..10 {
+            // SAFETY: see the module comment.
             let ended = unsafe { tree.depart(l) };
             assert_eq!(ended, i == 9, "only the last depart ends the period");
         }
@@ -351,8 +366,11 @@ mod tests {
     #[should_panic(expected = "not valid")]
     fn depart_without_arrive_panics() {
         let tree = SnziTree::new(0);
-        let (l, _r) = unsafe { tree.grow_always(tree.root_handle()) };
-        let _ = unsafe { tree.depart(l) };
+        // SAFETY: see the module comment.
+        unsafe {
+            let (l, _r) = tree.grow_always(tree.root_handle());
+            let _ = tree.depart(l);
+        }
     }
 
     #[test]
@@ -360,23 +378,31 @@ mod tests {
         let tree = SnziTree::new(0);
         let mut h = tree.root_handle();
         for _ in 0..32 {
+            // SAFETY: see the module comment.
             let (l, _r) = unsafe { tree.grow_always(h) };
             h = l;
         }
-        unsafe { tree.arrive(h) };
-        assert!(tree.query());
-        assert!(unsafe { tree.depart(h) });
+        // SAFETY: see the module comment.
+        unsafe {
+            tree.arrive(h);
+            assert!(tree.query());
+            assert!(tree.depart(h));
+        }
         assert!(!tree.query());
     }
 
     #[test]
     fn surplus_parked_above_short_circuits_arrivals_below() {
         let tree = SnziTree::new(0);
-        let (l, _r) = unsafe { tree.grow_always(tree.root_handle()) };
-        let (ll, _lr) = unsafe { tree.grow_always(l) };
-        unsafe { tree.arrive(l) };
-        // Arriving at the grandchild now stops at `l` (surplus ≥ 1 there).
-        let path = unsafe { tree.arrive_with(ll, Shared) };
+        // SAFETY: see the module comment.
+        let path = unsafe {
+            let (l, _r) = tree.grow_always(tree.root_handle());
+            let (ll, _lr) = tree.grow_always(l);
+            tree.arrive(l);
+            // Arriving at the grandchild now stops at `l` (surplus ≥ 1
+            // there).
+            tree.arrive_with(ll, Shared)
+        };
         assert_eq!(path.arrives, 2, "grandchild + child, root untouched");
     }
 }

@@ -64,6 +64,7 @@ pub struct Root {
 
 // SAFETY: same argument as `Node`.
 unsafe impl Send for Root {}
+// SAFETY: same argument as `Node`.
 unsafe impl Sync for Root {}
 
 impl Root {

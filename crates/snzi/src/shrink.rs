@@ -142,8 +142,8 @@ impl Pinned<'_> {
             }
             obs::counter!("snzi.pruned_pairs").add(pairs);
         }
-        // SAFETY (defer_unchecked): the closure runs once, after every
-        // guard pinned at detach time has unpinned; by the caller's
+        // SAFETY: the deferred closure runs once, after every guard pinned
+        // at detach time has unpinned; by the caller's
         // Appendix-B obligation no new operation can enter the subtree,
         // so at that point access is exclusive and `free_subtrees` frees
         // it safely.
@@ -187,27 +187,41 @@ mod tests {
         }
     }
 
+    // SAFETY (the tests below): each handle is its own tree's, used while
+    // the tree lives; each depart follows an arrive at the same handle that
+    // no other depart consumed; and nothing starts below a pruned handle
+    // after the prune — a straggler pinned before it may finish.
+
     #[test]
     fn sequential_prune_and_regrow() {
         let _g = lock();
         let t = ShrinkingTree::new(0);
         let r = t.pinned().root_handle();
-        let (l, _) = unsafe { t.pinned().grow_always(r) };
-        let (ll, _) = unsafe { t.pinned().grow_always(l) };
-        let _ = unsafe { t.pinned().grow_always(ll) };
+        // SAFETY: see the comment above the tests.
+        let l = unsafe {
+            let (l, _) = t.pinned().grow_always(r);
+            let (ll, _) = t.pinned().grow_always(l);
+            let _ = t.pinned().grow_always(ll);
+            l
+        };
         assert_eq!(t.pinned().contention_profile().nodes, 7);
         // Drain any surplus? none was added. Prune below l.
+        // SAFETY: see the comment above the tests.
         let (pairs, pruned) = pruned_pairs(|| unsafe { t.pinned().prune_children_deferred(l) });
         assert!(pruned);
         // Two pairs detached: the walk no longer reaches their 4 nodes.
         assert_eq!(pairs, counted(2));
         assert_eq!(t.pinned().contention_profile().nodes, 3);
-        assert!(!unsafe { t.pinned().prune_children_deferred(l) }, "already detached");
-        // The tree keeps working: grow fresh children and count through them.
-        let (nl, _) = unsafe { t.pinned().grow_always(l) };
-        unsafe { t.pinned().arrive(nl) };
-        assert!(t.pinned().query());
-        assert!(unsafe { t.pinned().depart(nl) });
+        // SAFETY: see the comment above the tests.
+        unsafe {
+            assert!(!t.pinned().prune_children_deferred(l), "already detached");
+            // The tree keeps working: grow fresh children and count
+            // through them.
+            let (nl, _) = t.pinned().grow_always(l);
+            t.pinned().arrive(nl);
+            assert!(t.pinned().query());
+            assert!(t.pinned().depart(nl));
+        }
         assert!(!t.pinned().query());
     }
 
@@ -217,19 +231,22 @@ mod tests {
         // A node's subtree saw surplus, drained to zero → prunable.
         let t = ShrinkingTree::new(1);
         let r = t.pinned().root_handle();
-        let (l, rr) = unsafe { t.pinned().grow_always(r) };
-        unsafe { t.pinned().arrive(l) };
-        unsafe { t.pinned().arrive(rr) };
-        assert!(!unsafe { t.pinned().depart(l) });
-        // l's surplus returned to zero: by Lemma B.1 its subtree (empty
-        // here) and by extension pruning *below* l is safe.
-        assert!(!unsafe { t.pinned().prune_children_deferred(l) }, "no children below l");
-        assert!(!unsafe { t.pinned().depart(rr) });
-        // Everything below the root is now quiescent; root still holds
-        // the initial surplus.
-        assert!(unsafe { t.pinned().prune_children_deferred(r) });
-        assert!(t.pinned().query(), "initial surplus unaffected by pruning");
-        assert!(unsafe { t.pinned().depart(r) });
+        // SAFETY: see the comment above the tests.
+        unsafe {
+            let (l, rr) = t.pinned().grow_always(r);
+            t.pinned().arrive(l);
+            t.pinned().arrive(rr);
+            assert!(!t.pinned().depart(l));
+            // l's surplus returned to zero: by Lemma B.1 its subtree (empty
+            // here) and by extension pruning *below* l is safe.
+            assert!(!t.pinned().prune_children_deferred(l), "no children below l");
+            assert!(!t.pinned().depart(rr));
+            // Everything below the root is now quiescent; root still holds
+            // the initial surplus.
+            assert!(t.pinned().prune_children_deferred(r));
+            assert!(t.pinned().query(), "initial surplus unaffected by pruning");
+            assert!(t.pinned().depart(r));
+        }
         assert!(!t.pinned().query());
     }
 
@@ -241,6 +258,7 @@ mod tests {
         let _g = lock();
         let t = Arc::new(ShrinkingTree::with_probability(0, Probability::ALWAYS));
         let r = t.pinned().root_handle();
+        // SAFETY: see the comment above the tests.
         let (l, rhandle) = unsafe { t.pinned().grow_always(r) };
         let stop = Arc::new(AtomicBool::new(false));
         let total_rounds = Arc::new(AtomicU64::new(0));
@@ -252,6 +270,8 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut rounds = 0u64;
                     while !stop.load(Ordering::Acquire) {
+                        // SAFETY: see the comment above the tests; the
+                        // main thread never prunes below the root's right.
                         unsafe {
                             t.pinned().arrive(rhandle);
                             assert!(t.pinned().query());
@@ -276,16 +296,18 @@ mod tests {
         let mut walked_pairs = 0;
         let before = obs::Snapshot::take();
         for _ in 0..200 {
+            // SAFETY: see the comment above the tests.
             let (a, b) = unsafe { t.pinned().grow_always(l) };
             let nodes = t.pinned().contention_profile().nodes;
+            // SAFETY: see the comment above the tests; the left subtree
+            // is quiescent again after the departs, so prunable.
             unsafe {
                 t.pinned().arrive(a);
                 let _ = t.pinned().depart(a);
                 t.pinned().arrive(b);
                 let _ = t.pinned().depart(b);
+                assert!(t.pinned().prune_children_deferred(l));
             }
-            // Left subtree quiescent again → prunable.
-            assert!(unsafe { t.pinned().prune_children_deferred(l) });
             walked_pairs += (nodes - t.pinned().contention_profile().nodes) / 2;
         }
         let counted_pairs = obs::Snapshot::take().diff(&before).counter("snzi.pruned_pairs");
@@ -305,12 +327,14 @@ mod tests {
         let _g = lock();
         let t = ShrinkingTree::new(0);
         let r = t.pinned().root_handle();
-        let (l, _) = unsafe { t.pinned().grow_always(r) };
         let straggler = t.pinned();
-        unsafe { straggler.arrive(l) };
-        assert!(unsafe { t.pinned().prune_children_deferred(r) });
-        // Still pinned: the node behind `l` is detached but not freed.
+        // SAFETY: see the comment above the tests: the straggler's depart
+        // at `l` is an operation in flight at the prune, pinned before it.
         unsafe {
+            let (l, _) = t.pinned().grow_always(r);
+            straggler.arrive(l);
+            assert!(t.pinned().prune_children_deferred(r));
+            // Still pinned: the node behind `l` is detached but not freed.
             assert!(straggler.depart(l), "straggler finishes its matched depart");
         }
         drop(straggler);

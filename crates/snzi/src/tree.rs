@@ -76,6 +76,7 @@ pub struct Handle(pub(crate) NodeRefInner);
 // SAFETY: a Handle is an address; the pointee is Sync and kept alive by
 // the owning tree per the documented contract.
 unsafe impl Send for Handle {}
+// SAFETY: as for `Send`: sharing a `Handle` shares only the address.
 unsafe impl Sync for Handle {}
 
 impl std::fmt::Debug for Handle {
@@ -130,6 +131,8 @@ pub struct SnziTree {
 // `Send + Sync` (all of its mutable state is atomic), so the tree is what
 // a box of one would be; the remaining fields are plain data and atomics.
 unsafe impl Send for SnziTree {}
+// SAFETY: as for `Send`: `&SnziTree` reaches the `Root` only through its
+// atomics, and the other fields are read-only after construction.
 unsafe impl Sync for SnziTree {}
 
 impl SnziTree {
@@ -181,6 +184,7 @@ impl SnziTree {
             let tid = match h.0 {
                 // SAFETY: part of the arrive/depart/grow caller contract.
                 NodeRefInner::Root(r) => unsafe { (*r).tree_id },
+                // SAFETY: as above.
                 NodeRefInner::Node(n) => unsafe { (*n).tree_id },
             };
             assert_eq!(tid, self.id, "handle used with a tree that does not own it");
@@ -211,6 +215,7 @@ impl SnziTree {
         let path = match h.0 {
             // SAFETY: caller contract.
             NodeRefInner::Root(r) => unsafe { (*r).arrive(step) },
+            // SAFETY: caller contract.
             NodeRefInner::Node(n) => unsafe { node_arrive(&*n, step) },
         };
         self.stats.record_arrive(path.arrives);
@@ -242,6 +247,7 @@ impl SnziTree {
         let (ended, path) = match h.0 {
             // SAFETY: caller contract.
             NodeRefInner::Root(r) => unsafe { (*r).depart(step) },
+            // SAFETY: caller contract.
             NodeRefInner::Node(n) => unsafe { node_depart(&*n, step) },
         };
         self.stats.record_depart(path.departs);
@@ -291,6 +297,7 @@ impl SnziTree {
         let (children, parent_ref, depth) = match h.0 {
             // SAFETY: caller contract.
             NodeRefInner::Root(r) => unsafe { (&(*r).children, ParentRef::Root(r), 0) },
+            // SAFETY: caller contract.
             NodeRefInner::Node(n) => unsafe { (&(*n).children, ParentRef::Node(n), (*n).depth) },
         };
         if heads && children.load(Ordering::Acquire).is_null() {
@@ -367,6 +374,7 @@ impl SnziTree {
         let children = match h.0 {
             // SAFETY: caller contract.
             NodeRefInner::Root(r) => unsafe { &(*r).children },
+            // SAFETY: caller contract.
             NodeRefInner::Node(n) => unsafe { &(*n).children },
         };
         children.swap(std::ptr::null_mut(), Ordering::AcqRel)
@@ -517,6 +525,11 @@ mod tests {
         }
     }
 
+    // SAFETY (the tests below): each handle is its own tree's, used while
+    // the tree lives, and each depart follows an arrive at the same handle
+    // that no other depart consumed — but in the test of the debug check
+    // that catches another tree's handle before any step lands.
+
     #[test]
     fn fresh_tree_query_matches_initial() {
         assert!(!SnziTree::new(0).query());
@@ -528,6 +541,7 @@ mod tests {
     fn root_arrive_depart() {
         let t = SnziTree::new(0);
         let r = t.root_handle();
+        // SAFETY: see the comment above the tests.
         unsafe {
             t.arrive(r);
             assert!(t.query());
@@ -540,8 +554,8 @@ mod tests {
     fn grow_installs_children_once() {
         let t = SnziTree::new(0);
         let r = t.root_handle();
-        let (l1, r1) = unsafe { t.grow_always(r) };
-        let (l2, r2) = unsafe { t.grow_always(r) };
+        // SAFETY: see the comment above the tests.
+        let ((l1, r1), (l2, r2)) = unsafe { (t.grow_always(r), t.grow_always(r)) };
         assert_eq!(l1.addr(), l2.addr());
         assert_eq!(r1.addr(), r2.addr());
         assert_ne!(l1.addr(), r1.addr());
@@ -552,6 +566,7 @@ mod tests {
     fn grow_with_never_coin_returns_self() {
         let t = SnziTree::with_probability(0, Probability::NEVER);
         let r = t.root_handle();
+        // SAFETY: see the comment above the tests.
         let (a, b) = unsafe { t.grow(r) };
         assert_eq!(a.addr(), r.addr());
         assert_eq!(b.addr(), r.addr());
@@ -566,6 +581,7 @@ mod tests {
         let r = t.root_handle();
         let mut calls = 0u64;
         while t.contention_profile().nodes == 1 {
+            // SAFETY: see the comment above the tests.
             let _ = unsafe { t.grow_with(r, &mut coin) };
             calls += 1;
             assert!(calls < 1000, "coin never landed heads?");
@@ -579,12 +595,15 @@ mod tests {
         let t = SnziTree::new(0);
         let r = t.root_handle();
         assert!(r.is_root());
-        assert_eq!(unsafe { r.depth() }, 0);
-        let (l, _) = unsafe { t.grow_always(r) };
-        assert!(!l.is_root());
-        assert_eq!(unsafe { l.depth() }, 1);
-        let (ll, _) = unsafe { t.grow_always(l) };
-        assert_eq!(unsafe { ll.depth() }, 2);
+        // SAFETY: see the comment above the tests.
+        unsafe {
+            assert_eq!(r.depth(), 0);
+            let (l, _) = t.grow_always(r);
+            assert!(!l.is_root());
+            assert_eq!(l.depth(), 1);
+            let (ll, _) = t.grow_always(l);
+            assert_eq!(ll.depth(), 2);
+        }
     }
 
     #[test]
@@ -592,6 +611,7 @@ mod tests {
         let t = SnziTree::new(0);
         let mut h = t.root_handle();
         for _ in 0..100_000 {
+            // SAFETY: see the comment above the tests.
             let (l, _) = unsafe { t.grow_always(h) };
             h = l;
         }
@@ -604,21 +624,25 @@ mod tests {
         let s = crate::shrink::ShrinkingTree::new(0);
         let t = s.pinned();
         let r = t.root_handle();
-        let (l, _) = unsafe { t.grow_always(r) };
-        let (ll, _) = unsafe { t.grow_always(l) };
-        let _ = unsafe { t.grow_always(ll) };
-        // Subtree below `l`: pair(ll,lr) + pair under ll = 4 nodes.
-        let freed = unsafe { t.prune_children(l) };
-        assert_eq!(freed, 4);
-        // Growing again after a prune re-installs fresh children.
-        let (nl, _) = unsafe { t.grow_always(l) };
-        assert_ne!(nl.addr(), ll.addr());
+        // SAFETY: see the comment above the tests; no other handle is in
+        // use below `l` when it is pruned.
+        unsafe {
+            let (l, _) = t.grow_always(r);
+            let (ll, _) = t.grow_always(l);
+            let _ = t.grow_always(ll);
+            // Subtree below `l`: pair(ll,lr) + pair under ll = 4 nodes.
+            assert_eq!(t.prune_children(l), 4);
+            // Growing again after a prune re-installs fresh children.
+            let (nl, _) = t.grow_always(l);
+            assert_ne!(nl.addr(), ll.addr());
+        }
     }
 
     #[test]
     fn surplus_survives_grow() {
         let t = SnziTree::new(5);
         let r = t.root_handle();
+        // SAFETY: see the comment above the tests.
         let _ = unsafe { t.grow_always(r) };
         assert!(t.query());
         assert_eq!(t.root_surplus_for_test(), 5);
@@ -628,8 +652,8 @@ mod tests {
     fn contention_profile_counts_nodes() {
         let t = SnziTree::new(0);
         let r = t.root_handle();
-        let (l, _) = unsafe { t.grow_always(r) };
-        let _ = unsafe { t.grow_always(l) };
+        // SAFETY: see the comment above the tests.
+        let _ = unsafe { t.grow_always(t.grow_always(r).0) };
         let prof = t.contention_profile();
         assert_eq!(prof.nodes, 5);
         assert_eq!(prof.max_depth, 2);
@@ -644,6 +668,7 @@ mod tests {
             let t = Arc::clone(&t);
             handles.push(std::thread::spawn(move || {
                 let r = t.root_handle();
+                // SAFETY: see the comment above the tests.
                 let (l, rr) = unsafe { t.grow_always(r) };
                 (l.addr(), rr.addr())
             }));
@@ -696,6 +721,7 @@ mod tests {
         let a = SnziTree::new(0);
         let b = SnziTree::new(0);
         let ha = a.root_handle();
+        // SAFETY: see the comment above the tests.
         unsafe { b.arrive(ha) };
     }
 }

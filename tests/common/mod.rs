@@ -12,8 +12,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use dynsnzi::prelude::*;
-use proptest::prelude::*;
-use sched::{PoolStats, WatchdogCfg};
+use sched::{PoolStats, WatchdogCfg, XorShift64Star};
 use spdag::{run_dag_watched, DagRunStats};
 
 // ---------------------------------------------------------------------
@@ -277,29 +276,44 @@ impl Fates {
 }
 
 impl Prog {
-    /// Programs up to `depth` levels deep, ids assigned.
-    pub fn strategy(depth: u32) -> impl Strategy<Value = Prog> {
-        Just(Prog::Leaf(0))
-            .prop_recursive(depth, 64, 2, |inner| {
-                let two = |make: fn(Box<Prog>, Box<Prog>) -> Prog| {
-                    (inner.clone(), inner.clone())
-                        .prop_map(move |(x, y)| make(Box::new(x), Box::new(y)))
-                };
-                let one = |make: fn(usize, Box<Prog>) -> Prog| {
-                    inner.clone().prop_map(move |x| make(0, Box::new(x)))
-                };
-                prop_oneof![
-                    two(|x, y| Prog::Spawn(0, x, y)),
-                    two(Prog::Chain),
-                    two(Prog::Fork),
-                    one(Prog::Touch),
-                    one(Prog::Await),
-                ]
-            })
-            .prop_map(|mut p| {
-                p.number(0);
-                p
-            })
+    /// A program of 2 to `budget` nodes, ids assigned: its size is drawn
+    /// uniformly, then each node's kind uniformly among those its share of
+    /// the size leaves room for, and a binary node's share split uniformly
+    /// between its sides.
+    pub fn draw(rng: &mut XorShift64Star, budget: usize) -> Prog {
+        let n = 2 + rng.next_below(budget - 1);
+        let mut prog = Prog::sized(rng, n);
+        prog.number(0);
+        prog
+    }
+
+    /// A program of exactly `n` nodes: a binary node needs three, a touch
+    /// or an await two.
+    fn sized(rng: &mut XorShift64Star, n: usize) -> Prog {
+        let kind = match n {
+            1 => return Prog::Leaf(0),
+            2 => 3 + rng.next_below(2),
+            _ => rng.next_below(5),
+        };
+        if kind >= 3 {
+            let rest = Box::new(Prog::sized(rng, n - 1));
+            return if kind == 3 { Prog::Touch(0, rest) } else { Prog::Await(0, rest) };
+        }
+        let left = 1 + rng.next_below(n - 2);
+        let a = Box::new(Prog::sized(rng, left));
+        let b = Box::new(Prog::sized(rng, n - 1 - left));
+        match kind {
+            0 => Prog::Spawn(0, a, b),
+            1 => Prog::Chain(a, b),
+            _ => Prog::Fork(a, b),
+        }
+    }
+
+    /// How many nodes the program has.
+    pub fn nodes(&self) -> usize {
+        let mut n = 0;
+        self.visit(None, &mut |_| n += 1);
+        n
     }
 
     /// Give the cells and spawns ids in pre-order from `next`; returns the

@@ -1,4 +1,4 @@
-//! Property-based testing of panic isolation (`docs/robustness.md`):
+//! Randomized testing of panic isolation (`docs/robustness.md`):
 //! random series-parallel programs — spawn/chain structure plus forked
 //! future+`touch` and strand `touch_await` stages — run with a panic
 //! injected at a random site, and the drain-to-completion contract is
@@ -32,19 +32,14 @@ use std::time::Duration;
 
 use common::{panic_text, serial, watchdog, Ledger, Prog, INJECTED};
 use incounter::{DynConfig, DynSnzi};
-use proptest::prelude::*;
 use sched::WatchdogCfg;
 use spdag::{run_dag_watched, Ctx};
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    #[test]
-    fn random_programs_survive_an_injected_panic(
-        prog in Prog::strategy(8),
-        victim_pick in any::<u64>(),
-        inject in any::<bool>(),
-    ) {
+#[test]
+fn random_programs_survive_an_injected_panic() {
+    sched::rng::battery("random_programs_survive_an_injected_panic", 24, |rng| {
+        let prog = Prog::draw(rng, 24);
+        let (victim_pick, inject) = (rng.next_u64(), rng.next_below(2) == 1);
         let s = serial();
         let cells = prog.cells();
         let victim = inject.then(|| cells[victim_pick as usize % cells.len()]);
@@ -57,7 +52,7 @@ proptest! {
                 run.assert_made(&made);
             }
         }
-    }
+    });
 }
 
 /// Run `make`'s future — whose body panics with [`INJECTED`] — with one

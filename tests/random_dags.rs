@@ -1,4 +1,4 @@
-//! Property-based testing of the sp-dag: random series-parallel programs
+//! Randomized testing of the sp-dag: random series-parallel programs
 //! are generated, executed on real worker pools under every counter
 //! family, and checked against the two semantic guarantees of nested
 //! parallelism:
@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use incounter::{CounterFamily, DynConfig, DynSnzi, FetchAdd, FixedConfig, FixedDepth};
-use proptest::prelude::*;
+use sched::XorShift64Star;
 use spdag::{run_dag, Ctx};
 
 #[derive(Debug, Clone)]
@@ -29,16 +29,28 @@ impl Prog {
             Prog::Spawn(a, b) | Prog::Chain(a, b) => a.leaves() + b.leaves(),
         }
     }
-}
 
-fn prog_strategy() -> impl Strategy<Value = Prog> {
-    let leaf = Just(Prog::Leaf);
-    leaf.prop_recursive(5, 24, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Prog::Spawn(Box::new(a), Box::new(b))),
-            (inner.clone(), inner).prop_map(|(a, b)| Prog::Chain(Box::new(a), Box::new(b))),
-        ]
-    })
+    /// A program of 2 to `budget` leaves: its leaf count is drawn
+    /// uniformly, then each inner node is a spawn or a chain, its leaves
+    /// split uniformly between its sides.
+    fn draw(rng: &mut XorShift64Star, budget: usize) -> Prog {
+        let leaves = 2 + rng.next_below(budget - 1);
+        Prog::sized(rng, leaves)
+    }
+
+    fn sized(rng: &mut XorShift64Star, leaves: usize) -> Prog {
+        if leaves == 1 {
+            return Prog::Leaf;
+        }
+        let spawn = rng.next_below(2) == 0;
+        let left = 1 + rng.next_below(leaves - 1);
+        let (a, b) = (Box::new(Prog::sized(rng, left)), Box::new(Prog::sized(rng, leaves - left)));
+        if spawn {
+            Prog::Spawn(a, b)
+        } else {
+            Prog::Chain(a, b)
+        }
+    }
 }
 
 /// Execute `prog`, stamping each leaf (numbered left to right from `lo`)
@@ -109,35 +121,67 @@ fn run_prog<C: CounterFamily>(cfg: C::Config, workers: usize, prog: &Prog) {
     check_order(prog, 0, &stamps);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+/// Forty-eight programs of up to 24 leaves, each on 1 to 3 workers.
+fn random_dags(name: &str, mut run: impl FnMut(&Prog, usize, &mut XorShift64Star)) {
+    sched::rng::battery(name, 48, |rng| {
+        let prog = Prog::draw(rng, 24);
+        let workers = 1 + rng.next_below(3);
+        run(&prog, workers, rng);
+    });
+}
 
-    #[test]
-    fn random_dags_incounter_always_grow(prog in prog_strategy(), workers in 1usize..4) {
-        run_prog::<DynSnzi>(DynConfig::always_grow(), workers, &prog);
-    }
+#[test]
+fn random_dags_incounter_always_grow() {
+    random_dags("random_dags_incounter_always_grow", |prog, workers, _| {
+        run_prog::<DynSnzi>(DynConfig::always_grow(), workers, prog);
+    });
+}
 
-    #[test]
-    fn random_dags_incounter_probabilistic(prog in prog_strategy(), workers in 1usize..4) {
-        run_prog::<DynSnzi>(DynConfig::with_threshold(4), workers, &prog);
-    }
+#[test]
+fn random_dags_incounter_probabilistic() {
+    random_dags("random_dags_incounter_probabilistic", |prog, workers, _| {
+        run_prog::<DynSnzi>(DynConfig::with_threshold(4), workers, prog);
+    });
+}
 
-    #[test]
-    fn random_dags_incounter_never_grow(prog in prog_strategy(), workers in 1usize..4) {
-        // Failure injection: the tree degenerates to a single cell; the
-        // contention bound is forfeited but correctness must hold.
-        run_prog::<DynSnzi>(DynConfig::never_grow(), workers, &prog);
-    }
+#[test]
+fn random_dags_incounter_never_grow() {
+    // Failure injection: the tree degenerates to a single cell; the
+    // contention bound is forfeited but correctness must hold.
+    random_dags("random_dags_incounter_never_grow", |prog, workers, _| {
+        run_prog::<DynSnzi>(DynConfig::never_grow(), workers, prog);
+    });
+}
 
-    #[test]
-    fn random_dags_fetch_add(prog in prog_strategy(), workers in 1usize..4) {
-        run_prog::<FetchAdd>((), workers, &prog);
-    }
+#[test]
+fn random_dags_fetch_add() {
+    random_dags("random_dags_fetch_add", |prog, workers, _| {
+        run_prog::<FetchAdd>((), workers, prog);
+    });
+}
 
-    #[test]
-    fn random_dags_fixed_depth(prog in prog_strategy(), depth in 0u32..5, workers in 1usize..4) {
-        run_prog::<FixedDepth>(FixedConfig { depth }, workers, &prog);
-    }
+#[test]
+fn random_dags_fixed_depth() {
+    random_dags("random_dags_fixed_depth", |prog, workers, rng| {
+        let depth = rng.next_below(5) as u32;
+        run_prog::<FixedDepth>(FixedConfig { depth }, workers, prog);
+    });
+}
+
+/// The grammar spends the budget it is given: never more, on average at
+/// least 7.4 leaves — what a depth-5 grammar that stops at a leaf with
+/// probability 1/3 a level draws — and hardly ever a lone leaf.
+#[test]
+fn drawn_dags_are_the_size_they_name() {
+    let (mut total, mut most, mut lone) = (0, 0, 0);
+    sched::rng::battery("drawn_dags_are_the_size_they_name", 10_000, |rng| {
+        let n = Prog::draw(rng, 24).leaves();
+        (total, most, lone) = (total + n, most.max(n), lone + usize::from(n == 1));
+    });
+    let mean = total as f64 / 10_000.0;
+    assert!(most <= 24, "a program of {most} leaves over a budget of 24");
+    assert!(mean >= 7.4, "{mean} leaves a program, under 7.4");
+    assert!(lone <= 500, "{lone} lone leaves in 10 000 programs");
 }
 
 #[test]

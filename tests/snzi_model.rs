@@ -1,9 +1,9 @@
-//! Property-based testing of the SNZI tree against a trivial reference
+//! Randomized testing of the SNZI tree against a trivial reference
 //! model: a multiset of outstanding arrivals. After every operation the
 //! indicator must equal "outstanding > 0", and a departure must report
 //! period-end exactly when it empties the multiset.
 
-use proptest::prelude::*;
+use sched::XorShift64Star;
 use snzi::{Handle, Probability, SnziTree};
 
 #[derive(Debug, Clone, Copy)]
@@ -16,12 +16,15 @@ enum Op {
     Depart(usize),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0usize..64).prop_map(Op::Arrive),
-        (0usize..64).prop_map(Op::Grow),
-        (0usize..64).prop_map(Op::Depart),
-    ]
+/// Up to 119 operations, each kind as likely, each index below 64.
+fn draw_ops(rng: &mut XorShift64Star) -> Vec<Op> {
+    let len = rng.next_below(120);
+    (0..len)
+        .map(|_| {
+            let i = rng.next_below(64);
+            [Op::Arrive, Op::Grow, Op::Depart][rng.next_below(3)](i)
+        })
+        .collect()
 }
 
 fn run_model(initial: u64, p: Probability, ops: &[Op]) {
@@ -78,27 +81,27 @@ fn run_model(initial: u64, p: Probability, ops: &[Op]) {
     assert!(!tree.query());
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
+#[test]
+fn model_equivalence_fresh_tree() {
+    sched::rng::battery("model_equivalence_fresh_tree", 192, |rng| {
+        run_model(0, Probability::ALWAYS, &draw_ops(rng));
+    });
+}
 
-    #[test]
-    fn model_equivalence_fresh_tree(ops in proptest::collection::vec(op_strategy(), 0..120)) {
-        run_model(0, Probability::ALWAYS, &ops);
-    }
+#[test]
+fn model_equivalence_initial_surplus() {
+    sched::rng::battery("model_equivalence_initial_surplus", 192, |rng| {
+        let initial = 1 + rng.next_below(4) as u64;
+        run_model(initial, Probability::ALWAYS, &draw_ops(rng));
+    });
+}
 
-    #[test]
-    fn model_equivalence_initial_surplus(
-        initial in 1u64..5,
-        ops in proptest::collection::vec(op_strategy(), 0..120),
-    ) {
-        run_model(initial, Probability::ALWAYS, &ops);
-    }
-
-    #[test]
-    fn model_equivalence_no_growth(ops in proptest::collection::vec(op_strategy(), 0..120)) {
-        // With growth disabled every handle aliases the root.
-        run_model(0, Probability::NEVER, &ops);
-    }
+#[test]
+fn model_equivalence_no_growth() {
+    // With growth disabled every handle aliases the root.
+    sched::rng::battery("model_equivalence_no_growth", 192, |rng| {
+        run_model(0, Probability::NEVER, &draw_ops(rng));
+    });
 }
 
 #[test]

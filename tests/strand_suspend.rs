@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use common::{panic_text, serial, Ledger, Prog};
 use incounter::{CounterFamily, DynConfig, DynSnzi, FetchAdd, FixedConfig, FixedDepth};
-use proptest::prelude::*;
+use sched::XorShift64Star;
 use spdag::{run_dag, strand_await, Ctx, FutureHandle, StrandPoll};
 
 /// The acceptance workload: `depth` futures in one sequential dependency
@@ -298,26 +298,40 @@ fn run_prog<C: CounterFamily>(cfg: C::Config, workers: usize, prog: &Prog) {
     prog.run::<C>(cfg, workers, None).assert_drained();
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
+/// Forty programs of up to 16 nodes, each on 1 to 3 workers.
+fn random_mixed_awaits(name: &str, mut run: impl FnMut(&Prog, usize, &mut XorShift64Star)) {
+    sched::rng::battery(name, 40, |rng| {
+        let prog = Prog::draw(rng, 16);
+        let workers = 1 + rng.next_below(3);
+        run(&prog, workers, rng);
+    });
+}
 
-    #[test]
-    fn random_mixed_awaits_incounter(prog in Prog::strategy(5), workers in 1usize..4) {
-        run_prog::<DynSnzi>(DynConfig::with_threshold(4), workers, &prog);
-    }
+#[test]
+fn random_mixed_awaits_incounter() {
+    random_mixed_awaits("random_mixed_awaits_incounter", |prog, workers, _| {
+        run_prog::<DynSnzi>(DynConfig::with_threshold(4), workers, prog);
+    });
+}
 
-    #[test]
-    fn random_mixed_awaits_incounter_always_grow(prog in Prog::strategy(5), workers in 1usize..4) {
-        run_prog::<DynSnzi>(DynConfig::always_grow(), workers, &prog);
-    }
+#[test]
+fn random_mixed_awaits_incounter_always_grow() {
+    random_mixed_awaits("random_mixed_awaits_incounter_always_grow", |prog, workers, _| {
+        run_prog::<DynSnzi>(DynConfig::always_grow(), workers, prog);
+    });
+}
 
-    #[test]
-    fn random_mixed_awaits_fetch_add(prog in Prog::strategy(5), workers in 1usize..4) {
-        run_prog::<FetchAdd>((), workers, &prog);
-    }
+#[test]
+fn random_mixed_awaits_fetch_add() {
+    random_mixed_awaits("random_mixed_awaits_fetch_add", |prog, workers, _| {
+        run_prog::<FetchAdd>((), workers, prog);
+    });
+}
 
-    #[test]
-    fn random_mixed_awaits_fixed_depth(prog in Prog::strategy(5), depth in 0u32..5, workers in 1usize..4) {
-        run_prog::<FixedDepth>(FixedConfig { depth }, workers, &prog);
-    }
+#[test]
+fn random_mixed_awaits_fixed_depth() {
+    random_mixed_awaits("random_mixed_awaits_fixed_depth", |prog, workers, rng| {
+        let depth = rng.next_below(5) as u32;
+        run_prog::<FixedDepth>(FixedConfig { depth }, workers, prog);
+    });
 }

@@ -41,18 +41,16 @@ use std::sync::Arc;
 
 use common::{serial, Ledger, Prog, Serial};
 use dynsnzi::prelude::*;
-use proptest::prelude::*;
 use sched::recycle;
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    // A random program runs every cell once, and what it made is what the
-    // model says: one pair per increment, one in-counter per scope that
-    // forked, everything born dead again.
-    #[test]
-    fn random_programs_conserve_with_recycling(prog in Prog::strategy(8), wide in any::<bool>()) {
-        let workers = if wide { 4 } else { 1 };
+// A random program runs every cell once, and what it made is what the
+// model says: one pair per increment, one in-counter per scope that
+// forked, everything born dead again.
+#[test]
+fn random_programs_conserve_with_recycling() {
+    sched::rng::battery("random_programs_conserve_with_recycling", 48, |rng| {
+        let prog = Prog::draw(rng, 24);
+        let workers = if rng.next_below(2) == 1 { 4 } else { 1 };
         let s = serial();
         let ledger = Ledger::open(&s);
         let run = prog.run::<DynSnzi>(DynConfig::default(), workers, None);
@@ -60,6 +58,25 @@ proptest! {
         if let Some((made, _)) = ledger.close(&format!("W={workers}"), &run.pools()) {
             run.assert_made(&made);
         }
+    });
+}
+
+/// The program grammar spends the budget it is given: never more, on
+/// average at least what a grammar that stops at a leaf with probability
+/// 1/3 a level draws at depths 5 and 8 (7.1 and 11.7 nodes), and hardly
+/// ever a lone leaf.
+#[test]
+fn drawn_programs_are_the_size_they_name() {
+    for (budget, floor) in [(16, 7.1), (24, 11.7)] {
+        let (mut total, mut most, mut lone) = (0, 0, 0);
+        sched::rng::battery("drawn_programs_are_the_size_they_name", 10_000, |rng| {
+            let n = Prog::draw(rng, budget).nodes();
+            (total, most, lone) = (total + n, most.max(n), lone + usize::from(n == 1));
+        });
+        let mean = total as f64 / 10_000.0;
+        assert!(most <= budget, "a program of {most} nodes over a budget of {budget}");
+        assert!(mean >= floor, "{mean} nodes a program at budget {budget}, under {floor}");
+        assert!(lone <= 500, "{lone} lone leaves in 10 000 programs at budget {budget}");
     }
 }
 
@@ -406,7 +423,7 @@ fn oversized_strand_frame_spills_to_the_plain_allocator() {
     let sum = Arc::new(AtomicU64::new(0));
     // One worker, so every run asks the class pools for the same slabs.
     let run = |drops: &Arc<AtomicU64>, sum: &Arc<AtomicU64>| {
-        let (tally, sum) = (Tally(Arc::clone(drops)), Arc::clone(sum));
+        let (tally, sum, sum2) = (Tally(Arc::clone(drops)), Arc::clone(sum), Arc::clone(sum));
         run_dag::<DynSnzi, _>(DynConfig::default(), 1, move |mut ctx| {
             let f = ctx.future(move |_| 7u64);
             let state = [3u64; 160]; // 1280 B of saved state: above the 1 KiB class
@@ -418,6 +435,13 @@ fn oversized_strand_frame_spills_to_the_plain_allocator() {
             };
             assert!(off_ladder(&strand));
             ctx.fork_strand(strand);
+            // Beside it, one whose state (a handle and an `Arc`) fits the
+            // frame's inline slot.
+            let (g, sum) = (ctx.future(move |_| 7u64), Arc::clone(&sum2));
+            ctx.fork_strand(move |sc: &mut Ctx<'_, DynSnzi>| {
+                sum.fetch_add(*strand_await!(sc, &g), Ordering::Relaxed);
+                StrandPoll::Done(())
+            });
         });
         sched::slab::flush_this_thread();
     };
@@ -425,11 +449,12 @@ fn oversized_strand_frame_spills_to_the_plain_allocator() {
     let ledger = Ledger::open(&s);
     run(&drops, &sum);
     runs += 1;
-    assert_eq!(sum.load(Ordering::Relaxed), runs * 10, "each strand completed exactly once");
+    assert_eq!(sum.load(Ordering::Relaxed), runs * 17, "each strand completed exactly once");
     assert_eq!(drops.load(Ordering::SeqCst), runs, "each spilled frame was dropped exactly once");
     assert_eq!(recycle::cached_slabs(), cached, "the spilled frame entered a class pool");
     if let Some((_, d)) = ledger.close("an oversized strand frame", &[]) {
-        assert_eq!(d.counter("spdag.strand_spilled"), 1);
+        let split = (d.counter("spdag.strand_inline"), d.counter("spdag.strand_spilled"));
+        assert_eq!(split, (1, 1), "(inline, spilled) strand states");
         assert_eq!(family(&d, "sched.strand"), (1, 0, 0, 1), "born fresh, dropped, never pooled");
         assert_eq!(d.counter("sched.vertex_alloc"), 0, "the warm run minted no vertex");
     }
