@@ -378,7 +378,7 @@ fn fig12(opts: &Opts) {
     let mut rep = open_reporter(&opts.outdir, "fig12");
     let threads = opts.measure.worker_counts();
     print_header("counter \\ threads", &threads);
-    let snzi = (1..=5).map(|d| (RawCounter::FixedSnzi { depth: d }, format!("snzi-depth-{d}")));
+    let snzi = (1..=5).map(|d| (RawCounter::FixedDepth { depth: d }, format!("snzi-depth-{d}")));
     for (kind, name) in [(RawCounter::FetchAdd, "fetch-add".to_string())].into_iter().chain(snzi) {
         print_series(&name, &threads, |&t| {
             let elapsed = measure(opts.measure.runs, || raw_counter_bench(kind, t, pairs));

@@ -10,10 +10,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-use incounter::CounterFamily;
+use incounter::{CounterFamily, FixedConfig, FixedDepth};
 use outset::tree::{block_pool, TreeOutsetObj};
 use outset::{MutexOutset, OutsetFamily, TreeOutset};
-use snzi::FixedSnzi;
 use spdag::{run_dag, Ctx, FutureHandle};
 
 /// Calibrated busy work: roughly `units` nanoseconds of arithmetic on this
@@ -442,8 +441,9 @@ pub fn outset_footprint_report() -> FootprintReport {
 pub enum RawCounter {
     /// A single fetch-and-add cell.
     FetchAdd,
-    /// A fixed-depth SNZI tree; threads hash onto leaves.
-    FixedSnzi {
+    /// The fixed-depth SNZI counter ([`FixedDepth`]); threads hash onto
+    /// leaves.
+    FixedDepth {
         /// Tree depth `d`.
         depth: u32,
     },
@@ -467,15 +467,21 @@ pub fn raw_counter_bench(counter: RawCounter, threads: usize, pairs: u64) -> Dur
                 }
             })
         }
-        RawCounter::FixedSnzi { depth } => {
-            let tree = Arc::new(FixedSnzi::new(depth, 0));
+        RawCounter::FixedDepth { depth } => {
+            let cfg = FixedConfig { depth };
+            let counter = Arc::new(FixedDepth::make(&cfg, 0));
             run_threads(threads, move |tid| {
-                let tree = Arc::clone(&tree);
+                let counter = Arc::clone(&counter);
                 move || {
                     for i in 0..pairs {
                         let key = (tid as u64) << 32 | i;
-                        let leaf = tree.arrive_key(key);
-                        tree.depart_leaf(leaf);
+                        // SAFETY: the handles are `counter`'s, which the
+                        // `Arc` keeps alive, and each decrement departs at
+                        // the leaf of the increment before it.
+                        unsafe {
+                            let (dec, ..) = FixedDepth::increment(&cfg, &counter, (), true, key);
+                            FixedDepth::decrement(&counter, dec);
+                        }
                     }
                 }
             })
@@ -522,7 +528,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incounter::{DynConfig, DynSnzi, FetchAdd, FixedConfig, FixedDepth};
+    use incounter::{DynConfig, DynSnzi, FetchAdd};
 
     #[test]
     fn fanin_counts_leaves() {
@@ -641,7 +647,7 @@ mod tests {
     fn raw_counter_both_kinds_run() {
         let d = raw_counter_bench(RawCounter::FetchAdd, 2, 10_000);
         assert!(d.as_nanos() > 0);
-        let d = raw_counter_bench(RawCounter::FixedSnzi { depth: 3 }, 2, 10_000);
+        let d = raw_counter_bench(RawCounter::FixedDepth { depth: 3 }, 2, 10_000);
         assert!(d.as_nanos() > 0);
     }
 

@@ -112,11 +112,6 @@ impl<D: Copy> DecPair<D> {
         }
         (second, true)
     }
-
-    /// Whether the first handle has been claimed (diagnostics).
-    pub fn first_claimed(&self) -> bool {
-        self.claimed.load(Ordering::Acquire)
-    }
 }
 
 #[cfg(test)]
@@ -126,9 +121,7 @@ mod tests {
     #[test]
     fn claims_are_ordered() {
         let p = DecPair::new(10u32, 20u32);
-        assert!(!p.first_claimed());
         assert_eq!(p.claim(), 10, "first claimer gets the higher handle");
-        assert!(p.first_claimed());
         assert_eq!(p.claim(), 20);
     }
 
@@ -194,7 +187,7 @@ mod tests {
     #[test]
     fn claims_agree_under_either_step() {
         // Every order of the two claims over the two steps: the same
-        // handles, the same "last" answers and the same flag after each.
+        // handles and the same "last" answers.
         // SAFETY: the pairs below are this test's, claimed on its thread
         // one claim after another.
         let x = unsafe { sched::step::Exclusive::new() };
@@ -209,9 +202,7 @@ mod tests {
             for second in claims {
                 let p = DecPair::new(7u64, 9u64);
                 assert_eq!(first(&p), (7, false));
-                assert!(p.first_claimed());
                 assert_eq!(second(&p), (9, true));
-                assert!(p.first_claimed());
             }
         }
     }

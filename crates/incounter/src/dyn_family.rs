@@ -33,6 +33,7 @@ pub struct DynConfig {
     /// nodes from a single thread before consumers exist ("remote"
     /// placement) — the closest controllable analogue of the paper's NUMA
     /// page-placement study (Figure 13), which found no significant effect.
+    /// At most [`snzi::tree::MAX_DEPTH`]: `make` rejects a deeper one.
     pub pregrow_levels: u32,
 }
 
@@ -86,17 +87,7 @@ impl CounterFamily for DynSnzi {
         // creation path would double the cost for a derivable number.
         let tree = SnziTree::with_probability(n, cfg.p);
         if cfg.pregrow_levels > 0 {
-            let mut frontier = vec![tree.root_handle()];
-            for _ in 0..cfg.pregrow_levels {
-                let mut next = Vec::with_capacity(frontier.len() * 2);
-                for h in frontier {
-                    // SAFETY: handles of the tree just created; tree alive.
-                    let (a, b) = unsafe { tree.grow_always(h) };
-                    next.push(a);
-                    next.push(b);
-                }
-                frontier = next;
-            }
+            tree.grow_complete(cfg.pregrow_levels);
         }
         tree
     }
@@ -185,6 +176,19 @@ mod tests {
         // SAFETY: as above.
         let ends = unsafe { [DynSnzi::decrement(&c, d2), DynSnzi::decrement(&c, root)] };
         assert_eq!(ends, [false, true]);
+    }
+
+    #[test]
+    fn pregrow_builds_complete_levels() {
+        let c = DynSnzi::make(&DynConfig::always_grow().pregrow(3), 0);
+        let profile = c.contention_profile();
+        assert_eq!((profile.nodes, profile.max_depth), (15, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_DEPTH")]
+    fn a_pregrow_past_the_bound_is_rejected() {
+        let _ = DynSnzi::make(&DynConfig::always_grow().pregrow(snzi::tree::MAX_DEPTH + 1), 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! |---|---|---|---|
 //! | [`DynSnzi`] | dynamic SNZI tree | `grow` + `arrive` at a fresh child | `depart` at the claimed handle |
 //! | [`FetchAdd`] | one padded atomic cell | `fetch_add` | `fetch_sub` |
-//! | [`FixedDepth`] | complete SNZI tree of depth `d` | `arrive` at a hashed leaf | `depart` at the same leaf |
+//! | [`FixedDepth`] | a [`snzi::SnziTree`] grown complete to depth `d`, and its leaf table | `arrive` at a hashed leaf | `depart` at the same leaf |
 //!
 //! Every family writes each operation once, generic over the
 //! [`sched::step::Step`] it is handed ([`CounterFamily::increment_with`],
@@ -72,7 +72,7 @@ pub mod fixed_family;
 pub use decpair::DecPair;
 pub use dyn_family::{DynConfig, DynSnzi};
 pub use fetch_add::FetchAdd;
-pub use fixed_family::{FixedConfig, FixedDec, FixedDepth};
+pub use fixed_family::{FixedConfig, FixedDec, FixedDepth, FixedTree};
 
 use sched::step::{Shared, Step};
 
@@ -180,10 +180,9 @@ pub trait CounterFamily: 'static {
     /// Non-destructive zero test (the paper's `is_zero`; one root read).
     fn is_zero(counter: &Self::Counter) -> bool;
 
-    /// Build the shared decrement pair for two sibling vertices from the
-    /// inherited (higher) and fresh (lower) handles, in the paper's order:
-    /// inherited first, so higher nodes are decremented earlier
-    /// (Lemma 4.6). No family overrides it.
+    /// `DecPair::new(inherited, fresh)`. No family overrides it, and the
+    /// runtime builds its pairs with [`DecPair::new`]; the benchmark's
+    /// layer prices (`benchmark/src/layers.rs`) still call it.
     fn make_pair(
         _cfg: &Self::Config,
         inherited: Self::Dec,

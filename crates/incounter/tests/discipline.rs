@@ -35,7 +35,7 @@ fn spawn<C: CounterFamily>(
 ) -> (SimV<C>, SimV<C>) {
     let (d2, i1, i2) = unsafe { C::increment(cfg, counter, u.inc, u.is_left, vid) };
     let d1 = u.pair.claim();
-    let pair = Arc::new(C::make_pair(cfg, d1, d2));
+    let pair = Arc::new(DecPair::new(d1, d2));
     (
         SimV { inc: i1, pair: Arc::clone(&pair), is_left: true },
         SimV { inc: i2, pair, is_left: false },

@@ -21,19 +21,19 @@
 //! departures) is implemented in [`node`], and the root protocol (with its
 //! announce bit and version-tagged indicator word) in [`root`].
 //!
-//! Three tree containers are provided:
+//! Two tree containers are provided:
 //!
 //! * [`SnziTree`] — a dynamically growing tree (the paper's Section 2). New
 //!   pairs of children are spliced under a node by [`SnziTree::grow`], which
 //!   flips a `p`-biased coin *before* inspecting the node so that an
 //!   adversarial schedule cannot force more than `1/p` childless returns in
 //!   expectation. It frees its nodes only when it drops.
+//!   [`SnziTree::grow_complete`] grows it complete to a depth `d`
+//!   (2^(d+1) − 1 nodes) and returns its leaves: the paper's fixed-depth
+//!   baseline, which `incounter::FixedDepth` hashes callers onto.
 //! * [`ShrinkingTree`] — a `SnziTree` whose finished subtrees may be deleted
 //!   in use (Appendix B): every step, prunes included, goes through a
 //!   [`shrink::Pinned`] view that holds an epoch guard.
-//! * [`FixedSnzi`] — a statically allocated complete binary tree of depth
-//!   `d` (2^(d+1) − 1 nodes), the paper's fixed-depth baseline, with callers
-//!   hashed onto leaves.
 //!
 //! The crate deliberately exposes the *raw* handle-based operations
 //! ([`SnziTree::arrive`], [`SnziTree::depart`], [`SnziTree::grow`]) as
@@ -79,7 +79,6 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod coin;
-pub mod fixed;
 pub mod node;
 pub mod packed;
 pub mod root;
@@ -88,7 +87,6 @@ mod stats;
 pub mod tree;
 
 pub use coin::{Coin, Probability, ThreadCoin, XorShift64Star};
-pub use fixed::FixedSnzi;
 pub use node::{ChildPair, Node};
 pub use root::Root;
 pub use shrink::ShrinkingTree;

@@ -1,8 +1,7 @@
 //! What a tree can report about itself, to check the paper's bounds.
 //!
 //! A [`ContentionProfile`] is read by walking the tree
-//! ([`SnziTree::contention_profile`](crate::SnziTree::contention_profile),
-//! [`FixedSnzi::contention_profile`](crate::FixedSnzi::contention_profile)):
+//! ([`SnziTree::contention_profile`](crate::SnziTree::contention_profile)):
 //! its shape — node count and depth — is there in every build, because
 //! the walk sees it. Only what the walk cannot see is counted, and only
 //! under the `telemetry` feature, the switch of every other probe; a

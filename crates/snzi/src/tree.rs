@@ -41,13 +41,13 @@ use crate::packed::MAX_ROOT_SURPLUS;
 use crate::root::Root;
 use crate::stats::{ContentionProfile, TreeStats};
 
-/// Allocate a fresh tree identity (shared with [`FixedSnzi`](crate::FixedSnzi)).
+/// Allocate a fresh tree identity.
 ///
 /// Identities feed only the debug handle-ownership check
 /// (`check_handle`), so only debug builds pay for distinct ones — a
 /// process-global read-modify-write per tree, i.e. per finish block.
 /// Release builds stamp every tree 0 and write no shared word.
-pub(crate) fn next_tree_id() -> u32 {
+fn next_tree_id() -> u32 {
     #[cfg(debug_assertions)]
     {
         static TREE_IDS: AtomicU32 = AtomicU32::new(1);
@@ -57,14 +57,17 @@ pub(crate) fn next_tree_id() -> u32 {
     0
 }
 
+/// Deepest complete tree [`SnziTree::grow_complete`] builds: 2^21 − 1
+/// nodes, about 2 M (the paper sweeps fixed depths 1..=9).
+pub const MAX_DEPTH: u32 = 20;
+
 #[derive(Copy, Clone)]
 pub(crate) enum NodeRefInner {
     Root(*const Root),
     Node(*const Node),
 }
 
-/// An opaque, copyable reference to a node of a [`SnziTree`] (or of a
-/// [`FixedSnzi`](crate::FixedSnzi)).
+/// An opaque, copyable reference to a node of a [`SnziTree`].
 ///
 /// A handle is only meaningful together with the tree that produced it; all
 /// operations consuming handles are `unsafe` with that contract. Handles
@@ -290,6 +293,30 @@ impl SnziTree {
     pub unsafe fn grow_always(&self, h: Handle) -> (Handle, Handle) {
         // SAFETY: forwarded contract.
         unsafe { self.grow_impl(h, true) }
+    }
+
+    /// Grow the tree complete to depth `levels` — the paper's fixed-depth
+    /// SNZI tree, 2^(levels+1) − 1 nodes, by `2^levels − 1` calls of
+    /// [`grow_always`](Self::grow_always) — and return its `2^levels`
+    /// leaves left to right (the root alone at depth 0). Pairs grown
+    /// before are kept.
+    ///
+    /// # Panics
+    /// If `levels > MAX_DEPTH`, before any pair is installed.
+    pub fn grow_complete(&self, levels: u32) -> Vec<Handle> {
+        assert!(levels <= MAX_DEPTH, "depth {levels} exceeds MAX_DEPTH {MAX_DEPTH}");
+        let mut frontier = vec![self.root_handle()];
+        for _ in 0..levels {
+            let mut next = Vec::with_capacity(frontier.len() * 2);
+            for h in frontier {
+                // SAFETY: `h` is this tree's root or a child it returned,
+                // and `&self` keeps the tree alive for the call.
+                let (a, b) = unsafe { self.grow_always(h) };
+                next.extend([a, b]);
+            }
+            frontier = next;
+        }
+        frontier
     }
 
     unsafe fn grow_impl(&self, h: Handle, heads: bool) -> (Handle, Handle) {
@@ -591,6 +618,25 @@ mod tests {
     }
 
     #[test]
+    fn grow_complete_returns_the_leaves_left_to_right() {
+        for levels in 0..=5u32 {
+            let t = SnziTree::new(0);
+            let leaves = t.grow_complete(levels);
+            assert_eq!(leaves.len(), 1 << levels, "levels {levels}");
+            let profile = t.contention_profile();
+            assert_eq!(profile.nodes, (1 << (levels + 1)) - 1, "levels {levels}");
+            assert_eq!(profile.max_depth, levels, "levels {levels}");
+            // SAFETY: see the comment above the tests.
+            assert!(leaves.iter().all(|&h| unsafe { h.depth() } == levels));
+        }
+        let t = SnziTree::new(0);
+        let leaves = t.grow_complete(2);
+        // SAFETY: see the comment above the tests.
+        let (ll, lr) = unsafe { t.grow_always(t.grow_always(t.root_handle()).0) };
+        assert_eq!([leaves[0].addr(), leaves[1].addr()], [ll.addr(), lr.addr()]);
+    }
+
+    #[test]
     fn handles_report_depth() {
         let t = SnziTree::new(0);
         let r = t.root_handle();
@@ -696,8 +742,6 @@ mod tests {
         {
             assert!(size <= 32, "a plain SnziTree is {size} B");
             assert_eq!(class, 32, "a plain SnziTree");
-            let fixed = std::mem::size_of::<crate::FixedSnzi>();
-            assert!(fixed <= 40, "a plain FixedSnzi is {fixed} B");
         }
         #[cfg(feature = "telemetry")]
         {

@@ -1,28 +1,12 @@
 //! Edge-case and boundary tests for the SNZI crate's public API.
 
 use sched::step::Shared;
-use snzi::{FixedSnzi, Probability, SnziTree};
+use snzi::{Probability, SnziTree};
 
 #[test]
 #[should_panic(expected = "initial surplus too large")]
 fn initial_surplus_overflow_rejected() {
     let _ = SnziTree::new(u64::MAX);
-}
-
-#[test]
-#[should_panic(expected = "exceeds MAX_DEPTH")]
-fn fixed_depth_bounded() {
-    let _ = FixedSnzi::new(snzi::fixed::MAX_DEPTH + 1, 0);
-}
-
-#[test]
-fn fixed_max_reasonable_depth_works() {
-    // Depth 12: 8191 nodes — larger than any setting the paper sweeps.
-    let t = FixedSnzi::new(12, 0);
-    assert_eq!(t.node_count(), (1 << 13) - 1);
-    let leaf = t.arrive_key(999);
-    assert!(t.query());
-    assert!(t.depart_leaf(leaf));
 }
 
 #[test]
@@ -117,19 +101,6 @@ fn stats_snapshot_is_coherent() {
         assert!(s.max_depart_chain >= 1);
         assert_eq!(s.grow_losses, 0);
     }
-}
-
-#[test]
-fn fixed_tree_initial_surplus_exactly_once_zero() {
-    let t = FixedSnzi::new(3, 5);
-    let mut zeros = 0;
-    for _ in 0..5 {
-        if t.depart_root() {
-            zeros += 1;
-        }
-    }
-    assert_eq!(zeros, 1);
-    assert!(!t.query());
 }
 
 #[test]

@@ -221,7 +221,7 @@ use std::mem::{ManuallyDrop, MaybeUninit};
 use std::ptr::addr_of_mut;
 use std::sync::atomic::AtomicU32;
 
-use incounter::CounterFamily;
+use incounter::{CounterFamily, DecPair};
 use sched::recycle::{INLINE_SLOT_ALIGN, INLINE_SLOT_BYTES};
 use sched::step::Exclusive;
 use sched::{Word, WorkerCtx};
@@ -753,7 +753,9 @@ impl<C: CounterFamily> Vertex<C> {
             // onto the fresh pair right below.
             unsafe { self.dec.claim(solo) }
         };
-        let pair = PairRef::new(C::make_pair(cfg, d1, d2));
+        // Inherited first, so higher nodes are decremented earlier
+        // (Lemma 4.6).
+        let pair = PairRef::new(DecPair::new(d1, d2));
         self.inc = MaybeUninit::new(i2);
         self.dec = pair;
         self.is_left = false;
@@ -938,7 +940,7 @@ unsafe impl<C: CounterFamily> Word for VertexPtr<C> {
 mod tests {
     use super::*;
     use crate::scribble::{byte, scribble, SCRIBBLE};
-    use incounter::{DecPair, DynConfig, DynSnzi, FetchAdd, FixedDepth};
+    use incounter::{DynConfig, DynSnzi, FetchAdd, FixedDepth};
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::Arc;
 

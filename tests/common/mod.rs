@@ -61,8 +61,9 @@ pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// What a window of runs made, read from the telemetry diff: decrement
 /// pairs born, vertices born, spawned children run in their parent's
-/// vertex, in-counters made (the dynamic family counts its counters as
-/// trees, the baselines by their own probe) and left children promoted.
+/// vertex, in-counters made (both SNZI families count their counters as
+/// trees, the fetch-add baseline by its own probe) and left children
+/// promoted.
 #[derive(Debug, PartialEq)]
 pub struct Made {
     pub pairs: u64,
