@@ -28,7 +28,9 @@
 //!   paper's implementation note that readiness detection rides on
 //!   `snzi_depart`'s return value. The only strand of a scope that never
 //!   forked holds no handle and there is no counter: its signal schedules
-//!   the finish vertex outright.
+//!   the finish vertex outright. The only strand of a future's scope that
+//!   never forked carries the future's completion instead of a finish
+//!   vertex, and seals and sweeps before it signals (`crate::vertex`).
 //!
 //! One departure from Figure 3, argued in [`crate::vertex`]: `chain` does
 //! not call `new_vertex(1)`. Every vertex is born without a counter, and a
@@ -197,7 +199,10 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         // with the one claim u still owes it — or u's place as its scope's
         // only strand; a place split off u's while a spawn's left child
         // waits to run in u) and waits on one dependency: the
-        // completion of `first`'s subtree.
+        // completion of `first`'s subtree. w closes a scope, so a future's
+        // completion that u carries becomes a vertex first, and w takes u's
+        // place in its scope.
+        u.build_completion();
         let (inc, dec, is_left) = u.hand_off(self.cfg, self.worker);
         let w_ptr = Vertex::slab().emplace(inc, dec, u.fin, is_left, Once(then));
         // v: the only strand of w's scope, which has no counter until v (or
@@ -249,6 +254,7 @@ fn spawn_past_bound<C, L, R>(
     L: for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
     R: for<'b> FnOnce(Ctx<'b, C>) + Send + 'static,
 {
+    // The fork step built the completion `u` may have carried.
     fork_vertex(u, worker, cfg, Once(left));
     let (inc, dec, is_left) = u.hand_off(cfg, worker);
     let w = Vertex::slab().emplace(inc, dec, u.fin, is_left, Once(right));
@@ -308,8 +314,9 @@ fn commit_park<C: CounterFamily>(v: OwnedVertex<C>, worker: &WorkerCtx<'_, Verte
 }
 
 /// Execute one vertex: run its body, then — unless the body ended with a
-/// spawn/chain, or parked itself on a future — signal the finish vertex
-/// (the paper's `signal`).
+/// spawn/chain, or parked itself on a future — complete the future the
+/// vertex carries, if any, and signal the finish vertex (the paper's
+/// `signal`).
 fn execute_vertex<C: CounterFamily>(
     cfg: &C::Config,
     worker: &WorkerCtx<'_, VertexPtr<C>>,
@@ -338,9 +345,10 @@ fn execute_vertex<C: CounterFamily>(
     let parked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         // Failpoint (no-op unless `fault-inject` arms it): stand in for a
         // *user* body that panics. The runtime's own bodies are kept out —
-        // a future's completion vertex runs the seal-and-sweep, which no
-        // user panic can reach and whose loss would strand every
-        // registered dependent.
+        // a built completion vertex runs the seal-and-sweep, which no user
+        // panic can reach and whose loss would strand every registered
+        // dependent; a carrier's seal-and-sweep runs after this, in the
+        // epilogue.
         if !v.runtime_body && sched::failpoint::fire("spdag.panic_vertex") {
             panic!("failpoint: spdag.panic_vertex injected a body panic");
         }
@@ -368,6 +376,10 @@ fn execute_vertex<C: CounterFamily>(
         Err(payload) => {
             obs::counter!("spdag.body_panics").inc();
             worker.record_panic(payload);
+            // A body the failpoint stood in for is still in the vertex: end
+            // it now, so that a future's setter in it goes before a
+            // completion this vertex carries waits for it.
+            drop(v.body.take());
             if v.park_pending {
                 // The body panicked *after* a Parked touch_await
                 // registered this vertex on a future's out-set (user code
@@ -403,6 +415,12 @@ fn execute_vertex<C: CounterFamily>(
     if v.dead {
         return; // continuation took over this vertex's obligations
     }
+    // The strand ended without handing its place on. A carrier, the only
+    // strand of a future's scope, ends that scope here: it seals the
+    // future's out-set and sweeps it in place — a task run in place —
+    // before the signal below ends its place in the enclosing scope
+    // (`crate::vertex`, "A future's completion rides its sole strand").
+    v.complete(worker);
     if v.fin.is_null() {
         // The final vertex of the dag: the whole computation is done.
         worker.finish();

@@ -18,10 +18,10 @@
 //!   load and a store in a one-worker run, whose one thread makes both
 //!   deliveries (`crate::vertex`, "One worker, no lock prefix");
 //! * **completion broadcast** from the edge's source is the job of the
-//!   new [`outset`] crate: each future vertex carries an out-set, touches
-//!   register dependent edges in it, and the future's completion vertex
-//!   seals it and sweeps every registered dependent to the scheduler in
-//!   one batch. A one-worker run adds, seals and sweeps by load and
+//!   new [`outset`] crate: each future carries an out-set, touches
+//!   register dependent edges in it, and the strand that ends the future's
+//!   scope seals it and sweeps every registered dependent to the scheduler
+//!   in one batch. A one-worker run adds, seals and sweeps by load and
 //!   store ([`outset::OutsetFamily::add_with`] and
 //!   [`outset::OutsetFamily::finish_with`] with an exclusive step): every
 //!   add and the sweep are made on its one thread.
@@ -40,7 +40,7 @@
 //! body that ends its vertex with [`Ctx::spawn`], [`Ctx::chain`] or
 //! [`Ctx::touch`] and *then* returns the value has handed its obligation
 //! to children that may finish, on another worker, before the `return`.
-//! The completion vertex therefore waits for the body's one value setter
+//! The completion (its sweep) therefore waits for the body's one value setter
 //! to go — after its write, or unused when the body panicked (the future
 //! is then *poisoned*: complete, without a value; `docs/robustness.md`).
 //!
@@ -51,17 +51,20 @@
 //! an already-completed future degrades to a plain continuation push: the
 //! [`outset::AddEdge::Finished`] bounce delivers the dependent inline.
 //!
-//! Under the hood a `future` is one in-counter increment (the completion
-//! vertex joins the enclosing scope by the [`Scope::fork`](crate::Scope)
-//! rotation) plus one out-set, and a `touch` is one out-set add — so the
-//! paper's O(1)-amortized bounds extend to the dynamic-edge operations,
-//! with the broadcast cost paid once per future, linear in the number of
+//! Under the hood a `future` is one in-counter increment (the future joins
+//! the enclosing scope by the [`Scope::fork`](crate::Scope) rotation) plus
+//! one out-set, and a `touch` is one out-set add — so the paper's
+//! O(1)-amortized bounds extend to the dynamic-edge operations, with the
+//! broadcast cost paid once per future, linear in the number of
 //! dependents swept. The future's own scope opens with one strand, its
-//! body, and has no counter unless that body forks (`crate::vertex`): a
-//! future whose body only computes, touches or parks costs four recycler
-//! slabs — the shared core, the fork's pair, the completion vertex and
-//! the body vertex — 384 B in all (two of the 128 B class, two of the
-//! 64 B).
+//! body, and has no counter unless that body forks; while it has one
+//! strand, that strand carries the completion and seals and sweeps in its
+//! own epilogue, and the completion becomes a vertex of its own only when
+//! the scope gains a second strand (`crate::vertex`, "A future's completion
+//! rides its sole strand"). A future whose body only computes, touches or
+//! parks costs three recycler slabs — the shared core, the fork's pair and
+//! the body vertex — 256 B in all (one of the 128 B class, two of the
+//! 64 B), not the four, 384 B, of an eager completion vertex.
 //!
 //! ## Who holds the core, and the registration-lifetime rule
 //!
@@ -175,7 +178,9 @@ use sched::step::{Exclusive, Shared, Step};
 use sched::{PoolArc, WorkerCtx};
 
 use crate::dag::Ctx;
-use crate::vertex::{solo_step, Body, Once, Resumable, Strand, StrandPoll, Vertex, VertexPtr};
+use crate::vertex::{
+    solo_step, Body, Duty, Once, Resumable, Strand, StrandPoll, Vertex, VertexPtr,
+};
 
 /// Result of [`Ctx::touch_await`]: the blocking-style dual of
 /// [`Ctx::touch`]'s continuation passing.
@@ -210,14 +215,14 @@ struct FutureCore<T, O: OutsetFamily> {
     /// by the owner alone (see `CoreRef`); while it is non-zero the group
     /// of them holds one unit of the shared `PoolArc` count.
     internal: AtomicU32,
-    /// Set by the completion vertex just before the out-set seal; the
+    /// Set by the sweep just before the out-set seal; the
     /// publication edge for [`FutureHandle::try_get`]. Its readers need
     /// only its release half, which hands on the value write the sweep
     /// acquired through `published`: a one-worker run stores it `Release`,
     /// a run of two or more `SeqCst`.
     completed: AtomicBool,
     /// Set when the one [`ValueSetter`] goes — after its write, or without
-    /// one (poisoned). The completion vertex waits for it: the body may end
+    /// one (poisoned). The sweep waits for it: the body may end
     /// its vertex with a consuming `spawn`/`chain`/`touch` and still be
     /// running toward its `return` when the subtree it left behind is done.
     published: AtomicBool,
@@ -225,7 +230,7 @@ struct FutureCore<T, O: OutsetFamily> {
 
 // SAFETY: `value` is written exactly once (through the one `ValueSetter`)
 // and read only after `completed` is observed true or the reader was
-// scheduled by the completion sweep; the completion vertex sets neither in
+// scheduled by the completion sweep; the sweep sets neither in
 // motion before it has acquired `published`, which the setter releases
 // after the write — so `&T` may be shared across threads (T: Sync) after a
 // cross-thread move (T: Send). The out-set is Sync by its trait bounds.
@@ -250,7 +255,7 @@ impl<T, O: OutsetFamily> FutureCore<T, O> {
 
     /// The value if one was published; `None` for a *poisoned* future —
     /// one whose body panicked before reaching its `ValueSetter`, leaving
-    /// the completion vertex to run (the dag drains to completion under
+    /// the sweep to run (the dag drains to completion under
     /// panic isolation) with nothing to deliver.
     ///
     /// # Safety
@@ -343,9 +348,27 @@ impl<T, O: OutsetFamily> CoreRef<T, O> {
         if n == 0 {
             // The group retakes its unit, released by the 1 → 0 drop.
             let _unit = PoolArc::into_raw(PoolArc::clone(&held));
+            obs::counter!("spdag.core_group_retakes").inc();
         }
         core.internal.store(n + 1, Ordering::Relaxed);
         Self::tag(core, true)
+    }
+
+    /// The reference as one word, for a carrier to hold (`Duty`); given
+    /// back by [`from_raw`](CoreRef::from_raw), once.
+    fn into_raw(self) -> *const () {
+        let raw = self.tagged.as_ptr().cast_const().cast();
+        std::mem::forget(self);
+        raw
+    }
+
+    /// # Safety
+    /// `raw` must come from [`into_raw`](CoreRef::into_raw), and this is its
+    /// one use.
+    unsafe fn from_raw(raw: *const ()) -> Self {
+        // SAFETY: `into_raw` gave a tagged core address, which is non-null.
+        let tagged = unsafe { NonNull::new_unchecked(raw.cast_mut().cast()) };
+        Self { tagged, _marker: PhantomData }
     }
 
     fn tag(core: *const FutureCore<T, O>, internal: bool) -> Self {
@@ -380,6 +403,7 @@ impl<T, O: OutsetFamily> Drop for CoreRef<T, O> {
             if n != 1 {
                 return;
             }
+            obs::counter!("spdag.core_group_releases").inc();
         }
         // SAFETY: this reference's own unit, or the group's, which the last
         // internal reference releases; either was given up by `into_raw`.
@@ -475,7 +499,7 @@ impl<T: Send + Sync, O: OutsetFamily> ValueSetter<T, O> {
 /// The one publication point of every constructor: the setter going —
 /// after [`set`](ValueSetter::set)'s write, or unused because the body
 /// panicked or its continuation was skipped (the future stays poisoned) —
-/// is what lets the completion vertex complete the future.
+/// is what lets the sweep complete the future.
 impl<T, O: OutsetFamily> Drop for ValueSetter<T, O> {
     fn drop(&mut self) {
         // SAFETY: the sweep's reference holds the core until it has loaded
@@ -643,13 +667,14 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     }
 
     /// The one place a future is built: the shared core, the enclosing
-    /// finish scope's fork step, the completion (sweep) vertex and the
-    /// body vertex. `build` turns the one-shot value setter into the
+    /// finish scope's fork step and the body vertex, which carries the
+    /// future's completion (`crate::vertex`, "A future's completion rides
+    /// its sole strand"). `build` turns the one-shot value setter into the
     /// body — a closure that sets the value where the combinator produces
     /// it (possibly inside nested touch continuations, which belong to the
     /// future's own finish scope and therefore always precede completion),
-    /// or a strand that sets it on `Done`. All three objects are built
-    /// where they live (`crate::vertex`, "Built where it lives").
+    /// or a strand that sets it on `Done`. Both objects are built where
+    /// they live (`crate::vertex`, "Built where it lives").
     fn future_slot<O, T, B, G>(&mut self, build: G) -> FutureHandle<T, O>
     where
         O: OutsetFamily,
@@ -658,10 +683,10 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         G: FnOnce(ValueSetter<T, O>) -> B,
     {
         // The core is born with its two units — the handle returned below
-        // and the completion vertex's sweep, which in a one-worker run is
-        // the group unit of the run's internal references, the sweep's
-        // being the first (`CoreRef`) — so neither is a `clone`. The
-        // body's setter holds no count.
+        // and the sweep's, which in a one-worker run is the group unit of
+        // the run's internal references, the sweep's being the first
+        // (`CoreRef`) — so neither is a `clone`. The body's setter holds no
+        // count.
         let token = run_token(self.worker);
         // SAFETY: the closure writes every field of the core.
         let [core, unit] = unsafe {
@@ -674,31 +699,26 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
                 addr_of_mut!((*core).published).write(AtomicBool::new(false));
             })
         };
-        let sweep_core = CoreRef::born(unit, token != 0);
+        let sweep_core = CoreRef::born(unit, token != 0).into_raw();
         let setter = ValueSetter { core: NonNull::from(&*core) };
         obs::counter!("spdag.futures_created").inc();
         obs::trace::record(obs::EventKind::FutureCreate, &*core as *const FutureCore<T, O> as u64);
         let (cfg, worker) = (self.cfg, self.worker);
         let u = &mut *self.vertex;
         // Join the enclosing finish scope exactly like Scope::fork: one
-        // increment making room for the future's completion vertex, then
-        // rotate this vertex onto the fresh right-hand handles
-        // (Vertex::fork_rotate encodes the handle discipline once).
-        let fin = u.fin;
+        // increment making room for the future, then rotate this vertex
+        // onto the fresh right-hand handles (Vertex::fork_rotate encodes the
+        // handle discipline once, and first builds the completion this
+        // vertex may carry: the future is a second strand in its scope).
         let (i1, pair) = u.fork_rotate(cfg, solo_step(worker));
-        // Completion vertex: waits for the future's body subtree (a scope
-        // of one strand until that body forks), then sweeps.
-        let fw_ptr =
-            Vertex::slab().emplace(MaybeUninit::new(i1), pair, fin, true, Once(sweep(sweep_core)));
-        // The sweep is the runtime's own body: `spdag.panic_vertex`, which
-        // stands in for user code, must not skip it.
+        // Body vertex: ready now, on the left-hand handles, the only strand
+        // of the future's scope; it carries the future's completion, which
+        // becomes a vertex of its own only if that scope gains a second
+        // strand. The body's state is what `build` captures plus one word,
+        // the setter.
+        let fv = Vertex::slab().emplace(MaybeUninit::new(i1), pair, u.fin, true, build(setter));
         // SAFETY: just built, unpublished.
-        unsafe { (*fw_ptr).runtime_body = true };
-        // Body vertex: ready now, the only strand of the completion
-        // vertex's scope (the same wiring Ctx::chain gives its `first`).
-        // The body's state is what `build` captures plus one word, the
-        // setter.
-        let fv = Vertex::slab().emplace_sole(fw_ptr, build(setter));
+        unsafe { (*fv).carry(Duty { sweep: sweep::<C, T, O>, core: sweep_core }) };
         worker.push(VertexPtr(fv));
         FutureHandle { core }
     }
@@ -924,6 +944,9 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
         );
         // SAFETY: just built; the registration below publishes it.
         unsafe { *(*w_ptr).owed.get_mut() = 1 };
+        // A future's completion that u carried moves with u's place, before
+        // the registration publishes the waiting vertex.
+        u.pass_duty(w_ptr);
         let token = w_ptr as usize as u64;
         let key = self.worker.worker_id() as u64;
         let solo = solo_step(self.worker);
@@ -1022,66 +1045,72 @@ impl<'a, C: CounterFamily> Ctx<'a, C> {
     }
 }
 
-/// The body of a future's completion vertex: publish completion and sweep
-/// the out-set. It runs with a worker context, so swept dependents go
-/// straight onto the deque, a stack chunk at a time: one sleeper
-/// notification per `SWEEP_CHUNK` dependents, and no allocation however
-/// many there are. Captures one `CoreRef` (8 bytes): an inline body.
-fn sweep<C, T, O>(core: CoreRef<T, O>) -> impl for<'b> FnOnce(Ctx<'b, C>) + Send + 'static
+/// A future's completion: publish it and sweep the out-set — the [`Duty`]
+/// a carrier owes, made for the core's types, and the one place a future
+/// completes. Run by the strand that ends the future's scope: in the
+/// epilogue of the carrier, or as the body of the completion vertex built
+/// when that scope forked. It runs with a worker context, so swept
+/// dependents go straight onto the deque, a stack chunk at a time: one
+/// sleeper notification per `SWEEP_CHUNK` dependents, and no allocation
+/// however many there are.
+///
+/// # Safety
+/// `core` is a `CoreRef<T, O>` given up by `CoreRef::into_raw`, which this
+/// call consumes, and the call is the future's one completion, after its
+/// whole subtree.
+unsafe fn sweep<C, T, O>(core: *const (), worker: &WorkerCtx<'_, VertexPtr<C>>)
 where
     C: CounterFamily,
     T: Send + Sync + 'static,
     O: OutsetFamily,
 {
+    // SAFETY: the caller's contract.
+    let core = unsafe { CoreRef::<T, O>::from_raw(core) };
     const SWEEP_CHUNK: usize = 32;
-    move |c: Ctx<'_, C>| {
-        let fulfill_start = obs::now();
-        // The subtree is done; the value may not be. A body that ended
-        // its vertex with `spawn`/`chain`/`touch` handed its obligation
-        // to children that can finish on another worker while it is
-        // still on its way to `return value`. Bounded: an unreleased
-        // setter whose subtree is done sits in a closure that is
-        // running right now on another worker (at W = 1 that closure
-        // returned before this vertex could be popped).
-        while !core.published.load(Ordering::Acquire) {
-            std::hint::spin_loop();
-        }
-        let solo = solo_step(c.worker);
-        // `completed`'s readers need only the edge from the value write:
-        // the setter's release of `published`, acquired above, handed on
-        // by this store's release. A one-worker run stores it so; a run of
-        // two or more keeps the `SeqCst` store.
-        let ord = if solo.is_some() { Ordering::Release } else { Ordering::SeqCst };
-        core.completed.store(true, ord);
-        let mut chunk = [std::ptr::null_mut::<Vertex<C>>(); SWEEP_CHUNK];
-        let (mut filled, mut ready) = (0, 0u64);
-        let flush = |chunk: &[*mut Vertex<C>]| {
-            c.worker.push_batch(chunk.iter().map(|&w| VertexPtr(w)));
-        };
-        let mut deliver = |token: u64| {
-            let w = token as usize as *mut Vertex<C>;
-            // SAFETY: every token is a waiting vertex — leaked by
-            // `touch`, or parked by `touch_await` or an async strand —
-            // scheduled by nobody else; this sweep holds its fulfiller
-            // delivery right.
-            if unsafe { resolve_dependent::<C>(w, solo) } {
-                chunk[filled] = w;
-                filled += 1;
-                ready += 1;
-                if filled == SWEEP_CHUNK {
-                    flush(&chunk);
-                    filled = 0;
-                }
-            }
-        };
-        match solo {
-            Some(x) => O::finish_with(&core.outset, &mut deliver, x),
-            None => O::finish(&core.outset, &mut deliver),
-        };
-        flush(&chunk[..filled]);
-        obs::counter!("spdag.fulfills").inc();
-        obs::trace::record_span(obs::EventKind::FutureFulfill, ready, fulfill_start);
+    let fulfill_start = obs::now();
+    // The subtree is done; the value may not be. A body that ended its
+    // vertex with `spawn`/`chain`/`touch` handed its obligation to
+    // children that can finish on another worker while it is still on its
+    // way to `return value`. Bounded: an unreleased setter whose subtree is
+    // done sits in a closure that is running right now on another worker
+    // (at W = 1 that closure returned before this sweep could run).
+    while !core.published.load(Ordering::Acquire) {
+        std::hint::spin_loop();
     }
+    let solo = solo_step(worker);
+    // `completed`'s readers need only the edge from the value write: the
+    // setter's release of `published`, acquired above, handed on by this
+    // store's release. A one-worker run stores it so; a run of two or more
+    // keeps the `SeqCst` store.
+    let ord = if solo.is_some() { Ordering::Release } else { Ordering::SeqCst };
+    core.completed.store(true, ord);
+    let mut chunk = [std::ptr::null_mut::<Vertex<C>>(); SWEEP_CHUNK];
+    let (mut filled, mut ready) = (0, 0u64);
+    let flush = |chunk: &[*mut Vertex<C>]| {
+        worker.push_batch(chunk.iter().map(|&w| VertexPtr(w)));
+    };
+    let mut deliver = |token: u64| {
+        let w = token as usize as *mut Vertex<C>;
+        // SAFETY: every token is a waiting vertex — leaked by `touch`, or
+        // parked by `touch_await` or an async strand — scheduled by nobody
+        // else; this sweep holds its fulfiller delivery right.
+        if unsafe { resolve_dependent::<C>(w, solo) } {
+            chunk[filled] = w;
+            filled += 1;
+            ready += 1;
+            if filled == SWEEP_CHUNK {
+                flush(&chunk);
+                filled = 0;
+            }
+        }
+    };
+    match solo {
+        Some(x) => O::finish_with(&core.outset, &mut deliver, x),
+        None => O::finish(&core.outset, &mut deliver),
+    };
+    flush(&chunk[..filled]);
+    obs::counter!("spdag.fulfills").inc();
+    obs::trace::record_span(obs::EventKind::FutureFulfill, ready, fulfill_start);
 }
 
 /// Register the dependent `token` (a waiting vertex) on a future's

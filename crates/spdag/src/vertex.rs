@@ -16,6 +16,8 @@
 //!   SNZI nodes (Figure 5, line 22);
 //! * the `dead` flag, set when the vertex ends by handing its place on
 //!   instead of signalling;
+//! * `duty`, a future's completion that the vertex carries as the only
+//!   strand of the future's scope (below);
 //! * the body frame, taken by the executing worker (and put back only by
 //!   a strand that parks).
 //!
@@ -34,8 +36,11 @@
 //! its serial remainder**: everything that still runs in the vertex. That
 //! includes the children of its spawns, which run in it one after the
 //! other (`crate::in_place`), so such a spawn adds no strand. Scopes open
-//! with one strand — `run_dag`'s root, `chain`'s `first`, a future's body —
-//! born with `dec = none`. `chain`, `touch`, the right child of a spawn
+//! with one strand — `run_dag`'s root, `chain`'s `first` — born with
+//! `dec = none`; a future's scope opens with its body, which rides the
+//! enclosing scope's handles and carries the future's completion until the
+//! scope gains a second strand, and then is a `dec = none` strand too
+//! (below). `chain`, `touch`, the right child of a spawn
 //! past the stack bound and a park replace a strand one for one and hand
 //! `dec` on unchanged — except while a left child waits to run in the
 //! vertex (its worker's latent list is non-empty, `crate::in_place`): then
@@ -65,6 +70,52 @@
 //!    `owed.fetch_sub(1, AcqRel) == 1`: the delivery that lands second
 //!    schedules the vertex, and the first one's release publishes its
 //!    writes to it.
+//!
+//! ## A future's completion rides its sole strand
+//!
+//! In the paper's dag a future is a body plus a completion: a finish
+//! vertex whose body seals the future's out-set and sweeps its dependents.
+//! While the future's scope has one strand, the strand that ends the scope
+//! is known — it is that strand — and it can seal and sweep in its own
+//! epilogue, before it signals the enclosing scope; the completion needs no
+//! vertex. So a future is built as its body alone, on the handles of the
+//! fork that joins it to the enclosing scope — the ones the completion
+//! vertex would hold — and that vertex is a **carrier**: `duty` holds the
+//! sweep ([`SweepFn`], made for the core's types) and `counter` the core
+//! reference the sweep consumes. This is `crate::in_place`'s rule for
+//! spawned children applied to completions, Heartbeat scheduling's rule
+//! for all parallel structure: build it when a second strand needs it.
+//!
+//! > **A carrier is the only strand of its future's scope.** Its body ends
+//! > the scope: when it ends without handing its place on, the executor's
+//! > epilogue runs the sweep in place (`Vertex::complete`, counted as a task
+//! > run in place and as `spdag.completions_inline`) and then signals.
+//!
+//! * A hand-off that does not split the carrier — a `touch` — moves the
+//!   duty to the vertex that takes its place, before that vertex is
+//!   published by a push or an out-set registration
+//!   (`Vertex::pass_duty`). A parked strand keeps its duty across the park.
+//! * Every step that gives the scope a second strand first builds the
+//!   completion into a vertex, exactly as every future was built before
+//!   (`Vertex::build_completion`, `spdag.completions_built`): on the
+//!   carrier's handles, with the sweep as its runtime body, and the carrier
+//!   becomes the only strand of that vertex's scope, `dec = none`. Those
+//!   steps are the fork step, a nested future and a splitting hand-off —
+//!   all three through `Vertex::fork_rotate` — and `chain`, whose
+//!   continuation closes a scope of its own (so the right child of a spawn
+//!   past the stack bound never finds a duty: its left sibling's fork step
+//!   built it).
+//!
+//! Exactly one completion per future: the duty is moved, never copied, and
+//! taking it clears it. `counter` can hold the core because a carrier
+//! closes no scope: a vertex is a finish vertex only as a `chain`'s
+//! continuation or a completion vertex, and `chain` builds the completion
+//! before its continuation exists. A carrier whose body panics still
+//! completes its future, poisoned: the executor ends a body the failpoint
+//! left untaken before the epilogue, so the value setter goes and the
+//! sweep's wait on `published` ends. The seal, the sweep,
+//! `resolve_dependent`, the pair claim and the counter's depart are the
+//! same calls with the same steps; only the vertex that makes them moved.
 //!
 //! ## One worker, no lock prefix
 //!
@@ -144,7 +195,7 @@
 //!
 //! **The vertex fits the 128 B class** — at most 128 B for every counter
 //! family, with `telemetry` and without (a unit test here holds it; the
-//! dynamic family's is 120 B) — because the scope's counter is not in it. An
+//! dynamic family's is 128 B) — because the scope's counter is not in it. An
 //! `Option<SnziTree>` in the vertex was 64 B that every vertex carried and,
 //! by the invariant above, all but one vertex of a future-heavy run left
 //! `None`: it put the vertex at 176 B, in the 256 B class, three cache
@@ -153,8 +204,13 @@
 //! once per scope by the scope's sole strand — builds the counter in a slab
 //! of the counter's own class ([`sched::recycle::alloc`]) and stores the
 //! pointer; the vertex's `Drop`, which `Vertex::retire` runs, ends it. A
-//! forking scope pays one small slab; every other vertex is two lines, and
-//! a future link keeps 384 B of slabs live instead of 640 B.
+//! forking scope pays one small slab; every other vertex is two lines. A
+//! future whose scope never forks keeps three slabs live — its core, the
+//! pair of the fork that joined it and one vertex, 256 B — where a counter
+//! in the vertex cost 640 B and an eager completion vertex 384 B. The
+//! carrier's duty is one word (the sweep), which puts the dynamic family's
+//! vertex at 128 B, the top of its class; the core reference rides in
+//! `counter`.
 //!
 //! The third object of
 //! a spawn, the shared `DecPair`, is a slab of the same ladder that owns
@@ -211,7 +267,9 @@
 //! * two fields of a vertex are reached from other threads while it
 //!   waits: `counter`, the pointer written once by its scope's sole strand
 //!   and then read — and followed — by that scope's signals (counters are
-//!   `Sync`), and `owed`, an atomic (see the `Sync` impl);
+//!   `Sync`), and `owed`, an atomic (see the `Sync` impl). A carrier's
+//!   `counter` holds a core reference instead, which only the carrier's
+//!   own executor reads;
 //! * handles a vertex hands out point into its *finish vertex's* counter,
 //!   and a finish vertex executes — hence is retired — strictly after
 //!   every vertex of its scope.
@@ -530,6 +588,36 @@ unsafe fn drop_state<S, const STRAND: bool>(buf: &mut FrameBuf) {
     }
 }
 
+/// A future's sweep, for its core's value and out-set types: consumes the
+/// core reference it is handed ([`Duty`]).
+pub(crate) type SweepFn<C> = unsafe fn(*const (), &WorkerCtx<'_, VertexPtr<C>>);
+
+/// A future's completion as a vertex owes it: the sweep and the one core
+/// reference, type-erased, that the sweep consumes (`futures::CoreRef`).
+pub(crate) struct Duty<C: CounterFamily> {
+    pub(crate) sweep: SweepFn<C>,
+    pub(crate) core: *const (),
+}
+
+// SAFETY: the core reference crosses threads as a `CoreRef` does (it is
+// one), and the sweep is a plain function.
+unsafe impl<C: CounterFamily> Send for Duty<C> {}
+
+impl<C: CounterFamily> Duty<C> {
+    /// Complete the future: seal its out-set and sweep its dependents onto
+    /// `worker`'s deque.
+    ///
+    /// # Safety
+    /// Once per future, after its whole subtree; `worker` is the executing
+    /// worker.
+    #[inline(always)]
+    pub(crate) unsafe fn run(self, worker: &WorkerCtx<'_, VertexPtr<C>>) {
+        // SAFETY: the caller's contract; `sweep` and `core` were made
+        // together, for one core type.
+        unsafe { (self.sweep)(self.core, worker) }
+    }
+}
+
 /// One vertex of the sp-dag.
 ///
 /// `repr(C)`, the body first and the counter last: the frame moves into
@@ -572,10 +660,11 @@ pub struct Vertex<C: CounterFamily> {
     /// left child waits to run in it (`hand_off`) — a promoted one runs in a
     /// vertex of its own.
     pub(crate) dead: bool,
-    /// The body is the runtime's own, not a user's: a future's
-    /// seal-and-sweep, the final vertex's nothing. Keeps the
+    /// The body is the runtime's own, not a user's: a built completion
+    /// vertex's seal-and-sweep, the final vertex's nothing. Keeps the
     /// `spdag.panic_vertex` failpoint, which stands in for a *user* body
-    /// that panics, off them.
+    /// that panics, off them. A carrier's body is a user's; the sweep it
+    /// owes runs after it, in the epilogue.
     pub(crate) runtime_body: bool,
     /// Set by [`Ctx::touch_await`] when it arms this vertex on an unready
     /// future's out-set; still `true` when the vertex is rescheduled, so
@@ -584,6 +673,12 @@ pub struct Vertex<C: CounterFamily> {
     /// ever read/written by the current executor — parking hands the
     /// vertex over through `owed`'s release/acquire edge.
     pub(crate) park_pending: bool,
+    /// The sweep of the future whose completion this vertex carries, `None`
+    /// on every vertex but a carrier (module docs, "A future's completion
+    /// rides its sole strand"). While it is `Some`, `counter` holds the
+    /// core reference the sweep consumes, not a counter: a carrier closes
+    /// no scope.
+    duty: Option<SweepFn<C>>,
     /// The counter of the finish scope this vertex closes, out of line:
     /// null until that scope's first increment, which its sole strand
     /// performs (`Vertex::fork_rotate`) — so null for good on a vertex that
@@ -598,6 +693,7 @@ pub struct Vertex<C: CounterFamily> {
 
 impl<C: CounterFamily> Drop for Vertex<C> {
     fn drop(&mut self) {
+        debug_assert!(self.duty.is_none(), "a carrier retired with its future's completion owed");
         let counter = *self.counter.get_mut();
         if !counter.is_null() {
             // SAFETY: born by `recycle::alloc` in `open_counter`, owned by
@@ -715,6 +811,9 @@ impl<C: CounterFamily> Vertex<C> {
         cfg: &C::Config,
         solo: Option<Exclusive<'_>>,
     ) -> (C::Inc, PairRef<C::Dec>) {
+        // A second strand in a carrier's scope: the completion it carries
+        // becomes a vertex first, and this one its scope's only strand.
+        self.build_completion();
         let vid = self.key();
         let sole = self.dec.is_none();
         // SAFETY: `fin` is alive — this vertex is an unfinished strand of
@@ -788,6 +887,91 @@ impl<C: CounterFamily> Vertex<C> {
         }
     }
 
+    /// Make this vertex, just built and not yet published, the carrier of a
+    /// future's completion (module docs).
+    pub(crate) fn carry(&mut self, duty: Duty<C>) {
+        debug_assert!(self.duty.is_none() && !self.dec.is_none(), "a carrier holds a real pair");
+        self.duty = Some(duty.sweep);
+        *self.counter.get_mut() = duty.core.cast_mut().cast();
+    }
+
+    /// The completion this vertex carries, if any, moved out: the vertex
+    /// carries none afterwards and `counter` is null again.
+    #[inline(always)]
+    pub(crate) fn take_duty(&mut self) -> Option<Duty<C>> {
+        // Read before it is cleared: the executor's epilogue asks every
+        // vertex, and a vertex that carries nothing takes no store.
+        let sweep = self.duty?;
+        self.duty = None;
+        let core = std::mem::replace(self.counter.get_mut(), std::ptr::null_mut());
+        Some(Duty { sweep, core: core.cast_const().cast() })
+    }
+
+    /// A non-splitting hand-off's last step: the completion this vertex
+    /// carries moves to `to`, the vertex built to take its place, which is
+    /// not yet published (by a push or an out-set registration).
+    #[inline(always)]
+    pub(crate) fn pass_duty(&mut self, to: *mut Vertex<C>) {
+        if let Some(duty) = self.take_duty() {
+            debug_assert!(self.dead, "a carrier passes its duty only as it ends");
+            // SAFETY: the caller's `to` is built and unpublished, so this
+            // thread has it alone.
+            unsafe { (*to).carry(duty) };
+        }
+    }
+
+    /// Before this vertex's scope gains a second strand — a fork step, a
+    /// nested future, a splitting hand-off, a `chain` — build the
+    /// completion it carries, if any, into a vertex of its own on the
+    /// handles this one held, and make this one the only strand of that
+    /// vertex's scope, as a future's body was born before carriers
+    /// (module docs).
+    #[inline(always)]
+    pub(crate) fn build_completion(&mut self) {
+        if self.duty.is_some() {
+            self.build_completion_vertex();
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn build_completion_vertex(&mut self) {
+        let duty = self.take_duty().expect("a carrier");
+        let w = Vertex::slab().emplace(
+            self.inc,
+            self.dec,
+            self.fin,
+            self.is_left,
+            // SAFETY: the vertex runs once, when the scope it closes ends:
+            // after this strand and all it forks, and the duty is its alone.
+            Once(move |c: Ctx<'_, C>| unsafe { duty.run(c.worker) }),
+        );
+        // The sweep is the runtime's own body: `spdag.panic_vertex`, which
+        // stands in for user code, must not skip it.
+        // SAFETY: just built, unpublished.
+        unsafe { (*w).runtime_body = true };
+        self.inc = MaybeUninit::uninit();
+        self.dec = PairRef::none();
+        self.fin = w;
+        self.is_left = true;
+        obs::counter!("spdag.completions_built").inc();
+    }
+
+    /// The epilogue's half of a carrier whose body ended without handing
+    /// its place on: run the sweep it owes here, counted as a task run in
+    /// place, before the vertex signals its scope.
+    #[inline(always)]
+    pub(crate) fn complete(&mut self, worker: &WorkerCtx<'_, VertexPtr<C>>) {
+        if let Some(duty) = self.take_duty() {
+            worker.note_run_in_place();
+            obs::counter!("spdag.completions_inline").inc();
+            // SAFETY: the only strand of the future's scope ended without
+            // handing its place on, so the future's subtree is done, and the
+            // duty is this vertex's alone.
+            unsafe { duty.run(worker) };
+        }
+    }
+
     /// The placement key of the next increment made from this vertex, for
     /// hashed families: its address — unique among live vertices and free
     /// to compute — salted with the increments made from it before. The
@@ -838,9 +1022,9 @@ pub(crate) fn fork_vertex<C: CounterFamily>(
     cfg: &C::Config,
     body: impl Body<C>,
 ) {
-    let fin = u.fin;
     let (inc, pair) = u.fork_rotate(cfg, solo_step(worker));
-    let v = Vertex::slab().emplace(MaybeUninit::new(inc), pair, fin, true, body);
+    // `fin` after the rotation: a carrier's is its new completion vertex.
+    let v = Vertex::slab().emplace(MaybeUninit::new(inc), pair, u.fin, true, body);
     worker.push(VertexPtr(v));
 }
 
@@ -899,6 +1083,7 @@ impl<C: CounterFamily> VertexSlab<C> {
             addr_of_mut!((*v).dead).write(false);
             addr_of_mut!((*v).runtime_body).write(false);
             addr_of_mut!((*v).park_pending).write(false);
+            addr_of_mut!((*v).duty).write(None);
             addr_of_mut!((*v).counter).write(UnsafeCell::new(std::ptr::null_mut()));
         }
         if self.reused {
@@ -957,7 +1142,8 @@ mod tests {
     /// it starts: nothing forked, no left child waiting on its worker's
     /// latent list, nothing ended, no park armed, nothing owed (a `touch`
     /// continuation's one delivery and a resumed strand's two have been
-    /// made), no counter of its own, and a user's body.
+    /// made), no counter of its own, no future's completion carried, and a
+    /// user's body.
     fn started<C: CounterFamily>(c: &Ctx<'_, C>, what: &str) {
         let v = c.vertex_ref();
         assert_eq!((v.increments, c.latent_len()), (0, 0), "{what}: increments, waiting");
@@ -973,19 +1159,45 @@ mod tests {
         assert_eq!(byte(&v.park_pending), 0, "{what}: park_pending");
         assert!(byte(&v.is_left) <= 1, "{what}: is_left");
         assert_eq!(v.owed.load(Ordering::Relaxed), 0, "{what}: owed");
+        assert_eq!(word(&v.duty), 0, "{what}: duty");
         // SAFETY: a vertex reads its own field while it runs.
         assert!(!unsafe { v.has_counter() }, "{what}: counter");
     }
 
+    /// The fields of a carrier — a future's body, the only strand of the
+    /// future's scope — as its body finds them when it starts: born as
+    /// `started` says, but on the handles of the fork that joined the future
+    /// to the enclosing scope (a real pair, the left side, the enclosing
+    /// scope's finish vertex `fin`), with the future's sweep in `duty` and
+    /// the core reference it consumes in `counter`.
+    fn carrying<C: CounterFamily>(c: &Ctx<'_, C>, fin: usize, what: &str) {
+        let v = c.vertex_ref();
+        assert_eq!((v.increments, c.latent_len()), (0, 0), "{what}: increments, waiting");
+        assert_eq!(byte(&v.dead), 0, "{what}: dead");
+        assert_eq!(byte(&v.runtime_body), 0, "{what}: runtime_body");
+        assert_eq!(byte(&v.park_pending), 0, "{what}: park_pending");
+        assert_eq!(byte(&v.is_left), 1, "{what}: is_left");
+        assert_eq!(v.owed.load(Ordering::Relaxed), 0, "{what}: owed");
+        assert!(!v.dec.is_none(), "{what}: a carrier holds a real pair");
+        assert_eq!(v.fin as usize, fin, "{what}: the enclosing scope's finish vertex");
+        assert_ne!(word(&v.duty), 0, "{what}: duty");
+        assert_ne!(word(&v.duty), SCRIBBLED, "{what}: duty");
+        let core = word(&v.counter);
+        assert!(core != 0 && core != SCRIBBLED, "{what}: the core reference in `counter`");
+        // A core is 8-aligned; bit 0 tags an internal reference.
+        assert_eq!(core & 6, 0, "{what}: the core reference in `counter`");
+    }
+
     /// The fields of a finish vertex as `c`, its scope's only strand, finds
     /// them: born as `started` says, with its body still in place.
-    fn waiting<C: CounterFamily>(c: &Ctx<'_, C>, runtime_body: bool, what: &str) {
+    fn waiting<C: CounterFamily>(c: &Ctx<'_, C>, what: &str) {
         // SAFETY: `fin` waits for the calling strand's scope, so it is alive,
         // and the caller is that scope's only strand, so nobody writes it.
         let w = unsafe { &*c.vertex_ref().fin };
         assert_ne!(word(&w.body.thunks), 0, "{what}: a body");
         assert_ne!(word(&w.body.thunks), SCRIBBLED, "{what}: thunks");
-        assert_eq!(byte(&w.runtime_body), runtime_body as u8, "{what}: runtime_body");
+        assert_eq!(byte(&w.runtime_body), 0, "{what}: runtime_body");
+        assert_eq!(word(&w.duty), 0, "{what}: duty");
         assert_eq!((w.increments, c.latent_len()), (0, 0), "{what}: increments, waiting");
         assert_eq!(byte(&w.dead), 0, "{what}: dead");
         assert_eq!(byte(&w.park_pending), 0, "{what}: park_pending");
@@ -1071,6 +1283,7 @@ mod tests {
             assert_eq!(byte(&r.dead), 0, "{what}: dead");
             assert_eq!(byte(&r.runtime_body), 0, "{what}: runtime_body");
             assert_eq!(byte(&r.park_pending), 0, "{what}: park_pending");
+            assert_eq!(word(&r.duty), 0, "{what}: duty");
             // SAFETY: nobody else reaches the vertex.
             assert!(!unsafe { r.has_counter() }, "{what}: counter");
             // SAFETY: built above, not published; the drop thunk ends the
@@ -1088,14 +1301,38 @@ mod tests {
     fn every_kind(ctx: Ctx<'_, DynSnzi>, out: Arc<AtomicU64>) {
         started(&ctx, "the root, a sole strand");
         assert!(ctx.vertex_ref().dec.is_none(), "the root holds no pair");
+        let z = ctx.vertex_ref().fin as usize;
         let mut ctx = ctx;
-        // A future: its body is its scope's only strand, and its completion
-        // vertex waits with the runtime's body.
-        let f = ctx.future(|c| {
-            started(&c, "a future's body");
-            assert!(c.vertex_ref().dec.is_none(), "a future's body holds no pair");
-            waiting(&c, true, "a future's completion vertex");
+        // A future: its body is its scope's only strand and carries the
+        // future's completion.
+        let f = ctx.future(move |c| {
+            carrying(&c, z, "a future's body");
             20u64
+        });
+        // A future whose body forks: first its completion becomes a vertex,
+        // on the handles the body held, with the runtime's body, and the body
+        // the only strand of that vertex's scope, which its fork opened.
+        let _forks = ctx.future(move |mut c| {
+            carrying(&c, z, "a future's body that forks");
+            c.fork(|_| {});
+            let v = c.vertex_ref();
+            assert_eq!(word(&v.duty), 0, "after the fork: duty");
+            // SAFETY: a vertex reads its own field while it runs.
+            assert!(!unsafe { v.has_counter() }, "after the fork: counter");
+            assert!(!v.dec.is_none(), "after the fork: a real pair");
+            // SAFETY: `fin` waits for this strand's scope, so it is alive.
+            let w = unsafe { &*v.fin };
+            assert_ne!(v.fin as usize, z, "the completion vertex");
+            assert_eq!(w.fin as usize, z, "the completion vertex: fin");
+            assert_eq!(byte(&w.runtime_body), 1, "the completion vertex: runtime_body");
+            assert!(!w.dec.is_none(), "the completion vertex: a real pair");
+            assert_eq!(byte(&w.is_left), 1, "the completion vertex: is_left");
+            assert_eq!(word(&w.duty), 0, "the completion vertex: duty");
+            assert_ne!(word(&w.body.thunks), 0, "the completion vertex: a body");
+            // SAFETY: this strand's fork made the counter: it is ordered
+            // after the write.
+            assert!(unsafe { w.has_counter() }, "the completion vertex: its scope's counter");
+            0u64
         });
         // A strand that awaits a future forked before it: at W = 1 the deque
         // runs the strand first, so it parks and resumes.
@@ -1151,7 +1388,7 @@ mod tests {
                 move |c| {
                     started(&c, "a chain's first, a sole strand");
                     assert!(c.vertex_ref().dec.is_none(), "a chain's first holds no pair");
-                    waiting(&c, false, "a chain's continuation");
+                    waiting(&c, "a chain's continuation");
                     a.fetch_add(4, Ordering::SeqCst);
                 },
                 move |c| {

@@ -61,14 +61,17 @@ pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// What a window of runs made, read from the telemetry diff: decrement
 /// pairs born, vertices born, spawned children run in their parent's
-/// vertex, in-counters made (both SNZI families count their counters as
-/// trees, the fetch-add baseline by its own probe) and left children
-/// promoted.
+/// vertex, futures completed in the epilogue of the strand that carried
+/// them (`completions_inline`; a future whose scope forked completes in a
+/// vertex built for it instead, one of `vertices`), in-counters made (both
+/// SNZI families count their counters as trees, the fetch-add baseline by
+/// its own probe) and left children promoted.
 #[derive(Debug, PartialEq)]
 pub struct Made {
     pub pairs: u64,
     pub vertices: u64,
     pub in_place: u64,
+    pub completions_inline: u64,
     pub counters: u64,
     pub promoted: u64,
 }
@@ -118,7 +121,7 @@ impl Ledger {
     /// every one born died, every park was repaid and — for the runs whose
     /// statistics `runs` holds, which must be all the window's or none —
     /// `tasks − resumes` is the vertices born plus the children run in
-    /// place. Returns what the window made and its whole counter diff;
+    /// place plus the completions run in place. Returns what the window made and its whole counter diff;
     /// `None` with telemetry compiled out, after the checks `runs` allows.
     pub fn close(self, what: &str, runs: &[&PoolStats]) -> Option<(Made, Snapshot)> {
         for s in runs {
@@ -137,6 +140,7 @@ impl Ledger {
             pairs: d.counter("sched.pairs_born"),
             vertices: sum(CONSERVED[0].1),
             in_place: d.counter("spdag.spawn_inline"),
+            completions_inline: d.counter("spdag.completions_inline"),
             counters: sum(&["snzi.trees_created", "incounter.created"]),
             promoted: d.counter("spdag.spawn_promoted"),
         };
@@ -144,8 +148,9 @@ impl Ledger {
             let executed: u64 = runs.iter().map(|s| s.tasks - s.resumes).sum();
             assert_eq!(
                 executed,
-                made.vertices + made.in_place,
-                "{what}: tasks - resumes against vertices born and children run in place"
+                made.vertices + made.in_place + made.completions_inline,
+                "{what}: tasks - resumes against vertices born, children run in place and \
+                 completions run in place"
             );
         }
         Some((made, d))

@@ -221,7 +221,77 @@ fn a_touch_after_the_sweep_retakes_the_group_unit() {
     });
     assert_eq!(seen.load(Ordering::SeqCst), 1, "the continuation ran");
     assert_eq!(drops.load(Ordering::SeqCst), 1, "the value dropped once");
-    ledger.close("retake", &[]);
+    if let Some((_, d)) = ledger.close("retake", &[]) {
+        // Born with the group's unit, released by the sweep, retaken by the
+        // touch and released by its waiting vertex.
+        assert_eq!(d.counter("spdag.core_group_retakes"), 1, "the retake is counted");
+        assert_eq!(d.counter("spdag.core_group_releases"), 2, "both releases are counted");
+    }
+}
+
+/// A core group's locked steps at W = 1, counted under telemetry: in a
+/// wavefront built before it runs (as the benchmark's `pipeline_stages`
+/// is) and in a chain of `touch_await`s, every internal reference is minted
+/// while another on its core lives, so each core's group makes exactly one
+/// release (1 → 0, a locked decrement of the shared word) and no retake
+/// (0 → 1) — the one locked refcount step a one-worker future makes besides
+/// its handles'.
+#[test]
+fn built_futures_release_each_group_once_and_retake_none() {
+    const STAGES: usize = 6;
+    const WIDTH: usize = 8;
+    const LINKS: u64 = 64;
+    let s = serial();
+    // The wavefront's sum, cell by cell: cell `i` of a stage adds cells `i`
+    // and `i + 1` (mod WIDTH) of the stage before.
+    let mut row: Vec<u64> = (0..WIDTH as u64).collect();
+    for _ in 0..STAGES {
+        row = (0..WIDTH).map(|i| row[i] + row[(i + 1) % WIDTH]).collect();
+    }
+    let wavefront_sum: u64 = row.iter().sum();
+    for wavefront in [true, false] {
+        let shape = if wavefront { "a built wavefront" } else { "a touch_await chain" };
+        let ledger = Ledger::open(&s);
+        let out = Arc::new(AtomicU64::new(0));
+        let o = Arc::clone(&out);
+        run(1, move |mut ctx| {
+            if wavefront {
+                let mut row: Vec<FutureHandle<u64>> =
+                    (0..WIDTH as u64).map(|i| ctx.future(move |_| i)).collect();
+                for _ in 0..STAGES {
+                    row = (0..WIDTH)
+                        .map(|i| ctx.future_join(&row[i], &row[(i + 1) % WIDTH], |_, a, b| a + b))
+                        .collect();
+                }
+                for cell in row {
+                    let o = Arc::clone(&o);
+                    ctx.fork(move |c| {
+                        c.touch(&cell, move |_, v| {
+                            o.fetch_add(*v, Ordering::SeqCst);
+                        })
+                    });
+                }
+            } else {
+                let mut prev = ctx.future(|_| 0u64);
+                for _ in 0..LINKS {
+                    let f = prev.clone();
+                    prev = ctx.future_strand(move |c: &mut Ctx<'_, DynSnzi>| {
+                        StrandPoll::Done(*strand_await!(c, &f) + 1)
+                    });
+                }
+                ctx.touch(&prev, move |_, v| {
+                    o.store(*v, Ordering::SeqCst);
+                });
+            }
+        });
+        let want = if wavefront { wavefront_sum } else { LINKS };
+        assert_eq!(out.load(Ordering::SeqCst), want, "{shape}");
+        let Some((_, d)) = ledger.close(shape, &[]) else { continue };
+        let cores = d.counter("spdag.futures_created");
+        assert!(cores > 0, "{shape}");
+        assert_eq!(d.counter("spdag.core_group_releases"), cores, "{shape}: one release a core");
+        assert_eq!(d.counter("spdag.core_group_retakes"), 0, "{shape}: no retake");
+    }
 }
 
 /// Touch and `future_then` an escaped handle from `ctx`, adding its value

@@ -3,8 +3,11 @@
 //!
 //! 1. `spdag.panic_vertex` stands in for a *user* body that panics, so it
 //!    is eligible on every vertex but the two whose body is the runtime's
-//!    own — a future's completion vertex (the seal-and-sweep) and the dag's
-//!    final vertex. Since no vertex owns a counter at birth any more, that
+//!    own — a future's completion vertex (the seal-and-sweep), built when
+//!    the future's scope forks, and the dag's final vertex. A vertex that
+//!    carries a future's completion runs a user's body, and sweeps after
+//!    it in its epilogue, so an injected panic there still completes the
+//!    future. Since no vertex owns a counter at birth any more, that
 //!    is a bit on the vertex (`Vertex::runtime_body`), not "owns no
 //!    counter"; with the old guard an injected panic would now reach the
 //!    sweep, skip it with its frame and strand every registered dependent.
@@ -83,8 +86,10 @@ fn every_eligible_vertex_of_a_wavefront_can_panic() {
     assert_eq!(delivered.load(Ordering::Relaxed), WIDTH as u64 + 1);
     // Per future a body and, for a join, two touch continuations; per fold
     // its fork arm and continuation; the root; the strand's first run and
-    // at least one resumption. The completion vertices and the final
-    // vertex are not among them.
+    // at least one resumption. The final vertex is not among them, nor
+    // would a completion vertex be (none is built here: no future's scope
+    // forks, so each future's last vertex sweeps in its epilogue, after
+    // the body the failpoint stands in for).
     let futures = (WIDTH + STAGES * WIDTH) as u64;
     let floor = futures + 2 * (STAGES * WIDTH) as u64 + 2 * WIDTH as u64 + 3;
     assert!(eligible >= floor, "{eligible} eligible executions, expected at least {floor}");

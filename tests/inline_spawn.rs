@@ -260,8 +260,14 @@ fn fib_counts_exactly<C: CounterFamily>(s: &Serial, cfg: C::Config) {
                 assert_eq!(p, 0, "{what}: nothing to promote to");
             }
             let counters = u64::from(workers > 1);
-            let expected =
-                Made { pairs: p, vertices: 2 + p, in_place: 2 * SPAWNS - p, counters, promoted: p };
+            let expected = Made {
+                pairs: p,
+                vertices: 2 + p,
+                in_place: 2 * SPAWNS - p,
+                completions_inline: 0,
+                counters,
+                promoted: p,
+            };
             assert_eq!(m, expected, "{what}: a pair and a vertex per promotion");
         }
     }
@@ -329,14 +335,21 @@ fn a_busy_right_child_splits_its_vertex<C: CounterFamily>(s: &Serial, cfg: C::Co
         // on. If it waits, the chain splits the vertex, and the touch, made
         // by the inner left child in place with nothing left waiting, moves
         // them on; at W = 1 the touch splits too, for the outer left child.
-        // Vertices: the root and the final one, the fork, the future's two,
-        // two per chain and the touch's, and one per promotion.
+        // Vertices: the root and the final one, the fork, the future's body
+        // (it never forks, so it completes the future in its epilogue), two
+        // per chain and the touch's, and one per promotion.
         let p = m.promoted;
         if workers == 1 {
             assert_eq!(p, 0, "{what}: nothing to promote to");
         }
-        let expected =
-            Made { pairs: 4, vertices: 10 + p, in_place: 4 - p, counters: 1, promoted: p };
+        let expected = Made {
+            pairs: 4,
+            vertices: 9 + p,
+            in_place: 4 - p,
+            completions_inline: 1,
+            counters: 1,
+            promoted: p,
+        };
         assert_eq!(m, expected, "{what}");
     }
 }
@@ -370,7 +383,14 @@ fn a_right_child_that_chained_unwinds<C: CounterFamily>(s: &Serial, cfg: C::Conf
         // finds nothing waiting.
         let (pairs, promoted) = if workers == 1 { (2, 0) } else { (1, 1) };
         if let Some(m) = m {
-            let expected = Made { pairs, vertices: 5, in_place: 1, counters: 1, promoted };
+            let expected = Made {
+                pairs,
+                vertices: 5,
+                in_place: 1,
+                completions_inline: 0,
+                counters: 1,
+                promoted,
+            };
             assert_eq!(m, expected, "{what}");
         }
     }
@@ -449,7 +469,14 @@ fn a_right_spine_crosses_the_bound<C: CounterFamily>(s: &Serial, cfg: C::Config)
         assert!(past > 0, "{what}: the spine crossed the stack bound");
         let forks = workers as u64;
         let (pairs, vertices) = (forks + 2 * past, 2 + forks + 2 * past);
-        let expected = Made { pairs, vertices, in_place: m.in_place, counters: 1, promoted: 0 };
+        let expected = Made {
+            pairs,
+            vertices,
+            in_place: m.in_place,
+            completions_inline: 0,
+            counters: 1,
+            promoted: 0,
+        };
         assert_eq!(m, expected, "{what}");
     }
 }
@@ -523,8 +550,14 @@ fn a_spawn_past_the_bound_with_nothing_waiting<C: CounterFamily>(s: &Serial, cfg
     // child in place. A spawn past the bound: one increment, its pair shared
     // by its two children, both vertices; the right one takes the spawning
     // vertex's place. Besides: the root and the final vertex.
-    let expected =
-        Made { pairs: 2 * K, vertices: 2 + 3 * K, in_place: K, counters: 1, promoted: K };
+    let expected = Made {
+        pairs: 2 * K,
+        vertices: 2 + 3 * K,
+        in_place: K,
+        completions_inline: 0,
+        counters: 1,
+        promoted: K,
+    };
     assert_eq!(m, expected, "{what}");
 }
 
@@ -583,8 +616,14 @@ fn the_oldest_waiting_left_child_is_promoted<C: CounterFamily>(s: &Serial, cfg: 
             // the root and the final vertex; the other five children ran
             // in place.
             let w = workers as u64;
-            let expected =
-                Made { pairs: w + 1, vertices: w + 3, in_place: 5, counters: 1, promoted: 1 };
+            let expected = Made {
+                pairs: w + 1,
+                vertices: w + 3,
+                in_place: 5,
+                completions_inline: 0,
+                counters: 1,
+                promoted: 1,
+            };
             assert_eq!(m, expected, "{what}");
         }
     }
@@ -627,8 +666,14 @@ fn a_right_child_panics_around_a_promotion<C: CounterFamily>(s: &Serial, cfg: C:
             // held fork, with a pair of its own.
             let forks = if waits { workers as u64 } else { 0 };
             let promoted = u64::from(!waits);
-            let expected =
-                Made { pairs: forks + 1, vertices: forks + 3, in_place: 1, counters: 1, promoted };
+            let expected = Made {
+                pairs: forks + 1,
+                vertices: forks + 3,
+                in_place: 1,
+                completions_inline: 0,
+                counters: 1,
+                promoted,
+            };
             assert_eq!(m, expected, "{what}");
         }
     }
@@ -686,8 +731,14 @@ fn a_nested_run_leaves_the_waiting_left_child<C: CounterFamily>(s: &Serial, cfg:
             // run's.
             let (w, p) = (workers as u64, m.promoted);
             let in_place = 2 + 2 * SPAWNS - p;
-            let expected =
-                Made { pairs: w + p, vertices: w + 6 + p, in_place, counters: 2, promoted: p };
+            let expected = Made {
+                pairs: w + p,
+                vertices: w + 6 + p,
+                in_place,
+                completions_inline: 0,
+                counters: 2,
+                promoted: p,
+            };
             assert_eq!(m, expected, "{what}");
         }
     }

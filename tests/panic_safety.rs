@@ -102,7 +102,7 @@ fn poisoned_future_probes_and_touch_skip() {
 
 /// A body that panics *after* the consuming call that ended its vertex:
 /// its children may already have finished on another worker, and the
-/// completion vertex is waiting for the value setter to go. The unwind
+/// future's sweep is waiting for the value setter to go. The unwind
 /// drops the setter unused, so the future still completes — poisoned —
 /// and the dag drains.
 #[test]

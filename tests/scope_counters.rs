@@ -226,8 +226,8 @@ fn park_then_fork_round<C: CounterFamily>(cfg: C::Config, workers: usize) -> boo
 }
 
 fn strand_parks_then_forks<C: CounterFamily>(cfg: C::Config, workers: usize) {
-    // Which delivery lands second, and whether a thief takes the gate's
-    // completion vertex back to the strand's first worker, is the
+    // Which delivery lands second, and whether a thief takes the vertex
+    // that completes the gate back to the strand's first worker, is the
     // schedule's. Run until a round moved.
     for _ in 0..200 {
         if park_then_fork_round::<C>(cfg.clone(), workers) || workers == 1 {

@@ -11,11 +11,12 @@
 //! 2. pruning per Lemma B.1 (subtree surplus returned to zero) recovers
 //!    the space while the tree keeps functioning.
 //!
-//! And one for the dag layer above the tree: a future link keeps four
+//! And one for the dag layer above the tree: a future link keeps three
 //! recycler slabs live — its shared core, the pair of the fork that joined
-//! it to the enclosing scope, its completion vertex and one more vertex
-//! (its body, or the continuation or parked strand the body became) — and
-//! no in-counter: only a scope that forks makes one.
+//! it to the enclosing scope and one vertex (its body, or the continuation
+//! or parked strand the body became), which carries the future's
+//! completion — and no in-counter: only a scope that forks makes one, and
+//! only then does the completion become a vertex of its own.
 //!
 //! The recycler gauges and SNZI roots are process-global, so the tests
 //! serialize on the binary's lock.
@@ -208,7 +209,7 @@ fn future_chain(depth: u64, blocking: bool) -> u64 {
 }
 
 #[test]
-fn a_future_link_keeps_four_recycler_slabs() {
+fn a_future_link_keeps_three_recycler_slabs() {
     let _g = common::serial();
     const DEPTH: u64 = 600;
     // Beside the links: the root, the final vertex, the root scope's
@@ -221,18 +222,20 @@ fn a_future_link_keeps_four_recycler_slabs() {
         // `run` flushed every cache on its way out: with the pools emptied
         // before it, what they hold now is the run's live peak.
         let slabs = sched::recycle::cached_slabs();
-        let bound = 4 * DEPTH as usize + BESIDE;
+        let bound = 3 * DEPTH as usize + BESIDE;
         assert!(
             slabs <= bound,
-            "a chain of {DEPTH} {} links peaked at {slabs} recycler slabs, over 4 per link \
-             + {BESIDE} = {bound}: a counter or a pair per future has grown back",
+            "a chain of {DEPTH} {} links peaked at {slabs} recycler slabs, over 3 per link \
+             + {BESIDE} = {bound}: a completion vertex, a counter or a pair per future has grown \
+             back",
             if blocking { "touch_await" } else { "future_then" },
         );
-        assert!(slabs >= 4 * DEPTH as usize, "the gauge lost slabs: {slabs} for {DEPTH} links");
-        // And in bytes: the core and the pair ride the 64 B class, the two
-        // vertices the 128 B one. A core back in the 128 B class makes a
-        // link 448 B, a vertex back in the 256 B class 640 B.
-        const LINK_BYTES: usize = 64 + 64 + 2 * 128;
+        assert!(slabs >= 3 * DEPTH as usize, "the gauge lost slabs: {slabs} for {DEPTH} links");
+        // And in bytes: the core and the pair ride the 64 B class, the
+        // vertex the 128 B one. A core back in the 128 B class makes a link
+        // 320 B, a vertex back in the 256 B class 384 B, and an eager
+        // completion vertex 384 B too.
+        const LINK_BYTES: usize = 64 + 64 + 128;
         let bytes = sched::recycle::cached_bytes();
         let bound = LINK_BYTES * DEPTH as usize + BESIDE * 256;
         assert!(
@@ -240,6 +243,10 @@ fn a_future_link_keeps_four_recycler_slabs() {
             "a chain of {DEPTH} links peaked at {bytes} B of recycler slabs, over {LINK_BYTES} \
              per link + {BESIDE} x 256 = {bound}; slabs by class {:?}",
             sched::recycle::cached_slabs_by_class(),
+        );
+        assert!(
+            bytes >= LINK_BYTES * DEPTH as usize,
+            "the gauge lost bytes: {bytes} B for {DEPTH} links"
         );
     }
 }
